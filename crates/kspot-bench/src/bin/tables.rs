@@ -9,7 +9,7 @@
 //! cargo run --release -p kspot-bench --bin tables -- e12 e13 e14 e15 e16 e17  # also writes BENCH_engine.json
 //! ```
 //!
-//! `e12` (engine throughput), `e13` (frame-batching savings), `e14`
+//! `e12` (solo engines vs the shared loop), `e13` (frame-batching savings), `e14`
 //! (historic-session amortisation), `e15` (fleet scaling), `e16` (serve latency) and
 //! `e17` (durable windows / AS OF time travel) additionally write their
 //! machine-readable results to `BENCH_engine.json` in the

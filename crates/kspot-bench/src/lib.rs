@@ -1,8 +1,9 @@
 //! # kspot-bench — the experiment harness of the KSpot reproduction
 //!
 //! The crate regenerates every quantitative claim of the demonstration paper as a
-//! printable table (experiments E1–E17, see `DESIGN.md` for the index) and hosts the
-//! criterion micro-benchmarks:
+//! printable table (experiments E1–E17, indexed by [`ALL_EXPERIMENTS`]; each
+//! experiment's doc comment names what it reproduces) and hosts the criterion
+//! micro-benchmarks:
 //!
 //! * `cargo run -p kspot-bench --bin tables -- all` prints every table;
 //! * `cargo run -p kspot-bench --bin tables -- e4 e6` prints a selection;

@@ -5,9 +5,10 @@
 //! directly.  It owns a single [`Network`] + [`Workload`] substrate and a set of
 //! registered query *sessions*; one shared epoch loop acquires each epoch's readings
 //! once, charges the fixed per-epoch substrate cost (sampling, idle listening) once,
-//! and then drives every active session's in-network protocol over the shared sweep —
-//! instead of rebuilding the whole simulation per query the way the one-shot
-//! [`crate::KSpotServer::submit`] compatibility facade historically did.
+//! and then drives every active session's in-network protocol over the shared sweep.
+//! An engine is booted from a [`crate::KSpotServer`] (scenario, workload, cost model,
+//! seed) or, for substrates that vocabulary cannot express, injected through
+//! [`QueryEngine::from_substrate`].
 //!
 //! ## The `Session` API — one submission surface for both query classes
 //!
@@ -24,7 +25,19 @@
 //!
 //! The handle exposes the whole lifecycle: [`Session::poll`] / [`Session::stream`]
 //! for per-epoch results, [`Session::cancel`], and [`Session::finalize`] to convert
-//! the session into a [`QueryExecution`] compatible with the one-shot facade.
+//! the session into a [`QueryExecution`] carrying its System Panel.
+//!
+//! ## System-Panel baselines are sessions too
+//!
+//! The panel "continuously projects the savings in energy and messages" next to the
+//! running query, so the conventional strategies it compares against run next to it:
+//! [`QueryEngine::register_baselines`] admits them — for every query class — as
+//! sessions of the same shared loop, over the same readings and windows, each under
+//! its own metrics scope, and [`Session::finalize`] reports their scoped slices as
+//! the panel's baselines.  A scoped slice is a strategy's *own* radio, CPU and
+//! storage work; the per-epoch idle/sampling baseline and the window maintenance
+//! are shared infrastructure attributable to no single strategy and stay out of it
+//! (ADR-010).
 //!
 //! ## Shared window maintenance (historic sessions)
 //!
@@ -43,8 +56,8 @@
 //!
 //! Holding the same samples, the engine-fed windows are byte-identical to a
 //! per-submission dataset replay — on lossless substrates a registered historic
-//! session returns exactly the answer `KSpotServer::submit` historically produced
-//! (asserted cell-by-cell by `tests/historic_cells.rs`).
+//! session returns exactly the answer a dedicated `HistoricDataset::collect` replay
+//! produces (asserted cell-by-cell by `tests/historic_cells.rs`).
 //!
 //! ## Session isolation
 //!
@@ -103,10 +116,6 @@
 //! session ran entirely in the guarantee regime; a `true` flag marks its answers as
 //! battery-coupled to the concurrent session mix (see ADR-004).
 //!
-//! A parallel *batch* front-end ([`crate::KSpotServer::submit_batch`]) complements the
-//! engine for offline workloads: independent executions fan out across cores with
-//! `std::thread::scope` and return results byte-identical to the serial order.
-//!
 //! ## Going multi-core: the engine fleet
 //!
 //! The engine's state cell is `Send` (`Arc<Mutex<EngineCore>>`, `Send` algorithm
@@ -122,7 +131,7 @@
 
 use crate::config::ScenarioConfig;
 use crate::panel::{StrategyReport, SystemPanel};
-use crate::server::{QueryExecution, WorkloadSpec};
+use crate::server::{KSpotBullet, QueryExecution, WorkloadSpec};
 use kspot_algos::historic::HistoricAlgorithm;
 use kspot_algos::{
     BankWindows, CentralizedCollection, CentralizedHistoric, FilaMonitor, HistoricSpec,
@@ -130,8 +139,7 @@ use kspot_algos::{
     Tput,
 };
 use kspot_net::{
-    Epoch, Network, NetworkConfig, NetworkMetrics, PhaseTotals, RoomModelParams, WindowBank,
-    Workload,
+    Epoch, GroupId, Network, NetworkConfig, NetworkMetrics, PhaseTotals, WindowBank, Workload,
 };
 use kspot_query::plan::{classify, ExecutionStrategy, QueryClass, QueryPlan};
 use kspot_query::{parse, AggFunc, QueryError};
@@ -204,6 +212,9 @@ struct SessionState {
     /// True once some node's battery was exhausted during an epoch this session took
     /// part in — the boundary marker of the byte-identity guarantees (module docs).
     depleted_during_run: bool,
+    /// The System-Panel comparison sessions registered for this session
+    /// ([`QueryEngine::register_baselines`]), in panel order.
+    baselines: Vec<QueryId>,
 }
 
 impl SessionState {
@@ -227,10 +238,10 @@ impl SessionState {
 }
 
 /// The snapshot spec a continuous plan executes with.  This is the **single** source
-/// of the plan→spec policy, shared between the engine's query router and the server's
-/// System-Panel baseline builder, so the executed algorithm and the baselines it is
-/// compared against can never be derived from diverging specs.
-pub(crate) fn continuous_spec(
+/// of the plan→spec policy, shared between the query router and the System-Panel
+/// baseline builder, so the executed algorithm and the baselines it is compared
+/// against can never be derived from diverging specs.
+fn continuous_spec(
     scenario: &ScenarioConfig,
     plan: &QueryPlan,
 ) -> Result<SnapshotSpec, QueryError> {
@@ -266,15 +277,9 @@ pub(crate) fn continuous_spec(
 /// while staying byte-identical to a single-threaded run (ADR-006).
 pub(crate) struct EngineCore {
     scenario: ScenarioConfig,
-    workload_spec: WorkloadSpec,
-    net_config: NetworkConfig,
-    seed: u64,
     max_sessions: usize,
     net: Network,
     workload: Workload,
-    /// True when the substrate was injected via [`QueryEngine::from_substrate`]; the
-    /// config builders then refuse to rebuild it.
-    injected_substrate: bool,
     sessions: BTreeMap<QueryId, SessionState>,
     /// The engine-shared per-node sliding windows, created at the first historic
     /// registration and fed once per epoch from then on (even across historic
@@ -292,7 +297,6 @@ pub(crate) struct EngineCore {
     maintenance_energy_uj: f64,
     next_id: QueryId,
     epochs_run: u64,
-    frame_batching: bool,
 }
 
 impl EngineCore {
@@ -302,27 +306,6 @@ impl EngineCore {
 
     pub(crate) fn max_sessions(&self) -> usize {
         self.max_sessions
-    }
-
-    fn rebuild_substrate(&mut self) {
-        assert!(
-            !self.injected_substrate,
-            "this engine runs an explicitly injected substrate (from_substrate); \
-             the config builders would silently replace it"
-        );
-        assert!(
-            self.sessions.is_empty() && self.epochs_run == 0,
-            "engine substrate builders must be called before any query registers or runs"
-        );
-        let (net, workload) = QueryEngine::build_substrate(
-            &self.scenario,
-            &self.workload_spec,
-            &self.net_config,
-            self.seed,
-        );
-        self.net = net;
-        self.net.set_frame_batching(self.frame_batching);
-        self.workload = workload;
     }
 
     pub(crate) fn register_plan_with_sql(
@@ -338,6 +321,17 @@ impl EngineCore {
             )));
         }
         let exec = self.executor_for(&plan)?;
+        self.admit(sql, plan, exec)
+    }
+
+    /// The tail every registration shares — user queries and baselines alike:
+    /// validate an `AS OF` clause, size the shared windows, allocate the session id.
+    fn admit(
+        &mut self,
+        sql: String,
+        plan: QueryPlan,
+        exec: SessionExec,
+    ) -> Result<QueryId, QueryError> {
         self.validate_as_of(&plan)?;
         // An `AS OF` session answers from a retained checkpoint image, not from the
         // live windows, so it neither creates nor grows the shared bank.
@@ -361,6 +355,7 @@ impl EngineCore {
                 registered_at: self.epochs_run,
                 status: SessionStatus::Active,
                 depleted_during_run: false,
+                baselines: Vec::new(),
             },
         );
         Ok(id)
@@ -388,90 +383,111 @@ impl EngineCore {
         Ok(())
     }
 
-    /// Registers a System-Panel comparison strategy as a session of its own: the
-    /// baseline runs inside the shared epoch loop, answers from the very same windows
-    /// (or checkpoint image, for `AS OF` plans) as the session it is compared
-    /// against, and its traffic accrues under its own metrics scope.  This replaces
-    /// the historic solo-replay baselines (fresh network + per-submission dataset
-    /// collection) — the execution model the shared windows superseded (ADR-005).
+    /// [`QueryEngine::register_baselines`]: each baseline is admitted with the
+    /// primary's plan, so a `LIFETIME` or `AS OF` clause bounds both alike.
     ///
     /// Baselines bypass the admission cap: they are bookkeeping the *server* asked
     /// for, and letting them compete with user queries for slots would make a
     /// query's admissibility depend on whether its panel wants comparisons.
-    pub(crate) fn register_baseline(
-        &mut self,
-        algorithm: Box<dyn HistoricAlgorithm + Send>,
-        plan: QueryPlan,
-    ) -> Result<QueryId, QueryError> {
+    fn register_baselines(&mut self, primary: QueryId) -> Result<Vec<QueryId>, QueryError> {
+        let plan = self.state(primary).plan.clone();
+        let mut ids = Vec::new();
+        for exec in self.baseline_executors(&plan)? {
+            let sql = format!("baseline: {}", exec.name());
+            ids.push(self.admit(sql, plan.clone(), exec)?);
+        }
+        self.sessions
+            .get_mut(&primary)
+            .expect("the primary session was read above")
+            .baselines
+            .extend(&ids);
+        Ok(ids)
+    }
+
+    /// The conventional acquisition strategies the System Panel compares a plan
+    /// against, per the paper: TAG and centralized collection for snapshot Top-K,
+    /// centralized collection for plain aggregation and node monitoring, TPUT and
+    /// centralized window collection for vertically fragmented history, centralized
+    /// window collection for horizontal history, none for raw collection (it is its
+    /// own baseline).
+    fn baseline_executors(&self, plan: &QueryPlan) -> Result<Vec<SessionExec>, QueryError> {
+        let domain = self.scenario.domain;
+        let historic = |algorithm: Box<dyn HistoricAlgorithm + Send>, spec: HistoricSpec| {
+            SessionExec::Historic { algorithm, window: spec.window }
+        };
+        Ok(match plan.strategy {
+            ExecutionStrategy::SnapshotTopK => {
+                let spec = continuous_spec(&self.scenario, plan)?;
+                vec![
+                    SessionExec::Continuous(Box::new(TagTopK::new(spec))),
+                    SessionExec::Continuous(Box::new(CentralizedCollection::new(spec))),
+                ]
+            }
+            ExecutionStrategy::InNetworkAggregate | ExecutionStrategy::NodeMonitoringTopK => {
+                let spec = continuous_spec(&self.scenario, plan)?;
+                vec![SessionExec::Continuous(Box::new(CentralizedCollection::new(spec)))]
+            }
+            ExecutionStrategy::RawCollection => Vec::new(),
+            ExecutionStrategy::HistoricVerticalTopK => {
+                let spec = self.vertical_spec(plan)?;
+                vec![
+                    historic(Box::new(Tput::new(spec)), spec),
+                    historic(Box::new(CentralizedHistoric::new(spec)), spec),
+                ]
+            }
+            ExecutionStrategy::HistoricHorizontalTopK => {
+                let k = SnapshotSpec::from_plan(plan, domain)?.k;
+                let spec = HistoricSpec::new(k, AggFunc::Avg, domain, Self::history_window(plan)?);
+                vec![historic(Box::new(CentralizedHistoric::new(spec)), spec)]
+            }
+        })
+    }
+
+    /// The validated `WITH HISTORY` span of a historic plan.
+    fn history_window(plan: &QueryPlan) -> Result<usize, QueryError> {
         let window = plan.history_epochs.unwrap_or(0) as usize;
         if window == 0 {
             return Err(QueryError::semantic(
-                "a historic baseline needs a positive WITH HISTORY window",
+                "a historic query needs a positive WITH HISTORY window",
             ));
         }
-        self.validate_as_of(&plan)?;
-        let sql = format!("baseline: {}", algorithm.name());
-        if plan.as_of_epoch.is_none() {
-            match self.windows.as_mut() {
-                Some(bank) => bank.grow_capacity(window),
-                None => self.windows = Some(WindowBank::new(window)),
-            }
+        // Admission-time resource bound: each node's sliding window preallocates
+        // `window` sample slots, so an untrusted WITH HISTORY span is a direct
+        // memory-exhaustion vector once SQL arrives over the wire.
+        if window > QueryEngine::MAX_HISTORY_EPOCHS {
+            return Err(QueryError::semantic(format!(
+                "WITH HISTORY spans {window} epochs, beyond the engine's retention \
+                 cap of {} epochs",
+                QueryEngine::MAX_HISTORY_EPOCHS
+            )));
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.sessions.insert(
-            id,
-            SessionState {
-                sql,
-                plan,
-                exec: SessionExec::Historic { algorithm, window },
-                results: Vec::new(),
-                registered_at: self.epochs_run,
-                status: SessionStatus::Active,
-                depleted_during_run: false,
-            },
-        );
-        Ok(id)
+        Ok(window)
     }
 
-    /// Routes a plan to its executor, mirroring the routing table of the one-shot
-    /// server (Section III of the paper) — continuous strategies to per-epoch
-    /// in-network sweeps, historic strategies to window-source executors.
+    /// The spec a vertically fragmented historic plan executes with — like
+    /// [`continuous_spec`], one policy for the routed algorithm and its baselines.
+    fn vertical_spec(&self, plan: &QueryPlan) -> Result<HistoricSpec, QueryError> {
+        let window = Self::history_window(plan)?;
+        let func = plan
+            .aggregate
+            .ok_or_else(|| QueryError::semantic("a historic ranked query needs an aggregate"))?;
+        if !matches!(func, AggFunc::Avg | AggFunc::Sum) {
+            return Err(QueryError::semantic(format!(
+                "historic ranking requires a sum-decomposable aggregate (AVG or SUM), got {func}"
+            )));
+        }
+        Ok(HistoricSpec::new(plan.k.max(1) as usize, func, self.scenario.domain, window))
+    }
+
+    /// Routes a plan to its executor (Section III of the paper) — continuous
+    /// strategies to per-epoch in-network sweeps, historic strategies to
+    /// window-source executors.
     fn executor_for(&self, plan: &QueryPlan) -> Result<SessionExec, QueryError> {
         if plan.class() == QueryClass::Historic {
-            let window = plan.history_epochs.unwrap_or(0) as usize;
-            if window == 0 {
-                return Err(QueryError::semantic(
-                    "a historic query needs a positive WITH HISTORY window",
-                ));
-            }
-            // Admission-time resource bound: each node's sliding window preallocates
-            // `window` sample slots, so an untrusted WITH HISTORY span is a direct
-            // memory-exhaustion vector once SQL arrives over the wire.
-            if window > QueryEngine::MAX_HISTORY_EPOCHS {
-                return Err(QueryError::semantic(format!(
-                    "WITH HISTORY spans {window} epochs, beyond the engine's retention \
-                     cap of {} epochs",
-                    QueryEngine::MAX_HISTORY_EPOCHS
-                )));
-            }
+            let window = Self::history_window(plan)?;
             let algorithm: Box<dyn HistoricAlgorithm + Send> = match plan.strategy {
                 ExecutionStrategy::HistoricVerticalTopK => {
-                    let func = plan.aggregate.ok_or_else(|| {
-                        QueryError::semantic("a historic ranked query needs an aggregate")
-                    })?;
-                    if !matches!(func, AggFunc::Avg | AggFunc::Sum) {
-                        return Err(QueryError::semantic(format!(
-                            "historic ranking requires a sum-decomposable aggregate (AVG or SUM), got {func}"
-                        )));
-                    }
-                    let spec = HistoricSpec::new(
-                        plan.k.max(1) as usize,
-                        func,
-                        self.scenario.domain,
-                        window,
-                    );
-                    Box::new(Tja::new(spec))
+                    Box::new(Tja::new(self.vertical_spec(plan)?))
                 }
                 ExecutionStrategy::HistoricHorizontalTopK => {
                     let spec = SnapshotSpec::from_plan(plan, self.scenario.domain)?;
@@ -610,10 +626,13 @@ impl EngineCore {
         self.sessions.get(&id).expect("a Session handle outlives its engine-side state")
     }
 
+    /// Session `id`'s scoped slice of the shared ledger, reported under `name`.
+    fn scope_report(&self, id: QueryId, name: String) -> StrategyReport {
+        StrategyReport::from_scope(name, self.net.metrics(), id, self.state(id).results.len())
+    }
+
     fn session_report(&self, id: QueryId) -> StrategyReport {
-        let state = self.state(id);
-        let name = format!("session {id}: {}", state.exec.name());
-        StrategyReport::from_scope(name, self.net.metrics(), id, state.results.len())
+        self.scope_report(id, format!("session {id}: {}", self.state(id).exec.name()))
     }
 }
 
@@ -690,74 +709,39 @@ impl QueryEngine {
     /// SQL here).
     pub const MAX_HISTORY_EPOCHS: usize = 1 << 20;
 
-    /// Boots an engine for a scenario with the default (room-correlated) workload and
-    /// the MICA2 cost model, seed 0.
-    pub fn new(scenario: ScenarioConfig) -> Self {
-        Self::from_config(
-            scenario,
-            WorkloadSpec::RoomCorrelated(RoomModelParams::default()),
-            NetworkConfig::mica2(),
-            0,
-        )
-    }
-
-    /// Boots an engine from explicit configuration, building the substrate exactly
-    /// once (the path [`crate::KSpotServer::engine`] uses).
+    /// Boots an engine from explicit configuration, deriving the substrate's and the
+    /// workload's streams from the master `seed` per the [`kspot_net::rng`] convention
+    /// (the path [`crate::KSpotServer::engine`] and [`crate::EngineFleet::homogeneous`]
+    /// use).
     pub(crate) fn from_config(
         scenario: ScenarioConfig,
         workload_spec: WorkloadSpec,
         net_config: NetworkConfig,
         seed: u64,
     ) -> Self {
-        let (net, workload) = Self::build_substrate(&scenario, &workload_spec, &net_config, seed);
-        Self::assemble(scenario, workload_spec, net_config, seed, net, workload, false)
+        let config = net_config.with_seed(kspot_net::rng::substrate_seed(seed));
+        let net = Network::new(scenario.deployment.clone(), config);
+        let workload = workload_spec.build(&scenario, kspot_net::rng::workload_seed(seed));
+        Self::from_substrate(scenario, net, workload)
     }
 
     /// Boots an engine over an explicitly constructed substrate — the entry point for
     /// test harnesses (e.g. kspot-testkit cells) that build faulted networks and
-    /// exotic workloads the [`WorkloadSpec`] vocabulary cannot express.  The builder
-    /// methods that re-derive the substrate ([`Self::with_workload`],
-    /// [`Self::with_network_config`], [`Self::with_seed`]) panic afterwards: they
-    /// would silently replace the injected substrate.
+    /// exotic workloads the [`WorkloadSpec`] vocabulary cannot express.  Everything
+    /// [`WorkloadSpec`] *can* express is configured on [`crate::KSpotServer`] instead.
     pub fn from_substrate(scenario: ScenarioConfig, net: Network, workload: Workload) -> Self {
-        Self::assemble(
-            scenario,
-            WorkloadSpec::RoomCorrelated(RoomModelParams::default()),
-            NetworkConfig::mica2(),
-            0,
-            net,
-            workload,
-            true,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        scenario: ScenarioConfig,
-        workload_spec: WorkloadSpec,
-        net_config: NetworkConfig,
-        seed: u64,
-        net: Network,
-        workload: Workload,
-        injected_substrate: bool,
-    ) -> Self {
         Self {
             core: Arc::new(Mutex::new(EngineCore {
                 scenario,
-                workload_spec,
-                net_config,
-                seed,
                 max_sessions: Self::DEFAULT_MAX_SESSIONS,
                 net,
                 workload,
-                injected_substrate,
                 sessions: BTreeMap::new(),
                 windows: None,
                 store: None,
                 maintenance_energy_uj: 0.0,
                 next_id: 0,
                 epochs_run: 0,
-                frame_batching: false,
             })),
         }
     }
@@ -773,51 +757,6 @@ impl QueryEngine {
         Arc::clone(&self.core)
     }
 
-    fn build_substrate(
-        scenario: &ScenarioConfig,
-        workload_spec: &WorkloadSpec,
-        net_config: &NetworkConfig,
-        seed: u64,
-    ) -> (Network, Workload) {
-        let config = net_config.clone().with_seed(kspot_net::rng::substrate_seed(seed));
-        let net = Network::new(scenario.deployment.clone(), config);
-        let workload = workload_spec.build(scenario, kspot_net::rng::workload_seed(seed));
-        (net, workload)
-    }
-
-    /// Selects the workload driving the sensors (discards the current substrate; call
-    /// before registering queries).
-    pub fn with_workload(self, workload: WorkloadSpec) -> Self {
-        {
-            let mut core = lock_core(&self.core);
-            core.workload_spec = workload;
-            core.rebuild_substrate();
-        }
-        self
-    }
-
-    /// Selects the network cost model (discards the current substrate; call before
-    /// registering queries).
-    pub fn with_network_config(self, config: NetworkConfig) -> Self {
-        {
-            let mut core = lock_core(&self.core);
-            core.net_config = config;
-            core.rebuild_substrate();
-        }
-        self
-    }
-
-    /// Sets the master seed (discards the current substrate; call before registering
-    /// queries).
-    pub fn with_seed(self, seed: u64) -> Self {
-        {
-            let mut core = lock_core(&self.core);
-            core.seed = seed;
-            core.rebuild_substrate();
-        }
-        self
-    }
-
     /// Overrides the admission cap on concurrently active sessions.
     pub fn with_max_sessions(self, max: usize) -> Self {
         lock_core(&self.core).max_sessions = max.max(1);
@@ -831,20 +770,15 @@ impl QueryEngine {
     /// per-epoch reports are piggy-backed into one merged frame per node per epoch via
     /// the substrate's frame scheduler — the guarantee becomes *answer*-identical to
     /// the unbatched run on lossless substrates plus total-bytes-≤ (see the module
-    /// docs and ADR-004).  May be toggled between runs; unlike the substrate builders
-    /// it does not rebuild (and therefore also works on injected substrates).
+    /// docs and ADR-004).  May be toggled between runs.
     pub fn with_frame_batching(self, on: bool) -> Self {
-        {
-            let mut core = lock_core(&self.core);
-            core.frame_batching = on;
-            core.net.set_frame_batching(on);
-        }
+        lock_core(&self.core).net.set_frame_batching(on);
         self
     }
 
     /// True while cross-query frame batching is enabled.
     pub fn frame_batching(&self) -> bool {
-        lock_core(&self.core).frame_batching
+        lock_core(&self.core).net.frame_batching()
     }
 
     /// Enables durable window checkpointing (ADR-009): every `cadence` epochs fed
@@ -854,8 +788,7 @@ impl QueryEngine {
     ///
     /// Checkpoints only happen while the shared windows exist (i.e. once a historic
     /// session has registered): an engine serving only continuous queries stays
-    /// byte-identical to a non-checkpointing one.  Unlike the substrate builders
-    /// this may be combined with [`Self::from_substrate`].
+    /// byte-identical to a non-checkpointing one.
     pub fn with_checkpointing(self, cadence: u64) -> Self {
         lock_core(&self.core).store = Some(CheckpointStore::new(cadence));
         self
@@ -912,45 +845,26 @@ impl QueryEngine {
         lock_core(&self.core).store.as_ref().map(CheckpointStore::to_bytes)
     }
 
-    /// Registers the System-Panel comparison strategies of a historic plan as
-    /// baseline *sessions* — TPUT and centralized window collection for vertically
-    /// fragmented plans, centralized window collection for horizontal ones —
-    /// returning `(algorithm name, session id)` pairs.  Each baseline runs inside
-    /// the shared epoch loop under its own metrics scope, answering from the same
-    /// windows (or, for `AS OF` plans, the same checkpoint image) as the session it
-    /// is compared against; baselines bypass the admission cap (module docs).
-    pub fn register_historic_baselines(
-        &mut self,
-        plan: &QueryPlan,
-    ) -> Result<Vec<(String, QueryId)>, QueryError> {
-        let mut core = lock_core(&self.core);
-        let window = plan
-            .history_epochs
-            .ok_or_else(|| QueryError::semantic("a historic query needs a WITH HISTORY window"))?
-            as usize;
-        let domain = core.scenario.domain;
-        let algorithms: Vec<Box<dyn HistoricAlgorithm + Send>> = match plan.strategy {
-            ExecutionStrategy::HistoricVerticalTopK => {
-                let func = plan.aggregate.ok_or_else(|| {
-                    QueryError::semantic("a historic ranked query needs an aggregate")
-                })?;
-                let spec = HistoricSpec::new(plan.k.max(1) as usize, func, domain, window);
-                vec![Box::new(Tput::new(spec)), Box::new(CentralizedHistoric::new(spec))]
-            }
-            ExecutionStrategy::HistoricHorizontalTopK => {
-                let spec = SnapshotSpec::from_plan(plan, domain)?;
-                let hist = HistoricSpec::new(spec.k, AggFunc::Avg, domain, window);
-                vec![Box::new(CentralizedHistoric::new(hist))]
-            }
-            _ => Vec::new(),
-        };
-        let mut out = Vec::with_capacity(algorithms.len());
-        for algorithm in algorithms {
-            let name = algorithm.name().to_string();
-            let id = core.register_baseline(algorithm, plan.clone())?;
-            out.push((name, id));
-        }
-        Ok(out)
+    /// Registers the System-Panel comparison strategies of `primary` as baseline
+    /// *sessions*, for **every** query class: TAG and centralized collection for
+    /// snapshot Top-K, centralized collection for plain aggregation and node
+    /// monitoring, TPUT and centralized window collection for vertically fragmented
+    /// history, centralized window collection for horizontal history, none for raw
+    /// collection.  Returns the baselines' session ids, in panel order.
+    ///
+    /// Each baseline runs inside the shared epoch loop under its own metrics scope,
+    /// over the same readings, windows or (for `AS OF` plans) checkpoint image as
+    /// `primary`, and shares its plan, so a `LIFETIME` clause bounds both alike.
+    /// [`Session::finalize`] reports them on the primary's System Panel under their
+    /// algorithm names.  Baselines bypass the admission cap.  Call it once, in the
+    /// epoch `primary` registered in — a baseline that joins later is compared over
+    /// a shorter span (its report's `epochs` says so).
+    pub fn register_baselines(&mut self, primary: &Session) -> Result<Vec<QueryId>, QueryError> {
+        assert!(
+            Arc::ptr_eq(&self.core, &primary.core),
+            "the primary session was registered on another engine"
+        );
+        lock_core(&self.core).register_baselines(primary.id)
     }
 
     /// The configured scenario.  (A lock guard — see [`Self::metrics`] for the
@@ -995,24 +909,8 @@ impl QueryEngine {
     /// queries answer every epoch; `WITH HISTORY` queries join the loop too, answer
     /// once from the engine-shared sliding windows, and complete (module docs).
     pub fn register(&mut self, sql: &str) -> Result<Session, QueryError> {
-        let query = parse(sql)?;
-        let plan = classify(&query)?;
-        self.register_plan_with_sql(plan, sql.to_string())
-    }
-
-    /// Admits an already classified plan (the path [`crate::KSpotServer::submit`]
-    /// uses).
-    pub fn register_plan(&mut self, plan: QueryPlan) -> Result<Session, QueryError> {
-        let sql = plan.query.to_string();
-        self.register_plan_with_sql(plan, sql)
-    }
-
-    fn register_plan_with_sql(
-        &mut self,
-        plan: QueryPlan,
-        sql: String,
-    ) -> Result<Session, QueryError> {
-        let id = lock_core(&self.core).register_plan_with_sql(plan, sql)?;
+        let plan = classify(&parse(sql)?)?;
+        let id = lock_core(&self.core).register_plan_with_sql(plan, sql.to_string())?;
         Ok(self.handle(id))
     }
 
@@ -1059,8 +957,8 @@ impl QueryEngine {
 /// A typed handle to one registered query session — the uniform lifecycle surface of
 /// the engine (module docs): inspect ([`Self::status`], [`Self::results`],
 /// [`Self::totals`]), consume per-epoch answers ([`Self::poll`], [`Self::stream`]),
-/// stop ([`Self::cancel`]) and convert into a one-shot-style [`QueryExecution`]
-/// ([`Self::finalize`]).
+/// render ([`Self::bullets`]), stop ([`Self::cancel`]) and convert into a
+/// [`QueryExecution`] with its System Panel ([`Self::finalize`]).
 ///
 /// Handles are cheap to clone; each clone keeps its own [`Self::poll`] cursor.  A
 /// handle shares state with its engine, so results produced by later
@@ -1195,21 +1093,50 @@ impl Session {
         lock_core(&self.core).session_report(self.id)
     }
 
-    /// Converts the session into a one-shot-style [`QueryExecution`]: the classified
-    /// plan, the routed algorithm, every answer produced so far, and a System Panel
-    /// whose KSpot report is the session's attributed slice of the shared ledger
-    /// (no baselines — the deprecated [`crate::KSpotServer::submit`] facade attaches
-    /// those for callers that still want the comparison runs).
+    /// Turns one of the session's ranked answers into the Display Panel's bullets,
+    /// labelled by what the session's plan ranks: the cluster name for room-grouped
+    /// strategies, `node <id>` for node monitoring, `epoch <e>` for vertically
+    /// fragmented history.
+    pub fn bullets(&self, result: &TopKResult) -> Vec<KSpotBullet> {
+        let core = lock_core(&self.core);
+        let strategy = core.state(self.id).plan.strategy;
+        result
+            .items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| KSpotBullet {
+                rank: i + 1,
+                key: item.key,
+                label: match strategy {
+                    ExecutionStrategy::NodeMonitoringTopK => format!("node {}", item.key),
+                    ExecutionStrategy::HistoricVerticalTopK => format!("epoch {}", item.key),
+                    _ => match GroupId::try_from(item.key) {
+                        Ok(group) => core.scenario.cluster_name(group),
+                        Err(_) => format!("Cluster {}", item.key),
+                    },
+                },
+                value: item.value,
+            })
+            .collect()
+    }
+
+    /// Converts the session into a [`QueryExecution`]: the classified plan, the
+    /// routed algorithm, every answer produced so far, and a System Panel whose KSpot
+    /// report is the session's attributed slice of the shared ledger.  The panel's
+    /// baselines are the scoped slices of the comparison sessions registered through
+    /// [`QueryEngine::register_baselines`] (none if it was never called), each under
+    /// its algorithm name.
     pub fn finalize(self) -> QueryExecution {
         let core = lock_core(&self.core);
         let state = core.state(self.id);
-        let algorithm = state.exec.name().to_string();
-        let report = core.session_report(self.id);
+        let by_algorithm = |id| core.scope_report(id, core.state(id).exec.name().to_string());
+        let baselines = state.baselines.iter().copied().map(by_algorithm).collect();
         QueryExecution {
             plan: state.plan.clone(),
-            algorithm,
+            algorithm: state.exec.name().to_string(),
             results: state.results.clone(),
-            panel: SystemPanel::new(report.clone(), Vec::new()).with_sessions(vec![report]),
+            panel: SystemPanel::new(by_algorithm(self.id), baselines)
+                .with_sessions(vec![core.session_report(self.id)]),
         }
     }
 }
@@ -1217,14 +1144,10 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::WorkloadSpec;
-    use kspot_net::RoomModelParams;
+    use crate::server::KSpotServer;
 
     fn engine(seed: u64) -> QueryEngine {
-        QueryEngine::new(ScenarioConfig::conference())
-            .with_workload(WorkloadSpec::RoomCorrelated(RoomModelParams::default()))
-            .with_network_config(NetworkConfig::mica2())
-            .with_seed(seed)
+        KSpotServer::new(ScenarioConfig::conference()).with_seed(seed).engine()
     }
 
     const EIGHT_QUERIES: [&str; 8] = [
@@ -1509,9 +1432,10 @@ mod tests {
     fn depleted_during_run_flags_exactly_the_sessions_that_shared_the_drained_field() {
         // A battery that survives the first two epochs of traffic and then dies
         // (relay nodes on the conference scenario draw a few thousand µJ per epoch).
-        let mut engine = QueryEngine::new(ScenarioConfig::conference())
+        let mut engine = KSpotServer::new(ScenarioConfig::conference())
             .with_network_config(NetworkConfig::mica2().with_battery_uj(10_000.0))
-            .with_seed(1);
+            .with_seed(1)
+            .engine();
         let early = engine
             .register("SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid LIFETIME 2 epochs")
             .unwrap();
@@ -1549,15 +1473,6 @@ mod tests {
         let raw_phases = raw.phase_totals();
         assert_eq!(raw_phases.len(), 1);
         assert_eq!(raw_phases[0].0, kspot_net::PhaseTag::Update);
-    }
-
-    #[test]
-    #[should_panic(expected = "injected substrate")]
-    fn config_builders_refuse_to_replace_an_injected_substrate() {
-        let scenario = ScenarioConfig::conference();
-        let net = Network::new(scenario.deployment.clone(), NetworkConfig::ideal());
-        let workload = WorkloadSpec::UniformIid.build(&scenario, 1);
-        let _ = QueryEngine::from_substrate(scenario, net, workload).with_seed(9);
     }
 
     #[test]
@@ -1657,26 +1572,42 @@ mod tests {
     fn historic_baselines_run_as_sessions_in_the_shared_loop_beyond_the_cap() {
         let mut engine = engine(24).with_max_sessions(1);
         let session = engine.register(HISTORIC_VERTICAL).unwrap();
-        let plan = session.plan();
-        let baselines =
-            engine.register_historic_baselines(&plan).expect("baselines bypass the cap");
-        let names: Vec<&str> = baselines.iter().map(|(n, _)| n.as_str()).collect();
+        let baselines = engine.register_baselines(&session).expect("baselines bypass the cap");
+        let handles: Vec<Session> =
+            baselines.iter().map(|&id| engine.session(id).expect("a real session")).collect();
+        let names: Vec<&str> = handles.iter().map(Session::algorithm).collect();
         assert_eq!(names, ["TPUT (flat)", "centralized window collection"]);
         engine.run_epochs(16);
         assert_eq!(session.status(), SessionStatus::Completed);
-        let tja_bytes = session.totals().bytes;
-        for (name, id) in &baselines {
-            let handle = engine.session(*id).expect("baseline sessions are real sessions");
+        for handle in &handles {
+            let name = handle.algorithm();
             assert_eq!(handle.status(), SessionStatus::Completed, "{name}");
             assert_eq!(handle.results().len(), 1, "{name} answered from the shared windows");
             assert!(handle.totals().bytes > 0, "{name} moved scoped traffic");
             assert!(handle.sql().starts_with("baseline: "), "{name}");
         }
-        let central = engine.session(baselines[1].1).unwrap().totals().bytes;
+        let (tja_bytes, central) = (session.totals().bytes, handles[1].totals().bytes);
         assert!(
             tja_bytes < central,
             "TJA must beat shipping whole windows: {tja_bytes} vs {central}"
         );
+    }
+
+    #[test]
+    fn finalize_reports_the_registered_baselines_per_query_class() {
+        let names = |sql: &str, epochs: usize| -> Vec<String> {
+            let mut engine = engine(4);
+            let session = engine.register(sql).unwrap();
+            engine.register_baselines(&session).unwrap();
+            engine.run_epochs(epochs);
+            session.finalize().panel.baselines.into_iter().map(|b| b.name).collect()
+        };
+        assert_eq!(names(EIGHT_QUERIES[0], 5), ["TAG + sink Top-K", "centralized collection"]);
+        assert_eq!(names(EIGHT_QUERIES[4], 5), ["centralized collection"]);
+        assert_eq!(names(EIGHT_QUERIES[6], 5), ["centralized collection"]);
+        assert!(names(EIGHT_QUERIES[5], 5).is_empty(), "raw collection is its own baseline");
+        assert_eq!(names(HISTORIC_VERTICAL, 16), ["TPUT (flat)", "centralized window collection"]);
+        assert_eq!(names(HISTORIC_HORIZONTAL, 16), ["centralized window collection"]);
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl ThreadPool {
         }
     }
 
-    fn submit(&self, job: Job) {
+    fn execute(&self, job: Job) {
         let mut state = self.shared.state.lock().expect("fleet pool queue poisoned");
         state.jobs.push_back(job);
         drop(state);
@@ -318,9 +318,8 @@ impl EngineFleet {
     /// Boots a homogeneous fleet: `deployments` copies of the same scenario, workload
     /// and cost model, each with its **own** master seed derived via
     /// [`Self::shard_seed`] so no two deployments share a single random draw.  The
-    /// solo twin of deployment `d` is `QueryEngine::from_config` (via
-    /// [`crate::KSpotServer::engine`]) over the same config with
-    /// `shard_seed(master_seed, d)`.
+    /// solo twin of deployment `d` is [`crate::KSpotServer::engine`] over the same
+    /// config with seed `shard_seed(master_seed, d)`.
     pub fn homogeneous(
         scenario: ScenarioConfig,
         workload: WorkloadSpec,
@@ -502,7 +501,7 @@ impl EngineFleet {
         for core in &self.shards {
             let core = Arc::clone(core);
             let batch = Arc::clone(&batch);
-            self.pool.submit(Box::new(move || {
+            self.pool.execute(Box::new(move || {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     lock_core(&core).run_epochs(epochs);
                 }));
@@ -524,7 +523,7 @@ impl EngineFleet {
         let batch = Batch::new(1);
         let core = Arc::clone(core);
         let tracker = Arc::clone(&batch);
-        self.pool.submit(Box::new(move || {
+        self.pool.execute(Box::new(move || {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 lock_core(&core).run_epochs(epochs);
             }));
@@ -554,7 +553,7 @@ impl EngineFleet {
             let core = Arc::clone(&self.shards[d]);
             let batch = Arc::clone(&batch);
             let newly = Arc::clone(&newly);
-            self.pool.submit(Box::new(move || {
+            self.pool.execute(Box::new(move || {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     lock_core(&core).run_epochs(epochs);
                 }));

@@ -7,9 +7,6 @@
 //! * [`config::ScenarioConfig`] — the Configuration Panel: which sensors exist, where
 //!   they sit on the floor plan and which cluster (room) each belongs to, including the
 //!   Figure-1 and Figure-3 scenarios and a load/store file format;
-//! * [`client::NodeRuntime`] — the KSpot client that runs on every node: local query
-//!   router (SELECT/GROUP-BY → local engine, TOP-K → top-k operator) plus the local
-//!   sliding-window buffer;
 //! * [`engine::QueryEngine`] — the long-lived multi-query engine: N registered query
 //!   sessions (with admission and cancellation) share one live substrate and one epoch
 //!   loop, with per-session metrics attribution — see ADR-003;
@@ -21,12 +18,14 @@
 //!   the modeled flash every `cadence` epochs, serving `AS OF epoch e` time-travel
 //!   sessions and surviving restarts via [`engine::QueryEngine::with_checkpoint_store`]
 //!   — see ADR-009;
-//! * [`server::KSpotServer`] — the base station: parses Query Panel SQL, routes it to
-//!   MINT / TJA / TAG / FILA based on the query semantics, executes it over the engine
-//!   and produces the ranked answers and the Display Panel bullets, serially or as a
-//!   parallel batch ([`server::KSpotServer::submit_batch`]);
-//! * [`panel::SystemPanel`] — the System Panel: message/byte/energy savings of the KSpot
-//!   execution against the conventional acquisition baselines, plus lifetime estimates.
+//! * [`server::KSpotServer`] — the base station's configuration: scenario, workload,
+//!   cost model and seed, from which the engine (or a fleet) is booted;
+//!   [`engine::QueryEngine::register`] is the one submission surface — it parses the
+//!   Query Panel SQL and routes it to MINT / TJA / TAG / FILA by its semantics — and
+//!   [`engine::Session::bullets`] renders the Display Panel bullets;
+//! * [`panel::SystemPanel`] — the System Panel: message/byte/energy savings of a
+//!   session against the conventional acquisition baselines, which run as sessions of
+//!   their own in the same loop ([`engine::QueryEngine::register_baselines`]).
 //!
 //! ```
 //! use kspot_core::{KSpotServer, ScenarioConfig, WorkloadSpec};
@@ -38,26 +37,24 @@
 //!     .unwrap();
 //! engine.run_epochs(5);
 //! // The correct answer to the paper's running example is room C with an average of 75.
-//! assert_eq!(server.bullets(&session.latest().unwrap())[0].cluster_name, "Room C");
+//! assert_eq!(session.bullets(&session.latest().unwrap())[0].label, "Room C");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod client;
 pub mod config;
 pub mod engine;
 pub mod fleet;
 pub mod panel;
 pub mod server;
 
-pub use client::{route_plan, LocalOperator, NodeRuntime};
 pub use config::{ConfigError, ScenarioConfig};
 pub use engine::{EngineRef, QueryEngine, QueryId, Session, SessionStatus};
 pub use fleet::{AdmissionScope, DeploymentId, EngineFleet, FleetError, ShardHealth};
 pub use panel::{StrategyReport, SystemPanel};
-pub use server::{BatchMode, BatchQuery, KSpotBullet, KSpotServer, QueryExecution, WorkloadSpec};
+pub use server::{KSpotBullet, KSpotServer, QueryExecution, WorkloadSpec};
 
 // The durable-store handles an embedder needs to persist and resume an engine
 // (ADR-009), re-exported so `with_checkpoint_store(CheckpointStore::from_bytes(..)?)`

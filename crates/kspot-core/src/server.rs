@@ -1,23 +1,22 @@
 //! The KSpot server — the base station through which user requests are disseminated.
 //!
-//! The server owns the scenario configuration, parses the SQL-like text typed into the
-//! Query Panel, classifies it ([`kspot_query::plan::classify`]), routes it to the
-//! matching in-network algorithm (MINT for snapshot Top-K, TJA for historic vertically
-//! fragmented Top-K, TAG for plain aggregates, …), executes it over the simulated
-//! network, and produces everything the GUI panels would show: the per-epoch ranked
-//! answers, the *KSpot bullets* of the Display Panel, and the System Panel with the
-//! savings against the conventional acquisition baselines.
+//! [`KSpotServer`] is the one place a deployment is configured: the scenario of the
+//! Configuration Panel, the workload driving the sensors, the network cost model and
+//! the master seed.  It boots the long-lived [`QueryEngine`] (or a sharded
+//! [`EngineFleet`]) every query is registered on; parsing, classification
+//! ([`kspot_query::plan::classify`]), routing to the matching in-network algorithm
+//! (MINT, TJA, TAG, FILA, …) and execution all happen behind [`QueryEngine::register`].
+//! This module also holds the values the GUI panels render: the per-epoch ranked
+//! answers and System Panel of a [`QueryExecution`], and the *KSpot bullets* of the
+//! Display Panel.
 
 use crate::config::ScenarioConfig;
 use crate::engine::QueryEngine;
 use crate::fleet::EngineFleet;
-use crate::panel::{StrategyReport, SystemPanel};
-use kspot_algos::{CentralizedCollection, SnapshotAlgorithm, TagTopK, TopKResult};
-use kspot_net::{
-    Epoch, GroupId, Network, NetworkConfig, PhaseTag, RoomModelParams, Workload,
-};
-use kspot_query::plan::{classify, ExecutionStrategy, QueryClass, QueryPlan};
-use kspot_query::{parse, QueryError};
+use crate::panel::SystemPanel;
+use kspot_algos::TopKResult;
+use kspot_net::{NetworkConfig, RoomModelParams, Workload};
+use kspot_query::plan::QueryPlan;
 use std::fmt;
 
 /// Which synthetic workload drives the sensors during an execution.
@@ -34,8 +33,7 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Materialises the workload over a scenario's deployment (used by the server and
-    /// by [`crate::engine::QueryEngine`]).
+    /// Materialises the workload over a scenario's deployment.
     pub(crate) fn build(&self, config: &ScenarioConfig, seed: u64) -> Workload {
         match self {
             WorkloadSpec::Figure1 => Workload::figure1(&config.deployment),
@@ -50,27 +48,29 @@ impl WorkloadSpec {
     }
 }
 
-/// One red bullet of the Display Panel: a ranked cluster with its current value.
+/// One red bullet of the Display Panel: a ranked item with its current value
+/// (see [`crate::Session::bullets`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct KSpotBullet {
     /// 1-based rank (1 = highest).
     pub rank: usize,
-    /// The ranked cluster.
-    pub cluster: GroupId,
-    /// The cluster's display name.
-    pub cluster_name: String,
+    /// The ranked key: a cluster, node or epoch id, whichever the query ranks.
+    pub key: u64,
+    /// The key's display label ("Room C", "node 6", "epoch 4").
+    pub label: String,
     /// The aggregate value that earned the rank.
     pub value: f64,
 }
 
 impl fmt::Display for KSpotBullet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "#{} {} ({:.1})", self.rank, self.cluster_name, self.value)
+        write!(f, "#{} {} ({:.1})", self.rank, self.label, self.value)
     }
 }
 
-/// The outcome of executing one query: the routing decision, the ranked answers, and the
-/// System Panel comparing KSpot against the conventional baselines.
+/// The outcome of executing one query ([`crate::Session::finalize`]): the routing
+/// decision, the ranked answers, and the System Panel comparing KSpot against the
+/// conventional baselines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryExecution {
     /// The classified plan.
@@ -90,34 +90,6 @@ impl QueryExecution {
     }
 }
 
-/// One entry of a batch submission: the SQL text plus the number of epochs to run the
-/// continuous strategies for (see [`KSpotServer::submit`] for the `epochs` semantics).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchQuery {
-    /// The Query Panel SQL.
-    pub sql: String,
-    /// Epochs to run continuous strategies for (ignored by one-shot historic queries).
-    pub epochs: usize,
-}
-
-impl BatchQuery {
-    /// Creates a batch entry.
-    pub fn new(sql: impl Into<String>, epochs: usize) -> Self {
-        Self { sql: sql.into(), epochs }
-    }
-}
-
-/// How [`KSpotServer::submit_batch`] schedules the independent executions of a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchMode {
-    /// One execution after another on the calling thread.
-    Serial,
-    /// Executions fan out across the available cores with `std::thread::scope`.
-    /// Every execution is self-contained and deterministic in the server seed, so the
-    /// returned vector is byte-identical to [`BatchMode::Serial`]'s, in request order.
-    Parallel,
-}
-
 /// The KSpot base station.
 #[derive(Debug, Clone)]
 pub struct KSpotServer {
@@ -125,7 +97,6 @@ pub struct KSpotServer {
     workload: WorkloadSpec,
     net_config: NetworkConfig,
     seed: u64,
-    lazy_baselines: bool,
 }
 
 impl KSpotServer {
@@ -137,7 +108,6 @@ impl KSpotServer {
             workload: WorkloadSpec::RoomCorrelated(RoomModelParams::default()),
             net_config: NetworkConfig::mica2(),
             seed: 0,
-            lazy_baselines: false,
         }
     }
 
@@ -156,16 +126,6 @@ impl KSpotServer {
     /// Sets the random seed for reproducible executions.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Opts into lazy baselines: [`Self::submit`] then executes only the algorithm the
-    /// query is routed to, skipping the TAG / centralized / per-epoch-collection
-    /// comparison runs, and the returned [`SystemPanel`] has no baselines.  Use this
-    /// when the caller wants answers, not savings read-outs — it cuts the work of a
-    /// snapshot submission to roughly a third.
-    pub fn with_lazy_baselines(mut self, lazy: bool) -> Self {
-        self.lazy_baselines = lazy;
         self
     }
 
@@ -201,257 +161,12 @@ impl KSpotServer {
             threads,
         )
     }
-
-    fn fresh_network(&self) -> Network {
-        // The server's seed is a master seed; each component gets its own derived
-        // stream (see the seeding convention in `kspot_net::rng`).
-        let config = self.net_config.clone().with_seed(kspot_net::rng::substrate_seed(self.seed));
-        Network::new(self.scenario.deployment.clone(), config)
-    }
-
-    fn fresh_workload(&self) -> Workload {
-        self.workload.build(&self.scenario, kspot_net::rng::workload_seed(self.seed))
-    }
-
-    /// Turns a ranked answer into the Display Panel's bullets.
-    pub fn bullets(&self, result: &TopKResult) -> Vec<KSpotBullet> {
-        result
-            .items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| KSpotBullet {
-                rank: i + 1,
-                cluster: item.key as GroupId,
-                cluster_name: self.scenario.cluster_name(item.key as GroupId),
-                value: item.value,
-            })
-            .collect()
-    }
-
-    /// Parses, classifies, routes and executes a query.
-    ///
-    /// `epochs` is the number of epochs a *continuous* strategy (snapshot Top-K, plain
-    /// aggregation, raw collection, node monitoring) runs for, and must be positive for
-    /// those queries.  One-shot `WITH HISTORY` queries ignore `epochs` entirely: they
-    /// answer once from the sliding windows, whose length comes from the WITH HISTORY
-    /// clause, so the single result they return is neither capped nor repeated by
-    /// `epochs`.
-    ///
-    /// This is a one-shot compatibility facade over the [`QueryEngine`]'s unified
-    /// [`crate::Session`] API: each call boots an engine, registers the query as its
-    /// only session (continuous **and** historic queries alike), runs the loop to
-    /// completion and finalizes the session — plus the System-Panel baseline runs the
-    /// engine itself never executes.  It is deprecated because a per-call engine
-    /// rebuilds the whole substrate for every query; register a [`crate::Session`] on
-    /// a long-lived [`Self::engine`] instead so the substrate, its per-epoch cost and
-    /// the shared sliding windows are amortised across queries.
-    #[deprecated(
-        since = "0.1.0",
-        note = "register a Session on KSpotServer::engine() instead; submit boots a \
-                throwaway single-session engine per call"
-    )]
-    pub fn submit(&self, sql: &str, epochs: usize) -> Result<QueryExecution, QueryError> {
-        let query = parse(sql)?;
-        let plan = classify(&query)?;
-        match plan.class() {
-            QueryClass::Continuous => {
-                if epochs == 0 {
-                    return Err(QueryError::semantic(
-                        "a continuous query needs epochs > 0 (an empty execution answers nothing); \
-                         only one-shot WITH HISTORY queries ignore the epoch count",
-                    ));
-                }
-                self.run_continuous_via_engine(plan, epochs)
-            }
-            QueryClass::Historic => self.run_historic_via_engine(plan),
-        }
-    }
-
-    /// Executes a batch of independent submissions, returning one outcome per request
-    /// in request order.  [`BatchMode::Parallel`] fans the executions across the
-    /// available cores with `std::thread::scope`; every execution derives its own
-    /// substrate from the server seed, so the outcomes are byte-identical to
-    /// [`BatchMode::Serial`]'s regardless of scheduling.
-    ///
-    /// Deprecated alongside [`Self::submit`]: each request still pays a full
-    /// substrate rebuild.  Register the queries as [`crate::Session`]s on one shared
-    /// [`Self::engine`] when they can share a substrate; keep `submit_batch` only for
-    /// genuinely independent offline executions that need core-level parallelism.
-    #[deprecated(
-        since = "0.1.0",
-        note = "register Sessions on one shared KSpotServer::engine() instead; the batch \
-                facade rebuilds the substrate per request"
-    )]
-    #[allow(deprecated)]
-    pub fn submit_batch(
-        &self,
-        requests: &[BatchQuery],
-        mode: BatchMode,
-    ) -> Vec<Result<QueryExecution, QueryError>> {
-        let workers = match mode {
-            BatchMode::Serial => 1,
-            BatchMode::Parallel => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(requests.len().max(1)),
-        };
-        if workers <= 1 {
-            return requests.iter().map(|r| self.submit(&r.sql, r.epochs)).collect();
-        }
-        let chunk = requests.len().div_ceil(workers);
-        let mut out: Vec<Option<Result<QueryExecution, QueryError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (reqs, slots) in requests.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (req, slot) in reqs.iter().zip(slots.iter_mut()) {
-                        *slot = Some(self.submit(&req.sql, req.epochs));
-                    }
-                });
-            }
-        });
-        out.into_iter().map(|slot| slot.expect("every batch slot is filled")).collect()
-    }
-
-    /// Runs one continuous query as the only [`crate::Session`] of a throwaway
-    /// [`QueryEngine`] and, unless lazy baselines are selected, executes the
-    /// conventional acquisition baselines the System Panel compares against.
-    fn run_continuous_via_engine(
-        &self,
-        plan: QueryPlan,
-        epochs: usize,
-    ) -> Result<QueryExecution, QueryError> {
-        // A LIFETIME clause bounds the query itself; clamp the whole execution —
-        // engine run, report span and baseline runs alike — to it, so the System
-        // Panel always compares strategies over the same number of epochs.
-        let epochs = match plan.lifetime_epochs {
-            Some(lifetime) => epochs.min(lifetime as usize),
-            None => epochs,
-        };
-        let mut engine = self.engine();
-        let session = engine.register_plan(plan)?;
-        engine.run_epochs(epochs);
-        let kspot_report =
-            StrategyReport::from_metrics(session.algorithm(), &engine.metrics(), epochs);
-        let baselines = if self.lazy_baselines {
-            Vec::new()
-        } else {
-            self.baseline_reports(&session.plan(), epochs)?
-        };
-        let mut execution = session.finalize();
-        // The one-shot facade reports whole-run metrics (the engine served exactly
-        // this query) and the comparison runs the engine itself never executes.
-        execution.panel.kspot = kspot_report;
-        execution.panel.baselines = baselines;
-        Ok(execution)
-    }
-
-    /// Runs one `WITH HISTORY` query as a [`crate::Session`] of a throwaway
-    /// [`QueryEngine`]: the engine buffers the shared sliding windows for the span of
-    /// the query, the session answers once from them and completes.  Unless lazy
-    /// baselines are selected, the conventional historic comparison strategies run as
-    /// baseline *sessions* inside the same shared epoch loop — each under its own
-    /// metrics scope, answering from the very windows the primary session answers
-    /// from.  (They used to run as dedicated replays over a fresh network plus a
-    /// per-submission dataset collection; the baseline-session path kills that last
-    /// solo-replay holdout, and bench E17 prices the difference.)
-    fn run_historic_via_engine(&self, plan: QueryPlan) -> Result<QueryExecution, QueryError> {
-        let window = plan.history_epochs.ok_or_else(|| {
-            QueryError::semantic("a historic query needs a WITH HISTORY window")
-        })? as usize;
-        let mut engine = self.engine();
-        let session = engine.register_plan(plan)?;
-        let baseline_ids = if self.lazy_baselines {
-            Vec::new()
-        } else {
-            engine.register_historic_baselines(&session.plan())?
-        };
-        engine.run_epochs(window);
-        // Every report on the panel — the primary session's and the baselines' —
-        // is a *scoped* slice of the one shared ledger: each strategy's own radio,
-        // CPU and storage work, without the per-epoch substrate baseline or the
-        // shared window maintenance (genuinely shared infrastructure, attributable
-        // to no single strategy).  Booking the whole engine ledger against TJA
-        // alone would skew the savings read-out.
-        let baselines = {
-            let metrics = engine.metrics();
-            baseline_ids
-                .into_iter()
-                .map(|(name, id)| StrategyReport::from_scope(name, &metrics, id, window))
-                .collect()
-        };
-        let mut execution = session.finalize();
-        execution.panel.kspot.name = execution.algorithm.clone();
-        execution.panel.baselines = baselines;
-        Ok(execution)
-    }
-
-    /// Runs a conventional-acquisition comparison strategy over a fresh copy of the
-    /// same scenario/workload/seed and reports its costs.
-    fn run_snapshot<A: SnapshotAlgorithm>(
-        &self,
-        algo: &mut A,
-        epochs: usize,
-    ) -> (Vec<TopKResult>, StrategyReport) {
-        let mut net = self.fresh_network();
-        let mut workload = self.fresh_workload();
-        let results = kspot_algos::run_continuous(algo, &mut net, &mut workload, epochs);
-        let report = StrategyReport::from_metrics(algo.name(), net.metrics(), epochs);
-        (results, report)
-    }
-
-    /// The System Panel baselines of a continuous strategy, per the paper: TAG and
-    /// centralized collection for snapshot Top-K, centralized collection for plain
-    /// aggregation, per-epoch collection for node monitoring, none for raw collection
-    /// (it is its own baseline).
-    fn baseline_reports(
-        &self,
-        plan: &QueryPlan,
-        epochs: usize,
-    ) -> Result<Vec<StrategyReport>, QueryError> {
-        Ok(match plan.strategy {
-            ExecutionStrategy::SnapshotTopK => {
-                let spec = crate::engine::continuous_spec(&self.scenario, plan)?;
-                let (_, tag_report) = self.run_snapshot(&mut TagTopK::new(spec), epochs);
-                let (_, central_report) =
-                    self.run_snapshot(&mut CentralizedCollection::new(spec), epochs);
-                vec![tag_report, central_report]
-            }
-            ExecutionStrategy::InNetworkAggregate => {
-                let spec = crate::engine::continuous_spec(&self.scenario, plan)?;
-                let (_, central_report) =
-                    self.run_snapshot(&mut CentralizedCollection::new(spec), epochs);
-                vec![central_report]
-            }
-            ExecutionStrategy::NodeMonitoringTopK => {
-                // Baseline: every node reports its reading to the sink every epoch.
-                let mut base_net = self.fresh_network();
-                let mut workload = self.fresh_workload();
-                for e in 0..epochs as Epoch {
-                    base_net.begin_epoch(e);
-                    for r in workload.next_epoch() {
-                        base_net.unicast_up(r.node, e, 1, PhaseTag::Update);
-                    }
-                }
-                vec![StrategyReport::from_metrics(
-                    "per-epoch collection",
-                    base_net.metrics(),
-                    epochs,
-                )]
-            }
-            _ => Vec::new(),
-        })
-    }
-
 }
 
 #[cfg(test)]
 mod tests {
-    // These tests exercise the deprecated one-shot facade on purpose: it must keep
-    // producing the same executions as the Session path it wraps.
-    #![allow(deprecated)]
-
     use super::*;
+    use kspot_query::QueryError;
 
     fn figure1_server() -> KSpotServer {
         KSpotServer::new(ScenarioConfig::figure1())
@@ -460,37 +175,44 @@ mod tests {
     }
 
     fn conference_server(seed: u64) -> KSpotServer {
-        KSpotServer::new(ScenarioConfig::conference())
-            .with_workload(WorkloadSpec::RoomCorrelated(RoomModelParams::default()))
-            .with_network_config(NetworkConfig::mica2())
-            .with_seed(seed)
+        KSpotServer::new(ScenarioConfig::conference()).with_seed(seed)
+    }
+
+    /// The System-Panel walk-through every test here drives: the query as a session,
+    /// its baselines as sessions next to it, one shared loop, one finalize.
+    fn execute(server: &KSpotServer, sql: &str, epochs: usize) -> Result<QueryExecution, QueryError> {
+        let mut engine = server.engine();
+        let session = engine.register(sql)?;
+        engine.register_baselines(&session)?;
+        engine.run_epochs(epochs);
+        Ok(session.finalize())
     }
 
     #[test]
     fn snapshot_query_on_figure1_returns_room_c_and_saves_traffic() {
-        let server = figure1_server();
-        let execution = server
-            .submit("SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min", 10)
-            .expect("the paper's example query must run");
+        let execution = execute(
+            &figure1_server(),
+            "SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min",
+            10,
+        )
+        .expect("the paper's example query must run");
         assert_eq!(execution.algorithm, "KSpot (MINT views)");
         assert_eq!(execution.results.len(), 10);
         for result in &execution.results {
             assert_eq!(result.top().unwrap().key, 2, "room C wins every epoch");
         }
-        let bullets = server.bullets(execution.latest().unwrap());
-        assert_eq!(bullets.len(), 1);
-        assert_eq!(bullets[0].cluster_name, "Room C");
-        assert_eq!(bullets[0].rank, 1);
         let savings = execution.panel.savings_vs("TAG + sink Top-K").unwrap();
         assert!(savings.byte_savings_pct() > 0.0, "MINT must save bytes over TAG: {savings}");
     }
 
     #[test]
     fn conference_topk_runs_and_panel_reports_energy_savings() {
-        let server = conference_server(3);
-        let execution = server
-            .submit("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 30 s", 50)
-            .expect("Figure-3 style query runs");
+        let execution = execute(
+            &conference_server(3),
+            "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 30 s",
+            50,
+        )
+        .expect("Figure-3 style query runs");
         assert_eq!(execution.results.len(), 50);
         assert_eq!(execution.results[0].items.len(), 3);
         let savings = execution.panel.savings_vs("centralized collection").unwrap();
@@ -500,23 +222,41 @@ mod tests {
         // per-frame preamble — so at this 14-node demo scale the energy comparison is a
         // wash (the E4/E5 sweeps show the real effect at scale).
         assert!(savings.byte_savings_pct() > 0.0, "MINT must ship fewer bytes: {savings}");
-        // The bottleneck node's load (and therefore the lifetime) stays in the same
-        // ballpark as the baselines rather than strictly ahead of them.
-        assert!(execution.panel.lifetime_extension_factor(20.0e9).unwrap() > 0.5);
-        // Bullets carry the conference cluster names.
-        let bullets = server.bullets(execution.latest().unwrap());
-        assert!(bullets.iter().all(|b| !b.cluster_name.is_empty()));
+        // Every report is a scoped slice, so the panel carries no bottleneck node and
+        // claims no lifetime factor (E3 reads whole-run energy and lifetime).
+        assert!(execution.panel.lifetime_extension_factor(20.0e9).is_none());
+    }
+
+    #[test]
+    fn bullets_are_labelled_by_what_the_plan_ranks() {
+        let server = conference_server(4);
+        let mut engine = server.engine();
+        let rooms = engine.register("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid").unwrap();
+        let nodes = engine.register("SELECT TOP 3 nodeid, sound FROM sensors").unwrap();
+        let epochs = engine
+            .register("SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 8 epochs")
+            .unwrap();
+        engine.run_epochs(8);
+        let keys = |s: &crate::Session| s.latest().expect("answered").keys();
+        let labels = |s: &crate::Session| -> Vec<String> {
+            s.bullets(&s.latest().expect("answered")).into_iter().map(|b| b.label).collect()
+        };
+        let expect = |s: &crate::Session, label: &dyn Fn(u64) -> String| {
+            assert_eq!(labels(s), keys(s).into_iter().map(label).collect::<Vec<_>>());
+        };
+        expect(&rooms, &|key| server.scenario().cluster_name(key as u32));
+        expect(&nodes, &|key| format!("node {key}"));
+        expect(&epochs, &|key| format!("epoch {key}"));
     }
 
     #[test]
     fn historic_vertical_query_routes_to_tja() {
-        let server = conference_server(5);
-        let execution = server
-            .submit(
-                "SELECT TOP 5 epoch, AVG(sound) FROM sensors GROUP BY epoch EPOCH DURATION 30 s WITH HISTORY 64 epochs",
-                0,
-            )
-            .expect("historic query runs");
+        let execution = execute(
+            &conference_server(5),
+            "SELECT TOP 5 epoch, AVG(sound) FROM sensors GROUP BY epoch EPOCH DURATION 30 s WITH HISTORY 64 epochs",
+            64,
+        )
+        .expect("historic query runs");
         assert!(execution.algorithm.contains("TJA"));
         assert_eq!(execution.results.len(), 1);
         assert_eq!(execution.results[0].items.len(), 5);
@@ -526,13 +266,12 @@ mod tests {
 
     #[test]
     fn historic_horizontal_query_uses_local_filtering() {
-        let server = conference_server(7);
-        let execution = server
-            .submit(
-                "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 30 s WITH HISTORY 32 epochs",
-                0,
-            )
-            .expect("historic horizontal query runs");
+        let execution = execute(
+            &conference_server(7),
+            "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 30 s WITH HISTORY 32 epochs",
+            32,
+        )
+        .expect("historic horizontal query runs");
         assert_eq!(execution.algorithm, "local filter + MINT update");
         assert_eq!(execution.results[0].items.len(), 2);
         let savings = execution.panel.primary_savings().unwrap();
@@ -544,138 +283,71 @@ mod tests {
         // FILA only saves traffic when the K-th and (K+1)-th ranked nodes are separated;
         // seeds whose room draws leave them statistically tied (same room) churn the
         // boundary filter every epoch.  Seed 4 produces the separated regime.
-        let server = conference_server(4);
-        let execution = server
-            .submit("SELECT TOP 3 nodeid, sound FROM sensors EPOCH DURATION 10 s", 30)
-            .expect("monitoring query runs");
+        let execution = execute(
+            &conference_server(4),
+            "SELECT TOP 3 nodeid, sound FROM sensors EPOCH DURATION 10 s",
+            30,
+        )
+        .expect("monitoring query runs");
         assert!(execution.algorithm.contains("FILA"));
         assert_eq!(execution.results.len(), 30);
-        let savings = execution.panel.savings_vs("per-epoch collection").unwrap();
+        let savings = execution.panel.savings_vs("centralized collection").unwrap();
         assert!(savings.message_savings_pct() > 0.0);
     }
 
     #[test]
     fn plain_aggregate_and_raw_queries_run_too() {
         let server = conference_server(11);
-        let agg = server
-            .submit("SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 30 s", 5)
+        let agg = execute(&server, "SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 30 s", 5)
             .expect("plain aggregate runs");
         assert!(agg.algorithm.contains("TAG"));
         assert_eq!(agg.results.len(), 5);
         assert_eq!(agg.results[0].items.len(), 6, "all six clusters are reported");
+        assert!(agg.panel.savings_vs("centralized collection").is_some());
 
-        let raw = server.submit("SELECT * FROM sensors", 3).expect("raw query runs");
+        let raw = execute(&server, "SELECT * FROM sensors", 3).expect("raw query runs");
         assert!(raw.algorithm.contains("centralized"));
-        assert!(raw.panel.baselines.is_empty());
+        assert!(raw.panel.baselines.is_empty(), "raw collection is its own baseline");
     }
 
     #[test]
     fn invalid_queries_are_rejected_with_parser_errors() {
         let server = figure1_server();
-        assert!(server.submit("SELECT TOP 0 roomid, AVG(sound) FROM sensors GROUP BY roomid", 5).is_err());
-        assert!(server.submit("SELEKT oops", 5).is_err());
-    }
-
-    #[test]
-    fn continuous_queries_reject_zero_epochs_but_historic_queries_ignore_the_count() {
-        let server = conference_server(2);
-        for sql in [
-            "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid",
-            "SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid",
-            "SELECT * FROM sensors",
-            "SELECT TOP 2 nodeid, sound FROM sensors",
-        ] {
-            let err = server.submit(sql, 0).unwrap_err();
-            assert!(err.to_string().contains("epochs > 0"), "{sql}: {err}");
-        }
-        // One-shot historic queries answer from the WITH HISTORY window whatever the
-        // epoch count says.
-        let sql = "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 16 epochs";
-        let at_zero = server.submit(sql, 0).expect("historic ignores epochs");
-        let at_nine = server.submit(sql, 9).expect("historic ignores epochs");
-        assert_eq!(at_zero.results, at_nine.results);
-        assert_eq!(at_zero.results.len(), 1);
+        assert!(execute(&server, "SELECT TOP 0 roomid, AVG(sound) FROM sensors GROUP BY roomid", 5).is_err());
+        assert!(execute(&server, "SELEKT oops", 5).is_err());
     }
 
     #[test]
     fn a_lifetime_clause_clamps_the_whole_execution_including_baselines() {
         let server = conference_server(8);
-        let execution = server
-            .submit(
-                "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid LIFETIME 3 epochs",
-                25,
-            )
-            .unwrap();
+        let execution = execute(
+            &server,
+            "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid LIFETIME 3 epochs",
+            25,
+        )
+        .unwrap();
         assert_eq!(execution.results.len(), 3, "LIFETIME bounds the query");
         assert_eq!(execution.panel.kspot.epochs, 3);
+        assert_eq!(execution.panel.baselines.len(), 2);
         for baseline in &execution.panel.baselines {
             assert_eq!(baseline.epochs, 3, "baselines must cover the same span: {}", baseline.name);
         }
         // Like-for-like spans keep the savings comparison meaningful.
-        let short = server
-            .submit("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", 3)
-            .unwrap();
+        let short =
+            execute(&server, "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", 3).unwrap();
         assert_eq!(execution.panel.kspot.totals, short.panel.kspot.totals);
-    }
-
-    #[test]
-    fn lazy_baselines_skip_the_comparison_runs_but_keep_the_answers() {
-        let eager = conference_server(3);
-        let lazy = conference_server(3).with_lazy_baselines(true);
-        let sql = "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid";
-        let eager_exec = eager.submit(sql, 25).unwrap();
-        let lazy_exec = lazy.submit(sql, 25).unwrap();
-        assert_eq!(eager_exec.results, lazy_exec.results, "answers are baseline-independent");
-        assert_eq!(eager_exec.panel.baselines.len(), 2);
-        assert!(lazy_exec.panel.baselines.is_empty());
-        assert_eq!(eager_exec.panel.kspot, lazy_exec.panel.kspot);
-
-        let historic = "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 16 epochs";
-        assert!(lazy.submit(historic, 0).unwrap().panel.baselines.is_empty());
-        assert_eq!(eager.submit(historic, 0).unwrap().panel.baselines.len(), 2);
-    }
-
-    #[test]
-    fn parallel_batches_are_byte_identical_to_serial_ones() {
-        let server = conference_server(6).with_lazy_baselines(true);
-        let requests: Vec<BatchQuery> = vec![
-            BatchQuery::new("SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid", 15),
-            BatchQuery::new("SELECT TOP 3 roomid, MAX(sound) FROM sensors GROUP BY roomid", 10),
-            BatchQuery::new("SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid", 8),
-            BatchQuery::new("SELECT * FROM sensors", 4),
-            BatchQuery::new("SELECT TOP 2 nodeid, sound FROM sensors", 12),
-            BatchQuery::new("SELEKT broken", 5),
-            BatchQuery::new(
-                "SELECT TOP 4 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 16 epochs",
-                0,
-            ),
-        ];
-        let serial = server.submit_batch(&requests, BatchMode::Serial);
-        let parallel = server.submit_batch(&requests, BatchMode::Parallel);
-        assert_eq!(serial.len(), parallel.len());
-        for (i, (s, p)) in serial.iter().zip(parallel.iter()).enumerate() {
-            match (s, p) {
-                (Ok(se), Ok(pe)) => assert_eq!(se, pe, "request {i} diverged"),
-                (Err(se), Err(pe)) => assert_eq!(se.to_string(), pe.to_string()),
-                _ => panic!("request {i}: serial and parallel disagree on success"),
-            }
-        }
-        // The batch preserves request order and per-request outcomes.
-        assert!(serial[5].is_err(), "the broken query fails in both modes");
-        assert_eq!(serial[0].as_ref().unwrap().results.len(), 15);
-        assert_eq!(serial[4].as_ref().unwrap().results.len(), 12);
+        assert_eq!(execution.panel.baselines, short.panel.baselines);
     }
 
     #[test]
     fn executions_are_deterministic_in_the_seed() {
         let run = |seed| {
-            conference_server(seed)
-                .submit("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid", 20)
-                .unwrap()
-                .results
-                .iter()
-                .map(|r| r.keys())
-                .collect::<Vec<_>>()
+            execute(
+                &conference_server(seed),
+                "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid",
+                20,
+            )
+            .unwrap()
         };
         assert_eq!(run(4), run(4));
     }

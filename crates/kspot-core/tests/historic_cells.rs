@@ -135,7 +135,7 @@ fn engine_shared_windows_match_the_per_submission_replay_on_deterministic_cells(
 
         // The legacy replay path: buffer the window from the same workload stream
         // into a fresh per-submission dataset, then execute on a dedicated network at
-        // the query epoch — exactly what `KSpotServer::submit` historically did.
+        // the query epoch — the per-submission model the shared windows replaced.
         let d = cell.deployment();
         let data = HistoricDataset::collect(&mut cell.workload(&d), cell.window);
         let query_epoch: Epoch = *data.epochs().last().expect("non-empty window");

@@ -16,6 +16,7 @@
 //! | R4 | `raw-rng` | everywhere except `kspot-net/src/rng.rs` |
 //! | R5 | `lock-discipline` | non-test library code |
 //! | R6 | `alloc-before-validate` | untrusted decoders (`kspot-serve/src/`, `kspot-store/src/`) |
+//! | R7 | `allow-deprecated` | everywhere |
 //!
 //! Suppression is explicit and audited: `// lint: allow(<rule>, <reason>)`
 //! silences a finding on the marker's line or the line below;
@@ -58,10 +59,12 @@ pub enum Rule {
     LockDiscipline,
     /// R6 — allocation sized by an unvalidated decoded length.
     AllocBeforeValidate,
+    /// R7 — an `allow(deprecated)` attribute keeping a retired API callable.
+    AllowDeprecated,
 }
 
 impl Rule {
-    /// Short id, `R0`–`R6`, as printed in findings and accepted by `allow()`.
+    /// Short id, `R0`–`R7`, as printed in findings and accepted by `allow()`.
     pub fn id(self) -> &'static str {
         match self {
             Rule::Suppression => "R0",
@@ -71,6 +74,7 @@ impl Rule {
             Rule::RawRng => "R4",
             Rule::LockDiscipline => "R5",
             Rule::AllocBeforeValidate => "R6",
+            Rule::AllowDeprecated => "R7",
         }
     }
 
@@ -84,6 +88,7 @@ impl Rule {
             Rule::RawRng => "raw-rng",
             Rule::LockDiscipline => "lock-discipline",
             Rule::AllocBeforeValidate => "alloc-before-validate",
+            Rule::AllowDeprecated => "allow-deprecated",
         }
     }
 
@@ -92,13 +97,14 @@ impl Rule {
     /// findings cannot be suppressed by another marker.
     pub fn parse(s: &str) -> Option<Rule> {
         let s = s.trim().to_ascii_lowercase();
-        const SUPPRESSIBLE: [Rule; 6] = [
+        const SUPPRESSIBLE: [Rule; 7] = [
             Rule::NanOrdering,
             Rule::BareUnwrap,
             Rule::OrderLeak,
             Rule::RawRng,
             Rule::LockDiscipline,
             Rule::AllocBeforeValidate,
+            Rule::AllowDeprecated,
         ];
         SUPPRESSIBLE
             .into_iter()
@@ -319,7 +325,7 @@ pub fn lint_file(ctx: &FileContext, src: &str) -> FileReport {
                     ctx,
                     *line,
                     &format!("allow marker names unknown rule `{raw_rule}`"),
-                    "use R1-R6 or a rule name like `nan-ordering`; R0 cannot be suppressed",
+                    "use R1-R7 or a rule name like `nan-ordering`; R0 cannot be suppressed",
                 ));
             }
             Marker::Allow { line, .. } => {

@@ -1,4 +1,4 @@
-//! The six invariant rules (R1–R6), each a small pass over the token stream.
+//! The seven invariant rules (R1–R7), each a small pass over the token stream.
 //!
 //! Every rule is deny-by-default inside its scope (see
 //! [`crate::FileContext`]); escape hatches are the `// lint: allow(...)` and
@@ -53,6 +53,7 @@ pub(crate) fn run_all(p: &Pass<'_>) -> Vec<Finding> {
     raw_rng(p, &mut out);
     lock_discipline(p, &mut out);
     alloc_before_validate(p, &mut out);
+    allow_deprecated(p, &mut out);
     out.sort_by_key(|f| (f.line, f.rule));
     out.dedup_by(|a, b| a.line == b.line && a.rule == b.rule && a.message == b.message);
     out
@@ -502,5 +503,36 @@ fn check_alloc_arg(
             "allocation sized by a decoded value that was never validated against the remaining input",
             "bound the count first (e.g. `Cursor::count(declared, elem_bytes)`), then allocate",
         ));
+    }
+}
+
+/// R7: `deprecated` inside an `allow(..)` attribute (`#[..]` or `#![..]`).
+/// Fires everywhere, tests included: the workspace defines no `#[deprecated]`
+/// item (ADR-010), so the attribute could only keep a retired API callable.
+fn allow_deprecated(p: &Pass<'_>, out: &mut Vec<Finding>) {
+    let mut i = 0usize;
+    while i < p.toks.len() {
+        let bang = usize::from(p.punct(i + 1, '!'));
+        if !(p.punct(i, '#') && p.punct(i + 1 + bang, '[')) {
+            i += 1;
+            continue;
+        }
+        i += 2 + bang;
+        let (mut depth, mut allow) = (1u32, false);
+        while i < p.toks.len() && depth > 0 {
+            match &p.toks[i].kind {
+                TokKind::Punct('[') => depth += 1,
+                TokKind::Punct(']') => depth -= 1,
+                TokKind::Ident(s) if s == "allow" => allow = true,
+                TokKind::Ident(s) if allow && s == "deprecated" => out.push(p.finding(
+                    Rule::AllowDeprecated,
+                    p.line(i),
+                    "`allow(deprecated)` — keeps a call into a retired API compiling",
+                    "port the caller to the replacement and delete the deprecated item (ADR-010)",
+                )),
+                _ => {}
+            }
+            i += 1;
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! The fixture corpus: at least one firing and one non-firing case per rule
-//! R1–R6, plus the suppression grammar (reasoned `allow` silences with an
+//! R1–R7, plus the suppression grammar (reasoned `allow` silences with an
 //! audit trail; a reason-less, unknown-rule, stale or malformed marker is an
 //! R0 finding of its own).
 
@@ -136,6 +136,17 @@ fn r6_covers_the_checkpoint_store_decoder() {
     // The store's own tests/ tree (fuzz corpus drivers) stays out of scope.
     let store_test_ctx = FileContext::from_path("crates/kspot-store/tests/fixture.rs");
     assert!(fired(&store_test_ctx, include_str!("fixtures/r6_store_fire.rs")).is_empty());
+}
+
+#[test]
+fn r7_fires_on_allow_deprecated_everywhere_tests_included() {
+    for ctx in [lib_ctx(), test_ctx()] {
+        let fire = lint_source(&ctx, include_str!("fixtures/r7_fire.rs"));
+        assert!(fire.iter().all(|f| f.rule == Rule::AllowDeprecated), "{fire:?}");
+        let lines: Vec<u32> = fire.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [2, 4], "the inner and the outer attribute: {fire:?}");
+        assert!(fired(&ctx, include_str!("fixtures/r7_clean.rs")).is_empty());
+    }
 }
 
 #[test]

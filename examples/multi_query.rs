@@ -6,15 +6,16 @@
 //! cargo run --release --example multi_query
 //! ```
 
-use kspot::core::{QueryEngine, ScenarioConfig, Session, SessionStatus};
+use kspot::core::{KSpotServer, ScenarioConfig, Session, SessionStatus};
 
 fn main() {
-    let mut engine = QueryEngine::new(ScenarioConfig::conference()).with_seed(42);
+    let server = KSpotServer::new(ScenarioConfig::conference()).with_seed(42);
+    let mut engine = server.engine();
 
     // Four users register their queries; each gets a typed Session handle.  The same
     // `register` call admits every query class: the historic query joins the loop
     // too, answers once from the engine-shared sliding windows when they cover its
-    // WITH HISTORY span, and completes (no per-submit collection replay).
+    // WITH HISTORY span, and completes (no per-query collection replay).
     let mut loudest_rooms = engine
         .register("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid")
         .expect("snapshot Top-K admits");
@@ -85,9 +86,7 @@ fn main() {
     // every session's answers are byte-identical either way — only the overhead
     // disappears.
     let replay = |batched: bool| {
-        let mut engine = QueryEngine::new(ScenarioConfig::conference())
-            .with_seed(42)
-            .with_frame_batching(batched);
+        let mut engine = server.engine().with_frame_batching(batched);
         let sessions: Vec<Session> = [
             "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid",
             "SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid",

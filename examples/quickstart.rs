@@ -35,15 +35,14 @@ fn main() {
     println!("algorithm routed to: {}", session.algorithm());
     let answers = session.poll();
     assert_eq!(answers.len(), 10, "ten epochs produced ten answers");
-    for bullet in server.bullets(answers.last().expect("ten answers")) {
+    for bullet in session.bullets(answers.last().expect("ten answers")) {
         println!("KSpot bullet: {bullet}");
     }
     println!();
 
     // The System Panel, per session: the query's own attributed slice of the shared
-    // ledger (totals and per-phase table).  The deprecated one-shot facade
-    // (`KSpotServer::submit`) still attaches the TAG/centralized comparison runs for
-    // callers that want the savings read-outs — see `examples/conference_rooms.rs`.
+    // ledger (totals and per-phase table).  For the TAG/centralized savings read-outs
+    // register the baselines next to the query — see `examples/conference_rooms.rs`.
     let execution = session.finalize();
     println!("{}", execution.panel);
 

@@ -9,8 +9,8 @@
 //!   validation, execution-strategy classification);
 //! * [`algos`] — the in-network Top-K algorithms: MINT views and TJA (KSpot's engines),
 //!   plus the TAG, centralized, naive, FILA and TPUT comparators;
-//! * [`core`] — the KSpot system itself: scenario configuration, the per-node client
-//!   runtime, the base-station server and the System Panel.
+//! * [`core`] — the KSpot system itself: scenario configuration, the base-station
+//!   server, the multi-query engine with its `Session` API, and the System Panel.
 //!
 //! ```
 //! use kspot::core::{KSpotServer, ScenarioConfig, WorkloadSpec};

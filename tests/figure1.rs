@@ -1,8 +1,6 @@
 //! Integration test for experiment E1: the Figure-1 scenario across the whole stack —
-//! query text → parser → plan → server → MINT execution → Display-Panel bullets.
-//! (Drives the deprecated one-shot facade on purpose — the paper's running example
-//! must keep working through it.)
-#![allow(deprecated)]
+//! query text → parser → plan → engine session → MINT execution → Display-Panel
+//! bullets and the System Panel's TAG comparison.
 
 use kspot::algos::snapshot::exact_reference;
 use kspot::algos::{NaiveLocalPrune, SnapshotAlgorithm, SnapshotSpec};
@@ -11,20 +9,25 @@ use kspot::net::types::ValueDomain;
 use kspot::net::{Deployment, Network, NetworkConfig, Workload};
 use kspot::query::AggFunc;
 
+fn figure1_server() -> KSpotServer {
+    KSpotServer::new(ScenarioConfig::figure1()).with_workload(WorkloadSpec::Figure1)
+}
+
 #[test]
 fn the_running_example_returns_room_c_for_every_k() {
     for k in 1..=4u32 {
-        let server = KSpotServer::new(ScenarioConfig::figure1()).with_workload(WorkloadSpec::Figure1);
+        let mut engine = figure1_server().engine();
         let sql = format!("SELECT TOP {k} roomid, AVERAGE(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min");
-        let execution = server.submit(&sql, 5).expect("query runs");
-        let latest = execution.latest().unwrap();
+        let session = engine.register(&sql).expect("query registers");
+        engine.run_epochs(5);
+        let latest = session.latest().unwrap();
         assert_eq!(latest.items.len(), k as usize);
         // The full correct order of Figure 1 is C (75) > A (74.5) > D (64) > B (41).
         let expected: Vec<u64> = vec![2, 0, 3, 1].into_iter().take(k as usize).collect();
         assert_eq!(latest.keys(), expected, "k={k}");
         // The Display Panel bullets carry the room names.
-        let bullets = server.bullets(latest);
-        assert_eq!(bullets[0].cluster_name, "Room C");
+        let bullets = session.bullets(&latest);
+        assert_eq!(bullets[0].label, "Room C");
         assert!((bullets[0].value - 75.0).abs() < 1e-9);
     }
 }
@@ -46,11 +49,14 @@ fn the_naive_strategy_reproduces_the_papers_wrong_answer() {
 
 #[test]
 fn kspot_execution_spends_no_more_view_tuples_than_tag_on_figure1() {
-    let server = KSpotServer::new(ScenarioConfig::figure1()).with_workload(WorkloadSpec::Figure1);
-    let execution = server
-        .submit("SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid", 30)
-        .expect("query runs");
-    let savings = execution.panel.savings_vs("TAG + sink Top-K").expect("TAG baseline present");
+    let mut engine = figure1_server().engine();
+    let session = engine
+        .register("SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid")
+        .expect("query registers");
+    engine.register_baselines(&session).expect("baselines register");
+    engine.run_epochs(30);
+    let panel = session.finalize().panel;
+    let savings = panel.savings_vs("TAG + sink Top-K").expect("TAG baseline present");
     assert!(
         savings.byte_savings_pct() > 0.0,
         "on the constant Figure-1 workload the pruned views must save bytes: {savings}"
