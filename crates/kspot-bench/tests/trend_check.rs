@@ -283,6 +283,29 @@ fn serve_latency_with_protocol_errors_warns_but_does_not_fail() {
 }
 
 #[test]
+fn a_median_wire_poll_over_budget_fails_the_serve_latency_gate() {
+    if !python_available() {
+        eprintln!("skipping: no python3 in this environment");
+        return;
+    }
+    let dir = std::env::temp_dir().join("kspot_trend_check_serve_stalled");
+    std::fs::create_dir_all(&dir).unwrap();
+    let previous = artifact(&dir, "previous.json", 100.0);
+    // The healthy fixture polls in 2.0 ms; a reply stalled on a delayed ACK takes 44.
+    let stalled = dir.join("stalled.json");
+    let healthy = std::fs::read_to_string(artifact(&dir, "healthy.json", 95.0)).unwrap();
+    let poll = "\"op\": \"poll\", \"count\": 2560, \"p50_ms\": ";
+    assert!(healthy.contains(&format!("{poll}2.0")));
+    let slow = healthy.replace(&format!("{poll}2.0"), &format!("{poll}44.1"));
+    std::fs::write(&stalled, slow).unwrap();
+
+    let out = run_script(&[&previous, &stalled.to_string_lossy()]);
+    assert!(!out.status.success(), "a 44 ms median poll must fail the job: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("over the 10.0 ms budget"), "the failure names the budget: {stderr}");
+}
+
+#[test]
 fn an_artifact_without_store_timetravel_warns_but_does_not_fail() {
     if !python_available() {
         eprintln!("skipping: no python3 in this environment");

@@ -954,11 +954,23 @@ impl QueryEngine {
     }
 }
 
+/// What one [`Session::results_page`] read saw.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResultsPage {
+    /// The requested slice of the session's answers, oldest first.
+    pub results: Vec<TopKResult>,
+    /// How many answers the session held in total at the time of the read.
+    pub total: usize,
+    /// The session's lifecycle state at the time of the read.
+    pub status: SessionStatus,
+}
+
 /// A typed handle to one registered query session — the uniform lifecycle surface of
 /// the engine (module docs): inspect ([`Self::status`], [`Self::results`],
-/// [`Self::totals`]), consume per-epoch answers ([`Self::poll`], [`Self::stream`]),
-/// render ([`Self::bullets`]), stop ([`Self::cancel`]) and convert into a
-/// [`QueryExecution`] with its System Panel ([`Self::finalize`]).
+/// [`Self::results_page`], [`Self::totals`]), consume per-epoch answers
+/// ([`Self::poll`], [`Self::stream`]), render ([`Self::bullets`]), stop
+/// ([`Self::cancel`]) and convert into a [`QueryExecution`] with its System Panel
+/// ([`Self::finalize`]).
 ///
 /// Handles are cheap to clone; each clone keeps its own [`Self::poll`] cursor.  A
 /// handle shares state with its engine, so results produced by later
@@ -1043,11 +1055,25 @@ impl Session {
     /// call (all answers so far on the first call).  Each handle keeps its own
     /// cursor, so clones poll independently.
     pub fn poll(&mut self) -> Vec<TopKResult> {
+        let page = self.results_page(self.cursor, usize::MAX);
+        self.cursor = page.total;
+        page.results
+    }
+
+    /// A bounded read for callers that keep their own cursor (the wire front-end):
+    /// at most `max` answers starting at index `cursor`, plus the session's answer
+    /// count and status, all under one lock acquisition.  Costs O(answers returned),
+    /// not O(history) like [`Self::results`].
+    pub fn results_page(&self, cursor: usize, max: usize) -> ResultsPage {
         let core = lock_core(&self.core);
-        let results = &core.state(self.id).results;
-        let start = self.cursor.min(results.len());
-        self.cursor = results.len();
-        results[start..].to_vec()
+        let state = core.state(self.id);
+        let start = cursor.min(state.results.len());
+        let end = start.saturating_add(max).min(state.results.len());
+        ResultsPage {
+            results: state.results[start..end].to_vec(),
+            total: state.results.len(),
+            status: state.status,
+        }
     }
 
     /// Iterator form of [`Self::poll`]: drains the answers produced since the last
@@ -1318,6 +1344,37 @@ mod tests {
         // The clone's cursor is independent and stream() drains like poll().
         assert_eq!(clone.stream().count(), 5);
         assert_eq!(clone.stream().count(), 0);
+    }
+
+    #[test]
+    fn a_results_page_is_the_matching_slice_of_results_with_total_and_status() {
+        let mut engine = engine(6);
+        let active = engine.register(EIGHT_QUERIES[0]).unwrap();
+        let bounded = format!("{} LIFETIME 4 epochs", EIGHT_QUERIES[1]);
+        let completed = engine.register(&bounded).unwrap();
+        let mut cancelled = engine.register(EIGHT_QUERIES[1]).unwrap();
+        engine.run_epochs(3);
+        assert!(cancelled.cancel());
+        engine.run_epochs(4);
+
+        for (session, status, total) in [
+            (&active, SessionStatus::Active, 7),
+            (&completed, SessionStatus::Completed, 4),
+            (&cancelled, SessionStatus::Cancelled, 3),
+        ] {
+            let all = session.results();
+            assert_eq!(all.len(), total);
+            // Cursors at, before and past the end; windows of none, some and all.
+            for cursor in 0..total + 2 {
+                for max in [0, 1, 2, total, usize::MAX] {
+                    let page = session.results_page(cursor, max);
+                    let start = cursor.min(total);
+                    let end = start.saturating_add(max).min(total);
+                    assert_eq!(page.results, all[start..end], "cursor {cursor}, max {max}");
+                    assert_eq!((page.total, page.status), (total, status));
+                }
+            }
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod panel;
 pub mod server;
 
 pub use config::{ConfigError, ScenarioConfig};
-pub use engine::{EngineRef, QueryEngine, QueryId, Session, SessionStatus};
+pub use engine::{EngineRef, QueryEngine, QueryId, ResultsPage, Session, SessionStatus};
 pub use fleet::{AdmissionScope, DeploymentId, EngineFleet, FleetError, ShardHealth};
 pub use panel::{StrategyReport, SystemPanel};
 pub use server::{KSpotBullet, KSpotServer, QueryExecution, WorkloadSpec};

@@ -65,6 +65,8 @@ pub struct PollOutcome {
 pub struct WireClient {
     stream: TcpStream,
     inbuf: Vec<u8>,
+    /// How much of the front of `inbuf` earlier frames already consumed.
+    consumed: usize,
     /// The `Welcome` frame received on connect.
     welcome: Response,
 }
@@ -75,7 +77,7 @@ impl WireClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
-        let mut client = Self { stream, inbuf: Vec::new(), welcome: Response::Bye };
+        let mut client = Self { stream, inbuf: Vec::new(), consumed: 0, welcome: Response::Bye };
         let welcome = client.read_response()?;
         match welcome {
             Response::Welcome { .. } => {
@@ -101,9 +103,15 @@ impl WireClient {
     /// Reads the next response frame (blocking, honouring the read timeout).
     pub fn read_response(&mut self) -> Result<Response, ClientError> {
         loop {
-            if let Some(body) = extract_frame(&mut self.inbuf, DEFAULT_MAX_FRAME_BYTES)? {
-                return Ok(decode_response(&body)?);
+            if let Some(body) =
+                extract_frame(&self.inbuf, &mut self.consumed, DEFAULT_MAX_FRAME_BYTES)?
+            {
+                return Ok(decode_response(body)?);
             }
+            // Every complete frame is handed out: drop them in one move per read, so
+            // draining an N-frame reply is not N shifts of the buffer.
+            self.inbuf.drain(..self.consumed);
+            self.consumed = 0;
             let mut chunk = [0u8; 4096];
             let n = self.stream.read(&mut chunk)?;
             if n == 0 {

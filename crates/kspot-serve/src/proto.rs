@@ -228,6 +228,26 @@ pub fn clip_reason(reason: &str) -> &str {
     &reason[..cut]
 }
 
+/// The smallest [`Response::Answer`] frame (no items): length prefix, tag, session,
+/// epoch, count — the bound on how many answers a byte budget can hold.
+pub(crate) const MIN_ANSWER_FRAME_BYTES: usize = 4 + 1 + 8 + 8 + 4;
+
+fn put_answer(
+    out: &mut Vec<u8>,
+    session: u64,
+    epoch: u64,
+    items: impl ExactSizeIterator<Item = (u64, f64)>,
+) {
+    out.push(0x83);
+    put_u64(out, session);
+    put_u64(out, epoch);
+    put_u32(out, items.len() as u32);
+    for (key, value) in items {
+        put_u64(out, key);
+        put_u64(out, value.to_bits());
+    }
+}
+
 fn encode_body(out: &mut Vec<u8>, msg: &Message<'_>) -> Result<(), ProtoError> {
     match msg {
         Message::Req(req) => match req {
@@ -268,14 +288,7 @@ fn encode_body(out: &mut Vec<u8>, msg: &Message<'_>) -> Result<(), ProtoError> {
                 put_str(out, algorithm)?;
             }
             Response::Answer { session, epoch, items } => {
-                out.push(0x83);
-                put_u64(out, *session);
-                put_u64(out, *epoch);
-                put_u32(out, items.len() as u32);
-                for (key, value) in items {
-                    put_u64(out, *key);
-                    put_u64(out, value.to_bits());
-                }
+                put_answer(out, *session, *epoch, items.iter().copied());
             }
             Response::Flushed { session, delivered, pending, status } => {
                 out.push(0x84);
@@ -324,22 +337,59 @@ enum Message<'a> {
     Resp(&'a Response),
 }
 
-fn encode_frame(msg: &Message<'_>) -> Result<Vec<u8>, ProtoError> {
-    let mut out = vec![0u8; 4];
-    encode_body(&mut out, msg)?;
-    let body_len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&body_len.to_be_bytes());
-    Ok(out)
+/// Opens a frame at the end of `out`; [`end_frame`] fills in its length prefix.
+fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    start
+}
+
+fn end_frame(out: &mut [u8], start: usize) {
+    let body_len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&body_len.to_be_bytes());
+}
+
+/// Appends `msg` to `out` as a complete frame; on error `out` is left as it was.
+fn encode_frame_into(out: &mut Vec<u8>, msg: &Message<'_>) -> Result<(), ProtoError> {
+    let start = begin_frame(out);
+    if let Err(e) = encode_body(out, msg) {
+        out.truncate(start);
+        return Err(e);
+    }
+    end_frame(out, start);
+    Ok(())
 }
 
 /// Encodes a request as a complete frame (length prefix included).
 pub fn encode_request(req: &Request) -> Result<Vec<u8>, ProtoError> {
-    encode_frame(&Message::Req(req))
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, &Message::Req(req))?;
+    Ok(out)
 }
 
 /// Encodes a response as a complete frame (length prefix included).
 pub fn encode_response(resp: &Response) -> Result<Vec<u8>, ProtoError> {
-    encode_frame(&Message::Resp(resp))
+    let mut out = Vec::new();
+    encode_response_into(&mut out, resp)?;
+    Ok(out)
+}
+
+/// [`encode_response`] onto the end of a byte queue (the server's reply path).
+pub(crate) fn encode_response_into(out: &mut Vec<u8>, resp: &Response) -> Result<(), ProtoError> {
+    encode_frame_into(out, &Message::Resp(resp))
+}
+
+/// Appends the [`Response::Answer`] frame of borrowed items, byte for byte what
+/// [`encode_response`] makes of the owned message.
+pub(crate) fn encode_answer_into(
+    out: &mut Vec<u8>,
+    session: u64,
+    epoch: u64,
+    items: impl ExactSizeIterator<Item = (u64, f64)>,
+) {
+    let start = begin_frame(out);
+    put_answer(out, session, epoch, items);
+    end_frame(out, start);
 }
 
 // --- decoding ---------------------------------------------------------------------
@@ -476,22 +526,24 @@ pub fn decode_response(body: &[u8]) -> Result<Response, ProtoError> {
     Ok(resp)
 }
 
-/// Extracts one complete frame body from the front of `buf`, or `None` if more bytes
-/// are needed.  An oversized length prefix is a hard error — the connection cannot be
+/// Extracts the frame that starts at `buf[*pos..]`: returns its body and advances
+/// `*pos` past it, or `None` (`*pos` untouched) if more bytes are needed.  The caller
+/// drops the consumed prefix when it suits it — once per read, not once per frame.
+/// An oversized length prefix is a hard error — the connection cannot be
 /// resynchronised and must be closed.
-pub fn extract_frame(buf: &mut Vec<u8>, max_frame: usize) -> Result<Option<Vec<u8>>, ProtoError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let declared = u32::from_be_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
+pub fn extract_frame<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+    max_frame: usize,
+) -> Result<Option<&'a [u8]>, ProtoError> {
+    let rest = buf.get(*pos..).unwrap_or_default();
+    let Some(header) = rest.first_chunk::<4>() else { return Ok(None) };
+    let declared = u32::from_be_bytes(*header) as usize;
     if declared > max_frame {
         return Err(ProtoError::Oversize { declared, max: max_frame });
     }
-    if buf.len() < 4 + declared {
-        return Ok(None);
-    }
-    let body = buf[4..4 + declared].to_vec();
-    buf.drain(..4 + declared);
+    let Some(body) = rest.get(4..4 + declared) else { return Ok(None) };
+    *pos += 4 + declared;
     Ok(Some(body))
 }
 
@@ -501,18 +553,28 @@ mod tests {
 
     fn roundtrip_req(req: Request) {
         let frame = encode_request(&req).expect("encodes");
-        let mut buf = frame.clone();
-        let body = extract_frame(&mut buf, DEFAULT_MAX_FRAME_BYTES)
+        let mut pos = 0;
+        let body = extract_frame(&frame, &mut pos, DEFAULT_MAX_FRAME_BYTES)
             .expect("valid frame")
             .expect("complete frame");
-        assert!(buf.is_empty());
-        assert_eq!(decode_request(&body).expect("decodes"), req);
+        assert_eq!(pos, frame.len());
+        assert_eq!(decode_request(body).expect("decodes"), req);
     }
 
     fn roundtrip_resp(resp: Response) {
         let frame = encode_response(&resp).expect("encodes");
-        let body = frame[4..].to_vec();
-        assert_eq!(decode_response(&body).expect("decodes"), resp);
+        assert_eq!(decode_response(&frame[4..]).expect("decodes"), resp);
+        // Appending to a non-empty queue leaves what is queued alone and adds the
+        // same bytes.
+        let mut queue = vec![0xAA; 3];
+        encode_response_into(&mut queue, &resp).expect("encodes");
+        assert_eq!(queue[..3], [0xAA; 3]);
+        assert_eq!(queue[3..], frame[..]);
+        if let Response::Answer { session, epoch, items } = &resp {
+            queue.truncate(3);
+            encode_answer_into(&mut queue, *session, *epoch, items.iter().copied());
+            assert_eq!(queue[3..], frame[..], "borrowed items encode to the same frame");
+        }
     }
 
     #[test]
@@ -535,6 +597,9 @@ mod tests {
             epoch: 42,
             items: vec![(3, 1.5), (9, -0.25)],
         });
+        roundtrip_resp(Response::Answer { session: 1, epoch: 42, items: vec![] });
+        let empty = encode_response(&Response::Answer { session: 1, epoch: 42, items: vec![] });
+        assert_eq!(empty.expect("encodes").len(), MIN_ANSWER_FRAME_BYTES);
         roundtrip_resp(Response::Flushed {
             session: 1,
             delivered: 2,
@@ -574,23 +639,26 @@ mod tests {
 
     #[test]
     fn oversized_and_partial_frames_are_handled() {
-        let mut buf = Vec::new();
-        assert_eq!(extract_frame(&mut buf, 64), Ok(None));
+        let mut pos = 0;
+        assert_eq!(extract_frame(&[], &mut pos, 64), Ok(None));
 
-        // Partial header, then partial body, then the rest.
+        // Partial header, then partial body, then the rest — behind a consumed prefix.
         let frame = encode_request(&Request::Cancel { session: 5 }).unwrap();
+        let mut buf = vec![0xEE; 7];
+        let mut pos = 7;
         buf.extend_from_slice(&frame[..2]);
-        assert_eq!(extract_frame(&mut buf, 64), Ok(None));
+        assert_eq!(extract_frame(&buf, &mut pos, 64), Ok(None));
         buf.extend_from_slice(&frame[2..6]);
-        assert_eq!(extract_frame(&mut buf, 64), Ok(None));
+        assert_eq!(extract_frame(&buf, &mut pos, 64), Ok(None));
+        assert_eq!(pos, 7, "an incomplete frame consumes nothing");
         buf.extend_from_slice(&frame[6..]);
-        let body = extract_frame(&mut buf, 64).unwrap().unwrap();
-        assert_eq!(decode_request(&body), Ok(Request::Cancel { session: 5 }));
+        let body = extract_frame(&buf, &mut pos, 64).unwrap().unwrap();
+        assert_eq!(decode_request(body), Ok(Request::Cancel { session: 5 }));
+        assert_eq!(pos, buf.len());
 
         // A hostile length prefix fails before any buffering.
-        let mut buf = u32::MAX.to_be_bytes().to_vec();
         assert_eq!(
-            extract_frame(&mut buf, 64),
+            extract_frame(&u32::MAX.to_be_bytes(), &mut 0, 64),
             Err(ProtoError::Oversize { declared: u32::MAX as usize, max: 64 })
         );
     }

@@ -3,12 +3,23 @@
 //!
 //! # Architecture
 //!
-//! One acceptor thread turns incoming TCP connections into non-blocking `Conn`
-//! records on a shared ready-queue; a **fixed** pool of worker threads repeatedly
-//! pops a connection, services it (flush pending output, read and handle complete
-//! frames, flush again) and pushes it back.  A connection is owned by at most one
-//! worker at a time, so per-connection state needs no locking; the fleet's own shard
-//! locks serialise engine access exactly as for in-process callers.
+//! One acceptor thread turns incoming TCP connections into non-blocking,
+//! `TCP_NODELAY` `Conn` records on a shared ready-queue; a **fixed** pool of worker
+//! threads repeatedly pops a connection, services it and pushes it back.  A
+//! connection is owned by at most one worker at a time, so per-connection state needs
+//! no locking; the fleet's own shard locks serialise engine access exactly as for
+//! in-process callers.
+//!
+//! # The service round and the reply path
+//!
+//! One round = write what is left of the outbox, read whatever the socket has
+//! (unless over the outbox budget), handle every complete frame, write again.  Each
+//! response is encoded straight onto the end of the connection's outbox — **one
+//! contiguous byte queue**, exactly the bytes not yet written — so however many
+//! frames a round produced (a `Poll` is `Answer`… + `Flushed`) they leave in one
+//! `write`, normally one TCP segment.  Nagle is off on every accepted socket and is
+//! not configurable: a request/reply protocol never wants a reply's tail held back
+//! for the peer's delayed ACK (ADR-007, "Reply path").
 //!
 //! # The trust boundary
 //!
@@ -20,7 +31,7 @@
 //! * **Admission** — per-tenant session quotas and the fleet/per-shard caps come
 //!   back as 429-style [`Response::Rejected`] frames, not errors; the connection
 //!   stays usable.
-//! * **Backpressure** — each connection has a bounded outbox
+//! * **Backpressure** — each connection's outbox has a byte budget
 //!   ([`ServeConfig::outbox_capacity_bytes`]).  While it is over budget the worker
 //!   stops *reading* from the socket (TCP pushes back on the client) and polls
 //!   deliver fewer results per round ([`Response::Flushed`] reports the remainder),
@@ -30,8 +41,8 @@
 //!   for requests routed at it, while other shards keep serving (ADR-006/007).
 
 use crate::proto::{
-    self, decode_request, encode_response, ProtoError, Request, Response, PROTOCOL_VERSION,
-    STATUS_ACTIVE, STATUS_CANCELLED, STATUS_COMPLETED,
+    self, decode_request, ProtoError, Request, Response, PROTOCOL_VERSION, STATUS_ACTIVE,
+    STATUS_CANCELLED, STATUS_COMPLETED,
 };
 use kspot_core::{AdmissionScope, EngineFleet, FleetError, Session, SessionStatus};
 use std::collections::{HashMap, VecDeque};
@@ -45,6 +56,10 @@ use std::time::Duration;
 
 /// Tenant name billed for connections that never send [`Request::Hello`].
 pub const ANONYMOUS_TENANT: &str = "anonymous";
+
+/// How long an idle worker waits on the ready-queue, and how long the acceptor backs
+/// off after a failed `accept()`, before looking at `shutdown` again.
+const IDLE_WAIT: Duration = Duration::from_millis(10);
 
 /// Tuning knobs of a [`WireServer`].
 #[derive(Debug, Clone)]
@@ -82,7 +97,7 @@ struct WireSession {
     /// The tenant whose quota slot this session holds (pinned at registration, so a
     /// later `Hello` cannot leak or double-free another tenant's slot).
     tenant: String,
-    /// Delivery cursor into `Session::results()` (the wire cursor is per-connection
+    /// Delivery cursor into the session's results (the wire cursor is per-connection
     /// state, independent of the in-process `poll()` cursor).
     cursor: usize,
     /// Whether this session's tenant-quota slot has been given back (on cancel, on
@@ -93,12 +108,11 @@ struct WireSession {
 /// Per-connection state; owned by exactly one worker at a time.
 struct Conn {
     stream: TcpStream,
+    /// Bytes read but not yet handled; between rounds at most a partial frame.
     inbuf: Vec<u8>,
-    /// Encoded frames awaiting the socket; `outbox_bytes` tracks their total size
-    /// and `partial` how much of the front frame is already written.
-    outbox: VecDeque<Vec<u8>>,
-    outbox_bytes: usize,
-    partial: usize,
+    /// Encoded response frames the socket has not accepted yet, back to back; its
+    /// length is what [`ServeConfig::outbox_capacity_bytes`] budgets.
+    outbox: Vec<u8>,
     tenant: String,
     sessions: HashMap<u64, WireSession>,
     next_session: u64,
@@ -113,9 +127,7 @@ impl Conn {
         Self {
             stream,
             inbuf: Vec::new(),
-            outbox: VecDeque::new(),
-            outbox_bytes: 0,
-            partial: 0,
+            outbox: Vec::new(),
             tenant: ANONYMOUS_TENANT.to_string(),
             sessions: HashMap::new(),
             next_session: 1,
@@ -124,17 +136,11 @@ impl Conn {
         }
     }
 
-    fn push_frame(&mut self, frame: Vec<u8>) {
-        self.outbox_bytes += frame.len();
-        self.outbox.push_back(frame);
-    }
-
     fn push_response(&mut self, resp: &Response) {
-        match encode_response(resp) {
-            Ok(frame) => self.push_frame(frame),
-            // Unreachable with clipped reasons, but a connection is never worth a
-            // panic: drop it instead.
-            Err(_) => self.dead = true,
+        // Unreachable with clipped reasons, but a connection is never worth a panic:
+        // drop it instead.
+        if proto::encode_response_into(&mut self.outbox, resp).is_err() {
+            self.dead = true;
         }
     }
 
@@ -155,20 +161,36 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(fleet: EngineFleet, config: ServeConfig) -> Self {
+        Self {
+            fleet,
+            config,
+            ready: Mutex::new(VecDeque::new()),
+            ready_cv: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            tenants: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The ledger holds an entry only while a tenant has active sessions, so tenant
+    /// names — which any client can make up — cannot grow it without bound.
     fn take_quota(&self, tenant: &str) -> Result<(), usize> {
         let mut ledger = self.tenants.lock().expect("tenant ledger poisoned");
-        let count = ledger.entry(tenant.to_string()).or_insert(0);
-        if *count >= self.config.max_sessions_per_tenant {
-            return Err(*count);
+        let count = ledger.get(tenant).copied().unwrap_or(0);
+        if count >= self.config.max_sessions_per_tenant {
+            return Err(count);
         }
-        *count += 1;
+        ledger.insert(tenant.to_string(), count + 1);
         Ok(())
     }
 
     fn release_quota(&self, tenant: &str) {
         let mut ledger = self.tenants.lock().expect("tenant ledger poisoned");
         if let Some(count) = ledger.get_mut(tenant) {
-            *count = count.saturating_sub(1);
+            *count -= 1;
+            if *count == 0 {
+                ledger.remove(tenant);
+            }
         }
     }
 }
@@ -190,14 +212,7 @@ impl WireServer {
     pub fn start(fleet: EngineFleet, config: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            fleet,
-            config: config.clone(),
-            ready: Mutex::new(VecDeque::new()),
-            ready_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            tenants: Mutex::new(HashMap::new()),
-        });
+        let shared = Arc::new(Shared::new(fleet, config.clone()));
 
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -292,8 +307,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Ok((stream, _peer)) = accepted else { continue };
-        if stream.set_nonblocking(true).is_err() {
+        let Ok((stream, _peer)) = accepted else {
+            // Out of descriptors (`EMFILE`/`ENFILE`) fails again at once: back off
+            // instead of spinning on `accept()`.
+            std::thread::sleep(IDLE_WAIT);
+            continue;
+        };
+        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             continue;
         }
         let mut conn = Conn::new(stream);
@@ -321,7 +341,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 }
                 let (q, _) = shared
                     .ready_cv
-                    .wait_timeout(queue, Duration::from_millis(10))
+                    .wait_timeout(queue, IDLE_WAIT)
                     .expect("ready queue poisoned");
                 queue = q;
             }
@@ -382,16 +402,19 @@ fn service(shared: &Shared, conn: &mut Conn) -> bool {
 
     // Backpressure: while the outbox is over budget the socket is not read, so the
     // peer's TCP window fills and the slow reader is throttled at its own pace.
-    if conn.outbox_bytes < shared.config.outbox_capacity_bytes {
+    if conn.outbox.len() < shared.config.outbox_capacity_bytes {
         progressed |= read_some(conn, shared.config.max_frame_bytes);
     }
 
+    // Frames are handled in place; what they consumed is dropped once, after the loop.
+    let inbuf = std::mem::take(&mut conn.inbuf);
+    let mut consumed = 0;
     loop {
-        match proto::extract_frame(&mut conn.inbuf, shared.config.max_frame_bytes) {
+        match proto::extract_frame(&inbuf, &mut consumed, shared.config.max_frame_bytes) {
             Ok(None) => break,
             Ok(Some(body)) => {
                 progressed = true;
-                handle_frame(shared, conn, &body);
+                handle_frame(shared, conn, body);
                 if conn.closing || conn.dead {
                     break;
                 }
@@ -404,38 +427,31 @@ fn service(shared: &Shared, conn: &mut Conn) -> bool {
             }
         }
     }
+    conn.inbuf = inbuf;
+    conn.inbuf.drain(..consumed);
 
     progressed |= flush_outbox(conn);
     progressed
 }
 
-/// Writes as much of the outbox as the socket accepts right now.
+/// Writes as much of the outbox as the socket accepts right now — the whole queue
+/// in one `write` unless the socket pushes back — and drops what was written.
 fn flush_outbox(conn: &mut Conn) -> bool {
-    let mut progressed = false;
-    while let Some(front) = conn.outbox.front() {
-        match conn.stream.write(&front[conn.partial..]) {
-            Ok(0) => {
+    let mut written = 0;
+    while written < conn.outbox.len() {
+        match conn.stream.write(&conn.outbox[written..]) {
+            Ok(n) if n > 0 => written += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            // `Ok(0)` or a hard error: the peer is gone.
+            _ => {
                 conn.dead = true;
-                return progressed;
-            }
-            Ok(n) => {
-                progressed = true;
-                conn.partial += n;
-                conn.outbox_bytes -= n;
-                if conn.partial == front.len() {
-                    conn.outbox.pop_front();
-                    conn.partial = 0;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return progressed,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return progressed;
+                break;
             }
         }
     }
-    progressed
+    conn.outbox.drain(..written);
+    written > 0
 }
 
 /// Reads whatever the socket has ready into the connection buffer, stopping once
@@ -585,10 +601,15 @@ fn handle_poll(shared: &Shared, conn: &mut Conn, wire_id: u64, max: u32) {
         });
         return;
     };
-    let snapshot = catch_unwind(AssertUnwindSafe(|| {
-        (wire.session.results(), wire.session.status())
+    // Deliver from the wire cursor, bounded by the client's `max` AND the outbox
+    // byte budget: a slow reader gets fewer answers per poll (plus the pending
+    // count), never an unbounded outbox — and no more results than could fit are read.
+    let budget = shared.config.outbox_capacity_bytes;
+    let room = budget.saturating_sub(conn.outbox.len()) / proto::MIN_ANSWER_FRAME_BYTES;
+    let page = catch_unwind(AssertUnwindSafe(|| {
+        wire.session.results_page(wire.cursor, room.min(max as usize))
     }));
-    let Ok((results, status)) = snapshot else {
+    let Ok(page) = page else {
         let deployment = wire.deployment;
         conn.push_response(&Response::Unavailable {
             code: 503,
@@ -598,45 +619,29 @@ fn handle_poll(shared: &Shared, conn: &mut Conn, wire_id: u64, max: u32) {
         return;
     };
 
-    // Deliver from the wire cursor, bounded by the client's `max` AND the outbox
-    // byte budget: a slow reader gets fewer answers per poll (plus the pending
-    // count), never an unbounded outbox.
-    let budget = shared.config.outbox_capacity_bytes;
-    let pending_total = results.len().saturating_sub(wire.cursor);
     let mut delivered = 0u32;
-    let mut frames = Vec::new();
-    let mut frames_bytes = 0usize;
-    for result in results.iter().skip(wire.cursor).take(max as usize) {
-        let frame = match encode_response(&Response::Answer {
-            session: wire_id,
-            epoch: result.epoch,
-            items: result.items.iter().map(|i| (i.key, i.value)).collect(),
-        }) {
-            Ok(frame) => frame,
-            Err(_) => break, // an absurdly wide answer; stop delivering, keep pending
-        };
-        if conn.outbox_bytes + frames_bytes + frame.len() > budget {
+    for result in &page.results {
+        let frame_start = conn.outbox.len();
+        let items = result.items.iter().map(|i| (i.key, i.value));
+        proto::encode_answer_into(&mut conn.outbox, wire_id, result.epoch, items);
+        if conn.outbox.len() > budget {
+            conn.outbox.truncate(frame_start);
             break;
         }
-        frames_bytes += frame.len();
-        frames.push(frame);
         delivered += 1;
     }
     wire.cursor += delivered as usize;
-    let pending = (pending_total - delivered as usize) as u32;
-    let status_byte = match status {
+    let pending = page.total.saturating_sub(wire.cursor) as u32;
+    let status_byte = match page.status {
         SessionStatus::Active => STATUS_ACTIVE,
         SessionStatus::Completed => STATUS_COMPLETED,
         SessionStatus::Cancelled => STATUS_CANCELLED,
     };
     // A finished session whose results are fully delivered stops counting against
     // the tenant's quota.
-    if status != SessionStatus::Active && pending == 0 && !wire.released {
+    if page.status != SessionStatus::Active && pending == 0 && !wire.released {
         wire.released = true;
         shared.release_quota(&wire.tenant);
-    }
-    for frame in frames {
-        conn.push_frame(frame);
     }
     conn.push_response(&Response::Flushed {
         session: wire_id,
@@ -663,4 +668,130 @@ fn handle_cancel(shared: &Shared, conn: &mut Conn, wire_id: u64) {
     // The entry stays: results produced before the cancel remain drainable via
     // `Poll` (which now reports `STATUS_CANCELLED`) until the connection closes.
     conn.push_response(&Response::Cancelled { session: wire_id, was_active });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{decode_response, extract_frame};
+    use kspot_core::{ScenarioConfig, WorkloadSpec};
+    use kspot_net::{NetworkConfig, RoomModelParams};
+    use std::time::Instant;
+
+    const SQL: &str = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid";
+
+    fn shared(config: ServeConfig) -> Shared {
+        let fleet = EngineFleet::homogeneous(
+            ScenarioConfig::conference(),
+            WorkloadSpec::RoomCorrelated(RoomModelParams::default()),
+            NetworkConfig::mica2(),
+            7,
+            1,
+            1,
+        );
+        Shared::new(fleet, config)
+    }
+
+    /// A `Conn` as `accept_loop` makes them, and the client end of its socket.
+    fn conn_pair() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        stream.set_nonblocking(true).expect("nonblocking");
+        stream.set_nodelay(true).expect("nodelay");
+        (Conn::new(stream), peer)
+    }
+
+    #[test]
+    fn the_tenant_ledger_keeps_no_entry_for_a_tenant_without_active_sessions() {
+        // A rejection must not create an entry...
+        let closed = shared(ServeConfig { max_sessions_per_tenant: 0, ..ServeConfig::default() });
+        assert_eq!(closed.take_quota("nobody"), Err(0));
+        assert!(closed.tenants.lock().unwrap().is_empty());
+
+        // ...and the last release removes it.
+        let shared = shared(ServeConfig { max_sessions_per_tenant: 1, ..ServeConfig::default() });
+        let (mut conn, _peer) = conn_pair();
+        for i in 0..1000u64 {
+            conn.tenant = format!("tenant-{i}");
+            handle_register(&shared, &mut conn, 0, SQL);
+            handle_register(&shared, &mut conn, 0, SQL); // over quota: a 429
+            assert_eq!(shared.tenants.lock().unwrap().get(&conn.tenant), Some(&1));
+            handle_cancel(&shared, &mut conn, i + 1);
+            conn.outbox.clear();
+        }
+        assert!(shared.tenants.lock().unwrap().is_empty(), "1 000 tenants came and went");
+    }
+
+    #[test]
+    fn a_reply_nobody_reads_stays_within_the_budget_plus_one_frame() {
+        const EPOCHS: u32 = 100; // ≈ 5.7 KB of TOP-2 answers against a 1 KiB budget
+        const FLUSHED_FRAME_BYTES: usize = 4 + 1 + 8 + 4 + 4 + 1;
+        let budget = 1024;
+        let shared =
+            shared(ServeConfig { outbox_capacity_bytes: budget, ..ServeConfig::default() });
+        let (mut conn, mut peer) = conn_pair();
+        handle_register(&shared, &mut conn, 0, SQL);
+        assert!(shared.fleet.run_epochs_surviving(EPOCHS as usize).is_empty());
+        conn.outbox.clear(); // the Registered frame is not part of the reply under test
+
+        // The reader stalls mid-reply: nothing is flushed, every byte stays queued.
+        handle_poll(&shared, &mut conn, 1, u32::MAX);
+        let first_reply = conn.outbox.len();
+        assert!(first_reply <= budget + FLUSHED_FRAME_BYTES, "{first_reply} bytes retained");
+        assert!(first_reply > budget / 2, "the budget is there to be used");
+        // Polls pipelined behind it add their `Flushed` frame and not one answer.
+        handle_poll(&shared, &mut conn, 1, u32::MAX);
+        assert_eq!(conn.outbox.len(), first_reply + FLUSHED_FRAME_BYTES);
+
+        // Once the reader is back the whole queue leaves in one flush, intact.
+        assert!(flush_outbox(&mut conn));
+        assert!(conn.outbox.is_empty() && !conn.dead);
+        let mut reply = vec![0u8; first_reply + FLUSHED_FRAME_BYTES];
+        peer.read_exact(&mut reply).expect("the reply arrives");
+        let (mut pos, mut answers) = (0, 0);
+        let mut next = || {
+            let body = extract_frame(&reply, &mut pos, budget).expect("framed").expect("complete");
+            decode_response(body).expect("decodes")
+        };
+        let flushed = loop {
+            match next() {
+                Response::Answer { session: 1, .. } => answers += 1,
+                other => break other,
+            }
+        };
+        let pending = EPOCHS - answers;
+        assert!(answers > 0 && pending > 0);
+        let status = STATUS_ACTIVE;
+        assert_eq!(flushed, Response::Flushed { session: 1, delivered: answers, pending, status });
+        assert_eq!(next(), Response::Flushed { session: 1, delivered: 0, pending, status });
+    }
+
+    #[test]
+    fn a_partial_write_drops_exactly_the_written_prefix() {
+        // More than the kernel buffers of a loopback socket hold while nobody reads.
+        const TOTAL: usize = 16 << 20;
+        let (mut conn, mut peer) = conn_pair();
+        conn.outbox = (0..TOTAL).map(|i| (i % 251) as u8).collect();
+        assert!(flush_outbox(&mut conn), "the socket takes what it has room for");
+        assert!(!conn.outbox.is_empty() && conn.outbox.len() < TOTAL, "and no more");
+
+        // The reader catches up; every flush releases what it wrote and nothing else.
+        peer.set_nonblocking(true).expect("nonblocking peer");
+        let mut received = Vec::with_capacity(TOTAL);
+        let mut chunk = vec![0u8; 1 << 20];
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while received.len() < TOTAL {
+            assert!(Instant::now() < deadline, "the queue never drained");
+            if let Ok(n) = peer.read(&mut chunk) {
+                received.extend_from_slice(&chunk[..n]);
+            }
+            let before = conn.outbox.len();
+            let progressed = flush_outbox(&mut conn);
+            assert_eq!(progressed, conn.outbox.len() < before);
+            assert!(!conn.dead);
+        }
+        assert!(conn.outbox.is_empty());
+        assert!(received.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8));
+    }
 }

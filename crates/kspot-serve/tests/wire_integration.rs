@@ -122,18 +122,20 @@ fn oversized_frames_are_rejected_and_the_connection_closed() {
     stream.read_to_end(&mut bytes).expect("server closes after the error frame");
 
     // Skip the Welcome frame, then expect an Error frame and EOF.
-    let mut buf = bytes;
-    let welcome = kspot_serve::proto::extract_frame(&mut buf, 4096).unwrap().expect("welcome");
+    let mut pos = 0;
+    let welcome =
+        kspot_serve::proto::extract_frame(&bytes, &mut pos, 4096).unwrap().expect("welcome");
     assert!(matches!(
-        kspot_serve::proto::decode_response(&welcome),
+        kspot_serve::proto::decode_response(welcome),
         Ok(Response::Welcome { .. })
     ));
-    let error = kspot_serve::proto::extract_frame(&mut buf, 4096).unwrap().expect("error frame");
-    match kspot_serve::proto::decode_response(&error) {
+    let error =
+        kspot_serve::proto::extract_frame(&bytes, &mut pos, 4096).unwrap().expect("error frame");
+    match kspot_serve::proto::decode_response(error) {
         Ok(Response::Error { code: 400, reason }) => assert!(reason.contains("exceeds")),
         other => panic!("expected a 400, got {other:?}"),
     }
-    assert!(buf.is_empty(), "nothing after the error frame");
+    assert_eq!(pos, bytes.len(), "nothing after the error frame");
     server.shutdown();
 }
 
@@ -256,6 +258,32 @@ fn slow_readers_are_throttled_not_buffered_without_bound() {
         throttled_polls > 0,
         "a 256-byte outbox must throttle a 40-answer session across multiple polls"
     );
+    client.bye().expect("bye");
+    server.shutdown();
+}
+
+#[test]
+fn a_multi_frame_poll_reply_does_not_wait_for_a_delayed_ack() {
+    // `Answer`… + `Flushed` written frame by frame on a Nagle socket leaves the second
+    // small segment waiting ≈ 40 ms for the client's delayed ACK; written as one
+    // segment on a no-delay socket the round trip is the service time.
+    let server = server(1, ServeConfig::default());
+    let mut client = WireClient::connect(server.addr(), TIMEOUT).expect("connect");
+    let session = match client.register(0, SQL).expect("register") {
+        Response::Registered { session, .. } => session,
+        other => panic!("expected Registered, got {other:?}"),
+    };
+    let mut round_trips = Vec::new();
+    for _ in 0..20 {
+        assert!(matches!(client.advance(8).expect("advance"), Response::Advanced { .. }));
+        let start = std::time::Instant::now();
+        let outcome = client.poll(session, 8).expect("poll");
+        round_trips.push(start.elapsed());
+        assert_eq!(outcome.answers.len(), 8, "nine frames per reply");
+    }
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(median < Duration::from_millis(20), "median poll round trip {median:?}");
     client.bye().expect("bye");
     server.shutdown();
 }
@@ -550,6 +578,7 @@ fn a_request_sent_in_tiny_pieces_is_still_one_frame() {
     }
     // Welcome + Registered arrive framed as usual.
     let mut buf = Vec::new();
+    let mut pos = 0;
     let mut chunk = [0u8; 1024];
     let deadline = std::time::Instant::now() + TIMEOUT;
     let mut responses = Vec::new();
@@ -560,9 +589,9 @@ fn a_request_sent_in_tiny_pieces_is_still_one_frame() {
         }
         buf.extend_from_slice(&chunk[..n]);
         while let Some(body) =
-            kspot_serve::proto::extract_frame(&mut buf, 64 * 1024).expect("well-framed")
+            kspot_serve::proto::extract_frame(&buf, &mut pos, 64 * 1024).expect("well-framed")
         {
-            responses.push(kspot_serve::proto::decode_response(&body).expect("decodes"));
+            responses.push(kspot_serve::proto::decode_response(body).expect("decodes"));
         }
     }
     assert!(matches!(responses[0], Response::Welcome { .. }));

@@ -3,7 +3,7 @@
 
 Usage: bench_trend_check.py PREVIOUS_JSON CURRENT_JSON
 
-Two gates, both on the CURRENT artifact's merged document; the first also needs
+Three gates, all on the CURRENT artifact's merged document; the first also needs
 the previous merge's artifact:
 
 1. **Regression** — fails (exit 1) on a >2x regression of `shared_loop_qps` at
@@ -14,12 +14,19 @@ the previous merge's artifact:
    runs where it can physically pass: the artifact records the host's core
    count, and hosts with fewer than 2 cores skip it (announced, see below).
 
-Plus two **warn-only** checks:
+3. **Serve latency** (schema 5) — fails (exit 1) if the E16 `poll` row's
+   `p50_ms` exceeds 10 ms.  A multi-frame poll reply written as one segment
+   on a `TCP_NODELAY` socket takes ~0.5 ms on loopback at the smoke size and
+   ~6 ms at the full size on a 2-vCPU host (320 connections queueing behind
+   the worker pool's idle back-off); the same reply written frame by frame
+   through Nagle waits ~44 ms for the client's delayed ACK at either size
+   (ADR-007, "Reply path"), so the budget sits between the two.  Also prints the E16 numbers for the trajectory log and —
+   warn-only — warns if the experiment (or its `poll` row) is missing
+   (pre-schema-5 artifact) and warns loudly if the run recorded any wire
+   protocol errors (the loadgen's own exit code is the hard gate there).
 
-3. **Serve latency** (schema 5) — never fails the build; prints the E16
-   serve-latency numbers for the trajectory log, warns if the experiment is
-   missing (pre-schema-5 artifact) and warns loudly if the run recorded any
-   wire protocol errors (the loadgen's own exit code is the hard gate there).
+Plus one **warn-only** check:
+
 4. **Store time travel** (schema 6) — never fails the build; prints the E17
    durable-window numbers (per-cadence snapshot footprint, AS OF latency,
    baseline-serving savings), warns if the experiment is missing
@@ -38,7 +45,7 @@ instead of looking like a pass:
 * no batch-8 row (smoke-sized PR runs only sweep small batches),
 * no fleet-scaling experiment (pre-schema-4 artifact),
 * missing 4-deployment rows, or a single-core host,
-* no serve-latency experiment (pre-schema-5 artifact),
+* no serve-latency experiment (pre-schema-5 artifact) or no `poll` row in it,
 * no store-timetravel experiment (pre-schema-6 artifact).
 
 Understands the schema-2/3/4/5/6 merged documents ({"schema": N, "experiments":
@@ -58,6 +65,9 @@ FLEET_DEPLOYMENTS = 4
 FLEET_THREADS = 4
 MIN_FLEET_SPEEDUP = 1.5
 MIN_CORES_FOR_SCALING = 2
+
+# The E16 budget: the median wire poll (a multi-frame reply) must stay under this.
+MAX_POLL_P50_MS = 10.0
 
 
 def warn_skip(reason):
@@ -191,12 +201,13 @@ def check_fleet_scaling(current_path):
 
 
 def check_serve_latency(current_path):
-    """Check 3 (schema 5, warn-only): the E16 wire front-end latency record.
+    """Gate 3 (schema 5): the E16 wire front-end latency record.
 
-    Never fails the build — the loadgen binary itself exits non-zero on protocol
-    errors, so this check only keeps the trajectory log honest: print the
-    percentiles per op, and warn (not fail) when the experiment is missing or the
-    recorded run saw protocol errors."""
+    Fails when the median `poll` round trip exceeds MAX_POLL_P50_MS — the budget
+    that pins the one-segment reply path.  The rest keeps the trajectory log
+    honest without failing the build (the loadgen binary itself exits non-zero on
+    protocol errors): print the percentiles per op, and warn when the experiment
+    is missing or the recorded run saw protocol errors."""
     doc = load(current_path)
     entry = experiment(doc, "serve-latency")
     if entry is None:
@@ -212,6 +223,7 @@ def check_serve_latency(current_path):
             f"E16 recorded protocol_errors={errors!r}; the wire layer must stay clean"
         )
     rows = experiment_rows(doc, "serve-latency") or []
+    poll_p50 = None
     for row in rows:
         if isinstance(row, dict):
             print(
@@ -219,11 +231,23 @@ def check_serve_latency(current_path):
                 f"{row.get('op')}: p50 {row.get('p50_ms')} ms, "
                 f"p99 {row.get('p99_ms')} ms ({row.get('count')} samples)"
             )
+            if row.get("op") == "poll" and isinstance(row.get("p50_ms"), (int, float)):
+                poll_p50 = float(row["p50_ms"])
     print(
         f"trend check: serve run admitted {entry.get('admitted')} / rejected "
         f"{entry.get('rejected')} of {entry.get('connections')} connections, "
         f"protocol_errors {errors}"
     )
+    if poll_p50 is None:
+        warn_skip("serve-latency experiment has no poll row with a p50_ms")
+        return 0
+    if poll_p50 > MAX_POLL_P50_MS:
+        print(
+            f"trend check: FAIL — median wire poll takes {poll_p50} ms, over the "
+            f"{MAX_POLL_P50_MS} ms budget (a multi-frame reply is stalling again)",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
