@@ -7,20 +7,33 @@
 //! from above.
 
 use crate::result::TopKResult;
-use crate::snapshot::{exact_reference, SnapshotAlgorithm, SnapshotSpec};
+use crate::snapshot::{index_readings, ReferenceScratch, SnapshotAlgorithm, SnapshotSpec};
 use kspot_net::{Network, NodeId, PhaseTag, Reading, SINK};
-use std::collections::BTreeMap;
 
 /// Raw tuple collection with sink-side processing.
 #[derive(Debug, Clone)]
 pub struct CentralizedCollection {
     spec: SnapshotSpec,
+    /// `batches[id]` holds the raw tuples node `id` has to forward this epoch
+    /// (`batches[0]`: what reached the sink).  Emptied, not dropped, between epochs.
+    batches: Vec<Vec<Reading>>,
+    /// The routing tree's post-order, copied so the sweep can hold the network mutably.
+    order: Vec<NodeId>,
+    /// `reading_at[id]` is the position of node `id`'s reading in the epoch's readings.
+    reading_at: Vec<Option<u32>>,
+    sink: ReferenceScratch,
 }
 
 impl CentralizedCollection {
     /// Creates the executor.
     pub fn new(spec: SnapshotSpec) -> Self {
-        Self { spec }
+        Self {
+            spec,
+            batches: Vec::new(),
+            order: Vec::new(),
+            reading_at: Vec::new(),
+            sink: ReferenceScratch::default(),
+        }
     }
 }
 
@@ -38,27 +51,36 @@ impl SnapshotAlgorithm for CentralizedCollection {
         // dropped report loses the whole batch it carried.  Reports enter through the
         // scheduler-aware send_report_up, so under frame batching the raw batch rides
         // the hop's shared frame.
-        let reading_of: BTreeMap<NodeId, &Reading> = readings.iter().map(|r| (r.node, r)).collect();
-        let mut inbox: BTreeMap<NodeId, Vec<Reading>> = BTreeMap::new();
-        for node in net.tree().post_order() {
+        //
+        // A delivered batch is appended to its receiver's on arrival and a node adds
+        // its own tuple at its turn — children's tuples first, in arrival order, own
+        // tuple last.  Readings of the sink or of no node of this network are ignored;
+        // of several readings for one node the last wins.
+        let n = net.num_nodes();
+        self.order.clear();
+        self.order.extend_from_slice(net.tree().post_order_slice());
+        self.batches.resize_with(n + 1, Vec::new);
+        self.batches.iter_mut().for_each(Vec::clear);
+        index_readings(&mut self.reading_at, n, readings.iter().enumerate());
+        for &node in &self.order {
             if !net.node_participating(node) {
                 continue;
             }
-            let mut batch: Vec<Reading> = inbox.remove(&node).unwrap_or_default();
-            if let Some(r) = reading_of.get(&node) {
-                batch.push(**r);
-            }
+            let batch = &mut self.batches[node as usize];
+            batch.extend(self.reading_at[node as usize].map(|at| readings[at as usize]));
             net.charge_cpu(node, batch.len() as u32);
-            if !batch.is_empty() {
-                if let Some(parent) =
-                    net.send_report_up(node, epoch, batch.len() as u32, 0, PhaseTag::Update)
-                {
-                    inbox.entry(parent).or_default().extend(batch);
-                }
+            if batch.is_empty() {
+                continue;
+            }
+            if let Some(receiver) =
+                net.send_report_up(node, epoch, batch.len() as u32, 0, PhaseTag::Update)
+            {
+                let sent = std::mem::take(batch);
+                self.batches[receiver as usize].extend_from_slice(&sent);
+                self.batches[node as usize] = sent;
             }
         }
-        let delivered = inbox.remove(&SINK).unwrap_or_default();
-        exact_reference(&self.spec, &delivered)
+        self.sink.rank(&self.spec, &self.batches[SINK as usize])
     }
 }
 

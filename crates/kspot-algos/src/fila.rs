@@ -16,7 +16,7 @@
 //! ones) — the same trade-off the original FILA makes.
 
 use crate::result::{RankedItem, TopKResult};
-use crate::snapshot::{SnapshotAlgorithm, SnapshotSpec};
+use crate::snapshot::{index_readings, SnapshotAlgorithm, SnapshotSpec};
 use kspot_net::{Network, NodeId, PhaseTag, Reading};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -43,13 +43,26 @@ pub struct FilaMonitor {
     /// Current Top-K membership as known by the sink.
     top_set: Vec<NodeId>,
     stats: FilaStats,
+    /// `in_top[id]`: is node `id` in `top_set` (as of the start of the epoch).
+    in_top: Vec<bool>,
+    /// `reading_at[id]` is the position of node `id`'s reading in the epoch's readings;
+    /// filled in epochs that probe.
+    reading_at: Vec<Option<u32>>,
 }
 
 impl FilaMonitor {
     /// Creates the executor.  The aggregate function of the spec is ignored — FILA ranks
     /// raw readings.
     pub fn new(spec: SnapshotSpec) -> Self {
-        Self { spec, last_known: BTreeMap::new(), boundary: None, top_set: Vec::new(), stats: FilaStats::default() }
+        Self {
+            spec,
+            last_known: BTreeMap::new(),
+            boundary: None,
+            top_set: Vec::new(),
+            stats: FilaStats::default(),
+            in_top: Vec::new(),
+            reading_at: Vec::new(),
+        }
     }
 
     /// Corrective-work counters.
@@ -57,20 +70,31 @@ impl FilaMonitor {
         self.stats
     }
 
-    fn rank_known(&self) -> Vec<RankedItem> {
+    /// The `count` best nodes the sink knows of, best first (all of them if it knows
+    /// fewer).  Node ids are unique, so rank is a strict order and selecting the head
+    /// before sorting it gives exactly the head of the full ranking.
+    fn rank_known(&self, count: usize) -> Vec<RankedItem> {
+        let by_rank = |a: &RankedItem, b: &RankedItem| {
+            kspot_net::types::cmp_value(b.value, a.value).then(a.key.cmp(&b.key))
+        };
         let mut items: Vec<RankedItem> = self
             .last_known
             .iter()
             .map(|(n, v)| RankedItem::new(u64::from(*n), *v))
             .collect();
-        items.sort_by(|a, b| kspot_net::types::cmp_value(b.value, a.value).then(a.key.cmp(&b.key)));
+        if count < items.len() {
+            items.select_nth_unstable_by(count, by_rank);
+            items.truncate(count);
+        }
+        items.sort_by(by_rank);
         items
     }
 
     fn install_boundary(&mut self, net: &mut Network, epoch: kspot_net::Epoch) {
-        let ranked = self.rank_known();
-        let k = self.spec.k.min(ranked.len());
-        let boundary = if ranked.len() > k && k > 0 {
+        let known = self.last_known.len();
+        let ranked = self.rank_known(self.spec.k + 1);
+        let k = self.spec.k.min(known);
+        let boundary = if known > k && k > 0 {
             (ranked[k - 1].value + ranked[k].value) / 2.0
         } else if k > 0 {
             ranked.get(k - 1).map(|i| i.value).unwrap_or(self.spec.domain.min)
@@ -109,18 +133,21 @@ impl SnapshotAlgorithm for FilaMonitor {
                 }
             }
             self.install_boundary(net, epoch);
-            let mut items = self.rank_known();
-            items.truncate(self.spec.k);
-            return TopKResult::new(epoch, items);
+            return TopKResult::new(epoch, self.rank_known(self.spec.k));
         };
 
         // Nodes report only when their reading crosses the installed boundary.
+        self.in_top.clear();
+        self.in_top.resize(net.num_nodes() + 1, false);
+        for &node in &self.top_set {
+            self.in_top[node as usize] = true;
+        }
         let mut violated = false;
         for r in readings {
             if !net.node_participating(r.node) {
                 continue;
             }
-            let was_top = self.top_set.contains(&r.node);
+            let was_top = self.in_top[r.node as usize];
             let crosses = if was_top { r.value < boundary } else { r.value >= boundary };
             if crosses {
                 self.stats.violations += 1;
@@ -136,25 +163,26 @@ impl SnapshotAlgorithm for FilaMonitor {
             // values are no longer stale; silent non-members are still below τ, so after
             // the refresh the ranking around the boundary is exact as long as the k-th
             // best known value is still at or above τ.
-            let mut probed: Vec<NodeId> = Vec::new();
-            for node in self.top_set.clone() {
+            // A probed member answers with its reading — the first, were there several.
+            index_readings(&mut self.reading_at, net.num_nodes(), readings.iter().enumerate().rev());
+            for &node in &self.top_set {
                 let down = net.unicast_down(node, epoch, 1, PhaseTag::Probe);
                 let up = net.unicast_up(node, epoch, 1, PhaseTag::Probe);
                 if down.is_some() && up.is_some() {
-                    if let Some(r) = readings.iter().find(|r| r.node == node) {
-                        self.last_known.insert(node, r.value);
+                    if let Some(at) = self.reading_at[node as usize] {
+                        self.last_known.insert(node, readings[at as usize].value);
                     }
                 }
                 self.stats.probes += 1;
-                probed.push(node);
             }
             // If the k-th best exact value dropped below the boundary, a silent
             // non-member could have crept above it: fall back to a full refresh.
-            let ranked = self.rank_known();
+            let ranked = self.rank_known(self.spec.k);
             let kth = ranked.get(self.spec.k.saturating_sub(1)).map(|i| i.value);
             if kth.is_none_or(|v| v < boundary) {
                 for r in readings {
-                    if probed.contains(&r.node) || !net.node_participating(r.node) {
+                    // The members of the Top-K set were all probed just above.
+                    if !net.node_participating(r.node) || self.in_top[r.node as usize] {
                         continue;
                     }
                     let down = net.unicast_down(r.node, epoch, 1, PhaseTag::Probe);
@@ -168,9 +196,7 @@ impl SnapshotAlgorithm for FilaMonitor {
             self.install_boundary(net, epoch);
         }
 
-        let mut items = self.rank_known();
-        items.truncate(self.spec.k);
-        TopKResult::new(epoch, items)
+        TopKResult::new(epoch, self.rank_known(self.spec.k))
     }
 }
 

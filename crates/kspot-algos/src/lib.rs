@@ -34,6 +34,8 @@ pub mod fila;
 pub mod historic;
 pub mod mint;
 pub mod naive;
+#[cfg(test)]
+mod reference;
 pub mod result;
 pub mod snapshot;
 pub mod tag;

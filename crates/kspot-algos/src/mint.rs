@@ -30,15 +30,24 @@
 //! the slack — the sink probes the affected groups directly and re-broadcasts a fresh
 //! threshold.  The probe and re-broadcast counts are exposed so the E9 ablation can show
 //! the trade-off.
+//!
+//! ### How an epoch runs on the host
+//!
+//! The Pruning and Update phases are the crate's one convergecast loop
+//! ([`crate::tag`]) with MINT's pruning plugged in as its `shrink` step: the loop
+//! charges the node's CPU, the closure prunes the view, the loop sends what is left.
+//! Everything an epoch needs beyond that — the per-group live-member counts (sorted by
+//! group and searched, never indexed by a raw, possibly sparse group id), the bound
+//! buffers, the sink's exactly-known groups — lives in scratch the executor owns and
+//! reuses, so a certified epoch allocates its answer and nothing else.
 
 use crate::agg::AggState;
 use crate::result::{RankedItem, TopKResult};
-use crate::snapshot::{SnapshotAlgorithm, SnapshotSpec};
+use crate::snapshot::{index_readings, SnapshotAlgorithm, SnapshotSpec};
 use crate::tag::{convergecast_full, rank_view};
 use crate::view::GroupView;
-use kspot_net::{Epoch, GroupId, Network, NodeId, PhaseTag, Reading, SINK};
+use kspot_net::{Epoch, GroupId, Network, NodeId, PhaseTag, Reading};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Tunables of the MINT executor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -88,6 +97,33 @@ pub struct MintViews {
     /// threshold (which is what would force probes).
     recent_drops: std::collections::VecDeque<f64>,
     stats: MintStats,
+    scratch: MintScratch,
+}
+
+/// Per-epoch working memory of the executor, reused from epoch to epoch.
+#[derive(Debug, Clone, Default)]
+struct MintScratch {
+    /// How many members of each group can contribute this epoch, sorted by group (ids
+    /// may be sparse: searched, never indexed).  On a healthy network this is the
+    /// configured cluster size; under fault injection dead or sleeping members are
+    /// excluded, which scopes the exactness claim to the nodes that can actually
+    /// report — a group with no live member is absent, and so disappears from the
+    /// answer space.  Recounted every epoch: liveness is never remembered.
+    group_sizes: Vec<(GroupId, u32)>,
+    /// The lower bounds of one node's view, for its local k-th bound, and the upper
+    /// bounds its tuples are pruned by.
+    local_lbs: Vec<f64>,
+    upper_bounds: Vec<f64>,
+    /// The groups known exactly at the sink this epoch with their values, by group.
+    exact: Vec<(GroupId, f64)>,
+    /// `reading_at[id]` is the position in the epoch's readings of node `id`'s
+    /// reading; filled in epochs that probe.
+    reading_at: Vec<Option<u32>>,
+}
+
+/// The live members of `group` according to `sizes` (sorted by group), if it has any.
+fn group_size(sizes: &[(GroupId, u32)], group: GroupId) -> Option<u32> {
+    sizes.binary_search_by_key(&group, |&(g, _)| g).ok().map(|at| sizes[at].1)
 }
 
 impl MintViews {
@@ -107,6 +143,7 @@ impl MintViews {
             last_kth: None,
             recent_drops: std::collections::VecDeque::new(),
             stats: MintStats::default(),
+            scratch: MintScratch::default(),
         }
     }
 
@@ -139,21 +176,6 @@ impl MintViews {
         self.tau
     }
 
-    /// How many members of each group can contribute this epoch.  On a healthy network
-    /// this is the configured cluster size; under fault injection dead or sleeping
-    /// members are excluded, which scopes the exactness claim to the nodes that can
-    /// actually report (groups with no live member disappear from the answer space).
-    fn group_sizes(net: &Network) -> BTreeMap<GroupId, u32> {
-        net.deployment()
-            .group_members()
-            .into_iter()
-            .map(|(g, members)| {
-                (g, members.iter().filter(|&&m| net.node_participating(m)).count() as u32)
-            })
-            .filter(|&(_, count)| count > 0)
-            .collect()
-    }
-
     /// The k-th best exact value of a ranked list, or the domain minimum when fewer than
     /// k groups are known exactly.
     fn kth_value(&self, ranked: &[RankedItem]) -> f64 {
@@ -180,84 +202,51 @@ impl MintViews {
         result
     }
 
-    /// Pruning + Update phases of one epoch, returning the merged (possibly incomplete)
-    /// sink view.
-    fn pruned_convergecast(
-        &mut self,
-        net: &mut Network,
-        readings: &[Reading],
-        group_sizes: &BTreeMap<GroupId, u32>,
-        tau: f64,
-        epoch: Epoch,
-    ) -> GroupView {
-        let reading_of: BTreeMap<NodeId, &Reading> = readings.iter().map(|r| (r.node, r)).collect();
-        let mut inbox: BTreeMap<NodeId, Vec<GroupView>> = BTreeMap::new();
-        for node in net.tree().post_order() {
-            if !net.node_participating(node) {
-                continue;
-            }
-            let mut view = GroupView::new(self.spec.func);
-            if let Some(r) = reading_of.get(&node) {
-                view.add_reading(r.group, r.value);
-            }
-            if let Some(children_views) = inbox.remove(&node) {
-                for cv in &children_views {
-                    view.merge(cv);
-                }
-            }
-            net.charge_cpu(node, view.len() as u32);
+    /// Pruning + Update phases of one epoch — the convergecast kernel with MINT's
+    /// pruning as its `shrink` step — returning the merged (possibly incomplete) sink
+    /// view.
+    fn pruned_sweep(&mut self, net: &mut Network, readings: &[Reading], tau: f64) -> GroupView {
+        let SnapshotSpec { k, func, domain } = self.spec;
+        let MintScratch { group_sizes, local_lbs, upper_bounds, .. } = &mut self.scratch;
+        // Update phase: silent when nothing survived the pruning.  A report that is
+        // dropped after its ARQ retries degrades to partial data — the sink then fails
+        // certification for the affected groups and probes them instead.
+        convergecast_full(net, readings, &self.spec, PhaseTag::Update, |_, view| {
             // Pruning phase: a group stays in V'_i only if, even with every unseen
             // member at the top of the domain, it could still reach the *effective*
             // threshold.  The effective threshold is the broadcast τ or, when the node's
             // own view already contains k groups whose lower bounds beat τ, the k-th of
             // those local lower bounds — the purely local part of the γ framework, which
             // lets interior nodes prune even while the broadcast threshold is stale.
-            let func = self.spec.func;
-            let domain_max = self.spec.domain.max;
-            let domain_min = self.spec.domain.min;
+            // With fewer than k groups in the view there is no k-th bound to find.
+            //
             // A NaN lower bound (corrupted reading) carries no evidence, so it is
-            // demoted to -inf *before* the sort: were it left in place, a descending
-            // `total_cmp` would rank it above every real value and inflate the k-th
-            // bound to the (k-1)-th — an unsafely high threshold that could prune a
-            // true answer.  With NaN-free input `total_cmp` keeps the sort a total
-            // order (an inconsistent comparator could silently misorder real values).
-            let mut local_lbs: Vec<f64> = view
-                .iter()
-                .map(|(g, state)| {
-                    let total = group_sizes.get(&g).copied().unwrap_or_else(|| state.count());
-                    let lb = state.lower_bound(func, total.saturating_sub(state.count()), domain_min);
-                    if lb.is_nan() { f64::NEG_INFINITY } else { lb }
-                })
-                .collect();
-            local_lbs.sort_by(|a, b| b.total_cmp(a));
-            let local_tau = local_lbs.get(self.spec.k - 1).copied().unwrap_or(f64::NEG_INFINITY);
-            let effective_tau = tau.max(local_tau);
-            view.retain(|g, state| {
-                let total = group_sizes.get(&g).copied().unwrap_or_else(|| state.count());
+            // demoted to -inf *before* the selection: were it left in place, a
+            // descending `total_cmp` would rank it above every real value and inflate
+            // the k-th bound to the (k-1)-th — an unsafely high threshold that could
+            // prune a true answer.  With NaN-free input `total_cmp` is a total order,
+            // so the k-th largest is one well-defined value.
+            let wants_local_tau = view.len() >= k;
+            local_lbs.clear();
+            upper_bounds.clear();
+            for (g, state) in view.iter() {
+                let total = group_size(group_sizes, g).unwrap_or_else(|| state.count());
                 let missing = total.saturating_sub(state.count());
-                state.upper_bound(func, missing, domain_max) >= effective_tau
-            });
-            // Update phase: silent when nothing survived the pruning.  A report that is
-            // dropped after its ARQ retries degrades to partial data — the sink then
-            // fails certification for the affected groups and probes them instead.
-            // (send_report_up is the scheduler-aware entry point: under frame batching
-            // this view shares one frame with every other session reporting from the
-            // node this epoch, and the delivery outcome is the whole frame's.)
-            if !view.is_empty() {
-                if let Some(parent) =
-                    net.send_report_up(node, epoch, view.len() as u32, 0, PhaseTag::Update)
-                {
-                    inbox.entry(parent).or_default().push(view);
+                upper_bounds.push(state.upper_bound(func, missing, domain.max));
+                if wants_local_tau {
+                    let lb = state.lower_bound(func, missing, domain.min);
+                    local_lbs.push(if lb.is_nan() { f64::NEG_INFINITY } else { lb });
                 }
             }
-        }
-        let mut sink_view = GroupView::new(self.spec.func);
-        if let Some(views) = inbox.remove(&SINK) {
-            for v in &views {
-                sink_view.merge(v);
-            }
-        }
-        sink_view
+            let local_tau = if wants_local_tau {
+                *local_lbs.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a)).1
+            } else {
+                f64::NEG_INFINITY
+            };
+            let effective_tau = tau.max(local_tau);
+            let mut upper_bound = upper_bounds.iter();
+            view.retain(|_, _| *upper_bound.next().expect("one bound per tuple") >= effective_tau);
+        })
     }
 
     /// Probes every participating member of `group`, charging the probe traffic and
@@ -273,11 +262,9 @@ impl MintViews {
     ) -> Option<f64> {
         let members: Vec<NodeId> = net
             .deployment()
-            .group_members()
-            .get(&group)
-            .cloned()
-            .unwrap_or_default()
-            .into_iter()
+            .members_of(group)
+            .iter()
+            .copied()
             .filter(|&m| net.node_participating(m))
             .collect();
         let mut state = AggState::empty(self.spec.func);
@@ -285,14 +272,10 @@ impl MintViews {
         for member in members {
             let down = net.unicast_down(member, epoch, 1, PhaseTag::Probe);
             let up = net.unicast_up(member, epoch, 1, PhaseTag::Probe);
-            if down.is_some() && up.is_some() {
-                if let Some(r) = readings.iter().find(|r| r.node == member) {
-                    state.add(r.value);
-                } else {
-                    complete = false;
-                }
-            } else {
-                complete = false;
+            let reading = self.scratch.reading_at[member as usize].map(|at| &readings[at as usize]);
+            match reading {
+                Some(r) if down.is_some() && up.is_some() => state.add(r.value),
+                _ => complete = false,
             }
         }
         self.stats.probed_groups += 1;
@@ -302,6 +285,14 @@ impl MintViews {
             None
         }
     }
+}
+
+/// Ranks exactly-known groups best first, ties towards the smaller group.
+fn rank_exact(exact: &[(GroupId, f64)]) -> Vec<RankedItem> {
+    let mut items: Vec<RankedItem> =
+        exact.iter().map(|&(g, v)| RankedItem::new(u64::from(g), v)).collect();
+    items.sort_by(|a, b| kspot_net::types::cmp_value(b.value, a.value).then(a.key.cmp(&b.key)));
+    items
 }
 
 impl SnapshotAlgorithm for MintViews {
@@ -315,43 +306,47 @@ impl SnapshotAlgorithm for MintViews {
             return self.creation_phase(net, readings);
         };
 
-        let group_sizes = Self::group_sizes(net);
-        let sink_view = self.pruned_convergecast(net, readings, &group_sizes, tau, epoch);
+        let group_sizes = &mut self.scratch.group_sizes;
+        group_sizes.clear();
+        group_sizes.extend(net.deployment().groups().iter().filter_map(|(group, members)| {
+            let live = members.iter().filter(|&&m| net.node_participating(m)).count() as u32;
+            (live > 0).then_some((*group, live))
+        }));
+        let sink_view = self.pruned_sweep(net, readings, tau);
 
         // --- sink-side verification -------------------------------------------------
         // Exact values are available for every group whose contributions all arrived.
-        let mut exact: BTreeMap<GroupId, f64> = BTreeMap::new();
+        let mut exact = std::mem::take(&mut self.scratch.exact);
+        exact.clear();
         for (g, state) in sink_view.iter() {
-            let total = group_sizes.get(&g).copied().unwrap_or(0);
+            let total = group_size(&self.scratch.group_sizes, g).unwrap_or(0);
             if let Some(v) = state.exact_value(self.spec.func, total) {
-                exact.insert(g, v);
+                exact.push((g, v));
             }
         }
 
-        let rank_exact = |exact: &BTreeMap<GroupId, f64>| -> Vec<RankedItem> {
-            let mut items: Vec<RankedItem> =
-                exact.iter().map(|(g, v)| RankedItem::new(u64::from(*g), *v)).collect();
-            items.sort_by(|a, b| kspot_net::types::cmp_value(b.value, a.value).then(a.key.cmp(&b.key)));
-            items
-        };
-
-        let ranked = rank_exact(&exact);
+        let mut ranked = rank_exact(&exact);
         let kappa = self.kth_value(&ranked);
         let certified = ranked.len() >= self.spec.k && kappa >= tau;
-        let mut probed_this_epoch = false;
 
         if !certified {
-            probed_this_epoch = true;
             // Every group that is not exactly known might still matter; probe the ones
             // whose upper bound reaches the best k-th value we currently have.
             self.stats.probe_epochs += 1;
-            let candidate_groups: Vec<GroupId> = group_sizes
-                .keys()
-                .filter(|g| !exact.contains_key(g))
+            // A probed member answers with its reading — the first, were there several.
+            index_readings(
+                &mut self.scratch.reading_at,
+                net.num_nodes(),
+                readings.iter().enumerate().rev(),
+            );
+            let candidate_groups: Vec<(GroupId, u32)> = self
+                .scratch
+                .group_sizes
+                .iter()
                 .copied()
+                .filter(|(g, _)| exact.binary_search_by_key(g, |&(known, _)| known).is_err())
                 .collect();
-            for g in candidate_groups {
-                let total = group_sizes[&g];
+            for (g, total) in candidate_groups {
                 let ub = match sink_view.get(g) {
                     Some(state) => state.upper_bound(
                         self.spec.func,
@@ -362,13 +357,16 @@ impl SnapshotAlgorithm for MintViews {
                 };
                 if ranked.len() < self.spec.k || ub >= kappa {
                     if let Some(v) = self.probe_group(net, readings, g, epoch) {
-                        exact.insert(g, v);
+                        let at = exact.partition_point(|&(known, _)| known < g);
+                        exact.insert(at, (g, v));
                     }
                 }
             }
+            ranked = rank_exact(&exact);
         }
+        self.scratch.exact = exact;
 
-        let mut final_items = rank_exact(&exact);
+        let mut final_items = ranked;
         final_items.truncate(self.spec.k);
         let result = TopKResult::new(epoch, final_items);
 
@@ -380,7 +378,7 @@ impl SnapshotAlgorithm for MintViews {
         let new_kth = self.kth_value(&result.items);
         self.observe_kth(new_kth);
         let target = (new_kth - self.effective_slack()).max(self.spec.domain.min);
-        if probed_this_epoch || target > tau + self.config.rebroadcast_tolerance {
+        if !certified || target > tau + self.config.rebroadcast_tolerance {
             net.flood_down(epoch, 1, PhaseTag::Control);
             self.tau = Some(target);
             self.stats.rebroadcasts += 1;

@@ -11,11 +11,10 @@
 use crate::agg::exact_aggregate;
 use crate::result::{RankedItem, TopKResult};
 use kspot_net::types::ValueDomain;
-use kspot_net::{Network, Reading, Workload};
+use kspot_net::{GroupId, Network, Reading, Workload, SINK};
 use kspot_query::plan::{ExecutionStrategy, QueryPlan};
 use kspot_query::{AggFunc, QueryError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The parameters a snapshot Top-K execution needs, distilled from a [`QueryPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,18 +73,60 @@ pub trait SnapshotAlgorithm {
 
 /// Ground-truth ranked answer computed omnisciently from the epoch's readings.
 pub fn exact_reference(spec: &SnapshotSpec, readings: &[Reading]) -> TopKResult {
-    let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
-    let mut per_group: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-    for r in readings {
-        per_group.entry(u64::from(r.group)).or_default().push(r.value);
+    ReferenceScratch::default().rank(spec, readings)
+}
+
+/// The buffers [`exact_reference`] groups readings in; a sink that ranks raw tuples
+/// every epoch ([`crate::centralized`]) keeps one and reuses it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ReferenceScratch {
+    /// `(group, position in the readings, value)`, sorted.
+    keyed: Vec<(GroupId, u32, f64)>,
+    /// The values alone in that order: each group's run is one contiguous slice.
+    values: Vec<f64>,
+}
+
+impl ReferenceScratch {
+    /// [`exact_reference`] in reused buffers.  A group's values are aggregated in the
+    /// order its readings were given — the order the floating-point sums depend on.
+    pub(crate) fn rank(&mut self, spec: &SnapshotSpec, readings: &[Reading]) -> TopKResult {
+        let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
+        self.keyed.clear();
+        self.keyed.extend(readings.iter().enumerate().map(|(at, r)| (r.group, at as u32, r.value)));
+        self.keyed.sort_unstable_by_key(|&(group, at, _)| (group, at));
+        self.values.clear();
+        self.values.extend(self.keyed.iter().map(|&(_, _, value)| value));
+        let mut items = Vec::new();
+        let mut start = 0;
+        for run in self.keyed.chunk_by(|a, b| a.0 == b.0) {
+            let values = &self.values[start..start + run.len()];
+            start += run.len();
+            if let Some(v) = exact_aggregate(spec.func, values) {
+                items.push(RankedItem::new(u64::from(run[0].0), v));
+            }
+        }
+        let mut result = TopKResult::new(epoch, items);
+        result.items.truncate(spec.k);
+        result
     }
-    let items = per_group
-        .into_iter()
-        .filter_map(|(g, vals)| exact_aggregate(spec.func, &vals).map(|v| RankedItem::new(g, v)))
-        .collect();
-    let mut result = TopKResult::new(epoch, items);
-    result.items.truncate(spec.k);
-    result
+}
+
+/// Notes in `reading_at[id]` where in an epoch's readings node `id`'s reading sits,
+/// visiting `(position, reading)` pairs in the order given — a later visit overwrites
+/// an earlier one, so the caller's direction decides which of several readings of one
+/// node wins.  Readings of the sink or of no node of the network are skipped.
+pub(crate) fn index_readings<'r>(
+    reading_at: &mut Vec<Option<u32>>,
+    num_nodes: usize,
+    readings: impl Iterator<Item = (usize, &'r Reading)>,
+) {
+    reading_at.clear();
+    reading_at.resize(num_nodes + 1, None);
+    for (at, r) in readings {
+        if r.node != SINK && r.node as usize <= num_nodes {
+            reading_at[r.node as usize] = Some(at as u32);
+        }
+    }
 }
 
 /// Drives one epoch of several independently specified snapshot queries over **one**

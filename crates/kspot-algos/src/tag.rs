@@ -5,12 +5,19 @@
 //! subtree, partial states merge on the way up, and a new Top-K operator at the sink
 //! prunes the answer space centrally.  It is exact, and it is the baseline KSpot's
 //! System Panel measures its savings against.
+//!
+//! This module also holds `convergecast_full`, the one convergecast loop of the crate:
+//! TAG runs it as is, the naive strategy and MINT plug their pruning in as its
+//! `shrink` step, and the local-aggregate historic strategy feeds it per-node window
+//! aggregates.  The loop works in memory it keeps from sweep to sweep (one view per
+//! node and a copy of the tree's post-order), so a steady-state sweep allocates only
+//! the sink view it returns and looks nothing up in a map.
 
 use crate::result::{RankedItem, TopKResult};
 use crate::snapshot::{SnapshotAlgorithm, SnapshotSpec};
 use crate::view::GroupView;
 use kspot_net::{Network, NodeId, PhaseTag, Reading, SINK};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
 
 /// TAG with a centralized Top-K operator at the sink.
 #[derive(Debug, Clone)]
@@ -30,23 +37,50 @@ impl TagTopK {
     }
 }
 
+/// The working memory of [`convergecast_full`].
+#[derive(Default)]
+struct SweepScratch {
+    /// `views[id]` is the view node `id` is building this sweep; `views[0]` is the
+    /// sink's.  Emptied, not dropped, between sweeps.
+    views: Vec<GroupView>,
+    /// The routing tree's post-order, copied so that the sweep can hold the network
+    /// mutably while walking it.
+    order: Vec<NodeId>,
+}
+
+thread_local! {
+    /// One scratch per thread, not per session: sweeps on a thread run one after the
+    /// other, every sweep starts by emptying the views, and an engine keeps hundreds of
+    /// sessions (finished ones included) whose buffers would otherwise each stay
+    /// allocated at O(nodes × groups).
+    static SCRATCH: RefCell<SweepScratch> = RefCell::default();
+}
+
 /// Runs one TAG convergecast: every node merges its reading with its children's views
 /// and forwards the complete merged view to its parent.  Returns the sink's merged view.
 ///
-/// `phase` lets callers label the traffic (MINT reuses this helper for its Creation
-/// phase).  `shrink` is applied to each node's merged view right before transmission,
-/// which is how the naive strategy plugs in its local truncation; TAG passes a no-op.
+/// `phase` lets callers label the traffic (MINT's Creation phase is this sweep under
+/// another label).  `shrink` is applied to each node's merged view right before
+/// transmission, which is how the naive strategy plugs in its local truncation and MINT
+/// its bound-based pruning; TAG passes a no-op.  It must not sweep itself.
 ///
 /// Under fault injection the convergecast degrades to partial data: dead or sleeping
 /// nodes contribute nothing and are routed around (reports go to the nearest
 /// participating ancestor), and a report that is dropped after its ARQ retries simply
 /// never reaches the parent — the sink's view then covers exactly the data that was
-/// delivered.
+/// delivered.  Liveness is asked of the network at every step and never remembered: a
+/// battery can give out in the middle of a sweep.
 ///
 /// Reports go through [`Network::send_report_up`], so on a frame-batching substrate
 /// each per-node report is an *intent* that the scheduler merges with every other
 /// session's report for the same hop; the returned delivery outcome is the merged
 /// frame's fate, shared by all riders.
+///
+/// Every view starts from the node's own reading and a delivered child view is merged
+/// into its receiver's on arrival: children precede parents in post-order, so each
+/// group's state sees `add`/`merge` in the order own reading, then children as they
+/// arrive (ADR-004, "Host representation").  A reading whose node is the sink or not a
+/// node of this network is ignored; of several readings for one node the last wins.
 pub(crate) fn convergecast_full(
     net: &mut Network,
     readings: &[Reading],
@@ -54,38 +88,49 @@ pub(crate) fn convergecast_full(
     phase: PhaseTag,
     mut shrink: impl FnMut(NodeId, &mut GroupView),
 ) -> GroupView {
+    #[cfg(test)]
+    if crate::reference::in_use() {
+        return crate::reference::convergecast_full(net, readings, spec, phase, shrink);
+    }
     let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
-    let reading_of: BTreeMap<NodeId, &Reading> = readings.iter().map(|r| (r.node, r)).collect();
-    let mut inbox: BTreeMap<NodeId, Vec<GroupView>> = BTreeMap::new();
-    let order = net.tree().post_order();
-    for node in order {
-        if !net.node_participating(node) {
-            continue;
+    let n = net.num_nodes();
+    SCRATCH.with_borrow_mut(|SweepScratch { views, order }| {
+        order.clear();
+        order.extend_from_slice(net.tree().post_order_slice());
+        // Only ever grown: a thread may alternate between networks of different sizes.
+        if views.len() <= n {
+            views.resize_with(n + 1, || GroupView::new(spec.func));
         }
-        let mut view = GroupView::new(spec.func);
-        if let Some(r) = reading_of.get(&node) {
-            view.add_reading(r.group, r.value);
+        let views = &mut views[..=n];
+        for view in views.iter_mut() {
+            view.reset(spec.func);
         }
-        if let Some(children_views) = inbox.remove(&node) {
-            for cv in &children_views {
-                view.merge(cv);
+        for r in readings {
+            if r.node != SINK && r.node as usize <= n {
+                let view = &mut views[r.node as usize];
+                view.reset(spec.func);
+                view.add_reading(r.group, r.value);
             }
         }
-        net.charge_cpu(node, view.len() as u32);
-        shrink(node, &mut view);
-        if !view.is_empty() {
-            if let Some(parent) = net.send_report_up(node, epoch, view.len() as u32, 0, phase) {
-                inbox.entry(parent).or_default().push(view);
+        for &node in order.iter() {
+            if !net.node_participating(node) {
+                continue;
+            }
+            let view = &mut views[node as usize];
+            net.charge_cpu(node, view.len() as u32);
+            shrink(node, view);
+            if view.is_empty() {
+                continue;
+            }
+            if let Some(receiver) = net.send_report_up(node, epoch, view.len() as u32, 0, phase) {
+                // Lift the sent view out so its receiver's can be borrowed beside it.
+                let sent = std::mem::replace(view, GroupView::new(spec.func));
+                views[receiver as usize].merge(&sent);
+                views[node as usize] = sent;
             }
         }
-    }
-    let mut sink_view = GroupView::new(spec.func);
-    if let Some(views) = inbox.remove(&SINK) {
-        for v in &views {
-            sink_view.merge(v);
-        }
-    }
-    sink_view
+        views[SINK as usize].clone()
+    })
 }
 
 /// Ranks a sink view by partial value and truncates to `k` (for TAG the sink view is

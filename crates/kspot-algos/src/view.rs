@@ -5,24 +5,36 @@
 //! parent, the naive strategy truncates it to the local top-k, and MINT prunes it with
 //! the upper-bound framework.  [`GroupView`] is that map plus the merge operations all
 //! of them share.
+//!
+//! The map is a `Vec` of `(group, state)` pairs sorted by group: a view holds a
+//! handful of groups, is rebuilt every epoch and is merged far more often than it is
+//! searched, and [`GroupView::reset`] keeps the buffer, which is what lets the
+//! convergecast kernel ([`crate::tag`]) run without allocating.  Group ids may be
+//! sparse; a view costs one pair per group *present*, never anything sized by an id.
 
 use crate::agg::AggState;
 use kspot_net::{GroupId, Value};
 use kspot_query::AggFunc;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A partial aggregate per group, as maintained by one node for its subtree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GroupView {
     func: AggFunc,
-    entries: BTreeMap<GroupId, AggState>,
+    /// Sorted by group, one entry per group.
+    entries: Vec<(GroupId, AggState)>,
 }
 
 impl GroupView {
     /// An empty view for the given aggregate function.
     pub fn new(func: AggFunc) -> Self {
-        Self { func, entries: BTreeMap::new() }
+        Self { func, entries: Vec::new() }
+    }
+
+    /// Empties the view, keeping its buffer, and (re)binds it to `func`.
+    pub fn reset(&mut self, func: AggFunc) {
+        self.func = func;
+        self.entries.clear();
     }
 
     /// The aggregate function the view is built for.
@@ -41,25 +53,51 @@ impl GroupView {
         self.entries.is_empty()
     }
 
+    fn position(&self, group: GroupId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&group, |(g, _)| *g)
+    }
+
     /// Folds one raw reading into the view.
     pub fn add_reading(&mut self, group: GroupId, value: Value) {
-        self.entries.entry(group).or_insert_with(|| AggState::empty(self.func)).add(value);
+        let at = self.position(group).unwrap_or_else(|at| {
+            self.entries.insert(at, (group, AggState::empty(self.func)));
+            at
+        });
+        self.entries[at].1.add(value);
     }
 
     /// Merges another view (typically a child's transmitted view) into this one.
     pub fn merge(&mut self, other: &GroupView) {
         assert_eq!(self.func, other.func, "views of different aggregates cannot merge");
-        for (group, state) in &other.entries {
-            self.entries
-                .entry(*group)
-                .and_modify(|s| s.merge(state))
-                .or_insert_with(|| *state);
+        // Both sides are sorted, so walk them from the back, widening this view by the
+        // groups only `other` has; a group both hold merges exactly once.
+        let mut mine = self.entries.len();
+        let new_groups = other.entries.iter().filter(|(g, _)| self.position(*g).is_err()).count();
+        if let Some(&filler) = other.entries.first() {
+            self.entries.resize(mine + new_groups, filler);
+        }
+        let mut write = self.entries.len();
+        for &(group, state) in other.entries.iter().rev() {
+            while mine > 0 && self.entries[mine - 1].0 > group {
+                mine -= 1;
+                write -= 1;
+                self.entries[write] = self.entries[mine];
+            }
+            write -= 1;
+            if mine > 0 && self.entries[mine - 1].0 == group {
+                mine -= 1;
+                let mut merged = self.entries[mine].1;
+                merged.merge(&state);
+                self.entries[write] = (group, merged);
+            } else {
+                self.entries[write] = (group, state);
+            }
         }
     }
 
     /// The partial state for a group, if present.
     pub fn get(&self, group: GroupId) -> Option<&AggState> {
-        self.entries.get(&group)
+        self.position(group).ok().map(|at| &self.entries[at].1)
     }
 
     /// Iterates over `(group, partial state)` pairs in ascending group order.
@@ -71,7 +109,7 @@ impl GroupView {
     /// removed (the pruned tuples).
     pub fn retain(&mut self, mut keep: impl FnMut(GroupId, &AggState) -> bool) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|g, s| keep(*g, s));
+        self.entries.retain(|(g, s)| keep(*g, s));
         before - self.entries.len()
     }
 

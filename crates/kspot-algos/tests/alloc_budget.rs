@@ -1,0 +1,104 @@
+//! Pins the allocation-free epoch with a count, not a clock: once the kernel's scratch
+//! and the substrate's scheduler buffers are warm, one shared epoch of MINT + TAG +
+//! centralized collection + FILA over a frame-batching network allocates a small,
+//! *network-size-independent* number of times — the answers it returns and little else.
+//!
+//! Timing claims live in the benchmark (`bench/`); this test is the regression fence
+//! that does not depend on the host: a `BTreeMap` or a per-node `Vec` creeping back
+//! into the sweep makes the count grow with the node count and fails it.
+//!
+//! The counting allocator is the workspace's one `unsafe impl` and lives in this
+//! test crate only — every library crate stays `#![forbid(unsafe_code)]`.
+
+use kspot_algos::{
+    run_shared_epoch, CentralizedCollection, FilaMonitor, MintViews, SnapshotAlgorithm,
+    SnapshotSpec, TagTopK,
+};
+use kspot_net::types::ValueDomain;
+use kspot_net::{Deployment, Network, NetworkConfig, Workload};
+use kspot_query::AggFunc;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations (and growing reallocations) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread so the harness's own threads do not
+/// disturb a measurement.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter bump, and the
+// counter is a `const`-initialised `Cell<u64>` without a destructor, so touching it
+// neither allocates nor runs code after thread-local teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` (via `alloc`/`realloc` above) for
+        // this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: arguments are passed through as received from the caller.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What a steady-state epoch may allocate: the vector of answers, each answer's items
+/// (and the ranking the items are cut from), the sink view a sweep returns, FILA's
+/// ranking of what it knows.  Nothing per node, per tuple or per frame.  Measured: 11.
+const BUDGET: u64 = 14;
+
+/// Allocations of the fourth shared epoch (after Creation and two warm-up epochs) on a
+/// `side × side` grid of 16 rooms.
+fn steady_epoch_allocations(side: usize) -> u64 {
+    let d = Deployment::grid(side, 10.0, Some(16));
+    // Readings are distinct per node and never change: no MINT probe, no FILA filter
+    // violation — the epoch measured is the common, quiet one.
+    let values: Vec<f64> = (0..d.num_nodes()).map(|i| 10.0 + (i * 37 % 197) as f64 * 0.4).collect();
+    let mut workload = Workload::trace(&d, ValueDomain::percentage(), vec![values]);
+    let mut net = Network::new(d, NetworkConfig::mica2());
+    net.set_frame_batching(true);
+
+    let spec = |k, func| SnapshotSpec::new(k, func, ValueDomain::percentage());
+    let mut mint = MintViews::new(spec(3, AggFunc::Avg));
+    let mut tag = TagTopK::new(spec(16, AggFunc::Max));
+    let mut central = CentralizedCollection::new(spec(16, AggFunc::Avg));
+    let mut fila = FilaMonitor::new(spec(3, AggFunc::Max));
+    let mut algos: [&mut dyn SnapshotAlgorithm; 4] = [&mut mint, &mut tag, &mut central, &mut fila];
+
+    let mut measured = 0;
+    for epoch in 0..4 {
+        let readings = workload.next_epoch();
+        let before = ALLOCATIONS.with(Cell::get);
+        let answers = run_shared_epoch(&mut algos, &mut net, &readings, |net, i| {
+            net.set_query_scope(Some(i as u32));
+        });
+        measured = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(answers.len(), 4);
+        assert!(answers.iter().all(|a| a.epoch == epoch && !a.items.is_empty()));
+    }
+    assert!(net.metrics().totals().messages > 0, "the sweeps did move traffic");
+    measured
+}
+
+#[test]
+fn a_steady_epoch_allocates_a_small_constant_whatever_the_network_size() {
+    let small = steady_epoch_allocations(8);
+    let large = steady_epoch_allocations(14);
+    assert_eq!(small, large, "allocations per epoch must not depend on the node count (64 vs 196 nodes)");
+    assert!(large <= BUDGET, "a steady epoch allocated {large} times, budget {BUDGET}");
+    assert_eq!(steady_epoch_allocations(14), large, "the count repeats exactly run to run");
+}

@@ -5,11 +5,15 @@
 //! questions the paper's System Panel answers live at the demo booth: how many messages
 //! and how much energy did the in-network Top-K execution save compared to shipping
 //! everything to the base station?
+//!
+//! The ledger is booked to once per simulated transmission, so its axes are flat:
+//! sorted rows behind a last-hit cursor.  What must survive any change of
+//! representation — the order each accumulator receives its operands in, and when a
+//! row starts to exist — is written down in ADR-004, "Host representation".
 
 use crate::schedule::FrameSlice;
 use crate::types::{Epoch, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which algorithm phase a transmission belongs to.
@@ -143,19 +147,87 @@ impl StorageTotals {
     }
 }
 
+/// One ledger axis: rows sorted by key, found by binary search over the compact key
+/// column, behind a last-hit cursor.  Bookings arrive in long runs of one key (a
+/// session's sweep books one scope and mostly one phase, an epoch books one epoch), so
+/// the cursor answers almost every look-up; new epochs and scopes almost always sort
+/// last, so insertion is almost always a push.  A row *exists* once something was
+/// booked to it (even a zero), and a key costs one row however large it is.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct SortedRows<K, V> {
+    keys: Vec<K>,
+    rows: Vec<V>,
+    cursor: usize,
+}
+
+impl<K: Ord + Copy, V: Default> SortedRows<K, V> {
+    fn new() -> Self {
+        Self { keys: Vec::new(), rows: Vec::new(), cursor: 0 }
+    }
+
+    /// The key's row, created (zeroed) if it does not exist yet.
+    fn entry(&mut self, key: K) -> &mut V {
+        let mut at = self.cursor;
+        self.entry_near(key, &mut at);
+        self.cursor = at;
+        &mut self.rows[at]
+    }
+
+    /// [`Self::entry`] with the caller's own cursor: `hint` is where the caller last
+    /// found the key (any value is safe, it is checked) and is updated.
+    fn entry_near(&mut self, key: K, hint: &mut usize) -> &mut V {
+        if self.keys.get(*hint) != Some(&key) {
+            *hint = match self.keys.binary_search(&key) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.keys.insert(at, key);
+                    self.rows.insert(at, V::default());
+                    at
+                }
+            };
+        }
+        &mut self.rows[*hint]
+    }
+
+    fn get(&self, key: K) -> Option<&V> {
+        self.keys.binary_search(&key).ok().map(|at| &self.rows[at])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (K, &V)> + '_ {
+        self.keys.iter().copied().zip(&self.rows)
+    }
+}
+
+/// What is booked to a query scope as a whole (its phase breakdown is kept per
+/// `(scope, phase)` cell).  The row exists once anything was booked to the scope; its
+/// storage half exists only once the scope touched flash.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct ScopeRow {
+    totals: PhaseTotals,
+    storage: Option<StorageTotals>,
+}
+
 /// Full accounting of a simulated run.
+///
+/// Host representation (ADR-004, "Host representation"): every axis is sorted rows
+/// behind a cursor, so a booking in a run of bookings finds its rows without a
+/// search.  Every accumulator still receives exactly the `+=` operands, in exactly the
+/// order, that the `BTreeMap`-per-axis ledger gave it, and rows come into existence
+/// exactly when that ledger's `entry().or_default()` created them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetworkMetrics {
     per_node: Vec<NodeCounters>,
     sink: NodeCounters,
-    per_phase: BTreeMap<PhaseTag, PhaseTotals>,
-    per_epoch: BTreeMap<Epoch, PhaseTotals>,
-    per_scope: BTreeMap<QueryScope, PhaseTotals>,
-    per_scope_phase: BTreeMap<(QueryScope, PhaseTag), PhaseTotals>,
+    per_phase: SortedRows<PhaseTag, PhaseTotals>,
+    per_epoch: SortedRows<Epoch, PhaseTotals>,
+    per_scope: SortedRows<QueryScope, ScopeRow>,
+    per_scope_phase: SortedRows<(QueryScope, PhaseTag), PhaseTotals>,
+    /// Per slice position of a merged frame, where that position's scope row and
+    /// scope×phase cell were last found (cursors, checked before use).
+    frame_hints: Vec<[usize; 2]>,
     current_scope: Option<QueryScope>,
     totals: PhaseTotals,
     storage_per_node: Vec<StorageTotals>,
-    storage_per_scope: BTreeMap<QueryScope, StorageTotals>,
     storage_totals: StorageTotals,
 }
 
@@ -165,14 +237,14 @@ impl NetworkMetrics {
         Self {
             per_node: vec![NodeCounters::default(); n],
             sink: NodeCounters::default(),
-            per_phase: BTreeMap::new(),
-            per_epoch: BTreeMap::new(),
-            per_scope: BTreeMap::new(),
-            per_scope_phase: BTreeMap::new(),
+            per_phase: SortedRows::new(),
+            per_epoch: SortedRows::new(),
+            per_scope: SortedRows::new(),
+            per_scope_phase: SortedRows::new(),
+            frame_hints: Vec::new(),
             current_scope: None,
             totals: PhaseTotals::default(),
             storage_per_node: vec![StorageTotals::default(); n],
-            storage_per_scope: BTreeMap::new(),
             storage_totals: StorageTotals::default(),
         }
     }
@@ -205,19 +277,19 @@ impl NetworkMetrics {
 
     /// Totals attributed to a scope (zero if the scope never saw traffic).
     pub fn scope(&self, scope: QueryScope) -> PhaseTotals {
-        self.per_scope.get(&scope).copied().unwrap_or_default()
+        self.per_scope.get(scope).map(|row| row.totals).unwrap_or_default()
     }
 
     /// All scopes that actually saw traffic, with their totals, in scope order.
     pub fn scopes(&self) -> impl Iterator<Item = (QueryScope, PhaseTotals)> + '_ {
-        self.per_scope.iter().map(|(k, v)| (*k, *v))
+        self.per_scope.iter().map(|(scope, row)| (scope, row.totals))
     }
 
     /// Totals attributed to one scope in one phase (zero if the pair never saw
     /// traffic) — the scope×phase breakdown behind the System Panel's per-query phase
     /// table.
     pub fn scope_phase(&self, scope: QueryScope, tag: PhaseTag) -> PhaseTotals {
-        self.per_scope_phase.get(&(scope, tag)).copied().unwrap_or_default()
+        self.per_scope_phase.get((scope, tag)).copied().unwrap_or_default()
     }
 
     /// A scope's per-phase breakdown, in phase order.  The breakdown partitions the
@@ -228,13 +300,11 @@ impl NetworkMetrics {
         &self,
         scope: QueryScope,
     ) -> impl Iterator<Item = (PhaseTag, PhaseTotals)> + '_ {
-        // A filter rather than a key range: ranging would tie correctness to which
-        // PhaseTag variants happen to sort first and last, and the map stays tiny
-        // (scopes × phases).
-        self.per_scope_phase
-            .iter()
-            .filter(move |((s, _), _)| *s == scope)
-            .map(|((_, tag), v)| (*tag, *v))
+        // The cells of one scope are contiguous; where they start and end is found by
+        // scope alone, so no assumption about which phases sort first or last.
+        let keys = &self.per_scope_phase.keys;
+        let cells = keys.partition_point(|k| k.0 < scope)..keys.partition_point(|k| k.0 <= scope);
+        cells.map(|at| (keys[at].1, self.per_scope_phase.rows[at]))
     }
 
     /// Applies one booking to every aggregate ledger an event belongs to: per-phase,
@@ -242,12 +312,12 @@ impl NetworkMetrics {
     /// scope's totals and its scope×phase cell.  Runs once per simulated transmission,
     /// so it must not allocate.
     fn book(&mut self, epoch: Epoch, phase: PhaseTag, mut apply: impl FnMut(&mut PhaseTotals)) {
-        apply(self.per_phase.entry(phase).or_default());
-        apply(self.per_epoch.entry(epoch).or_default());
+        apply(self.per_phase.entry(phase));
+        apply(self.per_epoch.entry(epoch));
         apply(&mut self.totals);
         if let Some(scope) = self.current_scope {
-            apply(self.per_scope.entry(scope).or_default());
-            apply(self.per_scope_phase.entry((scope, phase)).or_default());
+            apply(&mut self.per_scope.entry(scope).totals);
+            apply(self.per_scope_phase.entry((scope, phase)));
         }
     }
 
@@ -413,28 +483,33 @@ impl NetworkMetrics {
         sensor_energy: f64,
     ) {
         let total_tuples: u32 = slices.iter().map(|s| s.tuples).sum();
-        for totals in [&mut self.totals, self.per_epoch.entry(epoch).or_default()] {
+        for totals in [&mut self.totals, self.per_epoch.entry(epoch)] {
             totals.messages += 1;
             totals.bytes += u64::from(frame_bytes);
             totals.tuples += u64::from(total_tuples);
             totals.energy_uj += sensor_energy;
         }
-        self.per_phase.entry(label_phase).or_default().messages += 1;
-        for slice in slices {
+        self.per_phase.entry(label_phase).messages += 1;
+        // Frame after frame carries the same sessions in the same slice positions, so
+        // each position remembers where its scope's rows were.
+        if self.frame_hints.len() < slices.len() {
+            self.frame_hints.resize(slices.len(), [0; 2]);
+        }
+        for (slice, hint) in slices.iter().zip(&mut self.frame_hints) {
             let share = if frame_bytes > 0 {
                 f64::from(slice.share_bytes) / f64::from(frame_bytes)
             } else {
                 0.0
             };
             let slice_energy = sensor_energy * share;
-            let phase = self.per_phase.entry(slice.phase).or_default();
+            let phase = self.per_phase.entry(slice.phase);
             phase.bytes += u64::from(slice.share_bytes);
             phase.tuples += u64::from(slice.tuples);
             phase.energy_uj += slice_energy;
             if let Some(scope) = slice.scope {
                 for ledger in [
-                    self.per_scope.entry(scope).or_default(),
-                    self.per_scope_phase.entry((scope, slice.phase)).or_default(),
+                    &mut self.per_scope.entry_near(scope, &mut hint[0]).totals,
+                    self.per_scope_phase.entry_near((scope, slice.phase), &mut hint[1]),
                 ] {
                     ledger.messages += 1;
                     ledger.bytes += u64::from(slice.share_bytes);
@@ -445,19 +520,19 @@ impl NetworkMetrics {
         }
     }
 
-    /// Visits every distinct scope riding a frame, with the phase of that scope's
-    /// first slice (frame-level events are booked once per riding scope).
+    /// Visits the ledgers — scope totals and scope×phase cell — of every distinct
+    /// scope riding a frame, under the phase of that scope's first slice (frame-level
+    /// events are booked once per riding scope).
     fn for_distinct_frame_scopes(
+        &mut self,
         slices: &[FrameSlice],
-        mut visit: impl FnMut(QueryScope, PhaseTag),
+        mut visit: impl FnMut(&mut PhaseTotals),
     ) {
-        let mut seen: Vec<QueryScope> = Vec::with_capacity(slices.len());
-        for slice in slices {
-            if let Some(scope) = slice.scope {
-                if !seen.contains(&scope) {
-                    seen.push(scope);
-                    visit(scope, slice.phase);
-                }
+        for (at, slice) in slices.iter().enumerate() {
+            let Some(scope) = slice.scope else { continue };
+            if slices[..at].iter().all(|earlier| earlier.scope != slice.scope) {
+                visit(&mut self.per_scope.entry(scope).totals);
+                visit(self.per_scope_phase.entry((scope, slice.phase)));
             }
         }
     }
@@ -470,13 +545,10 @@ impl NetworkMetrics {
         label_phase: PhaseTag,
         slices: &[FrameSlice],
     ) {
-        self.per_phase.entry(label_phase).or_default().retransmissions += 1;
-        self.per_epoch.entry(epoch).or_default().retransmissions += 1;
+        self.per_phase.entry(label_phase).retransmissions += 1;
+        self.per_epoch.entry(epoch).retransmissions += 1;
         self.totals.retransmissions += 1;
-        Self::for_distinct_frame_scopes(slices, |scope, phase| {
-            self.per_scope.entry(scope).or_default().retransmissions += 1;
-            self.per_scope_phase.entry((scope, phase)).or_default().retransmissions += 1;
-        });
+        self.for_distinct_frame_scopes(slices, |ledger| ledger.retransmissions += 1);
     }
 
     /// Books one merged frame that was never delivered — a dropped frame drops every
@@ -489,13 +561,10 @@ impl NetworkMetrics {
         slices: &[FrameSlice],
     ) {
         self.counters_mut(from).dropped_messages += 1;
-        self.per_phase.entry(label_phase).or_default().dropped_messages += 1;
-        self.per_epoch.entry(epoch).or_default().dropped_messages += 1;
+        self.per_phase.entry(label_phase).dropped_messages += 1;
+        self.per_epoch.entry(epoch).dropped_messages += 1;
         self.totals.dropped_messages += 1;
-        Self::for_distinct_frame_scopes(slices, |scope, phase| {
-            self.per_scope.entry(scope).or_default().dropped_messages += 1;
-            self.per_scope_phase.entry((scope, phase)).or_default().dropped_messages += 1;
-        });
+        self.for_distinct_frame_scopes(slices, |ledger| ledger.dropped_messages += 1);
     }
 
     /// Books one ARQ retransmission attempt (the attempt itself is recorded separately
@@ -515,9 +584,9 @@ impl NetworkMetrics {
         if node != crate::types::SINK {
             self.per_node[(node - 1) as usize].energy_uj += uj;
             self.totals.energy_uj += uj;
-            self.per_epoch.entry(epoch).or_default().energy_uj += uj;
+            self.per_epoch.entry(epoch).energy_uj += uj;
             if let Some(scope) = self.current_scope {
-                self.per_scope.entry(scope).or_default().energy_uj += uj;
+                self.per_scope.entry(scope).totals.energy_uj += uj;
             }
         }
     }
@@ -543,7 +612,7 @@ impl NetworkMetrics {
         self.storage_per_node[(node - 1) as usize].add_write(pages, bytes, uj);
         self.storage_totals.add_write(pages, bytes, uj);
         if let Some(scope) = self.current_scope {
-            self.storage_per_scope.entry(scope).or_default().add_write(pages, bytes, uj);
+            self.scope_storage_mut(scope).add_write(pages, bytes, uj);
         }
     }
 
@@ -557,8 +626,12 @@ impl NetworkMetrics {
         self.storage_per_node[(node - 1) as usize].add_read(pages, uj);
         self.storage_totals.add_read(pages, uj);
         if let Some(scope) = self.current_scope {
-            self.storage_per_scope.entry(scope).or_default().add_read(pages, uj);
+            self.scope_storage_mut(scope).add_read(pages, uj);
         }
+    }
+
+    fn scope_storage_mut(&mut self, scope: QueryScope) -> &mut StorageTotals {
+        self.per_scope.entry(scope).storage.get_or_insert_with(StorageTotals::default)
     }
 
     /// Storage counters of a specific sensor node.
@@ -568,12 +641,12 @@ impl NetworkMetrics {
 
     /// Storage counters attributed to a scope (zero if it never touched flash).
     pub fn storage_scope(&self, scope: QueryScope) -> StorageTotals {
-        self.storage_per_scope.get(&scope).copied().unwrap_or_default()
+        self.per_scope.get(scope).and_then(|row| row.storage).unwrap_or_default()
     }
 
     /// All scopes that actually touched flash, with their storage totals, in order.
     pub fn storage_scopes(&self) -> impl Iterator<Item = (QueryScope, StorageTotals)> + '_ {
-        self.storage_per_scope.iter().map(|(k, v)| (*k, *v))
+        self.per_scope.iter().filter_map(|(scope, row)| Some((scope, row.storage?)))
     }
 
     /// Storage counters over the whole run.
@@ -593,12 +666,12 @@ impl NetworkMetrics {
 
     /// Totals for a specific phase (zero if the phase never occurred).
     pub fn phase(&self, tag: PhaseTag) -> PhaseTotals {
-        self.per_phase.get(&tag).copied().unwrap_or_default()
+        self.per_phase.get(tag).copied().unwrap_or_default()
     }
 
     /// Totals for a specific epoch (zero if nothing was sent in that epoch).
     pub fn epoch(&self, epoch: Epoch) -> PhaseTotals {
-        self.per_epoch.get(&epoch).copied().unwrap_or_default()
+        self.per_epoch.get(epoch).copied().unwrap_or_default()
     }
 
     /// Totals over the whole run.
@@ -608,12 +681,12 @@ impl NetworkMetrics {
 
     /// All phases that actually saw traffic, with their totals, in enum order.
     pub fn phases(&self) -> impl Iterator<Item = (PhaseTag, PhaseTotals)> + '_ {
-        self.per_phase.iter().map(|(k, v)| (*k, *v))
+        self.per_phase.iter().map(|(tag, totals)| (tag, *totals))
     }
 
     /// All epochs that actually saw traffic, with their totals, in epoch order.
     pub fn epochs(&self) -> impl Iterator<Item = (Epoch, PhaseTotals)> + '_ {
-        self.per_epoch.iter().map(|(k, v)| (*k, *v))
+        self.per_epoch.iter().map(|(epoch, totals)| (epoch, *totals))
     }
 
     /// The highest per-node energy draw, i.e. the bottleneck node's consumption (µJ).
@@ -973,6 +1046,25 @@ mod tests {
         assert!((m.epoch(4).energy_uj - 152.4).abs() < 1e-9);
         assert!((m.epoch(9).energy_uj - 48.0).abs() < 1e-9);
         assert!((m.scope(7).energy_uj - 48.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_huge_scope_or_epoch_costs_one_row_not_an_id_sized_table() {
+        let mut m = NetworkMetrics::new(2);
+        m.set_scope(Some(QueryScope::MAX));
+        m.record_transmission(1, 2, Epoch::MAX, PhaseTag::CleanUp, 10, 1, 1.0, 1.0);
+        m.set_scope(Some(0));
+        m.record_local_energy(1, 0, 0.0);
+        m.set_scope(None);
+        assert_eq!(m.per_scope.rows.len(), 2);
+        assert_eq!(m.per_epoch.rows.len(), 2);
+        // Rows list in key order whatever order they were created in, and a zero
+        // charge creates its row (without a phase: local energy has none).
+        assert_eq!(m.scopes().map(|(s, _)| s).collect::<Vec<_>>(), vec![0, QueryScope::MAX]);
+        assert_eq!(m.epochs().map(|(e, _)| e).collect::<Vec<_>>(), vec![0, Epoch::MAX]);
+        assert_eq!(m.scope_phases(0).count(), 0);
+        assert_eq!(m.scope_phases(QueryScope::MAX).map(|(p, _)| p).collect::<Vec<_>>(), vec![PhaseTag::CleanUp]);
+        assert_eq!(m.storage_scopes().count(), 0, "no scope touched flash");
     }
 
     #[test]

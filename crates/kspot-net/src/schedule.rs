@@ -43,13 +43,16 @@
 //! phase (the phase of the intent that opened it) and once per riding scope — so under
 //! batching a scope's `messages` counts the frames its payload rode on, and the scoped
 //! sums may exceed the global message count.  See ADR-004 for the full policy.
+//!
+//! How [`FrameScheduler`] stores frames is host detail; that it *drains* them in
+//! `(sender, receiver)` order is not — ledgers and batteries depend on it (ADR-004,
+//! "Host representation").
 
 use crate::metrics::{PhaseTag, QueryScope};
 use crate::radio::RadioModel;
 use crate::types::{Epoch, NodeId};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// One symbolic report enqueued by a session: "this node wants these tuples carried
 /// towards the sink this epoch, on behalf of this attribution scope".
@@ -141,31 +144,33 @@ pub struct FrameSlice {
 /// Splits a frame's on-air bytes across its slices per the attribution policy (module
 /// docs): each slice gets its own payload bytes plus `overhead × payload_i / payload`
 /// rounded down, and the remaining bytes are assigned one-by-one in enqueue order.
-/// Returns the frame's total on-air bytes together with the partitioning slices.
-pub fn split_frame_shares(intents: &[ReportIntent], radio: &RadioModel) -> (u32, Vec<FrameSlice>) {
-    let payloads: Vec<u32> =
-        intents.iter().map(|i| radio.payload_bytes(i.data_tuples, i.control_tuples)).collect();
-    let payload_total: u32 = payloads.iter().sum();
+/// Writes the partitioning slices into `slices` (cleared first, so a caller can reuse
+/// one buffer for every frame) and returns the frame's total on-air bytes.
+pub fn split_frame_shares(
+    intents: &[ReportIntent],
+    radio: &RadioModel,
+    slices: &mut Vec<FrameSlice>,
+) -> u32 {
+    let payload_of = |i: &ReportIntent| radio.payload_bytes(i.data_tuples, i.control_tuples);
+    let payload_total: u32 = intents.iter().map(payload_of).sum();
     let frame_bytes = radio.on_air_bytes(payload_total);
     let overhead = frame_bytes - payload_total;
 
-    let mut slices: Vec<FrameSlice> = intents
-        .iter()
-        .zip(&payloads)
-        .map(|(intent, &payload)| {
-            let share = if payload_total == 0 {
-                0
-            } else {
-                (u64::from(overhead) * u64::from(payload) / u64::from(payload_total)) as u32
-            };
-            FrameSlice {
-                scope: intent.scope,
-                phase: intent.phase,
-                share_bytes: payload + share,
-                tuples: intent.data_tuples,
-            }
-        })
-        .collect();
+    slices.clear();
+    slices.extend(intents.iter().map(|intent| {
+        let payload = payload_of(intent);
+        let share = if payload_total == 0 {
+            0
+        } else {
+            (u64::from(overhead) * u64::from(payload) / u64::from(payload_total)) as u32
+        };
+        FrameSlice {
+            scope: intent.scope,
+            phase: intent.phase,
+            share_bytes: payload + share,
+            tuples: intent.data_tuples,
+        }
+    }));
     // Hand the integer remainder out byte-by-byte in enqueue order so the shares
     // partition the frame exactly (the conservation law the testkit asserts).
     let mut remainder = frame_bytes - slices.iter().map(|s| s.share_bytes).sum::<u32>();
@@ -180,21 +185,41 @@ pub fn split_frame_shares(intents: &[ReportIntent], radio: &RadioModel) -> (u32,
         // Degenerate all-empty frame: the whole overhead goes to the opener.
         first.share_bytes += remainder;
     }
-    (frame_bytes, slices)
+    frame_bytes
 }
 
-/// The per-epoch report scheduler: frames under assembly, keyed by `(sender,
-/// receiver)`.  Owned by [`crate::sim::Network`] while frame batching is enabled;
+/// The per-epoch report scheduler: frames under assembly, one per `(sender,
+/// receiver)` hop.  Owned by [`crate::sim::Network`] while frame batching is enabled;
 /// populated by `send_report_up` intents and emptied by `flush_frames`.
-#[derive(Debug, Clone, Default)]
+///
+/// A sender reports to one receiver — its effective parent — for a whole epoch unless
+/// that parent's battery gives out mid-epoch, so frames are indexed by sender: one
+/// slot per node points at the frame the sender opened first, and only a sender whose
+/// receiver changed falls back to scanning the open frames.  Frames are kept in open
+/// order and sorted when drained; their slice buffers are recycled, so a steady-state
+/// epoch allocates nothing here.
+#[derive(Debug, Clone)]
 pub struct FrameScheduler {
-    frames: BTreeMap<(NodeId, NodeId), PendingFrame>,
+    /// Frames under assembly with their `(sender, receiver)` hop, in open order.
+    frames: Vec<((NodeId, NodeId), PendingFrame)>,
+    /// `first_open[sender]` is 1 + the index in `frames` of the frame the sender
+    /// opened first this epoch, 0 while it has opened none.
+    first_open: Vec<u32>,
+    /// Emptied slice buffers of drained frames, reused by the frames opened next.
+    spare_slices: Vec<Vec<ReportIntent>>,
+    /// The attributed shares of the frame being drained (one buffer for all frames).
+    shares: Vec<FrameSlice>,
 }
 
 impl FrameScheduler {
-    /// Creates an empty scheduler.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty scheduler for a network of `num_nodes` sensor nodes.
+    pub fn new(num_nodes: usize) -> Self {
+        Self {
+            frames: Vec::new(),
+            first_open: vec![0; num_nodes + 1],
+            spare_slices: Vec::new(),
+            shares: Vec::new(),
+        }
     }
 
     /// Number of frames currently under assembly.
@@ -214,12 +239,40 @@ impl FrameScheduler {
         to: NodeId,
         open: impl FnOnce() -> PendingFrame,
     ) -> &mut PendingFrame {
-        self.frames.entry((from, to)).or_insert_with(open)
+        let found = match self.first_open.get(from as usize) {
+            Some(0) => None,
+            Some(&slot) if self.frames[slot as usize - 1].0 .1 == to => Some(slot as usize - 1),
+            // The sender's receiver changed within the epoch (or the sender is not a
+            // node of this network and has no slot): rare, so a scan.
+            _ => self.frames.iter().position(|(hop, _)| *hop == (from, to)),
+        };
+        let at = found.unwrap_or_else(|| {
+            let mut frame = open();
+            frame.slices = self.spare_slices.pop().unwrap_or_default();
+            self.frames.push(((from, to), frame));
+            if let Some(slot @ 0) = self.first_open.get_mut(from as usize) {
+                *slot = self.frames.len() as u32;
+            }
+            self.frames.len() - 1
+        });
+        &mut self.frames[at].1
     }
 
-    /// Removes and returns every pending frame in deterministic `(from, to)` order.
-    pub(crate) fn take_frames(&mut self) -> Vec<((NodeId, NodeId), PendingFrame)> {
-        std::mem::take(&mut self.frames).into_iter().collect()
+    /// Hands every pending frame to `visit` in deterministic `(from, to)` order,
+    /// together with the shares buffer to cost it in, and leaves the scheduler empty.
+    pub(crate) fn drain_frames(
+        &mut self,
+        mut visit: impl FnMut(NodeId, NodeId, &PendingFrame, &mut Vec<FrameSlice>),
+    ) {
+        self.frames.sort_unstable_by_key(|(hop, _)| *hop);
+        for ((from, to), mut frame) in self.frames.drain(..) {
+            visit(from, to, &frame, &mut self.shares);
+            if let Some(slot) = self.first_open.get_mut(from as usize) {
+                *slot = 0;
+            }
+            frame.slices.clear();
+            self.spare_slices.push(frame.slices);
+        }
     }
 }
 
@@ -241,7 +294,8 @@ mod tests {
             vec![intent(0, 1), intent(1, 2), intent(2, 3), intent(3, 5)],
             vec![intent(0, 7), intent(1, 1)],
         ] {
-            let (frame_bytes, slices) = split_frame_shares(&intents, &radio);
+            let mut slices = Vec::new();
+            let frame_bytes = split_frame_shares(&intents, &radio, &mut slices);
             let total: u32 = slices.iter().map(|s| s.share_bytes).sum();
             assert_eq!(total, frame_bytes, "shares must partition the frame: {intents:?}");
             let payload: u32 = intents.iter().map(|i| radio.payload_bytes(i.data_tuples, i.control_tuples)).sum();
@@ -256,7 +310,8 @@ mod tests {
     #[test]
     fn remainder_bytes_go_to_the_earliest_slices() {
         let radio = RadioModel::mica2();
-        let (_, slices) = split_frame_shares(&[intent(3, 1), intent(7, 1)], &radio);
+        let mut slices = Vec::new();
+        split_frame_shares(&[intent(3, 1), intent(7, 1)], &radio, &mut slices);
         // Equal payloads: any odd remainder lands on the first (lower-scope) slice.
         assert!(slices[0].share_bytes >= slices[1].share_bytes);
         assert!(slices[0].share_bytes - slices[1].share_bytes <= 1);
@@ -266,7 +321,8 @@ mod tests {
     fn empty_payload_frame_charges_the_opener() {
         let radio = RadioModel::mica2();
         let empty = ReportIntent { scope: Some(0), phase: PhaseTag::Update, data_tuples: 0, control_tuples: 0 };
-        let (frame_bytes, slices) = split_frame_shares(&[empty], &radio);
+        let mut slices = Vec::new();
+        let frame_bytes = split_frame_shares(&[empty], &radio, &mut slices);
         assert_eq!(frame_bytes, radio.on_air_bytes(0));
         assert_eq!(slices[0].share_bytes, frame_bytes);
     }
@@ -295,23 +351,96 @@ mod tests {
         }
     }
 
+    fn blank_frame() -> PendingFrame {
+        PendingFrame { epoch: 3, receiver_heard: true, delivered: true, attempts: 1, slices: Vec::new() }
+    }
+
     #[test]
     fn scheduler_opens_each_hop_once_and_drains_in_order() {
-        let mut sched = FrameScheduler::new();
+        let mut sched = FrameScheduler::new(9);
         let mut opened = 0;
         for &(from, to) in &[(9u32, 4u32), (8, 7), (9, 4)] {
             let frame = sched.frame_entry(from, to, || {
                 opened += 1;
-                PendingFrame { epoch: 3, receiver_heard: true, delivered: true, attempts: 1, slices: Vec::new() }
+                blank_frame()
             });
             frame.slices.push(intent(0, 1));
         }
         assert_eq!(opened, 2, "the (9,4) hop reuses its open frame");
         assert_eq!(sched.pending_frames(), 2);
-        let frames = sched.take_frames();
+        let mut drained = Vec::new();
+        sched.drain_frames(|from, to, frame, _| drained.push((from, to, frame.slices.len(), frame.data_tuples())));
         assert!(sched.is_empty());
-        assert_eq!(frames[0].0, (8, 7), "frames drain in (from, to) order");
-        assert_eq!(frames[1].1.slices.len(), 2);
-        assert_eq!(frames[1].1.data_tuples(), 2);
+        assert_eq!(drained, vec![(8, 7, 1, 1), (9, 4, 2, 2)], "frames drain in (from, to) order");
+    }
+
+    #[test]
+    fn a_sender_whose_receiver_changes_gets_a_second_frame() {
+        // Node 9's parent (4) gives out mid-epoch: later reports go to 7.  Both frames
+        // stay open, each keeps its own riders, and a sender outside the slot table
+        // (not a node of this network) is still served, by the scan.
+        let mut sched = FrameScheduler::new(9);
+        let mut opened = Vec::new();
+        for &(from, to) in &[(9u32, 4u32), (9, 7), (9, 4), (9, 7), (9, 0), (40, 2), (40, 2)] {
+            sched
+                .frame_entry(from, to, || {
+                    opened.push((from, to));
+                    blank_frame()
+                })
+                .slices
+                .push(intent(0, 1));
+        }
+        assert_eq!(opened, vec![(9, 4), (9, 7), (9, 0), (40, 2)]);
+        let mut drained = Vec::new();
+        sched.drain_frames(|from, to, frame, _| drained.push((from, to, frame.slices.len())));
+        assert_eq!(drained, vec![(9, 0, 1), (9, 4, 2), (9, 7, 2), (40, 2, 2)]);
+        // Drained slots are free again and the recycled buffers come back empty.
+        let frame = sched.frame_entry(9, 7, blank_frame);
+        assert!(frame.slices.is_empty());
+        assert_eq!(sched.pending_frames(), 1);
+    }
+
+    proptest::proptest! {
+        /// Against the `BTreeMap<(from, to), frame>` the scheduler used to be: the same
+        /// hops open (once each, in the same order), every intent lands in its hop's
+        /// frame, `pending_frames` agrees after every step, and a drain yields the
+        /// map's `(from, to)` order — over several epochs, with receivers that change
+        /// mid-epoch and senders outside the slot table.
+        #[test]
+        fn sender_indexed_scheduler_matches_the_map_model(
+            epochs in proptest::collection::vec(proptest::collection::vec((0u32..12, 0u32..4, 0u32..50), 0..40), 1..5),
+        ) {
+            use std::collections::BTreeMap;
+            let mut sched = FrameScheduler::new(8);
+            for (epoch, intents) in epochs.iter().enumerate() {
+                let mut model: BTreeMap<(NodeId, NodeId), Vec<u32>> = BTreeMap::new();
+                let mut opened = Vec::new();
+                let mut model_opened = Vec::new();
+                for &(from, to, data) in intents {
+                    let frame = sched.frame_entry(from, to, || {
+                        opened.push((from, to));
+                        PendingFrame { epoch: epoch as Epoch, ..blank_frame() }
+                    });
+                    frame.slices.push(intent(0, data));
+                    model
+                        .entry((from, to))
+                        .or_insert_with(|| {
+                            model_opened.push((from, to));
+                            Vec::new()
+                        })
+                        .push(data);
+                    proptest::prop_assert_eq!(sched.pending_frames(), model.len());
+                    proptest::prop_assert_eq!(sched.is_empty(), model.is_empty());
+                }
+                proptest::prop_assert_eq!(&opened, &model_opened);
+                let mut drained = Vec::new();
+                sched.drain_frames(|from, to, frame, _| {
+                    assert_eq!(frame.epoch, epoch as Epoch, "a recycled buffer is not a recycled frame");
+                    drained.push(((from, to), frame.slices.iter().map(|s| s.data_tuples).collect::<Vec<_>>()));
+                });
+                proptest::prop_assert_eq!(drained, model.into_iter().collect::<Vec<_>>());
+                proptest::prop_assert_eq!(sched.pending_frames(), 0);
+            }
+        }
     }
 }

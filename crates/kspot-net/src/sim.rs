@@ -132,6 +132,23 @@ pub struct Network {
     /// The per-epoch report scheduler, present while frame batching is enabled (see
     /// [`Self::set_frame_batching`] and [`crate::schedule`]).
     frame_scheduler: Option<FrameScheduler>,
+    /// Reusable buffers of [`Self::flood_down`] and [`Self::unicast_down`].
+    scratch: Scratch,
+}
+
+/// Per-call working memory the façade keeps between calls so that dissemination and
+/// probes allocate nothing in steady state.  Never read across calls.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Per node id, the node's effective parent this flood (`NodeId::MAX` for a node
+    /// that is not participating).
+    flood_parent: Vec<NodeId>,
+    /// `flood_children[flood_offsets[s]..flood_offsets[s + 1]]` are the nodes whose
+    /// effective parent is `s` (the sink included), ascending.
+    flood_offsets: Vec<u32>,
+    flood_children: Vec<NodeId>,
+    /// The participating relays between a probe's target and the sink.
+    path: Vec<NodeId>,
 }
 
 /// Stream identifier of the per-`(sender, receiver, epoch)` merged-frame fate streams
@@ -156,6 +173,7 @@ impl Network {
             current_scope: None,
             current_epoch: 0,
             frame_scheduler: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -217,11 +235,7 @@ impl Network {
 
     /// The sensor nodes currently able to take part in the protocol, ascending.
     pub fn participating_nodes(&self) -> Vec<NodeId> {
-        self.deployment
-            .node_ids()
-            .into_iter()
-            .filter(|&id| self.node_participating(id))
-            .collect()
+        (1..=self.num_nodes() as NodeId).filter(|&id| self.node_participating(id)).collect()
     }
 
     /// The nearest participating ancestor of `node` in the routing tree (possibly the
@@ -262,7 +276,7 @@ impl Network {
         self.current_scope = None;
         self.current_epoch = 0;
         if self.frame_scheduler.is_some() {
-            self.frame_scheduler = Some(FrameScheduler::new());
+            self.frame_scheduler = Some(FrameScheduler::new(self.num_nodes()));
         }
     }
 
@@ -274,7 +288,7 @@ impl Network {
     pub fn set_frame_batching(&mut self, on: bool) {
         if on {
             if self.frame_scheduler.is_none() {
-                self.frame_scheduler = Some(FrameScheduler::new());
+                self.frame_scheduler = Some(FrameScheduler::new(self.num_nodes()));
             }
         } else {
             self.flush_frames();
@@ -304,7 +318,7 @@ impl Network {
             return;
         }
         let cost = self.config.energy.epoch_baseline_cost();
-        for id in self.deployment.node_ids() {
+        for id in 1..=self.num_nodes() as NodeId {
             if self.node_participating(id) {
                 self.metrics.record_local_energy(id, epoch, cost);
                 self.batteries.drain(id, cost);
@@ -505,55 +519,46 @@ impl Network {
     /// (`kspot-core`, which interleaves historic sessions and must stay in lockstep
     /// with the same begin/scope/flush contract).
     pub fn flush_frames(&mut self) {
-        let frames = match self.frame_scheduler.as_mut() {
-            Some(scheduler) if !scheduler.is_empty() => scheduler.take_frames(),
-            _ => return,
-        };
-        for ((from, to), frame) in frames {
-            let (frame_bytes, slices) = split_frame_shares(&frame.slices, &self.config.radio);
-            let tx = self.config.energy.tx_cost(frame_bytes);
-            let rx = self.config.energy.rx_cost(frame_bytes);
+        let Self { frame_scheduler, metrics, batteries, config, .. } = self;
+        let Some(scheduler) = frame_scheduler else { return };
+        scheduler.drain_frames(|from, to, frame, slices| {
+            let frame_bytes = split_frame_shares(&frame.slices, &config.radio, slices);
+            let tx = config.energy.tx_cost(frame_bytes);
+            let rx = config.energy.rx_cost(frame_bytes);
             let label_phase = frame.slices.first().map_or(PhaseTag::Update, |s| s.phase);
             if !frame.receiver_heard {
-                self.metrics.record_unheard_frame(
-                    from,
-                    frame.epoch,
-                    label_phase,
-                    frame_bytes,
-                    &slices,
-                    tx,
-                );
+                metrics.record_unheard_frame(from, frame.epoch, label_phase, frame_bytes, slices, tx);
                 if from != SINK {
-                    self.batteries.drain(from, tx);
+                    batteries.drain(from, tx);
                 }
-                self.metrics.note_frame_drop(from, frame.epoch, label_phase, &slices);
-                continue;
+                metrics.note_frame_drop(from, frame.epoch, label_phase, slices);
+                return;
             }
             for attempt in 0..frame.attempts {
                 if attempt > 0 {
-                    self.metrics.note_frame_retransmission(frame.epoch, label_phase, &slices);
+                    metrics.note_frame_retransmission(frame.epoch, label_phase, slices);
                 }
-                self.metrics.record_frame_transmission(
+                metrics.record_frame_transmission(
                     from,
                     to,
                     frame.epoch,
                     label_phase,
                     frame_bytes,
-                    &slices,
+                    slices,
                     tx,
                     rx,
                 );
                 if from != SINK {
-                    self.batteries.drain(from, tx);
+                    batteries.drain(from, tx);
                 }
                 if to != SINK {
-                    self.batteries.drain(to, rx);
+                    batteries.drain(to, rx);
                 }
             }
             if !frame.delivered {
-                self.metrics.note_frame_drop(from, frame.epoch, label_phase, &slices);
+                metrics.note_frame_drop(from, frame.epoch, label_phase, slices);
             }
-        }
+        });
     }
 
     /// Sends a per-epoch data report from `from` to its routing parent.  Convenience
@@ -583,46 +588,59 @@ impl Network {
         let tx = self.config.energy.tx_cost(bytes);
         let rx = self.config.energy.rx_cost(bytes);
         // Children re-attached past dead/sleeping ancestors, mirroring the upstream
-        // effective-parent routing.
-        let mut eff_children: std::collections::BTreeMap<NodeId, Vec<NodeId>> =
-            std::collections::BTreeMap::new();
-        for id in self.deployment.node_ids() {
-            if self.node_participating(id) {
-                eff_children.entry(self.effective_parent(id)).or_default().push(id);
+        // effective-parent routing: who hears whom is fixed before the first broadcast,
+        // bucketed by sender with a counting sort (ascending ids within a bucket).
+        let n = self.num_nodes();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch { flood_parent, flood_offsets: offsets, flood_children, .. } = &mut scratch;
+        flood_parent.clear();
+        flood_parent.push(NodeId::MAX);
+        offsets.clear();
+        offsets.resize(n + 2, 0);
+        for id in 1..=n as NodeId {
+            let parent =
+                if self.node_participating(id) { self.effective_parent(id) } else { NodeId::MAX };
+            flood_parent.push(parent);
+            if parent != NodeId::MAX {
+                offsets[parent as usize] += 1;
+            }
+        }
+        for sender in 1..=n + 1 {
+            offsets[sender] += offsets[sender - 1];
+        }
+        // `offsets[s]` is now the end of sender `s`'s bucket; filling the buckets back
+        // to front turns it into the start, and `offsets[s + 1]` is then the end.
+        flood_children.clear();
+        flood_children.resize(offsets[n + 1] as usize, 0);
+        for id in (1..=n as NodeId).rev() {
+            let parent = flood_parent[id as usize];
+            if parent != NodeId::MAX {
+                offsets[parent as usize] -= 1;
+                flood_children[offsets[parent as usize] as usize] = id;
             }
         }
         let mut transmissions = 0;
-        let mut senders = vec![SINK];
-        senders.extend(self.tree.pre_order());
-        for sender in senders {
+        for position in 0..=n {
+            let sender = if position == 0 { SINK } else { self.tree.pre_order_slice()[position - 1] };
             if sender != SINK && !self.node_participating(sender) {
                 continue;
             }
-            let Some(children) = eff_children.remove(&sender) else { continue };
-            self.metrics
-                .record_broadcast(sender, &children, epoch, phase, bytes, 0, tx, rx);
+            let bucket = offsets[sender as usize] as usize..offsets[sender as usize + 1] as usize;
+            let children = &flood_children[bucket];
+            if children.is_empty() {
+                continue;
+            }
+            self.metrics.record_broadcast(sender, children, epoch, phase, bytes, 0, tx, rx);
             if sender != SINK {
                 self.batteries.drain(sender, tx);
             }
-            for c in &children {
+            for c in children {
                 self.batteries.drain(*c, rx);
             }
             transmissions += 1;
         }
+        self.scratch = scratch;
         transmissions
-    }
-
-    /// The downward path `sink, …, to` through participating relays only, or `None`
-    /// when `to` itself is not participating.
-    fn participating_path(&self, to: NodeId) -> Option<Vec<NodeId>> {
-        if !self.node_participating(to) {
-            return None;
-        }
-        let mut path: Vec<NodeId> =
-            self.tree.path_to_sink(to).into_iter().filter(|&n| self.node_participating(n)).collect();
-        path.push(SINK);
-        path.reverse(); // sink, …, to
-        Some(path)
     }
 
     /// Sends `control_entries` control entries from the sink to a specific node, hop by
@@ -636,23 +654,37 @@ impl Network {
         control_entries: u32,
         phase: PhaseTag,
     ) -> Option<u32> {
-        let path = self.participating_path(to)?;
-        let mut hops = 0;
-        for pair in path.windows(2) {
+        if !self.node_participating(to) {
+            return None;
+        }
+        // The relays are found walking up from the target; the hops run downwards.
+        let mut path = std::mem::take(&mut self.scratch.path);
+        path.clear();
+        let mut relay = to;
+        while relay != SINK {
+            path.push(relay);
+            relay = self.effective_parent(relay);
+        }
+        let mut hops = Some(0);
+        let mut from = SINK;
+        for &next in path.iter().rev() {
             let msg = Message {
-                from: pair[0],
-                to: pair[1],
+                from,
+                to: next,
                 epoch,
                 kind: MessageKind::Probe,
                 data_tuples: 0,
                 control_tuples: control_entries,
             };
             if !self.send(msg, phase) {
-                return None;
+                hops = None;
+                break;
             }
-            hops += 1;
+            hops = hops.map(|h| h + 1);
+            from = next;
         }
-        Some(hops)
+        self.scratch.path = path;
+        hops
     }
 
     /// Sends `data_tuples` data tuples from a node to the sink, hop by hop up the
@@ -666,13 +698,18 @@ impl Network {
         data_tuples: u32,
         phase: PhaseTag,
     ) -> Option<u32> {
-        let mut path = self.participating_path(from)?;
-        path.reverse(); // from, …, sink
+        if !self.node_participating(from) {
+            return None;
+        }
         let mut hops = 0;
-        for pair in path.windows(2) {
+        let mut relay = from;
+        while relay != SINK {
+            // The nearest participating ancestor: relays already passed cannot have
+            // changed it, their traffic only drains themselves.
+            let next = self.effective_parent(relay);
             let msg = Message {
-                from: pair[0],
-                to: pair[1],
+                from: relay,
+                to: next,
                 epoch,
                 kind: MessageKind::ProbeReply,
                 data_tuples,
@@ -682,6 +719,7 @@ impl Network {
                 return None;
             }
             hops += 1;
+            relay = next;
         }
         Some(hops)
     }

@@ -78,11 +78,16 @@ pub enum DeploymentKind {
 pub struct Deployment {
     kind: DeploymentKind,
     sink_position: Position,
+    /// Sorted by id, so node `id` is `nodes[id - 1]`.
     nodes: Vec<NodeSpec>,
     radio_range: f64,
     /// Optional explicit parent assignment (used by scripted scenarios such as Figure 1
     /// where the paper fixes the routing tree).
     explicit_parents: Option<BTreeMap<NodeId, NodeId>>,
+    /// The distinct groups, ascending, each with its members in ascending id order.
+    /// Membership is part of the configuration, so it is fixed at construction; a
+    /// group's position in this list is its *dense index* (group ids may be sparse).
+    groups: Vec<(GroupId, Vec<NodeId>)>,
 }
 
 impl Deployment {
@@ -93,20 +98,24 @@ impl Deployment {
     pub fn from_parts(
         kind: DeploymentKind,
         sink_position: Position,
-        nodes: Vec<NodeSpec>,
+        mut nodes: Vec<NodeSpec>,
         radio_range: f64,
     ) -> Self {
         assert!(radio_range > 0.0, "radio range must be positive");
-        let mut ids: Vec<NodeId> = nodes.iter().map(|n| n.id).collect();
-        ids.sort_unstable();
-        for (i, id) in ids.iter().enumerate() {
+        nodes.sort_by_key(|n| n.id);
+        for (i, n) in nodes.iter().enumerate() {
             assert_eq!(
-                *id,
+                n.id,
                 (i + 1) as NodeId,
                 "sensor ids must be the consecutive range 1..=n without gaps"
             );
         }
-        Self { kind, sink_position, nodes, radio_range, explicit_parents: None }
+        let mut members: BTreeMap<GroupId, Vec<NodeId>> = BTreeMap::new();
+        for n in &nodes {
+            members.entry(n.group).or_default().push(n.id);
+        }
+        let groups = members.into_iter().collect();
+        Self { kind, sink_position, nodes, radio_range, explicit_parents: None, groups }
     }
 
     /// Attaches an explicit routing-parent assignment to the deployment, overriding the
@@ -145,7 +154,7 @@ impl Deployment {
 
     /// The static specification of node `id`, if it exists (`id` must be ≥ 1).
     pub fn node(&self, id: NodeId) -> Option<&NodeSpec> {
-        self.nodes.iter().find(|n| n.id == id)
+        self.nodes.get((id as usize).checked_sub(1)?)
     }
 
     /// Iterates over all sensor nodes in ascending id order.
@@ -155,9 +164,7 @@ impl Deployment {
 
     /// All sensor node identifiers, ascending.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.nodes.iter().map(|n| n.id).collect();
-        ids.sort_unstable();
-        ids
+        (1..=self.nodes.len() as NodeId).collect()
     }
 
     /// The group a node belongs to.  Panics if the node does not exist.
@@ -180,24 +187,32 @@ impl Deployment {
 
     /// Map from group id to the members of that group, ascending node order.
     pub fn group_members(&self) -> BTreeMap<GroupId, Vec<NodeId>> {
-        let mut map: BTreeMap<GroupId, Vec<NodeId>> = BTreeMap::new();
-        for n in &self.nodes {
-            map.entry(n.group).or_default().push(n.id);
+        self.groups.iter().cloned().collect()
+    }
+
+    /// The distinct groups, ascending, each with its members in ascending id order —
+    /// [`Self::group_members`] without the copy.  A group's position in this slice is
+    /// its dense index; group ids themselves may be sparse.
+    pub fn groups(&self) -> &[(GroupId, Vec<NodeId>)] {
+        &self.groups
+    }
+
+    /// The sensors configured into group `g`, ascending; empty when there are none.
+    pub fn members_of(&self, g: GroupId) -> &[NodeId] {
+        match self.groups.binary_search_by_key(&g, |(group, _)| *group) {
+            Ok(at) => &self.groups[at].1,
+            Err(_) => &[],
         }
-        for members in map.values_mut() {
-            members.sort_unstable();
-        }
-        map
     }
 
     /// Number of distinct groups in the deployment.
     pub fn num_groups(&self) -> usize {
-        self.group_members().len()
+        self.groups.len()
     }
 
     /// Number of sensors configured into group `g`.
     pub fn group_size(&self, g: GroupId) -> usize {
-        self.nodes.iter().filter(|n| n.group == g).count()
+        self.members_of(g).len()
     }
 
     /// Explicit parent assignment, if the scenario fixes the routing tree.

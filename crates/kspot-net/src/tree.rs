@@ -13,17 +13,25 @@
 use crate::topology::Deployment;
 use crate::types::{NodeId, SINK};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A spanning tree over the deployment, rooted at the sink.
+///
+/// The tree is static for the lifetime of a deployment, so everything the per-epoch
+/// sweeps iterate — child lists and both traversal orders — is computed once, here,
+/// iteratively (a chain deployment is as deep as it is large).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RoutingTree {
     /// `parent[i]` is the parent of node `i + 1` (sensor ids start at 1).
     parent: Vec<NodeId>,
-    /// Children of every node, keyed by the node id (including the sink).
-    children: BTreeMap<NodeId, Vec<NodeId>>,
+    /// `children[id]` are the children of node `id` (index 0 is the sink), ascending.
+    children: Vec<Vec<NodeId>>,
     /// Hop distance from the sink; `depth[i]` is the depth of node `i + 1`.
     depth: Vec<u32>,
+    /// Sensor nodes, every node after all of its descendants.
+    post_order: Vec<NodeId>,
+    /// Sensor nodes, every node before its descendants.
+    pre_order: Vec<NodeId>,
 }
 
 impl RoutingTree {
@@ -93,34 +101,49 @@ impl RoutingTree {
             assert!(p as usize <= n, "parent {p} of node {child} is out of range");
             assert_ne!(p, child, "node {child} cannot be its own parent");
         }
-        // Compute depths, detecting cycles by bounding the walk length.
-        let mut depth = vec![0u32; n];
-        for (i, d) in depth.iter_mut().enumerate() {
-            let mut hops = 0u32;
-            let mut cur = (i + 1) as NodeId;
-            while cur != SINK {
-                cur = parent[(cur - 1) as usize];
-                hops += 1;
-                assert!(
-                    hops as usize <= n,
-                    "parent assignment contains a cycle involving node {}",
-                    i + 1
-                );
-            }
-            *d = hops;
-        }
-        let mut children: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        children.insert(SINK, Vec::new());
-        for id in 1..=n as NodeId {
-            children.entry(id).or_default();
-        }
+        // Ascending child ids per node: `parent` is scanned in id order.
+        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n + 1];
         for (i, &p) in parent.iter().enumerate() {
-            children.get_mut(&p).expect("parent entry exists").push((i + 1) as NodeId);
+            children[p as usize].push((i + 1) as NodeId);
         }
-        for c in children.values_mut() {
-            c.sort_unstable();
+        // One top-down pass from the sink yields the pre-order and every depth; a node
+        // the pass never reaches does not lead to the sink, i.e. it is on (or hangs
+        // off) a cycle.
+        let mut depth = vec![0u32; n];
+        let mut pre_order = Vec::with_capacity(n);
+        let mut stack = vec![SINK];
+        while let Some(node) = stack.pop() {
+            let below = if node == SINK {
+                1
+            } else {
+                pre_order.push(node);
+                depth[(node - 1) as usize] + 1
+            };
+            for &c in children[node as usize].iter().rev() {
+                depth[(c - 1) as usize] = below;
+                stack.push(c);
+            }
         }
-        Self { parent, children, depth }
+        if pre_order.len() != n {
+            let mut reached = vec![false; n + 1];
+            for &node in &pre_order {
+                reached[node as usize] = true;
+            }
+            let stray = (1..=n).find(|&id| !reached[id]).expect("an unreached node exists");
+            panic!("parent assignment contains a cycle involving node {stray}");
+        }
+        // Post-order is the reverse of a node-first walk that takes children in
+        // descending order.
+        let mut post_order = Vec::with_capacity(n);
+        stack.push(SINK);
+        while let Some(node) = stack.pop() {
+            if node != SINK {
+                post_order.push(node);
+            }
+            stack.extend(children[node as usize].iter().copied());
+        }
+        post_order.reverse();
+        Self { parent, children, depth, post_order, pre_order }
     }
 
     /// Number of sensor nodes in the tree (the sink is not counted).
@@ -136,7 +159,7 @@ impl RoutingTree {
 
     /// The children of `node` (which may be the sink), in ascending id order.
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        self.children.get(&node).map(Vec::as_slice).unwrap_or(&[])
+        self.children.get(node as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Hop distance of `node` from the sink (the sink itself has depth 0).
@@ -161,33 +184,24 @@ impl RoutingTree {
     /// Sensor nodes in *post-order*: every node appears after all of its descendants.
     /// This is the order in which an epoch's convergecast is simulated (leaves first).
     pub fn post_order(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.num_nodes());
-        self.post_order_visit(SINK, &mut out);
-        out
+        self.post_order.clone()
     }
 
-    fn post_order_visit(&self, node: NodeId, out: &mut Vec<NodeId>) {
-        for &c in self.children(node) {
-            self.post_order_visit(c, out);
-        }
-        if node != SINK {
-            out.push(node);
-        }
+    /// [`Self::post_order`] without the copy, for callers that only iterate.
+    pub fn post_order_slice(&self) -> &[NodeId] {
+        &self.post_order
     }
 
     /// Sensor nodes in *pre-order*: every node appears before its descendants.  This is
     /// the order in which root-to-leaf dissemination (query flooding, threshold
     /// broadcast) is simulated.
     pub fn pre_order(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.num_nodes());
-        let mut stack: Vec<NodeId> = self.children(SINK).iter().rev().copied().collect();
-        while let Some(node) = stack.pop() {
-            out.push(node);
-            for &c in self.children(node).iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
+        self.pre_order.clone()
+    }
+
+    /// [`Self::pre_order`] without the copy, for callers that only iterate.
+    pub fn pre_order_slice(&self) -> &[NodeId] {
+        &self.pre_order
     }
 
     /// All nodes in the subtree rooted at `node`, including `node` itself (unless it is
@@ -310,10 +324,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cycle")]
+    fn a_chain_as_deep_as_the_stack_is_ordered_without_recursion() {
+        // Node i hangs off node i - 1: the tree's height is its size, which overflowed
+        // the stack while the post-order was built recursively.
+        let n = 20_000u32;
+        let t = RoutingTree::from_parent_vector((0..n).collect());
+        assert_eq!(t.height(), n);
+        assert_eq!(t.depth(n), n);
+        assert_eq!(t.post_order(), (1..=n).rev().collect::<Vec<_>>());
+        assert_eq!(t.pre_order_slice(), (1..=n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn cached_orders_match_the_recursive_definitions() {
+        fn visit(t: &RoutingTree, node: NodeId, pre: &mut Vec<NodeId>, post: &mut Vec<NodeId>) {
+            for &c in t.children(node) {
+                pre.push(c);
+                visit(t, c, pre, post);
+                post.push(c);
+            }
+        }
+        for d in [Deployment::figure1(), Deployment::conference(), Deployment::grid(7, 10.0, None)] {
+            let t = RoutingTree::build(&d);
+            let (mut pre, mut post) = (Vec::new(), Vec::new());
+            visit(&t, SINK, &mut pre, &mut post);
+            assert_eq!(t.pre_order_slice(), pre);
+            assert_eq!(t.post_order_slice(), post);
+            for id in d.node_ids() {
+                assert_eq!(t.depth(id) as usize, t.path_to_sink(id).len());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle involving node 2")]
     fn cycles_are_rejected() {
-        // 1 -> 2 -> 1 is a cycle.
-        let _ = RoutingTree::from_parent_vector(vec![2, 1]);
+        // 2 -> 3 -> 2 is a cycle; node 1 reaches the sink.
+        let _ = RoutingTree::from_parent_vector(vec![0, 3, 2]);
     }
 
     #[test]
