@@ -29,10 +29,12 @@ use crate::agg::exact_aggregate;
 use crate::result::{RankedItem, TopKResult};
 use crate::snapshot::SnapshotSpec;
 use crate::tag::{convergecast_full, rank_view};
-use kspot_net::types::{cmp_value, ValueDomain};
+use kspot_net::types::ValueDomain;
+use kspot_net::storage::top_k_into;
 use kspot_net::{Epoch, Network, NodeId, PhaseTag, Reading, SlidingWindow, WindowBank, Workload};
 use kspot_query::AggFunc;
 use serde::{Deserialize, Serialize};
+use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
 
 /// Parameters of a historic (vertically fragmented) Top-K query.
@@ -71,35 +73,46 @@ impl HistoricSpec {
 ///
 /// Implementations: [`HistoricDataset`] (a per-submission materialised dataset, the
 /// replay path) and [`BankWindows`] (a span-limited view over the multi-query engine's
-/// shared [`WindowBank`]).  The methods mirror the two access paths real motes expose
-/// (local top-k scan and point lookups, see [`SlidingWindow`]) plus the bulk scans the
-/// centralized comparators need.
+/// shared [`WindowBank`], or over one restored from a checkpoint).  The methods mirror
+/// the two access paths real motes expose (local top-k scan and point lookups, see
+/// [`SlidingWindow`]) plus the bulk scans the centralized comparators need.
 ///
-/// All sample lists are returned oldest-epoch-first, with ties in `local_top_k` broken
-/// towards the older epoch — the deterministic order [`SlidingWindow`] guarantees — so
-/// two sources holding the same samples produce byte-identical algorithm runs.
+/// A source lends what it holds and fills what the caller brings: nothing here
+/// allocates per call.  All sample lists are oldest-epoch-first, with ties in
+/// `local_top_k` broken towards the older epoch — the deterministic order
+/// [`SlidingWindow`] guarantees — so two sources holding the same samples produce
+/// byte-identical algorithm runs.
 pub trait WindowSource {
     /// Node identifiers holding a window, ascending.
-    fn source_nodes(&self) -> Vec<NodeId>;
+    fn source_nodes(&self) -> &[NodeId];
 
     /// The epochs covered by the windows, oldest first (the last one is the epoch the
     /// query is answered at).
-    fn covered_epochs(&self) -> Vec<Epoch>;
+    fn covered_epochs(&self) -> &[Epoch];
 
     /// Every buffered `(epoch, value)` sample of one node, oldest first.
-    fn samples(&mut self, node: NodeId) -> Vec<(Epoch, f64)>;
+    fn samples(&mut self, node: NodeId) -> &[(Epoch, f64)];
 
-    /// The node's `k` highest-valued samples, best first (ties toward older epochs).
-    fn local_top_k(&mut self, node: NodeId, k: usize) -> Vec<(Epoch, f64)>;
+    /// Replaces `best` with the node's `k` highest-valued samples, best first (ties
+    /// toward older epochs).
+    fn local_top_k(&mut self, node: NodeId, k: usize, best: &mut Vec<(Epoch, f64)>);
 
-    /// The node's samples with value at least `threshold`, oldest first.
-    fn values_at_least(&mut self, node: NodeId, threshold: f64) -> Vec<(Epoch, f64)>;
+    /// Replaces `found` with the node's samples of value at least `threshold`, oldest
+    /// first.
+    fn values_at_least(&mut self, node: NodeId, threshold: f64, found: &mut Vec<(Epoch, f64)>);
 
     /// The node's value at `epoch`, if buffered.
     fn value_at(&mut self, node: NodeId, epoch: Epoch) -> Option<f64>;
 
     /// Number of samples the node's window currently buffers.
     fn window_len(&mut self, node: NodeId) -> usize;
+}
+
+/// True when `node` is a sensor node of `net` that can answer right now.  A source may
+/// hold windows of nodes the deployment does not have (a checkpoint image from another
+/// deployment restores fine); every historic strategy leaves those out, like dead ones.
+pub(crate) fn can_answer(net: &Network, node: NodeId) -> bool {
+    net.deployment().node(node).is_some() && net.node_participating(node)
 }
 
 /// Omniscient ranked answer over the windows of `nodes`, computed from whatever
@@ -112,109 +125,116 @@ pub fn exact_over_source(
 ) -> TopKResult {
     let mut per_epoch: BTreeMap<Epoch, Vec<f64>> = BTreeMap::new();
     for &node in nodes {
-        for (e, v) in source.samples(node) {
+        for &(e, v) in source.samples(node) {
             per_epoch.entry(e).or_default().push(v);
         }
     }
+    ranked_epochs(per_epoch, spec, source.covered_epochs().last().copied().unwrap_or(0))
+}
+
+/// Scores every epoch by the spec's aggregate over its values and keeps the best `k`.
+fn ranked_epochs(per_epoch: BTreeMap<Epoch, Vec<f64>>, spec: &HistoricSpec, at: Epoch) -> TopKResult {
     let items = per_epoch
         .into_iter()
         .filter_map(|(e, vals)| exact_aggregate(spec.func, &vals).map(|v| RankedItem::new(e, v)))
         .collect();
-    let mut result =
-        TopKResult::new(source.covered_epochs().last().copied().unwrap_or(0), items);
+    let mut result = TopKResult::new(at, items);
     result.items.truncate(spec.k);
     result
 }
 
-/// A span-limited [`WindowSource`] view over the engine's shared [`WindowBank`]:
-/// exposes only the **last `window` epochs** of the bank, so a session whose
-/// `WITH HISTORY` span is shorter than the bank's capacity (which follows the largest
-/// registered span) sees exactly the window it asked for.  Holding the same samples,
-/// a view is byte-identical to a per-submission [`HistoricDataset`] of that span.
-pub struct BankWindows<'a> {
-    bank: &'a mut WindowBank,
+/// The samples of `window` from epoch `first` on, oldest first — `charged` as one full
+/// flash scan or read for free.  The scan covers the whole window even when the span
+/// is shorter: the flash does not know which epochs the reader wants.
+fn span_of(window: Option<&mut SlidingWindow>, first: Epoch, charged: bool) -> &[(Epoch, f64)] {
+    let Some(window) = window else { return &[] };
+    let all = if charged { window.scan() } else { window.as_slice() };
+    &all[all.partition_point(|&(e, _)| e < first)..]
+}
+
+/// A span-limited [`WindowSource`] view over a [`WindowBank`]: exposes only the **last
+/// `window` epochs** of the bank, so a session whose `WITH HISTORY` span is shorter
+/// than the bank's capacity (which follows the largest registered span) sees exactly
+/// the window it asked for.  Holding the same samples, a view is byte-identical to a
+/// per-submission [`HistoricDataset`] of that span.
+///
+/// The bank is the engine's shared one, borrowed (`BankWindows<&mut WindowBank>`), or
+/// one restored from a checkpoint image, owned (`BankWindows<WindowBank>` — there is
+/// no live bank to borrow for an epoch the engine has long evicted).  Either way
+/// `samples`/`window_len` read without storage accounting — cheap metadata reads, like
+/// the uncharged `SlidingWindow::iter` — while `local_top_k`/`values_at_least`/
+/// `value_at` are charged as the flash scans and lookups they model, so an
+/// engine-served query records the same class of storage cost as a replay.
+#[derive(Debug)]
+pub struct BankWindows<B> {
+    bank: B,
     /// The covered epochs, oldest first (the last `window` epochs of the bank).
     epochs: Vec<Epoch>,
     /// The first covered epoch — samples older than this are invisible to the view.
     first: Epoch,
 }
 
-impl<'a> BankWindows<'a> {
+impl<B: BorrowMut<WindowBank>> BankWindows<B> {
     /// Opens a view over the last `window` epochs the bank covers.
-    pub fn new(bank: &'a mut WindowBank, window: usize) -> Self {
-        let all = bank.epochs();
-        let skip = all.len().saturating_sub(window);
-        let epochs: Vec<Epoch> = all[skip..].to_vec();
+    pub fn new(bank: B, window: usize) -> Self {
+        let whole: &WindowBank = bank.borrow();
+        let epochs: Vec<Epoch> =
+            whole.epochs().skip(whole.buffered_epochs().saturating_sub(window)).collect();
         let first = epochs.first().copied().unwrap_or(0);
         Self { bank, epochs, first }
     }
 
-    /// The node's in-span samples without storage accounting (cheap metadata reads:
-    /// `samples`, `window_len`) — mirrors the uncharged `SlidingWindow::iter` path
-    /// the [`HistoricDataset`] source uses for the same operations.
-    fn in_span(&mut self, node: NodeId) -> Vec<(Epoch, f64)> {
-        let first = self.first;
-        self.bank
-            .window_mut(node)
-            .map(|w| w.iter().filter(|&(e, _)| e >= first).collect())
-            .unwrap_or_default()
+    /// The newest covered epoch — for a restored bank, the epoch its snapshot was
+    /// taken at.
+    pub fn snapshot_epoch(&self) -> Option<Epoch> {
+        self.epochs.last().copied()
     }
 
-    /// The node's in-span samples charged as one full flash scan — mirrors the
-    /// page-read accounting of `SlidingWindow::local_top_k`/`values_at_least` so an
-    /// engine-served query records the same class of storage cost as a replay.  (The
-    /// scan covers the whole shared window, which may exceed the span when the bank
-    /// keeps longer history for another session — the flash does not know which
-    /// epochs the reader wants.)
-    fn scan_span(&mut self, node: NodeId) -> Vec<(Epoch, f64)> {
-        let first = self.first;
-        self.bank
-            .window_mut(node)
-            .map(|w| w.scan().into_iter().filter(|&(e, _)| e >= first).collect())
-            .unwrap_or_default()
+    /// The whole bank behind the view, span or not.
+    pub fn bank(&self) -> &WindowBank {
+        self.bank.borrow()
     }
 }
 
-impl WindowSource for BankWindows<'_> {
-    fn source_nodes(&self) -> Vec<NodeId> {
-        self.bank.node_ids()
+impl<B: BorrowMut<WindowBank>> WindowSource for BankWindows<B> {
+    fn source_nodes(&self) -> &[NodeId] {
+        self.bank().node_ids()
     }
 
-    fn covered_epochs(&self) -> Vec<Epoch> {
-        self.epochs.clone()
+    fn covered_epochs(&self) -> &[Epoch] {
+        &self.epochs
     }
 
-    fn samples(&mut self, node: NodeId) -> Vec<(Epoch, f64)> {
-        self.in_span(node)
+    fn samples(&mut self, node: NodeId) -> &[(Epoch, f64)] {
+        span_of(self.bank.borrow_mut().window_mut(node), self.first, false)
     }
 
-    fn local_top_k(&mut self, node: NodeId, k: usize) -> Vec<(Epoch, f64)> {
-        let mut all = self.scan_span(node);
-        all.sort_by(|a, b| cmp_value(b.1, a.1).then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
+    fn local_top_k(&mut self, node: NodeId, k: usize, best: &mut Vec<(Epoch, f64)>) {
+        top_k_into(span_of(self.bank.borrow_mut().window_mut(node), self.first, true), k, best);
     }
 
-    fn values_at_least(&mut self, node: NodeId, threshold: f64) -> Vec<(Epoch, f64)> {
-        self.scan_span(node).into_iter().filter(|&(_, v)| v >= threshold).collect()
+    fn values_at_least(&mut self, node: NodeId, threshold: f64, found: &mut Vec<(Epoch, f64)>) {
+        let scanned = span_of(self.bank.borrow_mut().window_mut(node), self.first, true);
+        found.clear();
+        found.extend(scanned.iter().filter(|&&(_, v)| v >= threshold));
     }
 
     fn value_at(&mut self, node: NodeId, epoch: Epoch) -> Option<f64> {
         if epoch < self.first {
             return None;
         }
-        self.bank.window_mut(node).and_then(|w| w.get(epoch))
+        self.bank.borrow_mut().window_mut(node).and_then(|w| w.get(epoch))
     }
 
     fn window_len(&mut self, node: NodeId) -> usize {
-        self.in_span(node).len()
+        self.samples(node).len()
     }
 }
 
 /// The distributed historic dataset: one sliding window per sensor node.
 #[derive(Debug, Clone)]
 pub struct HistoricDataset {
-    windows: BTreeMap<NodeId, SlidingWindow>,
+    windows: WindowBank,
     epochs: Vec<Epoch>,
 }
 
@@ -224,26 +244,16 @@ impl HistoricDataset {
     /// query arrives.
     pub fn collect(workload: &mut Workload, window: usize) -> Self {
         assert!(window > 0, "cannot collect an empty window");
-        let mut windows: BTreeMap<NodeId, SlidingWindow> = BTreeMap::new();
-        let mut epochs = Vec::with_capacity(window);
+        let mut windows = WindowBank::new(window);
         for _ in 0..window {
-            let readings = workload.next_epoch();
-            if let Some(first) = readings.first() {
-                epochs.push(first.epoch);
-            }
-            for r in readings {
-                windows
-                    .entry(r.node)
-                    .or_insert_with(|| SlidingWindow::new(window))
-                    .push(r.epoch, r.value);
-            }
+            windows.feed(&workload.next_epoch());
         }
-        Self { windows, epochs }
+        windows.into()
     }
 
     /// Number of nodes holding a window.
     pub fn num_nodes(&self) -> usize {
-        self.windows.len()
+        self.windows.node_ids().len()
     }
 
     /// The epochs covered by the window, oldest first.
@@ -253,23 +263,22 @@ impl HistoricDataset {
 
     /// Mutable access to one node's window (storage reads are accounted inside).
     pub fn window_mut(&mut self, node: NodeId) -> &mut SlidingWindow {
-        self.windows.get_mut(&node).unwrap_or_else(|| panic!("node {node} holds no window"))
+        self.windows.window_mut(node).unwrap_or_else(|| panic!("node {node} holds no window"))
     }
 
     /// The value node `node` buffered for `epoch`, if still in its window.
     pub fn value_at(&mut self, node: NodeId, epoch: Epoch) -> Option<f64> {
-        self.windows.get_mut(&node).and_then(|w| w.get(epoch))
+        self.windows.window_mut(node).and_then(|w| w.get(epoch))
     }
 
     /// Node identifiers holding windows, ascending.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.windows.keys().copied().collect()
+        self.windows.node_ids().to_vec()
     }
 
     /// Omniscient reference answer: the exact Top-K epochs under the spec's aggregate.
     pub fn exact_reference(&self, spec: &HistoricSpec) -> TopKResult {
-        let all: Vec<NodeId> = self.windows.keys().copied().collect();
-        self.exact_reference_over(spec, &all)
+        self.exact_reference_over(spec, self.windows.node_ids())
     }
 
     /// Reference answer restricted to the windows of `nodes` — the oracle for runs in
@@ -277,43 +286,44 @@ impl HistoricDataset {
     /// to the nodes that could answer).
     pub fn exact_reference_over(&self, spec: &HistoricSpec, nodes: &[NodeId]) -> TopKResult {
         let mut per_epoch: BTreeMap<Epoch, Vec<f64>> = BTreeMap::new();
-        for (node, window) in &self.windows {
-            if !nodes.contains(node) {
-                continue;
-            }
+        for (_, window) in self.windows.windows().filter(|(node, _)| nodes.contains(node)) {
             for (e, v) in window.iter() {
                 per_epoch.entry(e).or_default().push(v);
             }
         }
-        let items = per_epoch
-            .into_iter()
-            .filter_map(|(e, vals)| exact_aggregate(spec.func, &vals).map(|v| RankedItem::new(e, v)))
-            .collect();
-        let mut result = TopKResult::new(*self.epochs.last().unwrap_or(&0), items);
-        result.items.truncate(spec.k);
-        result
+        ranked_epochs(per_epoch, spec, *self.epochs.last().unwrap_or(&0))
+    }
+}
+
+impl From<WindowBank> for HistoricDataset {
+    /// The dataset of exactly what `windows` buffers.
+    fn from(windows: WindowBank) -> Self {
+        let epochs = windows.epochs().collect();
+        Self { windows, epochs }
     }
 }
 
 impl WindowSource for HistoricDataset {
-    fn source_nodes(&self) -> Vec<NodeId> {
-        self.node_ids()
+    fn source_nodes(&self) -> &[NodeId] {
+        self.windows.node_ids()
     }
 
-    fn covered_epochs(&self) -> Vec<Epoch> {
-        self.epochs.clone()
+    fn covered_epochs(&self) -> &[Epoch] {
+        &self.epochs
     }
 
-    fn samples(&mut self, node: NodeId) -> Vec<(Epoch, f64)> {
-        self.windows.get_mut(&node).map(|w| w.iter().collect()).unwrap_or_default()
+    fn samples(&mut self, node: NodeId) -> &[(Epoch, f64)] {
+        span_of(self.windows.window_mut(node), 0, false)
     }
 
-    fn local_top_k(&mut self, node: NodeId, k: usize) -> Vec<(Epoch, f64)> {
-        self.windows.get_mut(&node).map(|w| w.local_top_k(k)).unwrap_or_default()
+    fn local_top_k(&mut self, node: NodeId, k: usize, best: &mut Vec<(Epoch, f64)>) {
+        top_k_into(span_of(self.windows.window_mut(node), 0, true), k, best);
     }
 
-    fn values_at_least(&mut self, node: NodeId, threshold: f64) -> Vec<(Epoch, f64)> {
-        self.windows.get_mut(&node).map(|w| w.values_at_least(threshold)).unwrap_or_default()
+    fn values_at_least(&mut self, node: NodeId, threshold: f64, found: &mut Vec<(Epoch, f64)>) {
+        let scanned = span_of(self.windows.window_mut(node), 0, true);
+        found.clear();
+        found.extend(scanned.iter().filter(|&&(_, v)| v >= threshold));
     }
 
     fn value_at(&mut self, node: NodeId, epoch: Epoch) -> Option<f64> {
@@ -321,7 +331,7 @@ impl WindowSource for HistoricDataset {
     }
 
     fn window_len(&mut self, node: NodeId) -> usize {
-        self.windows.get_mut(&node).map(|w| w.len()).unwrap_or(0)
+        self.samples(node).len()
     }
 }
 
@@ -409,11 +419,13 @@ impl HistoricAlgorithm for LocalAggregateHistoric {
     fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult {
         let epoch = data.covered_epochs().last().copied().unwrap_or(0);
         let mut readings = Vec::new();
-        for node in data.source_nodes() {
-            if !net.node_participating(node) {
+        let mut values = Vec::new();
+        for node in data.source_nodes().to_vec() {
+            if !can_answer(net, node) {
                 continue;
             }
-            let values: Vec<f64> = data.samples(node).into_iter().map(|(_, v)| v).collect();
+            values.clear();
+            values.extend(data.samples(node).iter().map(|&(_, v)| v));
             net.charge_cpu(node, values.len() as u32);
             if let Some(v) = exact_aggregate(self.spec.func, &values) {
                 readings.push(Reading::new(node, net.deployment().group_of(node), epoch, v));
@@ -562,6 +574,49 @@ mod tests {
     }
 
     #[test]
+    fn a_node_without_a_window_relays_and_a_window_without_a_node_is_ignored() {
+        // Node 6 of the grid never fed the bank; node 99, which the grid does not
+        // have, did.  Every strategy answers over the fourteen windows both know of.
+        use crate::tja::Tja;
+        use crate::tput::Tput;
+        let d = Deployment::grid(4, 10.0, Some(4));
+        let mut w = Workload::room_correlated(&d, ValueDomain::percentage(), RoomModelParams::default(), 5);
+        let (mut bank, mut native) = (WindowBank::new(16), WindowBank::new(16));
+        for _ in 0..16 {
+            let mut readings = w.next_epoch();
+            readings.retain(|r| r.node != 6);
+            native.feed(&readings);
+            readings.push(Reading::new(99, 0, readings[0].epoch, 100.0));
+            bank.feed(&readings);
+        }
+        let owners: Vec<NodeId> = d.node_ids().into_iter().filter(|&node| node != 6).collect();
+        let spec = HistoricSpec::new(3, AggFunc::Avg, ValueDomain::percentage(), 16);
+        let exact = exact_over_source(&mut BankWindows::new(&mut bank, 16), &spec, &owners);
+
+        let vertical: [&mut dyn HistoricAlgorithm; 3] =
+            [&mut Tja::new(spec), &mut Tput::new(spec), &mut CentralizedHistoric::new(spec)];
+        for algo in vertical {
+            let mut net = Network::new(d.clone(), NetworkConfig::ideal());
+            let result = algo.execute(&mut net, &mut BankWindows::new(&mut bank, 16));
+            assert!(result.same_ranking(&exact) && result.approx_eq(&exact, 1e-9), "{}: {result}", algo.name());
+        }
+
+        // TJA's Lower-Bound report is made even when empty: one per node, 6 included.
+        let mut net = Network::new(d.clone(), NetworkConfig::ideal());
+        Tja::new(spec).execute(&mut net, &mut BankWindows::new(&mut bank, 16));
+        assert_eq!(net.metrics().phase(PhaseTag::LowerBound).messages, 16);
+
+        // The horizontal strategy: as if window 99 were not there.
+        let spec = SnapshotSpec::new(2, AggFunc::Avg, ValueDomain::percentage());
+        let run = |bank: &mut WindowBank| {
+            let mut net = Network::new(d.clone(), NetworkConfig::ideal());
+            let result = LocalAggregateHistoric::new(spec).execute(&mut net, &mut BankWindows::new(bank, 16));
+            (result, net.metrics().totals())
+        };
+        assert_eq!(run(&mut bank), run(&mut native));
+    }
+
+    #[test]
     fn bank_view_limits_the_span_to_the_last_window_epochs() {
         // A session with a shorter WITH HISTORY span than the bank's capacity must see
         // only its own window — never the extra history the bank keeps for others.
@@ -573,12 +628,15 @@ mod tests {
             bank.feed(&[Reading::new(1, 0, e, v)]);
         }
         let mut view = BankWindows::new(&mut bank, 4);
-        assert_eq!(view.covered_epochs(), vec![4, 5, 6, 7]);
+        assert_eq!(view.covered_epochs(), [4, 5, 6, 7]);
         assert_eq!(view.window_len(1), 4);
         assert_eq!(view.value_at(1, 1), None, "out-of-span lookups miss");
         assert_eq!(view.value_at(1, 5), Some(5.0));
-        assert_eq!(view.local_top_k(1, 2), vec![(7, 7.0), (6, 6.0)]);
-        assert_eq!(view.values_at_least(1, 6.0), vec![(6, 6.0), (7, 7.0)]);
+        let mut found = Vec::new();
+        view.local_top_k(1, 2, &mut found);
+        assert_eq!(found, [(7, 7.0), (6, 6.0)]);
+        view.values_at_least(1, 6.0, &mut found);
+        assert_eq!(found, [(6, 6.0), (7, 7.0)]);
         assert_eq!(view.samples(1).len(), 4);
         assert!(view.samples(9).is_empty(), "unknown nodes hold nothing");
         // Ranked and threshold scans pay flash page reads, like the replay path.

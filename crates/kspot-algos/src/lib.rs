@@ -39,6 +39,7 @@ mod reference;
 pub mod result;
 pub mod snapshot;
 pub mod tag;
+mod threshold;
 pub mod tja;
 pub mod tput;
 pub mod view;

@@ -1,8 +1,9 @@
-//! The map-based convergecast loops the crate shipped before the allocation-free
-//! kernel ([`crate::tag::convergecast_full`]), kept verbatim as the
-//! oracle: a property test drives both over random trees, aggregates, fault plans and
-//! co-registered scopes and demands the same answers and — compared bit for bit — the
-//! same ledgers and batteries.
+//! The map-based loops the crate shipped before its flat kernels, kept verbatim as the
+//! oracles: the convergecast of the snapshot algorithms (now
+//! [`crate::tag::convergecast_full`]) and, in [`historic`], TJA and TPUT as they ran
+//! before the flat epoch table (`crate::threshold`).  Property tests drive old and new
+//! over random trees, aggregates, windows, fault plans and co-registered scopes and
+//! demand the same answers and — compared bit for bit — the same ledgers and batteries.
 
 use crate::centralized::CentralizedCollection;
 use crate::mint::MintViews;
@@ -132,7 +133,12 @@ mod properties {
     use kspot_net::fault::{DutyCycle, FaultPlan};
     use kspot_net::topology::{DeploymentKind, NodeSpec, Position};
     use kspot_net::types::ValueDomain;
-    use kspot_net::{Deployment, NetworkConfig, NetworkMetrics, PhaseTotals, RadioModel, Workload};
+    use crate::historic::{BankWindows, HistoricAlgorithm, HistoricDataset, HistoricSpec, WindowSource};
+    use crate::tja::Tja;
+    use crate::tput::Tput;
+    use kspot_net::{
+        Deployment, NetworkConfig, NetworkMetrics, PhaseTotals, RadioModel, WindowBank, Workload,
+    };
     use kspot_query::AggFunc;
     use proptest::prelude::*;
     use rand::Rng;
@@ -348,6 +354,605 @@ mod properties {
         let mut mint = MintViews::new(spec);
         for _ in 0..3 {
             assert_eq!(mint.execute_epoch(&mut net, &readings).items.len(), 2);
+        }
+    }
+
+    // ------------------------------------------------------------ the historic kernel
+
+    /// One differential case of the threshold kernel: what the windows hold, who asks
+    /// over which source, and what the network does to the answer.
+    #[derive(Debug, Clone, Copy)]
+    struct HistoricCase {
+        window: usize,
+        k: usize,
+        func: AggFunc,
+        /// 0: a `HistoricDataset`; 1: the live view, borrowed from a bank that remembers
+        /// three epochs more than the span; 2: the same view owning its bank, as a
+        /// restore opens it.
+        source: usize,
+        /// 0: one epoch per feed; 1: gaps between them; 2: some feeds repeat the epoch
+        /// before; 3: the odd nodes' clocks run one epoch ahead of the feed's.
+        calendar: usize,
+        loss_pct: u32,
+        retransmits: u32,
+        death: bool,
+        duty: bool,
+        battery_uj: f64,
+        nan: bool,
+        seed: u64,
+    }
+
+    /// What a case exercised, for the tests that demand a case exercises it.
+    #[derive(Debug, Default, PartialEq)]
+    struct Exercised {
+        cleanup_pulls: usize,
+        phase3_fetches: usize,
+        depleted_mid_run: usize,
+    }
+
+    enum Source<'a> {
+        Dataset(HistoricDataset),
+        Live(BankWindows<&'a mut WindowBank>),
+        Restored(BankWindows<WindowBank>),
+    }
+
+    impl<'a> Source<'a> {
+        fn open(bank: &'a mut WindowBank, case: &HistoricCase) -> Self {
+            match case.source {
+                0 => Source::Dataset(bank.clone().into()),
+                1 => Source::Live(BankWindows::new(bank, case.window)),
+                _ => Source::Restored(BankWindows::new(bank.clone(), case.window)),
+            }
+        }
+
+        fn windows(&mut self) -> &mut dyn WindowSource {
+            match self {
+                Source::Dataset(data) => data,
+                Source::Live(view) => view,
+                Source::Restored(view) => view,
+            }
+        }
+
+        /// Every window's page reads, ascending by node.
+        fn page_reads(&mut self) -> Vec<u64> {
+            match self {
+                Source::Dataset(data) => {
+                    data.node_ids().into_iter().map(|node| data.window_mut(node).page_reads()).collect()
+                }
+                Source::Live(view) => view.bank().windows().map(|(_, w)| w.page_reads()).collect(),
+                Source::Restored(view) => view.bank().windows().map(|(_, w)| w.page_reads()).collect(),
+            }
+        }
+    }
+
+    /// The windows of a case: one feed per covered epoch (and three older ones where the
+    /// source is a view), values on a grid of fives in every third case so that ranks tie.
+    fn fed_bank(d: &Deployment, case: &HistoricCase) -> WindowBank {
+        let feeds = case.window + if case.source == 0 { 0 } else { 3 };
+        let mut bank = WindowBank::new(feeds);
+        let mut rng = kspot_net::rng::stream_rng(case.seed, &[0xDA7A]);
+        let nodes = d.node_ids();
+        let poisoned = (feeds - 1 - case.window / 2, nodes[case.seed as usize % nodes.len()]);
+        let mut epoch = 10 + case.seed % 5;
+        for feed in 0..feeds {
+            epoch += match case.calendar {
+                1 => rng.gen_range(1..4u64),
+                2 => u64::from(rng.gen_range(0..3u32) > 0),
+                _ => 1,
+            };
+            let readings: Vec<Reading> = nodes
+                .iter()
+                .map(|&node| {
+                    let ahead = if case.calendar == 3 { u64::from(node % 2) } else { 0 };
+                    let value = if case.nan && (feed, node) == poisoned {
+                        f64::NAN
+                    } else if case.seed.is_multiple_of(3) {
+                        f64::from(rng.gen_range(0..=20u32)) * 5.0
+                    } else {
+                        rng.gen_range(0.0..=100.0)
+                    };
+                    Reading::new(node, d.group_of(node), epoch + ahead, value)
+                })
+                .collect();
+            bank.feed(&readings);
+        }
+        bank
+    }
+
+    /// Runs TJA and TPUT on the kernel and on the map-based reference over equal
+    /// windows and equal networks and demands that nothing observable tells them apart.
+    fn assert_historic_case(d: &Deployment, case: &HistoricCase) -> Exercised {
+        let bank = fed_bank(d, case);
+        let n = d.num_nodes() as u64;
+        let mut faults = FaultPlan::none()
+            .with_link_loss(f64::from(case.loss_pct) / 100.0)
+            .with_retransmits(case.retransmits);
+        if case.death {
+            faults = faults.with_node_death(1 + (case.seed % n) as NodeId, 5);
+        }
+        if case.duty {
+            faults = faults.with_duty_cycle(DutyCycle::new(4, 3));
+        }
+        let config = NetworkConfig::mica2()
+            .with_radio(RadioModel::mica2().with_loss(0.02))
+            .with_seed(case.seed)
+            .with_battery_uj(case.battery_uj)
+            .with_faults(faults);
+        let spec = HistoricSpec::new(case.k, case.func, ValueDomain::percentage(), case.window);
+        let query_epoch = bank.epochs().next_back().expect("a case feeds at least one epoch");
+
+        let mut exercised = Exercised::default();
+        for tput in [false, true] {
+            let mut sides = Vec::new();
+            for reference in [false, true] {
+                let mut net = Network::new(d.clone(), config.clone());
+                net.begin_epoch(query_epoch);
+                net.set_query_scope(Some(7));
+                let depleted_before = net.batteries().depleted_count();
+                let mut bank = bank.clone();
+                let mut source = Source::open(&mut bank, case);
+                let (result, stats) = match (tput, reference) {
+                    (false, false) => {
+                        let mut tja = Tja::new(spec);
+                        let result = tja.execute(&mut net, source.windows());
+                        exercised.cleanup_pulls += tja.stats().cleanup_pulls;
+                        (result, format!("{:?}", tja.stats()))
+                    }
+                    (false, true) => {
+                        let mut tja = super::historic::Tja { spec, stats: Default::default() };
+                        (tja.execute(&mut net, source.windows()), format!("{:?}", tja.stats))
+                    }
+                    (true, false) => {
+                        let mut tput = Tput::new(spec);
+                        let result = tput.execute(&mut net, source.windows());
+                        exercised.phase3_fetches += tput.stats().phase3_fetches;
+                        (result, format!("{:?}", tput.stats()))
+                    }
+                    (true, true) => {
+                        let mut tput = super::historic::Tput { spec, stats: Default::default() };
+                        (tput.execute(&mut net, source.windows()), format!("{:?}", tput.stats))
+                    }
+                };
+                if !reference {
+                    exercised.depleted_mid_run += net.batteries().depleted_count() - depleted_before;
+                }
+                let batteries: Vec<u64> =
+                    (1..=n as NodeId).map(|id| net.batteries().get(id).remaining_uj().to_bits()).collect();
+                sides.push((result_bits(&result), stats, ledger_bits(net.metrics()), batteries, source.page_reads()));
+            }
+            prop_assert_eq!(&sides[0], &sides[1], "{} diverged", if tput { "TPUT" } else { "TJA" });
+        }
+        exercised
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// TJA and TPUT on the flat epoch table and on the map-based reference are
+        /// indistinguishable from the outside: answers and scores, statistics, every
+        /// ledger axis, every battery and every window's page reads, bit for bit.
+        #[test]
+        fn threshold_kernel_matches_the_map_based_reference(
+            raw in prop::collection::vec(0u32..100_000, 1..120),
+            window in 1usize..129,
+            k_draw in 0usize..1_000,
+            sum in prop_oneof![Just(false), Just(true)],
+            source in 0usize..3,
+            calendar in 0usize..4,
+            loss_pct in prop_oneof![Just(0u32), 0u32..50],
+            retransmits in 0u32..3,
+            death in prop_oneof![Just(false), Just(true)],
+            duty in prop_oneof![Just(false), Just(true)],
+            battery_uj in prop_oneof![Just(1.0e12), 2_000.0f64..200_000.0],
+            nan in prop_oneof![Just(false), Just(false), Just(false), Just(true)],
+            seed in 0u64..1_000_000,
+        ) {
+            let case = HistoricCase {
+                window,
+                k: 1 + k_draw % (window + 1),
+                func: if sum { AggFunc::Sum } else { AggFunc::Avg },
+                source,
+                calendar,
+                loss_pct,
+                retransmits,
+                death,
+                duty,
+                battery_uj,
+                nan,
+                seed,
+            };
+            assert_historic_case(&random_tree(&raw, 3, seed), &case);
+        }
+    }
+
+    /// The corners the random cases need not reach, reached: a battery that gives out
+    /// while the sweep is under way, a Clean-Up (and a TPUT phase 3) that has to pull,
+    /// and a window holding a NaN — each still indistinguishable from the reference.
+    #[test]
+    fn the_kernel_matches_the_reference_through_depletion_clean_up_and_nan() {
+        let raw: Vec<u32> = (0..40).map(|i| i * 7 + 3).collect();
+        let d = random_tree(&raw, 3, 11);
+        let calm = HistoricCase {
+            window: 64,
+            k: 5,
+            func: AggFunc::Avg,
+            source: 1,
+            calendar: 0,
+            loss_pct: 0,
+            retransmits: 0,
+            death: false,
+            duty: false,
+            battery_uj: 1.0e12,
+            nan: false,
+            seed: 11,
+        };
+        let pulled = assert_historic_case(&d, &HistoricCase { loss_pct: 30, retransmits: 1, ..calm });
+        assert!(pulled.cleanup_pulls > 0 && pulled.phase3_fetches > 0, "{pulled:?}");
+        let drained = assert_historic_case(&d, &HistoricCase { battery_uj: 30_000.0, ..calm });
+        assert!(drained.depleted_mid_run > 0, "{drained:?}");
+        for source in 0..3 {
+            assert_historic_case(&d, &HistoricCase { nan: true, source, calendar: source + 1, ..calm });
+        }
+    }
+}
+
+/// `Tja::execute` and `Tput::execute` as the crate shipped them before the flat epoch
+/// table ([`crate::threshold`]), kept verbatim but for how they call the source: per-node
+/// `BTreeMap<Epoch, EpochPartial>` inboxes, `BTreeSet<NodeId>` contributor sets, every
+/// list a fresh `Vec`.  The oracle of `threshold_kernel_matches_the_map_based_reference`.
+mod historic {
+    use crate::historic::{HistoricAlgorithm, HistoricSpec, WindowSource};
+    use crate::result::{RankedItem, TopKResult};
+    use crate::tja::TjaStats;
+    use crate::tput::TputStats;
+    use kspot_net::types::cmp_value;
+    use kspot_net::{Epoch, Network, NodeId, PhaseTag, SINK};
+    use kspot_query::AggFunc;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The previous `WindowSource::local_top_k`: one charged scan, then a full sort of
+    /// a fresh copy under the comparator spelled out here, not shared with the source.
+    fn local_top_k(data: &mut dyn WindowSource, node: NodeId, k: usize) -> Vec<(Epoch, f64)> {
+        data.local_top_k(node, 0, &mut Vec::new());
+        let mut all = data.samples(node).to_vec();
+        all.sort_by(|a, b| cmp_value(b.1, a.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    }
+
+    fn values_at_least(data: &mut dyn WindowSource, node: NodeId, threshold: f64) -> Vec<(Epoch, f64)> {
+        let mut found = Vec::new();
+        data.values_at_least(node, threshold, &mut found);
+        found
+    }
+
+    #[derive(Debug, Clone, Default)]
+    struct EpochPartial {
+        sum: f64,
+        contributors: BTreeSet<NodeId>,
+    }
+
+    fn score(spec: &HistoricSpec, sum: f64, n: usize) -> f64 {
+        match spec.func {
+            AggFunc::Avg => sum / n as f64,
+            _ => sum,
+        }
+    }
+
+    /// The previous TJA executor.
+    pub(super) struct Tja {
+        pub(super) spec: HistoricSpec,
+        pub(super) stats: TjaStats,
+    }
+
+    impl Tja {
+        fn score(&self, sum: f64, n: usize) -> f64 {
+            score(&self.spec, sum, n)
+        }
+    }
+
+    impl HistoricAlgorithm for Tja {
+        fn name(&self) -> &'static str {
+            "TJA (reference)"
+        }
+
+        fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult {
+            let k = self.spec.k;
+            let query_epoch = data.covered_epochs().last().copied().unwrap_or(0);
+            // Only nodes that are alive and awake at query time can answer; the threshold
+            // algebra runs over that population, scoping exactness to reachable data.
+            let node_ids: Vec<NodeId> =
+                data.source_nodes().iter().copied().filter(|&id| net.node_participating(id)).collect();
+            let n = node_ids.len();
+            if n == 0 {
+                return TopKResult::new(query_epoch, Vec::new());
+            }
+
+            // ------------------------------------------------------------------ LB phase
+            // Each node's local top-k list; lists are unioned (merged per epoch) on the way
+            // up, so a node transmits one tuple per distinct epoch in its subtree's union.
+            let mut local_topk: BTreeMap<NodeId, Vec<(Epoch, f64)>> = BTreeMap::new();
+            for &node in &node_ids {
+                let list = local_top_k(data, node, k);
+                net.charge_cpu(node, list.len() as u32);
+                local_topk.insert(node, list);
+            }
+            let mut inbox: BTreeMap<NodeId, BTreeMap<Epoch, EpochPartial>> = BTreeMap::new();
+            for node in net.tree().post_order() {
+                if !net.node_participating(node) {
+                    continue;
+                }
+                let mut union: BTreeMap<Epoch, EpochPartial> = inbox.remove(&node).unwrap_or_default();
+                for &(e, v) in &local_topk[&node] {
+                    let entry = union.entry(e).or_default();
+                    entry.sum += v;
+                    entry.contributors.insert(node);
+                }
+                if let Some(parent) =
+                    net.send_report_up(node, query_epoch, union.len() as u32, 0, PhaseTag::LowerBound)
+                {
+                    let parent_box = inbox.entry(parent).or_default();
+                    for (e, partial) in union {
+                        let slot = parent_box.entry(e).or_default();
+                        slot.sum += partial.sum;
+                        slot.contributors.extend(partial.contributors);
+                    }
+                }
+            }
+            let mut assembled: BTreeMap<Epoch, EpochPartial> = inbox.remove(&SINK).unwrap_or_default();
+            self.stats.lsink_size = assembled.len();
+
+            // τ₁ = K-th highest partial sum over L_sink; θ = τ₁ / n.
+            // A partial sum poisoned by a corrupted NaN reading carries no evidence for
+            // the threshold algebra, so it is demoted to -inf before the sort: left in
+            // place, a descending `total_cmp` would rank it above every real sum and
+            // inflate τ₁ to the (k-1)-th real value — an unsafely high θ that could
+            // eliminate a true answer.  A -inf τ₁ instead degrades θ to the domain
+            // minimum (no elimination).  With NaN-free input `total_cmp` keeps the sort
+            // a total order (an inconsistent comparator could silently misorder reals).
+            let mut partial_sums: Vec<f64> =
+                assembled.values().map(|p| if p.sum.is_nan() { f64::NEG_INFINITY } else { p.sum }).collect();
+            partial_sums.sort_by(|a, b| b.total_cmp(a));
+            let tau1 = partial_sums.get(k - 1).copied().unwrap_or(0.0);
+            let theta = (tau1 / n as f64).max(self.spec.domain.min);
+            let lsink: BTreeSet<Epoch> = assembled.keys().copied().collect();
+
+            // ------------------------------------------------------------------ HJ phase
+            // Disseminate L_sink and θ, then join the surviving tuples hierarchically.
+            net.flood_down(query_epoch, lsink.len() as u32 + 1, PhaseTag::HierarchicalJoin);
+            let mut hj_contrib: BTreeMap<NodeId, Vec<(Epoch, f64)>> = BTreeMap::new();
+            for &node in &node_ids {
+                let already: BTreeSet<Epoch> = local_topk[&node].iter().map(|&(e, _)| e).collect();
+                let mut send: Vec<(Epoch, f64)> = Vec::new();
+                for (e, v) in data.samples(node).to_vec() {
+                    if already.contains(&e) {
+                        continue;
+                    }
+                    if v >= theta || lsink.contains(&e) {
+                        send.push((e, v));
+                    }
+                }
+                net.charge_cpu(node, send.len() as u32);
+                hj_contrib.insert(node, send);
+            }
+            let mut inbox: BTreeMap<NodeId, BTreeMap<Epoch, EpochPartial>> = BTreeMap::new();
+            for node in net.tree().post_order() {
+                if !net.node_participating(node) {
+                    continue;
+                }
+                let mut joined: BTreeMap<Epoch, EpochPartial> = inbox.remove(&node).unwrap_or_default();
+                for &(e, v) in &hj_contrib[&node] {
+                    let entry = joined.entry(e).or_default();
+                    entry.sum += v;
+                    entry.contributors.insert(node);
+                }
+                if joined.is_empty() {
+                    continue;
+                }
+                if let Some(parent) = net.send_report_up(
+                    node,
+                    query_epoch,
+                    joined.len() as u32,
+                    0,
+                    PhaseTag::HierarchicalJoin,
+                ) {
+                    let parent_box = inbox.entry(parent).or_default();
+                    for (e, partial) in joined {
+                        let slot = parent_box.entry(e).or_default();
+                        slot.sum += partial.sum;
+                        slot.contributors.extend(partial.contributors);
+                    }
+                }
+            }
+            if let Some(hj_at_sink) = inbox.remove(&SINK) {
+                for (e, partial) in hj_at_sink {
+                    let slot = assembled.entry(e).or_default();
+                    slot.sum += partial.sum;
+                    slot.contributors.extend(partial.contributors);
+                }
+            }
+            self.stats.candidates = assembled.len();
+
+            // --------------------------------------------------------------- Clean-Up phase
+            // Bounds: a value still missing for a candidate epoch must be below θ (its owner
+            // would have reported it otherwise), so UB = sum + missing·θ, LB = sum +
+            // missing·domain.min.
+            let lower_of = |p: &EpochPartial| p.sum + (n - p.contributors.len()) as f64 * self.spec.domain.min;
+            let upper_of = |p: &EpochPartial| p.sum + (n - p.contributors.len()) as f64 * theta;
+            // NaN lower bounds are demoted to -inf for the same reason as in the LB
+            // phase: a poisoned bound must weaken the clean-up threshold, not inflate it.
+            let mut lower_bounds: Vec<f64> = assembled
+                .values()
+                .map(|p| {
+                    let lb = lower_of(p);
+                    if lb.is_nan() { f64::NEG_INFINITY } else { lb }
+                })
+                .collect();
+            lower_bounds.sort_by(|a, b| b.total_cmp(a));
+            let kth_lower = lower_bounds.get(k - 1).copied().unwrap_or(f64::NEG_INFINITY);
+
+            let to_resolve: Vec<Epoch> = assembled
+                .iter()
+                .filter(|(_, p)| p.contributors.len() < n && upper_of(p) >= kth_lower)
+                .map(|(e, _)| *e)
+                .collect();
+            for e in to_resolve {
+                let missing: Vec<NodeId> = node_ids
+                    .iter()
+                    .copied()
+                    .filter(|node| !assembled[&e].contributors.contains(node))
+                    .collect();
+                for node in missing {
+                    let down = net.unicast_down(node, query_epoch, 1, PhaseTag::CleanUp);
+                    let up = net.unicast_up(node, query_epoch, 1, PhaseTag::CleanUp);
+                    self.stats.cleanup_pulls += 1;
+                    if down.is_none() || up.is_none() {
+                        continue; // the pull was dropped; the epoch stays incomplete
+                    }
+                    if let Some(v) = data.value_at(node, e) {
+                        let slot = assembled.get_mut(&e).expect("candidate exists");
+                        slot.sum += v;
+                        slot.contributors.insert(node);
+                    }
+                }
+            }
+
+            // Final ranking over the epochs now known exactly.
+            let items: Vec<RankedItem> = assembled
+                .iter()
+                .filter(|(_, p)| p.contributors.len() == n)
+                .map(|(e, p)| RankedItem::new(*e, self.score(p.sum, n)))
+                .collect();
+            let mut result = TopKResult::new(query_epoch, items);
+            result.items.truncate(k);
+            result
+        }
+    }
+
+    /// The previous TPUT executor.
+    pub(super) struct Tput {
+        pub(super) spec: HistoricSpec,
+        pub(super) stats: TputStats,
+    }
+
+    impl Tput {
+        fn score(&self, sum: f64, n: usize) -> f64 {
+            score(&self.spec, sum, n)
+        }
+    }
+
+    impl HistoricAlgorithm for Tput {
+        fn name(&self) -> &'static str {
+            "TPUT (reference)"
+        }
+
+        fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult {
+            let k = self.spec.k;
+            let query_epoch = data.covered_epochs().last().copied().unwrap_or(0);
+            // Only nodes alive and awake at query time can answer (see `kspot_net::fault`).
+            let node_ids: Vec<NodeId> =
+                data.source_nodes().iter().copied().filter(|&id| net.node_participating(id)).collect();
+            let n = node_ids.len();
+            if n == 0 {
+                return TopKResult::new(query_epoch, Vec::new());
+            }
+            let mut assembled: BTreeMap<Epoch, EpochPartial> = BTreeMap::new();
+            let absorb = |assembled: &mut BTreeMap<Epoch, EpochPartial>, node: NodeId, e: Epoch, v: f64| {
+                let slot = assembled.entry(e).or_default();
+                if slot.contributors.insert(node) {
+                    slot.sum += v;
+                }
+            };
+
+            // --------------------------------------------------------------- phase 1
+            let mut local_topk: BTreeMap<NodeId, Vec<(Epoch, f64)>> = BTreeMap::new();
+            for &node in &node_ids {
+                let list = local_top_k(data, node, k);
+                net.charge_cpu(node, list.len() as u32);
+                // Flat protocol: the list travels to the sink without merging, paying every
+                // hop of the routing path.  A dropped list never reaches the sink.
+                if net.unicast_up(node, query_epoch, list.len() as u32, PhaseTag::LowerBound).is_some() {
+                    for &(e, v) in &list {
+                        absorb(&mut assembled, node, e, v);
+                    }
+                }
+                local_topk.insert(node, list);
+            }
+            self.stats.phase1_objects = assembled.len();
+            // NaN partial sums are demoted to -inf before the NaN-free `total_cmp` sort;
+            // see the matching comment in `tja.rs` — a poisoned sum must weaken θ (down
+            // to the domain minimum), never inflate it above the true k-th value.
+            let mut partial_sums: Vec<f64> =
+                assembled.values().map(|p| if p.sum.is_nan() { f64::NEG_INFINITY } else { p.sum }).collect();
+            partial_sums.sort_by(|a, b| b.total_cmp(a));
+            let tau1 = partial_sums.get(k - 1).copied().unwrap_or(0.0);
+            let theta = (tau1 / n as f64).max(self.spec.domain.min);
+
+            // --------------------------------------------------------------- phase 2
+            net.flood_down(query_epoch, 1, PhaseTag::Control);
+            for &node in &node_ids {
+                let already: BTreeSet<Epoch> = local_topk[&node].iter().map(|&(e, _)| e).collect();
+                let extra: Vec<(Epoch, f64)> = values_at_least(data, node, theta)
+                    .into_iter()
+                    .filter(|(e, _)| !already.contains(e))
+                    .collect();
+                net.charge_cpu(node, extra.len() as u32);
+                if extra.is_empty() {
+                    continue;
+                }
+                if net.unicast_up(node, query_epoch, extra.len() as u32, PhaseTag::Update).is_some() {
+                    for (e, v) in extra {
+                        absorb(&mut assembled, node, e, v);
+                    }
+                }
+            }
+            self.stats.phase2_objects = assembled.len();
+
+            // --------------------------------------------------------------- phase 3
+            let lower_of = |p: &EpochPartial| p.sum + (n - p.contributors.len()) as f64 * self.spec.domain.min;
+            let upper_of = |p: &EpochPartial| p.sum + (n - p.contributors.len()) as f64 * theta;
+            // As in phase 1: poisoned bounds weaken the fetch threshold, never raise it.
+            let mut lower_bounds: Vec<f64> = assembled
+                .values()
+                .map(|p| {
+                    let lb = lower_of(p);
+                    if lb.is_nan() { f64::NEG_INFINITY } else { lb }
+                })
+                .collect();
+            lower_bounds.sort_by(|a, b| b.total_cmp(a));
+            let kth_lower = lower_bounds.get(k - 1).copied().unwrap_or(f64::NEG_INFINITY);
+            let to_resolve: Vec<Epoch> = assembled
+                .iter()
+                .filter(|(_, p)| p.contributors.len() < n && upper_of(p) >= kth_lower)
+                .map(|(e, _)| *e)
+                .collect();
+            for e in to_resolve {
+                let missing: Vec<NodeId> = node_ids
+                    .iter()
+                    .copied()
+                    .filter(|node| !assembled[&e].contributors.contains(node))
+                    .collect();
+                for node in missing {
+                    let down = net.unicast_down(node, query_epoch, 1, PhaseTag::Probe);
+                    let up = net.unicast_up(node, query_epoch, 1, PhaseTag::Probe);
+                    self.stats.phase3_fetches += 1;
+                    if down.is_none() || up.is_none() {
+                        continue; // the fetch was dropped; the epoch stays incomplete
+                    }
+                    if let Some(v) = data.value_at(node, e) {
+                        absorb(&mut assembled, node, e, v);
+                    }
+                }
+            }
+
+            let items: Vec<RankedItem> = assembled
+                .iter()
+                .filter(|(_, p)| p.contributors.len() == n)
+                .map(|(e, p)| RankedItem::new(*e, self.score(p.sum, n)))
+                .collect();
+            let mut result = TopKResult::new(query_epoch, items);
+            result.items.truncate(k);
+            result
         }
     }
 }

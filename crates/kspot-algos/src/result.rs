@@ -38,14 +38,25 @@ pub struct TopKResult {
     pub items: Vec<RankedItem>,
 }
 
+/// Best first, ties towards the smaller key.
+fn by_rank(a: &RankedItem, b: &RankedItem) -> std::cmp::Ordering {
+    kspot_net::types::cmp_value(b.value, a.value).then(a.key.cmp(&b.key))
+}
+
 impl TopKResult {
     /// Creates a result, sorting the items best-first and breaking ties towards the
     /// smaller key so results are deterministic.
     pub fn new(epoch: Epoch, mut items: Vec<RankedItem>) -> Self {
-        items.sort_by(|a, b| {
-            kspot_net::types::cmp_value(b.value, a.value).then(a.key.cmp(&b.key))
-        });
+        items.sort_by(by_rank);
         Self { epoch, items }
+    }
+
+    /// The `k` best of `candidates`, ranked like [`Self::new`] ranks them.  The
+    /// candidates are sorted where they are — a buffer the caller keeps — and only the
+    /// answer is allocated.  Their keys must be distinct, so that the order is total.
+    pub fn best_of(epoch: Epoch, candidates: &mut [RankedItem], k: usize) -> Self {
+        candidates.sort_unstable_by(by_rank);
+        Self { epoch, items: candidates[..k.min(candidates.len())].to_vec() }
     }
 
     /// The ranked keys, best first.
@@ -115,6 +126,18 @@ mod tests {
         assert_eq!(r.keys(), vec![2, 3, 0, 1]);
         assert_eq!(r.top().unwrap().key, 2);
         assert_eq!(r.epoch, 3);
+    }
+
+    #[test]
+    fn the_best_of_a_buffer_is_the_head_of_the_sorted_construction() {
+        let pairs = [(2, 75.0), (0, 74.5), (3, 75.0), (1, f64::NAN), (4, 41.0)];
+        let mut candidates: Vec<RankedItem> = pairs.iter().map(|&(k, v)| RankedItem::new(k, v)).collect();
+        let full = result(3, &pairs);
+        for k in [0, 1, 3, 5, 9] {
+            let best = TopKResult::best_of(3, &mut candidates, k);
+            assert_eq!(best.keys(), full.keys()[..k.min(5)], "k = {k}");
+            assert_eq!(best.epoch, 3);
+        }
     }
 
     #[test]

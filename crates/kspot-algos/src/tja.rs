@@ -21,11 +21,10 @@
 //! which is what makes the final answer exact.
 
 use crate::historic::{HistoricAlgorithm, HistoricSpec, WindowSource};
-use crate::result::{RankedItem, TopKResult};
-use kspot_net::{Epoch, Network, NodeId, PhaseTag, SINK};
-use kspot_query::AggFunc;
+use crate::result::TopKResult;
+use crate::threshold;
+use kspot_net::{Network, PhaseTag};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-phase statistics of one TJA execution (used by the E6/E7 tables).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,14 +44,6 @@ pub struct Tja {
     stats: TjaStats,
 }
 
-/// A partial per-epoch aggregate assembled at the sink: sum of the values received and
-/// the set of nodes they came from.
-#[derive(Debug, Clone, Default)]
-struct EpochPartial {
-    sum: f64,
-    contributors: BTreeSet<NodeId>,
-}
-
 impl Tja {
     /// Creates the executor.
     pub fn new(spec: HistoricSpec) -> Self {
@@ -63,13 +54,6 @@ impl Tja {
     pub fn stats(&self) -> TjaStats {
         self.stats
     }
-
-    fn score(&self, sum: f64, n: usize) -> f64 {
-        match self.spec.func {
-            AggFunc::Avg => sum / n as f64,
-            _ => sum,
-        }
-    }
 }
 
 impl HistoricAlgorithm for Tja {
@@ -77,176 +61,38 @@ impl HistoricAlgorithm for Tja {
         "TJA (hierarchical)"
     }
 
+    /// Runs the three phases over the windows of `data`.  Only nodes that are alive
+    /// and awake at query time can answer; the threshold algebra runs over that
+    /// population, scoping exactness to reachable data.  A participating node that
+    /// holds no window relays its children's reports and contributes nothing.
     fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult {
-        let k = self.spec.k;
+        let spec = self.spec;
         let query_epoch = data.covered_epochs().last().copied().unwrap_or(0);
-        // Only nodes that are alive and awake at query time can answer; the threshold
-        // algebra runs over that population, scoping exactness to reachable data.
-        let node_ids: Vec<NodeId> =
-            data.source_nodes().into_iter().filter(|&id| net.node_participating(id)).collect();
-        let n = node_ids.len();
-        if n == 0 {
-            return TopKResult::new(query_epoch, Vec::new());
-        }
+        threshold::with_scratch(|run| {
+            if run.begin(net, data) == 0 {
+                return TopKResult::new(query_epoch, Vec::new());
+            }
 
-        // ------------------------------------------------------------------ LB phase
-        // Each node's local top-k list; lists are unioned (merged per epoch) on the way
-        // up, so a node transmits one tuple per distinct epoch in its subtree's union.
-        let mut local_topk: BTreeMap<NodeId, Vec<(Epoch, f64)>> = BTreeMap::new();
-        for &node in &node_ids {
-            let list = data.local_top_k(node, k);
-            net.charge_cpu(node, list.len() as u32);
-            local_topk.insert(node, list);
-        }
-        let mut inbox: BTreeMap<NodeId, BTreeMap<Epoch, EpochPartial>> = BTreeMap::new();
-        for node in net.tree().post_order() {
-            if !net.node_participating(node) {
-                continue;
-            }
-            let mut union: BTreeMap<Epoch, EpochPartial> = inbox.remove(&node).unwrap_or_default();
-            for &(e, v) in &local_topk[&node] {
-                let entry = union.entry(e).or_default();
-                entry.sum += v;
-                entry.contributors.insert(node);
-            }
-            if let Some(parent) =
-                net.send_report_up(node, query_epoch, union.len() as u32, 0, PhaseTag::LowerBound)
-            {
-                let parent_box = inbox.entry(parent).or_default();
-                for (e, partial) in union {
-                    let slot = parent_box.entry(e).or_default();
-                    slot.sum += partial.sum;
-                    slot.contributors.extend(partial.contributors);
-                }
-            }
-        }
-        let mut assembled: BTreeMap<Epoch, EpochPartial> = inbox.remove(&SINK).unwrap_or_default();
-        self.stats.lsink_size = assembled.len();
+            // ------------------------------------------------------------------ LB phase
+            // Each node's local top-k list; lists are unioned (merged per epoch) on the
+            // way up, so a node transmits one tuple per distinct epoch in its subtree's
+            // union.
+            run.local_lists(net, data, spec.k);
+            run.sweep(net, query_epoch, PhaseTag::LowerBound);
+            self.stats.lsink_size = run.assembled.len();
+            let theta = run.theta(&spec);
 
-        // τ₁ = K-th highest partial sum over L_sink; θ = τ₁ / n.
-        // A partial sum poisoned by a corrupted NaN reading carries no evidence for
-        // the threshold algebra, so it is demoted to -inf before the sort: left in
-        // place, a descending `total_cmp` would rank it above every real sum and
-        // inflate τ₁ to the (k-1)-th real value — an unsafely high θ that could
-        // eliminate a true answer.  A -inf τ₁ instead degrades θ to the domain
-        // minimum (no elimination).  With NaN-free input `total_cmp` keeps the sort
-        // a total order (an inconsistent comparator could silently misorder reals).
-        let mut partial_sums: Vec<f64> =
-            assembled.values().map(|p| if p.sum.is_nan() { f64::NEG_INFINITY } else { p.sum }).collect();
-        partial_sums.sort_by(|a, b| b.total_cmp(a));
-        let tau1 = partial_sums.get(k - 1).copied().unwrap_or(0.0);
-        let theta = (tau1 / n as f64).max(self.spec.domain.min);
-        let lsink: BTreeSet<Epoch> = assembled.keys().copied().collect();
+            // ------------------------------------------------------------------ HJ phase
+            // Disseminate L_sink and θ, then join the surviving tuples hierarchically.
+            net.flood_down(query_epoch, self.stats.lsink_size as u32 + 1, PhaseTag::HierarchicalJoin);
+            run.joined_lists(net, data, theta);
+            run.sweep(net, query_epoch, PhaseTag::HierarchicalJoin);
+            self.stats.candidates = run.assembled.len();
 
-        // ------------------------------------------------------------------ HJ phase
-        // Disseminate L_sink and θ, then join the surviving tuples hierarchically.
-        net.flood_down(query_epoch, lsink.len() as u32 + 1, PhaseTag::HierarchicalJoin);
-        let mut hj_contrib: BTreeMap<NodeId, Vec<(Epoch, f64)>> = BTreeMap::new();
-        for &node in &node_ids {
-            let already: BTreeSet<Epoch> = local_topk[&node].iter().map(|&(e, _)| e).collect();
-            let mut send: Vec<(Epoch, f64)> = Vec::new();
-            for (e, v) in data.samples(node) {
-                if already.contains(&e) {
-                    continue;
-                }
-                if v >= theta || lsink.contains(&e) {
-                    send.push((e, v));
-                }
-            }
-            net.charge_cpu(node, send.len() as u32);
-            hj_contrib.insert(node, send);
-        }
-        let mut inbox: BTreeMap<NodeId, BTreeMap<Epoch, EpochPartial>> = BTreeMap::new();
-        for node in net.tree().post_order() {
-            if !net.node_participating(node) {
-                continue;
-            }
-            let mut joined: BTreeMap<Epoch, EpochPartial> = inbox.remove(&node).unwrap_or_default();
-            for &(e, v) in &hj_contrib[&node] {
-                let entry = joined.entry(e).or_default();
-                entry.sum += v;
-                entry.contributors.insert(node);
-            }
-            if joined.is_empty() {
-                continue;
-            }
-            if let Some(parent) = net.send_report_up(
-                node,
-                query_epoch,
-                joined.len() as u32,
-                0,
-                PhaseTag::HierarchicalJoin,
-            ) {
-                let parent_box = inbox.entry(parent).or_default();
-                for (e, partial) in joined {
-                    let slot = parent_box.entry(e).or_default();
-                    slot.sum += partial.sum;
-                    slot.contributors.extend(partial.contributors);
-                }
-            }
-        }
-        if let Some(hj_at_sink) = inbox.remove(&SINK) {
-            for (e, partial) in hj_at_sink {
-                let slot = assembled.entry(e).or_default();
-                slot.sum += partial.sum;
-                slot.contributors.extend(partial.contributors);
-            }
-        }
-        self.stats.candidates = assembled.len();
-
-        // --------------------------------------------------------------- Clean-Up phase
-        // Bounds: a value still missing for a candidate epoch must be below θ (its owner
-        // would have reported it otherwise), so UB = sum + missing·θ, LB = sum +
-        // missing·domain.min.
-        let lower_of = |p: &EpochPartial| p.sum + (n - p.contributors.len()) as f64 * self.spec.domain.min;
-        let upper_of = |p: &EpochPartial| p.sum + (n - p.contributors.len()) as f64 * theta;
-        // NaN lower bounds are demoted to -inf for the same reason as in the LB
-        // phase: a poisoned bound must weaken the clean-up threshold, not inflate it.
-        let mut lower_bounds: Vec<f64> = assembled
-            .values()
-            .map(|p| {
-                let lb = lower_of(p);
-                if lb.is_nan() { f64::NEG_INFINITY } else { lb }
-            })
-            .collect();
-        lower_bounds.sort_by(|a, b| b.total_cmp(a));
-        let kth_lower = lower_bounds.get(k - 1).copied().unwrap_or(f64::NEG_INFINITY);
-
-        let to_resolve: Vec<Epoch> = assembled
-            .iter()
-            .filter(|(_, p)| p.contributors.len() < n && upper_of(p) >= kth_lower)
-            .map(|(e, _)| *e)
-            .collect();
-        for e in to_resolve {
-            let missing: Vec<NodeId> = node_ids
-                .iter()
-                .copied()
-                .filter(|node| !assembled[&e].contributors.contains(node))
-                .collect();
-            for node in missing {
-                let down = net.unicast_down(node, query_epoch, 1, PhaseTag::CleanUp);
-                let up = net.unicast_up(node, query_epoch, 1, PhaseTag::CleanUp);
-                self.stats.cleanup_pulls += 1;
-                if down.is_none() || up.is_none() {
-                    continue; // the pull was dropped; the epoch stays incomplete
-                }
-                if let Some(v) = data.value_at(node, e) {
-                    let slot = assembled.get_mut(&e).expect("candidate exists");
-                    slot.sum += v;
-                    slot.contributors.insert(node);
-                }
-            }
-        }
-
-        // Final ranking over the epochs now known exactly.
-        let items: Vec<RankedItem> = assembled
-            .iter()
-            .filter(|(_, p)| p.contributors.len() == n)
-            .map(|(e, p)| RankedItem::new(*e, self.score(p.sum, n)))
-            .collect();
-        let mut result = TopKResult::new(query_epoch, items);
-        result.items.truncate(k);
-        result
+            // --------------------------------------------------------------- Clean-Up phase
+            self.stats.cleanup_pulls += run.resolve(net, data, &spec, theta, query_epoch, PhaseTag::CleanUp);
+            run.ranking(&spec, query_epoch)
+        })
     }
 }
 
@@ -255,6 +101,7 @@ mod tests {
     use super::*;
     use crate::historic::{CentralizedHistoric, HistoricDataset};
     use kspot_net::types::ValueDomain;
+    use kspot_query::AggFunc;
     use kspot_net::{Deployment, NetworkConfig, RoomModelParams, Workload};
 
     fn setup(nodes_side: usize, window: usize, seed: u64) -> (Deployment, HistoricDataset) {

@@ -16,11 +16,10 @@
 //!    reports the exact Top-K.
 
 use crate::historic::{HistoricAlgorithm, HistoricSpec, WindowSource};
-use crate::result::{RankedItem, TopKResult};
-use kspot_net::{Epoch, Network, NodeId, PhaseTag};
-use kspot_query::AggFunc;
+use crate::result::TopKResult;
+use crate::threshold;
+use kspot_net::{Network, PhaseTag};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Statistics of one TPUT execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,12 +39,6 @@ pub struct Tput {
     stats: TputStats,
 }
 
-#[derive(Debug, Clone, Default)]
-struct EpochPartial {
-    sum: f64,
-    contributors: BTreeSet<NodeId>,
-}
-
 impl Tput {
     /// Creates the executor.
     pub fn new(spec: HistoricSpec) -> Self {
@@ -56,13 +49,6 @@ impl Tput {
     pub fn stats(&self) -> TputStats {
         self.stats
     }
-
-    fn score(&self, sum: f64, n: usize) -> f64 {
-        match self.spec.func {
-            AggFunc::Avg => sum / n as f64,
-            _ => sum,
-        }
-    }
 }
 
 impl HistoricAlgorithm for Tput {
@@ -70,114 +56,51 @@ impl HistoricAlgorithm for Tput {
         "TPUT (flat)"
     }
 
+    /// Runs the three phases over the windows of `data`.  Only nodes alive and awake at
+    /// query time can answer (see `kspot_net::fault`).
     fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult {
-        let k = self.spec.k;
+        let spec = self.spec;
         let query_epoch = data.covered_epochs().last().copied().unwrap_or(0);
-        // Only nodes alive and awake at query time can answer (see `kspot_net::fault`).
-        let node_ids: Vec<NodeId> =
-            data.source_nodes().into_iter().filter(|&id| net.node_participating(id)).collect();
-        let n = node_ids.len();
-        if n == 0 {
-            return TopKResult::new(query_epoch, Vec::new());
-        }
-        let mut assembled: BTreeMap<Epoch, EpochPartial> = BTreeMap::new();
-        let absorb = |assembled: &mut BTreeMap<Epoch, EpochPartial>, node: NodeId, e: Epoch, v: f64| {
-            let slot = assembled.entry(e).or_default();
-            if slot.contributors.insert(node) {
-                slot.sum += v;
+        threshold::with_scratch(|run| {
+            let n = run.begin(net, data);
+            if n == 0 {
+                return TopKResult::new(query_epoch, Vec::new());
             }
-        };
 
-        // --------------------------------------------------------------- phase 1
-        let mut local_topk: BTreeMap<NodeId, Vec<(Epoch, f64)>> = BTreeMap::new();
-        for &node in &node_ids {
-            let list = data.local_top_k(node, k);
-            net.charge_cpu(node, list.len() as u32);
-            // Flat protocol: the list travels to the sink without merging, paying every
-            // hop of the routing path.  A dropped list never reaches the sink.
-            if net.unicast_up(node, query_epoch, list.len() as u32, PhaseTag::LowerBound).is_some() {
-                for &(e, v) in &list {
-                    absorb(&mut assembled, node, e, v);
+            // --------------------------------------------------------------- phase 1
+            for source in 0..n {
+                let node = run.sources[source];
+                data.local_top_k(node, spec.k, &mut run.found);
+                let tuples = run.found.len() as u32;
+                net.charge_cpu(node, tuples);
+                // Flat protocol: the list travels to the sink without merging, paying
+                // every hop of the routing path.  A dropped list never reaches the sink.
+                if net.unicast_up(node, query_epoch, tuples, PhaseTag::LowerBound).is_some() {
+                    run.absorb_found(source);
+                }
+                run.keep_local_list();
+            }
+            self.stats.phase1_objects = run.assembled.len();
+            let theta = run.theta(&spec);
+
+            // --------------------------------------------------------------- phase 2
+            net.flood_down(query_epoch, 1, PhaseTag::Control);
+            for source in 0..n {
+                let node = run.sources[source];
+                data.values_at_least(node, theta, &mut run.found);
+                run.drop_locally_listed(source);
+                let tuples = run.found.len() as u32;
+                net.charge_cpu(node, tuples);
+                if tuples > 0 && net.unicast_up(node, query_epoch, tuples, PhaseTag::Update).is_some() {
+                    run.absorb_found(source);
                 }
             }
-            local_topk.insert(node, list);
-        }
-        self.stats.phase1_objects = assembled.len();
-        // NaN partial sums are demoted to -inf before the NaN-free `total_cmp` sort;
-        // see the matching comment in `tja.rs` — a poisoned sum must weaken θ (down
-        // to the domain minimum), never inflate it above the true k-th value.
-        let mut partial_sums: Vec<f64> =
-            assembled.values().map(|p| if p.sum.is_nan() { f64::NEG_INFINITY } else { p.sum }).collect();
-        partial_sums.sort_by(|a, b| b.total_cmp(a));
-        let tau1 = partial_sums.get(k - 1).copied().unwrap_or(0.0);
-        let theta = (tau1 / n as f64).max(self.spec.domain.min);
+            self.stats.phase2_objects = run.assembled.len();
 
-        // --------------------------------------------------------------- phase 2
-        net.flood_down(query_epoch, 1, PhaseTag::Control);
-        for &node in &node_ids {
-            let already: BTreeSet<Epoch> = local_topk[&node].iter().map(|&(e, _)| e).collect();
-            let extra: Vec<(Epoch, f64)> = data
-                .values_at_least(node, theta)
-                .into_iter()
-                .filter(|(e, _)| !already.contains(e))
-                .collect();
-            net.charge_cpu(node, extra.len() as u32);
-            if extra.is_empty() {
-                continue;
-            }
-            if net.unicast_up(node, query_epoch, extra.len() as u32, PhaseTag::Update).is_some() {
-                for (e, v) in extra {
-                    absorb(&mut assembled, node, e, v);
-                }
-            }
-        }
-        self.stats.phase2_objects = assembled.len();
-
-        // --------------------------------------------------------------- phase 3
-        let lower_of = |p: &EpochPartial| p.sum + (n - p.contributors.len()) as f64 * self.spec.domain.min;
-        let upper_of = |p: &EpochPartial| p.sum + (n - p.contributors.len()) as f64 * theta;
-        // As in phase 1: poisoned bounds weaken the fetch threshold, never raise it.
-        let mut lower_bounds: Vec<f64> = assembled
-            .values()
-            .map(|p| {
-                let lb = lower_of(p);
-                if lb.is_nan() { f64::NEG_INFINITY } else { lb }
-            })
-            .collect();
-        lower_bounds.sort_by(|a, b| b.total_cmp(a));
-        let kth_lower = lower_bounds.get(k - 1).copied().unwrap_or(f64::NEG_INFINITY);
-        let to_resolve: Vec<Epoch> = assembled
-            .iter()
-            .filter(|(_, p)| p.contributors.len() < n && upper_of(p) >= kth_lower)
-            .map(|(e, _)| *e)
-            .collect();
-        for e in to_resolve {
-            let missing: Vec<NodeId> = node_ids
-                .iter()
-                .copied()
-                .filter(|node| !assembled[&e].contributors.contains(node))
-                .collect();
-            for node in missing {
-                let down = net.unicast_down(node, query_epoch, 1, PhaseTag::Probe);
-                let up = net.unicast_up(node, query_epoch, 1, PhaseTag::Probe);
-                self.stats.phase3_fetches += 1;
-                if down.is_none() || up.is_none() {
-                    continue; // the fetch was dropped; the epoch stays incomplete
-                }
-                if let Some(v) = data.value_at(node, e) {
-                    absorb(&mut assembled, node, e, v);
-                }
-            }
-        }
-
-        let items: Vec<RankedItem> = assembled
-            .iter()
-            .filter(|(_, p)| p.contributors.len() == n)
-            .map(|(e, p)| RankedItem::new(*e, self.score(p.sum, n)))
-            .collect();
-        let mut result = TopKResult::new(query_epoch, items);
-        result.items.truncate(k);
-        result
+            // --------------------------------------------------------------- phase 3
+            self.stats.phase3_fetches += run.resolve(net, data, &spec, theta, query_epoch, PhaseTag::Probe);
+            run.ranking(&spec, query_epoch)
+        })
     }
 }
 
@@ -187,6 +110,7 @@ mod tests {
     use crate::historic::{CentralizedHistoric, HistoricDataset};
     use crate::tja::Tja;
     use kspot_net::types::ValueDomain;
+    use kspot_query::AggFunc;
     use kspot_net::{Deployment, NetworkConfig, RoomModelParams, Workload};
 
     fn setup(side: usize, window: usize, seed: u64) -> (Deployment, HistoricDataset) {

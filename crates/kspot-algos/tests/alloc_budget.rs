@@ -3,6 +3,10 @@
 //! centralized collection + FILA over a frame-batching network allocates a small,
 //! *network-size-independent* number of times — the answers it returns and little else.
 //!
+//! The historic path is pinned the same way: a `WITH HISTORY 128` TJA over the engine's
+//! warm windows allocates its answer and the view's epoch list, whatever the node count
+//! and the span.
+//!
 //! Timing claims live in the benchmark (`bench/`); this test is the regression fence
 //! that does not depend on the host: a `BTreeMap` or a per-node `Vec` creeping back
 //! into the sweep makes the count grow with the node count and fails it.
@@ -11,11 +15,11 @@
 //! test crate only — every library crate stays `#![forbid(unsafe_code)]`.
 
 use kspot_algos::{
-    run_shared_epoch, CentralizedCollection, FilaMonitor, MintViews, SnapshotAlgorithm,
-    SnapshotSpec, TagTopK,
+    run_shared_epoch, BankWindows, CentralizedCollection, FilaMonitor, HistoricAlgorithm,
+    HistoricSpec, MintViews, SnapshotAlgorithm, SnapshotSpec, TagTopK, Tja,
 };
 use kspot_net::types::ValueDomain;
-use kspot_net::{Deployment, Network, NetworkConfig, Workload};
+use kspot_net::{Deployment, Network, NetworkConfig, WindowBank, Workload};
 use kspot_query::AggFunc;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -101,4 +105,45 @@ fn a_steady_epoch_allocates_a_small_constant_whatever_the_network_size() {
     assert_eq!(small, large, "allocations per epoch must not depend on the node count (64 vs 196 nodes)");
     assert!(large <= BUDGET, "a steady epoch allocated {large} times, budget {BUDGET}");
     assert_eq!(steady_epoch_allocations(14), large, "the count repeats exactly run to run");
+}
+
+/// What a steady-state TJA may allocate: the view's list of covered epochs and the
+/// ranked items of the answer.  Nothing per node, per epoch of the span or per tuple.
+/// Measured: 2 (the map-based executor this replaced: 17 861 at 8×8 and 30 140 at 10×10
+/// for `WITH HISTORY 128`, 9 778 at 8×8 for `WITH HISTORY 64`).
+const HISTORIC_BUDGET: u64 = 4;
+
+/// Allocations of the fourth `SELECT TOP 8 epoch … WITH HISTORY window` over the
+/// engine's live view of a `side × side` grid's windows, one epoch fed between runs.
+fn steady_tja_allocations(side: usize, window: usize) -> u64 {
+    let d = Deployment::grid(side, 10.0, Some(16));
+    let mut workload = Workload::uniform_iid(&d, ValueDomain::percentage(), 42);
+    let mut bank = WindowBank::new(window);
+    for _ in 0..window + 5 {
+        bank.feed(&workload.next_epoch());
+    }
+    let mut net = Network::new(d, NetworkConfig::mica2());
+    let spec = HistoricSpec::new(8, AggFunc::Avg, ValueDomain::percentage(), window);
+
+    let mut measured = 0;
+    for _ in 0..4 {
+        let readings = workload.next_epoch();
+        net.begin_epoch(readings[0].epoch);
+        bank.feed(&readings);
+        let before = ALLOCATIONS.with(Cell::get);
+        let answer = Tja::new(spec).execute(&mut net, &mut BankWindows::new(&mut bank, window));
+        measured = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!((answer.epoch, answer.items.len()), (readings[0].epoch, 8));
+    }
+    measured
+}
+
+#[test]
+fn a_steady_tja_allocates_a_small_constant_whatever_the_network_and_the_window() {
+    let small = steady_tja_allocations(8, 128);
+    let large = steady_tja_allocations(10, 128);
+    assert_eq!(small, large, "allocations per execution must not depend on the node count (64 vs 100 nodes)");
+    assert_eq!(steady_tja_allocations(8, 64), small, "nor on the span (64 vs 128 epochs)");
+    assert!(large <= HISTORIC_BUDGET, "a steady TJA allocated {large} times, budget {HISTORIC_BUDGET}");
+    assert_eq!(steady_tja_allocations(10, 128), large, "the count repeats exactly run to run");
 }

@@ -1171,6 +1171,9 @@ impl Session {
 mod tests {
     use super::*;
     use crate::server::KSpotServer;
+    use kspot_algos::WindowSource;
+    use kspot_net::types::ValueDomain;
+    use kspot_net::{Deployment, NodeId};
 
     fn engine(seed: u64) -> QueryEngine {
         KSpotServer::new(ScenarioConfig::conference()).with_seed(seed).engine()
@@ -1688,6 +1691,81 @@ mod tests {
         let restored = second.register(as_of_sql).unwrap();
         second.run_epochs(1);
         assert_eq!(restored.results(), original.results());
+    }
+
+    #[test]
+    fn an_image_of_other_nodes_than_the_deployments_answers_over_the_nodes_they_share() {
+        // A durable store need not come from this deployment: drop one node's record
+        // from a valid image, append the record of a node the venue does not have, and
+        // re-seal.  The image still decodes, so `AS OF` runs over it — with a node of
+        // the routing tree that holds no window (TJA used to index its local list and
+        // panic mid-epoch, poisoning the shard) and a window no node of the tree owns.
+        let quiet = |seed| {
+            KSpotServer::new(ScenarioConfig::conference())
+                .with_network_config(NetworkConfig::ideal())
+                .with_seed(seed)
+                .engine()
+        };
+        let mut first = quiet(26).with_checkpointing(4);
+        first.register(HISTORIC_VERTICAL).unwrap();
+        first.run_epochs(16);
+        let bytes = first.checkpoint_store_bytes().expect("checkpointing is on");
+        let store = CheckpointStore::from_bytes(&bytes).expect("rebuilds");
+        assert_eq!(store.latest_epoch(), Some(15));
+
+        // The newest image is the tail of the log.  Header: magic, version, epoch,
+        // capacity, node count (22 bytes); then per node its id, its sample count and
+        // 16 bytes per sample; then the seal.
+        let image_len = kspot_store::decode_manifest(&store.manifest_bytes())
+            .expect("a store writes a valid manifest")
+            .entries
+            .last()
+            .expect("four snapshots were taken")
+            .len as usize;
+        let mut image = bytes[bytes.len() - image_len..bytes.len() - 8].to_vec();
+        let u32_at = |bytes: &[u8], at: usize| u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap());
+        let (dropped, foreign) = (6u32, 999u32);
+        let mut at = 22;
+        while u32_at(&image, at) != dropped {
+            at += 8 + 16 * u32_at(&image, at + 4) as usize;
+        }
+        let record: Vec<u8> = image.drain(at..at + 8 + 16 * u32_at(&image, at + 4) as usize).collect();
+        image.extend_from_slice(&foreign.to_be_bytes());
+        image.extend_from_slice(&record[4..]);
+        let image = kspot_store::checksum_seal(image);
+        let mut tampered = kspot_store::encode_manifest(4, &[(15, image.len())]);
+        tampered.extend_from_slice(&image);
+        let store = CheckpointStore::from_bytes(&tampered).expect("the tampered image is a valid one");
+
+        // What the answer must be: exact over the windows of nodes the venue has.
+        let spec = HistoricSpec::new(3, AggFunc::Avg, ValueDomain::percentage(), 8);
+        let mut scratch = Network::new(Deployment::conference(), NetworkConfig::ideal());
+        let mut view = store.restore(15, 8, &mut scratch).expect("epoch 15 is retained");
+        let sources = view.source_nodes().to_vec();
+        assert!(!sources.contains(&dropped) && sources.contains(&foreign));
+        let shared: Vec<NodeId> = sources.into_iter().filter(|&node| node != foreign).collect();
+        let exact = kspot_algos::historic::exact_over_source(&mut view, &spec, &shared);
+        // A 16-sample record is two flash pages; node 999 has no flash to read here.
+        assert_eq!(scratch.metrics().storage_totals().pages_read, 2 * shared.len() as u64);
+
+        let mut second = quiet(26).with_checkpoint_store(store);
+        let as_of = second
+            .register("SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 8 epochs AS OF 15")
+            .unwrap();
+        let baselines = second.register_baselines(&as_of).unwrap();
+        let horizontal = second
+            .register("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8 epochs AS OF 15")
+            .unwrap();
+        second.run_epochs(1);
+        assert_eq!(as_of.status(), SessionStatus::Completed);
+        assert_eq!(horizontal.status(), SessionStatus::Completed);
+        assert_eq!(horizontal.results().len(), 1);
+        let answer = &as_of.results()[0];
+        assert!(answer.same_ranking(&exact) && answer.approx_eq(&exact, 1e-9), "TJA {answer} != {exact}");
+        for (baseline, name) in baselines.iter().zip(["TPUT", "centralized"]) {
+            let answer = &second.session(*baseline).expect("a baseline is a session").results()[0];
+            assert!(answer.same_ranking(&exact) && answer.approx_eq(&exact, 1e-9), "{name} {answer} != {exact}");
+        }
     }
 
     #[test]

@@ -341,9 +341,10 @@ impl Network {
     /// local storage: the flash energy drains the node's battery and the page I/O is
     /// booked to the metrics storage ledger (see
     /// [`NetworkMetrics::record_page_writes`]).  The sink is mains-powered and keeps
-    /// no modeled flash.
+    /// no modeled flash, and a node this deployment does not have (a checkpoint image
+    /// may come from another one) has neither battery nor ledger row here.
     pub fn charge_page_writes(&mut self, node: NodeId, pages: u64, bytes: u64) {
-        if node == SINK {
+        if self.deployment.node(node).is_none() {
             return;
         }
         let cost = crate::storage::FLASH_PAGE_WRITE_UJ * pages as f64;
@@ -354,7 +355,7 @@ impl Network {
     /// Charges `pages` flash-page reads on `node`'s local storage (snapshot restore).
     /// Counterpart of [`Self::charge_page_writes`].
     pub fn charge_page_reads(&mut self, node: NodeId, pages: u64) {
-        if node == SINK {
+        if self.deployment.node(node).is_none() {
             return;
         }
         let cost = crate::storage::FLASH_PAGE_READ_UJ * pages as f64;

@@ -22,7 +22,7 @@
 
 use crate::types::{cmp_value, Epoch, NodeId, Reading, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Bytes per flash page of the modeled storage device (AT45DB-class serial flash,
 /// rounded to a power of two).  Checkpoint images are charged in whole pages of this
@@ -139,35 +139,54 @@ impl SlidingWindow {
         self.samples.iter().copied()
     }
 
+    /// The buffered samples as one slice, oldest first, without storage accounting —
+    /// [`Self::iter`] for callers that want to borrow rather than copy.
+    pub fn as_slice(&mut self) -> &[(Epoch, Value)] {
+        self.samples.make_contiguous()
+    }
+
     /// All buffered samples, oldest first, **charged as one full window scan** in
-    /// page reads — the accounted counterpart of [`Self::iter`] for callers that
+    /// page reads — the accounted counterpart of [`Self::as_slice`] for callers that
     /// model a real flash pass (e.g. the span-filtered scans of
     /// `kspot_algos::BankWindows`).
-    pub fn scan(&mut self) -> Vec<(Epoch, Value)> {
+    pub fn scan(&mut self) -> &[(Epoch, Value)] {
         self.page_reads += (self.samples.len().div_ceil(self.samples_per_page)) as u64;
-        self.samples.iter().copied().collect()
+        self.as_slice()
     }
 
     /// The `k` buffered samples with the highest values, best first.
     /// Ties are broken towards the older epoch so results are deterministic.
     pub fn local_top_k(&mut self, k: usize) -> Vec<(Epoch, Value)> {
-        self.page_reads += (self.samples.len().div_ceil(self.samples_per_page)) as u64;
-        let mut all: Vec<(Epoch, Value)> = self.samples.iter().copied().collect();
-        all.sort_by(|a, b| cmp_value(b.1, a.1).then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
+        let mut best = Vec::new();
+        top_k_into(self.scan(), k, &mut best);
+        best
     }
 
     /// All buffered samples whose value is at least `threshold`.
     pub fn values_at_least(&mut self, threshold: Value) -> Vec<(Epoch, Value)> {
-        self.page_reads += (self.samples.len().div_ceil(self.samples_per_page)) as u64;
-        self.samples.iter().copied().filter(|&(_, v)| v >= threshold).collect()
+        self.scan().iter().copied().filter(|&(_, v)| v >= threshold).collect()
     }
 
     /// Values at the requested epochs (missing epochs are skipped).
     pub fn values_at(&mut self, epochs: &[Epoch]) -> Vec<(Epoch, Value)> {
         epochs.iter().filter_map(|&e| self.get(e).map(|v| (e, v))).collect()
     }
+}
+
+/// Replaces the contents of `best` with the `k` highest-valued of `samples`, best
+/// first, ties towards the older epoch: what sorting all of them under that order and
+/// keeping the head would give, found by selection so that only the head is sorted.
+pub fn top_k_into(samples: &[(Epoch, Value)], k: usize, best: &mut Vec<(Epoch, Value)>) {
+    let by_rank = |a: &(Epoch, Value), b: &(Epoch, Value)| cmp_value(b.1, a.1).then(a.0.cmp(&b.0));
+    best.clear();
+    best.extend_from_slice(samples);
+    if k < best.len() {
+        if k > 0 {
+            best.select_nth_unstable_by(k - 1, by_rank);
+        }
+        best.truncate(k);
+    }
+    best.sort_by(by_rank);
 }
 
 /// One engine-shared sliding window per node, fed once per epoch from the live
@@ -182,7 +201,9 @@ impl SlidingWindow {
 #[derive(Debug, Clone, Default)]
 pub struct WindowBank {
     capacity: usize,
-    windows: BTreeMap<NodeId, SlidingWindow>,
+    /// The nodes holding a window, ascending; `windows[i]` is `nodes[i]`'s.
+    nodes: Vec<NodeId>,
+    windows: Vec<SlidingWindow>,
     /// The epochs currently covered, oldest first (bounded by `capacity`).
     epochs: VecDeque<Epoch>,
     /// Total number of epochs ever fed (readiness counter for waiting sessions).
@@ -193,7 +214,7 @@ impl WindowBank {
     /// Creates an empty bank retaining up to `capacity` epochs per node.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window bank capacity must be positive");
-        Self { capacity, windows: BTreeMap::new(), epochs: VecDeque::new(), fed: 0 }
+        Self { capacity, ..Self::default() }
     }
 
     /// The per-node retention capacity, in epochs.
@@ -207,7 +228,7 @@ impl WindowBank {
     pub fn grow_capacity(&mut self, capacity: usize) {
         if capacity > self.capacity {
             self.capacity = capacity;
-            for w in self.windows.values_mut() {
+            for w in &mut self.windows {
                 w.grow_capacity(capacity);
             }
         }
@@ -227,18 +248,30 @@ impl WindowBank {
     }
 
     /// The epochs currently buffered, oldest first.
-    pub fn epochs(&self) -> Vec<Epoch> {
-        self.epochs.iter().copied().collect()
+    pub fn epochs(&self) -> impl DoubleEndedIterator<Item = Epoch> + ExactSizeIterator + '_ {
+        self.epochs.iter().copied()
     }
 
     /// Node identifiers holding a window, ascending.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.windows.keys().copied().collect()
+    pub fn node_ids(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// Every node's window, ascending by node.
+    pub fn windows(&self) -> impl Iterator<Item = (NodeId, &SlidingWindow)> + '_ {
+        self.nodes.iter().copied().zip(&self.windows)
     }
 
     /// Mutable access to one node's shared window, if the node ever reported.
     pub fn window_mut(&mut self, node: NodeId) -> Option<&mut SlidingWindow> {
-        self.windows.get_mut(&node)
+        // Deployments number their nodes 1..=n, so a window usually sits at `node - 1`.
+        let guess = (node as usize).wrapping_sub(1);
+        let at = if self.nodes.get(guess) == Some(&node) {
+            guess
+        } else {
+            self.nodes.binary_search(&node).ok()?
+        };
+        Some(&mut self.windows[at])
     }
 
     /// Feeds one epoch of readings: every node's value is appended to its window and
@@ -247,12 +280,19 @@ impl WindowBank {
     /// shared-window design exists for.
     pub fn feed(&mut self, readings: &[Reading]) {
         let Some(first) = readings.first() else { return };
-        let capacity = self.capacity;
-        for r in readings {
-            self.windows
-                .entry(r.node)
-                .or_insert_with(|| SlidingWindow::new(capacity))
-                .push(r.epoch, r.value);
+        for (i, r) in readings.iter().enumerate() {
+            // Epoch after epoch the same nodes report in the same ascending order, so
+            // the i-th reading is usually the i-th window's.
+            let at = if self.nodes.get(i) == Some(&r.node) {
+                i
+            } else {
+                self.nodes.binary_search(&r.node).unwrap_or_else(|at| {
+                    self.nodes.insert(at, r.node);
+                    self.windows.insert(at, SlidingWindow::new(self.capacity));
+                    at
+                })
+            };
+            self.windows[at].push(r.epoch, r.value);
         }
         if self.epochs.len() == self.capacity {
             self.epochs.pop_front();
@@ -378,7 +418,7 @@ mod tests {
             bank.feed(&[reading(1, e, e as f64), reading(2, e, 10.0 + e as f64)]);
         }
         assert_eq!(bank.epochs_fed(), 5);
-        assert_eq!(bank.epochs(), vec![2, 3, 4], "the span is the last `capacity` epochs");
+        assert_eq!(Vec::from_iter(bank.epochs()), [2, 3, 4], "the span is the last `capacity` epochs");
         assert_eq!(bank.node_ids(), vec![1, 2]);
         let w1 = bank.window_mut(1).expect("node 1 reported");
         assert_eq!(w1.len(), 3);
@@ -398,7 +438,7 @@ mod tests {
         assert_eq!(bank.capacity(), 4);
         bank.feed(&[reading(1, 2, 3.0)]);
         bank.feed(&[reading(1, 3, 4.0)]);
-        assert_eq!(bank.epochs(), vec![0, 1, 2, 3], "growth keeps pre-growth history");
+        assert_eq!(Vec::from_iter(bank.epochs()), [0, 1, 2, 3], "growth keeps pre-growth history");
         assert_eq!(bank.window_mut(1).unwrap().len(), 4);
         bank.grow_capacity(1);
         assert_eq!(bank.capacity(), 4, "shrinking is ignored");

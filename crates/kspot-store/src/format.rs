@@ -32,7 +32,6 @@
 //! per retained image, ascending in both epoch and offset ("KSPM" magic).
 
 use kspot_net::{Epoch, NodeId, Reading, Value, WindowBank, FLASH_PAGE_BYTES, SINK};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Checkpoint format revision; bumped on any incompatible layout change.
@@ -43,6 +42,10 @@ pub const IMAGE_MAGIC: [u8; 4] = *b"KSPC";
 
 /// Magic opening a store manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"KSPM";
+
+/// Bytes of an image before its first node record: magic, version, epoch, capacity,
+/// node count.
+const IMAGE_HEADER_BYTES: usize = 4 + 2 + 8 + 4 + 4;
 
 /// Ceiling on the bank capacity a decoded image may declare — matches the engine's
 /// `MAX_HISTORY_EPOCHS` admission bound, so no hostile image can make a restore
@@ -142,20 +145,20 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// Encodes one snapshot of `bank` as a checkpoint image.  Encoding iterates the live
 /// windows without storage accounting — it is the page *writes* of the resulting
 /// image that the store charges, not the SRAM reads that produce it.
-pub fn encode_image(bank: &mut WindowBank, epoch: Epoch) -> Vec<u8> {
-    let mut out = Vec::new();
+pub fn encode_image(bank: &WindowBank, epoch: Epoch) -> Vec<u8> {
+    // Header, one record per window, checksum: the image's exact size.
+    let image_bytes =
+        IMAGE_HEADER_BYTES + bank.windows().map(|(_, w)| 8 + 16 * w.len()).sum::<usize>() + 8;
+    let mut out = Vec::with_capacity(image_bytes);
     out.extend_from_slice(&IMAGE_MAGIC);
     put_u16(&mut out, FORMAT_VERSION);
     put_u64(&mut out, epoch);
     put_u32(&mut out, bank.capacity() as u32);
-    let nodes = bank.node_ids();
-    put_u32(&mut out, nodes.len() as u32);
-    for node in nodes {
-        let samples: Vec<(Epoch, Value)> =
-            bank.window_mut(node).map(|w| w.iter().collect()).unwrap_or_default();
+    put_u32(&mut out, bank.node_ids().len() as u32);
+    for (node, window) in bank.windows() {
         put_u32(&mut out, node);
-        put_u32(&mut out, samples.len() as u32);
-        for (e, v) in samples {
+        put_u32(&mut out, window.len() as u32);
+        for (e, v) in window.iter() {
             put_u64(&mut out, e);
             put_u64(&mut out, v.to_bits());
         }
@@ -270,17 +273,27 @@ impl SnapshotImage {
     /// Rebuilds a live [`WindowBank`] holding exactly the snapshot's samples, by
     /// replaying the snapshot epoch by epoch through the bank's only mutation path —
     /// so a restored bank is indistinguishable from one that buffered the readings
-    /// live.
+    /// live.  The image is a column per node and a feed is a row per epoch: the
+    /// columns are strictly ascending in epoch (the decoder checked, and an image built
+    /// by hand must keep to it), so one cursor per column transposes them, the oldest
+    /// epoch any cursor points at being the next row.
     pub fn into_bank(self) -> WindowBank {
-        let mut by_epoch: BTreeMap<Epoch, Vec<Reading>> = BTreeMap::new();
-        for (node, samples) in self.nodes {
-            for (epoch, value) in samples {
-                by_epoch.entry(epoch).or_default().push(Reading::new(node, 0, epoch, value));
-            }
-        }
         let mut bank = WindowBank::new(self.capacity);
-        for readings in by_epoch.values() {
-            bank.feed(readings);
+        let mut cursors = vec![0usize; self.nodes.len()];
+        let mut row: Vec<Reading> = Vec::with_capacity(self.nodes.len());
+        let mut oldest = self.nodes.iter().filter_map(|(_, column)| column.first()).map(|&(e, _)| e).min();
+        while let Some(epoch) = oldest.take() {
+            row.clear();
+            for ((node, column), at) in self.nodes.iter().zip(&mut cursors) {
+                if let Some(&(e, value)) = column.get(*at).filter(|&&(e, _)| e == epoch) {
+                    row.push(Reading::new(*node, 0, e, value));
+                    *at += 1;
+                }
+                if let Some(&(next, _)) = column.get(*at) {
+                    oldest = Some(oldest.map_or(next, |o: Epoch| o.min(next)));
+                }
+            }
+            bank.feed(&row);
         }
         bank
     }
@@ -439,7 +452,7 @@ mod tests {
     #[test]
     fn image_roundtrips_through_bytes() {
         let mut bank = sample_bank();
-        let bytes = encode_image(&mut bank, 5);
+        let bytes = encode_image(&bank, 5);
         let image = decode_image(&bytes).expect("decodes");
         assert_eq!(image.epoch, 5);
         assert_eq!(image.capacity, 4);
@@ -447,9 +460,9 @@ mod tests {
         // The ring evicted epochs 0..2, the snapshot holds the last 4.
         assert_eq!(image.nodes[0].1.first().unwrap().0, 2);
         let mut restored = image.into_bank();
-        assert_eq!(restored.epochs(), bank.epochs());
+        assert!(restored.epochs().eq(bank.epochs()));
         assert_eq!(restored.node_ids(), bank.node_ids());
-        for node in bank.node_ids() {
+        for node in bank.node_ids().to_vec() {
             let orig: Vec<_> = bank.window_mut(node).unwrap().iter().collect();
             let back: Vec<_> = restored.window_mut(node).unwrap().iter().collect();
             assert_eq!(orig, back, "node {node} samples survive the roundtrip bit for bit");
@@ -468,8 +481,7 @@ mod tests {
 
     #[test]
     fn corruption_is_detected_not_ranked() {
-        let mut bank = sample_bank();
-        let good = encode_image(&mut bank, 5);
+        let good = encode_image(&sample_bank(), 5);
 
         // Any single bit flip trips the checksum (or a bounds check) — never a panic.
         for i in 0..good.len() {
@@ -507,7 +519,7 @@ mod tests {
         for epoch in 0..2u64 {
             bank.feed(&[Reading::new(1, 0, epoch, 1.0)]);
         }
-        let mut img = encode_image(&mut bank, 1);
+        let mut img = encode_image(&bank, 1);
         // Rewrite capacity (offset 14) down to 1 and re-seal the checksum.
         img.truncate(img.len() - 8);
         img[14..18].copy_from_slice(&1u32.to_be_bytes());

@@ -89,9 +89,8 @@ impl CheckpointStore {
     /// substrate duty — like epoch baselines they run outside any query scope.
     pub fn checkpoint(&mut self, bank: &mut WindowBank, epoch: Epoch, net: &mut Network) {
         let image = encode_image(bank, epoch);
-        for node in bank.node_ids() {
-            let samples = bank.window_mut(node).map_or(0, |w| w.len());
-            let record_bytes = 8 + samples * 16;
+        for (node, window) in bank.windows() {
+            let record_bytes = 8 + window.len() * 16;
             net.charge_page_writes(node, pages_for(record_bytes), record_bytes as u64);
         }
         if let Some(back) = self.images.back_mut() {
@@ -260,7 +259,7 @@ mod tests {
 
         let mut view = store.restore(5, 4, &mut net).expect("snapshot exists");
         assert_eq!(view.snapshot_epoch(), Some(5));
-        assert_eq!(view.covered_epochs(), vec![2, 3, 4, 5]);
+        assert_eq!(view.covered_epochs(), [2, 3, 4, 5]);
         use kspot_algos::WindowSource;
         assert_eq!(view.value_at(2, 4), Some(6.0));
 
@@ -314,8 +313,8 @@ mod tests {
         store.checkpoint(&mut bank, 5, &mut net);
 
         let mut restored = store.restore_latest_bank().expect("decodes").expect("non-empty");
-        assert_eq!(restored.epochs(), bank.epochs());
-        for node in bank.node_ids() {
+        assert!(restored.epochs().eq(bank.epochs()));
+        for node in bank.node_ids().to_vec() {
             let a: Vec<_> = bank.window_mut(node).unwrap().iter().collect();
             let b: Vec<_> = restored.window_mut(node).unwrap().iter().collect();
             assert_eq!(a, b);

@@ -1,100 +1,21 @@
-//! [`CheckpointWindows`]: the [`WindowSource`] a restored snapshot is answered from.
+//! [`CheckpointWindows`]: the [`kspot_algos::WindowSource`] a restored snapshot is
+//! answered from.
 
-use kspot_algos::WindowSource;
-use kspot_net::types::cmp_value;
-use kspot_net::{Epoch, NodeId, WindowBank};
+use kspot_algos::BankWindows;
+use kspot_net::WindowBank;
 
-/// A span-limited [`WindowSource`] over a [`WindowBank`] restored from a checkpoint
-/// image — the time-travel counterpart of `kspot_algos::BankWindows`.
-///
-/// The view owns the restored bank (there is no live bank to borrow: the snapshot may
-/// describe an epoch the engine has long evicted) and exposes only the last `window`
-/// epochs it covers, with exactly the same charged/uncharged access split as the live
-/// view: `samples`/`window_len` iterate without storage accounting, while
-/// `local_top_k`/`values_at_least`/`value_at` go through the charged scan and lookup
-/// paths of [`kspot_net::SlidingWindow`].  Holding the same samples, an `AS OF` run
-/// over this view is therefore byte-identical to the same query answered live at the
-/// snapshot epoch.
-#[derive(Debug)]
-pub struct CheckpointWindows {
-    bank: WindowBank,
-    /// The covered epochs, oldest first (the last `window` epochs of the snapshot).
-    epochs: Vec<Epoch>,
-    /// The first covered epoch — samples older than this are invisible to the view.
-    first: Epoch,
-}
-
-impl CheckpointWindows {
-    /// Opens a view over the last `window` epochs of a restored bank.
-    pub fn new(bank: WindowBank, window: usize) -> Self {
-        let all = bank.epochs();
-        let skip = all.len().saturating_sub(window);
-        let epochs: Vec<Epoch> = all[skip..].to_vec();
-        let first = epochs.first().copied().unwrap_or(0);
-        Self { bank, epochs, first }
-    }
-
-    /// The epoch the snapshot was taken at (the newest covered epoch).
-    pub fn snapshot_epoch(&self) -> Option<Epoch> {
-        self.epochs.last().copied()
-    }
-
-    fn in_span(&mut self, node: NodeId) -> Vec<(Epoch, f64)> {
-        let first = self.first;
-        self.bank
-            .window_mut(node)
-            .map(|w| w.iter().filter(|&(e, _)| e >= first).collect())
-            .unwrap_or_default()
-    }
-
-    fn scan_span(&mut self, node: NodeId) -> Vec<(Epoch, f64)> {
-        let first = self.first;
-        self.bank
-            .window_mut(node)
-            .map(|w| w.scan().into_iter().filter(|&(e, _)| e >= first).collect())
-            .unwrap_or_default()
-    }
-}
-
-impl WindowSource for CheckpointWindows {
-    fn source_nodes(&self) -> Vec<NodeId> {
-        self.bank.node_ids()
-    }
-
-    fn covered_epochs(&self) -> Vec<Epoch> {
-        self.epochs.clone()
-    }
-
-    fn samples(&mut self, node: NodeId) -> Vec<(Epoch, f64)> {
-        self.in_span(node)
-    }
-
-    fn local_top_k(&mut self, node: NodeId, k: usize) -> Vec<(Epoch, f64)> {
-        let mut all = self.scan_span(node);
-        all.sort_by(|a, b| cmp_value(b.1, a.1).then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
-    }
-
-    fn values_at_least(&mut self, node: NodeId, threshold: f64) -> Vec<(Epoch, f64)> {
-        self.scan_span(node).into_iter().filter(|&(_, v)| v >= threshold).collect()
-    }
-
-    fn value_at(&mut self, node: NodeId, epoch: Epoch) -> Option<f64> {
-        if epoch < self.first {
-            return None;
-        }
-        self.bank.window_mut(node).and_then(|w| w.get(epoch))
-    }
-
-    fn window_len(&mut self, node: NodeId) -> usize {
-        self.in_span(node).len()
-    }
-}
+/// The span-limited view over a [`WindowBank`] restored from a checkpoint image — the
+/// time-travel counterpart of the engine's live `BankWindows<&mut WindowBank>`, and the
+/// same code: the view *owns* the restored bank and exposes only the last `window`
+/// epochs it covers, with the same charged/uncharged access split.  Holding the same
+/// samples, an `AS OF` run over this view is therefore byte-identical to the same query
+/// answered live at the snapshot epoch.
+pub type CheckpointWindows = BankWindows<WindowBank>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kspot_algos::WindowSource;
     use kspot_net::Reading;
 
     fn bank() -> WindowBank {
@@ -111,13 +32,16 @@ mod tests {
     #[test]
     fn view_limits_the_span_and_mirrors_the_live_view() {
         let mut view = CheckpointWindows::new(bank(), 4);
-        assert_eq!(view.covered_epochs(), vec![4, 5, 6, 7]);
+        assert_eq!(view.covered_epochs(), [4, 5, 6, 7]);
         assert_eq!(view.snapshot_epoch(), Some(7));
-        assert_eq!(view.source_nodes(), vec![1, 2]);
+        assert_eq!(view.source_nodes(), [1, 2]);
         assert_eq!(view.window_len(1), 4);
         assert_eq!(view.samples(2).first().unwrap().0, 4);
-        assert_eq!(view.local_top_k(1, 2), vec![(7, 8.0), (6, 7.0)]);
-        assert_eq!(view.values_at_least(2, 8.0), vec![(6, 8.0), (7, 9.0)]);
+        let mut found = Vec::new();
+        view.local_top_k(1, 2, &mut found);
+        assert_eq!(found, [(7, 8.0), (6, 7.0)]);
+        view.values_at_least(2, 8.0, &mut found);
+        assert_eq!(found, [(6, 8.0), (7, 9.0)]);
         assert_eq!(view.value_at(1, 5), Some(6.0));
         assert_eq!(view.value_at(1, 3), None, "pre-span epochs are invisible");
         assert_eq!(view.value_at(9, 5), None, "unknown nodes hold no window");
@@ -129,6 +53,8 @@ mod tests {
         assert!(view.covered_epochs().is_empty());
         assert_eq!(view.snapshot_epoch(), None);
         assert_eq!(view.window_len(1), 0);
-        assert!(view.local_top_k(1, 3).is_empty());
+        let mut found = vec![(0, 0.0)];
+        view.local_top_k(1, 3, &mut found);
+        assert!(found.is_empty());
     }
 }

@@ -16,15 +16,49 @@
 //!
 //! Every error must also `Display` without panicking — the serve layer stringifies
 //! decode failures into wire error frames.
+//!
+//! Whatever *does* decode must restore to the bank the snapshot was taken of:
+//! `SnapshotImage::into_bank` transposes the image's columns with one cursor per node,
+//! and its predecessor — regroup by epoch in a map, then feed — lives on here as the
+//! oracle, over the same corpus and over random ragged images.
 
-use kspot_net::{Reading, WindowBank};
-use kspot_store::{checksum_seal, decode_image, decode_manifest, CheckpointStore};
+use kspot_net::{Epoch, Reading, WindowBank};
+use kspot_store::{checksum_seal, decode_image, decode_manifest, CheckpointStore, SnapshotImage};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
-/// Drives every untrusted decode entry point; the property is "this returns".
+/// `SnapshotImage::into_bank` as it was before it transposed: the samples regrouped by
+/// epoch in a map, each epoch's readings then fed in one go.
+fn bank_by_map(image: SnapshotImage) -> WindowBank {
+    let mut by_epoch: BTreeMap<Epoch, Vec<Reading>> = BTreeMap::new();
+    for (node, samples) in image.nodes {
+        for (epoch, value) in samples {
+            by_epoch.entry(epoch).or_default().push(Reading::new(node, 0, epoch, value));
+        }
+    }
+    let mut bank = WindowBank::new(image.capacity);
+    for readings in by_epoch.values() {
+        bank.feed(readings);
+    }
+    bank
+}
+
+/// Demands that `image` restores to the bank the map-based replay arrives at, field by
+/// field: `Debug` prints every field of the bank and of each window (capacity, nodes,
+/// samples in order, `epochs`, `fed`, `evicted`, `page_reads`), finite values uniquely.
+fn assert_restores_like_the_replay(image: SnapshotImage) {
+    let (restored, replayed) = (image.clone().into_bank(), bank_by_map(image));
+    assert_eq!(format!("{restored:?}"), format!("{replayed:?}"));
+}
+
+/// Drives every untrusted decode entry point; the property is "this returns", and an
+/// image that decodes restores like the replay.
 fn exercise_decoders(bytes: &[u8]) {
-    if let Err(e) = decode_image(bytes) {
-        let _ = e.to_string();
+    match decode_image(bytes) {
+        Ok(image) => assert_restores_like_the_replay(image),
+        Err(e) => {
+            let _ = e.to_string();
+        }
     }
     if let Err(e) = decode_manifest(bytes) {
         let _ = e.to_string();
@@ -43,7 +77,7 @@ fn valid_image() -> Vec<u8> {
             .collect();
         bank.feed(&readings);
     }
-    kspot_store::encode_image(&mut bank, 5)
+    kspot_store::encode_image(&bank, 5)
 }
 
 proptest! {
@@ -67,7 +101,10 @@ proptest! {
         }
         match decode_image(&bad) {
             // A flip set that cancels out reproduces the original image.
-            Ok(image) => prop_assert_eq!(bad, good, "epoch {}", image.epoch),
+            Ok(image) => {
+                prop_assert_eq!(bad, good, "epoch {}", image.epoch);
+                assert_restores_like_the_replay(image);
+            }
             Err(e) => { let _ = e.to_string(); }
         }
     }
@@ -93,5 +130,35 @@ proptest! {
             bytes = checksum_seal(bytes[..len - 8].to_vec());
         }
         exercise_decoders(&bytes);
+    }
+
+    #[test]
+    fn ragged_images_restore_like_the_replay(
+        // Per node: an id gap, the first of 40 epochs it was up for, and which of the
+        // following ones it sampled — columns of any length, start and density.
+        columns in prop::collection::vec((1u32..5, 0u64..40, 0u64..u64::MAX), 1usize..12),
+        capacity in 1usize..48,
+        stride in 1u64..4,
+    ) {
+        let mut node = 0;
+        let nodes = columns
+            .iter()
+            .map(|&(gap, first, sampled)| {
+                node += gap;
+                let mut column: Vec<(Epoch, f64)> = (first..40)
+                    .filter(|e| e == &first || sampled >> e & 1 == 1)
+                    .map(|e| (e * stride, f64::from(node) * 0.5 - e as f64))
+                    .collect();
+                // A window keeps its newest samples.
+                column.drain(..column.len().saturating_sub(capacity));
+                (node, column)
+            })
+            .collect();
+        let image = SnapshotImage { epoch: 39 * stride, capacity, nodes };
+        // What the encoder writes of the restored bank is the image again: the
+        // hand-built columns are ones the decoder accepts.
+        let bytes = kspot_store::encode_image(&image.clone().into_bank(), image.epoch);
+        prop_assert_eq!(decode_image(&bytes).as_ref(), Ok(&image));
+        assert_restores_like_the_replay(image);
     }
 }
