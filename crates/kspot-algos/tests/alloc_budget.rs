@@ -12,7 +12,8 @@
 //! into the sweep makes the count grow with the node count and fails it.
 //!
 //! The counting allocator is the workspace's one `unsafe impl` and lives in this
-//! test crate only — every library crate stays `#![forbid(unsafe_code)]`.
+//! test crate only — every library crate stays `#![forbid(unsafe_code)]` (kspot-serve
+//! `deny`s it, for its one audited `sys` module: ADR-011; lint R8 names both exemptions).
 
 use kspot_algos::{
     run_shared_epoch, BankWindows, CentralizedCollection, FilaMonitor, HistoricAlgorithm,

@@ -302,7 +302,7 @@ fn a_median_wire_poll_over_budget_fails_the_serve_latency_gate() {
     let out = run_script(&[&previous, &stalled.to_string_lossy()]);
     assert!(!out.status.success(), "a 44 ms median poll must fail the job: {out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("over the 10.0 ms budget"), "the failure names the budget: {stderr}");
+    assert!(stderr.contains("over the 7.0 ms budget"), "the failure names the budget: {stderr}");
 }
 
 #[test]

@@ -281,6 +281,11 @@ pub(crate) struct EngineCore {
     net: Network,
     workload: Workload,
     sessions: BTreeMap<QueryId, SessionState>,
+    /// The ids of the `Active` sessions, ascending — what the epoch loop walks, so a
+    /// tick costs the sessions that run, not every session ever admitted.  Ids are
+    /// allocated ascending, so `push` keeps `sessions`' own iteration order.  (The
+    /// finished sessions' state stays in `sessions`: this is not reaping.)
+    live: Vec<QueryId>,
     /// The engine-shared per-node sliding windows, created at the first historic
     /// registration and fed once per epoch from then on (even across historic
     /// sessions' cancellations — the feed is a deterministic substrate duty, so a
@@ -301,7 +306,7 @@ pub(crate) struct EngineCore {
 
 impl EngineCore {
     pub(crate) fn active_sessions(&self) -> usize {
-        self.sessions.values().filter(|s| s.status == SessionStatus::Active).count()
+        self.live.len()
     }
 
     pub(crate) fn max_sessions(&self) -> usize {
@@ -358,6 +363,7 @@ impl EngineCore {
                 baselines: Vec::new(),
             },
         );
+        self.live.push(id);
         Ok(id)
     }
 
@@ -513,6 +519,8 @@ impl EngineCore {
         match self.sessions.get_mut(&id) {
             Some(s) if s.status == SessionStatus::Active => {
                 s.status = SessionStatus::Cancelled;
+                let at = self.live.binary_search(&id).expect("an active session is live");
+                self.live.remove(at);
                 true
             }
             _ => false,
@@ -551,7 +559,8 @@ impl EngineCore {
             }
             let now = self.epochs_run;
             let mut executed: Vec<QueryId> = Vec::new();
-            for (&id, session) in self.sessions.iter_mut() {
+            for &id in &self.live {
+                let session = self.sessions.get_mut(&id).expect("a live session has state");
                 session.expire_if_due(now);
                 if session.status != SessionStatus::Active {
                     continue;
@@ -616,9 +625,12 @@ impl EngineCore {
             self.epochs_run += 1;
             // A session whose LIFETIME was fully served this epoch completes now, so
             // it neither holds an admission slot nor reports Active between runs.
-            for session in self.sessions.values_mut() {
-                session.expire_if_due(self.epochs_run);
-            }
+            let (sessions, now) = (&mut self.sessions, self.epochs_run);
+            self.live.retain(|id| {
+                let session = sessions.get_mut(id).expect("a live session has state");
+                session.expire_if_due(now);
+                session.status == SessionStatus::Active
+            });
         }
     }
 
@@ -737,6 +749,7 @@ impl QueryEngine {
                 net,
                 workload,
                 sessions: BTreeMap::new(),
+                live: Vec::new(),
                 windows: None,
                 store: None,
                 maintenance_energy_uj: 0.0,
@@ -1779,5 +1792,72 @@ mod tests {
             sessions.iter().map(|s| (s.results(), s.totals())).collect::<Vec<_>>()
         };
         assert_eq!(run(11), run(11));
+    }
+
+    /// The ids the epoch loop walked before the live list existed: one scan of the map.
+    fn active_by_scan(core: &EngineCore) -> Vec<QueryId> {
+        let active = core.sessions.iter().filter(|(_, s)| s.status == SessionStatus::Active);
+        active.map(|(&id, _)| id).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 24,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// Register / cancel / `LIFETIME` expiry / one-shot historic in any order: the
+        /// live list is the scan's answer after every step, and an engine whose list
+        /// is thrown away and rebuilt by the scan before every epoch (the twin) serves
+        /// the same answers from the same ledgers.
+        #[test]
+        fn the_live_list_is_the_active_scan_and_serves_what_the_scan_served(
+            ops in proptest::collection::vec((0u8..5, 0usize..64), 1..40),
+        ) {
+            let (mut engine, mut twin) = (engine(29), engine(29));
+            let mut handles: Vec<(Session, Session)> = Vec::new();
+            for (kind, pick) in ops {
+                let sql = match kind {
+                    0 => Some(EIGHT_QUERIES[pick % 8].to_string()),
+                    1 => {
+                        Some(format!("{} LIFETIME {} epochs", EIGHT_QUERIES[pick % 8], 1 + pick % 3))
+                    }
+                    2 => Some(format!(
+                        "SELECT TOP 2 epoch, AVG(sound) FROM sensors GROUP BY epoch \
+                         WITH HISTORY {} epochs LIFETIME 3 epochs",
+                        2 + pick % 4
+                    )),
+                    _ => None,
+                };
+                match (kind, sql) {
+                    (_, Some(sql)) => match (engine.register(&sql), twin.register(&sql)) {
+                        (Ok(a), Ok(b)) => handles.push((a, b)),
+                        (Err(a), Err(b)) => proptest::prop_assert_eq!(a.to_string(), b.to_string()),
+                        _ => panic!("admission differs between the engine and its twin"),
+                    },
+                    (3, _) if !handles.is_empty() => {
+                        let slot = pick % handles.len();
+                        let (a, b) = &mut handles[slot];
+                        proptest::prop_assert_eq!(a.cancel(), b.cancel());
+                    }
+                    _ => {
+                        let mut core = lock_core(&twin.core);
+                        core.live = active_by_scan(&core);
+                        drop(core);
+                        engine.run_epochs(1 + pick % 2);
+                        twin.run_epochs(1 + pick % 2);
+                    }
+                }
+                let core = lock_core(&engine.core);
+                proptest::prop_assert_eq!(&core.live, &active_by_scan(&core));
+                proptest::prop_assert_eq!(core.active_sessions(), core.live.len());
+            }
+            for (a, b) in &handles {
+                proptest::prop_assert_eq!(a.status(), b.status());
+                proptest::prop_assert_eq!(a.results(), b.results());
+                proptest::prop_assert_eq!(a.totals(), b.totals());
+            }
+            proptest::prop_assert_eq!(engine.metrics().totals(), twin.metrics().totals());
+        }
     }
 }

@@ -17,6 +17,7 @@
 //! | R5 | `lock-discipline` | non-test library code |
 //! | R6 | `alloc-before-validate` | untrusted decoders (`kspot-serve/src/`, `kspot-store/src/`) |
 //! | R7 | `allow-deprecated` | everywhere |
+//! | R8 | `unsafe-confinement` | everywhere except `kspot-serve/src/sys.rs` (and the counting allocator of `kspot-algos/tests/alloc_budget.rs`) |
 //!
 //! Suppression is explicit and audited: `// lint: allow(<rule>, <reason>)`
 //! silences a finding on the marker's line or the line below;
@@ -61,10 +62,13 @@ pub enum Rule {
     AllocBeforeValidate,
     /// R7 — an `allow(deprecated)` attribute keeping a retired API callable.
     AllowDeprecated,
+    /// R8 — `unsafe` outside the one audited module, or a crate root that stopped
+    /// forbidding it (ADR-011).
+    UnsafeConfinement,
 }
 
 impl Rule {
-    /// Short id, `R0`–`R7`, as printed in findings and accepted by `allow()`.
+    /// Short id, `R0`–`R8`, as printed in findings and accepted by `allow()`.
     pub fn id(self) -> &'static str {
         match self {
             Rule::Suppression => "R0",
@@ -75,6 +79,7 @@ impl Rule {
             Rule::LockDiscipline => "R5",
             Rule::AllocBeforeValidate => "R6",
             Rule::AllowDeprecated => "R7",
+            Rule::UnsafeConfinement => "R8",
         }
     }
 
@@ -89,6 +94,7 @@ impl Rule {
             Rule::LockDiscipline => "lock-discipline",
             Rule::AllocBeforeValidate => "alloc-before-validate",
             Rule::AllowDeprecated => "allow-deprecated",
+            Rule::UnsafeConfinement => "unsafe-confinement",
         }
     }
 
@@ -97,7 +103,7 @@ impl Rule {
     /// findings cannot be suppressed by another marker.
     pub fn parse(s: &str) -> Option<Rule> {
         let s = s.trim().to_ascii_lowercase();
-        const SUPPRESSIBLE: [Rule; 7] = [
+        const SUPPRESSIBLE: [Rule; 8] = [
             Rule::NanOrdering,
             Rule::BareUnwrap,
             Rule::OrderLeak,
@@ -105,6 +111,7 @@ impl Rule {
             Rule::LockDiscipline,
             Rule::AllocBeforeValidate,
             Rule::AllowDeprecated,
+            Rule::UnsafeConfinement,
         ];
         SUPPRESSIBLE
             .into_iter()
@@ -171,6 +178,27 @@ pub struct FileContext {
     pub untrusted_decode: bool,
     /// The one module allowed to construct RNGs (R4 exemption).
     pub rng_module: bool,
+    /// Where R8 lets the `unsafe` keyword and `allow(unsafe_code)` appear.
+    pub unsafe_scope: UnsafeScope,
+    /// A library crate root (`src/lib.rs`): R8 demands its crate-level
+    /// `unsafe_code` attribute.
+    pub crate_root: bool,
+}
+
+/// What R8 permits in a file (ADR-011).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnsafeScope {
+    /// Everywhere else: no `unsafe`, no `allow(unsafe_code)`.
+    Forbidden,
+    /// `crates/kspot-serve/src/sys.rs`: `unsafe` blocks, each behind a `// SAFETY:`
+    /// comment.
+    Module,
+    /// `crates/kspot-serve/src/lib.rs`: `#![deny(unsafe_code)]` at the root and one
+    /// `#[allow(unsafe_code)]`, on `mod sys;`.
+    ModuleParent,
+    /// `crates/kspot-algos/tests/alloc_budget.rs`: the counting `GlobalAlloc` of
+    /// one test binary; out of R8's scope.
+    CountingAllocator,
 }
 
 impl FileContext {
@@ -192,12 +220,24 @@ impl FileContext {
         let untrusted_decode = p.starts_with("crates/kspot-serve/src/")
             || p.starts_with("crates/kspot-store/src/");
         let rng_module = p == "crates/kspot-net/src/rng.rs";
+        let unsafe_scope = match p.as_str() {
+            "crates/kspot-serve/src/sys.rs" => UnsafeScope::Module,
+            "crates/kspot-serve/src/lib.rs" => UnsafeScope::ModuleParent,
+            "crates/kspot-algos/tests/alloc_budget.rs" => UnsafeScope::CountingAllocator,
+            _ => UnsafeScope::Forbidden,
+        };
+        let crate_root = p == "src/lib.rs"
+            || p.strip_prefix("crates/")
+                .and_then(|rest| rest.split_once('/'))
+                .is_some_and(|(_, file)| file == "src/lib.rs");
         FileContext {
             path: p,
             test_code,
             deterministic,
             untrusted_decode,
             rng_module,
+            unsafe_scope,
+            crate_root,
         }
     }
 }
@@ -278,6 +318,7 @@ pub fn lint_file(ctx: &FileContext, src: &str) -> FileReport {
     let pass = rules::Pass {
         ctx,
         toks: &toks,
+        comments: &comments,
         in_test: &in_test,
     };
     let mut findings = rules::run_all(&pass);
@@ -325,7 +366,7 @@ pub fn lint_file(ctx: &FileContext, src: &str) -> FileReport {
                     ctx,
                     *line,
                     &format!("allow marker names unknown rule `{raw_rule}`"),
-                    "use R1-R7 or a rule name like `nan-ordering`; R0 cannot be suppressed",
+                    "use R1-R8 or a rule name like `nan-ordering`; R0 cannot be suppressed",
                 ));
             }
             Marker::Allow { line, .. } => {

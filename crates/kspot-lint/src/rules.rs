@@ -1,4 +1,4 @@
-//! The seven invariant rules (R1–R7), each a small pass over the token stream.
+//! The eight invariant rules (R1–R8), each a small pass over the token stream.
 //!
 //! Every rule is deny-by-default inside its scope (see
 //! [`crate::FileContext`]); escape hatches are the `// lint: allow(...)` and
@@ -6,14 +6,16 @@
 //! [`crate::lint_file`], never rule-internal special cases. Rationale for each
 //! rule lives in `docs/adr/ADR-008-kspot-lint-invariant-checker.md`.
 
-use crate::lex::{TokKind, Token};
-use crate::{FileContext, Finding, Rule};
+use crate::lex::{Comment, TokKind, Token};
+use crate::{FileContext, Finding, Rule, UnsafeScope};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Shared per-file inputs handed to every rule.
 pub(crate) struct Pass<'a> {
     pub(crate) ctx: &'a FileContext,
     pub(crate) toks: &'a [Token],
+    pub(crate) comments: &'a [Comment],
     pub(crate) in_test: &'a [bool],
 }
 
@@ -54,6 +56,7 @@ pub(crate) fn run_all(p: &Pass<'_>) -> Vec<Finding> {
     lock_discipline(p, &mut out);
     alloc_before_validate(p, &mut out);
     allow_deprecated(p, &mut out);
+    unsafe_confinement(p, &mut out);
     out.sort_by_key(|f| (f.line, f.rule));
     out.dedup_by(|a, b| a.line == b.line && a.rule == b.rule && a.message == b.message);
     out
@@ -506,10 +509,24 @@ fn check_alloc_arg(
     }
 }
 
-/// R7: `deprecated` inside an `allow(..)` attribute (`#[..]` or `#![..]`).
-/// Fires everywhere, tests included: the workspace defines no `#[deprecated]`
-/// item (ADR-010), so the attribute could only keep a retired API callable.
-fn allow_deprecated(p: &Pass<'_>, out: &mut Vec<Finding>) {
+/// One `#[..]` or `#![..]` attribute.
+struct Attribute {
+    /// `#![..]`: applies to the enclosing item (the crate, at a root).
+    inner: bool,
+    /// Token indices between the brackets.
+    body: Range<usize>,
+}
+
+impl Attribute {
+    /// Whether `name` appears as an identifier inside the attribute.
+    fn names(&self, p: &Pass<'_>, name: &str) -> bool {
+        self.body.clone().any(|i| p.ident(i) == Some(name))
+    }
+}
+
+/// Every attribute of the file, in order.
+fn attributes(p: &Pass<'_>) -> Vec<Attribute> {
+    let mut out = Vec::new();
     let mut i = 0usize;
     while i < p.toks.len() {
         let bang = usize::from(p.punct(i + 1, '!'));
@@ -517,14 +534,35 @@ fn allow_deprecated(p: &Pass<'_>, out: &mut Vec<Finding>) {
             i += 1;
             continue;
         }
-        i += 2 + bang;
-        let (mut depth, mut allow) = (1u32, false);
-        while i < p.toks.len() && depth > 0 {
-            match &p.toks[i].kind {
+        let start = i + 2 + bang;
+        let (mut end, mut depth) = (start, 1u32);
+        while end < p.toks.len() {
+            match &p.toks[end].kind {
                 TokKind::Punct('[') => depth += 1,
                 TokKind::Punct(']') => depth -= 1,
-                TokKind::Ident(s) if s == "allow" => allow = true,
-                TokKind::Ident(s) if allow && s == "deprecated" => out.push(p.finding(
+                _ => {}
+            }
+            if depth == 0 {
+                break;
+            }
+            end += 1;
+        }
+        out.push(Attribute { inner: bang == 1, body: start..end });
+        i = end + 1;
+    }
+    out
+}
+
+/// R7: `deprecated` inside an `allow(..)` attribute (`#[..]` or `#![..]`).
+/// Fires everywhere, tests included: the workspace defines no `#[deprecated]`
+/// item (ADR-010), so the attribute could only keep a retired API callable.
+fn allow_deprecated(p: &Pass<'_>, out: &mut Vec<Finding>) {
+    for attr in attributes(p) {
+        let mut allow = false;
+        for i in attr.body {
+            match p.ident(i) {
+                Some("allow") => allow = true,
+                Some("deprecated") if allow => out.push(p.finding(
                     Rule::AllowDeprecated,
                     p.line(i),
                     "`allow(deprecated)` — keeps a call into a retired API compiling",
@@ -532,7 +570,88 @@ fn allow_deprecated(p: &Pass<'_>, out: &mut Vec<Finding>) {
                 )),
                 _ => {}
             }
-            i += 1;
         }
     }
+}
+
+/// R8: the `unsafe` keyword lives in one audited module (ADR-011).  Outside it the
+/// keyword and any attribute relaxing the `unsafe_code` lint are findings; inside
+/// it every `unsafe` block needs a `// SAFETY:` comment directly above; every
+/// library crate root must keep `#![forbid(unsafe_code)]` — `#![deny(..)]` for the
+/// module's parent, whose single `#[allow(unsafe_code)]` must sit on `mod sys;`.
+fn unsafe_confinement(p: &Pass<'_>, out: &mut Vec<Finding>) {
+    let scope = p.ctx.unsafe_scope;
+    if scope == UnsafeScope::CountingAllocator {
+        return;
+    }
+    for (i, t) in p.toks.iter().enumerate() {
+        if !matches!(&t.kind, TokKind::Ident(s) if s == "unsafe") {
+            continue;
+        }
+        if scope != UnsafeScope::Module {
+            out.push(p.finding(
+                Rule::UnsafeConfinement,
+                t.line,
+                "`unsafe` outside `crates/kspot-serve/src/sys.rs` — the workspace's one audited module",
+                "use a safe std API, or add the call to `sys.rs` behind a safe function and extend ADR-011's audit",
+            ));
+        } else if p.punct(i + 1, '{') && !safety_comment_above(p, t.line) {
+            out.push(p.finding(
+                Rule::UnsafeConfinement,
+                t.line,
+                "`unsafe` block without a `// SAFETY:` comment directly above it",
+                "state why the operation's requirements hold, on the lines right before the block",
+            ));
+        }
+    }
+
+    let level = if scope == UnsafeScope::ModuleParent { "deny" } else { "forbid" };
+    let mut root_attribute = false;
+    let mut module_allowed = false;
+    for attr in attributes(p) {
+        if !attr.names(p, "unsafe_code") {
+            continue;
+        }
+        if attr.inner && attr.names(p, level) {
+            root_attribute = true;
+        } else if ["allow", "warn", "expect"].iter().any(|relax| attr.names(p, relax)) {
+            let after = attr.body.end + 1;
+            let on_mod_sys = p.ident(after) == Some("mod")
+                && p.ident(after + 1) == Some("sys")
+                && p.punct(after + 2, ';');
+            if scope == UnsafeScope::ModuleParent && !attr.inner && on_mod_sys && !module_allowed {
+                module_allowed = true;
+            } else {
+                out.push(p.finding(
+                    Rule::UnsafeConfinement,
+                    p.line(attr.body.start),
+                    "attribute relaxing the `unsafe_code` lint — only `mod sys;` of kspot-serve carries one",
+                    "delete the attribute; code that needs it belongs in `crates/kspot-serve/src/sys.rs`",
+                ));
+            }
+        }
+    }
+    if p.ctx.crate_root && !root_attribute {
+        out.push(p.finding(
+            Rule::UnsafeConfinement,
+            1,
+            &format!("crate root without `#![{level}(unsafe_code)]`"),
+            "restore the crate-level attribute: the compiler enforces per crate what this rule fences per file",
+        ));
+    }
+}
+
+/// Whether the run of line comments ending on the line above `line` holds one
+/// that starts with `SAFETY:`.
+fn safety_comment_above(p: &Pass<'_>, line: u32) -> bool {
+    let mut above = line;
+    while above > 1 {
+        above -= 1;
+        match p.comments.iter().find(|c| c.line == above) {
+            Some(c) if c.text.starts_with("SAFETY:") => return true,
+            Some(_) => {}
+            None => return false,
+        }
+    }
+    false
 }

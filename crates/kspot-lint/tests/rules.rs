@@ -1,5 +1,5 @@
 //! The fixture corpus: at least one firing and one non-firing case per rule
-//! R1–R7, plus the suppression grammar (reasoned `allow` silences with an
+//! R1–R8, plus the suppression grammar (reasoned `allow` silences with an
 //! audit trail; a reason-less, unknown-rule, stale or malformed marker is an
 //! R0 finding of its own).
 
@@ -147,6 +147,59 @@ fn r7_fires_on_allow_deprecated_everywhere_tests_included() {
         assert_eq!(lines, [2, 4], "the inner and the outer attribute: {fire:?}");
         assert!(fired(&ctx, include_str!("fixtures/r7_clean.rs")).is_empty());
     }
+}
+
+/// The lines R8 fired on.
+fn r8_lines(path: &str, src: &str) -> Vec<u32> {
+    let fire = lint_source(&FileContext::from_path(path), src);
+    assert!(fire.iter().all(|f| f.rule == Rule::UnsafeConfinement), "{fire:?}");
+    fire.iter().map(|f| f.line).collect()
+}
+
+#[test]
+fn r8_fires_on_the_keyword_and_on_relaxing_attributes_outside_the_audited_module() {
+    for path in ["crates/kspot-core/src/fixture.rs", "crates/kspot-core/tests/fixture.rs"] {
+        let lines = r8_lines(path, include_str!("fixtures/r8_fire.rs"));
+        assert_eq!(lines, [2, 10, 13, 16], "attribute, block, fn, impl");
+        assert!(r8_lines(path, include_str!("fixtures/r8_clean.rs")).is_empty());
+    }
+    // The one test binary that owns a `GlobalAlloc` is out of scope.
+    let allocator = "crates/kspot-algos/tests/alloc_budget.rs";
+    assert!(r8_lines(allocator, include_str!("fixtures/r8_fire.rs")).is_empty());
+}
+
+#[test]
+fn r8_demands_the_crate_level_attribute_of_every_library_root() {
+    let root = "crates/kspot-core/src/lib.rs";
+    assert!(r8_lines(root, include_str!("fixtures/r8_clean.rs")).is_empty());
+    assert_eq!(r8_lines(root, include_str!("fixtures/r8_root_fire.rs")), [1], "a removed forbid");
+    assert_eq!(r8_lines("src/lib.rs", include_str!("fixtures/r8_root_fire.rs")), [1]);
+    // Not a root: nothing to demand.
+    let module = "crates/kspot-core/src/engine.rs";
+    assert!(r8_lines(module, include_str!("fixtures/r8_root_fire.rs")).is_empty());
+}
+
+#[test]
+fn r8_wants_a_safety_comment_directly_above_every_block_of_the_audited_module() {
+    let sys = "crates/kspot-serve/src/sys.rs";
+    assert!(r8_lines(sys, include_str!("fixtures/r8_sys_clean.rs")).is_empty());
+    let fire = lint_source(&FileContext::from_path(sys), include_str!("fixtures/r8_sys_fire.rs"));
+    assert_eq!(fire.iter().map(|f| f.line).collect::<Vec<_>>(), [9, 15]);
+    assert!(fire.iter().all(|f| f.message.contains("SAFETY")), "{fire:?}");
+}
+
+#[test]
+fn r8_lets_the_modules_parent_allow_it_once_and_only_on_mod_sys() {
+    let parent = "crates/kspot-serve/src/lib.rs";
+    assert!(r8_lines(parent, include_str!("fixtures/r8_parent_clean.rs")).is_empty());
+    assert_eq!(
+        r8_lines(parent, include_str!("fixtures/r8_parent_fire.rs")),
+        [4, 8],
+        "another module's, and a second one"
+    );
+    // Anywhere else the same file has no door to open and the wrong root attribute.
+    let elsewhere = "crates/kspot-store/src/lib.rs";
+    assert_eq!(r8_lines(elsewhere, include_str!("fixtures/r8_parent_clean.rs")), [1, 6]);
 }
 
 #[test]

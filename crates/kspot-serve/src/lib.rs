@@ -15,8 +15,11 @@
 //! * **input hardening** — every frame is bounds-checked before allocation, and
 //!   the SQL it carries goes through a parser that is fuzzed to never panic.
 //!
-//! The crate is pure `std::net` + threads — no async runtime — matching the
-//! workspace's hermetic, dependency-free design (ADR-001).
+//! The crate is pure `std::net` + threads — no async runtime, no dependency —
+//! matching the workspace's hermetic design (ADR-001).  Idle workers wait for
+//! socket readiness in `poll(2)`; that call and `listen(2)`'s backlog are the two
+//! things `std` does not expose, and the private `sys` module that declares them is
+//! the one place in the workspace where `unsafe_code` is allowed (ADR-011, lint R8).
 //!
 //! ```no_run
 //! use kspot_core::{EngineFleet, ScenarioConfig, WorkloadSpec};
@@ -44,7 +47,7 @@
 //! server.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -52,6 +55,8 @@ pub mod client;
 pub mod loadgen;
 pub mod proto;
 pub mod server;
+#[allow(unsafe_code)]
+mod sys;
 
 pub use client::{ClientError, PollOutcome, WireClient};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, OpStats};

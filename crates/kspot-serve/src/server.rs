@@ -4,11 +4,27 @@
 //! # Architecture
 //!
 //! One acceptor thread turns incoming TCP connections into non-blocking,
-//! `TCP_NODELAY` `Conn` records on a shared ready-queue; a **fixed** pool of worker
-//! threads repeatedly pops a connection, services it and pushes it back.  A
-//! connection is owned by at most one worker at a time, so per-connection state needs
-//! no locking; the fleet's own shard locks serialise engine access exactly as for
-//! in-process callers.
+//! `TCP_NODELAY` `Conn` records; a **fixed** pool of worker threads services them.
+//! A connection is owned by at most one worker at a time, so per-connection state
+//! needs no locking; the fleet's own shard locks serialise engine access exactly as
+//! for in-process callers.
+//!
+//! # Readiness
+//!
+//! Between service rounds a connection sits in the `Hub`: in `ready` when it has
+//! work to do, in `idle` when its last round moved nothing.  A worker that finds
+//! `ready` empty while nobody watches the idle sockets takes the whole idle set and
+//! blocks in `poll(2)` on it plus a wake socket; every other free worker waits on a
+//! condition variable, with no timeout.  When the poll returns, the connections the
+//! kernel reported go to `ready`, the poller takes one, wakes one follower to take
+//! over the poll, and services it — one thread wake-up on a request's critical path
+//! and no thread of its own.  A connection is watched for input unless it is closing
+//! or its outbox is at budget, and for room to write exactly while its outbox holds
+//! bytes, so the backpressure rule below is what the kernel is asked about and a
+//! stalled reader costs no CPU.  Parking a connection while a worker is inside
+//! `poll` pushes it *then* writes a wake byte; the poller drains the byte *then*
+//! re-reads the idle set, so no order of the two loses it.  An idle server, with
+//! none or with a thousand connections, makes no wake-ups at all (ADR-011).
 //!
 //! # The service round and the reply path
 //!
@@ -45,21 +61,28 @@ use crate::proto::{
     STATUS_CANCELLED, STATUS_COMPLETED,
 };
 use kspot_core::{AdmissionScope, EngineFleet, FleetError, Session, SessionStatus};
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Tenant name billed for connections that never send [`Request::Hello`].
 pub const ANONYMOUS_TENANT: &str = "anonymous";
 
-/// How long an idle worker waits on the ready-queue, and how long the acceptor backs
-/// off after a failed `accept()`, before looking at `shutdown` again.
-const IDLE_WAIT: Duration = Duration::from_millis(10);
+/// How long the acceptor backs off after a failed `accept()`.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// The accept queue's length.  `std` listens with 128, which a few hundred clients
+/// connecting at once overflow; a handshake lost on a full queue leaves a client of
+/// this server-speaks-first protocol waiting for its `Welcome` until it times out.
+const LISTEN_BACKLOG: i32 = 1024;
 
 /// Tuning knobs of a [`WireServer`].
 #[derive(Debug, Clone)]
@@ -147,28 +170,131 @@ impl Conn {
     fn done(&self) -> bool {
         self.dead || (self.closing && self.outbox.is_empty())
     }
+
+    /// What a parked connection waits for: input unless it is closing or its outbox
+    /// is at `outbox_budget` (the rule `service` reads by), room to write exactly
+    /// while the outbox holds bytes.  Never empty for a connection that is not
+    /// `done`.
+    fn interest(&self, outbox_budget: usize) -> i16 {
+        let mut events = 0;
+        if !self.closing && self.outbox.len() < outbox_budget {
+            events |= POLLIN;
+        }
+        if !self.outbox.is_empty() {
+            events |= POLLOUT;
+        }
+        events
+    }
+}
+
+/// The connections no worker holds, and whether anyone is watching the idle ones.
+#[derive(Default)]
+struct Hub {
+    /// Connections with work to do, in arrival order.
+    ready: VecDeque<Conn>,
+    /// Parked connections: nothing to do until their socket says otherwise.
+    idle: Vec<Conn>,
+    /// Whether a worker is inside `poll(2)` on the idle set it took.
+    polling: bool,
 }
 
 /// Everything the acceptor, workers and pacer share.
 struct Shared {
     fleet: EngineFleet,
     config: ServeConfig,
-    ready: Mutex<VecDeque<Conn>>,
-    ready_cv: Condvar,
+    hub: Mutex<Hub>,
+    /// Where free workers wait while another one polls.
+    hub_cv: Condvar,
+    /// The wake socket: a byte written to `wake_tx` ends the poller's `poll(2)`.
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
     shutdown: AtomicBool,
     /// Active sessions per tenant (the quota ledger).
     tenants: Mutex<HashMap<String, usize>>,
 }
 
 impl Shared {
-    fn new(fleet: EngineFleet, config: ServeConfig) -> Self {
-        Self {
+    fn new(fleet: EngineFleet, config: ServeConfig) -> std::io::Result<Self> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        // A full wake socket already says "wake up", and a drained one must not block.
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        Ok(Self {
             fleet,
             config,
-            ready: Mutex::new(VecDeque::new()),
-            ready_cv: Condvar::new(),
+            hub: Mutex::new(Hub::default()),
+            hub_cv: Condvar::new(),
+            wake_tx,
+            wake_rx,
             shutdown: AtomicBool::new(false),
             tenants: Mutex::new(HashMap::new()),
+        })
+    }
+
+    fn lock_hub(&self) -> MutexGuard<'_, Hub> {
+        self.hub.lock().expect("connection hub poisoned")
+    }
+
+    /// Ends the current (or the next) `poll(2)` on the idle set.
+    fn wake_poller(&self) {
+        // `WouldBlock` means unread wake bytes are already queued.
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// Gets every worker to look at `shutdown`, which the caller has set.  A worker
+    /// that read the flag as unset held the hub lock doing so: once the lock has been
+    /// taken here it is inside `wait` or `poll`, where the notification and the wake
+    /// byte reach it.
+    fn wake_all_workers(&self) {
+        drop(self.lock_hub());
+        self.hub_cv.notify_all();
+        self.wake_poller();
+    }
+
+    /// Hands over a connection with nothing to do until its socket says otherwise.
+    /// The push comes first and the wake byte second; the poller drains the byte
+    /// first and re-reads `idle` second, so whichever way the two interleave the
+    /// connection ends up in a polled set (ADR-011, "Lost wake-ups").
+    fn park(&self, conn: Conn) {
+        let mut hub = self.lock_hub();
+        hub.idle.push(conn);
+        let polling = hub.polling;
+        drop(hub);
+        if polling {
+            self.wake_poller();
+        }
+    }
+
+    /// Blocks until a connection has work to do and returns it; `None` once the
+    /// server is shutting down and every connection has been handed out.
+    fn next_conn(&self) -> Option<Conn> {
+        let mut hub = self.lock_hub();
+        loop {
+            let shutdown = self.shutdown.load(Ordering::SeqCst);
+            if shutdown {
+                // Every connection gets its last flush and its cleanup.
+                let Hub { ready, idle, .. } = &mut *hub;
+                ready.extend(idle.drain(..));
+            }
+            if let Some(conn) = hub.ready.pop_front() {
+                // Pass the baton: more work is queued, or nobody watches the sockets.
+                if !hub.ready.is_empty() || !hub.polling {
+                    self.hub_cv.notify_one();
+                }
+                return Some(conn);
+            }
+            if shutdown {
+                return None;
+            }
+            if hub.polling {
+                hub = self.hub_cv.wait(hub).expect("connection hub poisoned");
+                continue;
+            }
+            hub.polling = true;
+            let parked = std::mem::take(&mut hub.idle);
+            drop(hub);
+            PollTurn { shared: self, parked, fds: Vec::new() }.wait();
+            hub = self.lock_hub();
         }
     }
 
@@ -195,6 +321,66 @@ impl Shared {
     }
 }
 
+/// One worker's turn as the poller: it holds the idle set it took while it is inside
+/// `poll(2)`.  Dropping the turn — at the end of [`PollTurn::wait`] or by unwinding
+/// out of it — gives every connection back and clears `polling`, so a panic in
+/// here costs one worker and never the connections or the next poller's turn.
+struct PollTurn<'a> {
+    shared: &'a Shared,
+    parked: Vec<Conn>,
+    /// The wake socket, then one entry per parked connection, in order.
+    fds: Vec<PollFd>,
+}
+
+impl PollTurn<'_> {
+    /// Blocks until a parked socket is ready or somebody writes a wake byte, then
+    /// ends the turn.
+    fn wait(mut self) {
+        let shared = self.shared;
+        let budget = shared.config.outbox_capacity_bytes;
+        self.fds.push(PollFd::new(shared.wake_rx.as_raw_fd(), POLLIN));
+        self.fds.extend(
+            self.parked.iter().map(|c| PollFd::new(c.stream.as_raw_fd(), c.interest(budget))),
+        );
+        if sys::wait(&mut self.fds, -1).is_err() {
+            // Out of kernel memory: let every connection find out for itself what
+            // its socket has — the non-blocking service round is always correct.
+            self.fds.clear();
+        }
+        #[cfg(test)]
+        tests::fault_after_poll();
+        if self.fds.first().is_some_and(PollFd::ready) {
+            // A short read has emptied the socket; a byte that lands after it ends
+            // the next `poll`.
+            let mut bytes = [0u8; 64];
+            while matches!((&shared.wake_rx).read(&mut bytes), Ok(n) if n == bytes.len()) {}
+        }
+    }
+}
+
+impl Drop for PollTurn<'_> {
+    fn drop(&mut self) {
+        // A poisoned hub means a worker died holding it; nothing is left to hand to.
+        let Ok(mut hub) = self.shared.hub.lock() else { return };
+        hub.polling = false;
+        // Without `poll`'s verdict (it failed, or this is an unwind before it ran)
+        // every connection counts as ready.
+        let mut verdicts = self.fds.iter().skip(1);
+        for conn in self.parked.drain(..) {
+            if verdicts.next().is_none_or(PollFd::ready) {
+                hub.ready.push_back(conn);
+            } else {
+                hub.idle.push(conn);
+            }
+        }
+        drop(hub);
+        if std::thread::panicking() {
+            // This worker will not come back to take a connection or the next turn.
+            self.shared.hub_cv.notify_one();
+        }
+    }
+}
+
 /// A running wire front-end.  Bound to a loopback port on [`WireServer::start`];
 /// stopped (joining every thread and cancelling in-flight sessions) by
 /// [`WireServer::shutdown`] or on drop.
@@ -210,9 +396,9 @@ impl WireServer {
     /// Binds `127.0.0.1:0` and starts the acceptor, worker and (optional) pacer
     /// threads fronting `fleet`.
     pub fn start(fleet: EngineFleet, config: ServeConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let listener = bind_loopback()?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(fleet, config.clone()));
+        let shared = Arc::new(Shared::new(fleet, config.clone())?);
 
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -280,16 +466,21 @@ impl WireServer {
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
-        self.shared.ready_cv.notify_all();
+        self.shared.wake_all_workers();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
         if let Some(handle) = self.pacer.take() {
             let _ = handle.join();
         }
-        // Workers exited; clean up whatever connections are still queued.
-        let mut queue = self.shared.ready.lock().expect("ready queue poisoned");
-        while let Some(mut conn) = queue.pop_front() {
+        // The workers drained the hub on their way out; what a worker that died
+        // mid-shutdown left behind is cleaned up here.
+        let leftovers: Vec<Conn> = {
+            let mut hub = self.shared.lock_hub();
+            let Hub { ready, idle, .. } = &mut *hub;
+            ready.drain(..).chain(idle.drain(..)).collect()
+        };
+        for mut conn in leftovers {
             cleanup(&self.shared, &mut conn);
         }
     }
@@ -301,6 +492,13 @@ impl Drop for WireServer {
     }
 }
 
+/// A loopback listener on an ephemeral port with [`LISTEN_BACKLOG`].
+fn bind_loopback() -> std::io::Result<TcpListener> {
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    sys::set_backlog(&listener, LISTEN_BACKLOG)?;
+    Ok(listener)
+}
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     loop {
         let accepted = listener.accept();
@@ -310,7 +508,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let Ok((stream, _peer)) = accepted else {
             // Out of descriptors (`EMFILE`/`ENFILE`) fails again at once: back off
             // instead of spinning on `accept()`.
-            std::thread::sleep(IDLE_WAIT);
+            std::thread::sleep(ACCEPT_BACKOFF);
             continue;
         };
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
@@ -321,33 +519,18 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             protocol: PROTOCOL_VERSION,
             deployments: shared.fleet.deployments() as u32,
         });
-        let mut queue = shared.ready.lock().expect("ready queue poisoned");
-        queue.push_back(conn);
-        drop(queue);
-        shared.ready_cv.notify_one();
+        // The `Welcome` leaves from here — a fresh socket takes it whole — so the
+        // connection is parked with nothing to write and no worker wakes for it
+        // before the client's first request.
+        flush_outbox(&mut conn);
+        if !conn.dead {
+            shared.park(conn);
+        }
     }
 }
 
 fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        let conn = {
-            let mut queue = shared.ready.lock().expect("ready queue poisoned");
-            loop {
-                if let Some(conn) = queue.pop_front() {
-                    break Some(conn);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (q, _) = shared
-                    .ready_cv
-                    .wait_timeout(queue, IDLE_WAIT)
-                    .expect("ready queue poisoned");
-                queue = q;
-            }
-        };
-        let Some(mut conn) = conn else { return };
-
+    while let Some(mut conn) = shared.next_conn() {
         if shared.shutdown.load(Ordering::SeqCst) {
             // Drain politely: one last flush, then close.
             let _ = flush_outbox(&mut conn);
@@ -360,15 +543,13 @@ fn worker_loop(shared: Arc<Shared>) {
             cleanup(&shared, &mut conn);
             continue;
         }
-        if !progressed {
-            // Idle connection: brief backoff so a quiet fleet of connections does
-            // not spin the worker pool at 100% CPU.
-            std::thread::sleep(Duration::from_micros(200));
+        if progressed {
+            // More may have arrived meanwhile: one more look, behind whatever else
+            // is ready, before asking the kernel.
+            shared.lock_hub().ready.push_back(conn);
+        } else {
+            shared.park(conn);
         }
-        let mut queue = shared.ready.lock().expect("ready queue poisoned");
-        queue.push_back(conn);
-        drop(queue);
-        shared.ready_cv.notify_one();
     }
 }
 
@@ -676,7 +857,18 @@ mod tests {
     use crate::proto::{decode_response, extract_frame};
     use kspot_core::{ScenarioConfig, WorkloadSpec};
     use kspot_net::{NetworkConfig, RoomModelParams};
+    use std::sync::atomic::AtomicUsize;
     use std::time::Instant;
+
+    /// How many of the next returns from `poll(2)` panic (see [`fault_after_poll`]).
+    static POLL_FAULTS: AtomicUsize = AtomicUsize::new(0);
+
+    /// The fault point between a poller's `poll(2)` and its re-lock of the hub.
+    pub(super) fn fault_after_poll() {
+        let armed =
+            POLL_FAULTS.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        assert!(armed.is_err(), "injected fault: the poller dies holding the idle set");
+    }
 
     const SQL: &str = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid";
 
@@ -689,7 +881,7 @@ mod tests {
             1,
             1,
         );
-        Shared::new(fleet, config)
+        Shared::new(fleet, config).expect("wake socket pair")
     }
 
     /// A `Conn` as `accept_loop` makes them, and the client end of its socket.
@@ -793,5 +985,68 @@ mod tests {
         }
         assert!(conn.outbox.is_empty());
         assert!(received.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8));
+    }
+
+    #[test]
+    fn a_poller_that_panics_gives_back_the_idle_set_and_the_poll_turn() {
+        let shared = Arc::new(shared(ServeConfig::default()));
+        let (conn, peer) = conn_pair();
+        shared.park(conn);
+        POLL_FAULTS.store(1, Ordering::SeqCst);
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || worker_loop(shared))
+            })
+            .collect();
+
+        // The request ends the first worker's poll and with it the worker; the
+        // second one must find the connection and nobody holding the poll turn.
+        let mut peer = peer;
+        peer.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let request = Request::Register { deployment: 0, sql: SQL.to_string() };
+        for _ in 0..3 {
+            peer.write_all(&proto::encode_request(&request).expect("encodes")).expect("send");
+            let mut len = [0u8; 4];
+            peer.read_exact(&mut len).expect("the surviving worker answers");
+            let mut body = vec![0u8; u32::from_be_bytes(len) as usize];
+            peer.read_exact(&mut body).expect("a whole frame");
+            let reply = decode_response(&body).expect("decodes");
+            assert!(matches!(reply, Response::Registered { .. }), "{reply:?}");
+        }
+        assert_eq!(POLL_FAULTS.load(Ordering::SeqCst), 0, "the fault fired");
+
+        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.wake_all_workers();
+        let outcomes: Vec<bool> = workers.into_iter().map(|w| w.join().is_ok()).collect();
+        assert_eq!(outcomes.iter().filter(|ok| !**ok).count(), 1, "exactly one worker died");
+        assert!(!shared.lock_hub().polling);
+    }
+
+    /// Connects `n` clients to a listener nobody accepts from; `Err` is the index of
+    /// the first one whose handshake the kernel did not complete.
+    fn connect_unaccepted(listener: &TcpListener, n: usize) -> Result<Vec<TcpStream>, usize> {
+        let addr = listener.local_addr().expect("addr");
+        (0..n)
+            .map(|i| TcpStream::connect_timeout(&addr, Duration::from_millis(500)).map_err(|_| i))
+            .collect()
+    }
+
+    #[test]
+    fn three_hundred_clients_connect_before_anyone_accepts() {
+        let somaxconn = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok());
+        if somaxconn.is_some_and(|cap| cap < 300) {
+            eprintln!("skipped: net.core.somaxconn = {somaxconn:?} caps every backlog below 300");
+            return;
+        }
+        let listener = bind_loopback().expect("bind");
+        assert_eq!(connect_unaccepted(&listener, 300).map(|c| c.len()), Ok(300));
+
+        // The oracle can fail: std's fixed backlog of 128 drops the handshakes past it.
+        let plain = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let refused = connect_unaccepted(&plain, 300).expect_err("128 is not 300");
+        assert!((128..300).contains(&refused), "first failure at client {refused}");
     }
 }

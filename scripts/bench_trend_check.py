@@ -15,12 +15,15 @@ the previous merge's artifact:
    count, and hosts with fewer than 2 cores skip it (announced, see below).
 
 3. **Serve latency** (schema 5) — fails (exit 1) if the E16 `poll` row's
-   `p50_ms` exceeds 10 ms.  A multi-frame poll reply written as one segment
-   on a `TCP_NODELAY` socket takes ~0.5 ms on loopback at the smoke size and
-   ~6 ms at the full size on a 2-vCPU host (320 connections queueing behind
-   the worker pool's idle back-off); the same reply written frame by frame
-   through Nagle waits ~44 ms for the client's delayed ACK at either size
-   (ADR-007, "Reply path"), so the budget sits between the two.  Also prints the E16 numbers for the trajectory log and —
+   `p50_ms` exceeds 7 ms.  Since idle workers wait for readiness in `poll(2)`
+   (ADR-011) a full-size run — 320 connections, a 2-vCPU host — reads a median
+   `poll` of 3.51, 2.10, 1.17, 2.20 and 1.39 ms (five consecutive runs on the
+   reference host, 2026-10-02; 0.1-0.6 ms at the smoke size); the budget is twice
+   the worst of the five.  The requeue-and-`sleep(200 us)` idle loop this
+   replaced read 4.3-7.8 ms on the same host the same hour, and a reply written
+   frame by frame through Nagle waits ~44 ms for the client's delayed ACK at
+   either size (ADR-007, "Reply path"), so either regression lands over the
+   budget.  Also prints the E16 numbers for the trajectory log and —
    warn-only — warns if the experiment (or its `poll` row) is missing
    (pre-schema-5 artifact) and warns loudly if the run recorded any wire
    protocol errors (the loadgen's own exit code is the hard gate there).
@@ -66,8 +69,9 @@ FLEET_THREADS = 4
 MIN_FLEET_SPEEDUP = 1.5
 MIN_CORES_FOR_SCALING = 2
 
-# The E16 budget: the median wire poll (a multi-frame reply) must stay under this.
-MAX_POLL_P50_MS = 10.0
+# The E16 budget: the median wire poll (a multi-frame reply) must stay under this —
+# 2 x the worst of the five full-size runs in the header comment (3.51 ms).
+MAX_POLL_P50_MS = 7.0
 
 
 def warn_skip(reason):
@@ -204,7 +208,7 @@ def check_serve_latency(current_path):
     """Gate 3 (schema 5): the E16 wire front-end latency record.
 
     Fails when the median `poll` round trip exceeds MAX_POLL_P50_MS — the budget
-    that pins the one-segment reply path.  The rest keeps the trajectory log
+    that pins the one-segment reply path and the readiness-driven worker pool.  The rest keeps the trajectory log
     honest without failing the build (the loadgen binary itself exits non-zero on
     protocol errors): print the percentiles per op, and warn when the experiment
     is missing or the recorded run saw protocol errors."""
@@ -244,7 +248,8 @@ def check_serve_latency(current_path):
     if poll_p50 > MAX_POLL_P50_MS:
         print(
             f"trend check: FAIL — median wire poll takes {poll_p50} ms, over the "
-            f"{MAX_POLL_P50_MS} ms budget (a multi-frame reply is stalling again)",
+            f"{MAX_POLL_P50_MS} ms budget (a multi-frame reply is stalling again, or "
+            "the worker pool is backing off instead of waiting for readiness)",
             file=sys.stderr,
         )
         return 1
