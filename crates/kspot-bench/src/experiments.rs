@@ -1,7 +1,9 @@
-//! The experiment suite E1–E17: every quantitative claim of the KSpot demonstration
-//! (E1–E11) and the engine's perf trajectory (E12–E17), regenerated as printable
-//! tables.  Each experiment's doc comment names the paper artefact or ADR it
-//! reproduces; [`ALL_EXPERIMENTS`] is the index.
+//! The experiment suite: every quantitative claim of the KSpot demonstration (E1–E11)
+//! and the simulated cost of the engine's sharing mechanisms (E13, E14, E17),
+//! regenerated as printable tables.  Every table is a pure function of the simulator
+//! — bytes, messages, energy, pages, answers; never a timing (ADR-012, lint R3) — so
+//! `tests/golden_tables.rs` pins their text.  Each experiment's doc comment names the
+//! paper artefact or ADR it reproduces; [`ALL_EXPERIMENTS`] is the index.
 
 use crate::table::{fmt_f, Table};
 use kspot_algos::historic::HistoricAlgorithm;
@@ -15,39 +17,32 @@ use kspot_net::types::ValueDomain;
 use kspot_net::{Deployment, Network, NetworkConfig, RoomModelParams, Workload};
 use kspot_query::AggFunc;
 
-/// The identifiers of every experiment in the suite.
+/// The identifiers of every experiment in the suite.  E12, E15 and E16 printed
+/// wall-clock rates and were retired with ADR-012; the surviving ids are unchanged.
 pub const ALL_EXPERIMENTS: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
-    "e15", "e16", "e17",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e13", "e14", "e17",
 ];
 
-/// Runs one experiment by id ("e1" … "e17"), returning its table.
+/// Runs one experiment by id (one of [`ALL_EXPERIMENTS`]), returning its table.
 pub fn run(id: &str) -> Option<Table> {
-    match id.to_ascii_lowercase().as_str() {
-        "e1" => Some(e1_figure1()),
-        "e2" => Some(e2_snapshot_savings()),
-        "e3" => Some(e3_energy_lifetime()),
-        "e4" => Some(e4_sweep_k()),
-        "e5" => Some(e5_sweep_network_size()),
-        "e6" => Some(e6_historic_sweep_k()),
-        "e7" => Some(e7_historic_sweep_window()),
-        "e8" => Some(e8_accuracy_study()),
-        "e9" => Some(e9_drift_ablation()),
-        "e10" => Some(e10_aggregate_mix()),
-        "e11" => Some(e11_fault_sweep()),
-        "e12" => Some(e12_engine_throughput().0),
-        "e13" => Some(e13_frame_batching().0),
-        "e14" => Some(e14_historic_sessions().0),
-        "e15" => Some(e15_fleet_scaling().0),
-        "e16" => Some(e16_serve_latency().0),
-        "e17" => Some(e17_store_timetravel().0),
-        _ => None,
-    }
-}
-
-/// Runs every experiment, in order.
-pub fn run_all() -> Vec<Table> {
-    ALL_EXPERIMENTS.iter().filter_map(|id| run(id)).collect()
+    let experiment: fn() -> Table = match id.to_ascii_lowercase().as_str() {
+        "e1" => e1_figure1,
+        "e2" => e2_snapshot_savings,
+        "e3" => e3_energy_lifetime,
+        "e4" => e4_sweep_k,
+        "e5" => e5_sweep_network_size,
+        "e6" => e6_historic_sweep_k,
+        "e7" => e7_historic_sweep_window,
+        "e8" => e8_accuracy_study,
+        "e9" => e9_drift_ablation,
+        "e10" => e10_aggregate_mix,
+        "e11" => e11_fault_sweep,
+        "e13" => e13_frame_batching,
+        "e14" => e14_historic_sessions,
+        "e17" => e17_store_timetravel,
+        _ => return None,
+    };
+    Some(experiment())
 }
 
 // ---------------------------------------------------------------------------------
@@ -90,6 +85,10 @@ fn pct_saved(baseline: f64, ours: f64) -> f64 {
     }
 }
 
+fn yes_no(holds: bool) -> String {
+    if holds { "yes" } else { "NO" }.to_string()
+}
+
 // ---------------------------------------------------------------------------------
 // E1 — the Figure-1 anecdote
 // ---------------------------------------------------------------------------------
@@ -122,7 +121,7 @@ pub fn e1_figure1() -> Table {
             name.to_string(),
             room(top.key),
             fmt_f(top.value, 2),
-            if top.key == 2 { "yes".into() } else { "NO".into() },
+            yes_no(top.key == 2),
         ]);
     };
     run_one("TAG + sink Top-K", &mut TagTopK::new(spec));
@@ -463,7 +462,7 @@ pub fn e10_aggregate_mix() -> Table {
             mint_totals.bytes.to_string(),
             tag_totals.bytes.to_string(),
             format!("{}%", fmt_f(pct_saved(tag_totals.bytes as f64, mint_totals.bytes as f64), 1)),
-            if exact { "yes".into() } else { "NO".into() },
+            yes_no(exact),
         ]);
     }
     table
@@ -518,138 +517,21 @@ pub fn e11_fault_sweep() -> Table {
 }
 
 // ---------------------------------------------------------------------------------
-// E12 — multi-query engine throughput
-// ---------------------------------------------------------------------------------
-
-/// E12: query throughput versus batch size, served two ways — one throwaway
-/// single-session engine per query, in sequence (every query re-pays the whole
-/// substrate), versus the shared-epoch engine serving the batch as concurrent sessions
-/// over one substrate.  Returns the printable table together with the
-/// `BENCH_engine.json` payload the `tables` binary writes for the CI perf trajectory.
-///
-/// The shared-loop speedup is algorithmic — one substrate sweep amortised over the
-/// whole batch — and shows on a single core; multi-core scaling is E15's subject.
-/// Set `KSPOT_BENCH_SMOKE=1` to shrink the sizes for CI smoke runs.
-pub fn e12_engine_throughput() -> (Table, String) {
-    if std::env::var("KSPOT_BENCH_SMOKE").is_ok() {
-        engine_throughput_sized(10, &[1, 2, 4], ScenarioConfig::conference(), true)
-    } else {
-        // A denser venue than the 14-node conference demo, so each query moves enough
-        // traffic for the timings to dominate scheduling noise.
-        let deployment =
-            Deployment::clustered_rooms(8, 8, 20.0, kspot_net::rng::topology_seed(12));
-        let scenario = ScenarioConfig::custom("throughput venue", "sound", deployment);
-        engine_throughput_sized(80, &[1, 2, 4, 8, 16], scenario, false)
-    }
-}
-
-/// The sized core of E12 (the unit tests call it with tiny parameters).
-fn engine_throughput_sized(
-    epochs: usize,
-    batch_sizes: &[usize],
-    scenario: ScenarioConfig,
-    smoke: bool,
-) -> (Table, String) {
-    use std::time::Instant;
-
-    let server = KSpotServer::new(scenario).with_seed(12);
-    let sql_for = |i: usize| -> String {
-        match i % 4 {
-            0 => format!("SELECT TOP {} roomid, AVG(sound) FROM sensors GROUP BY roomid", 1 + i % 3),
-            1 => format!("SELECT TOP {} roomid, MAX(sound) FROM sensors GROUP BY roomid", 1 + i % 4),
-            2 => "SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid".to_string(),
-            _ => "SELECT TOP 2 nodeid, sound FROM sensors".to_string(),
-        }
-    };
-
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut table = Table::new(
-        format!("E12 — multi-query throughput vs batch size ({epochs} epochs per query, {cores} core(s))"),
-        "Serial = one throwaway single-session engine per query, in sequence; shared loop = all queries as concurrent engine sessions over ONE substrate sweep.",
-        &["batch", "serial ms", "shared ms", "serial qps", "shared qps", "shared speedup"],
-    );
-    let mut json_rows: Vec<String> = Vec::new();
-
-    for &n in batch_sizes {
-        let t = Instant::now();
-        for i in 0..n {
-            let mut engine = server.engine();
-            let _session = engine.register(&sql_for(i)).expect("the batch queries admit");
-            engine.run_epochs(epochs);
-        }
-        let serial_s = t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        let mut engine = server.engine();
-        for i in 0..n {
-            let _session = engine.register(&sql_for(i)).expect("the batch queries admit");
-        }
-        engine.run_epochs(epochs);
-        let shared_s = t.elapsed().as_secs_f64();
-
-        let qps = |secs: f64| if secs > 0.0 { n as f64 / secs } else { f64::INFINITY };
-        let speedup = if shared_s > 0.0 { serial_s / shared_s } else { f64::INFINITY };
-        table.push_row(vec![
-            n.to_string(),
-            fmt_f(serial_s * 1e3, 2),
-            fmt_f(shared_s * 1e3, 2),
-            fmt_f(qps(serial_s), 1),
-            fmt_f(qps(shared_s), 1),
-            fmt_f(speedup, 2),
-        ]);
-        json_rows.push(format!(
-            concat!(
-                "    {{\"batch\": {}, \"serial_ms\": {:.3}, \"shared_loop_ms\": {:.3}, ",
-                "\"serial_qps\": {:.2}, \"shared_loop_qps\": {:.2}, ",
-                "\"shared_loop_speedup\": {:.3}}}"
-            ),
-            n,
-            serial_s * 1e3,
-            shared_s * 1e3,
-            qps(serial_s),
-            qps(shared_s),
-            speedup,
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"experiment\": \"engine-throughput\",\n  \"epochs_per_query\": {epochs},\n  \
-         \"cores\": {cores},\n  \"smoke\": {smoke},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    (table, json)
-}
-
-// ---------------------------------------------------------------------------------
 // E13 — cross-query frame batching
 // ---------------------------------------------------------------------------------
 
 /// E13: the byte savings of cross-query frame batching (ADR-004) versus session count
 /// — the same engine workload run twice, with the frame scheduler off and on, on a
 /// lossless substrate so the answers are guaranteed byte-identical and the whole delta
-/// is per-frame overhead.  Returns the printable table plus the JSON fragment the
-/// `tables` binary folds into `BENCH_engine.json` next to E12's throughput rows.
-///
-/// Set `KSPOT_BENCH_SMOKE=1` to shrink the sizes for CI smoke runs.
-pub fn e13_frame_batching() -> (Table, String) {
-    if std::env::var("KSPOT_BENCH_SMOKE").is_ok() {
-        frame_batching_sized(10, &[1, 2, 4], ScenarioConfig::conference())
-    } else {
-        let deployment =
-            Deployment::clustered_rooms(8, 8, 20.0, kspot_net::rng::topology_seed(13));
-        let scenario = ScenarioConfig::custom("batching venue", "sound", deployment);
-        frame_batching_sized(60, &[1, 2, 4, 8], scenario)
-    }
+/// is per-frame overhead.
+pub fn e13_frame_batching() -> Table {
+    let deployment = Deployment::clustered_rooms(8, 8, 20.0, kspot_net::rng::topology_seed(13));
+    let scenario = ScenarioConfig::custom("batching venue", "sound", deployment);
+    frame_batching_sized(60, &[1, 2, 4, 8], scenario)
 }
 
 /// The sized core of E13 (the unit tests call it with tiny parameters).
-fn frame_batching_sized(
-    epochs: usize,
-    session_counts: &[usize],
-    scenario: ScenarioConfig,
-) -> (Table, String) {
-    use std::time::Instant;
-
+fn frame_batching_sized(epochs: usize, session_counts: &[usize], scenario: ScenarioConfig) -> Table {
     let server = KSpotServer::new(scenario).with_seed(13);
     let sql_for = |i: usize| -> String {
         match i % 4 {
@@ -661,98 +543,53 @@ fn frame_batching_sized(
     };
 
     let mut table = Table::new(
-        format!("E13 — cross-query frame batching: upstream bytes and qps vs session count ({epochs} epochs)"),
+        format!("E13 — cross-query frame batching: upstream bytes vs session count ({epochs} epochs)"),
         "One merged frame per node per epoch instead of one per session: savings grow with the session count while every session's answers stay byte-identical (lossless substrate).",
-        &["sessions", "bytes off", "bytes on", "bytes/epoch off", "bytes/epoch on", "saved", "qps off", "qps on", "identical"],
+        &["sessions", "bytes off", "bytes on", "bytes/epoch off", "bytes/epoch on", "saved", "identical"],
     );
-    let mut json_rows: Vec<String> = Vec::new();
-
     for &n in session_counts {
         let run = |batched: bool| {
             let mut engine = server.engine().with_frame_batching(batched);
             let sessions: Vec<_> = (0..n)
                 .map(|i| engine.register(&sql_for(i)).expect("the batch queries admit"))
                 .collect();
-            let t = Instant::now();
             engine.run_epochs(epochs);
-            let secs = t.elapsed().as_secs_f64();
             let answers: Vec<_> = sessions.iter().map(|s| s.results()).collect();
             let bytes = engine.metrics().totals().bytes;
-            (bytes, secs, answers)
+            (bytes, answers)
         };
-        let (bytes_off, secs_off, answers_off) = run(false);
-        let (bytes_on, secs_on, answers_on) = run(true);
-        let identical = answers_off == answers_on;
-        let saved_pct = if bytes_off > 0 {
-            (1.0 - bytes_on as f64 / bytes_off as f64) * 100.0
-        } else {
-            0.0
-        };
-        let qps = |secs: f64| if secs > 0.0 { n as f64 / secs } else { f64::INFINITY };
+        let (bytes_off, answers_off) = run(false);
+        let (bytes_on, answers_on) = run(true);
         table.push_row(vec![
             n.to_string(),
             bytes_off.to_string(),
             bytes_on.to_string(),
             fmt_f(bytes_off as f64 / epochs as f64, 1),
             fmt_f(bytes_on as f64 / epochs as f64, 1),
-            format!("{}%", fmt_f(saved_pct, 1)),
-            fmt_f(qps(secs_off), 1),
-            fmt_f(qps(secs_on), 1),
-            if identical { "yes".into() } else { "NO".into() },
+            format!("{}%", fmt_f(pct_saved(bytes_off as f64, bytes_on as f64), 1)),
+            yes_no(answers_off == answers_on),
         ]);
-        json_rows.push(format!(
-            concat!(
-                "    {{\"sessions\": {}, \"unbatched_bytes\": {}, \"batched_bytes\": {}, ",
-                "\"unbatched_bytes_per_epoch\": {:.2}, \"batched_bytes_per_epoch\": {:.2}, ",
-                "\"saved_pct\": {:.2}, \"unbatched_qps\": {:.2}, \"batched_qps\": {:.2}, ",
-                "\"answers_identical\": {}}}"
-            ),
-            n,
-            bytes_off,
-            bytes_on,
-            bytes_off as f64 / epochs as f64,
-            bytes_on as f64 / epochs as f64,
-            saved_pct,
-            qps(secs_off),
-            qps(secs_on),
-            identical,
-        ));
     }
-
-    let json = format!(
-        "{{\n  \"experiment\": \"frame-batching\",\n  \"epochs\": {epochs},\n  \"rows\": [\n{}\n  ]\n}}",
-        json_rows.join(",\n")
-    );
-    (table, json)
+    table
 }
 
 // ---------------------------------------------------------------------------------
 // E14 — historic sessions: per-submit replay vs engine-shared windows
 // ---------------------------------------------------------------------------------
 
-/// E14: throughput and bytes-per-query of `WITH HISTORY` queries, served two ways —
-/// the per-submit path (each query pays its own throwaway single-session engine: a
-/// fresh substrate plus a from-scratch window-buffering pass per query, the cost
-/// model of the old `HistoricDataset::collect` replay) versus the shared `Session`
-/// path (all queries registered on ONE engine whose per-node windows are fed once
-/// per epoch for everyone, with frame batching merging the sessions' protocol
-/// reports; ADR-005).  Answers are byte-identical on the lossless venue; the whole
-/// delta is amortisation.  Returns the printable table plus the JSON fragment the
-/// `tables` binary folds into the schema-3 `BENCH_engine.json` next to E12/E13.
-///
-/// Set `KSPOT_BENCH_SMOKE=1` to shrink the sizes for CI smoke runs.
-pub fn e14_historic_sessions() -> (Table, String) {
-    if std::env::var("KSPOT_BENCH_SMOKE").is_ok() {
-        historic_sessions_sized(12, &[1, 2, 4])
-    } else {
-        historic_sessions_sized(64, &[1, 2, 4, 8])
-    }
+/// E14: bytes per query of `WITH HISTORY` queries, served two ways — the per-submit
+/// path (each query pays its own throwaway single-session engine: a fresh substrate
+/// plus a from-scratch window-buffering pass per query, the cost model of the old
+/// `HistoricDataset::collect` replay) versus the shared `Session` path (all queries
+/// registered on ONE engine whose per-node windows are fed once per epoch for
+/// everyone, with frame batching merging the sessions' protocol reports; ADR-005).
+/// Answers are byte-identical on the lossless venue; the whole delta is amortisation.
+pub fn e14_historic_sessions() -> Table {
+    historic_sessions_sized(64, &[1, 2, 4, 8])
 }
 
 /// The sized core of E14 (the unit tests call it with tiny parameters).
-fn historic_sessions_sized(window: usize, session_counts: &[usize]) -> (Table, String) {
-    use std::time::Instant;
-
+fn historic_sessions_sized(window: usize, session_counts: &[usize]) -> Table {
     // A network-wide correlated signal (one shared trend): historic Top-K queries
     // look for globally interesting time instances, the regime TJA is designed for.
     let deployment = Deployment::grid(6, 10.0, Some(1));
@@ -768,12 +605,9 @@ fn historic_sessions_sized(window: usize, session_counts: &[usize]) -> (Table, S
     let mut table = Table::new(
         format!("E14 — historic sessions: per-submit replay vs engine-shared windows (window {window} epochs)"),
         "Replay = one throwaway single-session engine per query (fresh substrate, windows buffered from scratch each time); shared = all queries as Sessions on ONE engine, windows fed once per epoch for everyone (frame batching on). Same answers, amortised maintenance.",
-        &["sessions", "replay B/query", "shared B/query", "saved", "replay qps", "shared qps", "identical"],
+        &["sessions", "replay B/query", "shared B/query", "saved", "identical"],
     );
-    let mut json_rows: Vec<String> = Vec::new();
-
     for &n in session_counts {
-        let t = Instant::now();
         let mut replay_bytes = 0u64;
         let mut replay_answers: Vec<Vec<kspot_algos::TopKResult>> = Vec::new();
         for i in 0..n {
@@ -783,335 +617,141 @@ fn historic_sessions_sized(window: usize, session_counts: &[usize]) -> (Table, S
             replay_bytes += session.totals().bytes;
             replay_answers.push(session.results());
         }
-        let replay_s = t.elapsed().as_secs_f64();
 
-        let t = Instant::now();
         let mut engine = server.engine().with_frame_batching(true);
         let sessions: Vec<_> = (0..n)
             .map(|i| engine.register(&sql_for(i)).expect("historic queries admit"))
             .collect();
         engine.run_epochs(window);
-        let shared_s = t.elapsed().as_secs_f64();
         let shared_answers: Vec<_> = sessions.iter().map(|s| s.results()).collect();
         let shared_bytes = engine.metrics().totals().bytes;
 
-        let identical = replay_answers == shared_answers;
         let per_query = |bytes: u64| bytes as f64 / n as f64;
-        let saved_pct = if replay_bytes > 0 {
-            (1.0 - shared_bytes as f64 / replay_bytes as f64) * 100.0
-        } else {
-            0.0
-        };
-        let qps = |secs: f64| if secs > 0.0 { n as f64 / secs } else { f64::INFINITY };
         table.push_row(vec![
             n.to_string(),
             fmt_f(per_query(replay_bytes), 1),
             fmt_f(per_query(shared_bytes), 1),
-            format!("{}%", fmt_f(saved_pct, 1)),
-            fmt_f(qps(replay_s), 1),
-            fmt_f(qps(shared_s), 1),
-            if identical { "yes".into() } else { "NO".into() },
+            format!("{}%", fmt_f(pct_saved(replay_bytes as f64, shared_bytes as f64), 1)),
+            yes_no(replay_answers == shared_answers),
         ]);
-        json_rows.push(format!(
-            concat!(
-                "    {{\"sessions\": {}, \"replay_bytes_per_query\": {:.2}, ",
-                "\"shared_bytes_per_query\": {:.2}, \"saved_pct\": {:.2}, ",
-                "\"replay_qps\": {:.2}, \"shared_qps\": {:.2}, \"answers_identical\": {}}}"
+    }
+    table
+}
+
+// ---------------------------------------------------------------------------------
+// E17 — durable windows: storage vs checkpoint cadence
+// ---------------------------------------------------------------------------------
+
+/// E17: what the durable checkpoint store (ADR-009) costs to *keep* as the cadence
+/// grows — snapshots retained, bytes pinned on the modeled flash and pages written —
+/// with an `AS OF` session restoring the newest image on every row, which must
+/// reproduce the live answer bit for bit on this lossless venue.  The caption records
+/// what engine-served baselines save: the panel's baseline strategies riding the
+/// shared epoch loop as sessions versus the retired per-submit replay.
+pub fn e17_store_timetravel() -> Table {
+    store_timetravel_sized(64, &[2, 8, 32])
+}
+
+/// The venue, substrate seed and query E17 and its caption share.
+struct TimeTravelVenue {
+    deployment: Deployment,
+    window: usize,
+    sql: String,
+}
+
+impl TimeTravelVenue {
+    fn new(window: usize) -> Self {
+        Self {
+            deployment: Deployment::grid(6, 10.0, Some(1)),
+            window,
+            sql: format!(
+                "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY {window} epochs"
             ),
-            n,
-            per_query(replay_bytes),
-            per_query(shared_bytes),
-            saved_pct,
-            qps(replay_s),
-            qps(shared_s),
-            identical,
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"experiment\": \"historic-sessions\",\n  \"window_epochs\": {window},\n  \"rows\": [\n{}\n  ]\n}}",
-        json_rows.join(",\n")
-    );
-    (table, json)
-}
-
-// ---------------------------------------------------------------------------------
-// E15 — fleet scaling: qps vs threads vs deployments
-// ---------------------------------------------------------------------------------
-
-/// E15: throughput of the sharded engine fleet (ADR-006) as the worker-pool size and
-/// the deployment count grow — the multi-core step past E12's single-loop ceiling.
-/// Each deployment is an independent venue serving its own session batch, so a
-/// `D`-deployment fleet does `D×` the work of a solo engine; the question the table
-/// answers is how much of that the pool claws back in wall-clock time.  Every row
-/// also re-checks the determinism contract: the per-session answers at `T` threads
-/// must be byte-identical to the 1-thread run of the same fleet.
-///
-/// The speedup column is against the 1-thread row **of the same deployment count**;
-/// it can only exceed 1 where the host has cores to fan out to (the artifact records
-/// the core count, and `scripts/bench_trend_check.py` skips the scaling gate on
-/// single-core hosts).  Set `KSPOT_BENCH_SMOKE=1` to shrink the sizes for CI smoke.
-pub fn e15_fleet_scaling() -> (Table, String) {
-    if std::env::var("KSPOT_BENCH_SMOKE").is_ok() {
-        fleet_scaling_sized(10, 3, &[(1, 1), (4, 1), (4, 2), (4, 4)], ScenarioConfig::conference())
-    } else {
-        let deployment =
-            Deployment::clustered_rooms(8, 8, 20.0, kspot_net::rng::topology_seed(15));
-        let scenario = ScenarioConfig::custom("fleet venue", "sound", deployment);
-        fleet_scaling_sized(40, 8, &[(1, 1), (2, 1), (2, 2), (4, 1), (4, 2), (4, 4), (4, 8)], scenario)
-    }
-}
-
-/// The sized core of E15 (the unit tests call it with tiny parameters).  `grid` is
-/// the list of `(deployments, threads)` points; a `(d, 1)` row must precede other
-/// `(d, _)` rows so the speedup baseline and the byte-identity reference exist.
-fn fleet_scaling_sized(
-    epochs: usize,
-    sessions_per_deployment: usize,
-    grid: &[(usize, usize)],
-    scenario: ScenarioConfig,
-) -> (Table, String) {
-    use kspot_algos::TopKResult;
-    use std::collections::HashMap;
-    use std::time::Instant;
-
-    let server = KSpotServer::new(scenario).with_seed(15);
-    let sql_for = |i: usize| -> String {
-        match i % 4 {
-            0 => format!("SELECT TOP {} roomid, AVG(sound) FROM sensors GROUP BY roomid", 1 + i % 3),
-            1 => format!("SELECT TOP {} roomid, MAX(sound) FROM sensors GROUP BY roomid", 1 + i % 4),
-            2 => "SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid".to_string(),
-            _ => "SELECT TOP 2 nodeid, sound FROM sensors".to_string(),
         }
-    };
-
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut table = Table::new(
-        format!(
-            "E15 — fleet scaling: qps vs threads vs deployments ({sessions_per_deployment} \
-             sessions x {epochs} epochs per deployment, {cores} core(s))"
-        ),
-        "Each deployment is an independent venue (own substrate, own seed); the pool only schedules, so answers at T threads are byte-identical to 1 thread. Speedup is vs the 1-thread row of the same deployment count and needs >1 core to exceed 1.",
-        &["deployments", "threads", "wall ms", "sessions", "qps", "speedup vs 1 thread", "identical"],
-    );
-    let mut json_rows: Vec<String> = Vec::new();
-    // Per deployment count: the 1-thread wall time and answers, for speedup/identity.
-    let mut baselines: HashMap<usize, (f64, Vec<Vec<TopKResult>>)> = HashMap::new();
-
-    for &(deployments, threads) in grid {
-        let fleet = server.fleet(deployments, threads);
-        let sessions: Vec<_> = (0..deployments)
-            .flat_map(|d| {
-                (0..sessions_per_deployment)
-                    .map(move |i| (d, i))
-            })
-            .map(|(d, i)| fleet.register(d, &sql_for(i)).expect("the fleet queries admit"))
-            .collect();
-        let t = Instant::now();
-        fleet.run_epochs(epochs);
-        let secs = t.elapsed().as_secs_f64();
-        let answers: Vec<Vec<TopKResult>> = sessions.iter().map(|s| s.results()).collect();
-
-        let baseline = baselines.entry(deployments).or_insert_with(|| (secs, answers.clone()));
-        let identical = answers == baseline.1;
-        let speedup = if secs > 0.0 { baseline.0 / secs } else { f64::INFINITY };
-        let total_sessions = deployments * sessions_per_deployment;
-        let qps = if secs > 0.0 { total_sessions as f64 / secs } else { f64::INFINITY };
-
-        table.push_row(vec![
-            deployments.to_string(),
-            threads.to_string(),
-            fmt_f(secs * 1e3, 2),
-            total_sessions.to_string(),
-            fmt_f(qps, 1),
-            fmt_f(speedup, 2),
-            if identical { "yes".into() } else { "NO".into() },
-        ]);
-        json_rows.push(format!(
-            concat!(
-                "    {{\"deployments\": {}, \"threads\": {}, \"wall_ms\": {:.3}, ",
-                "\"sessions\": {}, \"qps\": {:.2}, \"speedup_vs_single_thread\": {:.3}, ",
-                "\"identical_to_single_thread\": {}}}"
-            ),
-            deployments,
-            threads,
-            secs * 1e3,
-            total_sessions,
-            qps,
-            speedup,
-            identical,
-        ));
     }
 
-    let json = format!(
-        "{{\n  \"experiment\": \"fleet-scaling\",\n  \"epochs\": {epochs},\n  \
-         \"sessions_per_deployment\": {sessions_per_deployment},\n  \"cores\": {cores},\n  \
-         \"rows\": [\n{}\n  ]\n}}",
-        json_rows.join(",\n")
-    );
-    (table, json)
+    fn network(&self) -> Network {
+        Network::new(self.deployment.clone(), NetworkConfig::mica2().with_seed(1701))
+    }
+
+    fn workload(&self) -> Workload {
+        room_workload(&self.deployment, 1.5, 17)
+    }
+
+    fn engine(&self) -> QueryEngine {
+        let scenario = ScenarioConfig::custom("time-travel venue", "sound", self.deployment.clone());
+        QueryEngine::from_substrate(scenario, self.network(), self.workload())
+    }
 }
 
-// ---------------------------------------------------------------------------------
-// E16 — serve latency: wire front-end under concurrent load
-// ---------------------------------------------------------------------------------
+/// Substrate energy of serving a historic query's panel baselines two ways: as
+/// sessions riding the shared epoch loop versus the retired per-submit replay (a
+/// dedicated dataset collection plus network per baseline strategy).
+struct BaselineServing {
+    riders: usize,
+    session_uj: f64,
+    replay_uj: f64,
+    identical: bool,
+}
 
-/// E16: per-op latency percentiles of the wire front-end (ADR-007) under hundreds of
-/// concurrent client connections.  `kspot-serve`'s loadgen drives the full
-/// register/poll/cancel script over real loopback sockets against a multi-deployment
-/// fleet with a pacer advancing epochs; with more connections than the fleet's
-/// admission cap, the overflow must surface as 429-style `Rejected` frames and the
-/// `protocol_errors` column must stay **0** — that column is the wire layer's
-/// correctness gate, the latency columns its performance record.  Set
-/// `KSPOT_BENCH_SMOKE=1` to shrink the sizes for CI smoke.
-pub fn e16_serve_latency() -> (Table, String) {
-    let config = if std::env::var("KSPOT_BENCH_SMOKE").is_ok() {
-        kspot_serve::LoadgenConfig {
-            connections: 48,
-            deployments: 2,
-            threads: 2,
-            workers: 4,
-            polls_per_connection: 4,
-            fleet_cap: 32,
-            tenants: 8,
-            ..kspot_serve::LoadgenConfig::default()
+impl BaselineServing {
+    fn measure(venue: &TimeTravelVenue) -> Self {
+        let window = venue.window;
+        // The primary plus its panel baselines as sessions in ONE shared loop — the
+        // window is buffered once and every strategy answers from it, so the
+        // substrate's per-epoch sampling/idle baseline and the window-maintenance CPU
+        // are paid exactly once for all of them.
+        let mut engine = venue.engine();
+        let primary = engine.register(&venue.sql).expect("the historic query admits");
+        let riders = engine.register_baselines(&primary).expect("the baselines admit");
+        engine.run_epochs(window);
+        let session_uj = engine.metrics().totals().energy_uj;
+
+        // ...versus the retired per-submit replay model (E14's): the primary on its
+        // own engine, then one *dedicated* replay per baseline strategy — a fresh
+        // substrate that buffers its own window from scratch (per-epoch sampling
+        // baseline plus per-sample maintenance CPU, re-paid per strategy) before
+        // executing.  The execution traffic itself is byte-identical across the two
+        // modes (the ADR-005 window identity); what sharing saves is the repeated
+        // substrate work.
+        let mut engine = venue.engine();
+        let replay_primary = engine.register(&venue.sql).expect("the historic query admits");
+        engine.run_epochs(window);
+        let mut replay_uj = engine.metrics().totals().energy_uj;
+        let spec = HistoricSpec::new(3, AggFunc::Avg, ValueDomain::percentage(), window);
+        let replay = |algo: &mut dyn HistoricAlgorithm| {
+            let mut net = venue.network();
+            let mut workload = venue.workload();
+            for _ in 0..window {
+                let epoch = workload.upcoming_epoch();
+                let readings = workload.next_epoch();
+                net.begin_epoch(epoch);
+                for r in &readings {
+                    net.charge_cpu(r.node, 1);
+                }
+            }
+            let mut data = HistoricDataset::collect(&mut venue.workload(), window);
+            let _ = algo.execute(&mut net, &mut data);
+            net.metrics().totals().energy_uj
+        };
+        replay_uj += replay(&mut Tput::new(spec));
+        replay_uj += replay(&mut CentralizedHistoric::new(spec));
+
+        Self {
+            riders: riders.len(),
+            session_uj,
+            replay_uj,
+            identical: primary.results() == replay_primary.results(),
         }
-    } else {
-        kspot_serve::LoadgenConfig::default()
-    };
-    let report = kspot_serve::run_loadgen(&config);
-
-    let mut table = Table::new(
-        format!(
-            "E16 — serve latency: {} connections x {} deployments over loopback TCP",
-            report.connections, report.deployments
-        ),
-        format!(
-            "Wire front-end (ADR-007) under concurrent load: admitted {}, rejected {} \
-             (admission overflow as 429 frames), unavailable {}, protocol errors {} \
-             (must be 0), {} answers streamed.",
-            report.admitted,
-            report.rejected,
-            report.unavailable,
-            report.protocol_errors,
-            report.answers
-        ),
-        &["op", "count", "p50 ms", "p99 ms", "max ms"],
-    );
-    let mut json_rows: Vec<String> = Vec::new();
-    for op in &report.ops {
-        table.push_row(vec![
-            op.name.to_string(),
-            op.count.to_string(),
-            fmt_f(op.p50_ms, 3),
-            fmt_f(op.p99_ms, 3),
-            fmt_f(op.max_ms, 3),
-        ]);
-        json_rows.push(format!(
-            "    {{\"op\": \"{}\", \"count\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"max_ms\": {:.3}}}",
-            op.name, op.count, op.p50_ms, op.p99_ms, op.max_ms
-        ));
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"serve-latency\",\n  \"connections\": {},\n  \
-         \"deployments\": {},\n  \"admitted\": {},\n  \"rejected\": {},\n  \
-         \"unavailable\": {},\n  \"protocol_errors\": {},\n  \"answers\": {},\n  \
-         \"rows\": [\n{}\n  ]\n}}",
-        report.connections,
-        report.deployments,
-        report.admitted,
-        report.rejected,
-        report.unavailable,
-        report.protocol_errors,
-        report.answers,
-        json_rows.join(",\n")
-    );
-    (table, json)
-}
-
-// ---------------------------------------------------------------------------------
-// E17 — durable windows: AS OF latency and storage vs checkpoint cadence
-// ---------------------------------------------------------------------------------
-
-/// E17: the durable checkpoint store (ADR-009) along its two cost axes.  The cadence
-/// sweep shows what time travel costs to *keep*: snapshots retained, bytes pinned on
-/// the modeled flash and pages written, against what it costs to *use* — the wall
-/// clock of an `AS OF` session restoring the newest image and answering (which must
-/// reproduce the live answer bit for bit on this lossless venue).  The caption and
-/// artifact additionally record what engine-served baselines save: the panel's
-/// baseline strategies riding the shared epoch loop as sessions versus the retired
-/// per-submit replay (a dedicated dataset collection plus network per baseline).
-/// Set `KSPOT_BENCH_SMOKE=1` to shrink the sizes for CI smoke runs.
-pub fn e17_store_timetravel() -> (Table, String) {
-    if std::env::var("KSPOT_BENCH_SMOKE").is_ok() {
-        store_timetravel_sized(16, &[2, 4, 8])
-    } else {
-        store_timetravel_sized(64, &[2, 8, 32])
     }
 }
 
 /// The sized core of E17 (the unit tests call it with tiny parameters).  Every
 /// cadence must divide `window` so the newest snapshot coincides with the live
 /// window's final epoch and the `AS OF` answer is comparable to the live one.
-fn store_timetravel_sized(window: usize, cadences: &[u64]) -> (Table, String) {
-    use std::time::Instant;
-
-    let deployment = Deployment::grid(6, 10.0, Some(1));
-    let fresh_engine = || {
-        let scenario = ScenarioConfig::custom("time-travel venue", "sound", deployment.clone());
-        let network = Network::new(deployment.clone(), NetworkConfig::mica2().with_seed(1701));
-        QueryEngine::from_substrate(scenario, network, room_workload(&deployment, 1.5, 17))
-    };
-    let sql = format!(
-        "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY {window} epochs"
-    );
-
-    // Baseline serving, measured once: the primary plus its panel baselines as
-    // sessions in ONE shared loop — the window is buffered once and every strategy
-    // answers from it, so the substrate's per-epoch sampling/idle baseline and the
-    // window-maintenance CPU are paid exactly once for all of them.
-    let t = Instant::now();
-    let mut engine = fresh_engine();
-    let primary = engine.register(&sql).expect("the historic query admits");
-    let riders = engine.register_baselines(&primary).expect("the baselines admit");
-    engine.run_epochs(window);
-    let session_s = t.elapsed().as_secs_f64();
-    let session_uj = engine.metrics().totals().energy_uj;
-
-    // ...versus the retired per-submit replay model (E14's): the primary on its own
-    // engine, then one *dedicated* replay per baseline strategy — a fresh substrate
-    // that buffers its own window from scratch (per-epoch sampling baseline plus
-    // per-sample maintenance CPU, re-paid per strategy) before executing.  The
-    // execution traffic itself is byte-identical across the two modes (the ADR-005
-    // window identity); what sharing saves is the repeated substrate work.
-    let t = Instant::now();
-    let mut engine = fresh_engine();
-    let replay_primary = engine.register(&sql).expect("the historic query admits");
-    engine.run_epochs(window);
-    let mut replay_uj = engine.metrics().totals().energy_uj;
-    let spec = HistoricSpec::new(3, AggFunc::Avg, ValueDomain::percentage(), window);
-    let replay = |algo: &mut dyn HistoricAlgorithm| {
-        let mut net = Network::new(deployment.clone(), NetworkConfig::mica2().with_seed(1701));
-        let mut workload = room_workload(&deployment, 1.5, 17);
-        for _ in 0..window {
-            let epoch = workload.upcoming_epoch();
-            let readings = workload.next_epoch();
-            net.begin_epoch(epoch);
-            for r in &readings {
-                net.charge_cpu(r.node, 1);
-            }
-        }
-        let mut data = HistoricDataset::collect(&mut room_workload(&deployment, 1.5, 17), window);
-        let _ = algo.execute(&mut net, &mut data);
-        net.metrics().totals().energy_uj
-    };
-    replay_uj += replay(&mut Tput::new(spec));
-    replay_uj += replay(&mut CentralizedHistoric::new(spec));
-    let replay_s = t.elapsed().as_secs_f64();
-    let baselines_identical = primary.results() == replay_primary.results();
-    let baseline_saved_pct =
-        if replay_uj > 0.0 { (1.0 - session_uj / replay_uj) * 100.0 } else { 0.0 };
+fn store_timetravel_sized(window: usize, cadences: &[u64]) -> Table {
+    let venue = TimeTravelVenue::new(window);
+    let baselines = BaselineServing::measure(&venue);
 
     let mut table = Table::new(
         format!("E17 — durable windows: AS OF cost vs checkpoint cadence (window {window} epochs)"),
@@ -1119,74 +759,38 @@ fn store_timetravel_sized(window: usize, cadences: &[u64]) -> (Table, String) {
             "Checkpointed engine (ADR-009): per-epoch ring snapshots on modeled flash, \
              AS OF answering from the newest image ({} baseline strategies as shared-loop \
              sessions spent {} µJ vs {} µJ for dedicated per-submit replays, {}% substrate \
-             energy saved at byte-identical execution traffic, {:.0} ms vs {:.0} ms).",
-            riders.len(),
-            fmt_f(session_uj, 0),
-            fmt_f(replay_uj, 0),
-            fmt_f(baseline_saved_pct, 1),
-            session_s * 1e3,
-            replay_s * 1e3,
+             energy saved at byte-identical execution traffic; same primary answer: {}).",
+            baselines.riders,
+            fmt_f(baselines.session_uj, 0),
+            fmt_f(baselines.replay_uj, 0),
+            fmt_f(pct_saved(baselines.replay_uj, baselines.session_uj), 1),
+            yes_no(baselines.identical),
         ),
-        &["cadence", "snapshots", "stored KiB", "pages written", "as-of ms", "as-of == live"],
+        &["cadence", "snapshots", "stored KiB", "pages written", "as-of == live"],
     );
-    let mut json_rows: Vec<String> = Vec::new();
-
     for &cadence in cadences {
-        let mut engine = fresh_engine().with_checkpointing(cadence);
-        let live = engine.register(&sql).expect("the historic query admits");
+        let mut engine = venue.engine().with_checkpointing(cadence);
+        let live = engine.register(&venue.sql).expect("the historic query admits");
         engine.run_epochs(window);
         let snapshots = engine.checkpoint_epochs();
         let stored_bytes = engine.checkpoint_storage_bytes();
         let pages_written = engine.metrics().storage_totals().pages_written;
         let snapshot_epoch = *snapshots.last().expect("the cadence divides the window");
 
-        let t = Instant::now();
         let travel = engine
-            .register(&format!("{sql} AS OF {snapshot_epoch}"))
+            .register(&format!("{} AS OF {snapshot_epoch}", venue.sql))
             .expect("the retained snapshot admits AS OF");
         engine.run_epochs(1);
-        let as_of_ms = t.elapsed().as_secs_f64() * 1e3;
-        let identical = travel.results() == live.results();
 
         table.push_row(vec![
             cadence.to_string(),
             snapshots.len().to_string(),
             fmt_f(stored_bytes as f64 / 1024.0, 1),
             pages_written.to_string(),
-            fmt_f(as_of_ms, 3),
-            if identical { "yes".into() } else { "NO".into() },
+            yes_no(travel.results() == live.results()),
         ]);
-        json_rows.push(format!(
-            concat!(
-                "    {{\"cadence\": {}, \"snapshots\": {}, \"stored_bytes\": {}, ",
-                "\"pages_written\": {}, \"as_of_ms\": {:.3}, \"as_of_matches_live\": {}}}"
-            ),
-            cadence,
-            snapshots.len(),
-            stored_bytes,
-            pages_written,
-            as_of_ms,
-            identical,
-        ));
     }
-
-    let json = format!(
-        concat!(
-            "{{\n  \"experiment\": \"store-timetravel\",\n  \"window_epochs\": {},\n",
-            "  \"baseline_serving\": {{\"session_uj\": {:.1}, \"replay_uj\": {:.1}, ",
-            "\"saved_energy_pct\": {:.2}, \"session_s\": {:.4}, \"replay_s\": {:.4}, ",
-            "\"answers_identical\": {}}},\n  \"rows\": [\n{}\n  ]\n}}"
-        ),
-        window,
-        session_uj,
-        replay_uj,
-        baseline_saved_pct,
-        session_s,
-        replay_s,
-        baselines_identical,
-        json_rows.join(",\n")
-    );
-    (table, json)
+    table
 }
 
 #[cfg(test)]
@@ -1239,19 +843,8 @@ mod tests {
     }
 
     #[test]
-    fn e12_times_solo_engines_against_the_shared_loop_and_emits_json() {
-        let (table, json) =
-            engine_throughput_sized(6, &[1, 3], ScenarioConfig::conference(), true);
-        assert_eq!(table.rows.len(), 2);
-        assert!(json.contains("\"experiment\": \"engine-throughput\""));
-        assert!(json.contains("\"shared_loop_qps\""), "the trend check gates on it: {json}");
-        assert!(json.contains("\"cores\""));
-        assert!(!json.contains("NaN") && !json.contains("inf"), "artifact must be valid JSON: {json}");
-    }
-
-    #[test]
     fn e13_batching_saves_bytes_without_changing_answers() {
-        let (table, json) = frame_batching_sized(6, &[1, 3], ScenarioConfig::conference());
+        let table = frame_batching_sized(6, &[1, 3], ScenarioConfig::conference());
         assert_eq!(table.rows.len(), 2);
         for row in &table.rows {
             assert_eq!(row.last().unwrap(), "yes", "lossless batching must keep answers: {row:?}");
@@ -1262,14 +855,11 @@ mod tests {
         // More sessions → more per-frame overhead amortised → bigger relative savings.
         let saved = |row: &Vec<String>| row[5].trim_end_matches('%').parse::<f64>().unwrap();
         assert!(saved(&table.rows[1]) > saved(&table.rows[0]), "{:?}", table.rows);
-        assert!(json.contains("\"experiment\": \"frame-batching\""));
-        assert!(json.contains("\"answers_identical\": true"));
-        assert!(!json.contains("NaN") && !json.contains("inf"), "artifact must be valid JSON: {json}");
     }
 
     #[test]
     fn e14_shared_windows_beat_per_submit_replay_on_bytes_per_query() {
-        let (table, json) = historic_sessions_sized(12, &[1, 3]);
+        let table = historic_sessions_sized(12, &[1, 3]);
         assert_eq!(table.rows.len(), 2);
         for row in &table.rows {
             assert_eq!(row.last().unwrap(), "yes", "lossless: answers must match the replay: {row:?}");
@@ -1282,56 +872,11 @@ mod tests {
             per_query(multi, 2) < per_query(multi, 1),
             "shared windows must beat replay on bytes/query at 3 sessions: {multi:?}"
         );
-        assert!(json.contains("\"experiment\": \"historic-sessions\""));
-        assert!(json.contains("\"answers_identical\": true"));
-        assert!(!json.contains("NaN") && !json.contains("inf"), "artifact must be valid JSON: {json}");
     }
 
     #[test]
-    fn e15_fleet_answers_are_identical_across_pool_sizes_and_emit_json() {
-        let (table, json) =
-            fleet_scaling_sized(5, 2, &[(1, 1), (2, 1), (2, 2)], ScenarioConfig::conference());
-        assert_eq!(table.rows.len(), 3);
-        for row in &table.rows {
-            assert_eq!(
-                row.last().unwrap(),
-                "yes",
-                "pool size must be invisible to the answers: {row:?}"
-            );
-        }
-        // The 2-deployment rows serve twice the sessions of the 1-deployment row.
-        assert_eq!(table.rows[0][3], "2");
-        assert_eq!(table.rows[1][3], "4");
-        assert!(json.contains("\"experiment\": \"fleet-scaling\""));
-        assert!(json.contains("\"identical_to_single_thread\": true"));
-        assert!(json.contains("\"cores\""));
-        assert!(!json.contains("NaN") && !json.contains("inf"), "artifact must be valid JSON: {json}");
-    }
-
-    #[test]
-    fn e16_serve_latency_emits_clean_json_with_zero_protocol_errors() {
-        let config = kspot_serve::LoadgenConfig {
-            connections: 12,
-            deployments: 2,
-            threads: 2,
-            workers: 2,
-            polls_per_connection: 2,
-            fleet_cap: 8,
-            tenants: 4,
-            tenant_quota: 8,
-            ..kspot_serve::LoadgenConfig::default()
-        };
-        let report = kspot_serve::run_loadgen(&config);
-        assert_eq!(report.protocol_errors, 0, "the wire layer must stay clean under load");
-        assert_eq!(report.admitted, 8, "the fleet cap admits exactly 8 of 12");
-        assert_eq!(report.rejected, 4, "overflow surfaces as 429 Rejected frames");
-        assert_eq!(report.ops.len(), 3);
-        assert!(report.ops.iter().all(|op| op.p50_ms <= op.p99_ms && op.p99_ms <= op.max_ms));
-    }
-
-    #[test]
-    fn e17_as_of_reproduces_the_live_answer_and_emits_clean_json() {
-        let (table, json) = store_timetravel_sized(8, &[2, 4]);
+    fn e17_as_of_reproduces_the_live_answer_and_baseline_sessions_save_energy() {
+        let table = store_timetravel_sized(8, &[2, 4]);
         assert_eq!(table.rows.len(), 2);
         for row in &table.rows {
             assert_eq!(row.last().unwrap(), "yes", "lossless: AS OF must match live: {row:?}");
@@ -1345,17 +890,16 @@ mod tests {
             "cadence 2 must write at least as many pages as cadence 4: {:?}",
             table.rows
         );
-        assert!(json.contains("\"experiment\": \"store-timetravel\""));
-        assert!(json.contains("\"baseline_serving\""));
-        assert!(json.contains("\"answers_identical\": true"));
-        assert!(json.contains("\"as_of_matches_live\": true"));
-        assert!(!json.contains("NaN") && !json.contains("inf"), "artifact must be valid JSON: {json}");
         // Engine-served baselines must genuinely beat the dedicated replays: the
         // shared loop pays the substrate feed once for all strategies, the replay
         // model re-pays it per strategy.
+        let baselines = BaselineServing::measure(&TimeTravelVenue::new(8));
+        assert!(baselines.identical, "the primary answers the same either way");
         assert!(
-            !json.contains("\"saved_energy_pct\": -") && !json.contains("\"saved_energy_pct\": 0.00"),
-            "baseline sessions must save substrate energy over dedicated replays: {json}"
+            baselines.session_uj < baselines.replay_uj,
+            "baseline sessions must save substrate energy over dedicated replays: {} vs {} µJ",
+            baselines.session_uj,
+            baselines.replay_uj
         );
     }
 

@@ -240,40 +240,39 @@ impl Drop for ThreadPool {
     }
 }
 
-/// Tracks one `run_epochs` dispatch: a countdown of outstanding shard jobs plus the
-/// first panic payload any of them raised.
+/// The payload of a panic a shard's epoch loop raised.
+type Panic = Box<dyn std::any::Any + Send>;
+
+/// Tracks one dispatch: a countdown of outstanding shard jobs plus the panics they
+/// raised, in the order they were raised.
 struct Batch {
-    outstanding: Mutex<(usize, Option<Box<dyn std::any::Any + Send>>)>,
+    outstanding: Mutex<(usize, Vec<(DeploymentId, Panic)>)>,
     done: Condvar,
 }
 
 impl Batch {
     fn new(jobs: usize) -> Arc<Self> {
-        Arc::new(Self { outstanding: Mutex::new((jobs, None)), done: Condvar::new() })
+        Arc::new(Self { outstanding: Mutex::new((jobs, Vec::new())), done: Condvar::new() })
     }
 
-    fn finish_one(&self, panic: Option<Box<dyn std::any::Any + Send>>) {
+    fn finish_one(&self, deployment: DeploymentId, panic: Option<Panic>) {
         let mut state = self.outstanding.lock().expect("fleet batch tracker poisoned");
         state.0 -= 1;
-        if state.1.is_none() {
-            state.1 = panic;
+        if let Some(payload) = panic {
+            state.1.push((deployment, payload));
         }
         if state.0 == 0 {
             self.done.notify_all();
         }
     }
 
-    /// Blocks until every job finished, then re-raises the first shard panic (if any)
-    /// on the calling thread.
-    fn wait(&self) {
+    /// Blocks until every job finished and hands back the panics.
+    fn wait(&self) -> Vec<(DeploymentId, Panic)> {
         let mut state = self.outstanding.lock().expect("fleet batch tracker poisoned");
         while state.0 > 0 {
             state = self.done.wait(state).expect("fleet batch tracker poisoned");
         }
-        if let Some(payload) = state.1.take() {
-            drop(state);
-            std::panic::resume_unwind(payload);
-        }
+        std::mem::take(&mut state.1)
     }
 }
 
@@ -487,6 +486,29 @@ impl EngineFleet {
         })
     }
 
+    /// Fans `epochs` epochs of each listed shard across the pool, blocks until all of
+    /// them finish and returns the panics their loops raised, first raised first.
+    /// What a panic means is the caller's policy: [`Self::run_epochs`] re-raises it,
+    /// [`Self::run_epochs_surviving`] reports the shard.
+    fn dispatch(
+        &self,
+        shards: impl ExactSizeIterator<Item = DeploymentId>,
+        epochs: usize,
+    ) -> Vec<(DeploymentId, Panic)> {
+        let batch = Batch::new(shards.len());
+        for d in shards {
+            let core = Arc::clone(&self.shards[d]);
+            let batch = Arc::clone(&batch);
+            self.pool.execute(Box::new(move || {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    lock_core(&core).run_epochs(epochs);
+                }));
+                batch.finish_one(d, outcome.err());
+            }));
+        }
+        batch.wait()
+    }
+
     /// Runs `epochs` shared epochs on **every** deployment, fanning the per-shard
     /// epoch loops across the pool and blocking until all of them finish.  Each
     /// shard's loop is exactly [`QueryEngine::run_epochs`] — acquired workload,
@@ -497,39 +519,9 @@ impl EngineFleet {
     /// finished; the panicking shard's state cell stays poisoned (its sessions and
     /// metrics are unrecoverable) while the rest of the fleet keeps serving.
     pub fn run_epochs(&self, epochs: usize) {
-        let batch = Batch::new(self.shards.len());
-        for core in &self.shards {
-            let core = Arc::clone(core);
-            let batch = Arc::clone(&batch);
-            self.pool.execute(Box::new(move || {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    lock_core(&core).run_epochs(epochs);
-                }));
-                batch.finish_one(outcome.err());
-            }));
+        if let Some((_, payload)) = self.dispatch(0..self.shards.len(), epochs).into_iter().next() {
+            std::panic::resume_unwind(payload);
         }
-        batch.wait();
-    }
-
-    /// Runs `epochs` epochs on a single deployment through the pool (the other
-    /// shards idle).  Useful when tenants advance at different rates.
-    pub fn run_epochs_on(&self, deployment: DeploymentId, epochs: usize) {
-        let core = self.shards.get(deployment).unwrap_or_else(|| {
-            panic!(
-                "unknown deployment id {deployment}: this fleet serves deployments 0..{}",
-                self.shards.len()
-            )
-        });
-        let batch = Batch::new(1);
-        let core = Arc::clone(core);
-        let tracker = Arc::clone(&batch);
-        self.pool.execute(Box::new(move || {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                lock_core(&core).run_epochs(epochs);
-            }));
-            tracker.finish_one(outcome.err());
-        }));
-        batch.wait();
     }
 
     /// [`Self::run_epochs`] for a fleet behind a listener: instead of re-raising a
@@ -538,33 +530,9 @@ impl EngineFleet {
     /// poisoned deployment ids is returned.  Healthy shards advance exactly as they
     /// would under [`Self::run_epochs`] — same per-shard loop, same determinism.
     pub fn run_epochs_surviving(&self, epochs: usize) -> Vec<DeploymentId> {
-        let mut poisoned: Vec<DeploymentId> = Vec::new();
-        let mut live: Vec<DeploymentId> = Vec::new();
-        for d in 0..self.shards.len() {
-            if self.shards[d].is_poisoned() {
-                poisoned.push(d);
-            } else {
-                live.push(d);
-            }
-        }
-        let newly = Arc::new(Mutex::new(Vec::new()));
-        let batch = Batch::new(live.len());
-        for d in live {
-            let core = Arc::clone(&self.shards[d]);
-            let batch = Arc::clone(&batch);
-            let newly = Arc::clone(&newly);
-            self.pool.execute(Box::new(move || {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    lock_core(&core).run_epochs(epochs);
-                }));
-                if outcome.is_err() {
-                    newly.lock().expect("fleet health tracker poisoned").push(d);
-                }
-                batch.finish_one(None);
-            }));
-        }
-        batch.wait();
-        poisoned.extend(newly.lock().expect("fleet health tracker poisoned").drain(..));
+        let (mut poisoned, live): (Vec<DeploymentId>, Vec<DeploymentId>) =
+            (0..self.shards.len()).partition(|&d| self.shards[d].is_poisoned());
+        poisoned.extend(self.dispatch(live.into_iter(), epochs).into_iter().map(|(d, _)| d));
         poisoned.sort_unstable();
         poisoned
     }
@@ -682,9 +650,9 @@ mod tests {
     }
 
     #[test]
-    fn run_epochs_on_advances_one_shard_only() {
+    fn driving_one_deployment_by_hand_advances_that_shard_only() {
         let fleet = fleet(3, 2);
-        fleet.run_epochs_on(1, 5);
+        fleet.deployment(1).expect("in range").run_epochs(5);
         fleet.run_epochs(2);
         assert_eq!(fleet.deployment(0).unwrap().epochs_run(), 2);
         assert_eq!(fleet.deployment(1).unwrap().epochs_run(), 7);

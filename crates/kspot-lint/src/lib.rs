@@ -12,7 +12,7 @@
 //! |----|------|-------|
 //! | R1 | `nan-ordering` | everywhere |
 //! | R2 | `bare-unwrap` | non-test library code |
-//! | R3 | `order-leak` | deterministic paths (net/core/algos `src/`) |
+//! | R3 | `order-leak` | deterministic paths (net/core/algos/bench `src/`) |
 //! | R4 | `raw-rng` | everywhere except `kspot-net/src/rng.rs` |
 //! | R5 | `lock-discipline` | non-test library code |
 //! | R6 | `alloc-before-validate` | untrusted decoders (`kspot-serve/src/`, `kspot-store/src/`) |
@@ -171,7 +171,8 @@ pub struct FileContext {
     pub path: String,
     /// `tests/`, `benches/`, `examples/` trees: R2/R3/R5/R6 do not apply.
     pub test_code: bool,
-    /// Deterministic engine paths (net/core/algos `src/`): R3 applies.
+    /// Deterministic paths — the engine (net/core/algos `src/`) and the experiment
+    /// tables printed from it (kspot-bench `src/`, ADR-012): R3 applies.
     pub deterministic: bool,
     /// Untrusted-input decoders — wire frames (kspot-serve `src/`) and on-disk
     /// checkpoint images (kspot-store `src/`, ADR-008/009): R6 applies.
@@ -214,6 +215,7 @@ impl FileContext {
             "crates/kspot-net/src/",
             "crates/kspot-core/src/",
             "crates/kspot-algos/src/",
+            "crates/kspot-bench/src/",
         ]
         .iter()
         .any(|pre| p.starts_with(pre));

@@ -191,7 +191,8 @@ fn bare_unwrap(p: &Pass<'_>, out: &mut Vec<Finding>) {
 }
 
 /// R3: wall-clock reads and hash-ordered collections in deterministic
-/// engine/net/algos paths (order-leak + replay hazards).
+/// engine/net/algos paths and the tables printed from them (order-leak +
+/// replay hazards).
 fn order_leak(p: &Pass<'_>, out: &mut Vec<Finding>) {
     if !p.ctx.deterministic || p.ctx.test_code {
         return;
@@ -206,7 +207,7 @@ fn order_leak(p: &Pass<'_>, out: &mut Vec<Finding>) {
                     Rule::OrderLeak,
                     t.line,
                     "wall-clock time in a deterministic path — replay and shared-vs-solo byte-identity break",
-                    "deterministic code advances by epoch counters only; measure time in kspot-bench or kspot-serve",
+                    "deterministic code advances by epoch counters only; measure time in kspot-serve or bench/",
                 ));
             }
             TokKind::Ident(s) if s == "HashMap" || s == "HashSet" => {

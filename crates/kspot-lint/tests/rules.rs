@@ -69,8 +69,14 @@ fn r3_fires_in_deterministic_paths_only() {
     assert!(fire.iter().all(|f| f.rule == Rule::OrderLeak));
 
     // kspot-serve is allowed to read clocks and use HashMap (ledger keys are
-    // re-sorted at the wire); the rule is scoped to net/core/algos src.
+    // re-sorted at the wire); the rule is scoped to net/core/algos src and to
+    // kspot-bench src — a table is a pure function of the simulator (ADR-012) —
+    // but not to the criterion benches next to it, whose job is the clock.
     assert!(fired(&serve_ctx(), include_str!("fixtures/r3_fire.rs")).is_empty());
+    let tables_ctx = FileContext::from_path("crates/kspot-bench/src/experiments.rs");
+    assert!(fired(&tables_ctx, include_str!("fixtures/r3_fire.rs")).contains(&Rule::OrderLeak));
+    let benches_ctx = FileContext::from_path("crates/kspot-bench/benches/sweep_n.rs");
+    assert!(fired(&benches_ctx, include_str!("fixtures/r3_fire.rs")).is_empty());
     assert!(fired(&lib_ctx(), include_str!("fixtures/r3_clean.rs")).is_empty());
 }
 

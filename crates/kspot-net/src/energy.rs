@@ -91,12 +91,6 @@ impl Battery {
         Self { remaining_uj: capacity_uj, capacity_uj }
     }
 
-    /// Two AA cells hold roughly 20 kJ usable; experiments that want short lifetimes use
-    /// a much smaller synthetic budget instead.
-    pub fn aa_pair() -> Self {
-        Self::new(20.0e9)
-    }
-
     /// Remaining charge in µJ (never negative).
     pub fn remaining_uj(&self) -> f64 {
         self.remaining_uj.max(0.0)
@@ -105,11 +99,6 @@ impl Battery {
     /// Initial capacity in µJ.
     pub fn capacity_uj(&self) -> f64 {
         self.capacity_uj
-    }
-
-    /// Fraction of charge remaining in `[0, 1]`.
-    pub fn fraction_remaining(&self) -> f64 {
-        (self.remaining_uj / self.capacity_uj).clamp(0.0, 1.0)
     }
 
     /// True once the battery is exhausted.
@@ -167,15 +156,6 @@ impl BatteryBank {
         self.batteries.iter().filter(|b| b.is_depleted()).count()
     }
 
-    /// The minimum remaining fraction across all nodes (the bottleneck node).
-    pub fn min_fraction_remaining(&self) -> f64 {
-        self.batteries
-            .iter()
-            .map(Battery::fraction_remaining)
-            .fold(f64::INFINITY, f64::min)
-            .min(1.0)
-    }
-
     /// Total energy drawn so far across the whole network, in µJ.
     pub fn total_consumed_uj(&self) -> f64 {
         self.batteries
@@ -210,7 +190,6 @@ mod tests {
         assert!(!b.is_depleted());
         b.drain(40.0);
         assert_eq!(b.remaining_uj(), 60.0);
-        assert!((b.fraction_remaining() - 0.6).abs() < 1e-12);
         b.drain(80.0);
         assert!(b.is_depleted());
         assert_eq!(b.remaining_uj(), 0.0, "remaining charge saturates at zero");
@@ -225,7 +204,6 @@ mod tests {
         assert!(bank.any_depleted());
         assert_eq!(bank.depleted_count(), 1);
         assert_eq!(bank.total_consumed_uj(), 100.0 + 30.0);
-        assert_eq!(bank.min_fraction_remaining(), 0.0);
         assert_eq!(bank.get(3).remaining_uj(), 100.0);
     }
 
@@ -233,10 +211,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_battery_is_rejected() {
         let _ = Battery::new(0.0);
-    }
-
-    #[test]
-    fn aa_pair_is_large() {
-        assert!(Battery::aa_pair().capacity_uj() > 1.0e9);
     }
 }

@@ -107,18 +107,6 @@ impl Message {
         Self { from, to, epoch, kind: MessageKind::Probe, data_tuples: 0, control_tuples: entries }
     }
 
-    /// Creates a probe reply carrying `tuples` data tuples.
-    pub fn probe_reply(from: NodeId, to: NodeId, epoch: Epoch, tuples: u32) -> Self {
-        Self {
-            from,
-            to,
-            epoch,
-            kind: MessageKind::ProbeReply,
-            data_tuples: tuples,
-            control_tuples: 0,
-        }
-    }
-
     /// Total logical entries carried (data + control).
     pub fn entries(&self) -> u32 {
         self.data_tuples + self.control_tuples
@@ -135,7 +123,6 @@ mod tests {
         assert_eq!(Message::control(0, 3, 5, 1).kind, MessageKind::ControlBroadcast);
         assert_eq!(Message::query(0, 3, 4).kind, MessageKind::QueryDissemination);
         assert_eq!(Message::probe(0, 3, 5, 1).kind, MessageKind::Probe);
-        assert_eq!(Message::probe_reply(3, 0, 5, 1).kind, MessageKind::ProbeReply);
     }
 
     #[test]

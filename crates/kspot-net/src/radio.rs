@@ -95,13 +95,6 @@ impl RadioModel {
         self.frame_overhead_bytes + self.packets_for(payload) * self.header_bytes + payload
     }
 
-    /// The non-payload share of a frame carrying `payload` payload bytes — the preamble
-    /// plus every fragment header.  The frame scheduler splits exactly this amount
-    /// pro-rata across the sessions sharing the frame.
-    pub fn frame_overhead_for(&self, payload: u32) -> u32 {
-        self.on_air_bytes(payload) - payload
-    }
-
     /// On-air time in microseconds for a payload of `payload` bytes.
     pub fn airtime_us(&self, payload: u32) -> u64 {
         let bits = u64::from(self.on_air_bytes(payload)) * 8;
@@ -150,7 +143,6 @@ mod tests {
         let payload = r.payload_bytes(5, 0);
         assert_eq!(r.packets_for(payload), 3);
         assert_eq!(r.on_air_bytes(payload), 8 + 3 * 7 + 60);
-        assert_eq!(r.frame_overhead_for(payload), 8 + 3 * 7);
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl SlidingWindow {
         self.samples.front().map(|&(e, _)| e)
     }
 
-    /// The newest buffered epoch, if any.
-    pub fn newest_epoch(&self) -> Option<Epoch> {
-        self.samples.back().map(|&(e, _)| e)
-    }
-
     /// The value recorded at `epoch`, if it is still inside the window.
     pub fn get(&mut self, epoch: Epoch) -> Option<Value> {
         self.page_reads += 1;
@@ -165,11 +160,6 @@ impl SlidingWindow {
     /// All buffered samples whose value is at least `threshold`.
     pub fn values_at_least(&mut self, threshold: Value) -> Vec<(Epoch, Value)> {
         self.scan().iter().copied().filter(|&(_, v)| v >= threshold).collect()
-    }
-
-    /// Values at the requested epochs (missing epochs are skipped).
-    pub fn values_at(&mut self, epochs: &[Epoch]) -> Vec<(Epoch, Value)> {
-        epochs.iter().filter_map(|&e| self.get(e).map(|v| (e, v))).collect()
     }
 }
 
@@ -321,7 +311,6 @@ mod tests {
         assert_eq!(w.get(1), Some(20.0));
         assert_eq!(w.get(5), None);
         assert_eq!(w.oldest_epoch(), Some(0));
-        assert_eq!(w.newest_epoch(), Some(2));
     }
 
     #[test]
@@ -354,12 +343,6 @@ mod tests {
         let mut w = window_with(&[(0, 5.0), (1, 9.0), (2, 3.0), (3, 7.0)], 16);
         assert_eq!(w.values_at_least(6.0), vec![(1, 9.0), (3, 7.0)]);
         assert_eq!(w.values_at_least(100.0), Vec::new());
-    }
-
-    #[test]
-    fn values_at_skips_missing_epochs() {
-        let mut w = window_with(&[(2, 5.0), (3, 9.0)], 16);
-        assert_eq!(w.values_at(&[1, 2, 3, 4]), vec![(2, 5.0), (3, 9.0)]);
     }
 
     #[test]

@@ -310,11 +310,6 @@ impl Query {
         self.history.is_some()
     }
 
-    /// True when the query asks for a time-travel answer (`AS OF epoch`).
-    pub fn is_time_travel(&self) -> bool {
-        self.as_of.is_some()
-    }
-
     /// The single aggregate of the select list, if there is exactly one.
     pub fn aggregate(&self) -> Option<(AggFunc, &str)> {
         let mut aggs = self.select.iter().filter_map(SelectItem::aggregate);

@@ -341,7 +341,6 @@ mod tests {
     fn parses_as_of_after_the_history_window() {
         let q = parse("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 8 epochs AS OF 24 LIFETIME 1 h").unwrap();
         assert_eq!(q.as_of, Some(24));
-        assert!(q.is_time_travel());
         let spelled = q.to_string();
         assert!(spelled.contains("WITH HISTORY 8 epochs AS OF 24 LIFETIME"), "{spelled}");
         assert_eq!(parse(&spelled).unwrap(), q, "AS OF must round-trip through Display");

@@ -1,5 +1,6 @@
 //! Loadgen binary: drive hundreds of concurrent wire clients against an in-process
-//! [`kspot_serve::WireServer`] and print per-op latency percentiles (E16).
+//! [`kspot_serve::WireServer`] and print per-op latency percentiles (what ADR-007 and
+//! ADR-011 quote as "E16").
 //!
 //! ```text
 //! cargo run --release -p kspot-serve --bin loadgen -- \

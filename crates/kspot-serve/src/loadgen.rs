@@ -1,5 +1,6 @@
 //! Load generator: hundreds of concurrent wire clients hammering a
-//! [`crate::WireServer`], measuring per-op latency percentiles (experiment E16).
+//! [`crate::WireServer`], measuring per-op latency percentiles (the numbers ADR-007
+//! and ADR-011 quote as "E16"; the `loadgen` binary prints them).
 //!
 //! Each connection runs the same script — connect, `Hello`, one timed `Register`,
 //! a barrier (so peak session concurrency is reached before anyone cancels), a
@@ -321,5 +322,31 @@ impl LoadgenReport {
             ));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_run_over_the_fleet_cap_admits_exactly_the_cap_with_zero_protocol_errors() {
+        let config = LoadgenConfig {
+            connections: 12,
+            deployments: 2,
+            threads: 2,
+            workers: 2,
+            polls_per_connection: 2,
+            fleet_cap: 8,
+            tenants: 4,
+            tenant_quota: 8,
+            ..LoadgenConfig::default()
+        };
+        let report = run_loadgen(&config);
+        assert_eq!(report.protocol_errors, 0, "the wire layer must stay clean under load");
+        assert_eq!(report.admitted, 8, "the fleet cap admits exactly 8 of 12");
+        assert_eq!(report.rejected, 4, "overflow surfaces as 429 Rejected frames");
+        assert_eq!(report.ops.len(), 3);
+        assert!(report.ops.iter().all(|op| op.p50_ms <= op.p99_ms && op.p99_ms <= op.max_ms));
     }
 }

@@ -297,15 +297,6 @@ impl SnapshotImage {
         }
         bank
     }
-
-    /// Flash pages node `node`'s record occupies inside the image (header + samples).
-    pub fn node_pages(&self, node: NodeId) -> u64 {
-        self.nodes
-            .iter()
-            .find(|(n, _)| *n == node)
-            .map(|(_, samples)| pages_for(8 + samples.len() * 16))
-            .unwrap_or(0)
-    }
 }
 
 /// Decodes and validates one checkpoint image.  Every structural invariant the
