@@ -1746,7 +1746,7 @@ mod tests {
         image.extend_from_slice(&foreign.to_be_bytes());
         image.extend_from_slice(&record[4..]);
         let image = kspot_store::checksum_seal(image);
-        let mut tampered = kspot_store::encode_manifest(4, &[(15, image.len())]);
+        let mut tampered = kspot_store::encode_manifest(4, 1, &[(15, image.len())]);
         tampered.extend_from_slice(&image);
         let store = CheckpointStore::from_bytes(&tampered).expect("the tampered image is a valid one");
 

@@ -12,7 +12,7 @@
 //! |----|------|-------|
 //! | R1 | `nan-ordering` | everywhere |
 //! | R2 | `bare-unwrap` | non-test library code |
-//! | R3 | `order-leak` | deterministic paths (net/core/algos/bench `src/`) |
+//! | R3 | `order-leak` | deterministic paths (net/core/algos/bench/store `src/`); host byte order at the byte boundaries (`kspot-store/src/`, `kspot-serve/src/`) |
 //! | R4 | `raw-rng` | everywhere except `kspot-net/src/rng.rs` |
 //! | R5 | `lock-discipline` | non-test library code |
 //! | R6 | `alloc-before-validate` | untrusted decoders (`kspot-serve/src/`, `kspot-store/src/`) |
@@ -52,7 +52,8 @@ pub enum Rule {
     NanOrdering,
     /// R2 — bare `.unwrap()` / empty `.expect("")` in library code.
     BareUnwrap,
-    /// R3 — wall-clock or hash-ordered collections in deterministic paths.
+    /// R3 — wall-clock or hash-ordered collections in deterministic paths, host byte
+    /// order at a byte boundary.
     OrderLeak,
     /// R4 — RNG construction outside the approved seed-derivation module.
     RawRng,
@@ -171,11 +172,13 @@ pub struct FileContext {
     pub path: String,
     /// `tests/`, `benches/`, `examples/` trees: R2/R3/R5/R6 do not apply.
     pub test_code: bool,
-    /// Deterministic paths — the engine (net/core/algos `src/`) and the experiment
-    /// tables printed from it (kspot-bench `src/`, ADR-012): R3 applies.
+    /// Deterministic paths — the engine (net/core/algos `src/`), the experiment
+    /// tables printed from it (kspot-bench `src/`, ADR-012) and the bytes it stores
+    /// (kspot-store `src/`, ADR-013): R3 applies.
     pub deterministic: bool,
     /// Untrusted-input decoders — wire frames (kspot-serve `src/`) and on-disk
-    /// checkpoint images (kspot-store `src/`, ADR-008/009): R6 applies.
+    /// checkpoint images (kspot-store `src/`, ADR-008/009): R6 applies, and R3's
+    /// host-byte-order check.
     pub untrusted_decode: bool,
     /// The one module allowed to construct RNGs (R4 exemption).
     pub rng_module: bool,
@@ -216,6 +219,7 @@ impl FileContext {
             "crates/kspot-core/src/",
             "crates/kspot-algos/src/",
             "crates/kspot-bench/src/",
+            "crates/kspot-store/src/",
         ]
         .iter()
         .any(|pre| p.starts_with(pre));

@@ -191,10 +191,11 @@ fn bare_unwrap(p: &Pass<'_>, out: &mut Vec<Finding>) {
 }
 
 /// R3: wall-clock reads and hash-ordered collections in deterministic
-/// engine/net/algos paths and the tables printed from them (order-leak +
-/// replay hazards).
+/// engine/net/algos/store paths and the tables printed from them (order-leak +
+/// replay hazards), and host-order integer conversions at the two byte
+/// boundaries — stored images and wire frames are read on other hosts.
 fn order_leak(p: &Pass<'_>, out: &mut Vec<Finding>) {
-    if !p.ctx.deterministic || p.ctx.test_code {
+    if !(p.ctx.deterministic || p.ctx.untrusted_decode) || p.ctx.test_code {
         return;
     }
     for (i, t) in p.toks.iter().enumerate() {
@@ -202,7 +203,7 @@ fn order_leak(p: &Pass<'_>, out: &mut Vec<Finding>) {
             continue;
         }
         match &t.kind {
-            TokKind::Ident(s) if s == "Instant" || s == "SystemTime" => {
+            TokKind::Ident(s) if p.ctx.deterministic && (s == "Instant" || s == "SystemTime") => {
                 out.push(p.finding(
                     Rule::OrderLeak,
                     t.line,
@@ -210,12 +211,20 @@ fn order_leak(p: &Pass<'_>, out: &mut Vec<Finding>) {
                     "deterministic code advances by epoch counters only; measure time in kspot-serve or bench/",
                 ));
             }
-            TokKind::Ident(s) if s == "HashMap" || s == "HashSet" => {
+            TokKind::Ident(s) if p.ctx.deterministic && (s == "HashMap" || s == "HashSet") => {
                 out.push(p.finding(
                     Rule::OrderLeak,
                     t.line,
                     "hash-ordered collection in a deterministic path — iteration order leaks into answers/ledgers",
                     "use BTreeMap/BTreeSet, or collect and sort with a total order before draining",
+                ));
+            }
+            TokKind::Ident(s) if p.ctx.untrusted_decode && (s == "from_ne_bytes" || s == "to_ne_bytes") => {
+                out.push(p.finding(
+                    Rule::OrderLeak,
+                    t.line,
+                    "host byte order at a byte boundary — the stored or sent bytes differ between hosts",
+                    "state the order: `from_be_bytes`/`to_be_bytes` for fields, `from_le_bytes` for the seal's words (ADR-013)",
                 ));
             }
             _ => {}

@@ -81,6 +81,33 @@ fn r3_fires_in_deterministic_paths_only() {
 }
 
 #[test]
+fn r3_covers_stored_bytes_and_host_byte_order_at_the_byte_boundaries() {
+    // Stored images are a deterministic path read on other hosts (ADR-013): in
+    // `kspot-store/src/` R3 fires on a hash-ordered collection as anywhere
+    // deterministic, and on `from_ne_bytes` / `to_ne_bytes`.
+    let store_ctx = FileContext::from_path("crates/kspot-store/src/fixture.rs");
+    let fire = lint_source(&store_ctx, include_str!("fixtures/r3_store_fire.rs"));
+    assert!(fire.iter().all(|f| f.rule == Rule::OrderLeak), "{fire:?}");
+    let host_order: Vec<u32> =
+        fire.iter().filter(|f| f.message.contains("host byte order")).map(|f| f.line).collect();
+    assert_eq!(host_order, [9, 12], "from_ne_bytes and to_ne_bytes: {fire:?}");
+    assert!(fire.iter().any(|f| f.message.contains("hash-ordered")), "{fire:?}");
+    assert!(fired(&store_ctx, include_str!("fixtures/r3_store_clean.rs")).is_empty());
+
+    // The wire is the other byte boundary: host order fires there, its hash maps
+    // (re-sorted before they are sent) still do not.
+    let fire = lint_source(&serve_ctx(), include_str!("fixtures/r3_store_fire.rs"));
+    assert_eq!(fire.len(), 2, "{fire:?}");
+    assert!(fire.iter().all(|f| f.message.contains("host byte order")));
+    // Elsewhere integers never leave the process, and tests may build what they like.
+    assert!(!lint_source(&lib_ctx(), include_str!("fixtures/r3_store_fire.rs"))
+        .iter()
+        .any(|f| f.message.contains("host byte order")));
+    let store_test_ctx = FileContext::from_path("crates/kspot-store/tests/fixture.rs");
+    assert!(fired(&store_test_ctx, include_str!("fixtures/r3_store_fire.rs")).is_empty());
+}
+
+#[test]
 fn r4_fires_outside_the_rng_module_only() {
     let fire = lint_source(&lib_ctx(), include_str!("fixtures/r4_fire.rs"));
     assert_eq!(fire.len(), 1, "{fire:?}");

@@ -1,9 +1,10 @@
-//! The on-disk checkpoint format and its untrusted-input decoder (ADR-009).
+//! The on-disk checkpoint format, version 2, and its untrusted-input decoder (ADR-009;
+//! the seal, the version and the manifest's retention field are ADR-013's).
 //!
 //! A checkpoint **image** serialises one [`WindowBank`] snapshot; the **manifest**
 //! indexes the images currently retained in the store's ring.  Both are flat binary
 //! layouts of fixed-width big-endian integers and `f64::to_bits` floats, closed by an
-//! FNV-1a checksum so a torn or bit-flipped page is detected rather than ranked.
+//! eight-byte [`seal`] so a torn or bit-flipped page is detected rather than ranked.
 //!
 //! Decoding is written for **untrusted bytes**, exactly like the wire parser in
 //! `kspot-serve` (ADR-008): every read is bounds-checked, element counts are validated
@@ -17,7 +18,7 @@
 //!
 //! ```text
 //! "KSPC"  magic (4 bytes)
-//! u16     format version (1)
+//! u16     format version (2)
 //! u64     snapshot epoch (the newest epoch the snapshot covers)
 //! u32     bank capacity in epochs
 //! u32     node count
@@ -25,17 +26,46 @@
 //!   u32   node id
 //!   u32   sample count (≤ capacity)
 //!   per sample (ascending epoch): u64 epoch, u64 value bits
-//! u64     FNV-1a 64 checksum of every preceding byte
+//! u64     seal of every preceding byte
 //! ```
 //!
-//! The manifest replaces the node records with `(epoch, offset, length)` entries, one
-//! per retained image, ascending in both epoch and offset ("KSPM" magic).
+//! ## Manifest layout
+//!
+//! ```text
+//! "KSPM"  magic (4 bytes)
+//! u16     format version (2)
+//! u64     checkpoint cadence in epochs (≥ 1)
+//! u32     ring retention in images (≥ 1, ≥ the entry count)
+//! u32     entry count
+//! per retained image (ascending epoch, contiguous offsets from 0):
+//!   u64 snapshot epoch, u64 byte offset in the log, u64 byte length
+//! u64     seal of every preceding byte
+//! ```
+//!
+//! ## The seal
+//!
+//! [`seal`] reads the payload as little-endian 64-bit words — explicitly, so the stored
+//! bytes are the same on every host — and deals them round-robin onto [`SEAL_LANES`]
+//! independent lanes, so the lanes' multiplies overlap instead of waiting for one
+//! another the way a byte-at-a-time FNV's do.  A lane takes a word in with `mix`: xor,
+//! multiply by an odd constant, xor the high half onto the low half.  Each of the three
+//! is a bijection of the lane for a fixed word and of the word for a fixed lane, and
+//! the last one carries high input bits down, where a multiply alone only carries
+//! upward.  The final sub-word tail is zero-padded into one more word; the payload
+//! length, then the eight lanes, are folded through the same `mix`.  Hence a change
+//! confined to one aligned word — any single-bit flip — always changes the seal.  The
+//! trailer itself is big-endian like every other integer of the format.
+//!
+//! Decoders read the magic and the version *before* they verify the seal: bytes of
+//! another format revision answer [`StoreError::BadVersion`], not
+//! [`StoreError::ChecksumMismatch`] — a version-1 seal (byte-wise FNV-1a) cannot verify
+//! under version 2, and no version-1 reader is kept.
 
 use kspot_net::{Epoch, NodeId, Reading, Value, WindowBank, FLASH_PAGE_BYTES, SINK};
 use std::fmt;
 
 /// Checkpoint format revision; bumped on any incompatible layout change.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Magic opening a checkpoint image.
 pub const IMAGE_MAGIC: [u8; 4] = *b"KSPC";
@@ -46,6 +76,9 @@ pub const MANIFEST_MAGIC: [u8; 4] = *b"KSPM";
 /// Bytes of an image before its first node record: magic, version, epoch, capacity,
 /// node count.
 const IMAGE_HEADER_BYTES: usize = 4 + 2 + 8 + 4 + 4;
+
+/// Bytes of one manifest entry: epoch, offset, length.
+const MANIFEST_ENTRY_BYTES: usize = 8 + 8 + 8;
 
 /// Ceiling on the bank capacity a decoded image may declare — matches the engine's
 /// `MAX_HISTORY_EPOCHS` admission bound, so no hostile image can make a restore
@@ -103,22 +136,50 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// FNV-1a 64 over `bytes` — cheap, deterministic corruption detection (not a MAC; the
-/// threat model is crash tearing and media decay, see ADR-009).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+/// Lanes the seal deals the payload's words onto.  A property of the format, not a
+/// tuning knob: another lane count seals the same bytes differently.
+pub const SEAL_LANES: usize = 8;
+
+/// Where the lanes start from (lane `i` starts at `mix(SEAL_SEED, i)`).
+const SEAL_SEED: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// The odd multiplier of [`mix`].
+const SEAL_PRIME: u64 = 0x9E37_79B1_85EB_CA87;
+
+/// Takes `word` into `state`.  A bijection of either argument for a fixed other one;
+/// the shift brings the product's high half down to its low half, so a flipped high
+/// input bit cannot be undone by flipping the same bit of a later word.
+#[inline]
+fn mix(state: u64, word: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(SEAL_PRIME);
+    x ^ (x >> 32)
 }
 
-/// Appends the FNV-1a seal to `payload`, producing the sealed byte sequence the
-/// decoders accept.  Fuzzers use this to re-seal structurally mutated images so the
-/// validators behind the checksum face the hostile bytes too.
+/// The seal of `bytes` — cheap, deterministic corruption detection (not a MAC; the
+/// threat model is crash tearing and media decay, see ADR-009 and ADR-013).  The module
+/// documentation describes the construction.
+pub fn seal(bytes: &[u8]) -> u64 {
+    let mut lanes: [u64; SEAL_LANES] = std::array::from_fn(|i| mix(SEAL_SEED, i as u64));
+    let mut blocks = bytes.chunks_exact(8 * SEAL_LANES);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+    }
+    // What is left is shorter than a block: whole words, then a zero-padded one.
+    for (lane, chunk) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        *lane = mix(*lane, u64::from_le_bytes(word));
+    }
+    lanes.into_iter().fold(bytes.len() as u64, mix)
+}
+
+/// Appends the seal to `payload`, producing the sealed byte sequence the decoders
+/// accept.  Fuzzers use this to re-seal structurally mutated images so the validators
+/// behind the seal face the hostile bytes too.
 pub fn checksum_seal(mut payload: Vec<u8>) -> Vec<u8> {
-    let sum = checksum(&payload);
+    let sum = seal(&payload);
     payload.extend_from_slice(&sum.to_be_bytes());
     payload
 }
@@ -163,19 +224,19 @@ pub fn encode_image(bank: &WindowBank, epoch: Epoch) -> Vec<u8> {
             put_u64(&mut out, v.to_bits());
         }
     }
-    let sum = checksum(&out);
-    put_u64(&mut out, sum);
-    out
+    checksum_seal(out)
 }
 
-/// Encodes the manifest for the retained `(epoch, image byte length)` ring, oldest
-/// first.  Offsets are assigned contiguously in ring order — the log-structured layout
-/// a sequential flash write produces.
-pub fn encode_manifest(cadence: u64, entries: &[(Epoch, usize)]) -> Vec<u8> {
+/// Encodes the manifest of a ring that keeps `retention` images, for the retained
+/// `(epoch, image byte length)` entries, oldest first.  Offsets are assigned
+/// contiguously in ring order — the log-structured layout a sequential flash write
+/// produces.
+pub fn encode_manifest(cadence: u64, retention: usize, entries: &[(Epoch, usize)]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MANIFEST_MAGIC);
     put_u16(&mut out, FORMAT_VERSION);
     put_u64(&mut out, cadence);
+    put_u32(&mut out, retention as u32);
     put_u32(&mut out, entries.len() as u32);
     let mut offset = 0u64;
     for &(epoch, len) in entries {
@@ -184,9 +245,7 @@ pub fn encode_manifest(cadence: u64, entries: &[(Epoch, usize)]) -> Vec<u8> {
         put_u64(&mut out, len as u64);
         offset += len as u64;
     }
-    let sum = checksum(&out);
-    put_u64(&mut out, sum);
-    out
+    checksum_seal(out)
 }
 
 // --- decoding ---------------------------------------------------------------------
@@ -245,17 +304,34 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Splits off and verifies the trailing checksum, returning the covered payload.
-fn checked_payload(bytes: &[u8]) -> Result<&[u8], StoreError> {
-    if bytes.len() < 8 {
-        return Err(StoreError::Truncated);
+/// Reads the magic and the format version opening `bytes` and returns the cursor behind
+/// them.  Nothing here is sealed yet: bytes of another revision must answer with their
+/// version, and their seal is not ours to verify.
+fn opened(bytes: &[u8], magic: [u8; 4]) -> Result<Cursor<'_>, StoreError> {
+    let mut c = Cursor::new(bytes);
+    if c.take(4)? != magic {
+        return Err(StoreError::BadMagic);
     }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let declared = u64::from_be_bytes(tail.try_into().expect("8 bytes"));
-    if checksum(payload) != declared {
+    let version = c.u16()?;
+    if version != FORMAT_VERSION {
+        return Err(StoreError::BadVersion(version));
+    }
+    Ok(c)
+}
+
+/// Opens a sealed artifact: magic, version, then the trailing seal over everything
+/// before it.  Returns the cursor over the sealed payload, behind the version.
+fn unsealed(bytes: &[u8], magic: [u8; 4]) -> Result<Cursor<'_>, StoreError> {
+    let pos = opened(bytes, magic)?.pos;
+    let (payload, trailer) = bytes.split_last_chunk::<8>().ok_or(StoreError::Truncated)?;
+    if seal(payload) != u64::from_be_bytes(*trailer) {
         return Err(StoreError::ChecksumMismatch);
     }
-    Ok(payload)
+    // An artifact shorter than header + trailer had its version read out of the trailer.
+    if payload.len() < pos {
+        return Err(StoreError::Truncated);
+    }
+    Ok(Cursor { bytes: payload, pos })
 }
 
 /// One decoded, validated checkpoint snapshot.
@@ -303,15 +379,7 @@ impl SnapshotImage {
 /// encoder guarantees is re-checked here, because the bytes may not have come from
 /// the encoder at all.
 pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, StoreError> {
-    let payload = checked_payload(bytes)?;
-    let mut c = Cursor::new(payload);
-    if c.take(4)? != IMAGE_MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = c.u16()?;
-    if version != FORMAT_VERSION {
-        return Err(StoreError::BadVersion(version));
-    }
+    let mut c = unsealed(bytes, IMAGE_MAGIC)?;
     let epoch = c.u64()?;
     let capacity = c.u32()? as usize;
     if capacity == 0 || capacity > MAX_IMAGE_CAPACITY {
@@ -382,27 +450,33 @@ pub struct ManifestEntry {
 pub struct Manifest {
     /// Checkpoint cadence recorded at write time, in epochs.
     pub cadence: u64,
+    /// How many images the ring keeps before it overwrites the oldest; at least one and
+    /// at least the number of entries.
+    pub retention: usize,
     /// Retained images, oldest first.
     pub entries: Vec<ManifestEntry>,
 }
 
 /// Decodes and validates a store manifest.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
-    let payload = checked_payload(bytes)?;
-    let mut c = Cursor::new(payload);
-    if c.take(4)? != MANIFEST_MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = c.u16()?;
-    if version != FORMAT_VERSION {
-        return Err(StoreError::BadVersion(version));
-    }
+    let mut c = unsealed(bytes, MANIFEST_MAGIC)?;
     let cadence = c.u64()?;
     if cadence == 0 {
         return Err(StoreError::Corrupt("checkpoint cadence of zero epochs"));
     }
+    let retention = c.u32()? as usize;
+    if retention == 0 {
+        return Err(StoreError::Corrupt("a ring that retains no image"));
+    }
     let declared = c.u32()?;
-    let entry_count = c.count(declared, 24)?;
+    let entry_count = c.count(declared, MANIFEST_ENTRY_BYTES)?;
+    if entry_count > retention {
+        return Err(StoreError::Oversize {
+            what: "entry count",
+            declared: entry_count as u64,
+            max: retention as u64,
+        });
+    }
     let mut entries: Vec<ManifestEntry> = Vec::with_capacity(entry_count);
     for _ in 0..entry_count {
         let entry = ManifestEntry { epoch: c.u64()?, offset: c.u64()?, len: c.u64()? };
@@ -422,7 +496,21 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
         entries.push(entry);
     }
     c.finish()?;
-    Ok(Manifest { cadence, entries })
+    Ok(Manifest { cadence, retention, entries })
+}
+
+/// Splits serialised store bytes — a manifest followed by the image log it indexes —
+/// into the decoded manifest and the log.  The manifest delimits itself only through
+/// its entry count, which is read (bounds-checked) ahead of the seal to find where the
+/// manifest ends; nothing is allocated before [`decode_manifest`] has verified it.
+pub fn split_manifest(bytes: &[u8]) -> Result<(Manifest, &[u8]), StoreError> {
+    let mut c = opened(bytes, MANIFEST_MAGIC)?;
+    c.take(8 + 4)?; // cadence and retention
+    let declared = c.u32()?;
+    let entry_bytes = c.count(declared, MANIFEST_ENTRY_BYTES)? * MANIFEST_ENTRY_BYTES;
+    let (manifest, log) =
+        bytes.split_at_checked(c.pos + entry_bytes + 8).ok_or(StoreError::Truncated)?;
+    Ok((decode_manifest(manifest)?, log))
 }
 
 #[cfg(test)]
@@ -462,9 +550,10 @@ mod tests {
 
     #[test]
     fn manifest_roundtrips_through_bytes() {
-        let bytes = encode_manifest(8, &[(7, 100), (15, 120), (23, 96)]);
+        let bytes = encode_manifest(8, 5, &[(7, 100), (15, 120), (23, 96)]);
         let manifest = decode_manifest(&bytes).expect("decodes");
         assert_eq!(manifest.cadence, 8);
+        assert_eq!(manifest.retention, 5);
         assert_eq!(manifest.entries.len(), 3);
         assert_eq!(manifest.entries[1], ManifestEntry { epoch: 15, offset: 100, len: 120 });
         assert_eq!(manifest.entries[2].offset, 220);
@@ -500,9 +589,7 @@ mod tests {
         put_u64(&mut out, 5);
         put_u32(&mut out, 16);
         put_u32(&mut out, u32::MAX);
-        let sum = checksum(&out);
-        put_u64(&mut out, sum);
-        assert_eq!(decode_image(&out), Err(StoreError::Truncated));
+        assert_eq!(decode_image(&checksum_seal(out)), Err(StoreError::Truncated));
 
         // A per-node sample count beyond the declared capacity is oversize even when
         // enough bytes exist.
@@ -511,13 +598,11 @@ mod tests {
             bank.feed(&[Reading::new(1, 0, epoch, 1.0)]);
         }
         let mut img = encode_image(&bank, 1);
-        // Rewrite capacity (offset 14) down to 1 and re-seal the checksum.
+        // Rewrite capacity (offset 14) down to 1 and re-seal.
         img.truncate(img.len() - 8);
         img[14..18].copy_from_slice(&1u32.to_be_bytes());
-        let sum = checksum(&img);
-        put_u64(&mut img, sum);
         assert_eq!(
-            decode_image(&img),
+            decode_image(&checksum_seal(img)),
             Err(StoreError::Oversize { what: "sample count", declared: 2, max: 1 })
         );
     }
@@ -537,25 +622,119 @@ mod tests {
             put_u64(&mut out, 3);
             put_u64(&mut out, 1.0f64.to_bits());
         }
-        let sum = checksum(&out);
-        put_u64(&mut out, sum);
         assert_eq!(
-            decode_image(&out),
+            decode_image(&checksum_seal(out)),
             Err(StoreError::Corrupt("node ids not strictly ascending"))
         );
 
-        let zero_cadence = encode_manifest(1, &[(0, 10)]);
-        assert!(decode_manifest(&zero_cadence).is_ok());
-        // Patch cadence to zero and re-seal.
-        let mut bad = zero_cadence.clone();
-        bad.truncate(bad.len() - 8);
-        bad[6..14].copy_from_slice(&0u64.to_be_bytes());
-        let sum = checksum(&bad);
-        put_u64(&mut bad, sum);
+        let good = encode_manifest(1, 2, &[(0, 10), (1, 10)]);
+        assert!(decode_manifest(&good).is_ok());
+        // Patch one header field and re-seal.
+        let patched = |at: usize, field: &[u8]| {
+            let mut bad = good[..good.len() - 8].to_vec();
+            bad[at..at + field.len()].copy_from_slice(field);
+            decode_manifest(&checksum_seal(bad))
+        };
         assert_eq!(
-            decode_manifest(&bad),
+            patched(6, &0u64.to_be_bytes()),
             Err(StoreError::Corrupt("checkpoint cadence of zero epochs"))
         );
+        assert_eq!(
+            patched(14, &0u32.to_be_bytes()),
+            Err(StoreError::Corrupt("a ring that retains no image"))
+        );
+        assert_eq!(
+            patched(14, &1u32.to_be_bytes()),
+            Err(StoreError::Oversize { what: "entry count", declared: 2, max: 1 })
+        );
+    }
+
+    /// The fixed pattern of the known-answer vectors: byte `i` is `37 i + 11 (mod 256)`.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    #[test]
+    fn seal_known_answers() {
+        // Computed by an independent implementation of the module documentation's
+        // construction; a seal that drifts, or reads words in host order on a
+        // big-endian host, stops producing them.
+        assert_eq!(seal(b""), 0xA3A8_0E96_7ED7_BFD5);
+        assert_eq!(seal(&pattern(200)), 0x7693_8E08_9E7B_1CCE, "three blocks and one word");
+        assert_eq!(seal(&pattern(197)), 0x54D1_8109_1FC0_CA5C, "three blocks and five bytes");
+        // The trailer is the seal, big-endian, and nothing else.
+        assert_eq!(checksum_seal(pattern(200))[200..], 0x7693_8E08_9E7B_1CCEu64.to_be_bytes());
+    }
+
+    #[test]
+    fn two_flips_of_one_bit_never_cancel() {
+        // The same bit flipped in two bytes a word, a block or two blocks apart: the
+        // neighbouring lane, and the same lane one and two steps later.  A multiply only
+        // carries upward, so without the shift in `mix` the top bits cancel.
+        let good = pattern(1024);
+        let sealed = seal(&good);
+        let mut bad = good.clone();
+        for stride in [8, 64, 128] {
+            for at in 0..good.len() - stride {
+                for bit in 0..8 {
+                    bad[at] ^= 1 << bit;
+                    bad[at + stride] ^= 1 << bit;
+                    assert_ne!(seal(&bad), sealed, "bytes {at} and {}, bit {bit}", at + stride);
+                    bad[at] = good[at];
+                    bad[at + stride] = good[at + stride];
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_tail_and_the_length_are_sealed() {
+        // Every length around one and two blocks: the last byte counts wherever it
+        // falls in its word, and a zero byte more is not the zero it is padded with.
+        for len in 0..=130usize {
+            let payload = pattern(len);
+            let mut longer = payload.clone();
+            longer.push(0);
+            assert_ne!(seal(&longer), seal(&payload), "{len} bytes and one zero byte more");
+            if let Some(last) = longer[..len].last_mut() {
+                *last ^= 0x01;
+                assert_ne!(seal(&longer[..len]), seal(&payload), "last of {len} bytes changed");
+            }
+        }
+    }
+
+    /// Version 1's seal: FNV-1a 64, byte by byte.
+    fn fnv1a_sealed(mut payload: Vec<u8>) -> Vec<u8> {
+        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+        for &b in &payload {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        payload.extend_from_slice(&hash.to_be_bytes());
+        payload
+    }
+
+    #[test]
+    fn version_one_bytes_answer_with_their_version() {
+        // A version-1 image and manifest as version 1 wrote them: the version is read
+        // ahead of the seal, which is not ours to verify.
+        let mut image = encode_image(&sample_bank(), 5);
+        image.truncate(image.len() - 8);
+        image[4..6].copy_from_slice(&1u16.to_be_bytes());
+        let image = fnv1a_sealed(image);
+        assert_eq!(decode_image(&image), Err(StoreError::BadVersion(1)));
+
+        let mut manifest = Vec::new();
+        manifest.extend_from_slice(&MANIFEST_MAGIC);
+        put_u16(&mut manifest, 1);
+        put_u64(&mut manifest, 8); // cadence
+        put_u32(&mut manifest, 1); // entry count: version 1 kept no retention
+        for field in [5, 0, image.len() as u64] {
+            put_u64(&mut manifest, field);
+        }
+        let mut store = fnv1a_sealed(manifest);
+        assert_eq!(decode_manifest(&store), Err(StoreError::BadVersion(1)));
+        store.extend_from_slice(&image);
+        assert_eq!(split_manifest(&store).unwrap_err(), StoreError::BadVersion(1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! [`CheckpointStore`]: the ring of encoded snapshots on the modeled flash device.
 
 use crate::format::{
-    decode_image, decode_manifest, encode_image, encode_manifest, pages_for, StoreError,
+    decode_image, encode_image, encode_manifest, pages_for, split_manifest, StoreError,
 };
 use crate::view::CheckpointWindows;
 use kspot_net::{Epoch, Network, WindowBank};
@@ -42,6 +42,7 @@ impl CheckpointStore {
     /// Overrides how many snapshots the ring retains.
     pub fn with_retention(mut self, retention: usize) -> Self {
         assert!(retention > 0, "the ring must retain at least one snapshot");
+        assert!(u32::try_from(retention).is_ok(), "the manifest records the retention as a u32");
         self.retention = retention;
         self
     }
@@ -142,7 +143,7 @@ impl CheckpointStore {
     pub fn manifest_bytes(&self) -> Vec<u8> {
         let entries: Vec<(Epoch, usize)> =
             self.images.iter().map(|(e, img)| (*e, img.len())).collect();
-        encode_manifest(self.cadence, &entries)
+        encode_manifest(self.cadence, self.retention, &entries)
     }
 
     /// Serialises the whole store — manifest followed by the image log — for
@@ -156,25 +157,13 @@ impl CheckpointStore {
     }
 
     /// Rebuilds a store from [`Self::to_bytes`] output.  The manifest is validated
-    /// eagerly; each image extent is sliced out and its checksum verified, so a torn
+    /// eagerly; each image extent is sliced out and its seal verified, so a torn
     /// or tampered log fails here with a typed error rather than at first query.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        // The manifest is self-delimiting only via its entry count, so re-encode to
-        // find its length: decode needs the full prefix.  Walk the minimal prefix —
-        // header (18 bytes) + 24 per entry + 8 checksum.
-        if bytes.len() < 18 + 8 {
-            return Err(StoreError::Truncated);
-        }
-        let declared = u32::from_be_bytes(bytes[14..18].try_into().expect("4 bytes")) as usize;
-        let manifest_len = declared
-            .checked_mul(24)
-            .and_then(|entries| entries.checked_add(18 + 8))
-            .filter(|&len| len <= bytes.len())
-            .ok_or(StoreError::Truncated)?;
-        let manifest = decode_manifest(&bytes[..manifest_len])?;
-        let log = &bytes[manifest_len..];
-        let mut store = Self::new(manifest.cadence);
-        store.retention = store.retention.max(manifest.entries.len());
+        let (manifest, log) = split_manifest(bytes)?;
+        // Both validated by the manifest decoder; no assertion stands behind these bytes.
+        let mut store =
+            Self { cadence: manifest.cadence, retention: manifest.retention, images: VecDeque::new() };
         for entry in &manifest.entries {
             let start = usize::try_from(entry.offset).map_err(|_| StoreError::Truncated)?;
             let len = usize::try_from(entry.len).map_err(|_| StoreError::Truncated)?;
@@ -302,6 +291,34 @@ mod tests {
             let mut bad = bytes.clone();
             bad[i] ^= 0x10;
             assert!(CheckpointStore::from_bytes(&bad).is_err(), "flip at byte {i}");
+        }
+    }
+
+    #[test]
+    fn retention_survives_the_roundtrip() {
+        // A ring smaller and one larger than the default: the restarted store is the
+        // store, and goes on evicting where the one that never stopped does.
+        for retention in [2, 16] {
+            let mut net = test_net(4);
+            let mut live = CheckpointStore::new(1).with_retention(retention);
+            let mut bank = WindowBank::new(4);
+            let mut tick = |epoch: u64, stores: &mut [&mut CheckpointStore]| {
+                bank.feed(&[Reading::new(1, 0, epoch, epoch as f64)]);
+                for store in stores {
+                    store.checkpoint(&mut bank, epoch, &mut net);
+                }
+            };
+            for epoch in 0..retention as u64 + 1 {
+                tick(epoch, &mut [&mut live]);
+            }
+            let mut restarted = CheckpointStore::from_bytes(&live.to_bytes()).expect("rebuilds");
+            assert_eq!(restarted, live);
+            assert_eq!(restarted.retention(), retention);
+            for epoch in retention as u64 + 1..retention as u64 + 4 {
+                tick(epoch, &mut [&mut live, &mut restarted]);
+            }
+            assert_eq!(restarted.snapshot_epochs(), live.snapshot_epochs());
+            assert_eq!(live.snapshot_epochs().len(), retention);
         }
     }
 

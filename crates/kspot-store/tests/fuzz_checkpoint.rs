@@ -23,7 +23,9 @@
 //! oracle, over the same corpus and over random ragged images.
 
 use kspot_net::{Epoch, Reading, WindowBank};
-use kspot_store::{checksum_seal, decode_image, decode_manifest, CheckpointStore, SnapshotImage};
+use kspot_store::{
+    checksum_seal, decode_image, decode_manifest, CheckpointStore, SnapshotImage, StoreError,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -68,16 +70,48 @@ fn exercise_decoders(bytes: &[u8]) {
     }
 }
 
-/// A well-formed image to mutate: 4 nodes, 6 epochs in a capacity-8 bank.
-fn valid_image() -> Vec<u8> {
-    let mut bank = WindowBank::new(8);
-    for epoch in 0..6u64 {
-        let readings: Vec<Reading> = (1..=4)
+/// The image of `nodes` nodes that each sampled `epochs` epochs into a bank of `capacity`.
+fn image_of(nodes: u32, epochs: u64, capacity: usize) -> Vec<u8> {
+    let mut bank = WindowBank::new(capacity);
+    for epoch in 0..epochs {
+        let readings: Vec<Reading> = (1..=nodes)
             .map(|node| Reading::new(node, 0, epoch, f64::from(node) * 7.5 + epoch as f64))
             .collect();
         bank.feed(&readings);
     }
-    kspot_store::encode_image(&bank, 5)
+    kspot_store::encode_image(&bank, epochs - 1)
+}
+
+/// A well-formed image to mutate: 4 nodes, 6 epochs in a capacity-8 bank.
+fn valid_image() -> Vec<u8> {
+    image_of(4, 6, 8)
+}
+
+#[test]
+fn no_single_bit_flip_of_a_full_size_image_decodes() {
+    // What the benchmark's historic workload checkpoints: 100 nodes × 128 epochs, 205 630
+    // bytes — 3 212 blocks of the seal, then six words and six bytes.
+    let mut image = image_of(100, 128, 128);
+    assert_eq!(image.len(), 22 + 100 * (8 + 128 * 16) + 8);
+    assert!(decode_image(&image).is_ok());
+    // Every bit of the first block, of the last two and of what follows them (the
+    // seal's tail, then the trailer); in between one byte in 211 — a stride odd and not a
+    // multiple of 8, so it visits every lane and every byte of a word — its bit moving on.
+    let payload = image.len() - 8;
+    let dense = payload - payload % 64 - 2 * 64;
+    let sweep = (0..64).chain((64..dense).step_by(211)).chain(dense..image.len());
+    for (n, at) in sweep.enumerate() {
+        let bits = if (64..dense).contains(&at) { n % 8..n % 8 + 1 } else { 0..8 };
+        for bit in bits {
+            image[at] ^= 1 << bit;
+            let got = decode_image(&image).expect_err("a flipped bit must not decode");
+            // Magic and version are read ahead of the seal; everything else is the seal's.
+            if at >= 6 {
+                assert_eq!(got, StoreError::ChecksumMismatch, "byte {at}, bit {bit}");
+            }
+            image[at] ^= 1 << bit;
+        }
+    }
 }
 
 proptest! {
