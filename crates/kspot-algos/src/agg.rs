@@ -5,11 +5,11 @@
 //! routing tree.  The in-network Top-K algorithms additionally need *bounds*: given a
 //! partial state covering only some of a group's members, what is the best and worst
 //! final value the group could still reach once the missing members contribute?  Those
-//! bounds (together with the value-domain knowledge of [`ValueDomain`]) are exactly the
+//! bounds (together with the value-domain knowledge of
+//! [`kspot_net::types::ValueDomain`]) are exactly the
 //! `γ` upper-bound framework MINT uses to prune safely, and the threshold reasoning TJA
 //! and TPUT use for historic queries.
 
-use kspot_net::types::ValueDomain;
 use kspot_net::Value;
 use kspot_query::AggFunc;
 use serde::{Deserialize, Serialize};
@@ -192,19 +192,6 @@ impl AggState {
             _ => panic!("partial state {self:?} does not belong to aggregate {func}"),
         }
     }
-
-    /// Convenience: bounds taken straight from a value domain.
-    pub fn bounds_in_domain(
-        &self,
-        func: AggFunc,
-        missing: u32,
-        domain: &ValueDomain,
-    ) -> (Value, Value) {
-        (
-            self.lower_bound(func, missing, domain.min),
-            self.upper_bound(func, missing, domain.max),
-        )
-    }
 }
 
 /// Computes the exact aggregate of a slice of raw values (reference implementation used
@@ -225,6 +212,7 @@ pub fn exact_aggregate(func: AggFunc, values: &[Value]) -> Option<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kspot_net::types::ValueDomain;
 
     const ALL_FUNCS: [AggFunc; 5] =
         [AggFunc::Avg, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Count];
@@ -275,7 +263,8 @@ mod tests {
         // Group of 3; we have seen 39 from one member (Figure 1's room D seen by s4).
         let s = AggState::single(AggFunc::Avg, 39.0);
         let domain = ValueDomain::percentage();
-        let (lb, ub) = s.bounds_in_domain(AggFunc::Avg, 2, &domain);
+        let lb = s.lower_bound(AggFunc::Avg, 2, domain.min);
+        let ub = s.upper_bound(AggFunc::Avg, 2, domain.max);
         assert!((lb - 13.0).abs() < 1e-9); // (39 + 0 + 0) / 3
         assert!((ub - (39.0 + 200.0) / 3.0).abs() < 1e-9);
         // The figure's true average for room D is 64, inside the bounds.
@@ -331,7 +320,8 @@ mod tests {
         for func in ALL_FUNCS {
             let mut s = AggState::empty(func);
             values.iter().for_each(|&v| s.add(v));
-            let (lb, ub) = s.bounds_in_domain(func, 0, &ValueDomain::percentage());
+            let domain = ValueDomain::percentage();
+            let (lb, ub) = (s.lower_bound(func, 0, domain.min), s.upper_bound(func, 0, domain.max));
             let exact = exact_aggregate(func, &values).unwrap();
             assert!((lb - exact).abs() < 1e-9, "{func} lower bound with 0 missing");
             assert!((ub - exact).abs() < 1e-9, "{func} upper bound with 0 missing");

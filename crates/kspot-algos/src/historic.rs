@@ -8,22 +8,20 @@
 //! protocol does.
 //!
 //! This module provides the shared scaffolding: the query spec, the [`WindowSource`]
-//! abstraction every historic algorithm reads its windows through, the distributed
-//! dataset ([`HistoricDataset`], one sliding window per node), the engine-shared view
-//! ([`BankWindows`], a span-limited view over a [`kspot_net::WindowBank`]), the
+//! trait every historic algorithm reads its windows through, its one implementation
+//! ([`BankWindows`], a span-limited view over a [`kspot_net::WindowBank`] — the
+//! engine's shared bank borrowed, or a restored or freshly collected one owned), the
 //! omniscient reference answer, the [`HistoricAlgorithm`] trait and the two
 //! straightforward strategies — shipping the complete windows to the sink
 //! ([`CentralizedHistoric`]) and the horizontally fragmented local-filter variant of
 //! Section III-B ([`LocalAggregateHistoric`]).
 //!
-//! ## Why [`WindowSource`]
+//! ## Why [`WindowSource`] is a trait with one implementation
 //!
-//! Historically every algorithm took a `&mut HistoricDataset`, which hard-wired the
-//! "replay a collection pass per submission" execution model: a fresh dataset had to
-//! be materialised for every query.  The trait decouples the algorithms from where the
-//! windows live, so the same TJA/TPUT/centralized code answers both from a
-//! per-submission dataset **and** from the multi-query engine's shared per-node
-//! windows (fed once per epoch for *all* registered historic sessions — ADR-005).
+//! The algorithms take `&mut dyn WindowSource` so that one compiled TJA/TPUT serves
+//! both instantiations of [`BankWindows`] (borrowed and owned); the out-of-workspace
+//! benchmark's replay mirror (`bench/src/replay.rs`) passes both through that
+//! signature, which is why the trait stays (ADR-005, "one view").
 
 use crate::agg::exact_aggregate;
 use crate::result::{RankedItem, TopKResult};
@@ -71,9 +69,9 @@ impl HistoricSpec {
 
 /// Read access to the per-node sliding windows a historic query answers from.
 ///
-/// Implementations: [`HistoricDataset`] (a per-submission materialised dataset, the
-/// replay path) and [`BankWindows`] (a span-limited view over the multi-query engine's
-/// shared [`WindowBank`], or over one restored from a checkpoint).  The methods mirror
+/// The one implementation is [`BankWindows`] (a span-limited view over the multi-query
+/// engine's shared [`WindowBank`], or over one restored from a checkpoint or collected
+/// for a single submission).  The methods mirror
 /// the two access paths real motes expose (local top-k scan and point lookups, see
 /// [`SlidingWindow`]) plus the bulk scans the centralized comparators need.
 ///
@@ -155,17 +153,18 @@ fn span_of(window: Option<&mut SlidingWindow>, first: Epoch, charged: bool) -> &
 /// A span-limited [`WindowSource`] view over a [`WindowBank`]: exposes only the **last
 /// `window` epochs** of the bank, so a session whose `WITH HISTORY` span is shorter
 /// than the bank's capacity (which follows the largest registered span) sees exactly
-/// the window it asked for.  Holding the same samples, a view is byte-identical to a
-/// per-submission [`HistoricDataset`] of that span.
+/// the window it asked for.
 ///
 /// The bank is the engine's shared one, borrowed (`BankWindows<&mut WindowBank>`), or
-/// one restored from a checkpoint image, owned (`BankWindows<WindowBank>` — there is
-/// no live bank to borrow for an epoch the engine has long evicted).  Either way
+/// an owned one (`BankWindows<WindowBank>`): restored from a checkpoint image — there
+/// is no live bank to borrow for an epoch the engine has long evicted — or fed for one
+/// submission by [`BankWindows::collect`].  Holding the same samples, the two are
+/// byte-identical to every algorithm.  Either way
 /// `samples`/`window_len` read without storage accounting — cheap metadata reads, like
 /// the uncharged `SlidingWindow::iter` — while `local_top_k`/`values_at_least`/
 /// `value_at` are charged as the flash scans and lookups they model, so an
 /// engine-served query records the same class of storage cost as a replay.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BankWindows<B> {
     bank: B,
     /// The covered epochs, oldest first (the last `window` epochs of the bank).
@@ -231,107 +230,16 @@ impl<B: BorrowMut<WindowBank>> WindowSource for BankWindows<B> {
     }
 }
 
-/// The distributed historic dataset: one sliding window per sensor node.
-#[derive(Debug, Clone)]
-pub struct HistoricDataset {
-    windows: WindowBank,
-    epochs: Vec<Epoch>,
-}
-
-impl HistoricDataset {
+impl BankWindows<WindowBank> {
     /// Fills every node's window by running `workload` for `window` epochs — the
     /// buffering each KSpot client performs during normal operation before the historic
-    /// query arrives.
+    /// query arrives — and opens the view over all of it.
     pub fn collect(workload: &mut Workload, window: usize) -> Self {
-        assert!(window > 0, "cannot collect an empty window");
-        let mut windows = WindowBank::new(window);
+        let mut bank = WindowBank::new(window);
         for _ in 0..window {
-            windows.feed(&workload.next_epoch());
+            bank.feed(&workload.next_epoch());
         }
-        windows.into()
-    }
-
-    /// Number of nodes holding a window.
-    pub fn num_nodes(&self) -> usize {
-        self.windows.node_ids().len()
-    }
-
-    /// The epochs covered by the window, oldest first.
-    pub fn epochs(&self) -> &[Epoch] {
-        &self.epochs
-    }
-
-    /// Mutable access to one node's window (storage reads are accounted inside).
-    pub fn window_mut(&mut self, node: NodeId) -> &mut SlidingWindow {
-        self.windows.window_mut(node).unwrap_or_else(|| panic!("node {node} holds no window"))
-    }
-
-    /// The value node `node` buffered for `epoch`, if still in its window.
-    pub fn value_at(&mut self, node: NodeId, epoch: Epoch) -> Option<f64> {
-        self.windows.window_mut(node).and_then(|w| w.get(epoch))
-    }
-
-    /// Node identifiers holding windows, ascending.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.windows.node_ids().to_vec()
-    }
-
-    /// Omniscient reference answer: the exact Top-K epochs under the spec's aggregate.
-    pub fn exact_reference(&self, spec: &HistoricSpec) -> TopKResult {
-        self.exact_reference_over(spec, self.windows.node_ids())
-    }
-
-    /// Reference answer restricted to the windows of `nodes` — the oracle for runs in
-    /// which some nodes were dead or asleep at query time (exactness claims are scoped
-    /// to the nodes that could answer).
-    pub fn exact_reference_over(&self, spec: &HistoricSpec, nodes: &[NodeId]) -> TopKResult {
-        let mut per_epoch: BTreeMap<Epoch, Vec<f64>> = BTreeMap::new();
-        for (_, window) in self.windows.windows().filter(|(node, _)| nodes.contains(node)) {
-            for (e, v) in window.iter() {
-                per_epoch.entry(e).or_default().push(v);
-            }
-        }
-        ranked_epochs(per_epoch, spec, *self.epochs.last().unwrap_or(&0))
-    }
-}
-
-impl From<WindowBank> for HistoricDataset {
-    /// The dataset of exactly what `windows` buffers.
-    fn from(windows: WindowBank) -> Self {
-        let epochs = windows.epochs().collect();
-        Self { windows, epochs }
-    }
-}
-
-impl WindowSource for HistoricDataset {
-    fn source_nodes(&self) -> &[NodeId] {
-        self.windows.node_ids()
-    }
-
-    fn covered_epochs(&self) -> &[Epoch] {
-        &self.epochs
-    }
-
-    fn samples(&mut self, node: NodeId) -> &[(Epoch, f64)] {
-        span_of(self.windows.window_mut(node), 0, false)
-    }
-
-    fn local_top_k(&mut self, node: NodeId, k: usize, best: &mut Vec<(Epoch, f64)>) {
-        top_k_into(span_of(self.windows.window_mut(node), 0, true), k, best);
-    }
-
-    fn values_at_least(&mut self, node: NodeId, threshold: f64, found: &mut Vec<(Epoch, f64)>) {
-        let scanned = span_of(self.windows.window_mut(node), 0, true);
-        found.clear();
-        found.extend(scanned.iter().filter(|&&(_, v)| v >= threshold));
-    }
-
-    fn value_at(&mut self, node: NodeId, epoch: Epoch) -> Option<f64> {
-        HistoricDataset::value_at(self, node, epoch)
-    }
-
-    fn window_len(&mut self, node: NodeId) -> usize {
-        self.samples(node).len()
+        Self::new(bank, window)
     }
 }
 
@@ -341,9 +249,8 @@ pub trait HistoricAlgorithm {
     fn name(&self) -> &'static str;
 
     /// Executes the query over the windows of `data`, moving traffic through `net`,
-    /// and returns the ranked answer available at the sink.  `data` is any
-    /// [`WindowSource`] — a per-submission [`HistoricDataset`] replay or the engine's
-    /// shared [`BankWindows`] view.
+    /// and returns the ranked answer available at the sink.  `data` is a
+    /// [`BankWindows`] view, borrowed or owned.
     fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult;
 }
 
@@ -436,12 +343,19 @@ impl HistoricAlgorithm for LocalAggregateHistoric {
     }
 }
 
+/// The omniscient answer over every window `data` holds, for this crate's unit tests.
+#[cfg(test)]
+pub(crate) fn exact_reference(data: &mut dyn WindowSource, spec: &HistoricSpec) -> TopKResult {
+    let nodes = data.source_nodes().to_vec();
+    exact_over_source(data, spec, &nodes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use kspot_net::{Deployment, NetworkConfig, RoomModelParams};
 
-    fn dataset(window: usize, master_seed: u64) -> (Deployment, HistoricDataset) {
+    fn dataset(window: usize, master_seed: u64) -> (Deployment, BankWindows<WindowBank>) {
         // One master seed, split into per-component streams (see `kspot_net::rng`).
         let d = Deployment::clustered_rooms(4, 4, 20.0, kspot_net::rng::topology_seed(master_seed));
         let mut w = Workload::room_correlated(
@@ -450,17 +364,17 @@ mod tests {
             RoomModelParams::default(),
             kspot_net::rng::workload_seed(master_seed),
         );
-        let data = HistoricDataset::collect(&mut w, window);
+        let data = BankWindows::collect(&mut w, window);
         (d, data)
     }
 
     #[test]
     fn dataset_collects_one_window_per_node() {
         let (d, mut data) = dataset(32, 3);
-        assert_eq!(data.num_nodes(), d.num_nodes());
-        assert_eq!(data.epochs().len(), 32);
+        assert_eq!(data.source_nodes(), d.node_ids());
+        assert_eq!(data.covered_epochs().len(), 32);
         for node in d.node_ids() {
-            assert_eq!(data.window_mut(node).len(), 32);
+            assert_eq!(data.window_len(node), 32);
         }
         assert!(data.value_at(1, 5).is_some());
         assert!(data.value_at(1, 999).is_none());
@@ -468,16 +382,16 @@ mod tests {
 
     #[test]
     fn exact_reference_ranks_epochs_by_network_average() {
-        let (_, data) = dataset(16, 7);
+        let (_, mut data) = dataset(16, 7);
         let spec = HistoricSpec::new(3, AggFunc::Avg, ValueDomain::percentage(), 16);
-        let reference = data.exact_reference(&spec);
+        let reference = exact_reference(&mut data, &spec);
         assert_eq!(reference.items.len(), 3);
         // Best-first ordering.
         assert!(reference.items[0].value >= reference.items[1].value);
         assert!(reference.items[1].value >= reference.items[2].value);
         // Keys are epochs inside the window.
         for item in &reference.items {
-            assert!(data.epochs().contains(&item.key));
+            assert!(data.covered_epochs().contains(&item.key));
         }
     }
 
@@ -487,7 +401,7 @@ mod tests {
         let spec = HistoricSpec::new(2, AggFunc::Avg, ValueDomain::percentage(), 16);
         let mut net = Network::new(d, NetworkConfig::ideal());
         let result = CentralizedHistoric::new(spec).execute(&mut net, &mut data);
-        assert!(result.same_ranking(&data.exact_reference(&spec)));
+        assert!(result.same_ranking(&exact_reference(&mut data, &spec)));
         // Every node sends at least its own 16 samples.
         for id in net.deployment().node_ids() {
             assert!(net.metrics().node(id).tuples_sent >= 16);
@@ -504,7 +418,7 @@ mod tests {
         // Omniscient group averages over the whole window.
         let mut per_group: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
         for node in d.node_ids() {
-            let vals: Vec<f64> = data.window_mut(node).iter().map(|(_, v)| v).collect();
+            let vals = data.samples(node).iter().map(|&(_, v)| v);
             per_group.entry(u64::from(d.group_of(node))).or_default().extend(vals);
         }
         let mut expected: Vec<RankedItem> = per_group
@@ -524,52 +438,56 @@ mod tests {
 
     #[test]
     fn bank_view_is_byte_identical_to_a_dataset_holding_the_same_samples() {
-        // The engine's shared windows and a per-submission dataset replay, fed from
-        // the same workload stream, must drive every historic algorithm to the same
-        // answer — the equivalence the WindowSource abstraction promises.
-        use crate::historic::BankWindows;
+        // The engine's shared bank, borrowed, and the dataset a submission collects for
+        // itself from the same workload stream (an owned bank) must drive every historic
+        // algorithm to the same answer and the same traffic — whether the span is the
+        // whole bank, the tail of a bank that remembers more, or nothing at all.
         use crate::tja::Tja;
         use crate::tput::Tput;
         let d = Deployment::clustered_rooms(4, 4, 20.0, kspot_net::rng::topology_seed(31));
-        let window = 24;
-        let mut bank = kspot_net::WindowBank::new(window);
-        let mut w = Workload::room_correlated(
-            &d,
-            ValueDomain::percentage(),
-            RoomModelParams::default(),
-            kspot_net::rng::workload_seed(31),
-        );
-        for _ in 0..window {
-            bank.feed(&w.next_epoch());
-        }
-        let mut replay = Workload::room_correlated(
-            &d,
-            ValueDomain::percentage(),
-            RoomModelParams::default(),
-            kspot_net::rng::workload_seed(31),
-        );
-        let data = HistoricDataset::collect(&mut replay, window);
+        let workload = || {
+            Workload::room_correlated(
+                &d,
+                ValueDomain::percentage(),
+                RoomModelParams::default(),
+                kspot_net::rng::workload_seed(31),
+            )
+        };
+        for (fed, capacity, span) in [(24, 24, 24), (24, 24, 8), (0, 4, 4)] {
+            let mut bank = WindowBank::new(capacity);
+            let mut w = workload();
+            for _ in 0..fed {
+                bank.feed(&w.next_epoch());
+            }
+            // The owned bank holds the span's epochs and no others.
+            let mut replay = workload();
+            let owned = if fed == 0 {
+                BankWindows::new(WindowBank::new(span), span)
+            } else {
+                for _ in span..fed {
+                    replay.next_epoch();
+                }
+                BankWindows::collect(&mut replay, span)
+            };
+            assert_eq!(BankWindows::new(&mut bank, span).covered_epochs(), owned.covered_epochs());
 
-        let spec = HistoricSpec::new(3, AggFunc::Avg, ValueDomain::percentage(), window);
-        let algos: [&mut dyn HistoricAlgorithm; 3] = [
-            &mut Tja::new(spec),
-            &mut Tput::new(spec),
-            &mut CentralizedHistoric::new(spec),
-        ];
-        for algo in algos {
-            let mut bank_net = Network::new(d.clone(), NetworkConfig::ideal());
-            let mut view = BankWindows::new(&mut bank, window);
-            let from_bank = algo.execute(&mut bank_net, &mut view);
-            let mut data_net = Network::new(d.clone(), NetworkConfig::ideal());
-            let mut data = data.clone();
-            let from_data = algo.execute(&mut data_net, &mut data);
-            assert_eq!(from_bank, from_data, "{} diverged between sources", algo.name());
-            assert_eq!(
-                bank_net.metrics().totals(),
-                data_net.metrics().totals(),
-                "{} moved different traffic between sources",
-                algo.name()
-            );
+            let spec = HistoricSpec::new(3, AggFunc::Avg, ValueDomain::percentage(), span);
+            let algos: [&mut dyn HistoricAlgorithm; 3] =
+                [&mut Tja::new(spec), &mut Tput::new(spec), &mut CentralizedHistoric::new(spec)];
+            for algo in algos {
+                let case = format!("{} over {span} of {fed} epochs", algo.name());
+                let mut borrowed_net = Network::new(d.clone(), NetworkConfig::ideal());
+                let from_borrowed = algo.execute(&mut borrowed_net, &mut BankWindows::new(&mut bank, span));
+                let mut owned_net = Network::new(d.clone(), NetworkConfig::ideal());
+                let from_owned = algo.execute(&mut owned_net, &mut owned.clone());
+                assert_eq!(from_borrowed, from_owned, "{case}: diverged between views");
+                assert_eq!(
+                    borrowed_net.metrics().totals(),
+                    owned_net.metrics().totals(),
+                    "{case}: moved different traffic between views"
+                );
+                assert_eq!(from_borrowed.items.is_empty(), fed == 0, "{case}");
+            }
         }
     }
 
@@ -620,31 +538,45 @@ mod tests {
     fn bank_view_limits_the_span_to_the_last_window_epochs() {
         // A session with a shorter WITH HISTORY span than the bank's capacity must see
         // only its own window — never the extra history the bank keeps for others.
-        use crate::historic::BankWindows;
-        let mut bank = kspot_net::WindowBank::new(8);
+        let mut bank = WindowBank::new(8);
         for e in 0..8u64 {
             // Node 1's hottest sample (99.0) sits in the *old* half of the bank.
             let v = if e == 1 { 99.0 } else { e as f64 };
-            bank.feed(&[Reading::new(1, 0, e, v)]);
+            bank.feed(&[Reading::new(1, 0, e, v), Reading::new(2, 0, e, 10.0 + e as f64)]);
         }
-        let mut view = BankWindows::new(&mut bank, 4);
-        assert_eq!(view.covered_epochs(), [4, 5, 6, 7]);
-        assert_eq!(view.window_len(1), 4);
-        assert_eq!(view.value_at(1, 1), None, "out-of-span lookups miss");
-        assert_eq!(view.value_at(1, 5), Some(5.0));
-        let mut found = Vec::new();
-        view.local_top_k(1, 2, &mut found);
-        assert_eq!(found, [(7, 7.0), (6, 6.0)]);
-        view.values_at_least(1, 6.0, &mut found);
-        assert_eq!(found, [(6, 6.0), (7, 7.0)]);
-        assert_eq!(view.samples(1).len(), 4);
-        assert!(view.samples(9).is_empty(), "unknown nodes hold nothing");
-        // Ranked and threshold scans pay flash page reads, like the replay path.
-        drop(view);
+        // Borrowed like the engine's live bank, owned like a restored one: one view.
+        fn check(mut view: impl WindowSource) {
+            assert_eq!(view.covered_epochs(), [4, 5, 6, 7]);
+            assert_eq!(view.source_nodes(), [1, 2]);
+            assert_eq!(view.window_len(1), 4);
+            assert_eq!(view.value_at(1, 1), None, "out-of-span lookups miss");
+            assert_eq!(view.value_at(1, 5), Some(5.0));
+            assert_eq!(view.value_at(9, 5), None, "unknown nodes hold no window");
+            let mut found = Vec::new();
+            view.local_top_k(1, 2, &mut found);
+            assert_eq!(found, [(7, 7.0), (6, 6.0)]);
+            view.values_at_least(1, 6.0, &mut found);
+            assert_eq!(found, [(6, 6.0), (7, 7.0)]);
+            assert_eq!(view.samples(2).first(), Some(&(4, 14.0)));
+            assert!(view.samples(9).is_empty(), "unknown nodes hold nothing");
+        }
+        let owned = BankWindows::new(bank.clone(), 4);
+        assert_eq!(owned.snapshot_epoch(), Some(7));
+        check(owned);
+        check(BankWindows::new(&mut bank, 4));
+        // Ranked and threshold scans pay flash page reads, like a mote's flash.
         assert!(
             bank.window_mut(1).unwrap().page_reads() >= 3,
             "two scans and a point lookup must be accounted"
         );
+
+        let mut empty = BankWindows::new(WindowBank::new(4), 4);
+        assert!(empty.covered_epochs().is_empty());
+        assert_eq!(empty.snapshot_epoch(), None);
+        assert_eq!(empty.window_len(1), 0);
+        let mut found = vec![(0, 0.0)];
+        empty.local_top_k(1, 3, &mut found);
+        assert!(found.is_empty());
     }
 
     #[test]

@@ -48,10 +48,10 @@ pub use agg::{exact_aggregate, AggState};
 pub use centralized::CentralizedCollection;
 pub use fila::{FilaMonitor, FilaStats};
 pub use historic::{
-    exact_over_source, BankWindows, CentralizedHistoric, HistoricAlgorithm, HistoricDataset,
-    HistoricSpec, LocalAggregateHistoric, WindowSource,
+    exact_over_source, BankWindows, CentralizedHistoric, HistoricAlgorithm, HistoricSpec,
+    LocalAggregateHistoric, WindowSource,
 };
-pub use mint::{MintConfig, MintStats, MintViews};
+pub use mint::{MintStats, MintViews};
 pub use naive::NaiveLocalPrune;
 pub use result::{RankedItem, TopKResult};
 pub use snapshot::{

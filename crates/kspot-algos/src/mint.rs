@@ -18,7 +18,7 @@
 //! Panel), a node holding a partial aggregate over `m` of a group's `M` members can
 //! bound the group's final value from above by letting the `M − m` unseen members take
 //! the maximum of the value domain.  After the Creation phase the sink broadcasts a
-//! ranking threshold `τ` (the current k-th value minus a configurable slack); in every
+//! ranking threshold `τ` (the current k-th value minus a slack); in every
 //! later epoch a node prunes a group from its view exactly when that upper bound falls
 //! below `τ` — the tuple provably cannot matter.  Nodes whose pruned view is empty stay
 //! silent, which is where the message-count savings come from.
@@ -49,24 +49,15 @@ use crate::view::GroupView;
 use kspot_net::{Epoch, GroupId, Network, NodeId, PhaseTag, Reading};
 use serde::{Deserialize, Serialize};
 
-/// Tunables of the MINT executor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MintConfig {
-    /// Slack δ subtracted from the current k-th value before broadcasting it as the
-    /// pruning threshold.  A larger slack tolerates more per-epoch drift before probes
-    /// are needed, at the cost of weaker pruning.
-    pub threshold_slack: f64,
-    /// The threshold is re-broadcast only when the desired value differs from the
-    /// currently installed one by more than this tolerance, so stable workloads do not
-    /// pay a flood every epoch.
-    pub rebroadcast_tolerance: f64,
-}
+/// Slack δ subtracted from the current k-th value before broadcasting it as the
+/// pruning threshold.  A larger slack tolerates more per-epoch drift before probes are
+/// needed, at the cost of weaker pruning.
+const THRESHOLD_SLACK: f64 = 2.0;
 
-impl Default for MintConfig {
-    fn default() -> Self {
-        Self { threshold_slack: 2.0, rebroadcast_tolerance: 1.0 }
-    }
-}
+/// The threshold is re-broadcast only when the desired value differs from the currently
+/// installed one by more than this tolerance, so stable workloads do not pay a flood
+/// every epoch.
+const REBROADCAST_TOLERANCE: f64 = 1.0;
 
 /// Counters describing how much corrective work MINT had to do — the numbers behind the
 /// E9 temporal-correlation ablation.
@@ -87,7 +78,6 @@ pub struct MintStats {
 #[derive(Debug, Clone)]
 pub struct MintViews {
     spec: SnapshotSpec,
-    config: MintConfig,
     /// The threshold currently installed in the network (`None` before Creation).
     tau: Option<f64>,
     /// The k-th exact value of the previous epoch (for volatility tracking).
@@ -127,18 +117,10 @@ fn group_size(sizes: &[(GroupId, u32)], group: GroupId) -> Option<u32> {
 }
 
 impl MintViews {
-    /// Creates a MINT executor with default tunables.
+    /// Creates a MINT executor.
     pub fn new(spec: SnapshotSpec) -> Self {
-        Self::with_config(spec, MintConfig::default())
-    }
-
-    /// Creates a MINT executor with explicit tunables.
-    pub fn with_config(spec: SnapshotSpec, config: MintConfig) -> Self {
-        assert!(config.threshold_slack >= 0.0, "threshold slack must be non-negative");
-        assert!(config.rebroadcast_tolerance >= 0.0, "rebroadcast tolerance must be non-negative");
         Self {
             spec,
-            config,
             tau: None,
             last_kth: None,
             recent_drops: std::collections::VecDeque::new(),
@@ -148,11 +130,11 @@ impl MintViews {
     }
 
     /// The slack currently applied below the k-th value when choosing the broadcast
-    /// threshold: the configured base plus an adaptive term covering twice the largest
+    /// threshold: the fixed base plus an adaptive term covering twice the largest
     /// recent per-epoch drop of the k-th value.
     fn effective_slack(&self) -> f64 {
         let recent = self.recent_drops.iter().copied().fold(0.0, f64::max);
-        self.config.threshold_slack + 2.0 * recent
+        THRESHOLD_SLACK + 2.0 * recent
     }
 
     /// Records the k-th value observed this epoch and updates the volatility window.
@@ -195,7 +177,7 @@ impl MintViews {
         let result = TopKResult::new(epoch, full_ranking.items.iter().take(self.spec.k).copied().collect());
         let kth = self.kth_value(&result.items);
         self.observe_kth(kth);
-        let tau = (kth - self.config.threshold_slack).max(self.spec.domain.min);
+        let tau = (kth - THRESHOLD_SLACK).max(self.spec.domain.min);
         net.flood_down(epoch, 1, PhaseTag::Control);
         self.tau = Some(tau);
         self.stats.creations += 1;
@@ -378,7 +360,7 @@ impl SnapshotAlgorithm for MintViews {
         let new_kth = self.kth_value(&result.items);
         self.observe_kth(new_kth);
         let target = (new_kth - self.effective_slack()).max(self.spec.domain.min);
-        if !certified || target > tau + self.config.rebroadcast_tolerance {
+        if !certified || target > tau + REBROADCAST_TOLERANCE {
             net.flood_down(epoch, 1, PhaseTag::Control);
             self.tau = Some(target);
             self.stats.rebroadcasts += 1;
@@ -561,7 +543,7 @@ mod tests {
         assert_eq!(result.top().unwrap().key, 2);
         assert!(mint.installed_threshold().is_some());
         let tau = mint.installed_threshold().unwrap();
-        assert!((tau - (75.0 - MintConfig::default().threshold_slack)).abs() < 1e-9);
+        assert!((tau - (75.0 - THRESHOLD_SLACK)).abs() < 1e-9);
         assert!(net.metrics().phase(PhaseTag::Control).messages > 0, "threshold flood is accounted");
         assert!(net.metrics().phase(PhaseTag::Creation).messages > 0);
     }
@@ -588,11 +570,5 @@ mod tests {
                 assert!(result.same_ranking(&reference), "{func}: MINT must stay exact");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_slack_is_rejected() {
-        let _ = MintViews::with_config(spec(1), MintConfig { threshold_slack: -1.0, rebroadcast_tolerance: 0.0 });
     }
 }

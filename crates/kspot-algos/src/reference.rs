@@ -133,7 +133,7 @@ mod properties {
     use kspot_net::fault::{DutyCycle, FaultPlan};
     use kspot_net::topology::{DeploymentKind, NodeSpec, Position};
     use kspot_net::types::ValueDomain;
-    use crate::historic::{BankWindows, HistoricAlgorithm, HistoricDataset, HistoricSpec, WindowSource};
+    use crate::historic::{BankWindows, HistoricAlgorithm, HistoricSpec, WindowSource};
     use crate::tja::Tja;
     use crate::tput::Tput;
     use kspot_net::{
@@ -366,9 +366,9 @@ mod properties {
         window: usize,
         k: usize,
         func: AggFunc,
-        /// 0: a `HistoricDataset`; 1: the live view, borrowed from a bank that remembers
-        /// three epochs more than the span; 2: the same view owning its bank, as a
-        /// restore opens it.
+        /// 0: the view owning a bank that holds exactly the span, as `collect` opens it;
+        /// 1: the live view, borrowed from a bank that remembers three epochs more than
+        /// the span; 2: the same view owning its bank, as a restore opens it.
         source: usize,
         /// 0: one epoch per feed; 1: gaps between them; 2: some feeds repeat the epoch
         /// before; 3: the odd nodes' clocks run one epoch ahead of the feed's.
@@ -391,37 +391,32 @@ mod properties {
     }
 
     enum Source<'a> {
-        Dataset(HistoricDataset),
         Live(BankWindows<&'a mut WindowBank>),
-        Restored(BankWindows<WindowBank>),
+        Owned(BankWindows<WindowBank>),
     }
 
     impl<'a> Source<'a> {
         fn open(bank: &'a mut WindowBank, case: &HistoricCase) -> Self {
             match case.source {
-                0 => Source::Dataset(bank.clone().into()),
                 1 => Source::Live(BankWindows::new(bank, case.window)),
-                _ => Source::Restored(BankWindows::new(bank.clone(), case.window)),
+                _ => Source::Owned(BankWindows::new(bank.clone(), case.window)),
             }
         }
 
         fn windows(&mut self) -> &mut dyn WindowSource {
             match self {
-                Source::Dataset(data) => data,
                 Source::Live(view) => view,
-                Source::Restored(view) => view,
+                Source::Owned(view) => view,
             }
         }
 
         /// Every window's page reads, ascending by node.
         fn page_reads(&mut self) -> Vec<u64> {
-            match self {
-                Source::Dataset(data) => {
-                    data.node_ids().into_iter().map(|node| data.window_mut(node).page_reads()).collect()
-                }
-                Source::Live(view) => view.bank().windows().map(|(_, w)| w.page_reads()).collect(),
-                Source::Restored(view) => view.bank().windows().map(|(_, w)| w.page_reads()).collect(),
-            }
+            let bank = match self {
+                Source::Live(view) => view.bank(),
+                Source::Owned(view) => view.bank(),
+            };
+            bank.windows().map(|(_, w)| w.page_reads()).collect()
         }
     }
 

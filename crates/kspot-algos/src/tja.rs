@@ -99,15 +99,15 @@ impl HistoricAlgorithm for Tja {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::historic::{CentralizedHistoric, HistoricDataset};
+    use crate::historic::{exact_reference, BankWindows, CentralizedHistoric};
     use kspot_net::types::ValueDomain;
     use kspot_query::AggFunc;
-    use kspot_net::{Deployment, NetworkConfig, RoomModelParams, Workload};
+    use kspot_net::{Deployment, NetworkConfig, RoomModelParams, WindowBank, Workload};
 
-    fn setup(nodes_side: usize, window: usize, seed: u64) -> (Deployment, HistoricDataset) {
+    fn setup(nodes_side: usize, window: usize, seed: u64) -> (Deployment, BankWindows<WindowBank>) {
         let d = Deployment::grid(nodes_side, 10.0, Some(nodes_side));
         let mut w = Workload::room_correlated(&d, ValueDomain::percentage(), RoomModelParams::default(), seed);
-        let data = HistoricDataset::collect(&mut w, window);
+        let data = BankWindows::collect(&mut w, window);
         (d, data)
     }
 
@@ -118,7 +118,7 @@ mod tests {
             let spec = HistoricSpec::new(5, AggFunc::Avg, ValueDomain::percentage(), 64);
             let mut net = Network::new(d, NetworkConfig::ideal());
             let result = Tja::new(spec).execute(&mut net, &mut data);
-            let reference = data.exact_reference(&spec);
+            let reference = exact_reference(&mut data, &spec);
             assert!(
                 result.same_ranking(&reference),
                 "seed {seed}: TJA {result} must equal the reference {reference}"
@@ -131,12 +131,12 @@ mod tests {
     fn tja_matches_reference_with_uniform_noise_too() {
         let d = Deployment::grid(5, 10.0, Some(5));
         let mut w = Workload::uniform_iid(&d, ValueDomain::percentage(), 99);
-        let mut data = HistoricDataset::collect(&mut w, 128);
+        let mut data = BankWindows::collect(&mut w, 128);
         let spec = HistoricSpec::new(10, AggFunc::Avg, ValueDomain::percentage(), 128);
         let mut net = Network::new(d, NetworkConfig::ideal());
         let mut tja = Tja::new(spec);
         let result = tja.execute(&mut net, &mut data);
-        assert!(result.same_ranking(&data.exact_reference(&spec)));
+        assert!(result.same_ranking(&exact_reference(&mut data, &spec)));
         assert!(tja.stats().lsink_size >= 10);
     }
 
@@ -168,7 +168,7 @@ mod tests {
         let spec = HistoricSpec::new(3, AggFunc::Sum, ValueDomain::percentage(), 32);
         let mut net = Network::new(d, NetworkConfig::ideal());
         let result = Tja::new(spec).execute(&mut net, &mut data);
-        assert!(result.same_ranking(&data.exact_reference(&spec)));
+        assert!(result.same_ranking(&exact_reference(&mut data, &spec)));
     }
 
     #[test]

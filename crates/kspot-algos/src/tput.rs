@@ -107,16 +107,16 @@ impl HistoricAlgorithm for Tput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::historic::{CentralizedHistoric, HistoricDataset};
+    use crate::historic::{exact_reference, BankWindows, CentralizedHistoric};
     use crate::tja::Tja;
     use kspot_net::types::ValueDomain;
     use kspot_query::AggFunc;
-    use kspot_net::{Deployment, NetworkConfig, RoomModelParams, Workload};
+    use kspot_net::{Deployment, NetworkConfig, RoomModelParams, WindowBank, Workload};
 
-    fn setup(side: usize, window: usize, seed: u64) -> (Deployment, HistoricDataset) {
+    fn setup(side: usize, window: usize, seed: u64) -> (Deployment, BankWindows<WindowBank>) {
         let d = Deployment::grid(side, 10.0, Some(side));
         let mut w = Workload::room_correlated(&d, ValueDomain::percentage(), RoomModelParams::default(), seed);
-        let data = HistoricDataset::collect(&mut w, window);
+        let data = BankWindows::collect(&mut w, window);
         (d, data)
     }
 
@@ -127,7 +127,7 @@ mod tests {
             let spec = HistoricSpec::new(5, AggFunc::Avg, ValueDomain::percentage(), 64);
             let mut net = Network::new(d, NetworkConfig::ideal());
             let result = Tput::new(spec).execute(&mut net, &mut data);
-            assert!(result.same_ranking(&data.exact_reference(&spec)), "seed {seed}");
+            assert!(result.same_ranking(&exact_reference(&mut data, &spec)), "seed {seed}");
         }
     }
 
@@ -165,7 +165,7 @@ mod tests {
             RoomModelParams { drift_sigma: 4.0, sensor_noise_sigma: 1.0 },
             17,
         );
-        let data = HistoricDataset::collect(&mut w, 256);
+        let data = BankWindows::collect(&mut w, 256);
         let spec = HistoricSpec::new(5, AggFunc::Avg, ValueDomain::percentage(), 256);
 
         let mut tput_net = Network::new(d.clone(), NetworkConfig::mica2());

@@ -9,7 +9,7 @@
 
 use kspot_algos::historic::HistoricAlgorithm;
 use kspot_algos::{
-    CentralizedHistoric, HistoricDataset, HistoricSpec, MintViews, SnapshotSpec, TagTopK, Tja,
+    BankWindows, CentralizedHistoric, HistoricSpec, MintViews, SnapshotSpec, TagTopK, Tja,
     TopKResult, Tput,
 };
 use kspot_algos::snapshot::run_continuous;
@@ -89,7 +89,7 @@ fn tja_and_tput_survive_a_nan_reading_deterministically() {
     let spec = HistoricSpec::new(3, AggFunc::Avg, ValueDomain::percentage(), 16);
     let collect = || {
         let mut w = Workload::trace(&d, ValueDomain::percentage(), trace.clone());
-        HistoricDataset::collect(&mut w, 16)
+        BankWindows::collect(&mut w, 16)
     };
 
     let run_historic = |algo: &mut dyn HistoricAlgorithm| {
@@ -146,7 +146,7 @@ fn a_single_poisoned_epoch_cannot_inflate_the_elimination_threshold() {
     let spec = HistoricSpec::new(4, AggFunc::Avg, ValueDomain::percentage(), window);
     let collect = || {
         let mut w = Workload::trace(&d, ValueDomain::percentage(), trace.clone());
-        HistoricDataset::collect(&mut w, window)
+        BankWindows::collect(&mut w, window)
     };
     let run_historic = |algo: &mut dyn HistoricAlgorithm| {
         let mut net = Network::new(d.clone(), NetworkConfig::ideal());

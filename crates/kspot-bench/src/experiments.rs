@@ -9,12 +9,12 @@ use crate::table::{fmt_f, Table};
 use kspot_algos::historic::HistoricAlgorithm;
 use kspot_algos::snapshot::{exact_reference, run_continuous, AccuracyReport, SnapshotAlgorithm};
 use kspot_algos::{
-    CentralizedCollection, CentralizedHistoric, HistoricDataset, HistoricSpec, MintConfig,
-    MintViews, NaiveLocalPrune, SnapshotSpec, TagTopK, Tja, Tput,
+    BankWindows, CentralizedCollection, CentralizedHistoric, HistoricSpec, MintViews,
+    NaiveLocalPrune, SnapshotSpec, TagTopK, Tja, Tput,
 };
 use kspot_core::{KSpotServer, QueryEngine, ScenarioConfig, StrategyReport};
 use kspot_net::types::ValueDomain;
-use kspot_net::{Deployment, Network, NetworkConfig, RoomModelParams, Workload};
+use kspot_net::{Deployment, Network, NetworkConfig, RoomModelParams, WindowBank, Workload};
 use kspot_query::AggFunc;
 
 /// The identifiers of every experiment in the suite.  E12, E15 and E16 printed
@@ -254,7 +254,7 @@ pub fn e5_sweep_network_size() -> Table {
 // E6 / E7 — historic sweeps
 // ---------------------------------------------------------------------------------
 
-fn historic_dataset(side: usize, window: usize, seed: u64) -> (Deployment, HistoricDataset) {
+fn historic_dataset(side: usize, window: usize, seed: u64) -> (Deployment, BankWindows<WindowBank>) {
     // A network-wide correlated signal: historic Top-K queries look for globally
     // interesting time instances, so every node shares the same underlying trend.
     let d = Deployment::grid(side, 10.0, Some(1));
@@ -264,20 +264,24 @@ fn historic_dataset(side: usize, window: usize, seed: u64) -> (Deployment, Histo
         RoomModelParams { drift_sigma: 4.0, sensor_noise_sigma: 2.0 },
         kspot_net::rng::workload_seed(seed),
     );
-    let data = HistoricDataset::collect(&mut w, window);
+    let data = BankWindows::collect(&mut w, window);
     (d, data)
 }
 
-fn historic_bytes(algo: &mut dyn HistoricAlgorithm, d: &Deployment, data: &HistoricDataset, seed: u64) -> u64 {
+fn historic_bytes(
+    algo: &mut dyn HistoricAlgorithm,
+    d: &Deployment,
+    data: &mut BankWindows<WindowBank>,
+    seed: u64,
+) -> u64 {
     let mut net = Network::new(d.clone(), NetworkConfig::mica2().with_seed(kspot_net::rng::substrate_seed(seed)));
-    let mut data = data.clone();
-    algo.execute(&mut net, &mut data);
+    algo.execute(&mut net, data);
     net.metrics().totals().bytes
 }
 
 /// E6: historic query traffic versus K (64 nodes, 256-epoch window).
 pub fn e6_historic_sweep_k() -> Table {
-    let (d, data) = historic_dataset(8, 256, 66);
+    let (d, mut data) = historic_dataset(8, 256, 66);
     let mut table = Table::new(
         "E6 — historic Top-K traffic versus K (64 nodes, window 256 epochs)",
         "Expected shape: TJA stays far below both comparators for every K; TPUT only beats raw collection when its uniform threshold is selective.",
@@ -285,9 +289,9 @@ pub fn e6_historic_sweep_k() -> Table {
     );
     for &k in &[1usize, 5, 10, 20, 50] {
         let spec = HistoricSpec::new(k, AggFunc::Avg, ValueDomain::percentage(), 256);
-        let tja = historic_bytes(&mut Tja::new(spec), &d, &data, 66);
-        let tput = historic_bytes(&mut Tput::new(spec), &d, &data, 66);
-        let central = historic_bytes(&mut CentralizedHistoric::new(spec), &d, &data, 66);
+        let tja = historic_bytes(&mut Tja::new(spec), &d, &mut data, 66);
+        let tput = historic_bytes(&mut Tput::new(spec), &d, &mut data, 66);
+        let central = historic_bytes(&mut CentralizedHistoric::new(spec), &d, &mut data, 66);
         table.push_row(vec![
             k.to_string(),
             tja.to_string(),
@@ -308,11 +312,11 @@ pub fn e7_historic_sweep_window() -> Table {
     );
     for &side in &[4usize, 8, 12] {
         for &window in &[64usize, 256, 1024] {
-            let (d, data) = historic_dataset(side, window, 77);
+            let (d, mut data) = historic_dataset(side, window, 77);
             let spec = HistoricSpec::new(5, AggFunc::Avg, ValueDomain::percentage(), window);
-            let tja = historic_bytes(&mut Tja::new(spec), &d, &data, 77);
-            let tput = historic_bytes(&mut Tput::new(spec), &d, &data, 77);
-            let central = historic_bytes(&mut CentralizedHistoric::new(spec), &d, &data, 77);
+            let tja = historic_bytes(&mut Tja::new(spec), &d, &mut data, 77);
+            let tput = historic_bytes(&mut Tput::new(spec), &d, &mut data, 77);
+            let central = historic_bytes(&mut CentralizedHistoric::new(spec), &d, &mut data, 77);
             table.push_row(vec![
                 (side * side).to_string(),
                 window.to_string(),
@@ -414,7 +418,7 @@ pub fn e9_drift_ablation() -> Table {
     );
     for &drift in &[0.0f64, 0.5, 2.0, 5.0, 10.0] {
         let spec = SnapshotSpec::new(3, AggFunc::Avg, ValueDomain::percentage());
-        let mut mint = MintViews::with_config(spec, MintConfig::default());
+        let mut mint = MintViews::new(spec);
         let mint_totals = snapshot_report(&mut mint, &d, drift, 99, epochs).totals;
         let tag_totals = snapshot_report(&mut TagTopK::new(spec), &d, drift, 99, epochs).totals;
         table.push_row(vec![
@@ -579,8 +583,8 @@ fn frame_batching_sized(epochs: usize, session_counts: &[usize], scenario: Scena
 
 /// E14: bytes per query of `WITH HISTORY` queries, served two ways — the per-submit
 /// path (each query pays its own throwaway single-session engine: a fresh substrate
-/// plus a from-scratch window-buffering pass per query, the cost model of the old
-/// `HistoricDataset::collect` replay) versus the shared `Session` path (all queries
+/// plus a from-scratch window-buffering pass per query, the cost model of a
+/// `BankWindows::collect` replay) versus the shared `Session` path (all queries
 /// registered on ONE engine whose per-node windows are fed once per epoch for
 /// everyone, with frame batching merging the sessions' protocol reports; ADR-005).
 /// Answers are byte-identical on the lossless venue; the whole delta is amortisation.
@@ -730,7 +734,7 @@ impl BaselineServing {
                     net.charge_cpu(r.node, 1);
                 }
             }
-            let mut data = HistoricDataset::collect(&mut venue.workload(), window);
+            let mut data = BankWindows::collect(&mut venue.workload(), window);
             let _ = algo.execute(&mut net, &mut data);
             net.metrics().totals().energy_uj
         };

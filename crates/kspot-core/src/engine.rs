@@ -23,9 +23,9 @@
 //!   waits until the engine's shared sliding windows cover its span, answers exactly
 //!   once from those windows, and completes.
 //!
-//! The handle exposes the whole lifecycle: [`Session::poll`] / [`Session::stream`]
-//! for per-epoch results, [`Session::cancel`], and [`Session::finalize`] to convert
-//! the session into a [`QueryExecution`] carrying its System Panel.
+//! The handle exposes the whole lifecycle: [`Session::poll`] for per-epoch results,
+//! [`Session::cancel`], and [`Session::finalize`] to convert the session into a
+//! [`QueryExecution`] carrying its System Panel.
 //!
 //! ## System-Panel baselines are sessions too
 //!
@@ -47,17 +47,18 @@
 //! local-aggregate historic strategy answer from that bank through the
 //! [`kspot_algos::WindowSource`] abstraction ([`kspot_algos::BankWindows`]), so N
 //! registered historic sessions share a single per-epoch maintenance pass instead of
-//! each replaying a full `HistoricDataset::collect` pass against a fresh network.
+//! each replaying a full `BankWindows::collect` pass against a fresh network.
 //! The maintenance cost is charged **unscoped**, once per epoch, exactly like the
 //! sampling baseline: it is genuinely shared infrastructure, and amortising it across
 //! sessions is the point (ADR-005).  Each historic session's *query-time* traffic and
 //! storage reads run under its own metrics scope, so its System-Panel slice stays as
 //! attributable as any continuous session's.
 //!
-//! Holding the same samples, the engine-fed windows are byte-identical to a
-//! per-submission dataset replay — on lossless substrates a registered historic
-//! session returns exactly the answer a dedicated `HistoricDataset::collect` replay
-//! produces (asserted cell-by-cell by `tests/historic_cells.rs`).
+//! Holding the same samples, the borrowed view of the engine-fed bank is
+//! byte-identical to an owned view of a per-submission bank — on lossless substrates
+//! a registered historic session returns exactly the answer a dedicated
+//! `BankWindows::collect` replay produces (asserted cell-by-cell by
+//! `tests/historic_cells.rs`).
 //!
 //! ## Session isolation
 //!
@@ -534,7 +535,7 @@ impl EngineCore {
             self.net.begin_epoch(epoch);
             // Shared window maintenance: ONE feed pass serves every registered
             // historic session.  Buffering is deliberately fault-oblivious — it
-            // models the sensing-local flash write `HistoricDataset::collect`
+            // models the sensing-local flash write `BankWindows::collect`
             // models, which is what keeps engine-fed windows byte-identical to the
             // replay path — so the charge is fault-oblivious too: every buffered
             // sample is paid for, by the node that buffered it, unscoped, once per
@@ -981,7 +982,7 @@ pub struct ResultsPage {
 /// A typed handle to one registered query session — the uniform lifecycle surface of
 /// the engine (module docs): inspect ([`Self::status`], [`Self::results`],
 /// [`Self::results_page`], [`Self::totals`]), consume per-epoch answers
-/// ([`Self::poll`], [`Self::stream`]), render ([`Self::bullets`]), stop
+/// ([`Self::poll`]), render ([`Self::bullets`]), stop
 /// ([`Self::cancel`]) and convert into a [`QueryExecution`] with its System Panel
 /// ([`Self::finalize`]).
 ///
@@ -1064,8 +1065,8 @@ impl Session {
         lock_core(&self.core).state(self.id).results.last().cloned()
     }
 
-    /// The answers produced since this handle's last [`Self::poll`] / [`Self::stream`]
-    /// call (all answers so far on the first call).  Each handle keeps its own
+    /// The answers produced since this handle's last [`Self::poll`] call (all answers
+    /// so far on the first call).  Each handle keeps its own
     /// cursor, so clones poll independently.
     pub fn poll(&mut self) -> Vec<TopKResult> {
         let page = self.results_page(self.cursor, usize::MAX);
@@ -1089,12 +1090,6 @@ impl Session {
         }
     }
 
-    /// Iterator form of [`Self::poll`]: drains the answers produced since the last
-    /// poll.
-    pub fn stream(&mut self) -> impl Iterator<Item = TopKResult> {
-        self.poll().into_iter()
-    }
-
     /// Cancels the session.  Returns `false` when it already completed or was
     /// cancelled.  Cancelled sessions keep their id, results and attributed metrics
     /// readable.
@@ -1107,13 +1102,6 @@ impl Session {
     pub fn totals(&self) -> PhaseTotals {
         let core = lock_core(&self.core);
         core.net.query_totals(self.id)
-    }
-
-    /// The session's traffic broken down per algorithm phase (Creation, Update,
-    /// Lower-Bound, …) — the scope×phase slice of the shared ledger, in phase order.
-    pub fn phase_totals(&self) -> Vec<(kspot_net::PhaseTag, PhaseTotals)> {
-        let core = lock_core(&self.core);
-        core.net.metrics().scope_phases(self.id).collect()
     }
 
     /// Whether some node's battery was exhausted during an epoch this session took
@@ -1357,9 +1345,9 @@ mod tests {
         let polled = session.poll();
         assert_eq!(polled.len(), 2, "only the answers since the last poll");
         assert_eq!(polled, session.results()[3..].to_vec());
-        // The clone's cursor is independent and stream() drains like poll().
-        assert_eq!(clone.stream().count(), 5);
-        assert_eq!(clone.stream().count(), 0);
+        // The clone's cursor is independent.
+        assert_eq!(clone.poll().len(), 5);
+        assert!(clone.poll().is_empty());
     }
 
     #[test]
@@ -1543,7 +1531,7 @@ mod tests {
         assert_eq!(phase_bytes, report.totals.bytes, "phases partition the scope's bytes");
 
         // The raw-collection session only ever moves Update traffic.
-        let raw_phases = raw.phase_totals();
+        let raw_phases: Vec<_> = engine.metrics().scope_phases(raw.id()).collect();
         assert_eq!(raw_phases.len(), 1);
         assert_eq!(raw_phases[0].0, kspot_net::PhaseTag::Update);
     }

@@ -8,7 +8,7 @@
 //! 2. **Engine-shared windows vs per-submission replay**: on cells whose channel is
 //!    deterministic at query time (lossless and node-death), the answer a registered
 //!    historic session produces from the engine-fed [`kspot_net::WindowBank`] is
-//!    byte-identical to the legacy replay path — a fresh `HistoricDataset::collect`
+//!    byte-identical to the replay path — a fresh `BankWindows::collect`
 //!    pass over the same workload stream and a dedicated network.  (Lossy cells draw
 //!    their channel from per-scope streams whose state differs between the two
 //!    execution models, so the replay comparison is scoped out there — the shared-vs-
@@ -16,7 +16,7 @@
 //! 3. Historic runs replay bit-for-bit.
 
 use kspot_algos::historic::HistoricAlgorithm;
-use kspot_algos::{HistoricDataset, HistoricSpec, LocalAggregateHistoric, Tja};
+use kspot_algos::{BankWindows, HistoricSpec, LocalAggregateHistoric, Tja};
 use kspot_core::{QueryEngine, QueryId, ScenarioConfig, Session, SessionStatus};
 use kspot_net::rng::mix_seed;
 use kspot_net::types::ValueDomain;
@@ -133,12 +133,12 @@ fn engine_shared_windows_match_the_per_submission_replay_on_deterministic_cells(
         let (mut engine, sessions) = engine_for(&cell);
         engine.run_epochs(cell.window);
 
-        // The legacy replay path: buffer the window from the same workload stream
-        // into a fresh per-submission dataset, then execute on a dedicated network at
+        // The replay path: buffer the window from the same workload stream
+        // into a fresh per-submission bank, then execute on a dedicated network at
         // the query epoch — the per-submission model the shared windows replaced.
         let d = cell.deployment();
-        let data = HistoricDataset::collect(&mut cell.workload(&d), cell.window);
-        let query_epoch: Epoch = *data.epochs().last().expect("non-empty window");
+        let data = BankWindows::collect(&mut cell.workload(&d), cell.window);
+        let query_epoch: Epoch = data.snapshot_epoch().expect("non-empty window");
 
         let replay = |algo: &mut dyn HistoricAlgorithm| {
             let mut net = cell.network(&d);

@@ -115,14 +115,6 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan injects at least one fault.
-    pub fn is_active(&self) -> bool {
-        self.link_loss > 0.0
-            || !self.link_loss_overrides.is_empty()
-            || !self.node_deaths.is_empty()
-            || self.duty_cycle.is_some()
-    }
-
     /// The per-attempt loss probability of the directed link `from → to` contributed by
     /// this plan (the radio model may add its own).
     pub fn loss_probability(&self, from: NodeId, to: NodeId) -> f64 {
@@ -154,7 +146,6 @@ mod tests {
     #[test]
     fn default_plan_injects_nothing() {
         let plan = FaultPlan::none();
-        assert!(!plan.is_active());
         assert_eq!(plan.loss_probability(1, 2), 0.0);
         for epoch in 0..16 {
             for node in 0..8 {
@@ -169,7 +160,6 @@ mod tests {
         assert_eq!(plan.loss_probability(1, 2), 0.1);
         assert_eq!(plan.loss_probability(3, 1), 0.9);
         assert_eq!(plan.loss_probability(1, 3), 0.1, "overrides are directed");
-        assert!(plan.is_active());
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod workload;
 
 pub use energy::{Battery, BatteryBank, EnergyModel};
 pub use fault::{DutyCycle, FaultPlan};
-pub use message::{Message, MessageKind};
+pub use message::Message;
 pub use metrics::{
     NetworkMetrics, NodeCounters, PhaseTag, PhaseTotals, QueryScope, Savings, StorageTotals,
 };

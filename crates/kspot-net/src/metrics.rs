@@ -753,15 +753,6 @@ impl Savings {
     pub fn energy_savings_pct(&self) -> f64 {
         Self::pct(self.baseline_energy_uj, self.ours_energy_uj)
     }
-
-    /// Ratio baseline-bytes / our-bytes ("KSpot transmits N× fewer bytes").
-    pub fn byte_reduction_factor(&self) -> f64 {
-        if self.ours_bytes == 0 {
-            f64::INFINITY
-        } else {
-            self.baseline_bytes as f64 / self.ours_bytes as f64
-        }
-    }
 }
 
 impl fmt::Display for Savings {
@@ -855,7 +846,6 @@ mod tests {
         assert!((s.message_savings_pct() - 60.0).abs() < 1e-9);
         assert!((s.byte_savings_pct() - 75.0).abs() < 1e-9);
         assert!((s.energy_savings_pct() - 75.0).abs() < 1e-9);
-        assert!((s.byte_reduction_factor() - 4.0).abs() < 1e-9);
         let disp = s.to_string();
         assert!(disp.contains("messages 100 -> 40"));
     }
@@ -867,7 +857,6 @@ mod tests {
         let s = Savings::between(zero, some);
         assert_eq!(s.message_savings_pct(), 0.0);
         let s2 = Savings::between(some, zero);
-        assert!(s2.byte_reduction_factor().is_infinite());
         assert!((s2.byte_savings_pct() - 100.0).abs() < 1e-9);
     }
 

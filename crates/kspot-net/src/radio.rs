@@ -27,8 +27,6 @@ pub struct RadioModel {
     pub tuple_bytes: u32,
     /// Payload bytes of a control tuple (threshold, filter bound, probe id).
     pub control_bytes: u32,
-    /// Radio bit-rate in bits per second (38 400 for the CC1000 on MICA2).
-    pub bitrate_bps: u32,
     /// Maximum payload bytes per physical packet; larger logical messages are
     /// fragmented and each fragment pays the header again (TinyOS packets carry at most
     /// 29 payload bytes by default).
@@ -45,7 +43,6 @@ impl RadioModel {
             header_bytes: 7,
             tuple_bytes: 12,
             control_bytes: 6,
-            bitrate_bps: 38_400,
             max_payload_bytes: 29,
             loss_probability: 0.0,
         }
@@ -59,7 +56,6 @@ impl RadioModel {
             header_bytes: 0,
             tuple_bytes: 1,
             control_bytes: 1,
-            bitrate_bps: 1_000_000,
             max_payload_bytes: u32::MAX,
             loss_probability: 0.0,
         }
@@ -94,12 +90,6 @@ impl RadioModel {
     pub fn on_air_bytes(&self, payload: u32) -> u32 {
         self.frame_overhead_bytes + self.packets_for(payload) * self.header_bytes + payload
     }
-
-    /// On-air time in microseconds for a payload of `payload` bytes.
-    pub fn airtime_us(&self, payload: u32) -> u64 {
-        let bits = u64::from(self.on_air_bytes(payload)) * 8;
-        (bits * 1_000_000) / u64::from(self.bitrate_bps.max(1))
-    }
 }
 
 impl Default for RadioModel {
@@ -115,7 +105,6 @@ mod tests {
     #[test]
     fn mica2_defaults_are_sane() {
         let r = RadioModel::mica2();
-        assert_eq!(r.bitrate_bps, 38_400);
         assert!(r.header_bytes > 0);
         assert!(r.tuple_bytes > r.control_bytes);
         assert_eq!(r.loss_probability, 0.0);
@@ -143,16 +132,6 @@ mod tests {
         let payload = r.payload_bytes(5, 0);
         assert_eq!(r.packets_for(payload), 3);
         assert_eq!(r.on_air_bytes(payload), 8 + 3 * 7 + 60);
-    }
-
-    #[test]
-    fn airtime_scales_with_bytes() {
-        let r = RadioModel::mica2();
-        let t1 = r.airtime_us(r.payload_bytes(1, 0));
-        let t10 = r.airtime_us(r.payload_bytes(10, 0));
-        assert!(t10 > t1 * 5, "ten tuples should take much longer than one");
-        // One tuple: 12 + 7 + 8 = 27 bytes = 216 bits at 38.4 kbit/s ≈ 5625 µs.
-        assert_eq!(t1, 216 * 1_000_000 / 38_400);
     }
 
     #[test]

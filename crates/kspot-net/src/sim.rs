@@ -13,9 +13,9 @@
 //! schedule while staying fast enough for the large parameter sweeps of E4–E7.
 //!
 //! Per-epoch **report traffic** should enter the façade through
-//! [`Network::send_report_up`] / [`Network::send_report_to_parent`] rather than raw
-//! [`Network::send`] calls: the report entry point is where the frame scheduler
-//! ([`crate::schedule`]) hooks in.  With frame batching enabled
+//! [`Network::send_report_up`] rather than raw [`Network::send`] calls: the report
+//! entry point is where the frame scheduler ([`crate::schedule`]) hooks in.  With
+//! frame batching enabled
 //! ([`Network::set_frame_batching`]) those calls enqueue symbolic report intents and
 //! the substrate flushes **one merged frame per (node, direction) per epoch** — one
 //! preamble and header per hop instead of one per session — through the same
@@ -24,7 +24,7 @@
 
 use crate::energy::{BatteryBank, EnergyModel};
 use crate::fault::FaultPlan;
-use crate::message::{Message, MessageKind};
+use crate::message::Message;
 use crate::metrics::{NetworkMetrics, PhaseTag, QueryScope};
 use crate::radio::RadioModel;
 use crate::rng::stream_rng;
@@ -498,14 +498,7 @@ impl Network {
                 return frame.delivered.then_some(parent);
             }
         }
-        let msg = Message {
-            from,
-            to: parent,
-            epoch,
-            kind: MessageKind::DataReport,
-            data_tuples,
-            control_tuples,
-        };
+        let msg = Message { from, to: parent, epoch, data_tuples, control_tuples };
         self.send(msg, phase).then_some(parent)
     }
 
@@ -560,19 +553,6 @@ impl Network {
                 metrics.note_frame_drop(from, frame.epoch, label_phase, slices);
             }
         });
-    }
-
-    /// Sends a per-epoch data report from `from` to its routing parent.  Convenience
-    /// wrapper around [`Self::send_report_up`]; returns `true` on delivery.
-    pub fn send_report_to_parent(
-        &mut self,
-        from: NodeId,
-        epoch: Epoch,
-        data_tuples: u32,
-        control_tuples: u32,
-        phase: PhaseTag,
-    ) -> bool {
-        self.send_report_up(from, epoch, data_tuples, control_tuples, phase).is_some()
     }
 
     /// Floods a control payload of `control_entries` entries from the sink to every
@@ -669,14 +649,7 @@ impl Network {
         let mut hops = Some(0);
         let mut from = SINK;
         for &next in path.iter().rev() {
-            let msg = Message {
-                from,
-                to: next,
-                epoch,
-                kind: MessageKind::Probe,
-                data_tuples: 0,
-                control_tuples: control_entries,
-            };
+            let msg = Message { from, to: next, epoch, data_tuples: 0, control_tuples: control_entries };
             if !self.send(msg, phase) {
                 hops = None;
                 break;
@@ -708,14 +681,7 @@ impl Network {
             // The nearest participating ancestor: relays already passed cannot have
             // changed it, their traffic only drains themselves.
             let next = self.effective_parent(relay);
-            let msg = Message {
-                from: relay,
-                to: next,
-                epoch,
-                kind: MessageKind::ProbeReply,
-                data_tuples,
-                control_tuples: 0,
-            };
+            let msg = Message::data(relay, next, epoch, data_tuples);
             if !self.send(msg, phase) {
                 return None;
             }
@@ -754,7 +720,7 @@ mod tests {
     #[test]
     fn send_report_to_parent_uses_the_routing_tree() {
         let mut n = net(NetworkConfig::ideal());
-        n.send_report_to_parent(9, 0, 1, 0, PhaseTag::Update);
+        assert_eq!(n.send_report_up(9, 0, 1, 0, PhaseTag::Update), Some(4));
         assert_eq!(n.metrics().node(4).rx_messages, 1, "node 9's parent is node 4 in Figure 1");
     }
 

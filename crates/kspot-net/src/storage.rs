@@ -6,7 +6,8 @@
 //! index that plays this role on real motes.  [`SlidingWindow`] reproduces the two access
 //! paths the algorithms need:
 //!
-//! * a *local top-k scan* (TJA's Lower-Bound phase asks each node for its k best epochs);
+//! * a *local top-k scan* (TJA's Lower-Bound phase asks each node for its k best epochs:
+//!   [`SlidingWindow::scan`] ranked by [`top_k_into`]);
 //! * *point lookups by epoch* (TJA's Hierarchical-Join and Clean-Up phases ask for the
 //!   node's value at specific candidate epochs).
 //!
@@ -148,19 +149,6 @@ impl SlidingWindow {
         self.page_reads += (self.samples.len().div_ceil(self.samples_per_page)) as u64;
         self.as_slice()
     }
-
-    /// The `k` buffered samples with the highest values, best first.
-    /// Ties are broken towards the older epoch so results are deterministic.
-    pub fn local_top_k(&mut self, k: usize) -> Vec<(Epoch, Value)> {
-        let mut best = Vec::new();
-        top_k_into(self.scan(), k, &mut best);
-        best
-    }
-
-    /// All buffered samples whose value is at least `threshold`.
-    pub fn values_at_least(&mut self, threshold: Value) -> Vec<(Epoch, Value)> {
-        self.scan().iter().copied().filter(|&(_, v)| v >= threshold).collect()
-    }
 }
 
 /// Replaces the contents of `best` with the `k` highest-valued of `samples`, best
@@ -184,8 +172,7 @@ pub fn top_k_into(samples: &[(Epoch, Value)], k: usize, best: &mut Vec<(Epoch, V
 ///
 /// The bank is deliberately *fault-oblivious*: sensing and buffering are node-local
 /// (no radio involved), so a node keeps writing its own flash even while its parent is
-/// dead or the link is lossy — exactly the semantics of the per-submission
-/// `HistoricDataset::collect` replay the bank supersedes.  Whether a node's window is
+/// dead or the link is lossy.  Whether a node's window is
 /// *reachable* at query time is decided by the network when the historic algorithm
 /// runs, not here.
 #[derive(Debug, Clone, Default)]
@@ -329,20 +316,14 @@ mod tests {
     #[test]
     fn local_top_k_returns_best_values_with_deterministic_ties() {
         let mut w = window_with(&[(0, 5.0), (1, 9.0), (2, 9.0), (3, 1.0), (4, 7.0)], 16);
-        let top = w.local_top_k(3);
+        let mut top = Vec::new();
+        top_k_into(w.scan(), 3, &mut top);
         assert_eq!(top, vec![(1, 9.0), (2, 9.0), (4, 7.0)]);
         // Asking for more than we have returns everything, sorted.
-        let all = w.local_top_k(10);
-        assert_eq!(all.len(), 5);
-        assert_eq!(all[0], (1, 9.0));
-        assert_eq!(all[4], (3, 1.0));
-    }
-
-    #[test]
-    fn values_at_least_filters_by_threshold() {
-        let mut w = window_with(&[(0, 5.0), (1, 9.0), (2, 3.0), (3, 7.0)], 16);
-        assert_eq!(w.values_at_least(6.0), vec![(1, 9.0), (3, 7.0)]);
-        assert_eq!(w.values_at_least(100.0), Vec::new());
+        top_k_into(w.scan(), 10, &mut top);
+        assert_eq!(top.len(), 5);
+        assert_eq!(top[0], (1, 9.0));
+        assert_eq!(top[4], (3, 1.0));
     }
 
     #[test]
@@ -352,7 +333,7 @@ mod tests {
             w.push(e, 0.0);
         }
         assert_eq!(w.page_reads(), 0);
-        let _ = w.local_top_k(5);
+        let _ = w.scan();
         assert_eq!(w.page_reads(), 4, "64 samples at 16 per page = 4 page reads");
         let _ = w.get(3);
         assert_eq!(w.page_reads(), 5);

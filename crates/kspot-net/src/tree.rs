@@ -195,11 +195,6 @@ impl RoutingTree {
     /// Sensor nodes in *pre-order*: every node appears before its descendants.  This is
     /// the order in which root-to-leaf dissemination (query flooding, threshold
     /// broadcast) is simulated.
-    pub fn pre_order(&self) -> Vec<NodeId> {
-        self.pre_order.clone()
-    }
-
-    /// [`Self::pre_order`] without the copy, for callers that only iterate.
     pub fn pre_order_slice(&self) -> &[NodeId] {
         &self.pre_order
     }
@@ -279,7 +274,7 @@ mod tests {
     fn pre_order_lists_parents_before_children() {
         let d = Deployment::conference();
         let t = RoutingTree::build(&d);
-        let order = t.pre_order();
+        let order = t.pre_order_slice();
         assert_eq!(order.len(), d.num_nodes());
         let pos = |n: NodeId| order.iter().position(|&x| x == n).unwrap();
         for id in d.node_ids() {

@@ -29,7 +29,8 @@
 //!   KSpot server routes it to (MINT for snapshot Top-K, TJA for historic vertically
 //!   fragmented Top-K, plain TAG for non-ranked aggregates, …), mirroring Section III of
 //!   the paper: "KSpot intelligently exploits this by executing a different query
-//!   processing algorithm based on the query semantics".
+//!   processing algorithm based on the query semantics".  A `WHERE` clause parses and
+//!   validates but is rejected here: no strategy executes predicates.
 //!
 //! ## Quick example
 //!

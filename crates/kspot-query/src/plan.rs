@@ -67,23 +67,6 @@ pub enum ExecutionStrategy {
 }
 
 impl ExecutionStrategy {
-    /// Human-readable algorithm name, as the System Panel displays it.
-    pub fn algorithm_name(self) -> &'static str {
-        match self {
-            ExecutionStrategy::SnapshotTopK => "MINT views",
-            ExecutionStrategy::HistoricHorizontalTopK => "local filter + MINT update",
-            ExecutionStrategy::HistoricVerticalTopK => "TJA (Threshold Join Algorithm)",
-            ExecutionStrategy::NodeMonitoringTopK => "FILA-style filters",
-            ExecutionStrategy::InNetworkAggregate => "TAG in-network aggregation",
-            ExecutionStrategy::RawCollection => "centralized collection",
-        }
-    }
-
-    /// True when the strategy produces ranked (Top-K) output.
-    pub fn is_ranked(self) -> bool {
-        !matches!(self, ExecutionStrategy::InNetworkAggregate | ExecutionStrategy::RawCollection)
-    }
-
     /// The submission class of the strategy: one answer per epoch versus one answer
     /// from sliding windows (see [`QueryClass`]).
     pub fn class(self) -> QueryClass {
@@ -132,6 +115,11 @@ impl QueryPlan {
 /// a plan can never be produced for a nonsensical query.
 pub fn classify(query: &Query) -> QueryResult<QueryPlan> {
     validate(query)?;
+    // The grammar accepts a WHERE clause, but no plan carries a predicate and no
+    // executor filters: answering would silently rank the unfiltered readings.
+    if !query.predicates.is_empty() {
+        return Err(QueryError::semantic("WHERE predicates are not executed by any strategy"));
+    }
 
     let aggregate = query.aggregate();
     let strategy = match (query.top_k, &query.group_by, query.is_historic(), aggregate) {
@@ -194,8 +182,6 @@ mod tests {
         assert_eq!(p.attribute.as_deref(), Some("sound"));
         assert_eq!(p.group_by.as_deref(), Some("roomid"));
         assert_eq!(p.epoch_seconds, 60);
-        assert!(p.strategy.is_ranked());
-        assert_eq!(p.strategy.algorithm_name(), "MINT views");
     }
 
     #[test]
@@ -247,7 +233,6 @@ mod tests {
         let p = plan("SELECT TOP 5 epoch, AVG(temperature) FROM sensors GROUP BY epoch EPOCH DURATION 1 h WITH HISTORY 3 days");
         assert_eq!(p.strategy, ExecutionStrategy::HistoricVerticalTopK);
         assert_eq!(p.history_epochs, Some(72));
-        assert!(p.strategy.algorithm_name().contains("TJA"));
     }
 
     #[test]
@@ -262,7 +247,6 @@ mod tests {
     fn unranked_aggregate_routes_to_tag() {
         let p = plan("SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 30 s");
         assert_eq!(p.strategy, ExecutionStrategy::InNetworkAggregate);
-        assert!(!p.strategy.is_ranked());
         assert_eq!(p.k, 0);
     }
 
@@ -284,6 +268,19 @@ mod tests {
         let q = parse("SELECT TOP 3 nodeid FROM sensors").expect("parses");
         let err = classify(&q).unwrap_err();
         assert!(err.to_string().contains("measurement"));
+    }
+
+    #[test]
+    fn a_where_clause_is_rejected_not_silently_dropped() {
+        // It parses and validates (the grammar is the paper's), but no strategy filters.
+        for sql in [
+            "SELECT TOP 2 roomid, AVG(sound) FROM sensors WHERE sound > 1000 GROUP BY roomid",
+            "SELECT TOP 5 epoch, AVG(sound) FROM sensors WHERE sound > 10 GROUP BY epoch WITH HISTORY 8 epochs",
+            "SELECT * FROM sensors WHERE sound <= 95",
+        ] {
+            let err = classify(&parse(sql).expect("parses and validates")).unwrap_err();
+            assert!(err.to_string().contains("WHERE predicates are not executed"), "{sql}: {err}");
+        }
     }
 
     #[test]

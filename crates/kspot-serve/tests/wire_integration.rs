@@ -99,12 +99,18 @@ fn bad_sql_and_bad_routing_are_400s_that_keep_the_connection_usable() {
         }
         other => panic!("expected a 400, got {other:?}"),
     }
+    // A WHERE clause parses, but no strategy filters: a 400, never an unfiltered Top-K.
+    let filtered = "SELECT TOP 2 roomid, AVG(sound) FROM sensors WHERE sound > 1000 GROUP BY roomid";
+    match client.register(0, filtered).expect("answered") {
+        Response::Error { code: 400, reason } => assert!(reason.contains("WHERE"), "{reason}"),
+        other => panic!("expected a 400, got {other:?}"),
+    }
     // Unknown sessions too.
     match client.cancel(77).expect("answered") {
         Response::Error { code: 400, reason } => assert!(reason.contains("unknown session")),
         other => panic!("expected a 400, got {other:?}"),
     }
-    // The connection survived all three.
+    // The connection survived all four.
     assert!(matches!(client.register(0, SQL).expect("register"), Response::Registered { .. }));
     client.bye().expect("bye");
     server.shutdown();

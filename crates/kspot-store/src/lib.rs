@@ -14,10 +14,10 @@
 //! * [`store`] — [`CheckpointStore`], the log-structured ring of encoded snapshots on
 //!   the modeled flash device, charging every page write and read through the
 //!   [`kspot_net::Network`] storage cost model so the ledger conservation law extends
-//!   to storage;
-//! * [`view`] — [`CheckpointWindows`], a [`kspot_algos::WindowSource`] over a restored
-//!   snapshot, so TJA/TPUT/centralized/local-aggregate answer an
-//!   `AS OF` query from flash byte-identically to a live run at the snapshot epoch.
+//!   to storage.  [`CheckpointStore::restore`] opens the same
+//!   [`kspot_algos::BankWindows`] view the engine answers live queries from, owning
+//!   the restored bank, so TJA/TPUT/centralized/local-aggregate answer an `AS OF`
+//!   query from flash byte-identically to a live run at the snapshot epoch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +25,6 @@
 
 pub mod format;
 pub mod store;
-pub mod view;
 
 pub use format::{
     checksum_seal, decode_image, decode_manifest, encode_image, encode_manifest, Manifest,
@@ -33,4 +32,3 @@ pub use format::{
     MAX_IMAGE_CAPACITY,
 };
 pub use store::{CheckpointStore, DEFAULT_RETENTION};
-pub use view::CheckpointWindows;

@@ -3,7 +3,7 @@
 use crate::format::{
     decode_image, encode_image, encode_manifest, pages_for, split_manifest, StoreError,
 };
-use crate::view::CheckpointWindows;
+use kspot_algos::BankWindows;
 use kspot_net::{Epoch, Network, WindowBank};
 use std::collections::VecDeque;
 
@@ -107,16 +107,17 @@ impl CheckpointStore {
         }
     }
 
-    /// Restores the snapshot taken at exactly `epoch` and opens a [`CheckpointWindows`]
-    /// view over its last `window` epochs, charging each node the flash page reads for
-    /// its own record.  Reads are charged to whatever query scope is installed on
-    /// `net` — restore cost belongs to the `AS OF` session that asked for it.
+    /// Restores the snapshot taken at exactly `epoch` and opens a [`BankWindows`] view
+    /// (owning the restored bank) over its last `window` epochs, charging each node the
+    /// flash page reads for its own record.  Reads are charged to whatever query scope
+    /// is installed on `net` — restore cost belongs to the `AS OF` session that asked
+    /// for it.
     pub fn restore(
         &self,
         epoch: Epoch,
         window: usize,
         net: &mut Network,
-    ) -> Result<CheckpointWindows, StoreError> {
+    ) -> Result<BankWindows<WindowBank>, StoreError> {
         let (_, bytes) = self
             .images
             .iter()
@@ -126,7 +127,7 @@ impl CheckpointStore {
         for (node, samples) in &image.nodes {
             net.charge_page_reads(*node, pages_for(8 + samples.len() * 16));
         }
-        Ok(CheckpointWindows::new(image.into_bank(), window))
+        Ok(BankWindows::new(image.into_bank(), window))
     }
 
     /// Restores the newest snapshot into a bare [`WindowBank`] without charging —

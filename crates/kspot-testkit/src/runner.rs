@@ -22,14 +22,14 @@
 use crate::invariants::{check_ledger, check_matches_oracle, check_well_formed};
 use crate::oracle::{node_membership_oracle, participating_nodes, snapshot_oracle};
 use crate::scenario::{ScenarioCell, TopologyKind, WorkloadProfile};
-use kspot_algos::historic::HistoricAlgorithm;
+use kspot_algos::historic::{exact_over_source, HistoricAlgorithm};
 use kspot_algos::{
-    CentralizedCollection, CentralizedHistoric, FilaMonitor, HistoricDataset,
-    LocalAggregateHistoric, MintViews, NaiveLocalPrune, SnapshotAlgorithm, SnapshotSpec, TagTopK,
-    Tja, TopKResult, Tput,
+    BankWindows, CentralizedCollection, CentralizedHistoric, FilaMonitor, LocalAggregateHistoric,
+    MintViews, NaiveLocalPrune, SnapshotAlgorithm, SnapshotSpec, TagTopK, Tja, TopKResult, Tput,
+    WindowSource,
 };
 use kspot_net::types::ValueDomain;
-use kspot_net::{Epoch, NetworkMetrics, PhaseTag, PhaseTotals};
+use kspot_net::{Epoch, NetworkMetrics, PhaseTag, PhaseTotals, WindowBank};
 use kspot_query::AggFunc;
 use std::collections::BTreeSet;
 
@@ -210,11 +210,11 @@ pub fn run_historic_cell(cell: &ScenarioCell) -> CellOutcome {
     let plan = cell.fault_plan(&d);
     let spec = cell.historic_spec();
 
-    let data = HistoricDataset::collect(&mut cell.workload(&d), cell.window);
-    let query_epoch = *data.epochs().last().expect("non-empty window");
+    let mut data = BankWindows::collect(&mut cell.workload(&d), cell.window);
+    let query_epoch = data.snapshot_epoch().expect("non-empty window");
     let participants = participating_nodes(&plan, &d, query_epoch);
-    let oracle = data.exact_reference_over(&spec, &participants);
-    let epoch_keys: BTreeSet<u64> = data.epochs().iter().copied().collect();
+    let oracle = exact_over_source(&mut data, &spec, &participants);
+    let epoch_keys: BTreeSet<u64> = data.covered_epochs().iter().copied().collect();
     let historic_as_snapshot_spec =
         SnapshotSpec::new(spec.k, AggFunc::Avg, ValueDomain::percentage());
 
@@ -258,7 +258,7 @@ pub fn run_historic_cell(cell: &ScenarioCell) -> CellOutcome {
                 .map(|v| format!("local-aggregate: {v}")),
         );
         if metrics.totals().dropped_messages == 0 {
-            let expected = group_window_oracle(&d, &mut data.clone(), &participants, snap_spec.k);
+            let expected = group_window_oracle(&d, &mut data, &participants, snap_spec.k);
             violations.extend(check_matches_oracle("local-aggregate", &result, &expected));
         }
     }
@@ -295,7 +295,7 @@ pub fn run_historic_cell(cell: &ScenarioCell) -> CellOutcome {
 /// historic strategy.
 fn group_window_oracle(
     d: &kspot_net::Deployment,
-    data: &mut HistoricDataset,
+    data: &mut BankWindows<WindowBank>,
     participants: &[kspot_net::NodeId],
     k: usize,
 ) -> TopKResult {
@@ -303,7 +303,7 @@ fn group_window_oracle(
     use std::collections::BTreeMap;
     let mut per_group: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
     for &node in participants {
-        let vals: Vec<f64> = data.window_mut(node).iter().map(|(_, v)| v).collect();
+        let vals = data.samples(node).iter().map(|&(_, v)| v);
         per_group.entry(u64::from(d.group_of(node))).or_default().extend(vals);
     }
     let items = per_group

@@ -9,7 +9,7 @@
 //! conservation, determinism and the paper's cost orderings.
 
 use kspot::algos::historic::HistoricAlgorithm;
-use kspot::algos::{CentralizedHistoric, HistoricDataset, HistoricSpec, Tja, Tput};
+use kspot::algos::{exact_over_source, BankWindows, CentralizedHistoric, HistoricSpec, Tja, Tput};
 use kspot::net::rng::{substrate_seed, workload_seed};
 use kspot::net::types::ValueDomain;
 use kspot::net::{Deployment, Network, NetworkConfig, RoomModelParams, Workload};
@@ -77,9 +77,9 @@ fn long_window_historic_costs_order_tja_below_tput_below_centralized() {
         workload_seed(master),
     );
     let window = 200;
-    let data = HistoricDataset::collect(&mut w, window);
+    let mut data = BankWindows::collect(&mut w, window);
     let spec = HistoricSpec::new(8, AggFunc::Avg, ValueDomain::percentage(), window);
-    let reference = data.exact_reference(&spec);
+    let reference = exact_over_source(&mut data, &spec, &d.node_ids());
 
     let mut byte_costs = Vec::new();
     let algos: Vec<Box<dyn HistoricAlgorithm>> =
