@@ -17,9 +17,8 @@
 
 use crate::result::{RankedItem, TopKResult};
 use crate::snapshot::{index_readings, SnapshotAlgorithm, SnapshotSpec};
-use kspot_net::{Network, NodeId, PhaseTag, Reading};
+use kspot_net::{Epoch, Network, NodeId, PhaseTag, Reading};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Counters describing FILA's corrective work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,8 +35,13 @@ pub struct FilaStats {
 #[derive(Debug, Clone)]
 pub struct FilaMonitor {
     spec: SnapshotSpec,
-    /// Last value each node reported to the sink.
-    last_known: BTreeMap<NodeId, f64>,
+    /// `last_known[id]`: the last value node `id` reported to the sink, if it ever did
+    /// (only a node of the network gets a report through).  One slot per node, so
+    /// walking it visits the known nodes in ascending id.
+    last_known: Vec<Option<f64>>,
+    /// The buffer the known nodes are ranked in — by [`Self::rank_known`], whole and
+    /// best first, which is how [`Self::install_boundary`] finds it.
+    ranked: Vec<RankedItem>,
     /// The installed boundary, `None` before the first epoch.
     boundary: Option<f64>,
     /// Current Top-K membership as known by the sink.
@@ -56,7 +60,8 @@ impl FilaMonitor {
     pub fn new(spec: SnapshotSpec) -> Self {
         Self {
             spec,
-            last_known: BTreeMap::new(),
+            last_known: Vec::new(),
+            ranked: Vec::new(),
             boundary: None,
             top_set: Vec::new(),
             stats: FilaStats::default(),
@@ -70,38 +75,33 @@ impl FilaMonitor {
         self.stats
     }
 
-    /// The `count` best nodes the sink knows of, best first (all of them if it knows
-    /// fewer).  Node ids are unique, so rank is a strict order and selecting the head
-    /// before sorting it gives exactly the head of the full ranking.
-    fn rank_known(&self, count: usize) -> Vec<RankedItem> {
-        let by_rank = |a: &RankedItem, b: &RankedItem| {
-            kspot_net::types::cmp_value(b.value, a.value).then(a.key.cmp(&b.key))
-        };
-        let mut items: Vec<RankedItem> = self
-            .last_known
-            .iter()
-            .map(|(n, v)| RankedItem::new(u64::from(*n), *v))
-            .collect();
-        if count < items.len() {
-            items.select_nth_unstable_by(count, by_rank);
-            items.truncate(count);
-        }
-        items.sort_by(by_rank);
-        items
+    /// Ranks every node the sink knows of, best first, and answers with the K best.
+    /// Node ids are unique, so rank is a strict order.
+    fn rank_known(&mut self, epoch: Epoch) -> TopKResult {
+        self.ranked.clear();
+        self.ranked.extend(
+            self.last_known
+                .iter()
+                .enumerate()
+                .filter_map(|(n, v)| v.map(|v| RankedItem::new(n as u64, v))),
+        );
+        TopKResult::best_of(epoch, &mut self.ranked, self.spec.k)
     }
 
-    fn install_boundary(&mut self, net: &mut Network, epoch: kspot_net::Epoch) {
-        let known = self.last_known.len();
-        let ranked = self.rank_known(self.spec.k + 1);
-        let k = self.spec.k.min(known);
-        let boundary = if known > k && k > 0 {
+    /// Places the boundary between the K-th and the (K+1)-th of the last ranking and
+    /// floods it.
+    fn install_boundary(&mut self, net: &mut Network, epoch: Epoch) {
+        let ranked = &self.ranked;
+        let k = self.spec.k.min(ranked.len());
+        let boundary = if ranked.len() > k && k > 0 {
             (ranked[k - 1].value + ranked[k].value) / 2.0
         } else if k > 0 {
-            ranked.get(k - 1).map(|i| i.value).unwrap_or(self.spec.domain.min)
+            ranked[k - 1].value
         } else {
             self.spec.domain.min
         };
-        self.top_set = ranked.iter().take(k).map(|i| i.key as NodeId).collect();
+        self.top_set.clear();
+        self.top_set.extend(ranked[..k].iter().map(|i| i.key as NodeId));
         let first_time = self.boundary.is_none();
         self.boundary = Some(boundary);
         net.flood_down(epoch, 1, PhaseTag::Control);
@@ -123,17 +123,21 @@ impl SnapshotAlgorithm for FilaMonitor {
 
     fn execute_epoch(&mut self, net: &mut Network, readings: &[Reading]) -> TopKResult {
         let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
+        if self.last_known.len() <= net.num_nodes() {
+            self.last_known.resize(net.num_nodes() + 1, None);
+        }
         let Some(boundary) = self.boundary else {
             // Initial acquisition: every node reports its reading up the tree (one tuple
             // per node, relayed hop by hop like any convergecast of raw values).  Under
             // fault injection only delivered reports enter the sink's model.
             for r in readings {
                 if net.unicast_up(r.node, epoch, 1, PhaseTag::Creation).is_some() {
-                    self.last_known.insert(r.node, r.value);
+                    self.last_known[r.node as usize] = Some(r.value);
                 }
             }
+            let answer = self.rank_known(epoch);
             self.install_boundary(net, epoch);
-            return TopKResult::new(epoch, self.rank_known(self.spec.k));
+            return answer;
         };
 
         // Nodes report only when their reading crosses the installed boundary.
@@ -152,51 +156,52 @@ impl SnapshotAlgorithm for FilaMonitor {
             if crosses {
                 self.stats.violations += 1;
                 if net.unicast_up(r.node, epoch, 1, PhaseTag::Update).is_some() {
-                    self.last_known.insert(r.node, r.value);
+                    self.last_known[r.node as usize] = Some(r.value);
                     violated = true;
                 }
             }
         }
 
-        if violated {
-            // Membership may have changed.  Refresh the current Top-K members so their
-            // values are no longer stale; silent non-members are still below τ, so after
-            // the refresh the ranking around the boundary is exact as long as the k-th
-            // best known value is still at or above τ.
-            // A probed member answers with its reading — the first, were there several.
-            index_readings(&mut self.reading_at, net.num_nodes(), readings.iter().enumerate().rev());
-            for &node in &self.top_set {
-                let down = net.unicast_down(node, epoch, 1, PhaseTag::Probe);
-                let up = net.unicast_up(node, epoch, 1, PhaseTag::Probe);
+        if !violated {
+            return self.rank_known(epoch);
+        }
+        // Membership may have changed.  Refresh the current Top-K members so their
+        // values are no longer stale; silent non-members are still below τ, so after
+        // the refresh the ranking around the boundary is exact as long as the k-th
+        // best known value is still at or above τ.
+        // A probed member answers with its reading — the first, were there several.
+        index_readings(&mut self.reading_at, net.num_nodes(), readings.iter().enumerate().rev());
+        for &node in &self.top_set {
+            let down = net.unicast_down(node, epoch, 1, PhaseTag::Probe);
+            let up = net.unicast_up(node, epoch, 1, PhaseTag::Probe);
+            if down.is_some() && up.is_some() {
+                if let Some(at) = self.reading_at[node as usize] {
+                    self.last_known[node as usize] = Some(readings[at as usize].value);
+                }
+            }
+            self.stats.probes += 1;
+        }
+        // If the k-th best exact value dropped below the boundary, a silent
+        // non-member could have crept above it: fall back to a full refresh.
+        let mut answer = self.rank_known(epoch);
+        let kth = answer.items.get(self.spec.k.saturating_sub(1)).map(|i| i.value);
+        if kth.is_none_or(|v| v < boundary) {
+            for r in readings {
+                // The members of the Top-K set were all probed just above.
+                if !net.node_participating(r.node) || self.in_top[r.node as usize] {
+                    continue;
+                }
+                let down = net.unicast_down(r.node, epoch, 1, PhaseTag::Probe);
+                let up = net.unicast_up(r.node, epoch, 1, PhaseTag::Probe);
                 if down.is_some() && up.is_some() {
-                    if let Some(at) = self.reading_at[node as usize] {
-                        self.last_known.insert(node, readings[at as usize].value);
-                    }
+                    self.last_known[r.node as usize] = Some(r.value);
                 }
                 self.stats.probes += 1;
             }
-            // If the k-th best exact value dropped below the boundary, a silent
-            // non-member could have crept above it: fall back to a full refresh.
-            let ranked = self.rank_known(self.spec.k);
-            let kth = ranked.get(self.spec.k.saturating_sub(1)).map(|i| i.value);
-            if kth.is_none_or(|v| v < boundary) {
-                for r in readings {
-                    // The members of the Top-K set were all probed just above.
-                    if !net.node_participating(r.node) || self.in_top[r.node as usize] {
-                        continue;
-                    }
-                    let down = net.unicast_down(r.node, epoch, 1, PhaseTag::Probe);
-                    let up = net.unicast_up(r.node, epoch, 1, PhaseTag::Probe);
-                    if down.is_some() && up.is_some() {
-                        self.last_known.insert(r.node, r.value);
-                    }
-                    self.stats.probes += 1;
-                }
-            }
-            self.install_boundary(net, epoch);
+            answer = self.rank_known(epoch);
         }
-
-        TopKResult::new(epoch, self.rank_known(self.spec.k))
+        self.install_boundary(net, epoch);
+        answer
     }
 }
 

@@ -136,9 +136,7 @@ fn ranked_epochs(per_epoch: BTreeMap<Epoch, Vec<f64>>, spec: &HistoricSpec, at: 
         .into_iter()
         .filter_map(|(e, vals)| exact_aggregate(spec.func, &vals).map(|v| RankedItem::new(e, v)))
         .collect();
-    let mut result = TopKResult::new(at, items);
-    result.items.truncate(spec.k);
-    result
+    TopKResult::top_k(at, items, spec.k)
 }
 
 /// The samples of `window` from epoch `first` on, oldest first — `charged` as one full

@@ -106,9 +106,15 @@ struct MintScratch {
     upper_bounds: Vec<f64>,
     /// The groups known exactly at the sink this epoch with their values, by group.
     exact: Vec<(GroupId, f64)>,
+    /// The buffer `exact` is ranked in: the answer is its head, copied out.
+    ranked: Vec<RankedItem>,
     /// `reading_at[id]` is the position in the epoch's readings of node `id`'s
     /// reading; filled in epochs that probe.
     reading_at: Vec<Option<u32>>,
+    /// The groups the sink does not know exactly, with their live sizes, and the
+    /// participating members of the group being probed; filled in epochs that probe.
+    candidates: Vec<(GroupId, u32)>,
+    members: Vec<NodeId>,
 }
 
 /// The live members of `group` according to `sizes` (sorted by group), if it has any.
@@ -158,8 +164,8 @@ impl MintViews {
         self.tau
     }
 
-    /// The k-th best exact value of a ranked list, or the domain minimum when fewer than
-    /// k groups are known exactly.
+    /// The k-th best exact value of a ranking (its first k items are enough), or the
+    /// domain minimum when fewer than k groups are known exactly.
     fn kth_value(&self, ranked: &[RankedItem]) -> f64 {
         if ranked.len() >= self.spec.k {
             ranked[self.spec.k - 1].value
@@ -173,8 +179,7 @@ impl MintViews {
     fn creation_phase(&mut self, net: &mut Network, readings: &[Reading]) -> TopKResult {
         let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
         let sink_view = convergecast_full(net, readings, &self.spec, PhaseTag::Creation, |_, _| {});
-        let full_ranking = rank_view(&sink_view, usize::MAX, epoch);
-        let result = TopKResult::new(epoch, full_ranking.items.iter().take(self.spec.k).copied().collect());
+        let result = rank_view(&sink_view, self.spec.k, epoch);
         let kth = self.kth_value(&result.items);
         self.observe_kth(kth);
         let tau = (kth - THRESHOLD_SLACK).max(self.spec.domain.min);
@@ -242,19 +247,17 @@ impl MintViews {
         group: GroupId,
         epoch: Epoch,
     ) -> Option<f64> {
-        let members: Vec<NodeId> = net
-            .deployment()
-            .members_of(group)
-            .iter()
-            .copied()
-            .filter(|&m| net.node_participating(m))
-            .collect();
+        let MintScratch { members, reading_at, .. } = &mut self.scratch;
+        members.clear();
+        members.extend(
+            net.deployment().members_of(group).iter().copied().filter(|&m| net.node_participating(m)),
+        );
         let mut state = AggState::empty(self.spec.func);
         let mut complete = true;
-        for member in members {
+        for &member in members.iter() {
             let down = net.unicast_down(member, epoch, 1, PhaseTag::Probe);
             let up = net.unicast_up(member, epoch, 1, PhaseTag::Probe);
-            let reading = self.scratch.reading_at[member as usize].map(|at| &readings[at as usize]);
+            let reading = reading_at[member as usize].map(|at| &readings[at as usize]);
             match reading {
                 Some(r) if down.is_some() && up.is_some() => state.add(r.value),
                 _ => complete = false,
@@ -269,12 +272,12 @@ impl MintViews {
     }
 }
 
-/// Ranks exactly-known groups best first, ties towards the smaller group.
-fn rank_exact(exact: &[(GroupId, f64)]) -> Vec<RankedItem> {
-    let mut items: Vec<RankedItem> =
-        exact.iter().map(|&(g, v)| RankedItem::new(u64::from(g), v)).collect();
-    items.sort_by(|a, b| kspot_net::types::cmp_value(b.value, a.value).then(a.key.cmp(&b.key)));
-    items
+/// The `k` best exactly-known groups, best first, ties towards the smaller group —
+/// ranked in `ranked`, which the caller keeps.
+fn rank_exact(epoch: Epoch, exact: &[(GroupId, f64)], ranked: &mut Vec<RankedItem>, k: usize) -> TopKResult {
+    ranked.clear();
+    ranked.extend(exact.iter().map(|&(g, v)| RankedItem::new(u64::from(g), v)));
+    TopKResult::best_of(epoch, ranked, k)
 }
 
 impl SnapshotAlgorithm for MintViews {
@@ -307,9 +310,10 @@ impl SnapshotAlgorithm for MintViews {
             }
         }
 
-        let mut ranked = rank_exact(&exact);
-        let kappa = self.kth_value(&ranked);
-        let certified = ranked.len() >= self.spec.k && kappa >= tau;
+        let k = self.spec.k;
+        let mut result = rank_exact(epoch, &exact, &mut self.scratch.ranked, k);
+        let kappa = self.kth_value(&result.items);
+        let certified = result.items.len() >= k && kappa >= tau;
 
         if !certified {
             // Every group that is not exactly known might still matter; probe the ones
@@ -321,14 +325,15 @@ impl SnapshotAlgorithm for MintViews {
                 net.num_nodes(),
                 readings.iter().enumerate().rev(),
             );
-            let candidate_groups: Vec<(GroupId, u32)> = self
-                .scratch
-                .group_sizes
-                .iter()
-                .copied()
-                .filter(|(g, _)| exact.binary_search_by_key(g, |&(known, _)| known).is_err())
-                .collect();
-            for (g, total) in candidate_groups {
+            let mut candidates = std::mem::take(&mut self.scratch.candidates);
+            candidates.clear();
+            candidates.extend(
+                self.scratch
+                    .group_sizes
+                    .iter()
+                    .filter(|(g, _)| exact.binary_search_by_key(g, |&(known, _)| known).is_err()),
+            );
+            for &(g, total) in &candidates {
                 let ub = match sink_view.get(g) {
                     Some(state) => state.upper_bound(
                         self.spec.func,
@@ -337,20 +342,17 @@ impl SnapshotAlgorithm for MintViews {
                     ),
                     None => AggState::empty(self.spec.func).upper_bound(self.spec.func, total, self.spec.domain.max),
                 };
-                if ranked.len() < self.spec.k || ub >= kappa {
+                if result.items.len() < k || ub >= kappa {
                     if let Some(v) = self.probe_group(net, readings, g, epoch) {
                         let at = exact.partition_point(|&(known, _)| known < g);
                         exact.insert(at, (g, v));
                     }
                 }
             }
-            ranked = rank_exact(&exact);
+            self.scratch.candidates = candidates;
+            result = rank_exact(epoch, &exact, &mut self.scratch.ranked, k);
         }
         self.scratch.exact = exact;
-
-        let mut final_items = ranked;
-        final_items.truncate(self.spec.k);
-        let result = TopKResult::new(epoch, final_items);
 
         // --- threshold maintenance ---------------------------------------------------
         // The threshold is only re-flooded when it has to be: after a probe epoch (the

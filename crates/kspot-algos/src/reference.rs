@@ -1,7 +1,8 @@
 //! The map-based loops the crate shipped before its flat kernels, kept verbatim as the
 //! oracles: the convergecast of the snapshot algorithms (now
-//! [`crate::tag::convergecast_full`]) and, in [`historic`], TJA and TPUT as they ran
-//! before the flat epoch table (`crate::threshold`).  Property tests drive old and new
+//! [`crate::tag::convergecast_full`]), in [`historic`], TJA and TPUT as they ran
+//! before the flat epoch table (`crate::threshold`), and in [`fila`] the FILA monitor
+//! whose sink kept what it knows in a map.  Property tests drive old and new
 //! over random trees, aggregates, windows, fault plans and co-registered scopes and
 //! demand the same answers and — compared bit for bit — the same ledgers and batteries.
 
@@ -171,6 +172,33 @@ mod properties {
             .with_explicit_parents(parents)
     }
 
+    /// A lossy MICA2 network over `d` with the drawn faults: link loss and ARQ, one node
+    /// (picked by `seed`) dying at epoch `death`, a 3-in-4 duty cycle.
+    fn faulted_config(
+        d: &Deployment,
+        loss_pct: u32,
+        retransmits: u32,
+        death: Option<u64>,
+        duty: bool,
+        battery_uj: f64,
+        seed: u64,
+    ) -> NetworkConfig {
+        let mut faults = FaultPlan::none()
+            .with_link_loss(f64::from(loss_pct) / 100.0)
+            .with_retransmits(retransmits);
+        if let Some(epoch) = death {
+            faults = faults.with_node_death(1 + (seed % d.num_nodes() as u64) as NodeId, epoch);
+        }
+        if duty {
+            faults = faults.with_duty_cycle(DutyCycle::new(4, 3));
+        }
+        NetworkConfig::mica2()
+            .with_radio(RadioModel::mica2().with_loss(0.02))
+            .with_seed(seed)
+            .with_battery_uj(battery_uj)
+            .with_faults(faults)
+    }
+
     fn totals_bits(t: PhaseTotals) -> [u64; 6] {
         [t.messages, t.bytes, t.tuples, t.retransmissions, t.dropped_messages, t.energy_uj.to_bits()]
     }
@@ -233,20 +261,8 @@ mod properties {
         ) {
             let d = random_tree(&raw, groups, seed);
             let n = d.num_nodes() as u64;
-            let mut faults = FaultPlan::none()
-                .with_link_loss(f64::from(loss_pct) / 100.0)
-                .with_retransmits(retransmits);
-            if death {
-                faults = faults.with_node_death(1 + (seed % n) as NodeId, seed % 12);
-            }
-            if duty {
-                faults = faults.with_duty_cycle(DutyCycle::new(4, 3));
-            }
-            let config = NetworkConfig::mica2()
-                .with_radio(RadioModel::mica2().with_loss(0.02))
-                .with_seed(seed)
-                .with_battery_uj(battery_uj)
-                .with_faults(faults);
+            let config =
+                faulted_config(&d, loss_pct, retransmits, death.then_some(seed % 12), duty, battery_uj, seed);
             let spec = SnapshotSpec::new(k, FUNCS[func], ValueDomain::percentage());
 
             let mut nets = [Network::new(d.clone(), config.clone()), Network::new(d.clone(), config)];
@@ -459,20 +475,15 @@ mod properties {
     fn assert_historic_case(d: &Deployment, case: &HistoricCase) -> Exercised {
         let bank = fed_bank(d, case);
         let n = d.num_nodes() as u64;
-        let mut faults = FaultPlan::none()
-            .with_link_loss(f64::from(case.loss_pct) / 100.0)
-            .with_retransmits(case.retransmits);
-        if case.death {
-            faults = faults.with_node_death(1 + (case.seed % n) as NodeId, 5);
-        }
-        if case.duty {
-            faults = faults.with_duty_cycle(DutyCycle::new(4, 3));
-        }
-        let config = NetworkConfig::mica2()
-            .with_radio(RadioModel::mica2().with_loss(0.02))
-            .with_seed(case.seed)
-            .with_battery_uj(case.battery_uj)
-            .with_faults(faults);
+        let config = faulted_config(
+            d,
+            case.loss_pct,
+            case.retransmits,
+            case.death.then_some(5),
+            case.duty,
+            case.battery_uj,
+            case.seed,
+        );
         let spec = HistoricSpec::new(case.k, case.func, ValueDomain::percentage(), case.window);
         let query_epoch = bank.epochs().next_back().expect("a case feeds at least one epoch");
 
@@ -588,6 +599,97 @@ mod properties {
         for source in 0..3 {
             assert_historic_case(&d, &HistoricCase { nan: true, source, calendar: source + 1, ..calm });
         }
+    }
+
+    // ---------------------------------------------------------------- the FILA monitor
+
+    /// How many epochs of a differential run were of each kind.
+    #[derive(Debug, Default)]
+    struct FilaExercised {
+        /// No filter was crossed: the sink ranks what it knew.
+        quiet: usize,
+        /// A crossing was reported and probing the Top-K members settled it.
+        violating: usize,
+        /// The k-th probed value fell below the boundary: everyone was probed.
+        refreshing: usize,
+    }
+
+    /// Runs the dense FILA monitor and the map-based one over equal networks and equal
+    /// readings (a random walk of step `sigma`) and demands the same answers, counters,
+    /// ledgers and batteries, bit for bit.
+    fn assert_fila_case(d: &Deployment, config: &NetworkConfig, k: usize, sigma: f64, seed: u64) -> FilaExercised {
+        let spec = SnapshotSpec::new(k, AggFunc::Max, ValueDomain::percentage());
+        let (mut new, mut old) = (Network::new(d.clone(), config.clone()), Network::new(d.clone(), config.clone()));
+        let (mut dense, mut mapped) = (crate::fila::FilaMonitor::new(spec), super::fila::FilaMonitor::new(spec));
+        let mut workload = Workload::random_walk(d, ValueDomain::percentage(), sigma, seed);
+        let mut exercised = FilaExercised::default();
+        for epoch in 0..30 {
+            let readings = workload.next_epoch();
+            let before = dense.stats();
+            let ours = run_shared_epoch(&mut [&mut dense], &mut new, &readings, |_, _| {});
+            let theirs = run_shared_epoch(&mut [&mut mapped], &mut old, &readings, |_, _| {});
+            assert_eq!(result_bits(&ours[0]), result_bits(&theirs[0]), "epoch {epoch}");
+            assert_eq!(dense.stats(), mapped.stats(), "epoch {epoch}");
+            assert_eq!(totals_bits(new.metrics().totals()), totals_bits(old.metrics().totals()), "epoch {epoch}");
+            assert_eq!(ours[0].items.capacity(), ours[0].items.len(), "an answer holds its items and no more");
+            let probed = (dense.stats().probes - before.probes) as usize;
+            if epoch > 0 {
+                match probed {
+                    0 => exercised.quiet += 1,
+                    p if p <= k => exercised.violating += 1,
+                    _ => exercised.refreshing += 1,
+                }
+            }
+        }
+        assert_eq!(ledger_bits(new.metrics()), ledger_bits(old.metrics()));
+        for id in 1..=d.num_nodes() as NodeId {
+            assert_eq!(
+                new.batteries().get(id).remaining_uj().to_bits(),
+                old.batteries().get(id).remaining_uj().to_bits()
+            );
+        }
+        exercised
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The dense monitor and the map-based reference are indistinguishable from the
+        /// outside, whatever the tree, the drift and the faults.
+        #[test]
+        fn dense_fila_matches_the_map_based_reference(
+            raw in prop::collection::vec(0u32..100_000, 1..120),
+            k in 1usize..7,
+            sigma in prop_oneof![Just(0.05), 0.1f64..3.0, 3.0f64..25.0],
+            loss_pct in prop_oneof![Just(0u32), 0u32..50],
+            retransmits in 0u32..3,
+            death in prop_oneof![Just(false), Just(true)],
+            duty in prop_oneof![Just(false), Just(true)],
+            battery_uj in prop_oneof![Just(1.0e12), 2_000.0f64..200_000.0],
+            seed in 0u64..1_000_000,
+        ) {
+            let d = random_tree(&raw, 3, seed);
+            let config =
+                faulted_config(&d, loss_pct, retransmits, death.then_some(seed % 12), duty, battery_uj, seed);
+            assert_fila_case(&d, &config, k, sigma, seed);
+        }
+    }
+
+    /// The three kinds of epoch, each reached on a healthy 8 × 8 grid: slow drift leaves
+    /// most epochs quiet, faster drift crosses filters that the members' probes settle,
+    /// and a walk of large steps drops the k-th member below the boundary.
+    #[test]
+    fn the_dense_fila_matches_the_reference_over_quiet_violating_and_refreshing_epochs() {
+        let d = Deployment::grid(8, 10.0, Some(16));
+        let config = NetworkConfig::mica2();
+        let mut seen = FilaExercised::default();
+        for (sigma, seed) in [(0.02, 5), (0.5, 6), (8.0, 7)] {
+            let run = assert_fila_case(&d, &config, 3, sigma, seed);
+            seen.quiet += run.quiet;
+            seen.violating += run.violating;
+            seen.refreshing += run.refreshing;
+        }
+        assert!(seen.quiet > 0 && seen.violating > 0 && seen.refreshing > 0, "{seen:?}");
     }
 }
 
@@ -948,6 +1050,157 @@ mod historic {
             let mut result = TopKResult::new(query_epoch, items);
             result.items.truncate(k);
             result
+        }
+    }
+}
+
+/// `FilaMonitor` as the crate shipped it before the sink's model became one slot per
+/// node ([`crate::fila`]), kept verbatim: what the sink knows is a `BTreeMap`, every
+/// ranking collects the whole map into a fresh `Vec`, selects the head and sorts it, and
+/// the answer is sorted once more.  The oracle of
+/// `dense_fila_matches_the_map_based_reference`.
+mod fila {
+    use crate::fila::FilaStats;
+    use crate::result::{RankedItem, TopKResult};
+    use crate::snapshot::{index_readings, SnapshotAlgorithm, SnapshotSpec};
+    use kspot_net::{Network, NodeId, PhaseTag, Reading};
+    use std::collections::BTreeMap;
+
+    /// The previous FILA executor.
+    pub(super) struct FilaMonitor {
+        spec: SnapshotSpec,
+        last_known: BTreeMap<NodeId, f64>,
+        boundary: Option<f64>,
+        top_set: Vec<NodeId>,
+        stats: FilaStats,
+        in_top: Vec<bool>,
+        reading_at: Vec<Option<u32>>,
+    }
+
+    impl FilaMonitor {
+        pub(super) fn new(spec: SnapshotSpec) -> Self {
+            Self {
+                spec,
+                last_known: BTreeMap::new(),
+                boundary: None,
+                top_set: Vec::new(),
+                stats: FilaStats::default(),
+                in_top: Vec::new(),
+                reading_at: Vec::new(),
+            }
+        }
+
+        pub(super) fn stats(&self) -> FilaStats {
+            self.stats
+        }
+
+        fn rank_known(&self, count: usize) -> Vec<RankedItem> {
+            let by_rank = |a: &RankedItem, b: &RankedItem| {
+                kspot_net::types::cmp_value(b.value, a.value).then(a.key.cmp(&b.key))
+            };
+            let mut items: Vec<RankedItem> = self
+                .last_known
+                .iter()
+                .map(|(n, v)| RankedItem::new(u64::from(*n), *v))
+                .collect();
+            if count < items.len() {
+                items.select_nth_unstable_by(count, by_rank);
+                items.truncate(count);
+            }
+            items.sort_by(by_rank);
+            items
+        }
+
+        fn install_boundary(&mut self, net: &mut Network, epoch: kspot_net::Epoch) {
+            let known = self.last_known.len();
+            let ranked = self.rank_known(self.spec.k + 1);
+            let k = self.spec.k.min(known);
+            let boundary = if known > k && k > 0 {
+                (ranked[k - 1].value + ranked[k].value) / 2.0
+            } else if k > 0 {
+                ranked.get(k - 1).map(|i| i.value).unwrap_or(self.spec.domain.min)
+            } else {
+                self.spec.domain.min
+            };
+            self.top_set = ranked.iter().take(k).map(|i| i.key as NodeId).collect();
+            let first_time = self.boundary.is_none();
+            self.boundary = Some(boundary);
+            net.flood_down(epoch, 1, PhaseTag::Control);
+            if !first_time {
+                self.stats.reassignments += 1;
+            }
+        }
+    }
+
+    impl SnapshotAlgorithm for FilaMonitor {
+        fn name(&self) -> &'static str {
+            "FILA-style filters (reference)"
+        }
+
+        fn execute_epoch(&mut self, net: &mut Network, readings: &[Reading]) -> TopKResult {
+            let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
+            let Some(boundary) = self.boundary else {
+                for r in readings {
+                    if net.unicast_up(r.node, epoch, 1, PhaseTag::Creation).is_some() {
+                        self.last_known.insert(r.node, r.value);
+                    }
+                }
+                self.install_boundary(net, epoch);
+                return TopKResult::new(epoch, self.rank_known(self.spec.k));
+            };
+
+            self.in_top.clear();
+            self.in_top.resize(net.num_nodes() + 1, false);
+            for &node in &self.top_set {
+                self.in_top[node as usize] = true;
+            }
+            let mut violated = false;
+            for r in readings {
+                if !net.node_participating(r.node) {
+                    continue;
+                }
+                let was_top = self.in_top[r.node as usize];
+                let crosses = if was_top { r.value < boundary } else { r.value >= boundary };
+                if crosses {
+                    self.stats.violations += 1;
+                    if net.unicast_up(r.node, epoch, 1, PhaseTag::Update).is_some() {
+                        self.last_known.insert(r.node, r.value);
+                        violated = true;
+                    }
+                }
+            }
+
+            if violated {
+                index_readings(&mut self.reading_at, net.num_nodes(), readings.iter().enumerate().rev());
+                for &node in &self.top_set {
+                    let down = net.unicast_down(node, epoch, 1, PhaseTag::Probe);
+                    let up = net.unicast_up(node, epoch, 1, PhaseTag::Probe);
+                    if down.is_some() && up.is_some() {
+                        if let Some(at) = self.reading_at[node as usize] {
+                            self.last_known.insert(node, readings[at as usize].value);
+                        }
+                    }
+                    self.stats.probes += 1;
+                }
+                let ranked = self.rank_known(self.spec.k);
+                let kth = ranked.get(self.spec.k.saturating_sub(1)).map(|i| i.value);
+                if kth.is_none_or(|v| v < boundary) {
+                    for r in readings {
+                        if !net.node_participating(r.node) || self.in_top[r.node as usize] {
+                            continue;
+                        }
+                        let down = net.unicast_down(r.node, epoch, 1, PhaseTag::Probe);
+                        let up = net.unicast_up(r.node, epoch, 1, PhaseTag::Probe);
+                        if down.is_some() && up.is_some() {
+                            self.last_known.insert(r.node, r.value);
+                        }
+                        self.stats.probes += 1;
+                    }
+                }
+                self.install_boundary(net, epoch);
+            }
+
+            TopKResult::new(epoch, self.rank_known(self.spec.k))
         }
     }
 }

@@ -51,6 +51,17 @@ impl TopKResult {
         Self { epoch, items }
     }
 
+    /// The `k` best of `items`, ranked like [`Self::new`] ranks them, holding exactly
+    /// what it reports: whatever capacity `items` arrived with (a whole ranking the
+    /// answer is cut from, a buffer grown by pushes) is given back, so an answer kept
+    /// for the length of a session costs its K items and nothing else.
+    pub fn top_k(epoch: Epoch, mut items: Vec<RankedItem>, k: usize) -> Self {
+        items.sort_by(by_rank);
+        items.truncate(k);
+        items.shrink_to_fit();
+        Self { epoch, items }
+    }
+
     /// The `k` best of `candidates`, ranked like [`Self::new`] ranks them.  The
     /// candidates are sorted where they are — a buffer the caller keeps — and only the
     /// answer is allocated.  Their keys must be distinct, so that the order is total.
@@ -137,6 +148,21 @@ mod tests {
             let best = TopKResult::best_of(3, &mut candidates, k);
             assert_eq!(best.keys(), full.keys()[..k.min(5)], "k = {k}");
             assert_eq!(best.epoch, 3);
+            assert_eq!(best.items.capacity(), best.items.len());
+        }
+    }
+
+    #[test]
+    fn the_top_k_of_a_vec_is_that_head_too_and_gives_the_spare_capacity_back() {
+        let pairs = [(2, 75.0), (0, 74.5), (3, 75.0), (1, f64::NAN), (4, 41.0)];
+        let full = result(3, &pairs);
+        for k in [0, 1, 3, 5, 9] {
+            let mut items = Vec::with_capacity(196);
+            items.extend(pairs.iter().map(|&(k, v)| RankedItem::new(k, v)));
+            let best = TopKResult::top_k(3, items, k);
+            assert_eq!(best.keys(), full.keys()[..k.min(5)], "k = {k}");
+            assert_eq!(best.epoch, 3);
+            assert_eq!(best.items.capacity(), best.items.len(), "k = {k}");
         }
     }
 

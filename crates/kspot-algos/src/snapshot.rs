@@ -105,9 +105,7 @@ impl ReferenceScratch {
                 items.push(RankedItem::new(u64::from(run[0].0), v));
             }
         }
-        let mut result = TopKResult::new(epoch, items);
-        result.items.truncate(spec.k);
-        result
+        TopKResult::top_k(epoch, items, spec.k)
     }
 }
 

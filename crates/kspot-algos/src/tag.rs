@@ -141,9 +141,7 @@ pub(crate) fn rank_view(view: &GroupView, k: usize, epoch: kspot_net::Epoch) -> 
         .into_iter()
         .map(|(g, v)| RankedItem::new(u64::from(g), v))
         .collect();
-    let mut result = TopKResult::new(epoch, items);
-    result.items.truncate(k);
-    result
+    TopKResult::top_k(epoch, items, k)
 }
 
 impl SnapshotAlgorithm for TagTopK {

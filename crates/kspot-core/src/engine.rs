@@ -132,6 +132,7 @@
 
 use crate::config::ScenarioConfig;
 use crate::panel::{StrategyReport, SystemPanel};
+use crate::results::ResultLog;
 use crate::server::{KSpotBullet, QueryExecution, WorkloadSpec};
 use kspot_algos::historic::HistoricAlgorithm;
 use kspot_algos::{
@@ -206,7 +207,9 @@ struct SessionState {
     sql: String,
     plan: QueryPlan,
     exec: SessionExec,
-    results: Vec<TopKResult>,
+    /// Every answer so far.  The only thing kept of an answer: the `Vec` an algorithm
+    /// returns is copied in and dropped.
+    results: ResultLog,
     /// Engine epoch index (not workload epoch number) at which the session joined.
     registered_at: u64,
     status: SessionStatus,
@@ -357,7 +360,7 @@ impl EngineCore {
                 sql,
                 plan,
                 exec,
-                results: Vec::new(),
+                results: ResultLog::default(),
                 registered_at: self.epochs_run,
                 status: SessionStatus::Active,
                 depleted_during_run: false,
@@ -1057,12 +1060,12 @@ impl Session {
     /// The session's ranked answers so far: one entry per epoch a continuous session
     /// was active in; exactly one entry once a historic session has answered.
     pub fn results(&self) -> Vec<TopKResult> {
-        lock_core(&self.core).state(self.id).results.clone()
+        lock_core(&self.core).state(self.id).results.page(0, usize::MAX)
     }
 
     /// The session's most recent ranked answer.
     pub fn latest(&self) -> Option<TopKResult> {
-        lock_core(&self.core).state(self.id).results.last().cloned()
+        lock_core(&self.core).state(self.id).results.latest()
     }
 
     /// The answers produced since this handle's last [`Self::poll`] call (all answers
@@ -1081,10 +1084,8 @@ impl Session {
     pub fn results_page(&self, cursor: usize, max: usize) -> ResultsPage {
         let core = lock_core(&self.core);
         let state = core.state(self.id);
-        let start = cursor.min(state.results.len());
-        let end = start.saturating_add(max).min(state.results.len());
         ResultsPage {
-            results: state.results[start..end].to_vec(),
+            results: state.results.page(cursor, max),
             total: state.results.len(),
             status: state.status,
         }
@@ -1161,7 +1162,7 @@ impl Session {
         QueryExecution {
             plan: state.plan.clone(),
             algorithm: state.exec.name().to_string(),
-            results: state.results.clone(),
+            results: state.results.page(0, usize::MAX),
             panel: SystemPanel::new(by_algorithm(self.id), baselines)
                 .with_sessions(vec![core.session_report(self.id)]),
         }

@@ -48,6 +48,7 @@ pub mod config;
 pub mod engine;
 pub mod fleet;
 pub mod panel;
+mod results;
 pub mod server;
 
 pub use config::{ConfigError, ScenarioConfig};

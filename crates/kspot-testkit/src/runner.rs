@@ -310,7 +310,5 @@ fn group_window_oracle(
         .into_iter()
         .map(|(g, vals)| RankedItem::new(g, vals.iter().sum::<f64>() / vals.len() as f64))
         .collect();
-    let mut result = TopKResult::new(0, items);
-    result.items.truncate(k);
-    result
+    TopKResult::top_k(0, items, k)
 }
