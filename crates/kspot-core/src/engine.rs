@@ -1174,6 +1174,7 @@ mod tests {
     use super::*;
     use crate::server::KSpotServer;
     use kspot_algos::WindowSource;
+    use kspot_net::codec::{put_u32, Reader};
     use kspot_net::types::ValueDomain;
     use kspot_net::{Deployment, NodeId};
 
@@ -1725,14 +1726,19 @@ mod tests {
             .expect("four snapshots were taken")
             .len as usize;
         let mut image = bytes[bytes.len() - image_len..bytes.len() - 8].to_vec();
-        let u32_at = |bytes: &[u8], at: usize| u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap());
         let (dropped, foreign) = (6u32, 999u32);
-        let mut at = 22;
-        while u32_at(&image, at) != dropped {
-            at += 8 + 16 * u32_at(&image, at + 4) as usize;
-        }
-        let record: Vec<u8> = image.drain(at..at + 8 + 16 * u32_at(&image, at + 4) as usize).collect();
-        image.extend_from_slice(&foreign.to_be_bytes());
+        let mut records = Reader::at(&image, 22).expect("an image has a header");
+        let (start, end) = loop {
+            let start = records.pos();
+            let node = records.u32().expect("a node id");
+            let samples = records.u32().expect("a sample count");
+            records.take(16 * samples as usize).expect("the node's samples");
+            if node == dropped {
+                break (start, records.pos());
+            }
+        };
+        let record: Vec<u8> = image.drain(start..end).collect();
+        put_u32(&mut image, foreign);
         image.extend_from_slice(&record[4..]);
         let image = kspot_store::checksum_seal(image);
         let mut tampered = kspot_store::encode_manifest(4, 1, &[(15, image.len())]);

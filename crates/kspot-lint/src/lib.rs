@@ -12,10 +12,10 @@
 //! |----|------|-------|
 //! | R1 | `nan-ordering` | everywhere |
 //! | R2 | `bare-unwrap` | non-test library code |
-//! | R3 | `order-leak` | deterministic paths (net/core/algos/bench/store `src/`); host byte order at the byte boundaries (`kspot-store/src/`, `kspot-serve/src/`) |
+//! | R3 | `order-leak` | deterministic paths (net/core/algos/bench/store `src/`); host byte order at the byte boundaries (`kspot-store/src/`, `kspot-serve/src/`, the codec both read through, `kspot-net/src/codec.rs`) |
 //! | R4 | `raw-rng` | everywhere except `kspot-net/src/rng.rs` |
 //! | R5 | `lock-discipline` | non-test library code |
-//! | R6 | `alloc-before-validate` | untrusted decoders (`kspot-serve/src/`, `kspot-store/src/`) |
+//! | R6 | `alloc-before-validate` | untrusted decoders (`kspot-serve/src/`, `kspot-store/src/`) and their codec (`kspot-net/src/codec.rs`) |
 //! | R7 | `allow-deprecated` | everywhere |
 //! | R8 | `unsafe-confinement` | everywhere except `kspot-serve/src/sys.rs` (and the counting allocator of `kspot-algos/tests/alloc_budget.rs`) |
 //!
@@ -176,9 +176,10 @@ pub struct FileContext {
     /// tables printed from it (kspot-bench `src/`, ADR-012) and the bytes it stores
     /// (kspot-store `src/`, ADR-013): R3 applies.
     pub deterministic: bool,
-    /// Untrusted-input decoders — wire frames (kspot-serve `src/`) and on-disk
-    /// checkpoint images (kspot-store `src/`, ADR-008/009): R6 applies, and R3's
-    /// host-byte-order check.
+    /// Untrusted-input decoders — wire frames (kspot-serve `src/`), on-disk
+    /// checkpoint images (kspot-store `src/`, ADR-008/009) and the byte codec both
+    /// read through (`kspot-net/src/codec.rs`): R6 applies, and R3's host-byte-order
+    /// check.
     pub untrusted_decode: bool,
     /// The one module allowed to construct RNGs (R4 exemption).
     pub rng_module: bool,
@@ -224,7 +225,8 @@ impl FileContext {
         .iter()
         .any(|pre| p.starts_with(pre));
         let untrusted_decode = p.starts_with("crates/kspot-serve/src/")
-            || p.starts_with("crates/kspot-store/src/");
+            || p.starts_with("crates/kspot-store/src/")
+            || p == "crates/kspot-net/src/codec.rs";
         let rng_module = p == "crates/kspot-net/src/rng.rs";
         let unsafe_scope = match p.as_str() {
             "crates/kspot-serve/src/sys.rs" => UnsafeScope::Module,

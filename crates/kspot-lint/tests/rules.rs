@@ -172,6 +172,22 @@ fn r6_covers_the_checkpoint_store_decoder() {
 }
 
 #[test]
+fn r3_and_r6_fence_the_codec_both_byte_boundaries_read_through() {
+    // `kspot_net::codec` is the reader of the wire and of the store: host byte order
+    // and alloc-before-validate fire in it as they do in either boundary.
+    let codec_ctx = FileContext::from_path("crates/kspot-net/src/codec.rs");
+    let fire = lint_source(&codec_ctx, include_str!("fixtures/codec_fire.rs"));
+    let at: Vec<(Rule, u32)> = fire.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(at, [(Rule::OrderLeak, 13), (Rule::AllocBeforeValidate, 18)], "{fire:?}");
+    assert!(fire[0].message.contains("host byte order"));
+    assert!(fired(&codec_ctx, include_str!("fixtures/codec_clean.rs")).is_empty());
+
+    // The rest of kspot-net never sees untrusted bytes.
+    let net_ctx = FileContext::from_path("crates/kspot-net/src/storage.rs");
+    assert!(fired(&net_ctx, include_str!("fixtures/codec_fire.rs")).is_empty());
+}
+
+#[test]
 fn r7_fires_on_allow_deprecated_everywhere_tests_included() {
     for ctx in [lib_ctx(), test_ctx()] {
         let fire = lint_source(&ctx, include_str!("fixtures/r7_fire.rs"));

@@ -25,7 +25,9 @@
 //!   per-node report traffic into one merged frame per `(node, direction)` per epoch
 //!   (one preamble + header instead of one per session);
 //! * [`sim`] — the [`sim::Network`] façade gluing all of the above together, the type
-//!   every algorithm in the workspace is written against.
+//!   every algorithm in the workspace is written against;
+//! * [`codec`] — the bounds-checked big-endian byte codec that both untrusted-input
+//!   boundaries (the wire protocol and the checkpoint format) read and write through.
 //!
 //! The substrate is *epoch synchronous*: queries run in rounds ("epochs" in TinyDB
 //! terminology) and within an epoch data flows leaf-to-root (convergecast) while control
@@ -36,6 +38,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod codec;
 pub mod energy;
 pub mod fault;
 pub mod message;
@@ -65,4 +68,4 @@ pub use storage::{
 pub use topology::{Deployment, DeploymentKind, Position};
 pub use tree::RoutingTree;
 pub use types::{Epoch, GroupId, NodeId, Reading, Value, ValueDomain, SINK};
-pub use workload::{RoomModelParams, Workload, WorkloadKind};
+pub use workload::{RoomModelParams, Workload};

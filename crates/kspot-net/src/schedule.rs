@@ -115,16 +115,6 @@ impl PendingFrame {
         };
         Self { epoch, receiver_heard, delivered, attempts, slices: Vec::new() }
     }
-
-    /// Total data tuples across every slice.
-    pub fn data_tuples(&self) -> u32 {
-        self.slices.iter().map(|s| s.data_tuples).sum()
-    }
-
-    /// Total control entries across every slice.
-    pub fn control_tuples(&self) -> u32 {
-        self.slices.iter().map(|s| s.control_tuples).sum()
-    }
 }
 
 /// One scope's fully attributed share of a flushed frame, handed to the metrics ledger.
@@ -225,11 +215,6 @@ impl FrameScheduler {
     /// Number of frames currently under assembly.
     pub fn pending_frames(&self) -> usize {
         self.frames.len()
-    }
-
-    /// True when no intents are queued.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
     }
 
     /// The frame for `(from, to)`, opening it with `open` on first use.
@@ -369,8 +354,10 @@ mod tests {
         assert_eq!(opened, 2, "the (9,4) hop reuses its open frame");
         assert_eq!(sched.pending_frames(), 2);
         let mut drained = Vec::new();
-        sched.drain_frames(|from, to, frame, _| drained.push((from, to, frame.slices.len(), frame.data_tuples())));
-        assert!(sched.is_empty());
+        sched.drain_frames(|from, to, frame, _| {
+            drained.push((from, to, frame.slices.len(), frame.slices.iter().map(|s| s.data_tuples).sum::<u32>()))
+        });
+        assert_eq!(sched.pending_frames(), 0);
         assert_eq!(drained, vec![(8, 7, 1, 1), (9, 4, 2, 2)], "frames drain in (from, to) order");
     }
 
@@ -430,7 +417,6 @@ mod tests {
                         })
                         .push(data);
                     proptest::prop_assert_eq!(sched.pending_frames(), model.len());
-                    proptest::prop_assert_eq!(sched.is_empty(), model.is_empty());
                 }
                 proptest::prop_assert_eq!(&opened, &model_opened);
                 let mut drained = Vec::new();

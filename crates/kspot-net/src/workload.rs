@@ -24,24 +24,6 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Which generator family a [`Workload`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkloadKind {
-    /// The constant readings of the paper's Figure 1.
-    Figure1,
-    /// Room baseline + drift + sensor noise (the conference-demo model).
-    RoomCorrelated,
-    /// Independent random walk per node.
-    RandomWalk,
-    /// Independent uniform redraw per node per epoch (no temporal correlation).
-    UniformIid,
-    /// One group at a time is "hot"; the hot spot hops to the next group every few
-    /// epochs (adversarial for threshold-based pruning: the ranking churns on a clock).
-    DriftingHotSpot,
-    /// Replay of an explicit trace.
-    Trace,
-}
-
 /// Parameters of the room-correlated sound model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RoomModelParams {
@@ -89,7 +71,6 @@ enum Generator {
 /// A deterministic per-epoch reading generator bound to a deployment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Workload {
-    kind: WorkloadKind,
     domain: ValueDomain,
     seed: u64,
     nodes: Vec<(NodeId, GroupId)>,
@@ -98,9 +79,9 @@ pub struct Workload {
 }
 
 impl Workload {
-    fn base(deployment: &Deployment, kind: WorkloadKind, domain: ValueDomain, seed: u64, generator: Generator) -> Self {
+    fn base(deployment: &Deployment, domain: ValueDomain, seed: u64, generator: Generator) -> Self {
         let nodes = deployment.nodes().map(|n| (n.id, n.group)).collect();
-        Self { kind, domain, seed, nodes, next_epoch: 0, generator }
+        Self { domain, seed, nodes, next_epoch: 0, generator }
     }
 
     /// The exact readings of Figure 1 (every epoch repeats them: it is a snapshot).
@@ -127,7 +108,7 @@ impl Workload {
             values.len(),
             "the Figure-1 workload requires the Figure-1 deployment"
         );
-        Self::base(deployment, WorkloadKind::Figure1, ValueDomain::percentage(), 0, Generator::Constant { values })
+        Self::base(deployment, ValueDomain::percentage(), 0, Generator::Constant { values })
     }
 
     /// Conference-demo model: each room starts at a baseline drawn uniformly from the
@@ -144,13 +125,7 @@ impl Workload {
             .keys()
             .map(|&g| (g, rng.gen_range(domain.min..=domain.max)))
             .collect();
-        Self::base(
-            deployment,
-            WorkloadKind::RoomCorrelated,
-            domain,
-            seed,
-            Generator::RoomCorrelated { params, room_levels },
-        )
+        Self::base(deployment, domain, seed, Generator::RoomCorrelated { params, room_levels })
     }
 
     /// Independent per-node random walk with step deviation `sigma`.
@@ -160,12 +135,12 @@ impl Workload {
             .nodes()
             .map(|n| (n.id, rng.gen_range(domain.min..=domain.max)))
             .collect();
-        Self::base(deployment, WorkloadKind::RandomWalk, domain, seed, Generator::RandomWalk { sigma, node_levels })
+        Self::base(deployment, domain, seed, Generator::RandomWalk { sigma, node_levels })
     }
 
     /// Every node redraws a fresh uniform value every epoch.
     pub fn uniform_iid(deployment: &Deployment, domain: ValueDomain, seed: u64) -> Self {
-        Self::base(deployment, WorkloadKind::UniformIid, domain, seed, Generator::UniformIid)
+        Self::base(deployment, domain, seed, Generator::UniformIid)
     }
 
     /// One group at a time runs hot (near the top of the domain) while every other
@@ -184,13 +159,7 @@ impl Workload {
         assert!(dwell >= 1, "the hot spot must dwell for at least one epoch");
         assert!(noise_sigma >= 0.0, "noise deviation must be non-negative");
         let groups: Vec<GroupId> = deployment.group_members().keys().copied().collect();
-        Self::base(
-            deployment,
-            WorkloadKind::DriftingHotSpot,
-            domain,
-            seed,
-            Generator::DriftingHotSpot { dwell, noise_sigma, groups },
-        )
+        Self::base(deployment, domain, seed, Generator::DriftingHotSpot { dwell, noise_sigma, groups })
     }
 
     /// Replays `values[epoch][node_index]` (node index = id − 1).  The trace is repeated
@@ -206,12 +175,7 @@ impl Workload {
                 deployment.num_nodes()
             );
         }
-        Self::base(deployment, WorkloadKind::Trace, domain, 0, Generator::Trace { values })
-    }
-
-    /// The generator family.
-    pub fn kind(&self) -> WorkloadKind {
-        self.kind
+        Self::base(deployment, domain, 0, Generator::Trace { values })
     }
 
     /// The value domain readings are clamped to.

@@ -6,11 +6,13 @@
 //! use tags `0x01..=0x06`, responses `0x81..=0x8A` — the high bit makes a response
 //! frame unmistakable for a request even if a peer desynchronises.
 //!
-//! Decoding is written for **untrusted bytes**: every read is bounds-checked, element
-//! counts are validated against the bytes actually remaining before any allocation
-//! (a 4-byte count field must never make the server allocate gigabytes), and a
-//! malformed body is a typed [`ProtoError`], never a panic.
+//! Decoding is written for **untrusted bytes** and reads through the codec the
+//! checkpoint store shares ([`kspot_net::codec`]): every read is bounds-checked,
+//! element counts are validated against the bytes actually remaining before any
+//! allocation (a 4-byte count field must never make the server allocate gigabytes),
+//! and a malformed body is a typed [`ProtoError`], never a panic.
 
+use kspot_net::codec::{put_u16, put_u32, put_u64, CodecError, Reader};
 use std::fmt;
 
 /// Protocol revision carried in [`Response::Welcome`]; bumped on any incompatible
@@ -74,6 +76,15 @@ impl fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+impl From<CodecError> for ProtoError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => ProtoError::Truncated,
+            CodecError::TrailingBytes => ProtoError::TrailingBytes,
+        }
+    }
+}
 
 /// A client-to-server message.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,18 +209,6 @@ pub enum Response {
 }
 
 // --- encoding ---------------------------------------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
 
 fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), ProtoError> {
     let len = u16::try_from(s.len()).map_err(|_| ProtoError::StringTooLong(s.len()))?;
@@ -394,76 +393,19 @@ pub(crate) fn encode_answer_into(
 
 // --- decoding ---------------------------------------------------------------------
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        if self.remaining() < n {
-            return Err(ProtoError::Truncated);
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn str(&mut self) -> Result<String, ProtoError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadString)
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(ProtoError::TrailingBytes)
-        }
-    }
-
-    /// Validates a declared element count against the bytes actually left, so a
-    /// hostile count can never drive a huge allocation.
-    fn count(&self, declared: u32, elem_bytes: usize) -> Result<usize, ProtoError> {
-        let declared = declared as usize;
-        if declared.checked_mul(elem_bytes).is_none_or(|need| need > self.remaining()) {
-            return Err(ProtoError::Truncated);
-        }
-        Ok(declared)
-    }
+/// A `u16`-length-prefixed UTF-8 string.
+fn get_str(c: &mut Reader<'_>) -> Result<String, ProtoError> {
+    let len = c.u16()? as usize;
+    let bytes = c.take(len)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadString)
 }
 
 /// Decodes one request body (the bytes after the length prefix).
 pub fn decode_request(body: &[u8]) -> Result<Request, ProtoError> {
-    let mut c = Cursor::new(body);
+    let mut c = Reader::at(body, 0)?;
     let req = match c.u8()? {
-        0x01 => Request::Hello { tenant: c.str()? },
-        0x02 => Request::Register { deployment: c.u32()?, sql: c.str()? },
+        0x01 => Request::Hello { tenant: get_str(&mut c)? },
+        0x02 => Request::Register { deployment: c.u32()?, sql: get_str(&mut c)? },
         0x03 => Request::Poll { session: c.u64()?, max: c.u32()? },
         0x04 => Request::Cancel { session: c.u64()? },
         0x05 => Request::Advance { epochs: c.u32()? },
@@ -476,13 +418,13 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtoError> {
 
 /// Decodes one response body (the bytes after the length prefix).
 pub fn decode_response(body: &[u8]) -> Result<Response, ProtoError> {
-    let mut c = Cursor::new(body);
+    let mut c = Reader::at(body, 0)?;
     let resp = match c.u8()? {
         0x81 => Response::Welcome { protocol: c.u16()?, deployments: c.u32()? },
         0x82 => Response::Registered {
             session: c.u64()?,
             deployment: c.u32()?,
-            algorithm: c.str()?,
+            algorithm: get_str(&mut c)?,
         },
         0x83 => {
             let session = c.u64()?;
@@ -501,12 +443,12 @@ pub fn decode_response(body: &[u8]) -> Result<Response, ProtoError> {
             pending: c.u32()?,
             status: c.u8()?,
         },
-        0x85 => Response::Rejected { code: c.u16()?, reason: c.str()? },
-        0x86 => Response::Error { code: c.u16()?, reason: c.str()? },
+        0x85 => Response::Rejected { code: c.u16()?, reason: get_str(&mut c)? },
+        0x86 => Response::Error { code: c.u16()?, reason: get_str(&mut c)? },
         0x87 => Response::Unavailable {
             code: c.u16()?,
             deployment: c.u32()?,
-            reason: c.str()?,
+            reason: get_str(&mut c)?,
         },
         0x88 => Response::Cancelled { session: c.u64()?, was_active: c.u8()? != 0 },
         0x89 => {

@@ -7,12 +7,13 @@
 //! eight-byte [`seal`] so a torn or bit-flipped page is detected rather than ranked.
 //!
 //! Decoding is written for **untrusted bytes**, exactly like the wire parser in
-//! `kspot-serve` (ADR-008): every read is bounds-checked, element counts are validated
-//! against the bytes actually remaining before any allocation, and a malformed image
-//! is a typed [`StoreError`], never a panic.  A restored engine may be fed pages that
-//! survived a crash, came off another machine, or were tampered with — the decoder is
-//! a trust boundary, and the `kspot-lint` R6 rule sweeps this crate for
-//! alloc-before-validate mistakes just as it sweeps the wire parser.
+//! `kspot-serve` (ADR-008) and through the same codec, [`kspot_net::codec`]: every
+//! read is bounds-checked, element counts are validated against the bytes actually
+//! remaining before any allocation, and a malformed image is a typed [`StoreError`],
+//! never a panic.  A restored engine may be fed pages that survived a crash, came off
+//! another machine, or were tampered with — the decoder is a trust boundary, and the
+//! `kspot-lint` R6 rule sweeps this crate and the codec for alloc-before-validate
+//! mistakes just as it sweeps the wire parser.
 //!
 //! ## Image layout
 //!
@@ -61,6 +62,7 @@
 //! [`StoreError::ChecksumMismatch`] — a version-1 seal (byte-wise FNV-1a) cannot verify
 //! under version 2, and no version-1 reader is kept.
 
+use kspot_net::codec::{put_u16, put_u32, put_u64, CodecError, Reader};
 use kspot_net::{Epoch, NodeId, Reading, Value, WindowBank, FLASH_PAGE_BYTES, SINK};
 use std::fmt;
 
@@ -136,6 +138,15 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+impl From<CodecError> for StoreError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => StoreError::Truncated,
+            CodecError::TrailingBytes => StoreError::TrailingBytes,
+        }
+    }
+}
+
 /// Lanes the seal deals the payload's words onto.  A property of the format, not a
 /// tuning knob: another lane count seals the same bytes differently.
 pub const SEAL_LANES: usize = 8;
@@ -191,18 +202,6 @@ pub fn pages_for(bytes: usize) -> u64 {
 
 // --- encoding ---------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
 /// Encodes one snapshot of `bank` as a checkpoint image.  Encoding iterates the live
 /// windows without storage accounting — it is the page *writes* of the resulting
 /// image that the store charges, not the SRAM reads that produce it.
@@ -250,65 +249,11 @@ pub fn encode_manifest(cadence: u64, retention: usize, entries: &[(Epoch, usize)
 
 // --- decoding ---------------------------------------------------------------------
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.remaining() < n {
-            return Err(StoreError::Truncated);
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u16(&mut self) -> Result<u16, StoreError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn finish(self) -> Result<(), StoreError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(StoreError::TrailingBytes)
-        }
-    }
-
-    /// Validates a declared element count against the bytes actually left, so a
-    /// hostile count field can never drive a huge allocation.
-    fn count(&self, declared: u32, elem_bytes: usize) -> Result<usize, StoreError> {
-        let declared = declared as usize;
-        if declared.checked_mul(elem_bytes).is_none_or(|need| need > self.remaining()) {
-            return Err(StoreError::Truncated);
-        }
-        Ok(declared)
-    }
-}
-
-/// Reads the magic and the format version opening `bytes` and returns the cursor behind
+/// Reads the magic and the format version opening `bytes` and returns the reader behind
 /// them.  Nothing here is sealed yet: bytes of another revision must answer with their
 /// version, and their seal is not ours to verify.
-fn opened(bytes: &[u8], magic: [u8; 4]) -> Result<Cursor<'_>, StoreError> {
-    let mut c = Cursor::new(bytes);
+fn opened(bytes: &[u8], magic: [u8; 4]) -> Result<Reader<'_>, StoreError> {
+    let mut c = Reader::at(bytes, 0)?;
     if c.take(4)? != magic {
         return Err(StoreError::BadMagic);
     }
@@ -320,18 +265,15 @@ fn opened(bytes: &[u8], magic: [u8; 4]) -> Result<Cursor<'_>, StoreError> {
 }
 
 /// Opens a sealed artifact: magic, version, then the trailing seal over everything
-/// before it.  Returns the cursor over the sealed payload, behind the version.
-fn unsealed(bytes: &[u8], magic: [u8; 4]) -> Result<Cursor<'_>, StoreError> {
-    let pos = opened(bytes, magic)?.pos;
+/// before it.  Returns the reader over the sealed payload, behind the version.
+fn unsealed(bytes: &[u8], magic: [u8; 4]) -> Result<Reader<'_>, StoreError> {
+    let pos = opened(bytes, magic)?.pos();
     let (payload, trailer) = bytes.split_last_chunk::<8>().ok_or(StoreError::Truncated)?;
     if seal(payload) != u64::from_be_bytes(*trailer) {
         return Err(StoreError::ChecksumMismatch);
     }
     // An artifact shorter than header + trailer had its version read out of the trailer.
-    if payload.len() < pos {
-        return Err(StoreError::Truncated);
-    }
-    Ok(Cursor { bytes: payload, pos })
+    Ok(Reader::at(payload, pos)?)
 }
 
 /// One decoded, validated checkpoint snapshot.
@@ -487,7 +429,8 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
             if entry.epoch <= prev.epoch {
                 return Err(StoreError::Corrupt("manifest epochs not strictly ascending"));
             }
-            if entry.offset != prev.offset + prev.len {
+            // Decoded fields: their sum may not fit a u64.
+            if prev.offset.checked_add(prev.len) != Some(entry.offset) {
                 return Err(StoreError::Corrupt("image extents are not contiguous"));
             }
         } else if entry.offset != 0 {
@@ -509,7 +452,7 @@ pub fn split_manifest(bytes: &[u8]) -> Result<(Manifest, &[u8]), StoreError> {
     let declared = c.u32()?;
     let entry_bytes = c.count(declared, MANIFEST_ENTRY_BYTES)? * MANIFEST_ENTRY_BYTES;
     let (manifest, log) =
-        bytes.split_at_checked(c.pos + entry_bytes + 8).ok_or(StoreError::Truncated)?;
+        bytes.split_at_checked(c.pos() + entry_bytes + 8).ok_or(StoreError::Truncated)?;
     Ok((decode_manifest(manifest)?, log))
 }
 
@@ -647,6 +590,27 @@ mod tests {
             patched(14, &1u32.to_be_bytes()),
             Err(StoreError::Oversize { what: "entry count", declared: 2, max: 1 })
         );
+    }
+
+    #[test]
+    fn extents_past_u64_max_are_not_contiguous() {
+        // The seal is not a MAC: re-sealed extents whose ends pass `u64::MAX` are a
+        // typed error — not an overflow panic, nor three extents accepted in release.
+        let mut out = Vec::new();
+        out.extend_from_slice(&MANIFEST_MAGIC);
+        put_u16(&mut out, FORMAT_VERSION);
+        put_u64(&mut out, 1); // cadence
+        put_u32(&mut out, 8); // retention
+        put_u32(&mut out, 3);
+        for (epoch, offset, len) in [(1, 0, u64::MAX), (2, u64::MAX, 1), (3, 0, 5)] {
+            put_u64(&mut out, epoch);
+            put_u64(&mut out, offset);
+            put_u64(&mut out, len);
+        }
+        let store = checksum_seal(out);
+        let not_contiguous = StoreError::Corrupt("image extents are not contiguous");
+        assert_eq!(decode_manifest(&store), Err(not_contiguous.clone()));
+        assert_eq!(crate::CheckpointStore::from_bytes(&store).err(), Some(not_contiguous));
     }
 
     /// The fixed pattern of the known-answer vectors: byte `i` is `37 i + 11 (mod 256)`.

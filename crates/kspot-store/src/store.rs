@@ -165,6 +165,8 @@ impl CheckpointStore {
         // Both validated by the manifest decoder; no assertion stands behind these bytes.
         let mut store =
             Self { cadence: manifest.cadence, retention: manifest.retention, images: VecDeque::new() };
+        // The extents are contiguous from 0, so the log ends where the last one does.
+        let mut logged = 0;
         for entry in &manifest.entries {
             let start = usize::try_from(entry.offset).map_err(|_| StoreError::Truncated)?;
             let len = usize::try_from(entry.len).map_err(|_| StoreError::Truncated)?;
@@ -178,8 +180,9 @@ impl CheckpointStore {
                 return Err(StoreError::Corrupt("manifest epoch disagrees with its image"));
             }
             store.images.push_back((entry.epoch, image.to_vec()));
+            logged = end;
         }
-        if log.len() as u64 != manifest.entries.iter().map(|e| e.len).sum::<u64>() {
+        if log.len() != logged {
             return Err(StoreError::TrailingBytes);
         }
         Ok(store)

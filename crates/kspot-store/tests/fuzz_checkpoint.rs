@@ -22,6 +22,7 @@
 //! and its predecessor — regroup by epoch in a map, then feed — lives on here as the
 //! oracle, over the same corpus and over random ragged images.
 
+use kspot_net::codec::{put_u16, put_u32, put_u64};
 use kspot_net::{Epoch, Reading, WindowBank};
 use kspot_store::{
     checksum_seal, decode_image, decode_manifest, CheckpointStore, SnapshotImage, StoreError,
@@ -194,5 +195,63 @@ proptest! {
         let bytes = kspot_store::encode_image(&image.clone().into_bank(), image.epoch);
         prop_assert_eq!(decode_image(&bytes).as_ref(), Ok(&image));
         assert_restores_like_the_replay(image);
+    }
+}
+
+/// A `u64` field of a hostile manifest: the extremes and their neighbours as often as
+/// small and arbitrary values.
+fn extreme_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0), Just(1), Just(u64::MAX - 1), Just(u64::MAX), 0u64..64, 0u64..u64::MAX]
+}
+
+/// A sealed version-2 manifest with a valid header (cadence ≥ 1, retention ≥ the
+/// entry count) and whatever `(epoch, offset, len)` triples it is given.
+fn manifest_of(cadence: u64, retention: u32, entries: &[(u64, u64, u64)]) -> Vec<u8> {
+    let mut out = kspot_store::MANIFEST_MAGIC.to_vec();
+    put_u16(&mut out, kspot_store::FORMAT_VERSION);
+    put_u64(&mut out, cadence);
+    put_u32(&mut out, retention);
+    put_u32(&mut out, entries.len() as u32);
+    for &(epoch, offset, len) in entries {
+        put_u64(&mut out, epoch);
+        put_u64(&mut out, offset);
+        put_u64(&mut out, len);
+    }
+    checksum_seal(out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// The corpora above mutate images; this one forges manifests, past the seal and
+    /// the header into the extent checks.  With `chained`, each entry's epoch and offset
+    /// continue the previous entry's (wrapping) — so the checks after the first entry
+    /// see extreme extents — and the store's log is a valid image.
+    #[test]
+    fn resealed_manifests_never_panic(
+        cadence in 1u64..u64::MAX,
+        spare_retention in 0u32..4,
+        triples in prop::collection::vec((extreme_u64(), extreme_u64(), extreme_u64()), 0usize..6),
+        chained in prop_oneof![Just(true), Just(false)],
+    ) {
+        let entries: Vec<(u64, u64, u64)> = if chained {
+            let (mut epoch, mut offset) = (0u64, 0u64);
+            let chain = |&(gap, _, len): &(u64, u64, u64)| {
+                let entry = (epoch, offset, len);
+                epoch = epoch.wrapping_add(gap.max(1));
+                offset = offset.wrapping_add(len);
+                entry
+            };
+            triples.iter().map(chain).collect()
+        } else {
+            triples
+        };
+        let retention = (entries.len() as u32).max(1) + spare_retention;
+        let mut bytes = manifest_of(cadence, retention, &entries);
+        exercise_decoders(&bytes);
+        if chained {
+            bytes.extend_from_slice(&valid_image());
+            exercise_decoders(&bytes);
+        }
     }
 }
