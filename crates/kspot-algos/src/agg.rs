@@ -210,6 +210,21 @@ pub fn exact_aggregate(func: AggFunc, values: &[Value]) -> Option<Value> {
 }
 
 #[cfg(test)]
+impl AggState {
+    /// The state as bits, for differential tests: its count and its value, NaN
+    /// payloads and signed zeros included.
+    pub(crate) fn to_bits(self) -> (u32, Option<u64>) {
+        let value = match self {
+            AggState::SumCount { sum, .. } => Some(sum.to_bits()),
+            AggState::Min { min, .. } => min.map(f64::to_bits),
+            AggState::Max { max, .. } => max.map(f64::to_bits),
+            AggState::Count { .. } => None,
+        };
+        (self.count(), value)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use kspot_net::types::ValueDomain;

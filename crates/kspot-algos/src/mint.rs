@@ -193,46 +193,12 @@ impl MintViews {
     /// pruning as its `shrink` step — returning the merged (possibly incomplete) sink
     /// view.
     fn pruned_sweep(&mut self, net: &mut Network, readings: &[Reading], tau: f64) -> GroupView {
-        let SnapshotSpec { k, func, domain } = self.spec;
         let MintScratch { group_sizes, local_lbs, upper_bounds, .. } = &mut self.scratch;
         // Update phase: silent when nothing survived the pruning.  A report that is
         // dropped after its ARQ retries degrades to partial data — the sink then fails
         // certification for the affected groups and probes them instead.
         convergecast_full(net, readings, &self.spec, PhaseTag::Update, |_, view| {
-            // Pruning phase: a group stays in V'_i only if, even with every unseen
-            // member at the top of the domain, it could still reach the *effective*
-            // threshold.  The effective threshold is the broadcast τ or, when the node's
-            // own view already contains k groups whose lower bounds beat τ, the k-th of
-            // those local lower bounds — the purely local part of the γ framework, which
-            // lets interior nodes prune even while the broadcast threshold is stale.
-            // With fewer than k groups in the view there is no k-th bound to find.
-            //
-            // A NaN lower bound (corrupted reading) carries no evidence, so it is
-            // demoted to -inf *before* the selection: were it left in place, a
-            // descending `total_cmp` would rank it above every real value and inflate
-            // the k-th bound to the (k-1)-th — an unsafely high threshold that could
-            // prune a true answer.  With NaN-free input `total_cmp` is a total order,
-            // so the k-th largest is one well-defined value.
-            let wants_local_tau = view.len() >= k;
-            local_lbs.clear();
-            upper_bounds.clear();
-            for (g, state) in view.iter() {
-                let total = group_size(group_sizes, g).unwrap_or_else(|| state.count());
-                let missing = total.saturating_sub(state.count());
-                upper_bounds.push(state.upper_bound(func, missing, domain.max));
-                if wants_local_tau {
-                    let lb = state.lower_bound(func, missing, domain.min);
-                    local_lbs.push(if lb.is_nan() { f64::NEG_INFINITY } else { lb });
-                }
-            }
-            let local_tau = if wants_local_tau {
-                *local_lbs.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a)).1
-            } else {
-                f64::NEG_INFINITY
-            };
-            let effective_tau = tau.max(local_tau);
-            let mut upper_bound = upper_bounds.iter();
-            view.retain(|_, _| *upper_bound.next().expect("one bound per tuple") >= effective_tau);
+            prune(view, &self.spec, tau, group_sizes, local_lbs, upper_bounds);
         })
     }
 
@@ -270,6 +236,64 @@ impl MintViews {
             None
         }
     }
+}
+
+/// The Pruning phase on one node's view: a group stays in V'_i only if, even with every
+/// unseen member at the top of the domain, it could still reach the *effective*
+/// threshold.  The effective threshold is the broadcast τ or, when the node's own view
+/// already contains k groups whose lower bounds beat τ, the k-th of those local lower
+/// bounds — the purely local part of the γ framework, which lets interior nodes prune
+/// even while the broadcast threshold is stale.  With fewer than k groups in the view
+/// there is no k-th bound to find.
+///
+/// A NaN lower bound (corrupted reading) carries no evidence, so it is demoted to -inf
+/// *before* the selection: were it left in place, a descending `total_cmp` would rank it
+/// above every real value and inflate the k-th bound to the (k-1)-th — an unsafely high
+/// threshold that could prune a true answer.  With NaN-free input `total_cmp` is a total
+/// order, so the k-th largest is one well-defined value.
+///
+/// Most views lose nothing, so the bounds come first: the k-th lower bound never
+/// exceeds the largest, and when the smallest upper bound clears both τ and that largest
+/// one, every tuple clears the effective threshold and the view is left as it is.  A NaN
+/// upper bound clears nothing, so it always takes the selection.
+fn prune(
+    view: &mut GroupView,
+    spec: &SnapshotSpec,
+    tau: f64,
+    group_sizes: &[(GroupId, u32)],
+    local_lbs: &mut Vec<f64>,
+    upper_bounds: &mut Vec<f64>,
+) {
+    let SnapshotSpec { k, func, domain } = *spec;
+    let wants_local_tau = view.len() >= k;
+    local_lbs.clear();
+    upper_bounds.clear();
+    let (mut lowest_ub, mut highest_lb, mut nan_ub) = (f64::INFINITY, f64::NEG_INFINITY, false);
+    for (g, state) in view.iter() {
+        let total = group_size(group_sizes, g).unwrap_or_else(|| state.count());
+        let missing = total.saturating_sub(state.count());
+        let ub = state.upper_bound(func, missing, domain.max);
+        nan_ub |= ub.is_nan();
+        lowest_ub = lowest_ub.min(ub);
+        upper_bounds.push(ub);
+        if wants_local_tau {
+            let lb = state.lower_bound(func, missing, domain.min);
+            let lb = if lb.is_nan() { f64::NEG_INFINITY } else { lb };
+            highest_lb = highest_lb.max(lb);
+            local_lbs.push(lb);
+        }
+    }
+    if !nan_ub && lowest_ub >= tau && lowest_ub >= highest_lb {
+        return;
+    }
+    let local_tau = if wants_local_tau {
+        *local_lbs.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a)).1
+    } else {
+        f64::NEG_INFINITY
+    };
+    let effective_tau = tau.max(local_tau);
+    let mut upper_bound = upper_bounds.iter();
+    view.retain(|_, _| *upper_bound.next().expect("one bound per tuple") >= effective_tau);
 }
 
 /// The `k` best exactly-known groups, best first, ties towards the smaller group —
@@ -548,6 +572,69 @@ mod tests {
         assert!((tau - (75.0 - THRESHOLD_SLACK)).abs() < 1e-9);
         assert!(net.metrics().phase(PhaseTag::Control).messages > 0, "threshold flood is accounted");
         assert!(net.metrics().phase(PhaseTag::Creation).messages > 0);
+    }
+
+    /// A drawn reading value: on a grid of fives in the percentage domain, so that
+    /// bounds tie with each other and with τ, or NaN.
+    fn grid_value(raw: u32) -> f64 {
+        if raw.is_multiple_of(23) {
+            f64::NAN
+        } else {
+            f64::from(raw % 21) * 5.0
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 512, ..proptest::ProptestConfig::default() })]
+
+        /// The bound-first prune against the shrink it replaced, on random sorted views:
+        /// the same groups survive with bit-equal states.  The views hold 1–20 groups
+        /// with sparse ids and NaN sums; each group's live size is absent from the
+        /// sizes, equal to what the view holds, above it or below it; every aggregate;
+        /// k in `1..=len+1`; τ on the value grid, ±∞ or NaN.  (The kernel differential
+        /// in `reference.rs` hands one closure to both kernels, so it cannot see a shrink
+        /// bug; this can.)
+        #[test]
+        fn bound_first_prune_matches_the_previous_shrink(
+            func in 0usize..5,
+            groups in proptest::collection::vec((0u32..40, 1u32..5, 0u32..4, 0u32..100_000), 1..21),
+            k_draw in 0usize..1_000,
+            tau_draw in 0u32..28,
+        ) {
+            let func = [AggFunc::Avg, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Count][func];
+            let spec = |k| SnapshotSpec::new(k, func, ValueDomain::percentage());
+            let mut view = GroupView::new(func);
+            let mut group_sizes = Vec::new();
+            for &(id, readings, live, seed) in &groups {
+                let group = id.wrapping_mul(2_654_435_761);
+                for r in 0..readings {
+                    view.add_reading(group, grid_value(seed / (r + 1) + r));
+                }
+                let seen = view.get(group).expect("just added").count();
+                match live {
+                    0 => {}
+                    1 => group_sizes.push((group, seen)),
+                    2 => group_sizes.push((group, seen + 1 + seed % 3)),
+                    _ => group_sizes.push((group, (seen - 1).max(1))),
+                }
+            }
+            group_sizes.sort_unstable();
+            group_sizes.dedup_by_key(|(g, _)| *g);
+            let k = 1 + k_draw % (view.len() + 1);
+            let tau = match tau_draw {
+                0 => f64::NEG_INFINITY,
+                1 => f64::INFINITY,
+                2 => f64::NAN,
+                d => f64::from(d - 3) * 5.0,
+            };
+
+            let (mut ours, mut theirs) = (view.clone(), view);
+            let (mut lbs, mut ubs) = (Vec::new(), Vec::new());
+            prune(&mut ours, &spec(k), tau, &group_sizes, &mut lbs, &mut ubs);
+            crate::reference::mint_shrink(&mut theirs, &spec(k), tau, &group_sizes, &mut lbs, &mut ubs);
+            let bits = |v: &GroupView| v.iter().map(|(g, s)| (g, s.to_bits())).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&ours), bits(&theirs), "k = {}, tau = {}", k, tau);
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The map-based loops the crate shipped before its flat kernels, kept verbatim as the
 //! oracles: the convergecast of the snapshot algorithms (now
-//! [`crate::tag::convergecast_full`]), in [`historic`], TJA and TPUT as they ran
+//! [`crate::tag::convergecast_full`]) and MINT's shrink before it pruned bound-first
+//! (now `crate::mint::prune`), in [`historic`], TJA and TPUT as they ran
 //! before the flat epoch table (`crate::threshold`), and in [`fila`] the FILA monitor
 //! whose sink kept what it knows in a map.  Property tests drive old and new
 //! over random trees, aggregates, windows, fault plans and co-registered scopes and
@@ -13,7 +14,7 @@ use crate::result::TopKResult;
 use crate::snapshot::{exact_reference, run_shared_epoch, SnapshotAlgorithm, SnapshotSpec};
 use crate::tag::TagTopK;
 use crate::view::GroupView;
-use kspot_net::{Network, NodeId, PhaseTag, Reading, SINK};
+use kspot_net::{GroupId, Network, NodeId, PhaseTag, Reading, SINK};
 use std::collections::BTreeMap;
 
 thread_local! {
@@ -51,6 +52,7 @@ pub(crate) fn convergecast_full(
     let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
     let reading_of: BTreeMap<NodeId, &Reading> = readings.iter().map(|r| (r.node, r)).collect();
     let mut inbox: BTreeMap<NodeId, Vec<GroupView>> = BTreeMap::new();
+    let mut buf = Vec::new();
     let order = net.tree().post_order();
     for node in order {
         if !net.node_participating(node) {
@@ -62,7 +64,7 @@ pub(crate) fn convergecast_full(
         }
         if let Some(children_views) = inbox.remove(&node) {
             for cv in &children_views {
-                view.merge(cv);
+                view.merge(cv, &mut buf);
             }
         }
         net.charge_cpu(node, view.len() as u32);
@@ -76,10 +78,48 @@ pub(crate) fn convergecast_full(
     let mut sink_view = GroupView::new(spec.func);
     if let Some(views) = inbox.remove(&SINK) {
         for v in &views {
-            sink_view.merge(v);
+            sink_view.merge(v, &mut buf);
         }
     }
     sink_view
+}
+
+/// The previous MINT shrink — the closure `MintViews::pruned_sweep` handed the kernel —
+/// kept verbatim but for the group-size search, spelled out here: every view computes
+/// both bounds of every tuple, selects its k-th lower bound and retains.  The oracle of
+/// `bound_first_prune_matches_the_previous_shrink`.
+pub(crate) fn mint_shrink(
+    view: &mut GroupView,
+    spec: &SnapshotSpec,
+    tau: f64,
+    group_sizes: &[(GroupId, u32)],
+    local_lbs: &mut Vec<f64>,
+    upper_bounds: &mut Vec<f64>,
+) {
+    let SnapshotSpec { k, func, domain } = *spec;
+    let group_size = |group: GroupId| {
+        group_sizes.binary_search_by_key(&group, |&(g, _)| g).ok().map(|at| group_sizes[at].1)
+    };
+    let wants_local_tau = view.len() >= k;
+    local_lbs.clear();
+    upper_bounds.clear();
+    for (g, state) in view.iter() {
+        let total = group_size(g).unwrap_or_else(|| state.count());
+        let missing = total.saturating_sub(state.count());
+        upper_bounds.push(state.upper_bound(func, missing, domain.max));
+        if wants_local_tau {
+            let lb = state.lower_bound(func, missing, domain.min);
+            local_lbs.push(if lb.is_nan() { f64::NEG_INFINITY } else { lb });
+        }
+    }
+    let local_tau = if wants_local_tau {
+        *local_lbs.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a)).1
+    } else {
+        f64::NEG_INFINITY
+    };
+    let effective_tau = tau.max(local_tau);
+    let mut upper_bound = upper_bounds.iter();
+    view.retain(|_, _| *upper_bound.next().expect("one bound per tuple") >= effective_tau);
 }
 
 /// The previous `CentralizedCollection::execute_epoch`, as an algorithm of its own.

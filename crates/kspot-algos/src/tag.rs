@@ -10,13 +10,14 @@
 //! TAG runs it as is, the naive strategy and MINT plug their pruning in as its
 //! `shrink` step, and the local-aggregate historic strategy feeds it per-node window
 //! aggregates.  The loop works in memory it keeps from sweep to sweep (one view per
-//! node and a copy of the tree's post-order), so a steady-state sweep allocates only
-//! the sink view it returns and looks nothing up in a map.
+//! node, a copy of the tree's post-order and one merge buffer), so a steady-state sweep
+//! allocates only the sink view it returns and looks nothing up in a map.
 
+use crate::agg::AggState;
 use crate::result::{RankedItem, TopKResult};
 use crate::snapshot::{SnapshotAlgorithm, SnapshotSpec};
 use crate::view::GroupView;
-use kspot_net::{Network, NodeId, PhaseTag, Reading, SINK};
+use kspot_net::{GroupId, Network, NodeId, PhaseTag, Reading, SINK};
 use std::cell::RefCell;
 
 /// TAG with a centralized Top-K operator at the sink.
@@ -46,6 +47,8 @@ struct SweepScratch {
     /// The routing tree's post-order, copied so that the sweep can hold the network
     /// mutably while walking it.
     order: Vec<NodeId>,
+    /// The buffer every [`GroupView::merge`] of the sweep merges into.
+    merged: Vec<(GroupId, AggState)>,
 }
 
 thread_local! {
@@ -94,7 +97,7 @@ pub(crate) fn convergecast_full(
     }
     let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
     let n = net.num_nodes();
-    SCRATCH.with_borrow_mut(|SweepScratch { views, order }| {
+    SCRATCH.with_borrow_mut(|SweepScratch { views, order, merged }| {
         order.clear();
         order.extend_from_slice(net.tree().post_order_slice());
         // Only ever grown: a thread may alternate between networks of different sizes.
@@ -125,7 +128,7 @@ pub(crate) fn convergecast_full(
             if let Some(receiver) = net.send_report_up(node, epoch, view.len() as u32, 0, phase) {
                 // Lift the sent view out so its receiver's can be borrowed beside it.
                 let sent = std::mem::replace(view, GroupView::new(spec.func));
-                views[receiver as usize].merge(&sent);
+                views[receiver as usize].merge(&sent, merged);
                 views[node as usize] = sent;
             }
         }

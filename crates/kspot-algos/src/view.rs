@@ -16,6 +16,7 @@ use crate::agg::AggState;
 use kspot_net::{GroupId, Value};
 use kspot_query::AggFunc;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// A partial aggregate per group, as maintained by one node for its subtree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -66,33 +67,40 @@ impl GroupView {
         self.entries[at].1.add(value);
     }
 
-    /// Merges another view (typically a child's transmitted view) into this one.
-    pub fn merge(&mut self, other: &GroupView) {
+    /// Merges another view (typically a child's transmitted view) into this one: one
+    /// forward pass over both sorted runs into `buf`, then copied back.  A group both
+    /// hold merges exactly once, as `this.merge(other)`.  `buf` is scratch whose
+    /// contents mean nothing before or after; a caller that keeps it (the convergecast
+    /// kernel does) merges without allocating once it and this view are warm.
+    pub fn merge(&mut self, other: &GroupView, buf: &mut Vec<(GroupId, AggState)>) {
         assert_eq!(self.func, other.func, "views of different aggregates cannot merge");
-        // Both sides are sorted, so walk them from the back, widening this view by the
-        // groups only `other` has; a group both hold merges exactly once.
-        let mut mine = self.entries.len();
-        let new_groups = other.entries.iter().filter(|(g, _)| self.position(*g).is_err()).count();
-        if let Some(&filler) = other.entries.first() {
-            self.entries.resize(mine + new_groups, filler);
-        }
-        let mut write = self.entries.len();
-        for &(group, state) in other.entries.iter().rev() {
-            while mine > 0 && self.entries[mine - 1].0 > group {
-                mine -= 1;
-                write -= 1;
-                self.entries[write] = self.entries[mine];
+        let (mine, theirs) = (&self.entries, &other.entries);
+        let (mut i, mut j) = (0, 0);
+        buf.clear();
+        while i < mine.len() && j < theirs.len() {
+            let (group, state) = mine[i];
+            match group.cmp(&theirs[j].0) {
+                Ordering::Less => {
+                    buf.push((group, state));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    buf.push(theirs[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let mut merged = state;
+                    merged.merge(&theirs[j].1);
+                    buf.push((group, merged));
+                    i += 1;
+                    j += 1;
+                }
             }
-            write -= 1;
-            if mine > 0 && self.entries[mine - 1].0 == group {
-                mine -= 1;
-                let mut merged = self.entries[mine].1;
-                merged.merge(&state);
-                self.entries[write] = (group, merged);
-            } else {
-                self.entries[write] = (group, state);
-            }
         }
+        buf.extend_from_slice(&mine[i..]);
+        buf.extend_from_slice(&theirs[j..]);
+        self.entries.clear();
+        self.entries.extend_from_slice(buf);
     }
 
     /// The partial state for a group, if present.
@@ -160,7 +168,7 @@ mod tests {
     fn merge_combines_group_states() {
         let mut a = view(&[(0, 74.0), (1, 40.0)]);
         let b = view(&[(0, 75.0), (2, 75.0)]);
-        a.merge(&b);
+        a.merge(&b, &mut Vec::new());
         assert_eq!(a.len(), 3);
         assert_eq!(a.partial_values(), vec![(0, 74.5), (1, 40.0), (2, 75.0)]);
     }
@@ -197,7 +205,7 @@ mod tests {
     fn merging_views_of_different_aggregates_panics() {
         let mut a = GroupView::new(AggFunc::Avg);
         let b = GroupView::new(AggFunc::Max);
-        a.merge(&b);
+        a.merge(&b, &mut Vec::new());
     }
 
     #[test]
@@ -205,5 +213,74 @@ mod tests {
         let v = GroupView::new(AggFunc::Max);
         assert!(v.is_empty());
         assert_eq!(v.partial_values(), vec![]);
+    }
+
+    const FUNCS: [AggFunc; 5] = [AggFunc::Avg, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Count];
+
+    /// Sparse group ids, so that nothing can be indexed by one.
+    const GROUPS: [GroupId; 10] = [0, 1, 2, 7, 64, 1_000, 65_535, 1 << 20, 4_000_000_000, u32::MAX];
+
+    /// A view of `func` over `readings` drawn as (group index, raw value); some values
+    /// are NaN or a negative zero.
+    fn drawn_view(func: AggFunc, readings: &[(usize, u32)]) -> GroupView {
+        let mut v = GroupView::new(func);
+        for &(g, raw) in readings {
+            let value = match raw % 40 {
+                0 => f64::NAN,
+                1 => -0.0,
+                _ => f64::from(raw) * 0.37 - 100.0,
+            };
+            v.add_reading(GROUPS[g % GROUPS.len()], value);
+        }
+        v
+    }
+
+    fn view_bits(v: &GroupView) -> Vec<(GroupId, (u32, Option<u64>))> {
+        v.iter().map(|(g, s)| (g, s.to_bits())).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..proptest::ProptestConfig::default() })]
+
+        /// `merge` against a fold into a `BTreeMap<GroupId, AggState>`: every merge into
+        /// one receiver leaves the groups the map holds, ascending, with bit-equal
+        /// states — over sparse ids, empty and one-entry operands (leaf views) and every
+        /// aggregate.  Run a second time over the same operands, the warm receiver and
+        /// its buffer do not reallocate.
+        #[test]
+        fn merge_matches_a_map_fold(
+            func in 0usize..5,
+            own in proptest::collection::vec((0usize..10, 0u32..2_000), 0..5),
+            operands in proptest::collection::vec(proptest::collection::vec((0usize..10, 0u32..2_000), 0..6), 1..9),
+        ) {
+            let func = FUNCS[func];
+            let operands: Vec<GroupView> = operands.iter().map(|r| drawn_view(func, r)).collect();
+            let mut receiver = drawn_view(func, &own);
+            let mut model: std::collections::BTreeMap<GroupId, AggState> =
+                receiver.iter().map(|(g, s)| (g, *s)).collect();
+            let mut buf = Vec::new();
+            let mut folds = Vec::new();
+            for operand in &operands {
+                receiver.merge(operand, &mut buf);
+                for (g, s) in operand.iter() {
+                    model.entry(g).and_modify(|mine| mine.merge(s)).or_insert(*s);
+                }
+                let expected: Vec<_> = model.iter().map(|(g, s)| (*g, s.to_bits())).collect();
+                proptest::prop_assert_eq!(&view_bits(&receiver), &expected);
+                folds.push(expected);
+            }
+
+            receiver.reset(func);
+            for (g, s) in drawn_view(func, &own).iter() {
+                receiver.entries.push((g, *s));
+            }
+            let warm = (receiver.entries.as_ptr(), receiver.entries.capacity(), buf.as_ptr(), buf.capacity());
+            for (operand, expected) in operands.iter().zip(&folds) {
+                receiver.merge(operand, &mut buf);
+                proptest::prop_assert_eq!(&view_bits(&receiver), expected);
+                let now = (receiver.entries.as_ptr(), receiver.entries.capacity(), buf.as_ptr(), buf.capacity());
+                proptest::prop_assert_eq!(now, warm, "a warm merge reallocated");
+            }
+        }
     }
 }

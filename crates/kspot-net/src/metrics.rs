@@ -450,39 +450,6 @@ impl NetworkMetrics {
             }
             e
         };
-        self.book_frame_attempt(epoch, label_phase, frame_bytes, slices, sensor_energy);
-    }
-
-    /// Records one merged-frame attempt whose receiver never listened (dead or
-    /// asleep): the sender pays and the frame counts as a message on the air, but no
-    /// reception is booked anywhere.  Frame counterpart of
-    /// [`Self::record_unheard_transmission`].
-    pub fn record_unheard_frame(
-        &mut self,
-        from: NodeId,
-        epoch: Epoch,
-        label_phase: PhaseTag,
-        frame_bytes: u32,
-        slices: &[FrameSlice],
-        tx_energy: f64,
-    ) {
-        let total_tuples: u32 = slices.iter().map(|s| s.tuples).sum();
-        self.counters_mut(from).add_tx(frame_bytes, total_tuples, tx_energy);
-        let sensor_energy = if from != crate::types::SINK { tx_energy } else { 0.0 };
-        self.book_frame_attempt(epoch, label_phase, frame_bytes, slices, sensor_energy);
-    }
-
-    /// The attempt-level frame booking shared by heard and unheard frames (see
-    /// [`Self::record_frame_transmission`] for the partitioning policy).
-    fn book_frame_attempt(
-        &mut self,
-        epoch: Epoch,
-        label_phase: PhaseTag,
-        frame_bytes: u32,
-        slices: &[FrameSlice],
-        sensor_energy: f64,
-    ) {
-        let total_tuples: u32 = slices.iter().map(|s| s.tuples).sum();
         for totals in [&mut self.totals, self.per_epoch.entry(epoch)] {
             totals.messages += 1;
             totals.bytes += u64::from(frame_bytes);
@@ -994,14 +961,6 @@ mod tests {
         assert_eq!(m.scope_phase(1, PhaseTag::Creation).bytes, 28);
         let scoped_energy: f64 = m.scopes().map(|(_, t)| t.energy_uj).sum();
         assert!((scoped_energy - m.totals().energy_uj).abs() < 1e-9, "energy splits pro-rata");
-
-        // An unheard frame charges only the sender.
-        let mut u = NetworkMetrics::new(3);
-        u.record_unheard_frame(2, 0, PhaseTag::Update, 34, &slices, 340.0);
-        assert_eq!(u.totals().messages, 1);
-        assert_eq!(u.node(1).rx_messages, 0, "nobody heard it");
-        assert!((u.totals().energy_uj - 340.0).abs() < 1e-12);
-        assert_eq!(u.scope(0).bytes + u.scope(1).bytes, 34);
     }
 
     #[test]

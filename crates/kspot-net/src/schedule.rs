@@ -77,9 +77,6 @@ pub struct ReportIntent {
 pub struct PendingFrame {
     /// The epoch the frame belongs to.
     pub epoch: Epoch,
-    /// Whether the receiver was participating when the frame was opened.  A dead or
-    /// sleeping receiver hears nothing: the frame is transmitted once, unheard.
-    pub receiver_heard: bool,
     /// Whether the frame's payload is delivered (after `attempts` attempts).
     pub delivered: bool,
     /// Number of on-air attempts the frame takes (1 + retransmissions).
@@ -91,17 +88,10 @@ pub struct PendingFrame {
 impl PendingFrame {
     /// Opens a frame and decides its fate from the frame loss stream: attempts are
     /// drawn exactly like [`crate::sim::Network::send`] draws them for a single
-    /// message, but once per *frame* rather than once per session report.
-    pub(crate) fn open(
-        epoch: Epoch,
-        receiver_heard: bool,
-        loss: f64,
-        max_attempts: u32,
-        rng: &mut StdRng,
-    ) -> Self {
-        if !receiver_heard {
-            return Self { epoch, receiver_heard, delivered: false, attempts: 1, slices: Vec::new() };
-        }
+    /// message, but once per *frame* rather than once per session report.  The receiver
+    /// is a participating node or the sink: a report goes to its sender's effective
+    /// parent, which always listens.
+    pub(crate) fn open(epoch: Epoch, loss: f64, max_attempts: u32, rng: &mut StdRng) -> Self {
         let mut attempts = 1;
         let delivered = loop {
             let lost = loss > 0.0 && rng.gen_bool(loss.min(1.0));
@@ -113,7 +103,7 @@ impl PendingFrame {
             }
             attempts += 1;
         };
-        Self { epoch, receiver_heard, delivered, attempts, slices: Vec::new() }
+        Self { epoch, delivered, attempts, slices: Vec::new() }
     }
 }
 
@@ -315,29 +305,25 @@ mod tests {
     #[test]
     fn frame_fate_is_deterministic_and_respects_the_retry_budget() {
         let mut rng = stream_rng(7, &[1]);
-        let sure = PendingFrame::open(0, true, 0.0, 4, &mut rng);
+        let sure = PendingFrame::open(0, 0.0, 4, &mut rng);
         assert!(sure.delivered);
         assert_eq!(sure.attempts, 1);
 
-        let unheard = PendingFrame::open(0, false, 0.0, 4, &mut rng);
-        assert!(!unheard.delivered);
-        assert!(!unheard.receiver_heard);
-
-        let doomed = PendingFrame::open(0, true, 1.0, 4, &mut rng);
+        let doomed = PendingFrame::open(0, 1.0, 4, &mut rng);
         assert!(!doomed.delivered);
         assert_eq!(doomed.attempts, 4, "a certain-loss link exhausts the retry budget");
 
         let mut a = stream_rng(9, &[2]);
         let mut b = stream_rng(9, &[2]);
         for _ in 0..50 {
-            let fa = PendingFrame::open(1, true, 0.4, 7, &mut a);
-            let fb = PendingFrame::open(1, true, 0.4, 7, &mut b);
+            let fa = PendingFrame::open(1, 0.4, 7, &mut a);
+            let fb = PendingFrame::open(1, 0.4, 7, &mut b);
             assert_eq!((fa.delivered, fa.attempts), (fb.delivered, fb.attempts));
         }
     }
 
     fn blank_frame() -> PendingFrame {
-        PendingFrame { epoch: 3, receiver_heard: true, delivered: true, attempts: 1, slices: Vec::new() }
+        PendingFrame { epoch: 3, delivered: true, attempts: 1, slices: Vec::new() }
     }
 
     #[test]

@@ -469,7 +469,8 @@ impl Network {
         }
         let parent = self.effective_parent(from);
         if self.frame_batching() {
-            let heard = parent == SINK || self.node_participating(parent);
+            // `effective_parent` only returns the sink or a participating node, so the
+            // receiver always listens: a frame's fate is its channel's alone.
             let loss = {
                 let radio = self.config.radio.loss_probability;
                 let fault = self.config.faults.loss_probability(from, parent);
@@ -492,7 +493,7 @@ impl Network {
                         seed,
                         &[FRAME_FATE_STREAM, u64::from(from), u64::from(parent), epoch],
                     );
-                    PendingFrame::open(epoch, heard, loss, max_attempts, &mut fate_rng)
+                    PendingFrame::open(epoch, loss, max_attempts, &mut fate_rng)
                 });
                 frame.slices.push(ReportIntent { scope, phase, data_tuples, control_tuples });
                 return frame.delivered.then_some(parent);
@@ -520,14 +521,6 @@ impl Network {
             let tx = config.energy.tx_cost(frame_bytes);
             let rx = config.energy.rx_cost(frame_bytes);
             let label_phase = frame.slices.first().map_or(PhaseTag::Update, |s| s.phase);
-            if !frame.receiver_heard {
-                metrics.record_unheard_frame(from, frame.epoch, label_phase, frame_bytes, slices, tx);
-                if from != SINK {
-                    batteries.drain(from, tx);
-                }
-                metrics.note_frame_drop(from, frame.epoch, label_phase, slices);
-                return;
-            }
             for attempt in 0..frame.attempts {
                 if attempt > 0 {
                     metrics.note_frame_retransmission(frame.epoch, label_phase, slices);

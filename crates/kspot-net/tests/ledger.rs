@@ -248,7 +248,7 @@ proptest! {
     /// included, and only those the maps would hold), same order, same bits.
     #[test]
     fn flat_ledger_matches_the_map_model(
-        ops in prop::collection::vec((0u64..13, 0u64..u64::MAX), 1..80),
+        ops in prop::collection::vec((0u64..12, 0u64..u64::MAX), 1..80),
     ) {
         let mut ledger = NetworkMetrics::new(NODES as usize);
         let mut model = MapLedger::default();
@@ -300,26 +300,22 @@ proptest! {
                     model.frame_attempt(epoch, phase, frame_bytes, &slices, sensor(from, Some(to)));
                 }
                 4 => {
-                    ledger.record_unheard_frame(from, epoch, phase, frame_bytes, &slices, tx);
-                    model.frame_attempt(epoch, phase, frame_bytes, &slices, sensor(from, None));
-                }
-                5 => {
                     ledger.note_frame_retransmission(epoch, phase, &slices);
                     model.frame_event(epoch, phase, &slices, |t| t.retransmissions += 1);
                 }
-                6 => {
+                5 => {
                     ledger.note_frame_drop(from, epoch, phase, &slices);
                     model.frame_event(epoch, phase, &slices, |t| t.dropped_messages += 1);
                 }
-                7 => {
+                6 => {
                     ledger.note_retransmission(epoch, phase);
                     model.book(epoch, phase, |t| t.retransmissions += 1);
                 }
-                8 => {
+                7 => {
                     ledger.note_drop(from, epoch, phase);
                     model.book(epoch, phase, |t| t.dropped_messages += 1);
                 }
-                9 => {
+                8 => {
                     // Zero charges too: they create rows without changing a sum.
                     let uj = if tuples == 0 { 0.0 } else { tx };
                     ledger.record_local_energy(from, epoch, uj);
@@ -327,10 +323,10 @@ proptest! {
                         model.local_energy(epoch, uj);
                     }
                 }
-                10 | 11 => {
+                9 | 10 => {
                     let pages = u64::from(tuples);
                     let uj = pages as f64 * 76.2;
-                    if kind == 10 {
+                    if kind == 9 {
                         ledger.record_page_writes(from, epoch, pages, u64::from(bytes), uj);
                     } else {
                         ledger.record_page_reads(from, epoch, pages, uj);
@@ -339,7 +335,7 @@ proptest! {
                         model.local_energy(epoch, uj);
                         if let Some(scope) = model.current_scope {
                             let row = model.storage_per_scope.entry(scope).or_default();
-                            if kind == 10 {
+                            if kind == 9 {
                                 row.pages_written += pages;
                                 row.bytes_written += u64::from(bytes);
                             } else {
