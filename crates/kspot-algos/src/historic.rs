@@ -139,12 +139,10 @@ fn ranked_epochs(per_epoch: BTreeMap<Epoch, Vec<f64>>, spec: &HistoricSpec, at: 
     TopKResult::top_k(at, items, spec.k)
 }
 
-/// The samples of `window` from epoch `first` on, oldest first — `charged` as one full
-/// flash scan or read for free.  The scan covers the whole window even when the span
-/// is shorter: the flash does not know which epochs the reader wants.
-fn span_of(window: Option<&mut SlidingWindow>, first: Epoch, charged: bool) -> &[(Epoch, f64)] {
+/// The samples of `window` from epoch `first` on, oldest first.
+fn span_of(window: Option<&mut SlidingWindow>, first: Epoch) -> &[(Epoch, f64)] {
     let Some(window) = window else { return &[] };
-    let all = if charged { window.scan() } else { window.as_slice() };
+    let all = window.as_slice();
     &all[all.partition_point(|&(e, _)| e < first)..]
 }
 
@@ -157,11 +155,7 @@ fn span_of(window: Option<&mut SlidingWindow>, first: Epoch, charged: bool) -> &
 /// an owned one (`BankWindows<WindowBank>`): restored from a checkpoint image — there
 /// is no live bank to borrow for an epoch the engine has long evicted — or fed for one
 /// submission by [`BankWindows::collect`].  Holding the same samples, the two are
-/// byte-identical to every algorithm.  Either way
-/// `samples`/`window_len` read without storage accounting — cheap metadata reads, like
-/// the uncharged `SlidingWindow::iter` — while `local_top_k`/`values_at_least`/
-/// `value_at` are charged as the flash scans and lookups they model, so an
-/// engine-served query records the same class of storage cost as a replay.
+/// byte-identical to every algorithm.
 #[derive(Debug, Clone)]
 pub struct BankWindows<B> {
     bank: B,
@@ -203,15 +197,15 @@ impl<B: BorrowMut<WindowBank>> WindowSource for BankWindows<B> {
     }
 
     fn samples(&mut self, node: NodeId) -> &[(Epoch, f64)] {
-        span_of(self.bank.borrow_mut().window_mut(node), self.first, false)
+        span_of(self.bank.borrow_mut().window_mut(node), self.first)
     }
 
     fn local_top_k(&mut self, node: NodeId, k: usize, best: &mut Vec<(Epoch, f64)>) {
-        top_k_into(span_of(self.bank.borrow_mut().window_mut(node), self.first, true), k, best);
+        top_k_into(span_of(self.bank.borrow_mut().window_mut(node), self.first), k, best);
     }
 
     fn values_at_least(&mut self, node: NodeId, threshold: f64, found: &mut Vec<(Epoch, f64)>) {
-        let scanned = span_of(self.bank.borrow_mut().window_mut(node), self.first, true);
+        let scanned = span_of(self.bank.borrow_mut().window_mut(node), self.first);
         found.clear();
         found.extend(scanned.iter().filter(|&&(_, v)| v >= threshold));
     }
@@ -562,11 +556,6 @@ mod tests {
         assert_eq!(owned.snapshot_epoch(), Some(7));
         check(owned);
         check(BankWindows::new(&mut bank, 4));
-        // Ranked and threshold scans pay flash page reads, like a mote's flash.
-        assert!(
-            bank.window_mut(1).unwrap().page_reads() >= 3,
-            "two scans and a point lookup must be accounted"
-        );
 
         let mut empty = BankWindows::new(WindowBank::new(4), 4);
         assert!(empty.covered_epochs().is_empty());

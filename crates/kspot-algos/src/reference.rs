@@ -178,7 +178,7 @@ mod properties {
     use crate::tja::Tja;
     use crate::tput::Tput;
     use kspot_net::{
-        Deployment, NetworkConfig, NetworkMetrics, PhaseTotals, RadioModel, WindowBank, Workload,
+        Deployment, NetworkConfig, NetworkMetrics, PhaseTotals, WindowBank, Workload,
     };
     use kspot_query::AggFunc;
     use proptest::prelude::*;
@@ -224,7 +224,7 @@ mod properties {
         seed: u64,
     ) -> NetworkConfig {
         let mut faults = FaultPlan::none()
-            .with_link_loss(f64::from(loss_pct) / 100.0)
+            .with_link_loss(0.02 + 0.98 * f64::from(loss_pct) / 100.0)
             .with_retransmits(retransmits);
         if let Some(epoch) = death {
             faults = faults.with_node_death(1 + (seed % d.num_nodes() as u64) as NodeId, epoch);
@@ -233,7 +233,6 @@ mod properties {
             faults = faults.with_duty_cycle(DutyCycle::new(4, 3));
         }
         NetworkConfig::mica2()
-            .with_radio(RadioModel::mica2().with_loss(0.02))
             .with_seed(seed)
             .with_battery_uj(battery_uj)
             .with_faults(faults)
@@ -465,15 +464,6 @@ mod properties {
                 Source::Owned(view) => view,
             }
         }
-
-        /// Every window's page reads, ascending by node.
-        fn page_reads(&mut self) -> Vec<u64> {
-            let bank = match self {
-                Source::Live(view) => view.bank(),
-                Source::Owned(view) => view.bank(),
-            };
-            bank.windows().map(|(_, w)| w.page_reads()).collect()
-        }
     }
 
     /// The windows of a case: one feed per covered epoch (and three older ones where the
@@ -564,7 +554,7 @@ mod properties {
                 }
                 let batteries: Vec<u64> =
                     (1..=n as NodeId).map(|id| net.batteries().get(id).remaining_uj().to_bits()).collect();
-                sides.push((result_bits(&result), stats, ledger_bits(net.metrics()), batteries, source.page_reads()));
+                sides.push((result_bits(&result), stats, ledger_bits(net.metrics()), batteries));
             }
             prop_assert_eq!(&sides[0], &sides[1], "{} diverged", if tput { "TPUT" } else { "TJA" });
         }
@@ -747,10 +737,9 @@ mod historic {
     use kspot_query::AggFunc;
     use std::collections::{BTreeMap, BTreeSet};
 
-    /// The previous `WindowSource::local_top_k`: one charged scan, then a full sort of
-    /// a fresh copy under the comparator spelled out here, not shared with the source.
+    /// The previous `WindowSource::local_top_k`: a full sort of a fresh copy under the
+    /// comparator spelled out here, not shared with the source.
     fn local_top_k(data: &mut dyn WindowSource, node: NodeId, k: usize) -> Vec<(Epoch, f64)> {
-        data.local_top_k(node, 0, &mut Vec::new());
         let mut all = data.samples(node).to_vec();
         all.sort_by(|a, b| cmp_value(b.1, a.1).then(a.0.cmp(&b.0)));
         all.truncate(k);

@@ -140,7 +140,7 @@ impl ScenarioConfig {
         let mut range = 0.0f64;
         let mut sink = Position::new(0.0, 0.0);
         let mut cluster_names = BTreeMap::new();
-        let mut nodes: Vec<NodeSpec> = Vec::new();
+        let mut nodes: Vec<(NodeSpec, usize)> = Vec::new();
 
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -164,13 +164,23 @@ impl ScenarioConfig {
                         return Err(err("modality expects `<name> <min> <max>`"));
                     }
                     modality = rest[0].to_string();
-                    domain = ValueDomain::new(parse_f64(rest[1], "domain min")?, parse_f64(rest[2], "domain max")?);
+                    let (min, max) = (parse_f64(rest[1], "domain min")?, parse_f64(rest[2], "domain max")?);
+                    if !min.is_finite() || !max.is_finite() {
+                        return Err(err("domain bounds must be finite"));
+                    }
+                    if min > max {
+                        return Err(err("domain min must not exceed max"));
+                    }
+                    domain = ValueDomain::new(min, max);
                 }
                 "range" => {
                     if rest.len() != 1 {
                         return Err(err("range expects a single number"));
                     }
                     range = parse_f64(rest[0], "radio range")?;
+                    if !range.is_finite() || range <= 0.0 {
+                        return Err(err("radio range must be a positive finite number"));
+                    }
                 }
                 "sink" => {
                     if rest.len() != 2 {
@@ -193,11 +203,8 @@ impl ScenarioConfig {
                     }
                     let id: NodeId = rest[0].parse().map_err(|_| err("node id must be an integer"))?;
                     let group: GroupId = rest[3].parse().map_err(|_| err("group id must be an integer"))?;
-                    nodes.push(NodeSpec {
-                        id,
-                        position: Position::new(parse_f64(rest[1], "node x")?, parse_f64(rest[2], "node y")?),
-                        group,
-                    });
+                    let position = Position::new(parse_f64(rest[1], "node x")?, parse_f64(rest[2], "node y")?);
+                    nodes.push((NodeSpec { id, position, group }, lineno + 1));
                 }
                 other => return Err(err(&format!("unknown keyword `{other}`"))),
             }
@@ -209,7 +216,16 @@ impl ScenarioConfig {
         if range <= 0.0 {
             return Err(ConfigError { line: 0, message: "the scenario defines no positive radio range".to_string() });
         }
-        nodes.sort_by_key(|n| n.id);
+        // Stable, so of two nodes with one id the later line is the one reported.
+        nodes.sort_by_key(|(n, _)| n.id);
+        let misplaced = nodes.iter().enumerate().find(|(i, (n, _))| n.id != (i + 1) as NodeId);
+        if let Some((i, (node, line))) = misplaced {
+            return Err(ConfigError {
+                line: *line,
+                message: format!("node id {} where {} is due: ids must be the consecutive range 1..=n", node.id, i + 1),
+            });
+        }
+        let nodes = nodes.into_iter().map(|(n, _)| n).collect();
         let deployment = Deployment::from_parts(DeploymentKind::Custom, sink, nodes, range);
         let mut config = ScenarioConfig::custom(name, modality, deployment);
         config.domain = domain;
@@ -300,6 +316,21 @@ mod tests {
 
         let err = ScenarioConfig::from_config_string("node 1 1 1 0\n").unwrap_err();
         assert!(err.message.contains("radio range"));
+
+        // Values the deployment and the domain would refuse by panicking are errors on
+        // their own line.
+        for (text, line, what) in [
+            ("modality sound 40 -10\nrange 10\nnode 1 1 1 0\n", 1, "min must not exceed max"),
+            ("modality sound NaN 5\nrange 10\nnode 1 1 1 0\n", 1, "finite"),
+            ("range 10\nnode 2 1 1 0\n", 2, "consecutive"),
+            ("range 10\nnode 1 1 1 0\nnode 1 2 2 0\n", 3, "consecutive"),
+            ("range 10\nnode 0 1 1 0\n", 2, "consecutive"),
+            ("range NaN\nnode 1 1 1 0\n", 1, "radio range"),
+        ] {
+            let err = ScenarioConfig::from_config_string(text).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            assert!(err.message.contains(what), "{text:?}: {err}");
+        }
     }
 
     #[test]

@@ -625,10 +625,6 @@ impl EngineCore {
     fn scope_report(&self, id: QueryId, name: String) -> StrategyReport {
         StrategyReport::from_scope(name, self.net.metrics(), id, self.state(id).results.len())
     }
-
-    fn session_report(&self, id: QueryId) -> StrategyReport {
-        self.scope_report(id, format!("session {id}: {}", self.state(id).exec.name()))
-    }
 }
 
 /// Locks an engine core, surfacing poisoning as a first-class failure: a panic inside
@@ -1102,7 +1098,8 @@ impl Session {
     /// run.  The per-node breakdown is not scoped, so the report carries no
     /// bottleneck-energy estimate (see [`StrategyReport::from_scope`]).
     pub fn report(&self) -> StrategyReport {
-        lock_core(&self.core).session_report(self.id)
+        let core = lock_core(&self.core);
+        core.scope_report(self.id, format!("session {}: {}", self.id, core.state(self.id).exec.name()))
     }
 
     /// Turns one of the session's ranked answers into the Display Panel's bullets,
@@ -1147,8 +1144,7 @@ impl Session {
             plan: state.plan.clone(),
             algorithm: state.exec.name().to_string(),
             results: state.results.page(0, usize::MAX),
-            panel: SystemPanel::new(by_algorithm(self.id), baselines)
-                .with_sessions(vec![core.session_report(self.id)]),
+            panel: SystemPanel::new(by_algorithm(self.id), baselines),
         }
     }
 }
@@ -1379,7 +1375,6 @@ mod tests {
         assert_eq!(execution.plan.k, 2);
         assert!(execution.panel.baselines.is_empty(), "finalize attaches no comparison runs");
         assert_eq!(execution.panel.kspot.totals, totals, "the panel is the session's slice");
-        assert_eq!(execution.panel.sessions.len(), 1);
     }
 
     #[test]

@@ -75,23 +75,12 @@ pub struct SystemPanel {
     pub kspot: StrategyReport,
     /// Baseline executions of the same query (TAG, centralized collection, …).
     pub baselines: Vec<StrategyReport>,
-    /// Per-query-session reports ([`StrategyReport::from_scope`]): each registered
-    /// session's attributed totals and phase table, carved out of the shared ledger
-    /// without any solo run.  Empty for panels that describe a single dedicated
-    /// execution.
-    pub sessions: Vec<StrategyReport>,
 }
 
 impl SystemPanel {
     /// Creates the panel.
     pub fn new(kspot: StrategyReport, baselines: Vec<StrategyReport>) -> Self {
-        Self { kspot, baselines, sessions: Vec::new() }
-    }
-
-    /// Attaches per-session scope reports (the per-query phase table).
-    pub fn with_sessions(mut self, sessions: Vec<StrategyReport>) -> Self {
-        self.sessions = sessions;
-        self
+        Self { kspot, baselines }
     }
 
     /// Savings of the KSpot run against the named baseline, if that baseline exists.
@@ -157,26 +146,6 @@ impl fmt::Display for SystemPanel {
                 "│   kspot phase {:<18} {:>6} msgs {:>10} B",
                 phase, totals.messages, totals.bytes
             )?;
-        }
-        for session in &self.sessions {
-            writeln!(
-                f,
-                "│ {:<28} {:>10} {:>12} {:>14.2} {:>12}",
-                session.name,
-                session.totals.messages,
-                session.totals.bytes,
-                session.totals.energy_uj / 1000.0,
-                session.totals.tuples
-            )?;
-            for (phase, totals) in &session.phases {
-                writeln!(
-                    f,
-                    "│   {:<26} {:>6} msgs {:>10} B",
-                    format!("└ {phase}"),
-                    totals.messages,
-                    totals.bytes
-                )?;
-            }
         }
         write!(f, "└───────────────────────────────────────────────────────────────")
     }

@@ -1,13 +1,13 @@
 //! A minimal Rust lexer: just enough token structure for invariant rules.
 //!
 //! This is deliberately not a real Rust front-end. The rule passes behind
-//! [`crate::lint_file`] only need four things from the source text:
+//! [`crate::lint_source`] only need four things from the source text:
 //!
 //! 1. identifiers and punctuation with their line numbers,
 //! 2. string/char literal *contents* kept out of the identifier stream (so a
 //!    log message mentioning `partial_cmp` never fires R1),
 //! 3. comments stripped from the token stream but preserved separately (so
-//!    `// lint:` control markers can be parsed),
+//!    R8 can find the `// SAFETY:` comment above an `unsafe` block),
 //! 4. correct handling of raw strings and nested block comments, the two
 //!    constructs that break naive regex-based scanners.
 //!
@@ -332,11 +332,11 @@ mod tests {
 
     #[test]
     fn comments_are_collected_with_lines() {
-        let src = "let a = 1;\n// lint: allow(nan-ordering, fixture)\nlet b = 2;\n";
+        let src = "let a = 1;\n// SAFETY: fixture\nlet b = 2;\n";
         let (_, comments) = lex(src);
         assert_eq!(comments.len(), 1);
         assert_eq!(comments[0].line, 2);
-        assert_eq!(comments[0].text, "lint: allow(nan-ordering, fixture)");
+        assert_eq!(comments[0].text, "SAFETY: fixture");
     }
 
     #[test]

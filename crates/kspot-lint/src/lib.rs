@@ -19,17 +19,16 @@
 //! | R7 | `allow-deprecated` | everywhere |
 //! | R8 | `unsafe-confinement` | everywhere except `kspot-serve/src/sys.rs` (and the counting allocator of `kspot-algos/tests/alloc_budget.rs`) |
 //!
-//! Suppression is explicit and audited: `// lint: allow(<rule>, <reason>)`
-//! silences a finding on the marker's line or the line below;
-//! `// lint: lock-order(<why>)` does the same for R5 specifically. A marker
-//! without a reason, naming an unknown rule, or suppressing nothing is itself
-//! a finding (R0 `suppression`), so the audit trail can never silently rot.
+//! There is one way to exempt code: a path scope in [`FileContext`] (the RNG
+//! module for R4, the audited `unsafe` module, its crate root and the counting
+//! allocator for R8, the test trees). There are no in-source markers; a new
+//! exemption is a reviewed edit to `FileContext::from_path`.
 //!
 //! The crate is fully hermetic — no dependencies, not even the workspace
 //! shims — so the checker can never be broken by the code it polices. The
 //! binary (`cargo run -p kspot-lint`) walks every workspace `src/`, `tests/`,
 //! `examples/` and `benches/` tree (shims excluded, `fixtures/` corpora
-//! excluded) and exits non-zero on any unsuppressed finding.
+//! excluded) and exits non-zero on any finding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,11 +42,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The rule catalogue. `R0` is the meta-rule: defects in suppression markers.
+/// The rule catalogue. Ids start at `R1`; they are printed in findings, so they
+/// are never renumbered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// R0 — a `// lint:` marker that is malformed, reason-less or stale.
-    Suppression,
     /// R1 — `partial_cmp`-based float ordering (NaN-inconsistent comparators).
     NanOrdering,
     /// R2 — bare `.unwrap()` / empty `.expect("")` in library code.
@@ -69,10 +67,9 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Short id, `R0`–`R8`, as printed in findings and accepted by `allow()`.
+    /// Short id, `R1`–`R8`, as printed in findings.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::Suppression => "R0",
             Rule::NanOrdering => "R1",
             Rule::BareUnwrap => "R2",
             Rule::OrderLeak => "R3",
@@ -84,10 +81,9 @@ impl Rule {
         }
     }
 
-    /// Kebab-case name, as printed in findings and accepted by `allow()`.
+    /// Kebab-case name, as printed in findings.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::Suppression => "suppression",
             Rule::NanOrdering => "nan-ordering",
             Rule::BareUnwrap => "bare-unwrap",
             Rule::OrderLeak => "order-leak",
@@ -97,26 +93,6 @@ impl Rule {
             Rule::AllowDeprecated => "allow-deprecated",
             Rule::UnsafeConfinement => "unsafe-confinement",
         }
-    }
-
-    /// Parses a rule reference from an `allow()` marker: `R1`/`r1` or
-    /// `nan-ordering`. R0 is deliberately not parseable — marker-hygiene
-    /// findings cannot be suppressed by another marker.
-    pub fn parse(s: &str) -> Option<Rule> {
-        let s = s.trim().to_ascii_lowercase();
-        const SUPPRESSIBLE: [Rule; 8] = [
-            Rule::NanOrdering,
-            Rule::BareUnwrap,
-            Rule::OrderLeak,
-            Rule::RawRng,
-            Rule::LockDiscipline,
-            Rule::AllocBeforeValidate,
-            Rule::AllowDeprecated,
-            Rule::UnsafeConfinement,
-        ];
-        SUPPRESSIBLE
-            .into_iter()
-            .find(|r| s == r.id().to_ascii_lowercase() || s == r.name())
     }
 }
 
@@ -149,20 +125,6 @@ impl fmt::Display for Finding {
             self.file, self.line, self.rule, self.message, self.hint
         )
     }
-}
-
-/// A suppression that actually silenced at least one finding — the audit
-/// trail the binary prints alongside the verdict.
-#[derive(Debug, Clone)]
-pub struct Suppression {
-    /// Workspace-relative path of the marker.
-    pub file: String,
-    /// 1-based line of the marker comment.
-    pub line: u32,
-    /// The rule it silenced.
-    pub rule: Rule,
-    /// The stated reason.
-    pub reason: String,
 }
 
 /// Where a file sits in the workspace, which decides the rule scopes.
@@ -250,77 +212,9 @@ impl FileContext {
     }
 }
 
-/// Per-file lint result: surviving findings plus the suppressions applied.
-#[derive(Debug, Clone, Default)]
-pub struct FileReport {
-    /// Findings that survived suppression (including R0 marker hygiene).
-    pub findings: Vec<Finding>,
-    /// Markers that silenced at least one finding.
-    pub suppressions: Vec<Suppression>,
-}
-
-/// One parsed `// lint:` control marker.
-#[derive(Debug)]
-enum Marker {
-    /// `allow(<rule>, <reason>)`.
-    Allow {
-        line: u32,
-        rule: Option<Rule>,
-        raw_rule: String,
-        reason: String,
-    },
-    /// `lock-order(<why>)` — R5-specific suppression.
-    LockOrder { line: u32, reason: String },
-    /// Anything else starting with `lint:`.
-    Malformed { line: u32, text: String },
-}
-
-fn parse_markers(comments: &[lex::Comment]) -> Vec<Marker> {
-    let mut out = Vec::new();
-    for c in comments {
-        let Some(rest) = c.text.strip_prefix("lint:") else {
-            continue;
-        };
-        let d = rest.trim();
-        if let Some(inner) = strip_call(d, "allow") {
-            let (raw_rule, reason) = match inner.split_once(',') {
-                Some((r, why)) => (r.trim().to_string(), why.trim().to_string()),
-                None => (inner.trim().to_string(), String::new()),
-            };
-            out.push(Marker::Allow {
-                line: c.line,
-                rule: Rule::parse(&raw_rule),
-                raw_rule,
-                reason,
-            });
-        } else if let Some(inner) = strip_call(d, "lock-order") {
-            out.push(Marker::LockOrder {
-                line: c.line,
-                reason: inner.trim().to_string(),
-            });
-        } else {
-            out.push(Marker::Malformed {
-                line: c.line,
-                text: d.to_string(),
-            });
-        }
-    }
-    out
-}
-
-/// `allow(x, y)` with directive name `allow` → `Some("x, y")`. The marker
-/// must be the entire comment — trailing prose makes it malformed on purpose.
-fn strip_call<'a>(d: &'a str, name: &str) -> Option<&'a str> {
-    d.strip_prefix(name)?
-        .trim_start()
-        .strip_prefix('(')?
-        .strip_suffix(')')
-}
-
-/// Lints one file's source text: runs every rule, then applies suppression
-/// markers and marker-hygiene checks. This is the pure core the binary, the
-/// fixture tests and the workspace walker all share.
-pub fn lint_file(ctx: &FileContext, src: &str) -> FileReport {
+/// Lints one file's source text with every rule in scope for `ctx`. This is the
+/// pure core the binary, the fixture tests and the workspace walker all share.
+pub fn lint_source(ctx: &FileContext, src: &str) -> Vec<Finding> {
     let (toks, comments) = lex::lex(src);
     let in_test = rules::test_regions(&toks);
     let pass = rules::Pass {
@@ -330,124 +224,15 @@ pub fn lint_file(ctx: &FileContext, src: &str) -> FileReport {
         in_test: &in_test,
     };
     let mut findings = rules::run_all(&pass);
-    let markers = parse_markers(&comments);
-    let mut suppressions = Vec::new();
-
-    // A marker on its own line covers the next line; a trailing marker covers
-    // its own line.
-    let covers = |marker_line: u32, f: &Finding| f.line == marker_line || f.line == marker_line + 1;
-
-    for m in &markers {
-        match m {
-            Marker::Allow {
-                line,
-                rule: Some(rule),
-                reason,
-                ..
-            } if !reason.is_empty() => {
-                let before = findings.len();
-                for f in findings.iter().filter(|f| f.rule == *rule && covers(*line, f)) {
-                    suppressions.push(Suppression {
-                        file: ctx.path.clone(),
-                        line: *line,
-                        rule: f.rule,
-                        reason: reason.clone(),
-                    });
-                }
-                findings.retain(|f| !(f.rule == *rule && covers(*line, f)));
-                if before == findings.len() {
-                    findings.push(hygiene(
-                        ctx,
-                        *line,
-                        "allow marker suppresses nothing — stale markers must be removed",
-                        "delete the marker, or re-point it at the violating line",
-                    ));
-                }
-            }
-            Marker::Allow {
-                line,
-                rule: None,
-                raw_rule,
-                ..
-            } => {
-                findings.push(hygiene(
-                    ctx,
-                    *line,
-                    &format!("allow marker names unknown rule `{raw_rule}`"),
-                    "use R1-R8 or a rule name like `nan-ordering`; R0 cannot be suppressed",
-                ));
-            }
-            Marker::Allow { line, .. } => {
-                findings.push(hygiene(
-                    ctx,
-                    *line,
-                    "suppression without a reason — the audit trail requires one",
-                    "write `// lint: allow(<rule>, <why this site is safe>)`",
-                ));
-            }
-            Marker::LockOrder { line, reason } if !reason.is_empty() => {
-                // Unlike allow(), an unused lock-order marker is not a
-                // finding: the documented acquisition may be conditional.
-                for f in findings
-                    .iter()
-                    .filter(|f| f.rule == Rule::LockDiscipline && covers(*line, f))
-                {
-                    suppressions.push(Suppression {
-                        file: ctx.path.clone(),
-                        line: *line,
-                        rule: f.rule,
-                        reason: reason.clone(),
-                    });
-                }
-                findings.retain(|f| !(f.rule == Rule::LockDiscipline && covers(*line, f)));
-            }
-            Marker::LockOrder { line, .. } => {
-                findings.push(hygiene(
-                    ctx,
-                    *line,
-                    "lock-order marker without a reason — the audit trail requires one",
-                    "write `// lint: lock-order(<why this acquisition order is safe>)`",
-                ));
-            }
-            Marker::Malformed { line, text } => {
-                findings.push(hygiene(
-                    ctx,
-                    *line,
-                    &format!("unparseable lint control marker `lint: {text}`"),
-                    "only `lint: allow(<rule>, <reason>)` and `lint: lock-order(<why>)` exist",
-                ));
-            }
-        }
-    }
     findings.sort_by_key(|f| (f.line, f.rule));
-    FileReport {
-        findings,
-        suppressions,
-    }
-}
-
-fn hygiene(ctx: &FileContext, line: u32, message: &str, hint: &str) -> Finding {
-    Finding {
-        file: ctx.path.clone(),
-        line,
-        rule: Rule::Suppression,
-        message: message.to_string(),
-        hint: hint.to_string(),
-    }
-}
-
-/// Convenience wrapper for tests: findings only.
-pub fn lint_source(ctx: &FileContext, src: &str) -> Vec<Finding> {
-    lint_file(ctx, src).findings
+    findings
 }
 
 /// Whole-workspace lint result.
 #[derive(Debug, Default)]
 pub struct WorkspaceReport {
-    /// All surviving findings, ordered by (file, line, rule).
+    /// All findings, ordered by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// The full suppression audit trail.
-    pub suppressions: Vec<Suppression>,
     /// How many `.rs` files were scanned.
     pub files_scanned: usize,
 }
@@ -490,9 +275,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
             .replace('\\', "/");
         let ctx = FileContext::from_path(&rel);
         let src = fs::read_to_string(&file)?;
-        let mut fr = lint_file(&ctx, &src);
-        report.findings.append(&mut fr.findings);
-        report.suppressions.append(&mut fr.suppressions);
+        report.findings.append(&mut lint_source(&ctx, &src));
         report.files_scanned += 1;
     }
     report

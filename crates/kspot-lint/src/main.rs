@@ -1,5 +1,5 @@
 //! `cargo run -p kspot-lint [workspace-root]` — lint the workspace and exit
-//! non-zero on any unsuppressed finding. See the library docs and ADR-008 for
+//! non-zero on any finding. See the library docs and ADR-008 for
 //! the rule catalogue.
 
 use std::path::Path;
@@ -14,19 +14,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    for s in &report.suppressions {
-        println!(
-            "note: {}:{}: [{}] suppressed — {}",
-            s.file, s.line, s.rule, s.reason
-        );
-    }
     if report.findings.is_empty() {
-        println!(
-            "kspot-lint: {} files clean ({} suppression{} on record)",
-            report.files_scanned,
-            report.suppressions.len(),
-            if report.suppressions.len() == 1 { "" } else { "s" },
-        );
+        println!("kspot-lint: {} files clean", report.files_scanned);
         return ExitCode::SUCCESS;
     }
     for f in &report.findings {

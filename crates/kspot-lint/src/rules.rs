@@ -1,9 +1,8 @@
 //! The eight invariant rules (R1–R8), each a small pass over the token stream.
 //!
 //! Every rule is deny-by-default inside its scope (see
-//! [`crate::FileContext`]); escape hatches are the `// lint: allow(...)` and
-//! `// lint: lock-order(...)` markers applied afterwards by
-//! [`crate::lint_file`], never rule-internal special cases. Rationale for each
+//! [`crate::FileContext`]); the only exemptions are that type's path scopes,
+//! never rule-internal special cases or in-source markers. Rationale for each
 //! rule lives in `docs/adr/ADR-008-kspot-lint-invariant-checker.md`.
 
 use crate::lex::{Comment, TokKind, Token};
@@ -46,7 +45,7 @@ impl Pass<'_> {
     }
 }
 
-/// Runs every rule over one file; raw findings, suppression not yet applied.
+/// Runs every rule over one file; findings in rule order, unsorted.
 pub(crate) fn run_all(p: &Pass<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     nan_ordering(p, &mut out);
@@ -343,7 +342,7 @@ fn lock_discipline(p: &Pass<'_>, out: &mut Vec<Finding>) {
                             Rule::LockDiscipline,
                             line,
                             "second lock acquired while another guard is live — ADR-006 requires ascending deployment order",
-                            "order the acquisitions, or annotate with `// lint: lock-order(<why the order is safe>)`",
+                            "drop the first guard before taking the second, so one guard is live at a time",
                         ));
                     }
                     let guard = match &current_let {

@@ -1,5 +1,5 @@
-// Fixture: a reasoned lock-order marker documents and suppresses a
-// deliberate nested acquisition (the ADR-006 escape hatch).
+// Fixture: a comment shaped like a lock-order marker above a nested
+// acquisition. It silences nothing; R5 still fires on the second lock.
 use std::sync::Mutex;
 
 pub fn ordered(a: &Mutex<u64>, b: &Mutex<u64>) -> u64 {

@@ -1,9 +1,8 @@
 //! The fixture corpus: at least one firing and one non-firing case per rule
-//! R1–R8, plus the suppression grammar (reasoned `allow` silences with an
-//! audit trail; a reason-less, unknown-rule, stale or malformed marker is an
-//! R0 finding of its own).
+//! R1–R8. Exemptions are path scopes only: a comment that reads like a
+//! suppression marker silences nothing.
 
-use kspot_lint::{lint_file, lint_source, FileContext, Rule};
+use kspot_lint::{lint_source, FileContext, Rule};
 
 fn lib_ctx() -> FileContext {
     FileContext::from_path("crates/kspot-core/src/fixture.rs")
@@ -34,6 +33,12 @@ fn r1_fires_on_partial_cmp_and_total_cmp_passes() {
     assert!(fire[0].hint.contains("total_cmp"));
 
     assert!(fired(&lib_ctx(), include_str!("fixtures/r1_clean.rs")).is_empty());
+
+    // A marker-shaped comment above the sort silences nothing.
+    let fire = lint_source(&lib_ctx(), include_str!("fixtures/r1_marker.rs"));
+    assert_eq!(fire.len(), 1, "{fire:?}");
+    assert_eq!(fire[0].rule, Rule::NanOrdering);
+    assert_eq!(fire[0].line, 5, "the sort under the comment");
 }
 
 #[test]
@@ -128,15 +133,12 @@ fn r5_fires_on_nested_guards_and_passes_disciplined_code() {
     assert_eq!(fire[0].line, 6, "the second acquisition");
 
     assert!(fired(&lib_ctx(), include_str!("fixtures/r5_clean.rs")).is_empty());
-}
 
-#[test]
-fn r5_lock_order_marker_suppresses_with_audit_trail() {
-    let report = lint_file(&lib_ctx(), include_str!("fixtures/r5_marker.rs"));
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-    assert_eq!(report.suppressions.len(), 1);
-    assert_eq!(report.suppressions[0].rule, Rule::LockDiscipline);
-    assert!(report.suppressions[0].reason.contains("deployment order"));
+    // Neither does a lock-order comment above a nested acquisition.
+    let fire = lint_source(&lib_ctx(), include_str!("fixtures/r5_marker.rs"));
+    assert_eq!(fire.len(), 1, "{fire:?}");
+    assert_eq!(fire[0].rule, Rule::LockDiscipline);
+    assert_eq!(fire[0].line, 8, "the acquisition under the comment");
 }
 
 #[test]
@@ -249,47 +251,4 @@ fn r8_lets_the_modules_parent_allow_it_once_and_only_on_mod_sys() {
     // Anywhere else the same file has no door to open and the wrong root attribute.
     let elsewhere = "crates/kspot-store/src/lib.rs";
     assert_eq!(r8_lines(elsewhere, include_str!("fixtures/r8_parent_clean.rs")), [1, 6]);
-}
-
-#[test]
-fn reasoned_allow_suppresses_and_records_the_reason() {
-    let report = lint_file(&lib_ctx(), include_str!("fixtures/suppression_ok.rs"));
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-    assert_eq!(report.suppressions.len(), 1);
-    assert_eq!(report.suppressions[0].rule, Rule::NanOrdering);
-    assert!(report.suppressions[0].reason.contains("audit trail"));
-}
-
-#[test]
-fn defective_markers_are_r0_findings_and_do_not_suppress() {
-    let findings = lint_source(&lib_ctx(), include_str!("fixtures/suppression_bad.rs"));
-    let r0: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::Suppression)
-        .collect();
-    let r0_msgs: Vec<&str> = r0.iter().map(|f| f.message.as_str()).collect();
-    assert_eq!(r0.len(), 5, "{r0_msgs:?}");
-    assert!(r0_msgs.iter().any(|m| m.contains("without a reason")));
-    assert!(r0_msgs.iter().any(|m| m.contains("unknown rule")));
-    assert!(r0_msgs.iter().any(|m| m.contains("suppresses nothing")));
-    assert!(r0_msgs.iter().any(|m| m.contains("unparseable")));
-    assert!(r0_msgs.iter().any(|m| m.contains("lock-order marker")));
-
-    // None of the defective markers silenced anything: both partial_cmp sites
-    // and the undocumented second lock still fire.
-    let survived: Vec<Rule> = findings.iter().map(|f| f.rule).collect();
-    assert_eq!(
-        survived
-            .iter()
-            .filter(|r| **r == Rule::NanOrdering)
-            .count(),
-        2
-    );
-    assert_eq!(
-        survived
-            .iter()
-            .filter(|r| **r == Rule::LockDiscipline)
-            .count(),
-        1
-    );
 }

@@ -63,8 +63,8 @@ impl DutyCycle {
 /// no loss, no deaths, no sleeping — exactly the pre-fault behaviour of the substrate.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
-    /// Probability that a single unicast transmission attempt is lost (applied on top
-    /// of [`crate::radio::RadioModel::loss_probability`], whichever is configured).
+    /// Probability that a single unicast transmission attempt is lost: the simulator's
+    /// only loss model.
     pub link_loss: f64,
     /// Per-directed-link overrides of the loss probability, keyed by `(from, to)`.
     pub link_loss_overrides: BTreeMap<(NodeId, NodeId), f64>,
@@ -115,8 +115,7 @@ impl FaultPlan {
         self
     }
 
-    /// The per-attempt loss probability of the directed link `from → to` contributed by
-    /// this plan (the radio model may add its own).
+    /// The per-attempt loss probability of the directed link `from → to`.
     pub fn loss_probability(&self, from: NodeId, to: NodeId) -> f64 {
         self.link_loss_overrides.get(&(from, to)).copied().unwrap_or(self.link_loss)
     }
@@ -160,6 +159,12 @@ mod tests {
         assert_eq!(plan.loss_probability(1, 2), 0.1);
         assert_eq!(plan.loss_probability(3, 1), 0.9);
         assert_eq!(plan.loss_probability(1, 3), 0.1, "overrides are directed");
+    }
+
+    #[test]
+    #[should_panic(expected = "probability")]
+    fn with_link_loss_rejects_values_above_one() {
+        let _ = FaultPlan::none().with_link_loss(1.5);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! What the System Panel reports — and what the top-k algorithms are designed to
 //! minimise — is the number of messages and the number of payload bytes that cross the
 //! air.  [`RadioModel`] turns "a node sends `t` tuples to its parent" into a byte count
-//! and a transmission time, and optionally drops messages with a configurable
-//! probability to exercise the algorithms' robustness paths.
+//! and a transmission time.  Whether a transmission is lost is the fault plan's
+//! business ([`crate::fault::FaultPlan`]), not the radio's.
 
 use serde::{Deserialize, Serialize};
 
@@ -31,8 +31,6 @@ pub struct RadioModel {
     /// fragmented and each fragment pays the header again (TinyOS packets carry at most
     /// 29 payload bytes by default).
     pub max_payload_bytes: u32,
-    /// Probability that a transmitted message is lost (0.0 = perfect link).
-    pub loss_probability: f64,
 }
 
 impl RadioModel {
@@ -44,7 +42,6 @@ impl RadioModel {
             tuple_bytes: 12,
             control_bytes: 6,
             max_payload_bytes: 29,
-            loss_probability: 0.0,
         }
     }
 
@@ -57,15 +54,7 @@ impl RadioModel {
             tuple_bytes: 1,
             control_bytes: 1,
             max_payload_bytes: u32::MAX,
-            loss_probability: 0.0,
         }
-    }
-
-    /// Sets the loss probability, panicking if it is not a probability.
-    pub fn with_loss(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "loss probability must be in [0, 1]");
-        self.loss_probability = p;
-        self
     }
 
     /// Payload size in bytes of a message carrying `data_tuples` result tuples and
@@ -107,7 +96,6 @@ mod tests {
         let r = RadioModel::mica2();
         assert!(r.header_bytes > 0);
         assert!(r.tuple_bytes > r.control_bytes);
-        assert_eq!(r.loss_probability, 0.0);
     }
 
     #[test]
@@ -153,11 +141,5 @@ mod tests {
         let r = RadioModel::ideal();
         assert_eq!(r.on_air_bytes(r.payload_bytes(5, 0)), 5);
         assert_eq!(r.packets_for(5), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn with_loss_rejects_values_above_one() {
-        let _ = RadioModel::mica2().with_loss(1.5);
     }
 }

@@ -377,12 +377,7 @@ impl Network {
             return false;
         }
 
-        let loss = {
-            let radio = self.config.radio.loss_probability;
-            let fault = self.config.faults.loss_probability(msg.from, msg.to);
-            // Independent loss sources: the attempt survives only if it survives both.
-            1.0 - (1.0 - radio) * (1.0 - fault)
-        };
+        let loss = self.config.faults.loss_probability(msg.from, msg.to);
         let max_attempts = 1 + self.config.faults.max_retransmits;
         let mut attempt = 0;
         loop {
@@ -455,11 +450,7 @@ impl Network {
         if self.frame_batching() {
             // `effective_parent` only returns the sink or a participating node, so the
             // receiver always listens: a frame's fate is its channel's alone.
-            let loss = {
-                let radio = self.config.radio.loss_probability;
-                let fault = self.config.faults.loss_probability(from, parent);
-                1.0 - (1.0 - radio) * (1.0 - fault)
-            };
+            let loss = self.config.faults.loss_probability(from, parent);
             let max_attempts = 1 + self.config.faults.max_retransmits;
             let scope = self.current_scope;
             let seed = self.config.seed;
@@ -740,7 +731,7 @@ mod tests {
     #[test]
     fn lossy_radio_sometimes_drops_messages_but_sender_still_pays() {
         let config = NetworkConfig {
-            radio: RadioModel::mica2().with_loss(0.5),
+            faults: FaultPlan::none().with_link_loss(0.5),
             ..NetworkConfig::mica2()
         };
         let mut n = net(config);
@@ -770,8 +761,7 @@ mod tests {
     #[test]
     fn retransmits_recover_most_losses_and_are_accounted() {
         let config = NetworkConfig {
-            radio: RadioModel::mica2().with_loss(0.5),
-            faults: FaultPlan::none().with_retransmits(8),
+            faults: FaultPlan::none().with_link_loss(0.5).with_retransmits(8),
             ..NetworkConfig::mica2()
         };
         let mut n = net(config);
@@ -874,7 +864,7 @@ mod tests {
     #[test]
     fn scoped_loss_streams_are_independent_of_interleaving() {
         let config = || NetworkConfig {
-            radio: RadioModel::mica2().with_loss(0.4),
+            faults: FaultPlan::none().with_link_loss(0.4),
             ..NetworkConfig::mica2().with_seed(11)
         };
         // Run A: scope-3 sends interleaved with scope-5 sends sharing the substrate.
@@ -981,7 +971,7 @@ mod tests {
         // delivery outcomes must be identical — the fate stream is keyed by
         // (sender, receiver, epoch), not drawn in frame-open order.
         let config = || NetworkConfig {
-            radio: RadioModel::mica2().with_loss(0.5),
+            faults: FaultPlan::none().with_link_loss(0.5),
             ..NetworkConfig::mica2().with_seed(23)
         };
         let run = |with_decoy: bool| {
@@ -1023,7 +1013,7 @@ mod tests {
     fn deterministic_given_the_same_seed() {
         let run = |seed: u64| {
             let config = NetworkConfig {
-                radio: RadioModel::mica2().with_loss(0.3),
+                faults: FaultPlan::none().with_link_loss(0.3),
                 ..NetworkConfig::mica2().with_seed(seed)
             };
             let mut n = net(config);

@@ -7,13 +7,13 @@
 //! paths the algorithms need:
 //!
 //! * a *local top-k scan* (TJA's Lower-Bound phase asks each node for its k best epochs:
-//!   [`SlidingWindow::scan`] ranked by [`top_k_into`]);
+//!   [`SlidingWindow::as_slice`] ranked by [`top_k_into`]);
 //! * *point lookups by epoch* (TJA's Hierarchical-Join and Clean-Up phases ask for the
 //!   node's value at specific candidate epochs).
 //!
-//! Read costs are accounted in page reads so the energy of local storage access can be
-//! charged if an experiment wants to (flash reads are ~1000× cheaper than radio bytes,
-//! which is exactly why local filtering wins).
+//! The window keeps no read counter: the flash reads a query pays for are the page
+//! reads of restoring a checkpoint (`kspot_store::CheckpointStore::restore`, charged
+//! through [`crate::Network::charge_page_reads`]).
 //!
 //! [`WindowBank`] is the *engine-side* counterpart: one shared sliding window per node,
 //! fed once per epoch from the live readings, serving **every** registered historic
@@ -44,12 +44,6 @@ pub const FLASH_PAGE_READ_UJ: f64 = 24.0;
 pub struct SlidingWindow {
     capacity: usize,
     samples: VecDeque<(Epoch, Value)>,
-    /// Number of samples evicted because the window was full.
-    evicted: u64,
-    /// Number of logical page reads served (for storage-cost accounting).
-    page_reads: u64,
-    /// Samples per storage page (MicroHash-style page of a NAND flash).
-    samples_per_page: usize,
 }
 
 impl SlidingWindow {
@@ -59,9 +53,6 @@ impl SlidingWindow {
         Self {
             capacity,
             samples: VecDeque::with_capacity(capacity),
-            evicted: 0,
-            page_reads: 0,
-            samples_per_page: 16,
         }
     }
 
@@ -71,7 +62,7 @@ impl SlidingWindow {
     }
 
     /// Grows the retention capacity to at least `capacity`, keeping every buffered
-    /// sample and all accounting.  Shrinking is not supported — a window that already
+    /// sample.  Shrinking is not supported — a window that already
     /// promised `capacity` epochs of history to one query must not silently forget
     /// them when another query registers.
     pub fn grow_capacity(&mut self, capacity: usize) {
@@ -91,16 +82,6 @@ impl SlidingWindow {
         self.samples.is_empty()
     }
 
-    /// Number of samples evicted so far.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Logical page reads served so far.
-    pub fn page_reads(&self) -> u64 {
-        self.page_reads
-    }
-
     /// Appends a sample for `epoch`.  Epochs must be appended in non-decreasing order —
     /// sensors sample time monotonically.
     pub fn push(&mut self, epoch: Epoch, value: Value) {
@@ -109,20 +90,15 @@ impl SlidingWindow {
         }
         if self.samples.len() == self.capacity {
             self.samples.pop_front();
-            self.evicted += 1;
         }
         self.samples.push_back((epoch, value));
     }
 
     /// The value recorded at `epoch`, if it is still inside the window.
-    pub fn get(&mut self, epoch: Epoch) -> Option<Value> {
-        self.page_reads += 1;
+    pub fn get(&self, epoch: Epoch) -> Option<Value> {
         // Binary search: the deque is epoch-ordered.
-        let slice = self.samples.make_contiguous();
-        slice
-            .binary_search_by_key(&epoch, |&(e, _)| e)
-            .ok()
-            .map(|idx| slice[idx].1)
+        let at = self.samples.binary_search_by_key(&epoch, |&(e, _)| e).ok()?;
+        Some(self.samples[at].1)
     }
 
     /// Iterates over the buffered `(epoch, value)` samples, oldest first.
@@ -130,19 +106,10 @@ impl SlidingWindow {
         self.samples.iter().copied()
     }
 
-    /// The buffered samples as one slice, oldest first, without storage accounting —
-    /// [`Self::iter`] for callers that want to borrow rather than copy.
+    /// The buffered samples as one slice, oldest first — [`Self::iter`] for callers
+    /// that want to borrow rather than copy.
     pub fn as_slice(&mut self) -> &[(Epoch, Value)] {
         self.samples.make_contiguous()
-    }
-
-    /// All buffered samples, oldest first, **charged as one full window scan** in
-    /// page reads — the accounted counterpart of [`Self::as_slice`] for callers that
-    /// model a real flash pass (e.g. the span-filtered scans of
-    /// `kspot_algos::BankWindows`).
-    pub fn scan(&mut self) -> &[(Epoch, Value)] {
-        self.page_reads += (self.samples.len().div_ceil(self.samples_per_page)) as u64;
-        self.as_slice()
     }
 }
 
@@ -288,7 +255,7 @@ mod tests {
 
     #[test]
     fn push_and_get_round_trip() {
-        let mut w = window_with(&[(0, 10.0), (1, 20.0), (2, 15.0)], 8);
+        let w = window_with(&[(0, 10.0), (1, 20.0), (2, 15.0)], 8);
         assert_eq!(w.len(), 3);
         assert_eq!(w.get(1), Some(20.0));
         assert_eq!(w.get(5), None);
@@ -300,8 +267,7 @@ mod tests {
         for e in 0..10u64 {
             w.push(e, e as f64);
         }
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.evicted(), 7);
+        assert_eq!(Vec::from_iter(w.iter()), [(7, 7.0), (8, 8.0), (9, 9.0)]);
         assert_eq!(w.get(6), None, "evicted epochs are gone");
         assert_eq!(w.get(9), Some(9.0));
     }
@@ -310,26 +276,13 @@ mod tests {
     fn local_top_k_returns_best_values_with_deterministic_ties() {
         let mut w = window_with(&[(0, 5.0), (1, 9.0), (2, 9.0), (3, 1.0), (4, 7.0)], 16);
         let mut top = Vec::new();
-        top_k_into(w.scan(), 3, &mut top);
+        top_k_into(w.as_slice(), 3, &mut top);
         assert_eq!(top, vec![(1, 9.0), (2, 9.0), (4, 7.0)]);
         // Asking for more than we have returns everything, sorted.
-        top_k_into(w.scan(), 10, &mut top);
+        top_k_into(w.as_slice(), 10, &mut top);
         assert_eq!(top.len(), 5);
         assert_eq!(top[0], (1, 9.0));
         assert_eq!(top[4], (3, 1.0));
-    }
-
-    #[test]
-    fn page_reads_are_accounted() {
-        let mut w = SlidingWindow::new(64);
-        for e in 0..64u64 {
-            w.push(e, 0.0);
-        }
-        assert_eq!(w.page_reads(), 0);
-        let _ = w.scan();
-        assert_eq!(w.page_reads(), 4, "64 samples at 16 per page = 4 page reads");
-        let _ = w.get(3);
-        assert_eq!(w.page_reads(), 5);
     }
 
     #[test]
@@ -352,14 +305,17 @@ mod tests {
         w.push(0, 1.0);
         w.push(1, 2.0);
         w.push(2, 3.0); // evicts epoch 0
-        assert_eq!(w.evicted(), 1);
+        assert_eq!(Vec::from_iter(w.iter()), [(1, 2.0), (2, 3.0)]);
         w.grow_capacity(4);
         assert_eq!(w.capacity(), 4);
         assert_eq!(w.len(), 2, "growth keeps the buffered samples");
         w.push(3, 4.0);
         w.push(4, 5.0);
-        assert_eq!(w.len(), 4);
-        assert_eq!(w.evicted(), 1, "no eviction until the new capacity fills");
+        assert_eq!(
+            Vec::from_iter(w.iter()),
+            [(1, 2.0), (2, 3.0), (3, 4.0), (4, 5.0)],
+            "no eviction until the new capacity fills"
+        );
         w.grow_capacity(1);
         assert_eq!(w.capacity(), 4, "shrinking is ignored");
     }

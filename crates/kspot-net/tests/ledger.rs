@@ -9,7 +9,7 @@
 
 use kspot_net::fault::{DutyCycle, FaultPlan};
 use kspot_net::types::SINK;
-use kspot_net::{Deployment, Message, Network, NetworkConfig, PhaseTag, RadioModel};
+use kspot_net::{Deployment, Message, Network, NetworkConfig, PhaseTag};
 use kspot_testkit::invariants::check_ledger;
 use proptest::prelude::*;
 
@@ -48,7 +48,7 @@ proptest! {
         let d = Deployment::clustered_rooms(rooms, per_room, 20.0, kspot_net::rng::topology_seed(seed));
         let n = d.num_nodes() as u32;
         let mut faults = FaultPlan::none()
-            .with_link_loss(f64::from(loss_pct) / 100.0)
+            .with_link_loss(0.05 + 0.95 * f64::from(loss_pct) / 100.0)
             .with_retransmits(retransmits);
         if kill {
             faults = faults.with_node_death(1 + (seed % u64::from(n)) as u32, (epochs / 2) as u64);
@@ -57,7 +57,6 @@ proptest! {
             faults = faults.with_duty_cycle(DutyCycle::new(3, 2));
         }
         let config = NetworkConfig::mica2()
-            .with_radio(RadioModel::mica2().with_loss(0.05))
             .with_seed(kspot_net::rng::substrate_seed(seed))
             .with_faults(faults);
         let mut net = Network::new(d, config);

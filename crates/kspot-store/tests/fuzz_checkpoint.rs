@@ -48,7 +48,7 @@ fn bank_by_map(image: SnapshotImage) -> WindowBank {
 
 /// Demands that `image` restores to the bank the map-based replay arrives at, field by
 /// field: `Debug` prints every field of the bank and of each window (capacity, nodes,
-/// samples in order, `epochs`, `fed`, `evicted`, `page_reads`), finite values uniquely.
+/// samples in order, `epochs`, `fed`), finite values uniquely.
 fn assert_restores_like_the_replay(image: SnapshotImage) {
     let (restored, replayed) = (image.clone().into_bank(), bank_by_map(image));
     assert_eq!(format!("{restored:?}"), format!("{replayed:?}"));
