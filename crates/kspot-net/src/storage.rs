@@ -156,6 +156,30 @@ impl WindowBank {
         Self { capacity, ..Self::default() }
     }
 
+    /// Adopts ready-made windows as a bank — what restoring a checkpoint image builds
+    /// without replaying it epoch by epoch.  `windows` holds each node's samples,
+    /// ascending by node, each ascending in epoch and at most `capacity` long; every
+    /// buffer becomes its window's as it is, so a window reserves what it holds.
+    /// `covered` is the covered span, ascending, and `fed` the epochs ever fed.
+    pub fn from_windows(
+        capacity: usize,
+        windows: Vec<(NodeId, Vec<(Epoch, Value)>)>,
+        covered: Vec<Epoch>,
+        fed: u64,
+    ) -> Self {
+        assert!(capacity > 0, "window bank capacity must be positive");
+        assert!(covered.len() <= capacity && covered.len() as u64 <= fed, "a span the bank cannot cover");
+        assert!(windows.windows(2).all(|pair| pair[0].0 < pair[1].0), "windows ascend by node");
+        let (nodes, windows) = windows
+            .into_iter()
+            .map(|(node, samples)| {
+                assert!(samples.len() <= capacity, "node {node} holds more than the capacity");
+                (node, SlidingWindow { capacity, samples: samples.into() })
+            })
+            .unzip();
+        Self { capacity, nodes, windows, epochs: covered.into(), fed }
+    }
+
     /// The per-node retention capacity, in epochs.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -355,6 +379,18 @@ mod tests {
         assert_eq!(bank.window_mut(1).unwrap().len(), 4);
         bank.grow_capacity(1);
         assert_eq!(bank.capacity(), 4, "shrinking is ignored");
+    }
+
+    #[test]
+    fn adopted_windows_are_the_fed_bank_and_reserve_what_they_hold() {
+        let mut fed = WindowBank::new(1 << 20);
+        fed.feed(&[reading(2, 7, 1.0)]);
+        fed.feed(&[reading(2, 8, 2.0), reading(5, 8, 3.0)]);
+        let adopted =
+            WindowBank::from_windows(1 << 20, vec![(2, vec![(7, 1.0), (8, 2.0)]), (5, vec![(8, 3.0)])], vec![7, 8], 2);
+        assert_eq!(format!("{adopted:?}"), format!("{fed:?}"));
+        let reserved: Vec<usize> = adopted.windows.iter().map(|w| w.samples.capacity()).collect();
+        assert_eq!(reserved, [2, 1], "not the logical capacity");
     }
 
     #[test]

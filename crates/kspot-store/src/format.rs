@@ -63,7 +63,7 @@
 //! under version 2, and no version-1 reader is kept.
 
 use kspot_net::codec::{put_u16, put_u32, put_u64, CodecError, Reader};
-use kspot_net::{Epoch, NodeId, Reading, Value, WindowBank, FLASH_PAGE_BYTES, SINK};
+use kspot_net::{Epoch, NodeId, Value, WindowBank, FLASH_PAGE_BYTES, SINK};
 use std::fmt;
 
 /// Checkpoint format revision; bumped on any incompatible layout change.
@@ -218,9 +218,12 @@ pub fn encode_image(bank: &WindowBank, epoch: Epoch) -> Vec<u8> {
     for (node, window) in bank.windows() {
         put_u32(&mut out, node);
         put_u32(&mut out, window.len() as u32);
-        for (e, v) in window.iter() {
-            put_u64(&mut out, e);
-            put_u64(&mut out, v.to_bits());
+        // The record's samples in one pass over their slots, sized up front.
+        let run = out.len();
+        out.resize(run + 16 * window.len(), 0);
+        for (slot, (e, v)) in out[run..].chunks_exact_mut(16).zip(window.iter()) {
+            slot[..8].copy_from_slice(&e.to_be_bytes());
+            slot[8..].copy_from_slice(&v.to_bits().to_be_bytes());
         }
     }
     checksum_seal(out)
@@ -276,50 +279,32 @@ fn unsealed(bytes: &[u8], magic: [u8; 4]) -> Result<Reader<'_>, StoreError> {
     Ok(Reader::at(payload, pos)?)
 }
 
-/// One decoded, validated checkpoint snapshot.
-#[derive(Debug, Clone, PartialEq)]
+/// One decoded, validated checkpoint snapshot: the bank it was taken of, and what each
+/// node record held.
+#[derive(Debug, Clone)]
 pub struct SnapshotImage {
     /// The newest epoch the snapshot covers.
     pub epoch: Epoch,
-    /// Bank capacity (epochs) at checkpoint time.
-    pub capacity: usize,
-    /// Per-node buffered samples, ascending node id, each ascending epoch.
-    pub nodes: Vec<(NodeId, Vec<(Epoch, Value)>)>,
+    /// Every node record, ascending node id, with its sample count — an empty record
+    /// included: it holds no window but occupies a page, and a restore reads it.
+    pub records: Vec<(NodeId, usize)>,
+    /// The restored bank, at the image's capacity: a window per record that holds a
+    /// sample, the last `capacity` distinct sample epochs as its span, and as many
+    /// epochs fed as there are distinct ones — the bank that feeding the image's samples
+    /// epoch by epoch would leave.
+    pub bank: WindowBank,
 }
 
-impl SnapshotImage {
-    /// Rebuilds a live [`WindowBank`] holding exactly the snapshot's samples, by
-    /// replaying the snapshot epoch by epoch through the bank's only mutation path —
-    /// so a restored bank is indistinguishable from one that buffered the readings
-    /// live.  The image is a column per node and a feed is a row per epoch: the
-    /// columns are strictly ascending in epoch (the decoder checked, and an image built
-    /// by hand must keep to it), so one cursor per column transposes them, the oldest
-    /// epoch any cursor points at being the next row.
-    pub fn into_bank(self) -> WindowBank {
-        let mut bank = WindowBank::new(self.capacity);
-        let mut cursors = vec![0usize; self.nodes.len()];
-        let mut row: Vec<Reading> = Vec::with_capacity(self.nodes.len());
-        let mut oldest = self.nodes.iter().filter_map(|(_, column)| column.first()).map(|&(e, _)| e).min();
-        while let Some(epoch) = oldest.take() {
-            row.clear();
-            for ((node, column), at) in self.nodes.iter().zip(&mut cursors) {
-                if let Some(&(e, value)) = column.get(*at).filter(|&&(e, _)| e == epoch) {
-                    row.push(Reading::new(*node, 0, e, value));
-                    *at += 1;
-                }
-                if let Some(&(next, _)) = column.get(*at) {
-                    oldest = Some(oldest.map_or(next, |o: Epoch| o.min(next)));
-                }
-            }
-            bank.feed(&row);
-        }
-        bank
-    }
-}
-
-/// Decodes and validates one checkpoint image.  Every structural invariant the
-/// encoder guarantees is re-checked here, because the bytes may not have come from
-/// the encoder at all.
+/// Decodes and validates one checkpoint image straight into the bank it snapshots.
+/// Every structural invariant the encoder guarantees is re-checked here, because the
+/// bytes may not have come from the encoder at all.
+///
+/// A node record is one contiguous run of 16-byte samples, so each is bounds-checked
+/// once and read in one validating pass into a window sized by its sample count — never
+/// by the declared capacity, which no byte backs.  The bank's span is the union of the
+/// records' epochs: a live bank writes the same epochs into every record, so a record
+/// costs one comparison of its epochs with the first window's, and only a record that
+/// differs (which only a hand-built image has) is merged in.
 pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, StoreError> {
     let mut c = unsealed(bytes, IMAGE_MAGIC)?;
     let epoch = c.u64()?;
@@ -334,7 +319,10 @@ pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, StoreError> {
     let declared_nodes = c.u32()?;
     // Each node record is at least 8 bytes (id + sample count).
     let node_count = c.count(declared_nodes, 8)?;
-    let mut nodes: Vec<(NodeId, Vec<(Epoch, Value)>)> = Vec::with_capacity(node_count);
+    let mut records: Vec<(NodeId, usize)> = Vec::with_capacity(node_count);
+    let mut windows: Vec<(NodeId, Vec<(Epoch, Value)>)> = Vec::with_capacity(node_count);
+    // The epochs of every record whose epochs differ from the first window's.
+    let mut strays: Vec<Epoch> = Vec::new();
     let mut prev_node: Option<NodeId> = None;
     for _ in 0..node_count {
         let node = c.u32()?;
@@ -354,25 +342,46 @@ pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, StoreError> {
                 max: capacity as u64,
             });
         }
+        records.push((node, sample_count));
+        let run = c.take(16 * sample_count)?;
+        if sample_count == 0 {
+            continue;
+        }
         let mut samples: Vec<(Epoch, Value)> = Vec::with_capacity(sample_count);
-        for _ in 0..sample_count {
-            let e = c.u64()?;
+        let mut prev: Option<Epoch> = None;
+        for sample in run.chunks_exact(16) {
+            let word = |at: usize| u64::from_be_bytes(sample[at..at + 8].try_into().expect("8 bytes"));
+            let e = word(0);
             if e > epoch {
                 return Err(StoreError::Corrupt("sample epoch past the snapshot epoch"));
             }
-            if samples.last().is_some_and(|&(prev, _)| e <= prev) {
+            if prev.is_some_and(|p| e <= p) {
                 return Err(StoreError::Corrupt("sample epochs not strictly ascending"));
             }
-            let v = Value::from_bits(c.u64()?);
+            let v = Value::from_bits(word(8));
             if !v.is_finite() {
                 return Err(StoreError::Corrupt("non-finite sample value"));
             }
+            prev = Some(e);
             samples.push((e, v));
         }
-        nodes.push((node, samples));
+        if let Some((_, first)) = windows.first() {
+            if !samples.iter().map(|s| s.0).eq(first.iter().map(|s| s.0)) {
+                strays.extend(samples.iter().map(|s| s.0));
+            }
+        }
+        windows.push((node, samples));
     }
     c.finish()?;
-    Ok(SnapshotImage { epoch, capacity, nodes })
+    let mut epochs: Vec<Epoch> = windows.first().map_or_else(Vec::new, |(_, w)| w.iter().map(|s| s.0).collect());
+    if !strays.is_empty() {
+        epochs.append(&mut strays);
+        epochs.sort_unstable();
+        epochs.dedup();
+    }
+    let fed = epochs.len() as u64;
+    epochs.drain(..epochs.len().saturating_sub(capacity));
+    Ok(SnapshotImage { epoch, records, bank: WindowBank::from_windows(capacity, windows, epochs, fed) })
 }
 
 /// One manifest entry: a retained image's snapshot epoch and its byte extent on the
@@ -459,6 +468,7 @@ pub fn split_manifest(bytes: &[u8]) -> Result<(Manifest, &[u8]), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kspot_net::Reading;
 
     fn sample_bank() -> WindowBank {
         let mut bank = WindowBank::new(4);
@@ -477,12 +487,13 @@ mod tests {
         let bytes = encode_image(&bank, 5);
         let image = decode_image(&bytes).expect("decodes");
         assert_eq!(image.epoch, 5);
-        assert_eq!(image.capacity, 4);
-        assert_eq!(image.nodes.len(), 3);
+        assert_eq!(image.records, [(1, 4), (2, 4), (3, 4)]);
+        let mut restored = image.bank;
+        assert_eq!(restored.capacity(), 4);
         // The ring evicted epochs 0..2, the snapshot holds the last 4.
-        assert_eq!(image.nodes[0].1.first().unwrap().0, 2);
-        let mut restored = image.into_bank();
+        assert_eq!(restored.window_mut(1).unwrap().iter().next().unwrap().0, 2);
         assert!(restored.epochs().eq(bank.epochs()));
+        assert_eq!(restored.epochs_fed(), 4, "one epoch fed per epoch the snapshot holds");
         assert_eq!(restored.node_ids(), bank.node_ids());
         for node in bank.node_ids().to_vec() {
             let orig: Vec<_> = bank.window_mut(node).unwrap().iter().collect();
@@ -518,7 +529,7 @@ mod tests {
             assert!(decode_image(&good[..cut]).is_err());
         }
 
-        assert_eq!(decode_image(&[]), Err(StoreError::Truncated));
+        assert_eq!(decode_image(&[]).err(), Some(StoreError::Truncated));
         assert_eq!(decode_manifest(&good), Err(StoreError::BadMagic));
     }
 
@@ -532,7 +543,7 @@ mod tests {
         put_u64(&mut out, 5);
         put_u32(&mut out, 16);
         put_u32(&mut out, u32::MAX);
-        assert_eq!(decode_image(&checksum_seal(out)), Err(StoreError::Truncated));
+        assert_eq!(decode_image(&checksum_seal(out)).err(), Some(StoreError::Truncated));
 
         // A per-node sample count beyond the declared capacity is oversize even when
         // enough bytes exist.
@@ -545,8 +556,8 @@ mod tests {
         img.truncate(img.len() - 8);
         img[14..18].copy_from_slice(&1u32.to_be_bytes());
         assert_eq!(
-            decode_image(&checksum_seal(img)),
-            Err(StoreError::Oversize { what: "sample count", declared: 2, max: 1 })
+            decode_image(&checksum_seal(img)).err(),
+            Some(StoreError::Oversize { what: "sample count", declared: 2, max: 1 })
         );
     }
 
@@ -566,8 +577,8 @@ mod tests {
             put_u64(&mut out, 1.0f64.to_bits());
         }
         assert_eq!(
-            decode_image(&checksum_seal(out)),
-            Err(StoreError::Corrupt("node ids not strictly ascending"))
+            decode_image(&checksum_seal(out)).err(),
+            Some(StoreError::Corrupt("node ids not strictly ascending"))
         );
 
         let good = encode_manifest(1, 2, &[(0, 10), (1, 10)]);
@@ -590,6 +601,33 @@ mod tests {
             patched(14, &1u32.to_be_bytes()),
             Err(StoreError::Oversize { what: "entry count", declared: 2, max: 1 })
         );
+    }
+
+    #[test]
+    fn sample_checks_keep_their_order() {
+        // One re-sealed record of two samples.  Where the second breaks two rules, the
+        // first in decoding order names the error: the epoch bound, then the order,
+        // then the value.
+        let second = |e: u64, v: f64| {
+            let mut out = IMAGE_MAGIC.to_vec();
+            put_u16(&mut out, FORMAT_VERSION);
+            put_u64(&mut out, 10); // snapshot epoch
+            put_u32(&mut out, 8);
+            put_u32(&mut out, 1);
+            put_u32(&mut out, 1);
+            put_u32(&mut out, 2);
+            for (e, v) in [(5, 1.0), (e, v)] {
+                put_u64(&mut out, e);
+                put_u64(&mut out, f64::to_bits(v));
+            }
+            decode_image(&checksum_seal(out)).err()
+        };
+        let corrupt = |why| Some(StoreError::Corrupt(why));
+        assert_eq!(second(11, f64::NAN), corrupt("sample epoch past the snapshot epoch"));
+        assert_eq!(second(5, f64::NAN), corrupt("sample epochs not strictly ascending"));
+        assert_eq!(second(4, 2.0), corrupt("sample epochs not strictly ascending"));
+        assert_eq!(second(6, f64::NEG_INFINITY), corrupt("non-finite sample value"));
+        assert_eq!(second(10, 2.0), None);
     }
 
     #[test]
@@ -685,7 +723,7 @@ mod tests {
         image.truncate(image.len() - 8);
         image[4..6].copy_from_slice(&1u16.to_be_bytes());
         let image = fnv1a_sealed(image);
-        assert_eq!(decode_image(&image), Err(StoreError::BadVersion(1)));
+        assert_eq!(decode_image(&image).err(), Some(StoreError::BadVersion(1)));
 
         let mut manifest = Vec::new();
         manifest.extend_from_slice(&MANIFEST_MAGIC);

@@ -124,10 +124,10 @@ impl CheckpointStore {
             .find(|(e, _)| *e == epoch)
             .ok_or(StoreError::NoSnapshot(epoch))?;
         let image = decode_image(bytes)?;
-        for (node, samples) in &image.nodes {
-            net.charge_page_reads(*node, pages_for(8 + samples.len() * 16));
+        for &(node, samples) in &image.records {
+            net.charge_page_reads(node, pages_for(8 + samples * 16));
         }
-        Ok(BankWindows::new(image.into_bank(), window))
+        Ok(BankWindows::new(image.bank, window))
     }
 
     /// Restores the newest snapshot into a bare [`WindowBank`] without charging —
@@ -136,7 +136,7 @@ impl CheckpointStore {
     pub fn restore_latest_bank(&self) -> Result<Option<WindowBank>, StoreError> {
         match self.images.back() {
             None => Ok(None),
-            Some((_, bytes)) => Ok(Some(decode_image(bytes)?.into_bank())),
+            Some((_, bytes)) => Ok(Some(decode_image(bytes)?.bank)),
         }
     }
 
@@ -264,6 +264,55 @@ mod tests {
             StoreError::NoSnapshot(4),
             "AS OF must name a checkpointed epoch"
         );
+    }
+
+    #[test]
+    fn an_empty_record_holds_no_window_but_its_page_is_read() {
+        // A live bank writes no empty record, so the image is built by hand: node 1
+        // holds 16 samples (264 bytes, two pages), node 2 none (one page: its id and
+        // count), node 3 one sample (one page).
+        use crate::format::{checksum_seal, FORMAT_VERSION, IMAGE_MAGIC};
+        use kspot_net::codec::{put_u16, put_u32, put_u64};
+        use kspot_net::{StorageTotals, FLASH_PAGE_READ_UJ};
+        let mut image = IMAGE_MAGIC.to_vec();
+        put_u16(&mut image, FORMAT_VERSION);
+        put_u64(&mut image, 20); // snapshot epoch
+        put_u32(&mut image, 16); // capacity
+        put_u32(&mut image, 3);
+        for (node, epochs) in [(1u32, 5..21u64), (2, 0..0), (3, 20..21)] {
+            put_u32(&mut image, node);
+            put_u32(&mut image, epochs.clone().count() as u32);
+            for e in epochs {
+                put_u64(&mut image, e);
+                put_u64(&mut image, (e as f64 + f64::from(node)).to_bits());
+            }
+        }
+        let image = checksum_seal(image);
+        let mut bytes = encode_manifest(1, 1, &[(20, image.len())]);
+        bytes.extend_from_slice(&image);
+        let store = CheckpointStore::from_bytes(&bytes).expect("a valid store");
+
+        let mut net = test_net(4);
+        net.set_query_scope(Some(7));
+        let view = store.restore(20, 16, &mut net).expect("epoch 20 is retained");
+        net.set_query_scope(None);
+        assert_eq!(view.bank().node_ids(), [1, 3], "no window for the empty record");
+        assert_eq!(view.bank().epochs_fed(), 16);
+
+        // What restoring this image charged before the decoder built the bank itself.
+        let read = |pages: u64| StorageTotals {
+            pages_read: pages,
+            energy_uj: pages as f64 * FLASH_PAGE_READ_UJ,
+            ..StorageTotals::default()
+        };
+        let metrics = net.metrics();
+        assert_eq!(metrics.storage_totals(), read(4));
+        assert_eq!(metrics.storage_scope(7), read(4), "the restoring session pays every page");
+        for (node, pages) in [(1, 2), (2, 1), (3, 1), (4, 0)] {
+            assert_eq!(metrics.node_storage(node), read(pages), "node {node}");
+            let battery = net.batteries().get(node);
+            assert_eq!(battery.capacity_uj() - battery.remaining_uj(), read(pages).energy_uj, "node {node}");
+        }
     }
 
     #[test]

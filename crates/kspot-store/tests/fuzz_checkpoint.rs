@@ -18,47 +18,113 @@
 //! decode failures into wire error frames.
 //!
 //! Whatever *does* decode must restore to the bank the snapshot was taken of:
-//! `SnapshotImage::into_bank` transposes the image's columns with one cursor per node,
-//! and its predecessor — regroup by epoch in a map, then feed — lives on here as the
-//! oracle, over the same corpus and over random ragged images.
+//! `decode_image` builds the bank straight from the image's node records, and the
+//! replay it replaced — the samples regrouped by epoch in a map, then fed epoch by
+//! epoch — lives on here as the oracle, over the same corpus and over random ragged
+//! images.  The oracle reads the records through a parser of its own, not through the
+//! decoder it judges.  The encoder's one pass is held to the `put_u*` loop it replaced
+//! the same way.
 
-use kspot_net::codec::{put_u16, put_u32, put_u64};
-use kspot_net::{Epoch, Reading, WindowBank};
-use kspot_store::{
-    checksum_seal, decode_image, decode_manifest, CheckpointStore, SnapshotImage, StoreError,
-};
+use kspot_net::codec::{put_u16, put_u32, put_u64, Reader};
+use kspot_net::{Epoch, NodeId, Reading, WindowBank};
+use kspot_store::{checksum_seal, decode_image, decode_manifest, CheckpointStore, SnapshotImage, StoreError};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// `SnapshotImage::into_bank` as it was before it transposed: the samples regrouped by
-/// epoch in a map, each epoch's readings then fed in one go.
-fn bank_by_map(image: SnapshotImage) -> WindowBank {
+/// One node record: the node and its samples.
+type Column = (NodeId, Vec<(Epoch, f64)>);
+
+/// The capacity and node records of an image `decode_image` accepted, read by hand.
+fn columns_of(bytes: &[u8]) -> (usize, Vec<Column>) {
+    let field = "a field the decoder read";
+    let mut r = Reader::at(bytes, 4 + 2 + 8).expect("past magic, version and epoch");
+    let capacity = r.u32().expect(field) as usize;
+    let mut columns = Vec::new();
+    for _ in 0..r.u32().expect(field) {
+        let node = r.u32().expect(field);
+        let mut samples = Vec::new();
+        for _ in 0..r.u32().expect(field) {
+            samples.push((r.u64().expect(field), f64::from_bits(r.u64().expect(field))));
+        }
+        columns.push((node, samples));
+    }
+    assert_eq!(r.remaining(), 8, "the seal, and nothing else, follows the records");
+    (capacity, columns)
+}
+
+/// The bank restoring an image left before it decoded into the bank: the samples
+/// regrouped by epoch in a map, each epoch's readings then fed in one go.
+fn bank_by_map(capacity: usize, columns: &[Column]) -> WindowBank {
     let mut by_epoch: BTreeMap<Epoch, Vec<Reading>> = BTreeMap::new();
-    for (node, samples) in image.nodes {
-        for (epoch, value) in samples {
-            by_epoch.entry(epoch).or_default().push(Reading::new(node, 0, epoch, value));
+    for (node, samples) in columns {
+        for &(epoch, value) in samples {
+            by_epoch.entry(epoch).or_default().push(Reading::new(*node, 0, epoch, value));
         }
     }
-    let mut bank = WindowBank::new(image.capacity);
+    let mut bank = WindowBank::new(capacity);
     for readings in by_epoch.values() {
         bank.feed(readings);
     }
     bank
 }
 
-/// Demands that `image` restores to the bank the map-based replay arrives at, field by
-/// field: `Debug` prints every field of the bank and of each window (capacity, nodes,
-/// samples in order, `epochs`, `fed`), finite values uniquely.
-fn assert_restores_like_the_replay(image: SnapshotImage) {
-    let (restored, replayed) = (image.clone().into_bank(), bank_by_map(image));
-    assert_eq!(format!("{restored:?}"), format!("{replayed:?}"));
+/// Demands that `image`, decoded from `bytes`, restores to the bank the map-based
+/// replay arrives at, field by field — `Debug` prints every field of the bank and of
+/// each window (capacity, nodes, samples in order, `epochs`, `fed`), finite values
+/// uniquely — and reports every record's sample count, empty ones included.
+fn assert_restores_like_the_replay(bytes: &[u8], image: &SnapshotImage) {
+    let (capacity, columns) = columns_of(bytes);
+    let counts: Vec<(NodeId, usize)> = columns.iter().map(|(node, samples)| (*node, samples.len())).collect();
+    assert_eq!(image.records, counts);
+    assert_eq!(format!("{:?}", image.bank), format!("{:?}", bank_by_map(capacity, &columns)));
+}
+
+/// `encode_image` as it was before it wrote a record's samples in one pass, verbatim
+/// but for the private header-size constant, spelled out.
+fn encode_by_puts(bank: &WindowBank, epoch: Epoch) -> Vec<u8> {
+    // Header, one record per window, checksum: the image's exact size.
+    let image_bytes =
+        (4 + 2 + 8 + 4 + 4) + bank.windows().map(|(_, w)| 8 + 16 * w.len()).sum::<usize>() + 8;
+    let mut out = Vec::with_capacity(image_bytes);
+    out.extend_from_slice(&kspot_store::IMAGE_MAGIC);
+    put_u16(&mut out, kspot_store::FORMAT_VERSION);
+    put_u64(&mut out, epoch);
+    put_u32(&mut out, bank.capacity() as u32);
+    put_u32(&mut out, bank.node_ids().len() as u32);
+    for (node, window) in bank.windows() {
+        put_u32(&mut out, node);
+        put_u32(&mut out, window.len() as u32);
+        for (e, v) in window.iter() {
+            put_u64(&mut out, e);
+            put_u64(&mut out, v.to_bits());
+        }
+    }
+    checksum_seal(out)
+}
+
+/// A sealed image of hand-built records — which, unlike a bank's, may be empty.
+fn image_of_columns(epoch: Epoch, capacity: usize, columns: &[Column]) -> Vec<u8> {
+    let mut out = kspot_store::IMAGE_MAGIC.to_vec();
+    put_u16(&mut out, kspot_store::FORMAT_VERSION);
+    put_u64(&mut out, epoch);
+    put_u32(&mut out, capacity as u32);
+    put_u32(&mut out, columns.len() as u32);
+    for (node, samples) in columns {
+        put_u32(&mut out, *node);
+        put_u32(&mut out, samples.len() as u32);
+        for &(e, v) in samples {
+            put_u64(&mut out, e);
+            put_u64(&mut out, v.to_bits());
+        }
+    }
+    checksum_seal(out)
 }
 
 /// Drives every untrusted decode entry point; the property is "this returns", and an
 /// image that decodes restores like the replay.
 fn exercise_decoders(bytes: &[u8]) {
     match decode_image(bytes) {
-        Ok(image) => assert_restores_like_the_replay(image),
+        Ok(image) => assert_restores_like_the_replay(bytes, &image),
         Err(e) => {
             let _ = e.to_string();
         }
@@ -137,8 +203,8 @@ proptest! {
         match decode_image(&bad) {
             // A flip set that cancels out reproduces the original image.
             Ok(image) => {
-                prop_assert_eq!(bad, good, "epoch {}", image.epoch);
-                assert_restores_like_the_replay(image);
+                prop_assert_eq!(&bad, &good, "epoch {}", image.epoch);
+                assert_restores_like_the_replay(&bad, &image);
             }
             Err(e) => { let _ = e.to_string(); }
         }
@@ -169,14 +235,15 @@ proptest! {
 
     #[test]
     fn ragged_images_restore_like_the_replay(
-        // Per node: an id gap, the first of 40 epochs it was up for, and which of the
-        // following ones it sampled — columns of any length, start and density.
-        columns in prop::collection::vec((1u32..5, 0u64..40, 0u64..u64::MAX), 1usize..12),
+        // Per node: an id gap, the first of 40 epochs it was up for (from 40 on: none,
+        // an empty record), and which of the following ones it sampled — columns of any
+        // length, start and density.
+        columns in prop::collection::vec((1u32..5, 0u64..44, 0u64..u64::MAX), 1usize..12),
         capacity in 1usize..48,
         stride in 1u64..4,
     ) {
         let mut node = 0;
-        let nodes = columns
+        let mut columns: Vec<Column> = columns
             .iter()
             .map(|&(gap, first, sampled)| {
                 node += gap;
@@ -189,12 +256,38 @@ proptest! {
                 (node, column)
             })
             .collect();
-        let image = SnapshotImage { epoch: 39 * stride, capacity, nodes };
-        // What the encoder writes of the restored bank is the image again: the
-        // hand-built columns are ones the decoder accepts.
-        let bytes = kspot_store::encode_image(&image.clone().into_bank(), image.epoch);
-        prop_assert_eq!(decode_image(&bytes).as_ref(), Ok(&image));
-        assert_restores_like_the_replay(image);
+        let epoch = 39 * stride;
+        let bytes = image_of_columns(epoch, capacity, &columns);
+        let image = decode_image(&bytes).expect("the hand-built records are ones the decoder accepts");
+        prop_assert_eq!(image.epoch, epoch);
+        assert_restores_like_the_replay(&bytes, &image);
+        // What the encoder writes of the restored bank is the image again, less its
+        // empty records.
+        columns.retain(|(_, samples)| !samples.is_empty());
+        prop_assert_eq!(kspot_store::encode_image(&image.bank, epoch), image_of_columns(epoch, capacity, &columns));
+    }
+
+    #[test]
+    fn encode_image_writes_what_the_put_loop_wrote(
+        // Per epoch, which of eight nodes report: nodes join late, skip epochs and, past
+        // the capacity, have their windows' rings wrap.
+        rows in prop::collection::vec(0u32..256, 1usize..80),
+        capacity in 1usize..24,
+        grow_at in 0usize..120,
+    ) {
+        let mut bank = WindowBank::new(capacity);
+        for (epoch, &reporting) in rows.iter().enumerate() {
+            if epoch == grow_at {
+                bank.grow_capacity(2 * capacity);
+            }
+            let readings: Vec<Reading> = (1..=8u32)
+                .filter(|node| reporting >> (node - 1) & 1 == 1)
+                .map(|node| Reading::new(node, 0, epoch as Epoch, f64::from(node) * 1.5 - epoch as f64))
+                .collect();
+            bank.feed(&readings);
+        }
+        let epoch = rows.len() as Epoch - 1;
+        prop_assert_eq!(kspot_store::encode_image(&bank, epoch), encode_by_puts(&bank, epoch));
     }
 }
 
