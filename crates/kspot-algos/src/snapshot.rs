@@ -134,19 +134,9 @@ pub(crate) fn index_readings<'r>(
 ///
 /// `scope` is invoked with the index of the algorithm about to execute, right before
 /// its traffic starts — callers that need per-query accounting install a metrics
-/// scope there (see [`Network::set_query_scope`]); the scope is cleared when the
-/// epoch's sweep is complete.  Results are returned in algorithm order.
-///
-/// This driver is also the epoch boundary of the frame scheduler: each algorithm's
-/// report path enqueues intents through [`Network::send_report_up`], and once every
-/// query's sweep is done the driver flushes the epoch's merged report frames
-/// ([`Network::flush_frames`] — a no-op unless the substrate has frame batching
-/// enabled), so all sessions' per-node reports leave as one frame per hop.
-///
-/// The multi-query engine (`kspot-core`) drives its own copy of this
-/// begin-epoch / per-session-scope / flush contract so it can interleave historic
-/// sessions into the sweep; a change to the contract here must be mirrored there
-/// (the engine's frame-batching tests pin the joint behaviour).
+/// scope there (see [`Network::set_query_scope`]).  Results are returned in algorithm
+/// order.  The epoch itself — begin, clear the scope, flush the merged report frames —
+/// is [`Network::run_epoch`]'s.
 pub fn run_shared_epoch(
     algos: &mut [&mut dyn SnapshotAlgorithm],
     net: &mut Network,
@@ -154,18 +144,16 @@ pub fn run_shared_epoch(
     mut scope: impl FnMut(&mut Network, usize),
 ) -> Vec<TopKResult> {
     let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
-    net.begin_epoch(epoch);
-    let results = algos
-        .iter_mut()
-        .enumerate()
-        .map(|(i, algo)| {
-            scope(net, i);
-            algo.execute_epoch(net, readings)
-        })
-        .collect();
-    net.set_query_scope(None);
-    net.flush_frames();
-    results
+    net.run_epoch(epoch, |net| {
+        algos
+            .iter_mut()
+            .enumerate()
+            .map(|(i, algo)| {
+                scope(net, i);
+                algo.execute_epoch(net, readings)
+            })
+            .collect()
+    })
 }
 
 /// Runs a continuous snapshot query for `epochs` epochs, driving the workload, charging

@@ -281,6 +281,9 @@ pub(crate) struct EngineCore {
     /// allocated ascending, so `push` keeps `sessions`' own iteration order.  (The
     /// finished sessions' state stays in `sessions`: this is not reaping.)
     live: Vec<QueryId>,
+    /// The sessions that took part in the epoch being run, reused across epochs —
+    /// exactly the ones a depleted battery flags ([`Session::depleted_during_run`]).
+    ran: Vec<QueryId>,
     /// The engine-shared per-node sliding windows, created at the first historic
     /// registration and fed once per epoch from then on (even across historic
     /// sessions' cancellations — the feed is a deterministic substrate duty, so a
@@ -510,98 +513,99 @@ impl EngineCore {
         }
     }
 
+    /// The engine's epochs, each one [`Network::run_epoch`]: the window feed and the
+    /// checkpoint, then every live session's sweep under its own scope.
     pub(crate) fn run_epochs(&mut self, epochs: usize) {
         for _ in 0..epochs {
             let readings = self.workload.next_epoch();
             let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
-            self.net.begin_epoch(epoch);
-            // Shared window maintenance: ONE feed pass serves every registered
-            // historic session.  Buffering is deliberately fault-oblivious — it
-            // models the sensing-local flash write `BankWindows::collect`
-            // models, which is what keeps engine-fed windows byte-identical to the
-            // replay path — so the charge is fault-oblivious too: every buffered
-            // sample is paid for, by the node that buffered it, unscoped, once per
-            // epoch like the sampling baseline (amortised across sessions by
-            // design).
-            if let Some(bank) = self.windows.as_mut() {
-                bank.feed(&readings);
-                let per_sample = self.net.config().energy.cpu_cost(1);
-                for r in &readings {
-                    self.net.charge_cpu(r.node, 1);
-                    self.maintenance_energy_uj += per_sample;
-                }
-                // Durable checkpoint (ADR-009): every `cadence` fed epochs the bank
-                // is snapshotted onto the modeled flash.  Like the feed itself this
-                // is unscoped substrate duty — each window-owning node pays the page
-                // writes for persisting its own column, whoever later time-travels.
-                if let Some(store) = self.store.as_mut() {
-                    if store.due(bank.epochs_fed()) {
-                        store.checkpoint(bank, epoch, &mut self.net);
-                    }
-                }
-            }
             let now = self.epochs_run;
-            let mut executed: Vec<QueryId> = Vec::new();
-            for &id in &self.live {
-                let session = self.sessions.get_mut(&id).expect("a live session has state");
-                session.expire_if_due(now);
-                if session.status != SessionStatus::Active {
-                    continue;
-                }
-                match &mut session.exec {
-                    SessionExec::Continuous(algo) => {
-                        self.net.set_query_scope(Some(id));
-                        session.results.push(algo.execute_epoch(&mut self.net, &readings));
-                        executed.push(id);
+            let Self { net, sessions, live, ran, windows, store, maintenance_energy_uj, .. } = self;
+            ran.clear();
+            net.run_epoch(epoch, |net| {
+                // Shared window maintenance: ONE feed pass serves every registered
+                // historic session.  Buffering is deliberately fault-oblivious — it
+                // models the sensing-local flash write `BankWindows::collect`
+                // models, which is what keeps engine-fed windows byte-identical to the
+                // replay path — so the charge is fault-oblivious too: every buffered
+                // sample is paid for, by the node that buffered it, unscoped, once per
+                // epoch like the sampling baseline (amortised across sessions by
+                // design).
+                if let Some(bank) = windows.as_mut() {
+                    bank.feed(&readings);
+                    let per_sample = net.config().energy.cpu_cost(1);
+                    for r in &readings {
+                        net.charge_cpu(r.node, 1);
+                        *maintenance_energy_uj += per_sample;
                     }
-                    SessionExec::Historic { algorithm, window } => {
-                        if let Some(at) = session.plan.as_of_epoch {
-                            // Time travel: restore the named snapshot from its
-                            // encoded image — page reads and all protocol traffic
-                            // under this session's scope — answer once, complete.
-                            let store = self
-                                .store
-                                .as_ref()
-                                .expect("AS OF sessions are admitted only with a store");
-                            self.net.set_query_scope(Some(id));
-                            // On Err the ring evicted the snapshot between admission
-                            // and this tick.  The session completes unanswered (zero
-                            // results), like a lifetime-expired historic session: the
-                            // epoch is wire-reachable, so a stale AS OF must never
-                            // panic the engine.
-                            if let Ok(mut view) = store.restore(at, *window, &mut self.net) {
-                                session.results.push(algorithm.execute(&mut self.net, &mut view));
+                    // Durable checkpoint (ADR-009): every `cadence` fed epochs the bank
+                    // is snapshotted onto the modeled flash.  Like the feed itself this
+                    // is unscoped substrate duty — each window-owning node pays the page
+                    // writes for persisting its own column, whoever later time-travels.
+                    if let Some(store) = store.as_mut() {
+                        if store.due(bank.epochs_fed()) {
+                            store.checkpoint(bank, epoch, net);
+                        }
+                    }
+                }
+                for &id in live.iter() {
+                    let session = sessions.get_mut(&id).expect("a live session has state");
+                    session.expire_if_due(now);
+                    if session.status != SessionStatus::Active {
+                        continue;
+                    }
+                    match &mut session.exec {
+                        SessionExec::Continuous(algo) => {
+                            net.set_query_scope(Some(id));
+                            session.results.push(algo.execute_epoch(net, &readings));
+                            ran.push(id);
+                        }
+                        SessionExec::Historic { algorithm, window } => {
+                            if let Some(at) = session.plan.as_of_epoch {
+                                // Time travel: restore the named snapshot from its
+                                // encoded image — page reads and all protocol traffic
+                                // under this session's scope — answer once, complete.
+                                let store = store
+                                    .as_ref()
+                                    .expect("AS OF sessions are admitted only with a store");
+                                net.set_query_scope(Some(id));
+                                // On Err the ring evicted the snapshot between admission
+                                // and this tick.  The session completes unanswered (zero
+                                // results), like a lifetime-expired historic session: the
+                                // epoch is wire-reachable, so a stale AS OF must never
+                                // panic the engine.
+                                if let Ok(mut view) = store.restore(at, *window, net) {
+                                    session.results.push(algorithm.execute(net, &mut view));
+                                }
+                                session.status = SessionStatus::Completed;
+                                ran.push(id);
+                                continue;
                             }
-                            session.status = SessionStatus::Completed;
-                            executed.push(id);
-                            continue;
-                        }
-                        let bank =
-                            self.windows.as_mut().expect("historic sessions imply a window bank");
-                        // Readiness is on the *buffered span*, not on how many epochs
-                        // were ever fed: history evicted before a capacity growth is
-                        // gone, so a longer-window session registered late must wait
-                        // until the bank genuinely covers its span.
-                        if bank.buffered_epochs() >= *window {
-                            // The windows cover the session's span: answer once from
-                            // the last `window` epochs, under the session's scope,
-                            // and complete.
-                            self.net.set_query_scope(Some(id));
-                            let mut view = BankWindows::new(bank, *window);
-                            session.results.push(algorithm.execute(&mut self.net, &mut view));
-                            session.status = SessionStatus::Completed;
-                            executed.push(id);
+                            let bank =
+                                windows.as_mut().expect("historic sessions imply a window bank");
+                            // Readiness is on the *buffered span*, not on how many epochs
+                            // were ever fed: history evicted before a capacity growth is
+                            // gone, so a longer-window session registered late must wait
+                            // until the bank genuinely covers its span.
+                            if bank.buffered_epochs() >= *window {
+                                // The windows cover the session's span: answer once from
+                                // the last `window` epochs, under the session's scope,
+                                // and complete.
+                                net.set_query_scope(Some(id));
+                                let mut view = BankWindows::new(bank, *window);
+                                session.results.push(algorithm.execute(net, &mut view));
+                                session.status = SessionStatus::Completed;
+                                ran.push(id);
+                            }
                         }
                     }
                 }
-            }
-            self.net.set_query_scope(None);
-            self.net.flush_frames();
+            });
             // Shared drain is intended physics (module docs): if the epoch exhausted —
             // or ran on — a depleted battery, every session that took part leaves the
             // byte-identity guarantee regime and is flagged.
             if !self.net.is_alive() {
-                for id in &executed {
+                for id in &self.ran {
                     self.sessions.get_mut(id).expect("session exists").depleted_during_run = true;
                 }
             }
@@ -729,6 +733,7 @@ impl QueryEngine {
                 workload,
                 sessions: BTreeMap::new(),
                 live: Vec::new(),
+                ran: Vec::new(),
                 windows: None,
                 store: None,
                 maintenance_energy_uj: 0.0,
@@ -1488,12 +1493,37 @@ mod tests {
             !early.depleted_during_run(),
             "the short session finished before any battery died"
         );
-        engine.run_epochs(10);
+        // Two historic sessions join: one whose window can never fill before its
+        // lifetime ends, and one that answers once its 4-epoch window fills.
+        let waiting = engine
+            .register(
+                "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch \
+                 WITH HISTORY 100 epochs LIFETIME 6 epochs",
+            )
+            .unwrap();
+        let answering = engine
+            .register("SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 4 epochs")
+            .unwrap();
+        engine.run_epochs(3);
+        assert!(!engine.network().is_alive(), "a battery died before the window filled");
+        assert_eq!(answering.status(), SessionStatus::Active);
+        engine.run_epochs(7);
         assert!(
             witness.depleted_during_run(),
             "the long session ran epochs on a field with an exhausted battery"
         );
         assert!(!early.depleted_during_run(), "completed sessions stay unflagged");
+        assert_eq!(waiting.status(), SessionStatus::Completed);
+        assert!(waiting.results().is_empty(), "the lifetime ended before the window filled");
+        assert!(
+            !waiting.depleted_during_run(),
+            "a historic session that never answered took part in no depleted epoch"
+        );
+        assert_eq!(answering.results().len(), 1);
+        assert!(
+            answering.depleted_during_run(),
+            "a historic session that answered in a depleted epoch is flagged"
+        );
     }
 
     #[test]

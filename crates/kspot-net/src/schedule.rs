@@ -12,7 +12,7 @@
 //! [`crate::sim::Network::send_report_up`] (the preferred entry point for report
 //! traffic) enqueues a symbolic [`ReportIntent`] — *(scope, node, phase, data tuples,
 //! control tuples)* — into the epoch's [`FrameScheduler`].  At the end of the epoch
-//! sweep (`kspot_algos::run_shared_epoch` does this) the scheduler flushes every
+//! sweep ([`crate::sim::Network::run_epoch`] does this) the scheduler flushes every
 //! pending frame through the ordinary radio / energy / fault accounting path.
 //!
 //! ## Loss semantics

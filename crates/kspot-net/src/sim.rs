@@ -311,6 +311,21 @@ impl Network {
         }
     }
 
+    /// The epoch driver, the one place the epoch contract is written: begins `epoch`,
+    /// runs `sweep` (each query installs its own scope with [`Self::set_query_scope`]
+    /// right before its traffic), clears the scope so nothing leaks into the next
+    /// epoch's unscoped baseline, and flushes the epoch's merged report frames
+    /// ([`Self::flush_frames`], a no-op unless frame batching is on), so every
+    /// session's per-node reports leave as one frame per hop.  Returns what `sweep`
+    /// returned.
+    pub fn run_epoch<R>(&mut self, epoch: Epoch, sweep: impl FnOnce(&mut Self) -> R) -> R {
+        self.begin_epoch(epoch);
+        let out = sweep(self);
+        self.set_query_scope(None);
+        self.flush_frames();
+        out
+    }
+
     /// Charges node-local CPU work of processing `tuples` tuples (sorting, pruning,
     /// view maintenance).
     pub fn charge_cpu(&mut self, node: NodeId, tuples: u32) {
@@ -483,11 +498,8 @@ impl Network {
     /// preamble, one header per physical fragment), replayed for as many ARQ attempts
     /// as the frame's fate used, with each riding scope charged its payload plus a
     /// pro-rata share of the shared overhead (see [`crate::schedule`]).  A no-op
-    /// unless frame batching is enabled and intents are pending.  Epoch drivers call
-    /// this once per epoch after every session's sweep — both
-    /// `kspot_algos::run_shared_epoch` and the multi-query engine's own epoch loop
-    /// (`kspot-core`, which interleaves historic sessions and must stay in lockstep
-    /// with the same begin/scope/flush contract).
+    /// unless frame batching is enabled and intents are pending.  [`Self::run_epoch`]
+    /// calls this once per epoch, after every session's sweep.
     pub fn flush_frames(&mut self) {
         let Self { frame_scheduler, metrics, batteries, config, .. } = self;
         let Some(scheduler) = frame_scheduler else { return };

@@ -1,5 +1,6 @@
-//! A small blocking client for the KSpot wire protocol — used by the loadgen, the
-//! integration tests, and anyone scripting against a [`crate::WireServer`].
+//! A small blocking client for the KSpot wire protocol — used by the integration
+//! tests, the benchmark's wire driver, and anyone scripting against a
+//! [`crate::WireServer`].
 
 use crate::proto::{
     decode_response, encode_request, extract_frame, ProtoError, Request, Response,

@@ -52,13 +52,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod client;
-pub mod loadgen;
 pub mod proto;
 pub mod server;
 #[allow(unsafe_code)]
 mod sys;
 
 pub use client::{ClientError, PollOutcome, WireClient};
-pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, OpStats};
 pub use proto::{ProtoError, Request, Response, PROTOCOL_VERSION};
 pub use server::{ServeConfig, WireServer, ANONYMOUS_TENANT};

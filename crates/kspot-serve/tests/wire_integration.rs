@@ -7,8 +7,9 @@ use kspot_net::{NetworkConfig, RoomModelParams};
 use kspot_serve::proto::{STATUS_ACTIVE, STATUS_CANCELLED, STATUS_COMPLETED};
 use kspot_serve::{ClientError, Request, Response, ServeConfig, WireClient, WireServer};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const SQL: &str = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid";
@@ -242,6 +243,73 @@ fn fleet_admission_overflow_is_a_429() {
     }
     client.bye().expect("bye");
     server.shutdown();
+}
+
+/// One client of the over-cap run: `Ok(true)` when admitted and every poll and the
+/// cancel were answered, `Ok(false)` when refused with a 429, `Err` on any protocol
+/// error.
+fn over_cap_client(addr: SocketAddr, i: usize, registered: &Barrier) -> Result<bool, ClientError> {
+    let opened = (|| {
+        let mut client = WireClient::connect(addr, TIMEOUT)?;
+        client.hello(&format!("tenant-{}", i % 4))?;
+        let reply = client.register((i % 2) as u32, SQL)?;
+        Ok::<_, ClientError>((client, reply))
+    })();
+    // Every client registers before any cancels, so all of them meet the cap at once.
+    registered.wait();
+    let (mut client, reply) = opened?;
+    let admitted = match reply {
+        Response::Registered { session, .. } => {
+            for _ in 0..2 {
+                client.poll(session, 32)?;
+            }
+            match client.cancel(session)? {
+                Response::Cancelled { .. } => true,
+                other => return Err(ClientError::Unexpected(other)),
+            }
+        }
+        Response::Rejected { code: 429, .. } => false,
+        other => return Err(ClientError::Unexpected(other)),
+    };
+    client.bye()?;
+    Ok(admitted)
+}
+
+#[test]
+fn a_run_over_the_fleet_cap_admits_exactly_the_cap_with_zero_protocol_errors() {
+    const CLIENTS: usize = 12;
+    let server = WireServer::start(
+        fleet(2).with_max_total_sessions(8),
+        ServeConfig {
+            workers: 2,
+            max_sessions_per_tenant: 8,
+            pacer: Some(Duration::from_millis(2)),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = server.addr();
+    let registered = Arc::new(Barrier::new(CLIENTS));
+    let handles: Vec<_> = (0..CLIENTS)
+        .map(|i| {
+            let registered = Arc::clone(&registered);
+            std::thread::spawn(move || over_cap_client(addr, i, &registered))
+        })
+        .collect();
+    let outcomes: Vec<_> = handles
+        .into_iter()
+        .enumerate()
+        .map(|(i, handle)| handle.join().unwrap_or_else(|_| panic!("client thread {i} panicked")))
+        .collect();
+    server.shutdown();
+
+    let errors: Vec<String> =
+        outcomes.iter().filter_map(|o| o.as_ref().err().map(ToString::to_string)).collect();
+    assert!(errors.is_empty(), "the wire layer must stay clean under load: {errors:?}");
+    let count =
+        |admitted: bool| outcomes.iter().filter(|o| matches!(o, Ok(a) if *a == admitted)).count();
+    assert_eq!(count(true), 8, "the fleet cap admits exactly 8 of 12");
+    assert_eq!(count(false), 4, "overflow surfaces as 429 Rejected frames");
 }
 
 #[test]

@@ -67,8 +67,7 @@ fn drive_snapshot(cell: &ScenarioCell, algo: &mut dyn SnapshotAlgorithm) -> Snap
     let mut clean_epochs = Vec::with_capacity(cell.epochs);
     for e in 0..cell.epochs as Epoch {
         let readings = workload.next_epoch();
-        net.begin_epoch(e);
-        results.push(algo.execute_epoch(&mut net, &readings));
+        results.push(net.run_epoch(e, |net| algo.execute_epoch(net, &readings)));
         clean_epochs.push(net.metrics().epoch(e).dropped_messages == 0);
     }
     let metrics: &NetworkMetrics = net.metrics();
