@@ -158,6 +158,64 @@ fn a_steady_epoch_retains_its_answers_items_and_nothing_else() {
     }
 }
 
+/// Allocations of the last two shared epochs of six over a network with frame batching
+/// off, so every report is a `send`.  The trace alternates two rows: in the second the
+/// node with the highest reading drops to the floor, so FILA's top member crosses its
+/// filter every epoch — down in one, back up in the next — and FILA probes, walking
+/// unicast paths down to nodes and back up; in the epochs the leader drops it refreshes
+/// every node.
+fn unbatched_epoch_allocations(side: usize) -> [u64; 2] {
+    let d = Deployment::grid(side, 10.0, Some(16));
+    let level: Vec<f64> = (0..d.num_nodes()).map(|i| 10.0 + (i * 37 % 197) as f64 * 0.4).collect();
+    let leader = (0..level.len()).max_by(|&a, &b| level[a].total_cmp(&level[b])).expect("nodes");
+    let mut dropped = level.clone();
+    dropped[leader] = 0.0;
+    let mut workload = Workload::trace(&d, ValueDomain::percentage(), vec![level, dropped]);
+    let mut net = Network::new(d, NetworkConfig::mica2());
+
+    let spec = |k, func| SnapshotSpec::new(k, func, ValueDomain::percentage());
+    let mut mint = MintViews::new(spec(3, AggFunc::Avg));
+    let mut tag = TagTopK::new(spec(16, AggFunc::Max));
+    let mut central = CentralizedCollection::new(spec(16, AggFunc::Avg));
+    let mut fila = FilaMonitor::new(spec(3, AggFunc::Max));
+
+    let mut measured = [0; 2];
+    for epoch in 0..6 {
+        let readings = workload.next_epoch();
+        let probes_before = fila.stats().probes;
+        let before = ALLOCATIONS.with(Cell::get);
+        let mut algos: [&mut dyn SnapshotAlgorithm; 4] = [&mut mint, &mut tag, &mut central, &mut fila];
+        let answers = run_shared_epoch(&mut algos, &mut net, &readings, |net, i| {
+            net.set_query_scope(Some(i as u32));
+        });
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        if epoch >= 4 {
+            measured[epoch - 4] = allocations;
+        }
+        assert_eq!(answers.len(), 4);
+        let probes = fila.stats().probes - probes_before;
+        assert!(epoch == 0 || probes >= 3, "epoch {epoch}: FILA probed {probes} nodes");
+    }
+    assert!(!net.frame_batching() && net.metrics().totals().messages > 0);
+    measured
+}
+
+/// What one of those epochs may allocate: the steady epoch's [`BUDGET`] and the answers
+/// FILA ranks while it probes.  Nothing per report, per unicast path or per hop.
+/// Measured: 13 in both kinds of epoch, as with frame batching on.
+const UNBATCHED_BUDGET: u64 = 13;
+
+#[test]
+fn an_unbatched_epoch_allocates_a_small_constant_whatever_the_network_size() {
+    let small = unbatched_epoch_allocations(8);
+    let large = unbatched_epoch_allocations(14);
+    assert_eq!(small, large, "allocations per unbatched epoch must not depend on the node count (64 vs 196 nodes)");
+    assert!(
+        large.iter().all(|&n| n <= UNBATCHED_BUDGET),
+        "unbatched epochs allocated {large:?} times, budget {UNBATCHED_BUDGET}"
+    );
+}
+
 /// What a warm probing MINT epoch may allocate: the vector of answers, the sink view,
 /// the answer that failed certification and the one ranked after the probes.  Nothing
 /// per probed room or per probed member.  Measured: 4.

@@ -24,7 +24,10 @@
 //! reports, probes, probe replies — is subject to link loss.
 //!
 //! Everything here is a pure function of `(plan, node, epoch)` so that test oracles can
-//! predict participation without running the simulation.
+//! predict participation without running the simulation.  The
+//! [`crate::sim::Network`] does not ask it at every step: it keeps a participation view
+//! that each `begin_epoch` recomputes from this plan and the batteries, and that a
+//! battery emptying mid-epoch updates at once (see the [`crate::sim`] module docs).
 
 use crate::types::{Epoch, NodeId, SINK};
 use serde::{Deserialize, Serialize};

@@ -44,6 +44,8 @@ pub mod fault;
 pub mod message;
 pub mod metrics;
 pub mod radio;
+#[cfg(test)]
+mod reference;
 pub mod rng;
 pub mod schedule;
 pub mod sim;
@@ -57,7 +59,8 @@ pub use energy::{Battery, BatteryBank, EnergyModel};
 pub use fault::{DutyCycle, FaultPlan};
 pub use message::Message;
 pub use metrics::{
-    NetworkMetrics, NodeCounters, PhaseTag, PhaseTotals, QueryScope, Savings, StorageTotals,
+    AttemptCost, NetworkMetrics, NodeCounters, PathBooking, PhaseTag, PhaseTotals, QueryScope,
+    Savings, StorageTotals,
 };
 pub use radio::RadioModel;
 pub use schedule::{FrameScheduler, FrameSlice, ReportIntent};

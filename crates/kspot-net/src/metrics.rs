@@ -167,26 +167,40 @@ impl<K: Ord + Copy, V: Default> SortedRows<K, V> {
 
     /// The key's row, created (zeroed) if it does not exist yet.
     fn entry(&mut self, key: K) -> &mut V {
+        let at = self.locate(key);
+        &mut self.rows[at]
+    }
+
+    /// Where [`Self::entry`] finds the key's row.  The position stays valid until a
+    /// row is inserted into this axis.
+    fn locate(&mut self, key: K) -> usize {
         let mut at = self.cursor;
         self.entry_near(key, &mut at);
         self.cursor = at;
-        &mut self.rows[at]
+        at
     }
 
     /// [`Self::entry`] with the caller's own cursor: `hint` is where the caller last
     /// found the key (any value is safe, it is checked) and is updated.
+    #[inline]
     fn entry_near(&mut self, key: K, hint: &mut usize) -> &mut V {
         if self.keys.get(*hint) != Some(&key) {
-            *hint = match self.keys.binary_search(&key) {
-                Ok(at) => at,
-                Err(at) => {
-                    self.keys.insert(at, key);
-                    self.rows.insert(at, V::default());
-                    at
-                }
-            };
+            *hint = self.search(key);
         }
         &mut self.rows[*hint]
+    }
+
+    /// The key's position, found by binary search, its row created if need be.
+    #[cold]
+    fn search(&mut self, key: K) -> usize {
+        match self.keys.binary_search(&key) {
+            Ok(at) => at,
+            Err(at) => {
+                self.keys.insert(at, key);
+                self.rows.insert(at, V::default());
+                at
+            }
+        }
     }
 
     fn get(&self, key: K) -> Option<&V> {
@@ -205,6 +219,121 @@ impl<K: Ord + Copy, V: Default> SortedRows<K, V> {
 struct ScopeRow {
     totals: PhaseTotals,
     storage: Option<StorageTotals>,
+}
+
+/// Positions of the aggregate rows one booking lands in: its phase row, its epoch row
+/// and, under a scope, the scope row and the scope×phase cell.
+#[derive(Debug, Clone, Copy)]
+struct BookedRows {
+    phase: usize,
+    epoch: usize,
+    scope: Option<(usize, usize)>,
+}
+
+/// What one on-air attempt of a unicast payload costs.  A payload costs the same on
+/// every hop and every attempt of its path, so it is costed once per path.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AttemptCost {
+    /// On-air bytes of one attempt.
+    pub bytes: u32,
+    /// Result tuples the payload carries.
+    pub tuples: u32,
+    /// Sender's radio energy per attempt, µJ.
+    pub tx_energy: f64,
+    /// Receiver's radio energy per attempt, µJ.
+    pub rx_energy: f64,
+}
+
+/// The open booking of one unicast payload carried hop by hop along its path, from
+/// [`NetworkMetrics::open_path`] to [`Self::close`].  It holds the ledger, so nothing
+/// else is booked while the path is open.
+///
+/// Closing gives what booking each event on its own would — an attempt as
+/// [`NetworkMetrics::record_broadcast`] with its one receiver or none,
+/// [`NetworkMetrics::note_retransmission`], [`NetworkMetrics::note_drop`] — bit for
+/// bit.  The aggregate rows are found once per path.  Node counters and every energy
+/// accumulator take each attempt as it happens, in attempt order; the message, byte,
+/// tuple, retransmission and drop counts land once, at the close.  A path that books
+/// nothing creates no row.
+#[must_use = "a path's counts land when it is closed"]
+pub struct PathBooking<'a> {
+    metrics: &'a mut NetworkMetrics,
+    epoch: Epoch,
+    phase: PhaseTag,
+    cost: AttemptCost,
+    /// Found at the path's first row update.
+    rows: Option<BookedRows>,
+    /// Once an attempt was booked: the sensor energy of the latest one, not yet added
+    /// to the aggregate rows.  It is added with the path's counts at the close, so a
+    /// path of one attempt updates its rows in one pass.
+    pending_energy: f64,
+    attempts: u64,
+    retransmissions: u64,
+    drops: u64,
+}
+
+impl PathBooking<'_> {
+    /// Books one on-air attempt sent by `from` and heard by `to` — `None` for an
+    /// addressee that is dead or asleep, which hears nothing and pays nothing.
+    #[inline(always)]
+    pub fn record_attempt(&mut self, from: NodeId, to: Option<NodeId>) {
+        let AttemptCost { bytes, tuples, tx_energy, rx_energy } = self.cost;
+        self.metrics.counters_mut(from).add_tx(bytes, tuples, tx_energy);
+        let mut sensor_energy = 0.0;
+        if from != crate::types::SINK {
+            sensor_energy += tx_energy;
+        }
+        if let Some(to) = to {
+            self.metrics.counters_mut(to).add_rx(bytes, rx_energy);
+            if to != crate::types::SINK {
+                sensor_energy += rx_energy;
+            }
+        }
+        if self.attempts > 0 {
+            let earlier = self.pending_energy;
+            let rows = *self.rows.get_or_insert_with(|| self.metrics.rows(self.epoch, self.phase));
+            self.metrics.apply(rows, |totals| totals.energy_uj += earlier);
+        }
+        self.pending_energy = sensor_energy;
+        self.attempts += 1;
+    }
+
+    /// Books one ARQ retransmission (the attempt itself goes through
+    /// [`Self::record_attempt`]).
+    pub fn note_retransmission(&mut self) {
+        self.retransmissions += 1;
+    }
+
+    /// Books the payload as never delivered, attributed to the hop's sender.
+    pub fn note_drop(&mut self, from: NodeId) {
+        self.metrics.counters_mut(from).dropped_messages += 1;
+        self.drops += 1;
+    }
+
+    /// Lands the path's counts, and the energy of its last attempt, in its rows.
+    #[inline]
+    pub fn close(self) {
+        let Self { metrics, epoch, phase, cost, rows, pending_energy, attempts, retransmissions, drops } =
+            self;
+        if attempts == 0 && retransmissions == 0 && drops == 0 {
+            return;
+        }
+        let rows = rows.unwrap_or_else(|| metrics.rows(epoch, phase));
+        metrics.apply(rows, |totals| {
+            if attempts > 0 {
+                totals.energy_uj += pending_energy;
+            }
+            totals.messages += attempts;
+            totals.bytes += attempts * u64::from(cost.bytes);
+            totals.tuples += attempts * u64::from(cost.tuples);
+        });
+        if retransmissions > 0 || drops > 0 {
+            metrics.apply(rows, |totals| {
+                totals.retransmissions += retransmissions;
+                totals.dropped_messages += drops;
+            });
+        }
+    }
 }
 
 /// Full accounting of a simulated run.
@@ -311,13 +440,49 @@ impl NetworkMetrics {
     /// per-epoch, grand total, and — when an attribution scope is installed — that
     /// scope's totals and its scope×phase cell.  Runs once per simulated transmission,
     /// so it must not allocate.
-    fn book(&mut self, epoch: Epoch, phase: PhaseTag, mut apply: impl FnMut(&mut PhaseTotals)) {
-        apply(self.per_phase.entry(phase));
-        apply(self.per_epoch.entry(epoch));
+    fn book(&mut self, epoch: Epoch, phase: PhaseTag, apply: impl FnMut(&mut PhaseTotals)) {
+        let rows = self.rows(epoch, phase);
+        self.apply(rows, apply);
+    }
+
+    /// The rows a booking of `(epoch, phase)` under the installed scope lands in,
+    /// created if they do not exist yet.
+    #[inline]
+    fn rows(&mut self, epoch: Epoch, phase: PhaseTag) -> BookedRows {
+        BookedRows {
+            phase: self.per_phase.locate(phase),
+            epoch: self.per_epoch.locate(epoch),
+            scope: self.current_scope.map(|scope| {
+                (self.per_scope.locate(scope), self.per_scope_phase.locate((scope, phase)))
+            }),
+        }
+    }
+
+    /// Applies one booking to rows found by [`Self::rows`] since the last row insertion.
+    #[inline]
+    fn apply(&mut self, rows: BookedRows, mut apply: impl FnMut(&mut PhaseTotals)) {
+        apply(&mut self.per_phase.rows[rows.phase]);
+        apply(&mut self.per_epoch.rows[rows.epoch]);
         apply(&mut self.totals);
-        if let Some(scope) = self.current_scope {
-            apply(&mut self.per_scope.entry(scope).totals);
-            apply(self.per_scope_phase.entry((scope, phase)));
+        if let Some((scope, cell)) = rows.scope {
+            apply(&mut self.per_scope.rows[scope].totals);
+            apply(&mut self.per_scope_phase.rows[cell]);
+        }
+    }
+
+    /// Opens the booking of one unicast payload that costs `cost` per on-air attempt,
+    /// under the installed scope.
+    pub fn open_path(&mut self, epoch: Epoch, phase: PhaseTag, cost: AttemptCost) -> PathBooking<'_> {
+        PathBooking {
+            metrics: self,
+            epoch,
+            phase,
+            cost,
+            rows: None,
+            pending_energy: 0.0,
+            attempts: 0,
+            retransmissions: 0,
+            drops: 0,
         }
     }
 

@@ -12,6 +12,17 @@
 //! within an epoch, so a post-order sweep is an exact model of the communication
 //! schedule while staying fast enough for the large parameter sweeps of E4–E7.
 //!
+//! Who takes part in a step is kept as a **participation view**, one flag per node,
+//! exact at every step: [`Network::begin_epoch`] recomputes it from the fault plan and
+//! the batteries, and the one helper every battery drain goes through clears a node's
+//! flag the moment its battery empties — the only way participation changes inside an
+//! epoch.  [`Network::node_participating`] reads the flag.  What is derived from the
+//! view — each node's effective parent and the flood tree of [`Network::flood_down`] —
+//! is rebuilt only when the view has changed since it was built.  A unicast —
+//! [`Network::send`], or the relay path of [`Network::unicast_up`] and
+//! [`Network::unicast_down`], fixed before its first hop — runs one hop loop that costs
+//! the payload once and books the whole path once ([`NetworkMetrics::open_path`]).
+//!
 //! Per-epoch **report traffic** should enter the façade through
 //! [`Network::send_report_up`] rather than raw [`Network::send`] calls: the report
 //! entry point is where the frame scheduler ([`crate::schedule`]) hooks in.  With
@@ -25,7 +36,7 @@
 use crate::energy::{BatteryBank, EnergyModel};
 use crate::fault::FaultPlan;
 use crate::message::Message;
-use crate::metrics::{NetworkMetrics, PhaseTag, QueryScope};
+use crate::metrics::{AttemptCost, NetworkMetrics, PhaseTag, QueryScope};
 use crate::radio::RadioModel;
 use crate::rng::stream_rng;
 use crate::schedule::{split_frame_shares, FrameScheduler, PendingFrame, ReportIntent};
@@ -120,7 +131,8 @@ pub struct Network {
     tree: RoutingTree,
     config: NetworkConfig,
     metrics: NetworkMetrics,
-    batteries: BatteryBank,
+    liveness: Liveness,
+    routes: Routes,
     loss_rng: StdRng,
     /// One independent loss stream per installed query scope, created lazily.  Keyed
     /// streams make a query's loss draws a function of *its own* traffic order only,
@@ -132,48 +144,173 @@ pub struct Network {
     /// The per-epoch report scheduler, present while frame batching is enabled (see
     /// [`Self::set_frame_batching`] and [`crate::schedule`]).
     frame_scheduler: Option<FrameScheduler>,
-    /// Reusable buffers of [`Self::flood_down`] and [`Self::unicast_down`].
-    scratch: Scratch,
+    /// The nodes a unicast payload visits, kept between calls so that probes allocate
+    /// nothing in steady state.  Never read across calls.
+    path: Vec<NodeId>,
 }
 
-/// Per-call working memory the façade keeps between calls so that dissemination and
-/// probes allocate nothing in steady state.  Never read across calls.
+/// The batteries and the participation view kept from them.  The view is exact at
+/// every step: [`Network::begin_epoch`] recomputes it, and a battery that empties in
+/// the middle of an epoch clears its node's flag in [`Self::drain`], the one place a
+/// battery is drained.
+#[derive(Debug, Clone)]
+struct Liveness {
+    batteries: BatteryBank,
+    /// `participating[id]`: node `id` is awake, not scheduled dead and has energy left.
+    /// Index 0 is the sink, which always participates.
+    participating: Vec<bool>,
+    /// Bumped whenever a flag changes; what [`Routes`] derives from the view is keyed
+    /// on it.
+    generation: u64,
+}
+
+impl Liveness {
+    /// Full batteries, and the view of epoch 0, where a new network starts.
+    fn new(n: usize, capacity_uj: f64, faults: &FaultPlan) -> Self {
+        let mut liveness = Self {
+            batteries: BatteryBank::uniform(n, capacity_uj),
+            participating: vec![true; n + 1],
+            generation: 0,
+        };
+        liveness.recompute(faults, 0);
+        liveness
+    }
+
+    /// Recomputes every sensor node's flag for `epoch` from the fault plan and the
+    /// batteries.
+    fn recompute(&mut self, faults: &FaultPlan, epoch: Epoch) {
+        let mut changed = false;
+        for (id, flag) in self.participating.iter_mut().enumerate().skip(1) {
+            let id = id as NodeId;
+            let on = !self.batteries.get(id).is_depleted() && faults.participates(id, epoch);
+            changed |= *flag != on;
+            *flag = on;
+        }
+        self.generation += u64::from(changed);
+    }
+
+    fn participates(&self, node: NodeId) -> bool {
+        self.participating[node as usize]
+    }
+
+    /// Drains `uj` from `node`'s battery; a node whose battery empties stops
+    /// participating at once.
+    fn drain(&mut self, node: NodeId, uj: f64) {
+        self.batteries.drain(node, uj);
+        if self.batteries.get(node).is_depleted() && self.participating[node as usize] {
+            self.participating[node as usize] = false;
+            self.generation += 1;
+        }
+    }
+}
+
+/// Routes derived from the participation view, each rebuilt only when the view has
+/// changed since it was built.
 #[derive(Debug, Clone, Default)]
-struct Scratch {
-    /// Per node id, the node's effective parent this flood (`NodeId::MAX` for a node
-    /// that is not participating).
-    flood_parent: Vec<NodeId>,
-    /// `flood_children[flood_offsets[s]..flood_offsets[s + 1]]` are the nodes whose
+struct Routes {
+    /// The view generation `parent` was built for.
+    parents_at: Option<u64>,
+    /// `parent[id]`: node `id`'s nearest participating ancestor, possibly the sink.
+    parent: Vec<NodeId>,
+    /// The view generation the flood tree was built for.
+    flood_at: Option<u64>,
+    /// `children[offsets[s]..offsets[s + 1]]` are the participating nodes whose
     /// effective parent is `s` (the sink included), ascending.
-    flood_offsets: Vec<u32>,
-    flood_children: Vec<NodeId>,
-    /// The participating relays between a probe's target and the sink.
-    path: Vec<NodeId>,
+    offsets: Vec<u32>,
+    children: Vec<NodeId>,
+    /// The nodes with a non-empty bucket: the sink first, then in tree pre-order.
+    senders: Vec<NodeId>,
+}
+
+impl Routes {
+    /// Rebuilds the effective-parent map if the view changed since it was built.
+    fn refresh_parents(&mut self, tree: &RoutingTree, view: &Liveness) {
+        if self.parents_at != Some(view.generation) {
+            self.rebuild_parents(tree, view);
+        }
+    }
+
+    #[cold]
+    fn rebuild_parents(&mut self, tree: &RoutingTree, view: &Liveness) {
+        // Pre-order visits a node's parent before the node.
+        self.parent.clear();
+        self.parent.resize(tree.num_nodes() + 1, SINK);
+        for &id in tree.pre_order_slice() {
+            let parent = tree.parent(id);
+            self.parent[id as usize] =
+                if view.participates(parent) { parent } else { self.parent[parent as usize] };
+        }
+        self.parents_at = Some(view.generation);
+    }
+
+    /// Rebuilds the flood tree if the view changed since it was built: the
+    /// participating nodes bucketed by effective parent with a counting sort (ascending
+    /// ids within a bucket).
+    fn refresh_flood_tree(&mut self, tree: &RoutingTree, view: &Liveness) {
+        if self.flood_at == Some(view.generation) {
+            return;
+        }
+        self.refresh_parents(tree, view);
+        let n = tree.num_nodes();
+        let Self { parent, offsets, children, senders, .. } = self;
+        offsets.clear();
+        offsets.resize(n + 2, 0);
+        for id in 1..=n {
+            if view.participating[id] {
+                offsets[parent[id] as usize] += 1;
+            }
+        }
+        for sender in 1..=n + 1 {
+            offsets[sender] += offsets[sender - 1];
+        }
+        // `offsets[s]` is now the end of sender `s`'s bucket; filling the buckets back
+        // to front turns it into the start, and `offsets[s + 1]` is then the end.
+        children.clear();
+        children.resize(offsets[n + 1] as usize, 0);
+        for id in (1..=n).rev() {
+            if view.participating[id] {
+                let bucket = &mut offsets[parent[id] as usize];
+                *bucket -= 1;
+                children[*bucket as usize] = id as NodeId;
+            }
+        }
+        senders.clear();
+        let nodes = std::iter::once(SINK).chain(tree.pre_order_slice().iter().copied());
+        senders.extend(nodes.filter(|&s| offsets[s as usize] < offsets[s as usize + 1]));
+        self.flood_at = Some(view.generation);
+    }
+
+    /// The flood tree's bucket of `sender`.
+    fn children(&self, sender: NodeId) -> &[NodeId] {
+        let s = sender as usize;
+        &self.children[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    }
 }
 
 /// Stream identifier of the per-`(sender, receiver, epoch)` merged-frame fate streams
 /// (see [`Network::send_report_up`]).
-const FRAME_FATE_STREAM: u64 = 0xF7_A3;
+pub(crate) const FRAME_FATE_STREAM: u64 = 0xF7_A3;
 
 impl Network {
     /// Deploys a network: builds the routing tree and initialises batteries and metrics.
     pub fn new(deployment: Deployment, config: NetworkConfig) -> Self {
         let tree = RoutingTree::build(&deployment);
         let n = deployment.num_nodes();
-        let batteries = BatteryBank::uniform(n, config.battery_capacity_uj);
+        let liveness = Liveness::new(n, config.battery_capacity_uj, &config.faults);
         let loss_rng = stream_rng(config.seed, &[0x10_55]);
         Self {
             deployment,
             tree,
             config,
             metrics: NetworkMetrics::new(n),
-            batteries,
+            liveness,
+            routes: Routes::default(),
             loss_rng,
             scope_loss_rngs: BTreeMap::new(),
             current_scope: None,
             current_epoch: 0,
             frame_scheduler: None,
-            scratch: Scratch::default(),
+            path: Vec::new(),
         }
     }
 
@@ -199,7 +336,7 @@ impl Network {
 
     /// The per-node batteries.
     pub fn batteries(&self) -> &BatteryBank {
-        &self.batteries
+        &self.liveness.batteries
     }
 
     /// Number of sensor nodes.
@@ -214,14 +351,14 @@ impl Network {
 
     /// True while no node has exhausted its battery (the usual lifetime definition).
     pub fn is_alive(&self) -> bool {
-        !self.batteries.any_depleted()
+        !self.liveness.batteries.any_depleted()
     }
 
     /// True if the given node still has energy and is not scheduled dead by the fault
     /// plan as of the current epoch.
     pub fn node_alive(&self, node: NodeId) -> bool {
         node == SINK
-            || (!self.batteries.get(node).is_depleted()
+            || (!self.liveness.batteries.get(node).is_depleted()
                 && !self.config.faults.is_scheduled_dead(node, self.current_epoch))
     }
 
@@ -229,21 +366,20 @@ impl Network {
     /// (battery and fault schedule) and awake (duty cycle).  The sink always
     /// participates.
     pub fn node_participating(&self, node: NodeId) -> bool {
-        node == SINK
-            || (self.node_alive(node) && self.config.faults.is_awake(node, self.current_epoch))
-    }
-
-    /// The sensor nodes currently able to take part in the protocol, ascending.
-    pub fn participating_nodes(&self) -> Vec<NodeId> {
-        (1..=self.num_nodes() as NodeId).filter(|&id| self.node_participating(id)).collect()
+        self.liveness.participates(node)
     }
 
     /// The nearest participating ancestor of `node` in the routing tree (possibly the
     /// sink).  This is where a node's reports go when its parent is dead or asleep —
     /// the degrade-to-partial tree repair documented in [`crate::fault`].
     pub fn effective_parent(&self, node: NodeId) -> NodeId {
+        assert_ne!(node, SINK, "the sink has no parent");
+        if self.routes.parents_at == Some(self.liveness.generation) {
+            return self.routes.parent[node as usize];
+        }
+        // The view changed since the map was built; walk the tree instead.
         let mut parent = self.tree.parent(node);
-        while parent != SINK && !self.node_participating(parent) {
+        while !self.liveness.participates(parent) {
             parent = self.tree.parent(parent);
         }
         parent
@@ -291,22 +427,24 @@ impl Network {
         self.frame_scheduler.as_ref().map_or(0, FrameScheduler::pending_frames)
     }
 
-    /// Marks the beginning of an epoch: charges every participating node its fixed
-    /// sampling and idle-listening cost (if the configuration says so).  Nodes that are
-    /// dead or duty-cycled asleep neither sample nor listen, so they are not charged.
-    /// Report frames still pending from the previous epoch are flushed first — a frame
-    /// never outlives the epoch it was scheduled in.
+    /// Marks the beginning of an epoch: recomputes which nodes participate in it, then
+    /// charges every participating node its fixed sampling and idle-listening cost (if
+    /// the configuration says so).  Nodes that are dead or duty-cycled asleep neither
+    /// sample nor listen, so they are not charged.  Report frames still pending from
+    /// the previous epoch are flushed first — a frame never outlives the epoch it was
+    /// scheduled in.
     pub fn begin_epoch(&mut self, epoch: Epoch) {
         self.flush_frames();
         self.current_epoch = epoch;
+        self.liveness.recompute(&self.config.faults, epoch);
         if !self.config.charge_epoch_baseline {
             return;
         }
         let cost = self.config.energy.epoch_baseline_cost();
         for id in 1..=self.num_nodes() as NodeId {
-            if self.node_participating(id) {
+            if self.liveness.participates(id) {
                 self.metrics.record_local_energy(id, epoch, cost);
-                self.batteries.drain(id, cost);
+                self.liveness.drain(id, cost);
             }
         }
     }
@@ -334,7 +472,7 @@ impl Network {
         }
         let cost = self.config.energy.cpu_cost(tuples);
         self.metrics.record_local_energy(node, self.current_epoch, cost);
-        self.batteries.drain(node, cost);
+        self.liveness.drain(node, cost);
     }
 
     /// Charges `pages` flash-page writes of `bytes` checkpoint payload on `node`'s
@@ -349,7 +487,7 @@ impl Network {
         }
         let cost = crate::storage::FLASH_PAGE_WRITE_UJ * pages as f64;
         self.metrics.record_page_writes(node, self.current_epoch, pages, bytes, cost);
-        self.batteries.drain(node, cost);
+        self.liveness.drain(node, cost);
     }
 
     /// Charges `pages` flash-page reads on `node`'s local storage (snapshot restore).
@@ -360,7 +498,7 @@ impl Network {
         }
         let cost = crate::storage::FLASH_PAGE_READ_UJ * pages as f64;
         self.metrics.record_page_reads(node, self.current_epoch, pages, cost);
-        self.batteries.drain(node, cost);
+        self.liveness.drain(node, cost);
     }
 
     /// Transmits a single-hop [`Message`] under the configured recovery policy,
@@ -375,66 +513,87 @@ impl Network {
     /// * A receiver that is dead or asleep for the whole epoch hears nothing and pays
     ///   nothing; retrying is futile, so the payload is dropped after one attempt.
     pub fn send(&mut self, msg: Message, phase: PhaseTag) -> bool {
-        if msg.from != SINK && !self.node_participating(msg.from) {
-            return false;
-        }
-        let payload = self.config.radio.payload_bytes(msg.data_tuples, msg.control_tuples);
-        let bytes = self.config.radio.on_air_bytes(payload);
-        let tx = self.config.energy.tx_cost(bytes);
-        let rx = self.config.energy.rx_cost(bytes);
+        self.carry(&[msg.from, msg.to], msg.epoch, msg.data_tuples, msg.control_tuples, phase)
+    }
 
-        if msg.to != SINK && !self.node_participating(msg.to) {
-            self.metrics.record_broadcast(msg.from, &[], msg.epoch, phase, bytes, msg.data_tuples, tx, rx);
-            if msg.from != SINK {
-                self.batteries.drain(msg.from, tx);
-            }
-            self.metrics.note_drop(msg.from, msg.epoch, phase);
-            return false;
-        }
-
-        let loss = self.config.faults.loss_probability(msg.from, msg.to);
-        let max_attempts = 1 + self.config.faults.max_retransmits;
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            if attempt > 1 {
-                self.metrics.note_retransmission(msg.epoch, phase);
-            }
-            let lost = loss > 0.0 && {
-                let seed = self.config.seed;
-                let rng = match self.current_scope {
-                    Some(scope) => self
-                        .scope_loss_rngs
+    /// The one hop loop of every unicast: carries one payload along `path` —
+    /// `path[0]` sends to `path[1]`, which relays to `path[2]`, and so on — each hop
+    /// under the policy [`Self::send`] documents.  Returns `true` when every hop
+    /// delivered; the first hop that does not ends the path.
+    ///
+    /// The payload is costed once for the whole path and booked through one
+    /// [`NetworkMetrics::open_path`].  Participation is checked per hop, since a relay
+    /// may empty its battery on the hop that reaches it.
+    fn carry(
+        &mut self,
+        path: &[NodeId],
+        epoch: Epoch,
+        data_tuples: u32,
+        control_tuples: u32,
+        phase: PhaseTag,
+    ) -> bool {
+        let Self { config, metrics, liveness, loss_rng, scope_loss_rngs, current_scope, .. } = self;
+        let payload = config.radio.payload_bytes(data_tuples, control_tuples);
+        let bytes = config.radio.on_air_bytes(payload);
+        let cost = AttemptCost {
+            bytes,
+            tuples: data_tuples,
+            tx_energy: config.energy.tx_cost(bytes),
+            rx_energy: config.energy.rx_cost(bytes),
+        };
+        let max_attempts = 1 + config.faults.max_retransmits;
+        let mut lost = |loss: f64| {
+            loss > 0.0 && {
+                let rng = match *current_scope {
+                    Some(scope) => scope_loss_rngs
                         .entry(scope)
-                        .or_insert_with(|| stream_rng(seed, &[0x10_55, 1 + u64::from(scope)])),
-                    None => &mut self.loss_rng,
+                        .or_insert_with(|| stream_rng(config.seed, &[0x10_55, 1 + u64::from(scope)])),
+                    None => &mut *loss_rng,
                 };
                 rng.gen_bool(loss.min(1.0))
-            };
-            self.metrics.record_transmission(
-                msg.from,
-                msg.to,
-                msg.epoch,
-                phase,
-                bytes,
-                msg.data_tuples,
-                tx,
-                rx,
-            );
-            if msg.from != SINK {
-                self.batteries.drain(msg.from, tx);
             }
-            if msg.to != SINK {
-                self.batteries.drain(msg.to, rx);
+        };
+        let mut booking = metrics.open_path(epoch, phase, cost);
+        let delivered = 'path: {
+            for hop in path.windows(2) {
+                let (from, to) = (hop[0], hop[1]);
+                if !liveness.participates(from) {
+                    break 'path false;
+                }
+                if !liveness.participates(to) {
+                    booking.record_attempt(from, None);
+                    if from != SINK {
+                        liveness.drain(from, cost.tx_energy);
+                    }
+                    booking.note_drop(from);
+                    break 'path false;
+                }
+                let loss = config.faults.loss_probability(from, to);
+                let mut attempt = 1;
+                loop {
+                    let lost = lost(loss);
+                    booking.record_attempt(from, Some(to));
+                    if from != SINK {
+                        liveness.drain(from, cost.tx_energy);
+                    }
+                    if to != SINK {
+                        liveness.drain(to, cost.rx_energy);
+                    }
+                    if !lost {
+                        break;
+                    }
+                    if attempt >= max_attempts {
+                        booking.note_drop(from);
+                        break 'path false;
+                    }
+                    attempt += 1;
+                    booking.note_retransmission();
+                }
             }
-            if !lost {
-                return true;
-            }
-            if attempt >= max_attempts {
-                self.metrics.note_drop(msg.from, msg.epoch, phase);
-                return false;
-            }
-        }
+            true
+        };
+        booking.close();
+        delivered
     }
 
     /// Sends a per-epoch data report from `from` towards the sink, routing around dead
@@ -461,7 +620,9 @@ impl Network {
         if !self.node_participating(from) {
             return None;
         }
-        let parent = self.effective_parent(from);
+        assert_ne!(from, SINK, "the sink has no parent");
+        self.routes.refresh_parents(&self.tree, &self.liveness);
+        let parent = self.routes.parent[from as usize];
         if self.frame_batching() {
             // `effective_parent` only returns the sink or a participating node, so the
             // receiver always listens: a frame's fate is its channel's alone.
@@ -489,8 +650,7 @@ impl Network {
                 return frame.delivered.then_some(parent);
             }
         }
-        let msg = Message { from, to: parent, epoch, data_tuples, control_tuples };
-        self.send(msg, phase).then_some(parent)
+        self.carry(&[from, parent], epoch, data_tuples, control_tuples, phase).then_some(parent)
     }
 
     /// Flushes every pending merged frame through the radio/energy/fault accounting:
@@ -501,7 +661,7 @@ impl Network {
     /// unless frame batching is enabled and intents are pending.  [`Self::run_epoch`]
     /// calls this once per epoch, after every session's sweep.
     pub fn flush_frames(&mut self) {
-        let Self { frame_scheduler, metrics, batteries, config, .. } = self;
+        let Self { frame_scheduler, metrics, liveness, config, .. } = self;
         let Some(scheduler) = frame_scheduler else { return };
         scheduler.drain_frames(|from, to, frame, slices| {
             let frame_bytes = split_frame_shares(&frame.slices, &config.radio, slices);
@@ -523,10 +683,10 @@ impl Network {
                     rx,
                 );
                 if from != SINK {
-                    batteries.drain(from, tx);
+                    liveness.drain(from, tx);
                 }
                 if to != SINK {
-                    batteries.drain(to, rx);
+                    liveness.drain(to, rx);
                 }
             }
             if !frame.delivered {
@@ -549,58 +709,25 @@ impl Network {
         let tx = self.config.energy.tx_cost(bytes);
         let rx = self.config.energy.rx_cost(bytes);
         // Children re-attached past dead/sleeping ancestors, mirroring the upstream
-        // effective-parent routing: who hears whom is fixed before the first broadcast,
-        // bucketed by sender with a counting sort (ascending ids within a bucket).
-        let n = self.num_nodes();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let Scratch { flood_parent, flood_offsets: offsets, flood_children, .. } = &mut scratch;
-        flood_parent.clear();
-        flood_parent.push(NodeId::MAX);
-        offsets.clear();
-        offsets.resize(n + 2, 0);
-        for id in 1..=n as NodeId {
-            let parent =
-                if self.node_participating(id) { self.effective_parent(id) } else { NodeId::MAX };
-            flood_parent.push(parent);
-            if parent != NodeId::MAX {
-                offsets[parent as usize] += 1;
-            }
-        }
-        for sender in 1..=n + 1 {
-            offsets[sender] += offsets[sender - 1];
-        }
-        // `offsets[s]` is now the end of sender `s`'s bucket; filling the buckets back
-        // to front turns it into the start, and `offsets[s + 1]` is then the end.
-        flood_children.clear();
-        flood_children.resize(offsets[n + 1] as usize, 0);
-        for id in (1..=n as NodeId).rev() {
-            let parent = flood_parent[id as usize];
-            if parent != NodeId::MAX {
-                offsets[parent as usize] -= 1;
-                flood_children[offsets[parent as usize] as usize] = id;
-            }
-        }
+        // effective-parent routing: who hears whom is fixed before the first broadcast.
+        self.routes.refresh_flood_tree(&self.tree, &self.liveness);
+        let Self { routes, liveness, metrics, .. } = self;
         let mut transmissions = 0;
-        for position in 0..=n {
-            let sender = if position == 0 { SINK } else { self.tree.pre_order_slice()[position - 1] };
-            if sender != SINK && !self.node_participating(sender) {
+        for &sender in &routes.senders {
+            // A sender emptied by an earlier broadcast of this flood stays silent.
+            if !liveness.participates(sender) {
                 continue;
             }
-            let bucket = offsets[sender as usize] as usize..offsets[sender as usize + 1] as usize;
-            let children = &flood_children[bucket];
-            if children.is_empty() {
-                continue;
-            }
-            self.metrics.record_broadcast(sender, children, epoch, phase, bytes, 0, tx, rx);
+            let children = routes.children(sender);
+            metrics.record_broadcast(sender, children, epoch, phase, bytes, 0, tx, rx);
             if sender != SINK {
-                self.batteries.drain(sender, tx);
+                liveness.drain(sender, tx);
             }
-            for c in children {
-                self.batteries.drain(*c, rx);
+            for &c in children {
+                liveness.drain(c, rx);
             }
             transmissions += 1;
         }
-        self.scratch = scratch;
         transmissions
     }
 
@@ -619,26 +746,27 @@ impl Network {
             return None;
         }
         // The relays are found walking up from the target; the hops run downwards.
-        let mut path = std::mem::take(&mut self.scratch.path);
+        let mut path = self.route_to_sink(to);
+        path.reverse();
+        let delivered = self.carry(&path, epoch, 0, control_entries, phase);
+        let hops = path.len() as u32 - 1;
+        self.path = path;
+        delivered.then_some(hops)
+    }
+
+    /// The nodes from `node` up to the sink, both included, through participating
+    /// relays only, in the buffer the `path` field lends; the caller puts it back.
+    fn route_to_sink(&mut self, node: NodeId) -> Vec<NodeId> {
+        self.routes.refresh_parents(&self.tree, &self.liveness);
+        let mut path = std::mem::take(&mut self.path);
         path.clear();
-        let mut relay = to;
+        let mut relay = node;
+        path.push(relay);
         while relay != SINK {
+            relay = self.routes.parent[relay as usize];
             path.push(relay);
-            relay = self.effective_parent(relay);
         }
-        let mut hops = Some(0);
-        let mut from = SINK;
-        for &next in path.iter().rev() {
-            let msg = Message { from, to: next, epoch, data_tuples: 0, control_tuples: control_entries };
-            if !self.send(msg, phase) {
-                hops = None;
-                break;
-            }
-            hops = hops.map(|h| h + 1);
-            from = next;
-        }
-        self.scratch.path = path;
-        hops
+        path
     }
 
     /// Sends `data_tuples` data tuples from a node to the sink, hop by hop up the
@@ -655,25 +783,18 @@ impl Network {
         if !self.node_participating(from) {
             return None;
         }
-        let mut hops = 0;
-        let mut relay = from;
-        while relay != SINK {
-            // The nearest participating ancestor: relays already passed cannot have
-            // changed it, their traffic only drains themselves.
-            let next = self.effective_parent(relay);
-            let msg = Message::data(relay, next, epoch, data_tuples);
-            if !self.send(msg, phase) {
-                return None;
-            }
-            hops += 1;
-            relay = next;
-        }
-        Some(hops)
+        // Fixed before the first hop: a hop drains only its own two ends, and a node's
+        // effective parent depends only on the nodes above it.
+        let path = self.route_to_sink(from);
+        let delivered = self.carry(&path, epoch, data_tuples, 0, phase);
+        let hops = path.len() as u32 - 1;
+        self.path = path;
+        delivered.then_some(hops)
     }
 
     /// Convenience for experiments: total energy (µJ) the sensor nodes have consumed.
     pub fn total_energy_uj(&self) -> f64 {
-        self.batteries.total_consumed_uj()
+        self.liveness.batteries.total_consumed_uj()
     }
 }
 
@@ -835,7 +956,7 @@ mod tests {
         assert!(n.node_participating(1));
         // A 9-node deployment has some nodes asleep each epoch under this schedule.
         n.begin_epoch(0);
-        let awake = n.participating_nodes().len();
+        let awake = n.deployment().node_ids().into_iter().filter(|&id| n.node_participating(id)).count();
         assert!((6..9).contains(&awake), "roughly 3/4 of the nodes are awake, got {awake}");
     }
 

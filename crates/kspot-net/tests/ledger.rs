@@ -107,7 +107,7 @@ proptest! {
 // The flat ledger against a map-per-axis model.
 // ---------------------------------------------------------------------------------
 
-use kspot_net::{FrameSlice, NetworkMetrics, PhaseTotals, QueryScope, StorageTotals};
+use kspot_net::{AttemptCost, FrameSlice, NetworkMetrics, PhaseTotals, QueryScope, StorageTotals};
 use std::collections::BTreeMap;
 
 /// The aggregate half of the ledger as it was kept before it went flat: one `BTreeMap`
@@ -247,7 +247,7 @@ proptest! {
     /// included, and only those the maps would hold), same order, same bits.
     #[test]
     fn flat_ledger_matches_the_map_model(
-        ops in prop::collection::vec((0u64..12, 0u64..u64::MAX), 1..80),
+        ops in prop::collection::vec((0u64..13, 0u64..u64::MAX), 1..80),
     ) {
         let mut ledger = NetworkMetrics::new(NODES as usize);
         let mut model = MapLedger::default();
@@ -342,6 +342,42 @@ proptest! {
                             }
                             row.energy_uj += uj;
                         }
+                    }
+                }
+                11 => {
+                    // A unicast path of up to twelve attempts (none books nothing), some of
+                    // them retransmissions, the last one possibly unheard, possibly ending
+                    // in a drop.  The model books every event on its own.
+                    let cost = AttemptCost { bytes, tuples, tx_energy: tx, rx_energy: rx };
+                    let attempts = next() % 13;
+                    let events: Vec<(bool, u32, Option<u32>)> = (0..attempts)
+                        .map(|i| {
+                            let retransmission = i > 0 && next().is_multiple_of(2);
+                            let from = (next() % u64::from(NODES + 1)) as u32;
+                            let heard = i + 1 < attempts || !next().is_multiple_of(3);
+                            (retransmission, from, heard.then(|| (next() % u64::from(NODES + 1)) as u32))
+                        })
+                        .collect();
+                    let dropped = attempts > 0 && next().is_multiple_of(2);
+                    let mut path = ledger.open_path(epoch, phase, cost);
+                    for &(retransmission, from, to) in &events {
+                        if retransmission {
+                            path.note_retransmission();
+                        }
+                        path.record_attempt(from, to);
+                    }
+                    if dropped {
+                        path.note_drop(events[events.len() - 1].1);
+                    }
+                    path.close();
+                    for &(retransmission, from, to) in &events {
+                        if retransmission {
+                            model.book(epoch, phase, |t| t.retransmissions += 1);
+                        }
+                        model.transmission(epoch, phase, bytes, tuples, sensor(from, to));
+                    }
+                    if dropped {
+                        model.book(epoch, phase, |t| t.dropped_messages += 1);
                     }
                 }
                 _ => {
