@@ -84,6 +84,8 @@ struct Measured {
     retained: i64,
     /// What the answers weigh: their items, and the `Vec` the answers come in.
     answers: i64,
+    /// Nodes FILA probed.
+    fila_probes: u64,
 }
 
 /// The bytes `answers` should hold on the heap if nothing but the reported items is kept.
@@ -92,41 +94,62 @@ fn weight(answers: &Vec<TopKResult>) -> i64 {
     (items * size_of::<RankedItem>() + answers.capacity() * size_of::<TopKResult>()) as i64
 }
 
-/// The fourth shared epoch (after Creation and two warm-up epochs) on a `side × side`
-/// grid of 16 rooms.
-fn steady_epoch(side: usize) -> Measured {
+/// Each of `epochs` shared epochs of MINT + TAG + centralized collection + FILA on a
+/// `side × side` grid of 16 rooms, with frame batching on or off.  Readings are distinct
+/// per node.  Without `leader_drops` they never change: no MINT probe, no FILA filter
+/// violation — the common, quiet epoch.  With it the trace alternates two rows: in the
+/// second the node with the highest reading drops to the floor, so FILA's top member
+/// crosses its filter every epoch — down in one, back up in the next — and FILA probes,
+/// walking unicast paths down to nodes and back up; in the epochs the leader drops it
+/// refreshes every node.
+fn shared_epochs(side: usize, batching: bool, leader_drops: bool, epochs: usize) -> Vec<Measured> {
     let d = Deployment::grid(side, 10.0, Some(16));
-    // Readings are distinct per node and never change: no MINT probe, no FILA filter
-    // violation — the epoch measured is the common, quiet one.
-    let values: Vec<f64> = (0..d.num_nodes()).map(|i| 10.0 + (i * 37 % 197) as f64 * 0.4).collect();
-    let mut workload = Workload::trace(&d, ValueDomain::percentage(), vec![values]);
+    let level: Vec<f64> = (0..d.num_nodes()).map(|i| 10.0 + (i * 37 % 197) as f64 * 0.4).collect();
+    let mut rows = vec![level.clone()];
+    if leader_drops {
+        let leader = (0..level.len()).max_by(|&a, &b| level[a].total_cmp(&level[b])).expect("nodes");
+        rows.push(level);
+        rows[1][leader] = 0.0;
+    }
+    let mut workload = Workload::trace(&d, ValueDomain::percentage(), rows);
     let mut net = Network::new(d, NetworkConfig::mica2());
-    net.set_frame_batching(true);
+    net.set_frame_batching(batching);
 
     let spec = |k, func| SnapshotSpec::new(k, func, ValueDomain::percentage());
     let mut mint = MintViews::new(spec(3, AggFunc::Avg));
     let mut tag = TagTopK::new(spec(16, AggFunc::Max));
     let mut central = CentralizedCollection::new(spec(16, AggFunc::Avg));
     let mut fila = FilaMonitor::new(spec(3, AggFunc::Max));
-    let mut algos: [&mut dyn SnapshotAlgorithm; 4] = [&mut mint, &mut tag, &mut central, &mut fila];
 
-    let mut measured = None;
-    for epoch in 0..4 {
-        let readings = workload.next_epoch();
-        let before = (ALLOCATIONS.with(Cell::get), HELD_BYTES.with(Cell::get));
-        let answers = run_shared_epoch(&mut algos, &mut net, &readings, |net, i| {
-            net.set_query_scope(Some(i as u32));
-        });
-        measured = Some(Measured {
-            allocations: ALLOCATIONS.with(Cell::get) - before.0,
-            retained: HELD_BYTES.with(Cell::get) - before.1,
-            answers: weight(&answers),
-        });
-        assert_eq!(answers.iter().map(|a| a.items.len()).collect::<Vec<_>>(), [3, 16, 16, 3]);
-        assert!(answers.iter().all(|a| a.epoch == epoch));
-    }
+    let measured: Vec<Measured> = (0..epochs as u64)
+        .map(|epoch| {
+            let readings = workload.next_epoch();
+            let probes_before = fila.stats().probes;
+            let before = (ALLOCATIONS.with(Cell::get), HELD_BYTES.with(Cell::get));
+            let mut algos: [&mut dyn SnapshotAlgorithm; 4] = [&mut mint, &mut tag, &mut central, &mut fila];
+            let answers = run_shared_epoch(&mut algos, &mut net, &readings, |net, i| {
+                net.set_query_scope(Some(i as u32));
+            });
+            let measured = Measured {
+                allocations: ALLOCATIONS.with(Cell::get) - before.0,
+                retained: HELD_BYTES.with(Cell::get) - before.1,
+                answers: weight(&answers),
+                fila_probes: fila.stats().probes - probes_before,
+            };
+            assert_eq!(answers.iter().map(|a| a.items.len()).collect::<Vec<_>>(), [3, 16, 16, 3]);
+            assert!(answers.iter().all(|a| a.epoch == epoch));
+            measured
+        })
+        .collect();
+    assert_eq!(net.frame_batching(), batching);
     assert!(net.metrics().totals().messages > 0, "the sweeps did move traffic");
-    measured.expect("four epochs ran")
+    measured
+}
+
+/// The fourth quiet shared epoch (after Creation and two warm-up epochs) over a
+/// frame-batching network.
+fn steady_epoch(side: usize) -> Measured {
+    shared_epochs(side, true, false, 4)[3]
 }
 
 #[test]
@@ -158,46 +181,14 @@ fn a_steady_epoch_retains_its_answers_items_and_nothing_else() {
     }
 }
 
-/// Allocations of the last two shared epochs of six over a network with frame batching
-/// off, so every report is a `send`.  The trace alternates two rows: in the second the
-/// node with the highest reading drops to the floor, so FILA's top member crosses its
-/// filter every epoch — down in one, back up in the next — and FILA probes, walking
-/// unicast paths down to nodes and back up; in the epochs the leader drops it refreshes
-/// every node.
+/// Allocations of the last two of six shared epochs in which FILA probes, over a
+/// network with frame batching off, so every report is a `send`.
 fn unbatched_epoch_allocations(side: usize) -> [u64; 2] {
-    let d = Deployment::grid(side, 10.0, Some(16));
-    let level: Vec<f64> = (0..d.num_nodes()).map(|i| 10.0 + (i * 37 % 197) as f64 * 0.4).collect();
-    let leader = (0..level.len()).max_by(|&a, &b| level[a].total_cmp(&level[b])).expect("nodes");
-    let mut dropped = level.clone();
-    dropped[leader] = 0.0;
-    let mut workload = Workload::trace(&d, ValueDomain::percentage(), vec![level, dropped]);
-    let mut net = Network::new(d, NetworkConfig::mica2());
-
-    let spec = |k, func| SnapshotSpec::new(k, func, ValueDomain::percentage());
-    let mut mint = MintViews::new(spec(3, AggFunc::Avg));
-    let mut tag = TagTopK::new(spec(16, AggFunc::Max));
-    let mut central = CentralizedCollection::new(spec(16, AggFunc::Avg));
-    let mut fila = FilaMonitor::new(spec(3, AggFunc::Max));
-
-    let mut measured = [0; 2];
-    for epoch in 0..6 {
-        let readings = workload.next_epoch();
-        let probes_before = fila.stats().probes;
-        let before = ALLOCATIONS.with(Cell::get);
-        let mut algos: [&mut dyn SnapshotAlgorithm; 4] = [&mut mint, &mut tag, &mut central, &mut fila];
-        let answers = run_shared_epoch(&mut algos, &mut net, &readings, |net, i| {
-            net.set_query_scope(Some(i as u32));
-        });
-        let allocations = ALLOCATIONS.with(Cell::get) - before;
-        if epoch >= 4 {
-            measured[epoch - 4] = allocations;
-        }
-        assert_eq!(answers.len(), 4);
-        let probes = fila.stats().probes - probes_before;
-        assert!(epoch == 0 || probes >= 3, "epoch {epoch}: FILA probed {probes} nodes");
+    let epochs = shared_epochs(side, false, true, 6);
+    for (epoch, measured) in epochs.iter().enumerate().skip(1) {
+        assert!(measured.fila_probes >= 3, "epoch {epoch}: FILA probed {} nodes", measured.fila_probes);
     }
-    assert!(!net.frame_batching() && net.metrics().totals().messages > 0);
-    measured
+    [epochs[4].allocations, epochs[5].allocations]
 }
 
 /// What one of those epochs may allocate: the steady epoch's [`BUDGET`] and the answers

@@ -16,9 +16,10 @@
 //! exact at every step: [`Network::begin_epoch`] recomputes it from the fault plan and
 //! the batteries, and the one helper every battery drain goes through clears a node's
 //! flag the moment its battery empties — the only way participation changes inside an
-//! epoch.  [`Network::node_participating`] reads the flag.  What is derived from the
-//! view — each node's effective parent and the flood tree of [`Network::flood_down`] —
-//! is rebuilt only when the view has changed since it was built.  A unicast —
+//! epoch.  [`Network::node_participating`] reads the flag, and
+//! [`Network::effective_parent`] walks up the routing tree reading flags until one is
+//! set.  The flood tree of [`Network::flood_down`] is built from that same walk and
+//! rebuilt only when the view has changed since it was built.  A unicast —
 //! [`Network::send`], or the relay path of [`Network::unicast_up`] and
 //! [`Network::unicast_down`], fixed before its first hop — runs one hop loop that costs
 //! the payload once and books the whole path once ([`NetworkMetrics::open_path`]).
@@ -132,7 +133,7 @@ pub struct Network {
     config: NetworkConfig,
     metrics: NetworkMetrics,
     liveness: Liveness,
-    routes: Routes,
+    flood_tree: FloodTree,
     loss_rng: StdRng,
     /// One independent loss stream per installed query scope, created lazily.  Keyed
     /// streams make a query's loss draws a function of *its own* traffic order only,
@@ -159,7 +160,7 @@ struct Liveness {
     /// `participating[id]`: node `id` is awake, not scheduled dead and has energy left.
     /// Index 0 is the sink, which always participates.
     participating: Vec<bool>,
-    /// Bumped whenever a flag changes; what [`Routes`] derives from the view is keyed
+    /// Bumped whenever a flag changes; the [`FloodTree`] derived from the view is keyed
     /// on it.
     generation: u64,
 }
@@ -193,6 +194,15 @@ impl Liveness {
         self.participating[node as usize]
     }
 
+    /// The nearest participating ancestor of `node` in `tree` (possibly the sink).
+    fn effective_parent(&self, tree: &RoutingTree, node: NodeId) -> NodeId {
+        let mut parent = tree.parent(node);
+        while !self.participates(parent) {
+            parent = tree.parent(parent);
+        }
+        parent
+    }
+
     /// Drains `uj` from `node`'s battery; a node whose battery empties stops
     /// participating at once.
     fn drain(&mut self, node: NodeId, uj: f64) {
@@ -204,16 +214,12 @@ impl Liveness {
     }
 }
 
-/// Routes derived from the participation view, each rebuilt only when the view has
-/// changed since it was built.
+/// Who hears whom in [`Network::flood_down`], derived from the participation view and
+/// rebuilt only when the view has changed since it was built.
 #[derive(Debug, Clone, Default)]
-struct Routes {
-    /// The view generation `parent` was built for.
-    parents_at: Option<u64>,
-    /// `parent[id]`: node `id`'s nearest participating ancestor, possibly the sink.
-    parent: Vec<NodeId>,
-    /// The view generation the flood tree was built for.
-    flood_at: Option<u64>,
+struct FloodTree {
+    /// The view generation the tree was built for.
+    built_at: Option<u64>,
     /// `children[offsets[s]..offsets[s + 1]]` are the participating nodes whose
     /// effective parent is `s` (the sink included), ascending.
     offsets: Vec<u32>,
@@ -222,42 +228,22 @@ struct Routes {
     senders: Vec<NodeId>,
 }
 
-impl Routes {
-    /// Rebuilds the effective-parent map if the view changed since it was built.
-    fn refresh_parents(&mut self, tree: &RoutingTree, view: &Liveness) {
-        if self.parents_at != Some(view.generation) {
-            self.rebuild_parents(tree, view);
-        }
-    }
-
-    #[cold]
-    fn rebuild_parents(&mut self, tree: &RoutingTree, view: &Liveness) {
-        // Pre-order visits a node's parent before the node.
-        self.parent.clear();
-        self.parent.resize(tree.num_nodes() + 1, SINK);
-        for &id in tree.pre_order_slice() {
-            let parent = tree.parent(id);
-            self.parent[id as usize] =
-                if view.participates(parent) { parent } else { self.parent[parent as usize] };
-        }
-        self.parents_at = Some(view.generation);
-    }
-
-    /// Rebuilds the flood tree if the view changed since it was built: the
-    /// participating nodes bucketed by effective parent with a counting sort (ascending
-    /// ids within a bucket).
-    fn refresh_flood_tree(&mut self, tree: &RoutingTree, view: &Liveness) {
-        if self.flood_at == Some(view.generation) {
+impl FloodTree {
+    /// Rebuilds the tree if the view changed since it was built: the participating
+    /// nodes bucketed by effective parent with a counting sort (ascending ids within a
+    /// bucket).
+    fn refresh(&mut self, tree: &RoutingTree, view: &Liveness) {
+        if self.built_at == Some(view.generation) {
             return;
         }
-        self.refresh_parents(tree, view);
         let n = tree.num_nodes();
-        let Self { parent, offsets, children, senders, .. } = self;
+        let Self { offsets, children, senders, .. } = self;
+        let parent = |id: usize| view.effective_parent(tree, id as NodeId) as usize;
         offsets.clear();
         offsets.resize(n + 2, 0);
         for id in 1..=n {
             if view.participating[id] {
-                offsets[parent[id] as usize] += 1;
+                offsets[parent(id)] += 1;
             }
         }
         for sender in 1..=n + 1 {
@@ -269,7 +255,7 @@ impl Routes {
         children.resize(offsets[n + 1] as usize, 0);
         for id in (1..=n).rev() {
             if view.participating[id] {
-                let bucket = &mut offsets[parent[id] as usize];
+                let bucket = &mut offsets[parent(id)];
                 *bucket -= 1;
                 children[*bucket as usize] = id as NodeId;
             }
@@ -277,7 +263,7 @@ impl Routes {
         senders.clear();
         let nodes = std::iter::once(SINK).chain(tree.pre_order_slice().iter().copied());
         senders.extend(nodes.filter(|&s| offsets[s as usize] < offsets[s as usize + 1]));
-        self.flood_at = Some(view.generation);
+        self.built_at = Some(view.generation);
     }
 
     /// The flood tree's bucket of `sender`.
@@ -304,7 +290,7 @@ impl Network {
             config,
             metrics: NetworkMetrics::new(n),
             liveness,
-            routes: Routes::default(),
+            flood_tree: FloodTree::default(),
             loss_rng,
             scope_loss_rngs: BTreeMap::new(),
             current_scope: None,
@@ -374,15 +360,7 @@ impl Network {
     /// the degrade-to-partial tree repair documented in [`crate::fault`].
     pub fn effective_parent(&self, node: NodeId) -> NodeId {
         assert_ne!(node, SINK, "the sink has no parent");
-        if self.routes.parents_at == Some(self.liveness.generation) {
-            return self.routes.parent[node as usize];
-        }
-        // The view changed since the map was built; walk the tree instead.
-        let mut parent = self.tree.parent(node);
-        while !self.liveness.participates(parent) {
-            parent = self.tree.parent(parent);
-        }
-        parent
+        self.liveness.effective_parent(&self.tree, node)
     }
 
     /// Installs (or clears, with `None`) the query-attribution scope.  While a scope is
@@ -620,9 +598,7 @@ impl Network {
         if !self.node_participating(from) {
             return None;
         }
-        assert_ne!(from, SINK, "the sink has no parent");
-        self.routes.refresh_parents(&self.tree, &self.liveness);
-        let parent = self.routes.parent[from as usize];
+        let parent = self.effective_parent(from);
         if self.frame_batching() {
             // `effective_parent` only returns the sink or a participating node, so the
             // receiver always listens: a frame's fate is its channel's alone.
@@ -710,15 +686,15 @@ impl Network {
         let rx = self.config.energy.rx_cost(bytes);
         // Children re-attached past dead/sleeping ancestors, mirroring the upstream
         // effective-parent routing: who hears whom is fixed before the first broadcast.
-        self.routes.refresh_flood_tree(&self.tree, &self.liveness);
-        let Self { routes, liveness, metrics, .. } = self;
+        self.flood_tree.refresh(&self.tree, &self.liveness);
+        let Self { flood_tree, liveness, metrics, .. } = self;
         let mut transmissions = 0;
-        for &sender in &routes.senders {
+        for &sender in &flood_tree.senders {
             // A sender emptied by an earlier broadcast of this flood stays silent.
             if !liveness.participates(sender) {
                 continue;
             }
-            let children = routes.children(sender);
+            let children = flood_tree.children(sender);
             metrics.record_broadcast(sender, children, epoch, phase, bytes, 0, tx, rx);
             if sender != SINK {
                 liveness.drain(sender, tx);
@@ -757,13 +733,12 @@ impl Network {
     /// The nodes from `node` up to the sink, both included, through participating
     /// relays only, in the buffer the `path` field lends; the caller puts it back.
     fn route_to_sink(&mut self, node: NodeId) -> Vec<NodeId> {
-        self.routes.refresh_parents(&self.tree, &self.liveness);
         let mut path = std::mem::take(&mut self.path);
         path.clear();
         let mut relay = node;
         path.push(relay);
         while relay != SINK {
-            relay = self.routes.parent[relay as usize];
+            relay = self.effective_parent(relay);
             path.push(relay);
         }
         path
