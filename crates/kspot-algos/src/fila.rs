@@ -39,8 +39,8 @@ pub struct FilaMonitor {
     /// (only a node of the network gets a report through).  One slot per node, so
     /// walking it visits the known nodes in ascending id.
     last_known: Vec<Option<f64>>,
-    /// The buffer the known nodes are ranked in — by [`Self::rank_known`], whole and
-    /// best first, which is how [`Self::install_boundary`] finds it.
+    /// The buffer the known nodes are ranked in — by [`Self::rank_known`], its first
+    /// K + 1 best first, which is what [`Self::install_boundary`] reads.
     ranked: Vec<RankedItem>,
     /// The installed boundary, `None` before the first epoch.
     boundary: Option<f64>,
@@ -75,8 +75,8 @@ impl FilaMonitor {
         self.stats
     }
 
-    /// Ranks every node the sink knows of, best first, and answers with the K best.
-    /// Node ids are unique, so rank is a strict order.
+    /// Ranks the K + 1 best nodes the sink knows of, best first, and answers with the K
+    /// best.  Node ids are unique, so rank is a strict order.
     fn rank_known(&mut self, epoch: Epoch) -> TopKResult {
         self.ranked.clear();
         self.ranked.extend(

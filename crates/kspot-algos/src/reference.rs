@@ -178,7 +178,7 @@ mod properties {
     use crate::tja::Tja;
     use crate::tput::Tput;
     use kspot_net::{
-        Deployment, NetworkConfig, NetworkMetrics, PhaseTotals, WindowBank, Workload,
+        Deployment, Epoch, NetworkConfig, NetworkMetrics, PhaseTotals, WindowBank, Workload,
     };
     use kspot_query::AggFunc;
     use proptest::prelude::*;
@@ -426,7 +426,9 @@ mod properties {
         /// the span; 2: the same view owning its bank, as a restore opens it.
         source: usize,
         /// 0: one epoch per feed; 1: gaps between them; 2: some feeds repeat the epoch
-        /// before; 3: the odd nodes' clocks run one epoch ahead of the feed's.
+        /// before; 3: the odd nodes' clocks run one epoch ahead of the feed's (node 1's
+        /// reading opens every feed, so the span follows the ahead clock); 4: the even
+        /// nodes' clocks run one epoch ahead, so their last sample lies past the span.
         calendar: usize,
         loss_pct: u32,
         retransmits: u32,
@@ -484,7 +486,11 @@ mod properties {
             let readings: Vec<Reading> = nodes
                 .iter()
                 .map(|&node| {
-                    let ahead = if case.calendar == 3 { u64::from(node % 2) } else { 0 };
+                    let ahead = match case.calendar {
+                        3 => u64::from(node % 2),
+                        4 => u64::from(node % 2 == 0),
+                        _ => 0,
+                    };
                     let value = if case.nan && (feed, node) == poisoned {
                         f64::NAN
                     } else if case.seed.is_multiple_of(3) {
@@ -503,7 +509,11 @@ mod properties {
     /// Runs TJA and TPUT on the kernel and on the map-based reference over equal
     /// windows and equal networks and demands that nothing observable tells them apart.
     fn assert_historic_case(d: &Deployment, case: &HistoricCase) -> Exercised {
-        let bank = fed_bank(d, case);
+        assert_historic_bank(d, case, &fed_bank(d, case))
+    }
+
+    /// [`assert_historic_case`] over the windows of `bank`, opened as `case.source` says.
+    fn assert_historic_bank(d: &Deployment, case: &HistoricCase, bank: &WindowBank) -> Exercised {
         let n = d.num_nodes() as u64;
         let config = faulted_config(
             d,
@@ -628,6 +638,100 @@ mod properties {
         assert!(drained.depleted_mid_run > 0, "{drained:?}");
         for source in 0..3 {
             assert_historic_case(&d, &HistoricCase { nan: true, source, calendar: source + 1, ..calm });
+        }
+    }
+
+    // `begin` trusts a gapless span: a window whose first and last samples it covers is
+    // covered whole.  The cases below are the windows that must take the per-sample loop.
+
+    /// The 40-node tree and the healthy `WITH HISTORY 64` case the edges below start from.
+    fn edge_tree() -> Deployment {
+        random_tree(&(0..40).map(|i| i * 7 + 3).collect::<Vec<u32>>(), 3, 11)
+    }
+
+    const EDGE: HistoricCase = HistoricCase {
+        window: 64,
+        k: 5,
+        func: AggFunc::Avg,
+        source: 1,
+        calendar: 0,
+        loss_pct: 0,
+        retransmits: 0,
+        death: false,
+        duty: false,
+        battery_uj: 1.0e12,
+        nan: false,
+        seed: 11,
+    };
+
+    /// The span a view of `bank` covers, and whether some window of it holds an epoch
+    /// past the span's end.
+    fn span_and_overhang(bank: &WindowBank, window: usize) -> (Vec<Epoch>, bool) {
+        let mut view = BankWindows::new(bank.clone(), window);
+        let span = view.covered_epochs().to_vec();
+        let last = *span.last().expect("a case covers at least one epoch");
+        let nodes = view.source_nodes().to_vec();
+        let overhang = nodes.into_iter().any(|node| view.samples(node).last().is_some_and(|&(e, _)| e > last));
+        (span, overhang)
+    }
+
+    #[test]
+    fn the_kernel_matches_the_reference_over_a_span_with_gaps() {
+        let d = edge_tree();
+        for source in 0..3 {
+            let case = HistoricCase { calendar: 1, source, ..EDGE };
+            let bank = fed_bank(&d, &case);
+            let (span, _) = span_and_overhang(&bank, case.window);
+            assert!(span[span.len() - 1] - span[0] >= span.len() as Epoch, "the span has a gap: {span:?}");
+            assert_historic_bank(&d, &case, &bank);
+        }
+    }
+
+    #[test]
+    fn the_kernel_matches_the_reference_where_clocks_run_ahead_of_the_feed() {
+        let d = edge_tree();
+        for source in 0..3 {
+            for calendar in [3, 4] {
+                let case = HistoricCase { calendar, source, loss_pct: 30, retransmits: 1, ..EDGE };
+                let bank = fed_bank(&d, &case);
+                let (_, overhang) = span_and_overhang(&bank, case.window);
+                assert_eq!(overhang, calendar == 4, "calendar {calendar}: a window ends past the span");
+                assert_historic_bank(&d, &case, &bank);
+            }
+        }
+    }
+
+    /// An `AS OF` restore (a bank adopted from an image, owned by its view) of a ragged
+    /// image: by node, windows that hold the span, start before it, end after it, hold
+    /// every third epoch of it, or nothing.  Over a gapless span and over one with gaps
+    /// that some windows hold.
+    #[test]
+    fn the_kernel_matches_the_reference_over_an_as_of_restore_of_a_ragged_image() {
+        let d = edge_tree();
+        let mut rng = kspot_net::rng::stream_rng(EDGE.seed, &[0x7A6]);
+        for gaps in [false, true] {
+            let covered: Vec<Epoch> = (20..=83).filter(|&e| !gaps || e % 10 != 5).collect();
+            let windows: Vec<(NodeId, Vec<(Epoch, f64)>)> = (1..=d.num_nodes() as NodeId)
+                .map(|node| {
+                    let epochs: Vec<Epoch> = match node % 5 {
+                        0 => (20..=83).collect(),
+                        1 => (0..=83).collect(),
+                        2 => (40..=95).collect(),
+                        3 => (20..=83).step_by(3).collect(),
+                        _ => Vec::new(),
+                    };
+                    // What lies past the span ranks high, so a lost slot shows in a report.
+                    let mut value =
+                        |e: Epoch| if e > 83 { 95.0 + f64::from(rng.gen_range(0..5u32)) } else { rng.gen_range(0.0..=90.0) };
+                    (node, epochs.into_iter().map(|e| (e, value(e))).collect())
+                })
+                .collect();
+            let bank = WindowBank::from_windows(128, windows, covered.clone(), 200);
+            let case = HistoricCase { window: covered.len(), source: 2, ..EDGE };
+            assert!(span_and_overhang(&bank, case.window).1);
+            for (loss_pct, retransmits) in [(0, 0), (30, 1)] {
+                assert_historic_bank(&d, &HistoricCase { loss_pct, retransmits, ..case }, &bank);
+            }
         }
     }
 

@@ -63,10 +63,18 @@ impl TopKResult {
     }
 
     /// The `k` best of `candidates`, ranked like [`Self::new`] ranks them.  The
-    /// candidates are sorted where they are — a buffer the caller keeps — and only the
+    /// candidates are ranked where they are — a buffer the caller keeps — and only the
     /// answer is allocated.  Their keys must be distinct, so that the order is total.
+    ///
+    /// On return the first `min(k + 1, len)` candidates are the best, best first (one
+    /// more than the answer, for a caller that places a boundary after the `k`-th); the
+    /// rest are in no particular order.
     pub fn best_of(epoch: Epoch, candidates: &mut [RankedItem], k: usize) -> Self {
-        candidates.sort_unstable_by(by_rank);
+        let head = (k + 1).min(candidates.len());
+        if head < candidates.len() {
+            candidates.select_nth_unstable_by(k, by_rank);
+        }
+        candidates[..head].sort_unstable_by(by_rank);
         Self { epoch, items: candidates[..k.min(candidates.len())].to_vec() }
     }
 
@@ -145,10 +153,14 @@ mod tests {
         let mut candidates: Vec<RankedItem> = pairs.iter().map(|&(k, v)| RankedItem::new(k, v)).collect();
         let full = result(3, &pairs);
         for k in [0, 1, 3, 5, 9] {
+            candidates.reverse();
             let best = TopKResult::best_of(3, &mut candidates, k);
             assert_eq!(best.keys(), full.keys()[..k.min(5)], "k = {k}");
             assert_eq!(best.epoch, 3);
             assert_eq!(best.items.capacity(), best.items.len());
+            // One more than the answer is ranked in place, for a boundary after the k-th.
+            let head: Vec<u64> = candidates[..(k + 1).min(5)].iter().map(|i| i.key).collect();
+            assert_eq!(head, full.keys()[..(k + 1).min(5)], "k = {k}");
         }
     }
 

@@ -7,10 +7,10 @@
 //! up.  An execution fixes the span and the population first — the epochs any window
 //! holds become dense *slots* in ascending epoch order, the participating nodes that
 //! hold a window become dense *sources* in ascending id order — and from then on a
-//! partial is a row of an [`EpochTable`]: one `f64` and one bitset per slot, no map and
-//! no set.  What the two phases of pruning have in common — `τ₁`/`θ`, the lower and
-//! upper bounds, which epochs to resolve, whom to ask, the final ranking — is written
-//! here once.
+//! partial is a row of an [`EpochTable`]: one `f64`, one bitset and one presence bit per
+//! slot, no map and no set.  What the two phases of pruning have in common — `τ₁`/`θ`,
+//! the lower and upper bounds, which epochs to resolve, whom to ask, the final ranking —
+//! is written here once.
 //!
 //! Sums are added in the order the map-based code added them (ADR-005, "Host
 //! representation (historic)"): a node's view receives its children's views as they
@@ -28,13 +28,17 @@ use kspot_query::AggFunc;
 use std::cell::RefCell;
 
 /// A partial aggregate per epoch slot: the sum of the values received for the epoch and
-/// the set of sources they came from.  An epoch is *present* when its set is not empty.
+/// the set of sources they came from.  An epoch is *present* when its set is not empty,
+/// which the presence mask records as the set fills, so that asking costs one bit and
+/// counting one popcount per 64 slots.
 #[derive(Debug, Default)]
 pub(crate) struct EpochTable {
     sums: Vec<f64>,
     /// `words` words per slot; bit `i` of a slot's words is source `i`.
     contributors: Vec<u64>,
     words: usize,
+    /// Bit `s` is set once slot `s`'s contributor set is not empty.
+    mask: Vec<u64>,
 }
 
 impl EpochTable {
@@ -45,6 +49,8 @@ impl EpochTable {
         self.sums.resize(slots, 0.0);
         self.contributors.clear();
         self.contributors.resize(slots * self.words, 0);
+        self.mask.clear();
+        self.mask.resize(slots.div_ceil(64), 0);
     }
 
     fn set_of(&self, slot: usize) -> &[u64] {
@@ -52,17 +58,26 @@ impl EpochTable {
     }
 
     fn is_present(&self, slot: usize) -> bool {
-        self.set_of(slot).iter().any(|&word| word != 0)
+        self.mask[slot / 64] & (1 << (slot % 64)) != 0
     }
 
     /// The present slots, ascending — the epochs a map would hold, in its order.
     fn present(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.sums.len()).filter(|&slot| self.is_present(slot))
+        self.mask.iter().enumerate().flat_map(|(at, &word)| {
+            let mut left = word;
+            std::iter::from_fn(move || {
+                (left != 0).then(|| {
+                    let bit = left.trailing_zeros() as usize;
+                    left &= left - 1;
+                    at * 64 + bit
+                })
+            })
+        })
     }
 
     /// Number of present epochs.
     pub(crate) fn len(&self) -> usize {
-        self.present().count()
+        self.mask.iter().map(|word| word.count_ones() as usize).sum()
     }
 
     /// Number of sources that contributed to `slot`.
@@ -79,6 +94,7 @@ impl EpochTable {
         let word = &mut self.contributors[slot * self.words + source / 64];
         let fresh = *word & (1 << (source % 64)) == 0;
         *word |= 1 << (source % 64);
+        self.mask[slot / 64] |= 1 << (slot % 64);
         fresh
     }
 
@@ -105,6 +121,9 @@ impl EpochTable {
         }
         for (set, partial) in self.contributors.iter_mut().zip(&other.contributors) {
             *set |= partial;
+        }
+        for (word, partial) in self.mask.iter_mut().zip(&other.mask) {
+            *word |= partial;
         }
     }
 }
@@ -240,9 +259,21 @@ impl Threshold {
             self.epochs.sort_unstable();
             self.epochs.dedup();
         }
+        // A window's epochs do not decrease, so over a gapless span a window whose
+        // first and last samples are covered is covered whole.
         let covered = self.epochs.len();
+        let gapless = match (self.epochs.first(), self.epochs.last()) {
+            (Some(&first), Some(&last)) if last - first == covered as Epoch - 1 => Some(first..=last),
+            _ => None,
+        };
         for &node in &self.sources {
-            for &(epoch, _) in data.samples(node) {
+            let samples = data.samples(node);
+            if let (Some(span), Some(&(first, _)), Some(&(last, _))) = (&gapless, samples.first(), samples.last()) {
+                if span.contains(&first) && span.contains(&last) {
+                    continue;
+                }
+            }
+            for &(epoch, _) in samples {
                 if slot_in(&self.epochs[..covered], epoch).is_none() {
                     self.epochs.push(epoch);
                 }
@@ -469,5 +500,101 @@ fn slot_in(epochs: &[Epoch], epoch: Epoch) -> Option<usize> {
         Some(guess)
     } else {
         epochs.binary_search(&epoch).ok()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EpochTable;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The table as the map-based executors kept it: per present slot, the sum and the
+    /// set of sources it came from.
+    type Model = BTreeMap<usize, (f64, BTreeSet<usize>)>;
+
+    /// Every read of `table` against `model`, sums as bit patterns.
+    fn assert_agrees(table: &EpochTable, model: &Model, slots: usize, sources: usize) {
+        assert_eq!(table.len(), model.len());
+        assert_eq!(table.present().collect::<Vec<_>>(), model.keys().copied().collect::<Vec<_>>());
+        for slot in 0..slots {
+            let entry = model.get(&slot);
+            assert_eq!(table.is_present(slot), entry.is_some(), "slot {slot}");
+            assert_eq!(table.count(slot), entry.map_or(0, |(_, set)| set.len()), "slot {slot}");
+            assert_eq!(table.sums[slot].to_bits(), entry.map_or(0.0, |&(sum, _)| sum).to_bits(), "slot {slot}");
+        }
+        for (&slot, (_, set)) in model {
+            let held: BTreeSet<usize> = (0..sources).filter(|&source| table.contains(slot, source)).collect();
+            assert_eq!(&held, set, "slot {slot}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Two tables driven through `reset` (same and changed shape), `add`, `absorb`
+        /// and `merge` read like two maps of sums and source sets after every step.
+        /// Shapes reach 300 slots and 130 sources, so the presence mask and the
+        /// contributor sets both cross word boundaries; a slot or source is drawn from
+        /// the first three often, so that sources repeat.
+        #[test]
+        fn the_table_matches_a_map_of_sums_and_sets(
+            shape in (1usize..301, 1usize..131),
+            ops in prop::collection::vec(
+                (0u32..16, prop_oneof![0usize..3, 0usize..300], prop_oneof![0usize..3, 0usize..130], 0u32..2_000),
+                1..48,
+            ),
+        ) {
+            let (mut slots, mut sources) = shape;
+            let mut tables = [EpochTable::default(), EpochTable::default()];
+            let mut models = [Model::new(), Model::new()];
+            for table in &mut tables {
+                table.reset(slots, sources);
+            }
+            for (kind, slot_draw, source_draw, draw) in ops {
+                let (at, slot, source) = (draw as usize % 2, slot_draw % slots, source_draw % sources);
+                let value = f64::from(draw / 2) / 8.0 - 60.0;
+                let [first, second] = &mut models;
+                let (model, other) = if at == 0 { (first, second) } else { (second, first) };
+                match kind {
+                    0..=4 => {
+                        tables[at].add(slot, source, value);
+                        let entry = model.entry(slot).or_insert((0.0, BTreeSet::new()));
+                        entry.0 += value;
+                        entry.1.insert(source);
+                    }
+                    5..=9 => {
+                        tables[at].absorb(slot, source, value);
+                        let entry = model.entry(slot).or_insert((0.0, BTreeSet::new()));
+                        if entry.1.insert(source) {
+                            entry.0 += value;
+                        }
+                    }
+                    10..=12 => {
+                        let [ours, theirs] = &mut tables;
+                        if at == 0 { ours.merge(theirs) } else { theirs.merge(ours) }
+                        for (&slot, (sum, set)) in other.iter() {
+                            let entry = model.entry(slot).or_insert((0.0, BTreeSet::new()));
+                            entry.0 += sum;
+                            entry.1.extend(set);
+                        }
+                    }
+                    13 | 14 => {
+                        tables[at].reset(slots, sources);
+                        model.clear();
+                    }
+                    _ => {
+                        (slots, sources) = (1 + slot_draw % 300, 1 + source_draw % 130);
+                        for (table, model) in tables.iter_mut().zip(&mut models) {
+                            table.reset(slots, sources);
+                            model.clear();
+                        }
+                    }
+                }
+                for (table, model) in tables.iter().zip(&models) {
+                    assert_agrees(table, model, slots, sources);
+                }
+            }
+        }
     }
 }

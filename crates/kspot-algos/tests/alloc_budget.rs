@@ -8,7 +8,8 @@
 //!
 //! The historic path is pinned the same way: a `WITH HISTORY 128` TJA over the engine's
 //! warm windows allocates its answer and the view's epoch list, whatever the node count
-//! and the span.
+//! and the span — and when the span changes between executions, the working memory
+//! grows once and is reused from then on.
 //!
 //! Timing claims live in the benchmark (`bench/`); this test is the regression fence
 //! that does not depend on the host: a `BTreeMap` or a per-node `Vec` creeping back
@@ -292,4 +293,47 @@ fn a_steady_tja_allocates_a_small_constant_whatever_the_network_and_the_window()
     assert_eq!(steady_tja_allocations(8, 64), small, "nor on the span (64 vs 128 epochs)");
     assert!(large <= HISTORIC_BUDGET, "a steady TJA allocated {large} times, budget {HISTORIC_BUDGET}");
     assert_eq!(steady_tja_allocations(10, 128), large, "the count repeats exactly run to run");
+}
+
+/// Allocations of six TJAs on a fresh thread over one `side × side` bank of 128 epochs,
+/// the span changing from one to the next: 64, 64, 128, 64, 128, 64.  The third grows
+/// the thread's working memory — slots, sums, contributor sets and presence masks — to
+/// 128 epochs; from then on both spans run in it.
+fn span_changing_tja_allocations(side: usize) -> Vec<u64> {
+    std::thread::spawn(move || {
+        let d = Deployment::grid(side, 10.0, Some(16));
+        let mut workload = Workload::uniform_iid(&d, ValueDomain::percentage(), 42);
+        let mut bank = WindowBank::new(128);
+        for _ in 0..133 {
+            bank.feed(&workload.next_epoch());
+        }
+        let mut net = Network::new(d, NetworkConfig::mica2());
+        [64, 64, 128, 64, 128, 64]
+            .into_iter()
+            .map(|window| {
+                let readings = workload.next_epoch();
+                net.begin_epoch(readings[0].epoch);
+                bank.feed(&readings);
+                let spec = HistoricSpec::new(8, AggFunc::Avg, ValueDomain::percentage(), window);
+                let before = ALLOCATIONS.with(Cell::get);
+                let answer = Tja::new(spec).execute(&mut net, &mut BankWindows::new(&mut bank, window));
+                let measured = ALLOCATIONS.with(Cell::get) - before;
+                assert_eq!(answer.items.len(), 8);
+                measured
+            })
+            .collect()
+    })
+    .join()
+    .expect("the measuring thread")
+}
+
+#[test]
+fn a_tja_whose_span_changes_grows_its_working_memory_once_and_then_reuses_it() {
+    let small = span_changing_tja_allocations(8);
+    // Only the cold first execution depends on the node count (the view pool fills).
+    assert_eq!(span_changing_tja_allocations(10)[1..], small[1..], "64 vs 100 nodes");
+    let steady = small[1];
+    assert!(small[2] > steady, "the first span of 128 grows the working memory: {small:?}");
+    assert!(small[3..].iter().all(|&n| n == steady), "after that, neither span allocates more: {small:?}");
+    assert!(steady <= HISTORIC_BUDGET, "a steady TJA allocated {steady} times, budget {HISTORIC_BUDGET}");
 }
