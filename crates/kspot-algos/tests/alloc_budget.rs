@@ -183,7 +183,7 @@ fn a_steady_epoch_retains_its_answers_items_and_nothing_else() {
 }
 
 /// Allocations of the last two of six shared epochs in which FILA probes, over a
-/// network with frame batching off, so every report is a `send`.
+/// network with frame batching off, so every report is a one-hop unicast.
 fn unbatched_epoch_allocations(side: usize) -> [u64; 2] {
     let epochs = shared_epochs(side, false, true, 6);
     for (epoch, measured) in epochs.iter().enumerate().skip(1) {

@@ -9,7 +9,9 @@
 //! * [`topology`] — sensor deployments (grid, uniform random, clustered rooms) and the
 //!   connectivity graph induced by a radio range;
 //! * [`tree`] — the first-heard-from routing tree used by TAG/TinyDB-style convergecast;
-//! * [`radio`] + [`message`] — the message/byte cost model of the CC1000 radio on MICA2;
+//! * [`radio`] — the message/byte cost model of the CC1000 radio on MICA2: an algorithm
+//!   describes a payload symbolically (data tuples, control entries) and the substrate
+//!   costs it in bytes, airtime and energy;
 //! * [`energy`] — per-node batteries and a calibrated µJ-per-byte energy model, plus the
 //!   network-lifetime metric;
 //! * [`fault`] — fault injection: lossy links with ARQ recovery, scheduled node deaths
@@ -41,7 +43,6 @@
 pub mod codec;
 pub mod energy;
 pub mod fault;
-pub mod message;
 pub mod metrics;
 pub mod radio;
 #[cfg(test)]
@@ -57,7 +58,6 @@ pub mod workload;
 
 pub use energy::{Battery, BatteryBank, EnergyModel};
 pub use fault::{DutyCycle, FaultPlan};
-pub use message::Message;
 pub use metrics::{
     AttemptCost, NetworkMetrics, NodeCounters, PathBooking, PhaseTag, PhaseTotals, QueryScope,
     Savings, StorageTotals,

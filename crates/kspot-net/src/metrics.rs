@@ -6,13 +6,14 @@
 //! and how much energy did the in-network Top-K execution save compared to shipping
 //! everything to the base station?
 //!
-//! The ledger is booked to once per simulated transmission, so its axes are flat:
-//! sorted rows behind a last-hit cursor.  What must survive any change of
-//! representation — the order each accumulator receives its operands in, and when a
-//! row starts to exist — is written down in ADR-004, "Host representation".
+//! Every payload on the air is booked once: a unicast path or a flood through one
+//! [`PathBooking`], a merged frame through one [`NetworkMetrics::book_frame`].  The
+//! ledger's axes are flat: sorted rows behind a last-hit cursor.  What must survive any
+//! change of representation — the order each accumulator receives its operands in, and
+//! when a row starts to exist — is written down in ADR-004, "Host representation".
 
 use crate::schedule::FrameSlice;
-use crate::types::{Epoch, NodeId};
+use crate::types::{Epoch, NodeId, SINK};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -70,8 +71,7 @@ pub struct NodeCounters {
     pub rx_bytes: u64,
     /// Result tuples the node placed on the air.
     pub tuples_sent: u64,
-    /// Payloads this node failed to deliver even after its ARQ retries (or because the
-    /// receiver was dead or asleep for the whole epoch).
+    /// Payloads this node failed to deliver even after its ARQ retries.
     pub dropped_messages: u64,
     /// Total energy drawn, µJ (radio + sensing + CPU).
     pub energy_uj: f64,
@@ -104,8 +104,7 @@ pub struct PhaseTotals {
     /// ARQ retransmission attempts (already included in `messages`/`bytes`; this
     /// counter isolates the overhead the recovery policy paid).
     pub retransmissions: u64,
-    /// Payloads that were never delivered: lost after exhausting their ARQ retries, or
-    /// addressed to a node that was dead or asleep.
+    /// Payloads that were never delivered: lost after exhausting their ARQ retries.
     pub dropped_messages: u64,
     /// Energy drawn network-wide (sensor nodes only, the sink is mains-powered), µJ.
     pub energy_uj: f64,
@@ -230,8 +229,8 @@ struct BookedRows {
     scope: Option<(usize, usize)>,
 }
 
-/// What one on-air attempt of a unicast payload costs.  A payload costs the same on
-/// every hop and every attempt of its path, so it is costed once per path.
+/// What one on-air attempt of a payload costs.  A payload costs the same on every hop
+/// and every attempt of its path, so it is costed once per path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttemptCost {
     /// On-air bytes of one attempt.
@@ -240,20 +239,19 @@ pub struct AttemptCost {
     pub tuples: u32,
     /// Sender's radio energy per attempt, µJ.
     pub tx_energy: f64,
-    /// Receiver's radio energy per attempt, µJ.
+    /// Each receiver's radio energy per attempt, µJ.
     pub rx_energy: f64,
 }
 
-/// The open booking of one unicast payload carried hop by hop along its path, from
-/// [`NetworkMetrics::open_path`] to [`Self::close`].  It holds the ledger, so nothing
-/// else is booked while the path is open.
+/// The open booking of one payload, from [`NetworkMetrics::open_path`] to
+/// [`Self::close`]: a unicast carried hop by hop along its path, or a flood broadcast
+/// by broadcast.  It holds the ledger, so nothing else is booked while it is open.
 ///
-/// Closing gives what booking each event on its own would — an attempt as
-/// [`NetworkMetrics::record_broadcast`] with its one receiver or none,
-/// [`NetworkMetrics::note_retransmission`], [`NetworkMetrics::note_drop`] — bit for
-/// bit.  The aggregate rows are found once per path.  Node counters and every energy
-/// accumulator take each attempt as it happens, in attempt order; the message, byte,
-/// tuple, retransmission and drop counts land once, at the close.  A path that books
+/// Closing gives what booking each event on its own would — every attempt one
+/// message heard by its receivers, every retransmission and drop one count — bit for
+/// bit.  The aggregate rows are found once per booking.  Node counters and every
+/// energy accumulator take each attempt as it happens, in attempt order; the message,
+/// byte, tuple, retransmission and drop counts land once, at the close.  A booking of
 /// nothing creates no row.
 #[must_use = "a path's counts land when it is closed"]
 pub struct PathBooking<'a> {
@@ -273,22 +271,11 @@ pub struct PathBooking<'a> {
 }
 
 impl PathBooking<'_> {
-    /// Books one on-air attempt sent by `from` and heard by `to` — `None` for an
-    /// addressee that is dead or asleep, which hears nothing and pays nothing.
+    /// Books one on-air attempt sent by `from` and heard by every node of `heard_by`:
+    /// one receiver for a unicast hop, a sender's flood children for a broadcast.
     #[inline(always)]
-    pub fn record_attempt(&mut self, from: NodeId, to: Option<NodeId>) {
-        let AttemptCost { bytes, tuples, tx_energy, rx_energy } = self.cost;
-        self.metrics.counters_mut(from).add_tx(bytes, tuples, tx_energy);
-        let mut sensor_energy = 0.0;
-        if from != crate::types::SINK {
-            sensor_energy += tx_energy;
-        }
-        if let Some(to) = to {
-            self.metrics.counters_mut(to).add_rx(bytes, rx_energy);
-            if to != crate::types::SINK {
-                sensor_energy += rx_energy;
-            }
-        }
+    pub fn record_attempt(&mut self, from: NodeId, heard_by: &[NodeId]) {
+        let sensor_energy = self.metrics.attempt(from, heard_by, &self.cost);
         if self.attempts > 0 {
             let earlier = self.pending_energy;
             let rows = *self.rows.get_or_insert_with(|| self.metrics.rows(self.epoch, self.phase));
@@ -311,7 +298,11 @@ impl PathBooking<'_> {
     }
 
     /// Lands the path's counts, and the energy of its last attempt, in its rows.
-    #[inline]
+    /// Always inlined, as is the ledger's `apply`: left to the optimiser, neither is
+    /// inlined into the hop loop once floods book through them too, and a booking
+    /// handed over in memory costs a one-hop report ≈ 10 ns (ADR-004, "One booking per
+    /// payload").
+    #[inline(always)]
     pub fn close(self) {
         let Self { metrics, epoch, phase, cost, rows, pending_energy, attempts, retransmissions, drops } =
             self;
@@ -384,11 +375,32 @@ impl NetworkMetrics {
     }
 
     fn counters_mut(&mut self, id: NodeId) -> &mut NodeCounters {
-        if id == crate::types::SINK {
+        if id == SINK {
             &mut self.sink
         } else {
             &mut self.per_node[(id - 1) as usize]
         }
+    }
+
+    /// Books one on-air attempt into the node counters: `from` sends it, every node of
+    /// `heard_by` receives it.  Returns the energy it cost the sensor nodes, the
+    /// amount the aggregate rows take — the sink is mains-powered, so its radio energy
+    /// shows on its own counters only.
+    #[inline(always)]
+    fn attempt(&mut self, from: NodeId, heard_by: &[NodeId], cost: &AttemptCost) -> f64 {
+        let AttemptCost { bytes, tuples, tx_energy, rx_energy } = *cost;
+        self.counters_mut(from).add_tx(bytes, tuples, tx_energy);
+        let mut sensor_energy = 0.0;
+        if from != SINK {
+            sensor_energy += tx_energy;
+        }
+        for &to in heard_by {
+            self.counters_mut(to).add_rx(bytes, rx_energy);
+            if to != SINK {
+                sensor_energy += rx_energy;
+            }
+        }
+        sensor_energy
     }
 
     /// Installs (or clears) the attribution scope.  While a scope is installed, every
@@ -436,17 +448,9 @@ impl NetworkMetrics {
         cells.map(|at| (keys[at].1, self.per_scope_phase.rows[at]))
     }
 
-    /// Applies one booking to every aggregate ledger an event belongs to: per-phase,
-    /// per-epoch, grand total, and — when an attribution scope is installed — that
-    /// scope's totals and its scope×phase cell.  Runs once per simulated transmission,
-    /// so it must not allocate.
-    fn book(&mut self, epoch: Epoch, phase: PhaseTag, apply: impl FnMut(&mut PhaseTotals)) {
-        let rows = self.rows(epoch, phase);
-        self.apply(rows, apply);
-    }
-
-    /// The rows a booking of `(epoch, phase)` under the installed scope lands in,
-    /// created if they do not exist yet.
+    /// The rows a booking of `(epoch, phase)` under the installed scope lands in —
+    /// per-phase, per-epoch and, under a scope, the scope's totals and its scope×phase
+    /// cell — created if they do not exist yet.
     #[inline]
     fn rows(&mut self, epoch: Epoch, phase: PhaseTag) -> BookedRows {
         BookedRows {
@@ -458,8 +462,9 @@ impl NetworkMetrics {
         }
     }
 
-    /// Applies one booking to rows found by [`Self::rows`] since the last row insertion.
-    #[inline]
+    /// Applies one booking to the grand total and to rows found by [`Self::rows`] since
+    /// the last row insertion.  Every booking runs it, so it must not allocate.
+    #[inline(always)]
     fn apply(&mut self, rows: BookedRows, mut apply: impl FnMut(&mut PhaseTotals)) {
         apply(&mut self.per_phase.rows[rows.phase]);
         apply(&mut self.per_epoch.rows[rows.epoch]);
@@ -470,8 +475,8 @@ impl NetworkMetrics {
         }
     }
 
-    /// Opens the booking of one unicast payload that costs `cost` per on-air attempt,
-    /// under the installed scope.
+    /// Opens the booking of one payload that costs `cost` per on-air attempt — a
+    /// unicast path or a flood — under the installed scope.
     pub fn open_path(&mut self, epoch: Epoch, phase: PhaseTag, cost: AttemptCost) -> PathBooking<'_> {
         PathBooking {
             metrics: self,
@@ -486,12 +491,12 @@ impl NetworkMetrics {
         }
     }
 
-    /// Records one single-hop transmission: a [`Self::record_broadcast`] heard by `to`
-    /// alone.
+    /// Records one single-hop transmission heard by `to`: a path booking of one
+    /// attempt.
     ///
-    /// `tx_energy` / `rx_energy` are the radio energies already computed by the caller
-    /// (the [`crate::sim::Network`] façade); the sink's energy is tracked but never
-    /// counted towards network totals because the base station is mains-powered.
+    /// `tx_energy` / `rx_energy` are the radio energies already computed by the caller;
+    /// the sink's energy is tracked but never counted towards network totals because
+    /// the base station is mains-powered.
     #[allow(clippy::too_many_arguments)]
     pub fn record_transmission(
         &mut self,
@@ -504,60 +509,33 @@ impl NetworkMetrics {
         tx_energy: f64,
         rx_energy: f64,
     ) {
-        self.record_broadcast(from, &[to], epoch, phase, bytes, tuples, tx_energy, rx_energy);
+        let mut path = self.open_path(epoch, phase, AttemptCost { bytes, tuples, tx_energy, rx_energy });
+        path.record_attempt(from, &[to]);
+        path.close();
     }
 
-    /// Records one local broadcast transmission heard by several children at once —
-    /// how dissemination traffic actually behaves on a shared radio medium: the sender
-    /// pays one transmission, every listed receiver pays a reception.  With no
-    /// receivers it is a transmission nobody heard (a dead or sleeping addressee): the
-    /// sender pays and the attempt counts as a message on the air.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_broadcast(
-        &mut self,
-        from: NodeId,
-        receivers: &[NodeId],
-        epoch: Epoch,
-        phase: PhaseTag,
-        bytes: u32,
-        tuples: u32,
-        tx_energy: f64,
-        rx_energy_each: f64,
-    ) {
-        self.counters_mut(from).add_tx(bytes, tuples, tx_energy);
-        let mut sensor_energy = 0.0;
-        if from != crate::types::SINK {
-            sensor_energy += tx_energy;
-        }
-        for &r in receivers {
-            self.counters_mut(r).add_rx(bytes, rx_energy_each);
-            if r != crate::types::SINK {
-                sensor_energy += rx_energy_each;
-            }
-        }
-        self.book(epoch, phase, |totals| {
-            totals.messages += 1;
-            totals.bytes += u64::from(bytes);
-            totals.tuples += u64::from(tuples);
-            totals.energy_uj += sensor_energy;
-        });
-    }
-
-    /// Records one on-air attempt of a **merged frame** (see [`crate::schedule`]): a
-    /// frame carrying several sessions' payload slices as one transmission.
+    /// Books a **merged frame** (see [`crate::schedule`]) sent by `from` to `to`: a
+    /// frame carrying several sessions' payload slices as one transmission, on the air
+    /// `attempts` times (one plus its ARQ retransmissions, so at least one) and dropped
+    /// after the last unless `delivered`.
     ///
     /// Booking policy (ADR-004): the per-node, per-epoch and grand-total ledgers see
-    /// one message of `frame_bytes` bytes — a merged frame really is one transmission
-    /// on the air.  On the per-phase axis the frame's *message* is booked under
-    /// `label_phase` (the phase of the intent that opened the frame) while bytes,
+    /// one message of `frame_bytes` bytes per attempt — a merged frame really is one
+    /// transmission on the air.  On the per-phase axis the frame's *message* is booked
+    /// under `label_phase` (the phase of the intent that opened the frame) while bytes,
     /// tuples and energy are partitioned per slice under each slice's own phase, so
     /// the per-phase axis still sums to the totals exactly.  Each slice's scope is
     /// booked the slice's attributed share (payload + pro-rata overhead) plus one
     /// message — under batching a scope's message count therefore means "frames my
     /// payload rode on" and scoped message sums may exceed the global count, while
-    /// scoped *bytes* always partition the ledger.
+    /// scoped *bytes* always partition the ledger.  A retransmission or the drop is
+    /// booked once under the label phase and once per riding scope: every scope's
+    /// payload was on the retry, and a dropped frame drops them all.
+    ///
+    /// Each attempt is booked in turn, node counters and every accumulator; the
+    /// retransmission and drop counts land once.
     #[allow(clippy::too_many_arguments)]
-    pub fn record_frame_transmission(
+    pub fn book_frame(
         &mut self,
         from: NodeId,
         to: NodeId,
@@ -567,119 +545,78 @@ impl NetworkMetrics {
         slices: &[FrameSlice],
         tx_energy: f64,
         rx_energy: f64,
+        attempts: u32,
+        delivered: bool,
     ) {
-        let total_tuples: u32 = slices.iter().map(|s| s.tuples).sum();
-        self.counters_mut(from).add_tx(frame_bytes, total_tuples, tx_energy);
-        self.counters_mut(to).add_rx(frame_bytes, rx_energy);
-        let sensor_energy = {
-            let mut e = 0.0;
-            if from != crate::types::SINK {
-                e += tx_energy;
-            }
-            if to != crate::types::SINK {
-                e += rx_energy;
-            }
-            e
-        };
-        for totals in [&mut self.totals, self.per_epoch.entry(epoch)] {
-            totals.messages += 1;
-            totals.bytes += u64::from(frame_bytes);
-            totals.tuples += u64::from(total_tuples);
-            totals.energy_uj += sensor_energy;
-        }
-        self.per_phase.entry(label_phase).messages += 1;
+        let tuples: u32 = slices.iter().map(|s| s.tuples).sum();
+        let cost = AttemptCost { bytes: frame_bytes, tuples, tx_energy, rx_energy };
         // Frame after frame carries the same sessions in the same slice positions, so
         // each position remembers where its scope's rows were.
         if self.frame_hints.len() < slices.len() {
             self.frame_hints.resize(slices.len(), [0; 2]);
         }
-        for (slice, hint) in slices.iter().zip(&mut self.frame_hints) {
-            let share = if frame_bytes > 0 {
-                f64::from(slice.share_bytes) / f64::from(frame_bytes)
-            } else {
-                0.0
-            };
-            let slice_energy = sensor_energy * share;
-            let phase = self.per_phase.entry(slice.phase);
-            phase.bytes += u64::from(slice.share_bytes);
-            phase.tuples += u64::from(slice.tuples);
-            phase.energy_uj += slice_energy;
-            if let Some(scope) = slice.scope {
+        for _ in 0..attempts {
+            let sensor_energy = self.attempt(from, &[to], &cost);
+            for totals in [&mut self.totals, self.per_epoch.entry(epoch)] {
+                totals.messages += 1;
+                totals.bytes += u64::from(frame_bytes);
+                totals.tuples += u64::from(tuples);
+                totals.energy_uj += sensor_energy;
+            }
+            self.per_phase.entry(label_phase).messages += 1;
+            for (slice, hint) in slices.iter().zip(&mut self.frame_hints) {
+                let share = if frame_bytes > 0 {
+                    f64::from(slice.share_bytes) / f64::from(frame_bytes)
+                } else {
+                    0.0
+                };
+                let slice_energy = sensor_energy * share;
+                let phase = self.per_phase.entry(slice.phase);
+                phase.bytes += u64::from(slice.share_bytes);
+                phase.tuples += u64::from(slice.tuples);
+                phase.energy_uj += slice_energy;
+                if let Some(scope) = slice.scope {
+                    for ledger in [
+                        &mut self.per_scope.entry_near(scope, &mut hint[0]).totals,
+                        self.per_scope_phase.entry_near((scope, slice.phase), &mut hint[1]),
+                    ] {
+                        ledger.messages += 1;
+                        ledger.bytes += u64::from(slice.share_bytes);
+                        ledger.tuples += u64::from(slice.tuples);
+                        ledger.energy_uj += slice_energy;
+                    }
+                }
+            }
+        }
+        let retransmissions = u64::from(attempts.saturating_sub(1));
+        let drops = u64::from(!delivered);
+        if retransmissions == 0 && drops == 0 {
+            return;
+        }
+        self.counters_mut(from).dropped_messages += drops;
+        for totals in [self.per_phase.entry(label_phase), self.per_epoch.entry(epoch), &mut self.totals] {
+            totals.retransmissions += retransmissions;
+            totals.dropped_messages += drops;
+        }
+        // Frame-level events are booked once per distinct riding scope, under the
+        // phase of that scope's first slice.
+        for (at, slice) in slices.iter().enumerate() {
+            let Some(scope) = slice.scope else { continue };
+            if slices[..at].iter().all(|earlier| earlier.scope != slice.scope) {
                 for ledger in [
-                    &mut self.per_scope.entry_near(scope, &mut hint[0]).totals,
-                    self.per_scope_phase.entry_near((scope, slice.phase), &mut hint[1]),
+                    &mut self.per_scope.entry(scope).totals,
+                    self.per_scope_phase.entry((scope, slice.phase)),
                 ] {
-                    ledger.messages += 1;
-                    ledger.bytes += u64::from(slice.share_bytes);
-                    ledger.tuples += u64::from(slice.tuples);
-                    ledger.energy_uj += slice_energy;
+                    ledger.retransmissions += retransmissions;
+                    ledger.dropped_messages += drops;
                 }
             }
         }
     }
 
-    /// Visits the ledgers — scope totals and scope×phase cell — of every distinct
-    /// scope riding a frame, under the phase of that scope's first slice (frame-level
-    /// events are booked once per riding scope).
-    fn for_distinct_frame_scopes(
-        &mut self,
-        slices: &[FrameSlice],
-        mut visit: impl FnMut(&mut PhaseTotals),
-    ) {
-        for (at, slice) in slices.iter().enumerate() {
-            let Some(scope) = slice.scope else { continue };
-            if slices[..at].iter().all(|earlier| earlier.scope != slice.scope) {
-                visit(&mut self.per_scope.entry(scope).totals);
-                visit(self.per_scope_phase.entry((scope, slice.phase)));
-            }
-        }
-    }
-
-    /// Books one ARQ retransmission of a merged frame: once globally under the frame's
-    /// label phase, and once per riding scope (every scope's payload was on the retry).
-    pub fn note_frame_retransmission(
-        &mut self,
-        epoch: Epoch,
-        label_phase: PhaseTag,
-        slices: &[FrameSlice],
-    ) {
-        self.per_phase.entry(label_phase).retransmissions += 1;
-        self.per_epoch.entry(epoch).retransmissions += 1;
-        self.totals.retransmissions += 1;
-        self.for_distinct_frame_scopes(slices, |ledger| ledger.retransmissions += 1);
-    }
-
-    /// Books one merged frame that was never delivered — a dropped frame drops every
-    /// riding scope's payload, so each scope records the loss.
-    pub fn note_frame_drop(
-        &mut self,
-        from: NodeId,
-        epoch: Epoch,
-        label_phase: PhaseTag,
-        slices: &[FrameSlice],
-    ) {
-        self.counters_mut(from).dropped_messages += 1;
-        self.per_phase.entry(label_phase).dropped_messages += 1;
-        self.per_epoch.entry(epoch).dropped_messages += 1;
-        self.totals.dropped_messages += 1;
-        self.for_distinct_frame_scopes(slices, |ledger| ledger.dropped_messages += 1);
-    }
-
-    /// Books one ARQ retransmission attempt (the attempt itself is recorded separately
-    /// through [`Self::record_transmission`]).
-    pub fn note_retransmission(&mut self, epoch: Epoch, phase: PhaseTag) {
-        self.book(epoch, phase, |totals| totals.retransmissions += 1);
-    }
-
-    /// Books one payload that was never delivered, attributed to its sender.
-    pub fn note_drop(&mut self, from: NodeId, epoch: Epoch, phase: PhaseTag) {
-        self.counters_mut(from).dropped_messages += 1;
-        self.book(epoch, phase, |totals| totals.dropped_messages += 1);
-    }
-
     /// Records node-local (non-radio) energy consumption: sensing, CPU, idle listening.
     pub fn record_local_energy(&mut self, node: NodeId, epoch: Epoch, uj: f64) {
-        if node != crate::types::SINK {
+        if node != SINK {
             self.per_node[(node - 1) as usize].energy_uj += uj;
             self.totals.energy_uj += uj;
             self.per_epoch.entry(epoch).energy_uj += uj;
@@ -703,7 +640,7 @@ impl NetworkMetrics {
         bytes: u64,
         uj: f64,
     ) {
-        if node == crate::types::SINK {
+        if node == SINK {
             return;
         }
         self.record_local_energy(node, epoch, uj);
@@ -717,7 +654,7 @@ impl NetworkMetrics {
     /// Records `pages` flash pages read back from `node`'s local storage (snapshot
     /// restore).  Booked like [`Self::record_page_writes`].
     pub fn record_page_reads(&mut self, node: NodeId, epoch: Epoch, pages: u64, uj: f64) {
-        if node == crate::types::SINK {
+        if node == SINK {
             return;
         }
         self.record_local_energy(node, epoch, uj);
@@ -874,7 +811,6 @@ impl fmt::Display for Savings {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::SINK;
 
     #[test]
     fn transmissions_update_node_phase_epoch_and_totals() {
@@ -907,10 +843,26 @@ mod tests {
         assert_eq!(m.phase(PhaseTag::Probe).messages, 0);
     }
 
+    /// One path booking of `attempt`s, `note_retransmission`s and `note_drop`s at the
+    /// given cost.
+    fn book_path(
+        m: &mut NetworkMetrics,
+        epoch: Epoch,
+        phase: PhaseTag,
+        cost: (u32, u32, f64, f64),
+        events: impl FnOnce(&mut PathBooking<'_>),
+    ) {
+        let (bytes, tuples, tx_energy, rx_energy) = cost;
+        let mut path = m.open_path(epoch, phase, AttemptCost { bytes, tuples, tx_energy, rx_energy });
+        events(&mut path);
+        path.close();
+    }
+
     #[test]
     fn broadcast_counts_one_message_and_many_receptions() {
         let mut m = NetworkMetrics::new(4);
-        m.record_broadcast(1, &[2, 3, 4], 0, PhaseTag::Dissemination, 13, 0, 260.0, 195.0);
+        let cost = (13, 0, 260.0, 195.0);
+        book_path(&mut m, 0, PhaseTag::Dissemination, cost, |b| b.record_attempt(1, &[2, 3, 4]));
         assert_eq!(m.node(1).tx_messages, 1);
         assert_eq!(m.node(2).rx_messages, 1);
         assert_eq!(m.node(4).rx_messages, 1);
@@ -921,7 +873,7 @@ mod tests {
 
         // Broadcast from the sink: its TX energy is not counted in network totals.
         let mut m2 = NetworkMetrics::new(2);
-        m2.record_broadcast(SINK, &[1, 2], 0, PhaseTag::Dissemination, 13, 0, 260.0, 195.0);
+        book_path(&mut m2, 0, PhaseTag::Dissemination, cost, |b| b.record_attempt(SINK, &[1, 2]));
         assert!((m2.totals().energy_uj - 2.0 * 195.0).abs() < 1e-9);
     }
 
@@ -970,10 +922,12 @@ mod tests {
     #[test]
     fn retransmissions_and_drops_are_booked() {
         let mut m = NetworkMetrics::new(2);
-        m.record_transmission(1, 2, 0, PhaseTag::Update, 10, 1, 100.0, 50.0);
-        m.note_retransmission(0, PhaseTag::Update);
-        m.record_transmission(1, 2, 0, PhaseTag::Update, 10, 1, 100.0, 50.0);
-        m.note_drop(1, 0, PhaseTag::Update);
+        book_path(&mut m, 0, PhaseTag::Update, (10, 1, 100.0, 50.0), |b| {
+            b.record_attempt(1, &[2]);
+            b.note_retransmission();
+            b.record_attempt(1, &[2]);
+            b.note_drop(1);
+        });
         assert_eq!(m.totals().retransmissions, 1);
         assert_eq!(m.totals().dropped_messages, 1);
         assert_eq!(m.node(1).dropped_messages, 1);
@@ -985,7 +939,7 @@ mod tests {
     #[test]
     fn unheard_transmissions_charge_only_the_sender() {
         let mut m = NetworkMetrics::new(2);
-        m.record_broadcast(1, &[], 0, PhaseTag::Update, 10, 1, 100.0, 50.0);
+        book_path(&mut m, 0, PhaseTag::Update, (10, 1, 100.0, 50.0), |b| b.record_attempt(1, &[]));
         assert_eq!(m.totals().messages, 1);
         assert_eq!(m.node(1).tx_messages, 1);
         assert_eq!(m.node(2).rx_messages, 0, "nobody heard it");
@@ -1000,9 +954,11 @@ mod tests {
 
         m.set_scope(Some(7));
         assert_eq!(m.current_scope(), Some(7));
-        m.record_transmission(2, 1, 0, PhaseTag::Update, 20, 2, 200.0, 100.0);
-        m.note_retransmission(0, PhaseTag::Update);
-        m.note_drop(2, 0, PhaseTag::Update);
+        book_path(&mut m, 0, PhaseTag::Update, (20, 2, 200.0, 100.0), |b| {
+            b.record_attempt(2, &[1]);
+            b.note_retransmission();
+            b.note_drop(2);
+        });
         m.record_local_energy(2, 0, 40.0);
 
         m.set_scope(Some(9));
@@ -1036,8 +992,10 @@ mod tests {
         let mut m = NetworkMetrics::new(3);
         m.set_scope(Some(4));
         m.record_transmission(1, 2, 0, PhaseTag::Update, 10, 1, 100.0, 50.0);
-        m.record_transmission(2, 1, 1, PhaseTag::Probe, 5, 0, 50.0, 25.0);
-        m.note_retransmission(1, PhaseTag::Probe);
+        book_path(&mut m, 1, PhaseTag::Probe, (5, 0, 50.0, 25.0), |b| {
+            b.record_attempt(2, &[1]);
+            b.note_retransmission();
+        });
         m.set_scope(None);
 
         assert_eq!(m.scope_phase(4, PhaseTag::Update).bytes, 10);
@@ -1059,10 +1017,8 @@ mod tests {
             FrameSlice { scope: Some(1), phase: PhaseTag::Creation, share_bytes: 14, tuples: 2 },
         ];
         let mut m = NetworkMetrics::new(3);
-        m.record_frame_transmission(2, 1, 0, PhaseTag::Update, 34, &slices, 340.0, 170.0);
-        m.note_frame_retransmission(0, PhaseTag::Update, &slices);
-        m.record_frame_transmission(2, 1, 0, PhaseTag::Update, 34, &slices, 340.0, 170.0);
-        m.note_frame_drop(2, 0, PhaseTag::Update, &slices);
+        // Two attempts, the second a retransmission, then dropped.
+        m.book_frame(2, 1, 0, PhaseTag::Update, 34, &slices, 340.0, 170.0, 2, false);
 
         // Global ledgers: one message per attempt, whole-frame bytes.
         assert_eq!(m.totals().messages, 2);

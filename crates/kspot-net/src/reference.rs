@@ -1,14 +1,19 @@
-//! The substrate as it ran before its participation view, kept verbatim as the oracle
-//! of [`crate::sim::Network`]: liveness asked of the batteries and the fault plan at
-//! every step, the effective parent walked up the tree on every call, the flood tree
-//! rebuilt by every flood, and every unicast hop a full `send` that costs the payload
-//! and books each attempt on its own.  Property tests drive old and new over random
-//! trees, fault plans and traffic and demand the same return values, participation,
-//! effective parents, ledgers and batteries, bit for bit.
+//! The substrate as it ran before its participation view, kept as the oracle of
+//! [`crate::sim::Network`]: liveness asked of the batteries and the fault plan at every
+//! step, the effective parent walked up the tree on every call, the flood tree rebuilt
+//! by every flood, and every unicast hop a full `send` that costs the payload, runs its
+//! own ARQ loop and books each event on its own.  Property tests drive old and new
+//! over random trees, fault plans and traffic and demand the same return values,
+//! participation, effective parents, ledgers and batteries, bit for bit.
+//!
+//! Routing, ARQ and liveness are verbatim.  The ledger calls are not: the per-event
+//! booking methods they made are gone, so each event is a path booking of its own
+//! ([`book_event`]) and a frame one `book_frame`.  That the ledger books a path or a
+//! frame exactly as event-by-event booking would is held by `tests/ledger.rs`, against
+//! its map-per-axis model.
 
 use crate::energy::BatteryBank;
-use crate::message::Message;
-use crate::metrics::{NetworkMetrics, PhaseTag, QueryScope};
+use crate::metrics::{AttemptCost, NetworkMetrics, PathBooking, PhaseTag, QueryScope};
 use crate::rng::stream_rng;
 use crate::schedule::{split_frame_shares, FrameScheduler, PendingFrame, ReportIntent};
 use crate::sim::{NetworkConfig, FRAME_FATE_STREAM};
@@ -18,6 +23,36 @@ use crate::types::{Epoch, NodeId, SINK};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
+
+/// A single-hop logical message, as the substrate's public `Message` was.
+#[derive(Debug, Clone, Copy)]
+struct Message {
+    from: NodeId,
+    to: NodeId,
+    epoch: Epoch,
+    data_tuples: u32,
+    control_tuples: u32,
+}
+
+impl Message {
+    fn data(from: NodeId, to: NodeId, epoch: Epoch, tuples: u32) -> Self {
+        Self { from, to, epoch, data_tuples: tuples, control_tuples: 0 }
+    }
+}
+
+/// Books one event — an attempt, a retransmission or a drop — on its own: a path
+/// booking that holds nothing else.
+fn book_event(
+    metrics: &mut NetworkMetrics,
+    epoch: Epoch,
+    phase: PhaseTag,
+    cost: AttemptCost,
+    event: impl FnOnce(&mut PathBooking<'_>),
+) {
+    let mut booking = metrics.open_path(epoch, phase, cost);
+    event(&mut booking);
+    booking.close();
+}
 
 /// The fields `Network` had, under the same names, so the methods below read as they
 /// did.
@@ -139,7 +174,7 @@ impl ReferenceNetwork {
         self.batteries.drain(node, cost);
     }
 
-    pub(crate) fn send(&mut self, msg: Message, phase: PhaseTag) -> bool {
+    fn send(&mut self, msg: Message, phase: PhaseTag) -> bool {
         if msg.from != SINK && !self.node_participating(msg.from) {
             return false;
         }
@@ -147,13 +182,14 @@ impl ReferenceNetwork {
         let bytes = self.config.radio.on_air_bytes(payload);
         let tx = self.config.energy.tx_cost(bytes);
         let rx = self.config.energy.rx_cost(bytes);
+        let cost = AttemptCost { bytes, tuples: msg.data_tuples, tx_energy: tx, rx_energy: rx };
 
         if msg.to != SINK && !self.node_participating(msg.to) {
-            self.metrics.record_broadcast(msg.from, &[], msg.epoch, phase, bytes, msg.data_tuples, tx, rx);
+            book_event(&mut self.metrics, msg.epoch, phase, cost, |b| b.record_attempt(msg.from, &[]));
             if msg.from != SINK {
                 self.batteries.drain(msg.from, tx);
             }
-            self.metrics.note_drop(msg.from, msg.epoch, phase);
+            book_event(&mut self.metrics, msg.epoch, phase, cost, |b| b.note_drop(msg.from));
             return false;
         }
 
@@ -163,7 +199,7 @@ impl ReferenceNetwork {
         loop {
             attempt += 1;
             if attempt > 1 {
-                self.metrics.note_retransmission(msg.epoch, phase);
+                book_event(&mut self.metrics, msg.epoch, phase, cost, |b| b.note_retransmission());
             }
             let lost = loss > 0.0 && {
                 let seed = self.config.seed;
@@ -176,16 +212,7 @@ impl ReferenceNetwork {
                 };
                 rng.gen_bool(loss.min(1.0))
             };
-            self.metrics.record_transmission(
-                msg.from,
-                msg.to,
-                msg.epoch,
-                phase,
-                bytes,
-                msg.data_tuples,
-                tx,
-                rx,
-            );
+            book_event(&mut self.metrics, msg.epoch, phase, cost, |b| b.record_attempt(msg.from, &[msg.to]));
             if msg.from != SINK {
                 self.batteries.drain(msg.from, tx);
             }
@@ -196,7 +223,7 @@ impl ReferenceNetwork {
                 return true;
             }
             if attempt >= max_attempts {
-                self.metrics.note_drop(msg.from, msg.epoch, phase);
+                book_event(&mut self.metrics, msg.epoch, phase, cost, |b| b.note_drop(msg.from));
                 return false;
             }
         }
@@ -243,29 +270,25 @@ impl ReferenceNetwork {
             let tx = config.energy.tx_cost(frame_bytes);
             let rx = config.energy.rx_cost(frame_bytes);
             let label_phase = frame.slices.first().map_or(PhaseTag::Update, |s| s.phase);
-            for attempt in 0..frame.attempts {
-                if attempt > 0 {
-                    metrics.note_frame_retransmission(frame.epoch, label_phase, slices);
-                }
-                metrics.record_frame_transmission(
-                    from,
-                    to,
-                    frame.epoch,
-                    label_phase,
-                    frame_bytes,
-                    slices,
-                    tx,
-                    rx,
-                );
+            metrics.book_frame(
+                from,
+                to,
+                frame.epoch,
+                label_phase,
+                frame_bytes,
+                slices,
+                tx,
+                rx,
+                frame.attempts,
+                frame.delivered,
+            );
+            for _ in 0..frame.attempts {
                 if from != SINK {
                     batteries.drain(from, tx);
                 }
                 if to != SINK {
                     batteries.drain(to, rx);
                 }
-            }
-            if !frame.delivered {
-                metrics.note_frame_drop(from, frame.epoch, label_phase, slices);
             }
         });
     }
@@ -275,6 +298,7 @@ impl ReferenceNetwork {
         let bytes = self.config.radio.on_air_bytes(payload);
         let tx = self.config.energy.tx_cost(bytes);
         let rx = self.config.energy.rx_cost(bytes);
+        let cost = AttemptCost { bytes, tuples: 0, tx_energy: tx, rx_energy: rx };
         let n = self.num_nodes();
         let mut scratch = std::mem::take(&mut self.scratch);
         let Scratch { flood_parent, flood_offsets: offsets, flood_children, .. } = &mut scratch;
@@ -313,7 +337,7 @@ impl ReferenceNetwork {
             if children.is_empty() {
                 continue;
             }
-            self.metrics.record_broadcast(sender, children, epoch, phase, bytes, 0, tx, rx);
+            book_event(&mut self.metrics, epoch, phase, cost, |b| b.record_attempt(sender, children));
             if sender != SINK {
                 self.batteries.drain(sender, tx);
             }
@@ -397,7 +421,6 @@ mod properties {
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Begin(Epoch),
-        Send(Message, PhaseTag),
         Report(NodeId, u32, u32, PhaseTag),
         Flood(u32, PhaseTag),
         Down(NodeId, u32, PhaseTag),
@@ -416,7 +439,6 @@ mod properties {
                     $net.begin_epoch(epoch);
                     0
                 }
-                Op::Send(msg, phase) => u64::from($net.send(msg, phase)),
                 Op::Report(from, data, control, phase) => {
                     $net.send_report_up(from, $epoch, data, control, phase).map_or(u64::MAX, u64::from)
                 }
@@ -458,6 +480,13 @@ mod properties {
 
     /// Every public read of a ledger and of the batteries, floats as bit patterns.
     fn state_bits(m: &NetworkMetrics, batteries: &BatteryBank) -> Vec<Vec<u64>> {
+        let mut out = ledger_bits(m);
+        out.push((1..=batteries.len() as NodeId).map(|id| batteries.get(id).remaining_uj().to_bits()).collect());
+        out
+    }
+
+    /// Every public read of a ledger, floats as bit patterns.
+    fn ledger_bits(m: &NetworkMetrics) -> Vec<Vec<u64>> {
         let mut out = vec![totals_bits(m.totals()).to_vec()];
         let counters = std::iter::once(*m.sink()).chain((1..=m.num_nodes() as NodeId).map(|id| *m.node(id)));
         out.extend(counters.map(|c| {
@@ -470,7 +499,6 @@ mod properties {
             out.push(row(u64::from(scope), t));
             out.extend(m.scope_phases(scope).map(|(p, t)| row(p as u64, t)));
         }
-        out.push((1..=batteries.len() as NodeId).map(|id| batteries.get(id).remaining_uj().to_bits()).collect());
         out
     }
 
@@ -553,11 +581,7 @@ mod properties {
         let count = (next() % 5) as u32;
         match kind {
             0 => Op::Begin(epoch + next() % 3),
-            1 | 2 => Op::Send(
-                Message { from: any_node, to: (next() % (n + 1)) as NodeId, epoch, data_tuples: count, control_tuples: (next() % 2) as u32 },
-                phase,
-            ),
-            3..=5 => Op::Report(sensor, count + 1, (next() % 2) as u32, phase),
+            1..=5 => Op::Report(sensor, count + 1, (next() % 2) as u32, phase),
             6 => Op::Flood(count + 1, phase),
             7 | 8 => Op::Down(any_node, count + 1, phase),
             9 | 10 => Op::Up(any_node, count + 1, phase),
@@ -615,6 +639,26 @@ mod properties {
         let d = Deployment::from_parts(DeploymentKind::Custom, Position::new(0.0, 0.0), nodes, 1.5)
             .with_explicit_parents(parents);
         Twin::new(d, config)
+    }
+
+    /// `NetworkMetrics::record_transmission` books what an unbatched one-hop report
+    /// books, node counters and every ledger axis, bit for bit — so a probe that times
+    /// the one times a path the simulator takes.
+    #[test]
+    fn a_one_hop_report_books_like_record_transmission() {
+        let config = NetworkConfig::mica2();
+        let mut net = chain(config.clone()).new;
+        let mut ledger = NetworkMetrics::new(net.num_nodes());
+        let bytes = config.radio.on_air_bytes(config.radio.payload_bytes(2, 1));
+        let (tx, rx) = (config.energy.tx_cost(bytes), config.energy.rx_cost(bytes));
+        for (scope, from, epoch) in [(Some(3), 5, 0), (Some(3), 1, 0), (None, 4, 1), (Some(9), 1, 2)] {
+            net.set_query_scope(scope);
+            ledger.set_scope(scope);
+            let to = net.send_report_up(from, epoch, 2, 1, PhaseTag::Update);
+            assert_eq!(to, Some(from - 1), "a lossless hop to the parent delivers");
+            ledger.record_transmission(from, from - 1, epoch, PhaseTag::Update, bytes, 2, tx, rx);
+        }
+        assert_eq!(ledger_bits(net.metrics()), ledger_bits(&ledger));
     }
 
     /// Receiver energy of one hop of a one-tuple payload.

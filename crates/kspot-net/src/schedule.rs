@@ -87,10 +87,10 @@ pub struct PendingFrame {
 
 impl PendingFrame {
     /// Opens a frame and decides its fate from the frame loss stream: attempts are
-    /// drawn exactly like [`crate::sim::Network::send`] draws them for a single
-    /// message, but once per *frame* rather than once per session report.  The receiver
-    /// is a participating node or the sink: a report goes to its sender's effective
-    /// parent, which always listens.
+    /// drawn exactly like an unbatched [`crate::sim::Network::send_report_up`] draws
+    /// them for its one hop, but once per *frame* rather than once per session report.
+    /// The receiver is a participating node or the sink: a report goes to its sender's
+    /// effective parent, which always listens.
     pub(crate) fn open(epoch: Epoch, loss: f64, max_attempts: u32, rng: &mut StdRng) -> Self {
         let mut attempts = 1;
         let delivered = loop {

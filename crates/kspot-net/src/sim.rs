@@ -19,15 +19,18 @@
 //! epoch.  [`Network::node_participating`] reads the flag, and
 //! [`Network::effective_parent`] walks up the routing tree reading flags until one is
 //! set.  The flood tree of [`Network::flood_down`] is built from that same walk and
-//! rebuilt only when the view has changed since it was built.  A unicast —
-//! [`Network::send`], or the relay path of [`Network::unicast_up`] and
-//! [`Network::unicast_down`], fixed before its first hop — runs one hop loop that costs
-//! the payload once and books the whole path once ([`NetworkMetrics::open_path`]).
+//! rebuilt only when the view has changed since it was built.  A unicast — an
+//! unbatched report of [`Network::send_report_up`], or the relay path of
+//! [`Network::unicast_up`] and [`Network::unicast_down`], fixed before its first hop —
+//! runs one hop loop that costs the payload once and books the whole path once
+//! ([`NetworkMetrics::open_path`]).  A flood books all its broadcasts through one such
+//! booking too, and a merged frame all its attempts through one
+//! [`NetworkMetrics::book_frame`].  The sink is mains-powered: the one drain helper
+//! leaves it alone, so no hop loop asks.
 //!
-//! Per-epoch **report traffic** should enter the façade through
-//! [`Network::send_report_up`] rather than raw [`Network::send`] calls: the report
-//! entry point is where the frame scheduler ([`crate::schedule`]) hooks in.  With
-//! frame batching enabled
+//! Per-epoch **report traffic** enters the façade through [`Network::send_report_up`],
+//! where the frame scheduler ([`crate::schedule`]) hooks in.  With frame batching
+//! enabled
 //! ([`Network::set_frame_batching`]) those calls enqueue symbolic report intents and
 //! the substrate flushes **one merged frame per (node, direction) per epoch** — one
 //! preamble and header per hop instead of one per session — through the same
@@ -36,7 +39,6 @@
 
 use crate::energy::{BatteryBank, EnergyModel};
 use crate::fault::FaultPlan;
-use crate::message::Message;
 use crate::metrics::{AttemptCost, NetworkMetrics, PhaseTag, QueryScope};
 use crate::radio::RadioModel;
 use crate::rng::stream_rng;
@@ -204,8 +206,12 @@ impl Liveness {
     }
 
     /// Drains `uj` from `node`'s battery; a node whose battery empties stops
-    /// participating at once.
+    /// participating at once.  The sink is mains-powered and has no battery: draining
+    /// it does nothing.
     fn drain(&mut self, node: NodeId, uj: f64) {
+        if node == SINK {
+            return;
+        }
         self.batteries.drain(node, uj);
         if self.batteries.get(node).is_depleted() && self.participating[node as usize] {
             self.participating[node as usize] = false;
@@ -443,11 +449,8 @@ impl Network {
     }
 
     /// Charges node-local CPU work of processing `tuples` tuples (sorting, pruning,
-    /// view maintenance).
+    /// view maintenance).  The mains-powered sink pays nothing.
     pub fn charge_cpu(&mut self, node: NodeId, tuples: u32) {
-        if node == SINK {
-            return;
-        }
         let cost = self.config.energy.cpu_cost(tuples);
         self.metrics.record_local_energy(node, self.current_epoch, cost);
         self.liveness.drain(node, cost);
@@ -479,29 +482,24 @@ impl Network {
         self.liveness.drain(node, cost);
     }
 
-    /// Transmits a single-hop [`Message`] under the configured recovery policy,
-    /// charging the endpoints and recording every attempt under `phase`.  Returns
-    /// `true` if the payload was delivered.
+    /// The one hop loop of every unicast: carries one payload along `path` —
+    /// `path[0]` sends to `path[1]`, which relays to `path[2]`, and so on — under the
+    /// configured recovery policy, charging both ends of every attempt and recording
+    /// each under `phase`.  Returns `true` when every hop delivered; the first hop that
+    /// does not ends the path.
     ///
-    /// * A dead or sleeping sender stays silent: nothing is sent or charged.
+    /// * A sender that no longer participates stays silent: nothing is sent or
+    ///   charged.  A relay can empty its battery on the hop that reaches it, so this
+    ///   is checked per hop.
     /// * A lost attempt is one whose CRC check fails at the receiver: the receiver's
     ///   radio still spent the energy listening, so both ends pay; the sender then
     ///   retries up to [`FaultPlan::max_retransmits`] times before dropping the
     ///   payload.
-    /// * A receiver that is dead or asleep for the whole epoch hears nothing and pays
-    ///   nothing; retrying is futile, so the payload is dropped after one attempt.
-    pub fn send(&mut self, msg: Message, phase: PhaseTag) -> bool {
-        self.carry(&[msg.from, msg.to], msg.epoch, msg.data_tuples, msg.control_tuples, phase)
-    }
-
-    /// The one hop loop of every unicast: carries one payload along `path` —
-    /// `path[0]` sends to `path[1]`, which relays to `path[2]`, and so on — each hop
-    /// under the policy [`Self::send`] documents.  Returns `true` when every hop
-    /// delivered; the first hop that does not ends the path.
     ///
-    /// The payload is costed once for the whole path and booked through one
-    /// [`NetworkMetrics::open_path`].  Participation is checked per hop, since a relay
-    /// may empty its battery on the hop that reaches it.
+    /// Every receiver listens: each caller fixes its path from participating nodes
+    /// before the first hop, and a hop drains only its own two ends, so nothing drains
+    /// a receiver before the hop that reaches it.  The payload is costed once for the
+    /// whole path and booked through one [`NetworkMetrics::open_path`].
     fn carry(
         &mut self,
         path: &[NodeId],
@@ -538,25 +536,13 @@ impl Network {
                 if !liveness.participates(from) {
                     break 'path false;
                 }
-                if !liveness.participates(to) {
-                    booking.record_attempt(from, None);
-                    if from != SINK {
-                        liveness.drain(from, cost.tx_energy);
-                    }
-                    booking.note_drop(from);
-                    break 'path false;
-                }
                 let loss = config.faults.loss_probability(from, to);
                 let mut attempt = 1;
                 loop {
                     let lost = lost(loss);
-                    booking.record_attempt(from, Some(to));
-                    if from != SINK {
-                        liveness.drain(from, cost.tx_energy);
-                    }
-                    if to != SINK {
-                        liveness.drain(to, cost.rx_energy);
-                    }
+                    booking.record_attempt(from, &[to]);
+                    liveness.drain(from, cost.tx_energy);
+                    liveness.drain(to, cost.rx_energy);
                     if !lost {
                         break;
                     }
@@ -633,7 +619,8 @@ impl Network {
     /// per frame, the concatenated payload is costed as **one** transmission (one
     /// preamble, one header per physical fragment), replayed for as many ARQ attempts
     /// as the frame's fate used, with each riding scope charged its payload plus a
-    /// pro-rata share of the shared overhead (see [`crate::schedule`]).  A no-op
+    /// pro-rata share of the shared overhead (see [`crate::schedule`]); one
+    /// [`NetworkMetrics::book_frame`] books all of a frame's attempts.  A no-op
     /// unless frame batching is enabled and intents are pending.  [`Self::run_epoch`]
     /// calls this once per epoch, after every session's sweep.
     pub fn flush_frames(&mut self) {
@@ -644,29 +631,21 @@ impl Network {
             let tx = config.energy.tx_cost(frame_bytes);
             let rx = config.energy.rx_cost(frame_bytes);
             let label_phase = frame.slices.first().map_or(PhaseTag::Update, |s| s.phase);
-            for attempt in 0..frame.attempts {
-                if attempt > 0 {
-                    metrics.note_frame_retransmission(frame.epoch, label_phase, slices);
-                }
-                metrics.record_frame_transmission(
-                    from,
-                    to,
-                    frame.epoch,
-                    label_phase,
-                    frame_bytes,
-                    slices,
-                    tx,
-                    rx,
-                );
-                if from != SINK {
-                    liveness.drain(from, tx);
-                }
-                if to != SINK {
-                    liveness.drain(to, rx);
-                }
-            }
-            if !frame.delivered {
-                metrics.note_frame_drop(from, frame.epoch, label_phase, slices);
+            metrics.book_frame(
+                from,
+                to,
+                frame.epoch,
+                label_phase,
+                frame_bytes,
+                slices,
+                tx,
+                rx,
+                frame.attempts,
+                frame.delivered,
+            );
+            for _ in 0..frame.attempts {
+                liveness.drain(from, tx);
+                liveness.drain(to, rx);
             }
         });
     }
@@ -682,12 +661,17 @@ impl Network {
     pub fn flood_down(&mut self, epoch: Epoch, control_entries: u32, phase: PhaseTag) -> u32 {
         let payload = self.config.radio.payload_bytes(0, control_entries);
         let bytes = self.config.radio.on_air_bytes(payload);
-        let tx = self.config.energy.tx_cost(bytes);
-        let rx = self.config.energy.rx_cost(bytes);
+        let cost = AttemptCost {
+            bytes,
+            tuples: 0,
+            tx_energy: self.config.energy.tx_cost(bytes),
+            rx_energy: self.config.energy.rx_cost(bytes),
+        };
         // Children re-attached past dead/sleeping ancestors, mirroring the upstream
         // effective-parent routing: who hears whom is fixed before the first broadcast.
         self.flood_tree.refresh(&self.tree, &self.liveness);
         let Self { flood_tree, liveness, metrics, .. } = self;
+        let mut booking = metrics.open_path(epoch, phase, cost);
         let mut transmissions = 0;
         for &sender in &flood_tree.senders {
             // A sender emptied by an earlier broadcast of this flood stays silent.
@@ -695,15 +679,14 @@ impl Network {
                 continue;
             }
             let children = flood_tree.children(sender);
-            metrics.record_broadcast(sender, children, epoch, phase, bytes, 0, tx, rx);
-            if sender != SINK {
-                liveness.drain(sender, tx);
-            }
+            booking.record_attempt(sender, children);
+            liveness.drain(sender, cost.tx_energy);
             for &c in children {
-                liveness.drain(c, rx);
+                liveness.drain(c, cost.rx_energy);
             }
             transmissions += 1;
         }
+        booking.close();
         transmissions
     }
 
@@ -782,11 +765,16 @@ mod tests {
         Network::new(Deployment::figure1(), config)
     }
 
+    /// An unbatched one-tuple Update report from `from` to its effective parent: one
+    /// hop.  True when it was delivered.
+    fn report(n: &mut Network, from: NodeId, epoch: Epoch) -> bool {
+        n.send_report_up(from, epoch, 1, 0, PhaseTag::Update).is_some()
+    }
+
     #[test]
     fn send_charges_both_endpoints_and_counts_bytes() {
         let mut n = net(NetworkConfig::ideal());
-        let ok = n.send(Message::data(9, 4, 0, 3), PhaseTag::Update);
-        assert!(ok);
+        assert_eq!(n.send_report_up(9, 0, 3, 0, PhaseTag::Update), Some(4));
         assert_eq!(n.metrics().node(9).tx_messages, 1);
         assert_eq!(n.metrics().node(9).tx_bytes, 3, "ideal radio: one byte per tuple");
         assert_eq!(n.metrics().node(4).rx_bytes, 3);
@@ -845,7 +833,7 @@ mod tests {
         let mut n = net(config);
         let mut delivered = 0;
         for i in 0..200 {
-            if n.send(Message::data(9, 4, i, 1), PhaseTag::Update) {
+            if report(&mut n, 9, i) {
                 delivered += 1;
             }
         }
@@ -875,7 +863,7 @@ mod tests {
         let mut n = net(config);
         let mut delivered = 0;
         for i in 0..100 {
-            if n.send(Message::data(9, 4, i, 1), PhaseTag::Update) {
+            if report(&mut n, 9, i) {
                 delivered += 1;
             }
         }
@@ -904,17 +892,13 @@ mod tests {
         assert!(!n.node_participating(4));
         assert!(!n.node_alive(4));
         assert_eq!(n.effective_parent(9), 7, "node 9 routes around its dead parent to node 7");
-        // The dead node cannot send…
-        assert!(!n.send(Message::data(4, 7, 5, 1), PhaseTag::Update));
+        // The dead node cannot send: nothing leaves its radio.
+        assert!(!report(&mut n, 4, 5));
         assert_eq!(n.metrics().node(4).tx_messages, 0);
-        // …and payloads addressed to it are dropped, with only the sender paying.
-        let before = n.metrics().node(9).tx_messages;
-        assert!(!n.send(Message::data(9, 4, 5, 1), PhaseTag::Update));
-        assert_eq!(n.metrics().node(9).tx_messages, before + 1);
+        assert_eq!(n.metrics().totals().messages, 0);
+        // …and its child's report goes past it.
+        assert_eq!(n.send_report_up(9, 5, 1, 0, PhaseTag::Update), Some(7));
         assert_eq!(n.metrics().node(4).rx_messages, 0);
-        // Only the payload that was actually put on the air counts as dropped; the dead
-        // sender's attempt never left its radio.
-        assert_eq!(n.metrics().totals().dropped_messages, 1);
     }
 
     #[test]
@@ -964,8 +948,8 @@ mod tests {
         let faults = FaultPlan::none().with_link_loss_override(9, 4, 1.0);
         let config = NetworkConfig::ideal().with_faults(faults);
         let mut n = net(config);
-        assert!(!n.send(Message::data(9, 4, 0, 1), PhaseTag::Update), "the broken link loses all");
-        assert!(n.send(Message::data(8, 7, 0, 1), PhaseTag::Update), "other links are clean");
+        assert!(!report(&mut n, 9, 0), "the broken link loses all");
+        assert!(report(&mut n, 8, 0), "other links are clean");
         assert_eq!(n.metrics().totals().dropped_messages, 1);
     }
 
@@ -980,14 +964,14 @@ mod tests {
         let mut a3 = Vec::new();
         for i in 0..60 {
             a.set_query_scope(Some(3));
-            a3.push(a.send(Message::data(9, 4, i, 1), PhaseTag::Update));
+            a3.push(report(&mut a, 9, i));
             a.set_query_scope(Some(5));
-            a.send(Message::data(8, 7, i, 1), PhaseTag::Update);
+            report(&mut a, 8, i);
         }
         // Run B: scope 3 runs alone.
         let mut b = net(config());
         b.set_query_scope(Some(3));
-        let b3: Vec<bool> = (0..60).map(|i| b.send(Message::data(9, 4, i, 1), PhaseTag::Update)).collect();
+        let b3: Vec<bool> = (0..60).map(|i| report(&mut b, 9, i)).collect();
         assert_eq!(a3, b3, "a scope's channel must not depend on other scopes' traffic");
         // And the attribution ledger sees only the scope's own traffic.
         assert_eq!(a.query_totals(3).messages, b.query_totals(3).messages);
@@ -1125,7 +1109,7 @@ mod tests {
                 ..NetworkConfig::mica2().with_seed(seed)
             };
             let mut n = net(config);
-            (0..50).filter(|&i| n.send(Message::data(9, 4, i, 1), PhaseTag::Update)).count()
+            (0..50).filter(|&i| report(&mut n, 9, i)).count()
         };
         assert_eq!(run(7), run(7));
     }

@@ -1,7 +1,7 @@
 //! Ledger conservation of [`NetworkMetrics`] under random traffic, including the
 //! fault-injection paths (loss, ARQ retransmissions, node death, duty cycling).
 //!
-//! The invariant: whatever mix of sends, floods, unicasts, CPU charges and baseline
+//! The invariant: whatever mix of reports, floods, unicasts, CPU charges and baseline
 //! epochs a run performs, the run's totals equal (a) the sum of per-node charges,
 //! (b) the sum of the per-phase totals, and (c) the sum of the per-epoch totals —
 //! traffic and energy may be lost *on the air*, but never in the books.  Battery
@@ -9,7 +9,7 @@
 
 use kspot_net::fault::{DutyCycle, FaultPlan};
 use kspot_net::types::SINK;
-use kspot_net::{Deployment, Message, Network, NetworkConfig, PhaseTag};
+use kspot_net::{Deployment, Network, NetworkConfig, PhaseTag};
 use kspot_testkit::invariants::check_ledger;
 use proptest::prelude::*;
 
@@ -41,6 +41,7 @@ proptest! {
         retransmits in 0u32..4,
         kill in prop_oneof![Just(false), Just(true)],
         duty in prop_oneof![Just(false), Just(true)],
+        batching in prop_oneof![Just(false), Just(true)],
         epochs in 1usize..6,
         ops in prop::collection::vec((0u64..4, 1u64..1000), 5..60),
         seed in 0u64..10_000,
@@ -60,6 +61,7 @@ proptest! {
             .with_seed(kspot_net::rng::substrate_seed(seed))
             .with_faults(faults);
         let mut net = Network::new(d, config);
+        net.set_frame_batching(batching);
 
         let mut op_rng = kspot_net::rng::stream_rng(seed, &[0x0_FF]);
         use rand::Rng;
@@ -68,14 +70,9 @@ proptest! {
             for &(op, payload) in &ops {
                 let phase = PHASES[(payload % PHASES.len() as u64) as usize];
                 let from = 1 + op_rng.gen_range(0..n);
-                let to_raw = op_rng.gen_range(0..=n);
-                let to = if to_raw == from { SINK } else { to_raw };
                 match op {
                     0 => {
-                        let _ = net.send(
-                            Message::data(from, to, e, (payload % 7) as u32),
-                            phase,
-                        );
+                        let _ = net.send_report_up(from, e, (payload % 7) as u32, 0, phase);
                     }
                     1 => {
                         let _ = net.unicast_down(from, e, (payload % 3) as u32 + 1, phase);
@@ -88,6 +85,7 @@ proptest! {
                 }
             }
         }
+        net.flush_frames();
 
         let violations = check_ledger(net.metrics());
         prop_assert!(violations.is_empty(), "{violations:#?}");
@@ -107,7 +105,7 @@ proptest! {
 // The flat ledger against a map-per-axis model.
 // ---------------------------------------------------------------------------------
 
-use kspot_net::{AttemptCost, FrameSlice, NetworkMetrics, PhaseTotals, QueryScope, StorageTotals};
+use kspot_net::{AttemptCost, FrameSlice, NetworkMetrics, NodeCounters, PhaseTotals, QueryScope, StorageTotals};
 use std::collections::BTreeMap;
 
 /// The aggregate half of the ledger as it was kept before it went flat: one `BTreeMap`
@@ -239,18 +237,52 @@ fn sparse_epoch(x: u64) -> u64 {
 
 const NODES: u32 = 6;
 
+/// One event of a path booking.
+enum PathEvent {
+    /// An attempt sent by the node and heard by the listed ones.
+    Attempt(u32, Vec<u32>),
+    Retransmission,
+    /// A drop attributed to the node.
+    Drop(u32),
+}
+
+/// The node counters as each event moves them, indexed by node id (the sink is 0).
+struct NodeModel(Vec<NodeCounters>);
+
+impl NodeModel {
+    fn attempt(&mut self, from: u32, heard_by: &[u32], bytes: u32, tuples: u32, tx: f64, rx: f64) {
+        let sender = &mut self.0[from as usize];
+        sender.tx_messages += 1;
+        sender.tx_bytes += u64::from(bytes);
+        sender.tuples_sent += u64::from(tuples);
+        sender.energy_uj += tx;
+        for &to in heard_by {
+            let receiver = &mut self.0[to as usize];
+            receiver.rx_messages += 1;
+            receiver.rx_bytes += u64::from(bytes);
+            receiver.energy_uj += rx;
+        }
+    }
+}
+
+fn counters_bits(c: &NodeCounters) -> [u64; 7] {
+    [c.tx_messages, c.rx_messages, c.tx_bytes, c.rx_bytes, c.tuples_sent, c.dropped_messages, c.energy_uj.to_bits()]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// Every booking entry point, interleaved scopes, non-monotonic epochs: the flat
-    /// ledger reads exactly like the map-per-axis model — same rows (zero-valued ones
-    /// included, and only those the maps would hold), same order, same bits.
+    /// ledger reads exactly like the map-per-axis model fed one event at a time — same
+    /// rows (zero-valued ones included, and only those the maps would hold), same
+    /// order, same bits — and every node's counters like a per-event count.
     #[test]
     fn flat_ledger_matches_the_map_model(
-        ops in prop::collection::vec((0u64..13, 0u64..u64::MAX), 1..80),
+        ops in prop::collection::vec((0u64..9, 0u64..u64::MAX), 1..80),
     ) {
         let mut ledger = NetworkMetrics::new(NODES as usize);
         let mut model = MapLedger::default();
+        let mut nodes = NodeModel(vec![NodeCounters::default(); NODES as usize + 1]);
         for &(kind, word) in &ops {
             let mut next = fields(word);
             let epoch = sparse_epoch(next());
@@ -261,10 +293,12 @@ proptest! {
             let tuples = (next() % 9) as u32;
             let tx = (next() % 1000) as f64 * 0.37;
             let rx = (next() % 1000) as f64 * 0.21;
-            let sensor = |from: u32, to: Option<u32>| {
+            let sensor = |from: u32, heard_by: &[u32]| {
                 let mut e = 0.0;
                 if from != SINK { e += tx; }
-                if to.is_some_and(|to| to != SINK) { e += rx; }
+                for &to in heard_by {
+                    if to != SINK { e += rx; }
+                }
                 e
             };
             let slices: Vec<FrameSlice> = (0..1 + next() % 4)
@@ -279,62 +313,92 @@ proptest! {
             match kind {
                 0 => {
                     ledger.record_transmission(from, to, epoch, phase, bytes, tuples, tx, rx);
-                    model.transmission(epoch, phase, bytes, tuples, sensor(from, Some(to)));
+                    model.transmission(epoch, phase, bytes, tuples, sensor(from, &[to]));
+                    nodes.attempt(from, &[to], bytes, tuples, tx, rx);
                 }
-                1 => {
-                    let receivers: Vec<u32> = (0..=NODES).filter(|r| (word >> r) & 1 == 1).collect();
-                    ledger.record_broadcast(from, &receivers, epoch, phase, bytes, tuples, tx, rx);
-                    let mut energy = sensor(from, None);
-                    for &r in &receivers {
-                        if r != SINK { energy += rx; }
+                1 | 2 => {
+                    // A path booking of up to twelve events in any order: attempts heard
+                    // by none to three nodes (a unicast hop, an unheard attempt, a
+                    // flood's broadcasts), retransmissions, drops.  None books nothing.
+                    // The model books every event on its own.
+                    let events: Vec<PathEvent> = (0..next() % 13)
+                        .map(|_| {
+                            let node = (next() % u64::from(NODES + 1)) as u32;
+                            match next() % 4 {
+                                0 => PathEvent::Retransmission,
+                                1 => PathEvent::Drop(node),
+                                _ => PathEvent::Attempt(
+                                    node,
+                                    (0..next() % 4).map(|_| (next() % u64::from(NODES + 1)) as u32).collect(),
+                                ),
+                            }
+                        })
+                        .collect();
+                    let mut path = ledger.open_path(epoch, phase, AttemptCost { bytes, tuples, tx_energy: tx, rx_energy: rx });
+                    for event in &events {
+                        match event {
+                            PathEvent::Attempt(from, heard_by) => path.record_attempt(*from, heard_by),
+                            PathEvent::Retransmission => path.note_retransmission(),
+                            PathEvent::Drop(from) => path.note_drop(*from),
+                        }
                     }
-                    model.transmission(epoch, phase, bytes, tuples, energy);
+                    path.close();
+                    for event in &events {
+                        match event {
+                            PathEvent::Attempt(from, heard_by) => {
+                                model.transmission(epoch, phase, bytes, tuples, sensor(*from, heard_by));
+                                nodes.attempt(*from, heard_by, bytes, tuples, tx, rx);
+                            }
+                            PathEvent::Retransmission => model.book(epoch, phase, |t| t.retransmissions += 1),
+                            PathEvent::Drop(from) => {
+                                model.book(epoch, phase, |t| t.dropped_messages += 1);
+                                nodes.0[*from as usize].dropped_messages += 1;
+                            }
+                        }
+                    }
                 }
-                2 => {
-                    ledger.record_broadcast(from, &[], epoch, phase, bytes, tuples, tx, rx);
-                    model.transmission(epoch, phase, bytes, tuples, sensor(from, None));
-                }
-                3 => {
-                    ledger.record_frame_transmission(from, to, epoch, phase, frame_bytes, &slices, tx, rx);
-                    model.frame_attempt(epoch, phase, frame_bytes, &slices, sensor(from, Some(to)));
-                }
-                4 => {
-                    ledger.note_frame_retransmission(epoch, phase, &slices);
-                    model.frame_event(epoch, phase, &slices, |t| t.retransmissions += 1);
+                3 | 4 => {
+                    // A merged frame of one to four attempts, delivered or dropped, in one
+                    // call; the model books every attempt, retransmission and the drop.
+                    let attempts = 1 + (next() % 4) as u32;
+                    let delivered = next().is_multiple_of(2);
+                    ledger.book_frame(from, to, epoch, phase, frame_bytes, &slices, tx, rx, attempts, delivered);
+                    let frame_tuples: u32 = slices.iter().map(|s| s.tuples).sum();
+                    for attempt in 0..attempts {
+                        if attempt > 0 {
+                            model.frame_event(epoch, phase, &slices, |t| t.retransmissions += 1);
+                        }
+                        model.frame_attempt(epoch, phase, frame_bytes, &slices, sensor(from, &[to]));
+                        nodes.attempt(from, &[to], frame_bytes, frame_tuples, tx, rx);
+                    }
+                    if !delivered {
+                        model.frame_event(epoch, phase, &slices, |t| t.dropped_messages += 1);
+                        nodes.0[from as usize].dropped_messages += 1;
+                    }
                 }
                 5 => {
-                    ledger.note_frame_drop(from, epoch, phase, &slices);
-                    model.frame_event(epoch, phase, &slices, |t| t.dropped_messages += 1);
-                }
-                6 => {
-                    ledger.note_retransmission(epoch, phase);
-                    model.book(epoch, phase, |t| t.retransmissions += 1);
-                }
-                7 => {
-                    ledger.note_drop(from, epoch, phase);
-                    model.book(epoch, phase, |t| t.dropped_messages += 1);
-                }
-                8 => {
                     // Zero charges too: they create rows without changing a sum.
                     let uj = if tuples == 0 { 0.0 } else { tx };
                     ledger.record_local_energy(from, epoch, uj);
                     if from != SINK {
                         model.local_energy(epoch, uj);
+                        nodes.0[from as usize].energy_uj += uj;
                     }
                 }
-                9 | 10 => {
+                6 | 7 => {
                     let pages = u64::from(tuples);
                     let uj = pages as f64 * 76.2;
-                    if kind == 9 {
+                    if kind == 6 {
                         ledger.record_page_writes(from, epoch, pages, u64::from(bytes), uj);
                     } else {
                         ledger.record_page_reads(from, epoch, pages, uj);
                     }
                     if from != SINK {
                         model.local_energy(epoch, uj);
+                        nodes.0[from as usize].energy_uj += uj;
                         if let Some(scope) = model.current_scope {
                             let row = model.storage_per_scope.entry(scope).or_default();
-                            if kind == 9 {
+                            if kind == 6 {
                                 row.pages_written += pages;
                                 row.bytes_written += u64::from(bytes);
                             } else {
@@ -342,42 +406,6 @@ proptest! {
                             }
                             row.energy_uj += uj;
                         }
-                    }
-                }
-                11 => {
-                    // A unicast path of up to twelve attempts (none books nothing), some of
-                    // them retransmissions, the last one possibly unheard, possibly ending
-                    // in a drop.  The model books every event on its own.
-                    let cost = AttemptCost { bytes, tuples, tx_energy: tx, rx_energy: rx };
-                    let attempts = next() % 13;
-                    let events: Vec<(bool, u32, Option<u32>)> = (0..attempts)
-                        .map(|i| {
-                            let retransmission = i > 0 && next().is_multiple_of(2);
-                            let from = (next() % u64::from(NODES + 1)) as u32;
-                            let heard = i + 1 < attempts || !next().is_multiple_of(3);
-                            (retransmission, from, heard.then(|| (next() % u64::from(NODES + 1)) as u32))
-                        })
-                        .collect();
-                    let dropped = attempts > 0 && next().is_multiple_of(2);
-                    let mut path = ledger.open_path(epoch, phase, cost);
-                    for &(retransmission, from, to) in &events {
-                        if retransmission {
-                            path.note_retransmission();
-                        }
-                        path.record_attempt(from, to);
-                    }
-                    if dropped {
-                        path.note_drop(events[events.len() - 1].1);
-                    }
-                    path.close();
-                    for &(retransmission, from, to) in &events {
-                        if retransmission {
-                            model.book(epoch, phase, |t| t.retransmissions += 1);
-                        }
-                        model.transmission(epoch, phase, bytes, tuples, sensor(from, to));
-                    }
-                    if dropped {
-                        model.book(epoch, phase, |t| t.dropped_messages += 1);
                     }
                 }
                 _ => {
@@ -388,6 +416,8 @@ proptest! {
             }
         }
 
+        let counters: Vec<_> = std::iter::once(ledger.sink()).chain((1..=NODES).map(|id| ledger.node(id))).map(counters_bits).collect();
+        prop_assert_eq!(counters, nodes.0.iter().map(counters_bits).collect::<Vec<_>>());
         prop_assert_eq!(totals_bits(ledger.totals()), totals_bits(model.totals));
         let rows = |it: &mut dyn Iterator<Item = (u64, PhaseTotals)>| -> Vec<(u64, [u64; 6])> {
             it.map(|(k, t)| (k, totals_bits(t))).collect()

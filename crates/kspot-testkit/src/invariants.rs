@@ -289,7 +289,7 @@ mod tests {
     use super::*;
     use kspot_algos::RankedItem;
     use kspot_net::types::ValueDomain;
-    use kspot_net::{PhaseTag, SINK};
+    use kspot_net::{AttemptCost, PhaseTag, SINK};
     use kspot_query::AggFunc;
 
     #[test]
@@ -297,11 +297,19 @@ mod tests {
         let mut m = NetworkMetrics::new(3);
         m.record_transmission(2, 1, 0, PhaseTag::Update, 19, 1, 380.0, 285.0);
         m.record_transmission(1, SINK, 1, PhaseTag::Update, 31, 2, 620.0, 465.0);
-        m.record_broadcast(SINK, &[1, 2, 3], 1, PhaseTag::Control, 13, 0, 260.0, 195.0);
-        m.note_retransmission(1, PhaseTag::Update);
-        m.note_drop(1, 1, PhaseTag::Update);
+        let cost = |bytes, tx_energy, rx_energy| AttemptCost { bytes, tuples: 0, tx_energy, rx_energy };
+        // A flood from the sink, a retransmission and a drop, an unheard attempt.
+        let mut flood = m.open_path(1, PhaseTag::Control, cost(13, 260.0, 195.0));
+        flood.record_attempt(SINK, &[1, 2, 3]);
+        flood.close();
+        let mut lost = m.open_path(1, PhaseTag::Update, cost(31, 620.0, 465.0));
+        lost.note_retransmission();
+        lost.note_drop(1);
+        lost.close();
         m.record_local_energy(3, 0, 140.0);
-        m.record_broadcast(3, &[], 2, PhaseTag::Probe, 9, 0, 180.0, 135.0);
+        let mut unheard = m.open_path(2, PhaseTag::Probe, cost(9, 180.0, 135.0));
+        unheard.record_attempt(3, &[]);
+        unheard.close();
         let clean = check_ledger(&m);
         assert!(clean.is_empty(), "public API keeps ledgers consistent: {clean:?}");
     }
@@ -323,9 +331,7 @@ mod tests {
             FrameSlice { scope: Some(0), phase: PhaseTag::Update, share_bytes: 20, tuples: 1 },
             FrameSlice { scope: Some(1), phase: PhaseTag::Update, share_bytes: 14, tuples: 2 },
         ];
-        m.record_frame_transmission(2, 1, 0, PhaseTag::Update, 34, &slices, 340.0, 170.0);
-        m.note_frame_retransmission(0, PhaseTag::Update, &slices);
-        m.record_frame_transmission(2, 1, 0, PhaseTag::Update, 34, &slices, 340.0, 170.0);
+        m.book_frame(2, 1, 0, PhaseTag::Update, 34, &slices, 340.0, 170.0, 2, true);
 
         let clean = check_scope_attribution(&m, true);
         assert!(clean.is_empty(), "the public API keeps attribution conserved: {clean:?}");
