@@ -86,6 +86,7 @@ impl AggState {
     ///
     /// Panics if the shapes differ — states of different aggregate functions never
     /// legally meet inside one query.
+    #[inline]
     pub fn merge(&mut self, other: &AggState) {
         match (self, other) {
             (AggState::SumCount { sum, count }, AggState::SumCount { sum: s2, count: c2 }) => {
@@ -112,6 +113,7 @@ impl AggState {
     }
 
     /// Number of raw contributions folded into the state.
+    #[inline]
     pub fn count(&self) -> u32 {
         match self {
             AggState::SumCount { count, .. }
@@ -143,6 +145,7 @@ impl AggState {
 
     /// The largest final value the group could still reach if the `missing` outstanding
     /// members each contribute at most `missing_ub`.
+    #[inline]
     pub fn upper_bound(&self, func: AggFunc, missing: u32, missing_ub: Value) -> Value {
         match (func, self) {
             (AggFunc::Avg, AggState::SumCount { sum, count }) => {
@@ -169,6 +172,7 @@ impl AggState {
 
     /// The smallest final value the group could still reach if the `missing` outstanding
     /// members each contribute at least `missing_lb`.
+    #[inline]
     pub fn lower_bound(&self, func: AggFunc, missing: u32, missing_lb: Value) -> Value {
         match (func, self) {
             (AggFunc::Avg, AggState::SumCount { sum, count }) => {

@@ -36,16 +36,19 @@
 //! The Pruning and Update phases are the crate's one convergecast loop
 //! ([`crate::tag`]) with MINT's pruning plugged in as its `shrink` step: the loop
 //! charges the node's CPU, the closure prunes the view, the loop sends what is left.
-//! Everything an epoch needs beyond that — the per-group live-member counts (sorted by
-//! group and searched, never indexed by a raw, possibly sparse group id), the bound
-//! buffers, the sink's exactly-known groups — lives in scratch the executor owns and
-//! reuses, so a certified epoch allocates its answer and nothing else.
+//! A view is a row of the sweep's group table, so the prune reads a group's live
+//! member count by its slot — the group's index in `Deployment::groups`, never a raw,
+//! possibly sparse group id — from the one size table the epoch recounts, which the
+//! sink's certification reads too.  Everything an epoch needs beyond the sweep — those
+//! sizes, the bounds of a view that can lose a tuple, the sink's exactly-known
+//! groups — lives in scratch the executor owns and reuses, so a certified epoch
+//! allocates its answer and nothing else.
 
 use crate::agg::AggState;
 use crate::result::{RankedItem, TopKResult};
 use crate::snapshot::{index_readings, SnapshotAlgorithm, SnapshotSpec};
 use crate::tag::{convergecast_full, rank_view};
-use crate::view::GroupView;
+use crate::view::{GroupView, Row};
 use kspot_net::{Epoch, GroupId, Network, NodeId, PhaseTag, Reading};
 use serde::{Deserialize, Serialize};
 
@@ -93,15 +96,15 @@ pub struct MintViews {
 /// Per-epoch working memory of the executor, reused from epoch to epoch.
 #[derive(Debug, Clone, Default)]
 struct MintScratch {
-    /// How many members of each group can contribute this epoch, sorted by group (ids
-    /// may be sparse: searched, never indexed).  On a healthy network this is the
-    /// configured cluster size; under fault injection dead or sleeping members are
-    /// excluded, which scopes the exactness claim to the nodes that can actually
-    /// report — a group with no live member is absent, and so disappears from the
-    /// answer space.  Recounted every epoch: liveness is never remembered.
-    group_sizes: Vec<(GroupId, u32)>,
+    /// `group_sizes[slot]`: how many members of the deployment's group in `slot` (its
+    /// index in `Deployment::groups`) can contribute this epoch.  On a healthy network
+    /// this is the configured cluster size; under fault injection dead or sleeping
+    /// members are excluded, which scopes the exactness claim to the nodes that can
+    /// actually report — a group with no live member counts 0, and so disappears from
+    /// the answer space.  Recounted every epoch: liveness is never remembered.
+    group_sizes: Vec<u32>,
     /// The lower bounds of one node's view, for its local k-th bound, and the upper
-    /// bounds its tuples are pruned by.
+    /// bounds its tuples are pruned by; filled only by a view that can lose a tuple.
     local_lbs: Vec<f64>,
     upper_bounds: Vec<f64>,
     /// The groups known exactly at the sink this epoch with their values, by group.
@@ -115,11 +118,6 @@ struct MintScratch {
     /// participating members of the group being probed; filled in epochs that probe.
     candidates: Vec<(GroupId, u32)>,
     members: Vec<NodeId>,
-}
-
-/// The live members of `group` according to `sizes` (sorted by group), if it has any.
-fn group_size(sizes: &[(GroupId, u32)], group: GroupId) -> Option<u32> {
-    sizes.binary_search_by_key(&group, |&(g, _)| g).ok().map(|at| sizes[at].1)
 }
 
 impl MintViews {
@@ -197,8 +195,8 @@ impl MintViews {
         // Update phase: silent when nothing survived the pruning.  A report that is
         // dropped after its ARQ retries degrades to partial data — the sink then fails
         // certification for the affected groups and probes them instead.
-        convergecast_full(net, readings, &self.spec, PhaseTag::Update, |_, view| {
-            prune(view, &self.spec, tau, group_sizes, local_lbs, upper_bounds);
+        convergecast_full(net, readings, &self.spec, PhaseTag::Update, |_, row| {
+            prune(row, &self.spec, tau, group_sizes, local_lbs, upper_bounds);
         })
     }
 
@@ -246,45 +244,55 @@ impl MintViews {
 /// even while the broadcast threshold is stale.  With fewer than k groups in the view
 /// there is no k-th bound to find.
 ///
+/// A group's unseen members are its live size (`sizes[slot]`) minus what its state
+/// holds; a group the deployment lacks has no size, and so none unseen.
+///
 /// A NaN lower bound (corrupted reading) carries no evidence, so it is demoted to -inf
 /// *before* the selection: were it left in place, a descending `total_cmp` would rank it
 /// above every real value and inflate the k-th bound to the (k-1)-th — an unsafely high
 /// threshold that could prune a true answer.  With NaN-free input `total_cmp` is a total
 /// order, so the k-th largest is one well-defined value.
 ///
-/// Most views lose nothing, so the bounds come first: the k-th lower bound never
-/// exceeds the largest, and when the smallest upper bound clears both τ and that largest
-/// one, every tuple clears the effective threshold and the view is left as it is.  A NaN
-/// upper bound clears nothing, so it always takes the selection.
+/// Most views lose nothing, so one pass finds the extremes first: the k-th lower bound
+/// never exceeds the largest, and when the smallest upper bound clears both τ and that
+/// largest one, every tuple clears the effective threshold and the view is left as it
+/// is.  A NaN upper bound clears nothing, so it always takes the selection.  Only then
+/// does a second pass collect the bounds, and none of the decisions depends on the
+/// order the row is walked in.
 fn prune(
-    view: &mut GroupView,
+    row: &mut Row<'_>,
     spec: &SnapshotSpec,
     tau: f64,
-    group_sizes: &[(GroupId, u32)],
+    sizes: &[u32],
     local_lbs: &mut Vec<f64>,
     upper_bounds: &mut Vec<f64>,
 ) {
     let SnapshotSpec { k, func, domain } = *spec;
-    let wants_local_tau = view.len() >= k;
-    local_lbs.clear();
-    upper_bounds.clear();
+    let missing = |slot: usize, state: &AggState| sizes.get(slot).map_or(0, |&live| live.saturating_sub(state.count()));
+    let lower_bound = |slot: usize, state: &AggState| {
+        let lb = state.lower_bound(func, missing(slot, state), domain.min);
+        if lb.is_nan() { f64::NEG_INFINITY } else { lb }
+    };
+    let wants_local_tau = row.len() >= k;
     let (mut lowest_ub, mut highest_lb, mut nan_ub) = (f64::INFINITY, f64::NEG_INFINITY, false);
-    for (g, state) in view.iter() {
-        let total = group_size(group_sizes, g).unwrap_or_else(|| state.count());
-        let missing = total.saturating_sub(state.count());
-        let ub = state.upper_bound(func, missing, domain.max);
+    for (slot, state) in row.iter() {
+        let ub = state.upper_bound(func, missing(slot, state), domain.max);
         nan_ub |= ub.is_nan();
         lowest_ub = lowest_ub.min(ub);
-        upper_bounds.push(ub);
         if wants_local_tau {
-            let lb = state.lower_bound(func, missing, domain.min);
-            let lb = if lb.is_nan() { f64::NEG_INFINITY } else { lb };
-            highest_lb = highest_lb.max(lb);
-            local_lbs.push(lb);
+            highest_lb = highest_lb.max(lower_bound(slot, state));
         }
     }
     if !nan_ub && lowest_ub >= tau && lowest_ub >= highest_lb {
         return;
+    }
+    local_lbs.clear();
+    upper_bounds.clear();
+    for (slot, state) in row.iter() {
+        upper_bounds.push(state.upper_bound(func, missing(slot, state), domain.max));
+        if wants_local_tau {
+            local_lbs.push(lower_bound(slot, state));
+        }
     }
     let local_tau = if wants_local_tau {
         *local_lbs.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a)).1
@@ -293,7 +301,7 @@ fn prune(
     };
     let effective_tau = tau.max(local_tau);
     let mut upper_bound = upper_bounds.iter();
-    view.retain(|_, _| *upper_bound.next().expect("one bound per tuple") >= effective_tau);
+    row.retain(|_, _| *upper_bound.next().expect("one bound per tuple") >= effective_tau);
 }
 
 /// The `k` best exactly-known groups, best first, ties towards the smaller group —
@@ -317,19 +325,24 @@ impl SnapshotAlgorithm for MintViews {
 
         let group_sizes = &mut self.scratch.group_sizes;
         group_sizes.clear();
-        group_sizes.extend(net.deployment().groups().iter().filter_map(|(group, members)| {
-            let live = members.iter().filter(|&&m| net.node_participating(m)).count() as u32;
-            (live > 0).then_some((*group, live))
-        }));
+        group_sizes.extend(
+            net.deployment()
+                .groups()
+                .iter()
+                .map(|(_, members)| members.iter().filter(|&&m| net.node_participating(m)).count() as u32),
+        );
         let sink_view = self.pruned_sweep(net, readings, tau);
 
         // --- sink-side verification -------------------------------------------------
         // Exact values are available for every group whose contributions all arrived.
+        let groups = net.deployment().groups();
+        let live_size = |g: GroupId| {
+            groups.binary_search_by_key(&g, |(known, _)| *known).map_or(0, |slot| self.scratch.group_sizes[slot])
+        };
         let mut exact = std::mem::take(&mut self.scratch.exact);
         exact.clear();
         for (g, state) in sink_view.iter() {
-            let total = group_size(&self.scratch.group_sizes, g).unwrap_or(0);
-            if let Some(v) = state.exact_value(self.spec.func, total) {
+            if let Some(v) = state.exact_value(self.spec.func, live_size(g)) {
                 exact.push((g, v));
             }
         }
@@ -352,10 +365,12 @@ impl SnapshotAlgorithm for MintViews {
             let mut candidates = std::mem::take(&mut self.scratch.candidates);
             candidates.clear();
             candidates.extend(
-                self.scratch
-                    .group_sizes
+                net.deployment()
+                    .groups()
                     .iter()
-                    .filter(|(g, _)| exact.binary_search_by_key(g, |&(known, _)| known).is_err()),
+                    .zip(&self.scratch.group_sizes)
+                    .filter(|&((g, _), &live)| live > 0 && exact.binary_search_by_key(g, |&(known, _)| known).is_err())
+                    .map(|((g, _), &live)| (*g, live)),
             );
             for &(g, total) in &candidates {
                 let ub = match sink_view.get(g) {
@@ -587,39 +602,47 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 512, ..proptest::ProptestConfig::default() })]
 
-        /// The bound-first prune against the shrink it replaced, on random sorted views:
+        /// The prune on rows against the shrink it replaced, on the same drawn view:
         /// the same groups survive with bit-equal states.  The views hold 1–20 groups
-        /// with sparse ids and NaN sums; each group's live size is absent from the
-        /// sizes, equal to what the view holds, above it or below it; every aggregate;
-        /// k in `1..=len+1`; τ on the value grid, ±∞ or NaN.  (The kernel differential
-        /// in `reference.rs` hands one closure to both kernels, so it cannot see a shrink
-        /// bug; this can.)
+        /// with sparse ids and NaN sums; a group is one the deployment lacks (no size:
+        /// the count fallback), or the deployment's with a live size of 0, equal to what
+        /// the view holds, above it or below it; every aggregate; k in `1..=len+1`; τ on
+        /// the value grid, ±∞ or NaN.  The old shrink reads its sizes the old way, a
+        /// list sorted by group without the groups of no live member.  (The kernel
+        /// differential in `reference.rs` hands one closure to both kernels, so it cannot
+        /// see a shrink bug; this can.)
         #[test]
         fn bound_first_prune_matches_the_previous_shrink(
             func in 0usize..5,
-            groups in proptest::collection::vec((0u32..40, 1u32..5, 0u32..4, 0u32..100_000), 1..21),
+            groups in proptest::collection::vec((0u32..40, 1u32..5, 0u32..5, 0u32..100_000), 1..21),
             k_draw in 0usize..1_000,
             tau_draw in 0u32..28,
         ) {
             let func = [AggFunc::Avg, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Count][func];
             let spec = |k| SnapshotSpec::new(k, func, ValueDomain::percentage());
             let mut view = GroupView::new(func);
-            let mut group_sizes = Vec::new();
+            let mut live_sizes = std::collections::BTreeMap::new();
             for &(id, readings, live, seed) in &groups {
                 let group = id.wrapping_mul(2_654_435_761);
                 for r in 0..readings {
                     view.add_reading(group, grid_value(seed / (r + 1) + r));
                 }
                 let seen = view.get(group).expect("just added").count();
-                match live {
-                    0 => {}
-                    1 => group_sizes.push((group, seen)),
-                    2 => group_sizes.push((group, seen + 1 + seed % 3)),
-                    _ => group_sizes.push((group, (seen - 1).max(1))),
-                }
+                let size = match live {
+                    0 => None,
+                    1 => Some(0),
+                    2 => Some(seen),
+                    3 => Some(seen + 1 + seed % 3),
+                    _ => Some((seen - 1).max(1)),
+                };
+                // A group drawn twice keeps its first size.
+                live_sizes.entry(group).or_insert(size);
             }
-            group_sizes.sort_unstable();
-            group_sizes.dedup_by_key(|(g, _)| *g);
+            let deployment: Vec<(GroupId, Vec<NodeId>)> =
+                live_sizes.iter().filter(|(_, size)| size.is_some()).map(|(&g, _)| (g, Vec::new())).collect();
+            let sizes: Vec<u32> = live_sizes.values().filter_map(|&size| size).collect();
+            let old_sizes: Vec<(GroupId, u32)> =
+                live_sizes.iter().filter_map(|(&g, &size)| size.filter(|&live| live > 0).map(|live| (g, live))).collect();
             let k = 1 + k_draw % (view.len() + 1);
             let tau = match tau_draw {
                 0 => f64::NEG_INFINITY,
@@ -628,12 +651,13 @@ mod tests {
                 d => f64::from(d - 3) * 5.0,
             };
 
-            let (mut ours, mut theirs) = (view.clone(), view);
+            let mut table = crate::view::GroupTable::from_view(&deployment, &view);
             let (mut lbs, mut ubs) = (Vec::new(), Vec::new());
-            prune(&mut ours, &spec(k), tau, &group_sizes, &mut lbs, &mut ubs);
-            crate::reference::mint_shrink(&mut theirs, &spec(k), tau, &group_sizes, &mut lbs, &mut ubs);
+            prune(&mut table.row(0), &spec(k), tau, &sizes, &mut lbs, &mut ubs);
+            let mut theirs = view;
+            crate::reference::mint_shrink(&mut theirs, &spec(k), tau, &old_sizes, &mut lbs, &mut ubs);
             let bits = |v: &GroupView| v.iter().map(|(g, s)| (g, s.to_bits())).collect::<Vec<_>>();
-            proptest::prop_assert_eq!(bits(&ours), bits(&theirs), "k = {}, tau = {}", k, tau);
+            proptest::prop_assert_eq!(bits(&table.to_view(0, func)), bits(&theirs), "k = {}, tau = {}", k, tau);
         }
     }
 

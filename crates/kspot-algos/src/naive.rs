@@ -9,18 +9,20 @@
 use crate::result::TopKResult;
 use crate::snapshot::{SnapshotAlgorithm, SnapshotSpec};
 use crate::tag::{convergecast_full, rank_view};
-use kspot_net::{Network, PhaseTag, Reading};
+use kspot_net::{GroupId, Network, PhaseTag, Reading, Value};
 
 /// Greedy local top-k truncation at every node (inexact).
 #[derive(Debug, Clone)]
 pub struct NaiveLocalPrune {
     spec: SnapshotSpec,
+    /// The buffer a node's view is ranked in: `(partial value, group, slot)`.
+    ranked: Vec<(Value, GroupId, usize)>,
 }
 
 impl NaiveLocalPrune {
     /// Creates the executor.
     pub fn new(spec: SnapshotSpec) -> Self {
-        Self { spec }
+        Self { spec, ranked: Vec::new() }
     }
 }
 
@@ -35,11 +37,11 @@ impl SnapshotAlgorithm for NaiveLocalPrune {
 
     fn execute_epoch(&mut self, net: &mut Network, readings: &[Reading]) -> TopKResult {
         let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
-        let k = self.spec.k;
-        let sink_view =
-            convergecast_full(net, readings, &self.spec, PhaseTag::Update, |_, view| {
-                view.truncate_to_local_top_k(k);
-            });
+        let SnapshotSpec { k, func, .. } = self.spec;
+        let ranked = &mut self.ranked;
+        let sink_view = convergecast_full(net, readings, &self.spec, PhaseTag::Update, |_, row| {
+            row.truncate_to_local_top_k(k, func, ranked);
+        });
         // The sink only sees what survived the greedy truncation and has no way to tell
         // how many contributors are missing — it reports the biased partial values.
         rank_view(&sink_view, k, epoch)

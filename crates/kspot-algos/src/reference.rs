@@ -1,7 +1,8 @@
 //! The map-based loops the crate shipped before its flat kernels, kept verbatim as the
 //! oracles: the convergecast of the snapshot algorithms (now
-//! [`crate::tag::convergecast_full`]) and MINT's shrink before it pruned bound-first
-//! (now `crate::mint::prune`), in [`historic`], TJA and TPUT as they ran
+//! [`crate::tag::convergecast_full`], whose views are rows of a group table) and MINT's
+//! shrink before it pruned bound-first on rows (now `crate::mint::prune`), in
+//! [`historic`], TJA and TPUT as they ran
 //! before the flat epoch table (`crate::threshold`), and in [`fila`] the FILA monitor
 //! whose sink kept what it knows in a map.  Property tests drive old and new
 //! over random trees, aggregates, windows, fault plans and co-registered scopes and
@@ -13,7 +14,7 @@ use crate::naive::NaiveLocalPrune;
 use crate::result::TopKResult;
 use crate::snapshot::{exact_reference, run_shared_epoch, SnapshotAlgorithm, SnapshotSpec};
 use crate::tag::TagTopK;
-use crate::view::GroupView;
+use crate::view::{GroupTable, GroupView, Row};
 use kspot_net::{GroupId, Network, NodeId, PhaseTag, Reading, SINK};
 use std::collections::BTreeMap;
 
@@ -82,6 +83,25 @@ pub(crate) fn convergecast_full(
         }
     }
     sink_view
+}
+
+/// [`convergecast_full`] with a shrink step written for rows, as
+/// `tag::convergecast_full` runs it while the reference is in use: each view the
+/// reference hands its shrink step is laid out as a one-row table by the deployment's
+/// slots, shrunk as a row, and read back.
+pub(crate) fn convergecast_rows(
+    net: &mut Network,
+    readings: &[Reading],
+    spec: &SnapshotSpec,
+    phase: PhaseTag,
+    mut shrink: impl FnMut(NodeId, &mut Row<'_>),
+) -> GroupView {
+    let groups = net.deployment().groups().to_vec();
+    convergecast_full(net, readings, spec, phase, |node, view| {
+        let mut table = GroupTable::from_view(&groups, view);
+        shrink(node, &mut table.row(0));
+        *view = table.to_view(0, spec.func);
+    })
 }
 
 /// The previous MINT shrink — the closure `MintViews::pruned_sweep` handed the kernel —
@@ -332,8 +352,9 @@ mod properties {
             let [new, old] = &mut nets;
             new.begin_epoch(12);
             old.begin_epoch(12);
-            let ours = view_bits(&crate::tag::convergecast_full(new, &readings, &spec, PhaseTag::Update, |_, v| {
-                v.truncate_to_local_top_k(3);
+            let mut ranked = Vec::new();
+            let ours = view_bits(&crate::tag::convergecast_full(new, &readings, &spec, PhaseTag::Update, |_, row| {
+                row.truncate_to_local_top_k(3, spec.func, &mut ranked);
             }));
             let theirs = view_bits(&convergecast_full(old, &readings, &spec, PhaseTag::Update, |_, v| {
                 v.truncate_to_local_top_k(3);

@@ -9,15 +9,15 @@
 //! This module also holds `convergecast_full`, the one convergecast loop of the crate:
 //! TAG runs it as is, the naive strategy and MINT plug their pruning in as its
 //! `shrink` step, and the local-aggregate historic strategy feeds it per-node window
-//! aggregates.  The loop works in memory it keeps from sweep to sweep (one view per
-//! node, a copy of the tree's post-order and one merge buffer), so a steady-state sweep
+//! aggregates.  The views it builds are the rows of one dense table, a row per node
+//! and a slot per group of the deployment ([`crate::view`]); the loop keeps the table
+//! and a copy of the tree's post-order from sweep to sweep, so a steady-state sweep
 //! allocates only the sink view it returns and looks nothing up in a map.
 
-use crate::agg::AggState;
 use crate::result::{RankedItem, TopKResult};
 use crate::snapshot::{SnapshotAlgorithm, SnapshotSpec};
-use crate::view::GroupView;
-use kspot_net::{GroupId, Network, NodeId, PhaseTag, Reading, SINK};
+use crate::view::{GroupTable, GroupView, Row};
+use kspot_net::{Network, NodeId, PhaseTag, Reading, SINK};
 use std::cell::RefCell;
 
 /// TAG with a centralized Top-K operator at the sink.
@@ -41,21 +41,19 @@ impl TagTopK {
 /// The working memory of [`convergecast_full`].
 #[derive(Default)]
 struct SweepScratch {
-    /// `views[id]` is the view node `id` is building this sweep; `views[0]` is the
-    /// sink's.  Emptied, not dropped, between sweeps.
-    views: Vec<GroupView>,
+    /// Row `id` is the view node `id` is building this sweep, row 0 the sink's; laid
+    /// out afresh by every sweep.
+    table: GroupTable,
     /// The routing tree's post-order, copied so that the sweep can hold the network
     /// mutably while walking it.
     order: Vec<NodeId>,
-    /// The buffer every [`GroupView::merge`] of the sweep merges into.
-    merged: Vec<(GroupId, AggState)>,
 }
 
 thread_local! {
     /// One scratch per thread, not per session: sweeps on a thread run one after the
-    /// other, every sweep starts by emptying the views, and an engine keeps hundreds of
-    /// sessions (finished ones included) whose buffers would otherwise each stay
-    /// allocated at O(nodes × groups).
+    /// other, every sweep lays the table out afresh, and an engine keeps hundreds of
+    /// sessions (finished ones included) whose tables would otherwise each stay
+    /// allocated at O(nodes × groups): `(N + 1) · (8⌈G / 64⌉ + 24 G)` bytes.
     static SCRATCH: RefCell<SweepScratch> = RefCell::default();
 }
 
@@ -63,9 +61,10 @@ thread_local! {
 /// and forwards the complete merged view to its parent.  Returns the sink's merged view.
 ///
 /// `phase` lets callers label the traffic (MINT's Creation phase is this sweep under
-/// another label).  `shrink` is applied to each node's merged view right before
-/// transmission, which is how the naive strategy plugs in its local truncation and MINT
-/// its bound-based pruning; TAG passes a no-op.  It must not sweep itself.
+/// another label).  `shrink` is applied to each node's merged view — its row of the
+/// sweep's table — right before transmission, which is how the naive strategy plugs in
+/// its local truncation and MINT its bound-based pruning; TAG passes a no-op.  It must
+/// not sweep itself.
 ///
 /// Under fault injection the convergecast degrades to partial data: dead or sleeping
 /// nodes contribute nothing and are routed around (reports go to the nearest
@@ -84,55 +83,41 @@ thread_local! {
 /// group's state sees `add`/`merge` in the order own reading, then children as they
 /// arrive (ADR-004, "Host representation").  A reading whose node is the sink or not a
 /// node of this network is ignored; of several readings for one node the last wins.
+/// A reading of a group the deployment lacks is kept like any other.
 pub(crate) fn convergecast_full(
     net: &mut Network,
     readings: &[Reading],
     spec: &SnapshotSpec,
     phase: PhaseTag,
-    mut shrink: impl FnMut(NodeId, &mut GroupView),
+    mut shrink: impl FnMut(NodeId, &mut Row<'_>),
 ) -> GroupView {
     #[cfg(test)]
     if crate::reference::in_use() {
-        return crate::reference::convergecast_full(net, readings, spec, phase, shrink);
+        return crate::reference::convergecast_rows(net, readings, spec, phase, shrink);
     }
     let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
     let n = net.num_nodes();
-    SCRATCH.with_borrow_mut(|SweepScratch { views, order, merged }| {
+    SCRATCH.with_borrow_mut(|SweepScratch { table, order }| {
         order.clear();
         order.extend_from_slice(net.tree().post_order_slice());
-        // Only ever grown: a thread may alternate between networks of different sizes.
-        if views.len() <= n {
-            views.resize_with(n + 1, || GroupView::new(spec.func));
-        }
-        let views = &mut views[..=n];
-        for view in views.iter_mut() {
-            view.reset(spec.func);
-        }
-        for r in readings {
-            if r.node != SINK && r.node as usize <= n {
-                let view = &mut views[r.node as usize];
-                view.reset(spec.func);
-                view.add_reading(r.group, r.value);
-            }
-        }
+        let own = readings.iter().filter(|r| r.node != SINK && r.node as usize <= n);
+        table.seed(net.deployment().groups(), n + 1, own, spec.func);
         for &node in order.iter() {
             if !net.node_participating(node) {
                 continue;
             }
-            let view = &mut views[node as usize];
-            net.charge_cpu(node, view.len() as u32);
-            shrink(node, view);
-            if view.is_empty() {
+            let mut row = table.row(node as usize);
+            net.charge_cpu(node, row.len() as u32);
+            shrink(node, &mut row);
+            let tuples = row.len() as u32;
+            if tuples == 0 {
                 continue;
             }
-            if let Some(receiver) = net.send_report_up(node, epoch, view.len() as u32, 0, phase) {
-                // Lift the sent view out so its receiver's can be borrowed beside it.
-                let sent = std::mem::replace(view, GroupView::new(spec.func));
-                views[receiver as usize].merge(&sent, merged);
-                views[node as usize] = sent;
+            if let Some(receiver) = net.send_report_up(node, epoch, tuples, 0, phase) {
+                table.merge_rows(receiver as usize, node as usize);
             }
         }
-        views[SINK as usize].clone()
+        table.to_view(SINK as usize, spec.func)
     })
 }
 

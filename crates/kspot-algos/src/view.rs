@@ -3,22 +3,26 @@
 //! During an epoch's convergecast every node maintains a view mapping each group (room)
 //! present in its subtree to a partial aggregate state.  TAG ships the full view to the
 //! parent, the naive strategy truncates it to the local top-k, and MINT prunes it with
-//! the upper-bound framework.  [`GroupView`] is that map plus the merge operations all
-//! of them share.
+//! the upper-bound framework.
 //!
-//! The map is a `Vec` of `(group, state)` pairs sorted by group: a view holds a
-//! handful of groups, is rebuilt every epoch and is merged far more often than it is
-//! searched, and [`GroupView::reset`] keeps the buffer, which is what lets the
-//! convergecast kernel ([`crate::tag`]) run without allocating.  Group ids may be
-//! sparse; a view costs one pair per group *present*, never anything sized by an id.
+//! Inside a sweep the views are the rows of one dense `GroupTable`: a group's *slot*
+//! is its index in the deployment's sorted group list (`Deployment::groups`), a row is a
+//! presence mask of ⌈slots / 64⌉ words plus one state per slot, and merging a child's
+//! row into its receiver's walks the child's set bits.  A group that only a reading
+//! names — one the deployment lacks — gets a slot after the deployment's, so group ids
+//! may be sparse and are never used as an index.  The table is laid out afresh every
+//! sweep in memory it keeps, which is what lets the convergecast kernel
+//! ([`crate::tag`]) run without allocating.
+//!
+//! The sink's row leaves the sweep as a [`GroupView`]: the `(group, state)` pairs it
+//! holds, sorted by group, which is what MINT and TAG rank.
 
 use crate::agg::AggState;
-use kspot_net::{GroupId, Value};
+use kspot_net::{GroupId, NodeId, Reading, Value};
 use kspot_query::AggFunc;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 
-/// A partial aggregate per group, as maintained by one node for its subtree.
+/// A partial aggregate per group, as one node holds it for its subtree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GroupView {
     func: AggFunc,
@@ -30,12 +34,6 @@ impl GroupView {
     /// An empty view for the given aggregate function.
     pub fn new(func: AggFunc) -> Self {
         Self { func, entries: Vec::new() }
-    }
-
-    /// Empties the view, keeping its buffer, and (re)binds it to `func`.
-    pub fn reset(&mut self, func: AggFunc) {
-        self.func = func;
-        self.entries.clear();
     }
 
     /// The aggregate function the view is built for.
@@ -58,8 +56,270 @@ impl GroupView {
         self.entries.binary_search_by_key(&group, |(g, _)| *g)
     }
 
+    /// The partial state for a group, if present.
+    pub fn get(&self, group: GroupId) -> Option<&AggState> {
+        self.position(group).ok().map(|at| &self.entries[at].1)
+    }
+
+    /// Iterates over `(group, partial state)` pairs in ascending group order.
+    pub fn iter(&self) -> impl Iterator<Item = (GroupId, &AggState)> {
+        self.entries.iter().map(|(g, s)| (*g, s))
+    }
+
+    /// The partial aggregate value of every group, `(group, value)`, skipping groups
+    /// whose state is still empty.
+    pub fn partial_values(&self) -> Vec<(GroupId, Value)> {
+        self.entries
+            .iter()
+            .filter_map(|(g, s)| s.partial_value(self.func).map(|v| (*g, v)))
+            .collect()
+    }
+}
+
+/// Bits per mask word.
+const WORD: usize = 64;
+
+/// The views of one convergecast, one row per node (row `id` is node `id`'s, row 0 the
+/// sink's): a presence mask per row and one [`AggState`] per slot, valid where the
+/// slot's bit is set.  Rows are `slots` states apart, so a sweep over `rows` rows and
+/// `slots` groups holds `rows · (8⌈slots / 64⌉ + 24 · slots)` bytes of rows, grown and
+/// never shrunk.
+#[derive(Debug, Default)]
+pub(crate) struct GroupTable {
+    /// `groups[slot]`: the deployment's groups, ascending, then the groups only
+    /// readings name, in the order they were first read.
+    groups: Vec<GroupId>,
+    /// How many of `groups` are the deployment's.
+    known: usize,
+    /// Mask words per row.
+    words: usize,
+    masks: Vec<u64>,
+    states: Vec<AggState>,
+    /// `node_slot[id]`: the slot of node `id`'s configured group, so that a reading of
+    /// the group its node is configured into finds its slot without a search.
+    node_slot: Vec<u32>,
+}
+
+impl GroupTable {
+    /// Lays the table out for one sweep and seeds it: a slot per group of `groups` (a
+    /// deployment's, ascending), then one per group only `readings` name; `rows` empty
+    /// rows; then every reading's state, `empty + value`, alone in its node's row — of
+    /// several readings for one node the last wins.  Every reading's node must be below
+    /// `rows`; the iterator is walked twice.
+    pub(crate) fn seed<'r>(
+        &mut self,
+        groups: &[(GroupId, Vec<NodeId>)],
+        rows: usize,
+        readings: impl Iterator<Item = &'r Reading> + Clone,
+        func: AggFunc,
+    ) {
+        self.groups.clear();
+        self.groups.extend(groups.iter().map(|(g, _)| *g));
+        self.known = groups.len();
+        self.node_slot.clear();
+        self.node_slot.resize(rows, u32::MAX);
+        for (slot, (_, members)) in groups.iter().enumerate() {
+            for &m in members {
+                if let Some(at) = self.node_slot.get_mut(m as usize) {
+                    *at = slot as u32;
+                }
+            }
+        }
+        for r in readings.clone() {
+            if self.slot_of(r).is_none() {
+                self.groups.push(r.group);
+            }
+        }
+        let slots = self.groups.len();
+        self.words = slots.div_ceil(WORD);
+        self.masks.clear();
+        self.masks.resize(rows * self.words, 0);
+        if self.states.len() < rows * slots {
+            self.states.resize(rows * slots, AggState::empty(func));
+        }
+        for r in readings {
+            let slot = self.slot_of(r).expect("every group has a slot after the first pass");
+            let row = r.node as usize;
+            let mask = &mut self.masks[row * self.words..(row + 1) * self.words];
+            mask.fill(0);
+            mask[slot / WORD] |= 1 << (slot % WORD);
+            self.states[row * slots + slot] = AggState::single(func, r.value);
+        }
+    }
+
+    /// The slot of a reading's group, if it has one yet.
+    fn slot_of(&self, r: &Reading) -> Option<usize> {
+        let configured = self.node_slot[r.node as usize] as usize;
+        if self.groups.get(configured) == Some(&r.group) {
+            return Some(configured);
+        }
+        let (known, read) = self.groups.split_at(self.known);
+        match known.binary_search(&r.group) {
+            Ok(slot) => Some(slot),
+            Err(_) => read.iter().position(|&g| g == r.group).map(|at| self.known + at),
+        }
+    }
+
+    /// Row `row`, to read or shrink.
+    pub(crate) fn row(&mut self, row: usize) -> Row<'_> {
+        let (slots, words) = (self.groups.len(), self.words);
+        Row {
+            groups: &self.groups,
+            mask: &mut self.masks[row * words..(row + 1) * words],
+            states: &self.states[row * slots..(row + 1) * slots],
+        }
+    }
+
+    /// Merges row `from` into row `into` (another row): each group `from` holds merges
+    /// into the state `into` holds for it, as `into.merge(from)`, or is copied where
+    /// `into` holds none.  Then `into` holds the groups of both.
+    pub(crate) fn merge_rows(&mut self, into: usize, from: usize) {
+        let (slots, words) = (self.groups.len(), self.words);
+        let (held_mask, sent_mask) = two_rows(&mut self.masks, words, into, from);
+        let (held_states, sent_states) = two_rows(&mut self.states, slots, into, from);
+        for (word, (held, &sent)) in held_mask.iter_mut().zip(sent_mask).enumerate() {
+            let base = word * WORD;
+            let mut both = sent & *held;
+            while both != 0 {
+                let slot = base + both.trailing_zeros() as usize;
+                both &= both - 1;
+                held_states[slot].merge(&sent_states[slot]);
+            }
+            let mut new = sent & !*held;
+            while new != 0 {
+                let slot = base + new.trailing_zeros() as usize;
+                new &= new - 1;
+                held_states[slot] = sent_states[slot];
+            }
+            *held |= sent;
+        }
+    }
+
+    /// Row `row` as a view of `func`, sorted by group.
+    pub(crate) fn to_view(&self, row: usize, func: AggFunc) -> GroupView {
+        let (slots, words) = (self.groups.len(), self.words);
+        let mask = &self.masks[row * words..(row + 1) * words];
+        let states = &self.states[row * slots..(row + 1) * slots];
+        let mut entries = Vec::with_capacity(popcount(mask));
+        for slot in set_bits(mask) {
+            let group = self.groups[slot];
+            // The deployment's slots come out ascending; a group only readings name
+            // goes where its id sorts.
+            let at = if slot < self.known { entries.len() } else { entries.partition_point(|&(g, _)| g < group) };
+            entries.insert(at, (group, states[slot]));
+        }
+        GroupView { func, entries }
+    }
+}
+
+/// Rows `into` (to write) and `from` (to read) of a table `width` wide; they must differ.
+fn two_rows<T>(all: &mut [T], width: usize, into: usize, from: usize) -> (&mut [T], &[T]) {
+    assert_ne!(into, from, "a row cannot merge into itself");
+    if into < from {
+        let (low, high) = all.split_at_mut(from * width);
+        (&mut low[into * width..(into + 1) * width], &high[..width])
+    } else {
+        let (low, high) = all.split_at_mut(into * width);
+        (&mut high[..width], &low[from * width..(from + 1) * width])
+    }
+}
+
+/// One row of a [`GroupTable`], as a sweep's `shrink` step sees it: the groups present
+/// and their states, which it may only remove.
+pub(crate) struct Row<'t> {
+    groups: &'t [GroupId],
+    mask: &'t mut [u64],
+    states: &'t [AggState],
+}
+
+impl Row<'_> {
+    /// Number of groups in the row — the tuples the node would transmit.
+    pub(crate) fn len(&self) -> usize {
+        popcount(self.mask)
+    }
+
+    /// The `(slot, state)` pairs of the groups present, by ascending slot.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &AggState)> + '_ {
+        set_bits(self.mask).map(|slot| (slot, &self.states[slot]))
+    }
+
+    /// Keeps only the groups for which `keep(slot, state)` returns true, asking them
+    /// by ascending slot, as [`Self::iter`] yields them.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize, &AggState) -> bool) {
+        for (word, mask) in self.mask.iter_mut().enumerate() {
+            let mut bits = *mask;
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !keep(word * WORD + bit, &self.states[word * WORD + bit]) {
+                    *mask &= !(1 << bit);
+                }
+            }
+        }
+    }
+
+    /// Truncates the row to the `k` groups with the highest *partial* values of `func`,
+    /// ties towards the smaller group — the wrongful greedy elimination the paper warns
+    /// about, kept because the naive baseline needs it.  A group whose state has no
+    /// value goes too.  `ranked` is scratch the caller keeps.
+    pub(crate) fn truncate_to_local_top_k(
+        &mut self,
+        k: usize,
+        func: AggFunc,
+        ranked: &mut Vec<(Value, GroupId, usize)>,
+    ) {
+        ranked.clear();
+        ranked.extend(self.iter().filter_map(|(slot, s)| s.partial_value(func).map(|v| (v, self.groups[slot], slot))));
+        let by_rank = |a: &(Value, GroupId, usize), b: &(Value, GroupId, usize)| {
+            kspot_net::types::cmp_value(b.0, a.0).then(a.1.cmp(&b.1))
+        };
+        if k < ranked.len() {
+            ranked.select_nth_unstable_by(k, by_rank);
+        }
+        self.mask.fill(0);
+        for &(_, _, slot) in ranked.iter().take(k) {
+            self.mask[slot / WORD] |= 1 << (slot % WORD);
+        }
+    }
+}
+
+/// Number of bits set in `mask`.
+fn popcount(mask: &[u64]) -> usize {
+    mask.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// The indices of the set bits of `mask`, ascending.
+fn set_bits(mask: &[u64]) -> SetBits<'_> {
+    SetBits { mask, word: 0, bits: mask.first().copied().unwrap_or(0) }
+}
+
+/// Iterator of [`set_bits`]: `bits` is what is left of word `word`.
+struct SetBits<'m> {
+    mask: &'m [u64],
+    word: usize,
+    bits: u64,
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.mask.get(self.word)?;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.word * WORD + bit)
+    }
+}
+
+/// The view operations the sweep ran before it kept its views in a [`GroupTable`]; the
+/// map-based kernel in `reference.rs` still runs on them.
+#[cfg(test)]
+impl GroupView {
     /// Folds one raw reading into the view.
-    pub fn add_reading(&mut self, group: GroupId, value: Value) {
+    pub(crate) fn add_reading(&mut self, group: GroupId, value: Value) {
         let at = self.position(group).unwrap_or_else(|at| {
             self.entries.insert(at, (group, AggState::empty(self.func)));
             at
@@ -67,12 +327,11 @@ impl GroupView {
         self.entries[at].1.add(value);
     }
 
-    /// Merges another view (typically a child's transmitted view) into this one: one
-    /// forward pass over both sorted runs into `buf`, then copied back.  A group both
-    /// hold merges exactly once, as `this.merge(other)`.  `buf` is scratch whose
-    /// contents mean nothing before or after; a caller that keeps it (the convergecast
-    /// kernel does) merges without allocating once it and this view are warm.
-    pub fn merge(&mut self, other: &GroupView, buf: &mut Vec<(GroupId, AggState)>) {
+    /// Merges another view into this one: one forward pass over both sorted runs into
+    /// `buf`, then copied back.  A group both hold merges exactly once, as
+    /// `this.merge(other)`.
+    pub(crate) fn merge(&mut self, other: &GroupView, buf: &mut Vec<(GroupId, AggState)>) {
+        use std::cmp::Ordering;
         assert_eq!(self.func, other.func, "views of different aggregates cannot merge");
         let (mine, theirs) = (&self.entries, &other.entries);
         let (mut i, mut j) = (0, 0);
@@ -103,42 +362,44 @@ impl GroupView {
         self.entries.extend_from_slice(buf);
     }
 
-    /// The partial state for a group, if present.
-    pub fn get(&self, group: GroupId) -> Option<&AggState> {
-        self.position(group).ok().map(|at| &self.entries[at].1)
-    }
-
-    /// Iterates over `(group, partial state)` pairs in ascending group order.
-    pub fn iter(&self) -> impl Iterator<Item = (GroupId, &AggState)> {
-        self.entries.iter().map(|(g, s)| (*g, s))
-    }
-
     /// Keeps only the groups for which `keep` returns true; returns how many were
     /// removed (the pruned tuples).
-    pub fn retain(&mut self, mut keep: impl FnMut(GroupId, &AggState) -> bool) -> usize {
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(GroupId, &AggState) -> bool) -> usize {
         let before = self.entries.len();
         self.entries.retain(|(g, s)| keep(*g, s));
         before - self.entries.len()
     }
 
-    /// The partial aggregate value of every group, `(group, value)`, skipping groups
-    /// whose state is still empty.
-    pub fn partial_values(&self) -> Vec<(GroupId, Value)> {
-        self.entries
-            .iter()
-            .filter_map(|(g, s)| s.partial_value(self.func).map(|v| (*g, v)))
-            .collect()
-    }
-
-    /// Truncates the view to the `k` groups with the highest *partial* values — the
-    /// wrongful greedy elimination the paper warns about, kept here because the naive
-    /// baseline needs it.
-    pub fn truncate_to_local_top_k(&mut self, k: usize) -> usize {
+    /// Truncates the view to the `k` groups with the highest *partial* values.
+    pub(crate) fn truncate_to_local_top_k(&mut self, k: usize) -> usize {
         let mut scored = self.partial_values();
         scored.sort_by(|a, b| kspot_net::types::cmp_value(b.1, a.1).then(a.0.cmp(&b.0)));
         let keep: std::collections::BTreeSet<GroupId> =
             scored.into_iter().take(k).map(|(g, _)| g).collect();
         self.retain(|g, _| keep.contains(&g))
+    }
+}
+
+/// A table of one row holding `view`'s states, by the slots of the deployment whose
+/// groups are `groups` — how the map-based kernel in `reference.rs` hands its views to
+/// a shrink step written for rows.
+#[cfg(test)]
+impl GroupTable {
+    pub(crate) fn from_view(groups: &[(GroupId, Vec<NodeId>)], view: &GroupView) -> Self {
+        let is_known = |g: &GroupId| groups.binary_search_by_key(g, |(known, _)| *known).is_ok();
+        let mut table = GroupTable { known: groups.len(), ..GroupTable::default() };
+        table.groups.extend(groups.iter().map(|(g, _)| *g));
+        table.groups.extend(view.iter().map(|(g, _)| g).filter(|g| !is_known(g)));
+        let slots = table.groups.len();
+        table.words = slots.div_ceil(WORD);
+        table.masks = vec![0; table.words];
+        table.states = vec![AggState::empty(view.func()); slots];
+        for (g, state) in view.iter() {
+            let slot = table.groups.iter().position(|&at| at == g).expect("every group has a slot");
+            table.masks[slot / WORD] |= 1 << (slot % WORD);
+            table.states[slot] = *state;
+        }
+        table
     }
 }
 
@@ -182,22 +443,38 @@ mod tests {
         assert!(v.get(1).is_none());
     }
 
+    /// A one-row table over the groups `pairs` name, each row seeded with its reading
+    /// and merged into row 0 — so row 0 holds every group.
+    fn table(pairs: &[(GroupId, f64)]) -> GroupTable {
+        let mut groups: Vec<(GroupId, Vec<NodeId>)> = pairs.iter().map(|&(g, _)| (g, Vec::new())).collect();
+        groups.sort_unstable_by_key(|(g, _)| *g);
+        groups.dedup_by_key(|(g, _)| *g);
+        let readings: Vec<Reading> =
+            pairs.iter().enumerate().map(|(i, &(g, v))| Reading::new(i as NodeId + 1, g, 0, v)).collect();
+        let mut t = GroupTable::default();
+        t.seed(&groups, pairs.len() + 1, readings.iter(), AggFunc::Avg);
+        for row in 1..=pairs.len() {
+            t.merge_rows(0, row);
+        }
+        t
+    }
+
     #[test]
     fn truncate_to_local_top_k_keeps_highest_partials() {
         // This is exactly the wrongful elimination of Figure 1's node s4: its local view
         // holds (B, 42) and (D, 39); local top-1 keeps B and drops D.
-        let mut v = view(&[(1, 42.0), (3, 39.0)]);
-        let pruned = v.truncate_to_local_top_k(1);
-        assert_eq!(pruned, 1);
+        let mut t = table(&[(1, 42.0), (3, 39.0)]);
+        t.row(0).truncate_to_local_top_k(1, AggFunc::Avg, &mut Vec::new());
+        let v = t.to_view(0, AggFunc::Avg);
         assert!(v.get(1).is_some());
         assert!(v.get(3).is_none());
     }
 
     #[test]
     fn truncate_with_large_k_keeps_everything() {
-        let mut v = view(&[(0, 1.0), (1, 2.0)]);
-        assert_eq!(v.truncate_to_local_top_k(10), 0);
-        assert_eq!(v.len(), 2);
+        let mut t = table(&[(0, 1.0), (1, 2.0)]);
+        t.row(0).truncate_to_local_top_k(10, AggFunc::Avg, &mut Vec::new());
+        assert_eq!(t.row(0).len(), 2);
     }
 
     #[test]
@@ -217,69 +494,90 @@ mod tests {
 
     const FUNCS: [AggFunc; 5] = [AggFunc::Avg, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Count];
 
-    /// Sparse group ids, so that nothing can be indexed by one.
-    const GROUPS: [GroupId; 10] = [0, 1, 2, 7, 64, 1_000, 65_535, 1 << 20, 4_000_000_000, u32::MAX];
-
-    /// A view of `func` over `readings` drawn as (group index, raw value); some values
-    /// are NaN or a negative zero.
-    fn drawn_view(func: AggFunc, readings: &[(usize, u32)]) -> GroupView {
-        let mut v = GroupView::new(func);
-        for &(g, raw) in readings {
-            let value = match raw % 40 {
-                0 => f64::NAN,
-                1 => -0.0,
-                _ => f64::from(raw) * 0.37 - 100.0,
-            };
-            v.add_reading(GROUPS[g % GROUPS.len()], value);
-        }
-        v
+    /// The groups a drawn table's deployment configures: 70 sparse ids, so that rows
+    /// take two mask words and nothing can be indexed by an id.
+    fn configured(at: usize) -> GroupId {
+        (at as GroupId).wrapping_mul(2_654_435_761) | 1
     }
 
-    fn view_bits(v: &GroupView) -> Vec<(GroupId, (u32, Option<u64>))> {
-        v.iter().map(|(g, s)| (g, s.to_bits())).collect()
+    /// A drawn reading's value: some are NaN or a negative zero.
+    fn drawn_value(raw: u32) -> f64 {
+        match raw % 40 {
+            0 => f64::NAN,
+            1 => -0.0,
+            _ => f64::from(raw) * 0.37 - 100.0,
+        }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 256, ..proptest::ProptestConfig::default() })]
 
-        /// `merge` against a fold into a `BTreeMap<GroupId, AggState>`: every merge into
-        /// one receiver leaves the groups the map holds, ascending, with bit-equal
-        /// states — over sparse ids, empty and one-entry operands (leaf views) and every
-        /// aggregate.  Run a second time over the same operands, the warm receiver and
-        /// its buffer do not reallocate.
+        /// Row merges against a fold into a `BTreeMap<GroupId, AggState>`: rows seeded
+        /// with one reading each are merged one by one into a receiver row seeded the
+        /// same way; after every merge the receiver, read as a view, holds the groups the
+        /// map holds, ascending, with bit-equal states.  Over every aggregate, sparse
+        /// ids, 70 configured groups (two mask words), readings of a group the
+        /// deployment lacks (a slot after the 70), of the group their node is configured
+        /// into and of another, and NaN and −0.0 values.  The warm table is seeded a
+        /// second time without the even nodes' readings: their rows must merge nothing,
+        /// and nothing may be reallocated.
         #[test]
         fn merge_matches_a_map_fold(
             func in 0usize..5,
-            own in proptest::collection::vec((0usize..10, 0u32..2_000), 0..5),
-            operands in proptest::collection::vec(proptest::collection::vec((0usize..10, 0u32..2_000), 0..6), 1..9),
+            own in (0usize..100, 0u32..2_000),
+            operands in proptest::collection::vec((0usize..100, 0u32..2_000), 1..40),
         ) {
             let func = FUNCS[func];
-            let operands: Vec<GroupView> = operands.iter().map(|r| drawn_view(func, r)).collect();
-            let mut receiver = drawn_view(func, &own);
-            let mut model: std::collections::BTreeMap<GroupId, AggState> =
-                receiver.iter().map(|(g, s)| (g, *s)).collect();
-            let mut buf = Vec::new();
-            let mut folds = Vec::new();
-            for operand in &operands {
-                receiver.merge(operand, &mut buf);
-                for (g, s) in operand.iter() {
-                    model.entry(g).and_modify(|mine| mine.merge(s)).or_insert(*s);
+            // Node `n` is configured into group `configured(n % 70)`.
+            let mut groups: Vec<(GroupId, Vec<NodeId>)> =
+                (0..70).map(|at| (configured(at), (1..=41).filter(|n| n % 70 == at as NodeId).collect())).collect();
+            groups.sort_unstable_by_key(|(id, _)| *id);
+            // Draws below 70 name a configured group, 70..80 one the deployment lacks
+            // (even ids, never configured), from 80 on the node's own.
+            let group_of = |node: NodeId, draw: usize| match draw {
+                0..70 => configured(draw),
+                70..80 => (draw as GroupId) * 2,
+                _ => configured(node as usize % 70),
+            };
+            let readings: Vec<Reading> = std::iter::once(own)
+                .chain(operands.iter().copied())
+                .enumerate()
+                .map(|(at, (g, raw))| {
+                    let node = at as NodeId + 1;
+                    Reading::new(node, group_of(node, g), 0, drawn_value(raw))
+                })
+                .collect();
+            let (receiver, rows) = (1, readings.len() + 1);
+            let mut table = GroupTable::default();
+            let mut cold = None;
+            for pass in 0..2 {
+                let seeded = |r: &&Reading| pass == 0 || r.node % 2 == 1;
+                table.seed(&groups, rows, readings.iter().filter(seeded), func);
+                let mut model = std::collections::BTreeMap::new();
+                model.insert(readings[0].group, AggState::single(func, readings[0].value));
+                for r in readings.iter().skip(1) {
+                    table.merge_rows(receiver, r.node as usize);
+                    if seeded(&r) {
+                        model
+                            .entry(r.group)
+                            .and_modify(|mine: &mut AggState| mine.merge(&AggState::single(func, r.value)))
+                            .or_insert(AggState::single(func, r.value));
+                    }
+                    let ours: Vec<_> = table.to_view(receiver, func).iter().map(|(g, s)| (g, s.to_bits())).collect();
+                    let expected: Vec<_> = model.iter().map(|(g, s)| (*g, s.to_bits())).collect();
+                    proptest::prop_assert_eq!(table.row(receiver).len(), expected.len());
+                    proptest::prop_assert_eq!(&ours, &expected, "pass {}", pass);
                 }
-                let expected: Vec<_> = model.iter().map(|(g, s)| (*g, s.to_bits())).collect();
-                proptest::prop_assert_eq!(&view_bits(&receiver), &expected);
-                folds.push(expected);
-            }
-
-            receiver.reset(func);
-            for (g, s) in drawn_view(func, &own).iter() {
-                receiver.entries.push((g, *s));
-            }
-            let warm = (receiver.entries.as_ptr(), receiver.entries.capacity(), buf.as_ptr(), buf.capacity());
-            for (operand, expected) in operands.iter().zip(&folds) {
-                receiver.merge(operand, &mut buf);
-                proptest::prop_assert_eq!(&view_bits(&receiver), expected);
-                let now = (receiver.entries.as_ptr(), receiver.entries.capacity(), buf.as_ptr(), buf.capacity());
-                proptest::prop_assert_eq!(now, warm, "a warm merge reallocated");
+                let buffers = (
+                    (table.masks.as_ptr(), table.masks.capacity()),
+                    (table.states.as_ptr(), table.states.capacity()),
+                    (table.groups.as_ptr(), table.groups.capacity()),
+                    (table.node_slot.as_ptr(), table.node_slot.capacity()),
+                );
+                match cold {
+                    None => cold = Some(buffers),
+                    Some(cold) => proptest::prop_assert_eq!(buffers, cold, "the warm table reallocated"),
+                }
             }
         }
     }

@@ -11,6 +11,12 @@
 //! and the span — and when the span changes between executions, the working memory
 //! grows once and is reused from then on.
 //!
+//! The kernel's scratch is fenced the same way: a steady MINT epoch allocates the same
+//! count when every node is its own group (G = N) as with 16 groups, and the first
+//! sweep on a fresh thread keeps the group table the kernel documents,
+//! `(N + 1) · (8⌈G / 64⌉ + 24 G)` bytes, and little besides — once per thread, not per
+//! session.
+//!
 //! Timing claims live in the benchmark (`bench/`); this test is the regression fence
 //! that does not depend on the host: a `BTreeMap` or a per-node `Vec` creeping back
 //! into the sweep makes the count grow with the node count and fails it.
@@ -20,7 +26,7 @@
 //! `deny`s it, for its one audited `sys` module: ADR-011; lint R8 names both exemptions).
 
 use kspot_algos::{
-    run_shared_epoch, BankWindows, CentralizedCollection, FilaMonitor, HistoricAlgorithm,
+    run_shared_epoch, AggState, BankWindows, CentralizedCollection, FilaMonitor, HistoricAlgorithm,
     HistoricSpec, MintViews, RankedItem, SnapshotAlgorithm, SnapshotSpec, TagTopK, Tja, TopKResult,
 };
 use kspot_net::types::ValueDomain;
@@ -182,6 +188,108 @@ fn a_steady_epoch_retains_its_answers_items_and_nothing_else() {
     }
 }
 
+/// Allocations of the fourth quiet MINT epoch, alone on a frame-batching `side × side`
+/// grid of `rooms` rooms (every node its own when `None`).  MINT's sink certifies from
+/// buffers the executor keeps, so what the epoch allocates is the sweep's and the
+/// answer's, whatever the group count.
+fn steady_mint_epoch(side: usize, rooms: Option<usize>) -> u64 {
+    let d = Deployment::grid(side, 10.0, rooms);
+    let level: Vec<f64> = (0..d.num_nodes()).map(|i| 10.0 + (i * 37 % 197) as f64 * 0.4).collect();
+    let mut workload = Workload::trace(&d, ValueDomain::percentage(), vec![level]);
+    let mut net = Network::new(d, NetworkConfig::mica2());
+    net.set_frame_batching(true);
+    let mut mint = MintViews::new(SnapshotSpec::new(3, AggFunc::Avg, ValueDomain::percentage()));
+    let mut measured = 0;
+    for _ in 0..4 {
+        let readings = workload.next_epoch();
+        let before = ALLOCATIONS.with(Cell::get);
+        let answers = run_shared_epoch(&mut [&mut mint], &mut net, &readings, |_, _| {});
+        measured = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(answers[0].items.len(), 3);
+    }
+    assert_eq!(mint.stats().probe_epochs, 0, "a quiet trace never probes");
+    measured
+}
+
+/// The kernel's table is as wide as the deployment has groups, so the widest one there
+/// is — every node its own group, G = N, four mask words a row at 196 — is where a
+/// table that grew per sweep, or per group, would show.  (The whole shared mix is not
+/// the fence here: TAG's and the centralized sink's rankings grow their item buffers by
+/// doubling, O(log G) allocations outside the kernel.)
+#[test]
+fn a_steady_epoch_allocates_the_same_constant_when_every_node_is_its_own_group() {
+    let rooms = steady_mint_epoch(8, Some(16));
+    for side in [8, 14] {
+        assert_eq!(steady_mint_epoch(side, Some(16)), rooms, "{side} × {side} nodes, G = 16");
+        assert_eq!(steady_mint_epoch(side, None), rooms, "{side} × {side} nodes, G = N, against G = 16");
+    }
+}
+
+/// The bytes of a convergecast's group table for `nodes` nodes and `groups` groups: a
+/// row per node and one for the sink, each a presence mask of ⌈groups / 64⌉ words and
+/// a state per group.
+fn table_bytes(nodes: usize, groups: usize) -> i64 {
+    ((nodes + 1) * (8 * groups.div_ceil(64) + size_of::<AggState>() * groups)) as i64
+}
+
+/// What three TAG sweeps over one `side × side` grid of `rooms` rooms (every node its
+/// own when `None`) allocate and keep on a fresh thread: an `AVG` session's, a `MAX`
+/// session's, the `AVG` one's again.  Per sweep, the allocations and the bytes kept
+/// beyond the answer.  The network has run the same sweeps on another thread first, so
+/// its ledger rows exist and only the kernel's scratch is new.
+fn fresh_thread_sweeps(side: usize, rooms: Option<usize>) -> Vec<(u64, i64)> {
+    let d = Deployment::grid(side, 10.0, rooms);
+    let readings = Workload::uniform_iid(&d, ValueDomain::percentage(), 7).next_epoch();
+    let mut net = Network::new(d, NetworkConfig::mica2());
+    let sessions = || {
+        [AggFunc::Avg, AggFunc::Max, AggFunc::Avg]
+            .map(|func| TagTopK::new(SnapshotSpec::new(3, func, ValueDomain::percentage())))
+    };
+    for tag in &mut sessions() {
+        tag.execute_epoch(&mut net, &readings);
+    }
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                sessions()
+                    .iter_mut()
+                    .map(|tag| {
+                        let before = (ALLOCATIONS.with(Cell::get), HELD_BYTES.with(Cell::get));
+                        let answer = tag.execute_epoch(&mut net, &readings);
+                        let kept = HELD_BYTES.with(Cell::get) - before.1;
+                        let answer_bytes = (answer.items.capacity() * size_of::<RankedItem>()) as i64;
+                        (ALLOCATIONS.with(Cell::get) - before.0, kept - answer_bytes)
+                    })
+                    .collect()
+            })
+            .join()
+            .expect("the measuring thread")
+    })
+}
+
+/// The first sweep on a thread lays the table out: it keeps the table's bytes, and
+/// besides them only the tree's post-order, a slot per node and a group per slot.  A
+/// session of another aggregate then sweeps in the same memory, as the first session
+/// does from its second sweep on.
+#[test]
+fn the_first_sweep_on_a_thread_keeps_its_table_and_a_second_session_allocates_no_scratch() {
+    for (side, rooms) in [(8, Some(16)), (8, None), (14, Some(16)), (14, None)] {
+        let nodes = side * side;
+        let groups = rooms.unwrap_or(nodes);
+        let sweeps = fresh_thread_sweeps(side, rooms);
+        let (first, other, again) = (sweeps[0], sweeps[1], sweeps[2]);
+        let table = table_bytes(nodes, groups);
+        let slot_lists = (size_of::<u32>() * (nodes + nodes + 1 + groups)) as i64;
+        assert!(
+            (table..=table + slot_lists).contains(&first.1),
+            "{side} × {side}, G = {groups}: the first sweep kept {} bytes, its table is {table}",
+            first.1
+        );
+        assert_eq!(other, again, "{side} × {side}, G = {groups}: a MAX session after an AVG one");
+        assert_eq!(again.1, 0, "{side} × {side}, G = {groups}: a warm sweep keeps nothing but its answer");
+    }
+}
+
 /// Allocations of the last two of six shared epochs in which FILA probes, over a
 /// network with frame batching off, so every report is a one-hop unicast.
 fn unbatched_epoch_allocations(side: usize) -> [u64; 2] {
@@ -337,3 +445,4 @@ fn a_tja_whose_span_changes_grows_its_working_memory_once_and_then_reuses_it() {
     assert!(small[3..].iter().all(|&n| n == steady), "after that, neither span allocates more: {small:?}");
     assert!(steady <= HISTORIC_BUDGET, "a steady TJA allocated {steady} times, budget {HISTORIC_BUDGET}");
 }
+
