@@ -27,6 +27,7 @@ use crate::agg::exact_aggregate;
 use crate::result::{RankedItem, TopKResult};
 use crate::snapshot::SnapshotSpec;
 use crate::tag::{convergecast_full, rank_view};
+use crate::view::Unbounded;
 use kspot_net::types::ValueDomain;
 use kspot_net::storage::top_k_into;
 use kspot_net::{Epoch, Network, NodeId, PhaseTag, Reading, SlidingWindow, WindowBank, Workload};
@@ -330,7 +331,7 @@ impl HistoricAlgorithm for LocalAggregateHistoric {
                 readings.push(Reading::new(node, net.deployment().group_of(node), epoch, v));
             }
         }
-        let sink_view = convergecast_full(net, &readings, &self.spec, PhaseTag::Update, |_, _| {});
+        let sink_view = convergecast_full(net, &readings, &self.spec, PhaseTag::Update, &Unbounded, |_, _| {});
         rank_view(&sink_view, self.spec.k, epoch)
     }
 }

@@ -39,17 +39,21 @@
 //! A view is a row of the sweep's group table, so the prune reads a group's live
 //! member count by its slot — the group's index in `Deployment::groups`, never a raw,
 //! possibly sparse group id — from the one size table the epoch recounts, which the
-//! sink's certification reads too.  Everything an epoch needs beyond the sweep — those
-//! sizes, the bounds of a view that can lose a tuple, the sink's exactly-known
-//! groups — lives in scratch the executor owns and reuses, so a certified epoch
-//! allocates its answer and nothing else.
+//! sink's certification reads too.  The sweep keeps, per row, a summary of the γ
+//! bounds its states can reach, up to date through every merge, so a view that cannot
+//! lose a tuple is settled without a look at its states.  Everything an epoch needs
+//! beyond the sweep — those sizes, the bounds of a view that can lose a tuple, the
+//! sink's exactly-known groups — lives in scratch the executor owns and reuses, so a
+//! certified epoch allocates its answer and nothing else.
 
 use crate::agg::AggState;
 use crate::result::{RankedItem, TopKResult};
 use crate::snapshot::{index_readings, SnapshotAlgorithm, SnapshotSpec};
 use crate::tag::{convergecast_full, rank_view};
-use crate::view::{GroupView, Row};
+use crate::view::{Bounds, GroupView, Row, Summary, Unbounded};
+use kspot_net::types::ValueDomain;
 use kspot_net::{Epoch, GroupId, Network, NodeId, PhaseTag, Reading};
+use kspot_query::AggFunc;
 use serde::{Deserialize, Serialize};
 
 /// Slack δ subtracted from the current k-th value before broadcasting it as the
@@ -103,10 +107,11 @@ struct MintScratch {
     /// actually report — a group with no live member counts 0, and so disappears from
     /// the answer space.  Recounted every epoch: liveness is never remembered.
     group_sizes: Vec<u32>,
-    /// The lower bounds of one node's view, for its local k-th bound, and the upper
-    /// bounds its tuples are pruned by; filled only by a view that can lose a tuple.
+    /// The `(upper, lower)` bounds of one node's tuples in row order, and its lower
+    /// bounds again, to select the local k-th bound in; filled only by a view its
+    /// summary does not settle.
+    bounds: Vec<(f64, f64)>,
     local_lbs: Vec<f64>,
-    upper_bounds: Vec<f64>,
     /// The groups known exactly at the sink this epoch with their values, by group.
     exact: Vec<(GroupId, f64)>,
     /// The buffer `exact` is ranked in: the answer is its head, copied out.
@@ -176,7 +181,7 @@ impl MintViews {
     /// broadcast.
     fn creation_phase(&mut self, net: &mut Network, readings: &[Reading]) -> TopKResult {
         let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
-        let sink_view = convergecast_full(net, readings, &self.spec, PhaseTag::Creation, |_, _| {});
+        let sink_view = convergecast_full(net, readings, &self.spec, PhaseTag::Creation, &Unbounded, |_, _| {});
         let result = rank_view(&sink_view, self.spec.k, epoch);
         let kth = self.kth_value(&result.items);
         self.observe_kth(kth);
@@ -191,12 +196,13 @@ impl MintViews {
     /// pruning as its `shrink` step — returning the merged (possibly incomplete) sink
     /// view.
     fn pruned_sweep(&mut self, net: &mut Network, readings: &[Reading], tau: f64) -> GroupView {
-        let MintScratch { group_sizes, local_lbs, upper_bounds, .. } = &mut self.scratch;
+        let MintScratch { group_sizes, bounds, local_lbs, .. } = &mut self.scratch;
+        let gamma = Gamma::new(&self.spec, group_sizes);
         // Update phase: silent when nothing survived the pruning.  A report that is
         // dropped after its ARQ retries degrades to partial data — the sink then fails
         // certification for the affected groups and probes them instead.
-        convergecast_full(net, readings, &self.spec, PhaseTag::Update, |_, row| {
-            prune(row, &self.spec, tau, group_sizes, local_lbs, upper_bounds);
+        convergecast_full(net, readings, &self.spec, PhaseTag::Update, &gamma, |_, row| {
+            prune(row, self.spec.k, tau, &gamma, bounds, local_lbs);
         })
     }
 
@@ -236,6 +242,35 @@ impl MintViews {
     }
 }
 
+/// MINT's γ bounds for one epoch: the largest and the smallest final value a group's
+/// partial state can still reach, with its unseen members at the top or the bottom of
+/// the value domain.  A group's unseen members are its live size (`sizes[slot]`) minus
+/// what its state holds; a group the deployment lacks has no size, and so none unseen.
+/// A NaN lower bound (corrupted reading) carries no evidence and is demoted to −∞.
+pub(crate) struct Gamma<'s> {
+    func: AggFunc,
+    domain: ValueDomain,
+    sizes: &'s [u32],
+}
+
+impl<'s> Gamma<'s> {
+    /// The bounds of `spec`'s aggregate over groups of the live sizes `sizes`, by slot.
+    pub(crate) fn new(spec: &SnapshotSpec, sizes: &'s [u32]) -> Self {
+        Self { func: spec.func, domain: spec.domain, sizes }
+    }
+}
+
+impl Bounds for Gamma<'_> {
+    const KEPT: bool = true;
+
+    #[inline]
+    fn of(&self, slot: usize, state: &AggState) -> (f64, f64) {
+        let missing = self.sizes.get(slot).map_or(0, |&live| live.saturating_sub(state.count()));
+        let lb = state.lower_bound(self.func, missing, self.domain.min);
+        (state.upper_bound(self.func, missing, self.domain.max), if lb.is_nan() { f64::NEG_INFINITY } else { lb })
+    }
+}
+
 /// The Pruning phase on one node's view: a group stays in V'_i only if, even with every
 /// unseen member at the top of the domain, it could still reach the *effective*
 /// threshold.  The effective threshold is the broadcast τ or, when the node's own view
@@ -244,64 +279,65 @@ impl MintViews {
 /// even while the broadcast threshold is stale.  With fewer than k groups in the view
 /// there is no k-th bound to find.
 ///
-/// A group's unseen members are its live size (`sizes[slot]`) minus what its state
-/// holds; a group the deployment lacks has no size, and so none unseen.
+/// The bounds are `gamma`'s.  A NaN lower bound is demoted to −∞ *before* the
+/// selection: were it left in place, a descending `total_cmp` would rank it above every
+/// real value and inflate the k-th bound to the (k-1)-th — an unsafely high threshold
+/// that could prune a true answer.  With NaN-free input `total_cmp` is a total order, so
+/// the k-th largest is one well-defined value.
 ///
-/// A NaN lower bound (corrupted reading) carries no evidence, so it is demoted to -inf
-/// *before* the selection: were it left in place, a descending `total_cmp` would rank it
-/// above every real value and inflate the k-th bound to the (k-1)-th — an unsafely high
-/// threshold that could prune a true answer.  With NaN-free input `total_cmp` is a total
-/// order, so the k-th largest is one well-defined value.
-///
-/// Most views lose nothing, so one pass finds the extremes first: the k-th lower bound
-/// never exceeds the largest, and when the smallest upper bound clears both τ and that
-/// largest one, every tuple clears the effective threshold and the view is left as it
-/// is.  A NaN upper bound clears nothing, so it always takes the selection.  Only then
-/// does a second pass collect the bounds, and none of the decisions depends on the
-/// order the row is walked in.
+/// Most views lose nothing, and the row's summary settles most of those without a look
+/// at a single state: the k-th lower bound never exceeds the largest, so when the
+/// smallest upper bound clears both τ and that largest one, every tuple clears the
+/// effective threshold and the view is left as it is.  A NaN upper bound clears
+/// nothing.  The summary only ever bounds the row's states from outside, so it settles
+/// a view only where the states' own extremes would.  Otherwise one pass collects both
+/// bounds of every tuple, and the same test on their exact summary settles the view or
+/// sends it to the selection; none of the decisions depends on the order the row is
+/// walked in.  Either way the row leaves with the exact summary of what it keeps.
 fn prune(
     row: &mut Row<'_>,
-    spec: &SnapshotSpec,
+    k: usize,
     tau: f64,
-    sizes: &[u32],
+    gamma: &Gamma<'_>,
+    bounds: &mut Vec<(f64, f64)>,
     local_lbs: &mut Vec<f64>,
-    upper_bounds: &mut Vec<f64>,
 ) {
-    let SnapshotSpec { k, func, domain } = *spec;
-    let missing = |slot: usize, state: &AggState| sizes.get(slot).map_or(0, |&live| live.saturating_sub(state.count()));
-    let lower_bound = |slot: usize, state: &AggState| {
-        let lb = state.lower_bound(func, missing(slot, state), domain.min);
-        if lb.is_nan() { f64::NEG_INFINITY } else { lb }
-    };
     let wants_local_tau = row.len() >= k;
-    let (mut lowest_ub, mut highest_lb, mut nan_ub) = (f64::INFINITY, f64::NEG_INFINITY, false);
-    for (slot, state) in row.iter() {
-        let ub = state.upper_bound(func, missing(slot, state), domain.max);
-        nan_ub |= ub.is_nan();
-        lowest_ub = lowest_ub.min(ub);
-        if wants_local_tau {
-            highest_lb = highest_lb.max(lower_bound(slot, state));
-        }
-    }
-    if !nan_ub && lowest_ub >= tau && lowest_ub >= highest_lb {
+    let settles =
+        |s: Summary| !s.nan && s.min_ub >= tau && (!wants_local_tau || s.min_ub >= s.max_lb);
+    if settles(row.summary()) {
         return;
     }
-    local_lbs.clear();
-    upper_bounds.clear();
+    bounds.clear();
+    let mut exact = Summary::EMPTY;
     for (slot, state) in row.iter() {
-        upper_bounds.push(state.upper_bound(func, missing(slot, state), domain.max));
-        if wants_local_tau {
-            local_lbs.push(lower_bound(slot, state));
-        }
+        let bound = gamma.of(slot, state);
+        exact.fold(bound);
+        bounds.push(bound);
+    }
+    if settles(exact) {
+        row.set_summary(exact);
+        return;
     }
     let local_tau = if wants_local_tau {
+        local_lbs.clear();
+        local_lbs.extend(bounds.iter().map(|&(_, lb)| lb));
         *local_lbs.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a)).1
     } else {
         f64::NEG_INFINITY
     };
     let effective_tau = tau.max(local_tau);
-    let mut upper_bound = upper_bounds.iter();
-    row.retain(|_, _| *upper_bound.next().expect("one bound per tuple") >= effective_tau);
+    let mut survivors = Summary::EMPTY;
+    let mut bound = bounds.iter();
+    row.retain(|_, _| {
+        let &(ub, lb) = bound.next().expect("one bound pair per tuple");
+        let keep = ub >= effective_tau;
+        if keep {
+            survivors.fold((ub, lb));
+        }
+        keep
+    });
+    row.set_summary(survivors);
 }
 
 /// The `k` best exactly-known groups, best first, ties towards the smaller group —
@@ -608,9 +644,11 @@ mod tests {
         /// the count fallback), or the deployment's with a live size of 0, equal to what
         /// the view holds, above it or below it; every aggregate; k in `1..=len+1`; τ on
         /// the value grid, ±∞ or NaN.  The old shrink reads its sizes the old way, a
-        /// list sorted by group without the groups of no live member.  (The kernel
-        /// differential in `reference.rs` hands one closure to both kernels, so it cannot
-        /// see a shrink bug; this can.)
+        /// list sorted by group without the groups of no live member.  The row arrives
+        /// with its exact summary and must leave with the exact summary of what it
+        /// keeps.
+        /// (The kernel differential in `reference.rs` hands one closure to both
+        /// kernels, so it cannot see a shrink bug; this can.)
         #[test]
         fn bound_first_prune_matches_the_previous_shrink(
             func in 0usize..5,
@@ -651,13 +689,24 @@ mod tests {
                 d => f64::from(d - 3) * 5.0,
             };
 
-            let mut table = crate::view::GroupTable::from_view(&deployment, &view);
-            let (mut lbs, mut ubs) = (Vec::new(), Vec::new());
-            prune(&mut table.row(0), &spec(k), tau, &sizes, &mut lbs, &mut ubs);
+            let gamma = Gamma::new(&spec(k), &sizes);
+            let mut table = crate::view::GroupTable::from_view(&deployment, &view, &gamma);
+            let (mut bounds, mut lbs, mut ubs) = (Vec::new(), Vec::new(), Vec::new());
+            let mut row = table.row(0, &deployment);
+            let before = row.len();
+            prune(&mut row, k, tau, &gamma, &mut bounds, &mut lbs);
+            // The row arrived with its exact summary, and leaves with the exact summary
+            // of what it keeps.
+            let mut exact = Summary::EMPTY;
+            row.iter().for_each(|(slot, state)| exact.fold(gamma.of(slot, state)));
+            let bits = |s: Summary| (s.min_ub.to_bits(), s.max_lb.to_bits(), s.nan);
+            let kept = row.len();
+            proptest::prop_assert_eq!(bits(row.summary()), bits(exact), "the summary after {} of {} kept", kept, before);
             let mut theirs = view;
             crate::reference::mint_shrink(&mut theirs, &spec(k), tau, &old_sizes, &mut lbs, &mut ubs);
             let bits = |v: &GroupView| v.iter().map(|(g, s)| (g, s.to_bits())).collect::<Vec<_>>();
-            proptest::prop_assert_eq!(bits(&table.to_view(0, func)), bits(&theirs), "k = {}, tau = {}", k, tau);
+            let ours = table.to_view(0, func, &deployment);
+            proptest::prop_assert_eq!(bits(&ours), bits(&theirs), "k = {}, tau = {}", k, tau);
         }
     }
 

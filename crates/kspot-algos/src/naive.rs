@@ -9,6 +9,7 @@
 use crate::result::TopKResult;
 use crate::snapshot::{SnapshotAlgorithm, SnapshotSpec};
 use crate::tag::{convergecast_full, rank_view};
+use crate::view::Unbounded;
 use kspot_net::{GroupId, Network, PhaseTag, Reading, Value};
 
 /// Greedy local top-k truncation at every node (inexact).
@@ -39,7 +40,7 @@ impl SnapshotAlgorithm for NaiveLocalPrune {
         let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
         let SnapshotSpec { k, func, .. } = self.spec;
         let ranked = &mut self.ranked;
-        let sink_view = convergecast_full(net, readings, &self.spec, PhaseTag::Update, |_, row| {
+        let sink_view = convergecast_full(net, readings, &self.spec, PhaseTag::Update, &Unbounded, |_, row| {
             row.truncate_to_local_top_k(k, func, ranked);
         });
         // The sink only sees what survived the greedy truncation and has no way to tell

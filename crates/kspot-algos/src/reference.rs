@@ -14,7 +14,7 @@ use crate::naive::NaiveLocalPrune;
 use crate::result::TopKResult;
 use crate::snapshot::{exact_reference, run_shared_epoch, SnapshotAlgorithm, SnapshotSpec};
 use crate::tag::TagTopK;
-use crate::view::{GroupTable, GroupView, Row};
+use crate::view::{Bounds, GroupTable, GroupView, Row};
 use kspot_net::{GroupId, Network, NodeId, PhaseTag, Reading, SINK};
 use std::collections::BTreeMap;
 
@@ -88,19 +88,20 @@ pub(crate) fn convergecast_full(
 /// [`convergecast_full`] with a shrink step written for rows, as
 /// `tag::convergecast_full` runs it while the reference is in use: each view the
 /// reference hands its shrink step is laid out as a one-row table by the deployment's
-/// slots, shrunk as a row, and read back.
-pub(crate) fn convergecast_rows(
+/// slots, with the exact summary of `bounds`, shrunk as a row, and read back.
+pub(crate) fn convergecast_rows<B: Bounds>(
     net: &mut Network,
     readings: &[Reading],
     spec: &SnapshotSpec,
     phase: PhaseTag,
+    bounds: &B,
     mut shrink: impl FnMut(NodeId, &mut Row<'_>),
 ) -> GroupView {
     let groups = net.deployment().groups().to_vec();
     convergecast_full(net, readings, spec, phase, |node, view| {
-        let mut table = GroupTable::from_view(&groups, view);
-        shrink(node, &mut table.row(0));
-        *view = table.to_view(0, spec.func);
+        let mut table = GroupTable::from_view(&groups, view, bounds);
+        shrink(node, &mut table.row(0, &groups));
+        *view = table.to_view(0, spec.func, &groups);
     })
 }
 
@@ -197,6 +198,7 @@ mod properties {
     use crate::historic::{BankWindows, HistoricAlgorithm, HistoricSpec, WindowSource};
     use crate::tja::Tja;
     use crate::tput::Tput;
+    use crate::view::Unbounded;
     use kspot_net::{
         Deployment, Epoch, NetworkConfig, NetworkMetrics, PhaseTotals, WindowBank, Workload,
     };
@@ -302,7 +304,11 @@ mod properties {
         #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
         /// The new kernel and the map-based reference are indistinguishable from the
-        /// outside: answers, every ledger axis and every battery, bit for bit.
+        /// outside: answers, every ledger axis and every battery, bit for bit.  With
+        /// `wild`, a reading in every `wild + 1` is NaN, above the domain's top or below
+        /// its bottom, so that a merge can raise a group's upper bound or lower its
+        /// lower one: the kernel's MINT rows then carry summaries looser than their
+        /// states, which the reference computes afresh for every view.
         #[test]
         fn kernel_matches_the_map_based_reference(
             raw in prop::collection::vec(0u32..100_000, 1..120),
@@ -317,6 +323,7 @@ mod properties {
             batching in prop_oneof![Just(false), Just(true)],
             scopes in 1usize..5,
             seed in 0u64..1_000_000,
+            wild in 0usize..4,
         ) {
             let d = random_tree(&raw, groups, seed);
             let n = d.num_nodes() as u64;
@@ -331,8 +338,20 @@ mod properties {
             for net in &mut nets {
                 net.set_frame_batching(batching);
             }
+            let domain = ValueDomain::percentage();
+            let mut next_epoch = || {
+                let mut readings = workload.next_epoch();
+                for (at, r) in readings.iter_mut().enumerate().filter(|(at, _)| wild > 0 && at % (wild + 1) == 0) {
+                    r.value = match (at / (wild + 1)) % 5 {
+                        0 => f64::NAN,
+                        1 | 2 => domain.max + r.value,
+                        _ => domain.min - r.value,
+                    };
+                }
+                readings
+            };
             for _ in 0..12 {
-                let readings = workload.next_epoch();
+                let readings = next_epoch();
                 let mut answers = Vec::new();
                 for (side, (net, sessions)) in nets.iter_mut().zip(&mut sessions).enumerate() {
                     let mut algos: Vec<&mut dyn SnapshotAlgorithm> =
@@ -348,14 +367,15 @@ mod properties {
             }
 
             // One more sweep, kernel against reference directly: the same sink view.
-            let readings = workload.next_epoch();
+            let readings = next_epoch();
             let [new, old] = &mut nets;
             new.begin_epoch(12);
             old.begin_epoch(12);
             let mut ranked = Vec::new();
-            let ours = view_bits(&crate::tag::convergecast_full(new, &readings, &spec, PhaseTag::Update, |_, row| {
+            let ours = crate::tag::convergecast_full(new, &readings, &spec, PhaseTag::Update, &Unbounded, |_, row| {
                 row.truncate_to_local_top_k(3, spec.func, &mut ranked);
-            }));
+            });
+            let ours = view_bits(&ours);
             let theirs = view_bits(&convergecast_full(old, &readings, &spec, PhaseTag::Update, |_, v| {
                 v.truncate_to_local_top_k(3);
             }));
@@ -423,7 +443,7 @@ mod properties {
             r.group = u32::MAX - r.group * 1_000_000;
         }
         assert_same_as_reference(&readings);
-        let view = crate::tag::convergecast_full(&mut net, &readings, &spec, PhaseTag::Update, |_, _| {});
+        let view = crate::tag::convergecast_full(&mut net, &readings, &spec, PhaseTag::Update, &Unbounded, |_, _| {});
         assert_eq!(view.len(), 4);
         // MINT sizes groups by their position in the deployment's group list; groups it
         // has never heard of fall back to what the view itself holds.

@@ -84,6 +84,8 @@ pub(crate) struct ReferenceScratch {
     keyed: Vec<(GroupId, u32, f64)>,
     /// The values alone in that order: each group's run is one contiguous slice.
     values: Vec<f64>,
+    /// Each group's aggregate, ranked in place: the answer is its head, copied out.
+    ranked: Vec<RankedItem>,
 }
 
 impl ReferenceScratch {
@@ -96,16 +98,16 @@ impl ReferenceScratch {
         self.keyed.sort_unstable_by_key(|&(group, at, _)| (group, at));
         self.values.clear();
         self.values.extend(self.keyed.iter().map(|&(_, _, value)| value));
-        let mut items = Vec::new();
+        self.ranked.clear();
         let mut start = 0;
         for run in self.keyed.chunk_by(|a, b| a.0 == b.0) {
             let values = &self.values[start..start + run.len()];
             start += run.len();
             if let Some(v) = exact_aggregate(spec.func, values) {
-                items.push(RankedItem::new(u64::from(run[0].0), v));
+                self.ranked.push(RankedItem::new(u64::from(run[0].0), v));
             }
         }
-        TopKResult::top_k(epoch, items, spec.k)
+        TopKResult::best_of(epoch, &mut self.ranked, spec.k)
     }
 }
 

@@ -12,11 +12,13 @@
 //! aggregates.  The views it builds are the rows of one dense table, a row per node
 //! and a slot per group of the deployment ([`crate::view`]); the loop keeps the table
 //! and a copy of the tree's post-order from sweep to sweep, so a steady-state sweep
-//! allocates only the sink view it returns and looks nothing up in a map.
+//! allocates only the sink view it returns and looks nothing up in a map.  A row
+//! carries its length, and in MINT's pruned sweep a summary of its γ bounds that the
+//! merge keeps up to date.
 
 use crate::result::{RankedItem, TopKResult};
 use crate::snapshot::{SnapshotAlgorithm, SnapshotSpec};
-use crate::view::{GroupTable, GroupView, Row};
+use crate::view::{Bounds, GroupTable, GroupView, Row, Unbounded};
 use kspot_net::{Network, NodeId, PhaseTag, Reading, SINK};
 use std::cell::RefCell;
 
@@ -47,13 +49,15 @@ struct SweepScratch {
     /// The routing tree's post-order, copied so that the sweep can hold the network
     /// mutably while walking it.
     order: Vec<NodeId>,
+    /// The buffer [`rank_view`] ranks a sink view in; the answer is its head, copied out.
+    ranked: Vec<RankedItem>,
 }
 
 thread_local! {
     /// One scratch per thread, not per session: sweeps on a thread run one after the
     /// other, every sweep lays the table out afresh, and an engine keeps hundreds of
     /// sessions (finished ones included) whose tables would otherwise each stay
-    /// allocated at O(nodes × groups): `(N + 1) · (8⌈G / 64⌉ + 24 G)` bytes.
+    /// allocated at O(nodes × groups): `(N + 1) · (8⌈G / 64⌉ + 24 G + 28)` bytes.
     static SCRATCH: RefCell<SweepScratch> = RefCell::default();
 }
 
@@ -64,7 +68,9 @@ thread_local! {
 /// another label).  `shrink` is applied to each node's merged view — its row of the
 /// sweep's table — right before transmission, which is how the naive strategy plugs in
 /// its local truncation and MINT its bound-based pruning; TAG passes a no-op.  It must
-/// not sweep itself.
+/// not sweep itself.  Every row keeps a summary of `bounds` that its `shrink` step may
+/// read, when they are kept: MINT's pruned sweep passes its γ bounds, every other sweep
+/// [`Unbounded`], and pays nothing for it.
 ///
 /// Under fault injection the convergecast degrades to partial data: dead or sleeping
 /// nodes contribute nothing and are routed around (reports go to the nearest
@@ -84,52 +90,57 @@ thread_local! {
 /// arrive (ADR-004, "Host representation").  A reading whose node is the sink or not a
 /// node of this network is ignored; of several readings for one node the last wins.
 /// A reading of a group the deployment lacks is kept like any other.
-pub(crate) fn convergecast_full(
+pub(crate) fn convergecast_full<B: Bounds>(
     net: &mut Network,
     readings: &[Reading],
     spec: &SnapshotSpec,
     phase: PhaseTag,
+    bounds: &B,
     mut shrink: impl FnMut(NodeId, &mut Row<'_>),
 ) -> GroupView {
     #[cfg(test)]
     if crate::reference::in_use() {
-        return crate::reference::convergecast_rows(net, readings, spec, phase, shrink);
+        return crate::reference::convergecast_rows(net, readings, spec, phase, bounds, shrink);
     }
     let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
     let n = net.num_nodes();
-    SCRATCH.with_borrow_mut(|SweepScratch { table, order }| {
+    SCRATCH.with_borrow_mut(|SweepScratch { table, order, .. }| {
         order.clear();
         order.extend_from_slice(net.tree().post_order_slice());
         let own = readings.iter().filter(|r| r.node != SINK && r.node as usize <= n);
-        table.seed(net.deployment().groups(), n + 1, own, spec.func);
+        let d = net.deployment();
+        table.seed(d.groups(), d.group_slots(), n + 1, own, spec.func, bounds);
         for &node in order.iter() {
             if !net.node_participating(node) {
                 continue;
             }
-            let mut row = table.row(node as usize);
-            net.charge_cpu(node, row.len() as u32);
+            net.charge_cpu(node, table.len(node as usize) as u32);
+            let mut row = table.row(node as usize, net.deployment().groups());
             shrink(node, &mut row);
             let tuples = row.len() as u32;
             if tuples == 0 {
                 continue;
             }
             if let Some(receiver) = net.send_report_up(node, epoch, tuples, 0, phase) {
-                table.merge_rows(receiver as usize, node as usize);
+                table.merge_rows(receiver as usize, node as usize, bounds);
             }
         }
-        table.to_view(SINK as usize, spec.func)
+        table.to_view(SINK as usize, spec.func, net.deployment().groups())
     })
 }
 
 /// Ranks a sink view by partial value and truncates to `k` (for TAG the sink view is
-/// complete, so partial values are exact).
+/// complete, so partial values are exact).  The view is ranked in a buffer the thread
+/// keeps beside its sweep's table, so only the answer is allocated.
 pub(crate) fn rank_view(view: &GroupView, k: usize, epoch: kspot_net::Epoch) -> TopKResult {
-    let items = view
-        .partial_values()
-        .into_iter()
-        .map(|(g, v)| RankedItem::new(u64::from(g), v))
-        .collect();
-    TopKResult::top_k(epoch, items, k)
+    SCRATCH.with_borrow_mut(|SweepScratch { ranked, .. }| {
+        ranked.clear();
+        ranked.reserve(view.len());
+        ranked.extend(
+            view.iter().filter_map(|(g, s)| s.partial_value(view.func()).map(|v| RankedItem::new(u64::from(g), v))),
+        );
+        TopKResult::best_of(epoch, ranked, k)
+    })
 }
 
 impl SnapshotAlgorithm for TagTopK {
@@ -139,7 +150,7 @@ impl SnapshotAlgorithm for TagTopK {
 
     fn execute_epoch(&mut self, net: &mut Network, readings: &[Reading]) -> TopKResult {
         let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
-        let sink_view = convergecast_full(net, readings, &self.spec, PhaseTag::Update, |_, _| {});
+        let sink_view = convergecast_full(net, readings, &self.spec, PhaseTag::Update, &Unbounded, |_, _| {});
         rank_view(&sink_view, self.spec.k, epoch)
     }
 }

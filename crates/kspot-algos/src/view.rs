@@ -7,12 +7,12 @@
 //!
 //! Inside a sweep the views are the rows of one dense `GroupTable`: a group's *slot*
 //! is its index in the deployment's sorted group list (`Deployment::groups`), a row is a
-//! presence mask of ⌈slots / 64⌉ words plus one state per slot, and merging a child's
-//! row into its receiver's walks the child's set bits.  A group that only a reading
-//! names — one the deployment lacks — gets a slot after the deployment's, so group ids
-//! may be sparse and are never used as an index.  The table is laid out afresh every
-//! sweep in memory it keeps, which is what lets the convergecast kernel
-//! ([`crate::tag`]) run without allocating.
+//! presence mask of ⌈slots / 64⌉ words plus one state per slot, its length and a
+//! conservative summary of its γ bounds, and merging a child's row into its receiver's
+//! walks the child's set bits.  A group that only a reading names — one the deployment
+//! lacks — gets a slot after the deployment's, so group ids may be sparse and are never
+//! used as an index.  The table is laid out afresh every sweep in memory it keeps,
+//! which is what lets the convergecast kernel ([`crate::tag`]) run without allocating.
 //!
 //! The sink's row leaves the sweep as a [`GroupView`]: the `(group, state)` pairs it
 //! holds, sorted by group, which is what MINT and TAG rank.
@@ -65,118 +65,195 @@ impl GroupView {
     pub fn iter(&self) -> impl Iterator<Item = (GroupId, &AggState)> {
         self.entries.iter().map(|(g, s)| (*g, s))
     }
-
-    /// The partial aggregate value of every group, `(group, value)`, skipping groups
-    /// whose state is still empty.
-    pub fn partial_values(&self) -> Vec<(GroupId, Value)> {
-        self.entries
-            .iter()
-            .filter_map(|(g, s)| s.partial_value(self.func).map(|v| (*g, v)))
-            .collect()
-    }
 }
 
 /// Bits per mask word.
 const WORD: usize = 64;
 
+/// A conservative summary of the γ bounds of the states one row holds, which MINT's
+/// prune reads before it looks at a single state: never above the smallest upper bound
+/// of any state the row holds, never below the largest lower bound that is not NaN, and
+/// `nan` set when any upper bound folded in was NaN.  A seeded row's summary is exact;
+/// a merge joins the sender's and folds in each state it merges in place, so it may
+/// only get looser, never wrong; MINT's prune makes it exact again whenever it has to
+/// look at the states ([`Row::set_summary`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Summary {
+    pub(crate) min_ub: f64,
+    pub(crate) max_lb: f64,
+    pub(crate) nan: bool,
+}
+
+impl Summary {
+    /// The summary of no state at all.
+    pub(crate) const EMPTY: Summary = Summary { min_ub: f64::INFINITY, max_lb: f64::NEG_INFINITY, nan: false };
+
+    /// Folds in one state's `(upper, lower)` bounds.  A NaN lower bound carries no
+    /// evidence: `f64::max` passes over it.
+    #[inline]
+    pub(crate) fn fold(&mut self, (ub, lb): (f64, f64)) {
+        self.min_ub = self.min_ub.min(ub);
+        self.nan |= ub.is_nan();
+        self.max_lb = self.max_lb.max(lb);
+    }
+
+    /// Folds in every state another summary covers.
+    #[inline]
+    fn join(&mut self, other: &Summary) {
+        self.min_ub = self.min_ub.min(other.min_ub);
+        self.nan |= other.nan;
+        self.max_lb = self.max_lb.max(other.max_lb);
+    }
+}
+
+/// The bounds a sweep's rows summarise.  The kernel is monomorphised on it: a sweep
+/// whose bounds are not [`Self::KEPT`] ([`Unbounded`]) writes no summary and asks no
+/// bound.
+pub(crate) trait Bounds {
+    /// Whether the rows keep a [`Summary`] of these bounds.
+    const KEPT: bool;
+
+    /// The upper and the lower bound of `state`, the state of the group in `slot`.
+    fn of(&self, slot: usize, state: &AggState) -> (f64, f64);
+}
+
+/// The bounds of a sweep that keeps no summary: TAG's, the naive strategy's, MINT's
+/// Creation phase's and the local-aggregate historic sweep's.
+pub(crate) struct Unbounded;
+
+impl Bounds for Unbounded {
+    const KEPT: bool = false;
+
+    fn of(&self, _: usize, _: &AggState) -> (f64, f64) {
+        (f64::INFINITY, f64::NEG_INFINITY)
+    }
+}
+
 /// The views of one convergecast, one row per node (row `id` is node `id`'s, row 0 the
-/// sink's): a presence mask per row and one [`AggState`] per slot, valid where the
-/// slot's bit is set.  Rows are `slots` states apart, so a sweep over `rows` rows and
-/// `slots` groups holds `rows · (8⌈slots / 64⌉ + 24 · slots)` bytes of rows, grown and
-/// never shrunk.
+/// sink's): a presence mask per row, one [`AggState`] per slot, valid where the slot's
+/// bit is set, the row's length — the popcount of its mask — and its [`Summary`],
+/// written only by a sweep whose bounds are kept.  Rows are `slots` states apart, so a
+/// sweep over `rows` rows and `slots` groups holds `rows · (8⌈slots / 64⌉ + 24 · slots
+/// + 28)` bytes of rows, grown and never shrunk.
+///
+/// Slots `0..known` are the deployment's groups, which the table does not copy: a
+/// caller that needs a slot's group id hands them in again.
 #[derive(Debug, Default)]
 pub(crate) struct GroupTable {
-    /// `groups[slot]`: the deployment's groups, ascending, then the groups only
-    /// readings name, in the order they were first read.
-    groups: Vec<GroupId>,
-    /// How many of `groups` are the deployment's.
+    /// The groups only readings name, in the order they were first read: slot
+    /// `known + at` is `read[at]`.
+    read: Vec<GroupId>,
+    /// How many slots are the deployment's groups.
     known: usize,
     /// Mask words per row.
     words: usize,
     masks: Vec<u64>,
     states: Vec<AggState>,
-    /// `node_slot[id]`: the slot of node `id`'s configured group, so that a reading of
-    /// the group its node is configured into finds its slot without a search.
-    node_slot: Vec<u32>,
+    lens: Vec<u32>,
+    summaries: Vec<Summary>,
 }
 
 impl GroupTable {
     /// Lays the table out for one sweep and seeds it: a slot per group of `groups` (a
     /// deployment's, ascending), then one per group only `readings` name; `rows` empty
     /// rows; then every reading's state, `empty + value`, alone in its node's row — of
-    /// several readings for one node the last wins.  Every reading's node must be below
-    /// `rows`; the iterator is walked twice.
-    pub(crate) fn seed<'r>(
+    /// several readings for one node the last wins — with its exact summary when the
+    /// `bounds` are kept.  `group_slots[id]` is the slot of node `id`'s configured group
+    /// (`Deployment::group_slots`), so a reading of that group needs no search.  Every
+    /// reading's node must be below `rows` and `group_slots.len()`; the iterator is
+    /// walked twice.
+    pub(crate) fn seed<'r, B: Bounds>(
         &mut self,
         groups: &[(GroupId, Vec<NodeId>)],
+        group_slots: &[u32],
         rows: usize,
         readings: impl Iterator<Item = &'r Reading> + Clone,
         func: AggFunc,
+        bounds: &B,
     ) {
-        self.groups.clear();
-        self.groups.extend(groups.iter().map(|(g, _)| *g));
         self.known = groups.len();
-        self.node_slot.clear();
-        self.node_slot.resize(rows, u32::MAX);
-        for (slot, (_, members)) in groups.iter().enumerate() {
-            for &m in members {
-                if let Some(at) = self.node_slot.get_mut(m as usize) {
-                    *at = slot as u32;
-                }
-            }
-        }
+        self.read.clear();
         for r in readings.clone() {
-            if self.slot_of(r).is_none() {
-                self.groups.push(r.group);
+            if slot_of(groups, group_slots, &self.read, r).is_none() {
+                self.read.push(r.group);
             }
         }
-        let slots = self.groups.len();
+        let slots = self.slots();
         self.words = slots.div_ceil(WORD);
         self.masks.clear();
         self.masks.resize(rows * self.words, 0);
+        self.lens.clear();
+        self.lens.resize(rows, 0);
         if self.states.len() < rows * slots {
             self.states.resize(rows * slots, AggState::empty(func));
         }
+        if self.summaries.len() < rows {
+            self.summaries.resize(rows, Summary::EMPTY);
+        }
+        if B::KEPT {
+            self.summaries[..rows].fill(Summary::EMPTY);
+        }
         for r in readings {
-            let slot = self.slot_of(r).expect("every group has a slot after the first pass");
+            let slot =
+                slot_of(groups, group_slots, &self.read, r).expect("every group has a slot after the first pass");
             let row = r.node as usize;
             let mask = &mut self.masks[row * self.words..(row + 1) * self.words];
-            mask.fill(0);
+            if self.lens[row] != 0 {
+                // An earlier reading of this node's: the last one wins.
+                mask.fill(0);
+            }
             mask[slot / WORD] |= 1 << (slot % WORD);
-            self.states[row * slots + slot] = AggState::single(func, r.value);
+            let state = AggState::single(func, r.value);
+            self.states[row * slots + slot] = state;
+            self.lens[row] = 1;
+            if B::KEPT {
+                let mut summary = Summary::EMPTY;
+                summary.fold(bounds.of(slot, &state));
+                self.summaries[row] = summary;
+            }
         }
     }
 
-    /// The slot of a reading's group, if it has one yet.
-    fn slot_of(&self, r: &Reading) -> Option<usize> {
-        let configured = self.node_slot[r.node as usize] as usize;
-        if self.groups.get(configured) == Some(&r.group) {
-            return Some(configured);
-        }
-        let (known, read) = self.groups.split_at(self.known);
-        match known.binary_search(&r.group) {
-            Ok(slot) => Some(slot),
-            Err(_) => read.iter().position(|&g| g == r.group).map(|at| self.known + at),
-        }
+    /// Slots laid out this sweep: the deployment's groups, then the groups only
+    /// readings name.
+    fn slots(&self) -> usize {
+        self.known + self.read.len()
     }
 
-    /// Row `row`, to read or shrink.
-    pub(crate) fn row(&mut self, row: usize) -> Row<'_> {
-        let (slots, words) = (self.groups.len(), self.words);
+    /// Number of groups in row `row`.
+    pub(crate) fn len(&self, row: usize) -> usize {
+        self.lens[row] as usize
+    }
+
+    /// Row `row`, to read or shrink; `groups` are the deployment's the table was seeded
+    /// with.
+    pub(crate) fn row<'t>(&'t mut self, row: usize, groups: &'t [(GroupId, Vec<NodeId>)]) -> Row<'t> {
+        let (slots, words) = (self.slots(), self.words);
         Row {
-            groups: &self.groups,
+            known: groups,
+            read: &self.read,
             mask: &mut self.masks[row * words..(row + 1) * words],
             states: &self.states[row * slots..(row + 1) * slots],
+            len: &mut self.lens[row],
+            summary: &mut self.summaries[row],
         }
     }
 
     /// Merges row `from` into row `into` (another row): each group `from` holds merges
     /// into the state `into` holds for it, as `into.merge(from)`, or is copied where
-    /// `into` holds none.  Then `into` holds the groups of both.
-    pub(crate) fn merge_rows(&mut self, into: usize, from: usize) {
-        let (slots, words) = (self.groups.len(), self.words);
+    /// `into` holds none.  Then `into` holds the groups of both, and — when the
+    /// `bounds` are kept — its summary joins `from`'s, which covers every state copied,
+    /// and folds in each state merged in place.
+    pub(crate) fn merge_rows<B: Bounds>(&mut self, into: usize, from: usize, bounds: &B) {
+        let (slots, words) = (self.slots(), self.words);
         let (held_mask, sent_mask) = two_rows(&mut self.masks, words, into, from);
         let (held_states, sent_states) = two_rows(&mut self.states, slots, into, from);
+        let mut summary = Summary::EMPTY;
+        if B::KEPT {
+            summary = self.summaries[into];
+            summary.join(&self.summaries[from]);
+        }
+        let mut added = 0;
         for (word, (held, &sent)) in held_mask.iter_mut().zip(sent_mask).enumerate() {
             let base = word * WORD;
             let mut both = sent & *held;
@@ -184,31 +261,61 @@ impl GroupTable {
                 let slot = base + both.trailing_zeros() as usize;
                 both &= both - 1;
                 held_states[slot].merge(&sent_states[slot]);
+                if B::KEPT {
+                    summary.fold(bounds.of(slot, &held_states[slot]));
+                }
             }
             let mut new = sent & !*held;
             while new != 0 {
                 let slot = base + new.trailing_zeros() as usize;
                 new &= new - 1;
                 held_states[slot] = sent_states[slot];
+                added += 1;
             }
             *held |= sent;
         }
+        self.lens[into] += added;
+        if B::KEPT {
+            self.summaries[into] = summary;
+        }
     }
 
-    /// Row `row` as a view of `func`, sorted by group.
-    pub(crate) fn to_view(&self, row: usize, func: AggFunc) -> GroupView {
-        let (slots, words) = (self.groups.len(), self.words);
+    /// Row `row` as a view of `func`, sorted by group; `groups` are the deployment's
+    /// the table was seeded with.
+    pub(crate) fn to_view(&self, row: usize, func: AggFunc, groups: &[(GroupId, Vec<NodeId>)]) -> GroupView {
+        let (slots, words) = (self.slots(), self.words);
         let mask = &self.masks[row * words..(row + 1) * words];
         let states = &self.states[row * slots..(row + 1) * slots];
-        let mut entries = Vec::with_capacity(popcount(mask));
+        let mut entries = Vec::with_capacity(self.len(row));
         for slot in set_bits(mask) {
-            let group = self.groups[slot];
+            let group = group_of(groups, &self.read, slot);
             // The deployment's slots come out ascending; a group only readings name
             // goes where its id sorts.
             let at = if slot < self.known { entries.len() } else { entries.partition_point(|&(g, _)| g < group) };
             entries.insert(at, (group, states[slot]));
         }
         GroupView { func, entries }
+    }
+}
+
+/// The slot of a reading's group among the deployment's `groups` and the groups only
+/// readings name, `read`, if it has one yet.
+fn slot_of(groups: &[(GroupId, Vec<NodeId>)], group_slots: &[u32], read: &[GroupId], r: &Reading) -> Option<usize> {
+    let configured = group_slots[r.node as usize] as usize;
+    if groups.get(configured).is_some_and(|(g, _)| *g == r.group) {
+        return Some(configured);
+    }
+    match groups.binary_search_by_key(&r.group, |(g, _)| *g) {
+        Ok(slot) => Some(slot),
+        Err(_) => read.iter().position(|&g| g == r.group).map(|at| groups.len() + at),
+    }
+}
+
+/// The group in `slot` of a table over the deployment's `groups` and `read`.
+fn group_of(groups: &[(GroupId, Vec<NodeId>)], read: &[GroupId], slot: usize) -> GroupId {
+    match groups.get(slot) {
+        Some((g, _)) => *g,
+        None => read[slot - groups.len()],
     }
 }
 
@@ -225,17 +332,26 @@ fn two_rows<T>(all: &mut [T], width: usize, into: usize, from: usize) -> (&mut [
 }
 
 /// One row of a [`GroupTable`], as a sweep's `shrink` step sees it: the groups present
-/// and their states, which it may only remove.
+/// and their states, which it may only remove, and the row's summary.
 pub(crate) struct Row<'t> {
-    groups: &'t [GroupId],
+    known: &'t [(GroupId, Vec<NodeId>)],
+    read: &'t [GroupId],
     mask: &'t mut [u64],
     states: &'t [AggState],
+    len: &'t mut u32,
+    summary: &'t mut Summary,
 }
 
 impl Row<'_> {
     /// Number of groups in the row — the tuples the node would transmit.
     pub(crate) fn len(&self) -> usize {
-        popcount(self.mask)
+        *self.len as usize
+    }
+
+    /// The row's summary of the bounds it keeps; meaningful only in a sweep whose
+    /// bounds are kept.
+    pub(crate) fn summary(&self) -> Summary {
+        *self.summary
     }
 
     /// The `(slot, state)` pairs of the groups present, by ascending slot.
@@ -243,8 +359,14 @@ impl Row<'_> {
         set_bits(self.mask).map(|slot| (slot, &self.states[slot]))
     }
 
+    /// Replaces the row's summary — with one that still bounds every state it holds.
+    pub(crate) fn set_summary(&mut self, summary: Summary) {
+        *self.summary = summary;
+    }
+
     /// Keeps only the groups for which `keep(slot, state)` returns true, asking them
-    /// by ascending slot, as [`Self::iter`] yields them.
+    /// by ascending slot, as [`Self::iter`] yields them.  The summary is left as it is,
+    /// which still bounds what is left.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize, &AggState) -> bool) {
         for (word, mask) in self.mask.iter_mut().enumerate() {
             let mut bits = *mask;
@@ -253,6 +375,7 @@ impl Row<'_> {
                 bits &= bits - 1;
                 if !keep(word * WORD + bit, &self.states[word * WORD + bit]) {
                     *mask &= !(1 << bit);
+                    *self.len -= 1;
                 }
             }
         }
@@ -261,7 +384,8 @@ impl Row<'_> {
     /// Truncates the row to the `k` groups with the highest *partial* values of `func`,
     /// ties towards the smaller group — the wrongful greedy elimination the paper warns
     /// about, kept because the naive baseline needs it.  A group whose state has no
-    /// value goes too.  `ranked` is scratch the caller keeps.
+    /// value goes too.  `ranked` is scratch the caller keeps.  The naive sweep keeps no
+    /// summary, and one that was kept would only get looser.
     pub(crate) fn truncate_to_local_top_k(
         &mut self,
         k: usize,
@@ -269,7 +393,10 @@ impl Row<'_> {
         ranked: &mut Vec<(Value, GroupId, usize)>,
     ) {
         ranked.clear();
-        ranked.extend(self.iter().filter_map(|(slot, s)| s.partial_value(func).map(|v| (v, self.groups[slot], slot))));
+        let (known, read) = (self.known, self.read);
+        ranked.extend(
+            self.iter().filter_map(|(slot, s)| s.partial_value(func).map(|v| (v, group_of(known, read, slot), slot))),
+        );
         let by_rank = |a: &(Value, GroupId, usize), b: &(Value, GroupId, usize)| {
             kspot_net::types::cmp_value(b.0, a.0).then(a.1.cmp(&b.1))
         };
@@ -277,15 +404,12 @@ impl Row<'_> {
             ranked.select_nth_unstable_by(k, by_rank);
         }
         self.mask.fill(0);
-        for &(_, _, slot) in ranked.iter().take(k) {
+        let kept = &ranked[..k.min(ranked.len())];
+        for &(_, _, slot) in kept {
             self.mask[slot / WORD] |= 1 << (slot % WORD);
         }
+        *self.len = kept.len() as u32;
     }
-}
-
-/// Number of bits set in `mask`.
-fn popcount(mask: &[u64]) -> usize {
-    mask.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// The indices of the set bits of `mask`, ascending.
@@ -314,10 +438,20 @@ impl Iterator for SetBits<'_> {
     }
 }
 
-/// The view operations the sweep ran before it kept its views in a [`GroupTable`]; the
-/// map-based kernel in `reference.rs` still runs on them.
+/// The view operations the sweep ran before it kept its views in a [`GroupTable`], and
+/// the partial values the sink's ranking read before it ranked in a kept buffer; the
+/// map-based kernel in `reference.rs` and the tests still run on them.
 #[cfg(test)]
 impl GroupView {
+    /// The partial aggregate value of every group, `(group, value)`, skipping groups
+    /// whose state is still empty.
+    pub(crate) fn partial_values(&self) -> Vec<(GroupId, Value)> {
+        self.entries
+            .iter()
+            .filter_map(|(g, s)| s.partial_value(self.func).map(|v| (*g, v)))
+            .collect()
+    }
+
     /// Folds one raw reading into the view.
     pub(crate) fn add_reading(&mut self, group: GroupId, value: Value) {
         let at = self.position(group).unwrap_or_else(|at| {
@@ -381,23 +515,28 @@ impl GroupView {
 }
 
 /// A table of one row holding `view`'s states, by the slots of the deployment whose
-/// groups are `groups` — how the map-based kernel in `reference.rs` hands its views to
-/// a shrink step written for rows.
+/// groups are `groups`, with the exact summary of `bounds` when they are kept — how the
+/// map-based kernel in `reference.rs` hands its views to a shrink step written for rows.
 #[cfg(test)]
 impl GroupTable {
-    pub(crate) fn from_view(groups: &[(GroupId, Vec<NodeId>)], view: &GroupView) -> Self {
+    pub(crate) fn from_view<B: Bounds>(groups: &[(GroupId, Vec<NodeId>)], view: &GroupView, bounds: &B) -> Self {
         let is_known = |g: &GroupId| groups.binary_search_by_key(g, |(known, _)| *known).is_ok();
         let mut table = GroupTable { known: groups.len(), ..GroupTable::default() };
-        table.groups.extend(groups.iter().map(|(g, _)| *g));
-        table.groups.extend(view.iter().map(|(g, _)| g).filter(|g| !is_known(g)));
-        let slots = table.groups.len();
+        table.read.extend(view.iter().map(|(g, _)| g).filter(|g| !is_known(g)));
+        let slots = table.slots();
         table.words = slots.div_ceil(WORD);
         table.masks = vec![0; table.words];
         table.states = vec![AggState::empty(view.func()); slots];
+        table.lens = vec![view.len() as u32];
+        table.summaries = vec![Summary::EMPTY];
         for (g, state) in view.iter() {
-            let slot = table.groups.iter().position(|&at| at == g).expect("every group has a slot");
+            let slot =
+                (0..slots).find(|&slot| group_of(groups, &table.read, slot) == g).expect("every group has a slot");
             table.masks[slot / WORD] |= 1 << (slot % WORD);
             table.states[slot] = *state;
+            if B::KEPT {
+                table.summaries[0].fold(bounds.of(slot, state));
+            }
         }
         table
     }
@@ -405,7 +544,9 @@ impl GroupTable {
 
 #[cfg(test)]
 mod tests {
+    use super::group_of as group_of_slot;
     use super::*;
+    use crate::mint::Gamma;
 
     fn view(pairs: &[(GroupId, f64)]) -> GroupView {
         let mut v = GroupView::new(AggFunc::Avg);
@@ -443,38 +584,40 @@ mod tests {
         assert!(v.get(1).is_none());
     }
 
-    /// A one-row table over the groups `pairs` name, each row seeded with its reading
-    /// and merged into row 0 — so row 0 holds every group.
-    fn table(pairs: &[(GroupId, f64)]) -> GroupTable {
+    /// A table over the groups `pairs` name, each row seeded with its reading and merged
+    /// into row 0 — so row 0 holds every group — and those groups, the deployment's.
+    fn table(pairs: &[(GroupId, f64)]) -> (GroupTable, Vec<(GroupId, Vec<NodeId>)>) {
         let mut groups: Vec<(GroupId, Vec<NodeId>)> = pairs.iter().map(|&(g, _)| (g, Vec::new())).collect();
         groups.sort_unstable_by_key(|(g, _)| *g);
         groups.dedup_by_key(|(g, _)| *g);
         let readings: Vec<Reading> =
             pairs.iter().enumerate().map(|(i, &(g, v))| Reading::new(i as NodeId + 1, g, 0, v)).collect();
         let mut t = GroupTable::default();
-        t.seed(&groups, pairs.len() + 1, readings.iter(), AggFunc::Avg);
+        let unconfigured = vec![u32::MAX; pairs.len() + 1];
+        t.seed(&groups, &unconfigured, pairs.len() + 1, readings.iter(), AggFunc::Avg, &Unbounded);
         for row in 1..=pairs.len() {
-            t.merge_rows(0, row);
+            t.merge_rows(0, row, &Unbounded);
         }
-        t
+        (t, groups)
     }
 
     #[test]
     fn truncate_to_local_top_k_keeps_highest_partials() {
         // This is exactly the wrongful elimination of Figure 1's node s4: its local view
         // holds (B, 42) and (D, 39); local top-1 keeps B and drops D.
-        let mut t = table(&[(1, 42.0), (3, 39.0)]);
-        t.row(0).truncate_to_local_top_k(1, AggFunc::Avg, &mut Vec::new());
-        let v = t.to_view(0, AggFunc::Avg);
+        let (mut t, groups) = table(&[(1, 42.0), (3, 39.0)]);
+        t.row(0, &groups).truncate_to_local_top_k(1, AggFunc::Avg, &mut Vec::new());
+        assert_eq!(t.len(0), 1);
+        let v = t.to_view(0, AggFunc::Avg, &groups);
         assert!(v.get(1).is_some());
         assert!(v.get(3).is_none());
     }
 
     #[test]
     fn truncate_with_large_k_keeps_everything() {
-        let mut t = table(&[(0, 1.0), (1, 2.0)]);
-        t.row(0).truncate_to_local_top_k(10, AggFunc::Avg, &mut Vec::new());
-        assert_eq!(t.row(0).len(), 2);
+        let (mut t, groups) = table(&[(0, 1.0), (1, 2.0)]);
+        t.row(0, &groups).truncate_to_local_top_k(10, AggFunc::Avg, &mut Vec::new());
+        assert_eq!(t.row(0, &groups).len(), 2);
     }
 
     #[test]
@@ -500,12 +643,37 @@ mod tests {
         (at as GroupId).wrapping_mul(2_654_435_761) | 1
     }
 
-    /// A drawn reading's value: some are NaN or a negative zero.
+    /// A drawn reading's value: some are NaN or a negative zero, most lie outside the
+    /// percentage domain.
     fn drawn_value(raw: u32) -> f64 {
         match raw % 40 {
             0 => f64::NAN,
             1 => -0.0,
             _ => f64::from(raw) * 0.37 - 100.0,
+        }
+    }
+
+    /// Number of bits set in `mask`.
+    fn popcount(mask: &[u64]) -> usize {
+        mask.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Every one of the first `rows` rows holds as many groups as its mask has bits, and
+    /// its summary bounds each state it holds: no upper bound below its `min_ub` — a NaN
+    /// one sets `nan` — and no lower bound above its `max_lb`.
+    fn assert_rows_hold(table: &mut GroupTable, rows: usize, groups: &[(GroupId, Vec<NodeId>)], gamma: &Gamma<'_>) {
+        for at in 0..rows {
+            let row = table.row(at, groups);
+            assert_eq!(row.len(), popcount(row.mask), "row {at}: stored length against its popcount");
+            let summary = row.summary();
+            for (slot, state) in row.iter() {
+                let (ub, lb) = gamma.of(slot, state);
+                assert!(
+                    if ub.is_nan() { summary.nan } else { summary.min_ub <= ub },
+                    "row {at}, slot {slot}: upper bound {ub} under the summary {summary:?}"
+                );
+                assert!(summary.max_lb >= lb, "row {at}, slot {slot}: lower bound {lb} over the summary {summary:?}");
+            }
         }
     }
 
@@ -518,20 +686,35 @@ mod tests {
         /// map holds, ascending, with bit-equal states.  Over every aggregate, sparse
         /// ids, 70 configured groups (two mask words), readings of a group the
         /// deployment lacks (a slot after the 70), of the group their node is configured
-        /// into and of another, and NaN and −0.0 values.  The warm table is seeded a
-        /// second time without the even nodes' readings: their rows must merge nothing,
-        /// and nothing may be reallocated.
+        /// into and of another, and NaN, −0.0 and out-of-domain values, so that a merge
+        /// can raise an upper bound.  Halfway the receiver drops the groups `dropped`
+        /// picks, and the map with it.  After every seed, merge and drop, each row's
+        /// stored length is its popcount and its summary of MINT's bounds (over drawn
+        /// live sizes) bounds its states.  The warm table is seeded a second time
+        /// without the even nodes' readings: their rows must merge nothing, and nothing
+        /// may be reallocated.
         #[test]
         fn merge_matches_a_map_fold(
             func in 0usize..5,
             own in (0usize..100, 0u32..2_000),
             operands in proptest::collection::vec((0usize..100, 0u32..2_000), 1..40),
+            sizes in 0u32..1_000,
+            dropped in 0u32..4,
         ) {
             let func = FUNCS[func];
             // Node `n` is configured into group `configured(n % 70)`.
             let mut groups: Vec<(GroupId, Vec<NodeId>)> =
                 (0..70).map(|at| (configured(at), (1..=41).filter(|n| n % 70 == at as NodeId).collect())).collect();
             groups.sort_unstable_by_key(|(id, _)| *id);
+            let mut group_slots = vec![u32::MAX; 42];
+            for (slot, (_, members)) in groups.iter().enumerate() {
+                for &m in members {
+                    group_slots[m as usize] = slot as u32;
+                }
+            }
+            let live: Vec<u32> = (0..70).map(|slot| (slot * 31 + sizes) % 6).collect();
+            let spec = crate::snapshot::SnapshotSpec::new(2, func, kspot_net::types::ValueDomain::percentage());
+            let gamma = Gamma::new(&spec, &live);
             // Draws below 70 name a configured group, 70..80 one the deployment lacks
             // (even ids, never configured), from 80 on the node's own.
             let group_of = |node: NodeId, draw: usize| match draw {
@@ -548,31 +731,44 @@ mod tests {
                 })
                 .collect();
             let (receiver, rows) = (1, readings.len() + 1);
+            let drop_at = readings.len() / 2;
+            let drops = |g: GroupId| g % 4 == dropped;
             let mut table = GroupTable::default();
             let mut cold = None;
             for pass in 0..2 {
                 let seeded = |r: &&Reading| pass == 0 || r.node % 2 == 1;
-                table.seed(&groups, rows, readings.iter().filter(seeded), func);
+                table.seed(&groups, &group_slots, rows, readings.iter().filter(seeded), func, &gamma);
+                assert_rows_hold(&mut table, rows, &groups, &gamma);
                 let mut model = std::collections::BTreeMap::new();
                 model.insert(readings[0].group, AggState::single(func, readings[0].value));
-                for r in readings.iter().skip(1) {
-                    table.merge_rows(receiver, r.node as usize);
+                for (at, r) in readings.iter().enumerate().skip(1) {
+                    table.merge_rows(receiver, r.node as usize, &gamma);
                     if seeded(&r) {
                         model
                             .entry(r.group)
                             .and_modify(|mine: &mut AggState| mine.merge(&AggState::single(func, r.value)))
                             .or_insert(AggState::single(func, r.value));
                     }
-                    let ours: Vec<_> = table.to_view(receiver, func).iter().map(|(g, s)| (g, s.to_bits())).collect();
+                    assert_rows_hold(&mut table, rows, &groups, &gamma);
+                    if at == drop_at {
+                        let mut row = table.row(receiver, &groups);
+                        let (known, read) = (row.known, row.read);
+                        row.retain(|slot, _| !drops(group_of_slot(known, read, slot)));
+                        model.retain(|&g, _| !drops(g));
+                        assert_rows_hold(&mut table, rows, &groups, &gamma);
+                    }
+                    let ours: Vec<_> =
+                        table.to_view(receiver, func, &groups).iter().map(|(g, s)| (g, s.to_bits())).collect();
                     let expected: Vec<_> = model.iter().map(|(g, s)| (*g, s.to_bits())).collect();
-                    proptest::prop_assert_eq!(table.row(receiver).len(), expected.len());
+                    proptest::prop_assert_eq!(table.len(receiver), expected.len());
                     proptest::prop_assert_eq!(&ours, &expected, "pass {}", pass);
                 }
                 let buffers = (
                     (table.masks.as_ptr(), table.masks.capacity()),
                     (table.states.as_ptr(), table.states.capacity()),
-                    (table.groups.as_ptr(), table.groups.capacity()),
-                    (table.node_slot.as_ptr(), table.node_slot.capacity()),
+                    (table.lens.as_ptr(), table.lens.capacity()),
+                    (table.summaries.as_ptr(), table.summaries.capacity()),
+                    (table.read.as_ptr(), table.read.capacity()),
                 );
                 match cold {
                     None => cold = Some(buffers),

@@ -11,11 +11,11 @@
 //! and the span — and when the span changes between executions, the working memory
 //! grows once and is reused from then on.
 //!
-//! The kernel's scratch is fenced the same way: a steady MINT epoch allocates the same
-//! count when every node is its own group (G = N) as with 16 groups, and the first
-//! sweep on a fresh thread keeps the group table the kernel documents,
-//! `(N + 1) · (8⌈G / 64⌉ + 24 G)` bytes, and little besides — once per thread, not per
-//! session.
+//! The kernel's scratch is fenced the same way: the steady shared epoch allocates the
+//! same count when every node is its own group (G = N) as with 16 or 64 groups, and the
+//! first sweep on a fresh thread keeps the group table the kernel documents,
+//! `(N + 1) · (8⌈G / 64⌉ + 24 G + 28)` bytes, and little besides — once per thread, not
+//! per session.
 //!
 //! Timing claims live in the benchmark (`bench/`); this test is the regression fence
 //! that does not depend on the host: a `BTreeMap` or a per-node `Vec` creeping back
@@ -77,10 +77,10 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// What a steady-state epoch may allocate: the vector of answers, each answer's items
-/// (TAG's and the centralized sink's are cut from a ranking of every group, MINT's and
-/// FILA's are copied out of buffers the executors keep), the sink view a sweep returns.
-/// Nothing per node, per tuple or per frame.  Measured: 11.
-const BUDGET: u64 = 11;
+/// (copied out of buffers the executors or the sweeping thread keep, in which every
+/// group was ranked), the sink view a sweep returns.  Nothing per node, per group, per
+/// tuple or per frame.  Measured: 7 — 1 + 4 answers + MINT's and TAG's sink views.
+const BUDGET: u64 = 7;
 
 /// What an epoch did to this thread's heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,15 +102,22 @@ fn weight(answers: &Vec<TopKResult>) -> i64 {
 }
 
 /// Each of `epochs` shared epochs of MINT + TAG + centralized collection + FILA on a
-/// `side × side` grid of 16 rooms, with frame batching on or off.  Readings are distinct
+/// `side × side` grid of `rooms` rooms (every node its own when `None`), with frame
+/// batching on or off.  Readings are distinct
 /// per node.  Without `leader_drops` they never change: no MINT probe, no FILA filter
 /// violation — the common, quiet epoch.  With it the trace alternates two rows: in the
 /// second the node with the highest reading drops to the floor, so FILA's top member
 /// crosses its filter every epoch — down in one, back up in the next — and FILA probes,
 /// walking unicast paths down to nodes and back up; in the epochs the leader drops it
 /// refreshes every node.
-fn shared_epochs(side: usize, batching: bool, leader_drops: bool, epochs: usize) -> Vec<Measured> {
-    let d = Deployment::grid(side, 10.0, Some(16));
+fn shared_epochs(
+    side: usize,
+    rooms: Option<usize>,
+    batching: bool,
+    leader_drops: bool,
+    epochs: usize,
+) -> Vec<Measured> {
+    let d = Deployment::grid(side, 10.0, rooms);
     let level: Vec<f64> = (0..d.num_nodes()).map(|i| 10.0 + (i * 37 % 197) as f64 * 0.4).collect();
     let mut rows = vec![level.clone()];
     if leader_drops {
@@ -154,21 +161,21 @@ fn shared_epochs(side: usize, batching: bool, leader_drops: bool, epochs: usize)
 }
 
 /// The fourth quiet shared epoch (after Creation and two warm-up epochs) over a
-/// frame-batching network.
-fn steady_epoch(side: usize) -> Measured {
-    shared_epochs(side, true, false, 4)[3]
+/// frame-batching network of `rooms` rooms (every node its own when `None`).
+fn steady_epoch(side: usize, rooms: Option<usize>) -> Measured {
+    shared_epochs(side, rooms, true, false, 4)[3]
 }
 
 #[test]
 fn a_steady_epoch_allocates_a_small_constant_whatever_the_network_size() {
-    let small = steady_epoch(8);
-    let large = steady_epoch(14);
+    let small = steady_epoch(8, Some(16));
+    let large = steady_epoch(14, Some(16));
     assert_eq!(
         small.allocations, large.allocations,
         "allocations per epoch must not depend on the node count (64 vs 196 nodes)"
     );
     assert!(large.allocations <= BUDGET, "a steady epoch allocated {} times, budget {BUDGET}", large.allocations);
-    assert_eq!(steady_epoch(14), large, "the counts repeat exactly run to run");
+    assert_eq!(steady_epoch(14, Some(16)), large, "the counts repeat exactly run to run");
 }
 
 /// An answer is kept for as long as its session lives, so what an epoch leaves on the
@@ -177,7 +184,7 @@ fn a_steady_epoch_allocates_a_small_constant_whatever_the_network_size() {
 #[test]
 fn a_steady_epoch_retains_its_answers_items_and_nothing_else() {
     for side in [8, 14] {
-        let epoch = steady_epoch(side);
+        let epoch = steady_epoch(side, Some(16));
         // 3 + 16 + 16 + 3 items of 16 bytes, four answers of 32.
         assert_eq!(epoch.answers, 38 * 16 + 4 * 32);
         assert_eq!(
@@ -188,48 +195,30 @@ fn a_steady_epoch_retains_its_answers_items_and_nothing_else() {
     }
 }
 
-/// Allocations of the fourth quiet MINT epoch, alone on a frame-batching `side × side`
-/// grid of `rooms` rooms (every node its own when `None`).  MINT's sink certifies from
-/// buffers the executor keeps, so what the epoch allocates is the sweep's and the
-/// answer's, whatever the group count.
-fn steady_mint_epoch(side: usize, rooms: Option<usize>) -> u64 {
-    let d = Deployment::grid(side, 10.0, rooms);
-    let level: Vec<f64> = (0..d.num_nodes()).map(|i| 10.0 + (i * 37 % 197) as f64 * 0.4).collect();
-    let mut workload = Workload::trace(&d, ValueDomain::percentage(), vec![level]);
-    let mut net = Network::new(d, NetworkConfig::mica2());
-    net.set_frame_batching(true);
-    let mut mint = MintViews::new(SnapshotSpec::new(3, AggFunc::Avg, ValueDomain::percentage()));
-    let mut measured = 0;
-    for _ in 0..4 {
-        let readings = workload.next_epoch();
-        let before = ALLOCATIONS.with(Cell::get);
-        let answers = run_shared_epoch(&mut [&mut mint], &mut net, &readings, |_, _| {});
-        measured = ALLOCATIONS.with(Cell::get) - before;
-        assert_eq!(answers[0].items.len(), 3);
-    }
-    assert_eq!(mint.stats().probe_epochs, 0, "a quiet trace never probes");
-    measured
-}
-
 /// The kernel's table is as wide as the deployment has groups, so the widest one there
 /// is — every node its own group, G = N, four mask words a row at 196 — is where a
-/// table that grew per sweep, or per group, would show.  (The whole shared mix is not
-/// the fence here: TAG's and the centralized sink's rankings grow their item buffers by
-/// doubling, O(log G) allocations outside the kernel.)
+/// table that grew per sweep, or per group, would show; so would a sink that ranked its
+/// groups in a buffer grown per group.  The whole shared mix allocates the same at
+/// G = 16, 64 and N.
 #[test]
 fn a_steady_epoch_allocates_the_same_constant_when_every_node_is_its_own_group() {
-    let rooms = steady_mint_epoch(8, Some(16));
+    let rooms = steady_epoch(8, Some(16)).allocations;
     for side in [8, 14] {
-        assert_eq!(steady_mint_epoch(side, Some(16)), rooms, "{side} × {side} nodes, G = 16");
-        assert_eq!(steady_mint_epoch(side, None), rooms, "{side} × {side} nodes, G = N, against G = 16");
+        assert_eq!(steady_epoch(side, Some(16)).allocations, rooms, "{side} × {side} nodes, G = 16");
+        assert_eq!(steady_epoch(side, Some(64)).allocations, rooms, "{side} × {side} nodes, G = 64, against G = 16");
+        assert_eq!(steady_epoch(side, None).allocations, rooms, "{side} × {side} nodes, G = N, against G = 16");
     }
 }
 
+/// What a row keeps besides its mask and its states: its length, a `u32`, and its
+/// summary of MINT's bounds, two `f64`s and a flag.
+const ROW_EXTRAS: usize = 4 + 24;
+
 /// The bytes of a convergecast's group table for `nodes` nodes and `groups` groups: a
-/// row per node and one for the sink, each a presence mask of ⌈groups / 64⌉ words and
-/// a state per group.
+/// row per node and one for the sink, each a presence mask of ⌈groups / 64⌉ words, a
+/// state per group, a length and a summary.
 fn table_bytes(nodes: usize, groups: usize) -> i64 {
-    ((nodes + 1) * (8 * groups.div_ceil(64) + size_of::<AggState>() * groups)) as i64
+    ((nodes + 1) * (8 * groups.div_ceil(64) + size_of::<AggState>() * groups + ROW_EXTRAS)) as i64
 }
 
 /// What three TAG sweeps over one `side × side` grid of `rooms` rooms (every node its
@@ -268,9 +257,10 @@ fn fresh_thread_sweeps(side: usize, rooms: Option<usize>) -> Vec<(u64, i64)> {
 }
 
 /// The first sweep on a thread lays the table out: it keeps the table's bytes, and
-/// besides them only the tree's post-order, a slot per node and a group per slot.  A
-/// session of another aggregate then sweeps in the same memory, as the first session
-/// does from its second sweep on.
+/// besides them only the tree's post-order and the buffer the sink view is ranked in —
+/// the node → slot map is the deployment's, and the deployment's groups are not
+/// copied.  A session of another aggregate then sweeps in the same memory, as the first
+/// session does from its second sweep on.
 #[test]
 fn the_first_sweep_on_a_thread_keeps_its_table_and_a_second_session_allocates_no_scratch() {
     for (side, rooms) in [(8, Some(16)), (8, None), (14, Some(16)), (14, None)] {
@@ -279,9 +269,9 @@ fn the_first_sweep_on_a_thread_keeps_its_table_and_a_second_session_allocates_no
         let sweeps = fresh_thread_sweeps(side, rooms);
         let (first, other, again) = (sweeps[0], sweeps[1], sweeps[2]);
         let table = table_bytes(nodes, groups);
-        let slot_lists = (size_of::<u32>() * (nodes + nodes + 1 + groups)) as i64;
+        let order_and_ranking = (size_of::<u32>() * (nodes + 1) + size_of::<RankedItem>() * groups) as i64;
         assert!(
-            (table..=table + slot_lists).contains(&first.1),
+            (table..=table + order_and_ranking).contains(&first.1),
             "{side} × {side}, G = {groups}: the first sweep kept {} bytes, its table is {table}",
             first.1
         );
@@ -293,7 +283,7 @@ fn the_first_sweep_on_a_thread_keeps_its_table_and_a_second_session_allocates_no
 /// Allocations of the last two of six shared epochs in which FILA probes, over a
 /// network with frame batching off, so every report is a one-hop unicast.
 fn unbatched_epoch_allocations(side: usize) -> [u64; 2] {
-    let epochs = shared_epochs(side, false, true, 6);
+    let epochs = shared_epochs(side, Some(16), false, true, 6);
     for (epoch, measured) in epochs.iter().enumerate().skip(1) {
         assert!(measured.fila_probes >= 3, "epoch {epoch}: FILA probed {} nodes", measured.fila_probes);
     }
@@ -302,8 +292,8 @@ fn unbatched_epoch_allocations(side: usize) -> [u64; 2] {
 
 /// What one of those epochs may allocate: the steady epoch's [`BUDGET`] and the answers
 /// FILA ranks while it probes.  Nothing per report, per unicast path or per hop.
-/// Measured: 13 in both kinds of epoch, as with frame batching on.
-const UNBATCHED_BUDGET: u64 = 13;
+/// Measured: 9 in both kinds of epoch, as with frame batching on.
+const UNBATCHED_BUDGET: u64 = 9;
 
 #[test]
 fn an_unbatched_epoch_allocates_a_small_constant_whatever_the_network_size() {

@@ -88,6 +88,8 @@ pub struct Deployment {
     /// Membership is part of the configuration, so it is fixed at construction; a
     /// group's position in this list is its *dense index* (group ids may be sparse).
     groups: Vec<(GroupId, Vec<NodeId>)>,
+    /// `group_slots[id]`: the dense index of node `id`'s group; `u32::MAX` for the sink.
+    group_slots: Vec<u32>,
 }
 
 impl Deployment {
@@ -114,8 +116,14 @@ impl Deployment {
         for n in &nodes {
             members.entry(n.group).or_default().push(n.id);
         }
-        let groups = members.into_iter().collect();
-        Self { kind, sink_position, nodes, radio_range, explicit_parents: None, groups }
+        let groups: Vec<(GroupId, Vec<NodeId>)> = members.into_iter().collect();
+        let mut group_slots = vec![u32::MAX; nodes.len() + 1];
+        for (slot, (_, members)) in groups.iter().enumerate() {
+            for &m in members {
+                group_slots[m as usize] = slot as u32;
+            }
+        }
+        Self { kind, sink_position, nodes, radio_range, explicit_parents: None, groups, group_slots }
     }
 
     /// Attaches an explicit routing-parent assignment to the deployment, overriding the
@@ -195,6 +203,13 @@ impl Deployment {
     /// its dense index; group ids themselves may be sparse.
     pub fn groups(&self) -> &[(GroupId, Vec<NodeId>)] {
         &self.groups
+    }
+
+    /// Node `id`'s group as its dense index in [`Self::groups`], at `[id]`: one entry
+    /// per node and a first one, `u32::MAX`, for the sink.  Built at construction, so a
+    /// per-group table reads a node's slot without a search.
+    pub fn group_slots(&self) -> &[u32] {
+        &self.group_slots
     }
 
     /// The sensors configured into group `g`, ascending; empty when there are none.
@@ -527,6 +542,37 @@ mod tests {
         }
         // The sink has a position too.
         let _ = d.position_of(SINK);
+    }
+
+    /// The node → slot map against a search of the group list, on every family.
+    #[test]
+    fn group_slots_agree_with_a_search_of_the_groups() {
+        let custom = Deployment::from_parts(
+            DeploymentKind::Custom,
+            Position::new(0.0, 0.0),
+            (1..=7)
+                .map(|id| NodeSpec { id, position: Position::new(f64::from(id), 0.0), group: id * id % 5 * 1_000_003 })
+                .collect(),
+            5.0,
+        );
+        for d in [
+            Deployment::figure1(),
+            Deployment::conference(),
+            Deployment::grid(5, 10.0, None),
+            Deployment::grid(6, 10.0, Some(4)),
+            Deployment::uniform_random(30, 100.0, 100.0, 4, 7),
+            Deployment::linear_chain(6, 10.0, Some(3)),
+            Deployment::clustered_rooms(6, 4, 20.0, 3),
+            custom,
+        ] {
+            let slots = d.group_slots();
+            assert_eq!(slots.len(), d.num_nodes() + 1, "{:?}", d.kind());
+            assert_eq!(slots[SINK as usize], u32::MAX, "{:?}: the sink has no group", d.kind());
+            for id in d.node_ids() {
+                let searched = d.groups().binary_search_by_key(&d.group_of(id), |(g, _)| *g);
+                assert_eq!(Ok(slots[id as usize] as usize), searched, "{:?}, node {id}", d.kind());
+            }
+        }
     }
 
     #[test]
