@@ -291,9 +291,8 @@ impl Bounds for Gamma<'_> {
 /// effective threshold and the view is left as it is.  A NaN upper bound clears
 /// nothing.  The summary only ever bounds the row's states from outside, so it settles
 /// a view only where the states' own extremes would.  Otherwise one pass collects both
-/// bounds of every tuple, and the same test on their exact summary settles the view or
-/// sends it to the selection; none of the decisions depends on the order the row is
-/// walked in.  Either way the row leaves with the exact summary of what it keeps.
+/// bounds of every tuple for the selection, which does not depend on the order the row
+/// is walked in, and the row leaves with the exact summary of what it keeps.
 fn prune(
     row: &mut Row<'_>,
     k: usize,
@@ -303,22 +302,12 @@ fn prune(
     local_lbs: &mut Vec<f64>,
 ) {
     let wants_local_tau = row.len() >= k;
-    let settles =
-        |s: Summary| !s.nan && s.min_ub >= tau && (!wants_local_tau || s.min_ub >= s.max_lb);
-    if settles(row.summary()) {
+    let summary = row.summary();
+    if !summary.nan && summary.min_ub >= tau && (!wants_local_tau || summary.min_ub >= summary.max_lb) {
         return;
     }
     bounds.clear();
-    let mut exact = Summary::EMPTY;
-    for (slot, state) in row.iter() {
-        let bound = gamma.of(slot, state);
-        exact.fold(bound);
-        bounds.push(bound);
-    }
-    if settles(exact) {
-        row.set_summary(exact);
-        return;
-    }
+    bounds.extend(row.iter().map(|(slot, state)| gamma.of(slot, state)));
     let local_tau = if wants_local_tau {
         local_lbs.clear();
         local_lbs.extend(bounds.iter().map(|&(_, lb)| lb));

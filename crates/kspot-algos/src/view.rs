@@ -228,6 +228,7 @@ impl GroupTable {
     /// Row `row`, to read or shrink; `groups` are the deployment's the table was seeded
     /// with.
     pub(crate) fn row<'t>(&'t mut self, row: usize, groups: &'t [(GroupId, Vec<NodeId>)]) -> Row<'t> {
+        debug_assert_eq!(groups.len(), self.known, "the groups the table was seeded with");
         let (slots, words) = (self.slots(), self.words);
         Row {
             known: groups,
@@ -283,6 +284,7 @@ impl GroupTable {
     /// Row `row` as a view of `func`, sorted by group; `groups` are the deployment's
     /// the table was seeded with.
     pub(crate) fn to_view(&self, row: usize, func: AggFunc, groups: &[(GroupId, Vec<NodeId>)]) -> GroupView {
+        debug_assert_eq!(groups.len(), self.known, "the groups the table was seeded with");
         let (slots, words) = (self.slots(), self.words);
         let mask = &self.masks[row * words..(row + 1) * words];
         let states = &self.states[row * slots..(row + 1) * slots];

@@ -157,6 +157,9 @@ fn shared_epochs(
         .collect();
     assert_eq!(net.frame_batching(), batching);
     assert!(net.metrics().totals().messages > 0, "the sweeps did move traffic");
+    if !leader_drops {
+        assert_eq!(mint.stats().probe_epochs, 0, "a quiet trace never probes");
+    }
     measured
 }
 
