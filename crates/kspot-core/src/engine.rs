@@ -231,8 +231,9 @@ struct SessionState {
     sql: String,
     plan: QueryPlan,
     exec: SessionExec,
-    /// Every answer so far.  The only thing kept of an answer: the `Vec` an algorithm
-    /// returns is copied in and dropped.
+    /// Every answer so far, or the newest [`kspot_net::RETENTION_WINDOW`] once every
+    /// live handle has consumed older ones, and the cursors of those handles.  The only
+    /// thing kept of an answer: the `Vec` an algorithm returns is copied in and dropped.
     results: ResultLog,
     /// Engine epoch index (not workload epoch number) at which the session joined.
     registered_at: u64,
@@ -243,6 +244,9 @@ struct SessionState {
     /// The System-Panel comparison sessions registered for this session
     /// ([`QueryEngine::register_baselines`]), in panel order.
     baselines: Vec<QueryId>,
+    /// The session this one is a System-Panel baseline of, if it is one: it is not
+    /// reaped while that session is resident, whose panel reads it.
+    baseline_of: Option<QueryId>,
 }
 
 impl SessionState {
@@ -278,9 +282,13 @@ pub(crate) struct EngineCore {
     sessions: BTreeMap<QueryId, SessionState>,
     /// The ids of the `Active` sessions, ascending — what the epoch loop walks, so a
     /// tick costs the sessions that run, not every session ever admitted.  Ids are
-    /// allocated ascending, so `push` keeps `sessions`' own iteration order.  (The
-    /// finished sessions' state stays in `sessions`: this is not reaping.)
+    /// allocated ascending, so `push` keeps `sessions`' own iteration order.  (This is
+    /// not reaping: a finished session leaves this list, but its state stays in
+    /// `sessions` until [`Self::reap_if_drained`] finds nothing can read it any more.)
     live: Vec<QueryId>,
+    /// The sessions that finished in the epoch being run, reused across epochs — the
+    /// ones the epoch's end offers to [`Self::reap_if_drained`].
+    ended: Vec<QueryId>,
     /// The sessions that took part in the epoch being run, reused across epochs —
     /// exactly the ones a depleted battery flags ([`Session::depleted_during_run`]).
     ran: Vec<QueryId>,
@@ -350,6 +358,7 @@ impl EngineCore {
                 status: SessionStatus::Active,
                 depleted_during_run: false,
                 baselines: Vec::new(),
+                baseline_of: None,
             },
         );
         self.live.push(id);
@@ -389,7 +398,9 @@ impl EngineCore {
         let mut ids = Vec::new();
         for exec in self.route(&plan, Role::Baselines)? {
             let sql = format!("baseline: {}", exec.name());
-            ids.push(self.admit(sql, plan.clone(), exec)?);
+            let id = self.admit(sql, plan.clone(), exec)?;
+            self.sessions.get_mut(&id).expect("admitted above").baseline_of = Some(primary);
+            ids.push(id);
         }
         self.sessions
             .get_mut(&primary)
@@ -612,17 +623,65 @@ impl EngineCore {
             self.epochs_run += 1;
             // A session whose LIFETIME was fully served this epoch completes now, so
             // it neither holds an admission slot nor reports Active between runs.
-            let (sessions, now) = (&mut self.sessions, self.epochs_run);
+            let (sessions, now, ended) = (&mut self.sessions, self.epochs_run, &mut self.ended);
             self.live.retain(|id| {
                 let session = sessions.get_mut(id).expect("a live session has state");
                 session.expire_if_due(now);
-                session.status == SessionStatus::Active
+                let active = session.status == SessionStatus::Active;
+                if !active {
+                    ended.push(*id);
+                }
+                active
             });
+            while let Some(id) = self.ended.pop() {
+                self.reap_if_drained(id);
+            }
+        }
+    }
+
+    /// Reaps session `id` once nothing can read it any more: it is terminal, no live
+    /// handle is left, a poll consumed every answer it produced, and it is no resident
+    /// session's baseline.  Its state, its executor and its loss stream go; its ledger
+    /// rows fold into the retired bucket ([`Network::retire_scope`]), so the ledger
+    /// still balances.  Called on the events that can make a session reapable — the
+    /// last handle's drop and the epoch that ends it — never as a scan.  (A poll cannot:
+    /// the polling handle is live.)  A session nobody polled is never reaped, however
+    /// it ended, even one that never answered: a handle minted later
+    /// ([`QueryEngine::sessions`]) may still read it (ADR-014, "Retention").
+    fn reap_if_drained(&mut self, id: QueryId) {
+        let Some(state) = self.sessions.get(&id) else { return };
+        let read_by_primary = state.baseline_of.is_some_and(|primary| self.sessions.contains_key(&primary));
+        if state.status == SessionStatus::Active || !state.results.drained() || read_by_primary {
+            return;
+        }
+        let state = self.sessions.remove(&id).expect("looked up above");
+        self.net.retire_scope(id);
+        for baseline in state.baselines {
+            self.reap_if_drained(baseline);
+        }
+    }
+
+    /// Registers a new handle of session `id` at `cursor` (at the first retained
+    /// answer, for a fresh handle) and returns the cursor it starts at.
+    fn attach(&mut self, id: QueryId, cursor: usize) -> usize {
+        self.sessions.get_mut(&id).expect("a handle is minted for a resident session").results.attach(cursor)
+    }
+
+    /// Unregisters a dropped handle of session `id` that stood at `cursor`, and reaps
+    /// the session if that was what kept it.
+    fn detach(&mut self, id: QueryId, cursor: usize) {
+        if let Some(state) = self.sessions.get_mut(&id) {
+            state.results.detach(cursor);
+            self.reap_if_drained(id);
         }
     }
 
     fn state(&self, id: QueryId) -> &SessionState {
         self.sessions.get(&id).expect("a Session handle outlives its engine-side state")
+    }
+
+    fn state_mut(&mut self, id: QueryId) -> &mut SessionState {
+        self.sessions.get_mut(&id).expect("a Session handle outlives its engine-side state")
     }
 
     /// Session `id`'s scoped slice of the shared ledger, reported under `name`.
@@ -733,6 +792,7 @@ impl QueryEngine {
                 workload,
                 sessions: BTreeMap::new(),
                 live: Vec::new(),
+                ended: Vec::new(),
                 ran: Vec::new(),
                 windows: None,
                 store: None,
@@ -804,7 +864,7 @@ impl QueryEngine {
         {
             let mut core = lock_core(&self.core);
             assert!(
-                core.sessions.is_empty() && core.epochs_run == 0,
+                core.next_id == 0 && core.epochs_run == 0,
                 "a checkpoint store must be adopted before any query registers or runs"
             );
             if let Some(bank) = store
@@ -881,24 +941,27 @@ impl QueryEngine {
         lock_core(&self.core).active_sessions()
     }
 
-    /// Every session ever registered, in registration order.
+    /// Every resident session, in registration order: every session registered and
+    /// not reaped yet.  A session is reaped once it finished, a poll consumed all its
+    /// answers and its last handle dropped (ADR-014, "Retention"); a session nobody
+    /// polled stays resident.
     pub fn session_ids(&self) -> Vec<QueryId> {
         lock_core(&self.core).sessions.keys().copied().collect()
     }
 
-    /// Fresh [`Session`] handles for every session ever registered, in registration
-    /// order.
+    /// Fresh [`Session`] handles for every resident session ([`Self::session_ids`]), in
+    /// registration order.  Each starts at its session's first retained answer.
     pub fn sessions(&self) -> Vec<Session> {
-        self.session_ids().into_iter().map(|id| self.handle(id)).collect()
+        let mut core = lock_core(&self.core);
+        let ids: Vec<QueryId> = core.sessions.keys().copied().collect();
+        ids.into_iter().map(|id| Session::attach(&self.core, &mut core, id)).collect()
     }
 
-    /// A fresh [`Session`] handle for a known session id, or `None` for unknown ids.
+    /// A fresh [`Session`] handle for a resident session id, starting at the session's
+    /// first retained answer, or `None` for unknown and reaped ids.
     pub fn session(&self, id: QueryId) -> Option<Session> {
-        lock_core(&self.core).sessions.contains_key(&id).then(|| self.handle(id))
-    }
-
-    fn handle(&self, id: QueryId) -> Session {
-        Session { id, core: Arc::clone(&self.core), cursor: 0 }
+        let mut core = lock_core(&self.core);
+        core.sessions.contains_key(&id).then(|| Session::attach(&self.core, &mut core, id))
     }
 
     /// Parses, classifies and admits a query into the shared epoch loop, returning
@@ -907,13 +970,14 @@ impl QueryEngine {
     /// once from the engine-shared sliding windows, and complete (module docs).
     pub fn register(&mut self, sql: &str) -> Result<Session, QueryError> {
         let plan = classify(&parse(sql)?)?;
-        let id = lock_core(&self.core).register(plan, sql.to_string()).map_err(|refusal| match refusal {
+        let mut core = lock_core(&self.core);
+        let id = core.register(plan, sql.to_string()).map_err(|refusal| match refusal {
             Refusal::Full { active, cap } => QueryError::semantic(format!(
                 "admission rejected: the engine already serves {active} concurrent queries (cap {cap})"
             )),
             Refusal::Query(e) => e,
         })?;
-        Ok(self.handle(id))
+        Ok(Session::attach(&self.core, &mut core, id))
     }
 
     /// Runs `epochs` shared epochs: per epoch, the workload is acquired once, the
@@ -961,7 +1025,12 @@ impl QueryEngine {
 pub struct ResultsPage {
     /// The requested slice of the session's answers, oldest first.
     pub results: Vec<TopKResult>,
-    /// How many answers the session held in total at the time of the read.
+    /// The absolute index of the first answer of `results`: the requested cursor, or
+    /// the session's first retained answer when the cursor asked for answers already
+    /// released — never a silent skip.
+    pub start: usize,
+    /// How many answers the session produced in total at the time of the read,
+    /// released ones included.
     pub total: usize,
     /// The session's lifecycle state at the time of the read.
     pub status: SessionStatus,
@@ -980,16 +1049,40 @@ pub struct ResultsPage {
 /// are `Send + Sync`: a handle can be polled, cancelled and finalized from any
 /// thread while the engine (or the fleet's thread pool) drives the epoch loop —
 /// every access serialises on the engine's lock.
+///
+/// The engine knows every live handle's cursor: a session releases the answers all its
+/// live handles have polled past, except for its newest
+/// [`kspot_net::RETENTION_WINDOW`], and a finished session whose answers were all
+/// polled is reaped when its last handle drops (ADR-014, "Retention").  Minting,
+/// cloning and dropping a handle therefore take the engine's lock, like any other
+/// call: do not drop a handle while holding an [`EngineRef`] on the same thread.  On a
+/// poisoned engine they do nothing, and never panic.
 pub struct Session {
     id: QueryId,
     core: Arc<Mutex<EngineCore>>,
-    /// Index of the first result the next [`Self::poll`] returns.
+    /// Absolute index of the first result the next [`Self::poll`] returns.
     cursor: usize,
 }
 
 impl Clone for Session {
     fn clone(&self) -> Self {
+        // A torn engine registers nothing; its handles stay usable as far as the
+        // engine is (every read panics, ADR-006).
+        if let Ok(mut core) = self.core.lock() {
+            core.attach(self.id, self.cursor);
+        }
         Self { id: self.id, core: Arc::clone(&self.core), cursor: self.cursor }
+    }
+}
+
+impl Drop for Session {
+    /// Unregisters the handle's cursor, releasing what only it held back, and reaps the
+    /// session if it was the last thing that could read it.  Drop runs during
+    /// unwinding too, so a poisoned engine is skipped, never unwrapped.
+    fn drop(&mut self) {
+        if let Ok(mut core) = self.core.lock() {
+            core.detach(self.id, self.cursor);
+        }
     }
 }
 
@@ -1004,10 +1097,13 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    /// Wraps a shared core and a known session id in a fresh handle (the path
-    /// [`crate::EngineFleet::try_register`] uses).
-    pub(crate) fn from_core(core: Arc<Mutex<EngineCore>>, id: QueryId) -> Self {
-        Self { id, core, cursor: 0 }
+    /// A fresh handle of resident session `id` of the engine `cell`, whose lock the
+    /// caller holds as `core`: registered at the session's first retained answer (the
+    /// path every handle but a clone is minted on, [`crate::EngineFleet::try_register`]'s
+    /// included).
+    pub(crate) fn attach(cell: &Arc<Mutex<EngineCore>>, core: &mut EngineCore, id: QueryId) -> Self {
+        let cursor = core.attach(id, 0);
+        Self { id, core: Arc::clone(cell), cursor }
     }
 
     /// The session id — also the metrics attribution scope the session's traffic is
@@ -1042,43 +1138,49 @@ impl Session {
         lock_core(&self.core).state(self.id).status
     }
 
-    /// The session's ranked answers so far: one entry per epoch a continuous session
-    /// was active in; exactly one entry once a historic session has answered.
+    /// The session's ranked answers so far — one entry per epoch a continuous session
+    /// was active in; exactly one entry once a historic session has answered — or the
+    /// newest [`kspot_net::RETENTION_WINDOW`] once every live handle has consumed older
+    /// ones.
     pub fn results(&self) -> Vec<TopKResult> {
-        lock_core(&self.core).state(self.id).results.page(0, usize::MAX)
+        lock_core(&self.core).state(self.id).results.retained()
     }
 
-    /// The session's most recent ranked answer.
+    /// The session's most recent ranked answer (never released).
     pub fn latest(&self) -> Option<TopKResult> {
         lock_core(&self.core).state(self.id).results.latest()
     }
 
-    /// The answers produced since this handle's last [`Self::poll`] call (all answers
-    /// so far on the first call).  Each handle keeps its own
-    /// cursor, so clones poll independently.
+    /// The answers produced since this handle's last [`Self::poll`] call (on the first
+    /// call, every answer since the handle's first, which is the session's first
+    /// retained answer when the handle was minted).  Each handle keeps its own cursor,
+    /// so clones poll independently, and nothing a live handle has not polled is ever
+    /// released: a poll never misses an answer.  Polling is what *consumes* answers —
+    /// what lets the session release them and, once it finished and its handles
+    /// dropped, be reaped.
     pub fn poll(&mut self) -> Vec<TopKResult> {
-        let page = self.results_page(self.cursor, usize::MAX);
-        self.cursor = page.total;
-        page.results
+        let mut core = lock_core(&self.core);
+        core.state_mut(self.id).results.poll(&mut self.cursor)
     }
 
     /// A bounded read for callers that keep their own cursor (the wire front-end):
-    /// at most `max` answers starting at index `cursor`, plus the session's answer
-    /// count and status, all under one lock acquisition.  Costs O(answers returned),
-    /// not O(history) like [`Self::results`].
+    /// at most `max` answers starting at absolute index `cursor`, plus the session's
+    /// answer count and status, all under one lock acquisition.  Costs O(answers
+    /// returned), not O(history) like [`Self::results`].  A cursor below the first
+    /// retained answer reads from that answer on, and [`ResultsPage::start`] says so.
+    /// This read consumes nothing: it neither releases answers nor lets the session be
+    /// reaped.
     pub fn results_page(&self, cursor: usize, max: usize) -> ResultsPage {
         let core = lock_core(&self.core);
         let state = core.state(self.id);
-        ResultsPage {
-            results: state.results.page(cursor, max),
-            total: state.results.len(),
-            status: state.status,
-        }
+        let (start, results) = state.results.page(cursor, max);
+        ResultsPage { results, start, total: state.results.len(), status: state.status }
     }
 
     /// Cancels the session.  Returns `false` when it already completed or was
-    /// cancelled.  Cancelled sessions keep their id, results and attributed metrics
-    /// readable.
+    /// cancelled.  Cancelled sessions keep their id, retained results and attributed
+    /// metrics readable while they are resident — until a poll consumed every answer
+    /// and the last handle dropped.
     pub fn cancel(&mut self) -> bool {
         lock_core(&self.core).cancel(self.id)
     }
@@ -1135,8 +1237,11 @@ impl Session {
     }
 
     /// Converts the session into a [`QueryExecution`]: the classified plan, the
-    /// routed algorithm, every answer produced so far, and a System Panel whose KSpot
-    /// report is the session's attributed slice of the shared ledger.  The panel's
+    /// routed algorithm, every answer produced so far (or the newest
+    /// [`kspot_net::RETENTION_WINDOW`] once every live handle has consumed older
+    /// ones), and a System Panel whose KSpot report is the session's attributed slice
+    /// of the shared ledger.  Dropping the handle may reap the session (see
+    /// [`Self::poll`]).  The panel's
     /// baselines are the scoped slices of the comparison sessions registered through
     /// [`QueryEngine::register_baselines`] (none if it was never called), each under
     /// its algorithm name.
@@ -1148,7 +1253,7 @@ impl Session {
         QueryExecution {
             plan: state.plan.clone(),
             algorithm: state.exec.name().to_string(),
-            results: state.results.page(0, usize::MAX),
+            results: state.results.retained(),
             panel: SystemPanel::new(by_algorithm(self.id), baselines),
         }
     }
@@ -1813,6 +1918,182 @@ mod tests {
             assert!(answer.same_ranking(&exact) && answer.approx_eq(&exact, 1e-9), "{name} {answer} != {exact}");
         }
     }
+
+    #[test]
+    fn a_polled_session_keeps_its_newest_window_and_a_page_below_it_says_where_it_starts() {
+        use kspot_net::RETENTION_WINDOW as WINDOW;
+        let mut engine = engine(31);
+        let mut session = engine.register(EIGHT_QUERIES[0]).unwrap();
+        let unpolled = engine.register(EIGHT_QUERIES[1]).unwrap();
+        let total = WINDOW + WINDOW / 2;
+        let mut handed_out = Vec::new();
+        for _ in 0..total {
+            engine.run_epochs(1);
+            handed_out.extend(session.poll());
+        }
+        assert_eq!(handed_out.len(), total, "every answer was handed out once");
+        assert_eq!(session.results(), handed_out[total - WINDOW..], "the newest window is retained");
+        assert_eq!(session.latest().as_ref(), handed_out.last());
+        assert_eq!(unpolled.results().len(), total, "a session nobody polled keeps every answer");
+
+        let page = session.results_page(0, 2);
+        assert_eq!((page.start, page.total), (total - WINDOW, total), "the page says where it starts");
+        assert_eq!(page.results, handed_out[total - WINDOW..total - WINDOW + 2]);
+        let mut fresh = engine.session(session.id()).expect("resident");
+        assert_eq!(fresh.poll(), handed_out[total - WINDOW..], "a fresh handle starts at the base");
+        drop(fresh);
+
+        // A live handle that does not poll holds back everything it has not polled.
+        let mut lagging = session.clone();
+        for _ in 0..WINDOW + 10 {
+            engine.run_epochs(1);
+            session.poll();
+        }
+        assert_eq!(lagging.poll().len(), WINDOW + 10, "nothing a live handle has not polled is released");
+        let execution = session.finalize();
+        assert_eq!(execution.results.len(), WINDOW, "finalize reads what is retained");
+        assert_eq!(execution.panel.kspot.epochs, total + WINDOW + 10, "the panel counts every answer");
+    }
+
+    #[test]
+    fn a_finished_session_is_reaped_with_its_last_handle_once_a_poll_drained_it() {
+        let mut engine = engine(32);
+        let mut session = engine.register(EIGHT_QUERIES[0]).unwrap();
+        let clone = session.clone();
+        let mut unpolled = engine.register(EIGHT_QUERIES[1]).unwrap();
+        engine.run_epochs(3);
+        assert_eq!(session.poll().len(), 3);
+        assert!(session.cancel());
+        let (id, totals) = (session.id(), session.totals());
+        drop(session);
+        assert!(engine.session(id).is_some(), "a live clone keeps the session");
+        drop(clone);
+        assert!(engine.session(id).is_none(), "reaped with its last handle");
+        assert!(!engine.session_ids().contains(&id));
+        {
+            let metrics = engine.metrics();
+            assert_eq!(metrics.scope(id), PhaseTotals::default(), "its rows left the scope axis");
+            assert_eq!(metrics.retired_scopes(), totals, "…for the retired bucket");
+            assert!(kspot_testkit::check_scope_attribution(&metrics, true).is_empty());
+        }
+        // Nobody polled this one: cancelled and let go, it stays readable.
+        let unpolled_id = unpolled.id();
+        assert!(unpolled.cancel());
+        drop(unpolled);
+        let kept = engine.session(unpolled_id).expect("a session nobody polled is never reaped");
+        assert_eq!(kept.results().len(), 3);
+    }
+
+    #[test]
+    fn the_epoch_that_ends_a_drained_session_reaps_it_and_baselines_wait_for_their_primary() {
+        let mut engine = engine(33);
+        let mut waiting = engine
+            .register(
+                "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch \
+                 WITH HISTORY 100 epochs LIFETIME 3 epochs",
+            )
+            .unwrap();
+        assert!(waiting.poll().is_empty());
+        let id = waiting.id();
+        drop(waiting);
+        engine.run_epochs(2);
+        assert!(engine.session(id).is_some(), "still waiting for its window");
+        engine.run_epochs(1);
+        assert!(engine.session(id).is_none(), "the epoch that ended it unanswered reaped it");
+
+        let mut primary = engine.register(&format!("{} LIFETIME 2 epochs", EIGHT_QUERIES[0])).unwrap();
+        let baselines = engine.register_baselines(&primary).unwrap();
+        let mut handles: Vec<Session> =
+            baselines.iter().map(|&b| engine.session(b).expect("a baseline is a session")).collect();
+        engine.run_epochs(2);
+        for handle in &mut handles {
+            assert_eq!(handle.poll().len(), 2);
+        }
+        drop(handles);
+        assert!(
+            baselines.iter().all(|&b| engine.session(b).is_some()),
+            "a resident primary's panel still reads its baselines"
+        );
+        let primary_id = primary.id();
+        assert_eq!(primary.poll().len(), 2);
+        assert_eq!(primary.finalize().panel.baselines.len(), 2);
+        assert!(
+            baselines.iter().chain([&primary_id]).all(|&s| engine.session(s).is_none()),
+            "reaping the primary reaps its drained baselines"
+        );
+    }
+
+    /// A polled engine whose finished sessions are reaped against a twin that polls
+    /// nothing and reaps nothing: the same answers and ledger totals, and the retired
+    /// bucket plus the resident scopes are every scope the twin booked.
+    #[test]
+    fn reaping_moves_nothing_simulated_and_retired_plus_resident_scopes_are_every_scope() {
+        let run = |polled: bool| {
+            let mut engine = engine(34).with_checkpointing(4);
+            let mut resident = engine.register(EIGHT_QUERIES[0]).unwrap();
+            let mut answers = Vec::new();
+            let mut kept = Vec::new();
+            for round in 0..24 {
+                let sql = match (round % 3, engine.checkpoint_epochs().last()) {
+                    (0, _) => format!("{} LIFETIME 2 epochs", EIGHT_QUERIES[round % 8]),
+                    (1, Some(at)) => format!(
+                        "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch \
+                         WITH HISTORY 4 epochs AS OF {at}"
+                    ),
+                    _ => HISTORIC_HORIZONTAL.replace("16 epochs", "4 epochs"),
+                };
+                let mut session = engine.register(&sql).unwrap();
+                engine.run_epochs(5);
+                assert_ne!(session.status(), SessionStatus::Active, "{sql}");
+                if polled {
+                    answers.push(session.poll());
+                    answers.push(resident.poll());
+                } else {
+                    answers.push(session.results());
+                    kept.push(session);
+                }
+            }
+            if !polled {
+                answers.push(resident.results());
+            }
+            (engine, answers.concat())
+        };
+        let ((polled, handed_out), (twin, all)) = (run(true), run(false));
+        assert_eq!(handed_out.len(), all.len());
+        assert_eq!(handed_out.iter().map(|a| a.epoch).sum::<u64>(), all.iter().map(|a| a.epoch).sum());
+        assert_eq!(polled.session_ids().len(), 1, "only the resident is left");
+        let (ours, theirs) = (polled.metrics(), twin.metrics());
+        assert_eq!(ours.totals(), theirs.totals());
+        assert_eq!(ours.storage_totals(), theirs.storage_totals());
+        assert_eq!(theirs.retired_scopes(), PhaseTotals::default(), "the twin reaped nothing");
+
+        let mut scopes = ours.retired_scopes();
+        let mut every = PhaseTotals::default();
+        for (into, metrics) in [(&mut scopes, &ours), (&mut every, &theirs)] {
+            for (_, t) in metrics.scopes() {
+                into.messages += t.messages;
+                into.bytes += t.bytes;
+                into.tuples += t.tuples;
+                into.retransmissions += t.retransmissions;
+                into.dropped_messages += t.dropped_messages;
+                into.energy_uj += t.energy_uj;
+            }
+        }
+        assert_eq!(
+            (scopes.messages, scopes.bytes, scopes.tuples),
+            (every.messages, every.bytes, every.tuples)
+        );
+        assert!((scopes.energy_uj - every.energy_uj).abs() <= 1e-9 * every.energy_uj);
+        let storage = |metrics: &NetworkMetrics, retired: StorageTotalsSum| {
+            metrics.storage_scopes().fold(retired, |sum, (_, s)| (sum.0 + s.pages_read, sum.1 + s.pages_written))
+        };
+        let retired = ours.retired_storage();
+        assert!(retired.pages_read > 0, "AS OF restores read flash under their scopes");
+        assert_eq!(storage(&ours, (retired.pages_read, retired.pages_written)), storage(&theirs, (0, 0)));
+    }
+
+    /// Pages read and written, summed over scopes.
+    type StorageTotalsSum = (u64, u64);
 
     #[test]
     fn engine_is_deterministic_in_the_seed() {

@@ -455,8 +455,9 @@ impl EngineFleet {
             }
             Refusal::Query(e) => FleetError::Query(e),
         })?;
+        let session = Session::attach(&self.shards[deployment], target, id);
         drop(guards);
-        Ok(Session::from_core(Arc::clone(&self.shards[deployment]), id))
+        Ok(session)
     }
 
     /// Reports one deployment's health without blocking on its lock, or `None` for

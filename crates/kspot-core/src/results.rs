@@ -1,4 +1,4 @@
-//! What a session keeps of its answers: one flat log.
+//! What a session keeps of its answers: one flat log with a bounded tail.
 //!
 //! A session's answers are stored end to end — every answer's items in one `Vec`, its
 //! epoch and the position its items end at in two more — and addressed by absolute
@@ -7,20 +7,41 @@
 //! answer costs its items plus one epoch and one offset (`16·len + 16` bytes) whatever
 //! capacity the strategy's buffer had, and a read hands out exactly-sized
 //! [`TopKResult`]s (ADR-014).
+//!
+//! The log also knows the cursors of the session's live [`crate::Session`] handles, and
+//! releases the answers every one of them has polled past, except for the newest
+//! [`RETENTION_WINDOW`] (ADR-014, "Retention").  Its length stays the absolute answer
+//! count; `base` is the absolute index of the first answer it still holds.  A session
+//! with no live handle releases only what some poll consumed.
 
 use kspot_algos::{RankedItem, TopKResult};
-use kspot_net::Epoch;
+use kspot_net::{Epoch, RETENTION_WINDOW};
 
-/// The append-only answer log of one session.
+/// The answer log of one session: appended to every epoch, released from the front.
 #[derive(Debug, Default)]
 pub(crate) struct ResultLog {
-    /// `epochs[i]` is the epoch answer `i` refers to.
+    /// Absolute index of answer 0 of `epochs` and `ends`.
+    start: usize,
+    /// Absolute index of the first retained answer.  Answers `start..base` are
+    /// released: no reader sees them, and the next compaction removes them.
+    base: usize,
+    /// `epochs[i]` is the epoch answer `start + i` refers to.
     epochs: Vec<Epoch>,
-    /// `ends[i]` is where answer `i`'s items end in `items`; they start where answer
-    /// `i - 1`'s end (at 0 for the first).  An empty answer repeats the offset.
+    /// `ends[i]` is where answer `start + i`'s items end in `items`; they start where
+    /// the answer before it ends (at 0 for the first).  An empty answer repeats the
+    /// offset.
     ends: Vec<usize>,
-    /// Every answer's items, oldest answer first, each best first.
+    /// The answers' items, oldest answer first, each best first.
     items: Vec<RankedItem>,
+    /// The cursors of the session's live handles: a multiset, since handles at one
+    /// cursor are interchangeable.
+    cursors: Vec<usize>,
+    /// How far the furthest [`Self::poll`] got, once a handle polled: every answer
+    /// below it was handed out.
+    consumed: Option<usize>,
+    /// Below which answers may be released: the lowest live cursor, or with no live
+    /// handle what was consumed.  Kept so that [`Self::push`] costs O(1).
+    floor: usize,
 }
 
 impl ResultLog {
@@ -29,25 +50,32 @@ impl ResultLog {
         self.items.extend_from_slice(&answer.items);
         self.epochs.push(answer.epoch);
         self.ends.push(self.items.len());
+        self.release();
     }
 
-    /// How many answers the log holds.
+    /// How many answers the session produced, released ones included.
     pub(crate) fn len(&self) -> usize {
-        self.ends.len()
+        self.start + self.ends.len()
     }
 
-    /// The newest answer, if there is one.
+    /// The newest answer, if there is one (the newest answer is never released).
     pub(crate) fn latest(&self) -> Option<TopKResult> {
-        self.page(self.len().saturating_sub(1), 1).pop()
+        self.page(self.len().saturating_sub(1), 1).1.pop()
     }
 
-    /// At most `max` answers from index `cursor` on, oldest first (none when `cursor` is
-    /// past the end).
-    pub(crate) fn page(&self, cursor: usize, max: usize) -> Vec<TopKResult> {
-        let start = cursor.min(self.len());
-        let end = start.saturating_add(max).min(self.len());
+    /// Every answer still held, oldest first.
+    pub(crate) fn retained(&self) -> Vec<TopKResult> {
+        self.page(self.base, usize::MAX).1
+    }
+
+    /// At most `max` answers from absolute index `cursor` on, oldest first, and the
+    /// index the first of them has: `cursor` itself, or the first retained answer when
+    /// `cursor` is below it (none when `cursor` is past the end).
+    pub(crate) fn page(&self, cursor: usize, max: usize) -> (usize, Vec<TopKResult>) {
+        let first = cursor.clamp(self.base, self.len());
+        let (start, end) = (first - self.start, first.saturating_add(max).min(self.len()) - self.start);
         let mut from = start.checked_sub(1).map_or(0, |before| self.ends[before]);
-        self.epochs[start..end]
+        let page = self.epochs[start..end]
             .iter()
             .zip(&self.ends[start..end])
             .map(|(&epoch, &to)| {
@@ -55,7 +83,73 @@ impl ResultLog {
                 from = to;
                 TopKResult { epoch, items }
             })
-            .collect()
+            .collect();
+        (first, page)
+    }
+
+    /// Registers a live handle at `cursor` and returns it.  A fresh handle passes the
+    /// log's base: it starts at the first retained answer.
+    pub(crate) fn attach(&mut self, cursor: usize) -> usize {
+        let cursor = cursor.max(self.base);
+        self.cursors.push(cursor);
+        self.update_floor();
+        cursor
+    }
+
+    /// Unregisters a live handle that stood at `cursor`.
+    pub(crate) fn detach(&mut self, cursor: usize) {
+        if let Some(at) = self.cursors.iter().position(|&c| c == cursor) {
+            self.cursors.swap_remove(at);
+        }
+        self.update_floor();
+    }
+
+    /// The answers from the live handle at `cursor` on, moving it past them.
+    pub(crate) fn poll(&mut self, cursor: &mut usize) -> Vec<TopKResult> {
+        let (_, answers) = self.page(*cursor, usize::MAX);
+        let end = self.len();
+        if let Some(live) = self.cursors.iter_mut().find(|c| **c == *cursor) {
+            *live = end;
+        }
+        *cursor = end;
+        self.consumed = Some(end);
+        self.update_floor();
+        answers
+    }
+
+    /// True once no live handle is left and a poll consumed every answer — a log no
+    /// handle ever polled is never drained, even if it holds no answer.
+    pub(crate) fn drained(&self) -> bool {
+        self.cursors.is_empty() && self.consumed == Some(self.len())
+    }
+
+    fn update_floor(&mut self) {
+        let consumed = self.consumed.unwrap_or(0);
+        self.floor = self.cursors.iter().copied().min().unwrap_or(consumed);
+        self.release();
+    }
+
+    /// Moves `base` up to the floor, but never into the newest [`RETENTION_WINDOW`]
+    /// answers.  The released answers are removed once they make up a quarter window,
+    /// so each answer is moved at most four times on average and no read or poll pays
+    /// for the whole window.
+    fn release(&mut self) {
+        let keep_from = self.floor.min(self.len().saturating_sub(RETENTION_WINDOW));
+        if keep_from <= self.base {
+            return;
+        }
+        self.base = keep_from;
+        let gone = self.base - self.start;
+        if gone >= RETENTION_WINDOW / 4 {
+            let items_gone = self.ends[gone - 1];
+            self.epochs.drain(..gone);
+            self.ends.drain(..gone);
+            self.items.drain(..items_gone);
+            for end in &mut self.ends {
+                *end -= items_gone;
+            }
+            self.start = self.base;
+        }
     }
 }
 
@@ -64,9 +158,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn answer(epoch: u64, pairs: &[(u64, f64)]) -> TopKResult {
+        // An algorithm's buffer is as large as what it ranked, not as its answer.
+        let mut items = Vec::with_capacity(196);
+        items.extend(pairs.iter().map(|&(key, value)| RankedItem::new(key, value)));
+        TopKResult { epoch, items }
+    }
+
     proptest! {
-        /// The log is a `Vec<TopKResult>` to every reader — every page, the newest
-        /// answer, the count — and holds at most twice what the answers weigh.
+        /// Without a consumer the log is a `Vec<TopKResult>` to every reader — every
+        /// page, the newest answer, the count — and holds at most twice what the
+        /// answers weigh.
         #[test]
         fn the_log_reads_like_the_vec_of_answers_it_was_fed(
             answers in prop::collection::vec(
@@ -78,10 +180,7 @@ mod tests {
             let mut model: Vec<TopKResult> = Vec::new();
             prop_assert_eq!(log.latest(), None);
             for (epoch, pairs) in answers {
-                // An algorithm's buffer is as large as what it ranked, not as its answer.
-                let mut items = Vec::with_capacity(196);
-                items.extend(pairs.iter().map(|&(key, value)| RankedItem::new(key, value)));
-                let answer = TopKResult { epoch, items };
+                let answer = answer(epoch, &pairs);
                 model.push(answer.clone());
                 log.push(answer);
 
@@ -99,11 +198,99 @@ mod tests {
                 for max in [0, 1, 2, 5, model.len(), usize::MAX] {
                     let start = cursor.min(model.len());
                     let end = start.saturating_add(max).min(model.len());
-                    let page = log.page(cursor, max);
+                    let (first, page) = log.page(cursor, max);
+                    prop_assert_eq!(first, start);
                     prop_assert_eq!(&page[..], &model[start..end], "cursor {}, max {}", cursor, max);
                     prop_assert!(page.iter().all(|a| a.items.capacity() == a.items.len()));
                 }
             }
         }
+
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Handles attach, poll and detach in any order against a model that keeps
+        /// every answer: a poll hands out exactly the model's answers past its cursor;
+        /// the log keeps every answer some live handle has not polled and, with no live
+        /// handle, every answer no poll consumed; it releases everything else but the
+        /// newest window, and holds under a quarter window of released answers.
+        #[test]
+        fn the_log_releases_exactly_what_every_consumer_passed(
+            ops in prop::collection::vec((0u8..6, 0usize..4, 1usize..700), 1..24),
+        ) {
+            let mut log = ResultLog::default();
+            let mut model: Vec<TopKResult> = Vec::new();
+            let (mut handles, mut consumed, mut base) = (Vec::<usize>::new(), None, 0);
+            for (op, pick, count) in ops {
+                match op {
+                    0 | 1 => {
+                        for _ in 0..count {
+                            let n = model.len() as u64;
+                            let answer = answer(n, &[(n % 7, n as f64)][..(n % 2) as usize]);
+                            model.push(answer.clone());
+                            log.push(answer);
+                        }
+                    }
+                    2 => handles.push(log.attach(0)),
+                    3 if !handles.is_empty() => {
+                        let at = pick % handles.len();
+                        let before = handles[at];
+                        let polled = log.poll(&mut handles[at]);
+                        prop_assert_eq!(&polled[..], &model[before..]);
+                        consumed = Some(model.len());
+                    }
+                    4 if !handles.is_empty() => {
+                        let cursor = handles.swap_remove(pick % handles.len());
+                        log.detach(cursor);
+                    }
+                    _ => {
+                        let clone = handles.get(pick % handles.len().max(1)).copied().unwrap_or(0);
+                        handles.push(log.attach(clone));
+                    }
+                }
+                let len = model.len();
+                let floor = handles.iter().copied().min().unwrap_or(consumed.unwrap_or(0));
+                base = base.max(floor.min(len.saturating_sub(RETENTION_WINDOW)));
+                prop_assert_eq!(log.base, base);
+                prop_assert!(base <= floor, "nothing a live handle or, with none, a poll has not consumed is released");
+                prop_assert_eq!(log.retained(), model[base..].to_vec());
+                prop_assert_eq!(log.latest().as_ref(), model.last());
+                prop_assert_eq!(log.len(), len);
+                prop_assert_eq!(log.drained(), handles.is_empty() && consumed == Some(len));
+                prop_assert!(log.base - log.start < RETENTION_WINDOW / 4);
+                let (first, page) = log.page(0, 3);
+                prop_assert_eq!(first, base.min(len), "a page below the base says where it starts");
+                prop_assert_eq!(&page[..], &model[first..(first + 3).min(len)]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_consumed_log_keeps_its_newest_window_and_a_fresh_handle_starts_at_its_base() {
+        let mut log = ResultLog::default();
+        let mut cursor = log.attach(0);
+        for epoch in 0..3 * RETENTION_WINDOW as u64 {
+            log.push(answer(epoch, &[(epoch, 1.0)]));
+            assert_eq!(log.poll(&mut cursor).len(), 1);
+            assert!(log.epochs.len() < RETENTION_WINDOW + RETENTION_WINDOW / 4);
+        }
+        assert_eq!(log.base, 2 * RETENTION_WINDOW);
+        assert_eq!(log.retained().len(), RETENTION_WINDOW);
+        assert_eq!(log.attach(0), log.base, "a fresh handle starts at the base");
+        log.detach(cursor);
+        assert!(!log.drained(), "the fresh handle is still live");
+        log.detach(log.base);
+        assert!(log.drained());
+        assert!(!ResultLog::default().drained(), "a log nobody polled is not drained");
+        // Without a live handle, what was consumed goes past the window and what
+        // nobody consumed stays.
+        for epoch in 0..2 * RETENTION_WINDOW as u64 {
+            log.push(answer(epoch, &[]));
+        }
+        assert_eq!(log.base, 3 * RETENTION_WINDOW);
+        assert_eq!(log.retained().len(), 2 * RETENTION_WINDOW);
+        assert!(!log.drained());
     }
 }

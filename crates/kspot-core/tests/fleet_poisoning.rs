@@ -146,3 +146,44 @@ fn fleet_with_tiny_shards() -> EngineFleet {
         .collect();
     EngineFleet::from_engines(engines, 2)
 }
+
+/// A handle's clone, poll and drop reach the engine's lock (the engine knows every live
+/// handle's cursor, ADR-014 "Retention").  On a poisoned shard clone and drop do
+/// nothing, a poll keeps ADR-006's contract — it panics with the poisoning message, and
+/// the drops during that unwinding neither panic nor abort — and dropping the fleet is
+/// quiet; the healthy shards go on releasing answers and reaping sessions.
+#[test]
+fn handles_of_a_poisoned_shard_clone_poll_and_drop_quietly() {
+    let fleet = fleet(2);
+    let mut torn = fleet.try_register(0, SQL).expect("registers before poisoning");
+    let mut healthy = fleet.try_register(1, SQL).expect("registers");
+    fleet.run_epochs(3);
+    assert_eq!(torn.poll().len(), 3);
+    poison(&fleet, 0);
+
+    let clone = torn.clone();
+    drop(torn.clone());
+    let polled = catch_unwind(AssertUnwindSafe(move || {
+        let mut clone = clone;
+        clone.poll()
+    }));
+    let message = polled.expect_err("a torn shard's read fails loudly (ADR-006)");
+    let message = message.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+    assert!(message.contains("poisoned"), "{message}");
+    drop(torn);
+    assert_eq!(fleet.run_epochs_surviving(2), vec![0]);
+
+    // The healthy shard: a drained, finished session is reaped with its last handle.
+    let shard = fleet.deployment(1).expect("in range");
+    assert_eq!(healthy.poll().len(), 5);
+    assert!(healthy.cancel());
+    let id = healthy.id();
+    let copy = healthy.clone();
+    drop(healthy);
+    assert!(shard.session(id).is_some(), "a clone is still live");
+    drop(copy);
+    assert!(shard.session(id).is_none(), "reaped with its last handle");
+    assert!(shard.session_ids().is_empty());
+    drop(shard);
+    drop(fleet);
+}

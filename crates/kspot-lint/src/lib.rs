@@ -17,11 +17,11 @@
 //! | R5 | `lock-discipline` | non-test library code |
 //! | R6 | `alloc-before-validate` | untrusted decoders (`kspot-serve/src/`, `kspot-store/src/`) and their codec (`kspot-net/src/codec.rs`) |
 //! | R7 | `allow-deprecated` | everywhere |
-//! | R8 | `unsafe-confinement` | everywhere except `kspot-serve/src/sys.rs` (and the counting allocator of `kspot-algos/tests/alloc_budget.rs`) |
+//! | R8 | `unsafe-confinement` | everywhere except `kspot-serve/src/sys.rs` (and the counting allocators of `kspot-algos/tests/alloc_budget.rs` and `kspot-core/tests/soak.rs`) |
 //!
 //! There is one way to exempt code: a path scope in [`FileContext`] (the RNG
-//! module for R4, the audited `unsafe` module, its crate root and the counting
-//! allocator for R8, the test trees). There are no in-source markers; a new
+//! module for R4, the audited `unsafe` module, its crate root and the two counting
+//! allocators for R8, the test trees). There are no in-source markers; a new
 //! exemption is a reviewed edit to `FileContext::from_path`.
 //!
 //! The crate is fully hermetic — no dependencies, not even the workspace
@@ -163,8 +163,8 @@ pub enum UnsafeScope {
     /// `crates/kspot-serve/src/lib.rs`: `#![deny(unsafe_code)]` at the root and one
     /// `#[allow(unsafe_code)]`, on `mod sys;`.
     ModuleParent,
-    /// `crates/kspot-algos/tests/alloc_budget.rs`: the counting `GlobalAlloc` of
-    /// one test binary; out of R8's scope.
+    /// `crates/kspot-algos/tests/alloc_budget.rs` and `crates/kspot-core/tests/soak.rs`:
+    /// the counting `GlobalAlloc` of a test binary; out of R8's scope.
     CountingAllocator,
 }
 
@@ -193,7 +193,9 @@ impl FileContext {
         let unsafe_scope = match p.as_str() {
             "crates/kspot-serve/src/sys.rs" => UnsafeScope::Module,
             "crates/kspot-serve/src/lib.rs" => UnsafeScope::ModuleParent,
-            "crates/kspot-algos/tests/alloc_budget.rs" => UnsafeScope::CountingAllocator,
+            "crates/kspot-algos/tests/alloc_budget.rs" | "crates/kspot-core/tests/soak.rs" => {
+                UnsafeScope::CountingAllocator
+            }
             _ => UnsafeScope::Forbidden,
         };
         let crate_root = p == "src/lib.rs"

@@ -60,7 +60,7 @@ pub use energy::{Battery, BatteryBank, EnergyModel};
 pub use fault::{DutyCycle, FaultPlan};
 pub use metrics::{
     AttemptCost, NetworkMetrics, NodeCounters, PathBooking, PhaseTag, PhaseTotals, QueryScope,
-    Savings, StorageTotals,
+    Savings, StorageTotals, RETENTION_WINDOW,
 };
 pub use radio::RadioModel;
 pub use schedule::{FrameScheduler, FrameSlice, ReportIntent};

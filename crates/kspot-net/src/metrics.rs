@@ -11,6 +11,11 @@
 //! ledger's axes are flat: sorted rows behind a last-hit cursor.  What must survive any
 //! change of representation — the order each accumulator receives its operands in, and
 //! when a row starts to exist — is written down in ADR-004, "Host representation".
+//!
+//! What the ledger keeps is bounded however long a run lasts (ADR-014, "Retention"):
+//! the newest [`RETENTION_WINDOW`] per-epoch rows, with every older row rolled up into
+//! one remainder, and the rows of the scopes still in use, with a retired scope's rows
+//! folded into one retired bucket.  Every total still balances.
 
 use crate::schedule::FrameSlice;
 use crate::types::{Epoch, NodeId, SINK};
@@ -110,6 +115,24 @@ pub struct PhaseTotals {
     pub energy_uj: f64,
 }
 
+impl PhaseTotals {
+    /// Adds `other`'s counters to these.
+    fn absorb(&mut self, other: PhaseTotals) {
+        self.messages += other.messages;
+        self.bytes += other.bytes;
+        self.tuples += other.tuples;
+        self.retransmissions += other.retransmissions;
+        self.dropped_messages += other.dropped_messages;
+        self.energy_uj += other.energy_uj;
+    }
+}
+
+/// How many of the newest rows the per-epoch axis of a [`NetworkMetrics`] keeps — and,
+/// in kspot-core, how many of its newest answers a session keeps once every live handle
+/// has consumed them.  One window for everything a long-running engine keeps per epoch
+/// (ADR-014, "Retention").
+pub const RETENTION_WINDOW: usize = 1024;
+
 /// Identifier of a metrics attribution scope — one registered query of the multi-query
 /// engine.  Traffic recorded while a scope is installed is additionally booked to that
 /// scope, so N queries sharing one substrate still get individual System-Panel numbers.
@@ -143,6 +166,11 @@ impl StorageTotals {
     fn add_read(&mut self, pages: u64, uj: f64) {
         self.pages_read += pages;
         self.energy_uj += uj;
+    }
+
+    fn absorb(&mut self, other: StorageTotals) {
+        self.add_write(other.pages_written, other.bytes_written, other.energy_uj);
+        self.pages_read += other.pages_read;
     }
 }
 
@@ -208,6 +236,12 @@ impl<K: Ord + Copy, V: Default> SortedRows<K, V> {
 
     fn iter(&self) -> impl Iterator<Item = (K, &V)> + '_ {
         self.keys.iter().copied().zip(&self.rows)
+    }
+
+    /// Removes the rows at `at`, in key order.  Cursors stay safe: they are checked.
+    fn remove(&mut self, at: std::ops::Range<usize>) -> std::vec::Drain<'_, V> {
+        self.keys.drain(at.clone());
+        self.rows.drain(at)
     }
 }
 
@@ -339,9 +373,16 @@ pub struct NetworkMetrics {
     per_node: Vec<NodeCounters>,
     sink: NodeCounters,
     per_phase: SortedRows<PhaseTag, PhaseTotals>,
+    /// One row per epoch.  Only the newest [`RETENTION_WINDOW`] rows are the window;
+    /// older ones are part of the rolled-up remainder until the next compaction folds
+    /// them into `epochs_rolled_up` (see [`Self::epoch_row`]).
     per_epoch: SortedRows<Epoch, PhaseTotals>,
+    /// What the per-epoch rows compacted out of the window held, summed.
+    epochs_rolled_up: PhaseTotals,
     per_scope: SortedRows<QueryScope, ScopeRow>,
     per_scope_phase: SortedRows<(QueryScope, PhaseTag), PhaseTotals>,
+    /// What the scopes [`Self::retire_scope`] dropped held, summed.
+    retired: ScopeRow,
     /// Per slice position of a merged frame, where that position's scope row and
     /// scope×phase cell were last found (cursors, checked before use).
     frame_hints: Vec<[usize; 2]>,
@@ -359,8 +400,10 @@ impl NetworkMetrics {
             sink: NodeCounters::default(),
             per_phase: SortedRows::new(),
             per_epoch: SortedRows::new(),
+            epochs_rolled_up: PhaseTotals::default(),
             per_scope: SortedRows::new(),
             per_scope_phase: SortedRows::new(),
+            retired: ScopeRow::default(),
             frame_hints: Vec::new(),
             current_scope: None,
             totals: PhaseTotals::default(),
@@ -455,11 +498,38 @@ impl NetworkMetrics {
     fn rows(&mut self, epoch: Epoch, phase: PhaseTag) -> BookedRows {
         BookedRows {
             phase: self.per_phase.locate(phase),
-            epoch: self.per_epoch.locate(epoch),
+            epoch: self.epoch_row(epoch),
             scope: self.current_scope.map(|scope| {
                 (self.per_scope.locate(scope), self.per_scope_phase.locate((scope, phase)))
             }),
         }
+    }
+
+    /// Where a booking for `epoch` lands on the per-epoch axis, its row created if need
+    /// be — [`SortedRows::locate`] for the one axis that is a window.  The window is the
+    /// newest [`RETENTION_WINDOW`] rows; a row older than that, or created for an epoch
+    /// older than that, belongs to the rolled-up remainder already.  Once a quarter
+    /// window of such rows has piled up they are folded into `epochs_rolled_up` in key
+    /// order and removed, so the axis costs amortised O(1) per epoch and never holds
+    /// more than 1¼ windows.
+    #[inline]
+    fn epoch_row(&mut self, epoch: Epoch) -> usize {
+        let rows = &self.per_epoch;
+        if rows.keys.get(rows.cursor) == Some(&epoch) {
+            return rows.cursor;
+        }
+        self.epoch_row_cold(epoch)
+    }
+
+    #[cold]
+    fn epoch_row_cold(&mut self, epoch: Epoch) -> usize {
+        let excess = self.per_epoch.keys.len().saturating_sub(RETENTION_WINDOW);
+        if excess >= RETENTION_WINDOW / 4 {
+            for row in self.per_epoch.remove(0..excess) {
+                self.epochs_rolled_up.absorb(row);
+            }
+        }
+        self.per_epoch.locate(epoch)
     }
 
     /// Applies one booking to the grand total and to rows found by [`Self::rows`] since
@@ -557,7 +627,8 @@ impl NetworkMetrics {
         }
         for _ in 0..attempts {
             let sensor_energy = self.attempt(from, &[to], &cost);
-            for totals in [&mut self.totals, self.per_epoch.entry(epoch)] {
+            let epoch_row = self.epoch_row(epoch);
+            for totals in [&mut self.totals, &mut self.per_epoch.rows[epoch_row]] {
                 totals.messages += 1;
                 totals.bytes += u64::from(frame_bytes);
                 totals.tuples += u64::from(tuples);
@@ -594,7 +665,8 @@ impl NetworkMetrics {
             return;
         }
         self.counters_mut(from).dropped_messages += drops;
-        for totals in [self.per_phase.entry(label_phase), self.per_epoch.entry(epoch), &mut self.totals] {
+        let epoch_row = self.epoch_row(epoch);
+        for totals in [self.per_phase.entry(label_phase), &mut self.per_epoch.rows[epoch_row], &mut self.totals] {
             totals.retransmissions += retransmissions;
             totals.dropped_messages += drops;
         }
@@ -619,7 +691,8 @@ impl NetworkMetrics {
         if node != SINK {
             self.per_node[(node - 1) as usize].energy_uj += uj;
             self.totals.energy_uj += uj;
-            self.per_epoch.entry(epoch).energy_uj += uj;
+            let epoch_row = self.epoch_row(epoch);
+            self.per_epoch.rows[epoch_row].energy_uj += uj;
             if let Some(scope) = self.current_scope {
                 self.per_scope.entry(scope).totals.energy_uj += uj;
             }
@@ -684,6 +757,35 @@ impl NetworkMetrics {
         self.per_scope.iter().filter_map(|(scope, row)| Some((scope, row.storage?)))
     }
 
+    /// Retires a scope that will never book again: its totals, its scope×phase cells
+    /// and its storage counters leave the scope axes and are added to the retired
+    /// bucket ([`Self::retired_scopes`], [`Self::retired_storage`]), so the scopes that
+    /// remain plus the bucket still add up to what all scopes were booked.  Retiring a
+    /// scope that booked nothing changes nothing.
+    pub fn retire_scope(&mut self, scope: QueryScope) {
+        if let Ok(at) = self.per_scope.keys.binary_search(&scope) {
+            for row in self.per_scope.remove(at..at + 1) {
+                self.retired.totals.absorb(row.totals);
+                if let Some(storage) = row.storage {
+                    self.retired.storage.get_or_insert_with(StorageTotals::default).absorb(storage);
+                }
+            }
+        }
+        let keys = &self.per_scope_phase.keys;
+        let cells = keys.partition_point(|k| k.0 < scope)..keys.partition_point(|k| k.0 <= scope);
+        self.per_scope_phase.remove(cells);
+    }
+
+    /// What the scopes retired so far were booked, summed.
+    pub fn retired_scopes(&self) -> PhaseTotals {
+        self.retired.totals
+    }
+
+    /// The storage counters of the scopes retired so far, summed.
+    pub fn retired_storage(&self) -> StorageTotals {
+        self.retired.storage.unwrap_or_default()
+    }
+
     /// Storage counters over the whole run.
     pub fn storage_totals(&self) -> StorageTotals {
         self.storage_totals
@@ -704,9 +806,15 @@ impl NetworkMetrics {
         self.per_phase.get(tag).copied().unwrap_or_default()
     }
 
-    /// Totals for a specific epoch (zero if nothing was sent in that epoch).
+    /// Totals for a specific epoch: zero if nothing was sent in that epoch, or if it
+    /// is older than the newest [`RETENTION_WINDOW`] epoch rows and rolled up
+    /// ([`Self::epochs_rolled_up`]).
     pub fn epoch(&self, epoch: Epoch) -> PhaseTotals {
-        self.per_epoch.get(epoch).copied().unwrap_or_default()
+        let window = self.per_epoch.keys.len().saturating_sub(RETENTION_WINDOW);
+        match self.per_epoch.keys[window..].binary_search(&epoch) {
+            Ok(at) => self.per_epoch.rows[window + at],
+            Err(_) => PhaseTotals::default(),
+        }
     }
 
     /// Totals over the whole run.
@@ -719,9 +827,21 @@ impl NetworkMetrics {
         self.per_phase.iter().map(|(tag, totals)| (tag, *totals))
     }
 
-    /// All epochs that actually saw traffic, with their totals, in epoch order.
+    /// The newest [`RETENTION_WINDOW`] epochs that saw traffic, with their totals, in
+    /// epoch order.  With [`Self::epochs_rolled_up`] they add up to [`Self::totals`].
     pub fn epochs(&self) -> impl Iterator<Item = (Epoch, PhaseTotals)> + '_ {
-        self.per_epoch.iter().map(|(epoch, totals)| (epoch, *totals))
+        let window = self.per_epoch.keys.len().saturating_sub(RETENTION_WINDOW);
+        self.per_epoch.iter().skip(window).map(|(epoch, totals)| (epoch, *totals))
+    }
+
+    /// What every epoch older than the window of [`Self::epochs`] was booked, summed.
+    pub fn epochs_rolled_up(&self) -> PhaseTotals {
+        let window = self.per_epoch.keys.len().saturating_sub(RETENTION_WINDOW);
+        let mut rolled_up = self.epochs_rolled_up;
+        for &row in &self.per_epoch.rows[..window] {
+            rolled_up.absorb(row);
+        }
+        rolled_up
     }
 
     /// The highest per-node energy draw, i.e. the bottleneck node's consumption (µJ).
@@ -1100,6 +1220,63 @@ mod tests {
         assert_eq!(m.scope_phases(0).count(), 0);
         assert_eq!(m.scope_phases(QueryScope::MAX).map(|(p, _)| p).collect::<Vec<_>>(), vec![PhaseTag::CleanUp]);
         assert_eq!(m.storage_scopes().count(), 0, "no scope touched flash");
+    }
+
+    #[test]
+    fn the_epoch_axis_keeps_the_newest_window_and_rolls_up_the_rest() {
+        const WINDOW: u64 = RETENTION_WINDOW as u64;
+        let mut m = NetworkMetrics::new(2);
+        let epochs = 3 * WINDOW + 100;
+        for epoch in 0..epochs {
+            m.record_transmission(1, 2, epoch, PhaseTag::Update, 10, 1, 1.0, 0.5);
+            m.record_local_energy(1, epoch, 0.25);
+            assert!(m.per_epoch.rows.len() <= RETENTION_WINDOW + RETENTION_WINDOW / 4);
+        }
+        // A booking for an epoch older than the window lands in the remainder.
+        m.record_local_energy(2, 5, 2.0);
+        m.set_scope(Some(3));
+        m.book_frame(1, 2, 7, PhaseTag::Update, 20, &[], 4.0, 2.0, 2, false);
+        m.set_scope(None);
+
+        let window: Vec<Epoch> = m.epochs().map(|(epoch, _)| epoch).collect();
+        assert_eq!(window, (epochs - WINDOW..epochs).collect::<Vec<_>>(), "the newest window, in order");
+        let rolled_up = m.epochs_rolled_up();
+        let older = epochs - WINDOW;
+        assert_eq!(rolled_up.messages, older + 2, "one message per older epoch, two frame attempts");
+        assert_eq!((rolled_up.retransmissions, rolled_up.dropped_messages), (1, 1));
+        // Every energy term is a multiple of ¼ µJ, so these sums are exact.
+        assert_eq!(rolled_up.energy_uj, older as f64 * 1.75 + 2.0 + 2.0 * 6.0);
+        assert_eq!(m.epoch(5), PhaseTotals::default(), "a rolled-up epoch reads zero");
+        assert_eq!(m.epoch(epochs - 1).messages, 1);
+        let mut sum = rolled_up;
+        m.epochs().for_each(|(_, t)| sum.absorb(t));
+        assert_eq!(sum, m.totals(), "the window and the remainder are the whole ledger");
+    }
+
+    #[test]
+    fn a_retired_scope_leaves_the_scope_axes_for_the_retired_bucket() {
+        let mut m = NetworkMetrics::new(3);
+        m.set_scope(Some(1));
+        m.record_transmission(1, 2, 0, PhaseTag::Update, 10, 1, 100.0, 50.0);
+        m.record_transmission(2, 1, 0, PhaseTag::Probe, 5, 0, 50.0, 25.0);
+        m.record_page_reads(1, 0, 2, 4.0);
+        m.set_scope(Some(2));
+        m.record_transmission(3, 1, 1, PhaseTag::Probe, 5, 0, 50.0, 25.0);
+        m.set_scope(None);
+        let (scope, storage) = (m.scope(1), m.storage_scope(1));
+
+        m.retire_scope(1);
+        m.retire_scope(7);
+        assert_eq!(m.scopes().map(|(s, _)| s).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(m.scope_phases(1).count(), 0);
+        assert_eq!(m.scope_phases(2).count(), 1);
+        assert_eq!(m.storage_scopes().count(), 0);
+        assert_eq!((m.retired_scopes(), m.retired_storage()), (scope, storage));
+        // The scopes that remain still book where they did.
+        m.set_scope(Some(2));
+        m.record_transmission(3, 1, 2, PhaseTag::Probe, 5, 0, 50.0, 25.0);
+        assert_eq!(m.scope(2).messages, 2);
+        assert_eq!(m.scope_phase(2, PhaseTag::Probe).messages, 2);
     }
 
     #[test]

@@ -380,6 +380,16 @@ impl Network {
         self.metrics.set_scope(scope);
     }
 
+    /// Lets go of everything kept for a query scope that will never be installed
+    /// again: its loss stream, and its ledger rows, which fold into the retired bucket
+    /// ([`NetworkMetrics::retire_scope`]).  Installing the scope afterwards would
+    /// restart its loss stream from the beginning, so only a finished query's scope may
+    /// be retired.
+    pub fn retire_scope(&mut self, scope: QueryScope) {
+        self.scope_loss_rngs.remove(&scope);
+        self.metrics.retire_scope(scope);
+    }
+
     /// Totals attributed to a query scope (zero if it never saw traffic).
     pub fn query_totals(&self, scope: QueryScope) -> crate::metrics::PhaseTotals {
         self.metrics.scope(scope)

@@ -13,8 +13,9 @@ fn feq(a: f64, b: f64) -> bool {
 }
 
 /// Ledger conservation: the run's totals must equal the sum of the per-node charges,
-/// the sum of the per-phase totals and the sum of the per-epoch totals — no traffic or
-/// energy may appear or vanish, including on the loss/death/retransmission paths.
+/// the sum of the per-phase totals and the sum of the per-epoch totals (the window of
+/// per-epoch rows plus the rolled-up remainder) — no traffic or energy may appear or
+/// vanish, including on the loss/death/retransmission paths.
 pub fn check_ledger(metrics: &NetworkMetrics) -> Vec<String> {
     let mut violations = Vec::new();
     let totals = metrics.totals();
@@ -89,7 +90,8 @@ pub fn check_ledger(metrics: &NetworkMetrics) -> Vec<String> {
             }
         };
     sum_axis("per-phase", metrics.phases().map(|(_, t)| t).collect(), false, &mut violations);
-    sum_axis("per-epoch", metrics.epochs().map(|(_, t)| t).collect(), true, &mut violations);
+    let per_epoch = metrics.epochs().map(|(_, t)| t).chain([metrics.epochs_rolled_up()]);
+    sum_axis("per-epoch", per_epoch.collect(), true, &mut violations);
 
     violations
 }
@@ -100,7 +102,8 @@ pub fn check_ledger(metrics: &NetworkMetrics) -> Vec<String> {
 ///   bytes, tuples, messages, retransmissions and drops sum exactly, while energy is
 ///   only bounded from below (node-local energy is booked to the scope without a
 ///   phase);
-/// * summed scoped bytes/tuples/energy must never exceed the global ledger, and when
+/// * summed scoped bytes/tuples/energy — the retired scopes' bucket included — must
+///   never exceed the global ledger, and when
 ///   `all_traffic_scoped` is set (every transmission ran under an installed scope, as
 ///   in the multi-query engine) scoped bytes and tuples must decompose the global
 ///   ledger *exactly* — this is the law that makes per-query charging trustworthy
@@ -112,7 +115,13 @@ pub fn check_ledger(metrics: &NetworkMetrics) -> Vec<String> {
 pub fn check_scope_attribution(metrics: &NetworkMetrics, all_traffic_scoped: bool) -> Vec<String> {
     let mut violations = Vec::new();
     let totals = metrics.totals();
-    let mut scoped = PhaseTotals::default();
+    let retired = metrics.retired_scopes();
+    let mut scoped = PhaseTotals {
+        bytes: retired.bytes,
+        tuples: retired.tuples,
+        energy_uj: retired.energy_uj,
+        ..PhaseTotals::default()
+    };
     for (scope, scope_totals) in metrics.scopes() {
         scoped.bytes += scope_totals.bytes;
         scoped.tuples += scope_totals.tuples;
@@ -171,8 +180,8 @@ pub fn check_scope_attribution(metrics: &NetworkMetrics, all_traffic_scoped: boo
 /// * per-node storage counters must sum exactly to [`NetworkMetrics::storage_totals`]
 ///   — no page write or read may appear or vanish, including checkpoint and restore
 ///   traffic;
-/// * summed per-scope storage must never exceed the totals (unscoped maintenance
-///   writes are legal, phantom scoped I/O is not);
+/// * summed per-scope storage, the retired scopes' included, must never exceed the
+///   totals (unscoped maintenance writes are legal, phantom scoped I/O is not);
 /// * flash energy is part of the run's energy ledger, so the storage energy must be
 ///   bounded by the global energy total.
 pub fn check_storage_attribution(metrics: &NetworkMetrics) -> Vec<String> {
@@ -202,7 +211,7 @@ pub fn check_storage_attribution(metrics: &NetworkMetrics) -> Vec<String> {
         ));
     }
 
-    let mut scoped = StorageTotals::default();
+    let mut scoped = metrics.retired_storage();
     for (_, s) in metrics.storage_scopes() {
         scoped.pages_written += s.pages_written;
         scoped.pages_read += s.pages_read;
