@@ -189,6 +189,8 @@ pub struct FrameScheduler {
     spare_slices: Vec<Vec<ReportIntent>>,
     /// The attributed shares of the frame being drained (one buffer for all frames).
     shares: Vec<FrameSlice>,
+    /// The drain order: one `sender << 32 | index in frames` key per frame.
+    order: Vec<u64>,
 }
 
 impl FrameScheduler {
@@ -199,6 +201,7 @@ impl FrameScheduler {
             first_open: vec![0; num_nodes + 1],
             spare_slices: Vec::new(),
             shares: Vec::new(),
+            order: Vec::new(),
         }
     }
 
@@ -239,15 +242,28 @@ impl FrameScheduler {
         &mut self,
         mut visit: impl FnMut(NodeId, NodeId, &PendingFrame, &mut Vec<FrameSlice>),
     ) {
-        self.frames.sort_unstable_by_key(|(hop, _)| *hop);
-        for ((from, to), mut frame) in self.frames.drain(..) {
-            visit(from, to, &frame, &mut self.shares);
-            if let Some(slot) = self.first_open.get_mut(from as usize) {
+        let Self { frames, first_open, spare_slices, shares, order } = self;
+        // Sort 8-byte keys rather than the frames: senders ascending, each sender's
+        // frames in open order.  A sender has more than one frame only if its receiver
+        // changed within the epoch; those few are put in receiver order.  Hops are
+        // unique, so this is `(sender, receiver)` order.
+        order.clear();
+        order.extend(frames.iter().enumerate().map(|(at, ((from, _), _))| u64::from(*from) << 32 | at as u64));
+        order.sort_unstable();
+        for run in order.chunk_by_mut(|a, b| a >> 32 == b >> 32).filter(|run| run.len() > 1) {
+            run.sort_unstable_by_key(|&key| frames[key as u32 as usize].0 .1);
+        }
+        for &key in order.iter() {
+            let ((from, to), frame) = &mut frames[key as u32 as usize];
+            visit(*from, *to, frame, shares);
+            if let Some(slot) = first_open.get_mut(*from as usize) {
                 *slot = 0;
             }
-            frame.slices.clear();
-            self.spare_slices.push(frame.slices);
+            let mut slices = std::mem::take(&mut frame.slices);
+            slices.clear();
+            spare_slices.push(slices);
         }
+        frames.clear();
     }
 }
 
