@@ -39,9 +39,6 @@ pub(crate) struct ResultLog {
     /// How far the furthest [`Self::poll`] got, once a handle polled: every answer
     /// below it was handed out.
     consumed: Option<usize>,
-    /// Below which answers may be released: the lowest live cursor, or with no live
-    /// handle what was consumed.  Kept so that [`Self::push`] costs O(1).
-    floor: usize,
 }
 
 impl ResultLog {
@@ -92,7 +89,6 @@ impl ResultLog {
     pub(crate) fn attach(&mut self, cursor: usize) -> usize {
         let cursor = cursor.max(self.base);
         self.cursors.push(cursor);
-        self.update_floor();
         cursor
     }
 
@@ -101,7 +97,7 @@ impl ResultLog {
         if let Some(at) = self.cursors.iter().position(|&c| c == cursor) {
             self.cursors.swap_remove(at);
         }
-        self.update_floor();
+        self.release();
     }
 
     /// The answers from the live handle at `cursor` on, moving it past them.
@@ -113,7 +109,7 @@ impl ResultLog {
         }
         *cursor = end;
         self.consumed = Some(end);
-        self.update_floor();
+        self.release();
         answers
     }
 
@@ -123,18 +119,14 @@ impl ResultLog {
         self.cursors.is_empty() && self.consumed == Some(self.len())
     }
 
-    fn update_floor(&mut self) {
-        let consumed = self.consumed.unwrap_or(0);
-        self.floor = self.cursors.iter().copied().min().unwrap_or(consumed);
-        self.release();
-    }
-
-    /// Moves `base` up to the floor, but never into the newest [`RETENTION_WINDOW`]
-    /// answers.  The released answers are removed once they make up a quarter window,
-    /// so each answer is moved at most four times on average and no read or poll pays
-    /// for the whole window.
+    /// Moves `base` up to what every consumer is done with — the lowest live cursor,
+    /// or with no live handle what a poll consumed — but never into the newest
+    /// [`RETENTION_WINDOW`] answers.  The released answers are removed once they make
+    /// up a quarter window, so each answer is moved at most four times on average and
+    /// no read or poll pays for the whole window.
     fn release(&mut self) {
-        let keep_from = self.floor.min(self.len().saturating_sub(RETENTION_WINDOW));
+        let done = self.cursors.iter().copied().min().unwrap_or(self.consumed.unwrap_or(0));
+        let keep_from = done.min(self.len().saturating_sub(RETENTION_WINDOW));
         if keep_from <= self.base {
             return;
         }
@@ -233,7 +225,11 @@ mod tests {
                             log.push(answer);
                         }
                     }
-                    2 => handles.push(log.attach(0)),
+                    2 => {
+                        let fresh = log.attach(0);
+                        prop_assert_eq!(fresh, base, "a fresh handle starts at the base");
+                        handles.push(fresh);
+                    }
                     3 if !handles.is_empty() => {
                         let at = pick % handles.len();
                         let before = handles[at];
