@@ -137,8 +137,8 @@ use crate::server::{KSpotBullet, QueryExecution, WorkloadSpec};
 use kspot_algos::historic::HistoricAlgorithm;
 use kspot_algos::{
     BankWindows, CentralizedCollection, CentralizedHistoric, FilaMonitor, HistoricSpec,
-    LocalAggregateHistoric, MintViews, SnapshotAlgorithm, SnapshotSpec, TagTopK, Tja, TopKResult,
-    Tput,
+    LocalAggregateHistoric, MintViews, RankedItem, SnapshotAlgorithm, SnapshotSpec, TagTopK, Tja,
+    TopKResult, Tput,
 };
 use kspot_net::{
     Epoch, GroupId, Network, NetworkConfig, NetworkMetrics, PhaseTotals, WindowBank, Workload,
@@ -1020,26 +1020,21 @@ impl QueryEngine {
     }
 }
 
-/// What one [`Session::results_page`] read saw.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResultsPage {
-    /// The requested slice of the session's answers, oldest first.
-    pub results: Vec<TopKResult>,
-    /// The absolute index of the first answer of `results`: the requested cursor, or
-    /// the session's first retained answer when the cursor asked for answers already
-    /// released — never a silent skip.
-    pub start: usize,
-    /// How many answers the session produced in total at the time of the read,
-    /// released ones included.
-    pub total: usize,
-    /// The session's lifecycle state at the time of the read.
+/// What one [`Session::deliver`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Delivery {
+    /// How many answers the sink accepted — the handle consumed exactly these.
+    pub delivered: usize,
+    /// How many answers the session produced that this handle has not consumed yet.
+    pub pending: usize,
+    /// The session's lifecycle state at the time of the delivery.
     pub status: SessionStatus,
 }
 
 /// A typed handle to one registered query session — the uniform lifecycle surface of
 /// the engine (module docs): inspect ([`Self::status`], [`Self::results`],
-/// [`Self::results_page`], [`Self::totals`]), consume per-epoch answers
-/// ([`Self::poll`]), render ([`Self::bullets`]), stop
+/// [`Self::totals`]), consume per-epoch answers ([`Self::poll`], or lent to a sink by
+/// [`Self::deliver`]), render ([`Self::bullets`]), stop
 /// ([`Self::cancel`]) and convert into a [`QueryExecution`] with its System Panel
 /// ([`Self::finalize`]).
 ///
@@ -1163,18 +1158,25 @@ impl Session {
         core.state_mut(self.id).results.poll(&mut self.cursor)
     }
 
-    /// A bounded read for callers that keep their own cursor (the wire front-end):
-    /// at most `max` answers starting at absolute index `cursor`, plus the session's
-    /// answer count and status, all under one lock acquisition.  Costs O(answers
-    /// returned), not O(history) like [`Self::results`].  A cursor below the first
-    /// retained answer reads from that answer on, and [`ResultsPage::start`] says so.
-    /// This read consumes nothing: it neither releases answers nor lets the session be
-    /// reaped.
-    pub fn results_page(&self, cursor: usize, max: usize) -> ResultsPage {
-        let core = lock_core(&self.core);
-        let state = core.state(self.id);
-        let (start, results) = state.results.page(cursor, max);
-        ResultsPage { results, start, total: state.results.len(), status: state.status }
+    /// A bounded, consuming read for callers that copy answers somewhere of their own
+    /// (the wire front-end encodes them into frames): lends `accept` the answers from
+    /// this handle's cursor on, oldest first, each as its epoch and its items borrowed
+    /// from the session's log, until it has taken `max` or returns `false` for one.
+    /// The handle moves past the accepted answers and never past the refused one,
+    /// which the next call offers first; what it passed is consumed, as by
+    /// [`Self::poll`].  The count, what is still pending for this handle and the status
+    /// are read under the same lock acquisition.  No [`TopKResult`] is built: a sink
+    /// with room for what it is lent makes the call allocate nothing.
+    ///
+    /// `accept` runs under the engine's lock.  It may only copy what it is lent into a
+    /// buffer it owns: it must not call into the engine or take another lock (the
+    /// engine's lock is not reentrant, so that deadlocks or panics), and it must not
+    /// panic — a panic there poisons the engine (ADR-006).
+    pub fn deliver(&mut self, max: usize, accept: impl FnMut(Epoch, &[RankedItem]) -> bool) -> Delivery {
+        let mut core = lock_core(&self.core);
+        let state = core.state_mut(self.id);
+        let delivered = state.results.poll_with(&mut self.cursor, max, accept);
+        Delivery { delivered, pending: state.results.len() - self.cursor, status: state.status }
     }
 
     /// Cancels the session.  Returns `false` when it already completed or was
@@ -1442,8 +1444,16 @@ mod tests {
         assert!(clone.poll().is_empty());
     }
 
+    /// A [`Session::deliver`] sink that accepts every answer it is lent into `lent`.
+    fn lend(lent: &mut Vec<TopKResult>) -> impl FnMut(Epoch, &[RankedItem]) -> bool + '_ {
+        |epoch, items| {
+            lent.push(TopKResult { epoch, items: items.to_vec() });
+            true
+        }
+    }
+
     #[test]
-    fn a_results_page_is_the_matching_slice_of_results_with_total_and_status() {
+    fn a_delivery_is_the_matching_slice_of_results_with_pending_and_status() {
         let mut engine = engine(6);
         let active = engine.register(EIGHT_QUERIES[0]).unwrap();
         let bounded = format!("{} LIFETIME 4 epochs", EIGHT_QUERIES[1]);
@@ -1460,16 +1470,31 @@ mod tests {
         ] {
             let all = session.results();
             assert_eq!(all.len(), total);
-            // Cursors at, before and past the end; windows of none, some and all.
-            for cursor in 0..total + 2 {
+            // Handles at every cursor up to the end; windows of none, some and all.
+            for cursor in 0..=total {
                 for max in [0, 1, 2, total, usize::MAX] {
-                    let page = session.results_page(cursor, max);
-                    let start = cursor.min(total);
-                    let end = start.saturating_add(max).min(total);
-                    assert_eq!(page.results, all[start..end], "cursor {cursor}, max {max}");
-                    assert_eq!((page.total, page.status), (total, status));
+                    let mut handle = engine.session(session.id()).expect("resident");
+                    assert_eq!(handle.deliver(cursor, |_, _| true).delivered, cursor);
+                    let end = cursor.saturating_add(max).min(total);
+                    let mut lent = Vec::new();
+                    let delivery = handle.deliver(max, lend(&mut lent));
+                    assert_eq!(lent, all[cursor..end], "cursor {cursor}, max {max}");
+                    assert_eq!(delivery, Delivery { delivered: end - cursor, pending: total - end, status });
                 }
             }
+            // A refused answer is not consumed: the next delivery offers it first.
+            let mut handle = engine.session(session.id()).expect("resident");
+            let mut lent = Vec::new();
+            let refused = handle.deliver(usize::MAX, |epoch, items| {
+                if !lent.is_empty() {
+                    return false;
+                }
+                lent.push(TopKResult { epoch, items: items.to_vec() });
+                true
+            });
+            assert_eq!(refused, Delivery { delivered: 1, pending: total - 1, status });
+            assert_eq!(handle.deliver(usize::MAX, lend(&mut lent)).pending, 0);
+            assert_eq!(lent, all, "every answer once, in order");
         }
     }
 
@@ -1920,7 +1945,7 @@ mod tests {
     }
 
     #[test]
-    fn a_polled_session_keeps_its_newest_window_and_a_page_below_it_says_where_it_starts() {
+    fn a_polled_session_keeps_its_newest_window_and_a_fresh_handle_starts_at_its_base() {
         use kspot_net::RETENTION_WINDOW as WINDOW;
         let mut engine = engine(31);
         let mut session = engine.register(EIGHT_QUERIES[0]).unwrap();
@@ -1936,11 +1961,12 @@ mod tests {
         assert_eq!(session.latest().as_ref(), handed_out.last());
         assert_eq!(unpolled.results().len(), total, "a session nobody polled keeps every answer");
 
-        let page = session.results_page(0, 2);
-        assert_eq!((page.start, page.total), (total - WINDOW, total), "the page says where it starts");
-        assert_eq!(page.results, handed_out[total - WINDOW..total - WINDOW + 2]);
         let mut fresh = engine.session(session.id()).expect("resident");
-        assert_eq!(fresh.poll(), handed_out[total - WINDOW..], "a fresh handle starts at the base");
+        let mut lent = Vec::new();
+        let delivery = fresh.deliver(2, lend(&mut lent));
+        assert_eq!(lent, handed_out[total - WINDOW..total - WINDOW + 2], "a fresh handle starts at the base");
+        assert_eq!((delivery.delivered, delivery.pending), (2, WINDOW - 2), "…of the newest window");
+        assert_eq!(fresh.poll(), handed_out[total - WINDOW + 2..], "…and goes on past what it accepted");
         drop(fresh);
 
         // A live handle that does not poll holds back everything it has not polled.

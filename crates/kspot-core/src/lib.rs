@@ -52,7 +52,7 @@ mod results;
 pub mod server;
 
 pub use config::{ConfigError, ScenarioConfig};
-pub use engine::{EngineRef, QueryEngine, QueryId, ResultsPage, Session, SessionStatus};
+pub use engine::{Delivery, EngineRef, QueryEngine, QueryId, Session, SessionStatus};
 pub use fleet::{AdmissionScope, DeploymentId, EngineFleet, FleetError, ShardHealth};
 pub use panel::{StrategyReport, SystemPanel};
 pub use server::{KSpotBullet, KSpotServer, QueryExecution, WorkloadSpec};

@@ -2,11 +2,12 @@
 //!
 //! A session's answers are stored end to end — every answer's items in one `Vec`, its
 //! epoch and the position its items end at in two more — and addressed by absolute
-//! answer index, the index [`crate::Session::results_page`] cursors already are.  The
-//! log copies an answer's items in and lets go of the `Vec` the algorithm built, so an
-//! answer costs its items plus one epoch and one offset (`16·len + 16` bytes) whatever
-//! capacity the strategy's buffer had, and a read hands out exactly-sized
-//! [`TopKResult`]s (ADR-014).
+//! answer index, the index a [`crate::Session`] handle's cursor is.  The log copies an
+//! answer's items in and lets go of the `Vec` the algorithm built, so an answer costs
+//! its items plus one epoch and one offset (`16·len + 16` bytes) whatever capacity the
+//! strategy's buffer had.  A read hands out exactly-sized [`TopKResult`]s, or lends
+//! each answer's items to a sink without copying them ([`ResultLog::poll_with`], what
+//! [`crate::Session::deliver`] encodes wire frames from; ADR-014).
 //!
 //! The log also knows the cursors of the session's live [`crate::Session`] handles, and
 //! releases the answers every one of them has polled past, except for the newest
@@ -36,8 +37,8 @@ pub(crate) struct ResultLog {
     /// The cursors of the session's live handles: a multiset, since handles at one
     /// cursor are interchangeable.
     cursors: Vec<usize>,
-    /// How far the furthest [`Self::poll`] got, once a handle polled: every answer
-    /// below it was handed out.
+    /// How far the furthest [`Self::poll_with`] got, once a handle polled: every
+    /// answer below it was handed out.
     consumed: Option<usize>,
 }
 
@@ -57,31 +58,25 @@ impl ResultLog {
 
     /// The newest answer, if there is one (the newest answer is never released).
     pub(crate) fn latest(&self) -> Option<TopKResult> {
-        self.page(self.len().saturating_sub(1), 1).1.pop()
+        let len = self.len();
+        self.answers(len.saturating_sub(1), len).next().map(owned)
     }
 
     /// Every answer still held, oldest first.
     pub(crate) fn retained(&self) -> Vec<TopKResult> {
-        self.page(self.base, usize::MAX).1
+        self.answers(self.base, self.len()).map(owned).collect()
     }
 
-    /// At most `max` answers from absolute index `cursor` on, oldest first, and the
-    /// index the first of them has: `cursor` itself, or the first retained answer when
-    /// `cursor` is below it (none when `cursor` is past the end).
-    pub(crate) fn page(&self, cursor: usize, max: usize) -> (usize, Vec<TopKResult>) {
-        let first = cursor.clamp(self.base, self.len());
-        let (start, end) = (first - self.start, first.saturating_add(max).min(self.len()) - self.start);
-        let mut from = start.checked_sub(1).map_or(0, |before| self.ends[before]);
-        let page = self.epochs[start..end]
-            .iter()
-            .zip(&self.ends[start..end])
-            .map(|(&epoch, &to)| {
-                let items = self.items[from..to].to_vec();
-                from = to;
-                TopKResult { epoch, items }
-            })
-            .collect();
-        (first, page)
+    /// The retained answers with absolute indices `from..to`, oldest first, each as
+    /// its epoch and its items, borrowed from the log.
+    fn answers(&self, from: usize, to: usize) -> impl Iterator<Item = (Epoch, &[RankedItem])> {
+        let (first, end) = (from - self.start, to - self.start);
+        let mut begin = first.checked_sub(1).map_or(0, |before| self.ends[before]);
+        self.epochs[first..end].iter().zip(&self.ends[first..end]).map(move |(&epoch, &until)| {
+            let items = &self.items[begin..until];
+            begin = until;
+            (epoch, items)
+        })
     }
 
     /// Registers a live handle at `cursor` and returns it.  A fresh handle passes the
@@ -100,17 +95,40 @@ impl ResultLog {
         self.release();
     }
 
-    /// The answers from the live handle at `cursor` on, moving it past them.
+    /// Every answer from the live handle at `cursor` on, moving it past them: the
+    /// unbounded [`Self::poll_with`] into a `Vec` of exactly-sized answers.
     pub(crate) fn poll(&mut self, cursor: &mut usize) -> Vec<TopKResult> {
-        let (_, answers) = self.page(*cursor, usize::MAX);
-        let end = self.len();
-        if let Some(live) = self.cursors.iter_mut().find(|c| **c == *cursor) {
-            *live = end;
-        }
-        *cursor = end;
-        self.consumed = Some(end);
-        self.release();
+        let mut answers = Vec::new();
+        self.poll_with(cursor, usize::MAX, |epoch, items| {
+            answers.push(owned((epoch, items)));
+            true
+        });
         answers
+    }
+
+    /// The one consuming read: hands `accept` the answers from the live handle at
+    /// `cursor` on, oldest first, borrowed from the log, until it has taken `max` or
+    /// refuses one (returning `false`), and moves the handle past the answers it
+    /// accepted — never past the one it refused.  Returns how many it accepted.
+    /// What a poll consumed only grows, and the log then releases what every consumer
+    /// is done with.
+    pub(crate) fn poll_with(
+        &mut self,
+        cursor: &mut usize,
+        max: usize,
+        mut accept: impl FnMut(Epoch, &[RankedItem]) -> bool,
+    ) -> usize {
+        let (from, len) = (*cursor, self.len());
+        let to = from.saturating_add(max).min(len);
+        let accepted = self.answers(from, to).take_while(|&(epoch, items)| accept(epoch, items)).count();
+        let next = from + accepted;
+        if let Some(live) = self.cursors.iter_mut().find(|c| **c == from) {
+            *live = next;
+        }
+        *cursor = next;
+        self.consumed = Some(self.consumed.map_or(next, |done| done.max(next)));
+        self.release();
+        accepted
     }
 
     /// True once no live handle is left and a poll consumed every answer — a log no
@@ -143,6 +161,11 @@ impl ResultLog {
             self.start = self.base;
         }
     }
+}
+
+/// An answer lent by [`ResultLog::answers`], as an exactly-sized [`TopKResult`].
+fn owned((epoch, items): (Epoch, &[RankedItem])) -> TopKResult {
+    TopKResult { epoch, items: items.to_vec() }
 }
 
 #[cfg(test)]
@@ -186,16 +209,25 @@ mod tests {
                     prop_assert!(log.epochs.capacity() <= 2 * log.len() && log.ends.capacity() <= 2 * log.len());
                 }
             }
-            for cursor in 0..=model.len() + 2 {
+            prop_assert_eq!(log.retained(), model.clone());
+            for cursor in 0..=model.len() {
                 for max in [0, 1, 2, 5, model.len(), usize::MAX] {
-                    let start = cursor.min(model.len());
-                    let end = start.saturating_add(max).min(model.len());
-                    let (first, page) = log.page(cursor, max);
-                    prop_assert_eq!(first, start);
-                    prop_assert_eq!(&page[..], &model[start..end], "cursor {}, max {}", cursor, max);
-                    prop_assert!(page.iter().all(|a| a.items.capacity() == a.items.len()));
+                    let end = cursor.saturating_add(max).min(model.len());
+                    let mut handle = log.attach(cursor);
+                    let mut lent = Vec::new();
+                    let taken = log.poll_with(&mut handle, max, |epoch, items| {
+                        lent.push(owned((epoch, items)));
+                        true
+                    });
+                    prop_assert_eq!((taken, handle), (end - cursor, end));
+                    prop_assert_eq!(&lent[..], &model[cursor..end], "cursor {}, max {}", cursor, max);
+                    log.detach(handle);
                 }
             }
+            let mut handle = log.attach(0);
+            let polled = log.poll(&mut handle);
+            prop_assert_eq!(&polled, &model);
+            prop_assert!(polled.iter().all(|a| a.items.capacity() == a.items.len()));
         }
 
     }
@@ -256,9 +288,69 @@ mod tests {
                 prop_assert_eq!(log.len(), len);
                 prop_assert_eq!(log.drained(), handles.is_empty() && consumed == Some(len));
                 prop_assert!(log.base - log.start < RETENTION_WINDOW / 4);
-                let (first, page) = log.page(0, 3);
-                prop_assert_eq!(first, base.min(len), "a page below the base says where it starts");
-                prop_assert_eq!(&page[..], &model[first..(first + 3).min(len)]);
+            }
+        }
+
+        /// Bounded polls whose sinks refuse at drawn points, among handles attaching,
+        /// polling everything and detaching: a bounded poll lends its sink the model's
+        /// answers from its cursor on and moves the cursor past exactly those the sink
+        /// accepted, never the one it refused; nothing a live handle has not accepted
+        /// is released, nor, with no live handle, anything no poll accepted; and the
+        /// log is drained exactly when no handle is left and every answer was accepted.
+        #[test]
+        fn a_bounded_poll_moves_its_handle_past_exactly_what_its_sink_accepted(
+            ops in prop::collection::vec((0u8..6, 0usize..4, 0usize..700, 0usize..700), 1..32),
+        ) {
+            let mut log = ResultLog::default();
+            let mut model: Vec<TopKResult> = Vec::new();
+            let (mut handles, mut consumed, mut base) = (Vec::<usize>::new(), None::<usize>, 0);
+            for (op, pick, max, refuse_at) in ops {
+                match op {
+                    0 => {
+                        for _ in 0..max {
+                            let n = model.len() as u64;
+                            let answer = answer(n, &[(n % 5, n as f64), (n % 3, 0.5)][..(n % 3) as usize]);
+                            model.push(answer.clone());
+                            log.push(answer);
+                        }
+                    }
+                    1 => handles.push(log.attach(0)),
+                    2 | 3 if !handles.is_empty() => {
+                        let at = pick % handles.len();
+                        let before = handles[at];
+                        let mut lent = Vec::new();
+                        let taken = log.poll_with(&mut handles[at], max, |epoch, items| {
+                            if lent.len() == refuse_at {
+                                return false;
+                            }
+                            lent.push(owned((epoch, items)));
+                            true
+                        });
+                        let accepted = (model.len() - before).min(max).min(refuse_at);
+                        prop_assert_eq!(taken, accepted);
+                        prop_assert_eq!(&lent[..], &model[before..before + accepted]);
+                        prop_assert_eq!(handles[at], before + accepted, "the cursor passes what was accepted only");
+                        consumed = consumed.max(Some(before + accepted));
+                    }
+                    4 if !handles.is_empty() => {
+                        let cursor = handles.swap_remove(pick % handles.len());
+                        log.detach(cursor);
+                    }
+                    _ if !handles.is_empty() => {
+                        let at = pick % handles.len();
+                        let before = handles[at];
+                        prop_assert_eq!(&log.poll(&mut handles[at])[..], &model[before..]);
+                        consumed = Some(model.len());
+                    }
+                    _ => {}
+                }
+                let len = model.len();
+                let floor = handles.iter().copied().min().unwrap_or(consumed.unwrap_or(0));
+                base = base.max(floor.min(len.saturating_sub(RETENTION_WINDOW)));
+                prop_assert_eq!(log.base, base);
+                prop_assert!(base <= floor, "nothing a live handle or, with none, a poll has not accepted is released");
+                prop_assert_eq!(log.retained(), model[base..].to_vec());
+                prop_assert_eq!(log.drained(), handles.is_empty() && consumed == Some(len));
             }
         }
     }

@@ -30,6 +30,8 @@ use std::cell::Cell;
 thread_local! {
     /// Bytes this thread has allocated and not freed.
     static HELD_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// Allocations and reallocations this thread has made.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting per thread so that the twin, running next to the
@@ -43,6 +45,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         HELD_BYTES.with(|b| b.set(b.get() + layout.size() as i64));
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
@@ -56,6 +59,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         HELD_BYTES.with(|b| b.set(b.get() + new_size as i64 - layout.size() as i64));
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: arguments are passed through as received from the caller.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -286,4 +290,32 @@ fn a_batched_lossless_engine_plateaus_and_hands_out_every_answer() {
 #[test]
 fn an_unbatched_lossy_engine_plateaus_and_hands_out_every_answer() {
     soak(true);
+}
+
+/// `Session::deliver` lends each answer's items to its sink straight from the log:
+/// into a buffer with room for them it allocates nothing, where a poll builds an
+/// answer per answer (ADR-014, "The wire").
+#[test]
+fn delivering_into_a_sink_with_room_allocates_nothing() {
+    let mut engine = engine(false);
+    let mut session = engine.register(RESIDENT[0]).unwrap();
+    let mut clone = session.clone();
+    engine.run_epochs(64);
+    let mut sink: Vec<u64> = Vec::with_capacity(64 * 8);
+    let allocations = || ALLOCATIONS.with(Cell::get);
+    let before = allocations();
+    let delivery = session.deliver(usize::MAX, |epoch, items| {
+        sink.push(epoch);
+        sink.extend(items.iter().flat_map(|item| [item.key, item.value.to_bits()]));
+        true
+    });
+    assert_eq!(allocations() - before, 0, "{delivery:?}");
+    assert_eq!((delivery.delivered, delivery.pending), (64, 0));
+    let polled = clone.poll();
+    assert!(allocations() - before > 64, "a poll builds every answer it hands out");
+    let copied: Vec<u64> = polled
+        .iter()
+        .flat_map(|a| std::iter::once(a.epoch).chain(a.items.iter().flat_map(|i| [i.key, i.value.to_bits()])))
+        .collect();
+    assert_eq!(sink, copied, "the sink was lent what the poll handed out");
 }

@@ -37,6 +37,20 @@
 //! not configurable: a request/reply protocol never wants a reply's tail held back
 //! for the peer's delayed ACK (ADR-007, "Reply path").
 //!
+//! # Delivery and retention
+//!
+//! A connection holds one [`Session`] handle per session it admitted, and a `Poll`
+//! delivers through it ([`Session::deliver`]): each answer is encoded from the
+//! session's log straight onto the outbox, and the handle moves past exactly the
+//! answers that went out, so the engine releases them.  A session left finished with
+//! nothing to deliver, by a poll or a cancel, is retired: its handle drops, so the
+//! engine reaps it, and a tombstone with its final status answers a later `Poll`
+//! (`Flushed{0, 0, status}`) or `Cancel` (`Cancelled{was_active: false}`).  A
+//! connection keeps the newest [`RETENTION_WINDOW`] tombstones; an evicted id is an
+//! unknown session.  A connection that closes cancels what is still active, drains
+//! every session it holds and drops the handles — it was their only consumer — so a
+//! finished client leaves nothing behind (ADR-014, "Retention": "The wire").
+//!
 //! # The trust boundary
 //!
 //! Everything past `accept()` is untrusted:
@@ -60,7 +74,8 @@ use crate::proto::{
     self, decode_request, ProtoError, Request, Response, PROTOCOL_VERSION, STATUS_ACTIVE,
     STATUS_CANCELLED, STATUS_COMPLETED,
 };
-use kspot_core::{AdmissionScope, EngineFleet, FleetError, Session, SessionStatus};
+use kspot_core::{AdmissionScope, Delivery, EngineFleet, FleetError, Session, SessionStatus};
+use kspot_net::RETENTION_WINDOW;
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -115,14 +130,14 @@ impl Default for ServeConfig {
 
 /// One admitted session as seen by a connection.
 struct WireSession {
+    /// The connection's handle of the session, its one wire consumer: a `Poll`
+    /// delivers through it ([`Session::deliver`]), so the engine releases what it
+    /// passed, and dropping it once the session is retired lets the engine reap it.
     session: Session,
     deployment: usize,
     /// The tenant whose quota slot this session holds (pinned at registration, so a
     /// later `Hello` cannot leak or double-free another tenant's slot).
     tenant: String,
-    /// Delivery cursor into the session's results (the wire cursor is per-connection
-    /// state, independent of the in-process `poll()` cursor).
-    cursor: usize,
     /// Whether this session's tenant-quota slot has been given back (on cancel, on
     /// drain-after-completion, or on connection cleanup).
     released: bool,
@@ -138,6 +153,9 @@ struct Conn {
     outbox: Vec<u8>,
     tenant: String,
     sessions: HashMap<u64, WireSession>,
+    /// Tombstones of retired sessions — finished, fully delivered, handle dropped —
+    /// with their final status, oldest first; at most [`RETENTION_WINDOW`].
+    retired: VecDeque<(u64, SessionStatus)>,
     next_session: u64,
     /// Set when the connection should close once the outbox drains.
     closing: bool,
@@ -153,6 +171,7 @@ impl Conn {
             outbox: Vec::new(),
             tenant: ANONYMOUS_TENANT.to_string(),
             sessions: HashMap::new(),
+            retired: VecDeque::new(),
             next_session: 1,
             closing: false,
             dead: false,
@@ -165,6 +184,22 @@ impl Conn {
         if proto::encode_response_into(&mut self.outbox, resp).is_err() {
             self.dead = true;
         }
+    }
+
+    /// Retires session `wire_id`, finished with nothing left to deliver: its handle
+    /// drops, so the engine may reap it, and a tombstone keeps its final `status` for
+    /// later requests.  The oldest tombstone goes once [`RETENTION_WINDOW`] are kept.
+    fn retire(&mut self, wire_id: u64, status: SessionStatus) {
+        self.sessions.remove(&wire_id);
+        if self.retired.len() == RETENTION_WINDOW {
+            self.retired.pop_front();
+        }
+        self.retired.push_back((wire_id, status));
+    }
+
+    /// The final status of retired session `wire_id`, while its tombstone is kept.
+    fn tombstone(&self, wire_id: u64) -> Option<SessionStatus> {
+        self.retired.iter().find(|&&(id, _)| id == wire_id).map(|&(_, status)| status)
     }
 
     fn done(&self) -> bool {
@@ -560,15 +595,23 @@ fn pacer_loop(shared: Arc<Shared>, interval: Duration) {
     }
 }
 
-/// Releases the connection's resources: unreleased sessions are cancelled and their
-/// quota slots returned.
+/// Releases the connection's resources: unreleased sessions are cancelled, every
+/// session is drained and its handle dropped, and then the quota slots are returned.
+/// The connection was each session's only consumer, so what it did not deliver nobody
+/// will: the engine reaps the sessions (ADR-014, "Retention").
 fn cleanup(shared: &Shared, conn: &mut Conn) {
     let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-    for (_, mut wire) in conn.sessions.drain() {
-        if !wire.released {
-            // A poisoned shard panics on cancel; the slot is released either way.
-            let _ = catch_unwind(AssertUnwindSafe(|| wire.session.cancel()));
-            shared.release_quota(&wire.tenant);
+    for (_, WireSession { mut session, tenant, released, .. }) in conn.sessions.drain() {
+        // A poisoned shard panics on cancel and on delivery; the handle is dropped
+        // (inside the closure, or by the unwind) and the slot released either way.
+        let _ = catch_unwind(AssertUnwindSafe(move || {
+            if !released {
+                session.cancel();
+            }
+            session.deliver(usize::MAX, |_, _| true);
+        }));
+        if !released {
+            shared.release_quota(&tenant);
         }
     }
 }
@@ -726,7 +769,6 @@ fn handle_register(shared: &Shared, conn: &mut Conn, deployment: u32, sql: &str)
                     session,
                     deployment: deployment as usize,
                     tenant: conn.tenant.clone(),
-                    cursor: 0,
                     released: false,
                 },
             );
@@ -776,21 +818,35 @@ fn fleet_error_response(e: FleetError) -> Response {
 
 fn handle_poll(shared: &Shared, conn: &mut Conn, wire_id: u64, max: u32) {
     let Some(wire) = conn.sessions.get_mut(&wire_id) else {
-        conn.push_response(&Response::Error {
-            code: 400,
-            reason: format!("unknown session {wire_id}"),
-        });
+        let response = match conn.tombstone(wire_id) {
+            Some(status) => {
+                Response::Flushed { session: wire_id, delivered: 0, pending: 0, status: status_byte(status) }
+            }
+            None => unknown_session(wire_id),
+        };
+        conn.push_response(&response);
         return;
     };
-    // Deliver from the wire cursor, bounded by the client's `max` AND the outbox
-    // byte budget: a slow reader gets fewer answers per poll (plus the pending
-    // count), never an unbounded outbox — and no more results than could fit are read.
+    // Deliver through the session's handle, bounded by the client's `max` AND the
+    // outbox byte budget: a slow reader gets fewer answers per poll (plus the pending
+    // count), never an unbounded outbox.  Each answer is encoded straight from the
+    // session's log; one that would push the outbox past budget is refused, so the
+    // handle stays on it and the next poll offers it first.
     let budget = shared.config.outbox_capacity_bytes;
     let room = budget.saturating_sub(conn.outbox.len()) / proto::MIN_ANSWER_FRAME_BYTES;
-    let page = catch_unwind(AssertUnwindSafe(|| {
-        wire.session.results_page(wire.cursor, room.min(max as usize))
+    let outbox = &mut conn.outbox;
+    let delivery = catch_unwind(AssertUnwindSafe(|| {
+        wire.session.deliver(room.min(max as usize), |epoch, items| {
+            let frame_start = outbox.len();
+            proto::encode_answer_into(outbox, wire_id, epoch, items.iter().map(|i| (i.key, i.value)));
+            if outbox.len() > budget {
+                outbox.truncate(frame_start);
+                return false;
+            }
+            true
+        })
     }));
-    let Ok(page) = page else {
+    let Ok(Delivery { delivered, pending, status }) = delivery else {
         let deployment = wire.deployment;
         conn.push_response(&Response::Unavailable {
             code: 503,
@@ -799,56 +855,60 @@ fn handle_poll(shared: &Shared, conn: &mut Conn, wire_id: u64, max: u32) {
         });
         return;
     };
-
-    let mut delivered = 0u32;
-    for result in &page.results {
-        let frame_start = conn.outbox.len();
-        let items = result.items.iter().map(|i| (i.key, i.value));
-        proto::encode_answer_into(&mut conn.outbox, wire_id, result.epoch, items);
-        if conn.outbox.len() > budget {
-            conn.outbox.truncate(frame_start);
-            break;
-        }
-        delivered += 1;
-    }
-    wire.cursor += delivered as usize;
-    let pending = page.total.saturating_sub(wire.cursor) as u32;
-    let status_byte = match page.status {
-        SessionStatus::Active => STATUS_ACTIVE,
-        SessionStatus::Completed => STATUS_COMPLETED,
-        SessionStatus::Cancelled => STATUS_CANCELLED,
-    };
     // A finished session whose results are fully delivered stops counting against
-    // the tenant's quota.
-    if page.status != SessionStatus::Active && pending == 0 && !wire.released {
+    // the tenant's quota, and is retired.
+    let finished = status != SessionStatus::Active && pending == 0;
+    if finished && !wire.released {
         wire.released = true;
         shared.release_quota(&wire.tenant);
     }
     conn.push_response(&Response::Flushed {
         session: wire_id,
-        delivered,
-        pending,
-        status: status_byte,
+        delivered: delivered as u32,
+        pending: pending as u32,
+        status: status_byte(status),
     });
+    if finished {
+        conn.retire(wire_id, status);
+    }
 }
 
 fn handle_cancel(shared: &Shared, conn: &mut Conn, wire_id: u64) {
     let Some(wire) = conn.sessions.get_mut(&wire_id) else {
-        conn.push_response(&Response::Error {
-            code: 400,
-            reason: format!("unknown session {wire_id}"),
-        });
+        let response = match conn.tombstone(wire_id) {
+            Some(_) => Response::Cancelled { session: wire_id, was_active: false },
+            None => unknown_session(wire_id),
+        };
+        conn.push_response(&response);
         return;
     };
-    let was_active =
-        catch_unwind(AssertUnwindSafe(|| wire.session.cancel())).unwrap_or(false);
+    // An empty delivery consumes nothing and reports what is left to deliver.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        (wire.session.cancel(), wire.session.deliver(0, |_, _| false))
+    }));
     if !wire.released {
         wire.released = true;
         shared.release_quota(&wire.tenant);
     }
-    // The entry stays: results produced before the cancel remain drainable via
-    // `Poll` (which now reports `STATUS_CANCELLED`) until the connection closes.
+    let was_active = outcome.as_ref().is_ok_and(|&(was_active, _)| was_active);
     conn.push_response(&Response::Cancelled { session: wire_id, was_active });
+    // Results produced before the cancel remain drainable via `Poll` (which now
+    // reports `STATUS_CANCELLED`); a session with none left is retired at once.
+    if let Ok((_, Delivery { pending: 0, status, .. })) = outcome {
+        conn.retire(wire_id, status);
+    }
+}
+
+fn unknown_session(wire_id: u64) -> Response {
+    Response::Error { code: 400, reason: format!("unknown session {wire_id}") }
+}
+
+fn status_byte(status: SessionStatus) -> u8 {
+    match status {
+        SessionStatus::Active => STATUS_ACTIVE,
+        SessionStatus::Completed => STATUS_COMPLETED,
+        SessionStatus::Cancelled => STATUS_CANCELLED,
+    }
 }
 
 #[cfg(test)]
@@ -957,6 +1017,45 @@ mod tests {
         let status = STATUS_ACTIVE;
         assert_eq!(flushed, Response::Flushed { session: 1, delivered: answers, pending, status });
         assert_eq!(next(), Response::Flushed { session: 1, delivered: 0, pending, status });
+    }
+
+    #[test]
+    fn a_retired_session_answers_from_its_tombstone_until_it_is_evicted() {
+        let shared = shared(ServeConfig { max_sessions_per_tenant: 1, ..ServeConfig::default() });
+        let engine = shared.fleet.deployment(0).expect("deployment 0");
+        let (mut conn, _peer) = conn_pair();
+        // A session polled to its end is retired by that poll, and reaped.
+        handle_register(&shared, &mut conn, 0, &format!("{SQL} LIFETIME 2 epochs"));
+        assert!(shared.fleet.run_epochs_surviving(3).is_empty());
+        handle_poll(&shared, &mut conn, 1, u32::MAX);
+        assert!(conn.sessions.is_empty() && engine.session_ids().is_empty());
+        // A cancel that leaves nothing to deliver retires the session too; the
+        // tombstones keep the newest window of them.
+        let last = RETENTION_WINDOW as u64 + 2;
+        for wire_id in 2..=last {
+            handle_register(&shared, &mut conn, 0, SQL);
+            handle_cancel(&shared, &mut conn, wire_id);
+        }
+        assert!(conn.sessions.is_empty() && engine.session_ids().is_empty());
+        assert_eq!(conn.retired.len(), RETENTION_WINDOW);
+        conn.outbox.clear();
+
+        handle_poll(&shared, &mut conn, last, 8);
+        handle_cancel(&shared, &mut conn, last);
+        handle_poll(&shared, &mut conn, 2, 8);
+        handle_cancel(&shared, &mut conn, 1);
+        let mut pos = 0;
+        let mut next = || {
+            let body = extract_frame(&conn.outbox, &mut pos, 1024).expect("framed").expect("complete");
+            decode_response(body).expect("decodes")
+        };
+        let status = STATUS_CANCELLED;
+        assert_eq!(next(), Response::Flushed { session: last, delivered: 0, pending: 0, status });
+        assert_eq!(next(), Response::Cancelled { session: last, was_active: false });
+        for evicted in [2, 1] {
+            let reason = format!("unknown session {evicted}");
+            assert_eq!(next(), Response::Error { code: 400, reason }, "evicted");
+        }
     }
 
     #[test]
