@@ -8,7 +8,8 @@
 //! [`EngineFleet`] models exactly that — M engines ("deployments", addressed by
 //! [`DeploymentId`]) driven concurrently by a fixed pool of `std::thread` workers,
 //! with session routing by deployment id and a fleet-level admission cap layered over
-//! each engine's own.
+//! each engine's own.  Each worker drains a job channel of its own, and shard `d`
+//! always runs on worker `d % T` (ADR-006 "The pool: one channel per worker").
 //!
 //! ## The determinism contract (ADR-006)
 //!
@@ -34,8 +35,9 @@
 //! admission check, [`EngineFleet::active_sessions`]) take the shard locks in
 //! ascending deployment order, which rules out lock-order inversions; per-shard epoch
 //! jobs take exactly one lock each.  A panic inside a shard's epoch loop poisons that
-//! shard alone — the other deployments keep serving — and the panic is re-raised on
-//! the thread that called [`EngineFleet::run_epochs`], never swallowed.
+//! shard alone — its job catches the panic, so the worker and the other deployments
+//! keep serving — and the panic is re-raised on the thread that called
+//! [`EngineFleet::run_epochs`] once every other shard has finished, never swallowed.
 
 use crate::config::ScenarioConfig;
 use crate::engine::{lock_core, try_lock_core, EngineCore, QueryEngine, Refusal, Session};
@@ -43,8 +45,8 @@ use crate::server::WorkloadSpec;
 use kspot_net::NetworkConfig;
 use kspot_query::plan::classify;
 use kspot_query::{parse, QueryError};
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Index of a deployment (shard) within a fleet.  Assigned densely from 0 in the
@@ -153,87 +155,45 @@ impl From<QueryError> for FleetError {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct PoolState {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signalled when a job is queued or shutdown begins.
-    available: Condvar,
-}
-
-/// A fixed pool of named worker threads draining one FIFO job queue.  Deliberately
-/// minimal (the workspace is hermetic — no rayon/tokio): jobs are boxed closures,
-/// waiting is by condvar, and shutdown drains nothing — `Drop` wakes every worker and
-/// joins it after the queue runs dry.
+/// A fixed pool of named worker threads, one job channel each (the workspace is
+/// hermetic — no rayon/tokio).  Key `k` always runs on worker `k % T`, so a shard keeps
+/// its thread for the fleet's lifetime.  `Drop` closes every channel and joins each
+/// worker once it has run what it was sent.
 struct ThreadPool {
-    shared: Arc<PoolShared>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Vec<(Sender<Job>, JoinHandle<()>)>,
 }
 
 impl ThreadPool {
     fn new(threads: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState { jobs: VecDeque::new(), shutdown: false }),
-            available: Condvar::new(),
-        });
         let workers = (0..threads.max(1))
             .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
+                let (queue, jobs) = mpsc::channel::<Job>();
+                let worker = std::thread::Builder::new()
                     .name(format!("kspot-fleet-{i}"))
-                    .spawn(move || Self::work(shared))
-                    .expect("spawn a fleet worker thread")
+                    .spawn(move || {
+                        for job in jobs {
+                            job();
+                        }
+                    })
+                    .expect("spawn a fleet worker thread");
+                (queue, worker)
             })
             .collect();
-        Self { shared, workers }
+        Self { workers }
     }
 
-    fn work(shared: Arc<PoolShared>) {
-        loop {
-            let job = {
-                let mut state = shared.state.lock().expect("fleet pool queue poisoned");
-                loop {
-                    if let Some(job) = state.jobs.pop_front() {
-                        break job;
-                    }
-                    if state.shutdown {
-                        return;
-                    }
-                    state = shared.available.wait(state).expect("fleet pool queue poisoned");
-                }
-            };
-            // A panicking job poisons only what it holds (its shard); the worker
-            // itself must survive to serve the other deployments, so the panic is
-            // caught here and re-raised on the batch's waiting thread instead.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-        }
-    }
-
-    fn execute(&self, job: Job) {
-        let mut state = self.shared.state.lock().expect("fleet pool queue poisoned");
-        state.jobs.push_back(job);
-        drop(state);
-        self.shared.available.notify_one();
-    }
-
-    fn threads(&self) -> usize {
-        self.workers.len()
+    /// Queues `job` on worker `key % T`.  A job must catch its own panic: one that
+    /// unwinds ends its worker.
+    fn execute(&self, key: usize, job: Job) {
+        let (queue, _) = &self.workers[key % self.workers.len()];
+        queue.send(job).expect("fleet worker thread alive");
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("fleet pool queue poisoned");
-            state.shutdown = true;
-        }
-        self.shared.available.notify_all();
-        for worker in self.workers.drain(..) {
-            // A worker that panicked already surfaced its payload through the batch
-            // tracker; the join result carries nothing new.
+        for (queue, worker) in self.workers.drain(..) {
+            drop(queue);
             let _ = worker.join();
         }
     }
@@ -241,39 +201,6 @@ impl Drop for ThreadPool {
 
 /// The payload of a panic a shard's epoch loop raised.
 type Panic = Box<dyn std::any::Any + Send>;
-
-/// Tracks one dispatch: a countdown of outstanding shard jobs plus the panics they
-/// raised, in the order they were raised.
-struct Batch {
-    outstanding: Mutex<(usize, Vec<(DeploymentId, Panic)>)>,
-    done: Condvar,
-}
-
-impl Batch {
-    fn new(jobs: usize) -> Arc<Self> {
-        Arc::new(Self { outstanding: Mutex::new((jobs, Vec::new())), done: Condvar::new() })
-    }
-
-    fn finish_one(&self, deployment: DeploymentId, panic: Option<Panic>) {
-        let mut state = self.outstanding.lock().expect("fleet batch tracker poisoned");
-        state.0 -= 1;
-        if let Some(payload) = panic {
-            state.1.push((deployment, payload));
-        }
-        if state.0 == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    /// Blocks until every job finished and hands back the panics.
-    fn wait(&self) -> Vec<(DeploymentId, Panic)> {
-        let mut state = self.outstanding.lock().expect("fleet batch tracker poisoned");
-        while state.0 > 0 {
-            state = self.done.wait(state).expect("fleet batch tracker poisoned");
-        }
-        std::mem::take(&mut state.1)
-    }
-}
 
 // ---------------------------------------------------------------------------------
 // the fleet
@@ -367,11 +294,6 @@ impl EngineFleet {
     /// Number of deployments (shards).
     pub fn deployments(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Number of fixed worker threads in the pool.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
     }
 
     /// The fleet-level admission cap.
@@ -473,27 +395,32 @@ impl EngineFleet {
         })
     }
 
-    /// Fans `epochs` epochs of each listed shard across the pool, blocks until all of
-    /// them finish and returns the panics their loops raised, first raised first.
-    /// What a panic means is the caller's policy: [`Self::run_epochs`] re-raises it,
-    /// [`Self::run_epochs_surviving`] reports the shard.
+    /// Fans `epochs` epochs of each listed shard across the pool (shard `d` on worker
+    /// `d % T`), blocks until all of them finish and returns the panics their loops
+    /// raised, first raised first.  What a panic means is the caller's policy:
+    /// [`Self::run_epochs`] re-raises it, [`Self::run_epochs_surviving`] reports the
+    /// shard.
     fn dispatch(
         &self,
-        shards: impl ExactSizeIterator<Item = DeploymentId>,
+        shards: impl IntoIterator<Item = DeploymentId>,
         epochs: usize,
     ) -> Vec<(DeploymentId, Panic)> {
-        let batch = Batch::new(shards.len());
+        let (done, finished) = mpsc::channel();
+        let mut sent = 0;
         for d in shards {
             let core = Arc::clone(&self.shards[d]);
-            let batch = Arc::clone(&batch);
-            self.pool.execute(Box::new(move || {
+            let done = done.clone();
+            self.pool.execute(d, Box::new(move || {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     lock_core(&core).run_epochs(epochs);
                 }));
-                batch.finish_one(d, outcome.err());
+                let _ = done.send((d, outcome.err()));
             }));
+            sent += 1;
         }
-        batch.wait()
+        // One report per job; waiting for the senders to drop would cost a second
+        // wake-up after the last report.
+        finished.iter().take(sent).filter_map(|(d, panic)| Some((d, panic?))).collect()
     }
 
     /// Runs `epochs` shared epochs on **every** deployment, fanning the per-shard
@@ -519,7 +446,7 @@ impl EngineFleet {
     pub fn run_epochs_surviving(&self, epochs: usize) -> Vec<DeploymentId> {
         let (mut poisoned, live): (Vec<DeploymentId>, Vec<DeploymentId>) =
             (0..self.shards.len()).partition(|&d| self.shards[d].is_poisoned());
-        poisoned.extend(self.dispatch(live.into_iter(), epochs).into_iter().map(|(d, _)| d));
+        poisoned.extend(self.dispatch(live, epochs).into_iter().map(|(d, _)| d));
         poisoned.sort_unstable();
         poisoned
     }
@@ -644,6 +571,44 @@ mod tests {
         assert_eq!(fleet.deployment(0).unwrap().epochs_run(), 2);
         assert_eq!(fleet.deployment(1).unwrap().epochs_run(), 7);
         assert_eq!(fleet.deployment(2).unwrap().epochs_run(), 2);
+    }
+
+    #[test]
+    fn a_pool_job_runs_on_the_worker_its_key_names() {
+        for threads in 1..=3 {
+            let pool = ThreadPool::new(threads);
+            let (seen, ran) = mpsc::channel();
+            for key in 0..7 {
+                let seen = seen.clone();
+                pool.execute(key, Box::new(move || {
+                    let name = std::thread::current().name().map(str::to_string);
+                    seen.send((key, name)).expect("the test collects every job");
+                }));
+            }
+            drop(seen);
+            let mut ran: Vec<(usize, Option<String>)> = ran.into_iter().collect();
+            ran.sort();
+            let expected: Vec<(usize, Option<String>)> =
+                (0..7).map(|key| (key, Some(format!("kspot-fleet-{}", key % threads)))).collect();
+            assert_eq!(ran, expected, "{threads} workers");
+        }
+    }
+
+    #[test]
+    fn dropping_the_pool_runs_every_job_already_sent() {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let pool = ThreadPool::new(2);
+        for key in 0..6 {
+            let ran = Arc::clone(&ran);
+            pool.execute(key, Box::new(move || {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                ran.lock().expect("no job panics").push(key);
+            }));
+        }
+        drop(pool);
+        let mut ran = ran.lock().expect("no job panics").clone();
+        ran.sort_unstable();
+        assert_eq!(ran, (0..6).collect::<Vec<_>>());
     }
 
     #[test]

@@ -187,3 +187,36 @@ fn handles_of_a_poisoned_shard_clone_poll_and_drop_quietly() {
     drop(shard);
     drop(fleet);
 }
+
+/// A shard that is poisoned when `run_epochs` starts panics *inside* its pool job.
+/// With 4 deployments on 2 workers shard 1 shares worker 1 with shard 3: the job
+/// catches its own panic, so the worker survives, shard 3 still advances, and the
+/// payload is re-raised on the caller only once every other shard has finished.
+#[test]
+fn run_epochs_reraises_a_poisoned_shards_panic_after_the_rest_finish() {
+    let fleet = fleet(4);
+    let sessions: Vec<(usize, Session)> =
+        [0, 2, 3].into_iter().map(|d| (d, fleet.try_register(d, SQL).expect("registers"))).collect();
+    poison(&fleet, 1);
+
+    let raised = catch_unwind(AssertUnwindSafe(|| fleet.run_epochs(3)))
+        .expect_err("the poisoned shard's panic reaches the caller");
+    let message = raised.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+    assert!(message.contains("EngineCore lock poisoned"), "{message}");
+    for (d, _) in &sessions {
+        assert_eq!(fleet.deployment(*d).expect("in range").epochs_run(), 3, "deployment {d}");
+    }
+
+    assert_eq!(fleet.run_epochs_surviving(2), vec![1]);
+    assert_eq!(fleet.deployment(3).expect("in range").epochs_run(), 5, "worker 1 survived");
+
+    for (d, session) in &sessions {
+        let mut solo = KSpotServer::new(ScenarioConfig::conference())
+            .with_seed(EngineFleet::shard_seed(7, *d))
+            .engine();
+        let solo_session = solo.register(SQL).expect("registers");
+        solo.run_epochs(5);
+        assert_eq!(session.results(), solo_session.results(), "deployment {d}");
+        assert_eq!(session.totals(), solo_session.totals(), "deployment {d}");
+    }
+}

@@ -5,11 +5,11 @@
 //! [`FaultPlan`] describes, deterministically, the three fault classes the testkit's
 //! scenario matrix exercises:
 //!
-//! * **link loss** — every unicast transmission attempt is lost with a configurable
-//!   probability (optionally overridden per directed link).  Recovery is link-layer
-//!   ARQ: the sender retransmits up to [`FaultPlan::max_retransmits`] extra times, each
-//!   attempt paying full radio cost; a payload that exhausts its retries is *dropped*
-//!   and the algorithm degrades to partial data (the parent simply never merges it);
+//! * **link loss** — every unicast transmission attempt is lost with one configurable
+//!   probability, the same on every link.  Recovery is link-layer ARQ: the sender
+//!   retransmits up to [`FaultPlan::max_retransmits`] extra times, each attempt paying
+//!   full radio cost; a payload that exhausts its retries is *dropped* and the
+//!   algorithm degrades to partial data (the parent simply never merges it);
 //! * **node death** — a node stops participating from a configured epoch onward.  It
 //!   neither transmits nor receives; its children route around it to their nearest
 //!   participating ancestor ([`crate::sim::Network::effective_parent`]).  Exactness is
@@ -69,8 +69,6 @@ pub struct FaultPlan {
     /// Probability that a single unicast transmission attempt is lost: the simulator's
     /// only loss model.
     pub link_loss: f64,
-    /// Per-directed-link overrides of the loss probability, keyed by `(from, to)`.
-    pub link_loss_overrides: BTreeMap<(NodeId, NodeId), f64>,
     /// How many extra ARQ attempts a sender makes before dropping a payload.
     pub max_retransmits: u32,
     /// Nodes that die at the start of the given epoch (inclusive).
@@ -92,13 +90,6 @@ impl FaultPlan {
         self
     }
 
-    /// Overrides the loss probability of the directed link `from → to`.
-    pub fn with_link_loss_override(mut self, from: NodeId, to: NodeId, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "loss probability must be in [0, 1]");
-        self.link_loss_overrides.insert((from, to), p);
-        self
-    }
-
     /// Sets the number of ARQ retransmissions attempted per lost payload.
     pub fn with_retransmits(mut self, n: u32) -> Self {
         self.max_retransmits = n;
@@ -116,11 +107,6 @@ impl FaultPlan {
     pub fn with_duty_cycle(mut self, schedule: DutyCycle) -> Self {
         self.duty_cycle = Some(schedule);
         self
-    }
-
-    /// The per-attempt loss probability of the directed link `from → to`.
-    pub fn loss_probability(&self, from: NodeId, to: NodeId) -> f64 {
-        self.link_loss_overrides.get(&(from, to)).copied().unwrap_or(self.link_loss)
     }
 
     /// True when `node` has died on or before `epoch` according to the schedule.
@@ -148,20 +134,12 @@ mod tests {
     #[test]
     fn default_plan_injects_nothing() {
         let plan = FaultPlan::none();
-        assert_eq!(plan.loss_probability(1, 2), 0.0);
+        assert_eq!(plan.link_loss, 0.0);
         for epoch in 0..16 {
             for node in 0..8 {
                 assert!(plan.participates(node, epoch));
             }
         }
-    }
-
-    #[test]
-    fn link_loss_overrides_take_precedence() {
-        let plan = FaultPlan::none().with_link_loss(0.1).with_link_loss_override(3, 1, 0.9);
-        assert_eq!(plan.loss_probability(1, 2), 0.1);
-        assert_eq!(plan.loss_probability(3, 1), 0.9);
-        assert_eq!(plan.loss_probability(1, 3), 0.1, "overrides are directed");
     }
 
     #[test]

@@ -193,7 +193,7 @@ impl ReferenceNetwork {
             return false;
         }
 
-        let loss = self.config.faults.loss_probability(msg.from, msg.to);
+        let loss = self.config.faults.link_loss;
         let max_attempts = 1 + self.config.faults.max_retransmits;
         let mut attempt = 0;
         loop {
@@ -242,7 +242,7 @@ impl ReferenceNetwork {
         }
         let parent = self.effective_parent(from);
         if self.frame_batching() {
-            let loss = self.config.faults.loss_probability(from, parent);
+            let loss = self.config.faults.link_loss;
             let max_attempts = 1 + self.config.faults.max_retransmits;
             let scope = self.current_scope;
             let seed = self.config.seed;

@@ -108,12 +108,6 @@ impl NetworkConfig {
         self
     }
 
-    /// Overrides the radio model.
-    pub fn with_radio(mut self, radio: RadioModel) -> Self {
-        self.radio = radio;
-        self
-    }
-
     /// Installs a fault-injection plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -527,8 +521,9 @@ impl Network {
             tx_energy: config.energy.tx_cost(bytes),
             rx_energy: config.energy.rx_cost(bytes),
         };
+        let loss = config.faults.link_loss;
         let max_attempts = 1 + config.faults.max_retransmits;
-        let mut lost = |loss: f64| {
+        let mut lost = || {
             loss > 0.0 && {
                 let rng = match *current_scope {
                     Some(scope) => scope_loss_rngs
@@ -546,10 +541,9 @@ impl Network {
                 if !liveness.participates(from) {
                     break 'path false;
                 }
-                let loss = config.faults.loss_probability(from, to);
                 let mut attempt = 1;
                 loop {
-                    let lost = lost(loss);
+                    let lost = lost();
                     booking.record_attempt(from, &[to]);
                     liveness.drain(from, cost.tx_energy);
                     liveness.drain(to, cost.rx_energy);
@@ -598,7 +592,7 @@ impl Network {
         if self.frame_batching() {
             // `effective_parent` only returns the sink or a participating node, so the
             // receiver always listens: a frame's fate is its channel's alone.
-            let loss = self.config.faults.loss_probability(from, parent);
+            let loss = self.config.faults.link_loss;
             let max_attempts = 1 + self.config.faults.max_retransmits;
             let scope = self.current_scope;
             let seed = self.config.seed;
@@ -954,16 +948,6 @@ mod tests {
     }
 
     #[test]
-    fn per_link_loss_overrides_apply_to_the_right_link() {
-        let faults = FaultPlan::none().with_link_loss_override(9, 4, 1.0);
-        let config = NetworkConfig::ideal().with_faults(faults);
-        let mut n = net(config);
-        assert!(!report(&mut n, 9, 0), "the broken link loses all");
-        assert!(report(&mut n, 8, 0), "other links are clean");
-        assert_eq!(n.metrics().totals().dropped_messages, 1);
-    }
-
-    #[test]
     fn scoped_loss_streams_are_independent_of_interleaving() {
         let config = || NetworkConfig {
             faults: FaultPlan::none().with_link_loss(0.4),
@@ -1050,7 +1034,7 @@ mod tests {
 
     #[test]
     fn a_dropped_frame_loses_every_riders_payload() {
-        let faults = FaultPlan::none().with_link_loss_override(9, 4, 1.0);
+        let faults = FaultPlan::none().with_link_loss(1.0);
         let mut n = net(NetworkConfig::ideal().with_faults(faults));
         n.set_frame_batching(true);
         n.begin_epoch(0);
