@@ -712,7 +712,7 @@ pub(crate) fn try_lock_core(core: &Arc<Mutex<EngineCore>>) -> Option<MutexGuard<
 }
 
 /// A read guard over a slice of the shared engine state, handed out by
-/// [`QueryEngine::metrics`], [`QueryEngine::network`] and [`QueryEngine::scenario`].
+/// [`QueryEngine::metrics`] and [`QueryEngine::network`].
 ///
 /// The guard holds the engine's lock for its lifetime.  Read what you need and drop
 /// it before driving the engine on: calling a mutating method (`run_epochs`,
@@ -922,12 +922,6 @@ impl QueryEngine {
             "the primary session was registered on another engine"
         );
         lock_core(&self.core).register_baselines(primary.id)
-    }
-
-    /// The configured scenario.  (A lock guard — see [`Self::metrics`] for the
-    /// aliasing rule.)
-    pub fn scenario(&self) -> EngineRef<'_, ScenarioConfig> {
-        EngineRef { guard: lock_core(&self.core), project: |c| &c.scenario }
     }
 
     /// Number of shared epochs the engine has executed so far.
