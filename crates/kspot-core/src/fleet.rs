@@ -68,7 +68,7 @@ pub enum ShardHealth {
 /// Which admission cap refused a registration (see [`FleetError::Rejected`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionScope {
-    /// The fleet-wide cap ([`EngineFleet::max_total_sessions`]).
+    /// The fleet-wide cap ([`EngineFleet::with_max_total_sessions`]).
     Fleet,
     /// The target deployment's own per-engine cap.
     Deployment(DeploymentId),
@@ -296,11 +296,6 @@ impl EngineFleet {
         self.shards.len()
     }
 
-    /// The fleet-level admission cap.
-    pub fn max_total_sessions(&self) -> usize {
-        self.max_total_sessions
-    }
-
     /// A [`QueryEngine`] handle onto one deployment (sharing the shard's state cell),
     /// or `None` for out-of-range ids.  Everything a solo engine exposes — metrics,
     /// sessions, even `run_epochs` — works through the handle; driving a single shard
@@ -331,8 +326,8 @@ impl EngineFleet {
     /// taken.  Admission is then checked at **both** levels while all healthy shard
     /// locks are held (in ascending order, so concurrent registrations cannot
     /// deadlock or race the cap): the fleet-wide active-session total must be under
-    /// [`Self::max_total_sessions`], and the target engine applies its own per-shard
-    /// cap, which comes back as [`AdmissionScope::Deployment`].
+    /// the fleet cap ([`Self::with_max_total_sessions`]), and the target engine
+    /// applies its own per-shard cap, which comes back as [`AdmissionScope::Deployment`].
     ///
     /// Unlike the panic-on-poison contract of in-process handles (ADR-006), this path
     /// treats a poisoned shard as *that shard's* outage: poisoned cells are skipped
