@@ -833,11 +833,6 @@ impl QueryEngine {
         self
     }
 
-    /// True while cross-query frame batching is enabled.
-    pub fn frame_batching(&self) -> bool {
-        lock_core(&self.core).net.frame_batching()
-    }
-
     /// Enables durable window checkpointing (ADR-009): every `cadence` epochs fed
     /// into the shared windows, the bank is snapshotted onto the modeled flash
     /// device, each window-owning node paying the page writes for its own record.
@@ -1571,7 +1566,7 @@ mod tests {
     fn frame_batching_keeps_answers_and_saves_bytes_on_a_lossless_field() {
         let run = |batched: bool| {
             let mut e = engine(13).with_frame_batching(batched);
-            assert_eq!(e.frame_batching(), batched);
+            assert_eq!(e.network().frame_batching(), batched);
             let sessions: Vec<Session> =
                 EIGHT_QUERIES.iter().map(|sql| e.register(sql).unwrap()).collect();
             e.run_epochs(16);
