@@ -1101,11 +1101,6 @@ impl Session {
         lock_core(&self.core).state(self.id).sql.clone()
     }
 
-    /// The classified plan of the session.
-    pub fn plan(&self) -> QueryPlan {
-        lock_core(&self.core).state(self.id).plan.clone()
-    }
-
     /// The session's submission class: continuous (one answer per epoch) or historic
     /// (one answer from the shared windows).
     pub fn class(&self) -> QueryClass {
@@ -1325,7 +1320,7 @@ mod tests {
         assert!(tja.algorithm().contains("TJA"));
         assert_eq!(local.algorithm(), "local filter + MINT update");
         assert_eq!(mint.sql(), EIGHT_QUERIES[0]);
-        assert_eq!(mint.plan().k, 1);
+        assert_eq!(mint.clone().finalize().plan.k, 1);
         assert_eq!(mint.class(), QueryClass::Continuous);
         assert_eq!(tja.class(), QueryClass::Historic);
         assert!(engine.register("SELEKT nope").is_err(), "parse errors propagate");
