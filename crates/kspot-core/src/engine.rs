@@ -143,7 +143,7 @@ use kspot_algos::{
 use kspot_net::{
     Epoch, GroupId, Network, NetworkConfig, NetworkMetrics, PhaseTotals, WindowBank, Workload,
 };
-use kspot_query::plan::{classify, ExecutionStrategy, QueryClass, QueryPlan};
+use kspot_query::plan::{classify, ExecutionStrategy, QueryPlan};
 use kspot_query::{parse, AggFunc, QueryError};
 use kspot_store::CheckpointStore;
 use std::collections::BTreeMap;
@@ -1101,12 +1101,6 @@ impl Session {
         lock_core(&self.core).state(self.id).sql.clone()
     }
 
-    /// The session's submission class: continuous (one answer per epoch) or historic
-    /// (one answer from the shared windows).
-    pub fn class(&self) -> QueryClass {
-        lock_core(&self.core).state(self.id).plan.class()
-    }
-
     /// The name of the in-network algorithm the session was routed to.
     pub fn algorithm(&self) -> &'static str {
         lock_core(&self.core).state(self.id).exec.name()
@@ -1253,6 +1247,7 @@ mod tests {
     use kspot_net::codec::{put_u32, Reader};
     use kspot_net::types::ValueDomain;
     use kspot_net::{Deployment, NodeId};
+    use kspot_query::plan::QueryClass;
 
     fn engine(seed: u64) -> QueryEngine {
         KSpotServer::new(ScenarioConfig::conference()).with_seed(seed).engine()
@@ -1321,8 +1316,8 @@ mod tests {
         assert_eq!(local.algorithm(), "local filter + MINT update");
         assert_eq!(mint.sql(), EIGHT_QUERIES[0]);
         assert_eq!(mint.clone().finalize().plan.k, 1);
-        assert_eq!(mint.class(), QueryClass::Continuous);
-        assert_eq!(tja.class(), QueryClass::Historic);
+        assert_eq!(mint.clone().finalize().plan.class(), QueryClass::Continuous);
+        assert_eq!(tja.clone().finalize().plan.class(), QueryClass::Historic);
         assert!(engine.register("SELEKT nope").is_err(), "parse errors propagate");
     }
 
