@@ -683,11 +683,6 @@ impl EngineCore {
     fn state_mut(&mut self, id: QueryId) -> &mut SessionState {
         self.sessions.get_mut(&id).expect("a Session handle outlives its engine-side state")
     }
-
-    /// Session `id`'s scoped slice of the shared ledger, reported under `name`.
-    fn scope_report(&self, id: QueryId, name: String) -> StrategyReport {
-        StrategyReport::from_scope(name, self.net.metrics(), id, self.state(id).results.len())
-    }
 }
 
 /// Locks an engine core, surfacing poisoning as a first-class failure: a panic inside
@@ -1180,15 +1175,6 @@ impl Session {
         lock_core(&self.core).state(self.id).depleted_during_run
     }
 
-    /// A System-Panel [`StrategyReport`] for the session, built from its attribution
-    /// scope alone — per-query totals and a per-phase table without a dedicated solo
-    /// run.  The per-node breakdown is not scoped, so the report carries no
-    /// bottleneck-energy estimate (see [`StrategyReport::from_scope`]).
-    pub fn report(&self) -> StrategyReport {
-        let core = lock_core(&self.core);
-        core.scope_report(self.id, format!("session {}: {}", self.id, core.state(self.id).exec.name()))
-    }
-
     /// Turns one of the session's ranked answers into the Display Panel's bullets,
     /// labelled by what the session's plan ranks: the cluster name for room-grouped
     /// strategies, `node <id>` for node monitoring, `epoch <e>` for vertically
@@ -1228,7 +1214,11 @@ impl Session {
     pub fn finalize(self) -> QueryExecution {
         let core = lock_core(&self.core);
         let state = core.state(self.id);
-        let by_algorithm = |id| core.scope_report(id, core.state(id).exec.name().to_string());
+        let by_algorithm = |id| {
+            let session = core.state(id);
+            let name = session.exec.name().to_string();
+            StrategyReport::from_scope(name, core.net.metrics(), id, session.results.len())
+        };
         let baselines = state.baselines.iter().copied().map(by_algorithm).collect();
         QueryExecution {
             plan: state.plan.clone(),
@@ -1642,7 +1632,7 @@ mod tests {
         let raw = engine.register(EIGHT_QUERIES[5]).unwrap();
         engine.run_epochs(8);
 
-        let report = mint.report();
+        let report = mint.clone().finalize().panel.kspot;
         assert!(report.name.contains("MINT"));
         assert_eq!(report.epochs, 8);
         assert_eq!(report.totals, mint.totals());
