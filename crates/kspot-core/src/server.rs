@@ -129,11 +129,6 @@ impl KSpotServer {
         self
     }
 
-    /// The configured scenario.
-    pub fn scenario(&self) -> &ScenarioConfig {
-        &self.scenario
-    }
-
     /// Boots a long-lived multi-query engine sharing this server's scenario, workload,
     /// cost model and seed — the primary interface for serving many concurrent queries
     /// over one live substrate (see [`QueryEngine`]).
@@ -244,7 +239,7 @@ mod tests {
         let expect = |s: &crate::Session, label: &dyn Fn(u64) -> String| {
             assert_eq!(labels(s), keys(s).into_iter().map(label).collect::<Vec<_>>());
         };
-        expect(&rooms, &|key| server.scenario().cluster_name(key as u32));
+        expect(&rooms, &|key| ScenarioConfig::conference().cluster_name(key as u32));
         expect(&nodes, &|key| format!("node {key}"));
         expect(&epochs, &|key| format!("epoch {key}"));
     }
