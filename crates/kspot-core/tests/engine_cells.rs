@@ -2,9 +2,9 @@
 //! a query session's per-epoch answers and attributed metrics are **byte-identical**
 //! whether it shares the epoch loop with other sessions or runs the loop alone.
 //!
-//! The cells below mirror the testkit `smoke` subset (2 topologies × 2 workloads ×
-//! 3 fault profiles × one K/N point = 12 cells), built explicitly so the comparison
-//! runs regardless of which feature set kspot-testkit itself was compiled with.
+//! The cells are [`kspot_testkit::smoke_cells`]: the testkit's `smoke` subset
+//! (2 topologies × 2 workloads × 3 fault profiles × one K/N point = 12 cells), built
+//! whatever feature set kspot-testkit itself was compiled with.
 //! Faulted cells matter most here: per-session loss streams are what keeps a lossy
 //! channel's draws independent of which other queries share the substrate.
 //!
@@ -12,7 +12,7 @@
 
 use kspot_core::{QueryEngine, QueryId, ScenarioConfig, Session, SessionStatus};
 use kspot_net::rng::mix_seed;
-use kspot_testkit::{FaultProfile, ScenarioCell, TopologyKind, WorkloadProfile};
+use kspot_testkit::{smoke_cells, FaultProfile, ScenarioCell, TopologyKind, WorkloadProfile};
 
 /// The four concurrent queries every cell registers: one per continuous strategy
 /// (MINT snapshot Top-K, TAG aggregation, centralized raw collection, FILA node
@@ -23,33 +23,6 @@ const QUERIES: [&str; 4] = [
     "SELECT * FROM sensors",
     "SELECT TOP 2 nodeid, sound FROM sensors",
 ];
-
-/// The smoke-equivalent cell set (see `kspot_testkit::scenario` for the families).
-fn smoke_cells() -> Vec<ScenarioCell> {
-    let topologies = [TopologyKind::ClusteredRooms, TopologyKind::LinearChain];
-    let workloads = [WorkloadProfile::RoomCorrelated, WorkloadProfile::DriftingHotSpot];
-    let faults = [FaultProfile::Lossless, FaultProfile::LossyLinks, FaultProfile::NodeDeath];
-    let mut cells = Vec::new();
-    for (ti, &topology) in topologies.iter().enumerate() {
-        for (wi, &workload) in workloads.iter().enumerate() {
-            for (fi, &fault) in faults.iter().enumerate() {
-                cells.push(ScenarioCell {
-                    topology,
-                    workload,
-                    fault,
-                    nodes: 12,
-                    groups: 4,
-                    k: 2,
-                    epochs: 12,
-                    window: 16,
-                    master_seed: mix_seed(0xE16E, &[ti as u64, wi as u64, fi as u64]),
-                });
-            }
-        }
-    }
-    assert_eq!(cells.len(), 12);
-    cells
-}
 
 /// Boots an engine over a cell's exact substrate (topology + faulted network +
 /// workload) and registers every query, returning the engine and the session handles.
@@ -71,7 +44,7 @@ fn ids(sessions: &[Session]) -> Vec<QueryId> {
 
 #[test]
 fn shared_loop_results_equal_per_query_loop_results_on_every_smoke_cell() {
-    for cell in smoke_cells() {
+    for cell in smoke_cells(0xE16E, 12) {
         let label = cell.label();
         let (mut shared, sessions) = engine_for(&cell);
         shared.run_epochs(cell.epochs);
@@ -109,7 +82,7 @@ fn shared_loop_results_equal_per_query_loop_results_on_every_smoke_cell() {
 
 #[test]
 fn shared_loop_replays_bit_for_bit_on_every_smoke_cell() {
-    for cell in smoke_cells() {
+    for cell in smoke_cells(0xE16E, 12) {
         let label = cell.label();
         let run = || {
             let (mut engine, sessions) = engine_for(&cell);

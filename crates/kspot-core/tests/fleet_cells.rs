@@ -13,8 +13,7 @@
 //! [`WindowBank`]: kspot_net::WindowBank
 
 use kspot_core::{EngineFleet, QueryEngine, QueryId, ScenarioConfig, Session, SessionStatus};
-use kspot_net::rng::mix_seed;
-use kspot_testkit::{FaultProfile, ScenarioCell, TopologyKind, WorkloadProfile};
+use kspot_testkit::{smoke_cells, ScenarioCell};
 
 /// The mixed registration every deployment runs: two continuous strategies riding the
 /// same loop as two historic ones, as in `historic_cells.rs`.
@@ -28,35 +27,8 @@ const QUERIES: [&str; 4] = [
 /// Indices of the historic sessions within [`QUERIES`].
 const HISTORIC: [usize; 2] = [1, 3];
 
+/// The cells' epoch count: the window, so historic sessions answer within the run.
 const EPOCHS: usize = 16;
-
-/// The smoke-equivalent cell set (mirrors `engine_cells.rs` / `historic_cells.rs`;
-/// epochs = the window so historic sessions answer within the run).
-fn smoke_cells() -> Vec<ScenarioCell> {
-    let topologies = [TopologyKind::ClusteredRooms, TopologyKind::LinearChain];
-    let workloads = [WorkloadProfile::RoomCorrelated, WorkloadProfile::DriftingHotSpot];
-    let faults = [FaultProfile::Lossless, FaultProfile::LossyLinks, FaultProfile::NodeDeath];
-    let mut cells = Vec::new();
-    for (ti, &topology) in topologies.iter().enumerate() {
-        for (wi, &workload) in workloads.iter().enumerate() {
-            for (fi, &fault) in faults.iter().enumerate() {
-                cells.push(ScenarioCell {
-                    topology,
-                    workload,
-                    fault,
-                    nodes: 12,
-                    groups: 4,
-                    k: 2,
-                    epochs: EPOCHS,
-                    window: EPOCHS,
-                    master_seed: mix_seed(0xF1EE, &[ti as u64, wi as u64, fi as u64]),
-                });
-            }
-        }
-    }
-    assert_eq!(cells.len(), 12);
-    cells
-}
 
 /// Boots a solo engine over a cell's exact substrate — the deployment's twin.
 fn solo_engine_for(cell: &ScenarioCell) -> QueryEngine {
@@ -67,7 +39,7 @@ fn solo_engine_for(cell: &ScenarioCell) -> QueryEngine {
 
 /// One engine per smoke cell, in matrix order — the fleet's 12 deployments.
 fn fleet_over_the_matrix(threads: usize) -> (EngineFleet, Vec<ScenarioCell>) {
-    let cells = smoke_cells();
+    let cells = smoke_cells(0xF1EE, EPOCHS);
     let engines = cells.iter().map(solo_engine_for).collect();
     (EngineFleet::from_engines(engines, threads), cells)
 }

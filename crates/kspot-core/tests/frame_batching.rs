@@ -19,7 +19,7 @@
 use kspot_core::{QueryEngine, QueryId, ScenarioConfig, Session};
 use kspot_net::rng::mix_seed;
 use kspot_testkit::{
-    check_ledger, check_scope_attribution, FaultProfile, ScenarioCell, TopologyKind,
+    check_ledger, check_scope_attribution, smoke_cells, FaultProfile, ScenarioCell, TopologyKind,
     WorkloadProfile,
 };
 
@@ -32,33 +32,6 @@ const QUERIES: [&str; 4] = [
     "SELECT * FROM sensors",
     "SELECT TOP 2 nodeid, sound FROM sensors",
 ];
-
-/// The smoke-equivalent cell set (mirrors `engine_cells.rs`).
-fn smoke_cells() -> Vec<ScenarioCell> {
-    let topologies = [TopologyKind::ClusteredRooms, TopologyKind::LinearChain];
-    let workloads = [WorkloadProfile::RoomCorrelated, WorkloadProfile::DriftingHotSpot];
-    let faults = [FaultProfile::Lossless, FaultProfile::LossyLinks, FaultProfile::NodeDeath];
-    let mut cells = Vec::new();
-    for (ti, &topology) in topologies.iter().enumerate() {
-        for (wi, &workload) in workloads.iter().enumerate() {
-            for (fi, &fault) in faults.iter().enumerate() {
-                cells.push(ScenarioCell {
-                    topology,
-                    workload,
-                    fault,
-                    nodes: 12,
-                    groups: 4,
-                    k: 2,
-                    epochs: 12,
-                    window: 16,
-                    master_seed: mix_seed(0xF4A8, &[ti as u64, wi as u64, fi as u64]),
-                });
-            }
-        }
-    }
-    assert_eq!(cells.len(), 12);
-    cells
-}
 
 /// Boots an engine over a cell's exact substrate, with or without frame batching, and
 /// registers every query.
@@ -80,7 +53,7 @@ fn ids(sessions: &[Session]) -> Vec<QueryId> {
 
 #[test]
 fn batching_never_spends_more_bytes_and_conserves_attribution_on_every_smoke_cell() {
-    for cell in smoke_cells() {
+    for cell in smoke_cells(0xF4A8, 12) {
         let label = cell.label();
         let (mut plain, plain_sessions) = engine_for(&cell, false);
         plain.run_epochs(cell.epochs);
@@ -144,7 +117,7 @@ fn under_batching_a_sessions_channel_is_invariant_to_co_registered_sessions() {
     // answers with batching on must be byte-identical whether it shares the loop with
     // three other sessions or runs alone — the co-registered sessions change which
     // frames exist and who rides them, but never the channel any session observes.
-    for cell in smoke_cells().into_iter().filter(|c| c.fault == FaultProfile::LossyLinks) {
+    for cell in smoke_cells(0xF4A8, 12).into_iter().filter(|c| c.fault == FaultProfile::LossyLinks) {
         let label = cell.label();
         let (mut shared, shared_sessions) = engine_for(&cell, true);
         shared.run_epochs(cell.epochs);

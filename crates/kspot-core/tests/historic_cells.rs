@@ -22,7 +22,7 @@ use kspot_net::rng::mix_seed;
 use kspot_net::types::ValueDomain;
 use kspot_net::Epoch;
 use kspot_query::AggFunc;
-use kspot_testkit::{FaultProfile, ScenarioCell, TopologyKind, WorkloadProfile};
+use kspot_testkit::{smoke_cells, FaultProfile, ScenarioCell, TopologyKind, WorkloadProfile};
 
 /// The mixed registration every cell runs: two continuous strategies riding the same
 /// loop as two historic ones (vertically fragmented → TJA, horizontally fragmented →
@@ -37,33 +37,9 @@ const QUERIES: [&str; 4] = [
 /// Indices of the historic sessions within [`QUERIES`].
 const HISTORIC: [usize; 2] = [1, 3];
 
-/// The smoke-equivalent cell set (mirrors `engine_cells.rs`; epochs = the window so
-/// the node-death profile kills its victim mid-buffering, *before* query time).
-fn smoke_cells() -> Vec<ScenarioCell> {
-    let topologies = [TopologyKind::ClusteredRooms, TopologyKind::LinearChain];
-    let workloads = [WorkloadProfile::RoomCorrelated, WorkloadProfile::DriftingHotSpot];
-    let faults = [FaultProfile::Lossless, FaultProfile::LossyLinks, FaultProfile::NodeDeath];
-    let mut cells = Vec::new();
-    for (ti, &topology) in topologies.iter().enumerate() {
-        for (wi, &workload) in workloads.iter().enumerate() {
-            for (fi, &fault) in faults.iter().enumerate() {
-                cells.push(ScenarioCell {
-                    topology,
-                    workload,
-                    fault,
-                    nodes: 12,
-                    groups: 4,
-                    k: 2,
-                    epochs: 16,
-                    window: 16,
-                    master_seed: mix_seed(0x415C, &[ti as u64, wi as u64, fi as u64]),
-                });
-            }
-        }
-    }
-    assert_eq!(cells.len(), 12);
-    cells
-}
+/// The cells' epoch count: the window, so the node-death profile kills its victim
+/// mid-buffering, *before* query time.
+const EPOCHS: usize = 16;
 
 /// Boots an engine over a cell's exact substrate and registers the mixed query set.
 fn engine_for(cell: &ScenarioCell) -> (QueryEngine, Vec<Session>) {
@@ -84,7 +60,7 @@ fn ids(sessions: &[Session]) -> Vec<QueryId> {
 
 #[test]
 fn historic_sessions_are_byte_identical_shared_vs_solo_on_every_smoke_cell() {
-    for cell in smoke_cells() {
+    for cell in smoke_cells(0x415C, EPOCHS) {
         let label = cell.label();
         let (mut shared, sessions) = engine_for(&cell);
         shared.run_epochs(cell.window);
@@ -125,7 +101,7 @@ fn historic_sessions_are_byte_identical_shared_vs_solo_on_every_smoke_cell() {
 
 #[test]
 fn engine_shared_windows_match_the_per_submission_replay_on_deterministic_cells() {
-    for cell in smoke_cells() {
+    for cell in smoke_cells(0x415C, EPOCHS) {
         if cell.fault == FaultProfile::LossyLinks {
             continue; // per-scope loss streams legitimately differ from replay streams
         }

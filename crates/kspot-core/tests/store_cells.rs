@@ -22,12 +22,11 @@
 use kspot_algos::historic::HistoricAlgorithm;
 use kspot_algos::{BankWindows, HistoricSpec, LocalAggregateHistoric, Tja};
 use kspot_core::{QueryEngine, QueryId, ScenarioConfig, Session, SessionStatus};
-use kspot_net::rng::mix_seed;
 use kspot_net::types::ValueDomain;
 use kspot_net::{Epoch, WindowBank};
 use kspot_query::AggFunc;
 use kspot_store::CheckpointStore;
-use kspot_testkit::{FaultProfile, ScenarioCell, TopologyKind, WorkloadProfile};
+use kspot_testkit::{smoke_cells, FaultProfile, ScenarioCell};
 
 /// The mixed registration every cell runs before time travel: two continuous
 /// strategies riding the same loop as two historic ones, all over the cell's
@@ -57,34 +56,10 @@ const AS_OF_EPOCH: Epoch = 11;
 /// Checkpoint cadence every cell's engine runs with.
 const CADENCE: u64 = 4;
 
-/// The smoke-equivalent cell set (mirrors `historic_cells.rs`; one epoch beyond the
-/// window so the `AS OF` tick after the buffering run stays inside the cell's
-/// declared span, and the node-death profile still kills its victim mid-buffering).
-fn smoke_cells() -> Vec<ScenarioCell> {
-    let topologies = [TopologyKind::ClusteredRooms, TopologyKind::LinearChain];
-    let workloads = [WorkloadProfile::RoomCorrelated, WorkloadProfile::DriftingHotSpot];
-    let faults = [FaultProfile::Lossless, FaultProfile::LossyLinks, FaultProfile::NodeDeath];
-    let mut cells = Vec::new();
-    for (ti, &topology) in topologies.iter().enumerate() {
-        for (wi, &workload) in workloads.iter().enumerate() {
-            for (fi, &fault) in faults.iter().enumerate() {
-                cells.push(ScenarioCell {
-                    topology,
-                    workload,
-                    fault,
-                    nodes: 12,
-                    groups: 4,
-                    k: 2,
-                    epochs: 17,
-                    window: 16,
-                    master_seed: mix_seed(0x570E, &[ti as u64, wi as u64, fi as u64]),
-                });
-            }
-        }
-    }
-    assert_eq!(cells.len(), 12);
-    cells
-}
+/// The cells' epoch count: one beyond the window, so the `AS OF` tick after the
+/// buffering run stays inside the cell's declared span, and the node-death profile
+/// still kills its victim mid-buffering.
+const EPOCHS: usize = 17;
 
 /// Boots a checkpointing engine over a cell's exact substrate and registers the
 /// mixed query set.
@@ -114,7 +89,7 @@ fn ids(sessions: &[Session]) -> Vec<QueryId> {
 
 #[test]
 fn as_of_sessions_are_byte_identical_shared_vs_solo_on_every_smoke_cell() {
-    for cell in smoke_cells() {
+    for cell in smoke_cells(0x570E, EPOCHS) {
         let label = cell.label();
         let (mut shared, mixed) = engine_for(&cell);
         shared.run_epochs(cell.window);
@@ -180,7 +155,7 @@ fn as_of_sessions_are_byte_identical_shared_vs_solo_on_every_smoke_cell() {
 
 #[test]
 fn as_of_answers_match_a_fresh_bank_replay_on_deterministic_cells() {
-    for cell in smoke_cells() {
+    for cell in smoke_cells(0x570E, EPOCHS) {
         if cell.fault == FaultProfile::LossyLinks {
             continue; // per-scope loss streams legitimately differ from replay streams
         }
@@ -241,7 +216,7 @@ fn as_of_answers_match_a_fresh_bank_replay_on_deterministic_cells() {
 
 #[test]
 fn a_serialized_store_restored_into_a_new_engine_answers_as_of_identically() {
-    for cell in smoke_cells() {
+    for cell in smoke_cells(0x570E, EPOCHS) {
         let label = cell.label();
 
         // First life: buffer 12 epochs (snapshots 3, 7, 11), persist the store, then

@@ -37,4 +37,4 @@ pub mod scenario;
 
 pub use invariants::{check_ledger, check_scope_attribution, check_storage_attribution};
 pub use runner::{run_historic_cell, run_snapshot_cell, CellOutcome};
-pub use scenario::{matrix, FaultProfile, ScenarioCell, TopologyKind, WorkloadProfile};
+pub use scenario::{matrix, smoke_cells, FaultProfile, ScenarioCell, TopologyKind, WorkloadProfile};

@@ -263,22 +263,27 @@ const SWEEP: &[(usize, usize, usize)] = &[(12, 4, 1), (24, 6, 3)];
 #[cfg(feature = "smoke")]
 const SWEEP: &[(usize, usize, usize)] = &[(12, 4, 2)];
 
+/// The families of the smoke subset, which [`smoke_cells`] always uses.
+const SMOKE_TOPOLOGIES: &[TopologyKind] = &[TopologyKind::ClusteredRooms, TopologyKind::LinearChain];
+const SMOKE_WORKLOADS: &[WorkloadProfile] =
+    &[WorkloadProfile::RoomCorrelated, WorkloadProfile::DriftingHotSpot];
+const SMOKE_FAULTS: &[FaultProfile] =
+    &[FaultProfile::Lossless, FaultProfile::LossyLinks, FaultProfile::NodeDeath];
+
 #[cfg(not(feature = "smoke"))]
 const TOPOLOGIES: &[TopologyKind] = &TopologyKind::ALL;
 #[cfg(feature = "smoke")]
-const TOPOLOGIES: &[TopologyKind] = &[TopologyKind::ClusteredRooms, TopologyKind::LinearChain];
+const TOPOLOGIES: &[TopologyKind] = SMOKE_TOPOLOGIES;
 
 #[cfg(not(feature = "smoke"))]
 const WORKLOADS: &[WorkloadProfile] = &WorkloadProfile::ALL;
 #[cfg(feature = "smoke")]
-const WORKLOADS: &[WorkloadProfile] =
-    &[WorkloadProfile::RoomCorrelated, WorkloadProfile::DriftingHotSpot];
+const WORKLOADS: &[WorkloadProfile] = SMOKE_WORKLOADS;
 
 #[cfg(not(feature = "smoke"))]
 const FAULTS: &[FaultProfile] = &FaultProfile::ALL;
 #[cfg(feature = "smoke")]
-const FAULTS: &[FaultProfile] =
-    &[FaultProfile::Lossless, FaultProfile::LossyLinks, FaultProfile::NodeDeath];
+const FAULTS: &[FaultProfile] = SMOKE_FAULTS;
 
 /// Enumerates the scenario matrix: topologies × workloads × fault profiles × a K/N
 /// sweep.  The full matrix (default features) has 4 × 3 × 4 × 2 = 96 cells; the `smoke`
@@ -304,6 +309,22 @@ pub fn matrix() -> Vec<ScenarioCell> {
                         ),
                     });
                 }
+            }
+        }
+    }
+    cells
+}
+
+/// The 12 smoke cells at 12 nodes, 4 groups, K = 2 and a 16-epoch window, whatever
+/// features the testkit was built with; `seed_tag` keys every cell's master seed.
+pub fn smoke_cells(seed_tag: u64, epochs: usize) -> Vec<ScenarioCell> {
+    let mut cells = Vec::new();
+    for (ti, &topology) in SMOKE_TOPOLOGIES.iter().enumerate() {
+        for (wi, &workload) in SMOKE_WORKLOADS.iter().enumerate() {
+            for (fi, &fault) in SMOKE_FAULTS.iter().enumerate() {
+                let master_seed = mix_seed(seed_tag, &[ti as u64, wi as u64, fi as u64]);
+                let (nodes, groups, k, window) = (12, 4, 2, 16);
+                cells.push(ScenarioCell { topology, workload, fault, nodes, groups, k, epochs, window, master_seed });
             }
         }
     }
