@@ -63,3 +63,29 @@ fn kspot_execution_spends_no_more_view_tuples_than_tag_on_figure1() {
     );
     assert!(savings.message_savings_pct() > 0.0, "quiet rooms go silent: {savings}");
 }
+
+#[test]
+fn snapshot_query_on_figure1_returns_room_c_and_saves_traffic() {
+    let server = figure1_server().with_network_config(NetworkConfig::ideal());
+    let mut engine = server.engine();
+    let session = engine
+        .register("SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min")
+        .expect("the paper's example query must run");
+    engine.register_baselines(&session).expect("baselines register");
+    engine.run_epochs(10);
+    let execution = session.finalize();
+    assert_eq!(execution.algorithm, "KSpot (MINT views)");
+    assert_eq!(execution.results.len(), 10);
+    for result in &execution.results {
+        assert_eq!(result.top().unwrap().key, 2, "room C wins every epoch");
+    }
+    let savings = execution.panel.savings_vs("TAG + sink Top-K").unwrap();
+    assert!(savings.byte_savings_pct() > 0.0, "MINT must save bytes over TAG: {savings}");
+}
+
+#[test]
+fn invalid_queries_are_rejected_with_parser_errors() {
+    let mut engine = figure1_server().with_network_config(NetworkConfig::ideal()).engine();
+    assert!(engine.register("SELECT TOP 0 roomid, AVG(sound) FROM sensors GROUP BY roomid").is_err());
+    assert!(engine.register("SELEKT oops").is_err());
+}
