@@ -25,7 +25,7 @@
 //!
 //! The handle exposes the whole lifecycle: [`Session::poll`] for per-epoch results,
 //! [`Session::cancel`], and [`Session::finalize`] to convert the session into a
-//! [`QueryExecution`] carrying its System Panel.
+//! [`crate::QueryExecution`] carrying its System Panel.
 //!
 //! ## System-Panel baselines are sessions too
 //!
@@ -41,9 +41,9 @@
 //!
 //! ## Shared window maintenance (historic sessions)
 //!
-//! The engine maintains **one** [`WindowBank`] — one sliding window per node, with
-//! capacity following the largest registered `WITH HISTORY` span — fed once per epoch
-//! from the very readings the continuous sessions consume.  TJA and the
+//! The engine maintains **one** [`kspot_net::WindowBank`] — one sliding window per
+//! node, with capacity following the largest registered `WITH HISTORY` span — fed once
+//! per epoch from the very readings the continuous sessions consume.  TJA and the
 //! local-aggregate historic strategy answer from that bank through the
 //! [`kspot_algos::WindowSource`] abstraction ([`kspot_algos::BankWindows`]), so N
 //! registered historic sessions share a single per-epoch maintenance pass instead of
@@ -226,7 +226,7 @@ impl From<QueryError> for Refusal {
 }
 
 /// One registered query session (engine-side state; the user-facing handle is
-/// [`Session`]).
+/// [`crate::Session`]).
 struct SessionState {
     sql: String,
     plan: QueryPlan,
@@ -269,9 +269,9 @@ impl SessionState {
     }
 }
 
-/// The engine state every [`QueryEngine`] and [`Session`] handle shares — and, since
-/// the fleet refactor, the unit of work a [`crate::EngineFleet`] shard schedules on
-/// its thread pool.  The core is `Send` (plain owned data, `Send` algorithm boxes),
+/// The engine state every [`QueryEngine`] and [`crate::Session`] handle shares — and,
+/// since the fleet refactor, the unit of work a [`crate::EngineFleet`] shard schedules
+/// on its thread pool.  The core is `Send` (plain owned data, `Send` algorithm boxes),
 /// which is what lets one deployment's whole epoch loop migrate across pool threads
 /// while staying byte-identical to a single-threaded run (ADR-006).
 pub(crate) struct EngineCore {
@@ -290,7 +290,7 @@ pub(crate) struct EngineCore {
     /// ones the epoch's end offers to [`Self::reap_if_drained`].
     ended: Vec<QueryId>,
     /// The sessions that took part in the epoch being run, reused across epochs —
-    /// exactly the ones a depleted battery flags ([`Session::depleted_during_run`]).
+    /// exactly the ones a depleted battery flags ([`crate::Session::depleted_during_run`]).
     ran: Vec<QueryId>,
     /// The engine-shared per-node sliding windows, created at the first historic
     /// registration and fed once per epoch from then on (even across historic
@@ -1024,8 +1024,8 @@ pub struct Delivery {
 ///
 /// Handles are cheap to clone; each clone keeps its own [`Self::poll`] cursor.  A
 /// handle shares state with its engine, so results produced by later
-/// [`QueryEngine::run_epochs`] calls are visible through it immediately.  Sessions
-/// are `Send + Sync`: a handle can be polled, cancelled and finalized from any
+/// [`crate::QueryEngine::run_epochs`] calls are visible through it immediately.
+/// Sessions are `Send + Sync`: a handle can be polled, cancelled and finalized from any
 /// thread while the engine (or the fleet's thread pool) drives the epoch loop —
 /// every access serialises on the engine's lock.
 ///
@@ -1034,8 +1034,8 @@ pub struct Delivery {
 /// [`kspot_net::RETENTION_WINDOW`], and a finished session whose answers were all
 /// polled is reaped when its last handle drops (ADR-014, "Retention").  Minting,
 /// cloning and dropping a handle therefore take the engine's lock, like any other
-/// call: do not drop a handle while holding an [`EngineRef`] on the same thread.  On a
-/// poisoned engine they do nothing, and never panic.
+/// call: do not drop a handle while holding an [`crate::EngineRef`] on the same
+/// thread.  On a poisoned engine they do nothing, and never panic.
 pub struct Session {
     id: QueryId,
     core: Arc<Mutex<EngineCore>>,
@@ -1209,8 +1209,8 @@ impl Session {
     /// of the shared ledger.  Dropping the handle may reap the session (see
     /// [`Self::poll`]).  The panel's
     /// baselines are the scoped slices of the comparison sessions registered through
-    /// [`QueryEngine::register_baselines`] (none if it was never called), each under
-    /// its algorithm name.
+    /// [`crate::QueryEngine::register_baselines`] (none if it was never called),
+    /// each under its algorithm name.
     pub fn finalize(self) -> QueryExecution {
         let core = lock_core(&self.core);
         let state = core.state(self.id);
