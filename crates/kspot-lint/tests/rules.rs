@@ -227,7 +227,7 @@ fn r8_demands_the_crate_level_attribute_of_every_library_root() {
     assert_eq!(r8_lines(root, include_str!("fixtures/r8_root_fire.rs")), [1], "a removed forbid");
     assert_eq!(r8_lines("src/lib.rs", include_str!("fixtures/r8_root_fire.rs")), [1]);
     // Not a root: nothing to demand.
-    let module = "crates/kspot-core/src/engine.rs";
+    let module = "crates/kspot-core/src/engine/core.rs";
     assert!(r8_lines(module, include_str!("fixtures/r8_root_fire.rs")).is_empty());
 }
 
