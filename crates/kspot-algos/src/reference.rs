@@ -193,7 +193,7 @@ fn algorithm(kind: usize, spec: SnapshotSpec, reference: bool) -> Box<dyn Snapsh
 mod properties {
     use super::*;
     use kspot_net::fault::{DutyCycle, FaultPlan};
-    use kspot_net::topology::{DeploymentKind, NodeSpec, Position};
+    use kspot_net::topology::{NodeSpec, Position};
     use kspot_net::types::ValueDomain;
     use crate::historic::{BankWindows, HistoricAlgorithm, HistoricSpec, WindowSource};
     use crate::tja::Tja;
@@ -230,7 +230,7 @@ mod properties {
                 group: (id % groups) * 1_000_003 + 5,
             });
         }
-        Deployment::from_parts(DeploymentKind::Custom, Position::new(0.0, 0.0), nodes, 5.0)
+        Deployment::from_parts(Position::new(0.0, 0.0), nodes, 5.0)
             .with_explicit_parents(parents)
     }
 

@@ -40,7 +40,7 @@ pub struct TopKResult {
 
 /// Best first, ties towards the smaller key.
 fn by_rank(a: &RankedItem, b: &RankedItem) -> std::cmp::Ordering {
-    kspot_net::types::cmp_value(b.value, a.value).then(a.key.cmp(&b.key))
+    kspot_net::types::cmp_best_first((a.value, a.key), (b.value, b.key))
 }
 
 impl TopKResult {

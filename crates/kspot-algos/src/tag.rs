@@ -55,9 +55,9 @@ struct SweepScratch {
 
 thread_local! {
     /// One scratch per thread, not per session: sweeps on a thread run one after the
-    /// other, every sweep lays the table out afresh, and an engine keeps hundreds of
-    /// sessions (finished ones included) whose tables would otherwise each stay
-    /// allocated at O(nodes × groups): `(N + 1) · (8⌈G / 64⌉ + 24 G + 28)` bytes.
+    /// other and every sweep lays the table out afresh, while a table per resident
+    /// session, O(nodes × groups) at `(N + 1) · (8⌈G / 64⌉ + 24 G + 28)` bytes each,
+    /// would raise peak RSS (ADR-004, "Host representation").
     static SCRATCH: RefCell<SweepScratch> = RefCell::default();
 }
 

@@ -225,8 +225,8 @@ pub(crate) struct Threshold {
 }
 
 thread_local! {
-    /// One per thread, never per executor: an engine keeps every session it ever
-    /// admitted, and executions on a thread run one after the other.
+    /// One per thread, never per executor: executions on a thread run one after the
+    /// other, and working memory kept by every resident session would raise peak RSS.
     static SCRATCH: RefCell<Threshold> = RefCell::default();
 }
 

@@ -400,7 +400,7 @@ impl Row<'_> {
             self.iter().filter_map(|(slot, s)| s.partial_value(func).map(|v| (v, group_of(known, read, slot), slot))),
         );
         let by_rank = |a: &(Value, GroupId, usize), b: &(Value, GroupId, usize)| {
-            kspot_net::types::cmp_value(b.0, a.0).then(a.1.cmp(&b.1))
+            kspot_net::types::cmp_best_first((a.0, a.1), (b.0, b.1))
         };
         if k < ranked.len() {
             ranked.select_nth_unstable_by(k, by_rank);

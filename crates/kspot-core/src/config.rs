@@ -8,7 +8,7 @@
 //! configuration-file format so scenarios can be stored and re-loaded without pulling in
 //! a serialisation framework.
 
-use kspot_net::topology::{DeploymentKind, NodeSpec, Position};
+use kspot_net::topology::{NodeSpec, Position};
 use kspot_net::types::ValueDomain;
 use kspot_net::{Deployment, GroupId, NodeId};
 use std::collections::BTreeMap;
@@ -72,11 +72,7 @@ impl ScenarioConfig {
 
     /// A custom scenario around an arbitrary deployment; clusters get generated names.
     pub fn custom(name: impl Into<String>, modality: impl Into<String>, deployment: Deployment) -> Self {
-        let cluster_names = deployment
-            .group_members()
-            .keys()
-            .map(|&g| (g, format!("Cluster {g}")))
-            .collect();
+        let cluster_names = deployment.groups().iter().map(|&(g, _)| (g, format!("Cluster {g}"))).collect();
         Self {
             name: name.into(),
             modality: modality.into(),
@@ -226,7 +222,7 @@ impl ScenarioConfig {
             });
         }
         let nodes = nodes.into_iter().map(|(n, _)| n).collect();
-        let deployment = Deployment::from_parts(DeploymentKind::Custom, sink, nodes, range);
+        let deployment = Deployment::from_parts(sink, nodes, range);
         let mut config = ScenarioConfig::custom(name, modality, deployment);
         config.domain = domain;
         for (g, n) in cluster_names {

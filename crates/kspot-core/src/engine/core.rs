@@ -239,11 +239,11 @@ impl EngineCore {
     /// for, and letting them compete with user queries for slots would make a
     /// query's admissibility depend on whether its panel wants comparisons.
     pub(super) fn register_baselines(&mut self, primary: QueryId) -> Result<Vec<QueryId>, QueryError> {
-        let plan = self.state(primary).plan.clone();
+        let plan = self.state(primary).plan;
         let mut ids = Vec::new();
         for exec in self.route(&plan, Role::Baselines)? {
             let sql = format!("baseline: {}", exec.name());
-            let id = self.admit(sql, plan.clone(), exec)?;
+            let id = self.admit(sql, plan, exec)?;
             self.sessions.get_mut(&id).expect("admitted above").baseline_of = Some(primary);
             ids.push(id);
         }

@@ -204,11 +204,11 @@ impl Session {
             .collect()
     }
 
-    /// Converts the session into a [`QueryExecution`]: the classified plan, the
-    /// routed algorithm, every answer produced so far (or the newest
-    /// [`kspot_net::RETENTION_WINDOW`] once every live handle has consumed older
-    /// ones), and a System Panel whose KSpot report is the session's attributed slice
-    /// of the shared ledger.  Dropping the handle may reap the session (see
+    /// Converts the session into a [`QueryExecution`]: the classified plan, every
+    /// answer produced so far (or the newest [`kspot_net::RETENTION_WINDOW`] once every
+    /// live handle has consumed older ones), and a System Panel whose KSpot report is
+    /// the session's attributed slice of the shared ledger, under the name of the
+    /// algorithm it was routed to.  Dropping the handle may reap the session (see
     /// [`Self::poll`]).  The panel's
     /// baselines are the scoped slices of the comparison sessions registered through
     /// [`crate::QueryEngine::register_baselines`] (none if it was never called),
@@ -223,8 +223,7 @@ impl Session {
         };
         let baselines = state.baselines.iter().copied().map(by_algorithm).collect();
         QueryExecution {
-            plan: state.plan.clone(),
-            algorithm: state.exec.name().to_string(),
+            plan: state.plan,
             results: state.results.retained(),
             panel: SystemPanel::new(by_algorithm(self.id), baselines),
         }

@@ -243,7 +243,7 @@ fn finalize_converts_a_session_into_a_query_execution() {
     let totals = session.totals();
     let execution = session.finalize();
     assert_eq!(execution.results.len(), 6);
-    assert_eq!(execution.algorithm, "KSpot (MINT views)");
+    assert_eq!(execution.panel.kspot.name, "KSpot (MINT views)");
     assert_eq!(execution.plan.k, 2);
     assert!(execution.panel.baselines.is_empty(), "finalize attaches no comparison runs");
     assert_eq!(execution.panel.kspot.totals, totals, "the panel is the session's slice");

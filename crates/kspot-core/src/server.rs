@@ -75,8 +75,6 @@ impl fmt::Display for KSpotBullet {
 pub struct QueryExecution {
     /// The classified plan.
     pub plan: QueryPlan,
-    /// The algorithm KSpot routed the query to.
-    pub algorithm: String,
     /// Per-epoch ranked answers (a single entry for one-shot historic queries).
     pub results: Vec<TopKResult>,
     /// The System Panel.

@@ -68,7 +68,7 @@ pub use sim::{Network, NetworkConfig};
 pub use storage::{
     SlidingWindow, WindowBank, FLASH_PAGE_BYTES, FLASH_PAGE_READ_UJ, FLASH_PAGE_WRITE_UJ,
 };
-pub use topology::{Deployment, DeploymentKind, Position};
+pub use topology::{Deployment, Position};
 pub use tree::RoutingTree;
 pub use types::{Epoch, GroupId, NodeId, Reading, Value, ValueDomain, SINK};
 pub use workload::{RoomModelParams, Workload};

@@ -412,7 +412,7 @@ mod properties {
     use crate::fault::{DutyCycle, FaultPlan};
     use crate::metrics::PhaseTotals;
     use crate::sim::Network;
-    use crate::topology::{DeploymentKind, NodeSpec, Position};
+    use crate::topology::{NodeSpec, Position};
     use proptest::prelude::*;
 
     const PHASES: [PhaseTag; 4] = [PhaseTag::Update, PhaseTag::Probe, PhaseTag::Control, PhaseTag::CleanUp];
@@ -556,7 +556,7 @@ mod properties {
             parents.insert(id, id_of(r % (i as u32 + 1)));
             nodes.push(NodeSpec { id, position: Position::new(f64::from(id), 1.0), group: id % 3 });
         }
-        Deployment::from_parts(DeploymentKind::Custom, Position::new(0.0, 0.0), nodes, 5.0)
+        Deployment::from_parts(Position::new(0.0, 0.0), nodes, 5.0)
             .with_explicit_parents(parents)
     }
 
@@ -636,7 +636,7 @@ mod properties {
     fn chain(config: NetworkConfig) -> Twin {
         let nodes = (1..=5).map(|id| NodeSpec { id, position: Position::new(f64::from(id), 0.0), group: 0 }).collect();
         let parents = (1..=5).map(|id| (id, id - 1)).collect();
-        let d = Deployment::from_parts(DeploymentKind::Custom, Position::new(0.0, 0.0), nodes, 1.5)
+        let d = Deployment::from_parts(Position::new(0.0, 0.0), nodes, 1.5)
             .with_explicit_parents(parents);
         Twin::new(d, config)
     }

@@ -21,7 +21,7 @@
 //! span, so a single maintenance pass per epoch amortises the buffering work across all
 //! historic sessions instead of replaying a collection pass per submission.
 
-use crate::types::{cmp_value, Epoch, NodeId, Reading, Value};
+use crate::types::{cmp_best_first, Epoch, NodeId, Reading, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -117,7 +117,7 @@ impl SlidingWindow {
 /// first, ties towards the older epoch: what sorting all of them under that order and
 /// keeping the head would give, found by selection so that only the head is sorted.
 pub fn top_k_into(samples: &[(Epoch, Value)], k: usize, best: &mut Vec<(Epoch, Value)>) {
-    let by_rank = |a: &(Epoch, Value), b: &(Epoch, Value)| cmp_value(b.1, a.1).then(a.0.cmp(&b.0));
+    let by_rank = |a: &(Epoch, Value), b: &(Epoch, Value)| cmp_best_first((a.1, a.0), (b.1, b.0));
     best.clear();
     best.extend_from_slice(samples);
     if k < best.len() {

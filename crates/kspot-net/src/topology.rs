@@ -52,31 +52,10 @@ pub struct NodeSpec {
     pub group: GroupId,
 }
 
-/// The family a deployment was generated from; used for labelling experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DeploymentKind {
-    /// The Figure-1 running example (4 rooms, 9 sensors).
-    Figure1,
-    /// The Figure-3 conference demo (14 nodes, 6 clusters).
-    Conference,
-    /// A `side × side` grid.
-    Grid,
-    /// Nodes placed uniformly at random.
-    UniformRandom,
-    /// Nodes clustered into rooms placed on a grid of rooms.
-    ClusteredRooms,
-    /// Nodes strung out in a single line away from the sink (a corridor or pipeline
-    /// deployment); the routing tree degenerates to a chain of depth `n`.
-    LinearChain,
-    /// A hand-built deployment.
-    Custom,
-}
-
 /// A complete sensor deployment: the sink, every sensor node, the radio range and the
 /// room/cluster assignment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Deployment {
-    kind: DeploymentKind,
     sink_position: Position,
     /// Sorted by id, so node `id` is `nodes[id - 1]`.
     nodes: Vec<NodeSpec>,
@@ -97,12 +76,7 @@ impl Deployment {
     ///
     /// Node identifiers must be the consecutive range `1..=n` (the sink is implicit as
     /// node `0`); this is asserted because the routing tree and metric arrays index by id.
-    pub fn from_parts(
-        kind: DeploymentKind,
-        sink_position: Position,
-        mut nodes: Vec<NodeSpec>,
-        radio_range: f64,
-    ) -> Self {
+    pub fn from_parts(sink_position: Position, mut nodes: Vec<NodeSpec>, radio_range: f64) -> Self {
         assert!(radio_range > 0.0, "radio range must be positive");
         nodes.sort_by_key(|n| n.id);
         for (i, n) in nodes.iter().enumerate() {
@@ -123,7 +97,7 @@ impl Deployment {
                 group_slots[m as usize] = slot as u32;
             }
         }
-        Self { kind, sink_position, nodes, radio_range, explicit_parents: None, groups, group_slots }
+        Self { sink_position, nodes, radio_range, explicit_parents: None, groups, group_slots }
     }
 
     /// Attaches an explicit routing-parent assignment to the deployment, overriding the
@@ -138,11 +112,6 @@ impl Deployment {
         }
         self.explicit_parents = Some(parents);
         self
-    }
-
-    /// The deployment family.
-    pub fn kind(&self) -> DeploymentKind {
-        self.kind
     }
 
     /// Number of sensor nodes (the sink is not counted).
@@ -193,14 +162,9 @@ impl Deployment {
         }
     }
 
-    /// Map from group id to the members of that group, ascending node order.
-    pub fn group_members(&self) -> BTreeMap<GroupId, Vec<NodeId>> {
-        self.groups.iter().cloned().collect()
-    }
-
-    /// The distinct groups, ascending, each with its members in ascending id order —
-    /// [`Self::group_members`] without the copy.  A group's position in this slice is
-    /// its dense index; group ids themselves may be sparse.
+    /// The distinct groups, ascending, each with its members in ascending id order.  A
+    /// group's position in this slice is its dense index; group ids themselves may be
+    /// sparse.
     pub fn groups(&self) -> &[(GroupId, Vec<NodeId>)] {
         &self.groups
     }
@@ -287,7 +251,7 @@ impl Deployment {
         parents.insert(8, 7);
         parents.insert(4, 7);
         parents.insert(9, 4);
-        Self::from_parts(DeploymentKind::Figure1, Position::new(1.0, 10.0), nodes, 12.0)
+        Self::from_parts(Position::new(1.0, 10.0), nodes, 12.0)
             .with_explicit_parents(parents)
     }
 
@@ -318,7 +282,7 @@ impl Deployment {
                 id += 1;
             }
         }
-        Self::from_parts(DeploymentKind::Conference, Position::new(0.0, 20.0), nodes, 25.0)
+        Self::from_parts(Position::new(0.0, 20.0), nodes, 25.0)
     }
 
     // ------------------------------------------------------------------
@@ -349,7 +313,7 @@ impl Deployment {
         }
         // Range of 1.5 × spacing connects the 4-neighbourhood and the diagonal,
         // guaranteeing a connected grid.
-        Self::from_parts(DeploymentKind::Grid, Position::new(0.0, 0.0), nodes, spacing * 1.6)
+        Self::from_parts(Position::new(0.0, 0.0), nodes, spacing * 1.6)
     }
 
     /// `n` nodes placed uniformly at random in a `width × height` area, assigned
@@ -369,7 +333,7 @@ impl Deployment {
         // A generous range keeps random deployments connected; stragglers are attached
         // to their nearest neighbour by the routing-tree builder anyway.
         let range = (width.max(height) / (n as f64).sqrt()) * 2.5;
-        Self::from_parts(DeploymentKind::UniformRandom, Position::new(0.0, 0.0), nodes, range)
+        Self::from_parts(Position::new(0.0, 0.0), nodes, range)
     }
 
     /// `n` nodes in a single line at `spacing`-metre intervals leading away from the
@@ -391,7 +355,7 @@ impl Deployment {
             })
             .collect();
         // 1.2 × spacing hears only the adjacent neighbours, keeping the chain a chain.
-        Self::from_parts(DeploymentKind::LinearChain, Position::new(0.0, 0.0), nodes, spacing * 1.2)
+        Self::from_parts(Position::new(0.0, 0.0), nodes, spacing * 1.2)
     }
 
     /// `rooms` rooms laid out on a grid of rooms, each monitored by `nodes_per_room`
@@ -420,12 +384,7 @@ impl Deployment {
                 id += 1;
             }
         }
-        Self::from_parts(
-            DeploymentKind::ClusteredRooms,
-            Position::new(0.0, 0.0),
-            nodes,
-            room_size * 1.8,
-        )
+        Self::from_parts(Position::new(0.0, 0.0), nodes, room_size * 1.8)
     }
 }
 
@@ -458,11 +417,10 @@ mod tests {
         let d = Deployment::figure1();
         assert_eq!(d.num_nodes(), 9);
         assert_eq!(d.num_groups(), 4);
-        let members = d.group_members();
-        assert_eq!(members[&GROUP_A], vec![2, 3]);
-        assert_eq!(members[&GROUP_B], vec![1, 4]);
-        assert_eq!(members[&GROUP_C], vec![5, 6]);
-        assert_eq!(members[&GROUP_D], vec![7, 8, 9]);
+        assert_eq!(d.members_of(GROUP_A), [2, 3]);
+        assert_eq!(d.members_of(GROUP_B), [1, 4]);
+        assert_eq!(d.members_of(GROUP_C), [5, 6]);
+        assert_eq!(d.members_of(GROUP_D), [7, 8, 9]);
         // The scripted routing tree sends s9's tuple through s4.
         assert_eq!(d.explicit_parents().unwrap()[&9], 4);
     }
@@ -524,12 +482,11 @@ mod tests {
         let d = Deployment::linear_chain(6, 10.0, Some(3));
         assert_eq!(d.num_nodes(), 6);
         assert_eq!(d.num_groups(), 3);
-        assert_eq!(d.kind(), DeploymentKind::LinearChain);
         // Each node only hears its immediate neighbours (and node 1 hears the sink).
         assert_eq!(d.neighbors(1), vec![0, 2]);
         assert_eq!(d.neighbors(3), vec![2, 4]);
+        // The chain degenerates to maximum depth.
         let tree = crate::tree::RoutingTree::build(&d);
-        assert_eq!(tree.height(), 6, "the chain degenerates to maximum depth");
         assert_eq!(tree.path_to_sink(6), vec![6, 5, 4, 3, 2, 1]);
     }
 
@@ -548,14 +505,13 @@ mod tests {
     #[test]
     fn group_slots_agree_with_a_search_of_the_groups() {
         let custom = Deployment::from_parts(
-            DeploymentKind::Custom,
             Position::new(0.0, 0.0),
             (1..=7)
                 .map(|id| NodeSpec { id, position: Position::new(f64::from(id), 0.0), group: id * id % 5 * 1_000_003 })
                 .collect(),
             5.0,
         );
-        for d in [
+        for (family, d) in [
             Deployment::figure1(),
             Deployment::conference(),
             Deployment::grid(5, 10.0, None),
@@ -564,13 +520,16 @@ mod tests {
             Deployment::linear_chain(6, 10.0, Some(3)),
             Deployment::clustered_rooms(6, 4, 20.0, 3),
             custom,
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let slots = d.group_slots();
-            assert_eq!(slots.len(), d.num_nodes() + 1, "{:?}", d.kind());
-            assert_eq!(slots[SINK as usize], u32::MAX, "{:?}: the sink has no group", d.kind());
+            assert_eq!(slots.len(), d.num_nodes() + 1, "family {family}");
+            assert_eq!(slots[SINK as usize], u32::MAX, "family {family}: the sink has no group");
             for id in d.node_ids() {
                 let searched = d.groups().binary_search_by_key(&d.group_of(id), |(g, _)| *g);
-                assert_eq!(Ok(slots[id as usize] as usize), searched, "{:?}, node {id}", d.kind());
+                assert_eq!(Ok(slots[id as usize] as usize), searched, "family {family}, node {id}");
             }
         }
     }
@@ -582,7 +541,7 @@ mod tests {
             NodeSpec { id: 1, position: Position::new(0.0, 0.0), group: 0 },
             NodeSpec { id: 3, position: Position::new(1.0, 0.0), group: 0 },
         ];
-        let _ = Deployment::from_parts(DeploymentKind::Custom, Position::new(0.0, 0.0), nodes, 5.0);
+        let _ = Deployment::from_parts(Position::new(0.0, 0.0), nodes, 5.0);
     }
 
     #[test]

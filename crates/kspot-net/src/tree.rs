@@ -26,8 +26,6 @@ pub struct RoutingTree {
     parent: Vec<NodeId>,
     /// `children[id]` are the children of node `id` (index 0 is the sink), ascending.
     children: Vec<Vec<NodeId>>,
-    /// Hop distance from the sink; `depth[i]` is the depth of node `i + 1`.
-    depth: Vec<u32>,
     /// Sensor nodes, every node after all of its descendants.
     post_order: Vec<NodeId>,
     /// Sensor nodes, every node before its descendants.
@@ -106,23 +104,15 @@ impl RoutingTree {
         for (i, &p) in parent.iter().enumerate() {
             children[p as usize].push((i + 1) as NodeId);
         }
-        // One top-down pass from the sink yields the pre-order and every depth; a node
-        // the pass never reaches does not lead to the sink, i.e. it is on (or hangs
-        // off) a cycle.
-        let mut depth = vec![0u32; n];
+        // One top-down pass from the sink yields the pre-order; a node the pass never
+        // reaches does not lead to the sink, i.e. it is on (or hangs off) a cycle.
         let mut pre_order = Vec::with_capacity(n);
         let mut stack = vec![SINK];
         while let Some(node) = stack.pop() {
-            let below = if node == SINK {
-                1
-            } else {
+            if node != SINK {
                 pre_order.push(node);
-                depth[(node - 1) as usize] + 1
-            };
-            for &c in children[node as usize].iter().rev() {
-                depth[(c - 1) as usize] = below;
-                stack.push(c);
             }
+            stack.extend(children[node as usize].iter().rev());
         }
         if pre_order.len() != n {
             let mut reached = vec![false; n + 1];
@@ -143,7 +133,7 @@ impl RoutingTree {
             stack.extend(children[node as usize].iter().copied());
         }
         post_order.reverse();
-        Self { parent, children, depth, post_order, pre_order }
+        Self { parent, children, post_order, pre_order }
     }
 
     /// Number of sensor nodes in the tree (the sink is not counted).
@@ -160,20 +150,6 @@ impl RoutingTree {
     /// The children of `node` (which may be the sink), in ascending id order.
     pub fn children(&self, node: NodeId) -> &[NodeId] {
         self.children.get(node as usize).map_or(&[], Vec::as_slice)
-    }
-
-    /// Hop distance of `node` from the sink (the sink itself has depth 0).
-    pub fn depth(&self, node: NodeId) -> u32 {
-        if node == SINK {
-            0
-        } else {
-            self.depth[(node - 1) as usize]
-        }
-    }
-
-    /// The maximum depth over all nodes (i.e. the height of the tree).
-    pub fn height(&self) -> u32 {
-        self.depth.iter().copied().max().unwrap_or(0)
     }
 
     /// True if `node` has no children.
@@ -225,7 +201,7 @@ mod tests {
             // Walking up from every node terminates at the sink.
             let path = t.path_to_sink(id);
             assert_eq!(path[0], id);
-            assert!(path.len() as u32 == t.depth(id));
+            assert_eq!(t.parent(*path.last().unwrap()), SINK);
         }
     }
 
@@ -237,8 +213,9 @@ mod tests {
         assert_eq!(t.parent(4), 7);
         assert_eq!(t.parent(7), SINK);
         assert_eq!(t.children(SINK), &[2, 5, 7]);
-        assert_eq!(t.depth(9), 3);
-        assert_eq!(t.height(), 3);
+        assert_eq!(t.path_to_sink(9), vec![9, 4, 7]);
+        let height = d.node_ids().into_iter().map(|id| t.path_to_sink(id).len()).max();
+        assert_eq!(height, Some(3));
     }
 
     #[test]
@@ -281,13 +258,13 @@ mod tests {
     #[test]
     fn disconnected_nodes_are_attached_to_nearest_neighbor() {
         // A deployment whose radio range cannot reach one far-away node.
-        use crate::topology::{DeploymentKind, NodeSpec, Position};
+        use crate::topology::{NodeSpec, Position};
         let nodes = vec![
             NodeSpec { id: 1, position: Position::new(5.0, 0.0), group: 0 },
             NodeSpec { id: 2, position: Position::new(10.0, 0.0), group: 0 },
             NodeSpec { id: 3, position: Position::new(100.0, 0.0), group: 0 },
         ];
-        let d = Deployment::from_parts(DeploymentKind::Custom, Position::new(0.0, 0.0), nodes, 8.0);
+        let d = Deployment::from_parts(Position::new(0.0, 0.0), nodes, 8.0);
         let t = RoutingTree::build(&d);
         // Node 3 is out of range of everything; it gets attached to node 2, its nearest
         // connected peer.
@@ -301,8 +278,7 @@ mod tests {
         // the stack while the post-order was built recursively.
         let n = 20_000u32;
         let t = RoutingTree::from_parent_vector((0..n).collect());
-        assert_eq!(t.height(), n);
-        assert_eq!(t.depth(n), n);
+        assert_eq!(t.path_to_sink(n).len(), n as usize);
         assert_eq!(t.post_order(), (1..=n).rev().collect::<Vec<_>>());
         assert_eq!(t.pre_order_slice(), (1..=n).collect::<Vec<_>>());
     }
@@ -322,9 +298,6 @@ mod tests {
             visit(&t, SINK, &mut pre, &mut post);
             assert_eq!(t.pre_order_slice(), pre);
             assert_eq!(t.post_order_slice(), post);
-            for id in d.node_ids() {
-                assert_eq!(t.depth(id) as usize, t.path_to_sink(id).len());
-            }
         }
     }
 

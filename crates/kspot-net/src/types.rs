@@ -116,6 +116,13 @@ pub fn cmp_value(a: Value, b: Value) -> std::cmp::Ordering {
     canon(a).total_cmp(&canon(b))
 }
 
+/// The best-first order every ranking uses, on `(value, key)` pairs: value descending
+/// by [`cmp_value`] (so NaN ranks last), ties toward the smaller key.
+#[inline]
+pub fn cmp_best_first<K: Ord>(a: (Value, K), b: (Value, K)) -> std::cmp::Ordering {
+    cmp_value(b.0, a.0).then(a.1.cmp(&b.1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +169,22 @@ mod tests {
         assert_eq!(cmp_value(Value::NAN, 2.0), Less);
         assert_eq!(cmp_value(2.0, Value::NAN), Greater);
         assert_eq!(cmp_value(Value::NAN, Value::NAN), Equal);
+    }
+
+    #[test]
+    fn best_first_ranks_high_values_first_nan_last_and_ties_by_smaller_key() {
+        use std::cmp::Ordering::*;
+        assert_eq!(cmp_best_first((2.0, 9u64), (1.0, 1)), Less);
+        assert_eq!(cmp_best_first((1.0, 1u64), (2.0, 9)), Greater);
+        assert_eq!(cmp_best_first((2.0, 1u64), (2.0, 9)), Less);
+        assert_eq!(cmp_best_first((2.0, 9u64), (2.0, 1)), Greater);
+        assert_eq!(cmp_best_first((2.0, 4u64), (2.0, 4)), Equal);
+        assert_eq!(cmp_best_first((Value::NAN, 1u64), (-1e300, 9)), Greater);
+        assert_eq!(cmp_best_first((Value::NAN, 1u64), (Value::NAN, 9)), Less);
+        let mut ranked = [(Value::NAN, 0u32), (3.0, 7), (Value::NEG_INFINITY, 1), (3.0, 2), (Value::NAN, 5)];
+        ranked.sort_by(|&a, &b| cmp_best_first(a, b));
+        let keys: Vec<u32> = ranked.iter().map(|&(_, k)| k).collect();
+        assert_eq!(keys, [2, 7, 1, 0, 5]);
     }
 
     #[test]

@@ -121,9 +121,9 @@ impl Workload {
     ) -> Self {
         let mut rng = stream_rng(seed, &[0x1001]);
         let room_levels = deployment
-            .group_members()
-            .keys()
-            .map(|&g| (g, rng.gen_range(domain.min..=domain.max)))
+            .groups()
+            .iter()
+            .map(|&(g, _)| (g, rng.gen_range(domain.min..=domain.max)))
             .collect();
         Self::base(deployment, domain, seed, Generator::RoomCorrelated { params, room_levels })
     }
@@ -158,7 +158,7 @@ impl Workload {
     ) -> Self {
         assert!(dwell >= 1, "the hot spot must dwell for at least one epoch");
         assert!(noise_sigma >= 0.0, "noise deviation must be non-negative");
-        let groups: Vec<GroupId> = deployment.group_members().keys().copied().collect();
+        let groups: Vec<GroupId> = deployment.groups().iter().map(|&(g, _)| g).collect();
         Self::base(deployment, domain, seed, Generator::DriftingHotSpot { dwell, noise_sigma, groups })
     }
 
@@ -316,8 +316,7 @@ mod tests {
             crate::rng::workload_seed(11),
         );
         let readings = w.next_epoch();
-        let members = d.group_members();
-        for (_, ids) in members {
+        for (_, ids) in d.groups() {
             let vals: Vec<f64> = readings.iter().filter(|r| ids.contains(&r.node)).map(|r| r.value).collect();
             let spread = vals.iter().cloned().fold(f64::MIN, f64::max)
                 - vals.iter().cloned().fold(f64::MAX, f64::min);

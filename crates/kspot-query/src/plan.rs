@@ -79,8 +79,8 @@ impl ExecutionStrategy {
     }
 }
 
-/// A validated query plus the routing decision and normalised execution parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The routing decision for a validated query and its normalised execution parameters.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QueryPlan {
     /// The strategy the query is routed to.
     pub strategy: ExecutionStrategy,
@@ -88,20 +88,12 @@ pub struct QueryPlan {
     pub k: u32,
     /// The aggregate used for ranking/aggregation, if any.
     pub aggregate: Option<AggFunc>,
-    /// The sensed attribute the query reads (e.g. `sound`); `None` for `SELECT *`.
-    pub attribute: Option<String>,
-    /// The grouping key (`roomid`, `nodeid`, `epoch`, …), if any.
-    pub group_by: Option<String>,
-    /// Epoch length in seconds.
-    pub epoch_seconds: u64,
     /// History window in epochs, if the query is historic.
     pub history_epochs: Option<u64>,
     /// The checkpoint epoch to answer `AS OF`, if the query time-travels.
     pub as_of_epoch: Option<u64>,
     /// Lifetime of the continuous query in epochs, if bounded.
     pub lifetime_epochs: Option<u64>,
-    /// The original query (kept for display and re-dissemination).
-    pub query: Query,
 }
 
 impl QueryPlan {
@@ -137,36 +129,22 @@ pub fn classify(query: &Query) -> QueryResult<QueryPlan> {
         }
     }
 
-    // The ranked attribute: the aggregated column for aggregate queries, otherwise the
-    // first selected measurement column that is not the grouping entity.
-    let attribute = match aggregate {
-        Some((_, col)) if col != "*" => Some(col.to_string()),
-        Some(_) => None,
-        None => query
-            .select
-            .iter()
-            .map(|s| s.column().to_string())
-            .find(|c| !matches!(c.as_str(), "nodeid" | "roomid" | "cluster" | "epoch" | "*")),
-    };
-
-    if strategy == ExecutionStrategy::NodeMonitoringTopK && attribute.is_none() {
+    // A node-monitoring query ranks raw readings, so besides the grouping entities it
+    // must select the measurement column it ranks by.
+    let entity = |c: &str| matches!(c, "nodeid" | "roomid" | "cluster" | "epoch" | "*");
+    if strategy == ExecutionStrategy::NodeMonitoringTopK && query.select.iter().all(|s| entity(s.column())) {
         return Err(QueryError::semantic(
             "a ranked node-monitoring query must select the measurement to rank by (e.g. `nodeid, sound`)",
         ));
     }
 
-    let epoch_seconds = query.epoch_seconds();
     Ok(QueryPlan {
         strategy,
         k: query.top_k.unwrap_or(0),
         aggregate: aggregate.map(|(f, _)| f),
-        attribute,
-        group_by: query.group_by.clone(),
-        epoch_seconds,
         history_epochs: query.history_epochs(),
         as_of_epoch: query.as_of,
-        lifetime_epochs: query.lifetime.map(|l| l.to_epochs(epoch_seconds)),
-        query: query.clone(),
+        lifetime_epochs: query.lifetime.map(|l| l.to_epochs(query.epoch_seconds())),
     })
 }
 
@@ -185,9 +163,6 @@ mod tests {
         assert_eq!(p.strategy, ExecutionStrategy::SnapshotTopK);
         assert_eq!(p.k, 1);
         assert_eq!(p.aggregate, Some(AggFunc::Avg));
-        assert_eq!(p.attribute.as_deref(), Some("sound"));
-        assert_eq!(p.group_by.as_deref(), Some("roomid"));
-        assert_eq!(p.epoch_seconds, 60);
     }
 
     #[test]
@@ -245,7 +220,6 @@ mod tests {
     fn node_monitoring_topk_routes_to_fila() {
         let p = plan("SELECT TOP 3 nodeid, sound FROM sensors EPOCH DURATION 10 s");
         assert_eq!(p.strategy, ExecutionStrategy::NodeMonitoringTopK);
-        assert_eq!(p.attribute.as_deref(), Some("sound"));
         assert_eq!(p.aggregate, None);
     }
 
@@ -260,7 +234,6 @@ mod tests {
     fn plain_select_routes_to_raw_collection() {
         let p = plan("SELECT * FROM sensors");
         assert_eq!(p.strategy, ExecutionStrategy::RawCollection);
-        assert_eq!(p.attribute, None);
     }
 
     #[test]
@@ -304,7 +277,7 @@ mod tests {
 
     #[test]
     fn default_epoch_duration_is_thirty_seconds() {
-        let p = plan("SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid");
-        assert_eq!(p.epoch_seconds, 30);
+        let p = plan("SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid LIFETIME 1 h");
+        assert_eq!(p.lifetime_epochs, Some(120));
     }
 }

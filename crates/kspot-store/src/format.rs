@@ -200,6 +200,12 @@ pub fn pages_for(bytes: usize) -> u64 {
     (bytes.div_ceil(FLASH_PAGE_BYTES)) as u64
 }
 
+/// Bytes of one node record holding `samples` samples: node id and sample count, then
+/// an epoch and a value per sample.
+pub fn record_bytes(samples: usize) -> usize {
+    8 + 16 * samples
+}
+
 // --- encoding ---------------------------------------------------------------------
 
 /// Encodes one snapshot of `bank` as a checkpoint image.  Encoding iterates the live
@@ -208,7 +214,7 @@ pub fn pages_for(bytes: usize) -> u64 {
 pub fn encode_image(bank: &WindowBank, epoch: Epoch) -> Vec<u8> {
     // Header, one record per window, checksum: the image's exact size.
     let image_bytes =
-        IMAGE_HEADER_BYTES + bank.windows().map(|(_, w)| 8 + 16 * w.len()).sum::<usize>() + 8;
+        IMAGE_HEADER_BYTES + bank.windows().map(|(_, w)| record_bytes(w.len())).sum::<usize>() + 8;
     let mut out = Vec::with_capacity(image_bytes);
     out.extend_from_slice(&IMAGE_MAGIC);
     put_u16(&mut out, FORMAT_VERSION);

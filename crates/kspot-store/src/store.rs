@@ -1,7 +1,8 @@
 //! [`CheckpointStore`]: the ring of encoded snapshots on the modeled flash device.
 
 use crate::format::{
-    decode_image, encode_image, encode_manifest, pages_for, split_manifest, StoreError,
+    decode_image, encode_image, encode_manifest, pages_for, record_bytes, split_manifest,
+    StoreError,
 };
 use kspot_algos::BankWindows;
 use kspot_net::{Epoch, Network, WindowBank};
@@ -91,8 +92,8 @@ impl CheckpointStore {
     pub fn checkpoint(&mut self, bank: &mut WindowBank, epoch: Epoch, net: &mut Network) {
         let image = encode_image(bank, epoch);
         for (node, window) in bank.windows() {
-            let record_bytes = 8 + window.len() * 16;
-            net.charge_page_writes(node, pages_for(record_bytes), record_bytes as u64);
+            let bytes = record_bytes(window.len());
+            net.charge_page_writes(node, pages_for(bytes), bytes as u64);
         }
         if let Some(back) = self.images.back_mut() {
             if back.0 == epoch {
@@ -125,7 +126,7 @@ impl CheckpointStore {
             .ok_or(StoreError::NoSnapshot(epoch))?;
         let image = decode_image(bytes)?;
         for &(node, samples) in &image.records {
-            net.charge_page_reads(node, pages_for(8 + samples * 16));
+            net.charge_page_reads(node, pages_for(record_bytes(samples)));
         }
         Ok(BankWindows::new(image.bank, window))
     }

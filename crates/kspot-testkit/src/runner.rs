@@ -89,7 +89,7 @@ pub fn run_snapshot_cell(cell: &ScenarioCell) -> CellOutcome {
     let d = cell.deployment();
     let plan = cell.fault_plan(&d);
     let spec = cell.snapshot_spec();
-    let group_keys: BTreeSet<u64> = d.group_members().keys().map(|&g| u64::from(g)).collect();
+    let group_keys: BTreeSet<u64> = d.groups().iter().map(|&(g, _)| u64::from(g)).collect();
 
     // Reference readings, regenerated from the same workload stream the algorithms
     // saw, and the per-epoch oracle every exact strategy is compared against.
@@ -250,7 +250,7 @@ pub fn run_historic_cell(cell: &ScenarioCell) -> CellOutcome {
         let metrics = net.metrics();
         violations
             .extend(check_ledger(metrics).into_iter().map(|v| format!("local-aggregate: {v}")));
-        let group_keys: BTreeSet<u64> = d.group_members().keys().map(|&g| u64::from(g)).collect();
+        let group_keys: BTreeSet<u64> = d.groups().iter().map(|&(g, _)| u64::from(g)).collect();
         violations.extend(
             check_well_formed(&result, &snap_spec, &group_keys)
                 .into_iter()

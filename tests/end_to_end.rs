@@ -47,9 +47,9 @@ fn every_query_class_is_routed_to_the_documented_algorithm() {
         assert_eq!(plan.strategy, strategy, "{sql}");
         let execution = execute(&server(1), sql, 16);
         assert!(
-            execution.algorithm.contains(algorithm_fragment),
+            execution.panel.kspot.name.contains(algorithm_fragment),
             "{sql} was executed by {} instead of something containing {algorithm_fragment}",
-            execution.algorithm
+            execution.panel.kspot.name
         );
     }
 }
@@ -215,7 +215,7 @@ fn historic_vertical_query_routes_to_tja() {
         "SELECT TOP 5 epoch, AVG(sound) FROM sensors GROUP BY epoch EPOCH DURATION 30 s WITH HISTORY 64 epochs",
         64,
     );
-    assert!(execution.algorithm.contains("TJA"));
+    assert!(execution.panel.kspot.name.contains("TJA"));
     assert_eq!(execution.results.len(), 1);
     assert_eq!(execution.results[0].items.len(), 5);
     let vs_central = execution.panel.savings_vs("centralized window collection").unwrap();
@@ -229,7 +229,7 @@ fn historic_horizontal_query_uses_local_filtering() {
         "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 30 s WITH HISTORY 32 epochs",
         32,
     );
-    assert_eq!(execution.algorithm, "local filter + MINT update");
+    assert_eq!(execution.panel.kspot.name, "local filter + MINT update");
     assert_eq!(execution.results[0].items.len(), 2);
     let savings = execution.panel.primary_savings().unwrap();
     assert!(savings.byte_savings_pct() > 50.0, "local filtering avoids shipping windows: {savings}");
@@ -241,7 +241,7 @@ fn node_monitoring_query_routes_to_fila() {
     // seeds whose room draws leave them statistically tied (same room) churn the
     // boundary filter every epoch.  Seed 4 produces the separated regime.
     let execution = execute(&server(4), "SELECT TOP 3 nodeid, sound FROM sensors EPOCH DURATION 10 s", 30);
-    assert!(execution.algorithm.contains("FILA"));
+    assert!(execution.panel.kspot.name.contains("FILA"));
     assert_eq!(execution.results.len(), 30);
     let savings = execution.panel.savings_vs("centralized collection").unwrap();
     assert!(savings.message_savings_pct() > 0.0);
@@ -251,13 +251,13 @@ fn node_monitoring_query_routes_to_fila() {
 fn plain_aggregate_and_raw_queries_run_too() {
     let server = server(11);
     let agg = execute(&server, "SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid EPOCH DURATION 30 s", 5);
-    assert!(agg.algorithm.contains("TAG"));
+    assert!(agg.panel.kspot.name.contains("TAG"));
     assert_eq!(agg.results.len(), 5);
     assert_eq!(agg.results[0].items.len(), 6, "all six clusters are reported");
     assert!(agg.panel.savings_vs("centralized collection").is_some());
 
     let raw = execute(&server, "SELECT * FROM sensors", 3);
-    assert!(raw.algorithm.contains("centralized"));
+    assert!(raw.panel.kspot.name.contains("centralized"));
     assert!(raw.panel.baselines.is_empty(), "raw collection is its own baseline");
 }
 

@@ -74,7 +74,7 @@ fn snapshot_query_on_figure1_returns_room_c_and_saves_traffic() {
     engine.register_baselines(&session).expect("baselines register");
     engine.run_epochs(10);
     let execution = session.finalize();
-    assert_eq!(execution.algorithm, "KSpot (MINT views)");
+    assert_eq!(execution.panel.kspot.name, "KSpot (MINT views)");
     assert_eq!(execution.results.len(), 10);
     for result in &execution.results {
         assert_eq!(result.top().unwrap().key, 2, "room C wins every epoch");
