@@ -32,6 +32,8 @@ pub struct FilaStats {
 }
 
 /// The FILA-style monitoring executor (ranks individual nodes, not groups).
+///
+/// The Top-K *membership* is exact; reported values of silent members may be stale.
 #[derive(Debug, Clone)]
 pub struct FilaMonitor {
     spec: SnapshotSpec,
@@ -114,11 +116,6 @@ impl FilaMonitor {
 impl SnapshotAlgorithm for FilaMonitor {
     fn name(&self) -> &'static str {
         "FILA-style filters"
-    }
-
-    /// The Top-K *membership* is exact; reported values of silent members may be stale.
-    fn is_exact(&self) -> bool {
-        false
     }
 
     fn execute_epoch(&mut self, net: &mut Network, readings: &[Reading]) -> TopKResult {

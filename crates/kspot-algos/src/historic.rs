@@ -7,21 +7,13 @@
 //! once information from all nodes is combined, which is exactly what TJA's phased
 //! protocol does.
 //!
-//! This module provides the shared scaffolding: the query spec, the [`WindowSource`]
-//! trait every historic algorithm reads its windows through, its one implementation
-//! ([`BankWindows`], a span-limited view over a [`kspot_net::WindowBank`] — the
-//! engine's shared bank borrowed, or a restored or freshly collected one owned), the
-//! omniscient reference answer, the [`HistoricAlgorithm`] trait and the two
-//! straightforward strategies — shipping the complete windows to the sink
-//! ([`CentralizedHistoric`]) and the horizontally fragmented local-filter variant of
-//! Section III-B ([`LocalAggregateHistoric`]).
-//!
-//! ## Why [`WindowSource`] is a trait with one implementation
-//!
-//! The algorithms take `&mut dyn WindowSource` so that one compiled TJA/TPUT serves
-//! both instantiations of [`BankWindows`] (borrowed and owned); the out-of-workspace
-//! benchmark's replay mirror (`bench/src/replay.rs`) passes both through that
-//! signature, which is why the trait stays (ADR-005, "one view").
+//! This module provides the shared scaffolding: the query spec, the view every historic
+//! algorithm reads its windows through ([`BankWindows`], a span-limited view over a
+//! [`kspot_net::WindowBank`] — the engine's shared bank borrowed, or a restored or
+//! freshly collected one owned), the omniscient reference answer, the
+//! [`HistoricAlgorithm`] trait and the two straightforward strategies — shipping the
+//! complete windows to the sink ([`CentralizedHistoric`]) and the horizontally
+//! fragmented local-filter variant of Section III-B ([`LocalAggregateHistoric`]).
 
 use crate::agg::exact_aggregate;
 use crate::result::{RankedItem, TopKResult};
@@ -33,7 +25,6 @@ use kspot_net::storage::top_k_into;
 use kspot_net::{Epoch, Network, NodeId, PhaseTag, Reading, SlidingWindow, WindowBank, Workload};
 use kspot_query::AggFunc;
 use serde::{Deserialize, Serialize};
-use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
 
 /// Parameters of a historic (vertically fragmented) Top-K query.
@@ -68,45 +59,6 @@ impl HistoricSpec {
     }
 }
 
-/// Read access to the per-node sliding windows a historic query answers from.
-///
-/// The one implementation is [`BankWindows`] (a span-limited view over the multi-query
-/// engine's shared [`WindowBank`], or over one restored from a checkpoint or collected
-/// for a single submission).  The methods mirror
-/// the two access paths real motes expose (local top-k scan and point lookups, see
-/// [`SlidingWindow`]) plus the bulk scans the centralized comparators need.
-///
-/// A source lends what it holds and fills what the caller brings: nothing here
-/// allocates per call.  All sample lists are oldest-epoch-first, with ties in
-/// `local_top_k` broken towards the older epoch — the deterministic order
-/// [`SlidingWindow`] guarantees — so two sources holding the same samples produce
-/// byte-identical algorithm runs.
-pub trait WindowSource {
-    /// Node identifiers holding a window, ascending.
-    fn source_nodes(&self) -> &[NodeId];
-
-    /// The epochs covered by the windows, oldest first (the last one is the epoch the
-    /// query is answered at).
-    fn covered_epochs(&self) -> &[Epoch];
-
-    /// Every buffered `(epoch, value)` sample of one node, oldest first.
-    fn samples(&mut self, node: NodeId) -> &[(Epoch, f64)];
-
-    /// Replaces `best` with the node's `k` highest-valued samples, best first (ties
-    /// toward older epochs).
-    fn local_top_k(&mut self, node: NodeId, k: usize, best: &mut Vec<(Epoch, f64)>);
-
-    /// Replaces `found` with the node's samples of value at least `threshold`, oldest
-    /// first.
-    fn values_at_least(&mut self, node: NodeId, threshold: f64, found: &mut Vec<(Epoch, f64)>);
-
-    /// The node's value at `epoch`, if buffered.
-    fn value_at(&mut self, node: NodeId, epoch: Epoch) -> Option<f64>;
-
-    /// Number of samples the node's window currently buffers.
-    fn window_len(&mut self, node: NodeId) -> usize;
-}
-
 /// True when `node` is a sensor node of `net` that can answer right now.  A source may
 /// hold windows of nodes the deployment does not have (a checkpoint image from another
 /// deployment restores fine); every historic strategy leaves those out, like dead ones.
@@ -118,7 +70,7 @@ pub(crate) fn can_answer(net: &Network, node: NodeId) -> bool {
 /// source the query ran against — the sink-side final ranking of
 /// [`CentralizedHistoric`], and the oracle for participation-scoped exactness claims.
 pub fn exact_over_source(
-    source: &mut dyn WindowSource,
+    source: &mut BankWindows<'_>,
     spec: &HistoricSpec,
     nodes: &[NodeId],
 ) -> TopKResult {
@@ -133,11 +85,11 @@ pub fn exact_over_source(
 
 /// Scores every epoch by the spec's aggregate over its values and keeps the best `k`.
 fn ranked_epochs(per_epoch: BTreeMap<Epoch, Vec<f64>>, spec: &HistoricSpec, at: Epoch) -> TopKResult {
-    let items = per_epoch
+    let mut items: Vec<RankedItem> = per_epoch
         .into_iter()
         .filter_map(|(e, vals)| exact_aggregate(spec.func, &vals).map(|v| RankedItem::new(e, v)))
         .collect();
-    TopKResult::top_k(at, items, spec.k)
+    TopKResult::best_of(at, &mut items, spec.k)
 }
 
 /// The samples of `window` from epoch `first` on, oldest first.
@@ -147,29 +99,68 @@ fn span_of(window: Option<&mut SlidingWindow>, first: Epoch) -> &[(Epoch, f64)] 
     &all[all.partition_point(|&(e, _)| e < first)..]
 }
 
-/// A span-limited [`WindowSource`] view over a [`WindowBank`]: exposes only the **last
-/// `window` epochs** of the bank, so a session whose `WITH HISTORY` span is shorter
-/// than the bank's capacity (which follows the largest registered span) sees exactly
-/// the window it asked for.
+/// A span-limited view over a [`WindowBank`]: exposes only the **last `window` epochs**
+/// of the bank, so a session whose `WITH HISTORY` span is shorter than the bank's
+/// capacity (which follows the largest registered span) sees exactly the window it
+/// asked for.  Every historic algorithm reads its windows through it.
 ///
-/// The bank is the engine's shared one, borrowed (`BankWindows<&mut WindowBank>`), or
-/// an owned one (`BankWindows<WindowBank>`): restored from a checkpoint image — there
-/// is no live bank to borrow for an epoch the engine has long evicted — or fed for one
-/// submission by [`BankWindows::collect`].  Holding the same samples, the two are
-/// byte-identical to every algorithm.
-#[derive(Debug, Clone)]
-pub struct BankWindows<B> {
-    bank: B,
+/// The bank is the engine's shared one, borrowed ([`BankWindows::new`]), or an owned
+/// one ([`BankWindows::owned`]): restored from a checkpoint image — there is no live
+/// bank to borrow for an epoch the engine has long evicted — or fed for one submission
+/// by [`BankWindows::collect`].  Holding the same samples, the two are byte-identical to
+/// every algorithm.
+///
+/// The methods mirror the two access paths real motes expose (local top-k scan and
+/// point lookups, see [`SlidingWindow`]) plus the bulk scans the centralized
+/// comparators need.  A view lends what it holds and fills what the caller brings:
+/// nothing here allocates per call.  All sample lists are oldest-epoch-first, with ties
+/// in `local_top_k` broken towards the older epoch — the deterministic order
+/// [`SlidingWindow`] guarantees.
+#[derive(Debug)]
+pub struct BankWindows<'a> {
+    bank: Bank<'a>,
     /// The covered epochs, oldest first (the last `window` epochs of the bank).
     epochs: Vec<Epoch>,
     /// The first covered epoch — samples older than this are invisible to the view.
     first: Epoch,
 }
 
-impl<B: BorrowMut<WindowBank>> BankWindows<B> {
-    /// Opens a view over the last `window` epochs the bank covers.
-    pub fn new(bank: B, window: usize) -> Self {
-        let whole: &WindowBank = bank.borrow();
+/// The bank behind a [`BankWindows`] view.
+#[derive(Debug)]
+enum Bank<'a> {
+    Borrowed(&'a mut WindowBank),
+    Owned(WindowBank),
+}
+
+impl Bank<'_> {
+    fn get(&self) -> &WindowBank {
+        match self {
+            Bank::Borrowed(bank) => bank,
+            Bank::Owned(bank) => bank,
+        }
+    }
+
+    fn get_mut(&mut self) -> &mut WindowBank {
+        match self {
+            Bank::Borrowed(bank) => bank,
+            Bank::Owned(bank) => bank,
+        }
+    }
+}
+
+impl<'a> BankWindows<'a> {
+    /// Opens a view over the last `window` epochs of a borrowed bank.
+    pub fn new(bank: &'a mut WindowBank, window: usize) -> Self {
+        Self::open(Bank::Borrowed(bank), window)
+    }
+
+    /// Opens a view over the last `window` epochs of a bank it keeps.
+    pub fn owned(bank: WindowBank, window: usize) -> Self {
+        Self::open(Bank::Owned(bank), window)
+    }
+
+    fn open(bank: Bank<'a>, window: usize) -> Self {
+        let whole = bank.get();
         let epochs: Vec<Epoch> =
             whole.epochs().skip(whole.buffered_epochs().saturating_sub(window)).collect();
         let first = epochs.first().copied().unwrap_or(0);
@@ -184,46 +175,54 @@ impl<B: BorrowMut<WindowBank>> BankWindows<B> {
 
     /// The whole bank behind the view, span or not.
     pub fn bank(&self) -> &WindowBank {
-        self.bank.borrow()
+        self.bank.get()
     }
-}
 
-impl<B: BorrowMut<WindowBank>> WindowSource for BankWindows<B> {
-    fn source_nodes(&self) -> &[NodeId] {
+    /// Node identifiers holding a window, ascending.
+    pub fn source_nodes(&self) -> &[NodeId] {
         self.bank().node_ids()
     }
 
-    fn covered_epochs(&self) -> &[Epoch] {
+    /// The epochs covered by the windows, oldest first (the last one is the epoch the
+    /// query is answered at).
+    pub fn covered_epochs(&self) -> &[Epoch] {
         &self.epochs
     }
 
-    fn samples(&mut self, node: NodeId) -> &[(Epoch, f64)] {
-        span_of(self.bank.borrow_mut().window_mut(node), self.first)
+    /// Every buffered `(epoch, value)` sample of one node, oldest first.
+    pub fn samples(&mut self, node: NodeId) -> &[(Epoch, f64)] {
+        span_of(self.bank.get_mut().window_mut(node), self.first)
     }
 
-    fn local_top_k(&mut self, node: NodeId, k: usize, best: &mut Vec<(Epoch, f64)>) {
-        top_k_into(span_of(self.bank.borrow_mut().window_mut(node), self.first), k, best);
+    /// Replaces `best` with the node's `k` highest-valued samples, best first (ties
+    /// toward older epochs).
+    pub(crate) fn local_top_k(&mut self, node: NodeId, k: usize, best: &mut Vec<(Epoch, f64)>) {
+        top_k_into(span_of(self.bank.get_mut().window_mut(node), self.first), k, best);
     }
 
-    fn values_at_least(&mut self, node: NodeId, threshold: f64, found: &mut Vec<(Epoch, f64)>) {
-        let scanned = span_of(self.bank.borrow_mut().window_mut(node), self.first);
+    /// Replaces `found` with the node's samples of value at least `threshold`, oldest
+    /// first.
+    pub(crate) fn values_at_least(&mut self, node: NodeId, threshold: f64, found: &mut Vec<(Epoch, f64)>) {
+        let scanned = span_of(self.bank.get_mut().window_mut(node), self.first);
         found.clear();
         found.extend(scanned.iter().filter(|&&(_, v)| v >= threshold));
     }
 
-    fn value_at(&mut self, node: NodeId, epoch: Epoch) -> Option<f64> {
+    /// The node's value at `epoch`, if buffered.
+    pub fn value_at(&mut self, node: NodeId, epoch: Epoch) -> Option<f64> {
         if epoch < self.first {
             return None;
         }
-        self.bank.borrow_mut().window_mut(node).and_then(|w| w.get(epoch))
+        self.bank.get_mut().window_mut(node).and_then(|w| w.get(epoch))
     }
 
-    fn window_len(&mut self, node: NodeId) -> usize {
+    /// Number of samples the node's window currently buffers.
+    pub(crate) fn window_len(&mut self, node: NodeId) -> usize {
         self.samples(node).len()
     }
 }
 
-impl BankWindows<WindowBank> {
+impl BankWindows<'static> {
     /// Fills every node's window by running `workload` for `window` epochs — the
     /// buffering each KSpot client performs during normal operation before the historic
     /// query arrives — and opens the view over all of it.
@@ -232,7 +231,15 @@ impl BankWindows<WindowBank> {
         for _ in 0..window {
             bank.feed(&workload.next_epoch());
         }
-        Self::new(bank, window)
+        Self::owned(bank, window)
+    }
+}
+
+/// An owned view clones with its bank (`&mut WindowBank` is not `Clone`); a clone always
+/// owns its copy.
+impl Clone for BankWindows<'static> {
+    fn clone(&self) -> Self {
+        Self { bank: Bank::Owned(self.bank().clone()), epochs: self.epochs.clone(), first: self.first }
     }
 }
 
@@ -242,9 +249,8 @@ pub trait HistoricAlgorithm {
     fn name(&self) -> &'static str;
 
     /// Executes the query over the windows of `data`, moving traffic through `net`,
-    /// and returns the ranked answer available at the sink.  `data` is a
-    /// [`BankWindows`] view, borrowed or owned.
-    fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult;
+    /// and returns the ranked answer available at the sink.
+    fn execute(&mut self, net: &mut Network, data: &mut BankWindows<'_>) -> TopKResult;
 }
 
 /// Ships every node's entire window to the sink — the no-pruning upper bound.
@@ -265,7 +271,7 @@ impl HistoricAlgorithm for CentralizedHistoric {
         "centralized window collection"
     }
 
-    fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult {
+    fn execute(&mut self, net: &mut Network, data: &mut BankWindows<'_>) -> TopKResult {
         let epoch = data.covered_epochs().last().copied().unwrap_or(0);
         // Each node transmits its own window plus every descendant window it relays; the
         // window owners are threaded through the relays so that under fault injection
@@ -316,7 +322,7 @@ impl HistoricAlgorithm for LocalAggregateHistoric {
     /// Executes the query: local window aggregation followed by one TAG-style round over
     /// the per-node aggregates.  Nodes that are dead or asleep at query time contribute
     /// nothing (their flash is unreachable).
-    fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult {
+    fn execute(&mut self, net: &mut Network, data: &mut BankWindows<'_>) -> TopKResult {
         let epoch = data.covered_epochs().last().copied().unwrap_or(0);
         let mut readings = Vec::new();
         let mut values = Vec::new();
@@ -338,7 +344,7 @@ impl HistoricAlgorithm for LocalAggregateHistoric {
 
 /// The omniscient answer over every window `data` holds, for this crate's unit tests.
 #[cfg(test)]
-pub(crate) fn exact_reference(data: &mut dyn WindowSource, spec: &HistoricSpec) -> TopKResult {
+pub(crate) fn exact_reference(data: &mut BankWindows<'_>, spec: &HistoricSpec) -> TopKResult {
     let nodes = data.source_nodes().to_vec();
     exact_over_source(data, spec, &nodes)
 }
@@ -348,7 +354,7 @@ mod tests {
     use super::*;
     use kspot_net::{Deployment, NetworkConfig, RoomModelParams};
 
-    fn dataset(window: usize, master_seed: u64) -> (Deployment, BankWindows<WindowBank>) {
+    fn dataset(window: usize, master_seed: u64) -> (Deployment, BankWindows<'static>) {
         // One master seed, split into per-component streams (see `kspot_net::rng`).
         let d = Deployment::clustered_rooms(4, 4, 20.0, kspot_net::rng::topology_seed(master_seed));
         let mut w = Workload::room_correlated(
@@ -455,7 +461,7 @@ mod tests {
             // The owned bank holds the span's epochs and no others.
             let mut replay = workload();
             let owned = if fed == 0 {
-                BankWindows::new(WindowBank::new(span), span)
+                BankWindows::owned(WindowBank::new(span), span)
             } else {
                 for _ in span..fed {
                     replay.next_epoch();
@@ -538,7 +544,7 @@ mod tests {
             bank.feed(&[Reading::new(1, 0, e, v), Reading::new(2, 0, e, 10.0 + e as f64)]);
         }
         // Borrowed like the engine's live bank, owned like a restored one: one view.
-        fn check(mut view: impl WindowSource) {
+        fn check(mut view: BankWindows<'_>) {
             assert_eq!(view.covered_epochs(), [4, 5, 6, 7]);
             assert_eq!(view.source_nodes(), [1, 2]);
             assert_eq!(view.window_len(1), 4);
@@ -553,12 +559,13 @@ mod tests {
             assert_eq!(view.samples(2).first(), Some(&(4, 14.0)));
             assert!(view.samples(9).is_empty(), "unknown nodes hold nothing");
         }
-        let owned = BankWindows::new(bank.clone(), 4);
+        let owned = BankWindows::owned(bank.clone(), 4);
         assert_eq!(owned.snapshot_epoch(), Some(7));
+        check(owned.clone());
         check(owned);
         check(BankWindows::new(&mut bank, 4));
 
-        let mut empty = BankWindows::new(WindowBank::new(4), 4);
+        let mut empty = BankWindows::owned(WindowBank::new(4), 4);
         assert!(empty.covered_epochs().is_empty());
         assert_eq!(empty.snapshot_epoch(), None);
         assert_eq!(empty.window_len(1), 0);

@@ -49,15 +49,12 @@ pub use centralized::CentralizedCollection;
 pub use fila::{FilaMonitor, FilaStats};
 pub use historic::{
     exact_over_source, BankWindows, CentralizedHistoric, HistoricAlgorithm, HistoricSpec,
-    LocalAggregateHistoric, WindowSource,
+    LocalAggregateHistoric,
 };
 pub use mint::{MintStats, MintViews};
 pub use naive::NaiveLocalPrune;
 pub use result::{RankedItem, TopKResult};
-pub use snapshot::{
-    exact_reference, run_continuous, run_shared_epoch, AccuracyReport, SnapshotAlgorithm,
-    SnapshotSpec,
-};
+pub use snapshot::{exact_reference, run_continuous, AccuracyReport, SnapshotAlgorithm, SnapshotSpec};
 pub use tag::TagTopK;
 pub use tja::{Tja, TjaStats};
 pub use tput::{Tput, TputStats};

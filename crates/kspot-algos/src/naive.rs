@@ -32,10 +32,6 @@ impl SnapshotAlgorithm for NaiveLocalPrune {
         "naive local pruning"
     }
 
-    fn is_exact(&self) -> bool {
-        false
-    }
-
     fn execute_epoch(&mut self, net: &mut Network, readings: &[Reading]) -> TopKResult {
         let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
         let SnapshotSpec { k, func, .. } = self.spec;
@@ -96,9 +92,8 @@ mod tests {
     }
 
     #[test]
-    fn naive_is_flagged_as_inexact() {
+    fn naive_is_named_for_the_panel() {
         let spec = SnapshotSpec::new(1, AggFunc::Avg, ValueDomain::percentage());
-        assert!(!NaiveLocalPrune::new(spec).is_exact());
         assert_eq!(NaiveLocalPrune::new(spec).name(), "naive local pruning");
     }
 }

@@ -12,7 +12,7 @@ use crate::centralized::CentralizedCollection;
 use crate::mint::MintViews;
 use crate::naive::NaiveLocalPrune;
 use crate::result::TopKResult;
-use crate::snapshot::{exact_reference, run_shared_epoch, SnapshotAlgorithm, SnapshotSpec};
+use crate::snapshot::{exact_reference, SnapshotAlgorithm, SnapshotSpec};
 use crate::tag::TagTopK;
 use crate::view::{Bounds, GroupTable, GroupView, Row};
 use kspot_net::{GroupId, Network, NodeId, PhaseTag, Reading, SINK};
@@ -195,7 +195,7 @@ mod properties {
     use kspot_net::fault::{DutyCycle, FaultPlan};
     use kspot_net::topology::{NodeSpec, Position};
     use kspot_net::types::ValueDomain;
-    use crate::historic::{BankWindows, HistoricAlgorithm, HistoricSpec, WindowSource};
+    use crate::historic::{BankWindows, HistoricAlgorithm, HistoricSpec};
     use crate::tja::Tja;
     use crate::tput::Tput;
     use crate::view::Unbounded;
@@ -354,12 +354,19 @@ mod properties {
                 let readings = next_epoch();
                 let mut answers = Vec::new();
                 for (side, (net, sessions)) in nets.iter_mut().zip(&mut sessions).enumerate() {
-                    let mut algos: Vec<&mut dyn SnapshotAlgorithm> =
-                        sessions.iter_mut().map(|a| &mut **a as &mut dyn SnapshotAlgorithm).collect();
-                    // Sparse scope ids: a scope must cost a ledger row, not an index.
-                    let mut epoch = || run_shared_epoch(&mut algos, net, &readings, |net, i| {
-                        net.set_query_scope(Some(i as u32 * 1_000_000 + 9));
-                    });
+                    let mut epoch = || {
+                        net.run_epoch(readings[0].epoch, |net| {
+                            sessions
+                                .iter_mut()
+                                .enumerate()
+                                .map(|(i, algo)| {
+                                    // Sparse scope ids: a scope must cost a ledger row, not an index.
+                                    net.set_query_scope(Some(i as u32 * 1_000_000 + 9));
+                                    algo.execute_epoch(net, &readings)
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    };
                     let results = if side == 1 { on_reference(epoch) } else { epoch() };
                     answers.push(results.iter().map(result_bits).collect::<Vec<_>>());
                 }
@@ -488,27 +495,6 @@ mod properties {
         depleted_mid_run: usize,
     }
 
-    enum Source<'a> {
-        Live(BankWindows<&'a mut WindowBank>),
-        Owned(BankWindows<WindowBank>),
-    }
-
-    impl<'a> Source<'a> {
-        fn open(bank: &'a mut WindowBank, case: &HistoricCase) -> Self {
-            match case.source {
-                1 => Source::Live(BankWindows::new(bank, case.window)),
-                _ => Source::Owned(BankWindows::new(bank.clone(), case.window)),
-            }
-        }
-
-        fn windows(&mut self) -> &mut dyn WindowSource {
-            match self {
-                Source::Live(view) => view,
-                Source::Owned(view) => view,
-            }
-        }
-    }
-
     /// The windows of a case: one feed per covered epoch (and three older ones where the
     /// source is a view), values on a grid of fives in every third case so that ranks tie.
     fn fed_bank(d: &Deployment, case: &HistoricCase) -> WindowBank {
@@ -577,27 +563,30 @@ mod properties {
                 net.set_query_scope(Some(7));
                 let depleted_before = net.batteries().depleted_count();
                 let mut bank = bank.clone();
-                let mut source = Source::open(&mut bank, case);
+                let mut view = match case.source {
+                    1 => BankWindows::new(&mut bank, case.window),
+                    _ => BankWindows::owned(bank.clone(), case.window),
+                };
                 let (result, stats) = match (tput, reference) {
                     (false, false) => {
                         let mut tja = Tja::new(spec);
-                        let result = tja.execute(&mut net, source.windows());
+                        let result = tja.execute(&mut net, &mut view);
                         exercised.cleanup_pulls += tja.stats().cleanup_pulls;
                         (result, format!("{:?}", tja.stats()))
                     }
                     (false, true) => {
                         let mut tja = super::historic::Tja { spec, stats: Default::default() };
-                        (tja.execute(&mut net, source.windows()), format!("{:?}", tja.stats))
+                        (tja.execute(&mut net, &mut view), format!("{:?}", tja.stats))
                     }
                     (true, false) => {
                         let mut tput = Tput::new(spec);
-                        let result = tput.execute(&mut net, source.windows());
+                        let result = tput.execute(&mut net, &mut view);
                         exercised.phase3_fetches += tput.stats().phase3_fetches;
                         (result, format!("{:?}", tput.stats()))
                     }
                     (true, true) => {
                         let mut tput = super::historic::Tput { spec, stats: Default::default() };
-                        (tput.execute(&mut net, source.windows()), format!("{:?}", tput.stats))
+                        (tput.execute(&mut net, &mut view), format!("{:?}", tput.stats))
                     }
                 };
                 if !reference {
@@ -708,7 +697,7 @@ mod properties {
     /// The span a view of `bank` covers, and whether some window of it holds an epoch
     /// past the span's end.
     fn span_and_overhang(bank: &WindowBank, window: usize) -> (Vec<Epoch>, bool) {
-        let mut view = BankWindows::new(bank.clone(), window);
+        let mut view = BankWindows::owned(bank.clone(), window);
         let span = view.covered_epochs().to_vec();
         let last = *span.last().expect("a case covers at least one epoch");
         let nodes = view.source_nodes().to_vec();
@@ -801,12 +790,12 @@ mod properties {
         for epoch in 0..30 {
             let readings = workload.next_epoch();
             let before = dense.stats();
-            let ours = run_shared_epoch(&mut [&mut dense], &mut new, &readings, |_, _| {});
-            let theirs = run_shared_epoch(&mut [&mut mapped], &mut old, &readings, |_, _| {});
-            assert_eq!(result_bits(&ours[0]), result_bits(&theirs[0]), "epoch {epoch}");
+            let ours = new.run_epoch(readings[0].epoch, |net| dense.execute_epoch(net, &readings));
+            let theirs = old.run_epoch(readings[0].epoch, |net| mapped.execute_epoch(net, &readings));
+            assert_eq!(result_bits(&ours), result_bits(&theirs), "epoch {epoch}");
             assert_eq!(dense.stats(), mapped.stats(), "epoch {epoch}");
             assert_eq!(totals_bits(new.metrics().totals()), totals_bits(old.metrics().totals()), "epoch {epoch}");
-            assert_eq!(ours[0].items.capacity(), ours[0].items.len(), "an answer holds its items and no more");
+            assert_eq!(ours.items.capacity(), ours.items.len(), "an answer holds its items and no more");
             let probed = (dense.stats().probes - before.probes) as usize;
             if epoch > 0 {
                 match probed {
@@ -873,7 +862,7 @@ mod properties {
 /// `BTreeMap<Epoch, EpochPartial>` inboxes, `BTreeSet<NodeId>` contributor sets, every
 /// list a fresh `Vec`.  The oracle of `threshold_kernel_matches_the_map_based_reference`.
 mod historic {
-    use crate::historic::{HistoricAlgorithm, HistoricSpec, WindowSource};
+    use crate::historic::{BankWindows, HistoricAlgorithm, HistoricSpec};
     use crate::result::{RankedItem, TopKResult};
     use crate::tja::TjaStats;
     use crate::tput::TputStats;
@@ -882,16 +871,16 @@ mod historic {
     use kspot_query::AggFunc;
     use std::collections::{BTreeMap, BTreeSet};
 
-    /// The previous `WindowSource::local_top_k`: a full sort of a fresh copy under the
+    /// The previous `BankWindows::local_top_k`: a full sort of a fresh copy under the
     /// comparator spelled out here, not shared with the source.
-    fn local_top_k(data: &mut dyn WindowSource, node: NodeId, k: usize) -> Vec<(Epoch, f64)> {
+    fn local_top_k(data: &mut BankWindows<'_>, node: NodeId, k: usize) -> Vec<(Epoch, f64)> {
         let mut all = data.samples(node).to_vec();
         all.sort_by(|a, b| cmp_value(b.1, a.1).then(a.0.cmp(&b.0)));
         all.truncate(k);
         all
     }
 
-    fn values_at_least(data: &mut dyn WindowSource, node: NodeId, threshold: f64) -> Vec<(Epoch, f64)> {
+    fn values_at_least(data: &mut BankWindows<'_>, node: NodeId, threshold: f64) -> Vec<(Epoch, f64)> {
         let mut found = Vec::new();
         data.values_at_least(node, threshold, &mut found);
         found
@@ -927,7 +916,7 @@ mod historic {
             "TJA (reference)"
         }
 
-        fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult {
+        fn execute(&mut self, net: &mut Network, data: &mut BankWindows<'_>) -> TopKResult {
             let k = self.spec.k;
             let query_epoch = data.covered_epochs().last().copied().unwrap_or(0);
             // Only nodes that are alive and awake at query time can answer; the threshold
@@ -1117,7 +1106,7 @@ mod historic {
             "TPUT (reference)"
         }
 
-        fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult {
+        fn execute(&mut self, net: &mut Network, data: &mut BankWindows<'_>) -> TopKResult {
             let k = self.spec.k;
             let query_epoch = data.covered_epochs().last().copied().unwrap_or(0);
             // Only nodes alive and awake at query time can answer (see `kspot_net::fault`).

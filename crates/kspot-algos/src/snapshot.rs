@@ -63,12 +63,6 @@ pub trait SnapshotAlgorithm {
     ///
     /// `readings` contains exactly one reading per sensor node for the epoch.
     fn execute_epoch(&mut self, net: &mut Network, readings: &[Reading]) -> TopKResult;
-
-    /// Whether the strategy guarantees exact answers (TAG, centralized and MINT do;
-    /// naive local pruning does not).
-    fn is_exact(&self) -> bool {
-        true
-    }
 }
 
 /// Ground-truth ranked answer computed omnisciently from the epoch's readings.
@@ -129,51 +123,22 @@ pub(crate) fn index_readings<'r>(
     }
 }
 
-/// Drives one epoch of several independently specified snapshot queries over **one**
-/// shared substrate sweep: the epoch is begun exactly once (so the fixed per-epoch
-/// sampling/idle-listening cost is charged once, not once per query), the acquired
-/// readings are shared, and each algorithm then moves only its own protocol traffic.
-///
-/// `scope` is invoked with the index of the algorithm about to execute, right before
-/// its traffic starts — callers that need per-query accounting install a metrics
-/// scope there (see [`Network::set_query_scope`]).  Results are returned in algorithm
-/// order.  The epoch itself — begin, clear the scope, flush the merged report frames —
-/// is [`Network::run_epoch`]'s.
-pub fn run_shared_epoch(
-    algos: &mut [&mut dyn SnapshotAlgorithm],
-    net: &mut Network,
-    readings: &[Reading],
-    mut scope: impl FnMut(&mut Network, usize),
-) -> Vec<TopKResult> {
-    let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
-    net.run_epoch(epoch, |net| {
-        algos
-            .iter_mut()
-            .enumerate()
-            .map(|(i, algo)| {
-                scope(net, i);
-                algo.execute_epoch(net, readings)
-            })
-            .collect()
-    })
-}
-
 /// Runs a continuous snapshot query for `epochs` epochs, driving the workload, charging
-/// the per-epoch baseline energy and collecting the per-epoch answers.  This is the
-/// single-query special case of [`run_shared_epoch`].
+/// the per-epoch baseline energy and collecting the per-epoch answers — one
+/// [`Network::run_epoch`] each.
 pub fn run_continuous(
     algo: &mut dyn SnapshotAlgorithm,
     net: &mut Network,
     workload: &mut Workload,
     epochs: usize,
 ) -> Vec<TopKResult> {
-    let mut algos: [&mut dyn SnapshotAlgorithm; 1] = [algo];
-    let mut out = Vec::with_capacity(epochs);
-    for _ in 0..epochs {
-        let readings = workload.next_epoch();
-        out.extend(run_shared_epoch(&mut algos, net, &readings, |_, _| {}));
-    }
-    out
+    (0..epochs)
+        .map(|_| {
+            let readings = workload.next_epoch();
+            let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
+            net.run_epoch(epoch, |net| algo.execute_epoch(net, &readings))
+        })
+        .collect()
 }
 
 /// Runs `algo` and an omniscient reference side by side and reports how many epochs the

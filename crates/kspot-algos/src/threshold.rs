@@ -21,7 +21,7 @@
 //! once (a view lives from its node's first delivery to the node's own turn), not one
 //! per node and never one per session.
 
-use crate::historic::{can_answer, HistoricSpec, WindowSource};
+use crate::historic::{can_answer, BankWindows, HistoricSpec};
 use crate::result::{RankedItem, TopKResult};
 use kspot_net::{Epoch, Network, NodeId, PhaseTag, SINK};
 use kspot_query::AggFunc;
@@ -241,7 +241,7 @@ impl Threshold {
     /// Returns `n`, the number of sources.  Liveness is read here for the population
     /// only (the threshold algebra needs one `n`); every later step asks the network
     /// again.
-    pub(crate) fn begin(&mut self, net: &Network, data: &mut dyn WindowSource) -> usize {
+    pub(crate) fn begin(&mut self, net: &Network, data: &mut BankWindows<'_>) -> usize {
         self.sources.clear();
         self.sources.extend(data.source_nodes().iter().copied().filter(|&node| can_answer(net, node)));
         self.source_of.clear();
@@ -328,7 +328,7 @@ impl Threshold {
     }
 
     /// TJA's Lower-Bound preparation: every source's local top-k list, CPU charged.
-    pub(crate) fn local_lists(&mut self, net: &mut Network, data: &mut dyn WindowSource, k: usize) {
+    pub(crate) fn local_lists(&mut self, net: &mut Network, data: &mut BankWindows<'_>, k: usize) {
         for at in 0..self.sources.len() {
             let node = self.sources[at];
             data.local_top_k(node, k, &mut self.found);
@@ -340,7 +340,7 @@ impl Threshold {
     /// TJA's Hierarchical-Join preparation: every source's buffered tuples that survive
     /// `theta` or complete an epoch of `L_sink`, except those of its local list, CPU
     /// charged.
-    pub(crate) fn joined_lists(&mut self, net: &mut Network, data: &mut dyn WindowSource, theta: f64) {
+    pub(crate) fn joined_lists(&mut self, net: &mut Network, data: &mut BankWindows<'_>, theta: f64) {
         for at in 0..self.sources.len() {
             let node = self.sources[at];
             self.flag_local(at, true);
@@ -438,7 +438,7 @@ impl Threshold {
     pub(crate) fn resolve(
         &mut self,
         net: &mut Network,
-        data: &mut dyn WindowSource,
+        data: &mut BankWindows<'_>,
         spec: &HistoricSpec,
         theta: f64,
         query_epoch: Epoch,

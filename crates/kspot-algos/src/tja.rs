@@ -20,7 +20,7 @@
 //! eliminated, and every epoch never reported anywhere is provably below the K-th —
 //! which is what makes the final answer exact.
 
-use crate::historic::{HistoricAlgorithm, HistoricSpec, WindowSource};
+use crate::historic::{BankWindows, HistoricAlgorithm, HistoricSpec};
 use crate::result::TopKResult;
 use crate::threshold;
 use kspot_net::{Network, PhaseTag};
@@ -65,7 +65,7 @@ impl HistoricAlgorithm for Tja {
     /// and awake at query time can answer; the threshold algebra runs over that
     /// population, scoping exactness to reachable data.  A participating node that
     /// holds no window relays its children's reports and contributes nothing.
-    fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult {
+    fn execute(&mut self, net: &mut Network, data: &mut BankWindows<'_>) -> TopKResult {
         let spec = self.spec;
         let query_epoch = data.covered_epochs().last().copied().unwrap_or(0);
         threshold::with_scratch(|run| {
@@ -102,9 +102,9 @@ mod tests {
     use crate::historic::{exact_reference, BankWindows, CentralizedHistoric};
     use kspot_net::types::ValueDomain;
     use kspot_query::AggFunc;
-    use kspot_net::{Deployment, NetworkConfig, RoomModelParams, WindowBank, Workload};
+    use kspot_net::{Deployment, NetworkConfig, RoomModelParams, Workload};
 
-    fn setup(nodes_side: usize, window: usize, seed: u64) -> (Deployment, BankWindows<WindowBank>) {
+    fn setup(nodes_side: usize, window: usize, seed: u64) -> (Deployment, BankWindows<'static>) {
         let d = Deployment::grid(nodes_side, 10.0, Some(nodes_side));
         let mut w = Workload::room_correlated(&d, ValueDomain::percentage(), RoomModelParams::default(), seed);
         let data = BankWindows::collect(&mut w, window);

@@ -15,7 +15,7 @@
 //! 3. the sink fetches the exact values it still misses for the surviving candidates and
 //!    reports the exact Top-K.
 
-use crate::historic::{HistoricAlgorithm, HistoricSpec, WindowSource};
+use crate::historic::{BankWindows, HistoricAlgorithm, HistoricSpec};
 use crate::result::TopKResult;
 use crate::threshold;
 use kspot_net::{Network, PhaseTag};
@@ -58,7 +58,7 @@ impl HistoricAlgorithm for Tput {
 
     /// Runs the three phases over the windows of `data`.  Only nodes alive and awake at
     /// query time can answer (see `kspot_net::fault`).
-    fn execute(&mut self, net: &mut Network, data: &mut dyn WindowSource) -> TopKResult {
+    fn execute(&mut self, net: &mut Network, data: &mut BankWindows<'_>) -> TopKResult {
         let spec = self.spec;
         let query_epoch = data.covered_epochs().last().copied().unwrap_or(0);
         threshold::with_scratch(|run| {
@@ -111,9 +111,9 @@ mod tests {
     use crate::tja::Tja;
     use kspot_net::types::ValueDomain;
     use kspot_query::AggFunc;
-    use kspot_net::{Deployment, NetworkConfig, RoomModelParams, WindowBank, Workload};
+    use kspot_net::{Deployment, NetworkConfig, RoomModelParams, Workload};
 
-    fn setup(side: usize, window: usize, seed: u64) -> (Deployment, BankWindows<WindowBank>) {
+    fn setup(side: usize, window: usize, seed: u64) -> (Deployment, BankWindows<'static>) {
         let d = Deployment::grid(side, 10.0, Some(side));
         let mut w = Workload::room_correlated(&d, ValueDomain::percentage(), RoomModelParams::default(), seed);
         let data = BankWindows::collect(&mut w, window);

@@ -26,7 +26,7 @@
 //! `deny`s it, for its one audited `sys` module: ADR-011; lint R8 names both exemptions).
 
 use kspot_algos::{
-    run_shared_epoch, AggState, BankWindows, CentralizedCollection, FilaMonitor, HistoricAlgorithm,
+    AggState, BankWindows, CentralizedCollection, FilaMonitor, HistoricAlgorithm,
     HistoricSpec, MintViews, RankedItem, SnapshotAlgorithm, SnapshotSpec, TagTopK, Tja, TopKResult,
 };
 use kspot_net::types::ValueDomain;
@@ -141,8 +141,15 @@ fn shared_epochs(
             let probes_before = fila.stats().probes;
             let before = (ALLOCATIONS.with(Cell::get), HELD_BYTES.with(Cell::get));
             let mut algos: [&mut dyn SnapshotAlgorithm; 4] = [&mut mint, &mut tag, &mut central, &mut fila];
-            let answers = run_shared_epoch(&mut algos, &mut net, &readings, |net, i| {
-                net.set_query_scope(Some(i as u32));
+            let answers: Vec<TopKResult> = net.run_epoch(readings[0].epoch, |net| {
+                algos
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, algo)| {
+                        net.set_query_scope(Some(i as u32));
+                        algo.execute_epoch(net, &readings)
+                    })
+                    .collect()
             });
             let measured = Measured {
                 allocations: ALLOCATIONS.with(Cell::get) - before.0,
@@ -337,7 +344,7 @@ fn probing_epoch_allocations(side: usize) -> u64 {
         let readings = workload.next_epoch();
         let probed_before = mint.stats().probe_epochs;
         let before = ALLOCATIONS.with(Cell::get);
-        let answers = run_shared_epoch(&mut [&mut mint], &mut net, &readings, |_, _| {});
+        let answers = net.run_epoch(readings[0].epoch, |net| vec![mint.execute_epoch(net, &readings)]);
         measured = ALLOCATIONS.with(Cell::get) - before;
         let probed = mint.stats().probe_epochs - probed_before;
         assert_eq!(probed, u64::from(epoch == 1 || epoch == 10), "epoch {epoch}");

@@ -14,7 +14,7 @@ use kspot_algos::{
 };
 use kspot_core::{KSpotServer, QueryEngine, ScenarioConfig, StrategyReport};
 use kspot_net::types::ValueDomain;
-use kspot_net::{Deployment, Network, NetworkConfig, RoomModelParams, WindowBank, Workload};
+use kspot_net::{Deployment, Network, NetworkConfig, RoomModelParams, Workload};
 use kspot_query::AggFunc;
 
 /// The identifiers of every experiment in the suite.  E12, E15 and E16 printed
@@ -254,7 +254,7 @@ pub fn e5_sweep_network_size() -> Table {
 // E6 / E7 — historic sweeps
 // ---------------------------------------------------------------------------------
 
-fn historic_dataset(side: usize, window: usize, seed: u64) -> (Deployment, BankWindows<WindowBank>) {
+fn historic_dataset(side: usize, window: usize, seed: u64) -> (Deployment, BankWindows<'static>) {
     // A network-wide correlated signal: historic Top-K queries look for globally
     // interesting time instances, so every node shares the same underlying trend.
     let d = Deployment::grid(side, 10.0, Some(1));
@@ -271,7 +271,7 @@ fn historic_dataset(side: usize, window: usize, seed: u64) -> (Deployment, BankW
 fn historic_bytes(
     algo: &mut dyn HistoricAlgorithm,
     d: &Deployment,
-    data: &mut BankWindows<WindowBank>,
+    data: &mut BankWindows<'_>,
     seed: u64,
 ) -> u64 {
     let mut net = Network::new(d.clone(), NetworkConfig::mica2().with_seed(kspot_net::rng::substrate_seed(seed)));

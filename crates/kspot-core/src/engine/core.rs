@@ -23,7 +23,7 @@ pub(super) enum SessionExec {
     /// One answer from the engine-shared sliding windows once they cover `window`
     /// epochs (TJA, local-aggregate historic).
     Historic {
-        /// The historic executor, generalised over [`kspot_algos::WindowSource`].
+        /// The historic executor; it reads the windows through a [`BankWindows`] view.
         algorithm: Box<dyn HistoricAlgorithm + Send>,
         /// The `WITH HISTORY` span, in epochs.
         window: usize,

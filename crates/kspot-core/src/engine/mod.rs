@@ -44,10 +44,10 @@
 //! The engine maintains **one** [`kspot_net::WindowBank`] — one sliding window per
 //! node, with capacity following the largest registered `WITH HISTORY` span — fed once
 //! per epoch from the very readings the continuous sessions consume.  TJA and the
-//! local-aggregate historic strategy answer from that bank through the
-//! [`kspot_algos::WindowSource`] abstraction ([`kspot_algos::BankWindows`]), so N
-//! registered historic sessions share a single per-epoch maintenance pass instead of
-//! each replaying a full `BankWindows::collect` pass against a fresh network.
+//! local-aggregate historic strategy answer from that bank through a borrowed
+//! [`kspot_algos::BankWindows`] view, so N registered historic sessions share a single
+//! per-epoch maintenance pass instead of each replaying a full `BankWindows::collect`
+//! pass against a fresh network.
 //! The maintenance cost is charged **unscoped**, once per epoch, exactly like the
 //! sampling baseline: it is genuinely shared infrastructure, and amortising it across
 //! sessions is the point (ADR-005).  Each historic session's *query-time* traffic and

@@ -1,6 +1,6 @@
 use super::*;
 use crate::server::KSpotServer;
-use kspot_algos::{HistoricSpec, RankedItem, TopKResult, WindowSource};
+use kspot_algos::{HistoricSpec, RankedItem, TopKResult};
 use kspot_net::codec::{put_u32, Reader};
 use kspot_net::types::ValueDomain;
 use kspot_net::{Deployment, NodeId, PhaseTotals};

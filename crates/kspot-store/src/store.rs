@@ -118,7 +118,7 @@ impl CheckpointStore {
         epoch: Epoch,
         window: usize,
         net: &mut Network,
-    ) -> Result<BankWindows<WindowBank>, StoreError> {
+    ) -> Result<BankWindows<'static>, StoreError> {
         let (_, bytes) = self
             .images
             .iter()
@@ -128,7 +128,7 @@ impl CheckpointStore {
         for &(node, samples) in &image.records {
             net.charge_page_reads(node, pages_for(record_bytes(samples)));
         }
-        Ok(BankWindows::new(image.bank, window))
+        Ok(BankWindows::owned(image.bank, window))
     }
 
     /// Restores the newest snapshot into a bare [`WindowBank`] without charging —
@@ -254,7 +254,6 @@ mod tests {
         let mut view = store.restore(5, 4, &mut net).expect("snapshot exists");
         assert_eq!(view.snapshot_epoch(), Some(5));
         assert_eq!(view.covered_epochs(), [2, 3, 4, 5]);
-        use kspot_algos::WindowSource;
         assert_eq!(view.value_at(2, 4), Some(6.0));
 
         let st = net.metrics().storage_totals();

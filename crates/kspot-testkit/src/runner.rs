@@ -26,10 +26,9 @@ use kspot_algos::historic::{exact_over_source, HistoricAlgorithm};
 use kspot_algos::{
     BankWindows, CentralizedCollection, CentralizedHistoric, FilaMonitor, LocalAggregateHistoric,
     MintViews, NaiveLocalPrune, SnapshotAlgorithm, SnapshotSpec, TagTopK, Tja, TopKResult, Tput,
-    WindowSource,
 };
 use kspot_net::types::ValueDomain;
-use kspot_net::{Epoch, NetworkMetrics, PhaseTag, PhaseTotals, WindowBank};
+use kspot_net::{Epoch, NetworkMetrics, PhaseTag, PhaseTotals};
 use kspot_query::AggFunc;
 use std::collections::BTreeSet;
 
@@ -294,7 +293,7 @@ pub fn run_historic_cell(cell: &ScenarioCell) -> CellOutcome {
 /// historic strategy.
 fn group_window_oracle(
     d: &kspot_net::Deployment,
-    data: &mut BankWindows<WindowBank>,
+    data: &mut BankWindows<'_>,
     participants: &[kspot_net::NodeId],
     k: usize,
 ) -> TopKResult {
@@ -305,9 +304,9 @@ fn group_window_oracle(
         let vals = data.samples(node).iter().map(|&(_, v)| v);
         per_group.entry(u64::from(d.group_of(node))).or_default().extend(vals);
     }
-    let items = per_group
+    let mut items: Vec<RankedItem> = per_group
         .into_iter()
         .map(|(g, vals)| RankedItem::new(g, vals.iter().sum::<f64>() / vals.len() as f64))
         .collect();
-    TopKResult::top_k(0, items, k)
+    TopKResult::best_of(0, &mut items, k)
 }
