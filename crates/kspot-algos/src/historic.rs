@@ -195,9 +195,17 @@ impl<'a> BankWindows<'a> {
     }
 
     /// Replaces `best` with the node's `k` highest-valued samples, best first (ties
-    /// toward older epochs).
+    /// toward older epochs).  A borrowed bank's window reads them off the list it keeps
+    /// across feeds ([`SlidingWindow::top_k_since`]); an owned bank is read once, so its
+    /// windows select.
     pub(crate) fn local_top_k(&mut self, node: NodeId, k: usize, best: &mut Vec<(Epoch, f64)>) {
-        top_k_into(span_of(self.bank.get_mut().window_mut(node), self.first), k, best);
+        match &mut self.bank {
+            Bank::Borrowed(bank) => match bank.window_mut(node) {
+                Some(window) => window.top_k_since(self.first, k, best),
+                None => best.clear(),
+            },
+            Bank::Owned(bank) => top_k_into(span_of(bank.window_mut(node), self.first), k, best),
+        }
     }
 
     /// Replaces `found` with the node's samples of value at least `threshold`, oldest

@@ -495,15 +495,31 @@ mod properties {
         depleted_mid_run: usize,
     }
 
-    /// The windows of a case: one feed per covered epoch (and three older ones where the
-    /// source is a view), values on a grid of fives in every third case so that ranks tie.
+    /// How many epochs the bank of a case holds: the span, and three older ones where
+    /// the source is a view.
+    fn bank_capacity(case: &HistoricCase) -> usize {
+        case.window + if case.source == 0 { 0 } else { 3 }
+    }
+
+    /// The windows of a case: one feed per epoch the bank holds, values on a grid of
+    /// fives in every third case so that ranks tie.
     fn fed_bank(d: &Deployment, case: &HistoricCase) -> WindowBank {
-        let feeds = case.window + if case.source == 0 { 0 } else { 3 };
-        let mut bank = WindowBank::new(feeds);
+        let mut bank = WindowBank::new(bank_capacity(case));
+        for readings in case_feeds(d, case, 0) {
+            bank.feed(&readings);
+        }
+        bank
+    }
+
+    /// The feeds of [`fed_bank`] and `after` more; a NaN reading, where the case has one,
+    /// comes `window / 2` feeds before the last.
+    fn case_feeds(d: &Deployment, case: &HistoricCase, after: usize) -> Vec<Vec<Reading>> {
+        let feeds = bank_capacity(case) + after;
         let mut rng = kspot_net::rng::stream_rng(case.seed, &[0xDA7A]);
         let nodes = d.node_ids();
         let poisoned = (feeds - 1 - case.window / 2, nodes[case.seed as usize % nodes.len()]);
         let mut epoch = 10 + case.seed % 5;
+        let mut all = Vec::with_capacity(feeds);
         for feed in 0..feeds {
             epoch += match case.calendar {
                 1 => rng.gen_range(1..4u64),
@@ -528,9 +544,9 @@ mod properties {
                     Reading::new(node, d.group_of(node), epoch + ahead, value)
                 })
                 .collect();
-            bank.feed(&readings);
+            all.push(readings);
         }
-        bank
+        all
     }
 
     /// Runs TJA and TPUT on the kernel and on the map-based reference over equal
@@ -541,6 +557,32 @@ mod properties {
 
     /// [`assert_historic_case`] over the windows of `bank`, opened as `case.source` says.
     fn assert_historic_bank(d: &Deployment, case: &HistoricCase, bank: &WindowBank) -> Exercised {
+        assert_historic_banks(d, case, &mut [bank.clone(), bank.clone()])
+    }
+
+    /// [`assert_historic_case`] over the live view (`case.source` 1) across feeds: TJA
+    /// and TPUT, then `after` more feeds, then TJA and TPUT again, the kernel's bank and
+    /// the reference's each kept — and each kernel bank's windows keeping their lists —
+    /// from the first execution to the last.
+    fn assert_historic_across_feeds(d: &Deployment, case: &HistoricCase, after: usize) {
+        assert_eq!(case.source, 1, "only the live view is fed between executions");
+        let feeds = case_feeds(d, case, after);
+        let (first, later) = feeds.split_at(feeds.len() - after);
+        let mut banks = [WindowBank::new(bank_capacity(case)), WindowBank::new(bank_capacity(case))];
+        for readings in [first, later] {
+            for bank in &mut banks {
+                for feed in readings {
+                    bank.feed(feed);
+                }
+            }
+            assert_historic_banks(d, case, &mut banks);
+        }
+    }
+
+    /// [`assert_historic_case`] with the kernel reading `banks[0]` and the reference
+    /// `banks[1]`, borrowed by the live view (TJA and TPUT on one bank, one after the
+    /// other) or cloned into an owned one, as `case.source` says.
+    fn assert_historic_banks(d: &Deployment, case: &HistoricCase, banks: &mut [WindowBank; 2]) -> Exercised {
         let n = d.num_nodes() as u64;
         let config = faulted_config(
             d,
@@ -552,7 +594,7 @@ mod properties {
             case.seed,
         );
         let spec = HistoricSpec::new(case.k, case.func, ValueDomain::percentage(), case.window);
-        let query_epoch = bank.epochs().next_back().expect("a case feeds at least one epoch");
+        let query_epoch = banks[0].epochs().next_back().expect("a case feeds at least one epoch");
 
         let mut exercised = Exercised::default();
         for tput in [false, true] {
@@ -562,9 +604,9 @@ mod properties {
                 net.begin_epoch(query_epoch);
                 net.set_query_scope(Some(7));
                 let depleted_before = net.batteries().depleted_count();
-                let mut bank = bank.clone();
+                let bank = &mut banks[usize::from(reference)];
                 let mut view = match case.source {
-                    1 => BankWindows::new(&mut bank, case.window),
+                    1 => BankWindows::new(bank, case.window),
                     _ => BankWindows::owned(bank.clone(), case.window),
                 };
                 let (result, stats) = match (tput, reference) {
@@ -606,7 +648,8 @@ mod properties {
 
         /// TJA and TPUT on the flat epoch table and on the map-based reference are
         /// indistinguishable from the outside: answers and scores, statistics, every
-        /// ledger axis, every battery and every window's page reads, bit for bit.
+        /// ledger axis, every battery and every window's page reads, bit for bit.  Over
+        /// the live view they run, `after` more epochs are fed, and they run again.
         #[test]
         fn threshold_kernel_matches_the_map_based_reference(
             raw in prop::collection::vec(0u32..100_000, 1..120),
@@ -622,6 +665,7 @@ mod properties {
             battery_uj in prop_oneof![Just(1.0e12), 2_000.0f64..200_000.0],
             nan in prop_oneof![Just(false), Just(false), Just(false), Just(true)],
             seed in 0u64..1_000_000,
+            after in 0usize..100,
         ) {
             let case = HistoricCase {
                 window,
@@ -637,7 +681,12 @@ mod properties {
                 nan,
                 seed,
             };
-            assert_historic_case(&random_tree(&raw, 3, seed), &case);
+            let d = random_tree(&raw, 3, seed);
+            if source == 1 {
+                assert_historic_across_feeds(&d, &case, after);
+            } else {
+                assert_historic_case(&d, &case);
+            }
         }
     }
 
@@ -761,6 +810,30 @@ mod properties {
             assert!(span_and_overhang(&bank, case.window).1);
             for (loss_pct, retransmits) in [(0, 0), (30, 1)] {
                 assert_historic_bank(&d, &HistoricCase { loss_pct, retransmits, ..case }, &bank);
+            }
+        }
+    }
+
+    /// The live bank queried, fed and queried again, its windows keeping their lists
+    /// across the feeds: a few feeds and a whole bank's turnover (every listed sample
+    /// evicted, the NaN arriving with the later feeds), one epoch a feed and repeated
+    /// epochs, values on the grid of fives, a k inside the kept list's floor and one past it.
+    #[test]
+    fn the_kernel_matches_the_reference_across_feeds_of_the_live_bank() {
+        let d = edge_tree();
+        for calendar in [0, 2] {
+            for k in [5, 20] {
+                let case = HistoricCase { calendar, k, nan: true, seed: 12, ..EDGE };
+                assert_eq!(case.seed % 3, 0, "values on the grid of fives");
+                let turnover = bank_capacity(&case);
+                for after in [4, turnover] {
+                    let feeds = case_feeds(&d, &case, after);
+                    let later_nan = feeds[feeds.len() - after..].iter().flatten().any(|r| r.value.is_nan());
+                    assert_eq!(later_nan, after == turnover, "the NaN arrives with a turnover's feeds");
+                    let repeated = feeds.windows(2).any(|pair| pair[0][0].epoch == pair[1][0].epoch);
+                    assert_eq!(repeated, calendar == 2, "calendar {calendar} repeats epochs");
+                    assert_historic_across_feeds(&d, &case, after);
+                }
             }
         }
     }

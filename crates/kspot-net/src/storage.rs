@@ -7,9 +7,22 @@
 //! paths the algorithms need:
 //!
 //! * a *local top-k scan* (TJA's Lower-Bound phase asks each node for its k best epochs:
-//!   [`SlidingWindow::as_slice`] ranked by [`top_k_into`]);
+//!   [`SlidingWindow::top_k_since`] on the engine's live windows, [`top_k_into`] over
+//!   [`SlidingWindow::as_slice`] on a bank read once);
 //! * *point lookups by epoch* (TJA's Hierarchical-Join and Clean-Up phases ask for the
 //!   node's value at specific candidate epochs).
+//!
+//! A live window is asked for its best samples every query while it moves by one sample
+//! an epoch, so once asked it *keeps* its best `max(KEPT_AT_LEAST, largest k asked)`
+//! samples, best first, and the best-ranked sample it left out.  The list catches up
+//! with the window when it is next read, not at every [`SlidingWindow::push`] (a feed
+//! does not touch it): the samples evicted since are taken off it, each arrival that
+//! beats the left-out sample is inserted.  Which samples were evicted is decided by
+//! identity — which push brought a sample in — never by epoch or rank: two samples may
+//! share both.  A query reads the list's samples of its span; only when fewer than k
+//! of them are listed does it select over the window again, rebuilding the list (ADR-005
+//! "Historic kernel v4").  A bank read once — restored or collected for one query —
+//! selects instead: [`top_k_into`].
 //!
 //! The window keeps no read counter: the flash reads a query pays for are the page
 //! reads of restoring a checkpoint (`kspot_store::CheckpointStore::restore`, charged
@@ -24,6 +37,7 @@
 use crate::types::{cmp_best_first, Epoch, NodeId, Reading, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::fmt;
 
 /// Bytes per flash page of the modeled storage device (AT45DB-class serial flash,
 /// rounded to a power of two).  Checkpoint images are charged in whole pages of this
@@ -39,21 +53,164 @@ pub const FLASH_PAGE_WRITE_UJ: f64 = 76.0;
 /// are orders of magnitude cheaper than shipping the same bytes over the radio).
 pub const FLASH_PAGE_READ_UJ: f64 = 24.0;
 
+/// The shortest list a window keeps once asked for its best samples: a list a little
+/// longer than the k a query asks for survives the evictions of several epochs before a
+/// query finds it short.
+const KEPT_AT_LEAST: usize = 16;
+
+/// A sample on (or just off) a window's kept list.
+#[derive(Clone, Copy)]
+struct Listed {
+    epoch: Epoch,
+    value: Value,
+    /// Which push brought the sample in: its identity, since two samples may share
+    /// epoch and value.
+    seq: u64,
+}
+
+impl Listed {
+    /// Whether `self` ranks strictly ahead of `other` under [`cmp_best_first`].
+    fn ahead_of(&self, other: &Listed) -> bool {
+        cmp_best_first((self.value, self.epoch), (other.value, other.epoch)).is_lt()
+    }
+}
+
+/// What a window knows of the best-ranked sample its kept list leaves out.
+#[derive(Clone, Copy)]
+enum LeftOut {
+    /// None is left out: the list holds every sample.
+    Nothing,
+    /// This one.
+    Known(Listed),
+    /// It was evicted; the next one is known again once an arrival pushes a sample off
+    /// the list.
+    Unknown,
+}
+
+/// A window's kept list: its best samples, best first, and what it knows of the best
+/// one it leaves out.
+#[derive(Clone)]
+struct Kept {
+    /// The pushes the list has caught up with, counted as `SlidingWindow::pushed` is.
+    seen: u64,
+    /// How long the list may grow, `max(KEPT_AT_LEAST, largest k asked)` but no longer
+    /// than the window.
+    room: usize,
+    /// The window's best `list.len() ≤ room` samples, best first: every sample off the
+    /// list ranks behind every sample on it.
+    list: Vec<Listed>,
+    /// The best-ranked sample off the list.
+    left_out: LeftOut,
+}
+
+impl Kept {
+    /// A list no query asked for yet, in `list`'s buffer.
+    fn unasked(list: Vec<Listed>) -> Box<Self> {
+        Box::new(Self { seen: 0, room: 0, list, left_out: LeftOut::Nothing })
+    }
+
+    /// Brings the list up to date with `samples`, the window's, whose first came in
+    /// with push `oldest` and whose last with push `pushed - 1`: what left the window
+    /// since the list was last read is taken off it, what was pushed is admitted.
+    fn catch_up(&mut self, samples: &VecDeque<(Epoch, Value)>, oldest: u64, pushed: u64) {
+        self.list.retain(|s| s.seq >= oldest);
+        if matches!(self.left_out, LeftOut::Known(s) if s.seq < oldest) {
+            self.left_out = LeftOut::Unknown;
+        }
+        for seq in self.seen.max(oldest)..pushed {
+            let (epoch, value) = samples[(seq - oldest) as usize];
+            self.admit(Listed { epoch, value, seq });
+        }
+        self.seen = pushed;
+    }
+
+    /// Lists the best `room` of `samples`, the window's, afresh: [`top_k_into`] selects
+    /// the best `room + 1` into `scratch` — the list and the best left out — and each is
+    /// found in the window again for its push number, an identical sample already
+    /// listed passed over.
+    fn rebuild(&mut self, samples: &[(Epoch, Value)], oldest: u64, pushed: u64, scratch: &mut Vec<(Epoch, Value)>) {
+        top_k_into(samples, self.room + 1, scratch);
+        self.list.clear();
+        for &(epoch, value) in scratch.iter() {
+            let from = samples.partition_point(|&(e, _)| e < epoch);
+            let seq = (from..)
+                .zip(&samples[from..])
+                .map(|(at, &sample)| (oldest + at as u64, sample))
+                .find(|&(seq, (e, v))| {
+                    (e, v.to_bits()) == (epoch, value.to_bits()) && !self.list.iter().any(|s| s.seq == seq)
+                })
+                .expect("a selected sample is in the window")
+                .0;
+            self.list.push(Listed { epoch, value, seq });
+        }
+        self.left_out = if self.list.len() > self.room {
+            LeftOut::Known(self.list.pop().expect("a sample past the room"))
+        } else {
+            LeftOut::Nothing
+        };
+        self.seen = pushed;
+    }
+
+    /// Lists a new sample if it ranks ahead of every sample off the list, pushing the
+    /// last one off when the list is over its room.
+    fn admit(&mut self, sample: Listed) {
+        let listed = match self.left_out {
+            LeftOut::Nothing => true,
+            LeftOut::Known(best_off) => sample.ahead_of(&best_off),
+            // Only a sample ahead of the list's last is known to beat every one off it.
+            LeftOut::Unknown => self.list.last().is_some_and(|last| sample.ahead_of(last)),
+        };
+        if listed {
+            let at = self.list.partition_point(|s| !sample.ahead_of(s));
+            self.list.insert(at, sample);
+            if self.list.len() > self.room {
+                self.left_out = LeftOut::Known(self.list.pop().expect("a list over its room"));
+            }
+        }
+    }
+
+    /// Fills `best` with the list's first `k` samples of epoch `first` or later; true
+    /// when that is the answer — `k` of them, or every sample of the span.
+    fn answer(&self, first: Epoch, k: usize, best: &mut Vec<(Epoch, Value)>) -> bool {
+        best.clear();
+        best.extend(self.list.iter().filter(|s| s.epoch >= first).take(k).map(|s| (s.epoch, s.value)));
+        best.len() == k || matches!(self.left_out, LeftOut::Nothing)
+    }
+}
+
 /// A bounded, epoch-ordered buffer of `(epoch, value)` samples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct SlidingWindow {
     capacity: usize,
     samples: VecDeque<(Epoch, Value)>,
+    /// Samples pushed, plus those the window was built with: `samples[i]` came in with
+    /// push `pushed - len + i`.
+    pushed: u64,
+    /// The kept list, asked for from the first [`Self::top_k_since`] on (`room` 0
+    /// before).  A window fed sample by sample makes room for it as it is created, next
+    /// to its samples; an adopted one, which is usually read once, only when asked.
+    kept: Option<Box<Kept>>,
+}
+
+/// A window is its capacity and its samples: the push count and the kept list are
+/// bookkeeping, so an adopted window reads as the fed one it copies.
+impl fmt::Debug for SlidingWindow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SlidingWindow").field("capacity", &self.capacity).field("samples", &self.samples).finish()
+    }
 }
 
 impl SlidingWindow {
     /// Creates a window holding at most `capacity` samples.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "sliding window capacity must be positive");
-        Self {
-            capacity,
-            samples: VecDeque::with_capacity(capacity),
-        }
+        let kept = Kept::unasked(Vec::with_capacity(KEPT_AT_LEAST + 1));
+        Self { kept: Some(kept), ..Self::adopt(capacity, VecDeque::with_capacity(capacity)) }
+    }
+
+    /// A window of `samples`, oldest first, at most `capacity` of them.
+    fn adopt(capacity: usize, samples: VecDeque<(Epoch, Value)>) -> Self {
+        Self { capacity, pushed: samples.len() as u64, samples, kept: None }
     }
 
     /// Maximum number of samples retained.
@@ -92,6 +249,35 @@ impl SlidingWindow {
             self.samples.pop_front();
         }
         self.samples.push_back((epoch, value));
+        self.pushed += 1;
+    }
+
+    /// Replaces `best` with the `k` highest-valued samples of epoch `first` or later,
+    /// best first — what [`top_k_into`] over them gives — read off the kept list (see the
+    /// module docs).  The first call starts the list and a `k` longer than the list may
+    /// grow lengthens it; a list holding fewer than `k` samples of the span is built
+    /// again by selection, and a span the rebuilt list still cannot answer for (one
+    /// that starts late in the window) is selected from.
+    pub fn top_k_since(&mut self, first: Epoch, k: usize, best: &mut Vec<(Epoch, Value)>) {
+        let Self { capacity, samples, pushed, kept } = self;
+        let oldest = *pushed - samples.len() as u64;
+        let kept = kept.get_or_insert_with(|| Kept::unasked(Vec::new()));
+        let started = kept.room > 0;
+        // A list longer than the window can hold would never be full.
+        kept.room = kept.room.max(k.max(KEPT_AT_LEAST).min(*capacity));
+        // Room for one more, for the moment between an insert and the pop it calls for.
+        kept.list.reserve(kept.room + 1 - kept.list.len());
+        if started {
+            kept.catch_up(samples, oldest, *pushed);
+            if kept.answer(first, k, best) {
+                return;
+            }
+        }
+        let all = samples.make_contiguous();
+        kept.rebuild(all, oldest, *pushed, best);
+        if !kept.answer(first, k, best) {
+            top_k_into(&all[all.partition_point(|&(e, _)| e < first)..], k, best);
+        }
     }
 
     /// The value recorded at `epoch`, if it is still inside the window.
@@ -174,7 +360,7 @@ impl WindowBank {
             .into_iter()
             .map(|(node, samples)| {
                 assert!(samples.len() <= capacity, "node {node} holds more than the capacity");
-                (node, SlidingWindow { capacity, samples: samples.into() })
+                (node, SlidingWindow::adopt(capacity, samples.into()))
             })
             .unzip();
         Self { capacity, nodes, windows, epochs: covered.into(), fed }
@@ -268,6 +454,7 @@ impl WindowBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn window_with(values: &[(Epoch, Value)], cap: usize) -> SlidingWindow {
         let mut w = SlidingWindow::new(cap);
@@ -342,6 +529,152 @@ mod tests {
         );
         w.grow_capacity(1);
         assert_eq!(w.capacity(), 4, "shrinking is ignored");
+    }
+
+    /// One step of a window's life in the kept-list tests.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Push(Epoch, Value),
+        Grow(usize),
+        /// `top_k_since(first, k)`.
+        Ask(Epoch, usize),
+    }
+
+    /// Drives a window of `capacity` through `steps` and demands every answer be
+    /// [`top_k_into`] over the span, bit for bit.
+    fn assert_kept_answers(capacity: usize, steps: &[Step]) {
+        let mut w = SlidingWindow::new(capacity);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let bits = |list: &[(Epoch, Value)]| Vec::from_iter(list.iter().map(|&(e, v)| (e, v.to_bits())));
+        for (at, &step) in steps.iter().enumerate() {
+            match step {
+                Step::Push(epoch, value) => w.push(epoch, value),
+                Step::Grow(capacity) => w.grow_capacity(capacity),
+                Step::Ask(first, k) => {
+                    w.top_k_since(first, k, &mut got);
+                    let all = w.as_slice();
+                    top_k_into(&all[all.partition_point(|&(e, _)| e < first)..], k, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "step {at}, top {k} since {first} of {all:?}: {got:?}");
+                }
+            }
+        }
+    }
+
+    /// `pushes`, each followed by an ask for every `k` of `ks` over the whole window and
+    /// over its last four epochs.
+    fn pushed_and_asked(pushes: impl IntoIterator<Item = (Epoch, Value)>, ks: &[usize]) -> Vec<Step> {
+        let mut steps = Vec::new();
+        for (epoch, value) in pushes {
+            steps.push(Step::Push(epoch, value));
+            for &k in ks {
+                steps.extend([Step::Ask(0, k), Step::Ask(epoch.saturating_sub(3), k)]);
+            }
+        }
+        steps
+    }
+
+    #[test]
+    fn a_kept_list_tells_two_identical_samples_at_its_end_apart() {
+        // Fifteen high samples, then epoch 15 three times: (15, 50.0) twice and
+        // (15, 1.0).  Asked for k = 1 the list holds one of the identical pair as its
+        // last and leaves the other out; asked for k = 17 it holds both.  Both leave the
+        // window, first the older; what follows ranks lower.  A list that tells what was
+        // evicted by epoch, or by a sample of the same rank still in the window, keeps one
+        // (15, 50.0) too many: it answers (15, 50.0) once (15, 1.0) is all that is left
+        // of epoch 15, or (15, 50.0) twice.
+        let mut pushes: Vec<(Epoch, Value)> = (0..15).map(|e| (e, 60.0 + e as f64)).collect();
+        pushes.extend([(15, 50.0), (15, 50.0), (15, 1.0)]);
+        pushes.extend((16..40).map(|e| (e, 1.0)));
+        pushes.extend((40..44).map(|e| (e, 10.0)));
+        for (opening, k) in [(1, 1), (17, 2)] {
+            let mut steps = vec![Step::Ask(0, opening)];
+            for &(epoch, value) in &pushes {
+                steps.extend([Step::Push(epoch, value), Step::Ask(0, k)]);
+            }
+            assert_kept_answers(20, &steps);
+        }
+    }
+
+    #[test]
+    fn a_rebuilt_list_finds_identical_samples_at_two_places() {
+        // Two identical (0, 50.0) open the window and a falling run follows; a list
+        // rebuilt over them holds both.  When the older leaves the window the younger
+        // must stay listed: a rebuild that gave both the older's push number would
+        // answer (1, 39.0) first.
+        let mut steps: Vec<Step> = [(0, 50.0), (0, 50.0)].map(|(e, v)| Step::Push(e, v)).into();
+        steps.extend((1..18).map(|e| Step::Push(e, 40.0 - e as f64)));
+        steps.push(Step::Ask(0, 17));
+        for e in 18..24 {
+            steps.extend([Step::Push(e, 0.0), Step::Ask(0, 2)]);
+        }
+        assert_kept_answers(20, &steps);
+    }
+
+    #[test]
+    fn a_kept_list_ranks_nan_last() {
+        // A falling trend with a NaN every fifth epoch: arrivals rank low, the list
+        // empties by evictions, and NaN is listed only when the list holds everything.
+        let pushes = (0..80u64).map(|e| (e, if e % 5 == 2 { Value::NAN } else { 100.0 - e as f64 }));
+        assert_kept_answers(20, &pushed_and_asked(pushes, &[1, 3, 20]));
+        assert_kept_answers(12, &pushed_and_asked((0..40u64).map(|e| (e / 2, Value::NAN)), &[2, 5]));
+    }
+
+    #[test]
+    fn a_kept_list_ranks_positive_zero_ahead_of_negative_zero() {
+        // Two readings an epoch, +0.0 and -0.0 in either order, among a few positives.
+        let pushes = (0..60u64).flat_map(|i| {
+            let zeros = if i % 3 == 0 { [-0.0, 0.0] } else { [0.0, -0.0] };
+            let first = if i % 7 == 0 { 5.0 } else { zeros[0] };
+            [(i, first), (i, zeros[1])]
+        });
+        assert_kept_answers(24, &pushed_and_asked(pushes, &[1, 2, 17]));
+    }
+
+    #[test]
+    fn a_kept_list_follows_a_growing_window_and_a_growing_k() {
+        let mut steps = pushed_and_asked((0..30u64).map(|e| (e, (e * 37 % 11) as f64)), &[2]);
+        steps.push(Step::Grow(40));
+        steps.extend(pushed_and_asked((30..90u64).map(|e| (e, (e * 37 % 11) as f64)), &[3, 25]));
+        assert_kept_answers(20, &steps);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// A window driven through random pushes (values on a grid of fives, so that
+        /// ranks tie, with repeated epochs, NaN and both zeros), capacity growth and asks
+        /// of any k from 1 to one past its length and any span start answers as
+        /// `top_k_into` over the span does.
+        #[test]
+        fn a_kept_list_answers_as_a_selection_over_the_span(
+            capacity in 1usize..48,
+            ops in prop::collection::vec((0u32..100, 0u64..3, 0u32..24, 0usize..1_000), 1..300),
+        ) {
+            let mut steps = Vec::new();
+            let (mut epoch, mut len, mut cap) = (0, 0, capacity);
+            for (kind, step, value, draw) in ops {
+                if kind < 70 {
+                    epoch += step;
+                    let value = match value {
+                        21 => Value::NAN,
+                        22 => -0.0,
+                        23 => 0.0,
+                        v => f64::from(v) * 5.0,
+                    };
+                    steps.push(Step::Push(epoch, value));
+                    len = cap.min(len + 1);
+                } else if kind < 73 {
+                    cap += draw % 16;
+                    steps.push(Step::Grow(cap));
+                } else {
+                    // Mostly a small k, so that the list stays shorter than the window.
+                    let k = 1 + if kind < 90 { draw % 4 } else { draw % (len + 1) };
+                    let first = (epoch + 1).saturating_sub(draw as u64 % (len as u64 + 3));
+                    steps.push(Step::Ask(first, k));
+                }
+            }
+            assert_kept_answers(capacity, &steps);
+        }
     }
 
     fn reading(node: NodeId, epoch: Epoch, value: Value) -> Reading {
