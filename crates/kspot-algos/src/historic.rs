@@ -197,7 +197,8 @@ impl<'a> BankWindows<'a> {
     /// Replaces `best` with the node's `k` highest-valued samples, best first (ties
     /// toward older epochs).  A borrowed bank's window reads them off the list it keeps
     /// across feeds ([`SlidingWindow::top_k_since`]); an owned bank is read once, so its
-    /// windows select.
+    /// windows are scanned once ([`top_k_into`]: one pass over the span for a `k` of at
+    /// most eight, a selection beyond).
     pub(crate) fn local_top_k(&mut self, node: NodeId, k: usize, best: &mut Vec<(Epoch, f64)>) {
         match &mut self.bank {
             Bank::Borrowed(bank) => match bank.window_mut(node) {

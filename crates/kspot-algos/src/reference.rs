@@ -814,6 +814,32 @@ mod properties {
         }
     }
 
+    /// Three and more reports reaching one receiver: the sink hears three, node 1 five,
+    /// node 4 three and node 9 four, each child a relay or a leaf, and readings drawn
+    /// off the grid of fives, so that the sums are not integers and their order of
+    /// addition shows.  A receiver adopts the first view to arrive and merges the
+    /// others into it; the reference merges every one into a fresh view.
+    #[test]
+    fn the_kernel_matches_the_reference_where_three_reports_reach_one_receiver() {
+        let raw = [0, 0, 0, 1, 1, 1, 1, 1, 4, 4, 4, 9, 9, 9, 9];
+        let d = random_tree(&raw, 3, 13);
+        let parents = d.explicit_parents().expect("an explicit tree");
+        let mut fan_in = BTreeMap::<NodeId, usize>::new();
+        for &parent in parents.values() {
+            *fan_in.entry(parent).or_default() += 1;
+        }
+        let mut wide: Vec<usize> = fan_in.into_values().filter(|&children| children >= 3).collect();
+        wide.sort_unstable();
+        assert_eq!(wide, [3, 3, 4, 5], "four receivers hear three reports or more");
+        for source in 0..3 {
+            for (loss_pct, retransmits) in [(0, 0), (30, 1)] {
+                let case = HistoricCase { window: 24, source, loss_pct, retransmits, seed: 13, ..EDGE };
+                assert_ne!(case.seed % 3, 0, "values off the grid of fives");
+                assert_historic_case(&d, &case);
+            }
+        }
+    }
+
     /// The live bank queried, fed and queried again, its windows keeping their lists
     /// across the feeds: a few feeds and a whole bank's turnover (every listed sample
     /// evicted, the NaN arriving with the later feeds), one epoch a feed and repeated

@@ -14,12 +14,13 @@
 //!
 //! Sums are added in the order the map-based code added them (ADR-005, "Host
 //! representation (historic)"): a node's view receives its children's views as they
-//! arrive and the node's own values last, each slot starting from `+0.0`; the contributor
-//! bitset counts a node once however often it is inserted, like the `BTreeSet` it
-//! replaces.  The working memory is one per thread and reused from execution to
-//! execution: views come from a pool that is as large as the most views ever alive at
-//! once (a view lives from its node's first delivery to the node's own turn), not one
-//! per node and never one per session.
+//! arrive and the node's own values last, each slot starting from `+0.0` — the first view
+//! to arrive is adopted whole, which is that sum bit for bit (ADR-005, "Historic kernel
+//! v5"); the contributor bitset counts a node once however often it is inserted, like
+//! the `BTreeSet` it replaces.  The working memory is one per thread and reused from
+//! execution to execution: views come from a pool that is as large as the most views
+//! ever alive at once (a view lives from its node's first delivery, or its own turn, to
+//! the node's report), not one per node and never one per session.
 
 use crate::historic::{can_answer, BankWindows, HistoricSpec};
 use crate::result::{RankedItem, TopKResult};
@@ -157,8 +158,9 @@ impl Lists {
 
 const NONE: u32 = u32::MAX;
 
-/// The views of a TJA sweep: a node holds one from the first report delivered to it
-/// until its own turn, so the pool is as large as the most views ever held at once.
+/// The views of a TJA sweep: a node holds one from the first report delivered to it (or
+/// from its own turn, if none was) until it reports, when the view is handed up whole
+/// or merged, so the pool is as large as the most views ever held at once.
 #[derive(Debug, Default)]
 struct ViewPool {
     views: Vec<EpochTable>,
@@ -192,6 +194,26 @@ impl ViewPool {
 
     fn release(&mut self, holder: NodeId) {
         self.idle.push(std::mem::replace(&mut self.view_of[holder as usize], NONE));
+    }
+
+    /// Hands `from`'s view up to `to`.  A receiver that holds no view yet adopts it as
+    /// it is — what merging it into a freshly emptied view would give, bit for bit:
+    /// every slot of a fresh view is `+0.0` and `+0.0 + x` is `x` for every sum `x`
+    /// (each is an addition's result from `+0.0`, so never `-0.0` and never a
+    /// signalling NaN), and sets and mask are ORed into zeros.  Otherwise the view is
+    /// merged into the receiver's and goes back to the pool.
+    fn deliver(&mut self, from: NodeId, to: NodeId) {
+        let at = std::mem::replace(&mut self.view_of[from as usize], NONE);
+        let held = self.view_of[to as usize];
+        if held == NONE {
+            self.view_of[to as usize] = at;
+            return;
+        }
+        // Lifted out so that the receiver's view can be borrowed beside it.
+        let view = std::mem::take(&mut self.views[at as usize]);
+        self.views[held as usize].merge(&view);
+        self.views[at as usize] = view;
+        self.idle.push(at);
     }
 }
 
@@ -360,8 +382,9 @@ impl Threshold {
     /// One TJA sweep up the routing tree under `phase`: every participating node adds
     /// its own list — in the Hierarchical Join its joined tuples, else its local top-k —
     /// to the view its children's reports built and reports the view to its nearest
-    /// participating ancestor, where it is merged on arrival.  What reaches the sink is
-    /// added to the assembled table.  A Lower-Bound report is made even when empty; an
+    /// participating ancestor, which adopts the first view to arrive and merges the
+    /// others into it ([`ViewPool::deliver`]).  What reaches the sink is added to the
+    /// assembled table.  A Lower-Bound report is made even when empty; an
     /// empty join is not.
     pub(crate) fn sweep(&mut self, net: &mut Network, query_epoch: Epoch, phase: PhaseTag) {
         let Self { epochs, sources, source_of, assembled, local, joined, pool, order, .. } = self;
@@ -376,8 +399,7 @@ impl Threshold {
                 continue;
             }
             let at = pool.view_for(node, slots, n);
-            // Lifted out so that the receiver's view can be borrowed beside it.
-            let mut view = std::mem::take(&mut pool.views[at]);
+            let view = &mut pool.views[at];
             let source = source_of[node as usize];
             if source != NONE {
                 for &(slot, value) in lists.of(source as usize) {
@@ -385,14 +407,15 @@ impl Threshold {
                 }
             }
             let tuples = view.len();
-            if tuples > 0 || report_empty {
-                if let Some(receiver) = net.send_report_up(node, query_epoch, tuples as u32, 0, phase) {
-                    let to = pool.view_for(receiver, slots, n);
-                    pool.views[to].merge(&view);
-                }
+            let receiver = if tuples > 0 || report_empty {
+                net.send_report_up(node, query_epoch, tuples as u32, 0, phase)
+            } else {
+                None
+            };
+            match receiver {
+                Some(receiver) => pool.deliver(node, receiver),
+                None => pool.release(node),
             }
-            pool.views[at] = view;
-            pool.release(node);
         }
         let at_sink = pool.view_of[SINK as usize];
         if at_sink != NONE {

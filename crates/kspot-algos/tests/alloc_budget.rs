@@ -11,7 +11,9 @@
 //! and the span — and when the span changes between executions, the working memory
 //! grows once and is reused from then on.  Once the windows keep lists of their best
 //! samples, the feed between two executions allocates nothing, and catching the lists
-//! up with it is part of the execution's count.
+//! up with it is part of the execution's count.  An `AS OF` query's restore allocates a
+//! window per node — of the span's samples only — and a small constant, and TJA over
+//! the restored view its answer.
 //!
 //! The kernel's scratch is fenced the same way: the steady shared epoch allocates the
 //! same count when every node is its own group (G = N) as with 16 or 64 groups, and the
@@ -34,6 +36,7 @@ use kspot_algos::{
 use kspot_net::types::ValueDomain;
 use kspot_net::{Deployment, Network, NetworkConfig, WindowBank, Workload};
 use kspot_query::AggFunc;
+use kspot_store::CheckpointStore;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -369,6 +372,58 @@ fn a_probing_epoch_allocates_a_small_constant_whatever_the_network_size() {
 /// Measured: 2 (the map-based executor this replaced: 17 861 at 8×8 and 30 140 at 10×10
 /// for `WITH HISTORY 128`, 9 778 at 8×8 for `WITH HISTORY 64`).
 const HISTORIC_BUDGET: u64 = 4;
+
+/// What a steady `AS OF` query may allocate besides one window per node that holds
+/// one: restoring a span decodes each record's samples of it into a buffer of their
+/// own, which becomes the window's, and allocates the record list, the list of windows,
+/// the span's epochs, the bank's node and window lists and the view's epoch list; TJA
+/// over the restored view then allocates its answer.  Measured: 6, and 1.
+const AS_OF_RESTORE_BUDGET: u64 = 6;
+
+/// Allocations of the fourth `SELECT TOP 8 epoch … WITH HISTORY 64 AS OF` a checkpoint
+/// of a `side × side` grid's bank of 128 epochs: `(restore, execution)` — the restore
+/// of the image into a view of its last 64 epochs, and TJA over the view.
+fn steady_as_of_allocations(side: usize) -> (u64, u64) {
+    let d = Deployment::grid(side, 10.0, Some(16));
+    let mut workload = Workload::uniform_iid(&d, ValueDomain::percentage(), 42);
+    let mut bank = WindowBank::new(128);
+    for _ in 0..133 {
+        bank.feed(&workload.next_epoch());
+    }
+    let mut net = Network::new(d, NetworkConfig::mica2());
+    let at = bank.epochs().next_back().expect("a fed bank");
+    let mut store = CheckpointStore::new(1);
+    store.checkpoint(&mut bank, at, &mut net);
+    let spec = HistoricSpec::new(8, AggFunc::Avg, ValueDomain::percentage(), 64);
+
+    let mut measured = (0, 0);
+    for _ in 0..4 {
+        net.set_query_scope(Some(9));
+        let before = ALLOCATIONS.with(Cell::get);
+        let mut view = store.restore(at, 64, &mut net).expect("the snapshot is retained");
+        let restored = ALLOCATIONS.with(Cell::get);
+        let answer = Tja::new(spec).execute(&mut net, &mut view);
+        measured = (restored - before, ALLOCATIONS.with(Cell::get) - restored);
+        assert_eq!((answer.epoch, answer.items.len()), (at, 8));
+    }
+    measured
+}
+
+#[test]
+fn a_steady_as_of_allocates_a_window_per_node_and_a_small_constant() {
+    for side in [8, 10] {
+        let nodes = (side * side) as u64;
+        let (restore, execution) = steady_as_of_allocations(side);
+        assert_eq!(
+            restore,
+            nodes + AS_OF_RESTORE_BUDGET,
+            "restoring {side}×{side} windows allocated {restore} times, budget one per window and {AS_OF_RESTORE_BUDGET}"
+        );
+        assert!(execution <= HISTORIC_BUDGET, "TJA over the restored view allocated {execution} times, budget {HISTORIC_BUDGET}");
+        assert_eq!(execution, 1, "TJA over a restored view allocates its answer: the restore made the epoch list");
+        assert_eq!(steady_as_of_allocations(side), (restore, execution), "the counts repeat exactly run to run");
+    }
+}
 
 /// Allocations of the fourth `SELECT TOP 8 epoch … WITH HISTORY window` over the
 /// engine's live view of a `side × side` grid's windows, one epoch fed between runs,

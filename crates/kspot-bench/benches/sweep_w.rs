@@ -1,6 +1,8 @@
 //! Criterion counterpart of `docs/perf/complexity.md` §5: what the host pays for one
 //! historic query as the span `W` and `K` grow — TJA over the engine's live view of
-//! warm windows, and the checkpoint and restore of the bank behind it.
+//! warm windows, and the checkpoint and restore of the bank behind it — and for the two
+//! shapes `engine_historic` runs besides: an `AS OF` query (the restore of a span of `W`
+//! out of a bank of `2W` and TJA over it) and a live TJA whose span is half its bank's.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kspot_algos::historic::HistoricAlgorithm;
@@ -64,5 +66,35 @@ fn bench_k(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_span, bench_k);
+fn bench_as_of(c: &mut Criterion) {
+    let mut group = c.benchmark_group("historic_as_of_n100_k5");
+    group.sample_size(300);
+    for &window in &[32usize, 64, 128] {
+        let (mut net, mut bank, newest) = warm(2 * window);
+        let mut store = CheckpointStore::new(1);
+        store.checkpoint(&mut bank, newest, &mut net);
+        let spec = HistoricSpec::new(5, AggFunc::Avg, ValueDomain::percentage(), window);
+        group.bench_with_input(BenchmarkId::new("as_of", window), &window, |b, &w| {
+            b.iter(|| {
+                let mut view = store.restore(newest, w, &mut net).expect("just checkpointed");
+                black_box(Tja::new(spec).execute(&mut net, &mut view).items.len())
+            });
+        });
+    }
+    group.finish();
+}
+
+fn bench_short_span(c: &mut Criterion) {
+    let mut group = c.benchmark_group("historic_short_span_n100_k5");
+    group.sample_size(300);
+    let (mut net, mut bank, _) = warm(128);
+    for &window in &[64usize, 128] {
+        group.bench_with_input(BenchmarkId::new("tja_short_span", window), &window, |b, &w| {
+            b.iter(|| black_box(tja(&mut net, &mut bank, 5, w)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_span, bench_k, bench_as_of, bench_short_span);
 criterion_main!(benches);

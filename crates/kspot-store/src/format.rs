@@ -303,15 +303,62 @@ pub struct SnapshotImage {
 
 /// Decodes and validates one checkpoint image straight into the bank it snapshots.
 /// Every structural invariant the encoder guarantees is re-checked here, because the
-/// bytes may not have come from the encoder at all.
+/// bytes may not have come from the encoder at all: the seal, the counts against the
+/// bytes behind them and the capacity, node ids ascending, each record's epochs
+/// strictly ascending and none past the snapshot epoch, every value finite.
 ///
 /// A node record is one contiguous run of 16-byte samples, so each is bounds-checked
 /// once and read in one validating pass into a window sized by its sample count — never
 /// by the declared capacity, which no byte backs.  The bank's span is the union of the
 /// records' epochs: a live bank writes the same epochs into every record, so a record
-/// costs one comparison of its epochs with the first window's, and only a record that
-/// differs (which only a hand-built image has) is merged in.
+/// costs one comparison of its epochs with the first non-empty record's, and only a
+/// record that differs (which only a hand-built image has) is merged in.
+/// [`crate::CheckpointStore::restore`] runs the same pass but materialises only the
+/// samples of the span it opens.
 pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, StoreError> {
+    let mut image = decode(bytes, usize::MAX)?;
+    let records = std::mem::take(&mut image.records);
+    Ok(SnapshotImage { epoch: image.epoch, records, bank: image.into_bank() })
+}
+
+/// An image [`decode`] validated, and the samples of the span it materialised.
+#[derive(Debug)]
+pub(crate) struct Decoded {
+    /// The newest epoch the snapshot covers.
+    pub(crate) epoch: Epoch,
+    capacity: usize,
+    /// Every node record, ascending node id, with its sample count, as
+    /// [`SnapshotImage::records`].
+    pub(crate) records: Vec<(NodeId, usize)>,
+    /// A window per record that holds a sample: its samples from the span's first epoch
+    /// on.  Empty for a span of 0.
+    windows: Vec<(NodeId, Vec<(Epoch, Value)>)>,
+    /// The span's epochs, ascending: the newest `span` of the last `capacity` distinct
+    /// sample epochs.
+    covered: Vec<Epoch>,
+    /// The distinct sample epochs.
+    fed: u64,
+}
+
+impl Decoded {
+    /// The bank of the span: a view of its newest `span` epochs reads what it would
+    /// read of the whole image's bank.
+    pub(crate) fn into_bank(self) -> WindowBank {
+        WindowBank::from_windows(self.capacity, self.windows, self.covered, self.fed)
+    }
+}
+
+/// [`decode_image`] materialising only the samples of the image's newest `span`
+/// covered epochs — every sample for a span at least as long as the image's, none for
+/// a span of 0 — while validating every byte and every sample whatever the span.
+///
+/// A record's samples of the span are read off the tail of its validated run into a
+/// window sized by their count.  The span's first epoch is at least the `span`-th newest
+/// epoch of the first non-empty record, whose epochs are covered, and that is known
+/// before any other record is read: every record is materialised from there on, and
+/// what lies before the span's true first epoch (only a ragged image has any) is never
+/// read by a view of the span.
+pub(crate) fn decode(bytes: &[u8], span: usize) -> Result<Decoded, StoreError> {
     let mut c = unsealed(bytes, IMAGE_MAGIC)?;
     let epoch = c.u64()?;
     let capacity = c.u32()? as usize;
@@ -326,8 +373,13 @@ pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, StoreError> {
     // Each node record is at least 8 bytes (id + sample count).
     let node_count = c.count(declared_nodes, 8)?;
     let mut records: Vec<(NodeId, usize)> = Vec::with_capacity(node_count);
-    let mut windows: Vec<(NodeId, Vec<(Epoch, Value)>)> = Vec::with_capacity(node_count);
-    // The epochs of every record whose epochs differ from the first window's.
+    let mut windows: Vec<(NodeId, Vec<(Epoch, Value)>)> = Vec::new();
+    if span > 0 {
+        windows.reserve(node_count);
+    }
+    // The first non-empty record's samples, and the epoch the span's samples start at.
+    let mut first: Option<(&[[u8; 16]], Epoch)> = None;
+    // The epochs of every record whose epochs differ from the first's.
     let mut strays: Vec<Epoch> = Vec::new();
     let mut prev_node: Option<NodeId> = None;
     for _ in 0..node_count {
@@ -349,45 +401,71 @@ pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, StoreError> {
             });
         }
         records.push((node, sample_count));
-        let run = c.take(16 * sample_count)?;
-        if sample_count == 0 {
-            continue;
-        }
-        let mut samples: Vec<(Epoch, Value)> = Vec::with_capacity(sample_count);
+        let (run, _) = c.take(16 * sample_count)?.as_chunks::<16>();
         let mut prev: Option<Epoch> = None;
-        for sample in run.chunks_exact(16) {
-            let word = |at: usize| u64::from_be_bytes(sample[at..at + 8].try_into().expect("8 bytes"));
-            let e = word(0);
+        for sample in run {
+            let e = epoch_of(sample);
             if e > epoch {
                 return Err(StoreError::Corrupt("sample epoch past the snapshot epoch"));
             }
             if prev.is_some_and(|p| e <= p) {
                 return Err(StoreError::Corrupt("sample epochs not strictly ascending"));
             }
-            let v = Value::from_bits(word(8));
-            if !v.is_finite() {
+            if !value_of(sample).is_finite() {
                 return Err(StoreError::Corrupt("non-finite sample value"));
             }
             prev = Some(e);
-            samples.push((e, v));
         }
-        if let Some((_, first)) = windows.first() {
-            if !samples.iter().map(|s| s.0).eq(first.iter().map(|s| s.0)) {
-                strays.extend(samples.iter().map(|s| s.0));
+        if span == 0 || run.is_empty() {
+            continue;
+        }
+        let (first_run, from) = match first {
+            Some(first) => first,
+            None => {
+                let from = run.len().checked_sub(span).map_or(0, |at| epoch_of(&run[at]));
+                *first.insert((run, from))
             }
+        };
+        if !same_epochs(run, first_run) {
+            strays.extend(run.iter().map(epoch_of));
         }
+        let tail = &run[run.partition_point(|sample| epoch_of(sample) < from)..];
+        let kept = tail.len();
+        let mut samples: Vec<(Epoch, Value)> = Vec::with_capacity(kept);
+        samples.extend(tail.iter().map(|sample| (epoch_of(sample), value_of(sample))));
         windows.push((node, samples));
     }
     c.finish()?;
-    let mut epochs: Vec<Epoch> = windows.first().map_or_else(Vec::new, |(_, w)| w.iter().map(|s| s.0).collect());
+    let mut covered: Vec<Epoch> = first.map_or_else(Vec::new, |(run, _)| run.iter().map(epoch_of).collect());
     if !strays.is_empty() {
-        epochs.append(&mut strays);
-        epochs.sort_unstable();
-        epochs.dedup();
+        covered.append(&mut strays);
+        covered.sort_unstable();
+        covered.dedup();
     }
-    let fed = epochs.len() as u64;
-    epochs.drain(..epochs.len().saturating_sub(capacity));
-    Ok(SnapshotImage { epoch, records, bank: WindowBank::from_windows(capacity, windows, epochs, fed) })
+    let fed = covered.len() as u64;
+    covered.drain(..covered.len().saturating_sub(capacity.min(span)));
+    Ok(Decoded { epoch, capacity, records, windows, covered, fed })
+}
+
+/// Whether two validated records, each strictly ascending in epoch, hold the same
+/// epochs.  Over a gapless run of epochs the count and the two ends tell: `n` strictly
+/// ascending epochs from `a` to `a + n - 1` are every epoch between.
+fn same_epochs(run: &[[u8; 16]], other: &[[u8; 16]]) -> bool {
+    let ends = |run: &[[u8; 16]]| Some((epoch_of(run.first()?), epoch_of(run.last()?)));
+    run.len() == other.len()
+        && ends(run) == ends(other)
+        && (ends(run).is_some_and(|(first, last)| last - first == run.len() as Epoch - 1)
+            || run.iter().map(epoch_of).eq(other.iter().map(epoch_of)))
+}
+
+/// The epoch of one encoded sample.
+fn epoch_of(sample: &[u8; 16]) -> Epoch {
+    u64::from_be_bytes(*sample.first_chunk().expect("8 of 16 bytes"))
+}
+
+/// The value of one encoded sample.
+fn value_of(sample: &[u8; 16]) -> Value {
+    Value::from_bits(u64::from_be_bytes(*sample.last_chunk().expect("8 of 16 bytes")))
 }
 
 /// One manifest entry: a retained image's snapshot epoch and its byte extent on the

@@ -1,7 +1,7 @@
 //! [`CheckpointStore`]: the ring of encoded snapshots on the modeled flash device.
 
 use crate::format::{
-    decode_image, encode_image, encode_manifest, pages_for, record_bytes, split_manifest,
+    decode, decode_image, encode_image, encode_manifest, pages_for, record_bytes, split_manifest,
     StoreError,
 };
 use kspot_algos::BankWindows;
@@ -112,7 +112,9 @@ impl CheckpointStore {
     /// (owning the restored bank) over its last `window` epochs, charging each node the
     /// flash page reads for its own record.  Reads are charged to whatever query scope
     /// is installed on `net` — restore cost belongs to the `AS OF` session that asked
-    /// for it.
+    /// for it.  The whole image is validated, but only the samples of the view's span
+    /// are materialised: the view reads what it would read of the whole image's bank,
+    /// and the pages charged are every record's.
     pub fn restore(
         &self,
         epoch: Epoch,
@@ -124,11 +126,11 @@ impl CheckpointStore {
             .iter()
             .find(|(e, _)| *e == epoch)
             .ok_or(StoreError::NoSnapshot(epoch))?;
-        let image = decode_image(bytes)?;
+        let image = decode(bytes, window)?;
         for &(node, samples) in &image.records {
             net.charge_page_reads(node, pages_for(record_bytes(samples)));
         }
-        Ok(BankWindows::owned(image.bank, window))
+        Ok(BankWindows::owned(image.into_bank(), window))
     }
 
     /// Restores the newest snapshot into a bare [`WindowBank`] without charging —
@@ -159,8 +161,10 @@ impl CheckpointStore {
     }
 
     /// Rebuilds a store from [`Self::to_bytes`] output.  The manifest is validated
-    /// eagerly; each image extent is sliced out and its seal verified, so a torn
-    /// or tampered log fails here with a typed error rather than at first query.
+    /// eagerly; each image extent is sliced out and run through the decoder's
+    /// validating pass with an empty span — seal, counts, order and values, no bank
+    /// built — so a torn or tampered log fails here with a typed error rather than at
+    /// first query.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         let (manifest, log) = split_manifest(bytes)?;
         // Both validated by the manifest decoder; no assertion stands behind these bytes.
@@ -176,8 +180,7 @@ impl CheckpointStore {
                 return Err(StoreError::Truncated);
             }
             let image = &log[start..end];
-            let decoded = decode_image(image)?;
-            if decoded.epoch != entry.epoch {
+            if decode(image, 0)?.epoch != entry.epoch {
                 return Err(StoreError::Corrupt("manifest epoch disagrees with its image"));
             }
             store.images.push_back((entry.epoch, image.to_vec()));
