@@ -96,6 +96,11 @@ fn ranked_epochs(per_epoch: BTreeMap<Epoch, Vec<f64>>, spec: &HistoricSpec, at: 
 fn span_of(window: Option<&mut SlidingWindow>, first: Epoch) -> &[(Epoch, f64)] {
     let Some(window) = window else { return &[] };
     let all = window.as_slice();
+    // A window the span covers whole, as every window of a bank as long as the span is,
+    // needs no search.
+    if all.first().is_some_and(|&(e, _)| e >= first) {
+        return all;
+    }
     &all[all.partition_point(|&(e, _)| e < first)..]
 }
 

@@ -504,11 +504,7 @@ mod properties {
     /// The windows of a case: one feed per epoch the bank holds, values on a grid of
     /// fives in every third case so that ranks tie.
     fn fed_bank(d: &Deployment, case: &HistoricCase) -> WindowBank {
-        let mut bank = WindowBank::new(bank_capacity(case));
-        for readings in case_feeds(d, case, 0) {
-            bank.feed(&readings);
-        }
-        bank
+        bank_of(case, &case_feeds(d, case, 0))
     }
 
     /// The feeds of [`fed_bank`] and `after` more; a NaN reading, where the case has one,
@@ -864,6 +860,238 @@ mod properties {
         }
     }
 
+    // The Hierarchical Join works a run of a window at a time, 64 samples to a word
+    // (ADR-005, "Historic kernel v6").  The cases below put a run's edges where a word
+    // operation could slip: a run that starts at another bit of the sample bitset than
+    // of the slot masks, across a word boundary; an epoch repeated across and inside a
+    // word; local-list samples at a run's first and last sample; values exactly at θ;
+    // and NaN and ±0.0 in samples that are not sent.  Each runs over every source,
+    // lossless and lossy.
+
+    /// A bank of `case`'s capacity fed `feeds`.
+    fn bank_of(case: &HistoricCase, feeds: &[Vec<Reading>]) -> WindowBank {
+        let mut bank = WindowBank::new(bank_capacity(case));
+        for readings in feeds {
+            bank.feed(readings);
+        }
+        bank
+    }
+
+    /// [`assert_historic_bank`] for `case` over each source, lossless and lossy, each over
+    /// a bank fed `case`'s feeds as `edit` leaves them; `edit` is handed the feeds and
+    /// the index of the feed of the span's first epoch.
+    fn assert_edited_feeds(d: &Deployment, case: &HistoricCase, edit: impl Fn(&mut [Vec<Reading>], usize)) {
+        for source in 0..3 {
+            let case = HistoricCase { source, ..*case };
+            let mut feeds = case_feeds(d, &case, 0);
+            edit(&mut feeds, bank_capacity(&case) - case.window);
+            let bank = bank_of(&case, &feeds);
+            for (loss_pct, retransmits) in [(0, 0), (30, 1)] {
+                assert_historic_bank(d, &HistoricCase { loss_pct, retransmits, ..case }, &bank);
+            }
+        }
+    }
+
+    /// The span of `node`'s window in a view of `bank`, and the span's slots: the
+    /// covered epochs, ascending, each once.
+    fn span_of(bank: &WindowBank, window: usize, node: NodeId) -> (Vec<(Epoch, f64)>, Vec<Epoch>) {
+        let mut view = BankWindows::owned(bank.clone(), window);
+        let mut slots = view.covered_epochs().to_vec();
+        slots.dedup();
+        (view.samples(node).to_vec(), slots)
+    }
+
+    /// The odd nodes miss the feed of the span's sample 37: their second run starts at
+    /// bit 37 of their sample bitsets and at bit 38 of the slot masks, and its words
+    /// straddle a word boundary on both sides.
+    #[test]
+    fn the_kernel_matches_the_reference_where_a_missed_feed_starts_a_run_off_its_slot() {
+        let d = edge_tree();
+        let case = HistoricCase { window: 128, ..EDGE };
+        let miss = |feeds: &mut [Vec<Reading>], span: usize| feeds[span + 37].retain(|r| r.node % 2 == 0);
+        let mut feeds = case_feeds(&d, &case, 0);
+        miss(&mut feeds, bank_capacity(&case) - case.window);
+        let (samples, slots) = span_of(&bank_of(&case, &feeds), case.window, 1);
+        assert_eq!((samples[36].0, samples[37].0), (slots[36], slots[38]), "node 1's sample 37 is on slot 38");
+        assert_edited_feeds(&d, &case, miss);
+    }
+
+    /// The even nodes read the epoch of the span's sample 63 (in one bank) or 84 (in
+    /// another) again at the next sample, and the feed's epochs from the one after on:
+    /// the repeat is followed by a skip, so that samples 65 and 86 are on slots 65 and
+    /// 86 again.  The first pair straddles two words; the second lies inside the second
+    /// word, whose first and last samples are on their slots — only a comparison of
+    /// every sample's epoch sees sample 85 off its run.
+    #[test]
+    fn the_kernel_matches_the_reference_where_an_epoch_repeats_across_and_inside_a_word() {
+        let d = edge_tree();
+        let case = HistoricCase { window: 128, ..EDGE };
+        for at in [63, 84] {
+            let repeat = |feeds: &mut [Vec<Reading>], span: usize| {
+                let again = feeds[span + at][0].epoch;
+                for reading in feeds[span + at + 1].iter_mut().filter(|r| r.node % 2 == 0) {
+                    reading.epoch = again;
+                }
+            };
+            let mut feeds = case_feeds(&d, &case, 0);
+            repeat(&mut feeds, bank_capacity(&case) - case.window);
+            let (samples, slots) = span_of(&bank_of(&case, &feeds), case.window, 2);
+            let epochs: Vec<Epoch> = (at..at + 3).map(|sample| samples[sample].0).collect();
+            assert_eq!(epochs, [slots[at], slots[at], slots[at + 2]], "node 2's samples {at} to {}", at + 2);
+            assert_edited_feeds(&d, &case, repeat);
+        }
+    }
+
+    /// Every node reads one value per feed, on the grid of fives: the local lists are
+    /// alike, `L_sink` is the K oldest epochs of the highest value and `θ` is that value
+    /// exactly, which later epochs of the same value reach without exceeding.
+    #[test]
+    fn the_kernel_matches_the_reference_where_values_are_exactly_theta() {
+        let d = edge_tree();
+        let case = HistoricCase { window: 128, ..EDGE };
+        let level = |feeds: &mut [Vec<Reading>], _: usize| {
+            for (feed, readings) in feeds.iter_mut().enumerate() {
+                for reading in readings {
+                    reading.value = ((feed * 8) % 21) as f64 * 5.0;
+                }
+            }
+        };
+        let mut feeds = case_feeds(&d, &case, 0);
+        level(&mut feeds, 0);
+        let (samples, _) = span_of(&bank_of(&case, &feeds), case.window, 1);
+        let top = samples.iter().filter(|&&(_, value)| value == 100.0).count();
+        assert!(top > case.k, "{top} samples of the highest value, K = {}: θ = 100 is reached again", case.k);
+        assert_edited_feeds(&d, &case, level);
+    }
+
+    /// The odd nodes miss the feed of sample 37 and hold their four highest values at
+    /// the first and the last sample of each run — every other value of theirs stays
+    /// below 90 — so their local lists, which the Join must leave out, sit at the runs'
+    /// edges.
+    #[test]
+    fn the_kernel_matches_the_reference_where_local_lists_sit_at_a_runs_edges() {
+        let d = edge_tree();
+        let case = HistoricCase { window: 128, k: 4, ..EDGE };
+        let edges = |feeds: &mut [Vec<Reading>], span: usize| {
+            feeds[span + 37].retain(|r| r.node % 2 == 0);
+            for reading in feeds.iter_mut().flatten().filter(|r| r.node % 2 == 1) {
+                reading.value = reading.value.min(90.0);
+            }
+            for (at, value) in [(0, 99.0), (36, 98.5), (38, 98.0), (127, 97.5)] {
+                for reading in feeds[span + at].iter_mut().filter(|r| r.node % 2 == 1) {
+                    reading.value = value;
+                }
+            }
+        };
+        let mut feeds = case_feeds(&d, &case, 0);
+        edges(&mut feeds, bank_capacity(&case) - case.window);
+        let (samples, _) = span_of(&bank_of(&case, &feeds), case.window, 1);
+        let mut best = Vec::new();
+        kspot_net::storage::top_k_into(&samples, case.k, &mut best);
+        let at = |epoch| samples.iter().position(|&(e, _)| e == epoch).expect("a sample of the span");
+        let mut listed: Vec<usize> = best.iter().map(|&(epoch, _)| at(epoch)).collect();
+        listed.sort_unstable();
+        assert_eq!(listed, [0, 36, 37, 126], "node 1 lists the first and last sample of both runs");
+        assert_edited_feeds(&d, &case, edges);
+    }
+
+    /// At three epochs node 1 reads 100 and every other node NaN, -0.0 or +0.0: the
+    /// epochs are sent, by node 1 only, and every other node's sample of them is left out
+    /// of a word whose other samples are sent — the dense add adds `+0.0` in its place.
+    #[test]
+    fn the_kernel_matches_the_reference_with_nan_and_signed_zeros_in_unsent_samples() {
+        let d = edge_tree();
+        let case = HistoricCase { window: 128, ..EDGE };
+        let unsent = |feeds: &mut [Vec<Reading>], span: usize| {
+            for (at, value) in [(10, f64::NAN), (70, -0.0), (100, 0.0)] {
+                for reading in &mut feeds[span + at] {
+                    reading.value = if reading.node == 1 { 100.0 } else { value };
+                }
+            }
+        };
+        assert_edited_feeds(&d, &case, unsent);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// The named cases above, drawn: nodes that miss feeds (never the last feed's,
+        /// so that every node keeps a window, and never the reading that opens a feed),
+        /// nodes whose clock repeats the epoch they read in the feed before, and NaN and
+        /// -0.0 readings, anywhere in windows of up to 199 epochs, so that windows are cut
+        /// into runs at every offset of a word.
+        #[test]
+        fn the_kernel_matches_the_reference_over_windows_cut_into_random_runs(
+            raw in prop::collection::vec(0u32..100_000, 1..60),
+            window in 1usize..200,
+            k_draw in 0usize..1_000,
+            source in 0usize..3,
+            loss_pct in prop_oneof![Just(0u32), 0u32..50],
+            seed in 0u64..1_000_000,
+            edits in prop::collection::vec((0usize..400, 0u32..200, 0u32..4), 0..40),
+        ) {
+            let case = HistoricCase {
+                window,
+                k: 1 + k_draw % (window + 1),
+                source,
+                loss_pct,
+                retransmits: 1,
+                seed,
+                ..EDGE
+            };
+            let d = random_tree(&raw, 3, seed);
+            let mut feeds = case_feeds(&d, &case, 0);
+            let last = feeds.len() - 1;
+            for &(at, node, kind) in &edits {
+                let (at, node) = (at % feeds.len(), 1 + node % d.num_nodes() as NodeId);
+                let opener = feeds[at][0].node;
+                let before = at.checked_sub(1).and_then(|prev| feeds[prev].iter().find(|r| r.node == node)).map(|r| r.epoch);
+                let readings = feeds[at].iter_mut().filter(|r| r.node == node);
+                match kind {
+                    0 if at < last && node != opener => feeds[at].retain(|r| r.node != node),
+                    1 => readings.for_each(|r| r.epoch = before.unwrap_or(r.epoch).min(r.epoch)),
+                    2 => readings.for_each(|r| r.value = f64::NAN),
+                    3 => readings.for_each(|r| r.value = -0.0),
+                    _ => {}
+                }
+            }
+            assert_historic_bank(&d, &case, &bank_of(&case, &feeds));
+        }
+    }
+
+    /// Statistics are the most recent execution's: a second execution over the same bank
+    /// reports what the first did, Clean-Up pulls and phase-3 fetches included, and one
+    /// without a source reports zeros — on the kernel and on the reference alike.
+    #[test]
+    fn statistics_are_those_of_the_most_recent_execution() {
+        let d = edge_tree();
+        let case = HistoricCase { loss_pct: 30, retransmits: 1, ..EDGE };
+        let config = faulted_config(&d, case.loss_pct, case.retransmits, None, false, case.battery_uj, case.seed);
+        let spec = HistoricSpec::new(case.k, case.func, ValueDomain::percentage(), case.window);
+        let bank = fed_bank(&d, &case);
+        let mut tja = Tja::new(spec);
+        let mut tput = Tput::new(spec);
+        let mut old_tja = super::historic::Tja { spec, stats: Default::default() };
+        let mut old_tput = super::historic::Tput { spec, stats: Default::default() };
+        let mut stats_over = |bank: &WindowBank| {
+            let mut stats = Vec::new();
+            let algos: [&mut dyn HistoricAlgorithm; 4] = [&mut tja, &mut tput, &mut old_tja, &mut old_tput];
+            for algo in algos {
+                let mut net = Network::new(d.clone(), config.clone());
+                algo.execute(&mut net, &mut BankWindows::owned(bank.clone(), case.window));
+            }
+            stats.push((tja.stats(), tput.stats()));
+            stats.push((old_tja.stats, old_tput.stats));
+            stats
+        };
+        let first = stats_over(&bank);
+        assert!(first[0].0.cleanup_pulls > 0 && first[0].1.phase3_fetches > 0, "{first:?}");
+        assert_eq!(first[0], first[1], "kernel and reference");
+        assert_eq!(stats_over(&bank), first, "a second execution over the same bank");
+        let nothing = stats_over(&WindowBank::new(case.window));
+        assert_eq!(nothing, [Default::default(), Default::default()], "an execution without a source");
+    }
+
     // ---------------------------------------------------------------- the FILA monitor
 
     /// How many epochs of a differential run were of each kind.
@@ -1018,6 +1246,7 @@ mod historic {
         fn execute(&mut self, net: &mut Network, data: &mut BankWindows<'_>) -> TopKResult {
             let k = self.spec.k;
             let query_epoch = data.covered_epochs().last().copied().unwrap_or(0);
+            self.stats = Default::default();
             // Only nodes that are alive and awake at query time can answer; the threshold
             // algebra runs over that population, scoping exactness to reachable data.
             let node_ids: Vec<NodeId> =
@@ -1208,6 +1437,7 @@ mod historic {
         fn execute(&mut self, net: &mut Network, data: &mut BankWindows<'_>) -> TopKResult {
             let k = self.spec.k;
             let query_epoch = data.covered_epochs().last().copied().unwrap_or(0);
+            self.stats = Default::default();
             // Only nodes alive and awake at query time can answer (see `kspot_net::fault`).
             let node_ids: Vec<NodeId> =
                 data.source_nodes().iter().copied().filter(|&id| net.node_participating(id)).collect();

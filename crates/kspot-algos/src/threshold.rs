@@ -17,7 +17,9 @@
 //! arrive and the node's own values last, each slot starting from `+0.0` — the first view
 //! to arrive is adopted whole, which is that sum bit for bit (ADR-005, "Historic kernel
 //! v5"); the contributor bitset counts a node once however often it is inserted, like
-//! the `BTreeSet` it replaces.  The working memory is one per thread and reused from
+//! the `BTreeSet` it replaces.  In the Hierarchical Join a node's own samples are added
+//! straight from its window, a run of consecutive slots at a time, 64 samples to a word
+//! (ADR-005, "Historic kernel v6").  The working memory is one per thread and reused from
 //! execution to execution: views come from a pool that is as large as the most views
 //! ever alive at once (a view lives from its node's first delivery, or its own turn, to
 //! the node's report), not one per node and never one per session.
@@ -56,10 +58,6 @@ impl EpochTable {
 
     fn set_of(&self, slot: usize) -> &[u64] {
         &self.contributors[slot * self.words..][..self.words]
-    }
-
-    fn is_present(&self, slot: usize) -> bool {
-        self.mask[slot / 64] & (1 << (slot % 64)) != 0
     }
 
     /// The present slots, ascending — the epochs a map would hold, in its order.
@@ -113,6 +111,24 @@ impl EpochTable {
         }
     }
 
+    /// Adds the samples `joined` selects of `samples` as `source`'s, sample `i` to slot
+    /// `slot + i` — what [`Self::add`] for each of them in turn would give, with the
+    /// presence bits ORed in as one shifted word.  The add is dense: an unselected sample
+    /// adds `+0.0` (its bits masked away, so a NaN or `-0.0` there is never read), which
+    /// leaves every sum as it is — a sum starts at `+0.0` and is an addition's result
+    /// from then on, so it is never `-0.0` and never a signalling NaN (ADR-005, "Historic
+    /// kernel v6").
+    fn join(&mut self, slot: usize, samples: &[(Epoch, f64)], joined: u64, source: usize) {
+        or_bits_at(&mut self.mask, slot, joined);
+        let (words, bit) = (self.words, 1 << (source % 64));
+        let sets = &mut self.contributors[slot * words + source / 64..];
+        for (i, (sum, &(_, value))) in self.sums[slot..][..samples.len()].iter_mut().zip(samples).enumerate() {
+            let keep = (joined >> i & 1).wrapping_neg();
+            *sum += f64::from_bits(value.to_bits() & keep);
+            sets[i * words] |= bit & keep;
+        }
+    }
+
     /// Adds every partial of `other`, a table of the same shape.  An absent slot of
     /// `other` adds `+0.0`, which leaves any sum as it is: a sum starts at `+0.0` and
     /// can therefore never be `-0.0`, the one value `+0.0` would change.
@@ -144,15 +160,49 @@ impl Lists {
     }
 
     /// Closes the list of the next source: everything pushed since the last call.
-    fn close(&mut self) -> usize {
-        let start = self.ends.last().map_or(0, |&end| end as usize);
+    fn close(&mut self) {
         self.ends.push(self.entries.len() as u32);
-        self.entries.len() - start
     }
 
     fn of(&self, source: usize) -> &[(u32, f64)] {
         let start = if source == 0 { 0 } else { self.ends[source - 1] as usize };
         &self.entries[start..self.ends[source] as usize]
+    }
+}
+
+/// A stretch of one window's samples on consecutive slots: sample `sample + i` of the
+/// span is of slot `slot + i`'s epoch for every `i < len`.  Epochs rise strictly along a
+/// run, and a calendar gap does not end one — the slot table has the same gap.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    sample: u32,
+    slot: u32,
+    len: u32,
+}
+
+/// Every source's Hierarchical-Join contribution: a bitset over its span's samples,
+/// bit `i` set when sample `i` is sent, and the runs its span is cut into.
+#[derive(Debug, Default)]
+struct Joined {
+    /// The sources' bitsets end to end, each `⌈samples / 64⌉` words.
+    bits: Vec<u64>,
+    runs: Vec<Run>,
+    /// `ends[i]` is where source `i`'s words and runs end (and source `i + 1`'s begin).
+    ends: Vec<(u32, u32)>,
+}
+
+impl Joined {
+    fn clear(&mut self) {
+        self.bits.clear();
+        self.runs.clear();
+        self.ends.clear();
+    }
+
+    /// Source `source`'s bitset and runs.
+    fn of(&self, source: usize) -> (&[u64], &[Run]) {
+        let (words, runs) = if source == 0 { (0, 0) } else { self.ends[source - 1] };
+        let (word_end, run_end) = self.ends[source];
+        (&self.bits[words as usize..word_end as usize], &self.runs[runs as usize..run_end as usize])
     }
 }
 
@@ -232,9 +282,11 @@ pub(crate) struct Threshold {
     /// Every source's local top-k list (phase one of both algorithms).
     local: Lists,
     /// Every source's Hierarchical-Join contribution.
-    joined: Lists,
-    /// Slot flags for the source at hand: in its local list.
-    in_local: Vec<bool>,
+    joined: Joined,
+    /// A bit per slot for the source at hand: in its local list.
+    in_local: Vec<u64>,
+    /// A bit per sample of the source at hand: its value reaches `θ`.
+    above: Vec<u64>,
     /// The caller's buffer for `local_top_k` / `values_at_least`.
     pub(crate) found: Vec<(Epoch, f64)>,
     bounds: Vec<f64>,
@@ -311,7 +363,7 @@ impl Threshold {
         self.local.clear();
         self.joined.clear();
         self.in_local.clear();
-        self.in_local.resize(slots, false);
+        self.in_local.resize(slots.div_ceil(64), 0);
         n
     }
 
@@ -326,7 +378,8 @@ impl Threshold {
     /// Flags the slots of `source`'s local list (`on`) or clears the flags again.
     fn flag_local(&mut self, source: usize, on: bool) {
         for &(slot, _) in self.local.of(source) {
-            self.in_local[slot as usize] = on;
+            let (word, bit) = (slot as usize / 64, 1 << (slot % 64));
+            self.in_local[word] = if on { self.in_local[word] | bit } else { self.in_local[word] & !bit };
         }
     }
 
@@ -335,7 +388,7 @@ impl Threshold {
     pub(crate) fn drop_locally_listed(&mut self, source: usize) {
         self.flag_local(source, true);
         let Self { found, epochs, in_local, .. } = self;
-        found.retain(|&(epoch, _)| slot_in(epochs, epoch).is_some_and(|slot| !in_local[slot]));
+        found.retain(|&(epoch, _)| slot_in(epochs, epoch).is_some_and(|slot| bits_at(in_local, slot) & 1 == 0));
         self.flag_local(source, false);
     }
 
@@ -359,37 +412,82 @@ impl Threshold {
         }
     }
 
-    /// TJA's Hierarchical-Join preparation: every source's buffered tuples that survive
-    /// `theta` or complete an epoch of `L_sink`, except those of its local list, CPU
-    /// charged.
+    /// TJA's Hierarchical-Join preparation: which of every source's buffered samples
+    /// survive `theta` or complete an epoch of `L_sink`, except those of its local list,
+    /// CPU charged.  A source's span is read 64 samples at a time: one pass packs
+    /// `value >= theta` into a word and one compares the samples' epochs with the slot
+    /// table's next ones.  A chunk that is not all on the run before it is walked sample
+    /// by sample for where its runs ([`Run`]) start, each start's slot found by
+    /// [`slot_in`]; the walk selects nothing.  The one filter is applied a run at a time,
+    /// 64 slots to a word: `L_sink` — the presence mask the sink assembled in the
+    /// Lower-Bound phase — and the local list, shifted from the run's slots onto its
+    /// samples.
     pub(crate) fn joined_lists(&mut self, net: &mut Network, data: &mut BankWindows<'_>, theta: f64) {
-        for at in 0..self.sources.len() {
-            let node = self.sources[at];
-            self.flag_local(at, true);
-            for &(epoch, value) in data.samples(node) {
-                let Some(slot) = slot_in(&self.epochs, epoch) else { continue };
-                // `L_sink` is what the sink assembled in the Lower-Bound phase.
-                if !self.in_local[slot] && (value >= theta || self.assembled.is_present(slot)) {
-                    self.joined.entries.push((slot as u32, value));
+        for source in 0..self.sources.len() {
+            let node = self.sources[source];
+            self.flag_local(source, true);
+            let Self { epochs, assembled, joined, in_local, above, .. } = self;
+            let samples = data.samples(node);
+            let runs = joined.runs.len();
+            above.clear();
+            // The first sample starts a run; `slot` is the slot of the sample before the
+            // chunk at hand.
+            let mut slot = usize::MAX;
+            if let Some(&(epoch, _)) = samples.first() {
+                let first = slot_in(epochs, epoch).expect("`begin` slots every sample of the span");
+                joined.runs.push(Run { sample: 0, slot: first as u32, len: 0 });
+                slot = first.wrapping_sub(1);
+            }
+            for (word, chunk) in samples.chunks(64).enumerate() {
+                above.push(chunk.iter().rev().fold(0, |bits, &(_, value)| bits << 1 | u64::from(value >= theta)));
+                let next = slot.wrapping_add(1);
+                let goes_on = epochs.get(next..next + chunk.len()).is_some_and(|slotted| {
+                    chunk.iter().zip(slotted).fold(0, |off, (&(epoch, _), &expected)| off | (epoch ^ expected)) == 0
+                });
+                if goes_on {
+                    slot = next + chunk.len() - 1;
+                    continue;
+                }
+                for (at, &(epoch, _)) in chunk.iter().enumerate() {
+                    slot = slot.wrapping_add(1);
+                    if epochs.get(slot) != Some(&epoch) {
+                        slot = slot_in(epochs, epoch).expect("`begin` slots every sample of the span");
+                        joined.runs.push(Run { sample: (word * 64 + at) as u32, slot: slot as u32, len: 0 });
+                    }
                 }
             }
-            self.flag_local(at, false);
-            let sent = self.joined.close();
-            net.charge_cpu(node, sent as u32);
+            let first_word = joined.bits.len();
+            joined.bits.resize(first_word + above.len(), 0);
+            let bits = &mut joined.bits[first_word..];
+            let mut end = samples.len() as u32;
+            for run in joined.runs[runs..].iter_mut().rev() {
+                run.len = end - run.sample;
+                end = run.sample;
+                let (sample, slot, len) = (run.sample as usize, run.slot as usize, run.len as usize);
+                for done in (0..len).step_by(64) {
+                    let (from, to) = (sample + done, slot + done);
+                    let sent = (bits_at(above, from) | bits_at(&assembled.mask, to)) & !bits_at(in_local, to);
+                    or_bits_at(bits, from, sent & low_bits((len - done).min(64)));
+                }
+            }
+            let sent: u32 = bits.iter().map(|word| word.count_ones()).sum();
+            joined.ends.push((joined.bits.len() as u32, joined.runs.len() as u32));
+            self.flag_local(source, false);
+            net.charge_cpu(node, sent);
         }
     }
 
     /// One TJA sweep up the routing tree under `phase`: every participating node adds
-    /// its own list — in the Hierarchical Join its joined tuples, else its local top-k —
-    /// to the view its children's reports built and reports the view to its nearest
+    /// its own contribution — in the Hierarchical Join the samples [`Self::joined_lists`]
+    /// selected, read straight from its window a run at a time, else its local top-k — to
+    /// the view its children's reports built and reports the view to its nearest
     /// participating ancestor, which adopts the first view to arrive and merges the
     /// others into it ([`ViewPool::deliver`]).  What reaches the sink is added to the
     /// assembled table.  A Lower-Bound report is made even when empty; an
     /// empty join is not.
-    pub(crate) fn sweep(&mut self, net: &mut Network, query_epoch: Epoch, phase: PhaseTag) {
+    pub(crate) fn sweep(&mut self, net: &mut Network, data: &mut BankWindows<'_>, query_epoch: Epoch, phase: PhaseTag) {
         let Self { epochs, sources, source_of, assembled, local, joined, pool, order, .. } = self;
-        let (lists, report_empty) =
-            if phase == PhaseTag::HierarchicalJoin { (&*joined, false) } else { (&*local, true) };
+        let join = phase == PhaseTag::HierarchicalJoin;
         let (slots, n) = (epochs.len(), sources.len());
         order.clear();
         order.extend_from_slice(net.tree().post_order_slice());
@@ -401,13 +499,26 @@ impl Threshold {
             let at = pool.view_for(node, slots, n);
             let view = &mut pool.views[at];
             let source = source_of[node as usize];
-            if source != NONE {
-                for &(slot, value) in lists.of(source as usize) {
+            if source != NONE && join {
+                let (samples, source) = (data.samples(node), source as usize);
+                let (bits, runs) = joined.of(source);
+                for run in runs {
+                    let (sample, slot, len) = (run.sample as usize, run.slot as usize, run.len as usize);
+                    for done in (0..len).step_by(64) {
+                        let count = (len - done).min(64);
+                        let sent = bits_at(bits, sample + done) & low_bits(count);
+                        if sent != 0 {
+                            view.join(slot + done, &samples[sample + done..][..count], sent, source);
+                        }
+                    }
+                }
+            } else if source != NONE {
+                for &(slot, value) in local.of(source as usize) {
                     view.add(slot as usize, source as usize, value);
                 }
             }
             let tuples = view.len();
-            let receiver = if tuples > 0 || report_empty {
+            let receiver = if tuples > 0 || !join {
                 net.send_report_up(node, query_epoch, tuples as u32, 0, phase)
             } else {
                 None
@@ -515,6 +626,28 @@ impl Threshold {
     }
 }
 
+/// The 64 bits of `words` from bit `at` on, zeros past the end.
+fn bits_at(words: &[u64], at: usize) -> u64 {
+    let (word, shift) = (at / 64, at % 64);
+    let low = words.get(word).map_or(0, |&bits| bits >> shift);
+    let high = if shift == 0 { 0 } else { words.get(word + 1).map_or(0, |&bits| bits << (64 - shift)) };
+    low | high
+}
+
+/// ORs `bits` into `words` from bit `at` on; the bits must end inside `words`.
+fn or_bits_at(words: &mut [u64], at: usize, bits: u64) {
+    let (word, shift) = (at / 64, at % 64);
+    words[word] |= bits << shift;
+    if shift != 0 && bits >> (64 - shift) != 0 {
+        words[word + 1] |= bits >> (64 - shift);
+    }
+}
+
+/// The lowest `count` bits, `count` in `1..=64`.
+fn low_bits(count: usize) -> u64 {
+    u64::MAX >> (64 - count)
+}
+
 /// The slot of `epoch` among ascending `epochs`: where a gapless span puts it, or by
 /// search.
 fn slot_in(epochs: &[Epoch], epoch: Epoch) -> Option<usize> {
@@ -528,7 +661,8 @@ fn slot_in(epochs: &[Epoch], epoch: Epoch) -> Option<usize> {
 
 #[cfg(test)]
 mod tests {
-    use super::EpochTable;
+    use super::{low_bits, EpochTable};
+    use kspot_net::Epoch;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -542,7 +676,7 @@ mod tests {
         assert_eq!(table.present().collect::<Vec<_>>(), model.keys().copied().collect::<Vec<_>>());
         for slot in 0..slots {
             let entry = model.get(&slot);
-            assert_eq!(table.is_present(slot), entry.is_some(), "slot {slot}");
+            assert_eq!(table.mask[slot / 64] >> (slot % 64) & 1 == 1, entry.is_some(), "slot {slot}");
             assert_eq!(table.count(slot), entry.map_or(0, |(_, set)| set.len()), "slot {slot}");
             assert_eq!(table.sums[slot].to_bits(), entry.map_or(0.0, |&(sum, _)| sum).to_bits(), "slot {slot}");
         }
@@ -618,6 +752,48 @@ mod tests {
                     assert_agrees(table, model, slots, sources);
                 }
             }
+        }
+
+        /// `join` against `add` for each selected sample in turn, into a table that
+        /// already holds partials: sums bit for bit, sets and mask alike.  The samples
+        /// start at any slot of up to 300, so their presence word straddles two mask
+        /// words, and a source of up to 130 sits in any contributor word; a sample that
+        /// is not selected holds NaN, -0.0 or +0.0 as often as an ordinary value.
+        #[test]
+        fn a_join_adds_what_adding_each_selected_sample_adds(
+            shape in (1usize..301, 1usize..131),
+            at in (0usize..300, 0usize..130),
+            joined in 0u64..u64::MAX,
+            draws in prop::collection::vec(0u32..8, 64..65),
+            before in prop::collection::vec((0usize..300, 0usize..130, 0u32..2_000), 0..32),
+        ) {
+            let (slots, sources) = shape;
+            let (start, source) = (at.0 % slots, at.1 % sources);
+            let count = (slots - start).min(64);
+            let value = |draw: u32| match draw {
+                0 => f64::NAN,
+                1 => -0.0,
+                2 => 0.0,
+                _ => f64::from(draw) * 7.25,
+            };
+            let samples: Vec<(Epoch, f64)> = (0..count).map(|i| (i as Epoch, value(draws[i]))).collect();
+            let joined = joined & low_bits(count);
+            let mut tables = [EpochTable::default(), EpochTable::default()];
+            for table in &mut tables {
+                table.reset(slots, sources);
+                for &(slot, source, draw) in &before {
+                    table.add(slot % slots, source % sources, f64::from(draw) / 8.0 - 60.0);
+                }
+            }
+            let [joining, adding] = &mut tables;
+            joining.join(start, &samples, joined, source);
+            for (i, &(_, value)) in samples.iter().enumerate().filter(|&(i, _)| joined >> i & 1 == 1) {
+                adding.add(start + i, source, value);
+            }
+            let bits = |table: &EpochTable| table.sums.iter().map(|sum| sum.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(joining), bits(adding));
+            prop_assert_eq!(&joining.contributors, &adding.contributors);
+            prop_assert_eq!(&joining.mask, &adding.mask);
         }
     }
 }

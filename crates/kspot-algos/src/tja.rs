@@ -26,7 +26,7 @@ use crate::threshold;
 use kspot_net::{Network, PhaseTag};
 use serde::{Deserialize, Serialize};
 
-/// Per-phase statistics of one TJA execution (used by the E6/E7 tables).
+/// Per-phase statistics of one TJA execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TjaStats {
     /// Size of `L_sink` after the LB phase.
@@ -68,6 +68,7 @@ impl HistoricAlgorithm for Tja {
     fn execute(&mut self, net: &mut Network, data: &mut BankWindows<'_>) -> TopKResult {
         let spec = self.spec;
         let query_epoch = data.covered_epochs().last().copied().unwrap_or(0);
+        self.stats = TjaStats::default();
         threshold::with_scratch(|run| {
             if run.begin(net, data) == 0 {
                 return TopKResult::new(query_epoch, Vec::new());
@@ -78,7 +79,7 @@ impl HistoricAlgorithm for Tja {
             // way up, so a node transmits one tuple per distinct epoch in its subtree's
             // union.
             run.local_lists(net, data, spec.k);
-            run.sweep(net, query_epoch, PhaseTag::LowerBound);
+            run.sweep(net, data, query_epoch, PhaseTag::LowerBound);
             self.stats.lsink_size = run.assembled.len();
             let theta = run.theta(&spec);
 
@@ -86,11 +87,11 @@ impl HistoricAlgorithm for Tja {
             // Disseminate L_sink and θ, then join the surviving tuples hierarchically.
             net.flood_down(query_epoch, self.stats.lsink_size as u32 + 1, PhaseTag::HierarchicalJoin);
             run.joined_lists(net, data, theta);
-            run.sweep(net, query_epoch, PhaseTag::HierarchicalJoin);
+            run.sweep(net, data, query_epoch, PhaseTag::HierarchicalJoin);
             self.stats.candidates = run.assembled.len();
 
             // --------------------------------------------------------------- Clean-Up phase
-            self.stats.cleanup_pulls += run.resolve(net, data, &spec, theta, query_epoch, PhaseTag::CleanUp);
+            self.stats.cleanup_pulls = run.resolve(net, data, &spec, theta, query_epoch, PhaseTag::CleanUp);
             run.ranking(&spec, query_epoch)
         })
     }

@@ -61,6 +61,7 @@ impl HistoricAlgorithm for Tput {
     fn execute(&mut self, net: &mut Network, data: &mut BankWindows<'_>) -> TopKResult {
         let spec = self.spec;
         let query_epoch = data.covered_epochs().last().copied().unwrap_or(0);
+        self.stats = TputStats::default();
         threshold::with_scratch(|run| {
             let n = run.begin(net, data);
             if n == 0 {
@@ -98,7 +99,7 @@ impl HistoricAlgorithm for Tput {
             self.stats.phase2_objects = run.assembled.len();
 
             // --------------------------------------------------------------- phase 3
-            self.stats.phase3_fetches += run.resolve(net, data, &spec, theta, query_epoch, PhaseTag::Probe);
+            self.stats.phase3_fetches = run.resolve(net, data, &spec, theta, query_epoch, PhaseTag::Probe);
             run.ranking(&spec, query_epoch)
         })
     }

@@ -470,6 +470,49 @@ fn a_steady_feed_of_windows_that_keep_lists_allocates_nothing() {
     }
 }
 
+/// Allocations of the fourth `SELECT TOP 8 epoch … WITH HISTORY 128` over the live view
+/// of a `side × side` grid's bank of 128 epochs whose windows are cut into `runs` runs:
+/// every node but node 1 misses `runs - 1` feeds of the span, evenly spaced.  The view is
+/// opened before the count, so what is counted is the execution alone.
+fn steady_multi_run_tja_allocations(side: usize, runs: usize) -> u64 {
+    let d = Deployment::grid(side, 10.0, Some(16));
+    let mut workload = Workload::uniform_iid(&d, ValueDomain::percentage(), 42);
+    let mut bank = WindowBank::new(128);
+    for feed in 0..133usize {
+        let mut readings = workload.next_epoch();
+        let at = feed.saturating_sub(5);
+        if at > 0 && at % (128 / runs) == 0 {
+            readings.retain(|r| r.node == 1);
+        }
+        bank.feed(&readings);
+    }
+    assert_eq!(BankWindows::new(&mut bank, 128).samples(2).len(), 129 - runs, "node 2 missed {} feeds", runs - 1);
+    let mut net = Network::new(d, NetworkConfig::mica2());
+    let spec = HistoricSpec::new(8, AggFunc::Avg, ValueDomain::percentage(), 128);
+    let mut measured = 0;
+    for _ in 0..4 {
+        let mut view = BankWindows::new(&mut bank, 128);
+        let before = ALLOCATIONS.with(Cell::get);
+        let answer = Tja::new(spec).execute(&mut net, &mut view);
+        measured = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(answer.items.len(), 8);
+    }
+    measured
+}
+
+/// The Hierarchical Join works a window a run at a time; a window cut into many runs
+/// keeps its runs in the thread's working memory like any other, so a steady TJA over
+/// such windows allocates its answer and nothing else, at one run a window or sixteen.
+#[test]
+fn a_steady_tja_over_windows_cut_into_runs_allocates_its_answer_only() {
+    for side in [8, 10] {
+        for runs in [1, 4, 16] {
+            let execution = steady_multi_run_tja_allocations(side, runs);
+            assert_eq!(execution, 1, "TJA over {side}×{side} windows of {runs} runs allocated {execution} times");
+        }
+    }
+}
+
 /// Allocations of six TJAs on a fresh thread over one `side × side` bank of 128 epochs,
 /// the span changing from one to the next: 64, 64, 128, 64, 128, 64.  The third grows
 /// the thread's working memory — slots, sums, contributor sets and presence masks — to

@@ -3,6 +3,8 @@
 //! warm windows, and the checkpoint and restore of the bank behind it — and for the two
 //! shapes `engine_historic` runs besides: an `AS OF` query (the restore of a span of `W`
 //! out of a bank of `2W` and TJA over it) and a live TJA whose span is half its bank's.
+//! TJA's Hierarchical Join works a window a run at a time (a stretch of samples on
+//! consecutive slots), so the last group times it over windows cut into 1, 4 and 16 runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kspot_algos::historic::HistoricAlgorithm;
@@ -16,13 +18,23 @@ use std::hint::black_box;
 /// A 10×10 grid whose windows hold `window` epochs (and have wrapped), a network that
 /// outlasts any number of runs, and the newest buffered epoch.
 fn warm(window: usize) -> (Network, WindowBank, Epoch) {
+    warm_in_runs(window, 1)
+}
+
+/// [`warm`], with every node but node 1 missing `runs - 1` feeds of the last `window`,
+/// evenly spaced, so that each of their windows' spans is cut into `runs` runs.
+fn warm_in_runs(window: usize, runs: usize) -> (Network, WindowBank, Epoch) {
     let d = Deployment::grid(10, 10.0, Some(16));
     let mut w = Workload::room_correlated(&d, ValueDomain::percentage(), RoomModelParams::default(), 66);
     let mut bank = WindowBank::new(window);
     let mut newest = 0;
-    for _ in 0..window + 7 {
-        let readings = w.next_epoch();
+    for feed in 0..window + 7 {
+        let mut readings = w.next_epoch();
         newest = readings[0].epoch;
+        let at = feed.saturating_sub(7);
+        if at > 0 && at % (window / runs) == 0 {
+            readings.retain(|r| r.node == 1);
+        }
         bank.feed(&readings);
     }
     let mut net = Network::new(d, NetworkConfig::mica2().with_battery_uj(1.0e18));
@@ -96,5 +108,17 @@ fn bench_short_span(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_span, bench_k, bench_as_of, bench_short_span);
+fn bench_runs(c: &mut Criterion) {
+    let mut group = c.benchmark_group("historic_runs_n100_k5");
+    group.sample_size(300);
+    for &runs in &[1usize, 4, 16] {
+        let (mut net, mut bank, _) = warm_in_runs(128, runs);
+        group.bench_with_input(BenchmarkId::new("tja", runs), &runs, |b, _| {
+            b.iter(|| black_box(tja(&mut net, &mut bank, 5, 128)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_span, bench_k, bench_as_of, bench_short_span, bench_runs);
 criterion_main!(benches);
