@@ -14,7 +14,8 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The executor a session runs — the two submission classes of
-/// [`kspot_query::QueryClass`] made concrete.
+/// [`kspot_query::QueryClass`] made concrete, with a historic query that names an
+/// `AS OF` epoch as a third kind: it reads a checkpoint image, not the live windows.
 pub(super) enum SessionExec {
     /// One in-network sweep per epoch (MINT, TAG, centralized, FILA).  The executor is
     /// `Send`: the engine's whole state cell crosses threads (fleet shards run on a
@@ -28,6 +29,17 @@ pub(super) enum SessionExec {
         /// The `WITH HISTORY` span, in epochs.
         window: usize,
     },
+    /// One answer from the last `window` epochs of the checkpoint image taken at
+    /// epoch `at`, on the session's first epoch; it neither creates nor grows the
+    /// shared windows.
+    AsOf {
+        /// The `AS OF` epoch, a retained snapshot at admission ([`EngineCore::route`]).
+        at: u64,
+        /// The `WITH HISTORY` span, in epochs.
+        window: usize,
+        /// The historic executor; it reads the restored span.
+        algorithm: Box<dyn HistoricAlgorithm + Send>,
+    },
 }
 
 impl SessionExec {
@@ -35,14 +47,19 @@ impl SessionExec {
         SessionExec::Continuous(Box::new(algorithm))
     }
 
-    fn historic(algorithm: impl HistoricAlgorithm + Send + 'static, window: usize) -> Self {
-        SessionExec::Historic { algorithm: Box::new(algorithm), window }
+    /// A historic executor over the live windows, or over the image of `as_of`.
+    fn historic(algorithm: impl HistoricAlgorithm + Send + 'static, window: usize, as_of: Option<u64>) -> Self {
+        let algorithm = Box::new(algorithm);
+        match as_of {
+            Some(at) => SessionExec::AsOf { at, window, algorithm },
+            None => SessionExec::Historic { algorithm, window },
+        }
     }
 
     pub(super) fn name(&self) -> &'static str {
         match self {
             SessionExec::Continuous(a) => a.name(),
-            SessionExec::Historic { algorithm, .. } => algorithm.name(),
+            SessionExec::Historic { algorithm, .. } | SessionExec::AsOf { algorithm, .. } => algorithm.name(),
         }
     }
 }
@@ -83,9 +100,10 @@ pub(super) struct SessionState {
     /// Engine epoch index (not workload epoch number) at which the session joined.
     registered_at: u64,
     pub(super) status: SessionStatus,
-    /// True once some node's battery was exhausted during an epoch this session took
-    /// part in — the boundary marker of the byte-identity guarantees (module docs).
-    pub(super) depleted_during_run: bool,
+    /// The last engine epoch in which the session ran its protocol: every epoch of a
+    /// continuous session, the answering epoch of a historic one.  Compared with
+    /// [`EngineCore::depleted_at`] by [`crate::Session::depleted_during_run`].
+    pub(super) last_ran: Option<u64>,
     /// The System-Panel comparison sessions registered for this session
     /// ([`QueryEngine::register_baselines`]), in panel order.
     pub(super) baselines: Vec<QueryId>,
@@ -134,9 +152,13 @@ pub(crate) struct EngineCore {
     /// The sessions that finished in the epoch being run, reused across epochs — the
     /// ones the epoch's end offers to [`Self::reap_if_drained`].
     pub(super) ended: Vec<QueryId>,
-    /// The sessions that took part in the epoch being run, reused across epochs —
-    /// exactly the ones a depleted battery flags ([`crate::Session::depleted_during_run`]).
-    pub(super) ran: Vec<QueryId>,
+    /// The first engine epoch that ended with a depleted battery.  Batteries are only
+    /// ever drained, by non-negative amounts ([`kspot_net::Battery::drain`]), so once
+    /// [`Network::is_alive`] reads `false` it never reads `true` again: every epoch
+    /// from this one on ended depleted and none before it did.  A session therefore
+    /// took part in a depleted epoch exactly when its
+    /// [`last_ran`](SessionState::last_ran) is at or after this one.
+    pub(super) depleted_at: Option<u64>,
     /// The engine-shared per-node sliding windows, created at the first historic
     /// registration and fed once per epoch from then on (even across historic
     /// sessions' cancellations — the feed is a deterministic substrate duty, so a
@@ -168,26 +190,16 @@ impl EngineCore {
             return Err(Refusal::Full { active, cap: self.max_sessions });
         }
         let exec = self.route(&plan, Role::Primary)?.pop().expect("a plan routes to one primary");
-        Ok(self.admit(sql, plan, exec)?)
+        Ok(self.admit(sql, plan, exec, None))
     }
 
-    /// The tail every registration shares — user queries and baselines alike:
-    /// validate an `AS OF` clause, size the shared windows, allocate the session id.
-    fn admit(
-        &mut self,
-        sql: String,
-        plan: QueryPlan,
-        exec: SessionExec,
-    ) -> Result<QueryId, QueryError> {
-        self.validate_as_of(&plan)?;
-        // An `AS OF` session answers from a retained checkpoint image, not from the
-        // live windows, so it neither creates nor grows the shared bank.
-        if plan.as_of_epoch.is_none() {
-            if let SessionExec::Historic { window, .. } = &exec {
-                match self.windows.as_mut() {
-                    Some(bank) => bank.grow_capacity(*window),
-                    None => self.windows = Some(WindowBank::new(*window)),
-                }
+    /// The tail every registration shares — user queries and baselines alike: size
+    /// the shared windows for a live historic executor, allocate the session id.
+    fn admit(&mut self, sql: String, plan: QueryPlan, exec: SessionExec, baseline_of: Option<QueryId>) -> QueryId {
+        if let SessionExec::Historic { window, .. } = &exec {
+            match self.windows.as_mut() {
+                Some(bank) => bank.grow_capacity(*window),
+                None => self.windows = Some(WindowBank::new(*window)),
             }
         }
         let id = self.next_id;
@@ -201,35 +213,13 @@ impl EngineCore {
                 results: ResultLog::default(),
                 registered_at: self.epochs_run,
                 status: SessionStatus::Active,
-                depleted_during_run: false,
+                last_ran: None,
                 baselines: Vec::new(),
-                baseline_of: None,
+                baseline_of,
             },
         );
         self.live.push(id);
-        Ok(id)
-    }
-
-    /// Admission-time validation of an `AS OF` clause: the engine must checkpoint at
-    /// all, and the named epoch must be a *retained* snapshot.  Rejecting here (the
-    /// SQL may have arrived over the wire) turns a stale or fabricated epoch into a
-    /// typed 400-style error instead of a session that silently never answers.
-    fn validate_as_of(&self, plan: &QueryPlan) -> Result<(), QueryError> {
-        let Some(epoch) = plan.as_of_epoch else { return Ok(()) };
-        let store = self.store.as_ref().ok_or_else(|| {
-            QueryError::semantic(
-                "AS OF requires a checkpointing engine, and this engine keeps no \
-                 durable snapshots (enable checkpointing when booting it)",
-            )
-        })?;
-        if !store.snapshot_epochs().contains(&epoch) {
-            return Err(QueryError::semantic(format!(
-                "AS OF {epoch} names no retained checkpoint; retained snapshot epochs \
-                 are {:?}",
-                store.snapshot_epochs()
-            )));
-        }
-        Ok(())
+        id
     }
 
     /// [`QueryEngine::register_baselines`]: each baseline is admitted with the
@@ -240,25 +230,23 @@ impl EngineCore {
     /// query's admissibility depend on whether its panel wants comparisons.
     pub(super) fn register_baselines(&mut self, primary: QueryId) -> Result<Vec<QueryId>, QueryError> {
         let plan = self.state(primary).plan;
-        let mut ids = Vec::new();
-        for exec in self.route(&plan, Role::Baselines)? {
-            let sql = format!("baseline: {}", exec.name());
-            let id = self.admit(sql, plan, exec)?;
-            self.sessions.get_mut(&id).expect("admitted above").baseline_of = Some(primary);
-            ids.push(id);
-        }
-        self.sessions
-            .get_mut(&primary)
-            .expect("the primary session was read above")
-            .baselines
-            .extend(&ids);
+        let execs = self.route(&plan, Role::Baselines)?;
+        let ids: Vec<QueryId> = execs
+            .into_iter()
+            .map(|exec| self.admit(format!("baseline: {}", exec.name()), plan, exec, Some(primary)))
+            .collect();
+        self.state_mut(primary).baselines.extend(&ids);
         Ok(ids)
     }
 
     /// The routing table (Section III of the paper): one arm per strategy picks the
     /// executor a plan runs and the conventional strategies the System Panel compares
     /// it against, from one spec, so the two can never diverge.  Only the executors
-    /// `role` asks for are built.
+    /// `role` asks for are built.  A historic plan that names an `AS OF` epoch routes to
+    /// the same algorithms as [`SessionExec::AsOf`] executors, and is refused here
+    /// unless the engine checkpoints and retains that epoch: the SQL may have arrived
+    /// over the wire, and a stale or fabricated epoch is a typed 400-style error, not a
+    /// session that silently never answers.
     ///
     /// | Strategy | Primary | Baselines |
     /// |---|---|---|
@@ -298,7 +286,8 @@ impl EngineCore {
             }
             Ok(HistoricSpec::new(k, func, domain, window))
         };
-        Ok(match plan.strategy {
+        let as_of = plan.as_of_epoch;
+        let execs = match plan.strategy {
             ExecutionStrategy::SnapshotTopK => {
                 let spec = SnapshotSpec::from_plan(plan, domain)?;
                 if primary {
@@ -337,32 +326,47 @@ impl EngineCore {
             ExecutionStrategy::HistoricVerticalTopK => {
                 let spec = historic_spec(plan.k.max(1) as usize, aggregate()?)?;
                 if primary {
-                    vec![SessionExec::historic(Tja::new(spec), spec.window)]
+                    vec![SessionExec::historic(Tja::new(spec), spec.window, as_of)]
                 } else {
                     vec![
-                        SessionExec::historic(Tput::new(spec), spec.window),
-                        SessionExec::historic(CentralizedHistoric::new(spec), spec.window),
+                        SessionExec::historic(Tput::new(spec), spec.window, as_of),
+                        SessionExec::historic(CentralizedHistoric::new(spec), spec.window, as_of),
                     ]
                 }
             }
             ExecutionStrategy::HistoricHorizontalTopK => {
                 let spec = SnapshotSpec::from_plan(plan, domain)?;
                 if primary {
-                    vec![SessionExec::historic(LocalAggregateHistoric::new(spec), window()?)]
+                    vec![SessionExec::historic(LocalAggregateHistoric::new(spec), window()?, as_of)]
                 } else {
                     let windows = historic_spec(spec.k, AggFunc::Avg)?;
-                    vec![SessionExec::historic(CentralizedHistoric::new(windows), windows.window)]
+                    vec![SessionExec::historic(CentralizedHistoric::new(windows), windows.window, as_of)]
                 }
             }
-        })
+        };
+        if let Some(epoch) = as_of {
+            let store = self.store.as_ref().ok_or_else(|| {
+                QueryError::semantic(
+                    "AS OF requires a checkpointing engine, and this engine keeps no \
+                     durable snapshots (enable checkpointing when booting it)",
+                )
+            })?;
+            if !store.snapshot_epochs().contains(&epoch) {
+                return Err(QueryError::semantic(format!(
+                    "AS OF {epoch} names no retained checkpoint; retained snapshot epochs \
+                     are {:?}",
+                    store.snapshot_epochs()
+                )));
+            }
+        }
+        Ok(execs)
     }
 
     pub(super) fn cancel(&mut self, id: QueryId) -> bool {
         match self.sessions.get_mut(&id) {
             Some(s) if s.status == SessionStatus::Active => {
                 s.status = SessionStatus::Cancelled;
-                let at = self.live.binary_search(&id).expect("an active session is live");
-                self.live.remove(at);
+                self.live.retain(|&live| live != id);
                 true
             }
             _ => false,
@@ -370,14 +374,14 @@ impl EngineCore {
     }
 
     /// The engine's epochs, each one [`Network::run_epoch`]: the window feed and the
-    /// checkpoint, then every live session's sweep under its own scope.
+    /// checkpoint, then every live session's sweep under its own scope, in ascending
+    /// id order (which fixes the loss draws and the ledger's order).
     pub(crate) fn run_epochs(&mut self, epochs: usize) {
         for _ in 0..epochs {
             let readings = self.workload.next_epoch();
             let epoch = readings.first().map(|r| r.epoch).unwrap_or(0);
             let now = self.epochs_run;
-            let Self { net, sessions, live, ran, windows, store, maintenance_energy_uj, .. } = self;
-            ran.clear();
+            let Self { net, sessions, live, windows, store, maintenance_energy_uj, .. } = self;
             net.run_epoch(epoch, |net| {
                 // Shared window maintenance: ONE feed pass serves every registered
                 // historic session.  Buffering is deliberately fault-oblivious — it
@@ -404,75 +408,59 @@ impl EngineCore {
                         }
                     }
                 }
+                // Every live session is `Active` and within its lifetime here: the last
+                // epoch's end expired every session `now` ends, and one admitted since
+                // has a `LIFETIME` of at least one epoch.
                 for &id in live.iter() {
-                    let session = sessions.get_mut(&id).expect("a live session has state");
-                    session.expire_if_due(now);
-                    if session.status != SessionStatus::Active {
-                        continue;
-                    }
+                    let Some(session) = sessions.get_mut(&id) else { continue };
                     match &mut session.exec {
                         SessionExec::Continuous(algo) => {
                             net.set_query_scope(Some(id));
                             session.results.push(algo.execute_epoch(net, &readings));
-                            ran.push(id);
                         }
                         SessionExec::Historic { algorithm, window } => {
-                            if let Some(at) = session.plan.as_of_epoch {
-                                // Time travel: restore the named snapshot from its
-                                // encoded image — page reads and all protocol traffic
-                                // under this session's scope — answer once, complete.
-                                let store = store
-                                    .as_ref()
-                                    .expect("AS OF sessions are admitted only with a store");
-                                net.set_query_scope(Some(id));
-                                // On Err the ring evicted the snapshot between admission
-                                // and this tick.  The session completes unanswered (zero
-                                // results), like a lifetime-expired historic session: the
-                                // epoch is wire-reachable, so a stale AS OF must never
-                                // panic the engine.
-                                if let Ok(mut view) = store.restore(at, *window, net) {
-                                    session.results.push(algorithm.execute(net, &mut view));
-                                }
-                                session.status = SessionStatus::Completed;
-                                ran.push(id);
-                                continue;
-                            }
-                            let bank =
-                                windows.as_mut().expect("historic sessions imply a window bank");
                             // Readiness is on the *buffered span*, not on how many epochs
                             // were ever fed: history evicted before a capacity growth is
                             // gone, so a longer-window session registered late must wait
                             // until the bank genuinely covers its span.
-                            if bank.buffered_epochs() >= *window {
-                                // The windows cover the session's span: answer once from
-                                // the last `window` epochs, under the session's scope,
-                                // and complete.
-                                net.set_query_scope(Some(id));
-                                let mut view = BankWindows::new(bank, *window);
+                            let covered = windows.as_mut().filter(|bank| bank.buffered_epochs() >= *window);
+                            let Some(bank) = covered else { continue };
+                            net.set_query_scope(Some(id));
+                            let mut view = BankWindows::new(bank, *window);
+                            session.results.push(algorithm.execute(net, &mut view));
+                            session.status = SessionStatus::Completed;
+                        }
+                        SessionExec::AsOf { at, window, algorithm } => {
+                            // Time travel: restore the named snapshot from its encoded
+                            // image — page reads and all protocol traffic under this
+                            // session's scope — answer once, complete.  Without a view
+                            // the ring evicted the snapshot since admission: the session
+                            // completes unanswered, like a lifetime-expired historic one.
+                            net.set_query_scope(Some(id));
+                            let restored = store.as_ref().and_then(|s| s.restore(*at, *window, net).ok());
+                            if let Some(mut view) = restored {
                                 session.results.push(algorithm.execute(net, &mut view));
-                                session.status = SessionStatus::Completed;
-                                ran.push(id);
                             }
+                            session.status = SessionStatus::Completed;
                         }
                     }
+                    session.last_ran = Some(now);
                 }
             });
-            // Shared drain is intended physics (module docs): if the epoch exhausted —
-            // or ran on — a depleted battery, every session that took part leaves the
-            // byte-identity guarantee regime and is flagged.
-            if !self.net.is_alive() {
-                for id in &self.ran {
-                    self.sessions.get_mut(id).expect("session exists").depleted_during_run = true;
-                }
+            // Shared drain is intended physics (module docs): the first epoch that ends
+            // on a depleted battery is what `Session::depleted_during_run` compares with.
+            if self.depleted_at.is_none() && !self.net.is_alive() {
+                self.depleted_at = Some(now);
             }
             self.epochs_run += 1;
             // A session whose LIFETIME was fully served this epoch completes now, so
             // it neither holds an admission slot nor reports Active between runs.
             let (sessions, now, ended) = (&mut self.sessions, self.epochs_run, &mut self.ended);
             self.live.retain(|id| {
-                let session = sessions.get_mut(id).expect("a live session has state");
-                session.expire_if_due(now);
-                let active = session.status == SessionStatus::Active;
+                let active = sessions.get_mut(id).is_some_and(|session| {
+                    session.expire_if_due(now);
+                    session.status == SessionStatus::Active
+                });
                 if !active {
                     ended.push(*id);
                 }
@@ -499,7 +487,7 @@ impl EngineCore {
         if state.status == SessionStatus::Active || !state.results.drained() || read_by_primary {
             return;
         }
-        let state = self.sessions.remove(&id).expect("looked up above");
+        let Some(state) = self.sessions.remove(&id) else { return };
         self.net.retire_scope(id);
         for baseline in state.baselines {
             self.reap_if_drained(baseline);

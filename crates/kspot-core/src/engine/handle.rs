@@ -174,7 +174,9 @@ impl Session {
     /// guarantee regime; `true` marks its answers as battery-coupled to the
     /// concurrent session mix (see the module docs and ADR-004).
     pub fn depleted_during_run(&self) -> bool {
-        lock_core(&self.core).state(self.id).depleted_during_run
+        let core = lock_core(&self.core);
+        let last_ran = core.state(self.id).last_ran;
+        core.depleted_at.is_some_and(|at| last_ran >= Some(at))
     }
 
     /// Turns one of the session's ranked answers into the Display Panel's bullets,

@@ -117,6 +117,15 @@
 //! session ran entirely in the guarantee regime; a `true` flag marks its answers as
 //! battery-coupled to the concurrent session mix (see ADR-004).
 //!
+//! The flag is derived, not recorded: each session keeps the last engine epoch it ran
+//! its protocol in (every epoch of a continuous session, the answering epoch of a
+//! historic one), the engine keeps the first epoch that ended on a depleted battery,
+//! and the flag reads "the first is at or after the second".  That is exact because a
+//! battery is only ever drained, so a field that ended one epoch depleted ends every
+//! later epoch depleted too: the depleted epochs are exactly those from the first one
+//! on, and a session took part in one of them exactly when its last epoch is among
+//! them.
+//!
 //! ## Going multi-core: the engine fleet
 //!
 //! The engine's state cell is `Send` (`Arc<Mutex<EngineCore>>`, `Send` algorithm
@@ -246,7 +255,7 @@ impl QueryEngine {
                 sessions: BTreeMap::new(),
                 live: Vec::new(),
                 ended: Vec::new(),
-                ran: Vec::new(),
+                depleted_at: None,
                 windows: None,
                 store: None,
                 maintenance_energy_uj: 0.0,

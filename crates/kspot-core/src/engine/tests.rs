@@ -346,10 +346,13 @@ fn frame_batching_keeps_answers_and_saves_bytes_on_a_lossless_field() {
 fn depleted_during_run_flags_exactly_the_sessions_that_shared_the_drained_field() {
     // A battery that survives the first two epochs of traffic and then dies
     // (relay nodes on the conference scenario draw a few thousand µJ per epoch).
-    let mut engine = KSpotServer::new(ScenarioConfig::conference())
-        .with_network_config(NetworkConfig::mica2().with_battery_uj(10_000.0))
-        .with_seed(1)
-        .engine();
+    let drained_field = || {
+        KSpotServer::new(ScenarioConfig::conference())
+            .with_network_config(NetworkConfig::mica2().with_battery_uj(10_000.0))
+            .with_seed(1)
+            .engine()
+    };
+    let mut engine = drained_field();
     let early = engine
         .register("SELECT TOP 1 roomid, AVG(sound) FROM sensors GROUP BY roomid LIFETIME 2 epochs")
         .unwrap();
@@ -374,7 +377,14 @@ fn depleted_during_run_flags_exactly_the_sessions_that_shared_the_drained_field(
     engine.run_epochs(3);
     assert!(!engine.network().is_alive(), "a battery died before the window filled");
     assert_eq!(answering.status(), SessionStatus::Active);
-    engine.run_epochs(7);
+    let late = engine.register(EIGHT_QUERIES[2]).unwrap();
+    assert!(!late.depleted_during_run(), "a session that has not run yet is unflagged");
+    engine.run_epochs(1);
+    assert!(
+        late.depleted_during_run(),
+        "a session registered after the battery died is flagged after its first epoch"
+    );
+    engine.run_epochs(6);
     assert!(
         witness.depleted_during_run(),
         "the long session ran epochs on a field with an exhausted battery"
@@ -391,6 +401,28 @@ fn depleted_during_run_flags_exactly_the_sessions_that_shared_the_drained_field(
         answering.depleted_during_run(),
         "a historic session that answered in a depleted epoch is flagged"
     );
+
+    // Both edges of the flag: a session that ran and was cancelled before the death
+    // stays unflagged, and one cancelled right after the epoch that drained the
+    // battery is flagged.
+    let mut engine = drained_field();
+    let mut cancelled = engine.register(EIGHT_QUERIES[0]).unwrap();
+    let mut at_death = engine.register(EIGHT_QUERIES[0]).unwrap();
+    engine.run_epochs(1);
+    assert!(engine.network().is_alive());
+    assert!(cancelled.cancel());
+    for _ in 0..8 {
+        if !engine.network().is_alive() {
+            break;
+        }
+        engine.run_epochs(1);
+    }
+    assert!(!engine.network().is_alive(), "a battery died after the cancel");
+    assert!(at_death.cancel());
+    engine.run_epochs(2);
+    assert_eq!(cancelled.results().len(), 1);
+    assert!(!cancelled.depleted_during_run(), "a session cancelled before the death stays unflagged");
+    assert!(at_death.depleted_during_run(), "a session whose last epoch drained the battery is flagged");
 }
 
 #[test]
@@ -877,21 +909,42 @@ fn active_by_scan(core: &EngineCore) -> Vec<QueryId> {
     active.map(|(&id, _)| id).collect()
 }
 
+/// Runs `epochs` epochs on both, the twin's live list first rebuilt by the scan.
+fn run_both(engine: &mut QueryEngine, twin: &mut QueryEngine, epochs: usize) {
+    let mut core = lock_core(&twin.core);
+    core.live = active_by_scan(&core);
+    drop(core);
+    engine.run_epochs(epochs);
+    twin.run_epochs(epochs);
+}
+
+/// Whether the next epoch's checkpoint evicts the ring's oldest image (`None` before
+/// the shared windows exist, when no checkpoint is ever due).
+fn next_epoch_evicts(engine: &QueryEngine) -> Option<bool> {
+    let core = lock_core(&engine.core);
+    let (bank, store) = (core.windows.as_ref()?, core.store.as_ref()?);
+    let full = store.snapshot_epochs().len() == kspot_store::DEFAULT_RETENTION;
+    Some(full && store.due(bank.epochs_fed() + 1))
+}
+
 proptest::proptest! {
     #![proptest_config(proptest::ProptestConfig {
         cases: 24,
         ..proptest::ProptestConfig::default()
     })]
 
-    /// Register / cancel / `LIFETIME` expiry / one-shot historic in any order: the
-    /// live list is the scan's answer after every step, and an engine whose list
-    /// is thrown away and rebuilt by the scan before every epoch (the twin) serves
-    /// the same answers from the same ledgers.
+    /// Register / cancel / `LIFETIME` expiry / one-shot historic / `AS OF` in any
+    /// order: the live list is the scan's answer after every step, and an engine whose
+    /// list is thrown away and rebuilt by the scan before every epoch (the twin) serves
+    /// the same answers from the same ledgers.  An `AS OF` op names a retained epoch
+    /// (or, before any checkpoint, one the engine refuses), or first drives both
+    /// engines to the epoch whose checkpoint evicts the ring's oldest image and names
+    /// that image.
     #[test]
     fn the_live_list_is_the_active_scan_and_serves_what_the_scan_served(
-        ops in proptest::collection::vec((0u8..5, 0usize..64), 1..40),
+        ops in proptest::collection::vec((0u8..7, 0usize..64), 1..40),
     ) {
-        let (mut engine, mut twin) = (engine(29), engine(29));
+        let (mut engine, mut twin) = (engine(29).with_checkpointing(2), engine(29).with_checkpointing(2));
         let mut handles: Vec<(Session, Session)> = Vec::new();
         for (kind, pick) in ops {
             let sql = match kind {
@@ -904,6 +957,19 @@ proptest::proptest! {
                      WITH HISTORY {} epochs LIFETIME 3 epochs",
                     2 + pick % 4
                 )),
+                5 | 6 => {
+                    while kind == 6 && next_epoch_evicts(&engine) == Some(false) {
+                        run_both(&mut engine, &mut twin, 1);
+                    }
+                    let retained = engine.checkpoint_epochs();
+                    let at = if kind == 6 { retained.first() } else { retained.get(pick % retained.len().max(1)) };
+                    Some(format!(
+                        "SELECT TOP 2 epoch, AVG(sound) FROM sensors GROUP BY epoch \
+                         WITH HISTORY {} epochs AS OF {}",
+                        2 + pick % 4,
+                        at.copied().unwrap_or(0)
+                    ))
+                }
                 _ => None,
             };
             match (kind, sql) {
@@ -917,13 +983,7 @@ proptest::proptest! {
                     let (a, b) = &mut handles[slot];
                     proptest::prop_assert_eq!(a.cancel(), b.cancel());
                 }
-                _ => {
-                    let mut core = lock_core(&twin.core);
-                    core.live = active_by_scan(&core);
-                    drop(core);
-                    engine.run_epochs(1 + pick % 2);
-                    twin.run_epochs(1 + pick % 2);
-                }
+                _ => run_both(&mut engine, &mut twin, 1 + pick % 2),
             }
             let core = lock_core(&engine.core);
             proptest::prop_assert_eq!(&core.live, &active_by_scan(&core));
