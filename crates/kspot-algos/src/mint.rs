@@ -162,11 +162,6 @@ impl MintViews {
         self.stats
     }
 
-    /// The threshold currently installed in the network, if the Creation phase has run.
-    pub fn installed_threshold(&self) -> Option<f64> {
-        self.tau
-    }
-
     /// The k-th best exact value of a ranking (its first k items are enough), or the
     /// domain minimum when fewer than k groups are known exactly.
     fn kth_value(&self, ranked: &[RankedItem]) -> f64 {
@@ -607,8 +602,8 @@ mod tests {
         let mut mint = MintViews::new(spec(1));
         let result = mint.execute_epoch(&mut net, &readings);
         assert_eq!(result.top().unwrap().key, 2);
-        assert!(mint.installed_threshold().is_some());
-        let tau = mint.installed_threshold().unwrap();
+        assert!(mint.tau.is_some());
+        let tau = mint.tau.unwrap();
         assert!((tau - (75.0 - THRESHOLD_SLACK)).abs() < 1e-9);
         assert!(net.metrics().phase(PhaseTag::Control).messages > 0, "threshold flood is accounted");
         assert!(net.metrics().phase(PhaseTag::Creation).messages > 0);

@@ -33,11 +33,6 @@ impl TagTopK {
     pub fn new(spec: SnapshotSpec) -> Self {
         Self { spec }
     }
-
-    /// The spec the executor runs.
-    pub fn spec(&self) -> &SnapshotSpec {
-        &self.spec
-    }
 }
 
 /// The working memory of [`convergecast_full`].

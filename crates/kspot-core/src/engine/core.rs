@@ -165,7 +165,7 @@ pub(crate) struct EngineCore {
     /// session's view of the windows never depends on the other sessions' lifecycle).
     pub(super) windows: Option<WindowBank>,
     /// The durable checkpoint store (ADR-009), when checkpointing is enabled: every
-    /// [`CheckpointStore::cadence`] fed epochs the shared windows are snapshotted
+    /// `cadence` fed epochs ([`CheckpointStore::new`]) the shared windows are snapshotted
     /// onto the modeled flash device, and `AS OF` sessions answer from the retained
     /// images.  `None` keeps the engine exactly as it was before kspot-store existed
     /// — no page traffic, no retained state.

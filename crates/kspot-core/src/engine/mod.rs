@@ -316,7 +316,9 @@ impl QueryEngine {
     /// seed, so fast-forwarding past the epochs the previous life already served is
     /// exact.  Those epochs' substrate costs were charged in the previous life; the
     /// restarted ledger covers only its own epochs.  Call before registering
-    /// queries, on an engine built from the same scenario and seed.
+    /// queries, on an engine built from the same scenario and seed.  A store whose
+    /// newest snapshot is at `u64::MAX` leaves no epoch to resume at;
+    /// [`CheckpointStore::from_bytes`] refuses one.
     pub fn with_checkpoint_store(self, store: CheckpointStore) -> Self {
         {
             let mut core = lock_core(&self.core);
@@ -328,7 +330,10 @@ impl QueryEngine {
                 .restore_latest_bank()
                 .expect("a store rebuilt via from_bytes is fully validated")
             {
-                let resume_at = store.latest_epoch().expect("a non-empty store has a newest epoch") + 1;
+                let resume_at = store
+                    .latest_epoch()
+                    .and_then(|newest| newest.checked_add(1))
+                    .expect("a non-empty store has a newest epoch, and from_bytes refuses u64::MAX");
                 while core.workload.upcoming_epoch() < resume_at {
                     let _ = core.workload.next_epoch();
                 }

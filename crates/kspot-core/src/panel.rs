@@ -95,19 +95,6 @@ impl SystemPanel {
     pub fn primary_savings(&self) -> Option<Savings> {
         self.baselines.first().map(|b| Savings::between(b.totals, self.kspot.totals))
     }
-
-    /// How many times longer the network lives under KSpot than under the primary
-    /// baseline, for a given battery capacity.
-    pub fn lifetime_extension_factor(&self, battery_capacity_uj: f64) -> Option<f64> {
-        let baseline = self.baselines.first()?;
-        let base_life = baseline.lifetime_epochs(battery_capacity_uj);
-        let our_life = self.kspot.lifetime_epochs(battery_capacity_uj);
-        if base_life.is_infinite() || base_life <= 0.0 {
-            None
-        } else {
-            Some(our_life / base_life)
-        }
-    }
 }
 
 impl fmt::Display for SystemPanel {
@@ -206,8 +193,10 @@ mod tests {
         assert!(panel.savings_vs("nonexistent").is_none());
         let primary = panel.primary_savings().unwrap();
         assert!(primary.byte_savings_pct() > 0.0);
-        let factor = panel.lifetime_extension_factor(1.0e6).unwrap();
-        assert!(factor > 1.0, "KSpot should extend the lifetime, factor {factor}");
+        let ours = panel.kspot.lifetime_epochs(1.0e6);
+        let base = panel.baselines[0].lifetime_epochs(1.0e6);
+        assert!(base.is_finite() && base > 0.0, "the primary baseline has a lifetime, {base}");
+        assert!(ours > base, "KSpot should extend the lifetime, {ours} against {base}");
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! | R6 | `alloc-before-validate` | untrusted decoders (`kspot-serve/src/`, `kspot-store/src/`) and their codec (`kspot-net/src/codec.rs`) |
 //! | R7 | `allow-deprecated` | everywhere |
 //! | R8 | `unsafe-confinement` | everywhere except `kspot-serve/src/sys.rs` (and the counting allocators of `kspot-algos/tests/alloc_budget.rs` and `kspot-core/tests/soak.rs`) |
+//! | R9 | `dead-surface` | `pub` items of non-test `crates/*/src` code, against references in every walked file and in `bench/{src,tests}` |
+//!
+//! R1–R8 look at one file at a time ([`lint_source`]); R9 looks at the whole walk
+//! and runs only in [`lint_workspace`].
 //!
 //! There is one way to exempt code: a path scope in [`FileContext`] (the RNG
 //! module for R4, the audited `unsafe` module, its crate root and the two counting
@@ -36,6 +40,7 @@
 
 pub mod lex;
 mod rules;
+mod surface;
 
 use std::fmt;
 use std::fs;
@@ -64,10 +69,12 @@ pub enum Rule {
     /// R8 — `unsafe` outside the one audited module, or a crate root that stopped
     /// forbidding it (ADR-011).
     UnsafeConfinement,
+    /// R9 — a `pub` item nothing but its own crate's unit tests references.
+    DeadSurface,
 }
 
 impl Rule {
-    /// Short id, `R1`–`R8`, as printed in findings.
+    /// Short id, `R1`–`R9`, as printed in findings.
     pub fn id(self) -> &'static str {
         match self {
             Rule::NanOrdering => "R1",
@@ -78,6 +85,7 @@ impl Rule {
             Rule::AllocBeforeValidate => "R6",
             Rule::AllowDeprecated => "R7",
             Rule::UnsafeConfinement => "R8",
+            Rule::DeadSurface => "R9",
         }
     }
 
@@ -92,6 +100,7 @@ impl Rule {
             Rule::AllocBeforeValidate => "alloc-before-validate",
             Rule::AllowDeprecated => "allow-deprecated",
             Rule::UnsafeConfinement => "unsafe-confinement",
+            Rule::DeadSurface => "dead-surface",
         }
     }
 }
@@ -214,20 +223,18 @@ impl FileContext {
     }
 }
 
-/// Lints one file's source text with every rule in scope for `ctx`. This is the
-/// pure core the binary, the fixture tests and the workspace walker all share.
+/// Lints one file's source text with every per-file rule (R1–R8) in scope for
+/// `ctx`. This is the pure core the binary, the fixture tests and the workspace
+/// walker all share.
 pub fn lint_source(ctx: &FileContext, src: &str) -> Vec<Finding> {
     let (toks, comments) = lex::lex(src);
     let in_test = rules::test_regions(&toks);
-    let pass = rules::Pass {
+    rules::run_all(&rules::Pass {
         ctx,
         toks: &toks,
         comments: &comments,
         in_test: &in_test,
-    };
-    let mut findings = rules::run_all(&pass);
-    findings.sort_by_key(|f| (f.line, f.rule));
-    findings
+    })
 }
 
 /// Whole-workspace lint result.
@@ -235,7 +242,7 @@ pub fn lint_source(ctx: &FileContext, src: &str) -> Vec<Finding> {
 pub struct WorkspaceReport {
     /// All findings, ordered by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// How many `.rs` files were scanned.
+    /// How many `.rs` files were linted.
     pub files_scanned: usize,
 }
 
@@ -244,7 +251,8 @@ pub struct WorkspaceReport {
 /// `crates/*/{src,tests,examples,benches}` tree. `shims/` is excluded (those
 /// crates imitate third-party APIs — e.g. `rand` must define `seed_from_u64`)
 /// and so is any directory named `fixtures` (lint-corpus files violate rules
-/// on purpose). Directory walks are sorted so output order is deterministic —
+/// on purpose). `bench/src` and `bench/tests` are read for R9's references but
+/// not linted. Directory walks are sorted so output order is deterministic —
 /// the linter holds itself to R3.
 pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     let mut files: Vec<PathBuf> = Vec::new();
@@ -267,19 +275,38 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
         }
     }
     files.sort();
+    let linted = files.len();
+    for sub in ["bench/src", "bench/tests"] {
+        collect_rs(&root.join(sub), &mut files)?;
+    }
 
     let mut report = WorkspaceReport::default();
-    for file in files {
-        let rel = file
+    let mut sources = Vec::with_capacity(files.len());
+    for (n, file) in files.iter().enumerate() {
+        let path = file
             .strip_prefix(root)
-            .unwrap_or(&file)
+            .unwrap_or(file)
             .to_string_lossy()
             .replace('\\', "/");
-        let ctx = FileContext::from_path(&rel);
-        let src = fs::read_to_string(&file)?;
-        report.findings.append(&mut lint_source(&ctx, &src));
-        report.files_scanned += 1;
+        let (toks, comments) = lex::lex(&fs::read_to_string(file)?);
+        let in_test = rules::test_regions(&toks);
+        if n < linted {
+            let ctx = FileContext::from_path(&path);
+            report.findings.append(&mut rules::run_all(&rules::Pass {
+                ctx: &ctx,
+                toks: &toks,
+                comments: &comments,
+                in_test: &in_test,
+            }));
+            report.files_scanned += 1;
+        }
+        sources.push(surface::Source {
+            path,
+            toks,
+            in_test,
+        });
     }
+    report.findings.append(&mut surface::dead_surface(&sources));
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));

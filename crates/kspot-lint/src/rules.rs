@@ -1,4 +1,5 @@
-//! The eight invariant rules (R1–R8), each a small pass over the token stream.
+//! The eight per-file invariant rules (R1–R8), each a small pass over one file's
+//! token stream. R9, the workspace rule, lives in `surface.rs`.
 //!
 //! Every rule is deny-by-default inside its scope (see
 //! [`crate::FileContext`]); the only exemptions are that type's path scopes,

@@ -1,8 +1,9 @@
 //! The fixture corpus: at least one firing and one non-firing case per rule
-//! R1–R8. Exemptions are path scopes only: a comment that reads like a
+//! R1–R9. Exemptions are path scopes only: a comment that reads like a
 //! suppression marker silences nothing.
 
-use kspot_lint::{lint_source, FileContext, Rule};
+use kspot_lint::{lint_source, lint_workspace, FileContext, Rule};
+use std::path::Path;
 
 fn lib_ctx() -> FileContext {
     FileContext::from_path("crates/kspot-core/src/fixture.rs")
@@ -252,4 +253,40 @@ fn r8_lets_the_modules_parent_allow_it_once_and_only_on_mod_sys() {
     // Anywhere else the same file has no door to open and the wrong root attribute.
     let elsewhere = "crates/kspot-store/src/lib.rs";
     assert_eq!(r8_lines(elsewhere, include_str!("fixtures/r8_parent_clean.rs")), [1, 6]);
+}
+
+#[test]
+fn r9_flags_pub_items_that_only_their_own_crates_unit_tests_reference() {
+    // A workspace-shaped corpus: two crates, an integration test and a `bench/src`.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/r9");
+    let report = lint_workspace(&root).expect("the corpus is readable");
+    assert_eq!(report.files_scanned, 5, "bench/src is read, not linted");
+    assert!(report.findings.iter().all(|f| f.rule == Rule::DeadSurface), "{:?}", report.findings);
+    let found: Vec<(&str, u32, &str)> = report
+        .findings
+        .iter()
+        .map(|f| {
+            let item = f.message.split('`').nth(3).expect("the message names the item");
+            (f.file.as_str(), f.line, item)
+        })
+        .collect();
+    assert_eq!(
+        found,
+        [
+            // Named by a `pub use` and a `use` only.
+            ("crates/alpha/src/inner.rs", 2, "Reexported"),
+            // Called by its own unit test only.
+            ("crates/alpha/src/lib.rs", 11, "only_unit_tested"),
+            // Called by a file declared `#[cfg(test)] mod support;` only.
+            ("crates/alpha/src/lib.rs", 16, "only_support_calls"),
+            // Elsewhere the names are fields (`q.top_k`, `top_k:`), shorthand
+            // initialisers, locals and `self.scenario`.
+            ("crates/alpha/src/lib.rs", 47, "Ranking::top_k"),
+            ("crates/alpha/src/lib.rs", 52, "Ranking::scenario"),
+        ]
+    );
+    // Clean: `called_from_other_tests` (another crate's `tests/`), `called_from_bench`
+    // (`bench/src` only), `called_from_other_unit_tests` (another crate's
+    // `#[cfg(test)]` code), `Ranking::new`, the trait `Shape` and its implementors'
+    // methods, and `support.rs`'s own `pub fn`.
 }

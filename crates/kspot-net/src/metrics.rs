@@ -454,11 +454,6 @@ impl NetworkMetrics {
         self.current_scope = scope;
     }
 
-    /// The currently installed attribution scope, if any.
-    pub fn current_scope(&self) -> Option<QueryScope> {
-        self.current_scope
-    }
-
     /// Totals attributed to a scope (zero if the scope never saw traffic).
     pub fn scope(&self, scope: QueryScope) -> PhaseTotals {
         self.per_scope.get(scope).map(|row| row.totals).unwrap_or_default()
@@ -467,13 +462,6 @@ impl NetworkMetrics {
     /// All scopes that actually saw traffic, with their totals, in scope order.
     pub fn scopes(&self) -> impl Iterator<Item = (QueryScope, PhaseTotals)> + '_ {
         self.per_scope.iter().map(|(scope, row)| (scope, row.totals))
-    }
-
-    /// Totals attributed to one scope in one phase (zero if the pair never saw
-    /// traffic) — the scope×phase breakdown behind the System Panel's per-query phase
-    /// table.
-    pub fn scope_phase(&self, scope: QueryScope, tag: PhaseTag) -> PhaseTotals {
-        self.per_scope_phase.get((scope, tag)).copied().unwrap_or_default()
     }
 
     /// A scope's per-phase breakdown, in phase order.  The breakdown partitions the
@@ -747,11 +735,6 @@ impl NetworkMetrics {
         self.storage_per_node[(id - 1) as usize]
     }
 
-    /// Storage counters attributed to a scope (zero if it never touched flash).
-    pub fn storage_scope(&self, scope: QueryScope) -> StorageTotals {
-        self.per_scope.get(scope).and_then(|row| row.storage).unwrap_or_default()
-    }
-
     /// All scopes that actually touched flash, with their storage totals, in order.
     pub fn storage_scopes(&self) -> impl Iterator<Item = (QueryScope, StorageTotals)> + '_ {
         self.per_scope.iter().filter_map(|(scope, row)| Some((scope, row.storage?)))
@@ -932,6 +915,18 @@ impl fmt::Display for Savings {
 mod tests {
     use super::*;
 
+    /// One scope×phase cell as a reader of [`NetworkMetrics::scope_phases`] finds it,
+    /// zero if the pair never saw traffic.
+    fn scope_phase(m: &NetworkMetrics, scope: QueryScope, tag: PhaseTag) -> PhaseTotals {
+        m.scope_phases(scope).find(|&(p, _)| p == tag).map(|(_, t)| t).unwrap_or_default()
+    }
+
+    /// A scope's storage counters as a reader of [`NetworkMetrics::storage_scopes`]
+    /// finds them, zero if it never touched flash.
+    fn storage_scope(m: &NetworkMetrics, scope: QueryScope) -> StorageTotals {
+        m.storage_scopes().find(|&(s, _)| s == scope).map(|(_, t)| t).unwrap_or_default()
+    }
+
     #[test]
     fn transmissions_update_node_phase_epoch_and_totals() {
         let mut m = NetworkMetrics::new(3);
@@ -1069,11 +1064,11 @@ mod tests {
     #[test]
     fn scoped_traffic_is_attributed_without_disturbing_the_global_ledgers() {
         let mut m = NetworkMetrics::new(3);
-        assert_eq!(m.current_scope(), None);
+        assert_eq!(m.current_scope, None);
         m.record_transmission(1, 2, 0, PhaseTag::Update, 10, 1, 100.0, 50.0);
 
         m.set_scope(Some(7));
-        assert_eq!(m.current_scope(), Some(7));
+        assert_eq!(m.current_scope, Some(7));
         book_path(&mut m, 0, PhaseTag::Update, (20, 2, 200.0, 100.0), |b| {
             b.record_attempt(2, &[1]);
             b.note_retransmission();
@@ -1118,10 +1113,10 @@ mod tests {
         });
         m.set_scope(None);
 
-        assert_eq!(m.scope_phase(4, PhaseTag::Update).bytes, 10);
-        assert_eq!(m.scope_phase(4, PhaseTag::Probe).bytes, 5);
-        assert_eq!(m.scope_phase(4, PhaseTag::Probe).retransmissions, 1);
-        assert_eq!(m.scope_phase(4, PhaseTag::Control).messages, 0, "untouched cells are zero");
+        assert_eq!(scope_phase(&m, 4, PhaseTag::Update).bytes, 10);
+        assert_eq!(scope_phase(&m, 4, PhaseTag::Probe).bytes, 5);
+        assert_eq!(scope_phase(&m, 4, PhaseTag::Probe).retransmissions, 1);
+        assert_eq!(scope_phase(&m, 4, PhaseTag::Control).messages, 0, "untouched cells are zero");
         let phases: Vec<_> = m.scope_phases(4).collect();
         assert_eq!(phases.len(), 2);
         let summed: u64 = phases.iter().map(|(_, t)| t.bytes).sum();
@@ -1165,7 +1160,7 @@ mod tests {
         assert_eq!(m.scope(1).messages, 2);
         assert_eq!(m.scope(0).retransmissions, 1);
         assert_eq!(m.scope(1).dropped_messages, 1);
-        assert_eq!(m.scope_phase(1, PhaseTag::Creation).bytes, 28);
+        assert_eq!(scope_phase(&m, 1, PhaseTag::Creation).bytes, 28);
         let scoped_energy: f64 = m.scopes().map(|(_, t)| t.energy_uj).sum();
         assert!((scoped_energy - m.totals().energy_uj).abs() < 1e-9, "energy splits pro-rata");
     }
@@ -1191,8 +1186,8 @@ mod tests {
         assert_eq!(t.bytes_written, 480);
 
         // Scoped reads are attributed; unscoped writes are not.
-        assert_eq!(m.storage_scope(7).pages_read, 2);
-        assert_eq!(m.storage_scope(7).pages_written, 0);
+        assert_eq!(storage_scope(&m, 7).pages_read, 2);
+        assert_eq!(storage_scope(&m, 7).pages_written, 0);
         assert_eq!(m.storage_scopes().count(), 1);
 
         // Flash energy participates in the ordinary energy conservation law.
@@ -1263,7 +1258,7 @@ mod tests {
         m.set_scope(Some(2));
         m.record_transmission(3, 1, 1, PhaseTag::Probe, 5, 0, 50.0, 25.0);
         m.set_scope(None);
-        let (scope, storage) = (m.scope(1), m.storage_scope(1));
+        let (scope, storage) = (m.scope(1), storage_scope(&m, 1));
 
         m.retire_scope(1);
         m.retire_scope(7);
@@ -1276,7 +1271,7 @@ mod tests {
         m.set_scope(Some(2));
         m.record_transmission(3, 1, 2, PhaseTag::Probe, 5, 0, 50.0, 25.0);
         assert_eq!(m.scope(2).messages, 2);
-        assert_eq!(m.scope_phase(2, PhaseTag::Probe).messages, 2);
+        assert_eq!(scope_phase(&m, 2, PhaseTag::Probe).messages, 2);
     }
 
     #[test]

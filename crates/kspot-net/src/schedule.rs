@@ -205,11 +205,6 @@ impl FrameScheduler {
         }
     }
 
-    /// Number of frames currently under assembly.
-    pub fn pending_frames(&self) -> usize {
-        self.frames.len()
-    }
-
     /// The frame for `(from, to)`, opening it with `open` on first use.
     pub(crate) fn frame_entry(
         &mut self,
@@ -264,6 +259,14 @@ impl FrameScheduler {
             spare_slices.push(slices);
         }
         frames.clear();
+    }
+}
+
+#[cfg(test)]
+impl FrameScheduler {
+    /// Number of frames currently under assembly.
+    pub(crate) fn pending_frames(&self) -> usize {
+        self.frames.len()
     }
 }
 

@@ -330,22 +330,9 @@ impl Network {
         self.deployment.num_nodes()
     }
 
-    /// The epoch most recently begun with [`Self::begin_epoch`].
-    pub fn current_epoch(&self) -> Epoch {
-        self.current_epoch
-    }
-
     /// True while no node has exhausted its battery (the usual lifetime definition).
     pub fn is_alive(&self) -> bool {
         !self.liveness.batteries.any_depleted()
-    }
-
-    /// True if the given node still has energy and is not scheduled dead by the fault
-    /// plan as of the current epoch.
-    pub fn node_alive(&self, node: NodeId) -> bool {
-        node == SINK
-            || (!self.liveness.batteries.get(node).is_depleted()
-                && !self.config.faults.is_scheduled_dead(node, self.current_epoch))
     }
 
     /// True when `node` can take part in the current epoch's protocol round: alive
@@ -408,11 +395,6 @@ impl Network {
     /// True while report traffic is routed through the frame scheduler.
     pub fn frame_batching(&self) -> bool {
         self.frame_scheduler.is_some()
-    }
-
-    /// Number of merged frames currently awaiting [`Self::flush_frames`].
-    pub fn pending_report_frames(&self) -> usize {
-        self.frame_scheduler.as_ref().map_or(0, FrameScheduler::pending_frames)
     }
 
     /// Marks the beginning of an epoch: recomputes which nodes participate in it, then
@@ -757,6 +739,22 @@ impl Network {
     /// Convenience for experiments: total energy (µJ) the sensor nodes have consumed.
     pub fn total_energy_uj(&self) -> f64 {
         self.liveness.batteries.total_consumed_uj()
+    }
+}
+
+#[cfg(test)]
+impl Network {
+    /// True if the given node still has energy and is not scheduled dead by the fault
+    /// plan as of the current epoch.
+    pub(crate) fn node_alive(&self, node: NodeId) -> bool {
+        node == SINK
+            || (!self.liveness.batteries.get(node).is_depleted()
+                && !self.config.faults.is_scheduled_dead(node, self.current_epoch))
+    }
+
+    /// Number of merged frames currently awaiting [`Self::flush_frames`].
+    fn pending_report_frames(&self) -> usize {
+        self.frame_scheduler.as_ref().map_or(0, FrameScheduler::pending_frames)
     }
 }
 

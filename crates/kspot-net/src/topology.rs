@@ -189,11 +189,6 @@ impl Deployment {
         self.groups.len()
     }
 
-    /// Number of sensors configured into group `g`.
-    pub fn group_size(&self, g: GroupId) -> usize {
-        self.members_of(g).len()
-    }
-
     /// Explicit parent assignment, if the scenario fixes the routing tree.
     pub fn explicit_parents(&self) -> Option<&BTreeMap<NodeId, NodeId>> {
         self.explicit_parents.as_ref()
@@ -473,7 +468,7 @@ mod tests {
         assert_eq!(d.num_nodes(), 24);
         assert_eq!(d.num_groups(), 6);
         for g in 0..6 {
-            assert_eq!(d.group_size(g), 4);
+            assert_eq!(d.members_of(g).len(), 4);
         }
     }
 

@@ -174,9 +174,12 @@ impl RoutingTree {
     pub fn pre_order_slice(&self) -> &[NodeId] {
         &self.pre_order
     }
+}
 
+#[cfg(test)]
+impl RoutingTree {
     /// The path from `node` up to (and excluding) the sink: `node, parent, grandparent, …`.
-    pub fn path_to_sink(&self, node: NodeId) -> Vec<NodeId> {
+    pub(crate) fn path_to_sink(&self, node: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
         let mut cur = node;
         while cur != SINK {

@@ -178,11 +178,6 @@ impl Workload {
         Self::base(deployment, domain, 0, Generator::Trace { values })
     }
 
-    /// The value domain readings are clamped to.
-    pub fn domain(&self) -> ValueDomain {
-        self.domain
-    }
-
     /// The epoch the next [`Self::next_epoch`] call will produce.
     pub fn upcoming_epoch(&self) -> Epoch {
         self.next_epoch
@@ -255,12 +250,6 @@ impl Workload {
             }
         }
     }
-
-    /// Convenience: run the generator for `epochs` epochs and collect all readings,
-    /// indexed `result[epoch][node_index]`.
-    pub fn generate(&mut self, epochs: usize) -> Vec<Vec<Reading>> {
-        (0..epochs).map(|_| self.next_epoch()).collect()
-    }
 }
 
 /// A standard-normal sample via the Box–Muller transform (avoids the `rand_distr`
@@ -275,6 +264,11 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 mod tests {
     use super::*;
     use crate::topology::Deployment;
+
+    /// `epochs` epochs of readings, indexed `result[epoch][node_index]`.
+    fn generate(w: &mut Workload, epochs: usize) -> Vec<Vec<Reading>> {
+        (0..epochs).map(|_| w.next_epoch()).collect()
+    }
 
     #[test]
     fn figure1_values_match_the_paper() {
@@ -345,7 +339,7 @@ mod tests {
         let d = Deployment::clustered_rooms(4, 3, 20.0, 5);
         let collect = |seed: u64| {
             let mut w = Workload::room_correlated(&d, ValueDomain::percentage(), RoomModelParams::default(), seed);
-            w.generate(5)
+            generate(&mut w, 5)
         };
         let a = collect(9);
         let b = collect(9);
@@ -365,7 +359,7 @@ mod tests {
         let d = Deployment::grid(4, 10.0, Some(4));
         let domain = ValueDomain::new(10.0, 20.0);
         let mut w = Workload::uniform_iid(&d, domain, 3);
-        let epochs = w.generate(10);
+        let epochs = generate(&mut w, 10);
         for r in epochs.iter().flatten() {
             assert!(domain.contains(r.value));
         }
@@ -376,7 +370,7 @@ mod tests {
         let d = Deployment::grid(3, 10.0, None);
         let domain = ValueDomain::new(0.0, 10.0);
         let mut w = Workload::random_walk(&d, domain, 5.0, 17);
-        for readings in w.generate(50) {
+        for readings in generate(&mut w, 50) {
             for r in readings {
                 assert!(domain.contains(r.value), "value {} escaped the domain", r.value);
             }

@@ -445,10 +445,12 @@ proptest! {
                 rows(&mut model.per_scope_phase.iter().filter(|((s, _), _)| *s == scope).map(|((_, p), t)| (*p as u64, *t)))
             );
             prop_assert_eq!(totals_bits(ledger.scope(scope)), totals_bits(model.per_scope.get(&scope).copied().unwrap_or_default()));
-            prop_assert_eq!(storage_bits(ledger.storage_scope(scope)), storage_bits(model.storage_per_scope.get(&scope).copied().unwrap_or_default()));
+            let storage = ledger.storage_scopes().find(|&(s, _)| s == scope).map(|(_, t)| t);
+            prop_assert_eq!(storage_bits(storage.unwrap_or_default()), storage_bits(model.storage_per_scope.get(&scope).copied().unwrap_or_default()));
             for &phase in PHASES {
+                let cell = ledger.scope_phases(scope).find(|&(p, _)| p == phase).map(|(_, t)| t);
                 prop_assert_eq!(
-                    totals_bits(ledger.scope_phase(scope, phase)),
+                    totals_bits(cell.unwrap_or_default()),
                     totals_bits(model.per_scope_phase.get(&(scope, phase)).copied().unwrap_or_default())
                 );
             }

@@ -14,9 +14,10 @@ pub const DEFAULT_RETENTION: usize = 8;
 /// A log-structured ring of checkpoint images over the modeled flash device.
 ///
 /// Every `cadence` epochs the engine snapshots its shared [`WindowBank`] into an
-/// encoded image; the ring keeps the most recent [`CheckpointStore::retention`]
-/// images, indexed by a small manifest.  Page writes (at checkpoint time, charged to
-/// every node that owns a window — each mote persists its *own* column) and page reads
+/// encoded image; the ring keeps the most recent `retention` images
+/// ([`DEFAULT_RETENTION`] unless [`CheckpointStore::with_retention`] says otherwise),
+/// indexed by a small manifest.  Page writes (at checkpoint time, charged to every
+/// node that owns a window — each mote persists its *own* column) and page reads
 /// (at restore time, charged under the restoring query's scope) go through
 /// [`Network::charge_page_writes`] / [`Network::charge_page_reads`], so the ledger
 /// conservation law extends to storage.
@@ -46,16 +47,6 @@ impl CheckpointStore {
         assert!(u32::try_from(retention).is_ok(), "the manifest records the retention as a u32");
         self.retention = retention;
         self
-    }
-
-    /// The checkpoint cadence, in epochs.
-    pub fn cadence(&self) -> u64 {
-        self.cadence
-    }
-
-    /// How many snapshots the ring retains.
-    pub fn retention(&self) -> usize {
-        self.retention
     }
 
     /// True when no snapshot has been taken yet.
@@ -182,6 +173,11 @@ impl CheckpointStore {
             let image = &log[start..end];
             if decode(image, 0)?.epoch != entry.epoch {
                 return Err(StoreError::Corrupt("manifest epoch disagrees with its image"));
+            }
+            // An engine adopting the store resumes the epoch after its newest snapshot.
+            if entry.epoch == Epoch::MAX {
+                let max = Epoch::MAX - 1;
+                return Err(StoreError::Oversize { what: "snapshot epoch", declared: entry.epoch, max });
             }
             store.images.push_back((entry.epoch, image.to_vec()));
             logged = end;
@@ -310,7 +306,8 @@ mod tests {
         };
         let metrics = net.metrics();
         assert_eq!(metrics.storage_totals(), read(4));
-        assert_eq!(metrics.storage_scope(7), read(4), "the restoring session pays every page");
+        let scoped = metrics.storage_scopes().find(|&(scope, _)| scope == 7).map(|(_, t)| t);
+        assert_eq!(scoped, Some(read(4)), "the restoring session pays every page");
         for (node, pages) in [(1, 2), (2, 1), (3, 1), (4, 0)] {
             assert_eq!(metrics.node_storage(node), read(pages), "node {node}");
             let battery = net.batteries().get(node);
@@ -334,7 +331,7 @@ mod tests {
 
         let bytes = store.to_bytes();
         let back = CheckpointStore::from_bytes(&bytes).expect("rebuilds");
-        assert_eq!(back.cadence(), 3);
+        assert_eq!(back.cadence, 3);
         assert_eq!(back.snapshot_epochs(), vec![2, 5]);
         assert_eq!(back.stored_bytes(), store.stored_bytes());
 
@@ -369,7 +366,7 @@ mod tests {
             }
             let mut restarted = CheckpointStore::from_bytes(&live.to_bytes()).expect("rebuilds");
             assert_eq!(restarted, live);
-            assert_eq!(restarted.retention(), retention);
+            assert_eq!(restarted.retention, retention);
             for epoch in retention as u64 + 1..retention as u64 + 4 {
                 tick(epoch, &mut [&mut live, &mut restarted]);
             }

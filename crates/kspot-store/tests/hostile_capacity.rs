@@ -7,14 +7,19 @@
 //! what its record holds.
 //!
 //! The check reads this process's `VmPeak` from `/proc/self/status`, which counts
-//! address space reserved whether or not it is touched: Linux only, and the only test
-//! in its binary, so no other test's allocations land in the measurement.
+//! address space reserved whether or not it is touched: Linux only.  The binary's one
+//! other test builds a one-sample store, far below the bound.
+//!
+//! A store is hostile in its epochs too: one whose newest snapshot is at `u64::MAX`
+//! leaves an adopting engine no epoch to resume at, and is refused typed.
 
 #![cfg(target_os = "linux")]
 
 use kspot_net::codec::{put_u16, put_u32, put_u64};
+use kspot_net::{Deployment, Network, NetworkConfig, Reading, WindowBank};
 use kspot_store::{
-    checksum_seal, encode_manifest, CheckpointStore, FORMAT_VERSION, IMAGE_MAGIC, MAX_IMAGE_CAPACITY,
+    checksum_seal, encode_manifest, CheckpointStore, StoreError, FORMAT_VERSION, IMAGE_MAGIC,
+    MAX_IMAGE_CAPACITY,
 };
 
 /// This process's peak virtual memory size, KiB.
@@ -52,4 +57,15 @@ fn a_restore_reserves_what_the_records_hold_not_the_declared_capacity() {
     assert_eq!(bank.node_ids().len(), RECORDS as usize);
     assert_eq!(bank.capacity(), MAX_IMAGE_CAPACITY);
     assert!(grown < 256 * 1024, "restoring a 96 030-byte image grew VmPeak by {grown} KiB");
+}
+
+#[test]
+fn a_store_whose_newest_snapshot_is_at_the_last_epoch_is_refused_typed() {
+    let mut net = Network::new(Deployment::grid(2, 10.0, None), NetworkConfig::ideal());
+    let mut bank = WindowBank::new(4);
+    bank.feed(&[Reading::new(1, 0, 0, 1.0)]);
+    let mut store = CheckpointStore::new(1);
+    store.checkpoint(&mut bank, u64::MAX, &mut net);
+    let refused = StoreError::Oversize { what: "snapshot epoch", declared: u64::MAX, max: u64::MAX - 1 };
+    assert_eq!(CheckpointStore::from_bytes(&store.to_bytes()), Err(refused));
 }

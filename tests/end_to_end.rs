@@ -184,7 +184,9 @@ fn conference_topk_runs_and_panel_reports_energy_savings() {
     assert!(savings.byte_savings_pct() > 0.0, "MINT must ship fewer bytes: {savings}");
     // Every report is a scoped slice, so the panel carries no bottleneck node and
     // claims no lifetime factor (E3 reads whole-run energy and lifetime).
-    assert!(execution.panel.lifetime_extension_factor(20.0e9).is_none());
+    let panel = &execution.panel;
+    assert!(panel.kspot.lifetime_epochs(20.0e9).is_infinite());
+    assert!(panel.baselines[0].lifetime_epochs(20.0e9).is_infinite());
 }
 
 #[test]
