@@ -93,7 +93,7 @@ fn ranked_epochs(per_epoch: BTreeMap<Epoch, Vec<f64>>, spec: &HistoricSpec, at: 
 }
 
 /// The samples of `window` from epoch `first` on, oldest first.
-fn span_of(window: Option<&mut SlidingWindow>, first: Epoch) -> &[(Epoch, f64)] {
+fn span_of(window: Option<&SlidingWindow>, first: Epoch) -> &[(Epoch, f64)] {
     let Some(window) = window else { return &[] };
     let all = window.as_slice();
     // A window the span covers whole, as every window of a bank as long as the span is,
@@ -145,12 +145,6 @@ impl Bank<'_> {
         }
     }
 
-    fn get_mut(&mut self) -> &mut WindowBank {
-        match self {
-            Bank::Borrowed(bank) => bank,
-            Bank::Owned(bank) => bank,
-        }
-    }
 }
 
 impl<'a> BankWindows<'a> {
@@ -195,8 +189,8 @@ impl<'a> BankWindows<'a> {
     }
 
     /// Every buffered `(epoch, value)` sample of one node, oldest first.
-    pub fn samples(&mut self, node: NodeId) -> &[(Epoch, f64)] {
-        span_of(self.bank.get_mut().window_mut(node), self.first)
+    pub fn samples(&self, node: NodeId) -> &[(Epoch, f64)] {
+        span_of(self.bank().window(node), self.first)
     }
 
     /// Replaces `best` with the node's `k` highest-valued samples, best first (ties
@@ -210,28 +204,28 @@ impl<'a> BankWindows<'a> {
                 Some(window) => window.top_k_since(self.first, k, best),
                 None => best.clear(),
             },
-            Bank::Owned(bank) => top_k_into(span_of(bank.window_mut(node), self.first), k, best),
+            Bank::Owned(bank) => top_k_into(span_of(bank.window(node), self.first), k, best),
         }
     }
 
     /// Replaces `found` with the node's samples of value at least `threshold`, oldest
     /// first.
-    pub(crate) fn values_at_least(&mut self, node: NodeId, threshold: f64, found: &mut Vec<(Epoch, f64)>) {
-        let scanned = span_of(self.bank.get_mut().window_mut(node), self.first);
+    pub(crate) fn values_at_least(&self, node: NodeId, threshold: f64, found: &mut Vec<(Epoch, f64)>) {
+        let scanned = self.samples(node);
         found.clear();
         found.extend(scanned.iter().filter(|&&(_, v)| v >= threshold));
     }
 
     /// The node's value at `epoch`, if buffered.
-    pub fn value_at(&mut self, node: NodeId, epoch: Epoch) -> Option<f64> {
+    pub fn value_at(&self, node: NodeId, epoch: Epoch) -> Option<f64> {
         if epoch < self.first {
             return None;
         }
-        self.bank.get_mut().window_mut(node).and_then(|w| w.get(epoch))
+        self.bank().window(node).and_then(|w| w.get(epoch))
     }
 
     /// Number of samples the node's window currently buffers.
-    pub(crate) fn window_len(&mut self, node: NodeId) -> usize {
+    pub(crate) fn window_len(&self, node: NodeId) -> usize {
         self.samples(node).len()
     }
 }
@@ -383,7 +377,7 @@ mod tests {
 
     #[test]
     fn dataset_collects_one_window_per_node() {
-        let (d, mut data) = dataset(32, 3);
+        let (d, data) = dataset(32, 3);
         assert_eq!(data.source_nodes(), d.node_ids());
         assert_eq!(data.covered_epochs().len(), 32);
         for node in d.node_ids() {

@@ -742,7 +742,7 @@ mod properties {
     /// The span a view of `bank` covers, and whether some window of it holds an epoch
     /// past the span's end.
     fn span_and_overhang(bank: &WindowBank, window: usize) -> (Vec<Epoch>, bool) {
-        let mut view = BankWindows::owned(bank.clone(), window);
+        let view = BankWindows::owned(bank.clone(), window);
         let span = view.covered_epochs().to_vec();
         let last = *span.last().expect("a case covers at least one epoch");
         let nodes = view.source_nodes().to_vec();
@@ -895,7 +895,7 @@ mod properties {
     /// The span of `node`'s window in a view of `bank`, and the span's slots: the
     /// covered epochs, ascending, each once.
     fn span_of(bank: &WindowBank, window: usize, node: NodeId) -> (Vec<(Epoch, f64)>, Vec<Epoch>) {
-        let mut view = BankWindows::owned(bank.clone(), window);
+        let view = BankWindows::owned(bank.clone(), window);
         let mut slots = view.covered_epochs().to_vec();
         slots.dedup();
         (view.samples(node).to_vec(), slots)

@@ -4,11 +4,14 @@
 //! shapes `engine_historic` runs besides: an `AS OF` query (the restore of a span of `W`
 //! out of a bank of `2W` and TJA over it) and a live TJA whose span is half its bank's.
 //! TJA's Hierarchical Join works a window a run at a time (a stretch of samples on
-//! consecutive slots), so the last group times it over windows cut into 1, 4 and 16 runs.
+//! consecutive slots), so one group times it over windows cut into 1, 4 and 16 runs.
+//! Every other group reads banks that are not fed between calls; the last one feeds an
+//! epoch before each query, as the engine does every tick, so the first read after a
+//! feed is what it times.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kspot_algos::historic::HistoricAlgorithm;
-use kspot_algos::{BankWindows, HistoricSpec, Tja};
+use kspot_algos::{BankWindows, HistoricSpec, LocalAggregateHistoric, SnapshotSpec, Tja};
 use kspot_core::CheckpointStore;
 use kspot_net::types::ValueDomain;
 use kspot_net::{Deployment, Epoch, Network, NetworkConfig, RoomModelParams, WindowBank, Workload};
@@ -24,6 +27,12 @@ fn warm(window: usize) -> (Network, WindowBank, Epoch) {
 /// [`warm`], with every node but node 1 missing `runs - 1` feeds of the last `window`,
 /// evenly spaced, so that each of their windows' spans is cut into `runs` runs.
 fn warm_in_runs(window: usize, runs: usize) -> (Network, WindowBank, Epoch) {
+    let (net, bank, newest, _) = warm_fed(window, runs);
+    (net, bank, newest)
+}
+
+/// [`warm_in_runs`], and the workload that fed it, to feed it on.
+fn warm_fed(window: usize, runs: usize) -> (Network, WindowBank, Epoch, Workload) {
     let d = Deployment::grid(10, 10.0, Some(16));
     let mut w = Workload::room_correlated(&d, ValueDomain::percentage(), RoomModelParams::default(), 66);
     let mut bank = WindowBank::new(window);
@@ -39,7 +48,7 @@ fn warm_in_runs(window: usize, runs: usize) -> (Network, WindowBank, Epoch) {
     }
     let mut net = Network::new(d, NetworkConfig::mica2().with_battery_uj(1.0e18));
     net.begin_epoch(newest);
-    (net, bank, newest)
+    (net, bank, newest, w)
 }
 
 fn tja(net: &mut Network, bank: &mut WindowBank, k: usize, window: usize) -> usize {
@@ -120,5 +129,35 @@ fn bench_runs(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_span, bench_k, bench_as_of, bench_short_span, bench_runs);
+fn bench_fed(c: &mut Criterion) {
+    let mut group = c.benchmark_group("historic_fed_n100_k5");
+    group.sample_size(300);
+    let (mut net, mut bank, _, mut w) = warm_fed(128, 1);
+    let mut feed = |net: &mut Network, bank: &mut WindowBank| {
+        let readings = w.next_epoch();
+        net.begin_epoch(readings[0].epoch);
+        bank.feed(&readings);
+    };
+    group.bench_with_input(BenchmarkId::new("feed", 0), &0, |b, _| {
+        b.iter(|| feed(&mut net, &mut bank));
+    });
+    for &window in &[128usize, 64] {
+        group.bench_with_input(BenchmarkId::new("feed_tja", window), &window, |b, &w| {
+            b.iter(|| {
+                feed(&mut net, &mut bank);
+                black_box(tja(&mut net, &mut bank, 5, w))
+            });
+        });
+    }
+    let mut horizontal = LocalAggregateHistoric::new(SnapshotSpec::new(5, AggFunc::Avg, ValueDomain::percentage()));
+    group.bench_with_input(BenchmarkId::new("feed_local_aggregate", 64), &64, |b, &w| {
+        b.iter(|| {
+            feed(&mut net, &mut bank);
+            black_box(horizontal.execute(&mut net, &mut BankWindows::new(&mut bank, w)).items.len())
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_span, bench_k, bench_as_of, bench_short_span, bench_runs, bench_fed);
 criterion_main!(benches);

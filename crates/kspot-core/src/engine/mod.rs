@@ -326,10 +326,7 @@ impl QueryEngine {
                 core.next_id == 0 && core.epochs_run == 0,
                 "a checkpoint store must be adopted before any query registers or runs"
             );
-            if let Some(bank) = store
-                .restore_latest_bank()
-                .expect("a store rebuilt via from_bytes is fully validated")
-            {
+            if let Some(bank) = store.restore_latest_bank() {
                 let resume_at = store
                     .latest_epoch()
                     .and_then(|newest| newest.checked_add(1))

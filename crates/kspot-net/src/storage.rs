@@ -126,7 +126,7 @@ impl Kept {
     /// Brings the list up to date with `samples`, the window's, whose first came in
     /// with push `oldest` and whose last with push `pushed - 1`: what left the window
     /// since the list was last read is taken off it, what was pushed is admitted.
-    fn catch_up(&mut self, samples: &VecDeque<(Epoch, Value)>, oldest: u64, pushed: u64) {
+    fn catch_up(&mut self, samples: &[(Epoch, Value)], oldest: u64, pushed: u64) {
         self.list.retain(|s| s.seq >= oldest);
         if matches!(self.left_out, LeftOut::Known(s) if s.seq < oldest) {
             self.left_out = LeftOut::Unknown;
@@ -197,11 +197,18 @@ impl Kept {
 }
 
 /// A bounded, epoch-ordered buffer of `(epoch, value)` samples.
+///
+/// The samples are always one slice, `buf[start..]`: an eviction moves `start` on, and
+/// when a push finds the buffer full the samples move back to its front in one copy.
+/// The buffer keeps slots past the window's samples (`slack`), so that copy is paid once
+/// per so many pushes — a few samples moved per push — and a read never rotates.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct SlidingWindow {
     capacity: usize,
-    samples: VecDeque<(Epoch, Value)>,
-    /// Samples pushed, plus those the window was built with: `samples[i]` came in with
+    /// The samples from `start` on, oldest first; what lies before was evicted.
+    buf: Vec<(Epoch, Value)>,
+    start: usize,
+    /// Samples pushed, plus those the window was built with: `as_slice()[i]` came in with
     /// push `pushed - len + i`.
     pushed: u64,
     /// The kept list, asked for from the first [`Self::top_k_since`] on (`room` 0
@@ -214,7 +221,7 @@ pub struct SlidingWindow {
 /// bookkeeping, so an adopted window reads as the fed one it copies.
 impl fmt::Debug for SlidingWindow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SlidingWindow").field("capacity", &self.capacity).field("samples", &self.samples).finish()
+        f.debug_struct("SlidingWindow").field("capacity", &self.capacity).field("samples", &self.as_slice()).finish()
     }
 }
 
@@ -223,12 +230,14 @@ impl SlidingWindow {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "sliding window capacity must be positive");
         let kept = Kept::unasked(Vec::with_capacity(KEPT_AT_LEAST + 1));
-        Self { kept: Some(kept), ..Self::adopt(capacity, VecDeque::with_capacity(capacity)) }
+        Self { kept: Some(kept), ..Self::adopt(capacity, Vec::with_capacity(capacity + slack(capacity))) }
     }
 
-    /// A window of `samples`, oldest first, at most `capacity` of them.
-    fn adopt(capacity: usize, samples: VecDeque<(Epoch, Value)>) -> Self {
-        Self { capacity, pushed: samples.len() as u64, samples, kept: None }
+    /// A window of `samples`, oldest first, at most `capacity` of them, in their buffer
+    /// as it is: an adopted window, usually read once, makes room to be fed only when it
+    /// is.
+    fn adopt(capacity: usize, samples: Vec<(Epoch, Value)>) -> Self {
+        Self { capacity, pushed: samples.len() as u64, buf: samples, start: 0, kept: None }
     }
 
     /// Maximum number of samples retained.
@@ -243,31 +252,43 @@ impl SlidingWindow {
     pub fn grow_capacity(&mut self, capacity: usize) {
         if capacity > self.capacity {
             self.capacity = capacity;
-            self.samples.reserve(capacity.saturating_sub(self.samples.len()));
+            self.compact();
+            self.buf.reserve_exact(capacity + slack(capacity) - self.buf.len());
         }
     }
 
     /// Number of samples currently buffered.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.buf.len() - self.start
     }
 
     /// True when no samples are buffered.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
     /// Appends a sample for `epoch`.  Epochs must be appended in non-decreasing order —
     /// sensors sample time monotonically.
     pub fn push(&mut self, epoch: Epoch, value: Value) {
-        if let Some(&(last, _)) = self.samples.back() {
+        if let Some(&(last, _)) = self.buf.last() {
             assert!(epoch >= last, "samples must be appended in epoch order");
         }
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
+        if self.len() == self.capacity {
+            self.start += 1;
         }
-        self.samples.push_back((epoch, value));
+        if self.buf.len() == self.buf.capacity() {
+            self.compact();
+            // An adopted buffer has no slots past its samples: it gets them once.
+            self.buf.reserve_exact(slack(self.len()));
+        }
+        self.buf.push((epoch, value));
         self.pushed += 1;
+    }
+
+    /// Moves the samples to the front of the buffer.
+    fn compact(&mut self) {
+        self.buf.drain(..self.start);
+        self.start = 0;
     }
 
     /// Replaces `best` with the `k` highest-valued samples of epoch `first` or later,
@@ -279,8 +300,9 @@ impl SlidingWindow {
     /// best sample it leaves out is not rebuilt — it would list the same samples — so
     /// such a span is selected from straight away.
     pub fn top_k_since(&mut self, first: Epoch, k: usize, best: &mut Vec<(Epoch, Value)>) {
-        let Self { capacity, samples, pushed, kept } = self;
-        let oldest = *pushed - samples.len() as u64;
+        let Self { capacity, buf, start, pushed, kept } = self;
+        let all = &buf[*start..];
+        let oldest = *pushed - all.len() as u64;
         let kept = kept.get_or_insert_with(|| Kept::unasked(Vec::new()));
         let started = kept.room > 0;
         // A list longer than the window can hold would never be full.
@@ -288,12 +310,11 @@ impl SlidingWindow {
         // Room for one more, for the moment between an insert and the pop it calls for.
         kept.list.reserve(kept.room + 1 - kept.list.len());
         if started {
-            kept.catch_up(samples, oldest, *pushed);
+            kept.catch_up(all, oldest, *pushed);
             if kept.answer(first, k, best) {
                 return;
             }
         }
-        let all = samples.make_contiguous();
         // A full list that knows the best sample it leaves out holds the window's best
         // `room`: rebuilt, it would list them again.
         let full = kept.list.len() == kept.room && matches!(kept.left_out, LeftOut::Known(_));
@@ -308,21 +329,29 @@ impl SlidingWindow {
 
     /// The value recorded at `epoch`, if it is still inside the window.
     pub fn get(&self, epoch: Epoch) -> Option<Value> {
-        // Binary search: the deque is epoch-ordered.
-        let at = self.samples.binary_search_by_key(&epoch, |&(e, _)| e).ok()?;
-        Some(self.samples[at].1)
+        // Binary search: the samples are epoch-ordered.
+        let samples = self.as_slice();
+        let at = samples.binary_search_by_key(&epoch, |&(e, _)| e).ok()?;
+        Some(samples[at].1)
     }
 
     /// Iterates over the buffered `(epoch, value)` samples, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = (Epoch, Value)> + '_ {
-        self.samples.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// The buffered samples as one slice, oldest first — [`Self::iter`] for callers
     /// that want to borrow rather than copy.
-    pub fn as_slice(&mut self) -> &[(Epoch, Value)] {
-        self.samples.make_contiguous()
+    pub fn as_slice(&self) -> &[(Epoch, Value)] {
+        &self.buf[self.start..]
     }
+}
+
+/// Slots a window's buffer keeps past `len` samples: one compaction moves `len`
+/// samples and frees this many pushes, so a push moves about eight samples.  An eighth
+/// more buffer per window (ADR-005 "Historic kernel v7").
+fn slack(len: usize) -> usize {
+    len / 8 + 1
 }
 
 /// The longest head [`top_k_into`] finds in one pass over the samples; a longer one is
@@ -457,7 +486,7 @@ impl WindowBank {
             .into_iter()
             .map(|(node, samples)| {
                 assert!(samples.len() <= capacity, "node {node} holds more than the capacity");
-                (node, SlidingWindow::adopt(capacity, samples.into()))
+                (node, SlidingWindow::adopt(capacity, samples))
             })
             .unzip();
         Self { capacity, nodes, windows, epochs: covered.into(), fed }
@@ -508,16 +537,26 @@ impl WindowBank {
         self.nodes.iter().copied().zip(&self.windows)
     }
 
+    /// One node's shared window, if the node ever reported.
+    pub fn window(&self, node: NodeId) -> Option<&SlidingWindow> {
+        Some(&self.windows[self.slot_of(node)?])
+    }
+
     /// Mutable access to one node's shared window, if the node ever reported.
     pub fn window_mut(&mut self, node: NodeId) -> Option<&mut SlidingWindow> {
+        let at = self.slot_of(node)?;
+        Some(&mut self.windows[at])
+    }
+
+    /// Where `node`'s window sits in `windows`.
+    fn slot_of(&self, node: NodeId) -> Option<usize> {
         // Deployments number their nodes 1..=n, so a window usually sits at `node - 1`.
         let guess = (node as usize).wrapping_sub(1);
-        let at = if self.nodes.get(guess) == Some(&node) {
-            guess
+        if self.nodes.get(guess) == Some(&node) {
+            Some(guess)
         } else {
-            self.nodes.binary_search(&node).ok()?
-        };
-        Some(&mut self.windows[at])
+            self.nodes.binary_search(&node).ok()
+        }
     }
 
     /// Feeds one epoch of readings: every node's value is appended to its window and
@@ -582,7 +621,7 @@ mod tests {
 
     #[test]
     fn local_top_k_returns_best_values_with_deterministic_ties() {
-        let mut w = window_with(&[(0, 5.0), (1, 9.0), (2, 9.0), (3, 1.0), (4, 7.0)], 16);
+        let w = window_with(&[(0, 5.0), (1, 9.0), (2, 9.0), (3, 1.0), (4, 7.0)], 16);
         let mut top = Vec::new();
         top_k_into(w.as_slice(), 3, &mut top);
         assert_eq!(top, vec![(1, 9.0), (2, 9.0), (4, 7.0)]);
@@ -826,6 +865,138 @@ mod tests {
         }
     }
 
+    /// One step of a window's life in the storage model tests.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Push(Epoch, Value),
+        Grow(usize),
+        /// The window is replaced by the one `WindowBank::from_windows` adopts of its
+        /// samples, in a buffer exactly as long as they are.
+        Adopt,
+        Get(Epoch),
+        /// `top_k_since(first, k)`.
+        Ask(Epoch, usize),
+    }
+
+    /// Drives a window of `capacity` through `ops` against a `VecDeque` that keeps the
+    /// newest `capacity` samples, and demands after every step that the window's slice,
+    /// iterator, length and capacity are the deque's, bit for bit; that `get` finds a
+    /// sample of the epoch exactly when the deque holds one; that `top_k_since` answers
+    /// as `top_k_into` over the deque's span; and that a window never adopted never
+    /// reallocates its buffer on a push.
+    fn assert_window_matches_the_deque(capacity: usize, ops: &[Op]) {
+        let mut w = SlidingWindow::new(capacity);
+        let mut model: VecDeque<(Epoch, Value)> = VecDeque::new();
+        let (mut cap, mut adopted) = (capacity, false);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let bits = |list: &mut dyn Iterator<Item = (Epoch, Value)>| Vec::from_iter(list.map(|(e, v)| (e, v.to_bits())));
+        for (at, &op) in ops.iter().enumerate() {
+            match op {
+                Op::Push(epoch, value) => {
+                    let reserved = w.buf.capacity();
+                    w.push(epoch, value);
+                    if model.len() == cap {
+                        model.pop_front();
+                    }
+                    model.push_back((epoch, value));
+                    assert!(adopted || w.buf.capacity() == reserved, "step {at}: a fed window's push reallocated");
+                }
+                Op::Grow(more) => {
+                    w.grow_capacity(more);
+                    cap = cap.max(more);
+                }
+                Op::Adopt => {
+                    let samples = Vec::from_iter(model.iter().copied());
+                    let mut covered = Vec::from_iter(model.iter().map(|&(e, _)| e));
+                    covered.dedup();
+                    let fed = covered.len() as u64;
+                    w = WindowBank::from_windows(cap, vec![(1, samples)], covered, fed).windows.remove(0);
+                    adopted = true;
+                }
+                Op::Get(epoch) => {
+                    // Epochs repeat, so `get` may find any sample of the epoch.
+                    let found = w.get(epoch).map(f64::to_bits);
+                    let mut held = model.iter().filter(|s| s.0 == epoch).map(|s| s.1.to_bits());
+                    match found {
+                        Some(v) => assert!(held.any(|h| h == v), "step {at}: get({epoch}) gave a value it does not hold"),
+                        None => assert!(held.next().is_none(), "step {at}: get({epoch}) missed a sample"),
+                    }
+                }
+                Op::Ask(first, k) => {
+                    w.top_k_since(first, k, &mut got);
+                    let span = Vec::from_iter(model.iter().copied().filter(|&(e, _)| e >= first));
+                    top_k_into(&span, k, &mut want);
+                    assert_eq!(bits(&mut got.iter().copied()), bits(&mut want.iter().copied()), "step {at}: top {k} since {first}");
+                }
+            }
+            let held = bits(&mut model.iter().copied());
+            assert_eq!(bits(&mut w.as_slice().iter().copied()), held, "step {at}: {op:?}");
+            assert_eq!(bits(&mut w.iter()), held, "step {at}: {op:?}");
+            assert_eq!((w.len(), w.is_empty(), w.capacity()), (model.len(), model.is_empty(), cap), "step {at}");
+        }
+    }
+
+    /// The capacities the model tests drive: the smallest, and either side of the
+    /// benchmark's 64 and 128.
+    const MODEL_CAPACITIES: [usize; 7] = [1, 2, 3, 64, 127, 128, 129];
+
+    #[test]
+    fn a_window_reads_as_a_deque_across_compactions() {
+        // Each window filled, then fed four times round with a read after every push: a
+        // compaction falls every few pushes, at every offset of the buffer.
+        for capacity in MODEL_CAPACITIES {
+            let mut ops = Vec::new();
+            for epoch in 0..5 * capacity as Epoch + 40 {
+                ops.extend([Op::Push(epoch, (epoch * 37 % 11) as f64), Op::Get(epoch.saturating_sub(capacity as Epoch))]);
+                if epoch % 7 == 0 {
+                    ops.push(Op::Ask(epoch.saturating_sub(capacity as Epoch / 2), 3));
+                }
+            }
+            assert_window_matches_the_deque(capacity, &ops);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// Random pushes (values on a grid of fives, so that ranks tie, with repeated
+        /// epochs, NaN and both zeros), capacity growth, adoption by a bank and reads of
+        /// every kind, long enough to pass several compactions at every capacity.
+        #[test]
+        fn a_window_reads_as_a_deque_under_random_steps(
+            capacity in prop_oneof![
+                Just(MODEL_CAPACITIES[0]), Just(MODEL_CAPACITIES[1]), Just(MODEL_CAPACITIES[2]),
+                Just(MODEL_CAPACITIES[3]), Just(MODEL_CAPACITIES[4]), Just(MODEL_CAPACITIES[5]),
+                Just(MODEL_CAPACITIES[6])
+            ],
+            draws in prop::collection::vec((0u32..100, 0u64..3, 0u32..24, 0usize..1_000), 1..700),
+        ) {
+            let mut ops = Vec::new();
+            let mut epoch = 0;
+            for (kind, step, value, draw) in draws {
+                ops.push(if kind < 75 {
+                    epoch += step;
+                    let value = match value {
+                        21 => Value::NAN,
+                        22 => -0.0,
+                        23 => 0.0,
+                        v => f64::from(v) * 5.0,
+                    };
+                    Op::Push(epoch, value)
+                } else if kind < 77 {
+                    Op::Grow(capacity + draw % 40)
+                } else if kind < 80 {
+                    Op::Adopt
+                } else if kind < 90 {
+                    Op::Get(epoch.saturating_sub(draw as Epoch % 140))
+                } else {
+                    Op::Ask(epoch.saturating_sub(draw as Epoch % 140), 1 + draw % 9)
+                });
+            }
+            assert_window_matches_the_deque(capacity, &ops);
+        }
+    }
+
     fn reading(node: NodeId, epoch: Epoch, value: Value) -> Reading {
         Reading::new(node, 0, epoch, value)
     }
@@ -871,7 +1042,7 @@ mod tests {
         let adopted =
             WindowBank::from_windows(1 << 20, vec![(2, vec![(7, 1.0), (8, 2.0)]), (5, vec![(8, 3.0)])], vec![7, 8], 2);
         assert_eq!(format!("{adopted:?}"), format!("{fed:?}"));
-        let reserved: Vec<usize> = adopted.windows.iter().map(|w| w.samples.capacity()).collect();
+        let reserved: Vec<usize> = adopted.windows.iter().map(|w| w.buf.capacity()).collect();
         assert_eq!(reserved, [2, 1], "not the logical capacity");
     }
 

@@ -313,15 +313,57 @@ pub struct SnapshotImage {
 /// records' epochs: a live bank writes the same epochs into every record, so a record
 /// costs one comparison of its epochs with the first non-empty record's, and only a
 /// record that differs (which only a hand-built image has) is merged in.
-/// [`crate::CheckpointStore::restore`] runs the same pass but materialises only the
-/// samples of the span it opens.
+/// [`crate::CheckpointStore::restore`] reads an image the same way but materialises
+/// only the samples of the span it opens, and checks nothing again: an image in the
+/// store was encoded there or validated on its way in.
 pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, StoreError> {
     let mut image = decode(bytes, usize::MAX)?;
     let records = std::mem::take(&mut image.records);
     Ok(SnapshotImage { epoch: image.epoch, records, bank: image.into_bank() })
 }
 
-/// An image [`decode`] validated, and the samples of the span it materialised.
+/// A checkpoint image the store reads back without checking it again: one
+/// [`encode_image`] wrote of a bank, or one the validating [`decode`] accepted whole.
+/// Only this module makes one, so that every image in the store's ring was made by one
+/// of the two, and the one door for bytes from elsewhere is the validating pass.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Image {
+    epoch: Epoch,
+    bytes: Vec<u8>,
+}
+
+impl Image {
+    /// The image of `bank` as of `epoch`.
+    pub(crate) fn encode(bank: &WindowBank, epoch: Epoch) -> Self {
+        Self { epoch, bytes: encode_image(bank, epoch) }
+    }
+
+    /// Validates untrusted `bytes` as one image — seal, counts, order and values, no
+    /// bank built — and keeps a copy.
+    pub(crate) fn validated(bytes: &[u8]) -> Result<Self, StoreError> {
+        let epoch = decode(bytes, 0)?.epoch;
+        Ok(Self { epoch, bytes: bytes.to_vec() })
+    }
+
+    /// The snapshot epoch.
+    pub(crate) fn epoch(&self) -> Epoch {
+        self.epoch
+    }
+
+    /// The encoded bytes, seal included.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The image's newest `span` covered epochs, as [`decode`] materialises them, read
+    /// off the records' headers without checking the seal or a sample again.
+    pub(crate) fn open(&self, span: usize) -> Decoded {
+        read::<false>(&self.bytes, span).expect("an image reads back as it was encoded or validated")
+    }
+}
+
+/// An image [`decode`] validated, or an [`Image`] opened, and the samples of the span it
+/// materialised.
 #[derive(Debug)]
 pub(crate) struct Decoded {
     /// The newest epoch the snapshot covers.
@@ -348,21 +390,45 @@ impl Decoded {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Validating passes this thread made over an image.
+    static VALIDATING_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many validating passes over an image this thread has made.
+#[cfg(test)]
+pub(crate) fn validating_passes() -> usize {
+    VALIDATING_PASSES.with(std::cell::Cell::get)
+}
+
 /// [`decode_image`] materialising only the samples of the image's newest `span`
 /// covered epochs — every sample for a span at least as long as the image's, none for
 /// a span of 0 — while validating every byte and every sample whatever the span.
-///
-/// A record's samples of the span are read off the tail of its validated run into a
-/// window sized by their count.  The span's first epoch is at least the `span`-th newest
-/// epoch of the first non-empty record, whose epochs are covered, and that is known
-/// before any other record is read: every record is materialised from there on, and
-/// what lies before the span's true first epoch (only a ragged image has any) is never
-/// read by a view of the span.
 pub(crate) fn decode(bytes: &[u8], span: usize) -> Result<Decoded, StoreError> {
-    let mut c = unsealed(bytes, IMAGE_MAGIC)?;
+    read::<true>(bytes, span)
+}
+
+/// Reads an image's records and materialises the samples of its newest `span` covered
+/// epochs.  `CHECKED` bytes are untrusted: the seal, the header's bounds and every
+/// record's and every sample's invariants are checked, [`decode`]'s validating pass.
+/// Unchecked bytes are an [`Image`]'s, and only their structure is read.
+///
+/// A record's samples of the span are read off the tail of its run into a window sized
+/// by their count.  The span's first epoch is at least the `span`-th newest epoch of the
+/// first non-empty record, whose epochs are covered, and that is known before any other
+/// record is read: every record is materialised from there on, and what lies before the
+/// span's true first epoch (only a ragged image has any) is never read by a view of the
+/// span.
+fn read<const CHECKED: bool>(bytes: &[u8], span: usize) -> Result<Decoded, StoreError> {
+    #[cfg(test)]
+    if CHECKED {
+        VALIDATING_PASSES.with(|passes| passes.set(passes.get() + 1));
+    }
+    let mut c = if CHECKED { unsealed(bytes, IMAGE_MAGIC)? } else { Reader::at(bytes, IMAGE_MAGIC.len() + 2)? };
     let epoch = c.u64()?;
     let capacity = c.u32()? as usize;
-    if capacity == 0 || capacity > MAX_IMAGE_CAPACITY {
+    if CHECKED && (capacity == 0 || capacity > MAX_IMAGE_CAPACITY) {
         return Err(StoreError::Oversize {
             what: "capacity",
             declared: capacity as u64,
@@ -384,16 +450,18 @@ pub(crate) fn decode(bytes: &[u8], span: usize) -> Result<Decoded, StoreError> {
     let mut prev_node: Option<NodeId> = None;
     for _ in 0..node_count {
         let node = c.u32()?;
-        if node == SINK {
-            return Err(StoreError::Corrupt("the sink keeps no window"));
+        if CHECKED {
+            if node == SINK {
+                return Err(StoreError::Corrupt("the sink keeps no window"));
+            }
+            if prev_node.is_some_and(|p| node <= p) {
+                return Err(StoreError::Corrupt("node ids not strictly ascending"));
+            }
+            prev_node = Some(node);
         }
-        if prev_node.is_some_and(|p| node <= p) {
-            return Err(StoreError::Corrupt("node ids not strictly ascending"));
-        }
-        prev_node = Some(node);
         let declared_samples = c.u32()?;
         let sample_count = c.count(declared_samples, 16)?;
-        if sample_count > capacity {
+        if CHECKED && sample_count > capacity {
             return Err(StoreError::Oversize {
                 what: "sample count",
                 declared: sample_count as u64,
@@ -402,19 +470,8 @@ pub(crate) fn decode(bytes: &[u8], span: usize) -> Result<Decoded, StoreError> {
         }
         records.push((node, sample_count));
         let (run, _) = c.take(16 * sample_count)?.as_chunks::<16>();
-        let mut prev: Option<Epoch> = None;
-        for sample in run {
-            let e = epoch_of(sample);
-            if e > epoch {
-                return Err(StoreError::Corrupt("sample epoch past the snapshot epoch"));
-            }
-            if prev.is_some_and(|p| e <= p) {
-                return Err(StoreError::Corrupt("sample epochs not strictly ascending"));
-            }
-            if !value_of(sample).is_finite() {
-                return Err(StoreError::Corrupt("non-finite sample value"));
-            }
-            prev = Some(e);
+        if CHECKED {
+            check_samples(run, epoch)?;
         }
         if span == 0 || run.is_empty() {
             continue;
@@ -435,7 +492,9 @@ pub(crate) fn decode(bytes: &[u8], span: usize) -> Result<Decoded, StoreError> {
         samples.extend(tail.iter().map(|sample| (epoch_of(sample), value_of(sample))));
         windows.push((node, samples));
     }
-    c.finish()?;
+    if CHECKED {
+        c.finish()?;
+    }
     let mut covered: Vec<Epoch> = first.map_or_else(Vec::new, |(run, _)| run.iter().map(epoch_of).collect());
     if !strays.is_empty() {
         covered.append(&mut strays);
@@ -445,6 +504,26 @@ pub(crate) fn decode(bytes: &[u8], span: usize) -> Result<Decoded, StoreError> {
     let fed = covered.len() as u64;
     covered.drain(..covered.len().saturating_sub(capacity.min(span)));
     Ok(Decoded { epoch, capacity, records, windows, covered, fed })
+}
+
+/// Checks one record's samples, in decoding order: none past the snapshot `epoch`,
+/// epochs strictly ascending, every value finite.
+fn check_samples(run: &[[u8; 16]], epoch: Epoch) -> Result<(), StoreError> {
+    let mut prev: Option<Epoch> = None;
+    for sample in run {
+        let e = epoch_of(sample);
+        if e > epoch {
+            return Err(StoreError::Corrupt("sample epoch past the snapshot epoch"));
+        }
+        if prev.is_some_and(|p| e <= p) {
+            return Err(StoreError::Corrupt("sample epochs not strictly ascending"));
+        }
+        if !value_of(sample).is_finite() {
+            return Err(StoreError::Corrupt("non-finite sample value"));
+        }
+        prev = Some(e);
+    }
+    Ok(())
 }
 
 /// Whether two validated records, each strictly ascending in epoch, hold the same

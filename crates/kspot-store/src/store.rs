@@ -1,9 +1,6 @@
 //! [`CheckpointStore`]: the ring of encoded snapshots on the modeled flash device.
 
-use crate::format::{
-    decode, decode_image, encode_image, encode_manifest, pages_for, record_bytes, split_manifest,
-    StoreError,
-};
+use crate::format::{encode_manifest, pages_for, record_bytes, split_manifest, Image, StoreError};
 use kspot_algos::BankWindows;
 use kspot_net::{Epoch, Network, WindowBank};
 use std::collections::VecDeque;
@@ -25,13 +22,15 @@ pub const DEFAULT_RETENTION: usize = 8;
 /// The store never hands out live memory at restore time: `AS OF` answers always
 /// decode the **encoded bytes** back into a fresh bank, which is what makes the
 /// durability claim testable — a store deserialised from [`CheckpointStore::to_bytes`]
-/// restores byte-identical answers.
+/// restores byte-identical answers.  Bytes from outside are validated once, by
+/// [`CheckpointStore::from_bytes`]; the ring holds only images that were, or that
+/// this store encoded, so a restore reads them without checking them again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointStore {
     cadence: u64,
     retention: usize,
-    /// Retained `(snapshot epoch, encoded image)` pairs, oldest first.
-    images: VecDeque<(Epoch, Vec<u8>)>,
+    /// Retained images, oldest first.
+    images: VecDeque<Image>,
 }
 
 impl CheckpointStore {
@@ -56,18 +55,18 @@ impl CheckpointStore {
 
     /// Snapshot epochs currently retained, oldest first.
     pub fn snapshot_epochs(&self) -> Vec<Epoch> {
-        self.images.iter().map(|(e, _)| *e).collect()
+        self.images.iter().map(Image::epoch).collect()
     }
 
     /// The newest retained snapshot epoch.
     pub fn latest_epoch(&self) -> Option<Epoch> {
-        self.images.back().map(|(e, _)| *e)
+        self.images.back().map(Image::epoch)
     }
 
     /// Total encoded bytes currently on the device (images only; the manifest rides
     /// in the sink's mains-powered storage).
     pub fn stored_bytes(&self) -> u64 {
-        self.images.iter().map(|(_, img)| img.len() as u64).sum()
+        self.images.iter().map(|img| img.bytes().len() as u64).sum()
     }
 
     /// True when the engine, having fed `epochs_fed` epochs into the bank, owes the
@@ -81,19 +80,19 @@ impl CheckpointStore {
     /// ring (evicting the oldest beyond the retention bound).  Checkpoint writes are
     /// substrate duty — like epoch baselines they run outside any query scope.
     pub fn checkpoint(&mut self, bank: &mut WindowBank, epoch: Epoch, net: &mut Network) {
-        let image = encode_image(bank, epoch);
+        let image = Image::encode(bank, epoch);
         for (node, window) in bank.windows() {
             let bytes = record_bytes(window.len());
             net.charge_page_writes(node, pages_for(bytes), bytes as u64);
         }
         if let Some(back) = self.images.back_mut() {
-            if back.0 == epoch {
+            if back.epoch() == epoch {
                 // Same-epoch re-checkpoint (e.g. a forced snapshot): replace in place.
-                back.1 = image;
+                *back = image;
                 return;
             }
         }
-        self.images.push_back((epoch, image));
+        self.images.push_back(image);
         while self.images.len() > self.retention {
             self.images.pop_front();
         }
@@ -103,21 +102,22 @@ impl CheckpointStore {
     /// (owning the restored bank) over its last `window` epochs, charging each node the
     /// flash page reads for its own record.  Reads are charged to whatever query scope
     /// is installed on `net` — restore cost belongs to the `AS OF` session that asked
-    /// for it.  The whole image is validated, but only the samples of the view's span
-    /// are materialised: the view reads what it would read of the whole image's bank,
-    /// and the pages charged are every record's.
+    /// for it.  Only the samples of the view's span are materialised: the view reads
+    /// what it would read of the whole image's bank, and the pages charged are every
+    /// record's.  The image is not checked again — the store encoded it, or
+    /// [`Self::from_bytes`] validated it — so the only error is an epoch not retained.
     pub fn restore(
         &self,
         epoch: Epoch,
         window: usize,
         net: &mut Network,
     ) -> Result<BankWindows<'static>, StoreError> {
-        let (_, bytes) = self
+        let image = self
             .images
             .iter()
-            .find(|(e, _)| *e == epoch)
-            .ok_or(StoreError::NoSnapshot(epoch))?;
-        let image = decode(bytes, window)?;
+            .find(|img| img.epoch() == epoch)
+            .ok_or(StoreError::NoSnapshot(epoch))?
+            .open(window);
         for &(node, samples) in &image.records {
             net.charge_page_reads(node, pages_for(record_bytes(samples)));
         }
@@ -126,18 +126,16 @@ impl CheckpointStore {
 
     /// Restores the newest snapshot into a bare [`WindowBank`] without charging —
     /// the restore-on-construct path, where the engine re-adopts its own durable
-    /// state before any query runs (crash recovery is not billed to a query).
-    pub fn restore_latest_bank(&self) -> Result<Option<WindowBank>, StoreError> {
-        match self.images.back() {
-            None => Ok(None),
-            Some((_, bytes)) => Ok(Some(decode_image(bytes)?.bank)),
-        }
+    /// state before any query runs (crash recovery is not billed to a query).  Like
+    /// [`Self::restore`], it reads an image that was validated on its way in.
+    pub fn restore_latest_bank(&self) -> Option<WindowBank> {
+        Some(self.images.back()?.open(usize::MAX).into_bank())
     }
 
     /// The manifest describing the current ring, as sealed bytes.
     pub fn manifest_bytes(&self) -> Vec<u8> {
         let entries: Vec<(Epoch, usize)> =
-            self.images.iter().map(|(e, img)| (*e, img.len())).collect();
+            self.images.iter().map(|img| (img.epoch(), img.bytes().len())).collect();
         encode_manifest(self.cadence, self.retention, &entries)
     }
 
@@ -145,8 +143,8 @@ impl CheckpointStore {
     /// persistence across engine restarts.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = self.manifest_bytes();
-        for (_, img) in &self.images {
-            out.extend_from_slice(img);
+        for img in &self.images {
+            out.extend_from_slice(img.bytes());
         }
         out
     }
@@ -155,7 +153,8 @@ impl CheckpointStore {
     /// eagerly; each image extent is sliced out and run through the decoder's
     /// validating pass with an empty span — seal, counts, order and values, no bank
     /// built — so a torn or tampered log fails here with a typed error rather than at
-    /// first query.
+    /// first query.  This is the one door for bytes from outside the store: each image
+    /// is validated here once, and never again.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         let (manifest, log) = split_manifest(bytes)?;
         // Both validated by the manifest decoder; no assertion stands behind these bytes.
@@ -170,8 +169,8 @@ impl CheckpointStore {
             if end > log.len() {
                 return Err(StoreError::Truncated);
             }
-            let image = &log[start..end];
-            if decode(image, 0)?.epoch != entry.epoch {
+            let image = Image::validated(&log[start..end])?;
+            if image.epoch() != entry.epoch {
                 return Err(StoreError::Corrupt("manifest epoch disagrees with its image"));
             }
             // An engine adopting the store resumes the epoch after its newest snapshot.
@@ -179,7 +178,7 @@ impl CheckpointStore {
                 let max = Epoch::MAX - 1;
                 return Err(StoreError::Oversize { what: "snapshot epoch", declared: entry.epoch, max });
             }
-            store.images.push_back((entry.epoch, image.to_vec()));
+            store.images.push_back(image);
             logged = end;
         }
         if log.len() != logged {
@@ -250,7 +249,7 @@ mod tests {
         let mut bank = fed_bank(6);
         store.checkpoint(&mut bank, 5, &mut net);
 
-        let mut view = store.restore(5, 4, &mut net).expect("snapshot exists");
+        let view = store.restore(5, 4, &mut net).expect("snapshot exists");
         assert_eq!(view.snapshot_epoch(), Some(5));
         assert_eq!(view.covered_epochs(), [2, 3, 4, 5]);
         assert_eq!(view.value_at(2, 4), Some(6.0));
@@ -382,14 +381,45 @@ mod tests {
         let mut bank = fed_bank(6);
         store.checkpoint(&mut bank, 5, &mut net);
 
-        let mut restored = store.restore_latest_bank().expect("decodes").expect("non-empty");
+        let mut restored = store.restore_latest_bank().expect("non-empty");
         assert!(restored.epochs().eq(bank.epochs()));
         for node in bank.node_ids().to_vec() {
             let a: Vec<_> = bank.window_mut(node).unwrap().iter().collect();
             let b: Vec<_> = restored.window_mut(node).unwrap().iter().collect();
             assert_eq!(a, b);
         }
-        assert!(CheckpointStore::new(9).restore_latest_bank().unwrap().is_none());
+        assert!(CheckpointStore::new(9).restore_latest_bank().is_none());
+    }
+
+    #[test]
+    fn from_bytes_validates_each_image_once_and_nothing_after_validates_again() {
+        use crate::format::validating_passes;
+        let mut net = test_net(4);
+        let mut store = CheckpointStore::new(1).with_retention(3);
+        let mut bank = WindowBank::new(4);
+        let before = validating_passes();
+        for epoch in 0..5u64 {
+            let readings: Vec<Reading> =
+                (1..=3).map(|n| Reading::new(n, 0, epoch, f64::from(n) + epoch as f64)).collect();
+            bank.feed(&readings);
+            store.checkpoint(&mut bank, epoch, &mut net);
+        }
+        let restore_all = |store: &CheckpointStore, net: &mut Network| {
+            for epoch in store.snapshot_epochs() {
+                for span in [1, 4, usize::MAX] {
+                    store.restore(epoch, span, net).expect("a retained epoch restores");
+                }
+            }
+        };
+        restore_all(&store, &mut net);
+        assert_eq!(validating_passes(), before, "checkpoints and restores of encoded images validate nothing");
+
+        let back = CheckpointStore::from_bytes(&store.to_bytes()).expect("rebuilds");
+        assert_eq!(validating_passes(), before + 3, "one validating pass per image of the three");
+        restore_all(&back, &mut net);
+        let restarted = back.restore_latest_bank().expect("the newest image");
+        assert!(restarted.epochs().eq(bank.epochs()));
+        assert_eq!(validating_passes(), before + 3, "restores and a restart of a rebuilt store validate nothing");
     }
 
     #[test]

@@ -291,6 +291,35 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// A restore reads an image of the store without checking its samples again, so a
+    /// non-finite value must be refused where bytes come in: a re-sealed image with one
+    /// value made ±∞ or a NaN of any payload fails `decode_image` and the store's
+    /// `from_bytes` alike, naming the value.
+    #[test]
+    fn resealed_non_finite_values_are_refused_on_the_way_in(
+        record in 0usize..4,
+        sample in 0usize..6,
+        negative in prop_oneof![Just(true), Just(false)],
+        payload in prop_oneof![Just(0u64), Just(1u64 << 51), 0u64..(1 << 52)],
+    ) {
+        // `valid_image`: 4 records of 6 samples, 22 header bytes, 104 bytes a record.
+        let mut image = valid_image();
+        image.truncate(image.len() - 8);
+        let at = 22 + record * 104 + 8 + sample * 16 + 8;
+        let bits = u64::from(negative) << 63 | 0x7FF << 52 | payload;
+        image[at..at + 8].copy_from_slice(&bits.to_be_bytes());
+        let image = checksum_seal(image);
+        let refused = StoreError::Corrupt("non-finite sample value");
+        prop_assert_eq!(decode_image(&image).err(), Some(refused.clone()));
+        let mut store = kspot_store::encode_manifest(1, 1, &[(5, image.len())]);
+        store.extend_from_slice(&image);
+        prop_assert_eq!(CheckpointStore::from_bytes(&store).err(), Some(refused));
+    }
+}
+
 /// A `u64` field of a hostile manifest: the extremes and their neighbours as often as
 /// small and arbitrary values.
 fn extreme_u64() -> impl Strategy<Value = u64> {

@@ -51,7 +51,7 @@ fn a_restore_reserves_what_the_records_hold_not_the_declared_capacity() {
 
     let before = vm_peak_kib();
     let store = CheckpointStore::from_bytes(&device).expect("a sealed, well-formed store");
-    let bank = store.restore_latest_bank().expect("decodes").expect("one image");
+    let bank = store.restore_latest_bank().expect("one image");
     let grown = vm_peak_kib().saturating_sub(before);
 
     assert_eq!(bank.node_ids().len(), RECORDS as usize);
