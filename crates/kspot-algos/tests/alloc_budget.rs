@@ -374,15 +374,16 @@ fn a_probing_epoch_allocates_a_small_constant_whatever_the_network_size() {
 const HISTORIC_BUDGET: u64 = 4;
 
 /// What a steady `AS OF` query may allocate besides one window per node that holds
-/// one: restoring a span decodes each record's samples of it into a buffer of their
-/// own, which becomes the window's, and allocates the record list, the list of windows,
-/// the span's epochs, the bank's node and window lists and the view's epoch list; TJA
-/// over the restored view then allocates its answer.  Measured: 6, and 1.
-const AS_OF_RESTORE_BUDGET: u64 = 6;
+/// one: restoring a span copies each record's samples of it out of the store's logs
+/// into a buffer of their own, which becomes the window's, and allocates the list of
+/// windows, the span's epochs, the bank's node and window lists and the view's epoch
+/// list; TJA over the restored view then allocates its answer.  Measured: 5, and 1
+/// (6 while the store kept encoded images: decoding one allocated its record list).
+const AS_OF_RESTORE_BUDGET: u64 = 5;
 
 /// Allocations of the fourth `SELECT TOP 8 epoch … WITH HISTORY 64 AS OF` a checkpoint
 /// of a `side × side` grid's bank of 128 epochs: `(restore, execution)` — the restore
-/// of the image into a view of its last 64 epochs, and TJA over the view.
+/// of the snapshot into a view of its last 64 epochs, and TJA over the view.
 fn steady_as_of_allocations(side: usize) -> (u64, u64) {
     let d = Deployment::grid(side, 10.0, Some(16));
     let mut workload = Workload::uniform_iid(&d, ValueDomain::percentage(), 42);

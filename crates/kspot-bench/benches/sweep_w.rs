@@ -7,12 +7,14 @@
 //! consecutive slots), so one group times it over windows cut into 1, 4 and 16 runs.
 //! Every other group reads banks that are not fed between calls; the last one feeds an
 //! epoch before each query, as the engine does every tick, so the first read after a
-//! feed is what it times.
+//! feed is what it times.  It also times the steady-state checkpoint — a cadence's worth
+//! of feeds, then a checkpoint into a warm ring of eight — and the `to_bytes` of that
+//! ring, where the images are encoded and sealed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kspot_algos::historic::HistoricAlgorithm;
 use kspot_algos::{BankWindows, HistoricSpec, LocalAggregateHistoric, SnapshotSpec, Tja};
-use kspot_core::CheckpointStore;
+use kspot_core::{CheckpointStore, DEFAULT_RETENTION};
 use kspot_net::types::ValueDomain;
 use kspot_net::{Deployment, Epoch, Network, NetworkConfig, RoomModelParams, WindowBank, Workload};
 use kspot_query::AggFunc;
@@ -137,6 +139,7 @@ fn bench_fed(c: &mut Criterion) {
         let readings = w.next_epoch();
         net.begin_epoch(readings[0].epoch);
         bank.feed(&readings);
+        readings[0].epoch
     };
     group.bench_with_input(BenchmarkId::new("feed", 0), &0, |b, _| {
         b.iter(|| feed(&mut net, &mut bank));
@@ -155,6 +158,25 @@ fn bench_fed(c: &mut Criterion) {
             feed(&mut net, &mut bank);
             black_box(horizontal.execute(&mut net, &mut BankWindows::new(&mut bank, w)).items.len())
         });
+    });
+    // A cadence's worth of feeds, then a checkpoint into a ring of eight that is full.
+    let mut ring = CheckpointStore::new(1);
+    for &cadence in &[2usize, 4] {
+        let mut tick = |net: &mut Network, bank: &mut WindowBank, store: &mut CheckpointStore| {
+            let newest = (0..cadence).map(|_| feed(net, bank)).last().expect("a cadence of at least one");
+            store.checkpoint(bank, newest, net);
+        };
+        let mut store = CheckpointStore::new(cadence as u64);
+        for _ in 0..DEFAULT_RETENTION {
+            tick(&mut net, &mut bank, &mut store);
+        }
+        group.bench_with_input(BenchmarkId::new("feed_checkpoint", cadence), &cadence, |b, _| {
+            b.iter(|| tick(&mut net, &mut bank, &mut store));
+        });
+        ring = store;
+    }
+    group.bench_with_input(BenchmarkId::new("to_bytes", "8x128"), &0, |b, _| {
+        b.iter(|| black_box(ring.to_bytes().len()));
     });
     group.finish();
 }

@@ -18,6 +18,12 @@
 //!    same substrate reproduces byte-identical `AS OF` answers and attributed
 //!    metrics on all 12 cells — the snapshots round-trip through the page images,
 //!    not through any in-memory state of the first engine.
+//! 4. **Restart anywhere**: an engine restarted from the store at every retained
+//!    checkpoint epoch of each cell answers every historic and `AS OF` session that is
+//!    live at the restart or registered after it bit for bit as the run that never
+//!    stopped does — answers and attributed metrics.  Continuous sessions are left out:
+//!    a continuous MINT session's answers depend on the session's past (its threshold),
+//!    which a restart does not carry.
 
 use kspot_algos::historic::HistoricAlgorithm;
 use kspot_algos::{BankWindows, HistoricSpec, LocalAggregateHistoric, Tja};
@@ -271,4 +277,99 @@ fn a_serialized_store_restored_into_a_new_engine_answers_as_of_identically() {
             );
         }
     }
+}
+
+/// Checkpoint cadence of the restart sweep: snapshots at epochs 2, 5, 8, 11 and 14,
+/// each one a restart point.
+const SWEEP_CADENCE: u64 = 3;
+
+/// What the restart sweep registers before every tick: a live TJA and a live local
+/// aggregate over the last four epochs, and both over four epochs `AS OF` every
+/// retained snapshot.
+fn tick_queries(retained: &[Epoch]) -> Vec<String> {
+    let vertical = "SELECT TOP 2 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 4 epochs";
+    let horizontal = "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 4 epochs";
+    let mut queries = vec![vertical.to_string(), horizontal.to_string()];
+    for epoch in retained {
+        queries.push(format!("{vertical} AS OF {epoch}"));
+        queries.push(format!("{horizontal} AS OF {epoch}"));
+    }
+    queries
+}
+
+#[test]
+fn an_engine_restarted_at_any_retained_checkpoint_answers_as_the_one_that_never_stopped() {
+    let boot = |cell: &ScenarioCell| {
+        let d = cell.deployment();
+        let scenario = ScenarioConfig::custom(cell.label(), "sound", d.clone());
+        QueryEngine::from_substrate(scenario, cell.network(&d), cell.workload(&d))
+    };
+    let mut restarts = 0;
+    for cell in smoke_cells(0x570E, EPOCHS) {
+        let label = cell.label();
+        // The run that never stops: the two 16-epoch historic queries from epoch 0, then
+        // before every tick the tick's queries.  After each checkpoint its store bytes,
+        // and which sessions had finished by then.
+        let mut whole = boot(&cell).with_checkpointing(SWEEP_CADENCE);
+        let mut sql: Vec<String> = vec![QUERIES[1].to_string(), QUERIES[3].to_string()];
+        let mut sessions: Vec<Session> =
+            sql.iter().map(|q| whole.register(q).unwrap_or_else(|e| panic!("{label}: {q}: {e}"))).collect();
+        let mut saved: Vec<(Epoch, Vec<u8>, Vec<bool>)> = Vec::new();
+        for tick in 0..EPOCHS as Epoch {
+            for q in tick_queries(&whole.checkpoint_epochs()) {
+                sessions.push(whole.register(&q).unwrap_or_else(|e| panic!("{label}: {q}: {e}")));
+                sql.push(q);
+            }
+            whole.run_epochs(1);
+            if whole.checkpoint_epochs().last() == Some(&tick) {
+                let bytes = whole.checkpoint_store_bytes().expect("a checkpointing engine");
+                let finished = sessions.iter().map(|s| s.status() != SessionStatus::Active).collect();
+                saved.push((tick, bytes, finished));
+            }
+        }
+        let retained = whole.checkpoint_epochs();
+        assert_eq!(retained, vec![2, 5, 8, 11, 14], "{label}: the cadence-3 run retains these");
+        assert_eq!(saved.iter().map(|(at, ..)| *at).collect::<Vec<_>>(), retained, "{label}");
+
+        for (at, bytes, finished) in &saved {
+            // A new engine adopts the store as it was after epoch `at` and resumes at
+            // `at + 1`.  The sessions registered until then are registered again, in
+            // order, so every scope id lines up; those that had finished are cancelled.
+            let store = CheckpointStore::from_bytes(bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let mut restarted = boot(&cell).with_checkpoint_store(store);
+            let mut twins: Vec<Session> = Vec::new();
+            for (q, &done) in sql.iter().zip(finished) {
+                let mut twin = restarted.register(q).unwrap_or_else(|e| panic!("{label}, restart at {at}: {q}: {e}"));
+                if done {
+                    assert!(twin.cancel(), "{label}: a fresh session cancels");
+                }
+                twins.push(twin);
+            }
+            // Then the tick's queries, tick by tick, as the whole run registered them.
+            for _ in at + 1..EPOCHS as Epoch {
+                for q in tick_queries(&restarted.checkpoint_epochs()) {
+                    assert_eq!(Some(&q), sql.get(twins.len()), "{label}, restart at {at}: the same queries");
+                    twins.push(restarted.register(&q).unwrap_or_else(|e| panic!("{label}: {q}: {e}")));
+                }
+                restarted.run_epochs(1);
+            }
+            assert_eq!(twins.len(), sessions.len(), "{label}, restart at {at}: every query registered");
+            let answered = sessions[finished.len()..].iter().filter(|s| !s.results().is_empty()).count();
+            assert!(answered > 0, "{label}, restart at {at}: the sessions after the restart answer");
+            for (i, (a, b)) in sessions.iter().zip(&twins).enumerate().skip(finished.len()) {
+                assert_eq!(a.id(), b.id(), "{label}, restart at {at}: session {i}'s id");
+                assert_eq!(a.results(), b.results(), "{label}, restart at {at}: {}", sql[i]);
+                assert_eq!(a.totals(), b.totals(), "{label}, restart at {at}: attributed metrics of {}", sql[i]);
+            }
+            for (i, done) in finished.iter().enumerate() {
+                if !done {
+                    let (a, b) = (&sessions[i], &twins[i]);
+                    assert_eq!(a.results(), b.results(), "{label}, restart at {at}: live {}", sql[i]);
+                    assert_eq!(a.totals(), b.totals(), "{label}, restart at {at}: live {}", sql[i]);
+                }
+            }
+            restarts += 1;
+        }
+    }
+    assert_eq!(restarts, 60, "five restart points on each of the 12 smoke cells");
 }

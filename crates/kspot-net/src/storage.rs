@@ -267,6 +267,13 @@ impl SlidingWindow {
         self.len() == 0
     }
 
+    /// Samples pushed, plus those the window was built with: the newest sample came in
+    /// with push `pushed() - 1`, so two reads of one window tell how many samples it
+    /// took in between.
+    pub fn pushed(&self) -> u64 {
+        self.pushed
+    }
+
     /// Appends a sample for `epoch`.  Epochs must be appended in non-decreasing order —
     /// sensors sample time monotonically.
     pub fn push(&mut self, epoch: Epoch, value: Value) {

@@ -208,31 +208,53 @@ pub fn record_bytes(samples: usize) -> usize {
 
 // --- encoding ---------------------------------------------------------------------
 
+/// Bytes of an image of `records` node records holding `samples` samples in all:
+/// header, records, seal.
+pub(crate) fn image_bytes(records: usize, samples: usize) -> usize {
+    IMAGE_HEADER_BYTES + 8 * records + 16 * samples + 8
+}
+
 /// Encodes one snapshot of `bank` as a checkpoint image.  Encoding iterates the live
 /// windows without storage accounting — it is the page *writes* of the resulting
 /// image that the store charges, not the SRAM reads that produce it.
 pub fn encode_image(bank: &WindowBank, epoch: Epoch) -> Vec<u8> {
-    // Header, one record per window, checksum: the image's exact size.
-    let image_bytes =
-        IMAGE_HEADER_BYTES + bank.windows().map(|(_, w)| record_bytes(w.len())).sum::<usize>() + 8;
-    let mut out = Vec::with_capacity(image_bytes);
+    let samples = bank.windows().map(|(_, w)| w.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(image_bytes(bank.node_ids().len(), samples));
+    let records = bank.windows().map(|(node, window)| (node, window.as_slice()));
+    write_image(&mut out, epoch, bank.capacity(), bank.node_ids().len(), records);
+    out
+}
+
+/// Appends the sealed image of `records`, `count` of them, each a node and its samples
+/// (ascending node, each ascending in epoch), as of `epoch` at `capacity`, to `out`:
+/// the one encoder of the format, for a live bank ([`encode_image`]) and for the
+/// store's logs ([`crate::CheckpointStore::to_bytes`]) alike.
+pub(crate) fn write_image<'a>(
+    out: &mut Vec<u8>,
+    epoch: Epoch,
+    capacity: usize,
+    count: usize,
+    records: impl Iterator<Item = (NodeId, &'a [(Epoch, Value)])>,
+) {
+    let at = out.len();
     out.extend_from_slice(&IMAGE_MAGIC);
-    put_u16(&mut out, FORMAT_VERSION);
-    put_u64(&mut out, epoch);
-    put_u32(&mut out, bank.capacity() as u32);
-    put_u32(&mut out, bank.node_ids().len() as u32);
-    for (node, window) in bank.windows() {
-        put_u32(&mut out, node);
-        put_u32(&mut out, window.len() as u32);
+    put_u16(out, FORMAT_VERSION);
+    put_u64(out, epoch);
+    put_u32(out, capacity as u32);
+    put_u32(out, count as u32);
+    for (node, samples) in records {
+        put_u32(out, node);
+        put_u32(out, samples.len() as u32);
         // The record's samples in one pass over their slots, sized up front.
         let run = out.len();
-        out.resize(run + 16 * window.len(), 0);
-        for (slot, (e, v)) in out[run..].chunks_exact_mut(16).zip(window.iter()) {
+        out.resize(run + 16 * samples.len(), 0);
+        for (slot, (e, v)) in out[run..].chunks_exact_mut(16).zip(samples) {
             slot[..8].copy_from_slice(&e.to_be_bytes());
             slot[8..].copy_from_slice(&v.to_bits().to_be_bytes());
         }
     }
-    checksum_seal(out)
+    let sum = seal(&out[at..]);
+    out.extend_from_slice(&sum.to_be_bytes());
 }
 
 /// Encodes the manifest of a ring that keeps `retention` images, for the retained
@@ -309,84 +331,37 @@ pub struct SnapshotImage {
 ///
 /// A node record is one contiguous run of 16-byte samples, so each is bounds-checked
 /// once and read in one validating pass into a window sized by its sample count — never
-/// by the declared capacity, which no byte backs.  The bank's span is the union of the
-/// records' epochs: a live bank writes the same epochs into every record, so a record
-/// costs one comparison of its epochs with the first non-empty record's, and only a
-/// record that differs (which only a hand-built image has) is merged in.
-/// [`crate::CheckpointStore::restore`] reads an image the same way but materialises
-/// only the samples of the span it opens, and checks nothing again: an image in the
-/// store was encoded there or validated on its way in.
+/// by the declared capacity, which no byte backs.  The bank is cut from the records by
+/// `SpanCut`, as [`crate::CheckpointStore::restore`] cuts a span from the samples its
+/// logs hold, checking nothing again: the store holds only what it took from a live
+/// bank or what [`crate::CheckpointStore::from_bytes`] validated on its way in.
 pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, StoreError> {
-    let mut image = decode(bytes, usize::MAX)?;
-    let records = std::mem::take(&mut image.records);
-    Ok(SnapshotImage { epoch: image.epoch, records, bank: image.into_bank() })
+    let image = decode(bytes)?;
+    let bank = image.cut.into_bank(image.capacity);
+    Ok(SnapshotImage { epoch: image.epoch, records: image.records, bank })
 }
 
-/// A checkpoint image the store reads back without checking it again: one
-/// [`encode_image`] wrote of a bank, or one the validating [`decode`] accepted whole.
-/// Only this module makes one, so that every image in the store's ring was made by one
-/// of the two, and the one door for bytes from elsewhere is the validating pass.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Image {
-    epoch: Epoch,
-    bytes: Vec<u8>,
-}
-
-impl Image {
-    /// The image of `bank` as of `epoch`.
-    pub(crate) fn encode(bank: &WindowBank, epoch: Epoch) -> Self {
-        Self { epoch, bytes: encode_image(bank, epoch) }
-    }
-
-    /// Validates untrusted `bytes` as one image — seal, counts, order and values, no
-    /// bank built — and keeps a copy.
-    pub(crate) fn validated(bytes: &[u8]) -> Result<Self, StoreError> {
-        let epoch = decode(bytes, 0)?.epoch;
-        Ok(Self { epoch, bytes: bytes.to_vec() })
-    }
-
-    /// The snapshot epoch.
-    pub(crate) fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
-    /// The encoded bytes, seal included.
-    pub(crate) fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// The image's newest `span` covered epochs, as [`decode`] materialises them, read
-    /// off the records' headers without checking the seal or a sample again.
-    pub(crate) fn open(&self, span: usize) -> Decoded {
-        read::<false>(&self.bytes, span).expect("an image reads back as it was encoded or validated")
-    }
-}
-
-/// An image [`decode`] validated, or an [`Image`] opened, and the samples of the span it
-/// materialised.
-#[derive(Debug)]
-pub(crate) struct Decoded {
+/// An image [`decode`] validated, and every sample of it, cut as a span of all its
+/// epochs.
+pub(crate) struct Decoded<'a> {
     /// The newest epoch the snapshot covers.
     pub(crate) epoch: Epoch,
-    capacity: usize,
+    /// The bank's capacity in epochs.
+    pub(crate) capacity: usize,
     /// Every node record, ascending node id, with its sample count, as
     /// [`SnapshotImage::records`].
     pub(crate) records: Vec<(NodeId, usize)>,
-    /// A window per record that holds a sample: its samples from the span's first epoch
-    /// on.  Empty for a span of 0.
-    windows: Vec<(NodeId, Vec<(Epoch, Value)>)>,
-    /// The span's epochs, ascending: the newest `span` of the last `capacity` distinct
-    /// sample epochs.
-    covered: Vec<Epoch>,
-    /// The distinct sample epochs.
-    fed: u64,
+    cut: SpanCut<'a, [u8; 16]>,
 }
 
-impl Decoded {
-    /// The bank of the span: a view of its newest `span` epochs reads what it would
-    /// read of the whole image's bank.
-    pub(crate) fn into_bank(self) -> WindowBank {
-        WindowBank::from_windows(self.capacity, self.windows, self.covered, self.fed)
+impl Decoded<'_> {
+    /// Every record, ascending node id, with its samples.
+    pub(crate) fn into_records(self) -> impl Iterator<Item = (NodeId, Vec<(Epoch, Value)>)> {
+        let mut windows = self.cut.windows.into_iter().map(|(_, samples)| samples);
+        self.records.into_iter().map(move |(node, count)| {
+            let samples = if count == 0 { Vec::new() } else { windows.next().expect("a window per non-empty record") };
+            (node, samples)
+        })
     }
 }
 
@@ -402,33 +377,16 @@ pub(crate) fn validating_passes() -> usize {
     VALIDATING_PASSES.with(std::cell::Cell::get)
 }
 
-/// [`decode_image`] materialising only the samples of the image's newest `span`
-/// covered epochs — every sample for a span at least as long as the image's, none for
-/// a span of 0 — while validating every byte and every sample whatever the span.
-pub(crate) fn decode(bytes: &[u8], span: usize) -> Result<Decoded, StoreError> {
-    read::<true>(bytes, span)
-}
-
-/// Reads an image's records and materialises the samples of its newest `span` covered
-/// epochs.  `CHECKED` bytes are untrusted: the seal, the header's bounds and every
-/// record's and every sample's invariants are checked, [`decode`]'s validating pass.
-/// Unchecked bytes are an [`Image`]'s, and only their structure is read.
-///
-/// A record's samples of the span are read off the tail of its run into a window sized
-/// by their count.  The span's first epoch is at least the `span`-th newest epoch of the
-/// first non-empty record, whose epochs are covered, and that is known before any other
-/// record is read: every record is materialised from there on, and what lies before the
-/// span's true first epoch (only a ragged image has any) is never read by a view of the
-/// span.
-fn read<const CHECKED: bool>(bytes: &[u8], span: usize) -> Result<Decoded, StoreError> {
+/// [`decode_image`]'s validating pass — the seal, the header's bounds and every
+/// record's and every sample's invariants — with every sample cut, before a bank is
+/// built of them.
+pub(crate) fn decode(bytes: &[u8]) -> Result<Decoded<'_>, StoreError> {
     #[cfg(test)]
-    if CHECKED {
-        VALIDATING_PASSES.with(|passes| passes.set(passes.get() + 1));
-    }
-    let mut c = if CHECKED { unsealed(bytes, IMAGE_MAGIC)? } else { Reader::at(bytes, IMAGE_MAGIC.len() + 2)? };
+    VALIDATING_PASSES.with(|passes| passes.set(passes.get() + 1));
+    let mut c = unsealed(bytes, IMAGE_MAGIC)?;
     let epoch = c.u64()?;
     let capacity = c.u32()? as usize;
-    if CHECKED && (capacity == 0 || capacity > MAX_IMAGE_CAPACITY) {
+    if capacity == 0 || capacity > MAX_IMAGE_CAPACITY {
         return Err(StoreError::Oversize {
             what: "capacity",
             declared: capacity as u64,
@@ -439,29 +397,20 @@ fn read<const CHECKED: bool>(bytes: &[u8], span: usize) -> Result<Decoded, Store
     // Each node record is at least 8 bytes (id + sample count).
     let node_count = c.count(declared_nodes, 8)?;
     let mut records: Vec<(NodeId, usize)> = Vec::with_capacity(node_count);
-    let mut windows: Vec<(NodeId, Vec<(Epoch, Value)>)> = Vec::new();
-    if span > 0 {
-        windows.reserve(node_count);
-    }
-    // The first non-empty record's samples, and the epoch the span's samples start at.
-    let mut first: Option<(&[[u8; 16]], Epoch)> = None;
-    // The epochs of every record whose epochs differ from the first's.
-    let mut strays: Vec<Epoch> = Vec::new();
+    let mut cut = SpanCut::new(usize::MAX, node_count);
     let mut prev_node: Option<NodeId> = None;
     for _ in 0..node_count {
         let node = c.u32()?;
-        if CHECKED {
-            if node == SINK {
-                return Err(StoreError::Corrupt("the sink keeps no window"));
-            }
-            if prev_node.is_some_and(|p| node <= p) {
-                return Err(StoreError::Corrupt("node ids not strictly ascending"));
-            }
-            prev_node = Some(node);
+        if node == SINK {
+            return Err(StoreError::Corrupt("the sink keeps no window"));
         }
+        if prev_node.is_some_and(|p| node <= p) {
+            return Err(StoreError::Corrupt("node ids not strictly ascending"));
+        }
+        prev_node = Some(node);
         let declared_samples = c.u32()?;
         let sample_count = c.count(declared_samples, 16)?;
-        if CHECKED && sample_count > capacity {
+        if sample_count > capacity {
             return Err(StoreError::Oversize {
                 what: "sample count",
                 declared: sample_count as u64,
@@ -470,40 +419,109 @@ fn read<const CHECKED: bool>(bytes: &[u8], span: usize) -> Result<Decoded, Store
         }
         records.push((node, sample_count));
         let (run, _) = c.take(16 * sample_count)?.as_chunks::<16>();
-        if CHECKED {
-            check_samples(run, epoch)?;
+        check_samples(run, epoch)?;
+        cut.take(node, run);
+    }
+    c.finish()?;
+    Ok(Decoded { epoch, capacity, records, cut })
+}
+
+/// A sample as a record holds it: encoded in an image's bytes, or in a store's log.
+pub(crate) trait Sample: Copy {
+    /// The sample's epoch.
+    fn epoch(&self) -> Epoch;
+    /// The sample's value.
+    fn value(&self) -> Value;
+}
+
+impl Sample for [u8; 16] {
+    fn epoch(&self) -> Epoch {
+        u64::from_be_bytes(*self.first_chunk().expect("8 of 16 bytes"))
+    }
+
+    fn value(&self) -> Value {
+        Value::from_bits(u64::from_be_bytes(*self.last_chunk().expect("8 of 16 bytes")))
+    }
+}
+
+impl Sample for (Epoch, Value) {
+    fn epoch(&self) -> Epoch {
+        self.0
+    }
+
+    fn value(&self) -> Value {
+        self.1
+    }
+}
+
+/// The samples of an image's newest `span` covered epochs, cut record by record in
+/// ascending node order: the span function both [`decode`] (over an image's bytes) and
+/// [`crate::CheckpointStore::restore`] (over the store's logs) read a snapshot through.
+///
+/// A record's samples of the span are read off the tail of its run into a window sized
+/// by their count.  The span's first epoch is at least the `span`-th newest epoch of the
+/// first non-empty record, whose epochs are covered, and that is known before any other
+/// record is read: every record is materialised from there on, and what lies before the
+/// span's true first epoch (only a ragged image has any) is never read by a view of the
+/// span.  The bank's span is the union of the records' epochs: a live bank writes the
+/// same epochs into every record, so a record costs one comparison of its epochs with
+/// the first non-empty record's, and only a record that differs (which only a hand-built
+/// image has) is merged in.
+pub(crate) struct SpanCut<'a, S> {
+    span: usize,
+    /// The first non-empty record's samples, and the epoch the span's samples start at.
+    first: Option<(&'a [S], Epoch)>,
+    /// The epochs of every record whose epochs differ from the first's.
+    strays: Vec<Epoch>,
+    /// A window per record that holds a sample: its samples from the span's first epoch
+    /// on.  Empty for a span of 0.
+    windows: Vec<(NodeId, Vec<(Epoch, Value)>)>,
+}
+
+impl<'a, S: Sample> SpanCut<'a, S> {
+    /// A cut of the newest `span` epochs of an image of `records` node records.
+    pub(crate) fn new(span: usize, records: usize) -> Self {
+        let mut windows = Vec::new();
+        if span > 0 {
+            windows.reserve(records);
         }
+        Self { span, first: None, strays: Vec::new(), windows }
+    }
+
+    /// Cuts the next record, `node`'s samples `run`, ascending in epoch.
+    pub(crate) fn take(&mut self, node: NodeId, run: &'a [S]) {
+        let span = self.span;
         if span == 0 || run.is_empty() {
-            continue;
+            return;
         }
-        let (first_run, from) = match first {
-            Some(first) => first,
-            None => {
-                let from = run.len().checked_sub(span).map_or(0, |at| epoch_of(&run[at]));
-                *first.insert((run, from))
-            }
-        };
+        let &mut (first_run, from) = self
+            .first
+            .get_or_insert_with(|| (run, run.len().checked_sub(span).map_or(0, |at| run[at].epoch())));
         if !same_epochs(run, first_run) {
-            strays.extend(run.iter().map(epoch_of));
+            self.strays.extend(run.iter().map(Sample::epoch));
         }
-        let tail = &run[run.partition_point(|sample| epoch_of(sample) < from)..];
-        let kept = tail.len();
-        let mut samples: Vec<(Epoch, Value)> = Vec::with_capacity(kept);
-        samples.extend(tail.iter().map(|sample| (epoch_of(sample), value_of(sample))));
-        windows.push((node, samples));
+        let tail = &run[run.partition_point(|sample| sample.epoch() < from)..];
+        let mut samples: Vec<(Epoch, Value)> = Vec::with_capacity(tail.len());
+        samples.extend(tail.iter().map(|sample| (sample.epoch(), sample.value())));
+        self.windows.push((node, samples));
     }
-    if CHECKED {
-        c.finish()?;
+
+    /// The bank of the span, at `capacity`: a view of its newest `span` epochs reads
+    /// what it would read of the whole image's bank.  Its covered epochs are the newest
+    /// `span` of the last `capacity` distinct sample epochs, and it was fed as many
+    /// epochs as there are distinct ones.
+    pub(crate) fn into_bank(self, capacity: usize) -> WindowBank {
+        let Self { span, first, mut strays, windows } = self;
+        let mut covered: Vec<Epoch> = first.map_or_else(Vec::new, |(run, _)| run.iter().map(Sample::epoch).collect());
+        if !strays.is_empty() {
+            covered.append(&mut strays);
+            covered.sort_unstable();
+            covered.dedup();
+        }
+        let fed = covered.len() as u64;
+        covered.drain(..covered.len().saturating_sub(capacity.min(span)));
+        WindowBank::from_windows(capacity, windows, covered, fed)
     }
-    let mut covered: Vec<Epoch> = first.map_or_else(Vec::new, |(run, _)| run.iter().map(epoch_of).collect());
-    if !strays.is_empty() {
-        covered.append(&mut strays);
-        covered.sort_unstable();
-        covered.dedup();
-    }
-    let fed = covered.len() as u64;
-    covered.drain(..covered.len().saturating_sub(capacity.min(span)));
-    Ok(Decoded { epoch, capacity, records, windows, covered, fed })
 }
 
 /// Checks one record's samples, in decoding order: none past the snapshot `epoch`,
@@ -511,14 +529,14 @@ fn read<const CHECKED: bool>(bytes: &[u8], span: usize) -> Result<Decoded, Store
 fn check_samples(run: &[[u8; 16]], epoch: Epoch) -> Result<(), StoreError> {
     let mut prev: Option<Epoch> = None;
     for sample in run {
-        let e = epoch_of(sample);
+        let e = sample.epoch();
         if e > epoch {
             return Err(StoreError::Corrupt("sample epoch past the snapshot epoch"));
         }
         if prev.is_some_and(|p| e <= p) {
             return Err(StoreError::Corrupt("sample epochs not strictly ascending"));
         }
-        if !value_of(sample).is_finite() {
+        if !sample.value().is_finite() {
             return Err(StoreError::Corrupt("non-finite sample value"));
         }
         prev = Some(e);
@@ -526,25 +544,15 @@ fn check_samples(run: &[[u8; 16]], epoch: Epoch) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Whether two validated records, each strictly ascending in epoch, hold the same
-/// epochs.  Over a gapless run of epochs the count and the two ends tell: `n` strictly
-/// ascending epochs from `a` to `a + n - 1` are every epoch between.
-fn same_epochs(run: &[[u8; 16]], other: &[[u8; 16]]) -> bool {
-    let ends = |run: &[[u8; 16]]| Some((epoch_of(run.first()?), epoch_of(run.last()?)));
+/// Whether two records, each strictly ascending in epoch, hold the same epochs.  Over a
+/// gapless run of epochs the count and the two ends tell: `n` strictly ascending epochs
+/// from `a` to `a + n - 1` are every epoch between.
+fn same_epochs<S: Sample>(run: &[S], other: &[S]) -> bool {
+    let ends = |run: &[S]| Some((run.first()?.epoch(), run.last()?.epoch()));
     run.len() == other.len()
         && ends(run) == ends(other)
         && (ends(run).is_some_and(|(first, last)| last - first == run.len() as Epoch - 1)
-            || run.iter().map(epoch_of).eq(other.iter().map(epoch_of)))
-}
-
-/// The epoch of one encoded sample.
-fn epoch_of(sample: &[u8; 16]) -> Epoch {
-    u64::from_be_bytes(*sample.first_chunk().expect("8 of 16 bytes"))
-}
-
-/// The value of one encoded sample.
-fn value_of(sample: &[u8; 16]) -> Value {
-    Value::from_bits(u64::from_be_bytes(*sample.last_chunk().expect("8 of 16 bytes")))
+            || run.iter().map(Sample::epoch).eq(other.iter().map(Sample::epoch)))
 }
 
 /// One manifest entry: a retained image's snapshot epoch and its byte extent on the

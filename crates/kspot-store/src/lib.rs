@@ -11,8 +11,9 @@
 //!   plus the untrusted-input decoder whose every allocation is validated first — the
 //!   checkpoint path is the workspace's second untrusted-byte boundary after the
 //!   `kspot-serve` wire parser, and is linted by the same R6 rule;
-//! * [`store`] — [`CheckpointStore`], the log-structured ring of encoded snapshots on
-//!   the modeled flash device, charging every page write and read through the
+//! * [`store`] — [`CheckpointStore`], the log-structured ring of snapshots on the
+//!   modeled flash device (held as one sample log per node, encoded into images by
+//!   [`CheckpointStore::to_bytes`]), charging every page write and read through the
 //!   [`kspot_net::Network`] storage cost model so the ledger conservation law extends
 //!   to storage.  [`CheckpointStore::restore`] opens the same
 //!   [`kspot_algos::BankWindows`] view the engine answers live queries from, owning

@@ -1,8 +1,11 @@
-//! [`CheckpointStore`]: the ring of encoded snapshots on the modeled flash device.
+//! [`CheckpointStore`]: the ring of snapshots on the modeled flash device.
 
-use crate::format::{encode_manifest, pages_for, record_bytes, split_manifest, Image, StoreError};
+use crate::format::{
+    decode, encode_manifest, image_bytes, pages_for, record_bytes, split_manifest, write_image, SpanCut,
+    StoreError,
+};
 use kspot_algos::BankWindows;
-use kspot_net::{Epoch, Network, WindowBank};
+use kspot_net::{Epoch, Network, NodeId, SlidingWindow, Value, WindowBank};
 use std::collections::VecDeque;
 
 /// Default number of snapshots the ring retains before the oldest is overwritten.
@@ -10,34 +13,173 @@ pub const DEFAULT_RETENTION: usize = 8;
 
 /// A log-structured ring of checkpoint images over the modeled flash device.
 ///
-/// Every `cadence` epochs the engine snapshots its shared [`WindowBank`] into an
-/// encoded image; the ring keeps the most recent `retention` images
-/// ([`DEFAULT_RETENTION`] unless [`CheckpointStore::with_retention`] says otherwise),
-/// indexed by a small manifest.  Page writes (at checkpoint time, charged to every
-/// node that owns a window — each mote persists its *own* column) and page reads
-/// (at restore time, charged under the restoring query's scope) go through
-/// [`Network::charge_page_writes`] / [`Network::charge_page_reads`], so the ledger
-/// conservation law extends to storage.
+/// Every `cadence` epochs the engine snapshots its shared [`WindowBank`]; the ring keeps
+/// the most recent `retention` snapshots ([`DEFAULT_RETENTION`] unless
+/// [`CheckpointStore::with_retention`] says otherwise), indexed by a small manifest.
+/// Page writes (at checkpoint time, charged to every node that owns a window — each
+/// mote persists its *own* column) and page reads (at restore time, charged under the
+/// restoring query's scope) go through [`Network::charge_page_writes`] /
+/// [`Network::charge_page_reads`], so the ledger conservation law extends to storage.
 ///
-/// The store never hands out live memory at restore time: `AS OF` answers always
-/// decode the **encoded bytes** back into a fresh bank, which is what makes the
-/// durability claim testable — a store deserialised from [`CheckpointStore::to_bytes`]
-/// restores byte-identical answers.  Bytes from outside are validated once, by
-/// [`CheckpointStore::from_bytes`]; the ring holds only images that were, or that
-/// this store encoded, so a restore reads them without checking them again.
-#[derive(Debug, Clone, PartialEq)]
+/// The device holds one sealed image per snapshot, and that is what
+/// [`CheckpointStore::to_bytes`] writes — the only place an image is encoded and
+/// sealed.  The host holds the ring as one append-only sample log per node (ADR-015):
+/// a snapshot is its epoch, its capacity and, per record, where the record's samples
+/// lie in its node's log, and consecutive snapshots of one window share the samples
+/// they have in common.  A checkpoint appends only what each window took in since the
+/// previous one — counted by [`SlidingWindow::pushed`], and only where the window is
+/// seen to continue its log — and a restore cuts its span from the logs with the span
+/// function the decoder cuts an image's bytes with, so an `AS OF` answer is the one the
+/// encoded bytes give: a store deserialised from [`CheckpointStore::to_bytes`] restores
+/// byte-identical answers.  Bytes from outside are validated once, by
+/// [`CheckpointStore::from_bytes`], whose validated images are loaded into the logs;
+/// nothing after that checks them again.  Two stores are equal when their devices hold
+/// the same content — epochs, capacities and every record's samples — however their
+/// logs are laid out.
+#[derive(Debug, Clone)]
 pub struct CheckpointStore {
     cadence: u64,
     retention: usize,
-    /// Retained images, oldest first.
-    images: VecDeque<Image>,
+    /// Retained snapshots, oldest first.
+    snapshots: VecDeque<Snapshot>,
+    /// One log per node any retained snapshot holds a record of, ascending by node.
+    logs: Vec<Log>,
+}
+
+/// One retained snapshot: what its image holds, with the samples left in the logs.
+#[derive(Debug, Clone)]
+struct Snapshot {
+    epoch: Epoch,
+    capacity: usize,
+    /// One record per window of the bank, ascending by node.
+    records: Vec<Record>,
+    /// The encoded image's length in bytes.
+    bytes: usize,
+}
+
+/// One node record of a snapshot: `len` samples of the node's log from position `start`.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    node: NodeId,
+    start: u64,
+    len: usize,
+}
+
+/// One node's append-only log of samples.  Positions count from the log's first sample
+/// ever, so a record keeps its position when the log drops a prefix.
+#[derive(Debug, Clone)]
+struct Log {
+    node: NodeId,
+    /// The samples from position `base` on.
+    samples: Vec<(Epoch, Value)>,
+    base: u64,
+    /// The window the last checkpoint appended from, if one did since the log was
+    /// loaded: it ends the log.
+    mark: Option<Mark>,
+}
+
+/// What a checkpoint knew of the window it appended from.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    /// The window's [`SlidingWindow::pushed`] then: its newest sample ends the log.
+    pushed: u64,
+    /// Its capacity then.
+    capacity: usize,
+}
+
+/// Whether two samples are the same sample, bit for bit.
+fn same(a: (Epoch, Value), b: (Epoch, Value)) -> bool {
+    a.0 == b.0 && a.1.to_bits() == b.1.to_bits()
+}
+
+impl Log {
+    fn new(node: NodeId) -> Self {
+        Self { node, samples: Vec::new(), base: 0, mark: None }
+    }
+
+    /// The position past the log's last sample.
+    fn end(&self) -> u64 {
+        self.base + self.samples.len() as u64
+    }
+
+    /// The samples of `record`.
+    fn samples_of(&self, record: &Record) -> &[(Epoch, Value)] {
+        let at = (record.start - self.base) as usize;
+        &self.samples[at..at + record.len]
+    }
+
+    /// How many of `window`'s oldest samples end the log already: those it held when the
+    /// mark was set, if the window is seen to continue the log — its capacity is the
+    /// mark's, it has pushed no fewer samples since, and the first and the last of the
+    /// samples it still holds from then are the log's.  Otherwise none: a window the log
+    /// does not continue (a restarted engine's adopted one, a grown one, another bank's)
+    /// gets a whole new range.
+    fn continued_by(&self, window: &SlidingWindow) -> usize {
+        let Some(mark) = self.mark else { return 0 };
+        let held = window.as_slice();
+        if window.capacity() != mark.capacity || window.pushed() < mark.pushed {
+            return 0;
+        }
+        let fresh = window.pushed() - mark.pushed;
+        let overlap = held.len().saturating_sub(usize::try_from(fresh).unwrap_or(usize::MAX));
+        if overlap == 0 || overlap > self.samples.len() {
+            return 0;
+        }
+        let tail = &self.samples[self.samples.len() - overlap..];
+        if same(tail[0], held[0]) && same(tail[overlap - 1], held[overlap - 1]) {
+            overlap
+        } else {
+            0
+        }
+    }
+
+    /// Records `window` in the log: appends what the log does not already end with and
+    /// returns where the window's samples start.  When the buffer is full, the prefix no
+    /// retained record covers is dropped first — `live` gives the first position a
+    /// retained record other than this one covers.
+    fn append(&mut self, window: &SlidingWindow, live: impl FnOnce() -> Option<u64>) -> u64 {
+        let overlap = self.continued_by(window);
+        let start = self.end() - overlap as u64;
+        let fresh = &window.as_slice()[overlap..];
+        if self.samples.capacity() - self.samples.len() < fresh.len() {
+            let keep = live().map_or(start, |live| live.min(start));
+            self.samples.drain(..(keep - self.base) as usize);
+            self.base = keep;
+            // Room past the live samples, so that dropping is paid once per so many appends.
+            let room = fresh.len() + self.samples.len() / 8 + 1;
+            self.samples.reserve_exact(room);
+        }
+        self.samples.extend_from_slice(fresh);
+        self.mark = Some(Mark { pushed: window.pushed(), capacity: window.capacity() });
+        start
+    }
+
+    /// Appends a whole record's samples, as loaded from an image: a new range.  A
+    /// loaded log remembers no window, so no window is taken to continue it.
+    fn load(&mut self, samples: &[(Epoch, Value)]) -> u64 {
+        let start = self.end();
+        self.samples.extend_from_slice(samples);
+        start
+    }
+}
+
+/// Where `node`'s log is in `logs`, ascending by node, from `at` on; a new one is
+/// inserted where it belongs if there is none.
+fn log_at(logs: &mut Vec<Log>, at: &mut usize, node: NodeId) -> usize {
+    while logs.get(*at).is_some_and(|log| log.node < node) {
+        *at += 1;
+    }
+    if logs.get(*at).is_none_or(|log| log.node != node) {
+        logs.insert(*at, Log::new(node));
+    }
+    *at
 }
 
 impl CheckpointStore {
     /// Creates an empty store that checkpoints every `cadence` epochs.
     pub fn new(cadence: u64) -> Self {
         assert!(cadence > 0, "checkpoint cadence must be at least one epoch");
-        Self { cadence, retention: DEFAULT_RETENTION, images: VecDeque::new() }
+        Self { cadence, retention: DEFAULT_RETENTION, snapshots: VecDeque::new(), logs: Vec::new() }
     }
 
     /// Overrides how many snapshots the ring retains.
@@ -50,23 +192,23 @@ impl CheckpointStore {
 
     /// True when no snapshot has been taken yet.
     pub fn is_empty(&self) -> bool {
-        self.images.is_empty()
+        self.snapshots.is_empty()
     }
 
     /// Snapshot epochs currently retained, oldest first.
     pub fn snapshot_epochs(&self) -> Vec<Epoch> {
-        self.images.iter().map(Image::epoch).collect()
+        self.snapshots.iter().map(|s| s.epoch).collect()
     }
 
     /// The newest retained snapshot epoch.
     pub fn latest_epoch(&self) -> Option<Epoch> {
-        self.images.back().map(Image::epoch)
+        self.snapshots.back().map(|s| s.epoch)
     }
 
     /// Total encoded bytes currently on the device (images only; the manifest rides
     /// in the sink's mains-powered storage).
     pub fn stored_bytes(&self) -> u64 {
-        self.images.iter().map(|img| img.bytes().len() as u64).sum()
+        self.snapshots.iter().map(|s| s.bytes as u64).sum()
     }
 
     /// True when the engine, having fed `epochs_fed` epochs into the bank, owes the
@@ -75,27 +217,39 @@ impl CheckpointStore {
         epochs_fed > 0 && epochs_fed.is_multiple_of(self.cadence)
     }
 
-    /// Snapshots `bank` as of `epoch`: encodes an image, charges each window-owning
-    /// node the flash page writes for its own record, and appends the image to the
-    /// ring (evicting the oldest beyond the retention bound).  Checkpoint writes are
-    /// substrate duty — like epoch baselines they run outside any query scope.
+    /// Snapshots `bank` as of `epoch`: charges each window-owning node the flash page
+    /// writes for its own record, appends to each node's log what its window took in
+    /// since the last checkpoint, and adds the snapshot to the ring (evicting the oldest
+    /// beyond the retention bound).  Checkpoint writes are substrate duty — like epoch
+    /// baselines they run outside any query scope.
     pub fn checkpoint(&mut self, bank: &mut WindowBank, epoch: Epoch, net: &mut Network) {
-        let image = Image::encode(bank, epoch);
         for (node, window) in bank.windows() {
             let bytes = record_bytes(window.len());
             net.charge_page_writes(node, pages_for(bytes), bytes as u64);
         }
-        if let Some(back) = self.images.back_mut() {
-            if back.epoch() == epoch {
-                // Same-epoch re-checkpoint (e.g. a forced snapshot): replace in place.
-                *back = image;
-                return;
-            }
+        // A same-epoch re-checkpoint (e.g. a forced snapshot) replaces the newest one in
+        // place; otherwise a full ring evicts its oldest.  Either way its record list is
+        // reused, and its samples are left to the next drop of a log's prefix.
+        let replaced = if self.snapshots.back().is_some_and(|s| s.epoch == epoch) {
+            self.snapshots.pop_back()
+        } else if self.snapshots.len() == self.retention {
+            self.snapshots.pop_front()
+        } else {
+            None
+        };
+        let mut records = replaced.map_or_else(|| Vec::with_capacity(bank.node_ids().len()), |s| s.records);
+        records.clear();
+        let Self { snapshots, logs, .. } = self;
+        let (mut at, mut samples) = (0, 0);
+        for (node, window) in bank.windows() {
+            let log = log_at(logs, &mut at, node);
+            let live = || snapshots.iter().filter_map(|s| Some(s.records[s.position(node)?].start)).min();
+            let start = logs[log].append(window, live);
+            records.push(Record { node, start, len: window.len() });
+            samples += window.len();
         }
-        self.images.push_back(image);
-        while self.images.len() > self.retention {
-            self.images.pop_front();
-        }
+        let bytes = image_bytes(records.len(), samples);
+        snapshots.push_back(Snapshot { epoch, capacity: bank.capacity(), records, bytes });
     }
 
     /// Restores the snapshot taken at exactly `epoch` and opens a [`BankWindows`] view
@@ -104,62 +258,82 @@ impl CheckpointStore {
     /// is installed on `net` — restore cost belongs to the `AS OF` session that asked
     /// for it.  Only the samples of the view's span are materialised: the view reads
     /// what it would read of the whole image's bank, and the pages charged are every
-    /// record's.  The image is not checked again — the store encoded it, or
-    /// [`Self::from_bytes`] validated it — so the only error is an epoch not retained.
+    /// record's.  Nothing is checked again — the samples were taken from a live bank or
+    /// validated by [`Self::from_bytes`] — so the only error is an epoch not retained.
     pub fn restore(
         &self,
         epoch: Epoch,
         window: usize,
         net: &mut Network,
     ) -> Result<BankWindows<'static>, StoreError> {
-        let image = self
-            .images
-            .iter()
-            .find(|img| img.epoch() == epoch)
-            .ok_or(StoreError::NoSnapshot(epoch))?
-            .open(window);
-        for &(node, samples) in &image.records {
-            net.charge_page_reads(node, pages_for(record_bytes(samples)));
+        let snapshot = self.snapshots.iter().find(|s| s.epoch == epoch).ok_or(StoreError::NoSnapshot(epoch))?;
+        for record in &snapshot.records {
+            net.charge_page_reads(record.node, pages_for(record_bytes(record.len)));
         }
-        Ok(BankWindows::owned(image.into_bank(), window))
+        Ok(BankWindows::owned(self.bank_of(snapshot, window), window))
     }
 
     /// Restores the newest snapshot into a bare [`WindowBank`] without charging —
     /// the restore-on-construct path, where the engine re-adopts its own durable
     /// state before any query runs (crash recovery is not billed to a query).  Like
-    /// [`Self::restore`], it reads an image that was validated on its way in.
+    /// [`Self::restore`], it checks nothing again.
     pub fn restore_latest_bank(&self) -> Option<WindowBank> {
-        Some(self.images.back()?.open(usize::MAX).into_bank())
+        Some(self.bank_of(self.snapshots.back()?, usize::MAX))
+    }
+
+    /// The bank of `snapshot`'s newest `span` covered epochs, cut from the logs as
+    /// [`crate::format::decode`] cuts it from the snapshot's image.
+    fn bank_of(&self, snapshot: &Snapshot, span: usize) -> WindowBank {
+        let mut cut = SpanCut::new(span, snapshot.records.len());
+        for (node, samples) in self.records_of(snapshot) {
+            cut.take(node, samples);
+        }
+        cut.into_bank(snapshot.capacity)
+    }
+
+    /// `snapshot`'s records, ascending by node: each node and the record's samples.
+    fn records_of<'a>(&'a self, snapshot: &'a Snapshot) -> impl Iterator<Item = (NodeId, &'a [(Epoch, Value)])> {
+        let mut logs = self.logs.iter();
+        snapshot.records.iter().map(move |record| {
+            let log = logs.find(|log| log.node == record.node).expect("every record's node keeps a log");
+            (record.node, log.samples_of(record))
+        })
     }
 
     /// The manifest describing the current ring, as sealed bytes.
     pub fn manifest_bytes(&self) -> Vec<u8> {
-        let entries: Vec<(Epoch, usize)> =
-            self.images.iter().map(|img| (img.epoch(), img.bytes().len())).collect();
+        let entries: Vec<(Epoch, usize)> = self.snapshots.iter().map(|s| (s.epoch, s.bytes)).collect();
         encode_manifest(self.cadence, self.retention, &entries)
     }
 
     /// Serialises the whole store — manifest followed by the image log — for
-    /// persistence across engine restarts.
+    /// persistence across engine restarts.  This is where each snapshot's image is
+    /// encoded and sealed.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = self.manifest_bytes();
-        for img in &self.images {
-            out.extend_from_slice(img.bytes());
+        out.reserve_exact(self.snapshots.iter().map(|s| s.bytes).sum());
+        for snapshot in &self.snapshots {
+            let records = self.records_of(snapshot);
+            write_image(&mut out, snapshot.epoch, snapshot.capacity, snapshot.records.len(), records);
         }
         out
     }
 
     /// Rebuilds a store from [`Self::to_bytes`] output.  The manifest is validated
     /// eagerly; each image extent is sliced out and run through the decoder's
-    /// validating pass with an empty span — seal, counts, order and values, no bank
-    /// built — so a torn or tampered log fails here with a typed error rather than at
-    /// first query.  This is the one door for bytes from outside the store: each image
-    /// is validated here once, and never again.
+    /// validating pass — seal, counts, order and values — so a torn or tampered log
+    /// fails here with a typed error rather than at first query.  This is the one door
+    /// for bytes from outside the store: each image is validated here once, its records
+    /// are loaded whole into the logs as new ranges, and nothing checks them again.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         let (manifest, log) = split_manifest(bytes)?;
         // Both validated by the manifest decoder; no assertion stands behind these bytes.
-        let mut store =
-            Self { cadence: manifest.cadence, retention: manifest.retention, images: VecDeque::new() };
+        let mut store = Self {
+            cadence: manifest.cadence,
+            retention: manifest.retention,
+            snapshots: VecDeque::new(),
+            logs: Vec::new(),
+        };
         // The extents are contiguous from 0, so the log ends where the last one does.
         let mut logged = 0;
         for entry in &manifest.entries {
@@ -169,8 +343,8 @@ impl CheckpointStore {
             if end > log.len() {
                 return Err(StoreError::Truncated);
             }
-            let image = Image::validated(&log[start..end])?;
-            if image.epoch() != entry.epoch {
+            let image = decode(&log[start..end])?;
+            if image.epoch != entry.epoch {
                 return Err(StoreError::Corrupt("manifest epoch disagrees with its image"));
             }
             // An engine adopting the store resumes the epoch after its newest snapshot.
@@ -178,13 +352,54 @@ impl CheckpointStore {
                 let max = Epoch::MAX - 1;
                 return Err(StoreError::Oversize { what: "snapshot epoch", declared: entry.epoch, max });
             }
-            store.images.push_back(image);
+            let (epoch, capacity) = (image.epoch, image.capacity);
+            let mut records = Vec::with_capacity(image.records.len());
+            let mut at = 0;
+            for (node, samples) in image.into_records() {
+                let log = log_at(&mut store.logs, &mut at, node);
+                let start = store.logs[log].load(&samples);
+                records.push(Record { node, start, len: samples.len() });
+            }
+            store.snapshots.push_back(Snapshot { epoch, capacity, records, bytes: len });
             logged = end;
         }
         if log.len() != logged {
             return Err(StoreError::TrailingBytes);
         }
         Ok(store)
+    }
+}
+
+impl Snapshot {
+    /// Where `node`'s record is in `records`, if the snapshot holds one.
+    fn position(&self, node: NodeId) -> Option<usize> {
+        // Deployments number their nodes 1..=n, so a record usually sits at `node - 1`.
+        let guess = (node as usize).wrapping_sub(1);
+        if self.records.get(guess).is_some_and(|r| r.node == node) {
+            Some(guess)
+        } else {
+            self.records.binary_search_by_key(&node, |r| r.node).ok()
+        }
+    }
+}
+
+/// Two stores are equal when their devices are: the same cadence and retention, and
+/// snapshot by snapshot the same epoch, capacity and records, sample for sample and bit
+/// for bit — not the same logs.
+impl PartialEq for CheckpointStore {
+    fn eq(&self, other: &Self) -> bool {
+        let same_records = |a: &Snapshot, b: &Snapshot| {
+            a.records.len() == b.records.len()
+                && self.records_of(a).zip(other.records_of(b)).all(|((n, x), (m, y))| {
+                    n == m && x.len() == y.len() && x.iter().zip(y).all(|(&p, &q)| same(p, q))
+                })
+        };
+        self.cadence == other.cadence
+            && self.retention == other.retention
+            && self.snapshots.len() == other.snapshots.len()
+            && self.snapshots.iter().zip(&other.snapshots).all(|(a, b)| {
+                a.epoch == b.epoch && a.capacity == b.capacity && same_records(a, b)
+            })
     }
 }
 
