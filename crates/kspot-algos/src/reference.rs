@@ -305,10 +305,15 @@ mod properties {
 
         /// The new kernel and the map-based reference are indistinguishable from the
         /// outside: answers, every ledger axis and every battery, bit for bit.  With
-        /// `wild`, a reading in every `wild + 1` is NaN, above the domain's top or below
-        /// its bottom, so that a merge can raise a group's upper bound or lower its
-        /// lower one: the kernel's MINT rows then carry summaries looser than their
-        /// states, which the reference computes afresh for every view.
+        /// `wild`, a reading in every `wild + 1` is NaN, a signed zero, above the
+        /// domain's top or below its bottom, so that a merge can raise a group's upper
+        /// bound or lower its lower one: the kernel's MINT rows then carry summaries
+        /// looser than their states, which the reference computes afresh for every view.
+        /// `shape` edits each epoch's readings for the rows the kernel bears by
+        /// adoption: every third node has none (a first delivery into a node with no
+        /// reading), every seventh reads a group the deployment lacks, and every fifth
+        /// reports twice (the last reading is its own).  The sink bears its row by
+        /// adoption in every sweep; small batteries empty receivers mid-sweep.
         #[test]
         fn kernel_matches_the_map_based_reference(
             raw in prop::collection::vec(0u32..100_000, 1..120),
@@ -324,6 +329,7 @@ mod properties {
             scopes in 1usize..5,
             seed in 0u64..1_000_000,
             wild in 0usize..4,
+            shape in 0u32..8,
         ) {
             let d = random_tree(&raw, groups, seed);
             let n = d.num_nodes() as u64;
@@ -342,11 +348,28 @@ mod properties {
             let mut next_epoch = || {
                 let mut readings = workload.next_epoch();
                 for (at, r) in readings.iter_mut().enumerate().filter(|(at, _)| wild > 0 && at % (wild + 1) == 0) {
-                    r.value = match (at / (wild + 1)) % 5 {
+                    r.value = match (at / (wild + 1)) % 7 {
                         0 => f64::NAN,
                         1 | 2 => domain.max + r.value,
+                        3 => -0.0,
+                        4 => 0.0,
                         _ => domain.min - r.value,
                     };
+                }
+                if shape & 1 != 0 {
+                    readings.retain(|r| r.node % 3 != 0);
+                }
+                if shape & 2 != 0 {
+                    // Configured ids are `(id % groups) * 1_000_003 + 5`: an even id never is.
+                    readings.iter_mut().filter(|r| r.node % 7 == 2).for_each(|r| r.group = 2);
+                }
+                if shape & 4 != 0 {
+                    let seconds: Vec<Reading> = readings
+                        .iter()
+                        .filter(|r| r.node % 5 == 1)
+                        .map(|r| Reading::new(r.node, r.group, r.epoch, 0.5 * r.value + 1.0))
+                        .collect();
+                    readings.extend(seconds);
                 }
                 readings
             };
@@ -441,6 +464,51 @@ mod properties {
         readings.push(Reading::new(5, 2, 0, 1.0));
         readings.insert(0, Reading::new(9, 3, 0, 100.0));
         assert_same_as_reference(&readings);
+    }
+
+    /// Node 1 gathers six leaves' reports.  On a battery that pays for only some of
+    /// their receptions it is dead at its own turn: its row, born by adopting the first
+    /// report, never leaves, and the sink hears only what routed around it.  TAG, MINT
+    /// and the naive strategy answer and book as the reference does over three epochs
+    /// on every battery of the scan, and the scan does reach such a receiver.
+    #[test]
+    fn the_kernel_matches_the_reference_where_a_receiver_empties_its_battery_mid_sweep() {
+        let mut parents = BTreeMap::new();
+        let nodes: Vec<NodeSpec> = (1..=7)
+            .map(|id| {
+                parents.insert(id, if id == 1 { SINK } else { 1 });
+                NodeSpec { id, position: Position::new(f64::from(id), 1.0), group: id % 3 }
+            })
+            .collect();
+        let d = Deployment::from_parts(Position::new(0.0, 0.0), nodes, 5.0).with_explicit_parents(parents);
+        let spec = SnapshotSpec::new(2, AggFunc::Sum, ValueDomain::percentage());
+        let epoch_readings =
+            |epoch: u64| (1..=7).map(|id| Reading::new(id, id % 3, epoch, f64::from(id * 10 + epoch as u32))).collect();
+        let mut emptied = 0;
+        for step in 1..300 {
+            let config = NetworkConfig::mica2().with_battery_uj(f64::from(step) * 4.0);
+            for kind in 0..3 {
+                let mut new = Network::new(d.clone(), config.clone());
+                let mut old = Network::new(d.clone(), config.clone());
+                let (mut ours, mut theirs) = (algorithm(kind, spec, false), algorithm(kind, spec, true));
+                for epoch in 0..3 {
+                    let readings: Vec<Reading> = epoch_readings(epoch);
+                    let received = new.metrics().node(1).rx_messages;
+                    let sent = new.metrics().node(1).tx_messages;
+                    let participating = new.node_participating(1);
+                    let a = new.run_epoch(epoch, |net| ours.execute_epoch(net, &readings));
+                    let b = on_reference(|| old.run_epoch(epoch, |net| theirs.execute_epoch(net, &readings)));
+                    assert_eq!(result_bits(&a), result_bits(&b), "battery {}, kind {kind}, epoch {epoch}", step * 4);
+                    assert_eq!(ledger_bits(new.metrics()), ledger_bits(old.metrics()));
+                    let node = new.metrics().node(1);
+                    let silent = node.rx_messages > received && node.tx_messages == sent;
+                    if participating && silent && !new.node_participating(1) {
+                        emptied += 1;
+                    }
+                }
+            }
+        }
+        assert!(emptied > 0, "no battery on the scan emptied the receiver mid-sweep");
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //! aggregates.  The views it builds are the rows of one dense table, a row per node
 //! and a slot per group of the deployment ([`crate::view`]); the loop keeps the table
 //! and a copy of the tree's post-order from sweep to sweep, so a steady-state sweep
-//! allocates only the sink view it returns and looks nothing up in a map.  A row
-//! carries its length, and in MINT's pruned sweep a summary of its γ bounds that the
-//! merge keeps up to date.
+//! allocates only the sink view it returns and looks nothing up in a map.  The sweep
+//! writes no row before it needs one: a node's row is born at the first delivery into
+//! it, by adopting the sender's row, or else at the node's own turn, and a report moves
+//! its row up the tree through the table's index instead of copying its states.  A row
+//! carries its length, and in MINT's pruned sweep a summary of its γ bounds that every
+//! delivery keeps up to date.
 
 use crate::result::{RankedItem, TopKResult};
 use crate::snapshot::{SnapshotAlgorithm, SnapshotSpec};
@@ -39,7 +42,7 @@ impl TagTopK {
 #[derive(Default)]
 struct SweepScratch {
     /// Row `id` is the view node `id` is building this sweep, row 0 the sink's; laid
-    /// out afresh by every sweep.
+    /// out afresh by every sweep, each row born at its first delivery or its node's turn.
     table: GroupTable,
     /// The routing tree's post-order, copied so that the sweep can hold the network
     /// mutably while walking it.
@@ -51,8 +54,10 @@ struct SweepScratch {
 thread_local! {
     /// One scratch per thread, not per session: sweeps on a thread run one after the
     /// other and every sweep lays the table out afresh, while a table per resident
-    /// session, O(nodes × groups) at `(N + 1) · (8⌈G / 64⌉ + 24 G + 28)` bytes each,
-    /// would raise peak RSS (ADR-004, "Host representation").
+    /// session, O(nodes × groups) at `(N + 1) · (8⌈G / 64⌉ + 24 G + 44)` bytes each —
+    /// a mask word per 64 groups, a state per group, and per row its length, summary,
+    /// storage index and own reading — would raise peak RSS (ADR-004, "Host
+    /// representation").
     static SCRATCH: RefCell<SweepScratch> = RefCell::default();
 }
 
@@ -79,12 +84,14 @@ thread_local! {
 /// session's report for the same hop; the returned delivery outcome is the merged
 /// frame's fate, shared by all riders.
 ///
-/// Every view starts from the node's own reading and a delivered child view is merged
-/// into its receiver's on arrival: children precede parents in post-order, so each
-/// group's state sees `add`/`merge` in the order own reading, then children as they
-/// arrive (ADR-004, "Host representation").  A reading whose node is the sink or not a
-/// node of this network is ignored; of several readings for one node the last wins.
-/// A reading of a group the deployment lacks is kept like any other.
+/// A node's row is born at the first delivery into it — it adopts the sender's row and
+/// folds its own reading in, as `own.merge(sent)` — or, when nothing reached it, at its
+/// own turn as its own reading alone; every later delivery merges into it on arrival.
+/// Children precede parents in post-order, so each group's state sees its
+/// contributions in the order own reading, then children as they arrive (ADR-004,
+/// "Host representation" and "Snapshot kernel v5").  A reading whose node is the sink or
+/// not a node of this network is ignored; of several readings for one node the last
+/// wins.  A reading of a group the deployment lacks is kept like any other.
 pub(crate) fn convergecast_full<B: Bounds>(
     net: &mut Network,
     readings: &[Reading],
@@ -104,11 +111,12 @@ pub(crate) fn convergecast_full<B: Bounds>(
         order.extend_from_slice(net.tree().post_order_slice());
         let own = readings.iter().filter(|r| r.node != SINK && r.node as usize <= n);
         let d = net.deployment();
-        table.seed(d.groups(), d.group_slots(), n + 1, own, spec.func, bounds);
+        table.lay_out(d.groups(), d.group_slots(), n + 1, own);
         for &node in order.iter() {
             if !net.node_participating(node) {
                 continue;
             }
+            table.start(node as usize, spec.func, bounds);
             net.charge_cpu(node, table.len(node as usize) as u32);
             let mut row = table.row(node as usize, net.deployment().groups());
             shrink(node, &mut row);
@@ -117,7 +125,7 @@ pub(crate) fn convergecast_full<B: Bounds>(
                 continue;
             }
             if let Some(receiver) = net.send_report_up(node, epoch, tuples, 0, phase) {
-                table.merge_rows(receiver as usize, node as usize, bounds);
+                table.deliver(receiver as usize, node as usize, spec.func, bounds);
             }
         }
         table.to_view(SINK as usize, spec.func, net.deployment().groups())
@@ -207,6 +215,37 @@ mod tests {
             assert!(result.same_ranking(&reference), "TAG must be exact every epoch");
             assert!(result.approx_eq(&reference, 1e-9));
         }
+    }
+
+    /// A 3-node fan-in whose sums depend on their order in `f64`: node 1 reads 1.0, its
+    /// children 1e16 and −1e16, in the order they report.  The group sums "own reading,
+    /// then children as they arrive" — `(1 + 1e16) − 1e16 = 0` — however node 1's row is
+    /// born: folding its own reading in at its own turn instead would sum
+    /// `(1e16 − 1e16) + 1 = 1`.
+    #[test]
+    fn a_group_sums_its_own_reading_first_then_its_children_as_they_arrive() {
+        use kspot_net::topology::{NodeSpec, Position};
+        let nodes = (1..=3).map(|id| NodeSpec { id, position: Position::new(f64::from(id), 0.0), group: 7 }).collect();
+        let parents = [(1, SINK), (2, 1), (3, 1)].into_iter().collect();
+        let d = Deployment::from_parts(Position::new(0.0, 0.0), nodes, 5.0).with_explicit_parents(parents);
+        let mut net = Network::new(d, NetworkConfig::ideal());
+        let children: Vec<NodeId> = net.tree().post_order().into_iter().filter(|&n| n != 1).collect();
+        let (own, first, second) = (1.0, 1e16, -1e16);
+        let readings =
+            [(1, own), (children[0], first), (children[1], second)].map(|(node, v)| Reading::new(node, 7, 0, v));
+        let spec = SnapshotSpec::new(1, AggFunc::Sum, ValueDomain::percentage());
+        net.begin_epoch(0);
+        let view = convergecast_full(&mut net, &readings, &spec, PhaseTag::Update, &Unbounded, |_, _| {});
+        let arrival_order = (own + first) + second;
+        let children_first = (first + second) + own;
+        assert_ne!(arrival_order.to_bits(), children_first.to_bits(), "the values must tell the two orders apart");
+        let sum = view.get(7).expect("the group reaches the sink").partial_value(AggFunc::Sum).expect("a sum");
+        assert_eq!(
+            sum.to_bits(),
+            arrival_order.to_bits(),
+            "the group summed to {sum}: own reading, then children as they arrive, sums to {arrival_order}; \
+             children first, then the own reading, to {children_first}"
+        );
     }
 
     #[test]

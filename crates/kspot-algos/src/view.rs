@@ -8,11 +8,19 @@
 //! Inside a sweep the views are the rows of one dense `GroupTable`: a group's *slot*
 //! is its index in the deployment's sorted group list (`Deployment::groups`), a row is a
 //! presence mask of ⌈slots / 64⌉ words plus one state per slot, its length and a
-//! conservative summary of its γ bounds, and merging a child's row into its receiver's
-//! walks the child's set bits.  A group that only a reading names — one the deployment
-//! lacks — gets a slot after the deployment's, so group ids may be sparse and are never
-//! used as an index.  The table is laid out afresh every sweep in memory it keeps,
-//! which is what lets the convergecast kernel ([`crate::tag`]) run without allocating.
+//! conservative summary of its γ bounds.  A group that only a reading names — one the
+//! deployment lacks — gets a slot after the deployment's, so group ids may be sparse and
+//! are never used as an index.
+//!
+//! Views are built bottom-up, as the paper's ancestors hold a superset view of their
+//! descendants.  The lay-out pass writes no row: it records each node's own reading.
+//! Rows are reached through an index, and a row is born at the first of two events: the
+//! first delivery into it, which adopts the sender's row by swapping their indices and
+//! folds the own reading into it, or its node's turn, which starts it as the own
+//! reading alone.  Most rows are born by adoption, so a report moves up the tree without
+//! its states being copied; a later delivery merges the sender's set bits in.  The
+//! table is laid out afresh every sweep in memory it keeps, which is what lets the
+//! convergecast kernel ([`crate::tag`]) run without allocating.
 //!
 //! The sink's row leaves the sweep as a [`GroupView`]: the `(group, state)` pairs it
 //! holds, sorted by group, which is what MINT and TAG rank.
@@ -73,10 +81,11 @@ const WORD: usize = 64;
 /// A conservative summary of the γ bounds of the states one row holds, which MINT's
 /// prune reads before it looks at a single state: never above the smallest upper bound
 /// of any state the row holds, never below the largest lower bound that is not NaN, and
-/// `nan` set when any upper bound folded in was NaN.  A seeded row's summary is exact;
-/// a merge joins the sender's and folds in each state it merges in place, so it may
-/// only get looser, never wrong; MINT's prune makes it exact again whenever it has to
-/// look at the states ([`Row::set_summary`]).
+/// `nan` set when any upper bound folded in was NaN.  A row born at its node's turn has
+/// its exact summary; a delivery joins the sender's (an adopting row joins it to its own
+/// reading's) and folds in each state it merges in place, so it may only get looser,
+/// never wrong; MINT's prune makes it exact again whenever it has to look at the states
+/// ([`Row::set_summary`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Summary {
     pub(crate) min_ub: f64,
@@ -129,12 +138,26 @@ impl Bounds for Unbounded {
     }
 }
 
+/// What a row's entry in [`GroupTable::own_slots`] says once the row is born: its
+/// node's own reading, if it had one, is folded in.
+const BORN: u32 = u32::MAX;
+
+/// What an unborn row's entry says when its node has no reading this sweep.
+const NO_READING: u32 = u32::MAX - 1;
+
 /// The views of one convergecast, one row per node (row `id` is node `id`'s, row 0 the
-/// sink's): a presence mask per row, one [`AggState`] per slot, valid where the slot's
-/// bit is set, the row's length — the popcount of its mask — and its [`Summary`],
-/// written only by a sweep whose bounds are kept.  Rows are `slots` states apart, so a
-/// sweep over `rows` rows and `slots` groups holds `rows · (8⌈slots / 64⌉ + 24 · slots
-/// + 28)` bytes of rows, grown and never shrunk.
+/// sink's).  A row is held in the storage position `index[row]`: a presence mask, one
+/// [`AggState`] per slot, valid where the slot's bit is set, the row's length — the
+/// popcount of its mask — and its [`Summary`], written only by a sweep whose bounds are
+/// kept.  Beside each row the table keeps its node's own reading: its slot and its
+/// value.  So a sweep over `rows` rows and `slots` groups holds `rows · (8⌈slots / 64⌉
+/// + 24 · slots + 44)` bytes, grown and never shrunk.
+///
+/// A row is *born* at the first of two events, and holds nothing before: the first
+/// delivery into it, which adopts the sender's row by swapping the two rows' storage
+/// and folds the node's own reading in, or its node's turn ([`Self::start`]), which
+/// starts it as the own reading alone.  Either way a group's state sees the own
+/// reading first, then the children's rows in the order they arrive.
 ///
 /// Slots `0..known` are the deployment's groups, which the table does not copy: a
 /// caller that needs a slot's group id hands them in again.
@@ -147,6 +170,15 @@ pub(crate) struct GroupTable {
     known: usize,
     /// Mask words per row.
     words: usize,
+    /// Row `row` is held in storage position `index[row]`; a permutation of the rows.
+    index: Vec<u32>,
+    /// Per row: [`BORN`], or while it is unborn its node's own reading's slot or
+    /// [`NO_READING`].
+    own_slots: Vec<u32>,
+    /// Per row: its node's own reading's value, meaningful while the row is unborn
+    /// and has one.
+    own_values: Vec<Value>,
+    /// By storage position, the rows' masks, states, lengths and summaries.
     masks: Vec<u64>,
     states: Vec<AggState>,
     lens: Vec<u32>,
@@ -154,64 +186,44 @@ pub(crate) struct GroupTable {
 }
 
 impl GroupTable {
-    /// Lays the table out for one sweep and seeds it: a slot per group of `groups` (a
-    /// deployment's, ascending), then one per group only `readings` name; `rows` empty
-    /// rows; then every reading's state, `empty + value`, alone in its node's row — of
-    /// several readings for one node the last wins — with its exact summary when the
-    /// `bounds` are kept.  `group_slots[id]` is the slot of node `id`'s configured group
-    /// (`Deployment::group_slots`), so a reading of that group needs no search.  Every
-    /// reading's node must be below `rows` and `group_slots.len()`; the iterator is
-    /// walked twice.
-    pub(crate) fn seed<'r, B: Bounds>(
+    /// Lays the table out for one sweep: a slot per group of `groups` (a deployment's,
+    /// ascending), then one per group only `readings` name; `rows` unborn rows; and each
+    /// reading recorded as its node's own — of several readings for one node the last
+    /// wins.  No row is written.  `group_slots[id]` is the slot of node `id`'s configured
+    /// group (`Deployment::group_slots`), so a reading of that group needs no search.
+    /// Every reading's node must be below `rows` and `group_slots.len()`.
+    pub(crate) fn lay_out<'r>(
         &mut self,
         groups: &[(GroupId, Vec<NodeId>)],
         group_slots: &[u32],
         rows: usize,
-        readings: impl Iterator<Item = &'r Reading> + Clone,
-        func: AggFunc,
-        bounds: &B,
+        readings: impl Iterator<Item = &'r Reading>,
     ) {
         self.known = groups.len();
         self.read.clear();
-        for r in readings.clone() {
-            if slot_of(groups, group_slots, &self.read, r).is_none() {
+        self.own_slots.clear();
+        self.own_slots.resize(rows, NO_READING);
+        grow(&mut self.own_values, rows, 0.0);
+        for r in readings {
+            let slot = slot_of(groups, group_slots, &self.read, r).unwrap_or_else(|| {
                 self.read.push(r.group);
-            }
+                self.slots() - 1
+            });
+            self.own_slots[r.node as usize] = slot as u32;
+            self.own_values[r.node as usize] = r.value;
         }
         let slots = self.slots();
+        assert!(slots < NO_READING as usize, "{slots} slots leave no room for the row marks");
         self.words = slots.div_ceil(WORD);
-        self.masks.clear();
-        self.masks.resize(rows * self.words, 0);
-        self.lens.clear();
-        self.lens.resize(rows, 0);
-        if self.states.len() < rows * slots {
-            self.states.resize(rows * slots, AggState::empty(func));
+        if self.index.len() != rows {
+            self.index.clear();
+            self.index.extend(0..u32::try_from(rows).expect("node ids are u32s"));
         }
-        if self.summaries.len() < rows {
-            self.summaries.resize(rows, Summary::EMPTY);
-        }
-        if B::KEPT {
-            self.summaries[..rows].fill(Summary::EMPTY);
-        }
-        for r in readings {
-            let slot =
-                slot_of(groups, group_slots, &self.read, r).expect("every group has a slot after the first pass");
-            let row = r.node as usize;
-            let mask = &mut self.masks[row * self.words..(row + 1) * self.words];
-            if self.lens[row] != 0 {
-                // An earlier reading of this node's: the last one wins.
-                mask.fill(0);
-            }
-            mask[slot / WORD] |= 1 << (slot % WORD);
-            let state = AggState::single(func, r.value);
-            self.states[row * slots + slot] = state;
-            self.lens[row] = 1;
-            if B::KEPT {
-                let mut summary = Summary::EMPTY;
-                summary.fold(bounds.of(slot, &state));
-                self.summaries[row] = summary;
-            }
-        }
+        grow(&mut self.masks, rows * self.words, 0);
+        // Any state fills: a slot's state is written before its bit is set.
+        grow(&mut self.states, rows * slots, AggState::Count { count: 0 });
+        grow(&mut self.lens, rows, 0);
+        grow(&mut self.summaries, rows, Summary::EMPTY);
     }
 
     /// Slots laid out this sweep: the deployment's groups, then the groups only
@@ -220,33 +232,109 @@ impl GroupTable {
         self.known + self.read.len()
     }
 
-    /// Number of groups in row `row`.
+    /// Number of groups in row `row`, which is born.
     pub(crate) fn len(&self, row: usize) -> usize {
-        self.lens[row] as usize
+        self.lens[self.index[row] as usize] as usize
     }
 
-    /// Row `row`, to read or shrink; `groups` are the deployment's the table was seeded
-    /// with.
+    /// Row `row`, which is born, to read or shrink; `groups` are the deployment's the
+    /// table was laid out with.
     pub(crate) fn row<'t>(&'t mut self, row: usize, groups: &'t [(GroupId, Vec<NodeId>)]) -> Row<'t> {
-        debug_assert_eq!(groups.len(), self.known, "the groups the table was seeded with");
-        let (slots, words) = (self.slots(), self.words);
+        debug_assert_eq!(groups.len(), self.known, "the groups the table was laid out with");
+        debug_assert_eq!(self.own_slots[row], BORN, "a row is read once it is born");
+        let (slots, words, at) = (self.slots(), self.words, self.index[row] as usize);
         Row {
             known: groups,
             read: &self.read,
-            mask: &mut self.masks[row * words..(row + 1) * words],
-            states: &self.states[row * slots..(row + 1) * slots],
-            len: &mut self.lens[row],
-            summary: &mut self.summaries[row],
+            mask: &mut self.masks[at * words..(at + 1) * words],
+            states: &self.states[at * slots..(at + 1) * slots],
+            len: &mut self.lens[at],
+            summary: &mut self.summaries[at],
         }
     }
 
-    /// Merges row `from` into row `into` (another row): each group `from` holds merges
-    /// into the state `into` holds for it, as `into.merge(from)`, or is copied where
-    /// `into` holds none.  Then `into` holds the groups of both, and — when the
-    /// `bounds` are kept — its summary joins `from`'s, which covers every state copied,
-    /// and folds in each state merged in place.
-    pub(crate) fn merge_rows<B: Bounds>(&mut self, into: usize, from: usize, bounds: &B) {
+    /// Row `row`'s node takes its turn: an unborn row is born as the node's own reading
+    /// alone — with its exact summary when the `bounds` are kept — or empty when the node
+    /// has none.  A row that is born already is left as it is.
+    pub(crate) fn start<B: Bounds>(&mut self, row: usize, func: AggFunc, bounds: &B) {
+        let own = std::mem::replace(&mut self.own_slots[row], BORN);
+        if own == BORN {
+            return;
+        }
+        let (slots, words, at) = (self.slots(), self.words, self.index[row] as usize);
+        let mask = &mut self.masks[at * words..(at + 1) * words];
+        mask.fill(0);
+        let mut summary = Summary::EMPTY;
+        self.lens[at] = 0;
+        if own != NO_READING {
+            let slot = own as usize;
+            mask[slot / WORD] |= 1 << (slot % WORD);
+            let state = AggState::single(func, self.own_values[row]);
+            self.states[at * slots + slot] = state;
+            self.lens[at] = 1;
+            if B::KEPT {
+                summary.fold(bounds.of(slot, &state));
+            }
+        }
+        if B::KEPT {
+            self.summaries[at] = summary;
+        }
+    }
+
+    /// Delivers row `from`, which is born, into row `into` (another row).  An unborn
+    /// `into` adopts `from`'s row — the two swap storage, and `from` is not read again —
+    /// and folds its node's own reading in: a group both hold merges as
+    /// `own.merge(sent)`, and the summary is the own reading's joined with the sender's,
+    /// then the merged state's folded in.  A born `into` merges `from` in
+    /// ([`Self::merge_rows`]).  Either way `into` ends born, holding what a row started
+    /// as the own reading would hold after merging `from` in.
+    pub(crate) fn deliver<B: Bounds>(&mut self, into: usize, from: usize, func: AggFunc, bounds: &B) {
+        assert_ne!(into, from, "a row cannot be delivered into itself");
+        let own = std::mem::replace(&mut self.own_slots[into], BORN);
+        if own == BORN {
+            self.merge_rows(into, from, bounds);
+            return;
+        }
+        self.index.swap(into, from);
+        if own == NO_READING {
+            return;
+        }
+        let (slots, words, at) = (self.slots(), self.words, self.index[into] as usize);
+        let slot = own as usize;
+        let mine = AggState::single(func, self.own_values[into]);
+        let mut summary = Summary::EMPTY;
+        if B::KEPT {
+            summary.fold(bounds.of(slot, &mine));
+            summary.join(&self.summaries[at]);
+        }
+        let word = &mut self.masks[at * words + slot / WORD];
+        let bit = 1 << (slot % WORD);
+        let state = &mut self.states[at * slots + slot];
+        if *word & bit != 0 {
+            let sent = *state;
+            *state = mine;
+            state.merge(&sent);
+            if B::KEPT {
+                summary.fold(bounds.of(slot, state));
+            }
+        } else {
+            *word |= bit;
+            *state = mine;
+            self.lens[at] += 1;
+        }
+        if B::KEPT {
+            self.summaries[at] = summary;
+        }
+    }
+
+    /// Merges row `from` into row `into`, both born and held apart: each group `from`
+    /// holds merges into the state `into` holds for it, as `into.merge(from)`, or is
+    /// copied where `into` holds none.  Then `into` holds the groups of both, and — when
+    /// the `bounds` are kept — its summary joins `from`'s, which covers every state
+    /// copied, and folds in each state merged in place.
+    fn merge_rows<B: Bounds>(&mut self, into: usize, from: usize, bounds: &B) {
         let (slots, words) = (self.slots(), self.words);
+        let (into, from) = (self.index[into] as usize, self.index[from] as usize);
         let (held_mask, sent_mask) = two_rows(&mut self.masks, words, into, from);
         let (held_states, sent_states) = two_rows(&mut self.states, slots, into, from);
         let mut summary = Summary::EMPTY;
@@ -281,14 +369,17 @@ impl GroupTable {
         }
     }
 
-    /// Row `row` as a view of `func`, sorted by group; `groups` are the deployment's
-    /// the table was seeded with.
+    /// Row `row` as a view of `func`, sorted by group — empty while the row is unborn;
+    /// `groups` are the deployment's the table was laid out with.
     pub(crate) fn to_view(&self, row: usize, func: AggFunc, groups: &[(GroupId, Vec<NodeId>)]) -> GroupView {
-        debug_assert_eq!(groups.len(), self.known, "the groups the table was seeded with");
-        let (slots, words) = (self.slots(), self.words);
-        let mask = &self.masks[row * words..(row + 1) * words];
-        let states = &self.states[row * slots..(row + 1) * slots];
-        let mut entries = Vec::with_capacity(self.len(row));
+        debug_assert_eq!(groups.len(), self.known, "the groups the table was laid out with");
+        if self.own_slots[row] != BORN {
+            return GroupView::new(func);
+        }
+        let (slots, words, at) = (self.slots(), self.words, self.index[row] as usize);
+        let mask = &self.masks[at * words..(at + 1) * words];
+        let states = &self.states[at * slots..(at + 1) * slots];
+        let mut entries = Vec::with_capacity(self.lens[at] as usize);
         for slot in set_bits(mask) {
             let group = group_of(groups, &self.read, slot);
             // The deployment's slots come out ascending; a group only readings name
@@ -297,6 +388,13 @@ impl GroupTable {
             entries.insert(at, (group, states[slot]));
         }
         GroupView { func, entries }
+    }
+}
+
+/// Grows `buffer` to at least `len` items of `fill`; never shrinks it.
+fn grow<T: Clone>(buffer: &mut Vec<T>, len: usize, fill: T) {
+    if buffer.len() < len {
+        buffer.resize(len, fill);
     }
 }
 
@@ -527,6 +625,9 @@ impl GroupTable {
         table.read.extend(view.iter().map(|(g, _)| g).filter(|g| !is_known(g)));
         let slots = table.slots();
         table.words = slots.div_ceil(WORD);
+        table.index = vec![0];
+        table.own_slots = vec![BORN];
+        table.own_values = vec![0.0];
         table.masks = vec![0; table.words];
         table.states = vec![AggState::empty(view.func()); slots];
         table.lens = vec![view.len() as u32];
@@ -586,8 +687,9 @@ mod tests {
         assert!(v.get(1).is_none());
     }
 
-    /// A table over the groups `pairs` name, each row seeded with its reading and merged
-    /// into row 0 — so row 0 holds every group — and those groups, the deployment's.
+    /// A table over the groups `pairs` name, each row started as its reading and
+    /// delivered into row 0 — so row 0 holds every group — and those groups, the
+    /// deployment's.
     fn table(pairs: &[(GroupId, f64)]) -> (GroupTable, Vec<(GroupId, Vec<NodeId>)>) {
         let mut groups: Vec<(GroupId, Vec<NodeId>)> = pairs.iter().map(|&(g, _)| (g, Vec::new())).collect();
         groups.sort_unstable_by_key(|(g, _)| *g);
@@ -596,9 +698,10 @@ mod tests {
             pairs.iter().enumerate().map(|(i, &(g, v))| Reading::new(i as NodeId + 1, g, 0, v)).collect();
         let mut t = GroupTable::default();
         let unconfigured = vec![u32::MAX; pairs.len() + 1];
-        t.seed(&groups, &unconfigured, pairs.len() + 1, readings.iter(), AggFunc::Avg, &Unbounded);
+        t.lay_out(&groups, &unconfigured, pairs.len() + 1, readings.iter());
         for row in 1..=pairs.len() {
-            t.merge_rows(0, row, &Unbounded);
+            t.start(row, AggFunc::Avg, &Unbounded);
+            t.deliver(0, row, AggFunc::Avg, &Unbounded);
         }
         (t, groups)
     }
@@ -645,12 +748,13 @@ mod tests {
         (at as GroupId).wrapping_mul(2_654_435_761) | 1
     }
 
-    /// A drawn reading's value: some are NaN or a negative zero, most lie outside the
+    /// A drawn reading's value: some are NaN or a signed zero, most lie outside the
     /// percentage domain.
     fn drawn_value(raw: u32) -> f64 {
         match raw % 40 {
             0 => f64::NAN,
             1 => -0.0,
+            2 => 0.0,
             _ => f64::from(raw) * 0.37 - 100.0,
         }
     }
@@ -660,21 +764,102 @@ mod tests {
         mask.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Every one of the first `rows` rows holds as many groups as its mask has bits, and
-    /// its summary bounds each state it holds: no upper bound below its `min_ub` — a NaN
-    /// one sets `nan` — and no lower bound above its `max_lb`.
-    fn assert_rows_hold(table: &mut GroupTable, rows: usize, groups: &[(GroupId, Vec<NodeId>)], gamma: &Gamma<'_>) {
-        for at in 0..rows {
-            let row = table.row(at, groups);
-            assert_eq!(row.len(), popcount(row.mask), "row {at}: stored length against its popcount");
-            let summary = row.summary();
-            for (slot, state) in row.iter() {
-                let (ub, lb) = gamma.of(slot, state);
-                assert!(
-                    if ub.is_nan() { summary.nan } else { summary.min_ub <= ub },
-                    "row {at}, slot {slot}: upper bound {ub} under the summary {summary:?}"
+    /// Row `at`, which is born, holds as many groups as its mask has bits, and — when the
+    /// sweep keeps MINT's bounds — its summary bounds each state it holds: no upper bound
+    /// below its `min_ub` — a NaN one sets `nan` — and no lower bound above its `max_lb`.
+    fn assert_row_holds(
+        table: &mut GroupTable,
+        at: usize,
+        groups: &[(GroupId, Vec<NodeId>)],
+        gamma: Option<&Gamma<'_>>,
+    ) {
+        let row = table.row(at, groups);
+        assert_eq!(row.len(), popcount(row.mask), "row {at}: stored length against its popcount");
+        let (Some(gamma), summary) = (gamma, row.summary()) else { return };
+        for (slot, state) in row.iter() {
+            let (ub, lb) = gamma.of(slot, state);
+            assert!(
+                if ub.is_nan() { summary.nan } else { summary.min_ub <= ub },
+                "row {at}, slot {slot}: upper bound {ub} under the summary {summary:?}"
+            );
+            assert!(summary.max_lb >= lb, "row {at}, slot {slot}: lower bound {lb} over the summary {summary:?}");
+        }
+    }
+
+    /// One case of [`merge_matches_a_map_fold`], over the `bounds` the sweep keeps —
+    /// MINT's `gamma`, or none.
+    #[allow(clippy::too_many_arguments)]
+    fn merge_case<B: Bounds>(
+        func: AggFunc,
+        groups: &[(GroupId, Vec<NodeId>)],
+        group_slots: &[u32],
+        readings: &[Reading],
+        receiver: usize,
+        dropped: u32,
+        bounds: &B,
+        gamma: Option<&Gamma<'_>>,
+    ) {
+        let rows = group_slots.len();
+        let senders: Vec<usize> = (1..rows).filter(|&row| row != receiver).collect();
+        let drop_at = senders.len() / 2;
+        let drops = |g: GroupId| g % 4 == dropped;
+        let mut table = GroupTable::default();
+        let mut cold = None;
+        for pass in 0..2 {
+            let laid_out = |r: &&Reading| pass == 0 || r.node % 2 == 1;
+            table.lay_out(groups, group_slots, rows, readings.iter().filter(laid_out));
+            // The last reading laid out for each node is its own.
+            let own = |row: usize| readings.iter().filter(laid_out).rfind(|r| r.node as usize == row);
+            let single = |r: &Reading| (r.group, AggState::single(func, r.value));
+            let mut model: std::collections::BTreeMap<GroupId, AggState> =
+                own(receiver).map(single).into_iter().collect();
+            for (at, &sender) in senders.iter().enumerate() {
+                table.start(sender, func, bounds);
+                assert_row_holds(&mut table, sender, groups, gamma);
+                let sent = table.to_view(sender, func, groups);
+                let expected_sent: Vec<_> = own(sender).map(single).into_iter().collect();
+                proptest::prop_assert_eq!(
+                    sent.iter().map(|(g, s)| (g, s.to_bits())).collect::<Vec<_>>(),
+                    expected_sent.iter().map(|(g, s)| (*g, s.to_bits())).collect::<Vec<_>>(),
+                    "pass {}: row {} started as its own reading", pass, sender
                 );
-                assert!(summary.max_lb >= lb, "row {at}, slot {slot}: lower bound {lb} over the summary {summary:?}");
+                table.deliver(receiver, sender, func, bounds);
+                for (g, s) in expected_sent {
+                    model.entry(g).and_modify(|mine| mine.merge(&s)).or_insert(s);
+                }
+                assert_row_holds(&mut table, receiver, groups, gamma);
+                if at == drop_at {
+                    let mut row = table.row(receiver, groups);
+                    let (known, read) = (row.known, row.read);
+                    row.retain(|slot, _| !drops(group_of_slot(known, read, slot)));
+                    model.retain(|&g, _| !drops(g));
+                    assert_row_holds(&mut table, receiver, groups, gamma);
+                }
+                let ours: Vec<_> =
+                    table.to_view(receiver, func, groups).iter().map(|(g, s)| (g, s.to_bits())).collect();
+                let expected: Vec<_> = model.iter().map(|(g, s)| (*g, s.to_bits())).collect();
+                proptest::prop_assert_eq!(table.len(receiver), expected.len());
+                proptest::prop_assert_eq!(&ours, &expected, "pass {}, after row {}", pass, sender);
+            }
+            if senders.is_empty() {
+                // Nothing was delivered: the receiver is born at its own turn, or stays
+                // unborn and reads as an empty view.
+                let unborn = table.to_view(receiver, func, groups);
+                proptest::prop_assert!(unborn.is_empty(), "an unborn row reads empty");
+            }
+            let buffers = [
+                (table.index.as_ptr() as usize, table.index.capacity()),
+                (table.own_slots.as_ptr() as usize, table.own_slots.capacity()),
+                (table.own_values.as_ptr() as usize, table.own_values.capacity()),
+                (table.masks.as_ptr() as usize, table.masks.capacity()),
+                (table.states.as_ptr() as usize, table.states.capacity()),
+                (table.lens.as_ptr() as usize, table.lens.capacity()),
+                (table.summaries.as_ptr() as usize, table.summaries.capacity()),
+                (table.read.as_ptr() as usize, table.read.capacity()),
+            ];
+            match cold {
+                None => cold = Some(buffers),
+                Some(cold) => proptest::prop_assert_eq!(buffers, cold, "the warm table reallocated"),
             }
         }
     }
@@ -682,33 +867,40 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 256, ..proptest::ProptestConfig::default() })]
 
-        /// Row merges against a fold into a `BTreeMap<GroupId, AggState>`: rows seeded
-        /// with one reading each are merged one by one into a receiver row seeded the
-        /// same way; after every merge the receiver, read as a view, holds the groups the
-        /// map holds, ascending, with bit-equal states.  Over every aggregate, sparse
-        /// ids, 70 configured groups (two mask words), readings of a group the
-        /// deployment lacks (a slot after the 70), of the group their node is configured
-        /// into and of another, and NaN, −0.0 and out-of-domain values, so that a merge
-        /// can raise an upper bound.  Halfway the receiver drops the groups `dropped`
-        /// picks, and the map with it.  After every seed, merge and drop, each row's
-        /// stored length is its popcount and its summary of MINT's bounds (over drawn
-        /// live sizes) bounds its states.  The warm table is seeded a second time
-        /// without the even nodes' readings: their rows must merge nothing, and nothing
-        /// may be reallocated.
+        /// Row deliveries against a fold into a `BTreeMap<GroupId, AggState>`: each
+        /// sender's row is started as its node's own reading and delivered into the
+        /// receiver's, which the first delivery bears by adoption — folding in the
+        /// receiver's own reading first — and every later one merges into.  After every
+        /// delivery the receiver, read as a view, holds the groups the map holds,
+        /// ascending, with bit-equal states; the map starts from the own reading and
+        /// merges each sender's into it.  The receiver is the sink, which has no reading,
+        /// or node 1, with or without one.  Over every aggregate, with MINT's bounds (over
+        /// drawn live sizes) or none, sparse ids, 70 configured groups (two mask words),
+        /// readings of a group the deployment lacks (a slot after the 70), of the group
+        /// their node is configured into and of another, a second reading for some nodes
+        /// (the last one is the node's), and NaN, ±0.0 and out-of-domain values, so that
+        /// a merge can raise an upper bound.  Halfway the receiver drops the groups
+        /// `dropped` picks, and the map with it.  After every start, delivery and drop
+        /// the row's stored length is its popcount and, when the bounds are kept, its
+        /// summary bounds its states.  The warm table is laid out a second time without
+        /// the even nodes' readings: their rows start empty and merge nothing, and
+        /// nothing may be reallocated.
         #[test]
         fn merge_matches_a_map_fold(
             func in 0usize..5,
-            own in (0usize..100, 0u32..2_000),
-            operands in proptest::collection::vec((0usize..100, 0u32..2_000), 1..40),
+            receiver_draw in 0usize..3,
+            operands in proptest::collection::vec((0usize..100, 0u32..2_000), 0..40),
+            seconds in proptest::collection::vec((0usize..40, 0usize..100, 0u32..2_000), 0..6),
             sizes in 0u32..1_000,
             dropped in 0u32..4,
+            kept in 0u32..2,
         ) {
             let func = FUNCS[func];
             // Node `n` is configured into group `configured(n % 70)`.
             let mut groups: Vec<(GroupId, Vec<NodeId>)> =
                 (0..70).map(|at| (configured(at), (1..=41).filter(|n| n % 70 == at as NodeId).collect())).collect();
             groups.sort_unstable_by_key(|(id, _)| *id);
-            let mut group_slots = vec![u32::MAX; 42];
+            let mut group_slots = [u32::MAX; 42];
             for (slot, (_, members)) in groups.iter().enumerate() {
                 for &m in members {
                     group_slots[m as usize] = slot as u32;
@@ -724,58 +916,32 @@ mod tests {
                 70..80 => (draw as GroupId) * 2,
                 _ => configured(node as usize % 70),
             };
-            let readings: Vec<Reading> = std::iter::once(own)
-                .chain(operands.iter().copied())
-                .enumerate()
-                .map(|(at, (g, raw))| {
-                    let node = at as NodeId + 1;
+            // Node 1 has a reading unless it is the receiver drawn without one; the
+            // senders are nodes 2 on, and row 0, the sink's, never has one.
+            let (receiver, own) = match receiver_draw {
+                0 => (0, true),
+                1 => (1, true),
+                _ => (1, false),
+            };
+            let mut readings: Vec<Reading> = own
+                .then_some((99, 1_000))
+                .into_iter()
+                .map(|(g, raw)| Reading::new(1, group_of(1, g), 0, drawn_value(raw)))
+                .chain(operands.iter().enumerate().map(|(at, &(g, raw))| {
+                    let node = at as NodeId + 2;
                     Reading::new(node, group_of(node, g), 0, drawn_value(raw))
-                })
+                }))
                 .collect();
-            let (receiver, rows) = (1, readings.len() + 1);
-            let drop_at = readings.len() / 2;
-            let drops = |g: GroupId| g % 4 == dropped;
-            let mut table = GroupTable::default();
-            let mut cold = None;
-            for pass in 0..2 {
-                let seeded = |r: &&Reading| pass == 0 || r.node % 2 == 1;
-                table.seed(&groups, &group_slots, rows, readings.iter().filter(seeded), func, &gamma);
-                assert_rows_hold(&mut table, rows, &groups, &gamma);
-                let mut model = std::collections::BTreeMap::new();
-                model.insert(readings[0].group, AggState::single(func, readings[0].value));
-                for (at, r) in readings.iter().enumerate().skip(1) {
-                    table.merge_rows(receiver, r.node as usize, &gamma);
-                    if seeded(&r) {
-                        model
-                            .entry(r.group)
-                            .and_modify(|mine: &mut AggState| mine.merge(&AggState::single(func, r.value)))
-                            .or_insert(AggState::single(func, r.value));
-                    }
-                    assert_rows_hold(&mut table, rows, &groups, &gamma);
-                    if at == drop_at {
-                        let mut row = table.row(receiver, &groups);
-                        let (known, read) = (row.known, row.read);
-                        row.retain(|slot, _| !drops(group_of_slot(known, read, slot)));
-                        model.retain(|&g, _| !drops(g));
-                        assert_rows_hold(&mut table, rows, &groups, &gamma);
-                    }
-                    let ours: Vec<_> =
-                        table.to_view(receiver, func, &groups).iter().map(|(g, s)| (g, s.to_bits())).collect();
-                    let expected: Vec<_> = model.iter().map(|(g, s)| (*g, s.to_bits())).collect();
-                    proptest::prop_assert_eq!(table.len(receiver), expected.len());
-                    proptest::prop_assert_eq!(&ours, &expected, "pass {}", pass);
-                }
-                let buffers = (
-                    (table.masks.as_ptr(), table.masks.capacity()),
-                    (table.states.as_ptr(), table.states.capacity()),
-                    (table.lens.as_ptr(), table.lens.capacity()),
-                    (table.summaries.as_ptr(), table.summaries.capacity()),
-                    (table.read.as_ptr(), table.read.capacity()),
-                );
-                match cold {
-                    None => cold = Some(buffers),
-                    Some(cold) => proptest::prop_assert_eq!(buffers, cold, "the warm table reallocated"),
-                }
+            for &(at, g, raw) in &seconds {
+                let node = (at % (operands.len() + 1)) as NodeId + 1;
+                readings.push(Reading::new(node, group_of(node, g), 0, drawn_value(raw)));
+            }
+            let rows = operands.len() + 2;
+            let group_slots = &group_slots[..rows];
+            if kept == 1 {
+                merge_case(func, &groups, group_slots, &readings, receiver, dropped, &gamma, Some(&gamma));
+            } else {
+                merge_case(func, &groups, group_slots, &readings, receiver, dropped, &Unbounded, None);
             }
         }
     }

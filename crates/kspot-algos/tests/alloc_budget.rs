@@ -18,7 +18,7 @@
 //! The kernel's scratch is fenced the same way: the steady shared epoch allocates the
 //! same count when every node is its own group (G = N) as with 16 or 64 groups, and the
 //! first sweep on a fresh thread keeps the group table the kernel documents,
-//! `(N + 1) · (8⌈G / 64⌉ + 24 G + 28)` bytes, and little besides — once per thread, not
+//! `(N + 1) · (8⌈G / 64⌉ + 24 G + 44)` bytes, and little besides — once per thread, not
 //! per session.
 //!
 //! Timing claims live in the benchmark (`bench/`); this test is the regression fence
@@ -226,12 +226,13 @@ fn a_steady_epoch_allocates_the_same_constant_when_every_node_is_its_own_group()
 }
 
 /// What a row keeps besides its mask and its states: its length, a `u32`, and its
-/// summary of MINT's bounds, two `f64`s and a flag.
-const ROW_EXTRAS: usize = 4 + 24;
+/// summary of MINT's bounds, two `f64`s and a flag; and beside it, its index into the
+/// rows' storage, a `u32`, and its node's own reading, a `u32` slot and an `f64` value.
+const ROW_EXTRAS: usize = 4 + 24 + 4 + (4 + 8);
 
 /// The bytes of a convergecast's group table for `nodes` nodes and `groups` groups: a
 /// row per node and one for the sink, each a presence mask of ⌈groups / 64⌉ words, a
-/// state per group, a length and a summary.
+/// state per group, a length, a summary, an index and an own reading.
 fn table_bytes(nodes: usize, groups: usize) -> i64 {
     ((nodes + 1) * (8 * groups.div_ceil(64) + size_of::<AggState>() * groups + ROW_EXTRAS)) as i64
 }

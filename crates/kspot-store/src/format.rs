@@ -336,33 +336,21 @@ pub struct SnapshotImage {
 /// logs hold, checking nothing again: the store holds only what it took from a live
 /// bank or what [`crate::CheckpointStore::from_bytes`] validated on its way in.
 pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, StoreError> {
-    let image = decode(bytes)?;
-    let bank = image.cut.into_bank(image.capacity);
-    Ok(SnapshotImage { epoch: image.epoch, records: image.records, bank })
+    let mut records = Vec::new();
+    let mut cut = SpanCut::new(usize::MAX, 0);
+    let header = decode(bytes, |node, run| {
+        records.push((node, run.len()));
+        cut.take(node, run, true);
+    })?;
+    Ok(SnapshotImage { epoch: header.epoch, records, bank: cut.into_bank(header.capacity) })
 }
 
-/// An image [`decode`] validated, and every sample of it, cut as a span of all its
-/// epochs.
-pub(crate) struct Decoded<'a> {
+/// The header of an image [`decode`] validated.
+pub(crate) struct Header {
     /// The newest epoch the snapshot covers.
     pub(crate) epoch: Epoch,
     /// The bank's capacity in epochs.
     pub(crate) capacity: usize,
-    /// Every node record, ascending node id, with its sample count, as
-    /// [`SnapshotImage::records`].
-    pub(crate) records: Vec<(NodeId, usize)>,
-    cut: SpanCut<'a, [u8; 16]>,
-}
-
-impl Decoded<'_> {
-    /// Every record, ascending node id, with its samples.
-    pub(crate) fn into_records(self) -> impl Iterator<Item = (NodeId, Vec<(Epoch, Value)>)> {
-        let mut windows = self.cut.windows.into_iter().map(|(_, samples)| samples);
-        self.records.into_iter().map(move |(node, count)| {
-            let samples = if count == 0 { Vec::new() } else { windows.next().expect("a window per non-empty record") };
-            (node, samples)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -378,9 +366,11 @@ pub(crate) fn validating_passes() -> usize {
 }
 
 /// [`decode_image`]'s validating pass — the seal, the header's bounds and every
-/// record's and every sample's invariants — with every sample cut, before a bank is
-/// built of them.
-pub(crate) fn decode(bytes: &[u8]) -> Result<Decoded<'_>, StoreError> {
+/// record's and every sample's invariants.  Each record is handed to `take` as soon as
+/// it is validated, ascending by node: its node and its run of encoded samples, strictly
+/// ascending in epoch — an empty run included.  An error may come after some records
+/// were taken; whoever took them throws them away.
+pub(crate) fn decode<'a>(bytes: &'a [u8], mut take: impl FnMut(NodeId, &'a [[u8; 16]])) -> Result<Header, StoreError> {
     #[cfg(test)]
     VALIDATING_PASSES.with(|passes| passes.set(passes.get() + 1));
     let mut c = unsealed(bytes, IMAGE_MAGIC)?;
@@ -396,8 +386,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Decoded<'_>, StoreError> {
     let declared_nodes = c.u32()?;
     // Each node record is at least 8 bytes (id + sample count).
     let node_count = c.count(declared_nodes, 8)?;
-    let mut records: Vec<(NodeId, usize)> = Vec::with_capacity(node_count);
-    let mut cut = SpanCut::new(usize::MAX, node_count);
     let mut prev_node: Option<NodeId> = None;
     for _ in 0..node_count {
         let node = c.u32()?;
@@ -417,13 +405,12 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Decoded<'_>, StoreError> {
                 max: capacity as u64,
             });
         }
-        records.push((node, sample_count));
         let (run, _) = c.take(16 * sample_count)?.as_chunks::<16>();
         check_samples(run, epoch)?;
-        cut.take(node, run);
+        take(node, run);
     }
     c.finish()?;
-    Ok(Decoded { epoch, capacity, records, cut })
+    Ok(Header { epoch, capacity })
 }
 
 /// A sample as a record holds it: encoded in an image's bytes, or in a store's log.
@@ -461,16 +448,20 @@ impl Sample for (Epoch, Value) {
 /// A record's samples of the span are read off the tail of its run into a window sized
 /// by their count.  The span's first epoch is at least the `span`-th newest epoch of the
 /// first non-empty record, whose epochs are covered, and that is known before any other
-/// record is read: every record is materialised from there on, and what lies before the
-/// span's true first epoch (only a ragged image has any) is never read by a view of the
-/// span.  The bank's span is the union of the records' epochs: a live bank writes the
+/// record is read — where that record is known to be strictly ascending; otherwise
+/// every record is cut whole.  Every record is materialised from there on, and what lies
+/// before the span's true first epoch (only a ragged image or window has any) is never
+/// read by a view of the span.  The bank's span is the union of the records' epochs: a live bank writes the
 /// same epochs into every record, so a record costs one comparison of its epochs with
 /// the first non-empty record's, and only a record that differs (which only a hand-built
-/// image has) is merged in.
+/// image or window has) is merged in.  The comparison reads only a record's count and
+/// ends when both records are known to be strictly ascending in epoch; a hand-fed window
+/// may repeat an epoch, and its record is compared epoch by epoch.
 pub(crate) struct SpanCut<'a, S> {
     span: usize,
-    /// The first non-empty record's samples, and the epoch the span's samples start at.
-    first: Option<(&'a [S], Epoch)>,
+    /// The first non-empty record's samples, the epoch the span's samples start at, and
+    /// whether the samples are known to be strictly ascending in epoch.
+    first: Option<(&'a [S], Epoch, bool)>,
     /// The epochs of every record whose epochs differ from the first's.
     strays: Vec<Epoch>,
     /// A window per record that holds a sample: its samples from the span's first epoch
@@ -488,16 +479,20 @@ impl<'a, S: Sample> SpanCut<'a, S> {
         Self { span, first: None, strays: Vec::new(), windows }
     }
 
-    /// Cuts the next record, `node`'s samples `run`, ascending in epoch.
-    pub(crate) fn take(&mut self, node: NodeId, run: &'a [S]) {
+    /// Cuts the next record, `node`'s samples `run`, ascending in epoch — strictly, where
+    /// `ascending` says so.
+    pub(crate) fn take(&mut self, node: NodeId, run: &'a [S], ascending: bool) {
         let span = self.span;
         if span == 0 || run.is_empty() {
             return;
         }
-        let &mut (first_run, from) = self
-            .first
-            .get_or_insert_with(|| (run, run.len().checked_sub(span).map_or(0, |at| run[at].epoch())));
-        if !same_epochs(run, first_run) {
+        let &mut (first_run, from, first_ascending) = self.first.get_or_insert_with(|| {
+            // The `span`-th newest sample of a record that may repeat an epoch can lie
+            // after the span's first epoch: such a record is cut from its first sample.
+            let from = if ascending { run.len().checked_sub(span).map_or(0, |at| run[at].epoch()) } else { 0 };
+            (run, from, ascending)
+        });
+        if !same_epochs(run, first_run, ascending && first_ascending) {
             self.strays.extend(run.iter().map(Sample::epoch));
         }
         let tail = &run[run.partition_point(|sample| sample.epoch() < from)..];
@@ -512,8 +507,9 @@ impl<'a, S: Sample> SpanCut<'a, S> {
     /// epochs as there are distinct ones.
     pub(crate) fn into_bank(self, capacity: usize) -> WindowBank {
         let Self { span, first, mut strays, windows } = self;
-        let mut covered: Vec<Epoch> = first.map_or_else(Vec::new, |(run, _)| run.iter().map(Sample::epoch).collect());
-        if !strays.is_empty() {
+        let mut covered: Vec<Epoch> =
+            first.map_or_else(Vec::new, |(run, _, _)| run.iter().map(Sample::epoch).collect());
+        if !strays.is_empty() || first.is_some_and(|(_, _, ascending)| !ascending) {
             covered.append(&mut strays);
             covered.sort_unstable();
             covered.dedup();
@@ -544,14 +540,16 @@ fn check_samples(run: &[[u8; 16]], epoch: Epoch) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Whether two records, each strictly ascending in epoch, hold the same epochs.  Over a
-/// gapless run of epochs the count and the two ends tell: `n` strictly ascending epochs
-/// from `a` to `a + n - 1` are every epoch between.
-fn same_epochs<S: Sample>(run: &[S], other: &[S]) -> bool {
+/// Whether two records hold the same epochs.  When both are known to be strictly
+/// ascending (`ascending`) and one is a gapless run of epochs, the count and the two ends
+/// tell: `n` strictly ascending epochs from `a` to `a + n - 1` are every epoch between.
+/// Otherwise the epochs are compared one by one — `[5, 7, 7]` has the count and the
+/// ends of `[5, 6, 7]`.
+fn same_epochs<S: Sample>(run: &[S], other: &[S], ascending: bool) -> bool {
     let ends = |run: &[S]| Some((run.first()?.epoch(), run.last()?.epoch()));
     run.len() == other.len()
         && ends(run) == ends(other)
-        && (ends(run).is_some_and(|(first, last)| last - first == run.len() as Epoch - 1)
+        && ((ascending && ends(run).is_some_and(|(first, last)| last - first == run.len() as Epoch - 1))
             || run.iter().map(Sample::epoch).eq(other.iter().map(Sample::epoch)))
 }
 

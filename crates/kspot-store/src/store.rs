@@ -1,7 +1,7 @@
 //! [`CheckpointStore`]: the ring of snapshots on the modeled flash device.
 
 use crate::format::{
-    decode, encode_manifest, image_bytes, pages_for, record_bytes, split_manifest, write_image, SpanCut,
+    decode, encode_manifest, image_bytes, pages_for, record_bytes, split_manifest, write_image, Sample, SpanCut,
     StoreError,
 };
 use kspot_algos::BankWindows;
@@ -57,12 +57,15 @@ struct Snapshot {
     bytes: usize,
 }
 
-/// One node record of a snapshot: `len` samples of the node's log from position `start`.
+/// One node record of a snapshot: `len` samples of the node's log from position `start`,
+/// and whether they are known to be strictly ascending in epoch — a hand-fed window may
+/// repeat an epoch, and a restore compares such a record's epochs one by one.
 #[derive(Debug, Clone, Copy)]
 struct Record {
     node: NodeId,
     start: u64,
     len: usize,
+    ascending: bool,
 }
 
 /// One node's append-only log of samples.  Positions count from the log's first sample
@@ -76,6 +79,10 @@ struct Log {
     /// The window the last checkpoint appended from, if one did since the log was
     /// loaded: it ends the log.
     mark: Option<Mark>,
+    /// The first position from which the log's samples are strictly ascending in epoch
+    /// to its end, within the range the last checkpoint or load started: a record from
+    /// there on is.
+    ascending_from: u64,
 }
 
 /// What a checkpoint knew of the window it appended from.
@@ -94,7 +101,7 @@ fn same(a: (Epoch, Value), b: (Epoch, Value)) -> bool {
 
 impl Log {
     fn new(node: NodeId) -> Self {
-        Self { node, samples: Vec::new(), base: 0, mark: None }
+        Self { node, samples: Vec::new(), base: 0, mark: None, ascending_from: 0 }
     }
 
     /// The position past the log's last sample.
@@ -134,13 +141,27 @@ impl Log {
     }
 
     /// Records `window` in the log: appends what the log does not already end with and
-    /// returns where the window's samples start.  When the buffer is full, the prefix no
-    /// retained record covers is dropped first — `live` gives the first position a
-    /// retained record other than this one covers.
-    fn append(&mut self, window: &SlidingWindow, live: impl FnOnce() -> Option<u64>) -> u64 {
+    /// returns where the window's samples start, and whether they are strictly
+    /// ascending in epoch — learnt from the samples appended, each against the one
+    /// before it.  When the buffer is full, the prefix no retained record covers is
+    /// dropped first — `live` gives the first position a retained record other than
+    /// this one covers.
+    fn append(&mut self, window: &SlidingWindow, live: impl FnOnce() -> Option<u64>) -> (u64, bool) {
         let overlap = self.continued_by(window);
         let start = self.end() - overlap as u64;
         let fresh = &window.as_slice()[overlap..];
+        let mut before = if overlap == 0 {
+            self.ascending_from = start;
+            None
+        } else {
+            self.samples.last().map(|&(epoch, _)| epoch)
+        };
+        for (at, &(epoch, _)) in fresh.iter().enumerate() {
+            if before.is_some_and(|before| epoch <= before) {
+                self.ascending_from = self.end() + at as u64;
+            }
+            before = Some(epoch);
+        }
         if self.samples.capacity() - self.samples.len() < fresh.len() {
             let keep = live().map_or(start, |live| live.min(start));
             self.samples.drain(..(keep - self.base) as usize);
@@ -151,14 +172,16 @@ impl Log {
         }
         self.samples.extend_from_slice(fresh);
         self.mark = Some(Mark { pushed: window.pushed(), capacity: window.capacity() });
-        start
+        (start, self.ascending_from <= start)
     }
 
-    /// Appends a whole record's samples, as loaded from an image: a new range.  A
-    /// loaded log remembers no window, so no window is taken to continue it.
-    fn load(&mut self, samples: &[(Epoch, Value)]) -> u64 {
+    /// Appends a whole record's samples straight from an image's validated run —
+    /// strictly ascending in epoch — as a new range.  A loaded log remembers no window,
+    /// so no window is taken to continue it.
+    fn load(&mut self, run: &[[u8; 16]]) -> u64 {
         let start = self.end();
-        self.samples.extend_from_slice(samples);
+        self.samples.extend(run.iter().map(|sample| (sample.epoch(), sample.value())));
+        self.ascending_from = start;
         start
     }
 }
@@ -244,8 +267,8 @@ impl CheckpointStore {
         for (node, window) in bank.windows() {
             let log = log_at(logs, &mut at, node);
             let live = || snapshots.iter().filter_map(|s| Some(s.records[s.position(node)?].start)).min();
-            let start = logs[log].append(window, live);
-            records.push(Record { node, start, len: window.len() });
+            let (start, ascending) = logs[log].append(window, live);
+            records.push(Record { node, start, len: window.len(), ascending });
             samples += window.len();
         }
         let bytes = image_bytes(records.len(), samples);
@@ -285,18 +308,18 @@ impl CheckpointStore {
     /// [`crate::format::decode`] cuts it from the snapshot's image.
     fn bank_of(&self, snapshot: &Snapshot, span: usize) -> WindowBank {
         let mut cut = SpanCut::new(span, snapshot.records.len());
-        for (node, samples) in self.records_of(snapshot) {
-            cut.take(node, samples);
+        for (record, samples) in self.records_of(snapshot) {
+            cut.take(record.node, samples, record.ascending);
         }
         cut.into_bank(snapshot.capacity)
     }
 
-    /// `snapshot`'s records, ascending by node: each node and the record's samples.
-    fn records_of<'a>(&'a self, snapshot: &'a Snapshot) -> impl Iterator<Item = (NodeId, &'a [(Epoch, Value)])> {
+    /// `snapshot`'s records, ascending by node: each record and its samples.
+    fn records_of<'a>(&'a self, snapshot: &'a Snapshot) -> impl Iterator<Item = (&'a Record, &'a [(Epoch, Value)])> {
         let mut logs = self.logs.iter();
         snapshot.records.iter().map(move |record| {
             let log = logs.find(|log| log.node == record.node).expect("every record's node keeps a log");
-            (record.node, log.samples_of(record))
+            (record, log.samples_of(record))
         })
     }
 
@@ -313,7 +336,7 @@ impl CheckpointStore {
         let mut out = self.manifest_bytes();
         out.reserve_exact(self.snapshots.iter().map(|s| s.bytes).sum());
         for snapshot in &self.snapshots {
-            let records = self.records_of(snapshot);
+            let records = self.records_of(snapshot).map(|(record, samples)| (record.node, samples));
             write_image(&mut out, snapshot.epoch, snapshot.capacity, snapshot.records.len(), records);
         }
         out
@@ -323,8 +346,9 @@ impl CheckpointStore {
     /// eagerly; each image extent is sliced out and run through the decoder's
     /// validating pass — seal, counts, order and values — so a torn or tampered log
     /// fails here with a typed error rather than at first query.  This is the one door
-    /// for bytes from outside the store: each image is validated here once, its records
-    /// are loaded whole into the logs as new ranges, and nothing checks them again.
+    /// for bytes from outside the store: each image is validated here once, each record's
+    /// run is appended straight from the bytes into its node's log as a new range as soon
+    /// as it is validated, and nothing checks them again.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         let (manifest, log) = split_manifest(bytes)?;
         // Both validated by the manifest decoder; no assertion stands behind these bytes.
@@ -343,7 +367,13 @@ impl CheckpointStore {
             if end > log.len() {
                 return Err(StoreError::Truncated);
             }
-            let image = decode(&log[start..end])?;
+            let (mut records, mut at) = (Vec::new(), 0);
+            let logs = &mut store.logs;
+            let image = decode(&log[start..end], |node, run| {
+                let log = log_at(logs, &mut at, node);
+                let start = logs[log].load(run);
+                records.push(Record { node, start, len: run.len(), ascending: true });
+            })?;
             if image.epoch != entry.epoch {
                 return Err(StoreError::Corrupt("manifest epoch disagrees with its image"));
             }
@@ -352,15 +382,7 @@ impl CheckpointStore {
                 let max = Epoch::MAX - 1;
                 return Err(StoreError::Oversize { what: "snapshot epoch", declared: entry.epoch, max });
             }
-            let (epoch, capacity) = (image.epoch, image.capacity);
-            let mut records = Vec::with_capacity(image.records.len());
-            let mut at = 0;
-            for (node, samples) in image.into_records() {
-                let log = log_at(&mut store.logs, &mut at, node);
-                let start = store.logs[log].load(&samples);
-                records.push(Record { node, start, len: samples.len() });
-            }
-            store.snapshots.push_back(Snapshot { epoch, capacity, records, bytes: len });
+            store.snapshots.push_back(Snapshot { epoch: image.epoch, capacity: image.capacity, records, bytes: len });
             logged = end;
         }
         if log.len() != logged {
@@ -391,7 +413,7 @@ impl PartialEq for CheckpointStore {
         let same_records = |a: &Snapshot, b: &Snapshot| {
             a.records.len() == b.records.len()
                 && self.records_of(a).zip(other.records_of(b)).all(|((n, x), (m, y))| {
-                    n == m && x.len() == y.len() && x.iter().zip(y).all(|(&p, &q)| same(p, q))
+                    n.node == m.node && x.len() == y.len() && x.iter().zip(y).all(|(&p, &q)| same(p, q))
                 })
         };
         self.cadence == other.cadence

@@ -6,11 +6,10 @@
 //! evicted past the retention, its page writes charged per window and its page reads
 //! per record.  A restore of the model decodes the image and cuts the span by the
 //! format's rules, written out again here: the newest `span` epochs of the first
-//! non-empty record say where every record's samples start, and the covered epochs are
-//! the first record's — or, where any record's differ, the union of all, distinct.
-//! Where a window took two samples in one epoch, the format takes a record for the
-//! first's when its count and its two ends are the first's and its count spans them
-//! (`last − first + 1`); the model says so too.
+//! non-empty record say where every record's samples start — every record is cut whole
+//! where that one repeats an epoch — and the covered epochs are the union of every
+//! record's, distinct, also where a window took two samples in one epoch, whose record
+//! has the count and the ends of a gapless one.
 //!
 //! After every checkpoint the two must agree on the device bytes, the stored bytes, both
 //! page ledgers, and every restore of every retained snapshot at spans 1, W/2, W and
@@ -58,22 +57,14 @@ fn cut(image: &[u8], span: usize) -> WindowBank {
     let held: Vec<&Column> = columns.iter().filter(|(_, samples)| !samples.is_empty()).collect();
     let epochs = |samples: &[(Epoch, Value)]| samples.iter().map(|&(e, _)| e).collect::<Vec<_>>();
     let first = held.first().map(|(_, samples)| epochs(samples)).unwrap_or_default();
-    // A record holds the first's epochs when it holds the same ones, or as many from the
-    // same first to the same last where that many span the two: over strictly ascending
-    // epochs the same ones, and what the format takes for them where an epoch repeats.
-    let spans = |e: &[Epoch]| e.last().zip(e.first()).is_some_and(|(last, first)| last - first + 1 == e.len() as Epoch);
-    let same = |e: &[Epoch]| {
-        e == first || (e.len() == first.len() && e.first() == first.first() && e.last() == first.last() && spans(e))
-    };
-    let mut covered = first.clone();
-    if held.iter().any(|(_, samples)| !same(&epochs(samples))) {
-        covered = held.iter().flat_map(|(_, samples)| epochs(samples)).collect();
-        covered.sort_unstable();
-        covered.dedup();
-    }
+    let mut covered: Vec<Epoch> = held.iter().flat_map(|(_, samples)| epochs(samples)).collect();
+    covered.sort_unstable();
+    covered.dedup();
     let fed = covered.len() as u64;
     covered.drain(..covered.len().saturating_sub(capacity.min(span)));
-    let from = first.len().checked_sub(span).map_or(0, |at| first[at]);
+    // A first record that repeats an epoch is cut whole, like every record after it.
+    let ascending = first.windows(2).all(|pair| pair[0] < pair[1]);
+    let from = if ascending { first.len().checked_sub(span).map_or(0, |at| first[at]) } else { 0 };
     let windows = if span == 0 {
         Vec::new()
     } else {
@@ -278,6 +269,43 @@ fn a_same_epoch_checkpoint_replaces_the_newest() {
     feeds[6].1 = 0;
     feeds[9].1 = 0;
     run(&feeds, 4, 1, 3, 0, usize::MAX, usize::MAX, false);
+}
+
+/// Capacity 3, and the newest checkpoint holds node 1's window `[5, 7, 7]` (it missed
+/// epoch 6 and took two samples of epoch 7), node 2's `[5, 6, 7]` and node 3's
+/// `[3, 4, 5]`.  The span is the union of the records' epochs, `[3, 4, 5, 6, 7]`: fed 5,
+/// covering `[5, 6, 7]`.  Node 2's record has the count and the ends of node 1's, and a
+/// comparison by count and ends alone took it for node 1's and read `[4, 5, 7]`, fed 4.
+/// A view of the newest two epochs covers `[6, 7]` and holds node 2's samples of both:
+/// a cut that starts at node 1's second-newest sample, of epoch 7, dropped epoch 6.
+#[test]
+fn a_record_that_repeats_an_epoch_is_not_taken_for_a_gapless_one() {
+    let feeds: Vec<Feed> = vec![(0b100, 3), (0b100, 1), (0b111, 1), (0b010, 1), (0b011, 1), (0b001, 0)];
+    run(&feeds, 3, 1, 3, usize::MAX, usize::MAX, usize::MAX, false);
+    let mut store = CheckpointStore::new(1);
+    let (mut bank, mut net) = (WindowBank::new(3), net());
+    let mut epoch = 0;
+    for &(reporting, step) in &feeds {
+        epoch += step;
+        let readings: Vec<Reading> = (1..=3)
+            .filter(|node| reporting >> (node - 1) & 1 == 1)
+            .map(|node| Reading::new(node, 0, epoch, 1.0))
+            .collect();
+        bank.feed(&readings);
+    }
+    store.checkpoint(&mut bank, epoch, &mut net);
+    let node = |bank: &mut WindowBank, id| {
+        bank.window_mut(id).expect("a window").iter().map(|(e, _)| e).collect::<Vec<_>>()
+    };
+    assert_eq!([node(&mut bank, 1), node(&mut bank, 2), node(&mut bank, 3)], [[5, 7, 7], [5, 6, 7], [3, 4, 5]]);
+    let restored = store.restore_latest_bank().expect("a snapshot");
+    assert_eq!((restored.epochs().collect::<Vec<_>>(), restored.epochs_fed()), (vec![5, 6, 7], 5));
+    let view = store.restore(epoch, 3, &mut net).expect("a retained epoch");
+    assert_eq!((view.covered_epochs(), view.bank().epochs_fed()), (&[5, 6, 7][..], 5));
+    // Node 1's second-newest sample is of epoch 7, but the span's first epoch is 6.
+    let view = store.restore(epoch, 2, &mut net).expect("a retained epoch");
+    assert_eq!(view.covered_epochs(), [6, 7]);
+    assert_eq!(view.samples(2).iter().map(|&(e, _)| e).collect::<Vec<_>>(), [6, 7], "node 2's samples of the span");
 }
 
 proptest! {
