@@ -63,7 +63,7 @@ pub use metrics::{
     Savings, StorageTotals, RETENTION_WINDOW,
 };
 pub use radio::RadioModel;
-pub use schedule::{FrameScheduler, FrameSlice, ReportIntent};
+pub use schedule::{Fate, FrameScheduler};
 pub use sim::{Network, NetworkConfig};
 pub use storage::{
     SlidingWindow, WindowBank, FLASH_PAGE_BYTES, FLASH_PAGE_READ_UJ, FLASH_PAGE_WRITE_UJ,

@@ -7,8 +7,11 @@
 //! everything to the base station?
 //!
 //! Every payload on the air is booked once: a unicast path or a flood through one
-//! [`PathBooking`], a merged frame through one [`NetworkMetrics::book_frame`].  The
-//! ledger's axes are flat: sorted rows behind a last-hit cursor.  What must survive any
+//! [`PathBooking`], the epoch's merged frames through one
+//! [`NetworkMetrics::book_frames`].  The phase axis is a row per [`PhaseTag`]; the other
+//! axes are sorted rows behind a last-hit cursor.  A path of two or more attempts keeps
+//! its rows' running energy sums in the booking; a flush finds each riding scope's rows
+//! once and keeps their totals beside the frames until it closes.  What must survive any
 //! change of representation — the order each accumulator receives its operands in, and
 //! when a row starts to exist — is written down in ADR-004, "Host representation".
 //!
@@ -17,7 +20,8 @@
 //! one remainder, and the rows of the scopes still in use, with a retired scope's rows
 //! folded into one retired bucket.  Every total still balances.
 
-use crate::schedule::FrameSlice;
+use crate::radio::RadioModel;
+use crate::schedule::{phase_bit, Fate, Frame, FrameScheduler, Rider};
 use crate::types::{Epoch, NodeId, SINK};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -61,6 +65,23 @@ impl fmt::Display for PhaseTag {
         };
         f.write_str(s)
     }
+}
+
+/// Every phase, in enum order: the per-phase axis's row order.
+const PHASES: [PhaseTag; 8] = [
+    PhaseTag::Dissemination,
+    PhaseTag::Creation,
+    PhaseTag::Update,
+    PhaseTag::Control,
+    PhaseTag::Probe,
+    PhaseTag::LowerBound,
+    PhaseTag::HierarchicalJoin,
+    PhaseTag::CleanUp,
+];
+
+/// The phases whose bits are set in `mask`, in enum order.
+fn phases_in(mask: u8) -> impl Iterator<Item = PhaseTag> {
+    PHASES.into_iter().filter(move |&phase| mask & phase_bit(phase) != 0)
 }
 
 /// Per-node traffic and energy counters.
@@ -245,6 +266,20 @@ impl<K: Ord + Copy, V: Default> SortedRows<K, V> {
     }
 }
 
+/// The per-phase axis: one row per [`PhaseTag`], indexed by the tag, and a mask of the
+/// rows that exist — a row exists once something was booked to it.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct PhaseRows {
+    rows: [PhaseTotals; PHASES.len()],
+    booked: u8,
+}
+
+impl PhaseRows {
+    fn get(&self, phase: PhaseTag) -> Option<&PhaseTotals> {
+        (self.booked & phase_bit(phase) != 0).then(|| &self.rows[phase as usize])
+    }
+}
+
 /// What is booked to a query scope as a whole (its phase breakdown is kept per
 /// `(scope, phase)` cell).  The row exists once anything was booked to the scope; its
 /// storage half exists only once the scope touched flash.
@@ -258,9 +293,27 @@ struct ScopeRow {
 /// and, under a scope, the scope row and the scope×phase cell.
 #[derive(Debug, Clone, Copy)]
 struct BookedRows {
-    phase: usize,
+    phase: PhaseTag,
     epoch: usize,
     scope: Option<(usize, usize)>,
+}
+
+/// One rider's rows for the length of a flush ([`NetworkMetrics::book_frames`]): where
+/// its scope row and its scope×phase cells are, and their totals, which the flush's
+/// frames book here and the close writes back.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct RiderRows {
+    /// The scope row's position; `None` for unscoped callers, whose totals here are
+    /// dropped at the close.
+    scope_row: Option<usize>,
+    totals: PhaseTotals,
+    /// The rider's cells by phase; only those of the phases in `phases` are booked.
+    cells: [PhaseTotals; PHASES.len()],
+    cell_rows: [usize; PHASES.len()],
+    phases: u8,
+    /// The flush's number of the last frame whose retransmissions and drop the rider
+    /// took: they are booked once per riding scope.
+    events_of: u32,
 }
 
 /// What one on-air attempt of a payload costs.  A payload costs the same on every hop
@@ -284,17 +337,19 @@ pub struct AttemptCost {
 /// Closing gives what booking each event on its own would — every attempt one
 /// message heard by its receivers, every retransmission and drop one count — bit for
 /// bit.  The aggregate rows are found once per booking.  Node counters and every
-/// energy accumulator take each attempt as it happens, in attempt order; the message,
-/// byte, tuple, retransmission and drop counts land once, at the close.  A booking of
-/// nothing creates no row.
+/// energy accumulator take each attempt as it happens, in attempt order — from a
+/// path's second attempt on, the five rows' energy sums are kept in the booking and
+/// written back at the close; the message, byte, tuple, retransmission and drop counts
+/// land once, at the close.  A booking of nothing creates no row.
 #[must_use = "a path's counts land when it is closed"]
 pub struct PathBooking<'a> {
     metrics: &'a mut NetworkMetrics,
     epoch: Epoch,
     phase: PhaseTag,
     cost: AttemptCost,
-    /// Found at the path's first row update.
-    rows: Option<BookedRows>,
+    /// Found at the path's second attempt: its rows and their energy sums so far
+    /// ([`NetworkMetrics::energies`]), held until the close.
+    held: Option<(BookedRows, [f64; 5])>,
     /// Once an attempt was booked: the sensor energy of the latest one, not yet added
     /// to the aggregate rows.  It is added with the path's counts at the close, so a
     /// path of one attempt updates its rows in one pass.
@@ -312,8 +367,13 @@ impl PathBooking<'_> {
         let sensor_energy = self.metrics.attempt(from, heard_by, &self.cost);
         if self.attempts > 0 {
             let earlier = self.pending_energy;
-            let rows = *self.rows.get_or_insert_with(|| self.metrics.rows(self.epoch, self.phase));
-            self.metrics.apply(rows, |totals| totals.energy_uj += earlier);
+            let (_, sums) = self.held.get_or_insert_with(|| {
+                let rows = self.metrics.rows(self.epoch, self.phase);
+                (rows, self.metrics.energies(rows))
+            });
+            for sum in sums {
+                *sum += earlier;
+            }
         }
         self.pending_energy = sensor_energy;
         self.attempts += 1;
@@ -338,15 +398,24 @@ impl PathBooking<'_> {
     /// payload").
     #[inline(always)]
     pub fn close(self) {
-        let Self { metrics, epoch, phase, cost, rows, pending_energy, attempts, retransmissions, drops } =
+        let Self { metrics, epoch, phase, cost, held, pending_energy, attempts, retransmissions, drops } =
             self;
         if attempts == 0 && retransmissions == 0 && drops == 0 {
             return;
         }
-        let rows = rows.unwrap_or_else(|| metrics.rows(epoch, phase));
+        let (rows, energy) = match held {
+            Some((rows, mut sums)) => {
+                for sum in &mut sums {
+                    *sum += pending_energy;
+                }
+                metrics.set_energies(rows, sums);
+                (rows, None)
+            }
+            None => (metrics.rows(epoch, phase), (attempts > 0).then_some(pending_energy)),
+        };
         metrics.apply(rows, |totals| {
-            if attempts > 0 {
-                totals.energy_uj += pending_energy;
+            if let Some(energy) = energy {
+                totals.energy_uj += energy;
             }
             totals.messages += attempts;
             totals.bytes += attempts * u64::from(cost.bytes);
@@ -372,7 +441,7 @@ impl PathBooking<'_> {
 pub struct NetworkMetrics {
     per_node: Vec<NodeCounters>,
     sink: NodeCounters,
-    per_phase: SortedRows<PhaseTag, PhaseTotals>,
+    per_phase: PhaseRows,
     /// One row per epoch.  Only the newest [`RETENTION_WINDOW`] rows are the window;
     /// older ones are part of the rolled-up remainder until the next compaction folds
     /// them into `epochs_rolled_up` (see [`Self::epoch_row`]).
@@ -383,9 +452,8 @@ pub struct NetworkMetrics {
     per_scope_phase: SortedRows<(QueryScope, PhaseTag), PhaseTotals>,
     /// What the scopes [`Self::retire_scope`] dropped held, summed.
     retired: ScopeRow,
-    /// Per slice position of a merged frame, where that position's scope row and
-    /// scope×phase cell were last found (cursors, checked before use).
-    frame_hints: Vec<[usize; 2]>,
+    /// The riders' rows of the flush being booked (kept for its capacity).
+    flush: Vec<RiderRows>,
     current_scope: Option<QueryScope>,
     totals: PhaseTotals,
     storage_per_node: Vec<StorageTotals>,
@@ -398,13 +466,13 @@ impl NetworkMetrics {
         Self {
             per_node: vec![NodeCounters::default(); n],
             sink: NodeCounters::default(),
-            per_phase: SortedRows::new(),
+            per_phase: PhaseRows::default(),
             per_epoch: SortedRows::new(),
             epochs_rolled_up: PhaseTotals::default(),
             per_scope: SortedRows::new(),
             per_scope_phase: SortedRows::new(),
             retired: ScopeRow::default(),
-            frame_hints: Vec::new(),
+            flush: Vec::new(),
             current_scope: None,
             totals: PhaseTotals::default(),
             storage_per_node: vec![StorageTotals::default(); n],
@@ -484,8 +552,9 @@ impl NetworkMetrics {
     /// cell — created if they do not exist yet.
     #[inline]
     fn rows(&mut self, epoch: Epoch, phase: PhaseTag) -> BookedRows {
+        self.per_phase.booked |= phase_bit(phase);
         BookedRows {
-            phase: self.per_phase.locate(phase),
+            phase,
             epoch: self.epoch_row(epoch),
             scope: self.current_scope.map(|scope| {
                 (self.per_scope.locate(scope), self.per_scope_phase.locate((scope, phase)))
@@ -524,12 +593,41 @@ impl NetworkMetrics {
     /// the last row insertion.  Every booking runs it, so it must not allocate.
     #[inline(always)]
     fn apply(&mut self, rows: BookedRows, mut apply: impl FnMut(&mut PhaseTotals)) {
-        apply(&mut self.per_phase.rows[rows.phase]);
+        apply(&mut self.per_phase.rows[rows.phase as usize]);
         apply(&mut self.per_epoch.rows[rows.epoch]);
         apply(&mut self.totals);
         if let Some((scope, cell)) = rows.scope {
             apply(&mut self.per_scope.rows[scope].totals);
             apply(&mut self.per_scope_phase.rows[cell]);
+        }
+    }
+
+    /// The energy sums of the rows found by [`Self::rows`]: phase, epoch, grand total and,
+    /// under a scope, scope and scope×phase (zero without one).
+    fn energies(&self, rows: BookedRows) -> [f64; 5] {
+        let (scope, cell) = match rows.scope {
+            Some((scope, cell)) => {
+                (self.per_scope.rows[scope].totals.energy_uj, self.per_scope_phase.rows[cell].energy_uj)
+            }
+            None => (0.0, 0.0),
+        };
+        [
+            self.per_phase.rows[rows.phase as usize].energy_uj,
+            self.per_epoch.rows[rows.epoch].energy_uj,
+            self.totals.energy_uj,
+            scope,
+            cell,
+        ]
+    }
+
+    /// Writes back what [`Self::energies`] read.
+    fn set_energies(&mut self, rows: BookedRows, sums: [f64; 5]) {
+        self.per_phase.rows[rows.phase as usize].energy_uj = sums[0];
+        self.per_epoch.rows[rows.epoch].energy_uj = sums[1];
+        self.totals.energy_uj = sums[2];
+        if let Some((scope, cell)) = rows.scope {
+            self.per_scope.rows[scope].totals.energy_uj = sums[3];
+            self.per_scope_phase.rows[cell].energy_uj = sums[4];
         }
     }
 
@@ -541,7 +639,7 @@ impl NetworkMetrics {
             epoch,
             phase,
             cost,
-            rows: None,
+            held: None,
             pending_energy: 0.0,
             attempts: 0,
             retransmissions: 0,
@@ -572,78 +670,135 @@ impl NetworkMetrics {
         path.close();
     }
 
-    /// Books a **merged frame** (see [`crate::schedule`]) sent by `from` to `to`: a
-    /// frame carrying several sessions' payload slices as one transmission, on the air
-    /// `attempts` times (one plus its ARQ retransmissions, so at least one) and dropped
-    /// after the last unless `delivered`.
+    /// Books and empties every frame pending in `frames` — the epoch's merged report
+    /// frames (see [`crate::schedule`]) — in `(sender, receiver)` order.  Each frame is
+    /// costed by `radio`, its shares split per the attribution policy, and `charge`
+    /// gives, from its sender, receiver, on-air bytes and attempts, the radio energy of
+    /// one attempt to its sender and to its receiver (the simulator drains the
+    /// batteries there).  A frame is on the air as many times as its fate says (at
+    /// least once) and dropped after the last attempt unless delivered.
     ///
     /// Booking policy (ADR-004): the per-node, per-epoch and grand-total ledgers see
-    /// one message of `frame_bytes` bytes per attempt — a merged frame really is one
+    /// one message of the frame's bytes per attempt — a merged frame really is one
     /// transmission on the air.  On the per-phase axis the frame's *message* is booked
-    /// under `label_phase` (the phase of the intent that opened the frame) while bytes,
-    /// tuples and energy are partitioned per slice under each slice's own phase, so
-    /// the per-phase axis still sums to the totals exactly.  Each slice's scope is
+    /// under its label phase (the phase of the intent that opened the frame) while
+    /// bytes, tuples and energy are partitioned per slice under each slice's own phase,
+    /// so the per-phase axis still sums to the totals exactly.  Each slice's scope is
     /// booked the slice's attributed share (payload + pro-rata overhead) plus one
     /// message — under batching a scope's message count therefore means "frames my
     /// payload rode on" and scoped message sums may exceed the global count, while
     /// scoped *bytes* always partition the ledger.  A retransmission or the drop is
-    /// booked once under the label phase and once per riding scope: every scope's
-    /// payload was on the retry, and a dropped frame drops them all.
+    /// booked once under the label phase and once per riding scope, under the phase of
+    /// its first slice on the frame: every scope's payload was on the retry, and a
+    /// dropped frame drops them all.
     ///
-    /// Each attempt is booked in turn, node counters and every accumulator; the
-    /// retransmission and drop counts land once.
-    #[allow(clippy::too_many_arguments)]
-    pub fn book_frame(
+    /// Each attempt is booked in turn, node counters and every accumulator, frames in
+    /// drain order and slices in enqueue order; the retransmission and drop counts land
+    /// once per frame.  The riders' scope rows and scope×phase cells are created and
+    /// found once, when the flush opens — each would be created by its rider's first
+    /// slice, and nothing reads the ledger before the flush closes.
+    pub fn book_frames(
         &mut self,
-        from: NodeId,
-        to: NodeId,
-        epoch: Epoch,
-        label_phase: PhaseTag,
-        frame_bytes: u32,
-        slices: &[FrameSlice],
-        tx_energy: f64,
-        rx_energy: f64,
-        attempts: u32,
-        delivered: bool,
+        frames: &mut FrameScheduler,
+        radio: &RadioModel,
+        mut charge: impl FnMut(NodeId, NodeId, u32, u32) -> (f64, f64),
     ) {
-        let tuples: u32 = slices.iter().map(|s| s.tuples).sum();
-        let cost = AttemptCost { bytes: frame_bytes, tuples, tx_energy, rx_energy };
-        // Frame after frame carries the same sessions in the same slice positions, so
-        // each position remembers where its scope's rows were.
-        if self.frame_hints.len() < slices.len() {
-            self.frame_hints.resize(slices.len(), [0; 2]);
+        if frames.is_empty() {
+            return;
         }
+        self.open_flush(frames.riders());
+        let mut number = 0;
+        frames.drain(|from, to, frame| {
+            let frame_bytes = frame.cost(radio);
+            let (tx_energy, rx_energy) = charge(from, to, frame_bytes, frame.fate.attempts);
+            let cost = AttemptCost { bytes: frame_bytes, tuples: frame.tuples, tx_energy, rx_energy };
+            self.book_frame(from, to, frame, cost, number);
+            number += 1;
+        });
+        self.close_flush();
+    }
+
+    /// Creates the rows the riders will book — their scope rows, and a scope×phase
+    /// cell for every phase a rider carries — marks their phases' rows as existing, and
+    /// loads the scope rows and cells into the flush's rider rows.
+    fn open_flush(&mut self, riders: &[Rider]) {
+        let Self { per_phase, per_scope, per_scope_phase, flush, .. } = self;
+        for rider in riders {
+            per_phase.booked |= rider.phases;
+        }
+        // Creating a row moves the rows after it, so the positions are found again
+        // until a pass creates nothing: twice at most.
+        loop {
+            let rows_before = per_scope.keys.len() + per_scope_phase.keys.len();
+            flush.clear();
+            flush.extend(riders.iter().map(|rider| {
+                let mut rows = RiderRows {
+                    scope_row: None,
+                    totals: PhaseTotals::default(),
+                    cells: [PhaseTotals::default(); PHASES.len()],
+                    cell_rows: [0; PHASES.len()],
+                    phases: rider.phases,
+                    events_of: u32::MAX,
+                };
+                if let Some(scope) = rider.scope {
+                    let at = per_scope.locate(scope);
+                    rows.scope_row = Some(at);
+                    rows.totals = per_scope.rows[at].totals;
+                    for phase in phases_in(rider.phases) {
+                        let at = per_scope_phase.locate((scope, phase));
+                        rows.cell_rows[phase as usize] = at;
+                        rows.cells[phase as usize] = per_scope_phase.rows[at];
+                    }
+                }
+                rows
+            }));
+            if per_scope.keys.len() + per_scope_phase.keys.len() == rows_before {
+                break;
+            }
+        }
+    }
+
+    /// Writes the riders' rows back into the scope axes.
+    fn close_flush(&mut self) {
+        let Self { per_scope, per_scope_phase, flush, .. } = self;
+        for rider in flush.iter() {
+            let Some(at) = rider.scope_row else { continue };
+            per_scope.rows[at].totals = rider.totals;
+            for phase in phases_in(rider.phases) {
+                per_scope_phase.rows[rider.cell_rows[phase as usize]] = rider.cells[phase as usize];
+            }
+        }
+    }
+
+    /// Books one costed frame of the open flush, the flush's frame number `number`.
+    fn book_frame(&mut self, from: NodeId, to: NodeId, frame: &Frame, cost: AttemptCost, number: u32) {
+        let Fate { epoch, delivered, attempts } = frame.fate;
+        let frame_bytes = cost.bytes;
+        let label = frame.slices.first().map_or(PhaseTag::Update, |s| s.phase);
+        let epoch_row = self.epoch_row(epoch);
         for _ in 0..attempts {
             let sensor_energy = self.attempt(from, &[to], &cost);
-            let epoch_row = self.epoch_row(epoch);
-            for totals in [&mut self.totals, &mut self.per_epoch.rows[epoch_row]] {
+            let Self { per_phase, per_epoch, totals, flush, .. } = self;
+            for totals in [totals, &mut per_epoch.rows[epoch_row]] {
                 totals.messages += 1;
                 totals.bytes += u64::from(frame_bytes);
-                totals.tuples += u64::from(tuples);
+                totals.tuples += u64::from(cost.tuples);
                 totals.energy_uj += sensor_energy;
             }
-            self.per_phase.entry(label_phase).messages += 1;
-            for (slice, hint) in slices.iter().zip(&mut self.frame_hints) {
-                let share = if frame_bytes > 0 {
-                    f64::from(slice.share_bytes) / f64::from(frame_bytes)
-                } else {
-                    0.0
-                };
+            per_phase.rows[label as usize].messages += 1;
+            for slice in &frame.slices {
+                let share = if frame_bytes > 0 { f64::from(slice.bytes) / f64::from(frame_bytes) } else { 0.0 };
                 let slice_energy = sensor_energy * share;
-                let phase = self.per_phase.entry(slice.phase);
-                phase.bytes += u64::from(slice.share_bytes);
+                let phase = &mut per_phase.rows[slice.phase as usize];
+                phase.bytes += u64::from(slice.bytes);
                 phase.tuples += u64::from(slice.tuples);
                 phase.energy_uj += slice_energy;
-                if let Some(scope) = slice.scope {
-                    for ledger in [
-                        &mut self.per_scope.entry_near(scope, &mut hint[0]).totals,
-                        self.per_scope_phase.entry_near((scope, slice.phase), &mut hint[1]),
-                    ] {
-                        ledger.messages += 1;
-                        ledger.bytes += u64::from(slice.share_bytes);
-                        ledger.tuples += u64::from(slice.tuples);
-                        ledger.energy_uj += slice_energy;
-                    }
+                let rider = &mut flush[slice.rider as usize];
+                for ledger in [&mut rider.totals, &mut rider.cells[slice.phase as usize]] {
+                    ledger.messages += 1;
+                    ledger.bytes += u64::from(slice.bytes);
+                    ledger.tuples += u64::from(slice.tuples);
+                    ledger.energy_uj += slice_energy;
                 }
             }
         }
@@ -653,23 +808,20 @@ impl NetworkMetrics {
             return;
         }
         self.counters_mut(from).dropped_messages += drops;
-        let epoch_row = self.epoch_row(epoch);
-        for totals in [self.per_phase.entry(label_phase), &mut self.per_epoch.rows[epoch_row], &mut self.totals] {
+        let Self { per_phase, per_epoch, totals, flush, .. } = self;
+        for totals in [&mut per_phase.rows[label as usize], &mut per_epoch.rows[epoch_row], totals] {
             totals.retransmissions += retransmissions;
             totals.dropped_messages += drops;
         }
-        // Frame-level events are booked once per distinct riding scope, under the
-        // phase of that scope's first slice.
-        for (at, slice) in slices.iter().enumerate() {
-            let Some(scope) = slice.scope else { continue };
-            if slices[..at].iter().all(|earlier| earlier.scope != slice.scope) {
-                for ledger in [
-                    &mut self.per_scope.entry(scope).totals,
-                    self.per_scope_phase.entry((scope, slice.phase)),
-                ] {
-                    ledger.retransmissions += retransmissions;
-                    ledger.dropped_messages += drops;
-                }
+        for slice in &frame.slices {
+            let rider = &mut flush[slice.rider as usize];
+            if rider.events_of == number {
+                continue;
+            }
+            rider.events_of = number;
+            for ledger in [&mut rider.totals, &mut rider.cells[slice.phase as usize]] {
+                ledger.retransmissions += retransmissions;
+                ledger.dropped_messages += drops;
             }
         }
     }
@@ -807,7 +959,7 @@ impl NetworkMetrics {
 
     /// All phases that actually saw traffic, with their totals, in enum order.
     pub fn phases(&self) -> impl Iterator<Item = (PhaseTag, PhaseTotals)> + '_ {
-        self.per_phase.iter().map(|(tag, totals)| (tag, *totals))
+        phases_in(self.per_phase.booked).map(|tag| (tag, self.per_phase.rows[tag as usize]))
     }
 
     /// The newest [`RETENTION_WINDOW`] epochs that saw traffic, with their totals, in
@@ -835,6 +987,38 @@ impl NetworkMetrics {
     /// Savings of `self` relative to `baseline` (positive = `self` used less).
     pub fn savings_vs(&self, baseline: &NetworkMetrics) -> Savings {
         Savings::between(baseline.totals(), self.totals())
+    }
+}
+
+/// The ledger's rows one at a time, each created on first use as a booking creates it:
+/// what the parent's frame booking, kept in `reference.rs` as the oracle of
+/// [`NetworkMetrics::book_frames`], books through.
+#[cfg(test)]
+impl NetworkMetrics {
+    pub(crate) fn node_row(&mut self, id: NodeId) -> &mut NodeCounters {
+        self.counters_mut(id)
+    }
+
+    pub(crate) fn totals_row(&mut self) -> &mut PhaseTotals {
+        &mut self.totals
+    }
+
+    pub(crate) fn phase_row(&mut self, phase: PhaseTag) -> &mut PhaseTotals {
+        self.per_phase.booked |= phase_bit(phase);
+        &mut self.per_phase.rows[phase as usize]
+    }
+
+    pub(crate) fn epoch_row_of(&mut self, epoch: Epoch) -> &mut PhaseTotals {
+        let at = self.epoch_row(epoch);
+        &mut self.per_epoch.rows[at]
+    }
+
+    pub(crate) fn scope_row(&mut self, scope: QueryScope) -> &mut PhaseTotals {
+        &mut self.per_scope.entry(scope).totals
+    }
+
+    pub(crate) fn scope_phase_row(&mut self, scope: QueryScope, phase: PhaseTag) -> &mut PhaseTotals {
+        self.per_scope_phase.entry((scope, phase))
     }
 }
 
@@ -1126,14 +1310,17 @@ mod tests {
 
     #[test]
     fn frame_bookings_conserve_bytes_and_attribute_riders() {
-        use crate::schedule::FrameSlice;
-        let slices = [
-            FrameSlice { scope: Some(0), phase: PhaseTag::Update, share_bytes: 20, tuples: 1 },
-            FrameSlice { scope: Some(1), phase: PhaseTag::Creation, share_bytes: 14, tuples: 2 },
-        ];
-        let mut m = NetworkMetrics::new(3);
         // Two attempts, the second a retransmission, then dropped.
-        m.book_frame(2, 1, 0, PhaseTag::Update, 34, &slices, 340.0, 170.0, 2, false);
+        let fate = || Fate { epoch: 0, delivered: false, attempts: 2 };
+        let mut frames = FrameScheduler::new(3);
+        // The ideal radio has no overhead: the slices' shares are their payloads.
+        frames.enqueue(2, 1, Some(0), PhaseTag::Update, 20, 1, fate);
+        frames.enqueue(2, 1, Some(1), PhaseTag::Creation, 14, 2, fate);
+        let mut m = NetworkMetrics::new(3);
+        m.book_frames(&mut frames, &RadioModel::ideal(), |from, to, frame_bytes, attempts| {
+            assert_eq!((from, to, frame_bytes, attempts), (2, 1, 34, 2));
+            (340.0, 170.0)
+        });
 
         // Global ledgers: one message per attempt, whole-frame bytes.
         assert_eq!(m.totals().messages, 2);
@@ -1229,9 +1416,9 @@ mod tests {
         }
         // A booking for an epoch older than the window lands in the remainder.
         m.record_local_energy(2, 5, 2.0);
-        m.set_scope(Some(3));
-        m.book_frame(1, 2, 7, PhaseTag::Update, 20, &[], 4.0, 2.0, 2, false);
-        m.set_scope(None);
+        let mut frames = FrameScheduler::new(2);
+        frames.enqueue(1, 2, Some(3), PhaseTag::Update, 20, 0, || Fate { epoch: 7, delivered: false, attempts: 2 });
+        m.book_frames(&mut frames, &RadioModel::ideal(), |_, _, _, _| (4.0, 2.0));
 
         let window: Vec<Epoch> = m.epochs().map(|(epoch, _)| epoch).collect();
         assert_eq!(window, (epochs - WINDOW..epochs).collect::<Vec<_>>(), "the newest window, in order");

@@ -8,14 +8,20 @@
 //!
 //! Routing, ARQ and liveness are verbatim.  The ledger calls are not: the per-event
 //! booking methods they made are gone, so each event is a path booking of its own
-//! ([`book_event`]) and a frame one `book_frame`.  That the ledger books a path or a
-//! frame exactly as event-by-event booking would is held by `tests/ledger.rs`, against
-//! its map-per-axis model.
+//! ([`book_event`]).  That the ledger books a path exactly as event-by-event booking
+//! would is held by `tests/ledger.rs`, against its map-per-axis model.
+//!
+//! The frame path is the one substrate kernel v4 replaced (ADR-004, "Substrate kernel
+//! v4"): the scheduler that kept frames in open order and sorted them to drain, the
+//! split into a buffer of slices, and a `book_frame` that books every slice of every
+//! attempt row by row, finding each slice's scope rows as it goes — here through the
+//! ledger's test-only row accessors, so the oracle shares no booking code with
+//! [`NetworkMetrics::book_frames`].
 
 use crate::energy::BatteryBank;
-use crate::metrics::{AttemptCost, NetworkMetrics, PathBooking, PhaseTag, QueryScope};
+use crate::metrics::{AttemptCost, NetworkMetrics, PathBooking, PhaseTag, PhaseTotals, QueryScope};
+use crate::radio::RadioModel;
 use crate::rng::stream_rng;
-use crate::schedule::{split_frame_shares, FrameScheduler, PendingFrame, ReportIntent};
 use crate::sim::{NetworkConfig, FRAME_FATE_STREAM};
 use crate::topology::Deployment;
 use crate::tree::RoutingTree;
@@ -52,6 +58,238 @@ fn book_event(
     let mut booking = metrics.open_path(epoch, phase, cost);
     event(&mut booking);
     booking.close();
+}
+
+/// One symbolic report enqueued by a session.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ReportIntent {
+    scope: Option<QueryScope>,
+    phase: PhaseTag,
+    data_tuples: u32,
+    control_tuples: u32,
+}
+
+/// A frame being assembled for one `(sender, receiver)` hop of the current epoch.
+#[derive(Debug, Clone)]
+struct PendingFrame {
+    epoch: Epoch,
+    delivered: bool,
+    attempts: u32,
+    slices: Vec<ReportIntent>,
+}
+
+impl PendingFrame {
+    fn open(epoch: Epoch, loss: f64, max_attempts: u32, rng: &mut StdRng) -> Self {
+        let mut attempts = 1;
+        let delivered = loop {
+            let lost = loss > 0.0 && rng.gen_bool(loss.min(1.0));
+            if !lost {
+                break true;
+            }
+            if attempts >= max_attempts {
+                break false;
+            }
+            attempts += 1;
+        };
+        Self { epoch, delivered, attempts, slices: Vec::new() }
+    }
+}
+
+/// One scope's fully attributed share of a flushed frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FrameSlice {
+    scope: Option<QueryScope>,
+    phase: PhaseTag,
+    share_bytes: u32,
+    tuples: u32,
+}
+
+/// Splits a frame's on-air bytes across its slices: each slice gets its own payload
+/// bytes plus `overhead × payload_i / payload` rounded down, and the remaining bytes
+/// are assigned one-by-one in enqueue order.
+fn split_frame_shares(intents: &[ReportIntent], radio: &RadioModel, slices: &mut Vec<FrameSlice>) -> u32 {
+    let payload_of = |i: &ReportIntent| radio.payload_bytes(i.data_tuples, i.control_tuples);
+    let payload_total: u32 = intents.iter().map(payload_of).sum();
+    let frame_bytes = radio.on_air_bytes(payload_total);
+    let overhead = frame_bytes - payload_total;
+
+    slices.clear();
+    slices.extend(intents.iter().map(|intent| {
+        let payload = payload_of(intent);
+        let share = if payload_total == 0 {
+            0
+        } else {
+            (u64::from(overhead) * u64::from(payload) / u64::from(payload_total)) as u32
+        };
+        FrameSlice {
+            scope: intent.scope,
+            phase: intent.phase,
+            share_bytes: payload + share,
+            tuples: intent.data_tuples,
+        }
+    }));
+    let mut remainder = frame_bytes - slices.iter().map(|s| s.share_bytes).sum::<u32>();
+    for slice in slices.iter_mut() {
+        if remainder == 0 {
+            break;
+        }
+        slice.share_bytes += 1;
+        remainder -= 1;
+    }
+    if let Some(first) = slices.first_mut() {
+        first.share_bytes += remainder;
+    }
+    frame_bytes
+}
+
+/// Frames under assembly in open order, one slot per sender pointing at the frame it
+/// opened first, recycled slice buffers, and a drain that sorts.
+#[derive(Debug, Clone)]
+struct FrameScheduler {
+    frames: Vec<((NodeId, NodeId), PendingFrame)>,
+    first_open: Vec<u32>,
+    spare_slices: Vec<Vec<ReportIntent>>,
+    shares: Vec<FrameSlice>,
+    order: Vec<u64>,
+}
+
+impl FrameScheduler {
+    fn new(num_nodes: usize) -> Self {
+        Self {
+            frames: Vec::new(),
+            first_open: vec![0; num_nodes + 1],
+            spare_slices: Vec::new(),
+            shares: Vec::new(),
+            order: Vec::new(),
+        }
+    }
+
+    fn frame_entry(&mut self, from: NodeId, to: NodeId, open: impl FnOnce() -> PendingFrame) -> &mut PendingFrame {
+        let found = match self.first_open.get(from as usize) {
+            Some(0) => None,
+            Some(&slot) if self.frames[slot as usize - 1].0 .1 == to => Some(slot as usize - 1),
+            _ => self.frames.iter().position(|(hop, _)| *hop == (from, to)),
+        };
+        let at = found.unwrap_or_else(|| {
+            let mut frame = open();
+            frame.slices = self.spare_slices.pop().unwrap_or_default();
+            self.frames.push(((from, to), frame));
+            if let Some(slot @ 0) = self.first_open.get_mut(from as usize) {
+                *slot = self.frames.len() as u32;
+            }
+            self.frames.len() - 1
+        });
+        &mut self.frames[at].1
+    }
+
+    fn drain_frames(&mut self, mut visit: impl FnMut(NodeId, NodeId, &PendingFrame, &mut Vec<FrameSlice>)) {
+        let Self { frames, first_open, spare_slices, shares, order } = self;
+        order.clear();
+        order.extend(frames.iter().enumerate().map(|(at, ((from, _), _))| u64::from(*from) << 32 | at as u64));
+        order.sort_unstable();
+        for run in order.chunk_by_mut(|a, b| a >> 32 == b >> 32).filter(|run| run.len() > 1) {
+            run.sort_unstable_by_key(|&key| frames[key as u32 as usize].0 .1);
+        }
+        for &key in order.iter() {
+            let ((from, to), frame) = &mut frames[key as u32 as usize];
+            visit(*from, *to, frame, shares);
+            if let Some(slot) = first_open.get_mut(*from as usize) {
+                *slot = 0;
+            }
+            let mut slices = std::mem::take(&mut frame.slices);
+            slices.clear();
+            spare_slices.push(slices);
+        }
+        frames.clear();
+    }
+}
+
+/// Books a merged frame sent by `from` to `to`, on the air `attempts` times and
+/// dropped after the last unless `delivered`: for each attempt the node counters, one
+/// message of `frame_bytes` in the grand total and the epoch row, the message under
+/// `label_phase` and each slice's share, tuples and energy under its own phase and
+/// scope; then the retransmissions and the drop under the label phase and once per
+/// distinct riding scope.
+#[allow(clippy::too_many_arguments)]
+fn book_frame(
+    m: &mut NetworkMetrics,
+    from: NodeId,
+    to: NodeId,
+    epoch: Epoch,
+    label_phase: PhaseTag,
+    frame_bytes: u32,
+    slices: &[FrameSlice],
+    tx_energy: f64,
+    rx_energy: f64,
+    attempts: u32,
+    delivered: bool,
+) {
+    let tuples: u32 = slices.iter().map(|s| s.tuples).sum();
+    for _ in 0..attempts {
+        let sender = m.node_row(from);
+        sender.tx_messages += 1;
+        sender.tx_bytes += u64::from(frame_bytes);
+        sender.tuples_sent += u64::from(tuples);
+        sender.energy_uj += tx_energy;
+        let receiver = m.node_row(to);
+        receiver.rx_messages += 1;
+        receiver.rx_bytes += u64::from(frame_bytes);
+        receiver.energy_uj += rx_energy;
+        let mut sensor_energy = 0.0;
+        if from != SINK {
+            sensor_energy += tx_energy;
+        }
+        if to != SINK {
+            sensor_energy += rx_energy;
+        }
+        let attempt = |totals: &mut PhaseTotals| {
+            totals.messages += 1;
+            totals.bytes += u64::from(frame_bytes);
+            totals.tuples += u64::from(tuples);
+            totals.energy_uj += sensor_energy;
+        };
+        attempt(m.totals_row());
+        attempt(m.epoch_row_of(epoch));
+        m.phase_row(label_phase).messages += 1;
+        for slice in slices {
+            let share = if frame_bytes > 0 { f64::from(slice.share_bytes) / f64::from(frame_bytes) } else { 0.0 };
+            let slice_energy = sensor_energy * share;
+            let phase = m.phase_row(slice.phase);
+            phase.bytes += u64::from(slice.share_bytes);
+            phase.tuples += u64::from(slice.tuples);
+            phase.energy_uj += slice_energy;
+            if let Some(scope) = slice.scope {
+                let ride = |ledger: &mut PhaseTotals| {
+                    ledger.messages += 1;
+                    ledger.bytes += u64::from(slice.share_bytes);
+                    ledger.tuples += u64::from(slice.tuples);
+                    ledger.energy_uj += slice_energy;
+                };
+                ride(m.scope_row(scope));
+                ride(m.scope_phase_row(scope, slice.phase));
+            }
+        }
+    }
+    let retransmissions = u64::from(attempts.saturating_sub(1));
+    let drops = u64::from(!delivered);
+    if retransmissions == 0 && drops == 0 {
+        return;
+    }
+    m.node_row(from).dropped_messages += drops;
+    let events = |totals: &mut PhaseTotals| {
+        totals.retransmissions += retransmissions;
+        totals.dropped_messages += drops;
+    };
+    events(m.phase_row(label_phase));
+    events(m.epoch_row_of(epoch));
+    events(m.totals_row());
+    for (at, slice) in slices.iter().enumerate() {
+        let Some(scope) = slice.scope else { continue };
+        if slices[..at].iter().all(|earlier| earlier.scope != slice.scope) {
+            events(m.scope_row(scope));
+            events(m.scope_phase_row(scope, slice.phase));
+        }
+    }
 }
 
 /// The fields `Network` had, under the same names, so the methods below read as they
@@ -270,7 +508,8 @@ impl ReferenceNetwork {
             let tx = config.energy.tx_cost(frame_bytes);
             let rx = config.energy.rx_cost(frame_bytes);
             let label_phase = frame.slices.first().map_or(PhaseTag::Update, |s| s.phase);
-            metrics.book_frame(
+            book_frame(
+                metrics,
                 from,
                 to,
                 frame.epoch,
@@ -417,6 +656,18 @@ mod properties {
 
     const PHASES: [PhaseTag; 4] = [PhaseTag::Update, PhaseTag::Probe, PhaseTag::Control, PhaseTag::CleanUp];
 
+    /// Every phase, for the keyed reads of the per-phase axis.
+    const ALL_PHASES: [PhaseTag; 8] = [
+        PhaseTag::Dissemination,
+        PhaseTag::Creation,
+        PhaseTag::Update,
+        PhaseTag::Control,
+        PhaseTag::Probe,
+        PhaseTag::LowerBound,
+        PhaseTag::HierarchicalJoin,
+        PhaseTag::CleanUp,
+    ];
+
     /// One call into the substrate.
     #[derive(Debug, Clone, Copy)]
     enum Op {
@@ -494,11 +745,14 @@ mod properties {
         }));
         let row = |key: u64, t: PhaseTotals| [&[key][..], &totals_bits(t)[..]].concat();
         out.extend(m.epochs().map(|(e, t)| row(e, t)));
+        out.push(totals_bits(m.epochs_rolled_up()).to_vec());
         out.extend(m.phases().map(|(p, t)| row(p as u64, t)));
+        out.extend(ALL_PHASES.map(|p| row(p as u64, m.phase(p))));
         for (scope, t) in m.scopes() {
             out.push(row(u64::from(scope), t));
             out.extend(m.scope_phases(scope).map(|(p, t)| row(p as u64, t)));
         }
+        out.push(totals_bits(m.retired_scopes()).to_vec());
         out
     }
 
@@ -581,7 +835,8 @@ mod properties {
         let count = (next() % 5) as u32;
         match kind {
             0 => Op::Begin(epoch + next() % 3),
-            1..=5 => Op::Report(sensor, count + 1, (next() % 2) as u32, phase),
+            // A zero count with no control entry is an empty payload.
+            1..=5 => Op::Report(sensor, count, (next() % 2) as u32, phase),
             6 => Op::Flood(count + 1, phase),
             7 | 8 => Op::Down(any_node, count + 1, phase),
             9 | 10 => Op::Up(any_node, count + 1, phase),
@@ -735,5 +990,173 @@ mod properties {
         assert_eq!(twin.new.effective_parent(2), SINK);
         assert_eq!((first, second), (3, 3));
         twin.run(Op::Up(5, 1, PhaseTag::Update));
+    }
+
+    // -- The flush: substrate kernel v4 against the parent's frame path, in batched
+    // epochs (ADR-004, "Substrate kernel v4").  `Twin::run` compares every axis —
+    // `phases()`, `scopes()` and `scope_phases()` row lists included — node counters
+    // and batteries after every op, so after every flush.
+
+    /// A chain on MICA2 constants with frame batching on and epoch 0 begun.
+    fn batched(config: NetworkConfig) -> Twin {
+        let mut twin = chain(config);
+        twin.run(Op::Batching(true));
+        twin.run(Op::Begin(0));
+        twin
+    }
+
+    fn report(twin: &mut Twin, scope: Option<QueryScope>, from: NodeId, data: u32, phase: PhaseTag) -> u64 {
+        twin.run(Op::Scope(scope));
+        twin.run(Op::Report(from, data, 0, phase))
+    }
+
+    #[test]
+    fn a_scope_carrying_two_phases_on_one_frame_books_both_cells() {
+        let mut twin = batched(NetworkConfig::mica2());
+        report(&mut twin, Some(7), 5, 1, PhaseTag::Update);
+        report(&mut twin, Some(7), 5, 2, PhaseTag::Probe);
+        report(&mut twin, Some(9), 5, 1, PhaseTag::Update);
+        report(&mut twin, Some(7), 4, 1, PhaseTag::Probe);
+        twin.run(Op::Flush);
+        let m = twin.new.metrics();
+        assert_eq!(m.node(5).tx_messages, 1, "three slices, one frame");
+        assert_eq!(m.scope_phases(7).map(|(p, _)| p).collect::<Vec<_>>(), [PhaseTag::Update, PhaseTag::Probe]);
+        assert_eq!(m.scope(7).messages, 3, "two frames, one of them with two slices of the scope");
+    }
+
+    #[test]
+    fn an_unscoped_rider_between_scoped_ones_books_nothing_scope_side() {
+        let mut twin = batched(NetworkConfig::mica2());
+        for from in [5, 3] {
+            report(&mut twin, Some(7), from, 1, PhaseTag::Update);
+            report(&mut twin, None, from, 2, PhaseTag::Control);
+            report(&mut twin, Some(9), from, 1, PhaseTag::Update);
+        }
+        twin.run(Op::Flush);
+        let m = twin.new.metrics();
+        assert_eq!(m.scopes().map(|(s, _)| s).collect::<Vec<_>>(), [7, 9]);
+        assert!(m.scope(7).bytes + m.scope(9).bytes < m.totals().bytes, "the unscoped slices keep their share");
+        assert_eq!(m.phase(PhaseTag::Control).messages, 0, "a frame's message goes to its label phase");
+    }
+
+    #[test]
+    fn a_scope_whose_first_booking_is_a_flush_gets_its_rows_at_the_flush() {
+        let mut twin = batched(NetworkConfig::mica2());
+        report(&mut twin, Some(11), 5, 1, PhaseTag::CleanUp);
+        report(&mut twin, Some(11), 2, 3, PhaseTag::Update);
+        assert_eq!(twin.new.metrics().scopes().count(), 0, "intents are symbolic until the flush");
+        assert_eq!(twin.new.metrics().phases().count(), 0);
+        twin.run(Op::Flush);
+        let m = twin.new.metrics();
+        assert_eq!(m.scopes().map(|(s, _)| s).collect::<Vec<_>>(), [11]);
+        assert_eq!(m.scope_phases(11).map(|(p, _)| p).collect::<Vec<_>>(), [PhaseTag::Update, PhaseTag::CleanUp]);
+        assert_eq!(m.phases().map(|(p, _)| p).collect::<Vec<_>>(), [PhaseTag::Update, PhaseTag::CleanUp]);
+    }
+
+    #[test]
+    fn a_sender_whose_parent_empties_mid_sweep_opens_a_second_frame() {
+        let config = NetworkConfig::mica2().with_battery_uj(1.0e6);
+        let per_tuple = config.energy.cpu_uj_per_tuple;
+        let mut twin = batched(config);
+        assert_eq!(report(&mut twin, Some(7), 5, 1, PhaseTag::Update), 4);
+        drain_below(&mut twin, 4, per_tuple);
+        assert_eq!(report(&mut twin, Some(7), 5, 1, PhaseTag::Update), 3, "node 5 now reports past node 4");
+        assert_eq!(report(&mut twin, Some(9), 5, 2, PhaseTag::Update), 3);
+        assert_eq!(report(&mut twin, Some(9), 4, 2, PhaseTag::Update), u64::MAX, "node 4 is out");
+        twin.run(Op::Flush);
+        let m = twin.new.metrics();
+        assert_eq!(m.node(5).tx_messages, 2, "one frame to each receiver");
+        assert_eq!((m.node(4).rx_messages, m.node(3).rx_messages), (1, 1));
+    }
+
+    #[test]
+    fn lossy_frames_book_retransmissions_and_drops_once_per_rider() {
+        let faults = FaultPlan::none().with_link_loss(0.5).with_retransmits(2);
+        let mut twin = batched(NetworkConfig::mica2().with_seed(41).with_faults(faults));
+        for epoch in 0..6 {
+            twin.run(Op::Begin(epoch));
+            for (scope, phase) in [(Some(1), PhaseTag::Update), (None, PhaseTag::Probe), (Some(2), PhaseTag::Control)] {
+                for from in 1..=5 {
+                    report(&mut twin, scope, from, from % 3, phase);
+                    report(&mut twin, scope, from, 1, PhaseTag::Update);
+                }
+            }
+            twin.run(Op::Flush);
+        }
+        let m = twin.new.metrics();
+        assert!(m.totals().retransmissions > 0 && m.totals().dropped_messages > 0, "{:?}", m.totals());
+        for scope in [1, 2] {
+            let t = m.scope(scope);
+            assert_eq!((t.retransmissions, t.dropped_messages), (m.totals().retransmissions, m.totals().dropped_messages));
+        }
+    }
+
+    #[test]
+    fn zero_payload_riders_get_a_byte_each_and_the_opener_the_rest() {
+        let config = NetworkConfig::mica2();
+        let frame_bytes = config.radio.on_air_bytes(0);
+        let mut twin = batched(config);
+        for scope in [1, 2, 3] {
+            report(&mut twin, Some(scope), 5, 0, PhaseTag::Update);
+        }
+        twin.run(Op::Flush);
+        let bytes: Vec<u64> = twin.new.metrics().scopes().map(|(_, t)| t.bytes).collect();
+        assert_eq!(bytes, [u64::from(frame_bytes) - 2, 1, 1]);
+    }
+
+    #[test]
+    fn disabling_batching_mid_epoch_flushes_what_is_pending() {
+        let mut twin = batched(NetworkConfig::mica2());
+        report(&mut twin, Some(1), 5, 1, PhaseTag::Update);
+        report(&mut twin, Some(2), 4, 2, PhaseTag::Update);
+        twin.run(Op::Batching(false));
+        assert_eq!(twin.new.metrics().totals().messages, 2, "both frames left when batching stopped");
+        report(&mut twin, Some(1), 5, 1, PhaseTag::Update);
+        twin.run(Op::Batching(true));
+        report(&mut twin, Some(2), 5, 1, PhaseTag::Update);
+        report(&mut twin, Some(1), 3, 1, PhaseTag::Probe);
+        twin.run(Op::Begin(1));
+        assert_eq!(twin.new.metrics().totals().messages, 5);
+        report(&mut twin, Some(1), 5, 1, PhaseTag::Update);
+        twin.run(Op::Flush);
+    }
+
+    proptest! {
+        /// The flush's split, costed in place from the frame's running payload, gives
+        /// every slice the share the parent's `split_frame_shares` gave it, and the same
+        /// frame bytes — empty payloads, fragmenting and overhead-free radios included.
+        #[test]
+        fn the_split_matches_the_parents(
+            radio in (0u32..20, 0u32..12, 1u32..64),
+            intents in prop::collection::vec((0u32..6, 0u32..3), 1..20),
+        ) {
+            let (frame_overhead_bytes, header_bytes, max_payload_bytes) = radio;
+            let radio = RadioModel { frame_overhead_bytes, header_bytes, tuple_bytes: 12, control_bytes: 6, max_payload_bytes };
+            let intents: Vec<ReportIntent> = intents
+                .iter()
+                .enumerate()
+                .map(|(at, &(data_tuples, control_tuples))| ReportIntent {
+                    scope: Some(at as QueryScope % 3),
+                    phase: PhaseTag::Update,
+                    data_tuples,
+                    control_tuples,
+                })
+                .collect();
+            let mut slices = Vec::new();
+            let parent_bytes = split_frame_shares(&intents, &radio, &mut slices);
+            let mut frames = crate::schedule::FrameScheduler::new(2);
+            let fate = crate::schedule::Fate { epoch: 0, delivered: true, attempts: 1 };
+            for intent in &intents {
+                let payload = radio.payload_bytes(intent.data_tuples, intent.control_tuples);
+                frames.enqueue(1, 0, intent.scope, intent.phase, payload, intent.data_tuples, || fate);
+            }
+            let mut costed = Vec::new();
+            frames.drain(|_, _, frame| {
+                let frame_bytes = frame.cost(&radio);
+                costed.push((frame_bytes, frame.slices.iter().map(|s| (s.bytes, s.tuples)).collect::<Vec<_>>()));
+            });
+            let parent: Vec<(u32, u32)> = slices.iter().map(|s| (s.share_bytes, s.tuples)).collect();
+            prop_assert_eq!(costed, vec![(parent_bytes, parent)]);
+        }
     }
 }

@@ -24,8 +24,8 @@
 //! [`Network::unicast_up`] and [`Network::unicast_down`], fixed before its first hop —
 //! runs one hop loop that costs the payload once and books the whole path once
 //! ([`NetworkMetrics::open_path`]).  A flood books all its broadcasts through one such
-//! booking too, and a merged frame all its attempts through one
-//! [`NetworkMetrics::book_frame`].  The sink is mains-powered: the one drain helper
+//! booking too, and the epoch's merged frames all their attempts through one
+//! [`NetworkMetrics::book_frames`].  The sink is mains-powered: the one drain helper
 //! leaves it alone, so no hop loop asks.
 //!
 //! Per-epoch **report traffic** enters the façade through [`Network::send_report_up`],
@@ -42,7 +42,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::{AttemptCost, NetworkMetrics, PhaseTag, QueryScope};
 use crate::radio::RadioModel;
 use crate::rng::stream_rng;
-use crate::schedule::{split_frame_shares, FrameScheduler, PendingFrame, ReportIntent};
+use crate::schedule::{Fate, FrameScheduler};
 use crate::topology::Deployment;
 use crate::tree::RoutingTree;
 use crate::types::{Epoch, NodeId, SINK};
@@ -553,8 +553,8 @@ impl Network {
     ///
     /// This is the preferred entry point for per-epoch report traffic: with frame
     /// batching enabled ([`Self::set_frame_batching`]) the call enqueues a symbolic
-    /// [`ReportIntent`] instead of transmitting, and the epoch's reports for this hop
-    /// — across **all** sessions — leave as one merged frame at
+    /// report ([`FrameScheduler::enqueue`]) instead of transmitting, and the epoch's
+    /// reports for this hop — across **all** sessions — leave as one merged frame at
     /// [`Self::flush_frames`].  The delivery outcome is still decided (and returned)
     /// immediately: a frame's fate is fixed when its first intent opens it, and every
     /// later rider shares it, because ARQ retransmits the whole frame and a dropped
@@ -578,6 +578,7 @@ impl Network {
             let max_attempts = 1 + self.config.faults.max_retransmits;
             let scope = self.current_scope;
             let seed = self.config.seed;
+            let payload = self.config.radio.payload_bytes(data_tuples, control_tuples);
             if let Some(scheduler) = self.frame_scheduler.as_mut() {
                 // A merged frame carries several scopes at once, so its channel draws
                 // come from a dedicated substrate stream keyed by `(sender, receiver,
@@ -587,15 +588,14 @@ impl Network {
                 // which other sessions happen to share its frames (ADR-005 fairness
                 // note).  The stream is only seeded when a frame actually opens;
                 // later riders on the same hop reuse the decided fate.
-                let frame = scheduler.frame_entry(from, parent, || {
+                let delivered = scheduler.enqueue(from, parent, scope, phase, payload, data_tuples, || {
                     let mut fate_rng = stream_rng(
                         seed,
                         &[FRAME_FATE_STREAM, u64::from(from), u64::from(parent), epoch],
                     );
-                    PendingFrame::open(epoch, loss, max_attempts, &mut fate_rng)
+                    Fate::draw(epoch, loss, max_attempts, &mut fate_rng)
                 });
-                frame.slices.push(ReportIntent { scope, phase, data_tuples, control_tuples });
-                return frame.delivered.then_some(parent);
+                return delivered.then_some(parent);
             }
         }
         self.carry(&[from, parent], epoch, data_tuples, control_tuples, phase).then_some(parent)
@@ -606,33 +606,20 @@ impl Network {
     /// preamble, one header per physical fragment), replayed for as many ARQ attempts
     /// as the frame's fate used, with each riding scope charged its payload plus a
     /// pro-rata share of the shared overhead (see [`crate::schedule`]); one
-    /// [`NetworkMetrics::book_frame`] books all of a frame's attempts.  A no-op
-    /// unless frame batching is enabled and intents are pending.  [`Self::run_epoch`]
-    /// calls this once per epoch, after every session's sweep.
+    /// [`NetworkMetrics::book_frames`] books every frame's attempts.  A no-op unless
+    /// frame batching is enabled and intents are pending.  [`Self::run_epoch`] calls
+    /// this once per epoch, after every session's sweep.
     pub fn flush_frames(&mut self) {
         let Self { frame_scheduler, metrics, liveness, config, .. } = self;
         let Some(scheduler) = frame_scheduler else { return };
-        scheduler.drain_frames(|from, to, frame, slices| {
-            let frame_bytes = split_frame_shares(&frame.slices, &config.radio, slices);
+        metrics.book_frames(scheduler, &config.radio, |from, to, frame_bytes, attempts| {
             let tx = config.energy.tx_cost(frame_bytes);
             let rx = config.energy.rx_cost(frame_bytes);
-            let label_phase = frame.slices.first().map_or(PhaseTag::Update, |s| s.phase);
-            metrics.book_frame(
-                from,
-                to,
-                frame.epoch,
-                label_phase,
-                frame_bytes,
-                slices,
-                tx,
-                rx,
-                frame.attempts,
-                frame.delivered,
-            );
-            for _ in 0..frame.attempts {
+            for _ in 0..attempts {
                 liveness.drain(from, tx);
                 liveness.drain(to, rx);
             }
+            (tx, rx)
         });
     }
 

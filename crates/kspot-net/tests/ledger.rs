@@ -105,8 +105,72 @@ proptest! {
 // The flat ledger against a map-per-axis model.
 // ---------------------------------------------------------------------------------
 
-use kspot_net::{AttemptCost, FrameSlice, NetworkMetrics, NodeCounters, PhaseTotals, QueryScope, StorageTotals};
+use kspot_net::{
+    AttemptCost, Fate, FrameScheduler, NetworkMetrics, NodeCounters, PhaseTotals, QueryScope, RadioModel,
+    StorageTotals,
+};
 use std::collections::BTreeMap;
+
+/// One scope's attributed share of a merged frame, as the model books it.
+#[derive(Debug, Clone, Copy)]
+struct FrameSlice {
+    scope: Option<QueryScope>,
+    phase: PhaseTag,
+    share_bytes: u32,
+    tuples: u32,
+}
+
+/// One report enqueued onto a frame: its scope, phase, payload bytes and tuples.
+#[derive(Debug, Clone, Copy)]
+struct Intent {
+    scope: Option<QueryScope>,
+    phase: PhaseTag,
+    payload: u32,
+    tuples: u32,
+}
+
+/// The attribution split as it was written before the flush costed frames in place:
+/// each slice its payload plus `overhead × payload_i / payload` rounded down, the bytes
+/// left one at a time to the earliest slices, the opener any still left.  Returns the
+/// frame's on-air bytes.
+fn split_shares(intents: &[Intent], radio: &RadioModel) -> (u32, Vec<FrameSlice>) {
+    let payload_total: u32 = intents.iter().map(|i| i.payload).sum();
+    let frame_bytes = radio.on_air_bytes(payload_total);
+    let overhead = frame_bytes - payload_total;
+    let mut slices: Vec<FrameSlice> = intents
+        .iter()
+        .map(|intent| {
+            let share = if payload_total == 0 {
+                0
+            } else {
+                (u64::from(overhead) * u64::from(intent.payload) / u64::from(payload_total)) as u32
+            };
+            FrameSlice { scope: intent.scope, phase: intent.phase, share_bytes: intent.payload + share, tuples: intent.tuples }
+        })
+        .collect();
+    let mut remainder = frame_bytes - slices.iter().map(|s| s.share_bytes).sum::<u32>();
+    for slice in slices.iter_mut() {
+        if remainder == 0 {
+            break;
+        }
+        slice.share_bytes += 1;
+        remainder -= 1;
+    }
+    if let Some(first) = slices.first_mut() {
+        first.share_bytes += remainder;
+    }
+    (frame_bytes, slices)
+}
+
+/// The radios frames are costed with: MICA2, the overhead-free ideal radio (where an
+/// empty frame is 0 bytes) and one that fragments every 17 bytes.
+fn radio(x: u64) -> RadioModel {
+    match x % 3 {
+        0 => RadioModel::mica2(),
+        1 => RadioModel::ideal(),
+        _ => RadioModel { frame_overhead_bytes: 3, header_bytes: 5, tuple_bytes: 1, control_bytes: 1, max_payload_bytes: 17 },
+    }
+}
 
 /// The aggregate half of the ledger as it was kept before it went flat: one `BTreeMap`
 /// per axis, every row created by `entry().or_default()`.  Deliberately a transcript
@@ -301,15 +365,6 @@ proptest! {
                 }
                 e
             };
-            let slices: Vec<FrameSlice> = (0..1 + next() % 4)
-                .map(|_| FrameSlice {
-                    scope: (!next().is_multiple_of(5)).then(|| sparse_scope(next())),
-                    phase: PHASES[(next() % PHASES.len() as u64) as usize],
-                    share_bytes: (next() % 60) as u32,
-                    tuples: (next() % 5) as u32,
-                })
-                .collect();
-            let frame_bytes: u32 = if next().is_multiple_of(7) { 0 } else { slices.iter().map(|s| s.share_bytes).sum() };
             match kind {
                 0 => {
                     ledger.record_transmission(from, to, epoch, phase, bytes, tuples, tx, rx);
@@ -358,23 +413,61 @@ proptest! {
                     }
                 }
                 3 | 4 => {
-                    // A merged frame of one to four attempts, delivered or dropped, in one
-                    // call; the model books every attempt, retransmission and the drop.
-                    let attempts = 1 + (next() % 4) as u32;
-                    let delivered = next().is_multiple_of(2);
-                    ledger.book_frame(from, to, epoch, phase, frame_bytes, &slices, tx, rx, attempts, delivered);
-                    let frame_tuples: u32 = slices.iter().map(|s| s.tuples).sum();
-                    for attempt in 0..attempts {
-                        if attempt > 0 {
-                            model.frame_event(epoch, phase, &slices, |t| t.retransmissions += 1);
+                    // A flush of one to three merged frames, each of one to four attempts,
+                    // delivered or dropped, opened by the first of its one to four reports
+                    // (an empty payload included), in one call.  Two reports of one hop
+                    // ride one frame, the first's fate.  The model splits each frame by
+                    // the transcript above and books, hop by hop, every attempt,
+                    // retransmission and the drop.
+                    let radio = radio(next());
+                    let mut frames = FrameScheduler::new(NODES as usize);
+                    let mut hops: BTreeMap<(u32, u32), (Fate, Vec<Intent>)> = BTreeMap::new();
+                    for _ in 0..1 + next() % 3 {
+                        let (from, to) = if next().is_multiple_of(3) {
+                            (from, to)
+                        } else {
+                            ((next() % u64::from(NODES + 1)) as u32, (next() % u64::from(NODES + 1)) as u32)
+                        };
+                        let fate = Fate {
+                            epoch: sparse_epoch(next()),
+                            delivered: next().is_multiple_of(2),
+                            attempts: 1 + (next() % 4) as u32,
+                        };
+                        for _ in 0..1 + next() % 4 {
+                            let intent = Intent {
+                                scope: (!next().is_multiple_of(5)).then(|| sparse_scope(next())),
+                                phase: PHASES[(next() % PHASES.len() as u64) as usize],
+                                payload: [0, 0, 1, 7, 12, 29, 30, 59][(next() % 8) as usize],
+                                tuples: (next() % 5) as u32,
+                            };
+                            frames.enqueue(from, to, intent.scope, intent.phase, intent.payload, intent.tuples, || fate);
+                            hops.entry((from, to)).or_insert((fate, Vec::new())).1.push(intent);
                         }
-                        model.frame_attempt(epoch, phase, frame_bytes, &slices, sensor(from, &[to]));
-                        nodes.attempt(from, &[to], frame_bytes, frame_tuples, tx, rx);
                     }
-                    if !delivered {
-                        model.frame_event(epoch, phase, &slices, |t| t.dropped_messages += 1);
-                        nodes.0[from as usize].dropped_messages += 1;
+                    let mut charged = Vec::new();
+                    ledger.book_frames(&mut frames, &radio, |from, to, frame_bytes, attempts| {
+                        charged.push((from, to, frame_bytes, attempts));
+                        (tx, rx)
+                    });
+                    let mut expected = Vec::new();
+                    for (&(from, to), (fate, intents)) in &hops {
+                        let (frame_bytes, slices) = split_shares(intents, &radio);
+                        expected.push((from, to, frame_bytes, fate.attempts));
+                        let (epoch, label) = (fate.epoch, intents[0].phase);
+                        let frame_tuples: u32 = slices.iter().map(|s| s.tuples).sum();
+                        for attempt in 0..fate.attempts {
+                            if attempt > 0 {
+                                model.frame_event(epoch, label, &slices, |t| t.retransmissions += 1);
+                            }
+                            model.frame_attempt(epoch, label, frame_bytes, &slices, sensor(from, &[to]));
+                            nodes.attempt(from, &[to], frame_bytes, frame_tuples, tx, rx);
+                        }
+                        if !fate.delivered {
+                            model.frame_event(epoch, label, &slices, |t| t.dropped_messages += 1);
+                            nodes.0[from as usize].dropped_messages += 1;
+                        }
                     }
+                    prop_assert_eq!(charged, expected, "frames are costed and drained in (from, to) order");
                 }
                 5 => {
                     // Zero charges too: they create rows without changing a sum.

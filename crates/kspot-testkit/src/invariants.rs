@@ -330,17 +330,20 @@ mod tests {
 
     #[test]
     fn scope_attribution_checker_accepts_scoped_and_frame_traffic() {
-        use kspot_net::FrameSlice;
+        use kspot_net::{Fate, FrameScheduler, RadioModel};
         let mut m = NetworkMetrics::new(3);
         m.set_scope(Some(0));
         m.record_transmission(1, 2, 0, PhaseTag::Update, 19, 1, 380.0, 285.0);
         m.set_scope(None);
-        // A merged frame carrying both scopes.
-        let slices = [
-            FrameSlice { scope: Some(0), phase: PhaseTag::Update, share_bytes: 20, tuples: 1 },
-            FrameSlice { scope: Some(1), phase: PhaseTag::Update, share_bytes: 14, tuples: 2 },
-        ];
-        m.book_frame(2, 1, 0, PhaseTag::Update, 34, &slices, 340.0, 170.0, 2, true);
+        // A merged frame carrying both scopes, on the air twice (one retransmission).
+        let mut frames = FrameScheduler::new(3);
+        let fate = || Fate { epoch: 0, delivered: true, attempts: 2 };
+        frames.enqueue(2, 1, Some(0), PhaseTag::Update, 12, 1, fate);
+        frames.enqueue(2, 1, Some(1), PhaseTag::Update, 24, 2, fate);
+        m.book_frames(&mut frames, &RadioModel::mica2(), |_, _, frame_bytes, _| {
+            (20.0 * f64::from(frame_bytes), 10.0 * f64::from(frame_bytes))
+        });
+        assert_eq!(m.totals().retransmissions, 1);
 
         let clean = check_scope_attribution(&m, true);
         assert!(clean.is_empty(), "the public API keeps attribution conserved: {clean:?}");
